@@ -46,15 +46,11 @@ pub enum EngineKind {
     /// Round-robin sequential reference: plain phase-ordered
     /// send-then-receive, no gang barrier.
     Reference,
-    /// Spawn-per-run threaded engine: same schedule as the reference,
-    /// executed concurrently (join is not a cyclic wait).
-    Threaded,
-    /// Persistent-pool engine: threaded schedule plus the gang-join
-    /// barrier at the end of the run.
-    Pooled,
-    /// Batched engine: coalesced per-peer packets whose buffers
-    /// recycle through per-pair free lists (credits seeded empty —
-    /// first acquire on each pair allocates).
+    /// Batched engine: the reference's phase order run concurrently on
+    /// the pool (gang-join barrier at the end of the run), coalesced
+    /// per-peer packets whose buffers recycle through per-pair free
+    /// lists (credits seeded empty — first acquire on each pair
+    /// allocates).
     Batched,
     /// Overlapped engine: split-phase staged posts issued one phase
     /// early (double-buffered, credits seeded at 2 per pair) with
@@ -63,11 +59,9 @@ pub enum EngineKind {
 }
 
 impl EngineKind {
-    /// All five engines, in the canonical reporting order.
-    pub const ALL: [EngineKind; 5] = [
+    /// All three engines, in the canonical reporting order.
+    pub const ALL: [EngineKind; 3] = [
         EngineKind::Reference,
-        EngineKind::Threaded,
-        EngineKind::Pooled,
         EngineKind::Batched,
         EngineKind::Overlapped,
     ];
@@ -76,8 +70,6 @@ impl EngineKind {
     pub fn name(self) -> &'static str {
         match self {
             EngineKind::Reference => "reference",
-            EngineKind::Threaded => "threaded",
-            EngineKind::Pooled => "pooled",
             EngineKind::Batched => "batched",
             EngineKind::Overlapped => "overlapped",
         }
@@ -301,19 +293,19 @@ pub fn from_plan(plan: &CommPlan, engine: EngineKind, sweeps: usize) -> McProgra
             }
         }
         _ => {
-            // Reference/threaded/pooled/batched all execute phases in
-            // order: post everything, then complete. Batched buffers
-            // recycle through free lists seeded empty.
-            let staged = engine == EngineKind::Batched;
-            let barrier = matches!(engine, EngineKind::Pooled | EngineKind::Batched);
+            // Reference and batched both execute phases in order:
+            // post everything, then complete. Batched buffers recycle
+            // through free lists seeded empty, and its ranks meet at
+            // the pool's gang join.
+            let batched = engine == EngineKind::Batched;
             for (r, o) in ops.iter_mut().enumerate() {
                 for _ in 0..sweeps {
                     for k in 0..m {
-                        push_sends(o, plan, r, k, staged);
-                        push_completes(o, plan, r, k, staged);
+                        push_sends(o, plan, r, k, batched);
+                        push_completes(o, plan, r, k, batched);
                     }
                 }
-                if barrier {
+                if batched {
                     o.push(McOp::Barrier { id: 0 });
                 }
             }

@@ -27,8 +27,10 @@ fn bench_engines() {
     g.bench("round-robin-4p", || {
         syncplace::runtime::run_spmd(&prog, &spmd, &d, &s.bindings).unwrap()
     });
-    g.bench("threaded-4p", || {
-        syncplace::runtime::threads::run_spmd_threaded(&prog, &spmd, &d, &s.bindings).unwrap()
+    g.bench("batched-4p", || {
+        syncplace::Engine::Batched
+            .run(&prog, &spmd, &d, &s.bindings)
+            .unwrap()
     });
     g.bench("inspector-executor-4p", || {
         syncplace::inspector::run_inspector_executor(&prog, &d, &s.bindings).unwrap()

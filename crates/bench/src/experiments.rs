@@ -975,14 +975,14 @@ pub fn e17_partitioners(scale: Scale) -> String {
 }
 
 // ---------------------------------------------------------------------------
-// E18 — runtime engines: batched phases, persistent pool, parallel search
+// E18 — runtime engines: batched phases, early posting, parallel search
 // ---------------------------------------------------------------------------
 
-/// E18 / `bench-runtime`: wall-clock and modeled speedup of the five
-/// SPMD engines, packet accounting of the batched wire format, the
-/// persistent pool vs spawn-per-run, and the work-stealing placement
-/// enumeration on the wide workload. Also writes the raw numbers to
-/// `BENCH_runtime.json` in the current directory.
+/// E18 / `bench-runtime`: wall-clock and modeled speedup of the three
+/// SPMD engines, packet accounting of the batched wire format, and
+/// the work-stealing placement enumeration on the wide workload. Also
+/// writes the raw numbers to `BENCH_runtime.json` in the current
+/// directory.
 ///
 /// The modeled columns drive the engines through the α/β model with
 /// their actual wire behaviour ([`syncplace::runtime::Wire`]): the
@@ -995,7 +995,9 @@ pub fn e17_partitioners(scale: Scale) -> String {
 pub fn bench_runtime(scale: Scale) -> String {
     use std::fmt::Write as _;
     use std::time::Instant;
-    use syncplace::runtime::{estimate_engine, TimingModel, Wire};
+    use syncplace::runtime::{
+        estimate_engine, run_spmd_pooled, CommPlan, Posting, TimingModel, Wire,
+    };
     use syncplace::Engine;
 
     let (nx, procs, reps): (usize, &[usize], usize) = match scale {
@@ -1012,7 +1014,7 @@ pub fn bench_runtime(scale: Scale) -> String {
         let (d, spmd) = setup::decompose(&s, p, Pattern::FIG1, 0);
         // The defining property of the batched wire format, checked on
         // the plan itself: ≤ 1 packet per ordered peer pair per round.
-        let plan = syncplace::runtime::CommPlan::build(&s.prog, &spmd, &d);
+        let plan = std::sync::Arc::new(CommPlan::build(&s.prog, &spmd, &d));
         for ph in &plan.phases {
             for rp in &ph.ranks {
                 for q in 0..plan.nparts {
@@ -1023,8 +1025,14 @@ pub fn bench_runtime(scale: Scale) -> String {
             }
         }
         // One overlapped run up front for this P's hidden-work profile.
-        let (_, ov_report) = syncplace::runtime::run_spmd_overlapped_with_report(
-            &s.prog, &spmd, &d, &s.bindings, &None,
+        let (_, ov_report) = run_spmd_pooled(
+            &s.prog,
+            &spmd,
+            &d,
+            &s.bindings,
+            Posting::Early,
+            Some(&plan),
+            &None,
         )
         .unwrap();
         let mut rr_t_par = f64::NAN;
@@ -1085,47 +1093,6 @@ pub fn bench_runtime(scale: Scale) -> String {
         }
     }
 
-    // Pool vs spawn-per-run: many short runs back to back — the
-    // pattern of repeated `reproduce` experiments, where per-run
-    // thread start-up is a real fraction of the run.
-    let pool_p = *procs.last().unwrap();
-    let pool_runs = match scale {
-        Scale::Quick => 30,
-        Scale::Paper => 50,
-    };
-    let short_prog = syncplace::ir::programs::testiv_with(1);
-    let short_mesh = syncplace::mesh::gen2d::perturbed_grid(8, 8, 0.2, 42);
-    let short_b = syncplace::runtime::bindings::testiv_bindings(&short_prog, &short_mesh, 0.0);
-    let (short_dfg, short_an) = syncplace::placement::analyze_program(
-        &short_prog,
-        &fig6(),
-        &SearchOptions::default(),
-        &CostParams::default(),
-    );
-    let short_spmd =
-        syncplace::codegen::spmd_program(&short_prog, &short_dfg, &short_an.solutions[0]);
-    let part =
-        syncplace::partition::partition2d(&short_mesh, pool_p, syncplace::partition::Method::Greedy);
-    let d = syncplace::overlap::decompose2d(&short_mesh, &part.part, pool_p, Pattern::FIG1);
-    // Warm the pool so its one-time growth isn't billed to either side.
-    Engine::ThreadedPooled
-        .run(&short_prog, &short_spmd, &d, &short_b)
-        .unwrap();
-    let t0 = Instant::now();
-    for _ in 0..pool_runs {
-        Engine::Threaded
-            .run(&short_prog, &short_spmd, &d, &short_b)
-            .unwrap();
-    }
-    let spawn_s = t0.elapsed().as_secs_f64();
-    let t0 = Instant::now();
-    for _ in 0..pool_runs {
-        Engine::ThreadedPooled
-            .run(&short_prog, &short_spmd, &d, &short_b)
-            .unwrap();
-    }
-    let pooled_s = t0.elapsed().as_secs_f64();
-
     // Work-stealing placement enumeration. The E9 chains are forced
     // single-candidate steps (nothing to donate), so throughput is
     // measured on the "wide" workload: independent gather–scatter
@@ -1179,12 +1146,12 @@ pub fn bench_runtime(scale: Scale) -> String {
     for _ in 0..obs_reps {
         let t0 = Instant::now();
         Engine::Batched
-            .run_recorded(&s.prog, &obs_spmd, &obs_d, &s.bindings, &None)
+            .run_with(&s.prog, &obs_spmd, &obs_d, &s.bindings, None, &None)
             .unwrap();
         obs_off = obs_off.min(t0.elapsed().as_secs_f64());
         let t0 = Instant::now();
         Engine::Batched
-            .run_recorded(&s.prog, &obs_spmd, &obs_d, &s.bindings, &noop)
+            .run_with(&s.prog, &obs_spmd, &obs_d, &s.bindings, None, &noop)
             .unwrap();
         obs_noop = obs_noop.min(t0.elapsed().as_secs_f64());
     }
@@ -1225,7 +1192,6 @@ pub fn bench_runtime(scale: Scale) -> String {
     let json = format!(
         "{{\n  \"schema\": \"{}\",\n  \"git_rev\": \"{}\",\n  \"scale\": \"{}\",\n  \
          \"engines\": [\n    {}\n  ],\n  \"batched_max_packets_per_pair_per_phase\": {},\n  \
-         \"pool\": {{\"p\": {pool_p}, \"runs\": {pool_runs}, \"spawn_s\": {spawn_s:.4}, \"pooled_s\": {pooled_s:.4}}},\n  \
          \"obs_overhead\": {{\"p\": {obs_p}, \"reps\": {obs_reps}, \"engine\": \"batched\", \
          \"disabled_s\": {obs_off:.4}, \"noop_s\": {obs_noop:.4}, \"ratio\": {obs_ratio:.4}}},\n  \
          \"search\": {{\"workload\": \"wide({wide_k})\", \"workers\": {workers}, \"seq_s\": {seq_s:.4}, \"par_s\": {par_s:.4}, \
@@ -1264,13 +1230,6 @@ pub fn bench_runtime(scale: Scale) -> String {
     );
     let _ = writeln!(
         out,
-        "pool vs spawn at P={pool_p}, {pool_runs} back-to-back runs: spawn {:.1} ms, pooled {:.1} ms ({:.2}x)",
-        spawn_s * 1e3,
-        pooled_s * 1e3,
-        spawn_s / pooled_s.max(1e-9)
-    );
-    let _ = writeln!(
-        out,
         "observability off vs no-op recorder (batched, P={obs_p}, best of {obs_reps}): \
          {:.2} ms vs {:.2} ms ({:.3}x)",
         obs_off * 1e3,
@@ -1306,7 +1265,7 @@ pub fn bench_runtime(scale: Scale) -> String {
 /// E24 / `bench-large`: the large-scale decomposition tier.
 ///
 /// Three measurements, written into the `large` section of
-/// `BENCH_runtime.json` (schema v6) and gated by `benchdiff --check`:
+/// `BENCH_runtime.json` and gated by `benchdiff --check`:
 ///
 /// 1. **Decompose-time breakdown** — sequential CSR-lean builds of
 ///    ~10⁶-element 2-D and 3-D meshes at every large-tier P, split
@@ -1438,8 +1397,14 @@ pub fn e24_large(scale: Scale) -> String {
     let mut json_engines = Vec::new();
     for &p in procs {
         let (d, spmd) = setup::decompose(&s, p, Pattern::FIG1, 0);
-        let (_, ov_report) = syncplace::runtime::run_spmd_overlapped_with_report(
-            &s.prog, &spmd, &d, &s.bindings, &None,
+        let (_, ov_report) = syncplace::runtime::run_spmd_pooled(
+            &s.prog,
+            &spmd,
+            &d,
+            &s.bindings,
+            syncplace::runtime::Posting::Early,
+            None,
+            &None,
         )
         .unwrap();
         let mut rr_t_par = f64::NAN;
@@ -1533,7 +1498,7 @@ fn merge_section(key: &str, section_json: &str, scale: Scale) -> String {
 
 /// E25 / `racecheck`: concurrency verification of the runtime engines
 /// (DESIGN.md §12), written into the `racecheck` section of
-/// `BENCH_runtime.json` (schema v6) and gated by `benchdiff --check`.
+/// `BENCH_runtime.json` and gated by `benchdiff --check`.
 ///
 /// Four sweeps:
 ///
@@ -1548,8 +1513,8 @@ fn merge_section(key: &str, section_json: &str, scale: Scale) -> String {
 /// 2. **MC mutation suite** — every seeded schedule defect
 ///    ([`syncplace::analyze::mc::default_mutations`]) must be caught
 ///    with its exact SA05x code and a counterexample interleaving.
-/// 3. **Happens-before replay** — real recorded runs of all five
-///    engines and the parallel decomposer
+/// 3. **Happens-before replay** — real recorded runs of every
+///    engine and the parallel decomposer
 ///    ([`syncplace::analyze::hb`]) must replay with zero violations.
 /// 4. **HB mutation suite** — seeded log defects (dropped sends,
 ///    receives, gang joins, stage releases) must be caught with their
@@ -1736,7 +1701,7 @@ pub fn e25_racecheck(scale: Scale) -> (String, bool) {
             let (d, spmd) = setup::decompose(&s, p, Pattern::FIG1, 0);
             let hbr = Arc::new(HbRecorder::new());
             let rec: RecorderRef = Some(hbr.clone());
-            let run = engine.run_recorded(&s.prog, &spmd, &d, &s.bindings, &rec);
+            let run = engine.run_with(&s.prog, &spmd, &d, &s.bindings, None, &rec);
             let (verdict, events) = match run {
                 Ok(_) => {
                     let log = hbr.snapshot();
@@ -1800,7 +1765,7 @@ pub fn e25_racecheck(scale: Scale) -> (String, bool) {
         let hbr = Arc::new(HbRecorder::new());
         let rec: RecorderRef = Some(hbr.clone());
         engine
-            .run_recorded(&s.prog, &spmd, &d, &s.bindings, &rec)
+            .run_with(&s.prog, &spmd, &d, &s.bindings, None, &rec)
             .expect("engine run");
         hbr.snapshot()
     };
@@ -1914,7 +1879,7 @@ pub fn trace_runtime(scale: Scale) -> String {
     ) -> TraceSnapshot {
         let tr = Arc::new(TraceRecorder::new());
         let rec: RecorderRef = Some(tr.clone());
-        engine.run_recorded(prog, spmd, d, b, &rec).unwrap();
+        engine.run_with(prog, spmd, d, b, None, &rec).unwrap();
         tr.snapshot()
     }
 

@@ -1,6 +1,6 @@
 //! E21 / `reproduce profile` — the event-timeline profiler experiment.
 //!
-//! Runs the TESTIV and 3-D tet-heat workloads across all four engines
+//! Runs the TESTIV and 3-D tet-heat workloads across every engine
 //! and processor counts with a *fanout* recorder: one
 //! [`TraceRecorder`] (the aggregate view) and one
 //! [`TimelineRecorder`] (the per-rank event timeline) see the exact
@@ -57,7 +57,7 @@ fn run_profiled<const V: usize>(
     let tr = Arc::new(TraceRecorder::new());
     let tl = Arc::new(TimelineRecorder::new());
     let rec: RecorderRef = Some(Arc::new(FanoutRecorder::new(vec![tr.clone(), tl.clone()])));
-    engine.run_recorded(prog, spmd, d, b, &rec).unwrap();
+    engine.run_with(prog, spmd, d, b, None, &rec).unwrap();
     let p = Profiled {
         trace: tr.snapshot(),
         timeline: tl.snapshot(),

@@ -61,21 +61,19 @@ pub use syncplace_partition as partition;
 pub use syncplace_placement as placement;
 pub use syncplace_runtime as runtime;
 
-/// Which SPMD engine executes a placed program. All five produce
+use std::sync::Arc;
+
+/// Which SPMD engine executes a placed program. All three produce
 /// bitwise-identical results; they differ in scheduling and wire
 /// format only.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Engine {
     /// The deterministic round-robin reference executor.
     RoundRobin,
-    /// One OS thread per processor, spawned per run, one message per
-    /// comm op per peer.
-    Threaded,
-    /// The same wire protocol on the persistent worker pool
-    /// ([`runtime::SpmdPool`]) — no per-run thread start-up.
-    ThreadedPooled,
-    /// Batched zero-copy phases (one coalesced packet per peer per
-    /// phase, recycled staging buffers) on the persistent pool.
+    /// Rank processes on the persistent worker pool
+    /// ([`runtime::SpmdPool`]) exchanging batched zero-copy phases: one
+    /// coalesced packet per peer per phase, recycled staging buffers,
+    /// posted at the insertion point.
     Batched,
     /// The batched wire plus communication/compute overlap: round-1
     /// sends post early (producer splits, hoisted posts, wrap-around
@@ -84,23 +82,15 @@ pub enum Engine {
 }
 
 impl Engine {
-    /// All five engines, in documentation order — iterate this to
+    /// All three engines, in documentation order — iterate this to
     /// compare engines on the same placed program.
-    pub const ALL: [Engine; 5] = [
-        Engine::RoundRobin,
-        Engine::Threaded,
-        Engine::ThreadedPooled,
-        Engine::Batched,
-        Engine::Overlapped,
-    ];
+    pub const ALL: [Engine; 3] = [Engine::RoundRobin, Engine::Batched, Engine::Overlapped];
 
-    /// The engine's stable display name (used in reports and trace
-    /// output).
+    /// The engine's stable display name (used in reports, trace
+    /// output and the daemon's `engine` field).
     pub fn name(self) -> &'static str {
         match self {
             Engine::RoundRobin => "round-robin",
-            Engine::Threaded => "threaded",
-            Engine::ThreadedPooled => "threaded-pooled",
             Engine::Batched => "batched",
             Engine::Overlapped => "overlapped",
         }
@@ -114,30 +104,31 @@ impl Engine {
         d: &overlap::Decomposition<V>,
         b: &runtime::Bindings,
     ) -> Result<runtime::SpmdResult, String> {
-        self.run_recorded(prog, spmd, d, b, &None)
+        self.run_with(prog, spmd, d, b, None, &None)
     }
 
-    /// [`Engine::run`] with an observability hook: pass
-    /// `Some(Arc<dyn Recorder>)` to capture per-phase spans,
-    /// schedule-derived comm counters and per-pair packet counts;
-    /// pass `&None` for the zero-cost disabled path.
-    pub fn run_recorded<const V: usize>(
+    /// [`Engine::run`] with a prebuilt communication plan and an
+    /// observability hook. `plan` is reused by the pooled engines
+    /// instead of building one per run (the round-robin reference
+    /// executes the schedules directly and ignores it); `rec` as
+    /// `Some(Arc<dyn Recorder>)` captures per-phase spans,
+    /// schedule-derived comm counters and per-pair packet counts,
+    /// `&None` is the zero-cost disabled path.
+    pub fn run_with<const V: usize>(
         self,
         prog: &ir::Program,
         spmd: &codegen::SpmdProgram,
         d: &overlap::Decomposition<V>,
         b: &runtime::Bindings,
+        plan: Option<&Arc<runtime::CommPlan>>,
         rec: &obs::RecorderRef,
     ) -> Result<runtime::SpmdResult, String> {
-        match self {
-            Engine::RoundRobin => runtime::spmd::run_spmd_recorded(prog, spmd, d, b, rec),
-            Engine::Threaded => runtime::threads::run_spmd_threaded_recorded(prog, spmd, d, b, rec),
-            Engine::ThreadedPooled => {
-                runtime::threads::run_spmd_threaded_pooled_recorded(prog, spmd, d, b, rec)
-            }
-            Engine::Batched => runtime::run_spmd_batched_recorded(prog, spmd, d, b, rec),
-            Engine::Overlapped => runtime::run_spmd_overlapped_recorded(prog, spmd, d, b, rec),
-        }
+        let posting = match self {
+            Engine::RoundRobin => return runtime::run_spmd_recorded(prog, spmd, d, b, rec),
+            Engine::Batched => runtime::Posting::Late,
+            Engine::Overlapped => runtime::Posting::Early,
+        };
+        runtime::run_spmd_pooled(prog, spmd, d, b, posting, plan, rec).map(|(res, _)| res)
     }
 }
 

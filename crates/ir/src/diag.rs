@@ -16,6 +16,7 @@
 //! use, without a dependency cycle.
 
 use crate::ast::{StmtId, VarId};
+use syncplace_obs::trace::json_escape;
 
 /// How bad a finding is. Only [`Severity::Error`] findings fail the
 /// `reproduce lint` CI gate.
@@ -194,7 +195,7 @@ impl Diagnostic {
     /// without external crates).
     pub fn to_json(&self) -> String {
         let mut out = format!(
-            "{{\"code\":\"{}\",\"severity\":\"{}\",\"message\":\"{}\"",
+            "{{\"code\":\"{}\",\"severity\":\"{}\",\"message\":{}",
             self.code,
             self.severity.as_str(),
             json_escape(&self.message)
@@ -215,7 +216,7 @@ impl Diagnostic {
         }
         out.push_str(&format!(",\"span\":{{{}}}", span_fields.join(",")));
         if let Some(h) = &self.help {
-            out.push_str(&format!(",\"help\":\"{}\"", json_escape(h)));
+            out.push_str(&format!(",\"help\":{}", json_escape(h)));
         }
         out.push('}');
         out
@@ -329,21 +330,6 @@ impl std::fmt::Display for Report {
         let infos = self.of_severity(Severity::Info).count();
         writeln!(f, "{errs} error(s), {warns} warning(s), {infos} info(s)")
     }
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// The stable diagnostic-code vocabulary. Codes are never reused or

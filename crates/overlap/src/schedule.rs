@@ -11,7 +11,7 @@
 /// the overlap copies of the same entity on other processors.
 ///
 /// `msgs[p][q]` lists `(src_local_on_p, dst_local_on_q)` pairs, sorted
-/// by source index — a deterministic order that makes threaded and
+/// by source index — a deterministic order that makes concurrent and
 /// round-robin executions bitwise identical.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct UpdateSchedule {

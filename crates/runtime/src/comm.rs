@@ -97,8 +97,8 @@ impl PhaseContribution {
 /// Apply an owner→copies update for `var` (a `kind`-based array) and
 /// return the phase contribution. When a recorder is live, each
 /// non-empty schedule message is recorded as one packet of the ordered
-/// pair it travels on (the round-robin engine simulates the same wire
-/// as the per-op threaded engine).
+/// pair it travels on (the round-robin engine simulates a per-op wire:
+/// one message per comm op per peer).
 pub fn apply_update<const V: usize>(
     machines: &mut [Machine],
     d: &Decomposition<V>,
@@ -163,8 +163,7 @@ pub fn apply_assemble<const V: usize>(
     };
     let nparts = machines.len();
     let mut per_proc_send = vec![0usize; nparts];
-    // Simulated wire: values per ordered pair, batched per op like the
-    // per-op threaded engine does.
+    // Simulated wire: values per ordered pair, batched per op.
     let mut pair_values = if rec.is_some() {
         vec![0u64; nparts * nparts]
     } else {
@@ -273,8 +272,8 @@ pub fn reduce_tree_rounds(nparts: usize) -> usize {
 /// Apply a global scalar reduction: combine the per-processor partials
 /// along the binomial tree rooted at rank 0 ([`tree_fold`]) and
 /// broadcast the total back down the same tree. The recorded wire is
-/// the tree the threaded engine actually ships: one single-value
-/// packet per tree edge in each direction — `2(P−1)` messages instead
+/// that tree shipped per op: one single-value packet per tree edge in
+/// each direction — `2(P−1)` messages instead
 /// of the old `P(P−1)` allgather.
 pub fn apply_reduce(
     machines: &mut [Machine],

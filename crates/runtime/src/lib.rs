@@ -16,8 +16,6 @@
 //!   advance statement by statement; `C$SYNCHRONIZE` points apply the
 //!   decomposition's communication schedules and are counted
 //!   ([`comm::CommStats`]).
-//! * [`threads`] — the same semantics on real OS threads with
-//!   channel-based collectives; bitwise identical to round-robin.
 //! * [`plan`] — the batched communication plan: one coalesced packet
 //!   per peer per phase, with buffer layouts precomputed once from
 //!   the decomposition's schedules.
@@ -26,16 +24,20 @@
 //!   owner-bucketed claim exchange, chunk-sorted edge dedup and
 //!   per-worker sub-mesh closure, bitwise identical to the
 //!   sequential [`syncplace_overlap::build::decompose`].
-//! * [`batch`] — the batched zero-copy engine combining the two.
-//! * [`overlap`] — the split-phase engine on top of the batched wire:
-//!   interface iterations first, early coalesced sends, interior
-//!   compute while packets are in flight, double-buffered staging.
+//! * [`pooled`] — the one concurrent engine core: rank processes on
+//!   the pool executing the plan with recycled zero-copy staging
+//!   buffers, posting each phase late (`batched`) or early
+//!   (`overlapped`); bitwise identical to round-robin.
+//! * [`overlap`] — the early-posting schedule: interface iterations
+//!   first, early coalesced sends, interior compute while packets are
+//!   in flight.
 //! * [`timing`] — the α/β performance model used to produce the
 //!   speedup curves of experiment E6 (the paper's §2.4 cites 20–26×
 //!   on 32 processors for the real application [Farhat & Lanteri]).
 //!
-//! Every engine also has a `*_recorded` variant taking a
-//! [`syncplace_obs::RecorderRef`]: passing `Some` captures per-phase
+//! Every engine takes a [`syncplace_obs::RecorderRef`] (the
+//! sequential and round-robin oracles through their `*_recorded`
+//! variants): passing `Some` captures per-phase
 //! wall-clock spans, schedule-derived comm counters, per-ordered-pair
 //! packet counts and pool gauges; passing `None` costs one branch per
 //! instrumentation site (no clock reads, no locks).
@@ -43,7 +45,6 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-pub mod batch;
 pub mod bindings;
 pub mod comm;
 pub mod decomp;
@@ -51,29 +52,19 @@ pub mod exec;
 pub mod overlap;
 pub mod plan;
 pub mod pool;
+pub mod pooled;
 pub mod spmd;
-pub mod threads;
 pub mod timing;
 
-pub use batch::{
-    run_spmd_batched, run_spmd_batched_recorded, run_spmd_batched_with_plan,
-    run_spmd_batched_with_plan_recorded,
-};
 pub use bindings::{Bindings, MapBinding};
 pub use comm::CommStats;
 pub use decomp::{decompose2d_par, decompose3d_par, decompose_par, ParDecompStats};
 pub use exec::{run_sequential_recorded, Machine, SeqResult};
-pub use overlap::{
-    run_spmd_overlapped, run_spmd_overlapped_recorded, run_spmd_overlapped_with_report,
-    OverlapPlan, OverlapReport,
-};
+pub use overlap::{OverlapPlan, OverlapReport};
 pub use plan::CommPlan;
 pub use pool::SpmdPool;
+pub use pooled::{run_spmd_pooled, Posting};
 pub use spmd::{run_spmd, run_spmd_recorded, SpmdResult};
-pub use threads::{
-    run_spmd_threaded, run_spmd_threaded_pooled, run_spmd_threaded_pooled_recorded,
-    run_spmd_threaded_recorded,
-};
 pub use timing::{estimate_engine, TimingModel, TimingReport, Wire};
 
 use syncplace_ir::Program;

@@ -1,14 +1,13 @@
-//! The overlapped split-phase SPMD engine: communication/compute
-//! overlap on top of the batched wire format.
+//! The overlap schedule: where each communication phase's round-1
+//! packets may be posted *early*, so compute overlaps the transfer.
 //!
-//! The batched engine ([`crate::batch`]) already coalesces every comm
-//! op at an insertion point into one packet per peer — but it packs
-//! and ships those packets *at* the insertion point, after all
-//! preceding compute has finished. On a real machine that serializes
-//! the network behind the compute. This engine splits each phase into
-//! a **post** half (pack + ship the round-1 packets) and a
-//! **complete** half (receive, scatter, assemble, reduce, round 2),
-//! and moves the post as early as the data allows. The schedule is an
+//! The pooled core ([`crate::pooled`]) splits every phase into a
+//! **post** half (pack + ship the round-1 packets) and a **complete**
+//! half (receive, scatter, assemble, reduce, round 2). Under late
+//! posting (`batched`) both run at the insertion point, after all
+//! preceding compute has finished — on a real machine that serializes
+//! the network behind the compute. Under early posting (`overlapped`)
+//! the post moves as early as the data allows. The schedule is an
 //! [`OverlapPlan`] — computed **once per [`CommPlan`]** from the
 //! program text and the partition/overlap data — with three kinds of
 //! early-post site, in decreasing aggressiveness:
@@ -34,11 +33,6 @@
 //!   pipelining. A posted-but-uncompleted phase at time-loop
 //!   exhaustion is drained deterministically by every rank.
 //!
-//! The packet staging area is **double-buffered**: two staging buffers
-//! per ordered pair are pre-seeded into the recycling channels, so a
-//! phase can stage its sends while its previous buffer is still held
-//! by the receiver — `acquire` never allocates after startup.
-//!
 //! Early posting never changes a packed byte: posts only hoist over
 //! statements that don't write the gathered arrays, permutable-loop
 //! interfaces are by construction supersets of the gathered index
@@ -48,26 +42,14 @@
 //!
 //! The *hidden work* — compute units executed between a phase's post
 //! and its completion, minimized across ranks — is reported per phase
-//! application so the α/β model
+//! application ([`OverlapReport`]) so the α/β model
 //! ([`crate::timing::estimate_engine`]) can credit the overlap.
 
-use crate::bindings::Bindings;
-use crate::comm::CommStats;
 use crate::exec::Machine;
-use crate::plan::{CommPlan, PackItem, PhasePlan, Term};
-use crate::pool::SpmdPool;
-use crate::spmd::{build_machines, collect_results, SpmdResult};
+use crate::plan::{CommPlan, PackItem, PhasePlan};
 use std::collections::{HashMap, HashSet};
-
-/// One rank's contribution to the [`OverlapReport`]: its per-phase
-/// hidden compute units and its early-post count.
-type HiddenLog = (Vec<f64>, usize);
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Mutex};
 use syncplace_codegen::SpmdProgram;
 use syncplace_ir::{Access, LoopStmt, Program, Stmt, StmtId, VarId};
-use syncplace_obs::{self as obs, keys, RecorderRef};
-use syncplace_overlap::Decomposition;
 use syncplace_placement::IterationDomain;
 
 /// One rank's interface/interior split of a producer loop's iteration
@@ -173,7 +155,7 @@ fn writes_any(s: &Stmt, gathered: &HashSet<VarId>) -> bool {
     stmt_writes(s).iter().any(|v| gathered.contains(v))
 }
 
-fn stmt_id(s: &Stmt) -> StmtId {
+pub(crate) fn stmt_id(s: &Stmt) -> StmtId {
     match s {
         Stmt::Loop(l) => l.id,
         Stmt::Assign(a) => a.id,
@@ -425,468 +407,6 @@ impl OverlapPlan {
     }
 }
 
-/// One rank's endpoints — identical wiring to the batched engine, with
-/// the recycling channels pre-seeded for double buffering.
-struct OverlapNet {
-    rank: usize,
-    d_tx: Vec<Sender<Vec<f64>>>,
-    d_rx: Vec<Option<Receiver<Vec<f64>>>>,
-    r_tx: Vec<Sender<Vec<f64>>>,
-    r_rx: Vec<Option<Receiver<Vec<f64>>>>,
-    rec: RecorderRef,
-}
-
-impl OverlapNet {
-    fn acquire(&mut self, q: usize) -> Vec<f64> {
-        match self.r_rx[q].as_ref().and_then(|rx| rx.try_recv().ok()) {
-            Some(mut buf) => {
-                // Only a *recycled* buffer spends a stage credit — a
-                // fresh allocation (the fallback below) touches no
-                // shared staging storage, so it is invisible to the
-                // happens-before stage discipline.
-                if let Some(r) = &self.rec {
-                    r.hb(self.rank as u32, keys::HB_STAGE_ACQUIRE, q as u32);
-                }
-                buf.clear();
-                buf
-            }
-            None => Vec::new(),
-        }
-    }
-
-    fn send(&mut self, q: usize, buf: Vec<f64>) {
-        if let Some(r) = &self.rec {
-            r.hb(self.rank as u32, keys::HB_SEND, q as u32);
-        }
-        self.d_tx[q].send(buf).expect("peer alive");
-    }
-
-    fn recv_from(&mut self, r: usize) -> Vec<f64> {
-        // Every call site scatters/combines out of the wire buffer
-        // immediately, so the read event rides along with the receive.
-        if let Some(rr) = &self.rec {
-            rr.hb(self.rank as u32, keys::HB_RECV, r as u32);
-            rr.hb(self.rank as u32, keys::HB_READ, r as u32);
-        }
-        self.d_rx[r]
-            .as_ref()
-            .expect("no self-channel")
-            .recv()
-            .expect("peer alive")
-    }
-
-    fn give_back(&mut self, r: usize, buf: Vec<f64>) {
-        if let Some(rr) = &self.rec {
-            rr.hb(self.rank as u32, keys::HB_STAGE_RELEASE, r as u32);
-        }
-        let _ = self.r_tx[r].send(buf);
-    }
-
-    /// Pre-seed two staging buffers per peer into the recycling loop,
-    /// sized to the largest packet this rank ever sends that peer:
-    /// `acquire` then never allocates, and a phase can stage while its
-    /// previous buffer is still with the receiver.
-    fn seed_double_buffers(&mut self, plan: &CommPlan) {
-        let nparts = self.d_tx.len();
-        for q in 0..nparts {
-            if q == self.rank {
-                continue;
-            }
-            let cap = plan
-                .phases
-                .iter()
-                .map(|ph| {
-                    let rp = &ph.ranks[self.rank];
-                    rp.send1_len[q].max(rp.send2_len[q])
-                })
-                .max()
-                .unwrap_or(0)
-                .max(1);
-            for _ in 0..2 {
-                self.give_back(q, Vec::with_capacity(cap));
-            }
-        }
-    }
-}
-
-struct OverlapProc {
-    prog: Arc<Program>,
-    spmd: Arc<SpmdProgram>,
-    plan: Arc<CommPlan>,
-    oplan: Arc<OverlapPlan>,
-    m: Machine,
-    net: OverlapNet,
-    nparts: usize,
-    stats: CommStats,
-    iterations: usize,
-    rec: RecorderRef,
-    /// Phases whose round-1 packets are already on the wire.
-    posted: Vec<bool>,
-    /// Compute-unit reading at each phase's early post (None when the
-    /// phase was not posted early).
-    post_cu: Vec<Option<f64>>,
-    /// Per phase *application*, in execution order: this rank's hidden
-    /// units (0 where the phase was not posted early). Aligned with
-    /// `stats.phases`.
-    hidden_log: Vec<f64>,
-    /// Early posts performed.
-    early_posts: usize,
-}
-
-impl OverlapProc {
-    /// Post half: pack and ship the round-1 packets. Safe to run as
-    /// soon as every gathered value is final.
-    fn post_phase(&mut self, idx: usize) {
-        let plan = Arc::clone(&self.plan);
-        let rp = &plan.phases[idx].ranks[self.net.rank];
-        for q in 0..self.nparts {
-            if rp.send1_len[q] == 0 {
-                continue;
-            }
-            let mut buf = self.net.acquire(q);
-            buf.reserve(rp.send1_len[q]);
-            for item in &rp.send1[q] {
-                match item {
-                    PackItem::Gather { var, idx } => {
-                        let arr = &self.m.arrays[*var];
-                        buf.extend(idx.iter().map(|&i| arr[i as usize]));
-                    }
-                }
-            }
-            debug_assert_eq!(buf.len(), rp.send1_len[q]);
-            if let Some(r) = &self.rec {
-                r.packet(self.net.rank as u32, q as u32, buf.len() as u64);
-                r.add(keys::BYTES_STAGED, 8 * buf.len() as u64);
-            }
-            self.net.send(q, buf);
-        }
-        self.posted[idx] = true;
-    }
-
-    /// An early post at a scheduled site: record the span and the
-    /// compute-unit baseline the hidden-work credit is measured from.
-    fn post_early(&mut self, idx: usize) {
-        debug_assert!(!self.posted[idx], "double post of phase {idx}");
-        let t0 = obs::start(&self.rec);
-        self.post_cu[idx] = Some(self.m.compute_units);
-        self.post_phase(idx);
-        self.early_posts += 1;
-        if let Some(r) = &self.rec {
-            r.add(keys::OVERLAP_POSTS, 1);
-        }
-        obs::finish_ranked(&self.rec, keys::EARLY_SEND_SPAN, self.net.rank as u32, t0);
-    }
-
-    /// Complete half: receive round 1, scatter updates, assemble,
-    /// reduce up/down the tree, exchange round-2 totals.
-    fn complete_phase(&mut self, idx: usize) {
-        let plan = Arc::clone(&self.plan);
-        let ph: &PhasePlan = &plan.phases[idx];
-        let rp = &ph.ranks[self.net.rank];
-        let report = self.net.rank == 0;
-        let t0 = obs::start(&self.rec);
-        if !self.posted[idx] {
-            self.post_phase(idx);
-        }
-
-        let mut bufs1: Vec<Option<Vec<f64>>> = (0..self.nparts)
-            .map(|r| rp.has_recv1[r].then(|| self.net.recv_from(r)))
-            .collect();
-
-        for (r, buf) in bufs1.iter().enumerate() {
-            let Some(buf) = buf else { continue };
-            for ru in &rp.recv1[r] {
-                let arr = &mut self.m.arrays[ru.var];
-                for (k, &dst) in ru.dst.iter().enumerate() {
-                    arr[dst as usize] = buf[ru.off as usize + k];
-                }
-            }
-        }
-
-        let mut bufs2: Vec<Vec<f64>> = Vec::new();
-        if rp.send2_len.iter().any(|&l| l > 0) {
-            bufs2 = (0..self.nparts)
-                .map(|q| {
-                    if rp.send2_len[q] > 0 {
-                        let mut b = self.net.acquire(q);
-                        b.reserve(rp.send2_len[q]);
-                        b
-                    } else {
-                        Vec::new()
-                    }
-                })
-                .collect();
-        }
-        for ap in &rp.assembles {
-            for g in &ap.own_groups {
-                let mut terms = g.terms.iter();
-                let mut total = match terms.next().expect("non-empty group") {
-                    Term::Own(l) => self.m.arrays[ap.var][*l as usize],
-                    Term::Peer { .. } => unreachable!("owner term first"),
-                };
-                for t in terms {
-                    total += match t {
-                        Term::Own(l) => self.m.arrays[ap.var][*l as usize],
-                        Term::Peer { peer, off } => {
-                            bufs1[*peer as usize].as_ref().expect("peer packet")[*off as usize]
-                        }
-                    };
-                }
-                self.m.arrays[ap.var][g.write as usize] = total;
-                for &q in &g.send_to {
-                    bufs2[q as usize].push(total);
-                }
-            }
-        }
-
-        // Reductions: the shared binomial tree, exactly as in the
-        // batched engine (`comm::tree_fold` order).
-        if !rp.reduces.is_empty() {
-            let me = self.net.rank as u32;
-            let mut accs: Vec<f64> = rp
-                .reduces
-                .iter()
-                .map(|red| self.m.scalars[red.var])
-                .collect();
-            for &c in &rp.red_children {
-                let buf = self.net.recv_from(c as usize);
-                for (acc, (red, &sub)) in accs.iter_mut().zip(rp.reduces.iter().zip(buf.iter())) {
-                    *acc = red.op.combine(*acc, sub);
-                }
-                self.net.give_back(c as usize, buf);
-            }
-            let totals: Vec<f64> = match rp.red_parent {
-                Some(parent) => {
-                    let p = parent as usize;
-                    let mut buf = self.net.acquire(p);
-                    buf.extend_from_slice(&accs);
-                    if let Some(r) = &self.rec {
-                        r.packet(me, parent, buf.len() as u64);
-                        r.add(keys::BYTES_STAGED, 8 * buf.len() as u64);
-                    }
-                    self.net.send(p, buf);
-                    let buf = self.net.recv_from(p);
-                    let totals = buf.clone();
-                    self.net.give_back(p, buf);
-                    totals
-                }
-                None => accs,
-            };
-            for &c in &rp.red_children {
-                let mut buf = self.net.acquire(c as usize);
-                buf.extend_from_slice(&totals);
-                if let Some(r) = &self.rec {
-                    r.packet(me, c, buf.len() as u64);
-                    r.add(keys::BYTES_STAGED, 8 * buf.len() as u64);
-                }
-                self.net.send(c as usize, buf);
-            }
-            for (red, &t) in rp.reduces.iter().zip(&totals) {
-                self.m.scalars[red.var] = t;
-            }
-        }
-
-        for (q, buf) in bufs2.into_iter().enumerate() {
-            if rp.send2_len[q] > 0 {
-                debug_assert_eq!(buf.len(), rp.send2_len[q]);
-                if let Some(r) = &self.rec {
-                    r.packet(self.net.rank as u32, q as u32, buf.len() as u64);
-                    r.add(keys::BYTES_STAGED, 8 * buf.len() as u64);
-                }
-                self.net.send(q, buf);
-            }
-        }
-        for r in 0..self.nparts {
-            if rp.recv2[r].is_empty() {
-                continue;
-            }
-            let buf = self.net.recv_from(r);
-            for (k, &(var, slot)) in rp.recv2[r].iter().enumerate() {
-                self.m.arrays[var][slot as usize] = buf[k];
-            }
-            self.net.give_back(r, buf);
-        }
-        for (r, buf) in bufs1.iter_mut().enumerate() {
-            if let Some(buf) = buf.take() {
-                self.net.give_back(r, buf);
-            }
-        }
-
-        let hidden = self
-            .post_cu[idx]
-            .take()
-            .map(|cu0| self.m.compute_units - cu0)
-            .unwrap_or(0.0);
-        self.hidden_log.push(hidden);
-        self.posted[idx] = false;
-
-        self.stats.phases.push(ph.stat);
-        self.stats.updates += ph.updates;
-        self.stats.assembles += ph.assembles;
-        self.stats.reduces += ph.reduces;
-        if report {
-            if let Some(r) = &self.rec {
-                r.add(keys::COMM_MESSAGES, ph.stat.messages as u64);
-                r.add(keys::COMM_VALUES, ph.stat.values as u64);
-                r.add(keys::UPDATES, ph.updates as u64);
-                r.add(keys::ASSEMBLES, ph.assembles as u64);
-                r.add(keys::REDUCES, ph.reduces as u64);
-                r.add(keys::OVERLAP_HIDDEN, hidden.round() as u64);
-                for red in &rp.reduces {
-                    r.add(crate::comm::reduce_key(red.op), 1);
-                }
-            }
-        }
-        obs::finish_ranked(&self.rec, keys::PHASE_SPAN, self.net.rank as u32, t0);
-    }
-
-    /// Receive and discard the round-1 packets of every posted but
-    /// never-completed phase (wrap-around posts stranded by time-loop
-    /// exhaustion). Every rank holds the same posted set — the
-    /// schedule is static and control flow is SPMD — so the drain is
-    /// symmetric and leaves all channels empty.
-    fn drain_posted(&mut self) {
-        let plan = Arc::clone(&self.plan);
-        for idx in 0..plan.phases.len() {
-            if !self.posted[idx] {
-                continue;
-            }
-            let rp = &plan.phases[idx].ranks[self.net.rank];
-            for r in 0..self.nparts {
-                if rp.has_recv1[r] {
-                    let buf = self.net.recv_from(r);
-                    self.net.give_back(r, buf);
-                }
-            }
-            self.posted[idx] = false;
-            self.post_cu[idx] = None;
-        }
-    }
-
-    /// Exit-test allgather, identical to the batched engine's.
-    fn allgather_scalar(&mut self, x: f64) -> Vec<f64> {
-        if let Some(r) = &self.rec {
-            r.add(keys::EXIT_MESSAGES, self.nparts.saturating_sub(1) as u64);
-            r.add(keys::EXIT_VALUES, self.nparts.saturating_sub(1) as u64);
-        }
-        for q in 0..self.nparts {
-            if q != self.net.rank {
-                let mut buf = self.net.acquire(q);
-                buf.push(x);
-                self.net.send(q, buf);
-            }
-        }
-        let me = self.net.rank;
-        let mut all = vec![0.0; self.nparts];
-        all[me] = x;
-        for r in (0..self.nparts).filter(|&r| r != me) {
-            let buf = self.net.recv_from(r);
-            all[r] = buf[0];
-            self.net.give_back(r, buf);
-        }
-        all
-    }
-
-    /// Run a split loop: interface iterations, post, then interior
-    /// while the packets travel.
-    fn run_split_loop(&mut self, l: &LoopStmt, phase: usize, n: usize) {
-        let oplan = Arc::clone(&self.oplan);
-        let split = &oplan.splits[phase].as_ref().expect("split exists").per_rank[self.net.rank];
-        debug_assert!(l
-            .body
-            .iter()
-            .all(|a| !self.spmd.kernel_guarded.contains(&a.id)));
-        let t0 = obs::start(&self.rec);
-        for &i in &split.interface {
-            debug_assert!((i as usize) < n);
-            for a in &l.body {
-                self.m.exec_assign(a, Some(i as usize));
-            }
-        }
-        obs::finish_ranked(&self.rec, keys::COMPUTE_SPAN, self.net.rank as u32, t0);
-
-        self.post_early(phase);
-
-        let t_int = obs::start(&self.rec);
-        for &i in &split.interior {
-            debug_assert!((i as usize) < n);
-            for a in &l.body {
-                self.m.exec_assign(a, Some(i as usize));
-            }
-        }
-        obs::finish_ranked(&self.rec, keys::INTERIOR_SPAN, self.net.rank as u32, t_int);
-    }
-
-    fn run_block(&mut self, stmts: &[Stmt]) -> Result<bool, String> {
-        let oplan = Arc::clone(&self.oplan);
-        for s in stmts {
-            let id = stmt_id(s);
-            if let Some(&phase) = self.plan.before.get(&id) {
-                self.complete_phase(phase);
-            }
-            if let Some(list) = oplan.post_before.get(&id) {
-                for &phase in list {
-                    self.post_early(phase);
-                }
-            }
-            match s {
-                Stmt::Assign(a) => self.m.exec_assign(a, None),
-                Stmt::Loop(l) => {
-                    if !l.partitioned {
-                        return Err("sequential entity loops unsupported".into());
-                    }
-                    let domain = self.spmd.domains[&l.id];
-                    let full = self.m.count(l.entity);
-                    let kernel = self.m.kernel_count(l.entity);
-                    let n = match domain {
-                        IterationDomain::Overlap => full,
-                        IterationDomain::Kernel => kernel,
-                    };
-                    match oplan.by_loop.get(&l.id) {
-                        Some(&phase) => self.run_split_loop(l, phase, n),
-                        None => {
-                            let spmd = Arc::clone(&self.spmd);
-                            let t0 = obs::start(&self.rec);
-                            self.m.exec_loop(l, n, kernel, &spmd.kernel_guarded);
-                            obs::finish_ranked(
-                                &self.rec,
-                                keys::COMPUTE_SPAN,
-                                self.net.rank as u32,
-                                t0,
-                            );
-                        }
-                    }
-                }
-                Stmt::TimeLoop(t) => {
-                    'time: for _ in 0..t.max_iters {
-                        self.iterations += 1;
-                        if self.run_block(&t.body)? {
-                            break 'time;
-                        }
-                        if let Some(list) = oplan.post_at_tail.get(&t.id) {
-                            for &phase in list {
-                                self.post_early(phase);
-                            }
-                        }
-                    }
-                    self.drain_posted();
-                }
-                Stmt::ExitIf(e) => {
-                    let mine = self.m.eval_exit(&e.lhs, e.rel, &e.rhs);
-                    let all = self.allgather_scalar(if mine { 1.0 } else { 0.0 });
-                    if all.iter().any(|&x| x != all[0]) {
-                        self.stats.divergent_exits += 1;
-                    }
-                    if all[0] != 0.0 {
-                        return Ok(true);
-                    }
-                }
-            }
-        }
-        Ok(false)
-    }
-}
-
 /// What the overlapped engine hid, alongside the run result.
 #[derive(Debug, Clone, Default)]
 pub struct OverlapReport {
@@ -911,224 +431,19 @@ impl OverlapReport {
     }
 }
 
-/// Run a placed SPMD program with the overlapped engine (plan and
-/// overlap schedule built on the fly).
-pub fn run_spmd_overlapped<const V: usize>(
-    prog: &Program,
-    spmd: &SpmdProgram,
-    d: &Decomposition<V>,
-    b: &Bindings,
-) -> Result<SpmdResult, String> {
-    run_spmd_overlapped_recorded(prog, spmd, d, b, &None)
-}
-
-/// [`run_spmd_overlapped`] with an observability hook.
-pub fn run_spmd_overlapped_recorded<const V: usize>(
-    prog: &Program,
-    spmd: &SpmdProgram,
-    d: &Decomposition<V>,
-    b: &Bindings,
-    rec: &RecorderRef,
-) -> Result<SpmdResult, String> {
-    run_spmd_overlapped_with_report(prog, spmd, d, b, rec).map(|(r, _)| r)
-}
-
-/// Full-fat entry point: returns the run result plus the
-/// [`OverlapReport`] the bench uses to model the hidden communication.
-pub fn run_spmd_overlapped_with_report<const V: usize>(
-    prog: &Program,
-    spmd: &SpmdProgram,
-    d: &Decomposition<V>,
-    b: &Bindings,
-    rec: &RecorderRef,
-) -> Result<(SpmdResult, OverlapReport), String> {
-    let plan = Arc::new(CommPlan::build(prog, spmd, d));
-    let run_t0 = obs::start(rec);
-    let machines = build_machines(prog, d, b)?;
-    let oplan = Arc::new(OverlapPlan::build(prog, spmd, &plan, &machines));
-    let nparts = d.nparts;
-    let nphases = plan.phases.len();
-    let prog_arc = Arc::new(prog.clone());
-    let spmd_arc = Arc::new(spmd.clone());
-
-    type PairChannels = Vec<Vec<Option<(Sender<Vec<f64>>, Receiver<Vec<f64>>)>>>;
-    let mut d_ch: PairChannels = (0..nparts)
-        .map(|_| (0..nparts).map(|_| Some(channel())).collect())
-        .collect();
-    let mut r_ch: PairChannels = (0..nparts)
-        .map(|_| (0..nparts).map(|_| Some(channel())).collect())
-        .collect();
-    let mut d_tx: Vec<Vec<Sender<Vec<f64>>>> = (0..nparts)
-        .map(|p| {
-            (0..nparts)
-                .map(|q| {
-                    d_ch[p][q]
-                        .as_ref()
-                        .unwrap_or_else(|| {
-                            panic!("data channel rank {p} -> peer {q} already wired")
-                        })
-                        .0
-                        .clone()
-                })
-                .collect()
-        })
-        .collect();
-    let mut r_tx: Vec<Vec<Sender<Vec<f64>>>> = (0..nparts)
-        .map(|p| {
-            (0..nparts)
-                .map(|q| {
-                    r_ch[p][q]
-                        .as_ref()
-                        .unwrap_or_else(|| {
-                            panic!("recycle channel rank {p} -> peer {q} already wired")
-                        })
-                        .0
-                        .clone()
-                })
-                .collect()
-        })
-        .collect();
-
-    let hidden_logs: Arc<Mutex<Vec<Option<HiddenLog>>>> = Arc::new(Mutex::new(vec![None; nparts]));
-
-    let mut jobs: Vec<crate::threads::RankJob> = Vec::with_capacity(nparts);
-    for (rank, m) in machines.into_iter().enumerate() {
-        let mut net = OverlapNet {
-            rank,
-            d_tx: std::mem::take(&mut d_tx[rank]),
-            d_rx: (0..nparts)
-                .map(|r| d_ch[r][rank].take().map(|(_, rx)| rx))
-                .collect(),
-            r_tx: std::mem::take(&mut r_tx[rank]),
-            r_rx: (0..nparts)
-                .map(|q| r_ch[rank][q].take().map(|(_, rx)| rx))
-                .collect(),
-            rec: rec.clone(),
-        };
-        net.seed_double_buffers(&plan);
-        let prog = Arc::clone(&prog_arc);
-        let spmd = Arc::clone(&spmd_arc);
-        let plan = Arc::clone(&plan);
-        let oplan = Arc::clone(&oplan);
-        let rec = rec.clone();
-        let logs = Arc::clone(&hidden_logs);
-        jobs.push(Box::new(move || {
-            let t_job = obs::start(&rec);
-            let mut proc = OverlapProc {
-                prog,
-                spmd,
-                plan,
-                oplan,
-                m,
-                net,
-                nparts,
-                stats: CommStats::default(),
-                iterations: 0,
-                rec,
-                posted: vec![false; nphases],
-                post_cu: vec![None; nphases],
-                hidden_log: Vec::new(),
-                early_posts: 0,
-            };
-            let body = Arc::clone(&proc.prog);
-            proc.run_block(&body.body)?;
-            if let Some(end) = proc.plan.at_end {
-                proc.complete_phase(end);
-            }
-            obs::finish_event(&proc.rec, keys::RANK_RUN, rank as u32, t_job);
-            logs.lock().expect("hidden log lock")[rank] =
-                Some((std::mem::take(&mut proc.hidden_log), proc.early_posts));
-            Ok((proc.m, proc.stats, proc.iterations))
-        }));
-    }
-
-    let results = SpmdPool::global().run_gang_recorded(jobs, rec);
-    let mut machines = Vec::with_capacity(nparts);
-    let mut stats = CommStats::default();
-    let mut iterations = 0;
-    for (rank, r) in results.into_iter().enumerate() {
-        let (m, s, it) = r?;
-        if rank == 0 {
-            stats = s;
-            iterations = it;
-        }
-        machines.push(m);
-    }
-    if let Some(r) = rec {
-        r.add(keys::ITERATIONS, iterations as u64);
-    }
-    obs::finish(rec, keys::RUN_SPAN, run_t0);
-
-    // Creditable overlap: the minimum across ranks per application —
-    // only work every rank had in flight hides the phase's wire time.
-    let logs = hidden_logs.lock().expect("hidden log lock");
-    let mut report = OverlapReport {
-        early_phases: oplan.early_phases(),
-        split_phases: oplan.splits.iter().flatten().count(),
-        ..Default::default()
-    };
-    for entry in logs.iter() {
-        let (log, posts) = entry.as_ref().expect("every rank logged");
-        report.early_posts = *posts;
-        if report.hidden_units.is_empty() {
-            report.hidden_units = log.clone();
-        } else {
-            for (min, &h) in report.hidden_units.iter_mut().zip(log.iter()) {
-                *min = min.min(h);
-            }
-        }
-    }
-    drop(logs);
-
-    Ok((
-        collect_results::<V>(prog, d, machines, stats, iterations),
-        report,
-    ))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::bindings::testiv_bindings;
+    use crate::pooled::tests::{assert_bitwise, setup};
+    use crate::pooled::{run_spmd_pooled, Posting};
+    use crate::spmd::build_machines;
     use syncplace_automata::predefined::{fig6, fig7};
     use syncplace_ir::programs;
     use syncplace_mesh::gen2d;
     use syncplace_overlap::{decompose2d, Pattern};
     use syncplace_partition::{partition2d, Method};
     use syncplace_placement::{analyze_program, CostParams, SearchOptions};
-
-    /// TESTIV on a perturbed grid; `sol` picks the placement (the
-    /// search returns many — index 0 is the cheapest, and some later
-    /// ones place the overlap update before the consumer loop, which
-    /// exercises wrap-around splits).
-    fn setup(
-        pattern: Pattern,
-        nparts: usize,
-        sol: usize,
-    ) -> (
-        Program,
-        SpmdProgram,
-        Decomposition<3>,
-        crate::bindings::Bindings,
-    ) {
-        let p = programs::testiv();
-        let mesh = gen2d::perturbed_grid(9, 9, 0.15, 3);
-        let b = testiv_bindings(&p, &mesh, 1e-9);
-        let automaton = match pattern {
-            Pattern::NodeOverlap => fig7(),
-            _ => fig6(),
-        };
-        let (dfg, analysis) = analyze_program(
-            &p,
-            &automaton,
-            &SearchOptions::default(),
-            &CostParams::default(),
-        );
-        let spmd_prog = syncplace_codegen::spmd_program(&p, &dfg, &analysis.solutions[sol]);
-        let part = partition2d(&mesh, nparts, Method::Greedy);
-        let d = decompose2d(&mesh, &part.part, nparts, pattern);
-        (p, spmd_prog, d, b)
-    }
 
     /// Solution indices worth covering: 0 (hoisted post before the
     /// exit test) and, for fig6, the first solution that places the
@@ -1161,30 +476,6 @@ mod tests {
         None
     }
 
-    fn assert_bitwise(tag: &str, rr: &SpmdResult, ov: &SpmdResult) {
-        assert_eq!(rr.iterations, ov.iterations, "{tag}: iteration counts");
-        for (v, a) in &rr.output_arrays {
-            let o = &ov.output_arrays[v];
-            assert!(
-                a.iter().zip(o).all(|(x, y)| x.to_bits() == y.to_bits()),
-                "{tag}: array outputs differ bitwise"
-            );
-        }
-        for (v, a) in &rr.output_scalars {
-            assert_eq!(a.to_bits(), ov.output_scalars[v].to_bits(), "{tag}");
-        }
-    }
-
-    #[test]
-    fn overlapped_bitwise_matches_round_robin() {
-        for (pattern, nparts) in [(Pattern::FIG1, 4), (Pattern::FIG2, 3)] {
-            let (p, spmd, d, b) = setup(pattern, nparts, 0);
-            let rr = crate::spmd::run_spmd(&p, &spmd, &d, &b).unwrap();
-            let ov = run_spmd_overlapped(&p, &spmd, &d, &b).unwrap();
-            assert_bitwise(&format!("{pattern:?}"), &rr, &ov);
-        }
-    }
-
     #[test]
     fn overlapped_bitwise_matches_round_robin_with_wraparound_split() {
         // A placement whose overlap plan contains a producer split
@@ -1195,7 +486,7 @@ mod tests {
             let (p, spmd, d, b) = setup(Pattern::FIG1, nparts, si);
             let rr = crate::spmd::run_spmd(&p, &spmd, &d, &b).unwrap();
             let (ov, report) =
-                run_spmd_overlapped_with_report(&p, &spmd, &d, &b, &None).unwrap();
+                run_spmd_pooled(&p, &spmd, &d, &b, Posting::Early, None, &None).unwrap();
             assert_bitwise(&format!("split P={nparts}"), &rr, &ov);
             if nparts > 1 {
                 assert!(report.split_phases > 0, "P={nparts}: split not exercised");
@@ -1271,7 +562,8 @@ mod tests {
         // hoists to just after the scatter loop, so the convergence
         // loop's compute is hidden behind the update packets.
         let (p, spmd, d, b) = setup(Pattern::FIG1, 4, 0);
-        let (res, report) = run_spmd_overlapped_with_report(&p, &spmd, &d, &b, &None).unwrap();
+        let (res, report) =
+            run_spmd_pooled(&p, &spmd, &d, &b, Posting::Early, None, &None).unwrap();
         assert!(report.early_phases > 0, "TESTIV has an early-post site");
         assert!(report.early_posts > 0);
         assert_eq!(report.hidden_units.len(), res.stats.phases.len());
@@ -1279,12 +571,5 @@ mod tests {
             report.total_hidden() > 0.0,
             "interior work must be credited"
         );
-    }
-
-    #[test]
-    fn single_processor_degenerates_cleanly() {
-        let (p, spmd, d, b) = setup(Pattern::FIG1, 1, 0);
-        let ov = run_spmd_overlapped(&p, &spmd, &d, &b).unwrap();
-        assert_eq!(ov.stats.total_messages(), 0);
     }
 }

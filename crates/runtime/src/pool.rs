@@ -148,8 +148,8 @@ impl SpmdPool {
                         let t_job = obs::start(&job_rec);
                         let r = job();
                         // The gang join below is the engines' barrier
-                        // episode: every rank of pooled/batched/
-                        // overlapped runs (and each decomposer gang)
+                        // episode: every rank of batched/overlapped
+                        // runs (and each decomposer gang)
                         // synchronizes here.
                         if let Some(rr) = &job_rec {
                             rr.hb(i as u32, keys::HB_BARRIER, 0);

@@ -1,0 +1,806 @@
+//! The pooled rank-process core: the one concurrent SPMD engine.
+//!
+//! Every rank runs the unmodified program as a gang job on the
+//! persistent [`crate::pool::SpmdPool`] and executes a
+//! [`crate::plan::CommPlan`] — one coalesced packet per peer per
+//! communication phase, staging buffers moved through the channel (no
+//! copy) and recycled on a per-peer free list. Each phase has a
+//! **post** half (pack + ship the round-1 packets) and a **complete**
+//! half (receive, scatter, assemble, tree-reduce, round 2, recycle).
+//! The only parameter is *when* the post half runs ([`Posting`]):
+//!
+//! * [`Posting::Late`] — the `batched` engine: post at the insertion
+//!   point, immediately before completing. Staging buffers are
+//!   allocated on first use and recycled from then on.
+//! * [`Posting::Early`] — the `overlapped` engine: post at the sites
+//!   of an [`OverlapPlan`] (producer splits, hoisted posts,
+//!   wrap-around posts), so later compute overlaps the transfer. The
+//!   free lists are pre-seeded with two buffers per peer (double
+//!   buffering: a phase can stage while its previous buffer is still
+//!   held by the receiver), and posts stranded by time-loop exhaustion
+//!   are drained.
+//!
+//! Early posting never changes a packed byte (see [`crate::overlap`]),
+//! and combine orders are those of the round-robin reference
+//! ([`crate::comm::tree_fold`], owner-first ascending-rank assembly),
+//! so both postings are **bitwise identical** to [`crate::spmd`].
+
+use crate::bindings::Bindings;
+use crate::comm::CommStats;
+use crate::exec::Machine;
+use crate::overlap::{stmt_id, OverlapPlan, OverlapReport};
+use crate::plan::{CommPlan, PackItem, PhasePlan, Term};
+use crate::pool::SpmdPool;
+use crate::spmd::{build_machines, collect_results, SpmdResult};
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::Arc;
+use syncplace_codegen::SpmdProgram;
+use syncplace_ir::{LoopStmt, Program, Stmt};
+use syncplace_obs::{self as obs, keys, RecorderRef};
+use syncplace_overlap::Decomposition;
+use syncplace_placement::IterationDomain;
+
+/// When a phase's round-1 packets go on the wire.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Posting {
+    /// At the insertion point, right before the phase completes (the
+    /// `batched` engine).
+    Late,
+    /// As early as the data allows, per [`OverlapPlan`] (the
+    /// `overlapped` engine).
+    Early,
+}
+
+/// One rank's endpoints: a data channel to and from every peer, plus
+/// a per-peer free list of spent staging buffers. A buffer drained
+/// from peer `q` is reused for the next send *to* `q` (most recently
+/// drained first), so the steady state allocates nothing.
+struct Net {
+    rank: usize,
+    tx: Vec<Sender<Vec<f64>>>,
+    rx: Vec<Receiver<Vec<f64>>>,
+    free: Vec<Vec<Vec<f64>>>,
+    rec: RecorderRef,
+}
+
+impl Net {
+    /// A cleared staging buffer for peer `q`: recycled if one is free,
+    /// freshly allocated otherwise.
+    fn acquire(&mut self, q: usize) -> Vec<f64> {
+        match self.free[q].pop() {
+            Some(mut buf) => {
+                // Only a *recycled* buffer spends a stage credit — a
+                // fresh allocation touches no shared staging storage,
+                // so it is invisible to the happens-before stage
+                // discipline.
+                if let Some(r) = &self.rec {
+                    r.hb(self.rank as u32, keys::HB_STAGE_ACQUIRE, q as u32);
+                }
+                buf.clear();
+                buf
+            }
+            None => Vec::new(),
+        }
+    }
+
+    fn send(&mut self, q: usize, buf: Vec<f64>) {
+        if let Some(r) = &self.rec {
+            r.hb(self.rank as u32, keys::HB_SEND, q as u32);
+        }
+        self.tx[q].send(buf).expect("peer alive");
+    }
+
+    /// Send communication-phase traffic: same wire as [`Net::send`],
+    /// but recorded in the per-pair packet matrix (each rank records
+    /// only its own sends, so the aggregate is the gang total).
+    fn send_phase(&mut self, q: usize, buf: Vec<f64>) {
+        if let Some(r) = &self.rec {
+            r.packet(self.rank as u32, q as u32, buf.len() as u64);
+            r.add(keys::BYTES_STAGED, 8 * buf.len() as u64);
+        }
+        self.send(q, buf);
+    }
+
+    fn recv_from(&mut self, r: usize) -> Vec<f64> {
+        // The scatter/combine read of the wire buffer follows
+        // immediately at every call site, so the `hb.read` that the
+        // happens-before checker matches against the sender's write is
+        // emitted here alongside the receive itself.
+        if let Some(rr) = &self.rec {
+            rr.hb(self.rank as u32, keys::HB_RECV, r as u32);
+            rr.hb(self.rank as u32, keys::HB_READ, r as u32);
+        }
+        self.rx[r].recv().expect("peer alive")
+    }
+
+    /// Put a spent buffer drained from peer `r` on the free list.
+    fn give_back(&mut self, r: usize, buf: Vec<f64>) {
+        if let Some(rr) = &self.rec {
+            rr.hb(self.rank as u32, keys::HB_STAGE_RELEASE, r as u32);
+        }
+        self.free[r].push(buf);
+    }
+
+    /// Pre-seed two staging buffers per peer, sized to the largest
+    /// packet this rank ever sends that peer: `acquire` then never
+    /// allocates, and a phase can stage while its previous buffer is
+    /// still with the receiver.
+    fn seed_double_buffers(&mut self, plan: &CommPlan) {
+        let me = self.rank;
+        for q in (0..self.tx.len()).filter(|&q| q != me) {
+            let cap = plan
+                .phases
+                .iter()
+                .map(|ph| {
+                    let rp = &ph.ranks[me];
+                    rp.send1_len[q].max(rp.send2_len[q])
+                })
+                .max()
+                .unwrap_or(0)
+                .max(1);
+            for _ in 0..2 {
+                self.give_back(q, Vec::with_capacity(cap));
+            }
+        }
+    }
+}
+
+/// Wire one data channel per ordered pair and hand every rank its
+/// endpoints: `tx[q]` sends to peer `q`, `rx[r]` receives from `r`.
+fn wire(nparts: usize, rec: &RecorderRef) -> Vec<Net> {
+    let mut nets: Vec<Net> = (0..nparts)
+        .map(|rank| Net {
+            rank,
+            tx: Vec::with_capacity(nparts),
+            rx: Vec::with_capacity(nparts),
+            free: vec![Vec::new(); nparts],
+            rec: rec.clone(),
+        })
+        .collect();
+    for p in 0..nparts {
+        for q in 0..nparts {
+            let (tx, rx) = channel();
+            nets[p].tx.push(tx);
+            nets[q].rx.push(rx);
+        }
+    }
+    nets
+}
+
+/// One rank's process: its machine, its endpoints, the shared plans
+/// and the split-phase bookkeeping.
+struct RankProc {
+    prog: Arc<Program>,
+    spmd: Arc<SpmdProgram>,
+    plan: Arc<CommPlan>,
+    oplan: Arc<OverlapPlan>,
+    m: Machine,
+    net: Net,
+    nparts: usize,
+    stats: CommStats,
+    iterations: usize,
+    /// Phases whose round-1 packets are already on the wire.
+    posted: Vec<bool>,
+    /// Compute-unit reading at each phase's early post (None when the
+    /// phase was not posted early).
+    post_cu: Vec<Option<f64>>,
+    /// Per phase *application*, in execution order: this rank's hidden
+    /// units (0 where the phase was not posted early). Aligned with
+    /// `stats.phases`.
+    hidden_log: Vec<f64>,
+    /// Early posts performed.
+    early_posts: usize,
+}
+
+impl RankProc {
+    /// Post half: pack and ship one round-1 packet per peer. Safe to
+    /// run as soon as every gathered value is final.
+    fn post_phase(&mut self, idx: usize) {
+        let plan = Arc::clone(&self.plan);
+        let rp = &plan.phases[idx].ranks[self.net.rank];
+        for q in 0..self.nparts {
+            if rp.send1_len[q] == 0 {
+                continue;
+            }
+            let mut buf = self.net.acquire(q);
+            buf.reserve(rp.send1_len[q]);
+            for item in &rp.send1[q] {
+                match item {
+                    PackItem::Gather { var, idx } => {
+                        let arr = &self.m.arrays[*var];
+                        buf.extend(idx.iter().map(|&i| arr[i as usize]));
+                    }
+                }
+            }
+            debug_assert_eq!(buf.len(), rp.send1_len[q]);
+            self.net.send_phase(q, buf);
+        }
+        self.posted[idx] = true;
+    }
+
+    /// An early post at a scheduled site: record the span and the
+    /// compute-unit baseline the hidden-work credit is measured from.
+    fn post_early(&mut self, idx: usize) {
+        debug_assert!(!self.posted[idx], "double post of phase {idx}");
+        let t0 = obs::start(&self.net.rec);
+        self.post_cu[idx] = Some(self.m.compute_units);
+        self.post_phase(idx);
+        self.early_posts += 1;
+        if let Some(r) = &self.net.rec {
+            r.add(keys::OVERLAP_POSTS, 1);
+        }
+        obs::finish_ranked(
+            &self.net.rec,
+            keys::EARLY_SEND_SPAN,
+            self.net.rank as u32,
+            t0,
+        );
+    }
+
+    /// Complete half: (post now unless already posted,) receive round
+    /// 1, scatter updates, assemble, reduce up/down the tree, exchange
+    /// round-2 totals, recycle.
+    fn complete_phase(&mut self, idx: usize) {
+        let plan = Arc::clone(&self.plan);
+        let ph: &PhasePlan = &plan.phases[idx];
+        let rp = &ph.ranks[self.net.rank];
+        // Plan-derived accounting is identical on every rank; rank 0
+        // alone reports counters. Packets and staged bytes are
+        // per-rank own-sends; the clock runs on every rank so each
+        // rank's in-phase time lands on its timeline lane.
+        let report = self.net.rank == 0;
+        let t0 = obs::start(&self.net.rec);
+        if !self.posted[idx] {
+            self.post_phase(idx);
+        }
+        let mut bufs1: Vec<Option<Vec<f64>>> = (0..self.nparts)
+            .map(|r| rp.has_recv1[r].then(|| self.net.recv_from(r)))
+            .collect();
+
+        // Updates: scatter straight out of the wire buffers.
+        for (r, buf) in bufs1.iter().enumerate() {
+            let Some(buf) = buf else { continue };
+            for ru in &rp.recv1[r] {
+                let arr = &mut self.m.arrays[ru.var];
+                for (k, &dst) in ru.dst.iter().enumerate() {
+                    arr[dst as usize] = buf[ru.off as usize + k];
+                }
+            }
+        }
+
+        // Assemblies: combine owned groups in the fixed order, write
+        // back, stage totals for round 2.
+        let mut bufs2: Vec<Vec<f64>> = Vec::new();
+        if rp.send2_len.iter().any(|&l| l > 0) {
+            bufs2 = (0..self.nparts)
+                .map(|q| {
+                    if rp.send2_len[q] > 0 {
+                        let mut b = self.net.acquire(q);
+                        b.reserve(rp.send2_len[q]);
+                        b
+                    } else {
+                        Vec::new()
+                    }
+                })
+                .collect();
+        }
+        for ap in &rp.assembles {
+            for g in &ap.own_groups {
+                let mut terms = g.terms.iter();
+                let mut total = match terms.next().expect("non-empty group") {
+                    Term::Own(l) => self.m.arrays[ap.var][*l as usize],
+                    Term::Peer { .. } => unreachable!("owner term first"),
+                };
+                for t in terms {
+                    total += match t {
+                        Term::Own(l) => self.m.arrays[ap.var][*l as usize],
+                        Term::Peer { peer, off } => {
+                            bufs1[*peer as usize].as_ref().expect("peer packet")[*off as usize]
+                        }
+                    };
+                }
+                self.m.arrays[ap.var][g.write as usize] = total;
+                for &q in &g.send_to {
+                    bufs2[q as usize].push(total);
+                }
+            }
+        }
+
+        // Reductions: combine partials up the shared binomial tree and
+        // broadcast the totals back down.  One packet per tree edge per
+        // direction, carrying every reduce op's value in phase order —
+        // the combine order is exactly `comm::tree_fold`, so results
+        // stay bitwise-identical to the per-op reference.
+        if !rp.reduces.is_empty() {
+            let mut accs: Vec<f64> = rp
+                .reduces
+                .iter()
+                .map(|red| self.m.scalars[red.var])
+                .collect();
+            for &c in &rp.red_children {
+                let buf = self.net.recv_from(c as usize);
+                for (acc, (red, &sub)) in accs.iter_mut().zip(rp.reduces.iter().zip(buf.iter())) {
+                    *acc = red.op.combine(*acc, sub);
+                }
+                self.net.give_back(c as usize, buf);
+            }
+            let totals: Vec<f64> = match rp.red_parent {
+                Some(parent) => {
+                    let p = parent as usize;
+                    let mut buf = self.net.acquire(p);
+                    buf.extend_from_slice(&accs);
+                    self.net.send_phase(p, buf);
+                    let buf = self.net.recv_from(p);
+                    let totals = buf.clone();
+                    self.net.give_back(p, buf);
+                    totals
+                }
+                None => accs,
+            };
+            for &c in &rp.red_children {
+                let mut buf = self.net.acquire(c as usize);
+                buf.extend_from_slice(&totals);
+                self.net.send_phase(c as usize, buf);
+            }
+            for (red, &t) in rp.reduces.iter().zip(&totals) {
+                self.m.scalars[red.var] = t;
+            }
+        }
+
+        // Round 2: totals owner → participants.
+        for (q, buf) in bufs2.into_iter().enumerate() {
+            if rp.send2_len[q] > 0 {
+                debug_assert_eq!(buf.len(), rp.send2_len[q]);
+                self.net.send_phase(q, buf);
+            }
+        }
+        for r in 0..self.nparts {
+            if rp.recv2[r].is_empty() {
+                continue;
+            }
+            let buf = self.net.recv_from(r);
+            for (k, &(var, slot)) in rp.recv2[r].iter().enumerate() {
+                self.m.arrays[var][slot as usize] = buf[k];
+            }
+            self.net.give_back(r, buf);
+        }
+
+        // Recycle the round-1 staging buffers.
+        for (r, buf) in bufs1.iter_mut().enumerate() {
+            if let Some(buf) = buf.take() {
+                self.net.give_back(r, buf);
+            }
+        }
+
+        let early = self.post_cu[idx]
+            .take()
+            .map(|cu0| self.m.compute_units - cu0);
+        self.hidden_log.push(early.unwrap_or(0.0));
+        self.posted[idx] = false;
+
+        self.stats.phases.push(ph.stat);
+        self.stats.updates += ph.updates;
+        self.stats.assembles += ph.assembles;
+        self.stats.reduces += ph.reduces;
+        if report {
+            if let Some(r) = &self.net.rec {
+                r.add(keys::COMM_MESSAGES, ph.stat.messages as u64);
+                r.add(keys::COMM_VALUES, ph.stat.values as u64);
+                r.add(keys::UPDATES, ph.updates as u64);
+                r.add(keys::ASSEMBLES, ph.assembles as u64);
+                r.add(keys::REDUCES, ph.reduces as u64);
+                if let Some(hidden) = early {
+                    r.add(keys::OVERLAP_HIDDEN, hidden.round() as u64);
+                }
+                for red in &rp.reduces {
+                    r.add(crate::comm::reduce_key(red.op), 1);
+                }
+            }
+        }
+        obs::finish_ranked(&self.net.rec, keys::PHASE_SPAN, self.net.rank as u32, t0);
+    }
+
+    /// Receive and discard the round-1 packets of every posted but
+    /// never-completed phase (wrap-around posts stranded by time-loop
+    /// exhaustion). Every rank holds the same posted set — the
+    /// schedule is static and control flow is SPMD — so the drain is
+    /// symmetric and leaves all channels empty.
+    fn drain_posted(&mut self) {
+        let plan = Arc::clone(&self.plan);
+        for idx in 0..plan.phases.len() {
+            if !self.posted[idx] {
+                continue;
+            }
+            let rp = &plan.phases[idx].ranks[self.net.rank];
+            for r in 0..self.nparts {
+                if rp.has_recv1[r] {
+                    let buf = self.net.recv_from(r);
+                    self.net.give_back(r, buf);
+                }
+            }
+            self.posted[idx] = false;
+            self.post_cu[idx] = None;
+        }
+    }
+
+    /// Exit-test allgather: recorded under `exit.*` counters (per-rank
+    /// own-sends), kept out of the per-pair matrix so the matrix holds
+    /// only `C$SYNCHRONIZE` phase traffic.
+    fn allgather_scalar(&mut self, x: f64) -> Vec<f64> {
+        if let Some(r) = &self.net.rec {
+            r.add(keys::EXIT_MESSAGES, self.nparts.saturating_sub(1) as u64);
+            r.add(keys::EXIT_VALUES, self.nparts.saturating_sub(1) as u64);
+        }
+        let me = self.net.rank;
+        for q in (0..self.nparts).filter(|&q| q != me) {
+            let mut buf = self.net.acquire(q);
+            buf.push(x);
+            self.net.send(q, buf);
+        }
+        let mut all = vec![0.0; self.nparts];
+        all[me] = x;
+        for r in (0..self.nparts).filter(|&r| r != me) {
+            let buf = self.net.recv_from(r);
+            all[r] = buf[0];
+            self.net.give_back(r, buf);
+        }
+        all
+    }
+
+    /// Run a split loop: interface iterations, post, then interior
+    /// while the packets travel.
+    fn run_split_loop(&mut self, l: &LoopStmt, phase: usize, n: usize) {
+        let oplan = Arc::clone(&self.oplan);
+        let split = &oplan.splits[phase].as_ref().expect("split exists").per_rank[self.net.rank];
+        debug_assert!(l
+            .body
+            .iter()
+            .all(|a| !self.spmd.kernel_guarded.contains(&a.id)));
+        let t0 = obs::start(&self.net.rec);
+        for &i in &split.interface {
+            debug_assert!((i as usize) < n);
+            for a in &l.body {
+                self.m.exec_assign(a, Some(i as usize));
+            }
+        }
+        obs::finish_ranked(&self.net.rec, keys::COMPUTE_SPAN, self.net.rank as u32, t0);
+
+        self.post_early(phase);
+
+        let t_int = obs::start(&self.net.rec);
+        for &i in &split.interior {
+            debug_assert!((i as usize) < n);
+            for a in &l.body {
+                self.m.exec_assign(a, Some(i as usize));
+            }
+        }
+        obs::finish_ranked(
+            &self.net.rec,
+            keys::INTERIOR_SPAN,
+            self.net.rank as u32,
+            t_int,
+        );
+    }
+
+    fn run_block(&mut self, stmts: &[Stmt]) -> Result<bool, String> {
+        let oplan = Arc::clone(&self.oplan);
+        for s in stmts {
+            let id = stmt_id(s);
+            if let Some(&phase) = self.plan.before.get(&id) {
+                self.complete_phase(phase);
+            }
+            if let Some(list) = oplan.post_before.get(&id) {
+                for &phase in list {
+                    self.post_early(phase);
+                }
+            }
+            match s {
+                Stmt::Assign(a) => self.m.exec_assign(a, None),
+                Stmt::Loop(l) => {
+                    if !l.partitioned {
+                        return Err("sequential entity loops unsupported".into());
+                    }
+                    let domain = self.spmd.domains[&l.id];
+                    let full = self.m.count(l.entity);
+                    let kernel = self.m.kernel_count(l.entity);
+                    let n = match domain {
+                        IterationDomain::Overlap => full,
+                        IterationDomain::Kernel => kernel,
+                    };
+                    match oplan.by_loop.get(&l.id) {
+                        Some(&phase) => self.run_split_loop(l, phase, n),
+                        None => {
+                            let spmd = Arc::clone(&self.spmd);
+                            let t0 = obs::start(&self.net.rec);
+                            self.m.exec_loop(l, n, kernel, &spmd.kernel_guarded);
+                            obs::finish_ranked(
+                                &self.net.rec,
+                                keys::COMPUTE_SPAN,
+                                self.net.rank as u32,
+                                t0,
+                            );
+                        }
+                    }
+                }
+                Stmt::TimeLoop(t) => {
+                    'time: for _ in 0..t.max_iters {
+                        self.iterations += 1;
+                        if self.run_block(&t.body)? {
+                            break 'time;
+                        }
+                        if let Some(list) = oplan.post_at_tail.get(&t.id) {
+                            for &phase in list {
+                                self.post_early(phase);
+                            }
+                        }
+                    }
+                    self.drain_posted();
+                }
+                Stmt::ExitIf(e) => {
+                    let mine = self.m.eval_exit(&e.lhs, e.rel, &e.rhs);
+                    let all = self.allgather_scalar(if mine { 1.0 } else { 0.0 });
+                    if all.iter().any(|&x| x != all[0]) {
+                        self.stats.divergent_exits += 1;
+                    }
+                    // Rank-0's decision rules (same as the reference).
+                    if all[0] != 0.0 {
+                        return Ok(true);
+                    }
+                }
+            }
+        }
+        Ok(false)
+    }
+}
+
+/// What one rank hands back through the gang join.
+struct RankOutcome {
+    m: Machine,
+    stats: CommStats,
+    iterations: usize,
+    hidden_log: Vec<f64>,
+    early_posts: usize,
+}
+
+/// One rank's job on the worker pool: run the rank to completion.
+type RankJob = Box<dyn FnOnce() -> Result<RankOutcome, String> + Send + 'static>;
+
+/// Run a placed SPMD program as a gang of rank processes on the
+/// global [`SpmdPool`].
+///
+/// `posting` selects the `batched` ([`Posting::Late`]) or `overlapped`
+/// ([`Posting::Early`]) schedule. `plan` is a prebuilt [`CommPlan`] to
+/// reuse across runs on the same decomposition (`None` builds one on
+/// the fly). `rec` is the observability hook: `Some` captures per-rank
+/// packets / staged bytes at the send sites, phase spans, rank-0
+/// plan-derived counters, exit-test traffic under `exit.*` and a
+/// whole-run span; `None` costs one branch per site.
+///
+/// Returns the run result plus the [`OverlapReport`] (all zeros for
+/// late posting) the α/β model uses to credit hidden communication.
+pub fn run_spmd_pooled<const V: usize>(
+    prog: &Program,
+    spmd: &SpmdProgram,
+    d: &Decomposition<V>,
+    b: &Bindings,
+    posting: Posting,
+    plan: Option<&Arc<CommPlan>>,
+    rec: &RecorderRef,
+) -> Result<(SpmdResult, OverlapReport), String> {
+    let plan = match plan {
+        Some(p) => Arc::clone(p),
+        None => Arc::new(CommPlan::build(prog, spmd, d)),
+    };
+    let run_t0 = obs::start(rec);
+    let machines = build_machines(prog, d, b)?;
+    let oplan = Arc::new(match posting {
+        Posting::Late => OverlapPlan::default(),
+        Posting::Early => OverlapPlan::build(prog, spmd, &plan, &machines),
+    });
+    let nparts = d.nparts;
+    let nphases = plan.phases.len();
+    let prog_arc = Arc::new(prog.clone());
+    let spmd_arc = Arc::new(spmd.clone());
+
+    let mut jobs: Vec<RankJob> = Vec::with_capacity(nparts);
+    for (m, mut net) in machines.into_iter().zip(wire(nparts, rec)) {
+        if posting == Posting::Early {
+            net.seed_double_buffers(&plan);
+        }
+        let mut proc = RankProc {
+            prog: Arc::clone(&prog_arc),
+            spmd: Arc::clone(&spmd_arc),
+            plan: Arc::clone(&plan),
+            oplan: Arc::clone(&oplan),
+            m,
+            net,
+            nparts,
+            stats: CommStats::default(),
+            iterations: 0,
+            posted: vec![false; nphases],
+            post_cu: vec![None; nphases],
+            hidden_log: Vec::new(),
+            early_posts: 0,
+        };
+        jobs.push(Box::new(move || {
+            let t_job = obs::start(&proc.net.rec);
+            let body = Arc::clone(&proc.prog);
+            proc.run_block(&body.body)?;
+            if let Some(end) = proc.plan.at_end {
+                proc.complete_phase(end);
+            }
+            obs::finish_event(&proc.net.rec, keys::RANK_RUN, proc.net.rank as u32, t_job);
+            Ok(RankOutcome {
+                m: proc.m,
+                stats: proc.stats,
+                iterations: proc.iterations,
+                hidden_log: proc.hidden_log,
+                early_posts: proc.early_posts,
+            })
+        }));
+    }
+
+    // Gang join. Stats and the iteration count are rank 0's (identical
+    // on every rank); creditable overlap is the minimum across ranks
+    // per phase application — only work every rank had in flight hides
+    // the phase's wire time.
+    let mut machines = Vec::with_capacity(nparts);
+    let mut stats = CommStats::default();
+    let mut iterations = 0;
+    let mut report = OverlapReport {
+        early_phases: oplan.early_phases(),
+        split_phases: oplan.splits.iter().flatten().count(),
+        ..Default::default()
+    };
+    for (rank, r) in SpmdPool::global()
+        .run_gang_recorded(jobs, rec)
+        .into_iter()
+        .enumerate()
+    {
+        let out = r?;
+        if rank == 0 {
+            stats = out.stats;
+            iterations = out.iterations;
+            report.early_posts = out.early_posts;
+            report.hidden_units = out.hidden_log;
+        } else {
+            for (min, &h) in report.hidden_units.iter_mut().zip(&out.hidden_log) {
+                *min = min.min(h);
+            }
+        }
+        machines.push(out.m);
+    }
+    if let Some(r) = rec {
+        r.add(keys::ITERATIONS, iterations as u64);
+    }
+    obs::finish(rec, keys::RUN_SPAN, run_t0);
+    Ok((
+        collect_results::<V>(prog, d, machines, stats, iterations),
+        report,
+    ))
+}
+
+#[cfg(test)]
+pub(crate) mod tests {
+    use super::*;
+    use crate::bindings::testiv_bindings;
+    use syncplace_automata::predefined::{fig6, fig7};
+    use syncplace_ir::programs;
+    use syncplace_mesh::gen2d;
+    use syncplace_overlap::{decompose2d, Pattern};
+    use syncplace_partition::{partition2d, Method};
+    use syncplace_placement::{analyze_program, CostParams, SearchOptions};
+
+    const POSTINGS: [Posting; 2] = [Posting::Late, Posting::Early];
+
+    /// TESTIV on a perturbed grid; `sol` picks the placement (the
+    /// search returns many — index 0 is the cheapest, and some later
+    /// ones place the overlap update before the consumer loop, which
+    /// exercises wrap-around splits).
+    pub(crate) fn setup(
+        pattern: Pattern,
+        nparts: usize,
+        sol: usize,
+    ) -> (Program, SpmdProgram, Decomposition<3>, Bindings) {
+        let p = programs::testiv();
+        let mesh = gen2d::perturbed_grid(9, 9, 0.15, 3);
+        let b = testiv_bindings(&p, &mesh, 1e-9);
+        let automaton = match pattern {
+            Pattern::NodeOverlap => fig7(),
+            _ => fig6(),
+        };
+        let (dfg, analysis) = analyze_program(
+            &p,
+            &automaton,
+            &SearchOptions::default(),
+            &CostParams::default(),
+        );
+        let spmd_prog = syncplace_codegen::spmd_program(&p, &dfg, &analysis.solutions[sol]);
+        let part = partition2d(&mesh, nparts, Method::Greedy);
+        let d = decompose2d(&mesh, &part.part, nparts, pattern);
+        (p, spmd_prog, d, b)
+    }
+
+    pub(crate) fn assert_bitwise(tag: &str, want: &SpmdResult, got: &SpmdResult) {
+        assert_eq!(want.iterations, got.iterations, "{tag}: iteration counts");
+        for (v, a) in &want.output_arrays {
+            let o = &got.output_arrays[v];
+            assert!(
+                a.iter().zip(o).all(|(x, y)| x.to_bits() == y.to_bits()),
+                "{tag}: array outputs differ bitwise"
+            );
+        }
+        for (v, a) in &want.output_scalars {
+            assert_eq!(a.to_bits(), got.output_scalars[v].to_bits(), "{tag}");
+        }
+    }
+
+    #[test]
+    fn both_postings_bitwise_match_round_robin() {
+        for (pattern, nparts) in [(Pattern::FIG1, 4), (Pattern::FIG2, 3), (Pattern::FIG1, 1)] {
+            let (p, spmd, d, b) = setup(pattern, nparts, 0);
+            let rr = crate::spmd::run_spmd(&p, &spmd, &d, &b).unwrap();
+            for posting in POSTINGS {
+                let (res, report) =
+                    run_spmd_pooled(&p, &spmd, &d, &b, posting, None, &None).unwrap();
+                assert_bitwise(&format!("{pattern:?} P={nparts} {posting:?}"), &rr, &res);
+                if nparts == 1 {
+                    assert_eq!(res.stats.total_messages(), 0);
+                }
+                // One hidden-work entry per phase application; late
+                // posting hides nothing.
+                assert_eq!(report.hidden_units.len(), res.stats.phases.len());
+                if posting == Posting::Late {
+                    assert_eq!((report.total_hidden(), report.early_posts), (0.0, 0));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn at_most_one_packet_per_peer_per_phase() {
+        let (p, spmd, d, b) = setup(Pattern::FIG2, 4, 0);
+        let rr = crate::spmd::run_spmd(&p, &spmd, &d, &b).unwrap();
+        let (ba, _) = run_spmd_pooled(&p, &spmd, &d, &b, Posting::Late, None, &None).unwrap();
+        // Same number of phases; never more messages per phase than
+        // there are ordered peer pairs × 2 rounds plus the 2(P−1)
+        // binomial-tree edges a reducing phase adds.  The coalesced
+        // wire can ship *fewer* values than the per-op reference (one
+        // tree packet carries every reduce op in the phase) but never
+        // more messages.
+        assert_eq!(rr.stats.nphases(), ba.stats.nphases());
+        let tree_edges = 2 * (4 - 1);
+        for (ph, rh) in ba.stats.phases.iter().zip(&rr.stats.phases) {
+            assert!(
+                ph.messages <= 2 * 4 * 3 + tree_edges,
+                "one packet per pair per round plus tree edges"
+            );
+            assert!(
+                ph.messages <= rh.messages,
+                "coalescing must never exceed the per-op engine on messages"
+            );
+            assert!(ph.rounds <= crate::comm::reduce_tree_rounds(4).max(2));
+        }
+        // Op counters are engine-independent.
+        assert_eq!(rr.stats.updates, ba.stats.updates);
+        assert_eq!(rr.stats.assembles, ba.stats.assembles);
+        assert_eq!(rr.stats.reduces, ba.stats.reduces);
+    }
+
+    #[test]
+    fn plan_reuse_across_runs_is_stable() {
+        // A run handed a prebuilt plan — twice — is bitwise equal to a
+        // run that builds its own, under both postings.
+        let (p, spmd, d, b) = setup(Pattern::FIG1, 4, 0);
+        let plan = Arc::new(CommPlan::build(&p, &spmd, &d));
+        for posting in POSTINGS {
+            let (fresh, _) = run_spmd_pooled(&p, &spmd, &d, &b, posting, None, &None).unwrap();
+            for run in 0..2 {
+                let (reused, _) =
+                    run_spmd_pooled(&p, &spmd, &d, &b, posting, Some(&plan), &None).unwrap();
+                assert_bitwise(&format!("{posting:?} reuse {run}"), &fresh, &reused);
+                assert_eq!(fresh.stats.total_messages(), reused.stats.total_messages());
+            }
+        }
+    }
+}

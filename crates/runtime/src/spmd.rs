@@ -4,7 +4,8 @@
 //! statement; at every `C$SYNCHRONIZE` insertion point the
 //! decomposition's schedules are applied and counted. Because the
 //! combine orders are fixed, the engine is bitwise deterministic and
-//! bitwise identical to the threaded engine ([`crate::threads`]).
+//! bitwise identical to the pooled message-passing engine
+//! ([`crate::pooled`]), whose oracle it is.
 
 use crate::bindings::{kind_index, Bindings, MapBinding};
 use crate::comm::{self, CommStats};

@@ -70,7 +70,7 @@ pub enum Wire {
     /// `2·(P − 1)` latency rounds (accumulate up the chain, result
     /// back down) instead of the binomial tree's `2·⌈log₂ P⌉`.
     ReferenceChain,
-    /// The concurrent engines (threaded, pooled, batched, overlapped):
+    /// The concurrent engines (batched, overlapped):
     /// reductions run the binomial tree, so a phase costs the rounds
     /// recorded in its [`crate::comm::PhaseStat`].
     Tree,
@@ -190,7 +190,8 @@ mod tests {
         let part = partition2d(&mesh, nparts, Method::GreedyKl);
         let d = decompose2d(&mesh, &part.part, nparts, Pattern::FIG1);
         let (res, report) =
-            crate::overlap::run_spmd_overlapped_with_report(&p, &spmd_prog, &d, &b, &None).unwrap();
+            crate::run_spmd_pooled(&p, &spmd_prog, &d, &b, crate::Posting::Early, None, &None)
+                .unwrap();
         (seq, res, report)
     }
 

@@ -334,11 +334,15 @@ mod tests {
             "{\"op\":\"run\",\"program\":\"x\",\"source\":\"y\"}",
             "{\"op\":\"run\",\"program\":\"x\",\"p\":0}",
             "{\"op\":\"run\",\"program\":\"x\",\"engine\":\"warp\"}",
+            "{\"op\":\"run\",\"program\":\"x\",\"engine\":\"threaded\"}",
             "{\"op\":\"run\",\"program\":\"x\",\"pattern\":\"fig9\"}",
             "{\"op\":\"run\",\"program\":\"x\",\"typo\":1}",
             "{\"op\":\"run\",\"program\":\"x\",\"mesh\":{\"nx\":1}}",
         ] {
-            assert!(parse_request(bad).is_err(), "accepted: {bad}");
+            let err = parse_request(bad).expect_err(bad);
+            if bad.contains("engine") {
+                assert!(err.contains("(round-robin|batched|overlapped)"), "{err}");
+            }
         }
     }
 

@@ -27,7 +27,8 @@
 //!
 //! All engine executions land on the shared process-wide
 //! [`SpmdPool`], so a resident server reuses warm worker threads
-//! across requests exactly like the pooled benchmarks do.
+//! across requests, and every engine is handed the cached
+//! [`CommPlan`].
 //!
 //! [`CommPlan`]: syncplace::runtime::CommPlan
 //! [`SpmdPool`]: syncplace::runtime::SpmdPool
@@ -48,10 +49,7 @@ use syncplace::obs::trace::json_escape;
 use syncplace::obs::{keys, MetricsRegistry, Recorder, RecorderRef, TraceRecorder};
 use syncplace::overlap::{Decomposition, Pattern};
 use syncplace::placement::{analyze_program, CostParams, SearchOptions, Solution};
-use syncplace::runtime::{
-    run_spmd_batched_with_plan_recorded, Bindings, CommPlan, SpmdPool, SpmdResult,
-};
-use syncplace::Engine;
+use syncplace::runtime::{Bindings, CommPlan, SpmdPool, SpmdResult};
 
 use crate::cache::{CacheStats, Lookup, LruCache};
 use crate::flight::{self, Appended, FlightRecorder};
@@ -638,24 +636,17 @@ impl Service {
             .as_ref()
             .map(|t| Arc::clone(t) as Arc<dyn Recorder>);
         let t_run = Instant::now();
-        let result = match req.engine {
-            Engine::Batched => run_spmd_batched_with_plan_recorded(
+        let result = req
+            .engine
+            .run_with(
                 &placed.prog,
                 &placed.spmd,
                 &compiled.d,
                 &bindings,
-                &compiled.plan,
+                Some(&compiled.plan),
                 &rec_ref,
-            ),
-            other => other.run_recorded(
-                &placed.prog,
-                &placed.spmd,
-                &compiled.d,
-                &bindings,
-                &rec_ref,
-            ),
-        }
-        .map_err(ServeError::Invalid)?;
+            )
+            .map_err(ServeError::Invalid)?;
         scratch.engine_ns = t_run.elapsed().as_nanos() as u64;
         self.emit_span(keys::SERVER_ENGINE_SPAN, scratch.engine_ns);
         let run_ms = scratch.engine_ns as f64 / 1e6;

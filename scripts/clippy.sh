@@ -12,8 +12,9 @@
 # preset (--quick: small meshes, P in {4,8}, same code paths — the
 # bitwise parallel-vs-sequential check runs for real), the E25
 # concurrency gate (`reproduce racecheck --quick`: schedule model
-# checking of every engine at P <= 3, happens-before replay of real
-# recorded runs, both mutation suites) must catch every seeded defect
+# checking of all three engines — reference, batched, overlapped — at
+# P <= 3, happens-before replay of real recorded runs, both mutation
+# suites) must catch every seeded defect
 # with zero false positives, a live `syncplace-serve` daemon must
 # answer `stats` with a well-formed metric exposition (the E23
 # telemetry smoke), and the committed BENCH_runtime.json must still

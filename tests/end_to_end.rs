@@ -150,17 +150,18 @@ fn fig5_sketch_runs() {
 }
 
 #[test]
-fn threaded_engine_matches_round_robin_across_programs() {
+fn batched_engine_matches_round_robin_across_programs() {
     let s = setup::testiv(8, 1e-8, &fig6());
     let (d, spmd) = setup::decompose(&s, 5, Pattern::FIG1, 0);
     let rr = syncplace::runtime::run_spmd(&s.prog, &spmd, &d, &s.bindings).unwrap();
-    let th =
-        syncplace::runtime::threads::run_spmd_threaded(&s.prog, &spmd, &d, &s.bindings).unwrap();
+    let ba = syncplace::Engine::Batched
+        .run(&s.prog, &spmd, &d, &s.bindings)
+        .unwrap();
     for (v, a) in &rr.output_arrays {
-        assert_eq!(a, &th.output_arrays[v]);
+        assert_eq!(a, &ba.output_arrays[v]);
     }
     for (v, x) in &rr.output_scalars {
-        assert_eq!(x, &th.output_scalars[v]);
+        assert_eq!(x, &ba.output_scalars[v]);
     }
 }
 

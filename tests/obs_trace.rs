@@ -8,7 +8,8 @@
 //!   traffic (exit-test allgathers land under `exit.*` counters), so
 //!   the comparison is exact, not an inequality.
 //! * Pool workers share one recorder; counters recorded concurrently
-//!   by every rank of a gang must aggregate exactly.
+//!   by every rank of a gang must aggregate to exactly the
+//!   schedule-derived totals.
 //! * A live no-op recorder must cost < 5% over the disabled path.
 
 use std::collections::HashSet;
@@ -73,56 +74,58 @@ fn time_loop_stmt_ids(stmts: &[syncplace::ir::Stmt], inside: bool, out: &mut Has
     }
 }
 
+/// The per-ordered-pair packet counts a pooled run of `iters` fixed
+/// iterations must record, derived from the [`CommPlan`] alone: each
+/// phase contributes one packet per non-empty round (plus one per
+/// binomial-tree edge per direction when it reduces), times the
+/// phase's execution count over the whole run.
+fn expected_pair_packets(prog: &Program, plan: &CommPlan, iters: usize) -> Vec<Vec<u64>> {
+    let mut looped = HashSet::new();
+    time_loop_stmt_ids(&prog.body, false, &mut looped);
+    assert!(!looped.is_empty(), "TESTIV has a time loop");
+    let p = plan.nparts;
+    let mut expected = vec![vec![0u64; p]; p];
+    let mut phase_mult = vec![0u64; plan.phases.len()];
+    for (&id, &idx) in &plan.before {
+        phase_mult[idx] += if looped.contains(&id) { iters as u64 } else { 1 };
+    }
+    if let Some(end) = plan.at_end {
+        phase_mult[end] += 1;
+    }
+    for (idx, ph) in plan.phases.iter().enumerate() {
+        for (from, rp) in ph.ranks.iter().enumerate() {
+            for (to, cell) in expected[from].iter_mut().enumerate() {
+                let mut per_sweep =
+                    u64::from(rp.send1_len[to] > 0) + u64::from(rp.send2_len[to] > 0);
+                // Reducing phases add one packet per binomial-tree
+                // edge per direction (partial up, total down).
+                if !rp.reduces.is_empty() {
+                    per_sweep += u64::from(rp.red_parent == Some(to as u32))
+                        + u64::from(rp.red_children.contains(&(to as u32)));
+                }
+                *cell += phase_mult[idx] * per_sweep;
+            }
+        }
+    }
+    expected
+}
+
 #[test]
 fn batched_recorded_packets_match_commplan_structural_bound() {
     const ITERS: usize = 5;
     let (prog, bindings, mesh, spmd) = fixed_iteration_setup(ITERS);
-    let mut looped = HashSet::new();
-    time_loop_stmt_ids(&prog.body, false, &mut looped);
-    assert!(!looped.is_empty(), "TESTIV has a time loop");
 
     for p in [2usize, 4, 8] {
         let part = partition2d(&mesh, p, Method::Greedy);
         let d = decompose2d(&mesh, &part.part, p, Pattern::FIG1);
         let plan = Arc::new(CommPlan::build(&prog, &spmd, &d));
-
-        // Structural bound: per ordered pair, each phase contributes
-        // one packet per non-empty round, times the phase's execution
-        // count over the whole run.
-        let mut expected = vec![vec![0u64; p]; p];
-        let mut phase_mult = vec![0u64; plan.phases.len()];
-        for (&id, &idx) in &plan.before {
-            phase_mult[idx] += if looped.contains(&id) {
-                ITERS as u64
-            } else {
-                1
-            };
-        }
-        if let Some(end) = plan.at_end {
-            phase_mult[end] += 1;
-        }
-        for (idx, ph) in plan.phases.iter().enumerate() {
-            for (from, rp) in ph.ranks.iter().enumerate() {
-                for (to, cell) in expected[from].iter_mut().enumerate() {
-                    let mut per_sweep =
-                        u64::from(rp.send1_len[to] > 0) + u64::from(rp.send2_len[to] > 0);
-                    // Reducing phases add one packet per binomial-tree
-                    // edge per direction (partial up, total down).
-                    if !rp.reduces.is_empty() {
-                        per_sweep += u64::from(rp.red_parent == Some(to as u32))
-                            + u64::from(rp.red_children.contains(&(to as u32)));
-                    }
-                    *cell += phase_mult[idx] * per_sweep;
-                }
-            }
-        }
+        let expected = expected_pair_packets(&prog, &plan, ITERS);
 
         let tr = Arc::new(TraceRecorder::new());
         let rec: RecorderRef = Some(tr.clone());
-        let res = syncplace::runtime::run_spmd_batched_with_plan_recorded(
-            &prog, &spmd, &d, &bindings, &plan, &rec,
-        )
-        .unwrap();
+        let res = Engine::Batched
+            .run_with(&prog, &spmd, &d, &bindings, Some(&plan), &rec)
+            .unwrap();
         assert_eq!(res.iterations, ITERS, "eps=0 run is fixed-length");
         let snap = tr.snapshot();
         assert_eq!(snap.counter(keys::ITERATIONS), ITERS as u64);
@@ -150,45 +153,45 @@ fn batched_recorded_packets_match_commplan_structural_bound() {
 
 #[test]
 fn pool_workers_aggregate_counters_into_one_recorder() {
-    let (prog, bindings, mesh, spmd) = fixed_iteration_setup(4);
+    const ITERS: usize = 4;
+    let (prog, bindings, mesh, spmd) = fixed_iteration_setup(ITERS);
     let p = 4usize;
     let part = partition2d(&mesh, p, Method::Greedy);
     let d = decompose2d(&mesh, &part.part, p, Pattern::FIG1);
+    let plan = Arc::new(CommPlan::build(&prog, &spmd, &d));
 
-    // The spawn-per-run threaded engine is the reference: same wire,
-    // plain scoped threads.
-    let spawn_tr = Arc::new(TraceRecorder::new());
-    let spawn_rec: RecorderRef = Some(spawn_tr.clone());
-    Engine::Threaded
-        .run_recorded(&prog, &spmd, &d, &bindings, &spawn_rec)
+    let tr = Arc::new(TraceRecorder::new());
+    let rec: RecorderRef = Some(tr.clone());
+    let res = Engine::Batched
+        .run_with(&prog, &spmd, &d, &bindings, Some(&plan), &rec)
         .unwrap();
-    let spawn = spawn_tr.snapshot();
-
-    let pool_tr = Arc::new(TraceRecorder::new());
-    let pool_rec: RecorderRef = Some(pool_tr.clone());
-    Engine::ThreadedPooled
-        .run_recorded(&prog, &spmd, &d, &bindings, &pool_rec)
-        .unwrap();
-    let pooled = pool_tr.snapshot();
+    let pooled = tr.snapshot();
 
     // Every rank records its own sends from its own pool worker; the
-    // shared recorder must see the exact same aggregate the scoped
-    // threads produced.
-    assert_eq!(pooled.pairs, spawn.pairs, "per-pair matrices differ");
-    for key in [
-        keys::COMM_MESSAGES,
-        keys::COMM_VALUES,
-        keys::BYTES_STAGED,
-        keys::UPDATES,
-        keys::REDUCES,
-        keys::EXIT_MESSAGES,
-        keys::ITERATIONS,
-    ] {
-        assert_eq!(pooled.counter(key), spawn.counter(key), "{key}");
+    // shared recorder must hold exactly the schedule-derived gang
+    // total — nothing lost, nothing counted twice.
+    let expected = expected_pair_packets(&prog, &plan, ITERS);
+    for (from, row) in expected.iter().enumerate() {
+        for (to, &want) in row.iter().enumerate() {
+            assert_eq!(pooled.pair(from as u32, to as u32).packets, want, "{from}->{to}");
+        }
     }
+    for (key, want) in [
+        (keys::COMM_MESSAGES, res.stats.total_messages()),
+        (keys::COMM_VALUES, res.stats.total_values()),
+        (keys::UPDATES, res.stats.updates),
+        (keys::REDUCES, res.stats.reduces),
+        (keys::EXIT_MESSAGES, ITERS * p * (p - 1)),
+        (keys::ITERATIONS, ITERS),
+    ] {
+        assert_eq!(pooled.counter(key), want as u64, "{key}");
+    }
+    assert_eq!(pooled.total_packets(), res.stats.total_messages() as u64);
+    assert_eq!(pooled.total_pair_values(), res.stats.total_values() as u64);
+    assert_eq!(pooled.counter(keys::BYTES_STAGED), 8 * pooled.total_pair_values());
     assert!(pooled.counter(keys::BYTES_STAGED) > 0);
 
-    // Pool-level gauges come only from the pooled run.
+    // Pool-level gauges: one gang of P jobs.
     assert_eq!(pooled.counter(keys::POOL_GANGS), 1);
     assert_eq!(pooled.counter(keys::POOL_JOBS), p as u64);
     assert_eq!(pooled.gauge(keys::POOL_GANG_RANKS), p as u64);
@@ -196,7 +199,6 @@ fn pool_workers_aggregate_counters_into_one_recorder() {
     let peak = pooled.gauge(keys::POOL_QUEUE_PEAK);
     assert!((1..=p as u64).contains(&peak), "queue peak {peak}");
     assert!(pooled.span(keys::POOL_GANG_SPAN).is_some());
-    assert_eq!(spawn.counter(keys::POOL_GANGS), 0);
 }
 
 #[test]
@@ -214,10 +216,9 @@ fn noop_recorder_overhead_stays_under_five_percent() {
 
     let time_run = |rec: &RecorderRef| -> f64 {
         let t0 = std::time::Instant::now();
-        syncplace::runtime::run_spmd_batched_with_plan_recorded(
-            &prog, &spmd, &d, &bindings, &plan, rec,
-        )
-        .unwrap();
+        Engine::Batched
+            .run_with(&prog, &spmd, &d, &bindings, Some(&plan), rec)
+            .unwrap();
         t0.elapsed().as_secs_f64()
     };
     // Warm the pool and caches.
@@ -244,29 +245,36 @@ fn noop_recorder_overhead_stays_under_five_percent() {
 }
 
 #[test]
-fn round_robin_pair_matrix_matches_threaded_wire() {
-    // The round-robin engine *simulates* the wire the threaded engine
-    // actually uses; with a recorder attached both must produce the
-    // same per-pair packet matrix on the same decomposition.
+fn round_robin_pair_values_match_the_pooled_wire() {
+    // The round-robin engine *simulates* a per-op wire; the pooled
+    // engines really ship the same values, coalesced into one packet
+    // per peer per round. With a recorder attached both must account
+    // the same values on every ordered pair, and coalescing may only
+    // ever lower the packet count.
     let (prog, bindings, mesh, spmd) = fixed_iteration_setup(3);
     for p in [2usize, 4] {
         let part = partition2d(&mesh, p, Method::Greedy);
         let d = decompose2d(&mesh, &part.part, p, Pattern::FIG1);
-        let rr_tr = Arc::new(TraceRecorder::new());
-        let rr_rec: RecorderRef = Some(rr_tr.clone());
-        Engine::RoundRobin
-            .run_recorded(&prog, &spmd, &d, &bindings, &rr_rec)
-            .unwrap();
-        let th_tr = Arc::new(TraceRecorder::new());
-        let th_rec: RecorderRef = Some(th_tr.clone());
-        Engine::Threaded
-            .run_recorded(&prog, &spmd, &d, &bindings, &th_rec)
-            .unwrap();
+        let snapshot_of = |engine: Engine| {
+            let tr = Arc::new(TraceRecorder::new());
+            let rec: RecorderRef = Some(tr.clone());
+            engine
+                .run_with(&prog, &spmd, &d, &bindings, None, &rec)
+                .unwrap();
+            tr.snapshot()
+        };
+        let rr = snapshot_of(Engine::RoundRobin);
+        let ba = snapshot_of(Engine::Batched);
         assert_eq!(
-            rr_tr.snapshot().pairs,
-            th_tr.snapshot().pairs,
-            "P={p}: simulated wire != real wire"
+            rr.pairs.keys().collect::<Vec<_>>(),
+            ba.pairs.keys().collect::<Vec<_>>(),
+            "P={p}: talking pairs differ"
         );
+        for (pair, sim) in &rr.pairs {
+            let real = ba.pairs[pair];
+            assert_eq!(sim.values, real.values, "P={p} {pair:?}: simulated wire != real wire");
+            assert!(real.packets <= sim.packets, "P={p} {pair:?}");
+        }
     }
 }
 

@@ -177,17 +177,18 @@ fn claim_manual_errors_observable() {
 }
 
 /// §2.2: "exactly the same program runs on each processor" — the
-/// threaded engine (real message passing) and the round-robin engine
-/// agree bitwise.
+/// batched engine (real message passing between rank processes) and
+/// the round-robin engine agree bitwise.
 #[test]
 fn claim_spmd_equivalence() {
     let s = setup::testiv(8, 1e-8, &fig6());
     let (d, spmd) = setup::decompose(&s, 3, Pattern::FIG1, 0);
     let rr = syncplace::runtime::run_spmd(&s.prog, &spmd, &d, &s.bindings).unwrap();
-    let th =
-        syncplace::runtime::threads::run_spmd_threaded(&s.prog, &spmd, &d, &s.bindings).unwrap();
+    let ba = syncplace::Engine::Batched
+        .run(&s.prog, &spmd, &d, &s.bindings)
+        .unwrap();
     for (v, a) in &rr.output_arrays {
-        assert_eq!(a, &th.output_arrays[v]);
+        assert_eq!(a, &ba.output_arrays[v]);
     }
 }
 

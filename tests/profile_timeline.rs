@@ -60,18 +60,18 @@ fn run_teed(
     let tl = Arc::new(TimelineRecorder::new());
     let rec: RecorderRef = Some(Arc::new(FanoutRecorder::new(vec![tr.clone(), tl.clone()])));
     engine
-        .run_recorded(&prog, &spmd, &d, &bindings, &rec)
+        .run_with(&prog, &spmd, &d, &bindings, None, &rec)
         .unwrap();
     (tr.snapshot(), tl.snapshot())
 }
 
 #[test]
 fn timeline_span_stream_reproduces_trace_aggregates_bit_for_bit() {
-    // Both the spawn-per-run engine and the batched pool engine: the
-    // span table folded from the timeline's span stream must equal the
-    // aggregating recorder's table exactly — same names, same counts,
-    // same total_ns, same max_ns.
-    for (engine, p) in [(Engine::Threaded, 4usize), (Engine::Batched, 4)] {
+    // On every engine the span table folded from the timeline's span
+    // stream must equal the aggregating recorder's table exactly —
+    // same names, same counts, same total_ns, same max_ns.
+    let p = 4usize;
+    for engine in Engine::ALL {
         let (trace, timeline) = run_teed(engine, p);
         assert!(!trace.spans.is_empty(), "{}: no spans recorded", engine.name());
         assert_eq!(
@@ -81,11 +81,13 @@ fn timeline_span_stream_reproduces_trace_aggregates_bit_for_bit() {
             engine.name()
         );
         // The phase histogram reads the per-rank event stream: every
-        // rank logs its own in-phase time, so P samples per instance,
-        // and the stream's max can't sit below the span-table max.
+        // rank process logs its own in-phase time, so P samples per
+        // instance (the round-robin reference has one lane), and the
+        // stream's max can't sit below the span-table max.
+        let lanes = if engine == Engine::RoundRobin { 1 } else { p as u64 };
         let agg = &trace.spans[keys::PHASE_SPAN];
         let hist = timeline.histogram(keys::PHASE_SPAN);
-        assert_eq!(hist.count(), agg.count * p as u64);
+        assert_eq!(hist.count(), agg.count * lanes, "{}", engine.name());
         assert!(hist.max_ns() >= agg.max_ns, "histogram max below span max");
     }
 }
@@ -93,7 +95,7 @@ fn timeline_span_stream_reproduces_trace_aggregates_bit_for_bit() {
 #[test]
 fn per_rank_event_streams_are_aligned() {
     let p = 4usize;
-    let (_, timeline) = run_teed(Engine::Threaded, p);
+    let (_, timeline) = run_teed(Engine::Batched, p);
     assert_eq!(timeline.nranks(), p);
 
     // Every rank walks the same placed program, so every rank logs the
@@ -304,10 +306,9 @@ fn live_timeline_recorder_overhead_stays_under_five_percent() {
 
     let time_run = |rec: &RecorderRef| -> f64 {
         let t0 = std::time::Instant::now();
-        syncplace::runtime::run_spmd_batched_with_plan_recorded(
-            &prog, &spmd, &d, &bindings, &plan, rec,
-        )
-        .unwrap();
+        Engine::Batched
+            .run_with(&prog, &spmd, &d, &bindings, Some(&plan), rec)
+            .unwrap();
         t0.elapsed().as_secs_f64()
     };
     // Warm the pool and caches.

@@ -1,5 +1,5 @@
 //! Concurrency verification end-to-end: the schedule model checker
-//! proves the five engines' schedules correct on the paper's Fig. 9 /
+//! proves every engine's schedule correct on the paper's Fig. 9 /
 //! Fig. 10 TESTIV placements at small P, the happens-before checker
 //! replays real recorded runs cleanly, and both catch every seeded
 //! defect with the exact SA code — zero false positives on clean runs.
@@ -94,16 +94,11 @@ fn model_checker_proves_decomposer_gangs() {
 #[test]
 fn every_seeded_schedule_defect_is_caught_with_its_exact_code() {
     // The mutation suite covers every engine family once at P = 3 —
-    // plain (threaded), staged (batched), double-buffered split-phase
+    // plain (reference), staged (batched), double-buffered split-phase
     // (overlapped) and the gang-barrier decomposer model.
     let plans = fig_plans(3, Pattern::FIG1);
     let mut programs: Vec<mc::McProgram> = Vec::new();
-    for engine in [
-        EngineKind::Threaded,
-        EngineKind::Pooled,
-        EngineKind::Batched,
-        EngineKind::Overlapped,
-    ] {
+    for engine in EngineKind::ALL {
         programs.push(mc::from_plan(&plans[0].1, engine, 2));
     }
     programs.push(mc::decomp_model(3));
@@ -142,7 +137,7 @@ fn record_run(engine: Engine, nparts: usize, idx: usize) -> syncplace::obs::HbLo
     let hbr = Arc::new(HbRecorder::new());
     let rec: RecorderRef = Some(hbr.clone());
     engine
-        .run_recorded(&s.prog, &spmd, &d, &s.bindings, &rec)
+        .run_with(&s.prog, &spmd, &d, &s.bindings, None, &rec)
         .expect("engine run");
     hbr.snapshot()
 }

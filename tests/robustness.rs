@@ -153,10 +153,10 @@ fn max_reduction_end_to_end() {
     let part = partition2d(&mesh, 4, Method::Greedy);
     let d = decompose2d(&mesh, &part.part, 4, Pattern::FIG1);
     let rr = syncplace::runtime::run_spmd(&prog, &spmd, &d, &b).unwrap();
-    let th = syncplace::runtime::threads::run_spmd_threaded(&prog, &spmd, &d, &b).unwrap();
+    let ba = syncplace::Engine::Batched.run(&prog, &spmd, &d, &b).unwrap();
     let peak = prog.lookup("peak").unwrap();
     assert_eq!(rr.output_scalars[&peak], seq.output_scalars[&peak]);
-    assert_eq!(th.output_scalars[&peak], seq.output_scalars[&peak]);
+    assert_eq!(ba.output_scalars[&peak], seq.output_scalars[&peak]);
     assert_eq!(rr.output_scalar_spread[&peak], 0.0);
 }
 

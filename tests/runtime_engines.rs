@@ -1,8 +1,7 @@
-//! Cross-engine equivalence: all five SPMD engines (round-robin
-//! reference, spawn-per-run threaded, pooled threaded, batched
-//! zero-copy, overlapped split-phase) produce **bitwise identical**
-//! outputs and iteration counts on every built-in workload at
-//! P ∈ {1, 2, 4, 8}.
+//! Cross-engine equivalence: every SPMD engine in `Engine::ALL`
+//! (round-robin reference, batched zero-copy, overlapped split-phase)
+//! produces **bitwise identical** outputs and iteration counts on
+//! every built-in workload at P ∈ {1, 2, 4, 8}.
 //!
 //! Bitwise — not approximately — because the engines fix the same
 //! combine orders everywhere: assembly groups fold owner-first then
@@ -44,9 +43,9 @@ fn assert_bitwise(name: &str, p: usize, engine: Engine, reference: &SpmdResult, 
     }
 }
 
-/// Both per-op engines (round-robin and threaded) also count identical
-/// traffic; the batched and overlapped engines coalesce, so only op
-/// counts match them.
+/// Op and phase counts are engine-independent. Traffic is too, except
+/// that the pooled engines coalesce: one tree packet carries every
+/// reduce op of a phase, so they may only ever ship fewer messages.
 fn assert_stats(name: &str, p: usize, engine: Engine, reference: &SpmdResult, r: &SpmdResult) {
     assert_eq!(
         reference.stats.updates,
@@ -57,15 +56,11 @@ fn assert_stats(name: &str, p: usize, engine: Engine, reference: &SpmdResult, r:
     assert_eq!(reference.stats.assembles, r.stats.assembles);
     assert_eq!(reference.stats.reduces, r.stats.reduces);
     assert_eq!(reference.stats.nphases(), r.stats.nphases());
-    if !matches!(engine, Engine::Batched | Engine::Overlapped) {
-        assert_eq!(
-            reference.stats.total_messages(),
-            r.stats.total_messages(),
-            "{name} P={p} {}",
-            engine.name()
-        );
-        assert_eq!(reference.stats.total_values(), r.stats.total_values());
-    }
+    assert!(
+        r.stats.total_messages() <= reference.stats.total_messages(),
+        "{name} P={p} {}: coalescing sent more messages than the per-op wire",
+        engine.name()
+    );
 }
 
 fn check_2d(
@@ -88,12 +83,7 @@ fn check_2d(
         let part = partition2d(mesh, p, Method::Greedy);
         let d = decompose2d(mesh, &part.part, p, pattern);
         let reference = Engine::RoundRobin.run(prog, &spmd, &d, bindings).unwrap();
-        for engine in [
-            Engine::Threaded,
-            Engine::ThreadedPooled,
-            Engine::Batched,
-            Engine::Overlapped,
-        ] {
+        for engine in Engine::ALL {
             let r = engine.run(prog, &spmd, &d, bindings).unwrap();
             assert_bitwise(name, p, engine, &reference, &r);
             assert_stats(name, p, engine, &reference, &r);
@@ -157,12 +147,7 @@ fn tet3d_all_engines_bitwise_identical() {
         let part = partition3d(&mesh, p, Method::Rib);
         let d = decompose3d(&mesh, &part.part, p, Pattern::FIG1);
         let reference = Engine::RoundRobin.run(&prog, &spmd, &d, &bindings).unwrap();
-        for engine in [
-            Engine::Threaded,
-            Engine::ThreadedPooled,
-            Engine::Batched,
-            Engine::Overlapped,
-        ] {
+        for engine in Engine::ALL {
             let r = engine.run(&prog, &spmd, &d, &bindings).unwrap();
             assert_bitwise("tet_heat", p, engine, &reference, &r);
             assert_stats("tet_heat", p, engine, &reference, &r);
@@ -172,8 +157,8 @@ fn tet3d_all_engines_bitwise_identical() {
 
 #[test]
 fn engines_survive_back_to_back_runs_on_the_shared_pool() {
-    // The pooled engines share one global worker pool; interleaved
-    // runs at different P must not interfere.
+    // Both postings share one global worker pool; interleaved runs at
+    // different P must not interfere.
     let prog = syncplace::ir::programs::testiv();
     let mesh = gen2d::perturbed_grid(8, 8, 0.1, 5);
     let bindings = syncplace::runtime::bindings::testiv_bindings(&prog, &mesh, 1e-9);
@@ -189,8 +174,8 @@ fn engines_survive_back_to_back_runs_on_the_shared_pool() {
         let part = partition2d(&mesh, p, Method::Greedy);
         let d = decompose2d(&mesh, &part.part, p, Pattern::FIG1);
         let ba = Engine::Batched.run(&prog, &spmd, &d, &bindings).unwrap();
-        let po = Engine::ThreadedPooled.run(&prog, &spmd, &d, &bindings).unwrap();
-        assert_bitwise("pool-reuse", p, Engine::ThreadedPooled, &ba, &po);
+        let ov = Engine::Overlapped.run(&prog, &spmd, &d, &bindings).unwrap();
+        assert_bitwise("pool-reuse", p, Engine::Overlapped, &ba, &ov);
         results.push(ba);
     }
     // Same P twice → identical results both times.

@@ -104,9 +104,9 @@ fn cache_keys_are_sensitive_to_the_right_fields() {
 
     // Engine change: in NEITHER key (engines are bitwise-identical),
     // so everything is reused and the answer doesn't move.
-    let threaded = svc.run(&testiv_req(2, "fig1", "threaded")).unwrap();
-    assert_eq!((threaded.placement, threaded.plan), (Lookup::Hit, Lookup::Hit));
-    assert_eq!(threaded.checksum, first.checksum);
+    let overlapped = svc.run(&testiv_req(2, "fig1", "overlapped")).unwrap();
+    assert_eq!((overlapped.placement, overlapped.plan), (Lookup::Hit, Lookup::Hit));
+    assert_eq!(overlapped.checksum, first.checksum);
 }
 
 /// Formatting-only program changes share a content hash: the key is
