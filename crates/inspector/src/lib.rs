@@ -30,8 +30,8 @@ use syncplace_ir::{Access, EntityKind, Program, Stmt, StmtId, VarId, VarKind};
 use syncplace_overlap::Decomposition;
 use syncplace_runtime::bindings::{kind_index, Bindings};
 use syncplace_runtime::comm::{CommStats, PhaseContribution, PhaseStat};
-use syncplace_runtime::exec::Machine;
-use syncplace_runtime::spmd::{build_machines, collect_results, elem_kind, SpmdResult};
+use syncplace_runtime::spmd::{build_machines, collect_results, SpmdResult};
+use syncplace_runtime::{Kernel, Machine};
 
 /// One restricted ghost schedule: for each processor pair `(owner,
 /// ghost-holder)`, the (owner-local, holder-local) node pairs this
@@ -119,7 +119,7 @@ pub fn inspect<const V: usize>(
                     }
                     // Scan owned loop entities' references on every proc.
                     for (p, m) in machines.iter().enumerate() {
-                        let table = m.maps[*map].as_ref().expect("map bound");
+                        let table = &m.maps[*map];
                         let owned = m.kernel_count(l.entity);
                         for i in 0..owned {
                             plan.inspect_cost += 1;
@@ -201,28 +201,28 @@ pub fn run_inspector_executor<const V: usize>(
         "the executor uses the element-overlap ghost slots (run it on a FIG1 decomposition)"
     );
     let mut machines = build_machines(prog, d, b)?;
+    let kernel = Kernel::lower(prog, |_| false, &machines)?;
     let plan = inspect(prog, d, &machines);
     let mut stats = CommStats::default();
-    let mut iterations = 0usize;
-    let _ = elem_kind::<V>();
-
+    let mut iters = 0usize;
     run_block::<V>(
         &prog.body,
+        &kernel,
         d,
         &plan,
         &mut machines,
         &mut stats,
-        &mut iterations,
+        &mut iters,
     );
 
     // Outputs: ghosts are stale by design; gather from owners as usual.
     let phases_in_loop = stats.nphases();
-    let result = collect_results::<V>(prog, d, machines, stats, iterations);
+    let result = collect_results::<V>(prog, d, machines, stats, iters);
     Ok(InspectorResult {
         result,
         inspect_cost: plan.inspect_cost,
-        phases_per_iteration: if iterations > 0 {
-            phases_in_loop as f64 / iterations as f64
+        phases_per_iteration: if iters > 0 {
+            phases_in_loop as f64 / iters as f64
         } else {
             phases_in_loop as f64
         },
@@ -288,18 +288,18 @@ fn apply_scatter_flush<const V: usize>(
 
 fn run_block<const V: usize>(
     stmts: &[Stmt],
+    kernel: &Kernel,
     d: &Decomposition<V>,
     plan: &InspectorPlan,
     machines: &mut [Machine],
     stats: &mut CommStats,
     iterations: &mut usize,
 ) -> bool {
-    let empty = HashSet::new();
     for s in stmts {
         match s {
             Stmt::Assign(a) => {
                 for m in machines.iter_mut() {
-                    m.exec_assign(a, None);
+                    m.exec_stmt(kernel, a.id);
                 }
             }
             Stmt::Loop(l) => {
@@ -321,7 +321,7 @@ fn run_block<const V: usize>(
                 // no redundant computation).
                 for m in machines.iter_mut() {
                     let owned = m.kernel_count(l.entity);
-                    m.exec_loop(l, owned, owned, &empty);
+                    m.exec_loop(kernel, l.id, owned, owned);
                 }
                 // Scatter flush phase.
                 if let Some(vars) = plan.scatters.get(&l.id) {
@@ -349,15 +349,15 @@ fn run_block<const V: usize>(
             Stmt::TimeLoop(t) => {
                 'time: for _ in 0..t.max_iters {
                     *iterations += 1;
-                    if run_block::<V>(&t.body, d, plan, machines, stats, iterations) {
+                    if run_block::<V>(&t.body, kernel, d, plan, machines, stats, iterations) {
                         break 'time;
                     }
                 }
             }
             Stmt::ExitIf(e) => {
                 let decisions: Vec<bool> = machines
-                    .iter()
-                    .map(|m| m.eval_exit(&e.lhs, e.rel, &e.rhs))
+                    .iter_mut()
+                    .map(|m| m.exec_stmt(kernel, e.id))
                     .collect();
                 if decisions.iter().any(|&x| x != decisions[0]) {
                     stats.divergent_exits += 1;

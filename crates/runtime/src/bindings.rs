@@ -126,17 +126,16 @@ impl Bindings {
         Ok(())
     }
 
-    /// The global element→vertex table as a localized-format map.
-    pub fn structural_elem_table(&self) -> Option<crate::exec::MapTable> {
-        self.elem_table.as_ref().map(|m| crate::exec::MapTable {
-            arity: m.arity,
-            targets: m.targets.clone(),
-        })
-    }
-
-    /// The global edge→endpoint table as a localized-format map.
-    pub fn structural_edge_table(&self) -> Option<crate::exec::MapTable> {
-        self.edge_table.as_ref().map(|m| crate::exec::MapTable {
+    /// The global-numbering table a binding stands for, in the
+    /// machine's format (the sequential run's "localization"); `None`
+    /// when a structural binding's table is missing.
+    pub fn global_table(&self, binding: &MapBinding) -> Option<crate::exec::MapTable> {
+        let data = match binding {
+            MapBinding::ElemNodes => self.elem_table.as_ref(),
+            MapBinding::EdgeNodes => self.edge_table.as_ref(),
+            MapBinding::Custom(t) => Some(t),
+        };
+        data.map(|m| crate::exec::MapTable {
             arity: m.arity,
             targets: m.targets.clone(),
         })

@@ -1,20 +1,20 @@
-//! The interpreter core: one per-processor memory executing the
-//! unmodified statement sequence — "the computational part of the
-//! FORTRAN program remains exactly the same" (§2.2), whether it runs
+//! Per-processor memory and the sequential reference run. A
+//! [`Machine`] executes the program's [`Kernel`] — "the computational
+//! part of the FORTRAN program remains exactly the same" (§2.2) —
 //! on the whole mesh (sequential reference) or on one sub-mesh (SPMD).
 
-use crate::bindings::{kind_index, Bindings, MapBinding};
-use std::collections::{HashMap, HashSet};
-use syncplace_ir::{
-    Access, AssignStmt, BinOp, EntityKind, Expr, LoopStmt, Program, RelOp, Stmt, StmtId, UnOp,
-    VarId, VarKind,
-};
+use crate::bindings::{kind_index, Bindings};
+use crate::kernel::Kernel;
+use crate::overlap::stmt_id;
+use std::collections::HashMap;
+use syncplace_ir::{EntityKind, Program, Stmt, VarId, VarKind};
 use syncplace_obs::{self as obs, keys, RecorderRef};
 
 /// A localized indirection table; `u32::MAX` marks a target that is
 /// not present on this processor (only reachable by ill-placed
 /// upward gathers — hitting one is a placement bug, so it panics).
-#[derive(Debug, Clone)]
+/// The default (arity 0) is "no table bound".
+#[derive(Debug, Clone, Default)]
 pub struct MapTable {
     /// Targets per source entity.
     pub arity: usize,
@@ -24,7 +24,7 @@ pub struct MapTable {
 
 impl MapTable {
     #[inline]
-    fn get(&self, i: usize, slot: usize) -> usize {
+    pub(crate) fn get(&self, i: usize, slot: usize) -> usize {
         let t = self.targets[i * self.arity + slot];
         assert!(
             t != u32::MAX,
@@ -35,7 +35,7 @@ impl MapTable {
     }
 }
 
-/// One processor's memory and execution engine.
+/// One processor's memory. [`crate::kernel`] executes on it.
 #[derive(Debug, Clone)]
 pub struct Machine {
     /// Local entity counts (node, edge, tri, tet).
@@ -46,20 +46,10 @@ pub struct Machine {
     pub scalars: Vec<f64>,
     /// Array values per VarId (empty for non-arrays).
     pub arrays: Vec<Vec<f64>>,
-    /// Localized indirection tables per VarId.
-    pub maps: Vec<Option<MapTable>>,
+    /// Localized indirection tables per VarId (arity 0 = unbound).
+    pub maps: Vec<MapTable>,
     /// Abstract work counter: Σ statement-weight × iterations executed.
     pub compute_units: f64,
-    /// Per-statement weight (1 + operator count), indexed by StmtId.
-    stmt_weight: Vec<f64>,
-}
-
-fn expr_ops(e: &Expr) -> usize {
-    match e {
-        Expr::Const(_) | Expr::Read(_) => 0,
-        Expr::Unary(_, x) => 1 + expr_ops(x),
-        Expr::Binary(_, a, b) => 1 + expr_ops(a) + expr_ops(b),
-    }
 }
 
 impl Machine {
@@ -74,106 +64,13 @@ impl Machine {
                 arrays[v] = vec![0.0; counts[kind_index(base)]];
             }
         }
-        let mut stmt_weight = vec![1.0; prog.nstmts()];
-        prog.visit_assigns(&mut |a, _| {
-            stmt_weight[a.id] = 1.0 + expr_ops(&a.rhs) as f64;
-        });
         Machine {
             counts,
             kernel_counts,
             scalars: vec![0.0; n],
             arrays,
-            maps: vec![None; n],
+            maps: vec![MapTable::default(); n],
             compute_units: 0.0,
-            stmt_weight,
-        }
-    }
-
-    /// Evaluate an expression at iteration `i` (None outside loops).
-    pub fn eval(&self, e: &Expr, i: Option<usize>) -> f64 {
-        match e {
-            Expr::Const(c) => *c,
-            Expr::Read(a) => self.read(a, i),
-            Expr::Unary(op, x) => {
-                let v = self.eval(x, i);
-                match op {
-                    UnOp::Neg => -v,
-                    UnOp::Sqrt => v.sqrt(),
-                    UnOp::Abs => v.abs(),
-                }
-            }
-            Expr::Binary(op, a, b) => {
-                let (x, y) = (self.eval(a, i), self.eval(b, i));
-                match op {
-                    BinOp::Add => x + y,
-                    BinOp::Sub => x - y,
-                    BinOp::Mul => x * y,
-                    BinOp::Div => x / y,
-                    BinOp::Max => x.max(y),
-                    BinOp::Min => x.min(y),
-                }
-            }
-        }
-    }
-
-    #[inline]
-    fn read(&self, a: &Access, i: Option<usize>) -> f64 {
-        match a {
-            Access::Scalar(v) => self.scalars[*v],
-            Access::Direct(v) => self.arrays[*v][i.expect("loop index")],
-            Access::Indirect { array, map, slot } => {
-                let t = self.maps[*map]
-                    .as_ref()
-                    .expect("map bound")
-                    .get(i.expect("loop index"), *slot);
-                self.arrays[*array][t]
-            }
-            Access::Fixed(v, k) => self.arrays[*v][*k],
-        }
-    }
-
-    #[inline]
-    fn write(&mut self, a: &Access, i: Option<usize>, value: f64) {
-        match a {
-            Access::Scalar(v) => self.scalars[*v] = value,
-            Access::Direct(v) => self.arrays[*v][i.expect("loop index")] = value,
-            Access::Indirect { array, map, slot } => {
-                let t = self.maps[*map]
-                    .as_ref()
-                    .expect("map bound")
-                    .get(i.expect("loop index"), *slot);
-                self.arrays[*array][t] = value;
-            }
-            Access::Fixed(v, k) => self.arrays[*v][*k] = value,
-        }
-    }
-
-    /// Execute one assignment at iteration `i`.
-    #[inline]
-    pub fn exec_assign(&mut self, a: &AssignStmt, i: Option<usize>) {
-        let v = self.eval(&a.rhs, i);
-        self.write(&a.lhs, i, v);
-        self.compute_units += self.stmt_weight[a.id];
-    }
-
-    /// Execute an entity loop over `domain_count` local entities.
-    /// Statements in `kernel_guarded` only run for the first
-    /// `kernel_count` iterations (reduction accumulations must count
-    /// each owned entity exactly once).
-    pub fn exec_loop(
-        &mut self,
-        l: &LoopStmt,
-        domain_count: usize,
-        kernel_count: usize,
-        kernel_guarded: &HashSet<StmtId>,
-    ) {
-        for i in 0..domain_count {
-            for a in &l.body {
-                if i >= kernel_count && kernel_guarded.contains(&a.id) {
-                    continue;
-                }
-                self.exec_assign(a, Some(i));
-            }
         }
     }
 
@@ -185,17 +82,6 @@ impl Machine {
     /// The kernel count of entities of a kind.
     pub fn kernel_count(&self, e: EntityKind) -> usize {
         self.kernel_counts[kind_index(e)]
-    }
-
-    /// Evaluate a convergence test.
-    pub fn eval_exit(&self, lhs: &Expr, rel: RelOp, rhs: &Expr) -> bool {
-        let (a, b) = (self.eval(lhs, None), self.eval(rhs, None));
-        match rel {
-            RelOp::Lt => a < b,
-            RelOp::Le => a <= b,
-            RelOp::Gt => a > b,
-            RelOp::Ge => a >= b,
-        }
     }
 }
 
@@ -212,37 +98,18 @@ pub struct SeqResult {
     pub compute_units: f64,
 }
 
-/// Run the program sequentially on the global mesh data.
-pub fn run_sequential(prog: &Program, b: &Bindings) -> SeqResult {
-    run_sequential_recorded(prog, b, &None)
-}
-
-/// [`run_sequential`] with an observability hook: the single machine
-/// plays rank 0 (whole-run span + rank-run event, per-kernel-loop
-/// compute events, iteration counter), so a sequential baseline can
-/// sit next to the SPMD engines in one profile. `&None` is exactly
+/// Run the program sequentially on the global mesh data. Under a
+/// recorder the single machine plays rank 0 (whole-run span, rank-run
+/// event, per-loop compute events, iteration counter), so the baseline
+/// can sit next to the SPMD engines in one profile; `&None` is exactly
 /// the uninstrumented path.
 pub fn run_sequential_recorded(prog: &Program, b: &Bindings, rec: &RecorderRef) -> SeqResult {
     b.validate(prog).expect("bindings validate");
     let mut m = Machine::new(prog, b.counts, b.counts);
-    // Bind maps: structural bindings need concrete tables, which
-    // Bindings::for_mesh* provide via `structural_tables`.
     for (&v, binding) in &b.maps {
-        let table = match binding {
-            MapBinding::Custom(t) => MapTable {
-                arity: t.arity,
-                targets: t.targets.clone(),
-            },
-            MapBinding::ElemNodes => b
-                .structural_elem_table()
-                .expect("element table present in bindings"),
-            MapBinding::EdgeNodes => b
-                .structural_edge_table()
-                .expect("edge table present in bindings"),
-        };
-        m.maps[v] = Some(table);
+        let table = b.global_table(binding);
+        m.maps[v] = table.expect("structural table present in bindings");
     }
-    // Inputs.
     for (&v, arr) in &b.input_arrays {
         m.arrays[v] = arr.clone();
     }
@@ -250,9 +117,12 @@ pub fn run_sequential_recorded(prog: &Program, b: &Bindings, rec: &RecorderRef) 
         m.scalars[v] = s;
     }
 
+    let lowered = Kernel::lower(prog, |_| false, std::slice::from_ref(&m));
+    let k = lowered.unwrap_or_else(|e| panic!("{e}"));
+
     let run_t0 = obs::start(rec);
     let mut iterations = 0usize;
-    run_block_seq(&prog.body, &mut m, &mut iterations, rec);
+    run_block_seq(&prog.body, &k, &mut m, &mut iterations, rec);
     obs::finish_event(rec, keys::RANK_RUN, 0, run_t0);
     if let Some(r) = rec {
         r.add(keys::ITERATIONS, iterations as u64);
@@ -280,27 +150,31 @@ pub fn run_sequential_recorded(prog: &Program, b: &Bindings, rec: &RecorderRef) 
     }
 }
 
-fn run_block_seq(stmts: &[Stmt], m: &mut Machine, iterations: &mut usize, rec: &RecorderRef) -> bool {
-    let empty = HashSet::new();
+fn run_block_seq(
+    stmts: &[Stmt],
+    k: &Kernel,
+    m: &mut Machine,
+    iterations: &mut usize,
+    rec: &RecorderRef,
+) -> bool {
     for s in stmts {
         match s {
-            Stmt::Assign(a) => m.exec_assign(a, None),
             Stmt::Loop(l) => {
                 let n = m.count(l.entity);
                 let t0 = obs::start(rec);
-                m.exec_loop(l, n, n, &empty);
+                m.exec_loop(k, l.id, n, n);
                 obs::finish_ranked(rec, keys::COMPUTE_SPAN, 0, t0);
             }
             Stmt::TimeLoop(t) => {
                 'time: for _ in 0..t.max_iters {
                     *iterations += 1;
-                    if run_block_seq(&t.body, m, iterations, rec) {
+                    if run_block_seq(&t.body, k, m, iterations, rec) {
                         break 'time;
                     }
                 }
             }
-            Stmt::ExitIf(e) => {
-                if m.eval_exit(&e.lhs, e.rel, &e.rhs) {
+            Stmt::Assign(_) | Stmt::ExitIf(_) => {
+                if m.exec_stmt(k, stmt_id(s)) {
                     return true;
                 }
             }
@@ -312,6 +186,7 @@ fn run_block_seq(stmts: &[Stmt], m: &mut Machine, iterations: &mut usize, rec: &
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::run_sequential;
     use syncplace_ir::programs;
     use syncplace_mesh::gen2d;
 
@@ -453,9 +328,9 @@ mod tests {
             syncplace_ir::Stmt::Loop(l) => l.body[0].id,
             _ => panic!(),
         };
-        let guard: HashSet<usize> = [red_stmt].into_iter().collect();
+        let k = Kernel::lower(&p, |s| s == red_stmt, &[]).unwrap();
         match &p.body[1] {
-            syncplace_ir::Stmt::Loop(l) => m.exec_loop(l, 4, 2, &guard),
+            syncplace_ir::Stmt::Loop(l) => m.exec_loop(&k, l.id, 4, 2),
             _ => panic!(),
         }
         // Guarded: only the 2 kernel entries accumulate.

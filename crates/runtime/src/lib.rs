@@ -6,10 +6,12 @@
 //! localized sub-mesh, plus a handful of communication calls. This
 //! crate executes that program:
 //!
-//! * [`exec::Machine`] — the interpreter core: one per-processor
-//!   memory (scalars + entity arrays + localized indirection tables)
-//!   executing the unmodified statement sequence. The sequential
-//!   reference run is simply a `Machine` over the whole mesh.
+//! * [`exec::Machine`] — one per-processor memory (scalars + entity
+//!   arrays + localized indirection tables). The sequential reference
+//!   run is simply a `Machine` over the whole mesh.
+//! * [`kernel::Kernel`] — the unmodified statement sequence, lowered
+//!   once per run into a flat register program; the one executor
+//!   every engine (and the reference run) drives.
 //! * [`bindings`] — how program variables bind to mesh data
 //!   (indirection maps to connectivity, input arrays to values).
 //! * [`spmd`] — the deterministic round-robin engine: all processors
@@ -49,6 +51,7 @@ pub mod bindings;
 pub mod comm;
 pub mod decomp;
 pub mod exec;
+pub mod kernel;
 pub mod overlap;
 pub mod plan;
 pub mod pool;
@@ -60,6 +63,7 @@ pub use bindings::{Bindings, MapBinding};
 pub use comm::CommStats;
 pub use decomp::{decompose2d_par, decompose3d_par, decompose_par, ParDecompStats};
 pub use exec::{run_sequential_recorded, Machine, SeqResult};
+pub use kernel::Kernel;
 pub use overlap::{OverlapPlan, OverlapReport};
 pub use plan::CommPlan;
 pub use pool::SpmdPool;
@@ -72,7 +76,7 @@ use syncplace_ir::Program;
 /// Run the sequential reference execution of a program on global mesh
 /// data.
 pub fn run_sequential(prog: &Program, bindings: &Bindings) -> SeqResult {
-    exec::run_sequential(prog, bindings)
+    run_sequential_recorded(prog, bindings, &None)
 }
 
 /// Compare a gathered SPMD output with the sequential reference.

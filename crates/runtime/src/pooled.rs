@@ -28,6 +28,7 @@
 use crate::bindings::Bindings;
 use crate::comm::CommStats;
 use crate::exec::Machine;
+use crate::kernel::Kernel;
 use crate::overlap::{stmt_id, OverlapPlan, OverlapReport};
 use crate::plan::{CommPlan, PackItem, PhasePlan, Term};
 use crate::pool::SpmdPool;
@@ -35,7 +36,7 @@ use crate::spmd::{build_machines, collect_results, SpmdResult};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use syncplace_codegen::SpmdProgram;
-use syncplace_ir::{LoopStmt, Program, Stmt};
+use syncplace_ir::{Program, Stmt, StmtId};
 use syncplace_obs::{self as obs, keys, RecorderRef};
 use syncplace_overlap::Decomposition;
 use syncplace_placement::IterationDomain;
@@ -172,6 +173,7 @@ fn wire(nparts: usize, rec: &RecorderRef) -> Vec<Net> {
 struct RankProc {
     prog: Arc<Program>,
     spmd: Arc<SpmdProgram>,
+    kernel: Arc<Kernel>,
     plan: Arc<CommPlan>,
     oplan: Arc<OverlapPlan>,
     m: Machine,
@@ -449,31 +451,19 @@ impl RankProc {
 
     /// Run a split loop: interface iterations, post, then interior
     /// while the packets travel.
-    fn run_split_loop(&mut self, l: &LoopStmt, phase: usize, n: usize) {
+    fn run_split_loop(&mut self, id: StmtId, phase: usize, n: usize) {
         let oplan = Arc::clone(&self.oplan);
         let split = &oplan.splits[phase].as_ref().expect("split exists").per_rank[self.net.rank];
-        debug_assert!(l
-            .body
-            .iter()
-            .all(|a| !self.spmd.kernel_guarded.contains(&a.id)));
+        let mut listed = split.interface.iter().chain(&split.interior);
+        debug_assert!(listed.all(|&i| (i as usize) < n));
         let t0 = obs::start(&self.net.rec);
-        for &i in &split.interface {
-            debug_assert!((i as usize) < n);
-            for a in &l.body {
-                self.m.exec_assign(a, Some(i as usize));
-            }
-        }
+        self.m.exec_loop_at(&self.kernel, id, &split.interface);
         obs::finish_ranked(&self.net.rec, keys::COMPUTE_SPAN, self.net.rank as u32, t0);
 
         self.post_early(phase);
 
         let t_int = obs::start(&self.net.rec);
-        for &i in &split.interior {
-            debug_assert!((i as usize) < n);
-            for a in &l.body {
-                self.m.exec_assign(a, Some(i as usize));
-            }
-        }
+        self.m.exec_loop_at(&self.kernel, id, &split.interior);
         obs::finish_ranked(
             &self.net.rec,
             keys::INTERIOR_SPAN,
@@ -495,7 +485,9 @@ impl RankProc {
                 }
             }
             match s {
-                Stmt::Assign(a) => self.m.exec_assign(a, None),
+                Stmt::Assign(a) => {
+                    self.m.exec_stmt(&self.kernel, a.id);
+                }
                 Stmt::Loop(l) => {
                     if !l.partitioned {
                         return Err("sequential entity loops unsupported".into());
@@ -508,11 +500,10 @@ impl RankProc {
                         IterationDomain::Kernel => kernel,
                     };
                     match oplan.by_loop.get(&l.id) {
-                        Some(&phase) => self.run_split_loop(l, phase, n),
+                        Some(&phase) => self.run_split_loop(l.id, phase, n),
                         None => {
-                            let spmd = Arc::clone(&self.spmd);
                             let t0 = obs::start(&self.net.rec);
-                            self.m.exec_loop(l, n, kernel, &spmd.kernel_guarded);
+                            self.m.exec_loop(&self.kernel, l.id, n, kernel);
                             obs::finish_ranked(
                                 &self.net.rec,
                                 keys::COMPUTE_SPAN,
@@ -537,7 +528,7 @@ impl RankProc {
                     self.drain_posted();
                 }
                 Stmt::ExitIf(e) => {
-                    let mine = self.m.eval_exit(&e.lhs, e.rel, &e.rhs);
+                    let mine = self.m.exec_stmt(&self.kernel, e.id);
                     let all = self.allgather_scalar(if mine { 1.0 } else { 0.0 });
                     if all.iter().any(|&x| x != all[0]) {
                         self.stats.divergent_exits += 1;
@@ -593,6 +584,8 @@ pub fn run_spmd_pooled<const V: usize>(
     };
     let run_t0 = obs::start(rec);
     let machines = build_machines(prog, d, b)?;
+    let guarded = |s| spmd.kernel_guarded.contains(&s);
+    let kernel = Arc::new(Kernel::lower(prog, guarded, &machines)?);
     let oplan = Arc::new(match posting {
         Posting::Late => OverlapPlan::default(),
         Posting::Early => OverlapPlan::build(prog, spmd, &plan, &machines),
@@ -610,6 +603,7 @@ pub fn run_spmd_pooled<const V: usize>(
         let mut proc = RankProc {
             prog: Arc::clone(&prog_arc),
             spmd: Arc::clone(&spmd_arc),
+            kernel: Arc::clone(&kernel),
             plan: Arc::clone(&plan),
             oplan: Arc::clone(&oplan),
             m,

@@ -10,6 +10,8 @@
 use crate::bindings::{kind_index, Bindings, MapBinding};
 use crate::comm::{self, CommStats};
 use crate::exec::{Machine, MapTable};
+use crate::kernel::Kernel;
+use crate::overlap::stmt_id;
 use std::collections::HashMap;
 use syncplace_obs::{self as obs, keys, RecorderRef};
 use syncplace_codegen::{CommOp, SpmdProgram};
@@ -155,7 +157,7 @@ pub fn build_machines<const V: usize>(
                     }
                 }
             };
-            m.maps[v] = Some(table);
+            m.maps[v] = table;
         }
         // Inputs.
         for (&v, arr) in &b.input_arrays {
@@ -186,6 +188,7 @@ struct Engine<'a, const V: usize> {
     prog: &'a Program,
     spmd: &'a SpmdProgram,
     d: &'a Decomposition<V>,
+    kernel: Kernel,
     machines: Vec<Machine>,
     stats: CommStats,
     iterations: usize,
@@ -254,20 +257,14 @@ impl<'a, const V: usize> Engine<'a, V> {
     /// Execute a statement block; returns true when an exit test fired.
     fn run_block(&mut self, stmts: &[Stmt]) -> Result<bool, String> {
         for s in stmts {
-            let id = match s {
-                Stmt::Loop(l) => l.id,
-                Stmt::Assign(a) => a.id,
-                Stmt::TimeLoop(t) => t.id,
-                Stmt::ExitIf(e) => e.id,
-            };
-            if let Some(ops) = self.spmd.comms_before.get(&id) {
-                let ops = ops.clone();
-                self.apply_comms(&ops);
+            let spmd = self.spmd;
+            if let Some(ops) = spmd.comms_before.get(&stmt_id(s)) {
+                self.apply_comms(ops);
             }
             match s {
                 Stmt::Assign(a) => {
                     for m in &mut self.machines {
-                        m.exec_assign(a, None);
+                        m.exec_stmt(&self.kernel, a.id);
                     }
                 }
                 Stmt::Loop(l) => {
@@ -289,7 +286,7 @@ impl<'a, const V: usize> Engine<'a, V> {
                             IterationDomain::Kernel => kernel,
                         };
                         let t0 = obs::start(&self.rec);
-                        m.exec_loop(l, n, kernel, &self.spmd.kernel_guarded);
+                        m.exec_loop(&self.kernel, l.id, n, kernel);
                         obs::finish_ranked(&self.rec, keys::COMPUTE_SPAN, rank as u32, t0);
                     }
                 }
@@ -304,8 +301,8 @@ impl<'a, const V: usize> Engine<'a, V> {
                 Stmt::ExitIf(e) => {
                     let decisions: Vec<bool> = self
                         .machines
-                        .iter()
-                        .map(|m| m.eval_exit(&e.lhs, e.rel, &e.rhs))
+                        .iter_mut()
+                        .map(|m| m.exec_stmt(&self.kernel, e.id))
                         .collect();
                     if decisions.iter().any(|&x| x != decisions[0]) {
                         self.stats.divergent_exits += 1;
@@ -342,10 +339,12 @@ pub fn run_spmd_recorded<const V: usize>(
 ) -> Result<SpmdResult, String> {
     let t0 = obs::start(rec);
     let machines = build_machines(prog, d, b)?;
+    let guarded = |s| spmd.kernel_guarded.contains(&s);
     let mut engine = Engine {
         prog,
         spmd,
         d,
+        kernel: Kernel::lower(prog, guarded, &machines)?,
         machines,
         stats: CommStats::default(),
         iterations: 0,
@@ -355,8 +354,7 @@ pub fn run_spmd_recorded<const V: usize>(
     // attributed to rank 0 — documented timeline convention.
     let t_job = obs::start(rec);
     engine.run_block(&prog.body)?;
-    let at_end = engine.spmd.comms_at_end.clone();
-    engine.apply_comms(&at_end);
+    engine.apply_comms(&spmd.comms_at_end);
     obs::finish_event(rec, keys::RANK_RUN, 0, t_job);
     if let Some(r) = rec {
         r.add(keys::ITERATIONS, engine.iterations as u64);

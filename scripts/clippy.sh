@@ -3,9 +3,14 @@
 # benches, examples) must be clippy-clean with warnings denied, the
 # rustdoc build must be warning-free (crates/core, crates/obs,
 # crates/analyze, crates/runtime and crates/server additionally deny
-# missing_docs at compile time), the repo's own static analysis
-# (`reproduce lint` — independent placement verifier, CommPlan
-# schedule audit, IR lints) must report no error-severity diagnostics,
+# missing_docs at compile time), the compiled kernel must pass its
+# source-level hot-path gate and bitwise differential suite
+# (`cargo test --test kernel`: no HashMap / HashSet / .expect( /
+# .unwrap( / Box< / unsafe in crates/runtime/src/kernel.rs, lowered
+# results to_bits()-equal to the test-only tree walker), the repo's
+# own static analysis (`reproduce lint` — independent placement
+# verifier, CommPlan schedule audit, IR lints) must report no
+# error-severity diagnostics,
 # the E21 profiler must complete a quick run end to end (writing its
 # artifacts in a scratch dir so the committed paper-scale ones are not
 # clobbered), the E24 large-tier gate must pass in its reduced "ci"
@@ -23,6 +28,7 @@ set -eu
 cd "$(dirname "$0")/.."
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 cargo clippy --workspace --all-targets -- -D warnings
+cargo test -q --test kernel
 cargo run --release -p syncplace-bench --bin reproduce -- lint --quick
 
 repo_root="$(pwd)"
