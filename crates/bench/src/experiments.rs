@@ -409,14 +409,13 @@ pub fn e9_dfgreduce(scale: Scale) -> String {
     for &n in sizes {
         let prog = setup::chain_program(n);
         let dfg = syncplace::dfg::build(&prog);
-        let opts_plain = SearchOptions {
+        let opts_collapse = SearchOptions {
             max_solutions: 16,
             ..Default::default()
         };
-        let opts_collapse = SearchOptions {
-            max_solutions: 16,
-            collapse_deterministic: true,
-            ..Default::default()
+        let opts_plain = SearchOptions {
+            collapse_deterministic: false,
+            ..opts_collapse.clone()
         };
         let (s1, st1) = syncplace::placement::enumerate(&dfg, &fig6(), &opts_plain);
         let (s2, st2) = syncplace::placement::enumerate(&dfg, &fig6(), &opts_collapse);
@@ -677,10 +676,7 @@ pub fn e14_two_layer(scale: Scale) -> String {
         let (dfg, analysis) = syncplace::placement::analyze_program(
             &prog,
             &automaton,
-            &SearchOptions {
-                collapse_deterministic: true,
-                ..Default::default()
-            },
+            &SearchOptions::default(),
             &CostParams::default(),
         );
         assert!(analysis.legality.is_legal());
@@ -877,10 +873,7 @@ pub fn e16_solution_space(scale: Scale) -> String {
         let (_, analysis) = syncplace::placement::analyze_program(
             prog,
             automaton,
-            &SearchOptions {
-                collapse_deterministic: true,
-                ..Default::default()
-            },
+            &SearchOptions::default(),
             &CostParams::default(),
         );
         let best = analysis
@@ -975,12 +968,11 @@ pub fn e17_partitioners(scale: Scale) -> String {
 }
 
 // ---------------------------------------------------------------------------
-// E18 — runtime engines: batched phases, early posting, parallel search
+// E18 — runtime engines: batched phases, early posting
 // ---------------------------------------------------------------------------
 
 /// E18 / `bench-runtime`: wall-clock and modeled speedup of the three
-/// SPMD engines, packet accounting of the batched wire format, and
-/// the work-stealing placement enumeration on the wide workload. Also
+/// SPMD engines and packet accounting of the batched wire format. Also
 /// writes the raw numbers to `BENCH_runtime.json` in the current
 /// directory.
 ///
@@ -1093,45 +1085,6 @@ pub fn bench_runtime(scale: Scale) -> String {
         }
     }
 
-    // Work-stealing placement enumeration. The E9 chains are forced
-    // single-candidate steps (nothing to donate), so throughput is
-    // measured on the "wide" workload: independent gather–scatter
-    // subgraphs whose placements multiply, giving a branchy tree.
-    let wide_k = match scale {
-        Scale::Quick => 6,
-        Scale::Paper => 8,
-    };
-    let wide = setup::wide_program(wide_k);
-    let dfg = syncplace::dfg::build(&wide);
-    // Uncapped: with the default 4096-solution cap the sequential
-    // search would stop early while each parallel worker exhausts its
-    // subtree, making the visit totals incomparable.
-    let seq_opts = SearchOptions {
-        max_solutions: usize::MAX,
-        ..Default::default()
-    };
-    // Fixed at 4 so the modeled speedup is comparable across hosts
-    // (the work-stealing balance does not depend on physical cores).
-    let workers = 4;
-    let par_opts = SearchOptions {
-        workers,
-        ..seq_opts.clone()
-    };
-    let t0 = Instant::now();
-    let (seq_sols, seq_stats) = syncplace::placement::enumerate(&dfg, &fig6(), &seq_opts);
-    let seq_s = t0.elapsed().as_secs_f64();
-    let t0 = Instant::now();
-    let (par_sols, par_stats) = syncplace::placement::enumerate(&dfg, &fig6(), &par_opts);
-    let par_s = t0.elapsed().as_secs_f64();
-    let identical = seq_sols == par_sols;
-    let seq_rate = seq_stats.visits as f64 / seq_s.max(1e-9);
-    let par_rate = par_stats.visits as f64 / par_s.max(1e-9);
-    // The busiest worker bounds the parallel critical path: with
-    // perfect multithreading the search finishes when it does, so
-    // seq_visits / max_worker_visits is the modeled speedup.
-    let search_speedup =
-        seq_stats.visits as f64 / (par_stats.max_worker_visits.max(1)) as f64;
-
     // Observability overhead: the batched engine with recording
     // disabled (`&None`) vs a live no-op recorder. The delta is the
     // price of the instrumentation branches plus virtual dispatch with
@@ -1194,20 +1147,12 @@ pub fn bench_runtime(scale: Scale) -> String {
          \"engines\": [\n    {}\n  ],\n  \"batched_max_packets_per_pair_per_phase\": {},\n  \
          \"obs_overhead\": {{\"p\": {obs_p}, \"reps\": {obs_reps}, \"engine\": \"batched\", \
          \"disabled_s\": {obs_off:.4}, \"noop_s\": {obs_noop:.4}, \"ratio\": {obs_ratio:.4}}},\n  \
-         \"search\": {{\"workload\": \"wide({wide_k})\", \"workers\": {workers}, \"seq_s\": {seq_s:.4}, \"par_s\": {par_s:.4}, \
-         \"seq_visits\": {}, \"par_visits\": {}, \"max_worker_visits\": {}, \"modeled_speedup\": {search_speedup:.4}, \
-         \"seq_visits_per_s\": {seq_rate:.0}, \"par_visits_per_s\": {par_rate:.0}, \
-         \"solutions\": {}, \"identical\": {identical}}},\n  \
          \"serve\": {serve_json}{carried_sections}\n}}\n",
         crate::BENCH_SCHEMA,
         crate::git_rev(),
         scale.name(),
         json_engines.join(",\n    "),
         max_packets_per_pair,
-        seq_stats.visits,
-        par_stats.visits,
-        par_stats.max_worker_visits,
-        seq_sols.len(),
     );
     let json_note = match std::fs::write("BENCH_runtime.json", &json) {
         Ok(()) => "raw numbers: BENCH_runtime.json".to_string(),
@@ -1235,20 +1180,6 @@ pub fn bench_runtime(scale: Scale) -> String {
         obs_off * 1e3,
         obs_noop * 1e3,
         obs_ratio
-    );
-    let _ = writeln!(
-        out,
-        "work-stealing search on wide({wide_k}): {} solutions, identical to sequential: {identical}\n  \
-         sequential {:.1} ms ({seq_rate:.0} visits/s) vs {workers} workers {:.1} ms ({par_rate:.0} visits/s, {:.2}x wall)\n  \
-         busiest worker {} of {} visits → modeled speedup {search_speedup:.2}x at {workers} workers\n  \
-         (host exposes {} CPU(s); wall-clock speedup needs at least as many cores as workers)",
-        seq_sols.len(),
-        seq_s * 1e3,
-        par_s * 1e3,
-        seq_s / par_s.max(1e-9),
-        par_stats.max_worker_visits,
-        par_stats.visits,
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
     );
     let _ = writeln!(
         out,
@@ -2013,8 +1944,9 @@ pub fn trace_runtime(scale: Scale) -> String {
     // Traced placement search on the same program.
     let tr = Arc::new(TraceRecorder::new());
     let rec: RecorderRef = Some(tr.clone());
-    let (_, an) = syncplace::placement::analyze_program_recorded(
+    let an = syncplace::placement::analyze_recorded(
         &s.prog,
+        &s.dfg,
         &fig6(),
         &SearchOptions::default(),
         &CostParams::default(),

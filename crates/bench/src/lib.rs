@@ -19,7 +19,7 @@ pub mod setup;
 
 /// Schema tag written into `BENCH_runtime.json`; bump on any layout
 /// change so [`benchdiff`] refuses to compare incompatible snapshots.
-pub const BENCH_SCHEMA: &str = "syncplace-bench-runtime/8";
+pub const BENCH_SCHEMA: &str = "syncplace-bench-runtime/9";
 
 /// Schema tag written into `PROFILE_runtime.json`.
 pub const PROFILE_SCHEMA: &str = "syncplace-profile/1";

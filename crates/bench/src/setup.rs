@@ -109,27 +109,15 @@ pub fn chain_program(n: usize) -> Program {
     syncplace::ir::parser::parse(&src).expect("chain program parses")
 }
 
-/// A "wide" program for search-throughput experiments: `k` independent
-/// gather–scatter subgraphs, each ending in its own output. Placement
-/// choices multiply across subgraphs (the solution count and the
-/// search tree grow geometrically with `k`), so — unlike the forced
-/// chains of [`chain_program`] — the enumeration has genuine top-level
-/// branches to split across workers.
-pub fn wide_program(k: usize) -> Program {
-    syncplace::ir::parser::parse(&wide_program_src(k)).expect("wide program parses")
-}
-
-/// The DSL source of [`wide_program`] — exposed so the serve-bench can
-/// submit it over the wire as a `source` request.
-pub fn wide_program_src(k: usize) -> String {
-    wide_program_src_scaled(k, 1.0)
-}
-
-/// [`wide_program_src`] with the final scatter scaled by `scale`.
-/// Distinct `scale` values produce programs with *identical search
-/// cost* but different canonical text — the serve-bench uses a family
-/// of these to take several genuinely cold (placement-cache-missing)
-/// samples from one daemon.
+/// DSL source of a "wide" program: `k` independent gather–scatter
+/// subgraphs, each ending in its own output. Placement choices
+/// multiply across subgraphs (the solution count and the search tree
+/// grow geometrically with `k`), so — unlike the forced chains of
+/// [`chain_program`] — a cold placement is expensive. The final
+/// scatter is scaled by `scale`: distinct values produce programs with
+/// *identical search cost* but different canonical text — the
+/// serve-bench uses a family of these to take several genuinely cold
+/// (placement-cache-missing) samples from one daemon.
 pub fn wide_program_src_scaled(k: usize, scale: f64) -> String {
     let mut src = String::from("program wide\n  map SOM : tri -> node [3]\n");
     for j in 1..=k {
@@ -163,7 +151,7 @@ mod tests {
 
     #[test]
     fn wide_program_is_legal_and_branchy() {
-        let p = wide_program(3);
+        let p = syncplace::ir::parser::parse(&wide_program_src_scaled(3, 1.0)).unwrap();
         let (_, analysis) = syncplace::placement::analyze_program(
             &p,
             &fig6(),

@@ -349,10 +349,7 @@ mod tests {
         let (_, analysis) = analyze_program(
             &p,
             &element_overlap_two_layer_2d(),
-            &SearchOptions {
-                collapse_deterministic: true,
-                ..Default::default()
-            },
+            &SearchOptions::default(),
             &CostParams::default(),
         );
         let sol = &analysis.solutions[0];

@@ -20,9 +20,7 @@
 //! pattern; the tool checks applicability and produces the annotated
 //! SPMD source.
 
-use syncplace::automata::predefined::{
-    element_overlap_2d_full, element_overlap_two_layer_2d, fig6, fig7, fig8,
-};
+use syncplace::automata::predefined::{element_overlap_two_layer_2d, fig6, fig7, fig8};
 use syncplace::automata::OverlapAutomaton;
 use syncplace::overlap::Pattern;
 use syncplace::prelude::*;
@@ -79,7 +77,6 @@ struct Opts {
 fn parse_opts(args: &[String]) -> Result<(String, Opts), String> {
     let mut file = None;
     let mut pattern = Pattern::FIG1;
-    let mut automaton: Option<OverlapAutomaton> = None;
     let mut solutions = 1usize;
     let mut procs = 4usize;
     let mut mesh = (16usize, 16usize);
@@ -125,12 +122,11 @@ fn parse_opts(args: &[String]) -> Result<(String, Opts), String> {
             other => return Err(format!("unknown option '{other}'")),
         }
     }
-    let automaton = automaton.take().unwrap_or_else(|| match (pattern, dim3) {
-        (_, true) => fig8(),
-        (Pattern::NodeOverlap, _) => fig7(),
-        (Pattern::ElementOverlap { layers: 2 }, _) => element_overlap_two_layer_2d(),
-        _ => element_overlap_2d_full(),
-    });
+    let automaton = if dim3 {
+        fig8()
+    } else {
+        syncplace::automaton_for(pattern)
+    };
     Ok((
         file.ok_or("missing program file")?,
         Opts {
@@ -158,21 +154,13 @@ fn with_program(cmd: &str, rest: &[String]) -> i32 {
             return 2;
         }
     };
-    let prog = match parse(&src) {
+    let prog = match syncplace::parse_checked(&src) {
         Ok(p) => p,
         Err(e) => {
-            eprintln!("{file}: parse error: {e}");
+            eprintln!("{file}: {e}");
             return 1;
         }
     };
-    let shape_errors = syncplace::ir::validate::check(&prog);
-    if !shape_errors.is_empty() {
-        eprintln!("{file}: shape errors:");
-        for e in shape_errors {
-            eprintln!("  {e}");
-        }
-        return 1;
-    }
 
     let dfg = syncplace::dfg::build(&prog);
     if cmd == "dfg" {
@@ -204,23 +192,13 @@ fn with_program(cmd: &str, rest: &[String]) -> i32 {
         return 0;
     }
 
-    let analysis = syncplace::placement::analyze(
-        &prog,
-        &dfg,
-        &opts.automaton,
-        &SearchOptions {
-            collapse_deterministic: true,
-            ..Default::default()
-        },
-        &CostParams::default(),
-    );
-    if analysis.solutions.is_empty() {
-        println!(
-            "no placement exists under automaton '{}' — wrong pattern for this program?",
-            opts.automaton.name
-        );
-        return 1;
-    }
+    let (analysis, spmd) = match syncplace::place(&prog, &dfg, &opts.automaton) {
+        Ok(placed) => placed,
+        Err(e) => {
+            println!("{e}");
+            return 1;
+        }
+    };
     println!(
         "{} distinct placements (automaton '{}', {} search steps)\n",
         analysis.solutions.len(),
@@ -238,19 +216,18 @@ fn with_program(cmd: &str, rest: &[String]) -> i32 {
         return 0;
     }
     if cmd == "sweep" {
-        return sweep(&prog, &dfg, &analysis, &opts);
+        return sweep(&prog, &spmd, &opts);
     }
 
     // run: simulate on a grid mesh with synthetic inputs.
     let mesh = gen2d::perturbed_grid(opts.mesh.0, opts.mesh.1, 0.2, 42);
     let mut bindings = syncplace::runtime::Bindings::for_mesh2d(&prog, &mesh);
-    synth_inputs(&prog, &mesh, &mut bindings);
+    syncplace::synth_inputs(&prog, &mesh, &mut bindings);
     if let Err(e) = bindings.validate(&prog) {
         eprintln!("cannot synthesize inputs for `run`: {e}");
         return 1;
     }
     let seq = syncplace::runtime::run_sequential(&prog, &bindings);
-    let spmd = syncplace::codegen::spmd_program(&prog, &dfg, &analysis.solutions[0]);
     let part = partition2d(&mesh, opts.procs, Method::RcbKl);
     let d = decompose2d(&mesh, &part.part, opts.procs, opts.pattern);
     print!("{}", d.report());
@@ -290,19 +267,17 @@ fn with_program(cmd: &str, rest: &[String]) -> i32 {
 /// processor sweep on the given mesh.
 fn sweep(
     prog: &syncplace::ir::Program,
-    dfg: &syncplace::dfg::Dfg,
-    analysis: &syncplace::placement::Analysis,
+    spmd: &syncplace::codegen::SpmdProgram,
     opts: &Opts,
 ) -> i32 {
     let mesh = gen2d::perturbed_grid(opts.mesh.0, opts.mesh.1, 0.2, 42);
     let mut bindings = syncplace::runtime::Bindings::for_mesh2d(prog, &mesh);
-    synth_inputs(prog, &mesh, &mut bindings);
+    syncplace::synth_inputs(prog, &mesh, &mut bindings);
     if let Err(e) = bindings.validate(prog) {
         eprintln!("cannot synthesize inputs: {e}");
         return 1;
     }
     let seq = syncplace::runtime::run_sequential(prog, &bindings);
-    let spmd = syncplace::codegen::spmd_program(prog, dfg, &analysis.solutions[0]);
     let model = syncplace::runtime::TimingModel::default();
     println!(
         "{:>4} {:>12} {:>12} {:>9} {:>11} {:>8}",
@@ -312,7 +287,7 @@ fn sweep(
     while p <= opts.procs {
         let part = partition2d(&mesh, p, Method::RcbKl);
         let d = decompose2d(&mesh, &part.part, p, opts.pattern);
-        match syncplace::runtime::run_spmd(prog, &spmd, &d, &bindings) {
+        match syncplace::runtime::run_spmd(prog, spmd, &d, &bindings) {
             Ok(res) => {
                 let t = syncplace::runtime::timing::estimate(&seq, &res, &model);
                 let err = syncplace::runtime::max_rel_error(&seq, &res);
@@ -332,35 +307,6 @@ fn sweep(
         p *= 2;
     }
     0
-}
-
-/// Synthesize inputs: scalar inputs small positive; node/edge/tri input
-/// arrays mildly varying positive fields.
-fn synth_inputs(
-    prog: &syncplace::ir::Program,
-    mesh: &Mesh2d,
-    b: &mut syncplace::runtime::Bindings,
-) {
-    use syncplace::ir::VarKind;
-    for v in prog.inputs() {
-        match prog.decl(v).kind {
-            VarKind::Scalar => {
-                b.input_scalars.entry(v).or_insert(1e-8);
-            }
-            VarKind::Array { base } => {
-                let n = match base {
-                    EntityKind::Node => mesh.nnodes(),
-                    EntityKind::Tri => mesh.ntris(),
-                    EntityKind::Edge => mesh.connectivity().edges.len(),
-                    EntityKind::Tet => 0,
-                };
-                b.input_arrays
-                    .entry(v)
-                    .or_insert_with(|| (0..n).map(|i| 1.0 + 0.1 * ((i % 7) as f64)).collect());
-            }
-            VarKind::Map { .. } => {}
-        }
-    }
 }
 
 const HELP: &str = "\

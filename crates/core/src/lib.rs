@@ -132,6 +132,90 @@ impl Engine {
     }
 }
 
+/// The automaton an overlapping pattern implies (2-D; the CLI's
+/// `--dim3` picks `fig8` itself).
+pub fn automaton_for(pattern: overlap::Pattern) -> automata::OverlapAutomaton {
+    use automata::predefined::{element_overlap_2d_full, element_overlap_two_layer_2d, fig7};
+    match pattern {
+        overlap::Pattern::NodeOverlap => fig7(),
+        overlap::Pattern::ElementOverlap { layers: 2 } => element_overlap_two_layer_2d(),
+        _ => element_overlap_2d_full(),
+    }
+}
+
+/// Parse DSL text and shape-check the program — the one way outside
+/// text enters the CLI and the daemon.
+pub fn parse_checked(src: &str) -> Result<ir::Program, String> {
+    let prog = ir::parser::parse(src).map_err(|e| format!("parse error: {e}"))?;
+    let shape_errors = ir::validate::check(&prog);
+    if !shape_errors.is_empty() {
+        let msgs: Vec<String> = shape_errors.iter().map(|e| e.to_string()).collect();
+        return Err(format!("shape errors: {}", msgs.join("; ")));
+    }
+    Ok(prog)
+}
+
+/// Place a program: analyze it against `automaton` with the default
+/// search and cost model, and generate the SPMD program of the
+/// best-ranked solution (`analysis.solutions[0]`, never absent on
+/// `Ok`). An illegal partitioning or an automaton under which no
+/// placement exists is an `Err`.
+pub fn place(
+    prog: &ir::Program,
+    dfg: &dfg::Dfg,
+    automaton: &automata::OverlapAutomaton,
+) -> Result<(placement::Analysis, codegen::SpmdProgram), String> {
+    let analysis = placement::analyze(
+        prog,
+        dfg,
+        automaton,
+        &placement::SearchOptions::default(),
+        &placement::CostParams::default(),
+    );
+    if !analysis.legality.is_legal() {
+        return Err(format!(
+            "the user partitioning is not legal ({} Fig. 4 violations)",
+            analysis.legality.errors.len()
+        ));
+    }
+    let Some(best) = analysis.solutions.first() else {
+        return Err(format!(
+            "no placement exists under automaton '{}' — wrong pattern for this program?",
+            automaton.name
+        ));
+    };
+    let spmd = codegen::spmd_program(prog, dfg, best);
+    Ok((analysis, spmd))
+}
+
+/// Fill every unbound input of `prog` with a deterministic synthetic
+/// field on `mesh`: scalar inputs small positive, array inputs mildly
+/// varying positive. The CLI's `run` and the daemon share this one
+/// rule, which is what makes their results (and cached-vs-fresh ones)
+/// bitwise-comparable.
+pub fn synth_inputs(prog: &ir::Program, mesh: &mesh::Mesh2d, b: &mut runtime::Bindings) {
+    use ir::{EntityKind, VarKind};
+    for v in prog.inputs() {
+        match prog.decl(v).kind {
+            VarKind::Scalar => {
+                b.input_scalars.entry(v).or_insert(1e-8);
+            }
+            VarKind::Array { base } => {
+                let n = match base {
+                    EntityKind::Node => mesh.nnodes(),
+                    EntityKind::Tri => mesh.ntris(),
+                    EntityKind::Edge => mesh.connectivity().edges.len(),
+                    EntityKind::Tet => 0,
+                };
+                b.input_arrays
+                    .entry(v)
+                    .or_insert_with(|| (0..n).map(|i| 1.0 + 0.1 * ((i % 7) as f64)).collect());
+            }
+            VarKind::Map { .. } => {}
+        }
+    }
+}
+
 /// The most common imports in one place.
 pub mod prelude {
     pub use crate::Engine;

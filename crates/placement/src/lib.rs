@@ -147,19 +147,7 @@ pub fn analyze_program(
     options: &SearchOptions,
     cost: &CostParams,
 ) -> (Dfg, Analysis) {
-    analyze_program_recorded(prog, automaton, options, cost, &None)
-}
-
-/// [`analyze_program`] with an observability hook (see
-/// [`analyze_recorded`]).
-pub fn analyze_program_recorded(
-    prog: &Program,
-    automaton: &OverlapAutomaton,
-    options: &SearchOptions,
-    cost: &CostParams,
-    rec: &RecorderRef,
-) -> (Dfg, Analysis) {
     let dfg = syncplace_dfg::build(prog);
-    let analysis = analyze_recorded(prog, &dfg, automaton, options, cost, rec);
+    let analysis = analyze(prog, &dfg, automaton, options, cost);
     (dfg, analysis)
 }

@@ -18,6 +18,7 @@
 use crate::arrowclass::shape_of;
 use std::collections::HashMap;
 use syncplace_automata::{CommKind, OverlapAutomaton, State, Transition};
+use syncplace_dfg::ops::OpKind;
 use syncplace_dfg::{Dfg, NodeKind};
 use syncplace_ir::{Program, Stmt, StmtId, VarId};
 
@@ -178,7 +179,7 @@ pub fn build_pos_graph(prog: &Program, dfg: &Dfg) -> PosGraph {
     // `pending`: graph node ids whose fall-through successor is next.
     let mut pending: Vec<usize> = Vec::new();
     lower(
-        prog,
+        dfg,
         &prog.body,
         &mut g,
         &mut op_counter,
@@ -208,7 +209,7 @@ fn connect(g: &mut PosGraph, pending: &mut Vec<usize>, target: usize) {
 }
 
 fn lower(
-    prog: &Program,
+    dfg: &Dfg,
     stmts: &[Stmt],
     g: &mut PosGraph,
     op_counter: &mut usize,
@@ -253,7 +254,7 @@ fn lower(
                 let first_new = g.nops + g.positions.len();
                 let mut body_pending: Vec<usize> = std::mem::take(pending);
                 let ops_before = *op_counter;
-                lower(prog, &t.body, g, op_counter, &mut body_pending, true);
+                lower(dfg, &t.body, g, op_counter, &mut body_pending, true);
                 // Back edge: body fall-through re-enters the first body
                 // element (the position before the first body stmt).
                 if g.nops + g.positions.len() > first_new || *op_counter > ops_before {
@@ -266,7 +267,7 @@ fn lower(
                 // Loop exits: fall-through (cap) + every exit-test op.
                 *pending = body_pending;
                 for op in ops_before..*op_counter {
-                    if dfg_op_is_exit(prog, op) && !pending.contains(&op) {
+                    if matches!(dfg.flat.ops[op].kind, OpKind::Exit(_)) && !pending.contains(&op) {
                         pending.push(op);
                     }
                 }
@@ -275,44 +276,6 @@ fn lower(
     }
     // Entering the next statement is handled at loop top; leftover
     // `pending` flows to the caller.
-    let _ = prog;
-}
-
-/// Is flattened op `op` an exit test? (Recomputed from the program to
-/// avoid carrying the Dfg into the walk; ids align with `flatten`.)
-fn dfg_op_is_exit(prog: &Program, op: usize) -> bool {
-    // Walk the program in flatten order counting ops.
-    fn walk(stmts: &[Stmt], counter: &mut usize, target: usize, found: &mut bool) {
-        for s in stmts {
-            match s {
-                Stmt::Assign(_) => {
-                    if *counter == target {
-                        *found = false;
-                    }
-                    *counter += 1;
-                }
-                Stmt::Loop(l) => {
-                    for _ in &l.body {
-                        if *counter == target {
-                            *found = false;
-                        }
-                        *counter += 1;
-                    }
-                }
-                Stmt::ExitIf(_) => {
-                    if *counter == target {
-                        *found = true;
-                    }
-                    *counter += 1;
-                }
-                Stmt::TimeLoop(t) => walk(&t.body, counter, target, found),
-            }
-        }
-    }
-    let mut counter = 0;
-    let mut found = false;
-    walk(&prog.body, &mut counter, op, &mut found);
-    found
 }
 
 // ---------------------------------------------------------------------------
@@ -624,11 +587,8 @@ mod tests {
         let p = syncplace_ir::transform::unroll_time_loop_check_last(&programs::testiv_with(8), 2);
         let dfg = syncplace_dfg::build(&p);
         let a = element_overlap_two_layer_2d();
-        let opts = crate::search::SearchOptions {
-            collapse_deterministic: true,
-            ..Default::default()
-        };
-        let (sols, _) = crate::search::enumerate(&dfg, &a, &opts);
+        let (sols, _) =
+            crate::search::enumerate(&dfg, &a, &crate::search::SearchOptions::default());
         assert!(!sols.is_empty());
         use syncplace_automata::state::{NOD1, NOD2};
         for m in sols.iter().take(64) {

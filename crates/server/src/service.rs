@@ -13,9 +13,6 @@
 //!   concurrently, at most `queue_depth` wait; beyond that a request
 //!   is *shed* with a 429-style `busy` error instead of queuing
 //!   unboundedly;
-//! * a server-lifetime [`TraceRecorder`] accumulating the `server.*`
-//!   metric keys (plus per-request recorders when a request asks for
-//!   `diag`);
 //! * the **live telemetry** layer: a lock-light
 //!   [`MetricsRegistry`] fed a
 //!   structured span per request (verb, cache outcome
@@ -37,18 +34,15 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
-use syncplace::automata::predefined::{
-    element_overlap_2d_full, element_overlap_two_layer_2d, fig7,
-};
 use syncplace::automata::OverlapAutomaton;
 use syncplace::codegen::SpmdProgram;
 use syncplace::dfg::Dfg;
-use syncplace::ir::{printer, EntityKind, Program, VarKind};
+use syncplace::ir::{printer, Program};
 use syncplace::mesh::Mesh2d;
 use syncplace::obs::trace::json_escape;
 use syncplace::obs::{keys, MetricsRegistry, Recorder, RecorderRef, TraceRecorder};
-use syncplace::overlap::{Decomposition, Pattern};
-use syncplace::placement::{analyze_program, CostParams, SearchOptions, Solution};
+use syncplace::overlap::Decomposition;
+use syncplace::placement::Solution;
 use syncplace::runtime::{Bindings, CommPlan, SpmdPool, SpmdResult};
 
 use crate::cache::{CacheStats, Lookup, LruCache};
@@ -327,7 +321,6 @@ pub struct Service {
     placements: LruCache<PlacedProgram>,
     plans: LruCache<CompiledPlan>,
     gate: AdmissionGate,
-    rec: Arc<TraceRecorder>,
     metrics: Arc<MetricsRegistry>,
     flight: Arc<FlightRecorder>,
     telemetry: bool,
@@ -353,7 +346,6 @@ impl Service {
             placements: LruCache::new(cfg.placement_cap),
             plans: LruCache::new(cfg.plan_cap),
             gate: AdmissionGate::new(cfg.max_inflight, cfg.queue_depth),
-            rec: Arc::new(TraceRecorder::new()),
             metrics: Arc::new(MetricsRegistry::new(METRIC_KEYS)),
             flight,
             telemetry: cfg.telemetry,
@@ -366,11 +358,6 @@ impl Service {
         }
     }
 
-    /// The server-lifetime recorder accumulating `server.*` keys.
-    pub fn recorder(&self) -> &Arc<TraceRecorder> {
-        &self.rec
-    }
-
     /// The live-metrics registry behind the `stats` verb.
     pub fn metrics(&self) -> &Arc<MetricsRegistry> {
         &self.metrics
@@ -381,18 +368,15 @@ impl Service {
         &self.flight
     }
 
-    /// Counter + registry emission (trace always; metrics when
-    /// telemetry is on).
+    /// Counter emission to the registry (when telemetry is on).
     fn emit_add(&self, key: &'static str, delta: u64) {
-        self.rec.add(key, delta);
         if self.telemetry {
             self.metrics.add(key, delta);
         }
     }
 
-    /// Span emission to both sinks.
+    /// Span emission to the registry (when telemetry is on).
     fn emit_span(&self, key: &'static str, nanos: u64) {
-        self.rec.span(key, nanos);
         if self.telemetry {
             self.metrics.span(key, nanos);
         }
@@ -577,7 +561,7 @@ impl Service {
         self.emit_add(keys::SERVER_REQUESTS, 1);
         let t_req = Instant::now();
 
-        let automaton = automaton_for(req.pattern);
+        let automaton = syncplace::automaton_for(req.pattern);
         let prog = resolve_program(&req.program).map_err(ServeError::Invalid)?;
         let canonical = printer::to_dsl(&prog);
         let pkey = hash::placement_key(&canonical, &automaton.name);
@@ -626,7 +610,7 @@ impl Service {
         let compile_ms = scratch.build_ns as f64 / 1e6;
 
         let mut bindings = Bindings::for_mesh2d(&placed.prog, &compiled.mesh);
-        synth_inputs(&placed.prog, &compiled.mesh, &mut bindings);
+        syncplace::synth_inputs(&placed.prog, &compiled.mesh, &mut bindings);
         bindings
             .validate(&placed.prog)
             .map_err(|e| ServeError::Invalid(format!("cannot synthesize inputs: {e}")))?;
@@ -665,68 +649,29 @@ impl Service {
     }
 }
 
-/// The automaton a pattern implies (same mapping as the CLI).
-pub fn automaton_for(pattern: Pattern) -> OverlapAutomaton {
-    match pattern {
-        Pattern::NodeOverlap => fig7(),
-        Pattern::ElementOverlap { layers: 2 } => element_overlap_two_layer_2d(),
-        _ => element_overlap_2d_full(),
-    }
-}
-
 fn resolve_program(spec: &ProgramSpec) -> Result<Program, String> {
-    let prog = match spec {
+    match spec {
         ProgramSpec::Builtin(name) => match name.as_str() {
-            "testiv" => syncplace::ir::programs::testiv(),
-            "fig5-sketch" => syncplace::ir::programs::fig5_sketch(),
-            "edge-smooth" => syncplace::ir::programs::edge_smooth(),
-            other => {
-                return Err(format!(
-                    "unknown builtin '{other}' (testiv|fig5-sketch|edge-smooth)"
-                ))
-            }
+            "testiv" => Ok(syncplace::ir::programs::testiv()),
+            "fig5-sketch" => Ok(syncplace::ir::programs::fig5_sketch()),
+            "edge-smooth" => Ok(syncplace::ir::programs::edge_smooth()),
+            other => Err(format!(
+                "unknown builtin '{other}' (testiv|fig5-sketch|edge-smooth)"
+            )),
         },
-        ProgramSpec::Source(src) => {
-            syncplace::ir::parser::parse(src).map_err(|e| format!("parse error: {e}"))?
-        }
-    };
-    let shape_errors = syncplace::ir::validate::check(&prog);
-    if !shape_errors.is_empty() {
-        let msgs: Vec<String> = shape_errors.iter().map(|e| e.to_string()).collect();
-        return Err(format!("shape errors: {}", msgs.join("; ")));
+        ProgramSpec::Source(src) => syncplace::parse_checked(src),
     }
-    Ok(prog)
 }
 
 fn place(prog: Program, automaton: &OverlapAutomaton) -> Result<PlacedProgram, String> {
-    let (dfg, analysis) = analyze_program(
-        &prog,
-        automaton,
-        &SearchOptions {
-            collapse_deterministic: true,
-            ..Default::default()
-        },
-        &CostParams::default(),
-    );
-    if !analysis.legality.is_legal() {
-        return Err(format!(
-            "the user partitioning is not legal ({} Fig. 4 violations)",
-            analysis.legality.errors.len()
-        ));
-    }
-    let Some(solution) = analysis.solutions.first().cloned() else {
-        return Err(format!(
-            "no placement exists under automaton '{}' — wrong pattern for this program?",
-            automaton.name
-        ));
-    };
-    let spmd = syncplace::codegen::spmd_program(&prog, &dfg, &solution);
+    let dfg = syncplace::dfg::build(&prog);
+    let (mut analysis, spmd) = syncplace::place(&prog, &dfg, automaton)?;
     Ok(PlacedProgram {
+        n_solutions: analysis.solutions.len(),
+        solution: analysis.solutions.swap_remove(0),
         prog,
         dfg,
-        solution,
         spmd,
-        n_solutions: analysis.solutions.len(),
         automaton_name: automaton.name.clone(),
     })
 }
@@ -745,41 +690,9 @@ fn compile_plan(
         ));
     }
     let part = syncplace::partition::partition2d(&mesh, req.p, syncplace::partition::Method::RcbKl);
-    // Parallel CSR-lean builder on the warm pool — bitwise identical
-    // to the sequential `decompose2d`, so cached plans stay
-    // content-addressable across builder choices.
-    let workers = req.p.clamp(1, 4);
-    let (d, _) = syncplace::runtime::decomp::decompose2d_par(
-        &mesh, &part.part, req.p, req.pattern, workers, &None,
-    );
+    let d = syncplace::overlap::decompose2d(&mesh, &part.part, req.p, req.pattern);
     let plan = Arc::new(CommPlan::build(&placed.prog, &placed.spmd, &d));
     Ok(CompiledPlan { mesh, d, plan })
-}
-
-/// Synthesize inputs exactly like the CLI's `run`: scalar inputs small
-/// positive, array inputs mildly varying positive fields. Keeping the
-/// rule identical (and deterministic) is what makes cached-vs-fresh
-/// results bitwise-comparable.
-fn synth_inputs(prog: &Program, mesh: &Mesh2d, b: &mut Bindings) {
-    for v in prog.inputs() {
-        match prog.decl(v).kind {
-            VarKind::Scalar => {
-                b.input_scalars.entry(v).or_insert(1e-8);
-            }
-            VarKind::Array { base } => {
-                let n = match base {
-                    EntityKind::Node => mesh.nnodes(),
-                    EntityKind::Tri => mesh.ntris(),
-                    EntityKind::Edge => mesh.connectivity().edges.len(),
-                    EntityKind::Tet => 0,
-                };
-                b.input_arrays
-                    .entry(v)
-                    .or_insert_with(|| (0..n).map(|i| 1.0 + 0.1 * ((i % 7) as f64)).collect());
-            }
-            VarKind::Map { .. } => {}
-        }
-    }
 }
 
 /// Order-independent digest of a result's outputs: variables sorted by
@@ -871,6 +784,14 @@ mod tests {
         assert_eq!((hot.placement, hot.plan), (Lookup::Hit, Lookup::Hit));
         assert_eq!(cold.checksum, hot.checksum);
         assert!(hot.compile_ms <= cold.compile_ms);
+        // The daemon runs the library's default search, nothing else.
+        let (_, analysis) = syncplace::placement::analyze_program(
+            &syncplace::ir::programs::testiv(),
+            &syncplace::automaton_for(req.pattern),
+            &Default::default(),
+            &Default::default(),
+        );
+        assert_eq!(cold.n_solutions, analysis.solutions.len());
         let stats = svc.stats();
         assert_eq!(stats.requests, 2);
         assert_eq!(stats.placements.compiles, 1);
@@ -991,7 +912,7 @@ mod tests {
         let snap = svc.metrics.snapshot();
         assert_eq!(snap.counter(keys::SERVER_REQUESTS), 0);
         assert_eq!(svc.flight.counters(), (0, 0, 0));
-        // The lifetime trace recorder still sees everything.
+        // The service counters still see everything.
         assert_eq!(svc.stats().requests, 1);
     }
 

@@ -7,7 +7,10 @@
 # source-level hot-path gate and bitwise differential suite
 # (`cargo test --test kernel`: no HashMap / HashSet / .expect( /
 # .unwrap( / Box< / unsafe in crates/runtime/src/kernel.rs, lowered
-# results to_bits()-equal to the test-only tree walker), the repo's
+# results to_bits()-equal to the test-only tree walker), the placement
+# crate must stay single-threaded and the one search the default (no
+# thread:: / Mutex / Condvar / Atomic in crates/placement/src/, no
+# `collapse_deterministic: true` override in any .rs file), the repo's
 # own static analysis (`reproduce lint` — independent placement
 # verifier, CommPlan schedule audit, IR lints) must report no
 # error-severity diagnostics,
@@ -29,6 +32,14 @@ cd "$(dirname "$0")/.."
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 cargo clippy --workspace --all-targets -- -D warnings
 cargo test -q --test kernel
+if grep -rnE 'thread::|Mutex|Condvar|Atomic' crates/placement/src/; then
+    echo "placement gate: crates/placement is single-threaded — one search, no workers"
+    exit 1
+fi
+if grep -rn --include='*.rs' 'collapse_deterministic: true' crates tests examples suite benchmark/src; then
+    echo "placement gate: the merged search is SearchOptions::default(); drop the override"
+    exit 1
+fi
 cargo run --release -p syncplace-bench --bin reproduce -- lint --quick
 
 repo_root="$(pwd)"

@@ -283,8 +283,10 @@ fn search_counters_reflect_analysis_stats() {
     let prog = syncplace::ir::programs::testiv();
     let tr = Arc::new(TraceRecorder::new());
     let rec: RecorderRef = Some(tr.clone());
-    let (_, analysis) = syncplace::placement::analyze_program_recorded(
+    let dfg = syncplace::dfg::build(&prog);
+    let analysis = syncplace::placement::analyze_recorded(
         &prog,
+        &dfg,
         &fig6(),
         &SearchOptions::default(),
         &CostParams::default(),

@@ -216,10 +216,7 @@ fn claim_two_layer_amortization() {
         let (dfg, analysis) = analyze_program(
             &prog,
             &automaton,
-            &SearchOptions {
-                collapse_deterministic: true,
-                ..Default::default()
-            },
+            &SearchOptions::default(),
             &CostParams::default(),
         );
         assert!(analysis.legality.is_legal());
