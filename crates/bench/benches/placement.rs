@@ -1,10 +1,12 @@
 //! Benches for the placement search (E11: recursive vs iterative
-//! propagation; chain-merge scaling). Plain `std::time` harness.
+//! propagation; chain-merge scaling) and for the whole analysis next
+//! to it (`analyze` − `enumerate` is the ranking half: extraction,
+//! dedupe, costing, sort). Plain `std::time` harness.
 
-use syncplace::automata::predefined::fig6;
-use syncplace::placement::{enumerate, SearchOptions};
+use syncplace::automata::predefined::{fig6, fig8};
+use syncplace::placement::{analyze, enumerate, CostParams, SearchOptions};
 use syncplace_bench::harness::Group;
-use syncplace_bench::setup::chain_program;
+use syncplace_bench::setup::{chain_program, wide_program_src_scaled};
 
 fn bench_testiv_search() {
     let prog = syncplace::ir::programs::testiv();
@@ -45,6 +47,25 @@ fn bench_chain_scaling() {
     }
 }
 
+fn bench_analyze() {
+    let wide6 = syncplace::ir::parser::parse(&wide_program_src_scaled(6, 1.0)).unwrap();
+    let g = Group::new("analyze");
+    for (label, prog, automaton) in [
+        ("testiv-fig6", syncplace::ir::programs::testiv(), fig6()),
+        ("tet_heat-fig8", syncplace::ir::programs::tet_heat(10), fig8()),
+        ("wide6-fig6", wide6, fig6()),
+    ] {
+        let dfg = syncplace::dfg::build(&prog);
+        let opts = SearchOptions::default();
+        g.bench(&format!("{label}/enumerate"), || {
+            enumerate(&dfg, &automaton, &opts)
+        });
+        g.bench(&format!("{label}/analyze"), || {
+            analyze(&prog, &dfg, &automaton, &opts, &CostParams::default())
+        });
+    }
+}
+
 fn bench_dfg_build() {
     let g = Group::new("dfg-build");
     let testiv = syncplace::ir::programs::testiv();
@@ -56,5 +77,6 @@ fn bench_dfg_build() {
 fn main() {
     bench_testiv_search();
     bench_chain_scaling();
+    bench_analyze();
     bench_dfg_build();
 }

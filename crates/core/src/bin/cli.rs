@@ -192,7 +192,7 @@ fn with_program(cmd: &str, rest: &[String]) -> i32 {
         return 0;
     }
 
-    let (analysis, spmd) = match syncplace::place(&prog, &dfg, &opts.automaton) {
+    let (analysis, spmd) = match syncplace::place(&prog, &dfg, &opts.automaton, &None) {
         Ok(placed) => placed,
         Err(e) => {
             println!("{e}");

@@ -159,18 +159,21 @@ pub fn parse_checked(src: &str) -> Result<ir::Program, String> {
 /// search and cost model, and generate the SPMD program of the
 /// best-ranked solution (`analysis.solutions[0]`, never absent on
 /// `Ok`). An illegal partitioning or an automaton under which no
-/// placement exists is an `Err`.
+/// placement exists is an `Err`. `rec` receives the analysis'
+/// `search.*` spans and counters.
 pub fn place(
     prog: &ir::Program,
     dfg: &dfg::Dfg,
     automaton: &automata::OverlapAutomaton,
+    rec: &obs::RecorderRef,
 ) -> Result<(placement::Analysis, codegen::SpmdProgram), String> {
-    let analysis = placement::analyze(
+    let analysis = placement::analyze_recorded(
         prog,
         dfg,
         automaton,
         &placement::SearchOptions::default(),
         &placement::CostParams::default(),
+        rec,
     );
     if !analysis.legality.is_legal() {
         return Err(format!(

@@ -156,6 +156,9 @@ pub mod keys {
     pub const SEARCH_PRUNED: &str = "search.pruned";
     /// Span: one full placement enumeration.
     pub const SEARCH_SPAN: &str = "search.enumerate";
+    /// Span: ranking one enumeration's mappings — placement
+    /// extraction, dedupe, costing and the sort.
+    pub const SEARCH_RANK_SPAN: &str = "search.rank";
     /// Counter: requests accepted by the placement server (every
     /// admitted `run` request, hit or miss).
     pub const SERVER_REQUESTS: &str = "server.requests";
@@ -285,6 +288,7 @@ pub mod keys {
         SEARCH_SOLUTIONS,
         SEARCH_PRUNED,
         SEARCH_SPAN,
+        SEARCH_RANK_SPAN,
         SERVER_REQUESTS,
         SERVER_SHED,
         SERVER_REQ_SPAN,

@@ -15,10 +15,8 @@
 //! redundant overlap-domain instructions weighted by γ; everything
 //! inside the time loop is multiplied by the expected iteration count.
 
-use crate::solution::{IterationDomain, Solution};
+use crate::solution::{IterationDomain, LoopFacts, Solution};
 use syncplace_automata::CommKind;
-use syncplace_dfg::{DefClass, Dfg, NodeKind};
-use syncplace_ir::Program;
 
 /// Abstract cost parameters (units are arbitrary; only ratios matter
 /// for ranking). Defaults reflect the latency-dominated machines of
@@ -85,8 +83,9 @@ impl SolutionCost {
     }
 }
 
-/// Evaluate a solution.
-pub fn evaluate(prog: &Program, dfg: &Dfg, sol: &Solution, p: &CostParams) -> SolutionCost {
+/// Evaluate a solution; `loops` are its extractor's loop facts, which
+/// `sol.domains` follows index for index.
+pub(crate) fn evaluate(loops: &[LoopFacts], sol: &Solution, p: &CostParams) -> SolutionCost {
     let mut c = SolutionCost::default();
 
     // --- communication phases: group sites by insertion point ------------
@@ -104,42 +103,13 @@ pub fn evaluate(prog: &Program, dfg: &Dfg, sol: &Solution, p: &CostParams) -> So
     c.phases_in_loop = in_loop_positions.len();
 
     // --- iteration domains -----------------------------------------------
-    // A loop is "restrictable" if it is a lower-entity loop with no
-    // scatter definitions (scatter loops must cover the overlap).
-    let in_time_loop: std::collections::HashMap<usize, bool> = dfg
-        .flat
-        .ops
-        .iter()
-        .filter_map(|o| o.loop_ctx.map(|ctx| (ctx.loop_stmt, o.in_time_loop)))
-        .collect();
-    for &(loop_stmt, domain) in &sol.domains {
-        let mut has_scatter = false;
-        let mut has_direct = false;
-        for o in &dfg.flat.ops {
-            if o.loop_ctx.map(|ctx| ctx.loop_stmt) != Some(loop_stmt) {
-                continue;
-            }
-            if let Some(dn) = dfg.def_node[o.id] {
-                match dfg.nodes[dn].kind {
-                    NodeKind::Def {
-                        class: DefClass::Scatter,
-                        ..
-                    } => has_scatter = true,
-                    NodeKind::Def {
-                        class: DefClass::Direct,
-                        ..
-                    } => has_direct = true,
-                    _ => {}
-                }
-            }
+    for (l, &(_, domain)) in loops.iter().zip(&sol.domains) {
+        if !l.restrictable() {
+            continue;
         }
-        if has_scatter || !has_direct {
-            continue; // not restrictable
-        }
-        let inside = in_time_loop.get(&loop_stmt).copied().unwrap_or(false);
         match domain {
             IterationDomain::Overlap => {
-                if inside {
+                if l.in_time_loop {
                     c.overlap_loops_in_loop += 1;
                 }
             }
@@ -172,7 +142,6 @@ pub fn evaluate(prog: &Program, dfg: &Dfg, sol: &Solution, p: &CostParams) -> So
             + p.gamma * c.overlap_loops_in_loop as f64)
         + p.alpha * c.sites_outside as f64
         + p.beta * volume_out;
-    let _ = prog;
     c
 }
 
@@ -180,7 +149,7 @@ pub fn evaluate(prog: &Program, dfg: &Dfg, sol: &Solution, p: &CostParams) -> So
 mod tests {
     use super::*;
     use crate::search::{enumerate, SearchOptions};
-    use crate::solution::extract;
+    use crate::solution::Extractor;
     use syncplace_automata::predefined::fig6;
     use syncplace_ir::programs;
 
@@ -191,12 +160,12 @@ mod tests {
         let a = fig6();
         let (maps, _) = enumerate(&dfg, &a, &SearchOptions::default());
         let params = CostParams::default();
+        let mut ex = Extractor::new(&p, &dfg, &a);
         let mut scores: Vec<f64> = maps
             .into_iter()
             .map(|m| {
-                let mut s = extract(&p, &dfg, &a, m);
-                s.cost = evaluate(&p, &dfg, &s, &params);
-                s.cost.score
+                let s = ex.extract(m);
+                evaluate(ex.loops(), &s, &params).score
             })
             .collect();
         scores.sort_by(|a, b| a.partial_cmp(b).unwrap());
@@ -211,12 +180,13 @@ mod tests {
         let a = fig6();
         let (maps, _) = enumerate(&dfg, &a, &SearchOptions::default());
         let params = CostParams::default();
+        let mut ex = Extractor::new(&p, &dfg, &a);
         let mut best: Option<SolutionCost> = None;
         for m in maps {
-            let mut s = extract(&p, &dfg, &a, m);
-            s.cost = evaluate(&p, &dfg, &s, &params);
-            if best.map(|b| s.cost.score < b.score).unwrap_or(true) {
-                best = Some(s.cost);
+            let s = ex.extract(m);
+            let cost = evaluate(ex.loops(), &s, &params);
+            if best.map(|b| cost.score < b.score).unwrap_or(true) {
+                best = Some(cost);
             }
         }
         let best = best.unwrap();

@@ -515,23 +515,7 @@ mod tests {
 
     #[test]
     fn chain_collapse_preserves_solutions_and_saves_visits() {
-        use syncplace_automata::predefined::{
-            element_overlap_2d_full, element_overlap_two_layer_2d, fig8,
-        };
-        let mut progs = vec![
-            programs::testiv(),
-            programs::fig5_sketch(),
-            programs::edge_smooth(),
-            programs::tet_heat(10),
-        ];
-        progs.extend(programs::taxonomy().into_iter().map(|c| c.program));
-        let automata = [
-            fig6(),
-            fig7(),
-            fig8(),
-            element_overlap_2d_full(),
-            element_overlap_two_layer_2d(),
-        ];
+        let (progs, automata) = crate::tests::corpus();
         // Both at the default cap, which two pairs reach (TESTIV under
         // the two-layer automaton, tet_heat under fig8: their full sets
         // are out of reach of `max_visits`); the cut falls on the same

@@ -16,7 +16,7 @@
 //! solution).
 
 use crate::arrowclass::shape_of;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use syncplace_automata::{CommKind, OverlapAutomaton, State, Transition};
 use syncplace_dfg::ops::OpKind;
 use syncplace_dfg::{Dfg, NodeKind};
@@ -57,7 +57,7 @@ pub struct CommSite {
 }
 
 /// Iteration domain of a partitioned loop.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum IterationDomain {
     Kernel,
     Overlap,
@@ -91,7 +91,24 @@ impl Solution {
             .collect();
         format!("{}|{}", sites.join(","), doms.join(","))
     }
+
+    /// The structural form of [`Self::fingerprint`]: two keys are equal
+    /// iff the fingerprint strings are, without formatting anything.
+    pub(crate) fn placement_key(&self) -> PlacementKey {
+        let mut sites: Vec<_> = self
+            .comm_sites
+            .iter()
+            .map(|s| (s.kind, s.var, s.location))
+            .collect();
+        sites.sort_unstable();
+        (sites, self.domains.clone())
+    }
 }
+
+pub(crate) type PlacementKey = (
+    Vec<(CommKind, VarId, InsertionPoint)>,
+    Vec<(StmtId, IterationDomain)>,
+);
 
 // ---------------------------------------------------------------------------
 // Position-augmented CFG
@@ -146,7 +163,8 @@ impl PosGraph {
     }
 
     /// Is the use reachable from the def at all? (Sanity helper.)
-    pub fn reaches(&self, d: usize, u: usize) -> bool {
+    #[cfg(test)]
+    fn reaches(&self, d: usize, u: usize) -> bool {
         let mut seen = vec![false; self.succs.len()];
         let mut stack = vec![d];
         while let Some(n) = stack.pop() {
@@ -282,234 +300,261 @@ fn lower(
 // Extraction
 // ---------------------------------------------------------------------------
 
-/// Extract the concrete placement from a mapping.
-pub fn extract(
-    prog: &Program,
-    dfg: &Dfg,
-    automaton: &OverlapAutomaton,
-    mapping: Mapping,
-) -> Solution {
-    let pos_graph = build_pos_graph(prog, dfg);
+/// The mapping-independent facts about one partitioned entity loop.
+pub(crate) struct LoopFacts {
+    stmt: StmtId,
+    pub(crate) in_time_loop: bool,
+    /// Deepest staleness the pattern offers the loop's entity shape.
+    max_rank: usize,
+    has_scatter: bool,
+    /// Any direct definition: with no scatter, the loop is one the
+    /// cost model counts as kernel-restrictable.
+    has_direct: bool,
+    /// Direct definition nodes of the loop's own entity (localized
+    /// scalars included: their shape is the loop entity).
+    entity_defs: Vec<usize>,
+}
 
-    // --- group Update-crossing arrows by (variable, comm kind) -------------
-    #[derive(Default)]
-    struct Group {
-        arrows: Vec<usize>,
-        def_ops: Vec<usize>,
-        use_ops: Vec<usize>,
-        any_output_use: bool,
+impl LoopFacts {
+    /// A lower-entity loop with no scatter definitions (scatter loops
+    /// must cover the overlap).
+    pub(crate) fn restrictable(&self) -> bool {
+        self.has_direct && !self.has_scatter
     }
-    let mut groups: HashMap<(VarId, CommKind), Group> = HashMap::new();
-    for (i, tr) in mapping.arrow_transition.iter().enumerate() {
-        let Some(t) = tr else { continue };
-        let Some(kind) = t.comm else { continue };
-        let arrow = &dfg.arrows[i];
-        let var = arrow.var.expect("comm transitions ride true dependences");
-        let g = groups.entry((var, kind)).or_default();
-        g.arrows.push(i);
-        match &dfg.nodes[arrow.from].kind {
-            NodeKind::Def { op, .. } => g.def_ops.push(*op),
-            NodeKind::Input(_) => {
-                // The input pseudo-def precedes op 0: use the entry op.
-                g.def_ops.push(0);
+}
+
+fn loop_facts(dfg: &Dfg, automaton: &OverlapAutomaton) -> Vec<LoopFacts> {
+    use syncplace_dfg::DefClass;
+    let mut loops: Vec<LoopFacts> = Vec::new();
+    for op in &dfg.flat.ops {
+        let Some(ctx) = op.loop_ctx.filter(|c| c.partitioned) else {
+            continue;
+        };
+        let loop_shape = syncplace_automata::Shape::of_entity(ctx.entity);
+        let at = match loops.iter().position(|l| l.stmt == ctx.loop_stmt) {
+            Some(at) => at,
+            None => {
+                // Kernel restriction is only sound for definitions that
+                // claim the *deepest* staleness the pattern offers —
+                // anything weaker still promises correct values beyond
+                // the kernel, which only the full domain computes (under
+                // the two-layer pattern, a Nod1 definition must keep the
+                // first overlap ring alive).
+                let max_rank = automaton
+                    .states
+                    .iter()
+                    .filter(|s| s.shape == loop_shape)
+                    .filter_map(|s| s.coh.stale_rank())
+                    .max()
+                    .unwrap_or(0);
+                loops.push(LoopFacts {
+                    stmt: ctx.loop_stmt,
+                    in_time_loop: op.in_time_loop,
+                    max_rank,
+                    has_scatter: false,
+                    has_direct: false,
+                    entity_defs: Vec::new(),
+                });
+                loops.len() - 1
             }
+        };
+        let Some(dn) = dfg.def_node[op.id] else {
+            continue;
+        };
+        let NodeKind::Def { class, .. } = dfg.nodes[dn].kind else {
+            continue;
+        };
+        let l = &mut loops[at];
+        match class {
+            DefClass::Scatter => l.has_scatter = true,
+            DefClass::Direct => {
+                l.has_direct = true;
+                if shape_of(dfg, dn) == loop_shape {
+                    l.entity_defs.push(dn);
+                }
+            }
+            _ => {}
+        }
+    }
+    loops
+}
+
+/// Extracts placements from the mappings of one analysis. Everything
+/// that does not depend on the mapping is computed once: the position
+/// graph, the per-loop facts, and — memoised as mappings ask for them —
+/// the insertion site(s) of each group of Update-crossing arrows.
+pub(crate) struct Extractor<'a> {
+    dfg: &'a Dfg,
+    pos_graph: PosGraph,
+    loops: Vec<LoopFacts>,
+    /// `(variable, comm kind, arrows carrying it)` → its sites.
+    sites: HashMap<(VarId, CommKind, Vec<usize>), Vec<CommSite>>,
+}
+
+impl<'a> Extractor<'a> {
+    pub(crate) fn new(prog: &Program, dfg: &'a Dfg, automaton: &OverlapAutomaton) -> Self {
+        Extractor {
+            dfg,
+            pos_graph: build_pos_graph(prog, dfg),
+            loops: loop_facts(dfg, automaton),
+            sites: HashMap::new(),
+        }
+    }
+
+    /// The partitioned entity loops, in program order (the order of
+    /// every extracted [`Solution::domains`]).
+    pub(crate) fn loops(&self) -> &[LoopFacts] {
+        &self.loops
+    }
+
+    /// Extract the concrete placement from a mapping.
+    pub(crate) fn extract(&mut self, mapping: Mapping) -> Solution {
+        // Group Update-crossing arrows by (variable, comm kind).
+        let mut groups: BTreeMap<(VarId, CommKind), Vec<usize>> = BTreeMap::new();
+        for (i, tr) in mapping.arrow_transition.iter().enumerate() {
+            let Some(kind) = tr.and_then(|t| t.comm) else {
+                continue;
+            };
+            let var = self.dfg.arrows[i]
+                .var
+                .expect("comm transitions ride true dependences");
+            groups.entry((var, kind)).or_default().push(i);
+        }
+        let mut comm_sites: Vec<CommSite> = Vec::new();
+        for ((var, kind), arrows) in groups {
+            let (dfg, pos_graph) = (self.dfg, &self.pos_graph);
+            let sites =
+                self.sites
+                    .entry((var, kind, arrows))
+                    .or_insert_with_key(|(_, _, arrows)| {
+                        group_sites(dfg, pos_graph, var, kind, arrows)
+                    });
+            comm_sites.extend_from_slice(sites);
+        }
+        comm_sites.sort_by_key(|s| (s.pos_order, s.var));
+
+        // Top-entity loops and scatter loops need the full overlap
+        // domain; lower-entity loops follow their definitions' states:
+        // reduction-only loops iterate the kernel, and so do loops all
+        // of whose definitions sit at the deepest staleness.
+        let domains = self
+            .loops
+            .iter()
+            .map(|l| {
+                let kernel = !l.has_scatter
+                    && l.max_rank > 0
+                    && l.entity_defs
+                        .iter()
+                        .all(|&dn| mapping.node_state[dn].coh.stale_rank() == Some(l.max_rank));
+                let domain = if kernel {
+                    IterationDomain::Kernel
+                } else {
+                    IterationDomain::Overlap
+                };
+                (l.stmt, domain)
+            })
+            .collect();
+
+        Solution {
+            mapping,
+            comm_sites,
+            domains,
+            cost: crate::cost::SolutionCost::default(),
+        }
+    }
+}
+
+/// The site(s) realizing one group of Update-crossing arrows: the
+/// latest position every def → use path crosses, or — when no single
+/// position intercepts them all — one site per destination statement.
+fn group_sites(
+    dfg: &Dfg,
+    pos_graph: &PosGraph,
+    var: VarId,
+    kind: CommKind,
+    arrows: &[usize],
+) -> Vec<CommSite> {
+    let mut def_ops: Vec<usize> = Vec::new();
+    let mut use_ops: Vec<usize> = Vec::new();
+    let mut any_output_use = false;
+    for &i in arrows {
+        let arrow = &dfg.arrows[i];
+        match &dfg.nodes[arrow.from].kind {
+            NodeKind::Def { op, .. } => def_ops.push(*op),
+            // The input pseudo-def precedes op 0: use the entry op.
+            NodeKind::Input(_) => def_ops.push(0),
             other => panic!("update from non-def node {other:?}"),
         }
         match &dfg.nodes[arrow.to].kind {
-            NodeKind::Use { op, .. } => g.use_ops.push(*op),
-            NodeKind::Output(_) => g.any_output_use = true,
+            NodeKind::Use { op, .. } => use_ops.push(*op),
+            NodeKind::Output(_) => any_output_use = true,
             other => panic!("update into non-use node {other:?}"),
         }
     }
-
-    let mut comm_sites: Vec<CommSite> = Vec::new();
-    let mut keys: Vec<(VarId, CommKind)> = groups.keys().copied().collect();
-    keys.sort();
-    for key in keys {
-        let g = &groups[&key];
-        let (var, kind) = key;
-        let reduce_op = if kind == CommKind::ReduceScalar {
-            // Find the reduction op of the def statements.
-            g.def_ops
-                .iter()
-                .find_map(|&op| {
-                    dfg.classification
-                        .reductions
-                        .get(&dfg.flat.ops[op].stmt)
-                        .map(|r| r.op)
-                })
-                .or(Some(syncplace_dfg::ReduceOp::Sum))
-        } else {
-            None
-        };
-        // Output-destination pairs are interceptable only by AtEnd or
-        // positions dominating program exit; treat the AtEnd position
-        // as a virtual use: index = the AtEnd pos node itself. We model
-        // it by adding the AtEnd position node as a target.
-        let mut targets: Vec<usize> = g.use_ops.clone();
-        if g.any_output_use {
-            // Program exit: the AtEnd position node.
-            targets.push(pos_graph.pos_node(pos_graph.positions.len() - 1));
-        }
-        // Latest valid position. When the only destination is the
-        // program exit itself, the AtEnd position cannot intercept its
-        // own node, so handle that case directly.
-        let mut chosen: Option<usize> = None;
-        let n_positions = pos_graph.positions.len();
-        for p in 0..n_positions {
-            // AtEnd intercepts output-only groups by construction.
-            let valid =
-                if targets == vec![pos_graph.pos_node(n_positions - 1)] && p == n_positions - 1 {
-                    true
-                } else {
-                    pos_graph.intercepts(p, &g.def_ops, &targets)
-                };
-            if valid {
-                chosen = Some(p); // keep scanning: latest wins
-            }
-        }
-        match chosen {
-            Some(p) => comm_sites.push(CommSite {
-                kind,
-                var,
-                reduce_op,
-                location: pos_graph.positions[p],
-                pos_order: p,
-                in_time_loop: pos_graph.pos_in_time_loop[p],
-                arrows: g.arrows.clone(),
-            }),
-            None => {
-                // Fallback: one site per destination statement.
-                let mut per_use: Vec<usize> = Vec::new();
-                for &u in &g.use_ops {
-                    // The position immediately before u's statement.
-                    let stmt = region_stmt_of_op(prog, dfg, u);
-                    if let Some(p) = pos_graph
-                        .positions
-                        .iter()
-                        .position(|ip| *ip == InsertionPoint::Before(stmt))
-                    {
-                        if !per_use.contains(&p) {
-                            per_use.push(p);
-                        }
-                    }
-                }
-                if g.any_output_use {
-                    per_use.push(n_positions - 1);
-                }
-                for p in per_use {
-                    comm_sites.push(CommSite {
-                        kind,
-                        var,
-                        reduce_op,
-                        location: pos_graph.positions[p],
-                        pos_order: p,
-                        in_time_loop: pos_graph.pos_in_time_loop[p],
-                        arrows: g.arrows.clone(),
-                    });
-                }
-            }
-        }
-    }
-    comm_sites.sort_by_key(|s| (s.pos_order, s.var));
-
-    // --- iteration domains ---------------------------------------------------
-    let domains = derive_domains(prog, dfg, automaton, &mapping);
-
-    Solution {
-        mapping,
-        comm_sites,
-        domains,
-        cost: crate::cost::SolutionCost::default(),
-    }
-}
-
-/// The top-level (region) statement containing an op: the enclosing
-/// entity loop, or the statement itself.
-pub fn region_stmt_of_op(_prog: &Program, dfg: &Dfg, op: usize) -> StmtId {
-    let o = &dfg.flat.ops[op];
-    match o.loop_ctx {
-        Some(ctx) => ctx.loop_stmt,
-        None => o.stmt,
-    }
-}
-
-/// Derive the iteration domain of each partitioned entity loop from
-/// the mapped definition states.
-pub fn derive_domains(
-    prog: &Program,
-    dfg: &Dfg,
-    automaton: &OverlapAutomaton,
-    mapping: &Mapping,
-) -> Vec<(StmtId, IterationDomain)> {
-    use syncplace_dfg::DefClass;
-    // Group def nodes by loop.
-    let mut loops: Vec<(StmtId, IterationDomain)> = Vec::new();
-    let mut seen: Vec<StmtId> = Vec::new();
-    for op in &dfg.flat.ops {
-        let Some(ctx) = op.loop_ctx else { continue };
-        if !ctx.partitioned || seen.contains(&ctx.loop_stmt) {
-            continue;
-        }
-        seen.push(ctx.loop_stmt);
-        let loop_shape = syncplace_automata::Shape::of_entity(ctx.entity);
-        // Kernel restriction is only sound for definitions that claim
-        // the *deepest* staleness the pattern offers — anything weaker
-        // still promises correct values beyond the kernel, which only
-        // the full domain computes (under the two-layer pattern, a
-        // Nod1 definition must keep the first overlap ring alive).
-        let max_rank = automaton
-            .states
+    let reduce_op = if kind == CommKind::ReduceScalar {
+        // Find the reduction op of the def statements.
+        def_ops
             .iter()
-            .filter(|s| s.shape == loop_shape)
-            .filter_map(|s| s.coh.stale_rank())
-            .max()
-            .unwrap_or(0);
-        // Collect this loop's defs.
-        let mut has_scatter = false;
-        let mut has_entity_def = false;
-        let mut all_max_stale = true;
-        for o2 in &dfg.flat.ops {
-            if o2.loop_ctx.map(|c| c.loop_stmt) != Some(ctx.loop_stmt) {
-                continue;
-            }
-            let Some(dn) = dfg.def_node[o2.id] else {
-                continue;
-            };
-            let NodeKind::Def { class, .. } = dfg.nodes[dn].kind else {
-                continue;
-            };
-            let state = mapping.node_state[dn];
-            match class {
-                DefClass::Scatter => has_scatter = true,
-                DefClass::Direct
-                    // A direct def of the loop's own entity (localized
-                    // scalars included: their shape is the loop entity).
-                    if shape_of(dfg, dn) == loop_shape => {
-                        has_entity_def = true;
-                        if state.coh.stale_rank() != Some(max_rank) {
-                            all_max_stale = false;
-                        }
-                    }
-                _ => {}
-            }
-        }
-        // Top-entity loops and scatter loops need the full overlap
-        // domain; lower-entity loops follow their definitions' states.
-        let top = max_rank == 0;
-        let domain = if has_scatter || top {
-            IterationDomain::Overlap
-        } else if !has_entity_def || (all_max_stale && max_rank > 0) {
-            // Reduction-only loops iterate the kernel; so do loops all
-            // of whose definitions sit at the deepest staleness.
-            IterationDomain::Kernel
-        } else {
-            IterationDomain::Overlap
-        };
-        loops.push((ctx.loop_stmt, domain));
+            .find_map(|&op| {
+                dfg.classification
+                    .reductions
+                    .get(&dfg.flat.ops[op].stmt)
+                    .map(|r| r.op)
+            })
+            .or(Some(syncplace_dfg::ReduceOp::Sum))
+    } else {
+        None
+    };
+    // Output-destination pairs are interceptable only by AtEnd or
+    // positions dominating program exit: program exit is a virtual
+    // use, modelled by adding the AtEnd position node as a target.
+    let at_end = pos_graph.positions.len() - 1;
+    let mut targets: Vec<usize> = use_ops.clone();
+    if any_output_use {
+        targets.push(pos_graph.pos_node(at_end));
     }
-    let _ = prog;
-    loops
+    // Latest valid position. When the only destination is the program
+    // exit itself, the AtEnd position cannot intercept its own node:
+    // it intercepts output-only groups by construction.
+    let output_only = targets == [pos_graph.pos_node(at_end)];
+    let chosen = (0..=at_end)
+        .rev()
+        .find(|&p| (output_only && p == at_end) || pos_graph.intercepts(p, &def_ops, &targets));
+    let positions = match chosen {
+        Some(p) => vec![p],
+        None => {
+            // Fallback: the position immediately before each
+            // destination's region statement (the enclosing entity
+            // loop, or the statement itself).
+            let mut per_use: Vec<usize> = Vec::new();
+            for &u in &use_ops {
+                let o = &dfg.flat.ops[u];
+                let stmt = o.loop_ctx.map_or(o.stmt, |ctx| ctx.loop_stmt);
+                let before = InsertionPoint::Before(stmt);
+                if let Some(p) = pos_graph.positions.iter().position(|ip| *ip == before) {
+                    if !per_use.contains(&p) {
+                        per_use.push(p);
+                    }
+                }
+            }
+            if any_output_use {
+                per_use.push(at_end);
+            }
+            per_use
+        }
+    };
+    positions
+        .into_iter()
+        .map(|p| CommSite {
+            kind,
+            var,
+            reduce_op,
+            location: pos_graph.positions[p],
+            pos_order: p,
+            in_time_loop: pos_graph.pos_in_time_loop[p],
+            arrows: arrows.to_vec(),
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -568,7 +613,7 @@ mod tests {
         let (sols, _) =
             crate::search::enumerate(&dfg, &a, &crate::search::SearchOptions::default());
         assert!(!sols.is_empty());
-        let sol = extract(&p, &dfg, &a, sols[0].clone());
+        let sol = Extractor::new(&p, &dfg, &a).extract(sols[0].clone());
         for &(stmt, d) in &sol.domains {
             assert_eq!(
                 d,
@@ -591,8 +636,9 @@ mod tests {
             crate::search::enumerate(&dfg, &a, &crate::search::SearchOptions::default());
         assert!(!sols.is_empty());
         use syncplace_automata::state::{NOD1, NOD2};
+        let mut ex = Extractor::new(&p, &dfg, &a);
         for m in sols.iter().take(64) {
-            let sol = extract(&p, &dfg, &a, m.clone());
+            let sol = ex.extract(m.clone());
             for (i, node) in dfg.nodes.iter().enumerate() {
                 let syncplace_dfg::NodeKind::Def {
                     op,

@@ -70,6 +70,12 @@ pub const METRIC_KEYS: &[&str] = &[
     keys::SERVER_PLAN_MISSES,
     keys::SERVER_PLAN_JOINS,
     keys::SERVER_IO_ERROR,
+    keys::SEARCH_SPAN,
+    keys::SEARCH_RANK_SPAN,
+    keys::SEARCH_VISITS,
+    keys::SEARCH_BACKTRACKS,
+    keys::SEARCH_SOLUTIONS,
+    keys::SEARCH_PRUNED,
     keys::METRICS_FLIGHT_EVENTS,
     keys::METRICS_FLIGHT_DROPPED,
 ];
@@ -569,7 +575,14 @@ impl Service {
         let t_compile = Instant::now();
         let (placed, l_place) = self
             .placements
-            .get_or_build(pkey, || place(prog, &automaton))
+            .get_or_build(pkey, || {
+                // A cold compile's two halves (`search.enumerate`,
+                // `search.rank`) and its counters go to the registry.
+                let rec: RecorderRef = self
+                    .telemetry
+                    .then(|| Arc::clone(&self.metrics) as Arc<dyn Recorder>);
+                place(prog, &automaton, &rec)
+            })
             .map_err(ServeError::Invalid)?;
         scratch.place = Some(l_place);
         self.emit_add(
@@ -663,9 +676,13 @@ fn resolve_program(spec: &ProgramSpec) -> Result<Program, String> {
     }
 }
 
-fn place(prog: Program, automaton: &OverlapAutomaton) -> Result<PlacedProgram, String> {
+fn place(
+    prog: Program,
+    automaton: &OverlapAutomaton,
+    rec: &RecorderRef,
+) -> Result<PlacedProgram, String> {
     let dfg = syncplace::dfg::build(&prog);
-    let (mut analysis, spmd) = syncplace::place(&prog, &dfg, automaton)?;
+    let (mut analysis, spmd) = syncplace::place(&prog, &dfg, automaton, rec)?;
     Ok(PlacedProgram {
         n_solutions: analysis.solutions.len(),
         solution: analysis.solutions.swap_remove(0),

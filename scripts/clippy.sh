@@ -8,6 +8,10 @@
 # (`cargo test --test kernel`: no HashMap / HashSet / .expect( /
 # .unwrap( / Box< / unsafe in crates/runtime/src/kernel.rs, lowered
 # results to_bits()-equal to the test-only tree walker), the placement
+# ranking must agree with its test-only per-mapping oracle
+# (`ranking_matches_per_mapping_oracle`: same fingerprints in the same
+# order, same representative mapping, cost and pruned count on every
+# placing program x automaton pair), the placement
 # crate must stay single-threaded and the one search the default (no
 # thread:: / Mutex / Condvar / Atomic in crates/placement/src/, no
 # `collapse_deterministic: true` override in any .rs file), the repo's
@@ -32,6 +36,7 @@ cd "$(dirname "$0")/.."
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 cargo clippy --workspace --all-targets -- -D warnings
 cargo test -q --test kernel
+cargo test -q -p syncplace-placement --lib ranking_matches_per_mapping_oracle
 if grep -rnE 'thread::|Mutex|Condvar|Atomic' crates/placement/src/; then
     echo "placement gate: crates/placement is single-threaded — one search, no workers"
     exit 1
