@@ -5,7 +5,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 
 use syncplace_bench::experiments::{self as ex, Scale};
-use syncplace_bench::{allocmeter, benchdiff, profile, serve};
+use syncplace_bench::{allocmeter, profile, serve};
 
 /// Counting allocator for E24's peak-allocation column: forwards to
 /// the system allocator and mirrors every size delta into the bench
@@ -42,8 +42,12 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
-fn run(name: &str, scale: Scale) -> Option<String> {
-    Some(match name {
+/// Run one experiment: its report and whether it passed. Experiments
+/// that only print are always `true`; the ones that judge what they
+/// just computed (`lint`, `racecheck`, `bench-runtime`, `serve-bench`,
+/// `bench-large`) say so here and `main` turns `false` into exit 1.
+fn run(name: &str, scale: Scale) -> Option<(String, bool)> {
+    let report = match name {
         "e1-sketch" => ex::e1_sketch(),
         "e2-automata" => ex::e2_automata(),
         "e3-legality" => ex::e3_legality(),
@@ -59,63 +63,59 @@ fn run(name: &str, scale: Scale) -> Option<String> {
         "e15-adaptive" => ex::e15_adaptive(scale),
         "e16-solutions" => ex::e16_solution_space(scale),
         "e17-partition" => ex::e17_partitioners(scale),
-        "bench-runtime" | "e18-runtime" => ex::bench_runtime(scale),
         "trace" | "e19-trace" => ex::trace_runtime(scale),
         "profile" | "e21-profile" => profile::profile_runtime(scale),
-        "serve-bench" | "e23-serve" => serve::e23_serve(scale),
-        "bench-large" | "e24-large" => ex::e24_large(scale),
-        "lint" | "e20-lint" => {
-            let (report, ok) = ex::e20_lint_status(scale);
-            if !ok {
-                println!("{report}");
-                eprintln!("lint: error-severity diagnostics detected");
-                std::process::exit(1);
-            }
-            report
-        }
-        "racecheck" | "e25-racecheck" => {
-            let (report, ok) = ex::e25_racecheck(scale);
-            if !ok {
-                println!("{report}");
-                eprintln!("racecheck: concurrency verification failed");
-                std::process::exit(1);
-            }
-            report
-        }
+        "bench-runtime" | "e18-runtime" => return Some(ex::bench_runtime(scale)),
+        "lint" | "e20-lint" => return Some(ex::e20_lint(scale)),
+        "serve-bench" | "e23-serve" => return Some(serve::e23_serve(scale)),
+        "bench-large" | "e24-large" => return Some(ex::e24_large(scale)),
+        "racecheck" | "e25-racecheck" => return Some(ex::e25_racecheck(scale)),
         _ => return None,
-    })
+    };
+    Some((report, true))
 }
 
 fn main() {
     allocmeter::arm();
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let scale = if quick { Scale::Quick } else { Scale::Paper };
     let name = args.first().map(|s| s.as_str()).unwrap_or("list");
-    match name {
-        // Not an experiment: takes file arguments, returns an exit code.
-        "benchdiff" => std::process::exit(benchdiff::run_cli(&args[1..])),
+    if let Some(stray) = args.iter().skip(1).find(|a| *a != "--quick") {
+        eprintln!("unknown argument '{stray}': the only flag is --quick (paper scale is the default)");
+        std::process::exit(1);
+    }
+    let quick = args.iter().skip(1).any(|a| a == "--quick");
+    let scale = if quick { Scale::Quick } else { Scale::Paper };
+    let names: Vec<&str> = match name {
         "list" => {
             println!("experiments (run `reproduce <name>` or `reproduce all`):");
             for (n, d) in ex::index() {
                 println!("  {n:<14} {d}");
             }
+            return;
         }
-        "all" => {
-            for (n, _) in ex::index() {
-                println!("================================================================");
-                match run(n, scale) {
-                    Some(report) => println!("{report}"),
-                    None => println!("{n}: not implemented"),
+        "all" => ex::index().into_iter().map(|(n, _)| n).collect(),
+        one => vec![one],
+    };
+    let mut failed = Vec::new();
+    for n in &names {
+        if names.len() > 1 {
+            println!("================================================================");
+        }
+        match run(n, scale) {
+            Some((report, ok)) => {
+                println!("{report}");
+                if !ok {
+                    failed.push(*n);
                 }
             }
-        }
-        other => match run(other, scale) {
-            Some(report) => println!("{report}"),
             None => {
-                eprintln!("unknown experiment '{other}'; try `reproduce list`");
+                eprintln!("unknown experiment '{n}'; try `reproduce list`");
                 std::process::exit(1);
             }
-        },
+        }
+    }
+    if !failed.is_empty() {
+        eprintln!("FAILED: {}", failed.join(", "));
+        std::process::exit(1);
     }
 }

@@ -5,7 +5,7 @@
 //! paper shows.
 
 use crate::setup;
-use crate::table;
+use crate::{cpus, push_verdict, table};
 use syncplace::automata::predefined::{element_overlap_2d_full, fig6, fig6_from_fig8, fig7, fig8};
 use syncplace::automata::CommKind;
 use syncplace::overlap::Pattern;
@@ -30,8 +30,7 @@ impl Scale {
         }
     }
 
-    /// Stable lowercase name, as written into versioned JSON artifacts
-    /// (`BENCH_runtime.json`, `PROFILE_runtime.json`).
+    /// Stable lowercase name, as written into `PROFILE_runtime.json`.
     pub fn name(self) -> &'static str {
         match self {
             Scale::Quick => "quick",
@@ -971,26 +970,135 @@ pub fn e17_partitioners(scale: Scale) -> String {
 // E18 — runtime engines: batched phases, early posting
 // ---------------------------------------------------------------------------
 
-/// E18 / `bench-runtime`: wall-clock and modeled speedup of the three
-/// SPMD engines and packet accounting of the batched wire format. Also
-/// writes the raw numbers to `BENCH_runtime.json` in the current
-/// directory.
-///
-/// The modeled columns drive the engines through the α/β model with
-/// their actual wire behaviour ([`syncplace::runtime::Wire`]): the
+/// One engine at one P, as the E18 and E24 engine tables print it.
+struct EngineRow {
+    p: usize,
+    engine: syncplace::Engine,
+    /// Measured: best-of-`reps` wall clock on this host.
+    wall_ms: f64,
+    messages: usize,
+    values: usize,
+    phases: usize,
+    /// Modeled (α/β): `t_seq / t_par`.
+    modeled_speedup: f64,
+    /// Modeled (α/β): round-robin's `t_par` over this engine's.
+    modeled_vs_rr: f64,
+}
+
+/// Run every engine on one decomposition and drive each through the α/β model with
+/// its actual wire behaviour ([`syncplace::runtime::Wire`]): the
 /// round-robin reference serializes reductions into ascending-rank
 /// chains, the concurrent engines run the binomial tree, and the
 /// overlapped engine additionally discounts each phase by the compute
 /// it provably kept in flight ([`syncplace::runtime::OverlapReport`]).
-/// `speedup_vs_rr` — an engine's modeled time relative to round-robin
-/// at the same P — is deterministic and gated by `benchdiff --check`.
-pub fn bench_runtime(scale: Scale) -> String {
-    use std::fmt::Write as _;
-    use std::time::Instant;
-    use syncplace::runtime::{
-        estimate_engine, run_spmd_pooled, CommPlan, Posting, TimingModel, Wire,
-    };
+/// The modeled columns are deterministic — computed from
+/// schedule-derived counters, not clocks.
+///
+/// Coalescing must never send *more* messages than the per-op wire it
+/// replaces (the fixed P=8 packet regression); a violation is pushed
+/// onto `faults`.
+fn engine_rows(
+    s: &setup::TestivSetup,
+    seq: &syncplace::runtime::SeqResult,
+    d: &syncplace::overlap::Decomposition<3>,
+    spmd: &syncplace::codegen::SpmdProgram,
+    reps: usize,
+    faults: &mut Vec<String>,
+) -> Vec<EngineRow> {
+    use syncplace::runtime::{estimate_engine, run_spmd_pooled, Posting, Wire};
     use syncplace::Engine;
+
+    let p = d.nparts;
+    // One overlapped run up front for this P's hidden-work profile.
+    let (_, ov_report) =
+        run_spmd_pooled(&s.prog, spmd, d, &s.bindings, Posting::Early, None, &None).unwrap();
+    let model = TimingModel::default();
+    let mut rr_t_par = f64::NAN;
+    let mut unbatched_messages = usize::MAX;
+    let mut rows = Vec::new();
+    for engine in Engine::ALL {
+        let mut best = f64::INFINITY;
+        let mut res = None;
+        for _ in 0..reps {
+            let t0 = std::time::Instant::now();
+            let r = engine.run(&s.prog, spmd, d, &s.bindings).unwrap();
+            best = best.min(t0.elapsed().as_secs_f64());
+            res = Some(r);
+        }
+        let r = res.unwrap();
+        let (wire, hidden) = match engine {
+            Engine::RoundRobin => (Wire::ReferenceChain, None),
+            Engine::Overlapped => (Wire::Tree, Some(ov_report.hidden_units.as_slice())),
+            Engine::Batched => (Wire::Tree, None),
+        };
+        let est = estimate_engine(seq, &r, &model, wire, hidden);
+        let messages = r.stats.total_messages();
+        if engine == Engine::RoundRobin {
+            rr_t_par = est.t_par;
+            unbatched_messages = messages;
+        } else if messages > unbatched_messages {
+            faults.push(format!(
+                "P={p} {}: {messages} messages > {unbatched_messages} unbatched",
+                engine.name()
+            ));
+        }
+        rows.push(EngineRow {
+            p,
+            engine,
+            wall_ms: best * 1e3,
+            messages,
+            values: r.stats.total_values(),
+            phases: r.stats.nphases(),
+            modeled_speedup: est.speedup,
+            modeled_vs_rr: rr_t_par / est.t_par,
+        });
+    }
+    rows
+}
+
+fn engine_table(rows: &[EngineRow]) -> String {
+    let cells: Vec<Vec<String>> = rows
+        .iter()
+        .map(|r| {
+            vec![
+                format!("{}", r.p),
+                r.engine.name().to_string(),
+                format!("{:.2}", r.wall_ms),
+                format!("{}", r.messages),
+                format!("{}", r.values),
+                format!("{}", r.phases),
+                format!("{:.2}", r.modeled_speedup),
+                format!("{:.3}", r.modeled_vs_rr),
+            ]
+        })
+        .collect();
+    table(
+        &[
+            "P",
+            "engine",
+            "wall ms (measured)",
+            "messages",
+            "values",
+            "phases",
+            "modeled S",
+            "modeled vs RR",
+        ],
+        &cells,
+    )
+}
+
+/// E18 / `bench-runtime`: the three SPMD engines at every P — measured
+/// wall clock on this host beside the α/β model's speedups (see
+/// `engine_rows`) — and the packet accounting of the batched wire
+/// format. Returns the report and `false` when a batched engine sent
+/// more messages than the round-robin reference.
+///
+/// The wall-clock column is a reading, not a gate: `benchmark/run.sh`
+/// is the repo's wall-clock regression gate. The modeled floors are
+/// held by `tests/runtime_engines.rs`.
+pub fn bench_runtime(scale: Scale) -> (String, bool) {
+    use std::fmt::Write as _;
+    use syncplace::runtime::CommPlan;
 
     let (nx, procs, reps): (usize, &[usize], usize) = match scale {
         Scale::Quick => (12, &[1, 2, 4], 3),
@@ -998,15 +1106,14 @@ pub fn bench_runtime(scale: Scale) -> String {
     };
     let s = setup::testiv(nx, 1e-8, &fig6());
     let seq = syncplace::runtime::run_sequential(&s.prog, &s.bindings);
-    let model = TimingModel::default();
     let mut rows = Vec::new();
-    let mut json_engines = Vec::new();
+    let mut faults = Vec::new();
     let mut max_packets_per_pair: usize = 0;
     for &p in procs {
-        let (d, spmd) = setup::decompose(&s, p, Pattern::FIG1, 0);
-        // The defining property of the batched wire format, checked on
+        // The defining property of the batched wire format, read off
         // the plan itself: ≤ 1 packet per ordered peer pair per round.
-        let plan = std::sync::Arc::new(CommPlan::build(&s.prog, &spmd, &d));
+        let (d, spmd) = setup::decompose(&s, p, Pattern::FIG1, 0);
+        let plan = CommPlan::build(&s.prog, &spmd, &d);
         for ph in &plan.phases {
             for rp in &ph.ranks {
                 for q in 0..plan.nparts {
@@ -1016,177 +1123,21 @@ pub fn bench_runtime(scale: Scale) -> String {
                 }
             }
         }
-        // One overlapped run up front for this P's hidden-work profile.
-        let (_, ov_report) = run_spmd_pooled(
-            &s.prog,
-            &spmd,
-            &d,
-            &s.bindings,
-            Posting::Early,
-            Some(&plan),
-            &None,
-        )
-        .unwrap();
-        let mut rr_t_par = f64::NAN;
-        let mut unbatched_messages = usize::MAX;
-        for engine in Engine::ALL {
-            let mut best = f64::INFINITY;
-            let mut res = None;
-            for _ in 0..reps {
-                let t0 = Instant::now();
-                let r = engine.run(&s.prog, &spmd, &d, &s.bindings).unwrap();
-                best = best.min(t0.elapsed().as_secs_f64());
-                res = Some(r);
-            }
-            let r = res.unwrap();
-            let (wire, hidden) = match engine {
-                Engine::RoundRobin => (Wire::ReferenceChain, None),
-                Engine::Overlapped => (Wire::Tree, Some(ov_report.hidden_units.as_slice())),
-                _ => (Wire::Tree, None),
-            };
-            let est = estimate_engine(&seq, &r, &model, wire, hidden);
-            if matches!(engine, Engine::RoundRobin) {
-                rr_t_par = est.t_par;
-                unbatched_messages = r.stats.total_messages();
-            }
-            // Coalescing must never send *more* messages than the
-            // per-op wire it replaces (the fixed P=8 packet
-            // regression); checked at bench time at every P.
-            if matches!(engine, Engine::Batched | Engine::Overlapped) {
-                assert!(
-                    r.stats.total_messages() <= unbatched_messages,
-                    "P={p} {}: {} messages > {} unbatched",
-                    engine.name(),
-                    r.stats.total_messages(),
-                    unbatched_messages
-                );
-            }
-            let vs_rr = rr_t_par / est.t_par;
-            rows.push(vec![
-                format!("{p}"),
-                engine.name().to_string(),
-                format!("{:.2}", best * 1e3),
-                format!("{}", r.stats.total_messages()),
-                format!("{}", r.stats.total_values()),
-                format!("{}", r.stats.nphases()),
-                format!("{:.2}", est.speedup),
-                format!("{vs_rr:.3}"),
-            ]);
-            json_engines.push(format!(
-                "{{\"p\":{p},\"engine\":\"{}\",\"wall_ms\":{:.4},\"messages\":{},\"values\":{},\"phases\":{},\
-                 \"modeled_speedup\":{:.4},\"speedup_vs_rr\":{vs_rr:.4}}}",
-                engine.name(),
-                best * 1e3,
-                r.stats.total_messages(),
-                r.stats.total_values(),
-                r.stats.nphases(),
-                est.speedup
-            ));
-        }
+        rows.extend(engine_rows(&s, &seq, &d, &spmd, reps, &mut faults));
     }
-
-    // Observability overhead: the batched engine with recording
-    // disabled (`&None`) vs a live no-op recorder. The delta is the
-    // price of the instrumentation branches plus virtual dispatch with
-    // no aggregation behind it — the layer's overhead guarantee.
-    let obs_p = *procs.last().unwrap();
-    let obs_reps = reps.max(5);
-    let (obs_d, obs_spmd) = setup::decompose(&s, obs_p, Pattern::FIG1, 0);
-    let noop: syncplace::obs::RecorderRef =
-        Some(std::sync::Arc::new(syncplace::obs::NoopRecorder));
-    let mut obs_off = f64::INFINITY;
-    let mut obs_noop = f64::INFINITY;
-    for _ in 0..obs_reps {
-        let t0 = Instant::now();
-        Engine::Batched
-            .run_with(&s.prog, &obs_spmd, &obs_d, &s.bindings, None, &None)
-            .unwrap();
-        obs_off = obs_off.min(t0.elapsed().as_secs_f64());
-        let t0 = Instant::now();
-        Engine::Batched
-            .run_with(&s.prog, &obs_spmd, &obs_d, &s.bindings, None, &noop)
-            .unwrap();
-        obs_noop = obs_noop.min(t0.elapsed().as_secs_f64());
-    }
-    let obs_ratio = obs_noop / obs_off.max(1e-9);
-
-    // Placement-as-a-service throughput (E23's numbers, embedded here
-    // so a full regeneration is self-consistent; `reproduce
-    // serve-bench` re-measures and merges just this section).
-    let serve_json = match crate::serve::measure(scale) {
-        Ok(st) => st.to_json(),
-        Err(e) => format!("{{\"error\": {}}}", syncplace::obs::trace::json_escape(&e)),
-    };
-
-    // Carry sections measured by their own subcommands (E24 `large`,
-    // E25 `racecheck`) forward through a full regeneration — dropping
-    // one would trip benchdiff's persistence gate.
-    let carried_sections = std::fs::read_to_string("BENCH_runtime.json")
-        .ok()
-        .and_then(|t| crate::benchdiff::parse(&t).ok())
-        .filter(|d| {
-            d.get("schema").and_then(crate::benchdiff::Value::as_str)
-                == Some(crate::BENCH_SCHEMA)
-                && d.get("scale").and_then(crate::benchdiff::Value::as_str) == Some(scale.name())
-        })
-        .map(|d| {
-            ["large", "racecheck"]
-                .iter()
-                .filter_map(|k| {
-                    d.get(k)
-                        .map(|v| format!(",\n  \"{k}\": {}", syncplace::obs::json::write(v)))
-                })
-                .collect::<String>()
-        })
-        .unwrap_or_default();
-
-    // Versioned header so `scripts/benchdiff.sh` can refuse to compare
-    // apples to oranges: bump BENCH_SCHEMA on any layout change.
-    let json = format!(
-        "{{\n  \"schema\": \"{}\",\n  \"git_rev\": \"{}\",\n  \"scale\": \"{}\",\n  \
-         \"engines\": [\n    {}\n  ],\n  \"batched_max_packets_per_pair_per_phase\": {},\n  \
-         \"obs_overhead\": {{\"p\": {obs_p}, \"reps\": {obs_reps}, \"engine\": \"batched\", \
-         \"disabled_s\": {obs_off:.4}, \"noop_s\": {obs_noop:.4}, \"ratio\": {obs_ratio:.4}}},\n  \
-         \"serve\": {serve_json}{carried_sections}\n}}\n",
-        crate::BENCH_SCHEMA,
-        crate::git_rev(),
-        scale.name(),
-        json_engines.join(",\n    "),
-        max_packets_per_pair,
-    );
-    let json_note = match std::fs::write("BENCH_runtime.json", &json) {
-        Ok(()) => "raw numbers: BENCH_runtime.json".to_string(),
-        Err(e) => format!("(could not write BENCH_runtime.json: {e})"),
-    };
 
     let mut out = format!(
-        "E18 — runtime engines ({nx}x{nx} TESTIV mesh, best of {reps})\n\n{}\n",
-        table(
-            &[
-                "P", "engine", "wall ms", "messages", "values", "phases", "modeled S", "vs RR"
-            ],
-            &rows
-        )
+        "E18 — runtime engines ({nx}x{nx} TESTIV mesh, best of {reps}, cpus = {})\n\n{}\n",
+        cpus(),
+        engine_table(&rows)
     );
     let _ = writeln!(
         out,
-        "\nbatched wire format: max packets per ordered pair per phase = {max_packets_per_pair} \
+        "batched wire format: max packets per ordered pair per phase = {max_packets_per_pair} \
          (1 per round; a phase has at most 2 rounds)"
     );
-    let _ = writeln!(
-        out,
-        "observability off vs no-op recorder (batched, P={obs_p}, best of {obs_reps}): \
-         {:.2} ms vs {:.2} ms ({:.3}x)",
-        obs_off * 1e3,
-        obs_noop * 1e3,
-        obs_ratio
-    );
-    let _ = writeln!(
-        out,
-        "serve (placement-as-a-service, E23 section): {serve_json}"
-    );
-    let _ = writeln!(out, "{json_note}");
-    out
+    let ok = push_verdict(&mut out, &faults);
+    (out, ok)
 }
 
 // ---------------------------------------------------------------------------
@@ -1195,8 +1146,7 @@ pub fn bench_runtime(scale: Scale) -> String {
 
 /// E24 / `bench-large`: the large-scale decomposition tier.
 ///
-/// Three measurements, written into the `large` section of
-/// `BENCH_runtime.json` and gated by `benchdiff --check`:
+/// Three measurements:
 ///
 /// 1. **Decompose-time breakdown** — sequential CSR-lean builds of
 ///    ~10⁶-element 2-D and 3-D meshes at every large-tier P, split
@@ -1208,19 +1158,25 @@ pub fn bench_runtime(scale: Scale) -> String {
 ///    the busiest-chain critical path — the repo's 1-CPU convention),
 ///    and a full bitwise-equality check against the sequential build.
 /// 3. **Engine scaling at the new P values** — every engine at
-///    P ∈ {16, 32, 64, 128} on a TESTIV instance, recording
-///    `speedup_vs_rr` exactly like E18 so benchdiff can gate the
-///    concurrent engines' floors at P = 64 and 128.
+///    P ∈ {16, 32, 64, 128} on a TESTIV instance, the same table as
+///    E18.
+///
+/// Returns the report and `false` when a floor is violated. At any
+/// scale: the parallel build is bitwise-identical to the sequential
+/// one and coalescing never adds messages. At paper scale only
+/// (million-element meshes): modeled decompose speedup ≥ 1.5× at 4
+/// workers, peak allocation ≤ 190 B/element (2-D) and 290 B/element
+/// (3-D) when the meter is armed, and the concurrent engines' modeled
+/// time no worse than round-robin's at P ≥ 64.
 ///
 /// At `--quick` scale ("ci" preset, run by `scripts/clippy.sh`) the
 /// meshes shrink to a few thousand elements and P to {4, 8}; the same
-/// code paths run, only the floors stay paper-only.
-pub fn e24_large(scale: Scale) -> String {
+/// code paths run.
+pub fn e24_large(scale: Scale) -> (String, bool) {
     use std::fmt::Write as _;
     use std::time::Instant;
     use syncplace::overlap::build::decompose_with_stats;
     use syncplace::runtime::decomp::{decompose2d_par, decompose3d_par};
-    use syncplace::runtime::{estimate_engine, Wire};
     use syncplace::Engine;
 
     let (g2x, g2y, b3x, b3y, b3z) = match scale {
@@ -1231,8 +1187,12 @@ pub fn e24_large(scale: Scale) -> String {
         Scale::Quick => (&[4, 8], 4, 12, 1),
         Scale::Paper => (&[16, 32, 64, 128], 4, 48, 2),
     };
+    let paper = scale == Scale::Paper;
 
-    let mut out = String::from("E24 — large-scale tier: CSR-lean decomposition pipeline\n\n");
+    let mut out = format!(
+        "E24 — large-scale tier: CSR-lean decomposition pipeline (cpus = {})\n\n",
+        cpus()
+    );
     let metered = crate::allocmeter::armed();
     if !metered {
         out.push_str("(allocation meter not armed — peak columns unavailable outside `reproduce`)\n\n");
@@ -1247,8 +1207,8 @@ pub fn e24_large(scale: Scale) -> String {
         mesh3.ntets()
     );
 
+    let mut faults = Vec::new();
     let mut rows = Vec::new();
-    let mut json_decomp = Vec::new();
     for &p in procs {
         // 2-D row.
         let part2 =
@@ -1273,11 +1233,27 @@ pub fn e24_large(scale: Scale) -> String {
         let same3 = par3 == seq3;
         drop((par3, seq3));
 
-        for (dim, elems, st, peak, par_s, ps, same) in [
-            (2usize, mesh2.ntris(), st2, peak2, par2_s, ps2, same2),
-            (3usize, mesh3.ntets(), st3, peak3, par3_s, ps3, same3),
+        for (dim, elems, peak_ceiling, st, peak, par_s, ps, same) in [
+            (2usize, mesh2.ntris(), 190.0, st2, peak2, par2_s, ps2, same2),
+            (3usize, mesh3.ntets(), 290.0, st3, peak3, par3_s, ps3, same3),
         ] {
-            let peak_mb = peak as f64 / (1024.0 * 1024.0);
+            let key = format!("{dim}D P={p}");
+            if !same {
+                faults.push(format!("{key}: parallel decomposition differs from sequential"));
+            }
+            let modeled = ps.modeled_speedup();
+            if paper && modeled < 1.5 {
+                faults.push(format!(
+                    "{key}: modeled decompose speedup {modeled:.2}x at {workers} workers \
+                     is below 1.5x"
+                ));
+            }
+            let peak_per_elem = peak as f64 / elems as f64;
+            if paper && metered && peak_per_elem > peak_ceiling {
+                faults.push(format!(
+                    "{key}: peak allocation {peak_per_elem:.1} B/element exceeds {peak_ceiling}"
+                ));
+            }
             rows.push(vec![
                 format!("{dim}D"),
                 format!("{p}"),
@@ -1286,34 +1262,29 @@ pub fn e24_large(scale: Scale) -> String {
                 format!("{:.0}", st.schedule_s * 1e3),
                 format!("{:.0}", st.total_s * 1e3),
                 format!("{:.0}", par_s * 1e3),
-                format!("{:.2}", ps.modeled_speedup()),
+                format!("{modeled:.2}"),
                 if metered {
-                    format!("{peak_mb:.1}")
+                    format!("{:.1}", peak as f64 / (1024.0 * 1024.0))
+                } else {
+                    "-".into()
+                },
+                if metered {
+                    format!("{peak_per_elem:.1}")
                 } else {
                     "-".into()
                 },
                 format!("{same}"),
             ]);
-            json_decomp.push(format!(
-                "{{\"dim\":{dim},\"elems\":{elems},\"p\":{p},\"workers\":{workers},\
-                 \"dedup_s\":{:.4},\"closure_s\":{:.4},\"schedule_s\":{:.4},\"seq_s\":{:.4},\
-                 \"par_s\":{par_s:.4},\"modeled_speedup\":{:.4},\"peak_mb\":{peak_mb:.2},\
-                 \"identical\":{same}}}",
-                st.dedup_s,
-                st.closure_s,
-                st.schedule_s,
-                st.total_s,
-                ps.modeled_speedup()
-            ));
         }
     }
     let _ = writeln!(
         out,
-        "\ndecomposition (sequential breakdown + {workers}-worker pool builder):\n\n{}",
+        "\ndecomposition (sequential breakdown + {workers}-worker pool builder; \
+         ms columns measured, S modeled):\n\n{}",
         table(
             &[
                 "mesh", "P", "dedup ms", "closure ms", "sched ms", "seq ms", "par ms",
-                "modeled S", "peak MB", "identical"
+                "modeled S", "peak MB", "peak B/elem", "identical"
             ],
             &rows
         )
@@ -1323,104 +1294,28 @@ pub fn e24_large(scale: Scale) -> String {
     // (the decomposition above is the subject; this is the consumer).
     let s = setup::testiv(engine_nx, 1e-8, &fig6());
     let seq = syncplace::runtime::run_sequential(&s.prog, &s.bindings);
-    let model = TimingModel::default();
     let mut erows = Vec::new();
-    let mut json_engines = Vec::new();
     for &p in procs {
         let (d, spmd) = setup::decompose(&s, p, Pattern::FIG1, 0);
-        let (_, ov_report) = syncplace::runtime::run_spmd_pooled(
-            &s.prog,
-            &spmd,
-            &d,
-            &s.bindings,
-            syncplace::runtime::Posting::Early,
-            None,
-            &None,
-        )
-        .unwrap();
-        let mut rr_t_par = f64::NAN;
-        for engine in Engine::ALL {
-            let mut best = f64::INFINITY;
-            let mut res = None;
-            for _ in 0..reps {
-                let t0 = Instant::now();
-                let r = engine.run(&s.prog, &spmd, &d, &s.bindings).unwrap();
-                best = best.min(t0.elapsed().as_secs_f64());
-                res = Some(r);
-            }
-            let r = res.unwrap();
-            let (wire, hidden) = match engine {
-                Engine::RoundRobin => (Wire::ReferenceChain, None),
-                Engine::Overlapped => (Wire::Tree, Some(ov_report.hidden_units.as_slice())),
-                _ => (Wire::Tree, None),
-            };
-            let est = estimate_engine(&seq, &r, &model, wire, hidden);
-            if matches!(engine, Engine::RoundRobin) {
-                rr_t_par = est.t_par;
-            }
-            let vs_rr = rr_t_par / est.t_par;
-            erows.push(vec![
-                format!("{p}"),
-                engine.name().to_string(),
-                format!("{:.2}", best * 1e3),
-                format!("{:.2}", est.speedup),
-                format!("{vs_rr:.3}"),
-            ]);
-            json_engines.push(format!(
-                "{{\"p\":{p},\"engine\":\"{}\",\"wall_ms\":{:.4},\
-                 \"modeled_speedup\":{:.4},\"speedup_vs_rr\":{vs_rr:.4}}}",
-                engine.name(),
-                best * 1e3,
-                est.speedup
+        erows.extend(engine_rows(&s, &seq, &d, &spmd, reps, &mut faults));
+    }
+    for r in &erows {
+        if paper && r.p >= 64 && r.engine != Engine::RoundRobin && r.modeled_vs_rr < 1.0 {
+            faults.push(format!(
+                "P={} {}: modeled time is {:.3}x round-robin's, below 1.0",
+                r.p,
+                r.engine.name(),
+                r.modeled_vs_rr
             ));
         }
     }
     let _ = writeln!(
         out,
         "\nengines at large-tier P ({engine_nx}x{engine_nx} TESTIV, best of {reps}):\n\n{}",
-        table(&["P", "engine", "wall ms", "modeled S", "vs RR"], &erows)
+        engine_table(&erows)
     );
-
-    let large_json = format!(
-        "{{\"alloc_metered\":{metered},\"decompose\":[{}],\"engines\":[{}]}}",
-        json_decomp.join(","),
-        json_engines.join(",")
-    );
-    out.push_str(&merge_section("large", &large_json, scale));
-    out
-}
-
-/// Fold a measured top-level section (`large`, `racecheck`, …) into an
-/// existing `BENCH_runtime.json` (same schema and scale), like E23
-/// does for `serve`.
-fn merge_section(key: &str, section_json: &str, scale: Scale) -> String {
-    use syncplace::obs::json::{self, Value};
-    let path = "BENCH_runtime.json";
-    let Ok(text) = std::fs::read_to_string(path) else {
-        return format!("({path} not found — run `reproduce bench-runtime` for the full snapshot)\n");
-    };
-    let mut doc = match json::parse(&text) {
-        Ok(d) => d,
-        Err(e) => return format!("({path} is unreadable: {e})\n"),
-    };
-    if doc.get("schema").and_then(Value::as_str) != Some(crate::BENCH_SCHEMA) {
-        return format!(
-            "({path} has a different schema — run `reproduce bench-runtime` to regenerate)\n"
-        );
-    }
-    if doc.get("scale").and_then(Value::as_str) != Some(scale.name()) {
-        return format!("({path} was generated at a different scale — not merging)\n");
-    }
-    let section = match json::parse(section_json) {
-        Ok(v) => v,
-        Err(e) => return format!("(internal error rendering {key} section: {e})\n"),
-    };
-    doc.set(key, section);
-    doc.set("git_rev", Value::Str(crate::git_rev()));
-    match std::fs::write(path, json::write(&doc) + "\n") {
-        Ok(()) => format!("updated the {key} section of {path}\n"),
-        Err(e) => format!("(could not write {path}: {e})\n"),
-    }
+    let ok = push_verdict(&mut out, &faults);
+    (out, ok)
 }
 
 // ---------------------------------------------------------------------------
@@ -1428,8 +1323,7 @@ fn merge_section(key: &str, section_json: &str, scale: Scale) -> String {
 // ---------------------------------------------------------------------------
 
 /// E25 / `racecheck`: concurrency verification of the runtime engines
-/// (DESIGN.md §12), written into the `racecheck` section of
-/// `BENCH_runtime.json` and gated by `benchdiff --check`.
+/// (DESIGN.md §12).
 ///
 /// Four sweeps:
 ///
@@ -1623,9 +1517,6 @@ pub fn e25_racecheck(scale: Scale) -> (String, bool) {
     );
 
     // 3. Happens-before replay of real runs.
-    let mut hb_runs = 0u64;
-    let mut hb_events = 0u64;
-    let mut hb_violations = 0u64;
     let mut hb_rows: Vec<Vec<String>> = Vec::new();
     for engine in Engine::ALL {
         for &p in hb_procs {
@@ -1637,7 +1528,6 @@ pub fn e25_racecheck(scale: Scale) -> (String, bool) {
                 Ok(_) => {
                     let log = hbr.snapshot();
                     let (report, stats) = hb::check_log(&log);
-                    hb_violations += report.error_count() as u64;
                     if !report.is_clean() {
                         ok = false;
                         (format!("{}", report.diags[0]), stats.events)
@@ -1650,8 +1540,6 @@ pub fn e25_racecheck(scale: Scale) -> (String, bool) {
                     (format!("run failed: {e}"), 0)
                 }
             };
-            hb_runs += 1;
-            hb_events += events;
             hb_rows.push(vec![
                 engine.name().into(),
                 p.to_string(),
@@ -1668,9 +1556,6 @@ pub fn e25_racecheck(scale: Scale) -> (String, bool) {
         syncplace::runtime::decompose2d_par(&mesh, &part.part, 4, Pattern::FIG1, 3, &rec);
         let log = hbr.snapshot();
         let (report, stats) = hb::check_log(&log);
-        hb_runs += 1;
-        hb_events += stats.events;
-        hb_violations += report.error_count() as u64;
         let verdict = if report.is_clean() {
             "clean".to_string()
         } else {
@@ -1762,15 +1647,6 @@ pub fn e25_racecheck(scale: Scale) -> (String, bool) {
         table(&["mutation", "code", "result"], &hbm_rows)
     );
 
-    let racecheck_json = format!(
-        "{{\"programs\":{programs},\"states\":{states},\"transitions\":{transitions},\
-         \"enabled\":{enabled},\"reduction_ratio\":{reduction_ratio:.4},\"capped\":{capped},\
-         \"mc_defects_seeded\":{mc_seeded},\"mc_defects_caught\":{mc_caught},\
-         \"hb_runs\":{hb_runs},\"hb_events\":{hb_events},\"hb_violations\":{hb_violations},\
-         \"hb_defects_seeded\":{hb_seeded},\"hb_defects_caught\":{hb_caught}}}"
-    );
-    let _ = writeln!(out);
-    out.push_str(&merge_section("racecheck", &racecheck_json, scale));
     let _ = writeln!(
         out,
         "overall: {}",
@@ -1990,18 +1866,12 @@ pub fn trace_runtime(scale: Scale) -> String {
 
 /// E20: run the three `syncplace::analyze` passes over the built-in
 /// programs × automata and the batched engine's compiled plans.
-/// Returns the printable report; see [`e20_lint_status`] for the CI
-/// pass/fail flag.
-pub fn e20_lint(scale: Scale) -> String {
-    e20_lint_status(scale).0
-}
-
-/// E20 with a machine-checkable outcome: `true` means the sweep is
-/// clean — no error-severity diagnostic on any legal configuration,
-/// every enumerated mapping accepted by the independent fixpoint
-/// verifier, every compiled CommPlan accepted by the auditor, and
-/// every illegal taxonomy case rejected with its Fig. 4 code.
-pub fn e20_lint_status(scale: Scale) -> (String, bool) {
+/// Returns the printable report and whether the sweep is clean — no
+/// error-severity diagnostic on any legal configuration, every
+/// enumerated mapping accepted by the independent fixpoint verifier,
+/// every compiled CommPlan accepted by the auditor, and every illegal
+/// taxonomy case rejected with its Fig. 4 code.
+pub fn e20_lint(scale: Scale) -> (String, bool) {
     use syncplace::analyze;
     use syncplace::placement::enumerate;
 
@@ -2162,7 +2032,7 @@ pub fn index() -> Vec<(&'static str, &'static str)> {
         ("e17-partition", "mesh-splitter quality (MS3D substitute)"),
         (
             "bench-runtime",
-            "engine wall-clock, batched packets, pool, parallel search",
+            "E18: three engines per P — measured wall ms, modeled S, messages",
         ),
         (
             "trace",
@@ -2178,11 +2048,11 @@ pub fn index() -> Vec<(&'static str, &'static str)> {
         ),
         (
             "serve-bench",
-            "E23: daemon req/s, hot vs cold plan cache (>= 5x gate)",
+            "E23: live daemon — hot vs cold req/s, ledger audit, telemetry cost",
         ),
         (
             "bench-large",
-            "E24: million-element decompose breakdown, pool builder, P <= 128",
+            "E24: 10^6-element decompose stages, pool builder identity, P <= 128",
         ),
         (
             "racecheck",

@@ -3,23 +3,20 @@
 //!
 //! Each `eN_*` function in [`experiments`] reproduces one evaluation
 //! artifact (see DESIGN.md's experiment index) and returns a printable
-//! report; the `reproduce` binary dispatches to them and
-//! EXPERIMENTS.md records paper-vs-measured.
+//! report; the ones that judge their own result return `(report, ok)`
+//! and `reproduce` exits non-zero on `false`. Nothing is persisted to
+//! compare against later: the repo's wall-clock regression gate is
+//! `benchmark/run.sh`. EXPERIMENTS.md records paper-vs-measured.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod allocmeter;
-pub mod benchdiff;
 pub mod experiments;
 pub mod harness;
 pub mod profile;
 pub mod serve;
 pub mod setup;
-
-/// Schema tag written into `BENCH_runtime.json`; bump on any layout
-/// change so [`benchdiff`] refuses to compare incompatible snapshots.
-pub const BENCH_SCHEMA: &str = "syncplace-bench-runtime/9";
 
 /// Schema tag written into `PROFILE_runtime.json`.
 pub const PROFILE_SCHEMA: &str = "syncplace-profile/1";
@@ -35,6 +32,26 @@ pub fn git_rev() -> String {
         .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
         .filter(|s| !s.is_empty())
         .unwrap_or_else(|| "unknown".to_string())
+}
+
+/// The CPUs this process may use, printed beside every measured
+/// wall-clock figure.
+pub(crate) fn cpus() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
+/// The closing lines of a gated report: every violated floor, then the
+/// verdict. Returns whether the gate passed.
+pub(crate) fn push_verdict(out: &mut String, faults: &[String]) -> bool {
+    for f in faults {
+        out.push_str(&format!("FLOOR VIOLATED: {f}\n"));
+    }
+    out.push_str(if faults.is_empty() {
+        "overall: ok\n"
+    } else {
+        "overall: FAILURES DETECTED\n"
+    });
+    faults.is_empty()
 }
 
 /// Render a simple aligned table.

@@ -6,15 +6,12 @@
 //! this module is the matching *reader*: a recursive-descent parser
 //! covering exactly the subset those writers emit — objects, arrays,
 //! strings with the escapes [`crate::trace::json_escape`] produces,
-//! numbers, booleans, null. It started life inside the benchmark
-//! differ (`syncplace-bench::benchdiff`) and moved here so the
-//! placement server's request protocol and the bench harness parse
-//! requests and snapshots with the same code.
+//! numbers, booleans, null. The placement server's request protocol,
+//! the bench harness and the benchmark parse requests, responses and
+//! artifacts with this one reader.
 //!
 //! [`write()`] round-trips a [`Value`] back to text (object member order
-//! preserved, numbers in shortest-round-trip form), which is what the
-//! `serve-bench` experiment uses to merge its section into an existing
-//! `BENCH_runtime.json` without disturbing the rest of the document.
+//! preserved, numbers in shortest-round-trip form).
 
 use std::fmt::Write as _;
 
@@ -74,17 +71,6 @@ impl Value {
         match self {
             Value::Num(n) if *n >= 0.0 && n.fract() == 0.0 => Some(*n as usize),
             _ => None,
-        }
-    }
-
-    /// Insert-or-replace `key` on an object (appended at the end when
-    /// new). No-op on non-objects.
-    pub fn set(&mut self, key: &str, value: Value) {
-        if let Value::Obj(m) = self {
-            match m.iter_mut().find(|(k, _)| k == key) {
-                Some((_, v)) => *v = value,
-                None => m.push((key.to_string(), value)),
-            }
         }
     }
 }
@@ -314,15 +300,6 @@ mod tests {
         assert_eq!(parse(&text).unwrap(), v);
         // A second cycle is byte-stable.
         assert_eq!(write(&parse(&text).unwrap()), text);
-    }
-
-    #[test]
-    fn set_replaces_and_appends() {
-        let mut v = parse("{\"a\":1}").unwrap();
-        v.set("a", Value::Num(2.0));
-        v.set("b", Value::Str("x".into()));
-        assert_eq!(v.get("a").unwrap().as_f64(), Some(2.0));
-        assert_eq!(v.get("b").unwrap().as_str(), Some("x"));
     }
 
     #[test]

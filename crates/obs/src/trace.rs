@@ -1,7 +1,7 @@
 //! The aggregating [`TraceRecorder`] and its immutable
 //! [`TraceSnapshot`], including the hand-rolled JSON rendering used by
 //! `TRACE_runtime.json` (the workspace has no external crates, so no
-//! serde — same convention as `BENCH_runtime.json`).
+//! serde).
 
 use crate::recorder::Recorder;
 use std::collections::BTreeMap;

@@ -22,7 +22,7 @@
 //! observes the flag. [`DaemonHandle::stop`] does the same from the
 //! owning process.
 
-use std::io::{BufRead, BufReader, ErrorKind, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -31,6 +31,11 @@ use std::thread::JoinHandle;
 
 use crate::protocol::{self, Request};
 use crate::service::{self, Service, ServiceConfig};
+
+/// Longest request line a connection may send. A handler buffers one
+/// line at a time, so this bounds its memory against a client that
+/// never sends the newline.
+const MAX_REQUEST_BYTES: usize = 1 << 20;
 
 /// A bound-but-not-yet-serving daemon.
 pub struct Daemon {
@@ -171,7 +176,10 @@ fn handle_connection(
     let mut line = String::new();
     loop {
         line.clear();
-        match reader.read_line(&mut line) {
+        // One byte past the cap, so a line of exactly the cap plus its
+        // newline still fits.
+        let mut bounded = (&mut reader).take(MAX_REQUEST_BYTES as u64 + 1);
+        match bounded.read_line(&mut line) {
             Ok(0) => return,
             Err(e) => {
                 // A torn read (client reset mid-line) ends this
@@ -180,6 +188,12 @@ fn handle_connection(
                 return;
             }
             Ok(_) => {}
+        }
+        if line.len() > MAX_REQUEST_BYTES && !line.ends_with('\n') {
+            let msg = format!("request exceeds {MAX_REQUEST_BYTES} bytes");
+            service.io_error("read", &msg);
+            let _ = write_line(&mut writer, &protocol::render_error("bad-request", &msg));
+            return;
         }
         let trimmed = line.trim();
         if trimmed.is_empty() {

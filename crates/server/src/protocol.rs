@@ -20,8 +20,7 @@
 //! ```
 //!
 //! Parsing uses the shared workspace reader
-//! ([`syncplace::obs::json`]) — the same code that reads
-//! `BENCH_runtime.json` — so the server accepts exactly the JSON
+//! ([`syncplace::obs::json`]), so the server accepts exactly the JSON
 //! subset the rest of the suite emits.
 
 use syncplace::obs::json::{self, Value};
@@ -199,7 +198,12 @@ fn parse_mesh(m: &Value) -> Result<MeshSpec, String> {
         ny: dim("ny", d.ny)?,
         perturb: match m.get("perturb") {
             None => d.perturb,
-            Some(n) => n.as_f64().ok_or("mesh 'perturb' must be a number")?,
+            // `perturbed_grid` asserts this range (non-finite values
+            // fail the same test).
+            Some(n) => n
+                .as_f64()
+                .filter(|a| (0.0..0.5).contains(a))
+                .ok_or("mesh 'perturb' must be a number in 0.0..0.5")?,
         },
         seed: match m.get("seed") {
             None => d.seed,
@@ -338,10 +342,17 @@ mod tests {
             "{\"op\":\"run\",\"program\":\"x\",\"pattern\":\"fig9\"}",
             "{\"op\":\"run\",\"program\":\"x\",\"typo\":1}",
             "{\"op\":\"run\",\"program\":\"x\",\"mesh\":{\"nx\":1}}",
+            "{\"op\":\"run\",\"program\":\"x\",\"mesh\":{\"perturb\":5.0}}",
+            "{\"op\":\"run\",\"program\":\"x\",\"mesh\":{\"perturb\":0.5}}",
+            "{\"op\":\"run\",\"program\":\"x\",\"mesh\":{\"perturb\":-1e300}}",
+            "{\"op\":\"run\",\"program\":\"x\",\"mesh\":{\"perturb\":1e999}}",
         ] {
             let err = parse_request(bad).expect_err(bad);
             if bad.contains("engine") {
                 assert!(err.contains("(round-robin|batched|overlapped)"), "{err}");
+            }
+            if bad.contains("perturb") {
+                assert!(err.contains("0.0..0.5"), "{err}");
             }
         }
     }

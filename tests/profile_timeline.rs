@@ -20,7 +20,6 @@ use syncplace::obs::{
 };
 use syncplace::prelude::*;
 use syncplace::Engine;
-use syncplace_bench::benchdiff;
 
 /// TESTIV with a fixed iteration count (eps = 0 never converges), same
 /// construction as `tests/obs_trace.rs`.
@@ -179,9 +178,9 @@ fn chrome_trace_export_is_structurally_valid() {
         snapshot: &timeline,
     }]);
     // The export must parse as a JSON array of event objects with the
-    // trace_event required fields (the same hand-rolled parser that
-    // benchdiff uses — no external deps).
-    let v = benchdiff::parse(&json).expect("chrome trace is valid JSON");
+    // trace_event required fields (the workspace's hand-rolled parser
+    // — no external deps).
+    let v = obs::json::parse(&json).expect("chrome trace is valid JSON");
     let events = v.as_arr().expect("top level is an array");
     assert!(!events.is_empty());
 

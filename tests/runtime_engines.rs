@@ -187,3 +187,37 @@ fn engines_survive_back_to_back_runs_on_the_shared_pool() {
         &results[3],
     );
 }
+
+/// The α/β model's per-engine ordering on the E22 configuration (32×32
+/// TESTIV, each engine through its own `Wire`, overlapped discounted
+/// by the compute it kept in flight). Everything read here is derived
+/// from the schedule, not from a clock, so the ratios are exact: today
+/// 1.4991 / 1.5415 at P=8 and 2.6907 / 2.7297 at P=16, floored at
+/// 0.9× — a drop means the model or the counters it reads regressed.
+#[test]
+fn modeled_time_vs_round_robin_holds_its_floors() {
+    use syncplace::runtime::{
+        estimate_engine, run_sequential, run_spmd_pooled, Posting, TimingModel, Wire,
+    };
+    use syncplace_bench::setup;
+
+    let s = setup::testiv(32, 1e-8, &fig6());
+    let seq = run_sequential(&s.prog, &s.bindings);
+    let model = TimingModel::default();
+    for (p, batched_floor, overlapped_floor) in
+        [(2, 1.0, 1.0), (4, 1.0, 1.0), (8, 1.35, 1.39), (16, 2.42, 2.46)]
+    {
+        let (d, spmd) = setup::decompose(&s, p, Pattern::FIG1, 0);
+        let rr = Engine::RoundRobin.run(&s.prog, &spmd, &d, &s.bindings).unwrap();
+        let ba = Engine::Batched.run(&s.prog, &spmd, &d, &s.bindings).unwrap();
+        let (ov, report) =
+            run_spmd_pooled(&s.prog, &spmd, &d, &s.bindings, Posting::Early, None, &None).unwrap();
+        let t_rr = estimate_engine(&seq, &rr, &model, Wire::ReferenceChain, None).t_par;
+        let t_ba = estimate_engine(&seq, &ba, &model, Wire::Tree, None).t_par;
+        let t_ov = estimate_engine(&seq, &ov, &model, Wire::Tree, Some(&report.hidden_units)).t_par;
+        let (vs_ba, vs_ov) = (t_rr / t_ba, t_rr / t_ov);
+        assert!(vs_ba >= batched_floor - 1e-9, "P={p} batched {vs_ba:.4} < {batched_floor}");
+        assert!(vs_ov >= overlapped_floor - 1e-9, "P={p} overlapped {vs_ov:.4} < {overlapped_floor}");
+        assert!(vs_ov >= vs_ba - 1e-9, "P={p} overlapped {vs_ov:.4} < batched {vs_ba:.4}");
+    }
+}

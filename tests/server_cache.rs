@@ -260,6 +260,16 @@ fn daemon_serves_the_protocol_over_a_socket() {
         .request("{\"op\":\"run\",\"program\":\"no-such\",\"p\":2}")
         .unwrap();
     assert_eq!(unknown[0].get("code").unwrap().as_str(), Some("invalid"));
+    // An out-of-range `perturb` is refused by the parser — it used to
+    // reach `perturbed_grid`'s assert and kill this handler thread; the
+    // ping below shows the connection is still usable.
+    let perturb = client
+        .request(
+            "{\"op\":\"run\",\"program\":\"testiv\",\
+             \"mesh\":{\"nx\":3,\"ny\":3,\"perturb\":5.0},\"p\":4}",
+        )
+        .unwrap();
+    assert_eq!(perturb[0].get("code").unwrap().as_str(), Some("bad-request"));
 
     // ping reflects the traffic so far.
     let pong = client.request("{\"op\":\"ping\"}").unwrap();
@@ -294,6 +304,36 @@ fn scratch_socket(tag: &str) -> std::path::PathBuf {
         std::process::id(),
         std::thread::current().id()
     ))
+}
+
+/// A request line is read into a bounded buffer: 2 MiB without a
+/// newline gets one typed error and a closed connection, is counted,
+/// and leaves the daemon serving.
+#[test]
+fn over_long_request_line_is_refused_over_the_socket() {
+    use std::io::{BufRead, BufReader, Write};
+    let socket = scratch_socket("longline");
+    let _ = std::fs::remove_file(&socket);
+    let handle = Daemon::spawn(&socket, ServiceConfig::default()).unwrap();
+
+    let mut stream = std::os::unix::net::UnixStream::connect(&socket).unwrap();
+    // The daemon hangs up once it has read past its cap, so the tail
+    // of this write fails with EPIPE.
+    let _ = stream.write_all(&vec![b'x'; 2 << 20]);
+    let mut reply = String::new();
+    BufReader::new(&stream).read_line(&mut reply).unwrap();
+    let ev = syncplace::obs::json::parse(reply.trim()).unwrap();
+    assert_eq!(ev.get("code").unwrap().as_str(), Some("bad-request"));
+    let msg = ev.get("detail").unwrap().as_str().unwrap();
+    assert!(msg.contains("request exceeds 1048576 bytes"), "{msg}");
+
+    let mut client = Client::connect(&socket).unwrap();
+    let pong = client.request("{\"op\":\"ping\"}").unwrap();
+    assert_eq!(pong[0].get("event").unwrap().as_str(), Some("pong"));
+    let stats = client.request("{\"op\":\"stats\"}").unwrap();
+    let counters = stats[0].get("metrics").unwrap().get("counters").unwrap();
+    assert_eq!(counters.get("server.io_error").unwrap().as_f64(), Some(1.0));
+    handle.stop().unwrap();
 }
 
 /// The `stats` verb over a real socket: after known traffic, the
