@@ -46,11 +46,11 @@ pub enum EngineKind {
     /// Round-robin sequential reference: plain phase-ordered
     /// send-then-receive, no gang barrier.
     Reference,
-    /// Batched engine: the reference's phase order run concurrently on
-    /// the pool (gang-join barrier at the end of the run), coalesced
-    /// per-peer packets whose buffers recycle through per-pair free
-    /// lists (credits seeded empty — first acquire on each pair
-    /// allocates).
+    /// Batched engine: the reference's phase order as rank tasks on W
+    /// pool workers (any W: run-to-block schedules are a subset of the
+    /// interleavings explored here; gang-join barrier at the end),
+    /// coalesced per-peer packets recycling through per-pair free
+    /// lists (credits seeded empty — first acquire allocates).
     Batched,
     /// Overlapped engine: split-phase staged posts issued one phase
     /// early (double-buffered, credits seeded at 2 per pair) with

@@ -70,10 +70,11 @@ use std::sync::Arc;
 pub enum Engine {
     /// The deterministic round-robin reference executor.
     RoundRobin,
-    /// Rank processes on the persistent worker pool
-    /// ([`runtime::SpmdPool`]) exchanging batched zero-copy phases: one
-    /// coalesced packet per peer per phase, recycled staging buffers,
-    /// posted at the insertion point.
+    /// Rank tasks on the W-worker pool ([`runtime::SpmdPool`], W =
+    /// `available_parallelism` whatever P is) exchanging batched
+    /// zero-copy phases: one coalesced packet per peer per phase,
+    /// recycled staging buffers, posted at the insertion point. A rank
+    /// that fails makes the run an `Err`, never a hang.
     Batched,
     /// The batched wire plus communication/compute overlap: round-1
     /// sends post early (producer splits, hoisted posts, wrap-around

@@ -112,26 +112,30 @@ pub mod keys {
     pub const REDUCE_MAX: &str = "comm.reduce.max";
     /// Counter: min-reductions among [`REDUCES`] (rank 0).
     pub const REDUCE_MIN: &str = "comm.reduce.min";
-    /// Counter: exit-test allgather messages (every rank, own sends;
-    /// *not* part of the per-pair packet matrix, which covers
-    /// `C$SYNCHRONIZE` phase traffic only).
+    /// Counter: exit-test agreement messages — `[min, max]` up the
+    /// reductions' binomial tree, `[decision, divergent]` down, 2(P−1)
+    /// per test (every rank, own sends; *not* part of the per-pair
+    /// packet matrix, which covers `C$SYNCHRONIZE` phase traffic only).
     pub const EXIT_MESSAGES: &str = "exit.messages";
-    /// Counter: exit-test allgather values (every rank, own sends).
+    /// Counter: exit-test agreement values, two per message (every
+    /// rank, own sends).
     pub const EXIT_VALUES: &str = "exit.values";
     /// Counter: gangs submitted to the SPMD worker pool.
     pub const POOL_GANGS: &str = "pool.gangs";
     /// Counter: rank jobs submitted to the pool.
     pub const POOL_JOBS: &str = "pool.jobs";
-    /// Gauge: largest gang (ranks held simultaneously).
+    /// Gauge: largest gang (rank tasks in flight together).
     pub const POOL_GANG_RANKS: &str = "pool.gang_ranks";
-    /// Gauge: peak pending-job queue depth observed while submitting.
+    /// Gauge: the most tasks of one gang on the pool's ready queue at
+    /// once (ready = runnable, not waiting on a receive).
     pub const POOL_QUEUE_PEAK: &str = "pool.queue_peak";
-    /// Gauge: workers ever spawned (the pool grows, never shrinks).
+    /// Gauge: W, the pool's workers — `available_parallelism`, fixed
+    /// at start, whatever the gang sizes.
     pub const POOL_WORKERS: &str = "pool.workers";
-    /// Span: one gang, submit to last result.
+    /// Span: one gang, submit to join.
     pub const POOL_GANG_SPAN: &str = "pool.gang";
-    /// Event: one rank job on a pool worker, dequeue to completion
-    /// (per-rank; events only).
+    /// Event: one rank job, first poll to completion — across every
+    /// suspension and whichever workers ran it (per-rank; events only).
     pub const POOL_JOB: &str = "pool.job";
     /// Span + per-rank event: packing and posting a phase's round-1
     /// packets *early* — before the producer loop's interior

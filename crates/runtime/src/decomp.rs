@@ -6,7 +6,9 @@
 //! gangs.
 //!
 //! The build runs in four barrier-separated stages, each a pool gang
-//! of `workers` jobs over a contiguous range split:
+//! of `workers` jobs over a contiguous range split (jobs that never
+//! wait, so the pool's W workers simply share them out; `workers`
+//! sets the split, not the thread count):
 //!
 //! 1. **Ownership** — each worker scans an element chunk and buckets
 //!    `(node, part)` claims by destination node range (the sparse
@@ -109,9 +111,18 @@ fn block_of(ranges: &[std::ops::Range<usize>], v: usize) -> usize {
     ranges.partition_point(|r| r.end <= v)
 }
 
-/// Record a finished gang: sum its units into `parallel_units`, its
-/// busiest job into the critical path, and return the payloads.
-fn tally<T>(results: Vec<(T, u64)>, stats: &mut ParDecompStats) -> Vec<T> {
+/// Fork-join one gang on the global pool and record it: its units
+/// summed into `parallel_units`, its busiest job into the critical
+/// path. Returns the payloads in job order.
+fn run_stage<T: Send + 'static>(
+    jobs: Gang<T>,
+    rec: &RecorderRef,
+    stats: &mut ParDecompStats,
+) -> Vec<T> {
+    let tasks = jobs.into_iter().map(|job| async move { Ok(job()) }).collect();
+    let results: Vec<(T, u64)> = SpmdPool::global()
+        .run_gang(tasks, rec)
+        .unwrap_or_else(|why| panic!("decomposer stage failed: {why}"));
     stats.critical_units += results.iter().map(|(_, u)| *u).max().unwrap_or(0);
     stats.parallel_units += results.iter().map(|(_, u)| *u).sum::<u64>();
     results.into_iter().map(|(t, _)| t).collect()
@@ -186,7 +197,6 @@ pub fn decompose_par<const V: usize>(
         nelems.saturating_mul(e_per) < u32::MAX as usize,
         "edge occurrence count overflows u32"
     );
-    let pool = SpmdPool::global();
     let mut stats = ParDecompStats {
         workers: w,
         ..Default::default()
@@ -230,7 +240,7 @@ pub fn decompose_par<const V: usize>(
             }) as Box<dyn FnOnce() -> (ClaimBuckets, u64) + Send>
         })
         .collect();
-    let claims = Arc::new(tally(pool.run_gang_recorded(claim_jobs, rec), &mut stats));
+    let claims = Arc::new(run_stage(claim_jobs, rec, &mut stats));
 
     let owner_jobs: Gang<Vec<u32>> = node_ranges
         .iter()
@@ -260,7 +270,7 @@ pub fn decompose_par<const V: usize>(
         })
         .collect();
     let mut node_owner: Vec<u32> = Vec::with_capacity(nnodes);
-    for o in tally(pool.run_gang_recorded(owner_jobs, rec), &mut stats) {
+    for o in run_stage(owner_jobs, rec, &mut stats) {
         node_owner.extend(o);
     }
     drop(claims);
@@ -297,7 +307,7 @@ pub fn decompose_par<const V: usize>(
             }) as Box<dyn FnOnce() -> (Vec<(u64, u32, u32)>, u64) + Send>
         })
         .collect();
-    let lists = tally(pool.run_gang_recorded(dedup_jobs, rec), &mut stats);
+    let lists = run_stage(dedup_jobs, rec, &mut stats);
 
     // Serial k-way merge over the key-sorted chunk lists, combining
     // equal keys by min occurrence index and min owner.
@@ -370,7 +380,7 @@ pub fn decompose_par<const V: usize>(
         })
         .collect();
     let mut elem_edges: Vec<u32> = Vec::with_capacity(nelems * e_per);
-    for c in tally(pool.run_gang_recorded(fill_jobs, rec), &mut stats) {
+    for c in run_stage(fill_jobs, rec, &mut stats) {
         elem_edges.extend(c);
     }
     drop((keys_sorted, id_of_keyrank));
@@ -414,7 +424,7 @@ pub fn decompose_par<const V: usize>(
         })
         .collect();
     let mut submeshes: Vec<SubMesh<V>> = Vec::with_capacity(nparts);
-    for s in tally(pool.run_gang_recorded(sub_jobs, rec), &mut stats) {
+    for s in run_stage(sub_jobs, rec, &mut stats) {
         submeshes.extend(s);
     }
     stats.closure_s = t_closure.elapsed().as_secs_f64();
@@ -482,7 +492,7 @@ pub fn decompose_par<const V: usize>(
                             as Box<dyn FnOnce() -> (Vec<(usize, MsgRows, MsgRows)>, u64) + Send>
                     })
                     .collect();
-            for group in tally(pool.run_gang_recorded(row_jobs, rec), &mut stats) {
+            for group in run_stage(row_jobs, rec, &mut stats) {
                 for (p, nrows, erows) in group {
                     node_update.msgs[p] = nrows;
                     edge_update.msgs[p] = erows;
@@ -511,7 +521,7 @@ pub fn decompose_par<const V: usize>(
                             as Box<dyn FnOnce() -> (Vec<Vec<(u32, u32)>>, u64) + Send>
                     })
                     .collect();
-            for g in tally(pool.run_gang_recorded(group_jobs, rec), &mut stats) {
+            for g in run_stage(group_jobs, rec, &mut stats) {
                 node_assemble.groups.extend(g);
             }
         }

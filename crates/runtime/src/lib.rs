@@ -21,15 +21,19 @@
 //! * [`plan`] — the batched communication plan: one coalesced packet
 //!   per peer per phase, with buffer layouts precomputed once from
 //!   the decomposition's schedules.
-//! * [`pool`] — a persistent SPMD worker pool reused across runs.
+//! * [`pool`] — the task pool: P rank tasks (or a fork-join stage's
+//!   jobs) on W = `available_parallelism` workers, each task running
+//!   from one receive that has to wait to the next; no rank ever parks
+//!   a thread, and a failing rank fails its gang instead of hanging it.
 //! * [`decomp`] — parallel decomposition construction on that pool:
 //!   owner-bucketed claim exchange, chunk-sorted edge dedup and
 //!   per-worker sub-mesh closure, bitwise identical to the
 //!   sequential [`syncplace_overlap::build::decompose`].
-//! * [`pooled`] — the one concurrent engine core: rank processes on
-//!   the pool executing the plan with recycled zero-copy staging
-//!   buffers, posting each phase late (`batched`) or early
-//!   (`overlapped`); bitwise identical to round-robin.
+//! * [`pooled`] — the one concurrent engine core: rank tasks on the
+//!   pool executing the plan over per-ordered-pair FIFO mailboxes with
+//!   recycled zero-copy staging buffers, posting each phase late
+//!   (`batched`) or early (`overlapped`); bitwise identical to
+//!   round-robin.
 //! * [`overlap`] — the early-posting schedule: interface iterations
 //!   first, early coalesced sends, interior compute while packets are
 //!   in flight.

@@ -37,7 +37,7 @@
 //! statements that don't write the gathered arrays, permutable-loop
 //! interfaces are by construction supersets of the gathered index
 //! sets, and per-pair channel FIFO is preserved because posts never
-//! cross another phase's completion or an exit allgather. The engine
+//! cross another phase's completion or an exit agreement. The engine
 //! therefore stays **bitwise identical** to the round-robin reference.
 //!
 //! The *hidden work* — compute units executed between a phase's post
@@ -289,7 +289,7 @@ impl OverlapPlan {
 
         // Head walk: hoist the post backward over statements that
         // neither write a gathered array nor perform channel traffic
-        // (exit allgathers, nested time loops, other phases).
+        // (exit agreements, nested time loops, other phases).
         let mut j = i;
         while j > 0 {
             let s = &stmts[j - 1];

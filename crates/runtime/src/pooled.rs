@@ -1,10 +1,11 @@
 //! The pooled rank-process core: the one concurrent SPMD engine.
 //!
-//! Every rank runs the unmodified program as a gang job on the
-//! persistent [`crate::pool::SpmdPool`] and executes a
-//! [`crate::plan::CommPlan`] — one coalesced packet per peer per
-//! communication phase, staging buffers moved through the channel (no
-//! copy) and recycled on a per-peer free list. Each phase has a
+//! Every rank runs the unmodified program as a task on the W-worker
+//! [`crate::pool::SpmdPool`] — it holds a worker from one receive that
+//! has to wait to the next, never a thread of its own — and executes a
+//! [`crate::plan::CommPlan`]: one coalesced packet per peer per phase,
+//! staging buffers moved through per-ordered-pair FIFO [`Mailbox`]es
+//! (no copy) and recycled on a per-peer free list. Each phase has a
 //! **post** half (pack + ship the round-1 packets) and a **complete**
 //! half (receive, scatter, assemble, tree-reduce, round 2, recycle).
 //! The only parameter is *when* the post half runs ([`Posting`]):
@@ -26,14 +27,13 @@
 //! so both postings are **bitwise identical** to [`crate::spmd`].
 
 use crate::bindings::Bindings;
-use crate::comm::CommStats;
+use crate::comm::{reduce_tree_children, reduce_tree_parent, CommStats};
 use crate::exec::Machine;
 use crate::kernel::Kernel;
 use crate::overlap::{stmt_id, OverlapPlan, OverlapReport};
 use crate::plan::{CommPlan, PackItem, PhasePlan, Term};
-use crate::pool::SpmdPool;
+use crate::pool::{Mailbox, SpmdPool};
 use crate::spmd::{build_machines, collect_results, SpmdResult};
-use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use syncplace_codegen::SpmdProgram;
 use syncplace_ir::{Program, Stmt, StmtId};
@@ -52,14 +52,15 @@ pub enum Posting {
     Early,
 }
 
-/// One rank's endpoints: a data channel to and from every peer, plus
-/// a per-peer free list of spent staging buffers. A buffer drained
-/// from peer `q` is reused for the next send *to* `q` (most recently
-/// drained first), so the steady state allocates nothing.
+/// One rank's endpoints: the gang's mailboxes (`from * nparts + to` is
+/// that ordered pair's FIFO), plus a per-peer free list of spent
+/// staging buffers. A buffer drained from peer `q` is reused for the
+/// next send *to* `q` (most recently drained first), so the steady
+/// state allocates nothing.
 struct Net {
     rank: usize,
-    tx: Vec<Sender<Vec<f64>>>,
-    rx: Vec<Receiver<Vec<f64>>>,
+    nparts: usize,
+    boxes: Arc<[Mailbox<Vec<f64>>]>,
     free: Vec<Vec<Vec<f64>>>,
     rec: RecorderRef,
 }
@@ -88,7 +89,7 @@ impl Net {
         if let Some(r) = &self.rec {
             r.hb(self.rank as u32, keys::HB_SEND, q as u32);
         }
-        self.tx[q].send(buf).expect("peer alive");
+        self.boxes[self.rank * self.nparts + q].deposit(buf);
     }
 
     /// Send communication-phase traffic: same wire as [`Net::send`],
@@ -102,7 +103,8 @@ impl Net {
         self.send(q, buf);
     }
 
-    fn recv_from(&mut self, r: usize) -> Vec<f64> {
+    /// The next packet from `r` — the one place a rank can suspend.
+    async fn recv_from(&mut self, r: usize) -> Vec<f64> {
         // The scatter/combine read of the wire buffer follows
         // immediately at every call site, so the `hb.read` that the
         // happens-before checker matches against the sender's write is
@@ -111,7 +113,7 @@ impl Net {
             rr.hb(self.rank as u32, keys::HB_RECV, r as u32);
             rr.hb(self.rank as u32, keys::HB_READ, r as u32);
         }
-        self.rx[r].recv().expect("peer alive")
+        self.boxes[r * self.nparts + self.rank].take().await
     }
 
     /// Put a spent buffer drained from peer `r` on the free list.
@@ -128,7 +130,7 @@ impl Net {
     /// still with the receiver.
     fn seed_double_buffers(&mut self, plan: &CommPlan) {
         let me = self.rank;
-        for q in (0..self.tx.len()).filter(|&q| q != me) {
+        for q in (0..self.nparts).filter(|&q| q != me) {
             let cap = plan
                 .phases
                 .iter()
@@ -146,26 +148,18 @@ impl Net {
     }
 }
 
-/// Wire one data channel per ordered pair and hand every rank its
-/// endpoints: `tx[q]` sends to peer `q`, `rx[r]` receives from `r`.
+/// One mailbox per ordered pair, shared by every rank's endpoints.
 fn wire(nparts: usize, rec: &RecorderRef) -> Vec<Net> {
-    let mut nets: Vec<Net> = (0..nparts)
+    let boxes: Arc<[_]> = (0..nparts * nparts).map(|_| Mailbox::default()).collect();
+    (0..nparts)
         .map(|rank| Net {
             rank,
-            tx: Vec::with_capacity(nparts),
-            rx: Vec::with_capacity(nparts),
+            nparts,
+            boxes: Arc::clone(&boxes),
             free: vec![Vec::new(); nparts],
             rec: rec.clone(),
         })
-        .collect();
-    for p in 0..nparts {
-        for q in 0..nparts {
-            let (tx, rx) = channel();
-            nets[p].tx.push(tx);
-            nets[q].rx.push(rx);
-        }
-    }
-    nets
+        .collect()
 }
 
 /// One rank's process: its machine, its endpoints, the shared plans
@@ -242,7 +236,7 @@ impl RankProc {
     /// Complete half: (post now unless already posted,) receive round
     /// 1, scatter updates, assemble, reduce up/down the tree, exchange
     /// round-2 totals, recycle.
-    fn complete_phase(&mut self, idx: usize) {
+    async fn complete_phase(&mut self, idx: usize) {
         let plan = Arc::clone(&self.plan);
         let ph: &PhasePlan = &plan.phases[idx];
         let rp = &ph.ranks[self.net.rank];
@@ -255,9 +249,10 @@ impl RankProc {
         if !self.posted[idx] {
             self.post_phase(idx);
         }
-        let mut bufs1: Vec<Option<Vec<f64>>> = (0..self.nparts)
-            .map(|r| rp.has_recv1[r].then(|| self.net.recv_from(r)))
-            .collect();
+        let mut bufs1: Vec<Option<Vec<f64>>> = vec![None; self.nparts];
+        for r in (0..self.nparts).filter(|&r| rp.has_recv1[r]) {
+            bufs1[r] = Some(self.net.recv_from(r).await);
+        }
 
         // Updates: scatter straight out of the wire buffers.
         for (r, buf) in bufs1.iter().enumerate() {
@@ -320,7 +315,7 @@ impl RankProc {
                 .map(|red| self.m.scalars[red.var])
                 .collect();
             for &c in &rp.red_children {
-                let buf = self.net.recv_from(c as usize);
+                let buf = self.net.recv_from(c as usize).await;
                 for (acc, (red, &sub)) in accs.iter_mut().zip(rp.reduces.iter().zip(buf.iter())) {
                     *acc = red.op.combine(*acc, sub);
                 }
@@ -332,7 +327,7 @@ impl RankProc {
                     let mut buf = self.net.acquire(p);
                     buf.extend_from_slice(&accs);
                     self.net.send_phase(p, buf);
-                    let buf = self.net.recv_from(p);
+                    let buf = self.net.recv_from(p).await;
                     let totals = buf.clone();
                     self.net.give_back(p, buf);
                     totals
@@ -360,7 +355,7 @@ impl RankProc {
             if rp.recv2[r].is_empty() {
                 continue;
             }
-            let buf = self.net.recv_from(r);
+            let buf = self.net.recv_from(r).await;
             for (k, &(var, slot)) in rp.recv2[r].iter().enumerate() {
                 self.m.arrays[var][slot as usize] = buf[k];
             }
@@ -407,7 +402,7 @@ impl RankProc {
     /// exhaustion). Every rank holds the same posted set — the
     /// schedule is static and control flow is SPMD — so the drain is
     /// symmetric and leaves all channels empty.
-    fn drain_posted(&mut self) {
+    async fn drain_posted(&mut self) {
         let plan = Arc::clone(&self.plan);
         for idx in 0..plan.phases.len() {
             if !self.posted[idx] {
@@ -416,7 +411,7 @@ impl RankProc {
             let rp = &plan.phases[idx].ranks[self.net.rank];
             for r in 0..self.nparts {
                 if rp.has_recv1[r] {
-                    let buf = self.net.recv_from(r);
+                    let buf = self.net.recv_from(r).await;
                     self.net.give_back(r, buf);
                 }
             }
@@ -425,28 +420,42 @@ impl RankProc {
         }
     }
 
-    /// Exit-test allgather: recorded under `exit.*` counters (per-rank
+    /// Exit-test agreement on the reductions' binomial tree: `[min,
+    /// max]` of the decisions goes up, `[rank 0's decision, 1 if the
+    /// ranks disagree]` comes down — 2(P−1) messages, not an
+    /// allgather's P(P−1). Recorded under `exit.*` counters (per-rank
     /// own-sends), kept out of the per-pair matrix so the matrix holds
     /// only `C$SYNCHRONIZE` phase traffic.
-    fn allgather_scalar(&mut self, x: f64) -> Vec<f64> {
+    async fn agree_on_exit(&mut self, mine: bool) -> [f64; 2] {
+        let children = reduce_tree_children(self.net.rank, self.nparts);
+        let parent = reduce_tree_parent(self.net.rank);
         if let Some(r) = &self.net.rec {
-            r.add(keys::EXIT_MESSAGES, self.nparts.saturating_sub(1) as u64);
-            r.add(keys::EXIT_VALUES, self.nparts.saturating_sub(1) as u64);
+            let sends = (children.len() + usize::from(parent.is_some())) as u64;
+            r.add(keys::EXIT_MESSAGES, sends);
+            r.add(keys::EXIT_VALUES, 2 * sends);
         }
-        let me = self.net.rank;
-        for q in (0..self.nparts).filter(|&q| q != me) {
-            let mut buf = self.net.acquire(q);
-            buf.push(x);
-            self.net.send(q, buf);
+        let mine = f64::from(u8::from(mine));
+        let mut span = [mine, mine];
+        for &c in &children {
+            let buf = self.net.recv_from(c).await;
+            span = [span[0].min(buf[0]), span[1].max(buf[1])];
+            self.net.give_back(c, buf);
         }
-        let mut all = vec![0.0; self.nparts];
-        all[me] = x;
-        for r in (0..self.nparts).filter(|&r| r != me) {
-            let buf = self.net.recv_from(r);
-            all[r] = buf[0];
-            self.net.give_back(r, buf);
+        let mut verdict = [mine, f64::from(u8::from(span[0] != span[1]))];
+        if let Some(p) = parent {
+            let mut buf = self.net.acquire(p);
+            buf.extend_from_slice(&span);
+            self.net.send(p, buf);
+            let buf = self.net.recv_from(p).await;
+            verdict = [buf[0], buf[1]];
+            self.net.give_back(p, buf);
         }
-        all
+        for &c in &children {
+            let mut buf = self.net.acquire(c);
+            buf.extend_from_slice(&verdict);
+            self.net.send(c, buf);
+        }
+        verdict
     }
 
     /// Run a split loop: interface iterations, post, then interior
@@ -472,12 +481,12 @@ impl RankProc {
         );
     }
 
-    fn run_block(&mut self, stmts: &[Stmt]) -> Result<bool, String> {
+    async fn run_block(&mut self, stmts: &[Stmt]) -> Result<bool, String> {
         let oplan = Arc::clone(&self.oplan);
         for s in stmts {
             let id = stmt_id(s);
             if let Some(&phase) = self.plan.before.get(&id) {
-                self.complete_phase(phase);
+                self.complete_phase(phase).await;
             }
             if let Some(list) = oplan.post_before.get(&id) {
                 for &phase in list {
@@ -516,7 +525,8 @@ impl RankProc {
                 Stmt::TimeLoop(t) => {
                     'time: for _ in 0..t.max_iters {
                         self.iterations += 1;
-                        if self.run_block(&t.body)? {
+                        // Boxed: the body's future is this one's own type.
+                        if Box::pin(self.run_block(&t.body)).await? {
                             break 'time;
                         }
                         if let Some(list) = oplan.post_at_tail.get(&t.id) {
@@ -525,16 +535,16 @@ impl RankProc {
                             }
                         }
                     }
-                    self.drain_posted();
+                    self.drain_posted().await;
                 }
                 Stmt::ExitIf(e) => {
                     let mine = self.m.exec_stmt(&self.kernel, e.id);
-                    let all = self.allgather_scalar(if mine { 1.0 } else { 0.0 });
-                    if all.iter().any(|&x| x != all[0]) {
+                    let [exit, divergent] = self.agree_on_exit(mine).await;
+                    if divergent != 0.0 {
                         self.stats.divergent_exits += 1;
                     }
                     // Rank-0's decision rules (same as the reference).
-                    if all[0] != 0.0 {
+                    if exit != 0.0 {
                         return Ok(true);
                     }
                 }
@@ -544,20 +554,8 @@ impl RankProc {
     }
 }
 
-/// What one rank hands back through the gang join.
-struct RankOutcome {
-    m: Machine,
-    stats: CommStats,
-    iterations: usize,
-    hidden_log: Vec<f64>,
-    early_posts: usize,
-}
-
-/// One rank's job on the worker pool: run the rank to completion.
-type RankJob = Box<dyn FnOnce() -> Result<RankOutcome, String> + Send + 'static>;
-
-/// Run a placed SPMD program as a gang of rank processes on the
-/// global [`SpmdPool`].
+/// Run a placed SPMD program as a gang of rank tasks on the global
+/// [`SpmdPool`].
 ///
 /// `posting` selects the `batched` ([`Posting::Late`]) or `overlapped`
 /// ([`Posting::Early`]) schedule. `plan` is a prebuilt [`CommPlan`] to
@@ -568,8 +566,26 @@ type RankJob = Box<dyn FnOnce() -> Result<RankOutcome, String> + Send + 'static>
 /// whole-run span; `None` costs one branch per site.
 ///
 /// Returns the run result plus the [`OverlapReport`] (all zeros for
-/// late posting) the α/β model uses to credit hidden communication.
+/// late posting) the α/β model uses to credit hidden communication. A
+/// failing rank — an `Err`, which every rank returns alike, or a panic,
+/// reported with its rank — is the run's `Err`; its peers are dropped
+/// where they wait.
 pub fn run_spmd_pooled<const V: usize>(
+    prog: &Program,
+    spmd: &SpmdProgram,
+    d: &Decomposition<V>,
+    b: &Bindings,
+    posting: Posting,
+    plan: Option<&Arc<CommPlan>>,
+    rec: &RecorderRef,
+) -> Result<(SpmdResult, OverlapReport), String> {
+    run_on(SpmdPool::global(), prog, spmd, d, b, posting, plan, rec)
+}
+
+/// [`run_spmd_pooled`] on a given pool (tests pin W with it).
+#[allow(clippy::too_many_arguments)]
+fn run_on<const V: usize>(
+    pool: &SpmdPool,
     prog: &Program,
     spmd: &SpmdProgram,
     d: &Decomposition<V>,
@@ -595,7 +611,7 @@ pub fn run_spmd_pooled<const V: usize>(
     let prog_arc = Arc::new(prog.clone());
     let spmd_arc = Arc::new(spmd.clone());
 
-    let mut jobs: Vec<RankJob> = Vec::with_capacity(nparts);
+    let mut jobs = Vec::with_capacity(nparts);
     for (m, mut net) in machines.into_iter().zip(wire(nparts, rec)) {
         if posting == Posting::Early {
             net.seed_double_buffers(&plan);
@@ -616,28 +632,24 @@ pub fn run_spmd_pooled<const V: usize>(
             hidden_log: Vec::new(),
             early_posts: 0,
         };
-        jobs.push(Box::new(move || {
+        jobs.push(async move {
             let t_job = obs::start(&proc.net.rec);
             let body = Arc::clone(&proc.prog);
-            proc.run_block(&body.body)?;
+            proc.run_block(&body.body).await?;
             if let Some(end) = proc.plan.at_end {
-                proc.complete_phase(end);
+                proc.complete_phase(end).await;
             }
             obs::finish_event(&proc.net.rec, keys::RANK_RUN, proc.net.rank as u32, t_job);
-            Ok(RankOutcome {
-                m: proc.m,
-                stats: proc.stats,
-                iterations: proc.iterations,
-                hidden_log: proc.hidden_log,
-                early_posts: proc.early_posts,
-            })
-        }));
+            Ok(proc)
+        });
     }
+    let procs = pool.run_gang(jobs, rec)?;
 
-    // Gang join. Stats and the iteration count are rank 0's (identical
-    // on every rank); creditable overlap is the minimum across ranks
-    // per phase application — only work every rank had in flight hides
-    // the phase's wire time.
+    // Gang join: every rank hands back its process. Stats and the
+    // iteration count are rank 0's (identical on every rank);
+    // creditable overlap is the minimum across ranks per phase
+    // application — only work every rank had in flight hides the
+    // phase's wire time.
     let mut machines = Vec::with_capacity(nparts);
     let mut stats = CommStats::default();
     let mut iterations = 0;
@@ -646,12 +658,7 @@ pub fn run_spmd_pooled<const V: usize>(
         split_phases: oplan.splits.iter().flatten().count(),
         ..Default::default()
     };
-    for (rank, r) in SpmdPool::global()
-        .run_gang_recorded(jobs, rec)
-        .into_iter()
-        .enumerate()
-    {
-        let out = r?;
+    for (rank, out) in procs.into_iter().enumerate() {
         if rank == 0 {
             stats = out.stats;
             iterations = out.iterations;
@@ -748,6 +755,45 @@ pub(crate) mod tests {
                     assert_eq!((report.total_hidden(), report.early_posts), (0.0, 0));
                 }
             }
+        }
+    }
+
+    /// Every `hb.*` emission of a run as `(rank, key, peer)`, in the
+    /// one global order the workers produced them (an `HbLog` keeps
+    /// per-rank order only, which no schedule can change).
+    #[derive(Default)]
+    struct HbTape(std::sync::Mutex<Vec<(u32, &'static str, u32)>>);
+
+    impl syncplace_obs::Recorder for HbTape {
+        fn add(&self, _: &'static str, _: u64) {}
+        fn gauge_max(&self, _: &'static str, _: u64) {}
+        fn span(&self, _: &'static str, _: u64) {}
+        fn packet(&self, _: u32, _: u32, _: u64) {}
+        fn hb(&self, rank: u32, key: &'static str, peer: u32) {
+            self.0.lock().unwrap().push((rank, key, peer));
+        }
+    }
+
+    #[test]
+    fn one_worker_schedule_is_deterministic() {
+        // W = 1: the submitter alone runs every rank to its next
+        // blocking receive, FIFO — two runs interleave the ranks'
+        // operations identically, event for event.
+        let pool = SpmdPool::with_workers(1);
+        let (p, spmd, d, b) = setup(Pattern::FIG1, 4, 0);
+        let rr = crate::spmd::run_spmd(&p, &spmd, &d, &b).unwrap();
+        for posting in POSTINGS {
+            let tape = || {
+                let tape = Arc::new(HbTape::default());
+                let rec: RecorderRef = Some(tape.clone());
+                let (res, _) = run_on(&pool, &p, &spmd, &d, &b, posting, None, &rec).unwrap();
+                assert_bitwise(&format!("W=1 {posting:?}"), &rr, &res);
+                let mut events = tape.0.lock().unwrap();
+                std::mem::take(&mut *events)
+            };
+            let (first, second) = (tape(), tape());
+            assert!(first.iter().any(|e| e.1 == keys::HB_BARRIER));
+            assert!(first == second, "{posting:?}: W=1 schedules differ");
         }
     }
 

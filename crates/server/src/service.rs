@@ -23,9 +23,11 @@
 //!   and flushed on panic.
 //!
 //! All engine executions land on the shared process-wide
-//! [`SpmdPool`], so a resident server reuses warm worker threads
-//! across requests, and every engine is handed the cached
-//! [`CommPlan`].
+//! [`SpmdPool`]: the ranks of concurrent requests queue as tasks on
+//! its W = `available_parallelism` workers instead of oversubscribing
+//! the host (each handler runs its own request's ranks; the W − 1
+//! helper threads run anybody's), and every engine is handed the
+//! cached [`CommPlan`].
 //!
 //! [`CommPlan`]: syncplace::runtime::CommPlan
 //! [`SpmdPool`]: syncplace::runtime::SpmdPool
@@ -221,7 +223,8 @@ pub struct ServiceStats {
     pub placements: CacheStats,
     /// Plan-cache counters.
     pub plans: CacheStats,
-    /// Worker threads alive in the shared SPMD pool.
+    /// W: workers of the shared SPMD pool (`available_parallelism`,
+    /// the same whatever `p` the requests ask for).
     pub pool_workers: usize,
 }
 

@@ -14,7 +14,12 @@
 # placing program x automaton pair), the placement
 # crate must stay single-threaded and the one search the default (no
 # thread:: / Mutex / Condvar / Atomic in crates/placement/src/, no
-# `collapse_deterministic: true` override in any .rs file), the repo's
+# `collapse_deterministic: true` override in any .rs file), the rank
+# processes must stay tasks (no mpsc / thread:: / .recv() / Barrier in
+# crates/runtime/src/pooled.rs: P ranks run on the W =
+# available_parallelism workers of runtime/src/pool.rs, from one
+# receive that has to wait to the next, and a rank cannot park a thread
+# if it cannot name one), the repo's
 # own static analysis (`reproduce lint` — independent placement
 # verifier, CommPlan schedule audit, IR lints) must report no
 # error-severity diagnostics,
@@ -44,6 +49,10 @@ if grep -rnE 'thread::|Mutex|Condvar|Atomic' crates/placement/src/; then
 fi
 if grep -rn --include='*.rs' 'collapse_deterministic: true' crates tests examples suite benchmark/src; then
     echo "placement gate: the merged search is SearchOptions::default(); drop the override"
+    exit 1
+fi
+if grep -nE 'mpsc|thread::|\.recv\(\)|Barrier' crates/runtime/src/pooled.rs; then
+    echo "runtime gate: a rank is a task on the W-worker pool — pooled.rs names no thread, channel or barrier"
     exit 1
 fi
 cargo run --release -p syncplace-bench --bin reproduce -- lint --quick

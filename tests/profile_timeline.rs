@@ -287,9 +287,11 @@ fn live_timeline_recorder_overhead_stays_under_five_percent() {
     // `tests/obs_trace.rs`, but on a larger mesh: event volume scales
     // with phases × ranks (fixed here) while the run scales with mesh
     // size, so this measures the recorder against a realistic
-    // compute-to-event ratio instead of a sub-millisecond toy run.
+    // compute-to-event ratio instead of a sub-millisecond toy run
+    // (41×41: 1.6–1.9 ms disabled on the 2-CPU host; the 17×17 this
+    // used to run takes the W-worker pool 0.45 ms).
     let prog = syncplace::ir::programs::testiv_with(12);
-    let mesh = gen2d::perturbed_grid(17, 17, 0.2, 11);
+    let mesh = gen2d::perturbed_grid(41, 41, 0.2, 11);
     let bindings = syncplace::runtime::bindings::testiv_bindings(&prog, &mesh, 0.0);
     let (dfg, analysis) = analyze_program(
         &prog,

@@ -188,6 +188,168 @@ fn engines_survive_back_to_back_runs_on_the_shared_pool() {
     );
 }
 
+#[test]
+fn concurrent_submitters_both_match_round_robin() {
+    // Nothing serialises gangs any more: two threads run the pooled
+    // engines at once, their ranks interleaving on the same W workers,
+    // and each still gets round-robin's bits.
+    use syncplace_bench::setup;
+    let s = setup::testiv(10, 1e-9, &fig6());
+    let start = std::sync::Barrier::new(2);
+    std::thread::scope(|scope| {
+        for (p, engine) in [(8usize, Engine::Batched), (5, Engine::Overlapped)] {
+            let (s, start) = (&s, &start);
+            scope.spawn(move || {
+                let (d, spmd) = setup::decompose(s, p, Pattern::FIG1, 0);
+                let reference = Engine::RoundRobin.run(&s.prog, &spmd, &d, &s.bindings).unwrap();
+                start.wait();
+                for _ in 0..10 {
+                    let r = engine.run(&s.prog, &spmd, &d, &s.bindings).unwrap();
+                    assert_bitwise("concurrent", p, engine, &reference, &r);
+                }
+            });
+        }
+    });
+}
+
+#[test]
+fn sixty_four_ranks_spawn_no_threads() {
+    // Was `workers() >= p`: a rank is a task now, and W is the host's.
+    let prog = syncplace::ir::programs::testiv_with(3);
+    let mesh = gen2d::perturbed_grid(24, 24, 0.1, 5);
+    let bindings = syncplace::runtime::bindings::testiv_bindings(&prog, &mesh, 0.0);
+    let (dfg, analysis) = analyze_program(
+        &prog,
+        &fig6(),
+        &SearchOptions::default(),
+        &CostParams::default(),
+    );
+    let spmd = syncplace::codegen::spmd_program(&prog, &dfg, &analysis.solutions[0]);
+    let p = 64;
+    let part = partition2d(&mesh, p, Method::Greedy);
+    let d = decompose2d(&mesh, &part.part, p, Pattern::FIG1);
+    let reference = Engine::RoundRobin.run(&prog, &spmd, &d, &bindings).unwrap();
+    for engine in [Engine::Batched, Engine::Overlapped] {
+        let r = engine.run(&prog, &spmd, &d, &bindings).unwrap();
+        assert_bitwise("P=64", p, engine, &reference, &r);
+    }
+    let cpus = std::thread::available_parallelism().unwrap().get();
+    let w = syncplace::runtime::SpmdPool::global().workers();
+    assert!((1..=cpus).contains(&w), "{w} workers on {cpus} cpus");
+}
+
+#[test]
+fn exit_agreement_on_the_tree_matches_round_robin_when_ranks_disagree() {
+    // With the reductions stripped (the §6 hand-placement error of
+    // `claim_manual_errors_observable`) every rank tests its own
+    // partial sum, so the decisions really differ. The pooled engines
+    // carry them up and down the binomial tree; rank 0's decision must
+    // rule and every disagreement be counted, as in the reference —
+    // and the run must end.
+    use syncplace_bench::setup;
+    let s = setup::testiv(10, 2e-4, &fig6());
+    let mut disagreed = 0;
+    for p in [3usize, 4, 7] {
+        let (d, mut spmd) = setup::decompose(&s, p, Pattern::FIG1, 0);
+        for ops in spmd.comms_before.values_mut() {
+            ops.retain(|o| !matches!(o, syncplace::codegen::CommOp::Reduce { .. }));
+        }
+        let rr = Engine::RoundRobin.run(&s.prog, &spmd, &d, &s.bindings).unwrap();
+        disagreed += rr.stats.divergent_exits;
+        for engine in [Engine::Batched, Engine::Overlapped] {
+            let r = engine.run(&s.prog, &spmd, &d, &s.bindings).unwrap();
+            assert_eq!(r.iterations, rr.iterations, "P={p} {}", engine.name());
+            assert_eq!(
+                r.stats.divergent_exits,
+                rr.stats.divergent_exits,
+                "P={p} {}",
+                engine.name()
+            );
+        }
+    }
+    assert!(disagreed > 0, "the fixture must make ranks disagree");
+}
+
+/// A stencil through a custom node→node map, then a global sum (so
+/// every rank has a tree partner to wait for). `NXT` is the identity
+/// except at one node owned by — and local to — exactly one rank,
+/// which it sends to a node that rank does not hold: that rank alone
+/// trips `MapTable::get`'s placement-bug detector. Returns the rank.
+fn one_rank_hits_an_absent_target(
+    p: usize,
+) -> (
+    Program,
+    syncplace::codegen::SpmdProgram,
+    syncplace::overlap::Decomposition<3>,
+    Bindings,
+    usize,
+) {
+    use syncplace::runtime::bindings::{MapBinding, MapData};
+    let prog = parse(
+        "program trap\n  input A : node\n  output s : scalar\n  map NXT : node -> node [1]\n  var B : node\n  forall i in node split { B(i) = A(NXT(i,1)) * 0.5 }\n  s = 0.0\n  forall i in node split { s = s + B(i) }\nend",
+    )
+    .unwrap();
+    let mesh = gen2d::perturbed_grid(10, 10, 0.2, 3);
+    let part = partition2d(&mesh, p, Method::Greedy);
+    let d = decompose2d(&mesh, &part.part, p, Pattern::FIG1);
+    let holders = |g: u32| d.submeshes.iter().filter(|s| s.nodes_l2g.contains(&g)).count();
+    let (victim, from) = (0..p)
+        .rev()
+        .find_map(|r| {
+            let s = &d.submeshes[r];
+            let own = &s.nodes_l2g[..s.n_kernel_nodes];
+            own.iter().find(|&&g| holders(g) == 1).map(|&g| (r, g))
+        })
+        .expect("some rank has an interior node");
+    let to = (0..mesh.nnodes() as u32)
+        .find(|g| !d.submeshes[victim].nodes_l2g.contains(g))
+        .expect("no rank holds every node");
+    let mut targets: Vec<u32> = (0..mesh.nnodes() as u32).collect();
+    targets[from as usize] = to;
+    let mut bindings = Bindings::for_mesh2d(&prog, &mesh);
+    let nxt = prog.lookup("NXT").unwrap();
+    bindings.maps.insert(nxt, MapBinding::Custom(MapData { arity: 1, targets }));
+    let a = prog.lookup("A").unwrap();
+    bindings.input_arrays.insert(a, (0..mesh.nnodes()).map(|i| (i % 9) as f64).collect());
+    let (dfg, analysis) = analyze_program(
+        &prog,
+        &fig6(),
+        &SearchOptions::default(),
+        &CostParams::default(),
+    );
+    let spmd = syncplace::codegen::spmd_program(&prog, &dfg, &analysis.solutions[0]);
+    (prog, spmd, d, bindings, victim)
+}
+
+#[test]
+fn one_failing_rank_is_an_err_not_a_hang() {
+    // Under one thread per rank a dying rank dropped its channel ends
+    // and took its peers down with it; a suspended task has nobody to
+    // wake it. The pool fails the gang instead: `Err` naming the rank
+    // and its message, within the timeout, and the pool stays usable.
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let p = 6;
+        let (prog, spmd, d, bindings, victim) = one_rank_hits_an_absent_target(p);
+        for engine in [Engine::Batched, Engine::Overlapped] {
+            let why = engine.run(&prog, &spmd, &d, &bindings).unwrap_err();
+            assert!(
+                why.contains(&format!("rank {victim} ")) && why.contains("absent on this processor"),
+                "{}: {why}",
+                engine.name()
+            );
+        }
+        // The next gang on the same pool runs clean.
+        let prog = syncplace::ir::programs::testiv();
+        let mesh = gen2d::perturbed_grid(8, 8, 0.1, 5);
+        let bindings = syncplace::runtime::bindings::testiv_bindings(&prog, &mesh, 1e-9);
+        check_2d("after-failure", &prog, &fig6(), &bindings, &mesh, Pattern::FIG1);
+        tx.send(()).unwrap();
+    });
+    rx.recv_timeout(std::time::Duration::from_secs(60))
+        .expect("a failed rank must fail its gang, not hang it (or the checks above panicked)");
+}
+
 /// The α/β model's per-engine ordering on the E22 configuration (32×32
 /// TESTIV, each engine through its own `Wire`, overlapped discounted
 /// by the compute it kept in flight). Everything read here is derived

@@ -336,6 +336,51 @@ fn over_long_request_line_is_refused_over_the_socket() {
     handle.stop().unwrap();
 }
 
+/// The one engine `Err` a request can reach: a `seq` entity loop,
+/// which every rank refuses at the same statement — the whole gang
+/// fails at once. The daemon answers the same typed line it always
+/// has, the handler thread survives, and the same connection then
+/// serves a cold and a hot `testiv`.
+#[test]
+fn engine_error_is_a_typed_line_and_the_connection_keeps_serving() {
+    use std::io::{BufRead, BufReader, Write};
+    let socket = scratch_socket("engine-err");
+    let _ = std::fs::remove_file(&socket);
+    let handle = Daemon::spawn(&socket, ServiceConfig::default()).unwrap();
+    let mut stream = std::os::unix::net::UnixStream::connect(&socket).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut ask = |line: &str| {
+        stream.write_all(line.as_bytes()).unwrap();
+        stream.write_all(b"\n").unwrap();
+        let mut reply = String::new();
+        reader.read_line(&mut reply).unwrap();
+        reply.trim().to_string()
+    };
+
+    let seq_loop = "{\"op\":\"run\",\"source\":\"program t\\n input A : node\\n output B : node\\n \
+                    forall i in node seq { B(i) = A(i) }\\nend\",\"mesh\":{\"nx\":4,\"ny\":4},\"p\":4}";
+    for engine in ["batched", "overlapped"] {
+        let line = seq_loop.replacen("{", &format!("{{\"engine\":\"{engine}\","), 1);
+        assert_eq!(
+            ask(&line),
+            "{\"event\":\"error\",\"code\":\"invalid\",\"detail\":\"sequential entity loops unsupported\"}",
+            "{engine}"
+        );
+    }
+    let testiv = "{\"op\":\"run\",\"program\":\"testiv\",\"mesh\":{\"nx\":8,\"ny\":8},\"p\":4}";
+    let cold = syncplace::obs::json::parse(&ask(testiv)).unwrap();
+    let hot = syncplace::obs::json::parse(&ask(testiv)).unwrap();
+    for ev in [&cold, &hot] {
+        assert_eq!(ev.get("event").unwrap().as_str(), Some("result"));
+    }
+    assert_eq!(hot.get("checksum").unwrap().as_str(), cold.get("checksum").unwrap().as_str());
+    let pong = syncplace::obs::json::parse(&ask("{\"op\":\"ping\"}")).unwrap();
+    // The engine is in no cache key: the second failing request and the
+    // second `testiv` were both hot.
+    assert_eq!(pong.get("plan_cache").unwrap().get("hits").unwrap().as_f64(), Some(2.0));
+    handle.stop().unwrap();
+}
+
 /// The `stats` verb over a real socket: after known traffic, the
 /// metrics snapshot must reconcile exactly with what the client sent,
 /// and the embedded exposition text must validate.
