@@ -376,11 +376,6 @@ pub fn element_overlap_two_layer_2d() -> OverlapAutomaton {
     OverlapAutomaton::new("element-overlap-2layer-2d", states, ts)
 }
 
-/// Node-overlap with edge states, 2-D.
-pub fn node_overlap_2d_full() -> OverlapAutomaton {
-    node_overlap(2)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -2,45 +2,8 @@
 //! each figure/table of the paper. `reproduce list` prints the index,
 //! `reproduce all` runs everything.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-
 use syncplace_bench::experiments::{self as ex, Scale};
-use syncplace_bench::{allocmeter, profile, serve};
-
-/// Counting allocator for E24's peak-allocation column: forwards to
-/// the system allocator and mirrors every size delta into the bench
-/// library's safe atomic meter (the library forbids unsafe code, so
-/// the `GlobalAlloc` impl lives here in the binary's crate root).
-struct CountingAlloc;
-
-// SAFETY: delegates allocation entirely to `System`; the added
-// bookkeeping is lock-free atomics and cannot allocate or unwind.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let p = System.alloc(layout);
-        if !p.is_null() {
-            allocmeter::on_alloc(layout.size());
-        }
-        p
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout);
-        allocmeter::on_dealloc(layout.size());
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let p = System.realloc(ptr, layout, new_size);
-        if !p.is_null() {
-            allocmeter::on_dealloc(layout.size());
-            allocmeter::on_alloc(new_size);
-        }
-        p
-    }
-}
-
-#[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc;
+use syncplace_bench::{profile, serve};
 
 /// Run one experiment: its report and whether it passed. Experiments
 /// that only print are always `true`; the ones that judge what they
@@ -76,7 +39,6 @@ fn run(name: &str, scale: Scale) -> Option<(String, bool)> {
 }
 
 fn main() {
-    allocmeter::arm();
     let args: Vec<String> = std::env::args().skip(1).collect();
     let name = args.first().map(|s| s.as_str()).unwrap_or("list");
     if let Some(stray) = args.iter().skip(1).find(|a| *a != "--quick") {

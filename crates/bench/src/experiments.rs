@@ -1150,9 +1150,9 @@ pub fn bench_runtime(scale: Scale) -> (String, bool) {
 ///
 /// 1. **Decompose-time breakdown** — sequential CSR-lean builds of
 ///    ~10⁶-element 2-D and 3-D meshes at every large-tier P, split
-///    into the dedup / closure / schedule stages, with the extra
-///    peak-live allocation of each build (counting global allocator,
-///    installed by the `reproduce` binary).
+///    into the dedup / closure / schedule stages (the gated memory
+///    reading of this pipeline is `benchmark/`'s `prepare-large`
+///    `peak_rss_mb`).
 /// 2. **Parallel construction** — the pool builder at 4 workers on
 ///    the same meshes: wall-clock, modeled speedup (work units over
 ///    the busiest-chain critical path — the repo's 1-CPU convention),
@@ -1165,9 +1165,8 @@ pub fn bench_runtime(scale: Scale) -> (String, bool) {
 /// scale: the parallel build is bitwise-identical to the sequential
 /// one and coalescing never adds messages. At paper scale only
 /// (million-element meshes): modeled decompose speedup ≥ 1.5× at 4
-/// workers, peak allocation ≤ 190 B/element (2-D) and 290 B/element
-/// (3-D) when the meter is armed, and the concurrent engines' modeled
-/// time no worse than round-robin's at P ≥ 64.
+/// workers, and the concurrent engines' modeled time no worse than
+/// round-robin's at P ≥ 64.
 ///
 /// At `--quick` scale ("ci" preset, run by `scripts/clippy.sh`) the
 /// meshes shrink to a few thousand elements and P to {4, 8}; the same
@@ -1193,10 +1192,6 @@ pub fn e24_large(scale: Scale) -> (String, bool) {
         "E24 — large-scale tier: CSR-lean decomposition pipeline (cpus = {})\n\n",
         cpus()
     );
-    let metered = crate::allocmeter::armed();
-    if !metered {
-        out.push_str("(allocation meter not armed — peak columns unavailable outside `reproduce`)\n\n");
-    }
 
     let mesh2 = syncplace::mesh::gen2d::grid(g2x, g2y);
     let mesh3 = syncplace::mesh::gen3d::box_mesh(b3x, b3y, b3z);
@@ -1213,9 +1208,8 @@ pub fn e24_large(scale: Scale) -> (String, bool) {
         // 2-D row.
         let part2 =
             syncplace::partition::partition2d(&mesh2, p, syncplace::partition::Method::Rcb);
-        let ((seq2, st2), peak2) = crate::allocmeter::measure_peak(|| {
-            decompose_with_stats(mesh2.nnodes(), &mesh2.som, &part2.part, p, Pattern::FIG1)
-        });
+        let (seq2, st2) =
+            decompose_with_stats(mesh2.nnodes(), &mesh2.som, &part2.part, p, Pattern::FIG1);
         let t0 = Instant::now();
         let (par2, ps2) = decompose2d_par(&mesh2, &part2.part, p, Pattern::FIG1, workers, &None);
         let par2_s = t0.elapsed().as_secs_f64();
@@ -1224,18 +1218,17 @@ pub fn e24_large(scale: Scale) -> (String, bool) {
         // 3-D row.
         let part3 =
             syncplace::partition::partition3d(&mesh3, p, syncplace::partition::Method::Rcb);
-        let ((seq3, st3), peak3) = crate::allocmeter::measure_peak(|| {
-            decompose_with_stats(mesh3.nnodes(), &mesh3.tets, &part3.part, p, Pattern::FIG1)
-        });
+        let (seq3, st3) =
+            decompose_with_stats(mesh3.nnodes(), &mesh3.tets, &part3.part, p, Pattern::FIG1);
         let t0 = Instant::now();
         let (par3, ps3) = decompose3d_par(&mesh3, &part3.part, p, Pattern::FIG1, workers, &None);
         let par3_s = t0.elapsed().as_secs_f64();
         let same3 = par3 == seq3;
         drop((par3, seq3));
 
-        for (dim, elems, peak_ceiling, st, peak, par_s, ps, same) in [
-            (2usize, mesh2.ntris(), 190.0, st2, peak2, par2_s, ps2, same2),
-            (3usize, mesh3.ntets(), 290.0, st3, peak3, par3_s, ps3, same3),
+        for (dim, st, par_s, ps, same) in [
+            (2usize, st2, par2_s, ps2, same2),
+            (3usize, st3, par3_s, ps3, same3),
         ] {
             let key = format!("{dim}D P={p}");
             if !same {
@@ -1248,12 +1241,6 @@ pub fn e24_large(scale: Scale) -> (String, bool) {
                      is below 1.5x"
                 ));
             }
-            let peak_per_elem = peak as f64 / elems as f64;
-            if paper && metered && peak_per_elem > peak_ceiling {
-                faults.push(format!(
-                    "{key}: peak allocation {peak_per_elem:.1} B/element exceeds {peak_ceiling}"
-                ));
-            }
             rows.push(vec![
                 format!("{dim}D"),
                 format!("{p}"),
@@ -1263,16 +1250,6 @@ pub fn e24_large(scale: Scale) -> (String, bool) {
                 format!("{:.0}", st.total_s * 1e3),
                 format!("{:.0}", par_s * 1e3),
                 format!("{modeled:.2}"),
-                if metered {
-                    format!("{:.1}", peak as f64 / (1024.0 * 1024.0))
-                } else {
-                    "-".into()
-                },
-                if metered {
-                    format!("{peak_per_elem:.1}")
-                } else {
-                    "-".into()
-                },
                 format!("{same}"),
             ]);
         }
@@ -1284,7 +1261,7 @@ pub fn e24_large(scale: Scale) -> (String, bool) {
         table(
             &[
                 "mesh", "P", "dedup ms", "closure ms", "sched ms", "seq ms", "par ms",
-                "modeled S", "peak MB", "peak B/elem", "identical"
+                "modeled S", "identical"
             ],
             &rows
         )
@@ -1661,14 +1638,14 @@ pub fn e25_racecheck(scale: Scale) -> (String, bool) {
 
 /// E19 / `trace`: run the TESTIV and 3-D tet-heat workloads under the
 /// observability layer — every engine × processor count with a live
-/// [`TraceRecorder`](syncplace::obs::TraceRecorder) — plus an
+/// [`MetricsRegistry`](syncplace::obs::MetricsRegistry) — plus an
 /// instrumented Fig. 9-vs-Fig. 10 placement comparison and a traced
 /// placement search. Prints the per-engine comparison tables and
 /// writes the machine-readable traces to `TRACE_runtime.json`.
 pub fn trace_runtime(scale: Scale) -> String {
     use std::fmt::Write as _;
     use std::sync::Arc;
-    use syncplace::obs::{keys, RecorderRef, TraceRecorder, TraceSnapshot};
+    use syncplace::obs::{keys, MetricsRegistry, MetricsSnapshot, RecorderRef};
     use syncplace::Engine;
 
     let procs: &[usize] = match scale {
@@ -1683,22 +1660,28 @@ pub fn trace_runtime(scale: Scale) -> String {
         spmd: &syncplace::codegen::SpmdProgram,
         d: &syncplace::overlap::Decomposition<V>,
         b: &syncplace::runtime::Bindings,
-    ) -> TraceSnapshot {
-        let tr = Arc::new(TraceRecorder::new());
+    ) -> MetricsSnapshot {
+        let tr = Arc::new(MetricsRegistry::new(keys::ALL));
         let rec: RecorderRef = Some(tr.clone());
         engine.run_with(prog, spmd, d, b, None, &rec).unwrap();
         tr.snapshot()
     }
 
-    fn row(p: usize, engine: Engine, snap: &TraceSnapshot) -> Vec<String> {
-        let phase = snap.span(keys::PHASE_SPAN).unwrap_or_default();
-        let run = snap.span(keys::RUN_SPAN).unwrap_or_default();
+    // A span's count and summed milliseconds (zeros when never recorded).
+    fn span_of(snap: &MetricsSnapshot, name: &str) -> (u64, f64) {
+        snap.span(name)
+            .map_or((0, 0.0), |h| (h.count(), h.sum_ns() as f64 / 1e6))
+    }
+
+    fn row(p: usize, engine: Engine, snap: &MetricsSnapshot) -> Vec<String> {
+        let (phases, phase_ms) = span_of(snap, keys::PHASE_SPAN);
+        let (_, run_ms) = span_of(snap, keys::RUN_SPAN);
         vec![
             format!("{p}"),
             engine.name().to_string(),
-            format!("{}", phase.count),
-            format!("{:.2}", phase.total_ns as f64 / 1e6),
-            format!("{:.2}", run.total_ns as f64 / 1e6),
+            format!("{phases}"),
+            format!("{phase_ms:.2}"),
+            format!("{run_ms:.2}"),
             format!("{}", snap.counter(keys::COMM_MESSAGES)),
             format!("{}", snap.counter(keys::COMM_VALUES)),
             format!("{}", snap.total_packets()),
@@ -1791,11 +1774,11 @@ pub fn trace_runtime(scale: Scale) -> String {
     for (style, idx) in [("fig9", 0usize), ("fig10", fig10_idx)] {
         let (d, spmd) = setup::decompose(&s, cmp_p, Pattern::FIG1, idx);
         let snap = run_traced(Engine::Batched, &s.prog, &spmd, &d, &s.bindings);
-        let phase = snap.span(keys::PHASE_SPAN).unwrap_or_default();
+        let (phases, phase_ms) = span_of(&snap, keys::PHASE_SPAN);
         prows.push(vec![
             style.to_string(),
-            format!("{}", phase.count),
-            format!("{:.2}", phase.total_ns as f64 / 1e6),
+            format!("{phases}"),
+            format!("{phase_ms:.2}"),
             format!("{}", snap.counter(keys::UPDATES)),
             format!("{}", snap.counter(keys::REDUCES)),
             format!("{}", snap.counter(keys::COMM_VALUES)),
@@ -1818,7 +1801,7 @@ pub fn trace_runtime(scale: Scale) -> String {
     );
 
     // Traced placement search on the same program.
-    let tr = Arc::new(TraceRecorder::new());
+    let tr = Arc::new(MetricsRegistry::new(keys::ALL));
     let rec: RecorderRef = Some(tr.clone());
     let an = syncplace::placement::analyze_recorded(
         &s.prog,
@@ -1829,7 +1812,7 @@ pub fn trace_runtime(scale: Scale) -> String {
         &rec,
     );
     let search_snap = tr.snapshot();
-    let search_span = search_snap.span(keys::SEARCH_SPAN).unwrap_or_default();
+    let (_, search_ms) = span_of(&search_snap, keys::SEARCH_SPAN);
     let _ = write!(
         out,
         "\nplacement search (TESTIV × fig6): {} visits, {} backtracks, \
@@ -1838,7 +1821,7 @@ pub fn trace_runtime(scale: Scale) -> String {
         search_snap.counter(keys::SEARCH_BACKTRACKS),
         search_snap.counter(keys::SEARCH_SOLUTIONS),
         search_snap.counter(keys::SEARCH_PRUNED),
-        search_span.total_ns as f64 / 1e6
+        search_ms
     );
     assert_eq!(
         search_snap.counter(keys::SEARCH_SOLUTIONS),

@@ -1,5 +1,5 @@
 //! Experiment harness regenerating every figure of the paper, plus
-//! shared setup helpers and a std-only micro-benchmark harness.
+//! shared setup helpers.
 //!
 //! Each `eN_*` function in [`experiments`] reproduces one evaluation
 //! artifact (see DESIGN.md's experiment index) and returns a printable
@@ -11,9 +11,7 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-pub mod allocmeter;
 pub mod experiments;
-pub mod harness;
 pub mod profile;
 pub mod serve;
 pub mod setup;

@@ -31,7 +31,6 @@ pub mod csr;
 pub mod gen2d;
 pub mod gen3d;
 pub mod ids;
-pub mod io;
 pub mod mesh2d;
 pub mod mesh3d;
 pub mod quality;

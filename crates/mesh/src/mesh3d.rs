@@ -175,21 +175,6 @@ impl Mesh3d {
             boundary_node,
         }
     }
-
-    /// Deduplicated node set of the given tets, first-seen order.
-    pub fn nodes_of_tets(&self, tets: &[u32]) -> Vec<u32> {
-        let mut seen = vec![false; self.nnodes()];
-        let mut out = Vec::new();
-        for &t in tets {
-            for &s in &self.tets[t as usize] {
-                if !seen[s as usize] {
-                    seen[s as usize] = true;
-                    out.push(s);
-                }
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]

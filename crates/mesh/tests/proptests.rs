@@ -3,7 +3,7 @@
 //! external property-testing crate so they run fully offline.
 
 use syncplace_mesh::rng::SmallRng;
-use syncplace_mesh::{csr::Csr, gen2d, io, quality, refine2d, reorder};
+use syncplace_mesh::{csr::Csr, gen2d, quality, refine2d, reorder};
 
 #[test]
 fn csr_transpose_is_involutive() {
@@ -29,20 +29,6 @@ fn csr_transpose_is_involutive() {
             assert_eq!(a, b);
         }
         assert_eq!(csr.nnz(), back.nnz());
-    }
-}
-
-#[test]
-fn io_roundtrip_random_meshes() {
-    let mut rng = SmallRng::seed_from_u64(0x10);
-    for _case in 0..48 {
-        let nx = rng.range_usize(2, 10);
-        let ny = rng.range_usize(2, 10);
-        let seed = rng.next_u64() % 500;
-        let m = gen2d::perturbed_grid(nx, ny, 0.2, seed);
-        let m2 = io::read2d(&io::write2d(&m)).unwrap();
-        assert_eq!(&m.coords, &m2.coords);
-        assert_eq!(&m.som, &m2.som);
     }
 }
 

@@ -34,7 +34,7 @@
 
 use crate::keys;
 use crate::timeline::TimelineSnapshot;
-use crate::trace::json_escape;
+use crate::trace::{json_escape, json_join};
 
 /// One node of a [`PhaseDag`]: a label for reporting and a weight in
 /// nanoseconds.
@@ -79,21 +79,6 @@ impl PhaseDag {
     /// Add a directed edge `from → to`.
     pub fn add_edge(&mut self, from: usize, to: usize) {
         self.succs[from].push(to);
-    }
-
-    /// The node at `i`.
-    pub fn node(&self, i: usize) -> &DagNode {
-        &self.nodes[i]
-    }
-
-    /// Number of nodes.
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Whether the DAG has no nodes.
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
     }
 
     /// The longest weighted path (node weights summed), computed in
@@ -349,29 +334,8 @@ impl TimelineAnalysis {
     /// Render as a JSON object (times in ms, shares as ratios),
     /// deterministically ordered.
     pub fn to_json(&self) -> String {
-        let mut out = format!(
-            "{{\"nranks\":{},\"critical_path_ms\":{:.6},\"wait_share\":{:.6},\"max_imbalance\":{:.4},\"critical_path\":[",
-            self.nranks,
-            self.critical_path_ns as f64 / 1e6,
-            self.wait_share,
-            self.max_imbalance,
-        );
-        let mut first = true;
-        for l in &self.critical_path_labels {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push_str(&json_escape(l));
-        }
-        out.push_str("],\"ranks\":[");
-        first = true;
-        for b in &self.ranks {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push_str(&format!(
+        let ranks = self.ranks.iter().map(|b| {
+            format!(
                 "{{\"rank\":{},\"run_ms\":{:.6},\"compute_ms\":{:.6},\"phase_ms\":{:.6},\"wait_ms\":{:.6},\"phases\":{}}}",
                 b.rank,
                 b.run_ns as f64 / 1e6,
@@ -379,26 +343,28 @@ impl TimelineAnalysis {
                 b.phase_ns as f64 / 1e6,
                 b.wait_ns as f64 / 1e6,
                 b.phase_count,
-            ));
-        }
-        out.push_str("],\"phases\":[");
-        first = true;
-        for p in &self.phases {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push_str(&format!(
+            )
+        });
+        let phases = self.phases.iter().map(|p| {
+            format!(
                 "{{\"index\":{},\"max_ms\":{:.6},\"min_ms\":{:.6},\"mean_ms\":{:.6},\"imbalance\":{:.4}}}",
                 p.index,
                 p.max_dur_ns as f64 / 1e6,
                 p.min_dur_ns as f64 / 1e6,
                 p.mean_dur_ns / 1e6,
                 p.imbalance,
-            ));
-        }
-        out.push_str("]}");
-        out
+            )
+        });
+        format!(
+            "{{\"nranks\":{},\"critical_path_ms\":{:.6},\"wait_share\":{:.6},\"max_imbalance\":{:.4},\"critical_path\":[{}],\"ranks\":[{}],\"phases\":[{}]}}",
+            self.nranks,
+            self.critical_path_ns as f64 / 1e6,
+            self.wait_share,
+            self.max_imbalance,
+            json_join(self.critical_path_labels.iter().map(|l| json_escape(l))),
+            json_join(ranks),
+            json_join(phases),
+        )
     }
 }
 

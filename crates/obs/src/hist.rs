@@ -11,16 +11,15 @@
 //! asks, and the representation is a fixed 64-word array: merging,
 //! snapshotting and JSON rendering are trivially cheap.
 
-use crate::trace::json_escape;
+use crate::trace::{json_escape, json_join};
 
 /// Number of power-of-two buckets (covers every `u64` duration).
 pub const BUCKET_COUNT: usize = 65;
-const BUCKETS: usize = BUCKET_COUNT;
 
 /// A log₂-bucketed histogram of nanosecond durations.
 #[derive(Debug, Clone)]
 pub struct LatencyHistogram {
-    counts: [u64; BUCKETS],
+    counts: [u64; BUCKET_COUNT],
     total: u64,
     sum_ns: u64,
     max_ns: u64,
@@ -45,19 +44,15 @@ pub fn bucket_index(d: u64) -> usize {
     }
 }
 
-fn bucket_of(d: u64) -> usize {
-    bucket_index(d)
-}
-
 impl LatencyHistogram {
     /// An empty histogram.
     pub fn new() -> LatencyHistogram {
-        LatencyHistogram { counts: [0; BUCKETS], total: 0, sum_ns: 0, max_ns: 0 }
+        LatencyHistogram { counts: [0; BUCKET_COUNT], total: 0, sum_ns: 0, max_ns: 0 }
     }
 
     /// Record one duration.
     pub fn record(&mut self, nanos: u64) {
-        self.counts[bucket_of(nanos)] += 1;
+        self.counts[bucket_index(nanos)] += 1;
         self.total += 1;
         self.sum_ns = self.sum_ns.saturating_add(nanos);
         self.max_ns = self.max_ns.max(nanos);
@@ -162,8 +157,9 @@ impl LatencyHistogram {
     /// Render as a JSON object with the summary statistics (times in
     /// milliseconds, like the trace schema) and the raw bucket list.
     pub fn to_json(&self, name: &str) -> String {
-        let mut out = format!(
-            "{{\"name\":{},\"count\":{},\"mean_ms\":{:.6},\"p50_ms\":{:.6},\"p95_ms\":{:.6},\"p99_ms\":{:.6},\"max_ms\":{:.6},\"buckets\":[",
+        let buckets = self.buckets().into_iter();
+        format!(
+            "{{\"name\":{},\"count\":{},\"mean_ms\":{:.6},\"p50_ms\":{:.6},\"p95_ms\":{:.6},\"p99_ms\":{:.6},\"max_ms\":{:.6},\"buckets\":[{}]}}",
             json_escape(name),
             self.total,
             self.mean_ns() / 1e6,
@@ -171,17 +167,8 @@ impl LatencyHistogram {
             self.p95() / 1e6,
             self.p99() / 1e6,
             self.max_ns as f64 / 1e6,
-        );
-        let mut first = true;
-        for (lo, c) in self.buckets() {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push_str(&format!("{{\"ge_ns\":{lo},\"count\":{c}}}"));
-        }
-        out.push_str("]}");
-        out
+            json_join(buckets.map(|(lo, c)| format!("{{\"ge_ns\":{lo},\"count\":{c}}}"))),
+        )
     }
 }
 
@@ -191,14 +178,14 @@ mod tests {
 
     #[test]
     fn bucket_boundaries_are_powers_of_two() {
-        assert_eq!(bucket_of(0), 0);
-        assert_eq!(bucket_of(1), 1);
-        assert_eq!(bucket_of(2), 2);
-        assert_eq!(bucket_of(3), 2);
-        assert_eq!(bucket_of(4), 3);
-        assert_eq!(bucket_of(1023), 10);
-        assert_eq!(bucket_of(1024), 11);
-        assert_eq!(bucket_of(u64::MAX), 64);
+        assert_eq!(bucket_index(0), 0);
+        assert_eq!(bucket_index(1), 1);
+        assert_eq!(bucket_index(2), 2);
+        assert_eq!(bucket_index(3), 2);
+        assert_eq!(bucket_index(4), 3);
+        assert_eq!(bucket_index(1023), 10);
+        assert_eq!(bucket_index(1024), 11);
+        assert_eq!(bucket_index(u64::MAX), 64);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! the workspace (std-only — no serde).
 //!
 //! The workspace's JSON *writers* are hand-rolled `format!` calls (see
-//! [`crate::trace::TraceSnapshot::to_json`] and the bench harness);
+//! [`crate::MetricsSnapshot::to_json`] and the bench harness);
 //! this module is the matching *reader*: a recursive-descent parser
 //! covering exactly the subset those writers emit — objects, arrays,
 //! strings with the escapes [`crate::trace::json_escape`] produces,

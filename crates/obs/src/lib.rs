@@ -1,29 +1,30 @@
-//! Runtime observability for the syncplace engines and the placement
-//! search: a zero-cost-when-disabled [`Recorder`] trait plus two
-//! implementations — a thread-safe aggregating one ([`TraceRecorder`],
-//! rendering `TRACE_runtime.json`) and an event-timeline profiler
-//! ([`TimelineRecorder`], feeding the [`analysis`] module, the
-//! [`hist`] latency histograms and the [`chrome`] Perfetto export
-//! behind `PROFILE_runtime.json`). A [`FanoutRecorder`] tees one run
-//! into both.
+//! Runtime observability for the syncplace engines, the placement
+//! search and the daemon: a zero-cost-when-disabled [`Recorder`] trait
+//! with three sinks — the one aggregate ([`MetricsRegistry`]: the
+//! daemon's live `stats`, a request's `diag` trace and every run in
+//! `TRACE_runtime.json` are its [`MetricsSnapshot`]), the
+//! event-timeline profiler ([`TimelineRecorder`], feeding the
+//! [`analysis`] module and the [`chrome`] Perfetto export behind
+//! `PROFILE_runtime.json`) and the happens-before log
+//! ([`HbRecorder`]). A [`FanoutRecorder`] tees one run into several.
 //!
 //! # Design
 //!
 //! Instrumented code is threaded with a [`RecorderRef`] — an
 //! `Option<Arc<dyn Recorder>>`. `None` means *disabled*: every
 //! instrumentation site reduces to one branch on the option, no clock
-//! is read, no allocation happens, and no lock is taken. This is the
-//! overhead guarantee tested by the benchmark guard in
-//! `tests/obs_trace.rs` (< 5 % wall-clock even with a live no-op
-//! recorder; structurally zero with `None`).
+//! is read, no allocation happens, and no lock is taken — structurally
+//! zero. A *live* timeline stays under 5 % wall-clock, guarded in
+//! `tests/profile_timeline.rs`.
 //!
 //! Metrics come in four shapes:
 //!
 //! * **counters** — monotonic `u64` sums keyed by a static string
 //!   (see [`keys`] for the vocabulary the engines emit);
 //! * **gauges** — high-water marks (e.g. pool queue depth);
-//! * **spans** — completed wall-clock intervals aggregated per name
-//!   (count / total / max), e.g. one per communication phase;
+//! * **spans** — completed wall-clock intervals folded per name into a
+//!   log₂ histogram ([`hist`]) with exact count / sum / max, e.g. one
+//!   per communication phase;
 //! * **packets** — a per-ordered-pair `(from, to)` matrix of packet
 //!   and value counts, the wire-level view that the batched engine's
 //!   structural bound ([`CommPlan::packets_per_sweep`]) is checked
@@ -55,16 +56,14 @@ pub use hb::{HbEvent, HbLog, HbRecorder};
 pub use hist::LatencyHistogram;
 pub use metrics::{validate_exposition, MetricsRegistry, MetricsSnapshot};
 pub use recorder::{
-    finish, finish_event, finish_ranked, start, FanoutRecorder, NoopRecorder, Recorder,
-    RecorderRef,
+    finish, finish_event, finish_ranked, start, FanoutRecorder, Recorder, RecorderRef,
 };
 pub use timeline::{TimelineEvent, TimelineRecorder, TimelineSnapshot};
-pub use trace::{PairAgg, SpanAgg, TraceRecorder, TraceSnapshot};
+pub use trace::PairAgg;
 
-/// The metric-key vocabulary emitted by the engines, the worker pool
-/// and the placement search. Documented centrally so the
-/// `TRACE_runtime.json` field glossary (README) and DESIGN.md §6 have
-/// a single source of truth.
+/// The metric-key vocabulary emitted by the engines, the worker pool,
+/// the placement search and the daemon. Documented centrally so the
+/// README key glossary and DESIGN.md §6 have a single source of truth.
 ///
 /// Recording conventions:
 ///

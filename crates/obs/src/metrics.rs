@@ -1,15 +1,14 @@
-//! A lock-light live-metrics registry: atomic counters, high-water
-//! gauges and log₂ latency histograms behind the [`Recorder`] trait,
-//! with a point-in-time [`MetricsSnapshot`] and a Prometheus-style
-//! text exposition.
+//! The one aggregating [`Recorder`]: atomic counters, high-water
+//! gauges, log₂ latency histograms and the per-ordered-pair packet
+//! matrix, with a point-in-time [`MetricsSnapshot`] rendered as JSON
+//! (`stats.metrics`, `diag.trace`, every run in `TRACE_runtime.json`)
+//! or as a Prometheus-style text exposition.
 //!
 //! # Design
 //!
-//! The aggregating [`crate::TraceRecorder`] serves offline analysis:
-//! it takes a mutex per emission and grows its key map on demand,
-//! which is fine for a bench run but wrong for a resident daemon that
-//! must answer a `stats` probe mid-traffic without perturbing the
-//! requests it is measuring. The registry flips both choices:
+//! A resident daemon must answer a `stats` probe mid-traffic without
+//! perturbing the requests it is measuring, and a bench run wants the
+//! same sums; one cell layout serves both:
 //!
 //! * **static key registration** — the key set is fixed at
 //!   construction (sorted, deduplicated), so the hot path is a binary
@@ -17,7 +16,8 @@
 //!   lock, no growth. Emissions to unregistered keys are *dropped*
 //!   and tallied in a meta-counter (`metrics.dropped` in the
 //!   exposition) so a vocabulary mismatch is observable instead of
-//!   silent.
+//!   silent: `dropped == 0` after an engine run under
+//!   [`crate::keys::ALL`] is the check that the vocabulary is whole.
 //! * **lock-free histograms** — spans land in a 65-bucket atomic
 //!   histogram using the exact [`crate::hist`] power-of-two binning
 //!   ([`bucket_index`]); a snapshot rehydrates the buckets into a
@@ -27,15 +27,20 @@
 //! A snapshot reads every atomic with relaxed ordering and no global
 //! pause: it is point-in-time per cell, not a cross-key transaction —
 //! exactly the consistency a monitoring scrape needs and no more.
-//! Wire-level packet matrices are out of scope (a control-plane
-//! registry has no per-pair key vocabulary); [`Recorder::packet`]
-//! emissions are ignored, not counted as drops.
+//!
+//! The packet matrix has no static key set (pairs depend on `P`), so
+//! it is the registry's one lock: a map touched only by
+//! [`Recorder::packet`] — once per packet a rank ships, never per mesh
+//! entity — and by `snapshot`. The daemon's process-wide registry is
+//! never handed to an engine, so the live path stays lock-free.
 
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
 use crate::hist::{bucket_index, LatencyHistogram, BUCKET_COUNT};
 use crate::recorder::Recorder;
-use crate::trace::json_escape;
+use crate::trace::{json_escape, json_join, PairAgg};
 
 /// A lock-free log₂ histogram cell: per-bucket counts plus exact sum
 /// and max, all relaxed atomics.
@@ -80,12 +85,14 @@ struct Cell {
 }
 
 /// The registry: a fixed, sorted key set with one atomic `Cell`
-/// per key. Implements [`Recorder`], so it can sit directly at the
-/// existing hook sites or behind a [`crate::FanoutRecorder`] tee.
+/// per key, plus the packet matrix. Implements [`Recorder`], so it can
+/// sit directly at the hook sites or behind a
+/// [`crate::FanoutRecorder`] tee.
 pub struct MetricsRegistry {
     keys: Vec<&'static str>,
     cells: Vec<Cell>,
     dropped: AtomicU64,
+    pairs: Mutex<BTreeMap<(u32, u32), PairAgg>>,
 }
 
 impl MetricsRegistry {
@@ -96,37 +103,22 @@ impl MetricsRegistry {
         keys.sort_unstable();
         keys.dedup();
         let cells = keys.iter().map(|_| Cell::new()).collect();
-        MetricsRegistry { keys, cells, dropped: AtomicU64::new(0) }
-    }
-
-    fn idx(&self, key: &str) -> Option<usize> {
-        self.keys.binary_search(&key).ok()
+        MetricsRegistry {
+            keys,
+            cells,
+            dropped: AtomicU64::new(0),
+            pairs: Mutex::new(BTreeMap::new()),
+        }
     }
 
     fn cell(&self, key: &str) -> Option<&Cell> {
-        match self.idx(key) {
-            Some(i) => Some(&self.cells[i]),
-            None => {
+        match self.keys.binary_search(&key) {
+            Ok(i) => Some(&self.cells[i]),
+            Err(_) => {
                 self.dropped.fetch_add(1, Ordering::Relaxed);
                 None
             }
         }
-    }
-
-    /// Current value of the counter under `key` (0 when unknown).
-    pub fn counter(&self, key: &str) -> u64 {
-        self.idx(key).map_or(0, |i| self.cells[i].counter.load(Ordering::Relaxed))
-    }
-
-    /// Current high-water mark of the gauge under `key` (0 when
-    /// unknown).
-    pub fn gauge(&self, key: &str) -> u64 {
-        self.idx(key).map_or(0, |i| self.cells[i].gauge.load(Ordering::Relaxed))
-    }
-
-    /// Emissions dropped because their key was not registered.
-    pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
     }
 
     /// A point-in-time snapshot of every non-empty aspect.
@@ -148,7 +140,9 @@ impl MetricsRegistry {
                 hists.push((*k, h));
             }
         }
-        MetricsSnapshot { counters, gauges, hists, dropped: self.dropped() }
+        let pairs = self.pairs.lock().expect("pair matrix lock poisoned").clone();
+        let dropped = self.dropped.load(Ordering::Relaxed);
+        MetricsSnapshot { counters, gauges, hists, pairs, dropped }
     }
 }
 
@@ -177,7 +171,12 @@ impl Recorder for MetricsRegistry {
         }
     }
 
-    fn packet(&self, _from: u32, _to: u32, _values: u64) {}
+    fn packet(&self, from: u32, to: u32, values: u64) {
+        let mut pairs = self.pairs.lock().expect("pair matrix lock poisoned");
+        let p = pairs.entry((from, to)).or_default();
+        p.packets += 1;
+        p.values += values;
+    }
 }
 
 /// A point-in-time copy of a registry's non-empty cells, in sorted
@@ -190,6 +189,8 @@ pub struct MetricsSnapshot {
     pub gauges: Vec<(&'static str, u64)>,
     /// Span histograms with at least one sample, `(key, histogram)`.
     pub hists: Vec<(&'static str, LatencyHistogram)>,
+    /// Per-ordered-pair `(from, to)` packet traffic.
+    pub pairs: BTreeMap<(u32, u32), PairAgg>,
     /// Emissions dropped for lack of a registered key.
     pub dropped: u64,
 }
@@ -205,37 +206,45 @@ impl MetricsSnapshot {
         self.gauges.iter().find(|(k, _)| *k == key).map_or(0, |(_, v)| *v)
     }
 
-    /// The span histogram under `key`, if it has any samples.
-    pub fn hist(&self, key: &str) -> Option<&LatencyHistogram> {
+    /// The span histogram under `key`, if it has any samples — its
+    /// `count()`, `sum_ns()` and `max_ns()` are exact.
+    pub fn span(&self, key: &str) -> Option<&LatencyHistogram> {
         self.hists.iter().find(|(k, _)| *k == key).map(|(_, h)| h)
     }
 
-    /// Render as one JSON object:
-    /// `{"counters":{..},"gauges":{..},"hists":[..],"dropped":N}`.
+    /// The traffic of one ordered pair (zero when silent).
+    pub fn pair(&self, from: u32, to: u32) -> PairAgg {
+        self.pairs.get(&(from, to)).copied().unwrap_or_default()
+    }
+
+    /// Total packets over all ordered pairs.
+    pub fn total_packets(&self) -> u64 {
+        self.pairs.values().map(|p| p.packets).sum()
+    }
+
+    /// Total values over all ordered pairs.
+    pub fn total_pair_values(&self) -> u64 {
+        self.pairs.values().map(|p| p.values).sum()
+    }
+
+    /// Render as one JSON object, deterministically ordered:
+    /// `{"counters":{..},"gauges":{..},"hists":[..],"packets":[{"from",
+    /// "to","packets","values"}..],"dropped":N}`.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"counters\":{");
-        for (i, (k, v)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("{}:{}", json_escape(k), v));
-        }
-        out.push_str("},\"gauges\":{");
-        for (i, (k, v)) in self.gauges.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("{}:{}", json_escape(k), v));
-        }
-        out.push_str("},\"hists\":[");
-        for (i, (k, h)) in self.hists.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&h.to_json(k));
-        }
-        out.push_str(&format!("],\"dropped\":{}}}", self.dropped));
-        out
+        let map = |kv: &[(&'static str, u64)]| {
+            json_join(kv.iter().map(|(k, v)| format!("{}:{v}", json_escape(k))))
+        };
+        format!(
+            "{{\"counters\":{{{}}},\"gauges\":{{{}}},\"hists\":[{}],\"packets\":[{}],\"dropped\":{}}}",
+            map(&self.counters),
+            map(&self.gauges),
+            json_join(self.hists.iter().map(|(k, h)| h.to_json(k))),
+            json_join(self.pairs.iter().map(|(&(from, to), p)| format!(
+                "{{\"from\":{from},\"to\":{to},\"packets\":{},\"values\":{}}}",
+                p.packets, p.values
+            ))),
+            self.dropped
+        )
     }
 
     /// Render in the Prometheus text format: one
@@ -354,16 +363,10 @@ mod tests {
         r.add("unknown", 5);
         r.span("also.unknown", 10);
         r.gauge_max("known", 3);
-        assert_eq!(r.counter("unknown"), 0);
-        assert_eq!(r.dropped(), 2);
-        assert_eq!(r.snapshot().dropped, 2);
-    }
-
-    #[test]
-    fn packets_are_ignored_not_dropped() {
-        let r = MetricsRegistry::new(&["k"]);
-        r.packet(0, 1, 8);
-        assert_eq!(r.dropped(), 0);
+        let s = r.snapshot();
+        assert_eq!(s.counter("unknown"), 0);
+        assert_eq!(s.gauge("known"), 3);
+        assert_eq!(s.dropped, 2);
     }
 
     #[test]
@@ -387,7 +390,7 @@ mod tests {
         let s = r.snapshot();
         assert_eq!(s.counter("c"), 8000);
         assert_eq!(s.gauge("g"), 7999);
-        let h = s.hist("s").unwrap();
+        let h = s.span("s").unwrap();
         assert_eq!(h.count(), 8000);
         assert_eq!(h.sum_ns(), 8 * (0..1000u64).sum::<u64>());
         assert_eq!(h.max_ns(), 999);
@@ -402,7 +405,7 @@ mod tests {
             want.record(d);
         }
         let s = r.snapshot();
-        let got = s.hist("s").unwrap();
+        let got = s.span("s").unwrap();
         assert_eq!(got.buckets(), want.buckets());
         assert_eq!(got.sum_ns(), want.sum_ns());
         assert_eq!(got.max_ns(), want.max_ns());
@@ -438,10 +441,12 @@ mod tests {
         r.add("c", 1);
         r.gauge_max("g", 2);
         r.span("s", 3);
+        r.packet(1, 0, 4);
         let j = r.snapshot().to_json();
         assert!(j.contains("\"counters\":{\"c\":1}"));
         assert!(j.contains("\"gauges\":{\"g\":2}"));
         assert!(j.contains("\"name\":\"s\""));
+        assert!(j.contains("\"packets\":[{\"from\":1,\"to\":0,\"packets\":1,\"values\":4}]"));
         assert!(j.contains("\"dropped\":0"));
         assert!(crate::json::parse(&j).is_ok());
     }

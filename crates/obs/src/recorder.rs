@@ -1,4 +1,4 @@
-//! The [`Recorder`] trait and the disabled/no-op plumbing.
+//! The [`Recorder`] trait, the disabled-path plumbing and the tee.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -54,19 +54,6 @@ pub trait Recorder: Send + Sync {
 /// clone across pool threads.
 pub type RecorderRef = Option<Arc<dyn Recorder>>;
 
-/// A recorder that drops everything. Useful for measuring the cost of
-/// the instrumentation calls themselves (the benchmark guard) and as a
-/// stand-in where a live `dyn Recorder` is required.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NoopRecorder;
-
-impl Recorder for NoopRecorder {
-    fn add(&self, _key: &'static str, _delta: u64) {}
-    fn gauge_max(&self, _key: &'static str, _value: u64) {}
-    fn span(&self, _name: &'static str, _nanos: u64) {}
-    fn packet(&self, _from: u32, _to: u32, _values: u64) {}
-}
-
 /// Start a wall-clock measurement — reads the clock only when `rec`
 /// is enabled, returning `None` (free) otherwise.
 #[inline]
@@ -96,9 +83,9 @@ pub fn finish_event(rec: &RecorderRef, name: &'static str, rank: u32, started: O
 
 /// Close a measurement opened by [`start`], recording a
 /// rank-attributed event on *every* rank and, on rank 0 only, the
-/// matching span — with the **same** duration value, so summing a
-/// timeline's rank-0 events per name reproduces the aggregate span
-/// statistics bit-for-bit (asserted in `tests/profile_timeline.rs`).
+/// matching span — with the **same** duration value, so a timeline's
+/// rank-0 events per name sum to the aggregate's span count and
+/// `sum_ns` exactly (asserted in `tests/profile_timeline.rs`).
 #[inline]
 pub fn finish_ranked(rec: &RecorderRef, name: &'static str, rank: u32, started: Option<Instant>) {
     if let (Some(r), Some(t0)) = (rec.as_ref(), started) {
@@ -111,7 +98,7 @@ pub fn finish_ranked(rec: &RecorderRef, name: &'static str, rank: u32, started: 
 }
 
 /// A tee that forwards every emission to each of its sinks, so one
-/// run can feed an aggregating [`crate::TraceRecorder`] and a
+/// run can feed the aggregating [`crate::MetricsRegistry`] and a
 /// [`crate::TimelineRecorder`] simultaneously — the consistency
 /// cross-check between the two views relies on both seeing the exact
 /// same call stream.
@@ -162,6 +149,7 @@ impl Recorder for FanoutRecorder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::MetricsRegistry;
 
     #[test]
     fn disabled_ref_never_reads_the_clock() {
@@ -171,41 +159,32 @@ mod tests {
     }
 
     #[test]
-    fn noop_recorder_accepts_everything() {
-        let r = NoopRecorder;
-        r.add("a", 1);
-        r.gauge_max("b", 2);
-        r.span("c", 3);
-        r.packet(0, 1, 4);
-    }
-
-    #[test]
     fn enabled_ref_times_spans() {
-        let tr = Arc::new(crate::TraceRecorder::new());
+        let tr = Arc::new(MetricsRegistry::new(&["probe"]));
         let rec: RecorderRef = Some(tr.clone());
         let t0 = start(&rec);
         assert!(t0.is_some());
         finish(&rec, "probe", t0);
         let snap = tr.snapshot();
-        assert_eq!(snap.span("probe").map(|s| s.count), Some(1));
+        assert_eq!(snap.span("probe").map(|s| s.count()), Some(1));
     }
 
     #[test]
     fn finish_ranked_spans_only_on_rank_zero() {
-        let tr = Arc::new(crate::TraceRecorder::new());
+        let tr = Arc::new(MetricsRegistry::new(&["ph"]));
         let rec: RecorderRef = Some(tr.clone());
         for rank in 0..4 {
             let t0 = start(&rec);
             finish_ranked(&rec, "ph", rank, t0);
         }
-        // Aggregating recorders ignore events, so only the rank-0
-        // span survives — the rank-0-keys convention is preserved.
-        assert_eq!(tr.snapshot().span("ph").map(|s| s.count), Some(1));
+        // The aggregate ignores events, so only the rank-0 span
+        // survives — the rank-0-keys convention is preserved.
+        assert_eq!(tr.snapshot().span("ph").map(|s| s.count()), Some(1));
     }
 
     #[test]
-    fn finish_event_never_touches_span_aggregates() {
-        let tr = Arc::new(crate::TraceRecorder::new());
+    fn finish_event_never_records_a_span() {
+        let tr = Arc::new(MetricsRegistry::new(&["job"]));
         let rec: RecorderRef = Some(tr.clone());
         let t0 = start(&rec);
         finish_event(&rec, "job", 0, t0);
@@ -214,8 +193,8 @@ mod tests {
 
     #[test]
     fn fanout_forwards_to_every_sink() {
-        let a = Arc::new(crate::TraceRecorder::new());
-        let b = Arc::new(crate::TraceRecorder::new());
+        let a = Arc::new(MetricsRegistry::new(&["k", "g", "s"]));
+        let b = Arc::new(MetricsRegistry::new(&["k", "g", "s"]));
         let tee = FanoutRecorder::new(vec![a.clone(), b.clone()]);
         tee.add("k", 2);
         tee.gauge_max("g", 9);
@@ -226,7 +205,7 @@ mod tests {
             let s = r.snapshot();
             assert_eq!(s.counter("k"), 2);
             assert_eq!(s.gauge("g"), 9);
-            assert_eq!(s.span("s").map(|x| x.total_ns), Some(5));
+            assert_eq!(s.span("s").map(|x| x.sum_ns()), Some(5));
             assert_eq!(s.pair(0, 1).values, 3);
         }
     }

@@ -1,11 +1,11 @@
 //! The event-timeline profiler: a [`TimelineRecorder`] that keeps
-//! every rank-attributed interval (and every aggregate span) with its
-//! arrival timestamp, instead of folding it away.
+//! every rank-attributed interval with its arrival timestamp, instead
+//! of folding it away.
 //!
 //! # Why a second recorder
 //!
-//! [`crate::TraceRecorder`] answers *how much* (counters, span sums, a
-//! pair matrix); it cannot answer *where time went* — which rank
+//! [`crate::MetricsRegistry`] answers *how much* (counters, span sums,
+//! a pair matrix); it cannot answer *where time went* — which rank
 //! waited, which phase straggled, what the critical path through a
 //! run was. The timeline keeps the raw intervals so
 //! [`crate::analysis`] can rebuild per-rank timelines, attribute
@@ -21,9 +21,9 @@
 //! identity. The hot path is therefore one thread-local lookup plus
 //! one *uncontended* mutex push — no cross-thread cache-line traffic,
 //! no shared lock. Shards are merged only at [`snapshot`] time, where
-//! the recorder walks its shard registry. This keeps the timeline
-//! within the same <5 % overhead budget as the aggregating recorder
-//! (guarded in `tests/obs_trace.rs` with a *live* timeline).
+//! the recorder walks its shard registry. This keeps a *live* timeline
+//! within the <5 % overhead budget (guarded in
+//! `tests/profile_timeline.rs`).
 //!
 //! Timestamps are nanoseconds from the recorder's creation instant
 //! (its *epoch*): the `Recorder` API delivers durations, so the
@@ -35,36 +35,21 @@
 //! [`snapshot`]: TimelineRecorder::snapshot
 
 use crate::recorder::Recorder;
-use crate::trace::{json_escape, SpanAgg};
+use crate::trace::{json_escape, json_join};
 use std::cell::RefCell;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, Weak};
 use std::time::Instant;
 
-/// The rank stored on span-stream entries (spans carry no rank).
-const SPAN_RANK: u32 = u32::MAX;
-
-/// One raw interval as recorded (per-thread buffer entry).
-#[derive(Debug, Clone, Copy)]
-struct Raw {
-    /// Nanoseconds from the recorder epoch at which the interval ended.
-    end_ns: u64,
-    /// Interval length in nanoseconds.
-    dur_ns: u64,
-    /// Emitting rank, or [`SPAN_RANK`] for aggregate-span entries.
-    rank: u32,
-    /// Interval name (the same vocabulary as [`crate::keys`]).
-    name: &'static str,
-}
-
-type Shard = Arc<Mutex<Vec<Raw>>>;
+/// One thread's buffer of the intervals it recorded.
+type Shard = Arc<Mutex<Vec<TimelineEvent>>>;
 
 thread_local! {
     /// This thread's shard handle per recorder identity. Weak, so a
     /// dropped recorder's shards are reclaimed; dead entries are swept
     /// whenever a new shard is created.
-    static SHARDS: RefCell<HashMap<u64, Weak<Mutex<Vec<Raw>>>>> =
+    static SHARDS: RefCell<HashMap<u64, Weak<Mutex<Vec<TimelineEvent>>>>> =
         RefCell::new(HashMap::new());
 }
 
@@ -72,12 +57,11 @@ thread_local! {
 /// thread-local entry can never alias a new recorder).
 static NEXT_ID: AtomicU64 = AtomicU64::new(1);
 
-/// An event-collecting recorder: every [`Recorder::event`] and
-/// [`Recorder::span`] emission is kept verbatim with an arrival
-/// timestamp, in per-thread shards merged at snapshot time. Counters,
-/// gauges and packets are ignored — pair a timeline with a
-/// [`crate::TraceRecorder`] through a [`crate::FanoutRecorder`] when
-/// both views of one run are wanted.
+/// An event-collecting recorder: every [`Recorder::event`] emission is
+/// kept verbatim with an arrival timestamp, in per-thread shards
+/// merged at snapshot time. Counters, gauges, spans and packets are
+/// ignored — pair a timeline with a [`crate::MetricsRegistry`] through
+/// a [`crate::FanoutRecorder`] when both views of one run are wanted.
 #[derive(Debug)]
 pub struct TimelineRecorder {
     id: u64,
@@ -104,19 +88,19 @@ impl TimelineRecorder {
         }
     }
 
-    /// Push one raw interval into the calling thread's shard,
-    /// creating and registering the shard on first use.
-    fn record(&self, raw: Raw) {
+    /// Push one interval into the calling thread's shard, creating
+    /// and registering the shard on first use.
+    fn record(&self, ev: TimelineEvent) {
         SHARDS.with(|cell| {
             let mut map = cell.borrow_mut();
             if let Some(shard) = map.get(&self.id).and_then(Weak::upgrade) {
-                shard.lock().expect("timeline shard").push(raw);
+                shard.lock().expect("timeline shard").push(ev);
                 return;
             }
             // First event from this thread for this recorder: create a
             // shard, register it, and sweep dead entries while here.
             map.retain(|_, w| w.strong_count() > 0);
-            let shard: Shard = Arc::new(Mutex::new(vec![raw]));
+            let shard: Shard = Arc::new(Mutex::new(vec![ev]));
             map.insert(self.id, Arc::downgrade(&shard));
             self.registry.lock().expect("timeline registry").push(shard);
         });
@@ -129,26 +113,11 @@ impl TimelineRecorder {
     pub fn snapshot(&self) -> TimelineSnapshot {
         let shards = self.registry.lock().expect("timeline registry").clone();
         let mut events = Vec::new();
-        let mut span_events = Vec::new();
         for shard in &shards {
-            for raw in shard.lock().expect("timeline shard").iter() {
-                let ev = TimelineEvent {
-                    rank: if raw.rank == SPAN_RANK { 0 } else { raw.rank },
-                    name: raw.name,
-                    begin_ns: raw.end_ns.saturating_sub(raw.dur_ns),
-                    end_ns: raw.end_ns,
-                };
-                if raw.rank == SPAN_RANK {
-                    span_events.push(ev);
-                } else {
-                    events.push(ev);
-                }
-            }
+            events.extend_from_slice(&shard.lock().expect("timeline shard"));
         }
-        let key = |e: &TimelineEvent| (e.begin_ns, e.end_ns, e.rank, e.name);
-        events.sort_by_key(key);
-        span_events.sort_by_key(key);
-        TimelineSnapshot { events, span_events }
+        events.sort_by_key(|e| (e.begin_ns, e.end_ns, e.rank, e.name));
+        TimelineSnapshot { events }
     }
 
     /// Drop every recorded interval (shards stay registered and are
@@ -163,20 +132,16 @@ impl TimelineRecorder {
 impl Recorder for TimelineRecorder {
     fn add(&self, _key: &'static str, _delta: u64) {}
     fn gauge_max(&self, _key: &'static str, _value: u64) {}
+    fn span(&self, _name: &'static str, _nanos: u64) {}
     fn packet(&self, _from: u32, _to: u32, _values: u64) {}
 
-    fn span(&self, name: &'static str, nanos: u64) {
+    fn event(&self, rank: u32, name: &'static str, nanos: u64) {
         // Clamp so begin = end − dur never underflows the epoch: the
         // duration is the measured truth and must survive exactly
-        // (the aggregate cross-check is bit-for-bit), so on skew the
-        // end is nudged, never the length.
+        // (the aggregate cross-check is exact), so on skew the end is
+        // nudged, never the length.
         let end_ns = (self.epoch.elapsed().as_nanos() as u64).max(nanos);
-        self.record(Raw { end_ns, dur_ns: nanos, rank: SPAN_RANK, name });
-    }
-
-    fn event(&self, rank: u32, name: &'static str, nanos: u64) {
-        let end_ns = (self.epoch.elapsed().as_nanos() as u64).max(nanos);
-        self.record(Raw { end_ns, dur_ns: nanos, rank, name });
+        self.record(TimelineEvent { rank, name, begin_ns: end_ns - nanos, end_ns });
     }
 }
 
@@ -184,7 +149,7 @@ impl Recorder for TimelineRecorder {
 /// nanoseconds from the recorder epoch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TimelineEvent {
-    /// Emitting rank (0 for entries from the span stream).
+    /// Emitting rank.
     pub rank: u32,
     /// Interval name (see [`crate::keys`]).
     pub name: &'static str,
@@ -202,14 +167,11 @@ impl TimelineEvent {
 }
 
 /// The merged, ordered view of one timeline recording: the
-/// rank-attributed **event stream** plus the rank-0 **span stream**
-/// (exactly what an aggregating recorder saw on the same run).
+/// rank-attributed event stream.
 #[derive(Debug, Clone, Default)]
 pub struct TimelineSnapshot {
     /// Rank-attributed intervals, ordered by `(begin, end, rank, name)`.
     pub events: Vec<TimelineEvent>,
-    /// Span-stream intervals (one per `Recorder::span` call), same order.
-    pub span_events: Vec<TimelineEvent>,
 }
 
 impl TimelineSnapshot {
@@ -237,23 +199,7 @@ impl TimelineSnapshot {
         by_rank
     }
 
-    /// Fold the **span stream** back into per-name aggregates
-    /// (count / total / max). On a run recorded through a
-    /// [`crate::FanoutRecorder`] tee, this reproduces the paired
-    /// `TraceRecorder`'s span table bit-for-bit — u64 sums and maxes
-    /// are order-independent (asserted in `tests/profile_timeline.rs`).
-    pub fn span_aggregates(&self) -> BTreeMap<String, SpanAgg> {
-        let mut out: BTreeMap<String, SpanAgg> = BTreeMap::new();
-        for e in &self.span_events {
-            let s = out.entry(e.name.to_string()).or_default();
-            s.count += 1;
-            s.total_ns += e.dur_ns();
-            s.max_ns = s.max_ns.max(e.dur_ns());
-        }
-        out
-    }
-
-    /// A latency histogram over every *event-stream* interval named
+    /// A latency histogram over every interval named
     /// `name` (per-rank occurrences, so tail quantiles reflect
     /// stragglers, not rank-0 alone).
     pub fn histogram(&self, name: &str) -> crate::hist::LatencyHistogram {
@@ -275,23 +221,16 @@ impl TimelineSnapshot {
     /// Render as a JSON object: `{"nranks":N,"events":[{rank,name,
     /// begin_ns,end_ns},...]}`, deterministically ordered.
     pub fn to_json(&self) -> String {
-        let mut out = format!("{{\"nranks\":{},\"events\":[", self.nranks());
-        let mut first = true;
-        for e in &self.events {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push_str(&format!(
+        let events = self.events.iter().map(|e| {
+            format!(
                 "{{\"rank\":{},\"name\":{},\"begin_ns\":{},\"end_ns\":{}}}",
                 e.rank,
                 json_escape(e.name),
                 e.begin_ns,
                 e.end_ns
-            ));
-        }
-        out.push_str("]}");
-        out
+            )
+        });
+        format!("{{\"nranks\":{},\"events\":[{}]}}", self.nranks(), json_join(events))
     }
 }
 
@@ -302,15 +241,19 @@ mod tests {
 
     #[test]
     fn events_and_spans_land_in_separate_streams() {
-        let r = TimelineRecorder::new();
-        r.event(1, "ph", 100);
-        r.span("ph", 100);
-        let s = r.snapshot();
+        // Through a tee the event stays with the timeline and the span
+        // with the aggregate: neither keeps a copy of the other's.
+        let tl = Arc::new(TimelineRecorder::new());
+        let agg = Arc::new(crate::MetricsRegistry::new(&["ph"]));
+        let tee = crate::FanoutRecorder::new(vec![tl.clone(), agg.clone()]);
+        tee.event(1, "ph", 100);
+        tee.span("ph", 100);
+        let s = tl.snapshot();
         assert_eq!(s.events.len(), 1);
-        assert_eq!(s.span_events.len(), 1);
         assert_eq!(s.events[0].rank, 1);
         assert_eq!(s.events[0].dur_ns(), 100);
         assert_eq!(s.nranks(), 2);
+        assert_eq!(agg.snapshot().span("ph").map(|h| h.count()), Some(1));
     }
 
     #[test]
@@ -320,7 +263,7 @@ mod tests {
         r.gauge_max("g", 2);
         r.packet(0, 1, 3);
         let s = r.snapshot();
-        assert!(s.events.is_empty() && s.span_events.is_empty());
+        assert!(s.events.is_empty());
         assert_eq!(s.nranks(), 0);
     }
 
@@ -369,18 +312,6 @@ mod tests {
     }
 
     #[test]
-    fn span_aggregates_fold_like_a_trace_recorder() {
-        let r = TimelineRecorder::new();
-        r.span("ph", 10);
-        r.span("ph", 30);
-        r.span("run", 50);
-        let aggs = r.snapshot().span_aggregates();
-        let ph = aggs.get("ph").unwrap();
-        assert_eq!((ph.count, ph.total_ns, ph.max_ns), (2, 40, 30));
-        assert_eq!(aggs.get("run").unwrap().count, 1);
-    }
-
-    #[test]
     fn timestamps_are_monotone_per_thread() {
         let r = TimelineRecorder::new();
         r.event(0, "a", 5);
@@ -399,8 +330,6 @@ mod tests {
         let s = tl.snapshot();
         assert_eq!(s.events.len(), 1);
         assert_eq!(s.events[0].rank, 3);
-        // rank 3 ⇒ no span-stream entry
-        assert!(s.span_events.is_empty());
     }
 
     #[test]

@@ -34,18 +34,6 @@ pub fn apply_assemble<const V: usize>(d: &Decomposition<V>, locals: &mut [Vec<f6
     }
 }
 
-/// Apply the edge-array variant of the Fig. 1 update.
-pub fn apply_edge_update<const V: usize>(d: &Decomposition<V>, locals: &mut [Vec<f64>]) {
-    for (p, row) in d.edge_update.msgs.iter().enumerate() {
-        for (q, msg) in row.iter().enumerate() {
-            for &(src, dst) in msg {
-                let v = locals[p][src as usize];
-                locals[q][dst as usize] = v;
-            }
-        }
-    }
-}
-
 /// Are the local node arrays *coherent*, i.e. does every copy of every
 /// global node hold the same value as its owner's kernel copy (state
 /// `Nod0` of the overlap automaton)?

@@ -285,7 +285,7 @@ mod tests {
             let (mappings, _) = enumerate(&dfg, &a, &options);
             let n_mappings = mappings.len();
             let want = rank_per_mapping(&p, &dfg, &a, mappings, &cost);
-            let tr = Arc::new(obs::TraceRecorder::new());
+            let tr = Arc::new(obs::MetricsRegistry::new(keys::ALL));
             let got = analyze_recorded(&p, &dfg, &a, &options, &cost, &Some(tr.clone()));
             let fingerprints =
                 |ss: &[Solution]| ss.iter().map(Solution::fingerprint).collect::<Vec<_>>();

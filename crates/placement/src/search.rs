@@ -31,8 +31,8 @@ pub struct SearchOptions {
     /// dedups, so its ranked list is the same either way whenever
     /// `max_solutions` does not cut the enumeration short — hence the
     /// merged search is what every caller runs. `false` is the
-    /// off-switch of the §5.2 ablation (E9, `benches/placement.rs`) and
-    /// of the set-equality test.
+    /// off-switch of the §5.2 ablation (E9) and of the set-equality
+    /// test.
     pub collapse_deterministic: bool,
 }
 

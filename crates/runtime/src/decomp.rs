@@ -36,12 +36,14 @@
 //! property-tested across meshes × patterns × part counts × worker
 //! counts in `tests/decomp_equivalence.rs`.
 //!
-//! The container this repo benches on has one CPU, so (as for the
-//! engines and the work-stealing search) the honest parallelism
-//! number is *modeled*: every stage counts entity-touch work units
-//! per worker, and [`ParDecompStats::modeled_speedup`] is total work
-//! over the critical path (serial units + the sum of each gang's
-//! busiest worker).
+//! Measured on the 2-CPU bench host this builder does not beat the
+//! sequential one (`runtime.decomp.par_over_seq` in `benchmark/` reads
+//! 1.06) and no production path calls it — E24, the equivalence tests
+//! and that probe do. Beside the wall time every stage counts
+//! entity-touch work units per worker, and
+//! [`ParDecompStats::modeled_speedup`] is total work over the critical
+//! path (serial units + the sum of each gang's busiest worker): a
+//! *model* of the parallelism, labelled as one wherever it is printed.
 
 use std::sync::Arc;
 use std::time::Instant;

@@ -173,13 +173,13 @@ fn handle_connection(
     };
     let mut reader = BufReader::new(read_half);
     let mut writer = stream;
-    let mut line = String::new();
+    let mut line = Vec::new();
     loop {
         line.clear();
         // One byte past the cap, so a line of exactly the cap plus its
         // newline still fits.
         let mut bounded = (&mut reader).take(MAX_REQUEST_BYTES as u64 + 1);
-        match bounded.read_line(&mut line) {
+        match bounded.read_until(b'\n', &mut line) {
             Ok(0) => return,
             Err(e) => {
                 // A torn read (client reset mid-line) ends this
@@ -189,17 +189,20 @@ fn handle_connection(
             }
             Ok(_) => {}
         }
-        if line.len() > MAX_REQUEST_BYTES && !line.ends_with('\n') {
+        if line.len() > MAX_REQUEST_BYTES && !line.ends_with(b"\n") {
             let msg = format!("request exceeds {MAX_REQUEST_BYTES} bytes");
             service.io_error("read", &msg);
             let _ = write_line(&mut writer, &protocol::render_error("bad-request", &msg));
             return;
         }
-        let trimmed = line.trim();
-        if trimmed.is_empty() {
-            continue;
-        }
-        let reply_done = match protocol::parse_request(trimmed) {
+        // The line is whole, so a bad one costs the client an error
+        // reply, not the connection.
+        let request = match std::str::from_utf8(&line).map(str::trim) {
+            Ok("") => continue,
+            Ok(text) => protocol::parse_request(text),
+            Err(e) => Err(format!("request line is not UTF-8: {e}")),
+        };
+        let reply_done = match request {
             Err(e) => write_line(&mut writer, &protocol::render_error("bad-request", &e)),
             Ok(Request::Ping) => {
                 service.note_verb("ping");

@@ -42,7 +42,7 @@ use syncplace::dfg::Dfg;
 use syncplace::ir::{printer, Program};
 use syncplace::mesh::Mesh2d;
 use syncplace::obs::trace::json_escape;
-use syncplace::obs::{keys, MetricsRegistry, Recorder, RecorderRef, TraceRecorder};
+use syncplace::obs::{keys, MetricsRegistry, Recorder, RecorderRef};
 use syncplace::overlap::Decomposition;
 use syncplace::placement::Solution;
 use syncplace::runtime::{Bindings, CommPlan, SpmdPool, SpmdResult};
@@ -202,7 +202,8 @@ pub struct RunOutcome {
     /// sorted by name, values by bit pattern) — two runs agree iff
     /// their checksums do.
     pub checksum: u64,
-    /// Rendered `TRACE_runtime.json` for this request, when `diag`.
+    /// This request's engine run as a rendered `MetricsSnapshot` (the
+    /// `stats.metrics` shape), when `diag`.
     pub trace_json: Option<String>,
 }
 
@@ -631,7 +632,9 @@ impl Service {
             .validate(&placed.prog)
             .map_err(|e| ServeError::Invalid(format!("cannot synthesize inputs: {e}")))?;
 
-        let trace: Option<Arc<TraceRecorder>> = req.diag.then(|| Arc::new(TraceRecorder::new()));
+        // One registry per `diag` request: O(keys) memory, whatever
+        // the run emits.
+        let trace = req.diag.then(|| Arc::new(MetricsRegistry::new(keys::ALL)));
         let rec_ref: RecorderRef = trace
             .as_ref()
             .map(|t| Arc::clone(t) as Arc<dyn Recorder>);

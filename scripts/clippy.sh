@@ -1,6 +1,6 @@
 #!/usr/bin/env sh
 # Lint gate: the whole workspace (all targets: libs, bins, tests,
-# benches, examples) must be clippy-clean with warnings denied, the
+# examples) must be clippy-clean with warnings denied, the
 # rustdoc build must be warning-free (crates/core, crates/obs,
 # crates/analyze, crates/runtime and crates/server additionally deny
 # missing_docs at compile time), the compiled kernel must pass its
@@ -19,7 +19,12 @@
 # crates/runtime/src/pooled.rs: P ranks run on the W =
 # available_parallelism workers of runtime/src/pool.rs, from one
 # receive that has to wait to the next, and a rank cannot park a thread
-# if it cannot name one), the repo's
+# if it cannot name one), the recorder sinks must stay four (the
+# top-level `impl Recorder for` set under crates/ is MetricsRegistry,
+# TimelineRecorder, HbRecorder, FanoutRecorder — one aggregate, and a
+# new sink is a design change, not an addition), the workspace must
+# stay free of `unsafe` (the keyword opens no block, fn, impl, trait or
+# extern under crates suite tests examples), the repo's
 # own static analysis (`reproduce lint` — independent placement
 # verifier, CommPlan schedule audit, IR lints) must report no
 # error-severity diagnostics,
@@ -53,6 +58,15 @@ if grep -rn --include='*.rs' 'collapse_deterministic: true' crates tests example
 fi
 if grep -nE 'mpsc|thread::|\.recv\(\)|Barrier' crates/runtime/src/pooled.rs; then
     echo "runtime gate: a rank is a task on the W-worker pool — pooled.rs names no thread, channel or barrier"
+    exit 1
+fi
+recorders="$(grep -rhoE --include='*.rs' '^impl[^{]*\bRecorder for [A-Za-z]+' crates | sed 's/.* for //' | sort | tr '\n' ' ')"
+if [ "$recorders" != "FanoutRecorder HbRecorder MetricsRegistry TimelineRecorder " ]; then
+    echo "obs gate: the Recorder sinks are MetricsRegistry, TimelineRecorder, HbRecorder, FanoutRecorder — found: $recorders"
+    exit 1
+fi
+if grep -rnE --include='*.rs' '\bunsafe[[:space:]]*(\{|fn|impl|trait|extern)' crates suite tests examples; then
+    echo "unsafe gate: the workspace has no unsafe code"
     exit 1
 fi
 cargo run --release -p syncplace-bench --bin reproduce -- lint --quick

@@ -2,12 +2,11 @@
 //! supporting pieces under the conditions the placement daemon puts
 //! them through.
 //!
-//! * **Fanout under concurrency**: a [`FanoutRecorder`] teeing a
-//!   [`TraceRecorder`] and a [`MetricsRegistry`] must deliver the
-//!   exact same call stream to both sinks even when many threads emit
-//!   through it at once — the daemon's request handlers all share one
-//!   tee, so a lost or double-counted emission would silently skew
-//!   the `stats` verb against the lifetime trace.
+//! * **Fanout under concurrency**: a [`FanoutRecorder`] teeing two
+//!   [`MetricsRegistry`]s must deliver the exact same call stream to
+//!   both sinks even when many threads emit through it at once — a
+//!   lost or double-counted emission would silently skew one view of
+//!   a run against the other.
 //! * **Histogram merge algebra**: [`LatencyHistogram::merge`] must be
 //!   associative and commutative with exact `count`/`sum`/`max`, so
 //!   any partition of a sample stream across shards (threads, flight
@@ -20,7 +19,7 @@
 use std::sync::Arc;
 use syncplace::obs::hist::{LatencyHistogram, BUCKET_COUNT};
 use syncplace::obs::recorder::{FanoutRecorder, Recorder};
-use syncplace::obs::{validate_exposition, MetricsRegistry, TraceRecorder};
+use syncplace::obs::{validate_exposition, MetricsRegistry};
 
 /// A deterministic LCG stream of latency samples spanning many
 /// buckets (constants from Numerical Recipes).
@@ -47,11 +46,11 @@ fn hist_of(samples: &[u64]) -> LatencyHistogram {
 #[test]
 fn fanout_delivers_identical_streams_to_both_sinks_concurrently() {
     const KEYS: &[&str] = &["t.alpha", "t.beta", "t.gamma"];
-    let trace = Arc::new(TraceRecorder::new());
-    let metrics = Arc::new(MetricsRegistry::new(KEYS));
+    let first = Arc::new(MetricsRegistry::new(KEYS));
+    let second = Arc::new(MetricsRegistry::new(KEYS));
     let tee = Arc::new(FanoutRecorder::new(vec![
-        Arc::clone(&trace) as Arc<dyn Recorder>,
-        Arc::clone(&metrics) as Arc<dyn Recorder>,
+        Arc::clone(&first) as Arc<dyn Recorder>,
+        Arc::clone(&second) as Arc<dyn Recorder>,
     ]));
 
     let threads = 8;
@@ -73,25 +72,23 @@ fn fanout_delivers_identical_streams_to_both_sinks_concurrently() {
         h.join().unwrap();
     }
 
-    let tsnap = trace.snapshot();
-    let msnap = metrics.snapshot();
+    let (a, b) = (first.snapshot(), second.snapshot());
+    assert_eq!(a.counters, b.counters, "counters diverged between the tee's sinks");
+    assert_eq!(a.gauges, b.gauges, "gauges diverged");
     for &key in KEYS {
-        assert_eq!(
-            tsnap.counter(key),
-            msnap.counter(key),
-            "counter {key} diverged between the tee's sinks"
-        );
-        assert_eq!(tsnap.gauge(key), msnap.gauge(key), "gauge {key} diverged");
-        let tspan = tsnap.span(key).expect("trace span");
-        let mhist = msnap.hist(key).expect("metrics hist");
-        assert_eq!(tspan.count, mhist.count(), "span count {key} diverged");
-        assert_eq!(tspan.total_ns, mhist.sum_ns(), "span sum {key} diverged");
-        assert_eq!(tspan.max_ns, mhist.max_ns(), "span max {key} diverged");
+        let (sa, sb) = (a.span(key).expect("span"), b.span(key).expect("span"));
+        assert_eq!(sa.count(), sb.count(), "span count {key} diverged");
+        assert_eq!(sa.sum_ns(), sb.sum_ns(), "span sum {key} diverged");
+        assert_eq!(sa.max_ns(), sb.max_ns(), "span max {key} diverged");
     }
-    // Both sinks saw every emission: 8 threads × 500 spans.
-    let total: u64 = KEYS.iter().map(|k| msnap.hist(k).unwrap().count()).sum();
-    assert_eq!(total, (threads * per_thread) as u64);
-    assert_eq!(metrics.dropped(), 0);
+    // Both sinks saw every emission: 8 threads × 500 spans, the sum of
+    // 100 · (1 ..= 4000) nanoseconds.
+    let n = (threads * per_thread) as u64;
+    let total: u64 = KEYS.iter().map(|k| b.span(k).unwrap().count()).sum();
+    let sum_ns: u64 = KEYS.iter().map(|k| b.span(k).unwrap().sum_ns()).sum();
+    assert_eq!(total, n);
+    assert_eq!(sum_ns, 100 * n * (n + 1) / 2);
+    assert_eq!(a.dropped + b.dropped, 0);
 }
 
 #[test]
@@ -180,7 +177,7 @@ fn registry_exposition_round_trips_under_mixed_traffic() {
     let snap = reg.snapshot();
     assert_eq!(snap.counter("m.req"), 1000);
     assert_eq!(snap.counter("m.err"), 100);
-    assert_eq!(snap.hist("m.lat").unwrap().count(), 1000);
+    assert_eq!(snap.span("m.lat").unwrap().count(), 1000);
     assert_eq!(snap.gauge("m.depth"), 249);
     assert_eq!(snap.dropped, 1000);
 

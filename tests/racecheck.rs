@@ -24,7 +24,7 @@ fn fig_plans(nparts: usize, pattern: Pattern) -> Vec<(String, CommPlan)> {
         .map(|&(idx, label)| {
             let (d, spmd) = setup::decompose(&s, nparts, pattern, idx);
             let plan = CommPlan::build(&s.prog, &spmd, &d);
-            (format!("{label}:P{nparts}"), plan)
+            (format!("{label}:{}:P{nparts}", pattern.name()), plan)
         })
         .collect()
 }
@@ -42,7 +42,9 @@ fn sweeps_for(nparts: usize) -> usize {
 #[test]
 fn model_checker_proves_all_engines_on_fig9_and_fig10() {
     for nparts in [2usize, 3, 4] {
-        for (label, plan) in fig_plans(nparts, Pattern::FIG1) {
+        // Both overlap patterns, as `reproduce racecheck` sweeps them.
+        let patterns = [Pattern::FIG1, Pattern::FIG2];
+        for (label, plan) in patterns.into_iter().flat_map(|pat| fig_plans(nparts, pat)) {
             for engine in EngineKind::ALL {
                 let out = mc::check_plan(&plan, engine, sweeps_for(nparts));
                 assert!(

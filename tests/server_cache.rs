@@ -249,8 +249,23 @@ fn daemon_serves_the_protocol_over_a_socket() {
     assert_eq!(cache.get("placement").unwrap().as_str(), Some("miss"));
     assert_eq!(events[1].get("event").unwrap().as_str(), Some("result"));
     assert!(events[1].get("checksum").is_some());
-    // The diag trace is a real TRACE snapshot with engine counters.
-    assert!(events[0].get("trace").unwrap().get("counters").is_some());
+    // The diag trace is this run's engine counters, in the one
+    // snapshot schema `stats.metrics` is also rendered in.
+    let trace = events[0].get("trace").unwrap();
+    assert!(trace.get("counters").unwrap().get("engine.iterations").is_some());
+    let stats = client.request("{\"op\":\"stats\"}").unwrap();
+    let top_level = |v: &syncplace::obs::json::Value| match v {
+        syncplace::obs::json::Value::Obj(members) => {
+            members.iter().map(|(k, _)| k.clone()).collect::<Vec<_>>()
+        }
+        other => panic!("not an object: {other:?}"),
+    };
+    assert_eq!(top_level(trace), top_level(stats[0].get("metrics").unwrap()));
+    assert_eq!(
+        top_level(trace),
+        ["counters", "gauges", "hists", "packets", "dropped"]
+    );
+    assert_eq!(trace.get("dropped").unwrap().as_f64(), Some(0.0));
 
     // Malformed and unservable requests answer structured errors.
     let bad = client.request("{\"op\":\"run\"}").unwrap();
@@ -333,6 +348,37 @@ fn over_long_request_line_is_refused_over_the_socket() {
     let stats = client.request("{\"op\":\"stats\"}").unwrap();
     let counters = stats[0].get("metrics").unwrap().get("counters").unwrap();
     assert_eq!(counters.get("server.io_error").unwrap().as_f64(), Some(1.0));
+    handle.stop().unwrap();
+}
+
+/// A request line that is not UTF-8 gets a typed error, is no I/O
+/// error, and the same connection then serves a `ping`.
+#[test]
+fn non_utf8_request_line_is_refused_and_the_connection_keeps_serving() {
+    use std::io::{BufRead, BufReader, Write};
+    let socket = scratch_socket("non-utf8");
+    let _ = std::fs::remove_file(&socket);
+    let handle = Daemon::spawn(&socket, ServiceConfig::default()).unwrap();
+    let mut stream = std::os::unix::net::UnixStream::connect(&socket).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut ask = |line: &[u8]| {
+        stream.write_all(line).unwrap();
+        let mut reply = String::new();
+        reader.read_line(&mut reply).unwrap();
+        syncplace::obs::json::parse(reply.trim()).expect(&reply)
+    };
+
+    let bad = ask(b"\xff\xfe{\"op\":\"ping\"}\n");
+    assert_eq!(bad.get("event").unwrap().as_str(), Some("error"));
+    assert_eq!(bad.get("code").unwrap().as_str(), Some("bad-request"));
+    let msg = bad.get("detail").unwrap().as_str().unwrap();
+    assert!(msg.contains("not UTF-8"), "{msg}");
+
+    let pong = ask(b"{\"op\":\"ping\"}\n");
+    assert_eq!(pong.get("event").unwrap().as_str(), Some("pong"));
+    let stats = ask(b"{\"op\":\"stats\"}\n");
+    let counters = stats.get("metrics").unwrap().get("counters").unwrap();
+    assert!(counters.get("server.io_error").is_none());
     handle.stop().unwrap();
 }
 
