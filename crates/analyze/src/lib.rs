@@ -65,5 +65,5 @@ pub use syncplace_ir::diag::{codes, Diagnostic, Report, Severity, Span};
 pub use audit::{audit, audit_coverage, audit_plan};
 pub use hb::{check_log, HbStats};
 pub use lint::{lint_program, lint_solution};
-pub use mc::{check as mc_check, check_plan, decomp_model, EngineKind, McOutcome, McProgram};
+pub use mc::{check as mc_check, check_plan, decomp_model, McOutcome, McProgram};
 pub use verify::{feasible_states, verify_mapping, verify_solution, Feasible};

@@ -38,43 +38,7 @@
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use syncplace_ir::diag::{codes, Diagnostic, Report, Span};
-use syncplace_runtime::CommPlan;
-
-/// Which engine's scheduling discipline to model over a [`CommPlan`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EngineKind {
-    /// Round-robin sequential reference: plain phase-ordered
-    /// send-then-receive, no gang barrier.
-    Reference,
-    /// Batched engine: the reference's phase order as rank tasks on W
-    /// pool workers (any W: run-to-block schedules are a subset of the
-    /// interleavings explored here; gang-join barrier at the end),
-    /// coalesced per-peer packets recycling through per-pair free
-    /// lists (credits seeded empty — first acquire allocates).
-    Batched,
-    /// Overlapped engine: split-phase staged posts issued one phase
-    /// early (double-buffered, credits seeded at 2 per pair) with
-    /// wrap-around tail posts between sweeps.
-    Overlapped,
-}
-
-impl EngineKind {
-    /// All three engines, in the canonical reporting order.
-    pub const ALL: [EngineKind; 3] = [
-        EngineKind::Reference,
-        EngineKind::Batched,
-        EngineKind::Overlapped,
-    ];
-
-    /// Stable lowercase name used in reports and BENCH sections.
-    pub fn name(self) -> &'static str {
-        match self {
-            EngineKind::Reference => "reference",
-            EngineKind::Batched => "batched",
-            EngineKind::Overlapped => "overlapped",
-        }
-    }
-}
+use syncplace_runtime::{CommPlan, Engine};
 
 /// One abstract per-rank operation of the modelled schedule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -172,6 +136,10 @@ fn push_sends(o: &mut Vec<McOp>, plan: &CommPlan, r: usize, k: usize, staged: bo
     }
 }
 
+/// The complete half of phase `k` on rank `r`, in the order
+/// `RankProc::complete_phase` (`runtime/src/pooled.rs`) executes it:
+/// round-1 receives, the reduction tree (children → parent →
+/// children), then round 2.
 fn push_completes(o: &mut Vec<McOp>, plan: &CommPlan, r: usize, k: usize, staged: bool) {
     let n = plan.nparts;
     let ph = &plan.phases[k];
@@ -182,27 +150,6 @@ fn push_completes(o: &mut Vec<McOp>, plan: &CommPlan, r: usize, k: usize, staged
                 from: q,
                 expect: tag(k, R1, q, r, n),
                 staged,
-            });
-        }
-    }
-    // Round 2 (assembled totals back to participants) runs
-    // synchronously inside the phase completion on every engine.
-    for q in 0..n {
-        if q != r && rp.send2_len[q] > 0 {
-            o.push(McOp::Send {
-                to: q,
-                tag: tag(k, R2, r, q, n),
-                staged: false,
-                acquire: true,
-            });
-        }
-    }
-    for q in 0..n {
-        if q != r && !rp.recv2[q].is_empty() {
-            o.push(McOp::Recv {
-                from: q,
-                expect: tag(k, R2, q, r, n),
-                staged: false,
             });
         }
     }
@@ -238,17 +185,50 @@ fn push_completes(o: &mut Vec<McOp>, plan: &CommPlan, r: usize, k: usize, staged
             });
         }
     }
+    // Round 2 (assembled totals back to participants) closes the
+    // phase, after the tree, synchronously inside the completion.
+    for q in 0..n {
+        if q != r && rp.send2_len[q] > 0 {
+            o.push(McOp::Send {
+                to: q,
+                tag: tag(k, R2, r, q, n),
+                staged: false,
+                acquire: true,
+            });
+        }
+    }
+    for q in 0..n {
+        if q != r && !rp.recv2[q].is_empty() {
+            o.push(McOp::Recv {
+                from: q,
+                expect: tag(k, R2, q, r, n),
+                staged: false,
+            });
+        }
+    }
 }
 
 /// Abstract `plan` as scheduled by `engine` over `sweeps` time-loop
-/// iterations into a checkable transition system.
-pub fn from_plan(plan: &CommPlan, engine: EngineKind, sweeps: usize) -> McProgram {
+/// iterations into a checkable transition system. The three modelled
+/// disciplines:
+///
+/// * [`Engine::RoundRobin`] — plain phase-ordered send-then-receive,
+///   no gang barrier.
+/// * [`Engine::Batched`] — the same phase order as rank tasks on W
+///   pool workers (any W: run-to-block schedules are a subset of the
+///   interleavings explored here; gang-join barrier at the end),
+///   coalesced per-peer packets recycling through per-pair free lists
+///   (credits seeded empty — first acquire allocates).
+/// * [`Engine::Overlapped`] — split-phase staged posts issued one
+///   phase early (double-buffered, credits seeded at 2 per pair) with
+///   wrap-around tail posts between sweeps.
+pub fn from_plan(plan: &CommPlan, engine: Engine, sweeps: usize) -> McProgram {
     let n = plan.nparts;
     let m = plan.phases.len();
     let mut ops: Vec<Vec<McOp>> = vec![Vec::new(); n];
     let mut seed_credits = vec![0u32; n * n];
     match engine {
-        EngineKind::Overlapped => {
+        Engine::Overlapped => {
             for (r, o) in ops.iter_mut().enumerate() {
                 if m > 0 {
                     // Prologue post, then each completed phase
@@ -258,7 +238,7 @@ pub fn from_plan(plan: &CommPlan, engine: EngineKind, sweeps: usize) -> McProgra
                     // A rank may thus run a full phase ahead of a
                     // peer, so a pair's channel holds two in-flight
                     // packets — the split-phase overlap the double
-                    // buffers exist for. Posting *before* the
+                    // buffers exist for. A post *before* the
                     // same-rank complete would reorder round-1
                     // traffic ahead of the previous phase's tree
                     // packets on the shared FIFO, which the real
@@ -292,12 +272,12 @@ pub fn from_plan(plan: &CommPlan, engine: EngineKind, sweeps: usize) -> McProgra
                 }
             }
         }
-        _ => {
-            // Reference and batched both execute phases in order:
+        Engine::RoundRobin | Engine::Batched => {
+            // Round-robin and batched both execute phases in order:
             // post everything, then complete. Batched buffers recycle
             // through free lists seeded empty, and its ranks meet at
             // the pool's gang join.
-            let batched = engine == EngineKind::Batched;
+            let batched = engine == Engine::Batched;
             for (r, o) in ops.iter_mut().enumerate() {
                 for _ in 0..sweeps {
                     for k in 0..m {
@@ -1007,7 +987,7 @@ pub fn check(prog: &McProgram) -> McOutcome {
 }
 
 /// Build the engine model for `plan` and [`check`] it in one step.
-pub fn check_plan(plan: &CommPlan, engine: EngineKind, sweeps: usize) -> McOutcome {
+pub fn check_plan(plan: &CommPlan, engine: Engine, sweeps: usize) -> McOutcome {
     check(&from_plan(plan, engine, sweeps))
 }
 
@@ -1460,6 +1440,81 @@ mod tests {
         assert!(m.apply(&mut bad));
         let out = check(&bad);
         assert!(out.report.has_code(code), "{}", out.report);
+    }
+
+    /// A `CommPlan` with a phase that carries both an assembly and a
+    /// reduction: under the node-overlap pattern (fig7) the scattered
+    /// `A` needs `assemble` and the summed `s` needs `reduce` before
+    /// the one loop that reads both. No built-in program × pattern
+    /// groups the two, so the fixture is its own DSL text.
+    fn assemble_and_reduce_plan(nparts: usize) -> CommPlan {
+        use syncplace_overlap::{decompose2d, Pattern};
+        use syncplace_partition::{partition2d, Method};
+        use syncplace_placement::{analyze_program, CostParams, SearchOptions};
+        let prog = syncplace_ir::parser::parse(
+            "program both\n  input X : node\n  output Y : node\n  map SOM : tri -> node [3]\n  \
+             var A : node\n  var s : scalar\n  \
+             forall i in node split { A(i) = 0.0 }\n  \
+             forall t in tri split {\n    \
+             A(SOM(t,1)) = A(SOM(t,1)) + X(SOM(t,2))\n    \
+             A(SOM(t,2)) = A(SOM(t,2)) + X(SOM(t,3))\n    \
+             A(SOM(t,3)) = A(SOM(t,3)) + X(SOM(t,1))\n  }\n  \
+             s = 0.0\n  \
+             forall i in node split { s = s + X(i) }\n  \
+             forall i in node split { Y(i) = A(i) * s }\nend",
+        )
+        .expect("fixture parses");
+        let automaton = syncplace_automata::predefined::fig7();
+        let (dfg, analysis) = analyze_program(
+            &prog,
+            &automaton,
+            &SearchOptions::default(),
+            &CostParams::default(),
+        );
+        let mesh = syncplace_mesh::gen2d::perturbed_grid(7, 7, 0.1, 5);
+        let part = partition2d(&mesh, nparts, Method::Greedy);
+        let d = decompose2d(&mesh, &part.part, nparts, Pattern::FIG2);
+        let spmd = syncplace_codegen::spmd_program(&prog, &dfg, &analysis.solutions[0]);
+        CommPlan::build(&prog, &spmd, &d)
+    }
+
+    #[test]
+    fn tree_precedes_round_two_as_in_complete_phase() {
+        // `RankProc::complete_phase` runs the reduction tree before it
+        // ships the assembled totals; the model must prove that order,
+        // not the reverse.
+        let n = 3;
+        let plan = assemble_and_reduce_plan(n);
+        let round = |t: u32| (t as usize / (n * n)) % 4;
+        for engine in Engine::ALL {
+            let prog = from_plan(&plan, engine, 1);
+            let mut checked = 0;
+            for (k, ph) in plan.phases.iter().enumerate() {
+                if ph.assembles == 0 || ph.reduces == 0 {
+                    continue;
+                }
+                for (r, ops) in prog.ops.iter().enumerate() {
+                    let rounds: Vec<usize> = ops
+                        .iter()
+                        .filter_map(|o| match *o {
+                            McOp::Send { tag, .. } | McOp::Recv { expect: tag, .. } => Some(tag),
+                            _ => None,
+                        })
+                        .filter(|&t| tag_phase(t, n) == k)
+                        .map(round)
+                        .collect();
+                    let last_tree = rounds.iter().rposition(|&x| x == TREE_UP || x == TREE_DOWN);
+                    let first_r2 = rounds.iter().position(|&x| x == R2);
+                    if let (Some(t), Some(r2)) = (last_tree, first_r2) {
+                        assert!(t < r2, "{} rank {r} phase {k}: {rounds:?}", engine.name());
+                        checked += 1;
+                    }
+                }
+            }
+            assert!(checked > 0, "no rank both reduces and assembles in one phase");
+            let out = check(&prog);
+            assert!(out.report.is_clean(), "{}: {}", engine.name(), out.report);
+        }
     }
 
     #[test]

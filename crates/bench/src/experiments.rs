@@ -193,7 +193,7 @@ pub fn e4_e5_testiv(scale: Scale) -> String {
     let mut rows = Vec::new();
     for (label, idx) in [("fig9-style", fig9_idx), ("fig10-style", fig10_idx)] {
         let (d, spmd) = setup::decompose(&s, 4, Pattern::FIG1, idx);
-        let res = syncplace::runtime::run_spmd(&s.prog, &spmd, &d, &s.bindings).unwrap();
+        let res = syncplace::Engine::RoundRobin.run(&s.prog, &spmd, &d, &s.bindings).unwrap();
         let err = syncplace::runtime::max_rel_error(&seq, &res);
         rows.push(vec![
             label.to_string(),
@@ -260,7 +260,7 @@ pub fn e6_speedup(scale: Scale) -> String {
     for p in [1usize, 2, 4, 8, 16, 32] {
         let part = syncplace::partition::partition2d(&mesh, p, syncplace::partition::Method::RcbKl);
         let d = syncplace::overlap::decompose2d(&mesh, &part.part, p, Pattern::FIG1);
-        let res = syncplace::runtime::run_spmd(&prog, &spmd, &d, &bindings).unwrap();
+        let res = syncplace::Engine::RoundRobin.run(&prog, &spmd, &d, &bindings).unwrap();
         let t = syncplace::runtime::timing::estimate(&seq, &res, &model);
         if p == 32 {
             s32 = t.speedup;
@@ -359,7 +359,7 @@ pub fn e8_inspector(scale: Scale) -> String {
     let mut rows = Vec::new();
     for p in [2usize, 4, 8] {
         let (d, spmd) = setup::decompose(&s, p, Pattern::FIG1, 0);
-        let placed = syncplace::runtime::run_spmd(&s.prog, &spmd, &d, &s.bindings).unwrap();
+        let placed = syncplace::Engine::RoundRobin.run(&s.prog, &spmd, &d, &s.bindings).unwrap();
         let insp = syncplace::inspector::run_inspector_executor(&s.prog, &d, &s.bindings).unwrap();
         let err_placed = syncplace::runtime::max_rel_error(&seq, &placed);
         let err_insp = syncplace::runtime::max_rel_error(&seq, &insp.result);
@@ -475,7 +475,7 @@ pub fn e10_tet3d(scale: Scale) -> String {
     for p in [2usize, 4] {
         let part = syncplace::partition::partition3d(&mesh, p, syncplace::partition::Method::Rcb);
         let d = syncplace::overlap::decompose3d(&mesh, &part.part, p, Pattern::FIG1);
-        let res = syncplace::runtime::run_spmd(&prog, &spmd, &d, &bindings).unwrap();
+        let res = syncplace::Engine::RoundRobin.run(&prog, &spmd, &d, &bindings).unwrap();
         let err = syncplace::runtime::max_rel_error(&seq, &res);
         rows.push(vec![
             format!("{p}"),
@@ -561,7 +561,7 @@ pub fn e12_checker(scale: Scale) -> String {
                 ops.retain(|o| !matches!(o, syncplace::codegen::CommOp::Reduce { .. }));
             }
         }
-        let res = syncplace::runtime::run_spmd(&s.prog, &spmd, &d, &s.bindings).unwrap();
+        let res = syncplace::Engine::RoundRobin.run(&s.prog, &spmd, &d, &s.bindings).unwrap();
         let err = syncplace::runtime::max_rel_error(&seq, &res);
         rows.push(vec![
             label.clone(),
@@ -620,7 +620,7 @@ pub fn e13_edges(scale: Scale) -> String {
         let part =
             syncplace::partition::partition2d(&mesh, p, syncplace::partition::Method::Greedy);
         let d = syncplace::overlap::decompose2d(&mesh, &part.part, p, Pattern::FIG1);
-        let res = syncplace::runtime::run_spmd(&prog, &spmd, &d, &bindings).unwrap();
+        let res = syncplace::Engine::RoundRobin.run(&prog, &spmd, &d, &bindings).unwrap();
         let err = syncplace::runtime::max_rel_error(&seq, &res);
         rows.push(vec![
             format!("{p}"),
@@ -692,7 +692,7 @@ pub fn e14_two_layer(scale: Scale) -> String {
             4,
             Pattern::ElementOverlap { layers },
         );
-        let res = syncplace::runtime::run_spmd(&prog, &spmd, &d, &bindings).unwrap();
+        let res = syncplace::Engine::RoundRobin.run(&prog, &spmd, &d, &bindings).unwrap();
         let err = syncplace::runtime::max_rel_error(&seq, &res);
         rows.push(vec![
             label.to_string(),
@@ -796,7 +796,7 @@ pub fn e15_adaptive(scale: Scale) -> String {
         syncplace::partition::partition2d(&fine, nparts, syncplace::partition::Method::RcbKl);
     for (label, part) in [("inherited", &inherited), ("repartitioned", &repart.part)] {
         let d = syncplace::overlap::decompose2d(&fine, part, nparts, Pattern::FIG1);
-        let res = syncplace::runtime::run_spmd(&prog, &spmd, &d, &b2).unwrap();
+        let res = syncplace::Engine::RoundRobin.run(&prog, &spmd, &d, &b2).unwrap();
         let err = syncplace::runtime::max_rel_error(&seq2, &res);
         let max = res.per_proc_compute.iter().cloned().fold(0.0f64, f64::max);
         let avg: f64 = res.per_proc_compute.iter().sum::<f64>() / res.per_proc_compute.len() as f64;
@@ -985,14 +985,14 @@ struct EngineRow {
     modeled_vs_rr: f64,
 }
 
-/// Run every engine on one decomposition and drive each through the α/β model with
-/// its actual wire behaviour ([`syncplace::runtime::Wire`]): the
+/// Run every engine on one decomposition and drive each through the
+/// α/β model as itself ([`syncplace::runtime::estimate_engine`]): the
 /// round-robin reference serializes reductions into ascending-rank
 /// chains, the concurrent engines run the binomial tree, and the
-/// overlapped engine additionally discounts each phase by the compute
-/// it provably kept in flight ([`syncplace::runtime::OverlapReport`]).
-/// The modeled columns are deterministic — computed from
-/// schedule-derived counters, not clocks.
+/// overlapped engine's result additionally discounts each phase by the
+/// compute it provably kept in flight
+/// ([`syncplace::runtime::OverlapReport`]). The modeled columns are
+/// deterministic — computed from schedule-derived counters, not clocks.
 ///
 /// Coalescing must never send *more* messages than the per-op wire it
 /// replaces (the fixed P=8 packet regression); a violation is pushed
@@ -1005,13 +1005,10 @@ fn engine_rows(
     reps: usize,
     faults: &mut Vec<String>,
 ) -> Vec<EngineRow> {
-    use syncplace::runtime::{estimate_engine, run_spmd_pooled, Posting, Wire};
+    use syncplace::runtime::estimate_engine;
     use syncplace::Engine;
 
     let p = d.nparts;
-    // One overlapped run up front for this P's hidden-work profile.
-    let (_, ov_report) =
-        run_spmd_pooled(&s.prog, spmd, d, &s.bindings, Posting::Early, None, &None).unwrap();
     let model = TimingModel::default();
     let mut rr_t_par = f64::NAN;
     let mut unbatched_messages = usize::MAX;
@@ -1026,12 +1023,7 @@ fn engine_rows(
             res = Some(r);
         }
         let r = res.unwrap();
-        let (wire, hidden) = match engine {
-            Engine::RoundRobin => (Wire::ReferenceChain, None),
-            Engine::Overlapped => (Wire::Tree, Some(ov_report.hidden_units.as_slice())),
-            Engine::Batched => (Wire::Tree, None),
-        };
-        let est = estimate_engine(seq, &r, &model, wire, hidden);
+        let est = estimate_engine(seq, &r, &model, engine);
         let messages = r.stats.total_messages();
         if engine == Engine::RoundRobin {
             rr_t_par = est.t_par;
@@ -1329,7 +1321,7 @@ pub fn e25_racecheck(scale: Scale) -> (String, bool) {
     use std::fmt::Write as _;
     use std::sync::Arc;
     use syncplace::analyze::hb;
-    use syncplace::analyze::mc::{self, EngineKind};
+    use syncplace::analyze::mc;
     use syncplace::obs::{keys, HbRecorder, RecorderRef};
     use syncplace::runtime::CommPlan;
     use syncplace::Engine;
@@ -1356,7 +1348,7 @@ pub fn e25_racecheck(scale: Scale) -> (String, bool) {
     let mut enabled = 0u64;
     let mut capped = 0u64;
     let mut mc_rows: Vec<Vec<String>> = Vec::new();
-    for engine in EngineKind::ALL {
+    for engine in Engine::ALL {
         let (mut e_states, mut e_trans, mut e_enabled, mut e_progs) = (0u64, 0u64, 0u64, 0u64);
         let mut verdict = "proven".to_string();
         for &(idx, label) in &solutions {
@@ -1454,7 +1446,7 @@ pub fn e25_racecheck(scale: Scale) -> (String, bool) {
     // 2. MC mutation suite.
     let (mc_d, mc_spmd) = setup::decompose(&s, 3, Pattern::FIG1, 0);
     let mc_plan = CommPlan::build(&s.prog, &mc_spmd, &mc_d);
-    let mut bases: Vec<mc::McProgram> = EngineKind::ALL
+    let mut bases: Vec<mc::McProgram> = Engine::ALL
         .iter()
         .map(|&e| mc::from_plan(&mc_plan, e, 2))
         .collect();

@@ -231,7 +231,7 @@ fn with_program(cmd: &str, rest: &[String]) -> i32 {
     let part = partition2d(&mesh, opts.procs, Method::RcbKl);
     let d = decompose2d(&mesh, &part.part, opts.procs, opts.pattern);
     print!("{}", d.report());
-    match syncplace::runtime::run_spmd(&prog, &spmd, &d, &bindings) {
+    match Engine::RoundRobin.run(&prog, &spmd, &d, &bindings) {
         Ok(res) => {
             let err = syncplace::runtime::max_rel_error(&seq, &res);
             println!(
@@ -287,7 +287,7 @@ fn sweep(
     while p <= opts.procs {
         let part = partition2d(&mesh, p, Method::RcbKl);
         let d = decompose2d(&mesh, &part.part, p, opts.pattern);
-        match syncplace::runtime::run_spmd(prog, spmd, &d, &bindings) {
+        match Engine::RoundRobin.run(prog, spmd, &d, &bindings) {
             Ok(res) => {
                 let t = syncplace::runtime::timing::estimate(&seq, &res, &model);
                 let err = syncplace::runtime::max_rel_error(&seq, &res);

@@ -61,77 +61,10 @@ pub use syncplace_partition as partition;
 pub use syncplace_placement as placement;
 pub use syncplace_runtime as runtime;
 
-use std::sync::Arc;
-
-/// Which SPMD engine executes a placed program. All three produce
-/// bitwise-identical results; they differ in scheduling and wire
-/// format only.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Engine {
-    /// The deterministic round-robin reference executor.
-    RoundRobin,
-    /// Rank tasks on the W-worker pool ([`runtime::SpmdPool`], W =
-    /// `available_parallelism` whatever P is) exchanging batched
-    /// zero-copy phases: one coalesced packet per peer per phase,
-    /// recycled staging buffers, posted at the insertion point. A rank
-    /// that fails makes the run an `Err`, never a hang.
-    Batched,
-    /// The batched wire plus communication/compute overlap: round-1
-    /// sends post early (producer splits, hoisted posts, wrap-around
-    /// pipelining) and the staging area is double-buffered.
-    Overlapped,
-}
-
-impl Engine {
-    /// All three engines, in documentation order — iterate this to
-    /// compare engines on the same placed program.
-    pub const ALL: [Engine; 3] = [Engine::RoundRobin, Engine::Batched, Engine::Overlapped];
-
-    /// The engine's stable display name (used in reports, trace
-    /// output and the daemon's `engine` field).
-    pub fn name(self) -> &'static str {
-        match self {
-            Engine::RoundRobin => "round-robin",
-            Engine::Batched => "batched",
-            Engine::Overlapped => "overlapped",
-        }
-    }
-
-    /// Run a placed SPMD program with this engine.
-    pub fn run<const V: usize>(
-        self,
-        prog: &ir::Program,
-        spmd: &codegen::SpmdProgram,
-        d: &overlap::Decomposition<V>,
-        b: &runtime::Bindings,
-    ) -> Result<runtime::SpmdResult, String> {
-        self.run_with(prog, spmd, d, b, None, &None)
-    }
-
-    /// [`Engine::run`] with a prebuilt communication plan and an
-    /// observability hook. `plan` is reused by the pooled engines
-    /// instead of building one per run (the round-robin reference
-    /// executes the schedules directly and ignores it); `rec` as
-    /// `Some(Arc<dyn Recorder>)` captures per-phase spans,
-    /// schedule-derived comm counters and per-pair packet counts,
-    /// `&None` is the zero-cost disabled path.
-    pub fn run_with<const V: usize>(
-        self,
-        prog: &ir::Program,
-        spmd: &codegen::SpmdProgram,
-        d: &overlap::Decomposition<V>,
-        b: &runtime::Bindings,
-        plan: Option<&Arc<runtime::CommPlan>>,
-        rec: &obs::RecorderRef,
-    ) -> Result<runtime::SpmdResult, String> {
-        let posting = match self {
-            Engine::RoundRobin => return runtime::run_spmd_recorded(prog, spmd, d, b, rec),
-            Engine::Batched => runtime::Posting::Late,
-            Engine::Overlapped => runtime::Posting::Early,
-        };
-        runtime::run_spmd_pooled(prog, spmd, d, b, posting, plan, rec).map(|(res, _)| res)
-    }
-}
+/// The one engine identity and the one way to run a placed program
+/// (`Engine::ALL`, `name`, `run`, `run_with`), defined by the crate
+/// that executes it.
+pub use syncplace_runtime::Engine;
 
 /// The automaton an overlapping pattern implies (2-D; the CLI's
 /// `--dim3` picks `fig8` itself).

@@ -217,7 +217,7 @@ pub fn run_inspector_executor<const V: usize>(
 
     // Outputs: ghosts are stale by design; gather from owners as usual.
     let phases_in_loop = stats.nphases();
-    let result = collect_results::<V>(prog, d, machines, stats, iters);
+    let result = collect_results::<V>(prog, d, machines, stats, iters, Default::default());
     Ok(InspectorResult {
         result,
         inspect_cost: plan.inspect_cost,

@@ -34,7 +34,6 @@
 #![forbid(unsafe_code)]
 
 pub mod ast;
-pub mod builder;
 pub mod diag;
 pub mod parser;
 pub mod printer;

@@ -79,40 +79,6 @@ impl Csr {
     pub fn iter(&self) -> impl Iterator<Item = (usize, &[u32])> + '_ {
         (0..self.nrows()).map(move |r| (r, self.row(r)))
     }
-
-    /// Sort the targets within every row (useful for deterministic
-    /// communication schedules and binary-searchable rows).
-    pub fn sort_rows(&mut self) {
-        for r in 0..self.nrows() {
-            let (s, e) = (self.offsets[r] as usize, self.offsets[r + 1] as usize);
-            self.targets[s..e].sort_unstable();
-        }
-    }
-
-    /// Transpose: if `self` maps A→B entities, the result maps B→A.
-    /// `ncols` is the number of B entities.
-    pub fn transpose(&self, ncols: usize) -> Csr {
-        let mut counts = vec![0u32; ncols + 1];
-        for &t in &self.targets {
-            counts[t as usize + 1] += 1;
-        }
-        for i in 1..=ncols {
-            counts[i] += counts[i - 1];
-        }
-        let mut targets = vec![0u32; self.targets.len()];
-        let mut cursor = counts.clone();
-        for r in 0..self.nrows() {
-            for &t in self.row(r) {
-                let c = &mut cursor[t as usize];
-                targets[*c as usize] = r as u32;
-                *c += 1;
-            }
-        }
-        Csr {
-            offsets: counts,
-            targets,
-        }
-    }
 }
 
 /// Result of [`dedup_first_seen`]: the unique keys in first-seen
@@ -134,9 +100,8 @@ pub struct Dedup<K> {
 /// Sorts `(key, position)` pairs, identifies runs of equal keys, and
 /// orders the runs by their first (minimal) position, which reproduces
 /// first-seen numbering exactly. O(m log m) with two u32 scratch
-/// arrays; this is the shared edge/face indexer used by
-/// `Mesh2d::connectivity`, `Mesh3d::connectivity`, and the
-/// decomposition builder, so the numbering agrees everywhere.
+/// arrays; this is the indexer under [`edges_first_seen`] and
+/// `Mesh3d::connectivity`'s face numbering.
 pub fn dedup_first_seen<K: Ord + Copy>(occ: &[K]) -> Dedup<K> {
     let m = occ.len();
     assert!(m < u32::MAX as usize, "occurrence count overflows u32");
@@ -183,6 +148,37 @@ pub fn unpack_pair(key: u64) -> (u32, u32) {
     ((key >> 32) as u32, key as u32)
 }
 
+/// All vertex index pairs `(i, j)` with `i < j` among `V` vertices —
+/// the local edges of a `V`-vertex simplex, in the canonical order
+/// every edge-numbering pass uses.
+pub fn vertex_pairs<const V: usize>() -> impl Iterator<Item = (usize, usize)> {
+    (0..V).flat_map(move |i| (i + 1..V).map(move |j| (i, j)))
+}
+
+/// Number of vertex pairs of a `V`-vertex simplex, `V(V−1)/2`.
+pub const fn n_vertex_pairs<const V: usize>() -> usize {
+    V * (V - 1) / 2
+}
+
+/// The one edge numbering: the unique edges of `elems` as sorted node
+/// pairs `[lo, hi]`, numbered in first-seen order over elements ×
+/// [`vertex_pairs`], plus the edge id of every element-local pair slot
+/// (`elem_edge_ids[e * n_vertex_pairs::<V>() + k]`). Both meshes'
+/// `connectivity` and the decomposition builder call this, which is
+/// why edge ids agree everywhere.
+pub fn edges_first_seen<const V: usize>(elems: &[[u32; V]]) -> (Vec<[u32; 2]>, Vec<u32>) {
+    let mut occ: Vec<u64> = Vec::with_capacity(elems.len() * n_vertex_pairs::<V>());
+    for el in elems {
+        for (i, j) in vertex_pairs::<V>() {
+            occ.push(pack_pair(el[i], el[j]));
+        }
+    }
+    let Dedup { keys, ids } = dedup_first_seen(&occ);
+    drop(occ);
+    let edges = keys.into_iter().map(|k| unpack_pair(k).into()).collect();
+    (edges, ids)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -205,26 +201,9 @@ mod tests {
     }
 
     #[test]
-    fn transpose_roundtrip() {
-        let csr = Csr::from_rows(vec![vec![1u32, 2], vec![2], vec![0]]);
-        let t = csr.transpose(3);
-        assert_eq!(t.row(0), &[2]);
-        assert_eq!(t.row(1), &[0]);
-        assert_eq!(t.row(2), &[0, 1]);
-        let back = t.transpose(3);
-        // Double transpose preserves the relation (row order may differ
-        // within rows, but here construction order keeps it stable).
-        assert_eq!(back.row(0), &[1, 2]);
-        assert_eq!(back.row(1), &[2]);
-        assert_eq!(back.row(2), &[0]);
-    }
-
-    #[test]
-    fn degree_and_sort() {
-        let mut csr = Csr::from_rows(vec![vec![3u32, 1, 2]]);
-        assert_eq!(csr.degree(0), 3);
-        csr.sort_rows();
-        assert_eq!(csr.row(0), &[1, 2, 3]);
+    fn degree_counts_row_targets() {
+        let csr = Csr::from_rows(vec![vec![3u32, 1, 2], vec![]]);
+        assert_eq!((csr.degree(0), csr.degree(1)), (3, 0));
     }
 
     #[test]

@@ -83,19 +83,6 @@ pub fn annulus(nr: usize, ns: usize, r0: f64, r1: f64) -> Mesh2d {
     Mesh2d::new(coords, som)
 }
 
-/// Graded grid: node spacing shrinks toward `x = 0` with strength
-/// `grading >= 1` (1 = uniform). Emulates boundary-layer refinement —
-/// useful for load-imbalance experiments because uniform-area
-/// partitions of a graded mesh have uneven element counts.
-pub fn graded_grid(nx: usize, ny: usize, grading: f64) -> Mesh2d {
-    assert!(grading >= 1.0);
-    let mut mesh = grid(nx, ny);
-    for c in &mut mesh.coords {
-        c[0] = c[0].powf(grading);
-    }
-    mesh
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -158,12 +145,5 @@ mod tests {
         for t in 0..m.ntris() {
             assert!(m.signed_area(t).abs() > 1e-9);
         }
-    }
-
-    #[test]
-    fn graded_grid_compresses_left() {
-        let m = graded_grid(10, 2, 2.0);
-        // First interior column of the bottom row sits at (1/10)^2.
-        assert!((m.coords[1][0] - 0.01).abs() < 1e-12);
     }
 }

@@ -3,10 +3,12 @@
 //! A [`Mesh2d`] stores node coordinates and the triangle→node
 //! incidence (`som`, named after the `SOM` indirection array of the
 //! paper's TESTIV example — *sommet* is French for vertex). Edges and
-//! all adjacency relations are *derived*, cached lazily-by-construction
-//! in [`Mesh2d::connectivity`].
+//! all adjacency relations are *derived* by [`Mesh2d::connectivity`],
+//! which recomputes all seven tables on every call — nothing is cached
+//! (`partition2d`, `Bindings::for_mesh2d` and `synth_inputs` each pay
+//! for a full derivation).
 
-use crate::csr::{dedup_first_seen, pack_pair, unpack_pair, Csr};
+use crate::csr::{edges_first_seen, Csr};
 
 /// A 2-D triangulation in struct-of-arrays layout.
 #[derive(Debug, Clone)]
@@ -20,10 +22,9 @@ pub struct Mesh2d {
 /// Derived connectivity of a [`Mesh2d`].
 #[derive(Debug, Clone)]
 pub struct Connectivity2d {
-    /// Unique edges as sorted node pairs `(lo, hi)`, numbered in
-    /// first-seen order over triangles with the local pair order
-    /// (v1,v2), (v1,v3), (v2,v3) — the same canonical order the
-    /// decomposition builder uses, so edge ids agree everywhere.
+    /// Unique edges as sorted node pairs `(lo, hi)`, numbered by
+    /// [`edges_first_seen`]: first-seen order over triangles with the
+    /// local pair order (v1,v2), (v1,v3), (v2,v3).
     pub edges: Vec<[u32; 2]>,
     /// Triangle → its three edges (parallel to `som`; local edge `k`
     /// joins the vertex pair (v1,v2) / (v1,v3) / (v2,v3) for k=0/1/2).
@@ -89,33 +90,17 @@ impl Mesh2d {
     ///
     /// O(#tris + #edges); edges are numbered in first-seen order over
     /// triangles so numbering is deterministic for a given `som`.
+    /// Every call derives everything afresh.
     pub fn connectivity(&self) -> Connectivity2d {
         let nn = self.nnodes();
         let nt = self.ntris();
 
-        // Unique edges via the shared sort-based first-seen dedup over
-        // packed vertex pairs (one occurrence per triangle-local pair,
-        // in (v1,v2), (v1,v3), (v2,v3) order).
-        let mut occ: Vec<u64> = Vec::with_capacity(nt * 3);
-        for &[s1, s2, s3] in &self.som {
-            occ.push(pack_pair(s1, s2));
-            occ.push(pack_pair(s1, s3));
-            occ.push(pack_pair(s2, s3));
-        }
-        let dedup = dedup_first_seen(&occ);
-        let edges: Vec<[u32; 2]> = dedup
-            .keys
-            .iter()
-            .map(|&k| {
-                let (lo, hi) = unpack_pair(k);
-                [lo, hi]
-            })
-            .collect();
+        let (edges, edge_ids) = edges_first_seen(&self.som);
         let mut tri_edges = vec![[0u32; 3]; nt];
         let mut edge_tri_pairs: Vec<(u32, u32)> = Vec::with_capacity(nt * 3);
         for (t, te) in tri_edges.iter_mut().enumerate() {
             for (k, slot) in te.iter_mut().enumerate() {
-                let e = dedup.ids[t * 3 + k];
+                let e = edge_ids[t * 3 + k];
                 *slot = e;
                 edge_tri_pairs.push((e, t as u32));
             }
@@ -166,22 +151,6 @@ impl Mesh2d {
             tri_tris,
             boundary_node,
         }
-    }
-
-    /// The set of nodes of triangles in `tris`, deduplicated, in
-    /// first-seen order. Scratch-free helper used by submesh builders.
-    pub fn nodes_of_tris(&self, tris: &[u32]) -> Vec<u32> {
-        let mut seen = vec![false; self.nnodes()];
-        let mut out = Vec::new();
-        for &t in tris {
-            for &s in &self.som[t as usize] {
-                if !seen[s as usize] {
-                    seen[s as usize] = true;
-                    out.push(s);
-                }
-            }
-        }
-        out
     }
 }
 
@@ -254,13 +223,6 @@ mod tests {
         assert_eq!(c.node_tris.row(1), &[0, 1]);
         assert_eq!(c.node_tris.row(2), &[1]);
         assert_eq!(c.node_tris.row(3), &[0, 1]);
-    }
-
-    #[test]
-    fn nodes_of_tris_dedups() {
-        let m = two_tris();
-        let nodes = m.nodes_of_tris(&[0, 1]);
-        assert_eq!(nodes, vec![0, 1, 3, 2]);
     }
 
     #[test]

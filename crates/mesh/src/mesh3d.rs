@@ -5,7 +5,7 @@
 //! substrate: tet→node incidence plus derived triangular faces, unique
 //! edges, and the face-adjacency dual graph for partitioning.
 
-use crate::csr::{dedup_first_seen, pack_pair, unpack_pair, Csr};
+use crate::csr::{dedup_first_seen, edges_first_seen, Csr};
 
 /// A tetrahedral mesh in struct-of-arrays layout.
 #[derive(Debug, Clone)]
@@ -95,32 +95,20 @@ impl Mesh3d {
         let nn = self.nnodes();
         let nt = self.ntets();
 
-        // Faces and edges via the shared sort-based first-seen dedup:
-        // one occurrence per tet-local face (sorted triple key) and
-        // per tet-local edge (packed pair key).
+        // Faces via the sort-based first-seen dedup (one occurrence
+        // per tet-local face, sorted triple key); edges via the one
+        // edge numbering.
         let mut face_occ: Vec<[u32; 3]> = Vec::with_capacity(nt * 4);
-        let mut edge_occ: Vec<u64> = Vec::with_capacity(nt * 6);
         for &[a, b, c, d] in &self.tets {
             for f in [[b, c, d], [a, c, d], [a, b, d], [a, b, c]] {
                 let mut key = f;
                 key.sort_unstable();
                 face_occ.push(key);
             }
-            for (x, y) in [(a, b), (a, c), (a, d), (b, c), (b, d), (c, d)] {
-                edge_occ.push(pack_pair(x, y));
-            }
         }
         let face_dedup = dedup_first_seen(&face_occ);
-        let edge_dedup = dedup_first_seen(&edge_occ);
         let faces = face_dedup.keys;
-        let edges: Vec<[u32; 2]> = edge_dedup
-            .keys
-            .iter()
-            .map(|&k| {
-                let (lo, hi) = unpack_pair(k);
-                [lo, hi]
-            })
-            .collect();
+        let (edges, edge_ids) = edges_first_seen(&self.tets);
         let mut tet_faces = vec![[0u32; 4]; nt];
         let mut tet_edges = vec![[0u32; 6]; nt];
         let mut face_tet_pairs: Vec<(u32, u32)> = Vec::with_capacity(nt * 4);
@@ -131,7 +119,7 @@ impl Mesh3d {
                 face_tet_pairs.push((fi, t as u32));
             }
             for (k, slot) in te.iter_mut().enumerate() {
-                *slot = edge_dedup.ids[t * 6 + k];
+                *slot = edge_ids[t * 6 + k];
             }
         }
         let nf = faces.len();

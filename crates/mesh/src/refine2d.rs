@@ -8,8 +8,8 @@
 //! [`refine`] performs conforming red/green refinement: marked
 //! triangles are split into four (red); triangles with exactly one
 //! split edge are bisected (green); propagation continues until the
-//! mesh conforms. Refining everything ([`refine_all`]) is the uniform
-//! case. The §5.3 experiment uses this to show (a) the placement is
+//! mesh conforms. Marking every triangle is the uniform case. The
+//! §5.3 experiment uses this to show (a) the placement is
 //! mesh-independent and survives adaptation unchanged, and (b) the
 //! load imbalance adaptation causes — and repartitioning cures.
 
@@ -110,11 +110,6 @@ pub fn refine(mesh: &Mesh2d, marked: &[bool]) -> (Mesh2d, Vec<u32>) {
     (Mesh2d::new(coords, som), parent)
 }
 
-/// Uniform (red-everywhere) refinement.
-pub fn refine_all(mesh: &Mesh2d) -> (Mesh2d, Vec<u32>) {
-    refine(mesh, &vec![true; mesh.ntris()])
-}
-
 /// Transfer a node field from the coarse mesh to the refined one:
 /// original nodes keep their values, midpoints average their edge's
 /// endpoints (linear interpolation).
@@ -149,6 +144,11 @@ mod tests {
     use super::*;
     use crate::gen2d;
     use crate::quality::stats2d;
+
+    /// Uniform (red-everywhere) refinement.
+    fn refine_all(mesh: &Mesh2d) -> (Mesh2d, Vec<u32>) {
+        refine(mesh, &vec![true; mesh.ntris()])
+    }
 
     #[test]
     fn uniform_refinement_quadruples() {

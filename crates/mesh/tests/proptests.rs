@@ -3,34 +3,7 @@
 //! external property-testing crate so they run fully offline.
 
 use syncplace_mesh::rng::SmallRng;
-use syncplace_mesh::{csr::Csr, gen2d, quality, refine2d, reorder};
-
-#[test]
-fn csr_transpose_is_involutive() {
-    let mut rng = SmallRng::seed_from_u64(0xC5);
-    for _case in 0..48 {
-        let npairs = rng.range_usize(0, 80);
-        let pairs: Vec<(u32, u32)> = (0..npairs)
-            .map(|_| {
-                (
-                    rng.range_usize(0, 20) as u32,
-                    rng.range_usize(0, 24) as u32,
-                )
-            })
-            .collect();
-        let csr = Csr::from_pairs(20, &pairs);
-        let back = csr.transpose(24).transpose(20);
-        // Same relation as multisets per row.
-        for r in 0..20 {
-            let mut a: Vec<u32> = csr.row(r).to_vec();
-            let mut b: Vec<u32> = back.row(r).to_vec();
-            a.sort_unstable();
-            b.sort_unstable();
-            assert_eq!(a, b);
-        }
-        assert_eq!(csr.nnz(), back.nnz());
-    }
-}
+use syncplace_mesh::{gen2d, quality, refine2d, reorder};
 
 #[test]
 fn generators_always_conforming() {

@@ -119,14 +119,6 @@ impl TimelineRecorder {
         events.sort_by_key(|e| (e.begin_ns, e.end_ns, e.rank, e.name));
         TimelineSnapshot { events }
     }
-
-    /// Drop every recorded interval (shards stay registered and are
-    /// reused; the epoch is *not* moved).
-    pub fn reset(&self) {
-        for shard in self.registry.lock().expect("timeline registry").iter() {
-            shard.lock().expect("timeline shard").clear();
-        }
-    }
 }
 
 impl Recorder for TimelineRecorder {
@@ -299,16 +291,6 @@ mod tests {
         assert_eq!(a.snapshot().events.len(), 1);
         assert_eq!(b.snapshot().events.len(), 1);
         assert_eq!(a.snapshot().events[0].name, "x");
-    }
-
-    #[test]
-    fn reset_clears_but_keeps_recording() {
-        let r = TimelineRecorder::new();
-        r.event(0, "a", 1);
-        r.reset();
-        assert!(r.snapshot().events.is_empty());
-        r.event(0, "b", 2);
-        assert_eq!(r.snapshot().events.len(), 1);
     }
 
     #[test]

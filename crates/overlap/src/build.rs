@@ -22,7 +22,7 @@
 //!
 //! The whole construction path is CSR-lean: entity deduplication uses
 //! the shared sort-based first-seen numbering of `syncplace-mesh`
-//! ([`dedup_first_seen`]), per-part closure and localization run over
+//! ([`edges_first_seen`]), per-part closure and localization run over
 //! stamp-validated scratch arrays that are allocated once and reused
 //! across parts, and schedules are derived from an [`EntityPlacement`]
 //! (a global-entity → (part, local) CSR) instead of dense per-part
@@ -40,7 +40,7 @@ use crate::pattern::Pattern;
 use crate::schedule::{AssembleSchedule, UpdateSchedule};
 use crate::submesh::SubMesh;
 use std::time::Instant;
-use syncplace_mesh::{dedup_first_seen, pack_pair, unpack_pair, Csr, Mesh2d, Mesh3d};
+use syncplace_mesh::{edges_first_seen, n_vertex_pairs, Csr, Mesh2d, Mesh3d};
 
 /// A complete decomposition: all sub-meshes plus schedules and
 /// global↔local transfer helpers.
@@ -214,7 +214,7 @@ pub struct GlobalSetup {
     pub global_edges: Vec<[u32; 2]>,
     /// Element-local pair slot → global edge id, flattened:
     /// `elem_edges[e * E + k]` with `E = V(V−1)/2` and `k` in
-    /// [`vertex_pairs`] order.
+    /// [`syncplace_mesh::vertex_pairs`] order.
     pub elem_edges: Vec<u32>,
     /// Node → incident elements (for the overlap closure).
     pub node_elems: Csr,
@@ -233,9 +233,9 @@ pub fn layers_of(pattern: Pattern) -> usize {
     }
 }
 
-/// Sequential global setup: ownership min-scans, the sort-based edge
-/// dedup (first-seen numbering, identical to the meshes' connectivity
-/// numbering), and the incidence CSRs.
+/// Sequential global setup: ownership min-scans, the edge numbering
+/// (the same [`edges_first_seen`] the meshes' connectivity calls), and
+/// the incidence CSRs.
 pub fn global_setup<const V: usize>(
     nnodes: usize,
     elems: &[[u32; V]],
@@ -254,27 +254,12 @@ pub fn global_setup<const V: usize>(
         }
     }
 
-    // Global unique edges, first-seen over elements; edge owner = min
-    // incident element part.
+    // Global unique edges in the meshes' own numbering; edge owner =
+    // min incident element part.
     let e_per = n_vertex_pairs::<V>();
-    let mut occ: Vec<u64> = Vec::with_capacity(elems.len() * e_per);
-    for el in elems {
-        for (i, j) in vertex_pairs::<V>() {
-            occ.push(pack_pair(el[i], el[j]));
-        }
-    }
-    let dedup = dedup_first_seen(&occ);
-    drop(occ);
-    let global_edges: Vec<[u32; 2]> = dedup
-        .keys
-        .iter()
-        .map(|&k| {
-            let (lo, hi) = unpack_pair(k);
-            [lo, hi]
-        })
-        .collect();
+    let (global_edges, elem_edges) = edges_first_seen(elems);
     let mut edge_owner = vec![u32::MAX; global_edges.len()];
-    for (i, &id) in dedup.ids.iter().enumerate() {
+    for (i, &id) in elem_edges.iter().enumerate() {
         let o = &mut edge_owner[id as usize];
         *o = (*o).min(part[i / e_per]);
     }
@@ -288,7 +273,7 @@ pub fn global_setup<const V: usize>(
         node_owner,
         global_edges,
         edge_owner,
-        dedup.ids,
+        elem_edges,
     )
 }
 
@@ -665,18 +650,6 @@ pub fn assemble_groups_range(
     groups
 }
 
-/// All vertex index pairs `(i, j)` with `i < j` among `V` vertices —
-/// the local edges of a `V`-vertex simplex, in the canonical order
-/// every edge-numbering pass uses.
-pub fn vertex_pairs<const V: usize>() -> impl Iterator<Item = (usize, usize)> {
-    (0..V).flat_map(move |i| (i + 1..V).map(move |j| (i, j)))
-}
-
-/// Number of vertex pairs of a `V`-vertex simplex, `V(V−1)/2`.
-pub const fn n_vertex_pairs<const V: usize>() -> usize {
-    V * (V - 1) / 2
-}
-
 impl<const V: usize> Decomposition<V> {
     /// Split a global node-based array into per-processor local arrays.
     /// One pass over the local slots of each part (no global scans).
@@ -742,15 +715,6 @@ impl<const V: usize> Decomposition<V> {
             }
         }
         global
-    }
-
-    /// The node placement CSR (global node → (part, local) pairs),
-    /// derived from the sub-meshes.
-    pub fn node_placement(&self) -> EntityPlacement {
-        EntityPlacement::from_l2g(
-            self.nnodes_global,
-            self.submeshes.iter().map(|s| s.nodes_l2g.as_slice()),
-        )
     }
 
     /// Total number of duplicated (overlap) elements across parts —
@@ -1024,7 +988,10 @@ mod tests {
     #[test]
     fn placement_rows_ascend_and_locate() {
         let d = decomp(8, 8, 4, Pattern::FIG1);
-        let place = d.node_placement();
+        let place = EntityPlacement::from_l2g(
+            d.nnodes_global,
+            d.submeshes.iter().map(|s| s.nodes_l2g.as_slice()),
+        );
         assert_eq!(place.nrows(), d.nnodes_global);
         for n in 0..d.nnodes_global {
             let row: Vec<(u32, u32)> = place.row(n).collect();

@@ -73,43 +73,6 @@ impl<const V: usize> SubMesh<V> {
         self.nelems() - self.n_kernel_elems
     }
 
-    /// Is local node `l` a kernel (owned) node?
-    #[inline]
-    pub fn is_kernel_node(&self, l: u32) -> bool {
-        (l as usize) < self.n_kernel_nodes
-    }
-
-    /// Iteration bound for a node loop with the given domain flag
-    /// (`true` = full overlap domain, `false` = kernel only).
-    #[inline]
-    pub fn node_domain(&self, overlap: bool) -> usize {
-        if overlap {
-            self.nnodes()
-        } else {
-            self.n_kernel_nodes
-        }
-    }
-
-    /// Iteration bound for an element loop with the given domain flag.
-    #[inline]
-    pub fn elem_domain(&self, overlap: bool) -> usize {
-        if overlap {
-            self.nelems()
-        } else {
-            self.n_kernel_elems
-        }
-    }
-
-    /// Iteration bound for an edge loop with the given domain flag.
-    #[inline]
-    pub fn edge_domain(&self, overlap: bool) -> usize {
-        if overlap {
-            self.nedges()
-        } else {
-            self.n_kernel_edges
-        }
-    }
-
     /// Basic structural sanity: localized indices in range, kernel
     /// prefixes within bounds. Returns a description of the first
     /// violation found.
@@ -165,18 +128,11 @@ mod tests {
     }
 
     #[test]
-    fn counts_and_domains() {
+    fn counts() {
         let s = tiny();
         assert_eq!(s.nnodes(), 4);
         assert_eq!(s.n_overlap_nodes(), 1);
         assert_eq!(s.n_overlap_elems(), 1);
-        assert_eq!(s.node_domain(false), 3);
-        assert_eq!(s.node_domain(true), 4);
-        assert_eq!(s.elem_domain(false), 1);
-        assert_eq!(s.elem_domain(true), 2);
-        assert_eq!(s.edge_domain(false), 3);
-        assert!(s.is_kernel_node(2));
-        assert!(!s.is_kernel_node(3));
     }
 
     #[test]

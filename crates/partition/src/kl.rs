@@ -9,27 +9,14 @@
 
 use syncplace_mesh::Csr;
 
-/// Options controlling [`refine`].
-#[derive(Debug, Clone, Copy)]
-pub struct RefineOptions {
-    /// Maximum number of improvement passes.
-    pub max_passes: usize,
-    /// Maximum allowed part size as a multiple of the average
-    /// (e.g. 1.05 = 5% imbalance tolerance).
-    pub balance_tolerance: f64,
-}
-
-impl Default for RefineOptions {
-    fn default() -> Self {
-        RefineOptions {
-            max_passes: 8,
-            balance_tolerance: 1.05,
-        }
-    }
-}
+/// Maximum number of improvement passes of [`refine`].
+const MAX_PASSES: usize = 8;
+/// Maximum allowed part size as a multiple of the average (5%
+/// imbalance tolerance).
+const BALANCE_TOLERANCE: f64 = 1.05;
 
 /// Refine `part` in place. Returns the number of elements moved.
-pub fn refine(dual: &Csr, part: &mut [u32], nparts: usize, opts: RefineOptions) -> usize {
+pub fn refine(dual: &Csr, part: &mut [u32], nparts: usize) -> usize {
     let n = dual.nrows();
     assert_eq!(part.len(), n);
     if nparts <= 1 || n == 0 {
@@ -39,12 +26,12 @@ pub fn refine(dual: &Csr, part: &mut [u32], nparts: usize, opts: RefineOptions) 
     for &p in part.iter() {
         sizes[p as usize] += 1;
     }
-    let max_size = ((n as f64 / nparts as f64) * opts.balance_tolerance).ceil() as usize;
+    let max_size = ((n as f64 / nparts as f64) * BALANCE_TOLERANCE).ceil() as usize;
     let min_size = 1usize;
 
     let mut total_moves = 0usize;
     let mut moved = vec![false; n];
-    for _pass in 0..opts.max_passes {
+    for _pass in 0..MAX_PASSES {
         moved.fill(false);
         let mut pass_moves = 0usize;
         // Visit boundary elements in index order (deterministic).
@@ -108,7 +95,7 @@ mod tests {
         // Deliberately bad partition: strided assignment.
         let mut part: Vec<u32> = (0..dual.nrows() as u32).map(|e| e % 4).collect();
         let before = edge_cut(&dual, &part);
-        refine(&dual, &mut part, 4, RefineOptions::default());
+        refine(&dual, &mut part, 4);
         let after = edge_cut(&dual, &part);
         assert!(after <= before, "cut went {before} -> {after}");
         // A strided partition is terrible; KL should cut it at least in half.
@@ -120,16 +107,12 @@ mod tests {
         let mesh = gen2d::grid(10, 10);
         let dual = mesh.connectivity().tri_tris;
         let mut part: Vec<u32> = (0..dual.nrows() as u32).map(|e| e % 2).collect();
-        let opts = RefineOptions {
-            max_passes: 10,
-            balance_tolerance: 1.05,
-        };
-        refine(&dual, &mut part, 2, opts);
+        refine(&dual, &mut part, 2);
         let mut sizes = [0usize; 2];
         for &p in &part {
             sizes[p as usize] += 1;
         }
-        let max = (dual.nrows() as f64 / 2.0 * 1.05).ceil() as usize;
+        let max = (dual.nrows() as f64 / 2.0 * BALANCE_TOLERANCE).ceil() as usize;
         assert!(sizes[0] <= max && sizes[1] <= max, "{sizes:?}");
         assert!(sizes[0] >= 1 && sizes[1] >= 1);
     }
@@ -139,7 +122,7 @@ mod tests {
         // Two 2-cliques split perfectly: no move improves.
         let dual = Csr::from_rows(vec![vec![1u32], vec![0], vec![3], vec![2]]);
         let mut part = vec![0, 0, 1, 1];
-        let moves = refine(&dual, &mut part, 2, RefineOptions::default());
+        let moves = refine(&dual, &mut part, 2);
         assert_eq!(moves, 0);
         assert_eq!(part, vec![0, 0, 1, 1]);
     }
@@ -148,6 +131,6 @@ mod tests {
     fn single_part_noop() {
         let dual = Csr::from_rows(vec![vec![1u32], vec![0]]);
         let mut part = vec![0, 0];
-        assert_eq!(refine(&dual, &mut part, 1, RefineOptions::default()), 0);
+        assert_eq!(refine(&dual, &mut part, 1), 0);
     }
 }

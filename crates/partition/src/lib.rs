@@ -138,17 +138,17 @@ fn run(nparts: usize, method: Method, dual: &Csr, centroids: &[[f64; 3]]) -> Vec
         Method::Greedy => greedy::greedy(dual, nparts),
         Method::GreedyKl => {
             let mut p = greedy::greedy(dual, nparts);
-            kl::refine(dual, &mut p, nparts, kl::RefineOptions::default());
+            kl::refine(dual, &mut p, nparts);
             p
         }
         Method::RcbKl => {
             let mut p = rcb::rcb(centroids, nparts);
-            kl::refine(dual, &mut p, nparts, kl::RefineOptions::default());
+            kl::refine(dual, &mut p, nparts);
             p
         }
         Method::LevelsKl => {
             let mut p = levels::levels(dual, nparts);
-            kl::refine(dual, &mut p, nparts, kl::RefineOptions::default());
+            kl::refine(dual, &mut p, nparts);
             p
         }
     }

@@ -47,11 +47,11 @@
 
 use std::sync::Arc;
 use std::time::Instant;
-use syncplace_mesh::{pack_pair, unpack_pair, Mesh2d, Mesh3d};
+use syncplace_mesh::{n_vertex_pairs, pack_pair, unpack_pair, vertex_pairs, Mesh2d, Mesh3d};
 use syncplace_obs::{self as obs, keys, RecorderRef};
 use syncplace_overlap::build::{
-    assemble_groups_range, build_submesh, layers_of, n_vertex_pairs, owner_csr,
-    update_rows_for_owner, vertex_pairs, Decomposition, EntityPlacement, GlobalSetup, PartScratch,
+    assemble_groups_range, build_submesh, layers_of, owner_csr, update_rows_for_owner,
+    Decomposition, EntityPlacement, GlobalSetup, PartScratch,
 };
 use syncplace_overlap::{AssembleSchedule, Pattern, SubMesh, UpdateSchedule};
 

@@ -8,7 +8,6 @@ use crate::kernel::Kernel;
 use crate::overlap::stmt_id;
 use std::collections::HashMap;
 use syncplace_ir::{EntityKind, Program, Stmt, VarId, VarKind};
-use syncplace_obs::{self as obs, keys, RecorderRef};
 
 /// A localized indirection table; `u32::MAX` marks a target that is
 /// not present on this processor (only reachable by ill-placed
@@ -98,12 +97,9 @@ pub struct SeqResult {
     pub compute_units: f64,
 }
 
-/// Run the program sequentially on the global mesh data. Under a
-/// recorder the single machine plays rank 0 (whole-run span, rank-run
-/// event, per-loop compute events, iteration counter), so the baseline
-/// can sit next to the SPMD engines in one profile; `&None` is exactly
-/// the uninstrumented path.
-pub fn run_sequential_recorded(prog: &Program, b: &Bindings, rec: &RecorderRef) -> SeqResult {
+/// Run the sequential reference execution of a program on global mesh
+/// data — the oracle every engine's result is compared with.
+pub fn run_sequential(prog: &Program, b: &Bindings) -> SeqResult {
     b.validate(prog).expect("bindings validate");
     let mut m = Machine::new(prog, b.counts, b.counts);
     for (&v, binding) in &b.maps {
@@ -120,14 +116,8 @@ pub fn run_sequential_recorded(prog: &Program, b: &Bindings, rec: &RecorderRef) 
     let lowered = Kernel::lower(prog, |_| false, std::slice::from_ref(&m));
     let k = lowered.unwrap_or_else(|e| panic!("{e}"));
 
-    let run_t0 = obs::start(rec);
     let mut iterations = 0usize;
-    run_block_seq(&prog.body, &k, &mut m, &mut iterations, rec);
-    obs::finish_event(rec, keys::RANK_RUN, 0, run_t0);
-    if let Some(r) = rec {
-        r.add(keys::ITERATIONS, iterations as u64);
-    }
-    obs::finish(rec, keys::RUN_SPAN, run_t0);
+    run_block_seq(&prog.body, &k, &mut m, &mut iterations);
 
     let mut output_arrays = HashMap::new();
     let mut output_scalars = HashMap::new();
@@ -150,25 +140,17 @@ pub fn run_sequential_recorded(prog: &Program, b: &Bindings, rec: &RecorderRef) 
     }
 }
 
-fn run_block_seq(
-    stmts: &[Stmt],
-    k: &Kernel,
-    m: &mut Machine,
-    iterations: &mut usize,
-    rec: &RecorderRef,
-) -> bool {
+fn run_block_seq(stmts: &[Stmt], k: &Kernel, m: &mut Machine, iterations: &mut usize) -> bool {
     for s in stmts {
         match s {
             Stmt::Loop(l) => {
                 let n = m.count(l.entity);
-                let t0 = obs::start(rec);
                 m.exec_loop(k, l.id, n, n);
-                obs::finish_ranked(rec, keys::COMPUTE_SPAN, 0, t0);
             }
             Stmt::TimeLoop(t) => {
                 'time: for _ in 0..t.max_iters {
                     *iterations += 1;
-                    if run_block_seq(&t.body, k, m, iterations, rec) {
+                    if run_block_seq(&t.body, k, m, iterations) {
                         break 'time;
                     }
                 }
@@ -186,7 +168,6 @@ fn run_block_seq(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::run_sequential;
     use syncplace_ir::programs;
     use syncplace_mesh::gen2d;
 

@@ -41,12 +41,20 @@
 //!   speedup curves of experiment E6 (the paper's §2.4 cites 20–26×
 //!   on 32 processors for the real application [Farhat & Lanteri]).
 //!
-//! Every engine takes a [`syncplace_obs::RecorderRef`] (the
-//! sequential and round-robin oracles through their `*_recorded`
-//! variants): passing `Some` captures per-phase
-//! wall-clock spans, schedule-derived comm counters, per-ordered-pair
-//! packet counts and pool gauges; passing `None` costs one branch per
-//! instrumentation site (no clock reads, no locks).
+//! One identity, one way in: [`Engine`] names the three schedules and
+//! [`Engine::run`] / [`Engine::run_with`] is the only entry point that
+//! executes a placed program. The engines differ in *when* work is
+//! scheduled, never in what is computed, so everything that has to know
+//! which engine ran — the pooled core, the α/β model
+//! ([`timing::estimate_engine`]), the model checker
+//! (`syncplace_analyze::mc`) and the daemon's protocol — matches on
+//! that one enum.
+//!
+//! `run_with` takes a [`syncplace_obs::RecorderRef`]: passing `Some`
+//! captures per-phase wall-clock spans, schedule-derived comm counters,
+//! per-ordered-pair packet counts and pool gauges; passing `None` costs
+//! one branch per instrumentation site (no clock reads, no locks). The
+//! sequential reference ([`run_sequential`]) is never recorded.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -66,21 +74,91 @@ pub mod timing;
 pub use bindings::{Bindings, MapBinding};
 pub use comm::CommStats;
 pub use decomp::{decompose2d_par, decompose3d_par, decompose_par, ParDecompStats};
-pub use exec::{run_sequential_recorded, Machine, SeqResult};
+pub use exec::{run_sequential, Machine, SeqResult};
 pub use kernel::Kernel;
 pub use overlap::{OverlapPlan, OverlapReport};
 pub use plan::CommPlan;
 pub use pool::SpmdPool;
-pub use pooled::{run_spmd_pooled, Posting};
-pub use spmd::{run_spmd, run_spmd_recorded, SpmdResult};
-pub use timing::{estimate_engine, TimingModel, TimingReport, Wire};
+pub use spmd::SpmdResult;
+pub use timing::{estimate_engine, TimingModel, TimingReport};
 
+use std::sync::Arc;
+use syncplace_codegen::SpmdProgram;
 use syncplace_ir::Program;
+use syncplace_obs::RecorderRef;
+use syncplace_overlap::Decomposition;
 
-/// Run the sequential reference execution of a program on global mesh
-/// data.
-pub fn run_sequential(prog: &Program, bindings: &Bindings) -> SeqResult {
-    run_sequential_recorded(prog, bindings, &None)
+/// Which SPMD engine executes a placed program — the one engine
+/// identity of the workspace. All three produce bitwise-identical
+/// results; an engine is only a choice of schedule.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Engine {
+    /// The deterministic round-robin reference executor ([`spmd`]):
+    /// one thread advances every rank statement by statement.
+    RoundRobin,
+    /// Rank tasks on the W-worker pool ([`SpmdPool`], W =
+    /// `available_parallelism` whatever P is) exchanging batched
+    /// zero-copy phases: one coalesced packet per peer per phase,
+    /// recycled staging buffers, posted at the insertion point
+    /// ([`pooled`], late posting). A rank that fails makes the run an
+    /// `Err`, never a hang.
+    Batched,
+    /// The batched wire plus communication/compute overlap: round-1
+    /// sends post early (producer splits, hoisted posts, wrap-around
+    /// pipelining — [`overlap`]) and the staging area is
+    /// double-buffered.
+    Overlapped,
+}
+
+impl Engine {
+    /// All three engines, in documentation order — iterate this to
+    /// compare engines on the same placed program.
+    pub const ALL: [Engine; 3] = [Engine::RoundRobin, Engine::Batched, Engine::Overlapped];
+
+    /// The engine's stable name: reports, trace output, the daemon's
+    /// `engine` field and the model checker's program labels.
+    pub fn name(self) -> &'static str {
+        match self {
+            Engine::RoundRobin => "round-robin",
+            Engine::Batched => "batched",
+            Engine::Overlapped => "overlapped",
+        }
+    }
+
+    /// Run a placed SPMD program with this engine.
+    pub fn run<const V: usize>(
+        self,
+        prog: &Program,
+        spmd: &SpmdProgram,
+        d: &Decomposition<V>,
+        b: &Bindings,
+    ) -> Result<SpmdResult, String> {
+        self.run_with(prog, spmd, d, b, None, &None)
+    }
+
+    /// [`Engine::run`] with a prebuilt communication plan and an
+    /// observability hook. `plan` is reused by the pooled engines
+    /// instead of building one per run (the round-robin reference
+    /// executes the schedules directly and ignores it); `rec` as
+    /// `Some(Arc<dyn Recorder>)` captures per-phase spans,
+    /// schedule-derived comm counters and per-pair packet counts,
+    /// `&None` is the zero-cost disabled path.
+    pub fn run_with<const V: usize>(
+        self,
+        prog: &Program,
+        spmd: &SpmdProgram,
+        d: &Decomposition<V>,
+        b: &Bindings,
+        plan: Option<&Arc<CommPlan>>,
+        rec: &RecorderRef,
+    ) -> Result<SpmdResult, String> {
+        match self {
+            Engine::RoundRobin => spmd::run(prog, spmd, d, b, rec),
+            Engine::Batched | Engine::Overlapped => {
+                pooled::run(SpmdPool::global(), prog, spmd, d, b, self, plan, rec)
+            }
+        }
+    }
 }
 
 /// Compare a gathered SPMD output with the sequential reference.

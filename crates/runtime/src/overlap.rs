@@ -407,13 +407,15 @@ impl OverlapPlan {
     }
 }
 
-/// What the overlapped engine hid, alongside the run result.
+/// What the overlapped engine hid — [`crate::SpmdResult::overlap`].
+/// All zeros (and `hidden_units` possibly empty) for the other two.
 #[derive(Debug, Clone, Default)]
 pub struct OverlapReport {
     /// Per phase application, in execution order: compute units run
     /// between post and completion, minimized across ranks (the units
     /// *every* rank had in flight — the model's safely creditable
-    /// overlap). Aligned with `SpmdResult::stats.phases`.
+    /// overlap). Under a pooled engine, aligned with the same result's
+    /// `stats.phases`.
     pub hidden_units: Vec<f64>,
     /// Early posts per rank (identical across ranks: the schedule is
     /// static and control flow is SPMD).
@@ -436,7 +438,7 @@ mod tests {
     use super::*;
     use crate::bindings::testiv_bindings;
     use crate::pooled::tests::{assert_bitwise, setup};
-    use crate::pooled::{run_spmd_pooled, Posting};
+    use crate::Engine;
     use crate::spmd::build_machines;
     use syncplace_automata::predefined::{fig6, fig7};
     use syncplace_ir::programs;
@@ -484,12 +486,11 @@ mod tests {
         let si = split_solution(Pattern::FIG1).expect("fig6 has a split placement");
         for nparts in [2usize, 4, 8] {
             let (p, spmd, d, b) = setup(Pattern::FIG1, nparts, si);
-            let rr = crate::spmd::run_spmd(&p, &spmd, &d, &b).unwrap();
-            let (ov, report) =
-                run_spmd_pooled(&p, &spmd, &d, &b, Posting::Early, None, &None).unwrap();
+            let rr = Engine::RoundRobin.run(&p, &spmd, &d, &b).unwrap();
+            let ov = Engine::Overlapped.run(&p, &spmd, &d, &b).unwrap();
             assert_bitwise(&format!("split P={nparts}"), &rr, &ov);
             if nparts > 1 {
-                assert!(report.split_phases > 0, "P={nparts}: split not exercised");
+                assert!(ov.overlap.split_phases > 0, "P={nparts}: split not exercised");
             }
         }
     }
@@ -562,8 +563,8 @@ mod tests {
         // hoists to just after the scatter loop, so the convergence
         // loop's compute is hidden behind the update packets.
         let (p, spmd, d, b) = setup(Pattern::FIG1, 4, 0);
-        let (res, report) =
-            run_spmd_pooled(&p, &spmd, &d, &b, Posting::Early, None, &None).unwrap();
+        let res = Engine::Overlapped.run(&p, &spmd, &d, &b).unwrap();
+        let report = &res.overlap;
         assert!(report.early_phases > 0, "TESTIV has an early-post site");
         assert!(report.early_posts > 0);
         assert_eq!(report.hidden_units.len(), res.stats.phases.len());

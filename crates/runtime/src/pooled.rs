@@ -8,18 +8,18 @@
 //! (no copy) and recycled on a per-peer free list. Each phase has a
 //! **post** half (pack + ship the round-1 packets) and a **complete**
 //! half (receive, scatter, assemble, tree-reduce, round 2, recycle).
-//! The only parameter is *when* the post half runs ([`Posting`]):
+//! The only parameter is *when* the post half runs, and the
+//! [`Engine`] says it:
 //!
-//! * [`Posting::Late`] — the `batched` engine: post at the insertion
-//!   point, immediately before completing. Staging buffers are
-//!   allocated on first use and recycled from then on.
-//! * [`Posting::Early`] — the `overlapped` engine: post at the sites
-//!   of an [`OverlapPlan`] (producer splits, hoisted posts,
-//!   wrap-around posts), so later compute overlaps the transfer. The
-//!   free lists are pre-seeded with two buffers per peer (double
-//!   buffering: a phase can stage while its previous buffer is still
-//!   held by the receiver), and posts stranded by time-loop exhaustion
-//!   are drained.
+//! * [`Engine::Batched`] posts **late**: at the insertion point,
+//!   immediately before completing. Staging buffers are allocated on
+//!   first use and recycled from then on.
+//! * [`Engine::Overlapped`] posts **early**: at the sites of an
+//!   [`OverlapPlan`] (producer splits, hoisted posts, wrap-around
+//!   posts), so later compute overlaps the transfer. The free lists
+//!   are pre-seeded with two buffers per peer (double buffering: a
+//!   phase can stage while its previous buffer is still held by the
+//!   receiver), and posts stranded by time-loop exhaustion are drained.
 //!
 //! Early posting never changes a packed byte (see [`crate::overlap`]),
 //! and combine orders are those of the round-robin reference
@@ -34,23 +34,13 @@ use crate::overlap::{stmt_id, OverlapPlan, OverlapReport};
 use crate::plan::{CommPlan, PackItem, PhasePlan, Term};
 use crate::pool::{Mailbox, SpmdPool};
 use crate::spmd::{build_machines, collect_results, SpmdResult};
+use crate::Engine;
 use std::sync::Arc;
 use syncplace_codegen::SpmdProgram;
 use syncplace_ir::{Program, Stmt, StmtId};
 use syncplace_obs::{self as obs, keys, RecorderRef};
 use syncplace_overlap::Decomposition;
 use syncplace_placement::IterationDomain;
-
-/// When a phase's round-1 packets go on the wire.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Posting {
-    /// At the insertion point, right before the phase completes (the
-    /// `batched` engine).
-    Late,
-    /// As early as the data allows, per [`OverlapPlan`] (the
-    /// `overlapped` engine).
-    Early,
-}
 
 /// One rank's endpoints: the gang's mailboxes (`from * nparts + to` is
 /// that ordered pair's FIFO), plus a per-peer free list of spent
@@ -554,46 +544,40 @@ impl RankProc {
     }
 }
 
-/// Run a placed SPMD program as a gang of rank tasks on the global
-/// [`SpmdPool`].
+/// Run a placed SPMD program as a gang of rank tasks on `pool` — what
+/// [`Engine::run_with`] calls, on the global [`SpmdPool`], for the two
+/// pooled engines (tests pin W with a pool of their own).
 ///
-/// `posting` selects the `batched` ([`Posting::Late`]) or `overlapped`
-/// ([`Posting::Early`]) schedule. `plan` is a prebuilt [`CommPlan`] to
-/// reuse across runs on the same decomposition (`None` builds one on
-/// the fly). `rec` is the observability hook: `Some` captures per-rank
+/// `engine` selects the schedule: [`Engine::Overlapped`] posts early,
+/// [`Engine::Batched`] late. `plan` is a prebuilt [`CommPlan`] to reuse
+/// across runs on the same decomposition (`None` builds one on the
+/// fly). `rec` is the observability hook: `Some` captures per-rank
 /// packets / staged bytes at the send sites, phase spans, rank-0
 /// plan-derived counters, exit-test traffic under `exit.*` and a
 /// whole-run span; `None` costs one branch per site.
 ///
-/// Returns the run result plus the [`OverlapReport`] (all zeros for
-/// late posting) the α/β model uses to credit hidden communication. A
+/// The result carries the [`OverlapReport`] (all zeros for late
+/// posting) the α/β model uses to credit hidden communication. A
 /// failing rank — an `Err`, which every rank returns alike, or a panic,
 /// reported with its rank — is the run's `Err`; its peers are dropped
 /// where they wait.
-pub fn run_spmd_pooled<const V: usize>(
-    prog: &Program,
-    spmd: &SpmdProgram,
-    d: &Decomposition<V>,
-    b: &Bindings,
-    posting: Posting,
-    plan: Option<&Arc<CommPlan>>,
-    rec: &RecorderRef,
-) -> Result<(SpmdResult, OverlapReport), String> {
-    run_on(SpmdPool::global(), prog, spmd, d, b, posting, plan, rec)
-}
-
-/// [`run_spmd_pooled`] on a given pool (tests pin W with it).
 #[allow(clippy::too_many_arguments)]
-fn run_on<const V: usize>(
+pub(crate) fn run<const V: usize>(
     pool: &SpmdPool,
     prog: &Program,
     spmd: &SpmdProgram,
     d: &Decomposition<V>,
     b: &Bindings,
-    posting: Posting,
+    engine: Engine,
     plan: Option<&Arc<CommPlan>>,
     rec: &RecorderRef,
-) -> Result<(SpmdResult, OverlapReport), String> {
+) -> Result<SpmdResult, String> {
+    // The one fact the pooled core reads off the engine: when the post
+    // half runs. (`Engine::run_with` never sends round-robin here.)
+    let early = match engine {
+        Engine::Overlapped => true,
+        Engine::Batched | Engine::RoundRobin => false,
+    };
     let plan = match plan {
         Some(p) => Arc::clone(p),
         None => Arc::new(CommPlan::build(prog, spmd, d)),
@@ -602,9 +586,10 @@ fn run_on<const V: usize>(
     let machines = build_machines(prog, d, b)?;
     let guarded = |s| spmd.kernel_guarded.contains(&s);
     let kernel = Arc::new(Kernel::lower(prog, guarded, &machines)?);
-    let oplan = Arc::new(match posting {
-        Posting::Late => OverlapPlan::default(),
-        Posting::Early => OverlapPlan::build(prog, spmd, &plan, &machines),
+    let oplan = Arc::new(if early {
+        OverlapPlan::build(prog, spmd, &plan, &machines)
+    } else {
+        OverlapPlan::default()
     });
     let nparts = d.nparts;
     let nphases = plan.phases.len();
@@ -613,7 +598,7 @@ fn run_on<const V: usize>(
 
     let mut jobs = Vec::with_capacity(nparts);
     for (m, mut net) in machines.into_iter().zip(wire(nparts, rec)) {
-        if posting == Posting::Early {
+        if early {
             net.seed_double_buffers(&plan);
         }
         let mut proc = RankProc {
@@ -675,9 +660,8 @@ fn run_on<const V: usize>(
         r.add(keys::ITERATIONS, iterations as u64);
     }
     obs::finish(rec, keys::RUN_SPAN, run_t0);
-    Ok((
-        collect_results::<V>(prog, d, machines, stats, iterations),
-        report,
+    Ok(collect_results::<V>(
+        prog, d, machines, stats, iterations, report,
     ))
 }
 
@@ -692,7 +676,7 @@ pub(crate) mod tests {
     use syncplace_partition::{partition2d, Method};
     use syncplace_placement::{analyze_program, CostParams, SearchOptions};
 
-    const POSTINGS: [Posting; 2] = [Posting::Late, Posting::Early];
+    const POOLED: [Engine; 2] = [Engine::Batched, Engine::Overlapped];
 
     /// TESTIV on a perturbed grid; `sol` picks the placement (the
     /// search returns many — index 0 is the cheapest, and some later
@@ -740,18 +724,18 @@ pub(crate) mod tests {
     fn both_postings_bitwise_match_round_robin() {
         for (pattern, nparts) in [(Pattern::FIG1, 4), (Pattern::FIG2, 3), (Pattern::FIG1, 1)] {
             let (p, spmd, d, b) = setup(pattern, nparts, 0);
-            let rr = crate::spmd::run_spmd(&p, &spmd, &d, &b).unwrap();
-            for posting in POSTINGS {
-                let (res, report) =
-                    run_spmd_pooled(&p, &spmd, &d, &b, posting, None, &None).unwrap();
-                assert_bitwise(&format!("{pattern:?} P={nparts} {posting:?}"), &rr, &res);
+            let rr = Engine::RoundRobin.run(&p, &spmd, &d, &b).unwrap();
+            for engine in POOLED {
+                let res = engine.run(&p, &spmd, &d, &b).unwrap();
+                assert_bitwise(&format!("{pattern:?} P={nparts} {engine:?}"), &rr, &res);
                 if nparts == 1 {
                     assert_eq!(res.stats.total_messages(), 0);
                 }
                 // One hidden-work entry per phase application; late
                 // posting hides nothing.
+                let report = &res.overlap;
                 assert_eq!(report.hidden_units.len(), res.stats.phases.len());
-                if posting == Posting::Late {
+                if engine == Engine::Batched {
                     assert_eq!((report.total_hidden(), report.early_posts), (0.0, 0));
                 }
             }
@@ -781,27 +765,27 @@ pub(crate) mod tests {
         // operations identically, event for event.
         let pool = SpmdPool::with_workers(1);
         let (p, spmd, d, b) = setup(Pattern::FIG1, 4, 0);
-        let rr = crate::spmd::run_spmd(&p, &spmd, &d, &b).unwrap();
-        for posting in POSTINGS {
+        let rr = Engine::RoundRobin.run(&p, &spmd, &d, &b).unwrap();
+        for engine in POOLED {
             let tape = || {
                 let tape = Arc::new(HbTape::default());
                 let rec: RecorderRef = Some(tape.clone());
-                let (res, _) = run_on(&pool, &p, &spmd, &d, &b, posting, None, &rec).unwrap();
-                assert_bitwise(&format!("W=1 {posting:?}"), &rr, &res);
+                let res = run(&pool, &p, &spmd, &d, &b, engine, None, &rec).unwrap();
+                assert_bitwise(&format!("W=1 {engine:?}"), &rr, &res);
                 let mut events = tape.0.lock().unwrap();
                 std::mem::take(&mut *events)
             };
             let (first, second) = (tape(), tape());
             assert!(first.iter().any(|e| e.1 == keys::HB_BARRIER));
-            assert!(first == second, "{posting:?}: W=1 schedules differ");
+            assert!(first == second, "{engine:?}: W=1 schedules differ");
         }
     }
 
     #[test]
     fn at_most_one_packet_per_peer_per_phase() {
         let (p, spmd, d, b) = setup(Pattern::FIG2, 4, 0);
-        let rr = crate::spmd::run_spmd(&p, &spmd, &d, &b).unwrap();
-        let (ba, _) = run_spmd_pooled(&p, &spmd, &d, &b, Posting::Late, None, &None).unwrap();
+        let rr = Engine::RoundRobin.run(&p, &spmd, &d, &b).unwrap();
+        let ba = Engine::Batched.run(&p, &spmd, &d, &b).unwrap();
         // Same number of phases; never more messages per phase than
         // there are ordered peer pairs × 2 rounds plus the 2(P−1)
         // binomial-tree edges a reducing phase adds.  The coalesced
@@ -833,12 +817,13 @@ pub(crate) mod tests {
         // run that builds its own, under both postings.
         let (p, spmd, d, b) = setup(Pattern::FIG1, 4, 0);
         let plan = Arc::new(CommPlan::build(&p, &spmd, &d));
-        for posting in POSTINGS {
-            let (fresh, _) = run_spmd_pooled(&p, &spmd, &d, &b, posting, None, &None).unwrap();
+        for engine in POOLED {
+            let fresh = engine.run(&p, &spmd, &d, &b).unwrap();
             for run in 0..2 {
-                let (reused, _) =
-                    run_spmd_pooled(&p, &spmd, &d, &b, posting, Some(&plan), &None).unwrap();
-                assert_bitwise(&format!("{posting:?} reuse {run}"), &fresh, &reused);
+                let reused = engine
+                    .run_with(&p, &spmd, &d, &b, Some(&plan), &None)
+                    .unwrap();
+                assert_bitwise(&format!("{engine:?} reuse {run}"), &fresh, &reused);
                 assert_eq!(fresh.stats.total_messages(), reused.stats.total_messages());
             }
         }

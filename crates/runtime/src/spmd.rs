@@ -11,7 +11,7 @@ use crate::bindings::{kind_index, Bindings, MapBinding};
 use crate::comm::{self, CommStats};
 use crate::exec::{Machine, MapTable};
 use crate::kernel::Kernel;
-use crate::overlap::stmt_id;
+use crate::overlap::{stmt_id, OverlapReport};
 use std::collections::HashMap;
 use syncplace_obs::{self as obs, keys, RecorderRef};
 use syncplace_codegen::{CommOp, SpmdProgram};
@@ -36,6 +36,9 @@ pub struct SpmdResult {
     pub stats: CommStats,
     /// Abstract compute units per processor.
     pub per_proc_compute: Vec<f64>,
+    /// What early posting hid, per phase application (all zeros unless
+    /// the `overlapped` engine ran).
+    pub overlap: OverlapReport,
 }
 
 /// The element entity kind of a decomposition arity.
@@ -184,7 +187,7 @@ pub fn build_machines<const V: usize>(
     Ok(machines)
 }
 
-struct Engine<'a, const V: usize> {
+struct Sim<'a, const V: usize> {
     prog: &'a Program,
     spmd: &'a SpmdProgram,
     d: &'a Decomposition<V>,
@@ -195,7 +198,7 @@ struct Engine<'a, const V: usize> {
     rec: RecorderRef,
 }
 
-impl<'a, const V: usize> Engine<'a, V> {
+impl<'a, const V: usize> Sim<'a, V> {
     fn apply_comms(&mut self, ops: &[CommOp]) {
         if ops.is_empty() {
             return;
@@ -318,19 +321,10 @@ impl<'a, const V: usize> Engine<'a, V> {
 }
 
 /// Run a placed SPMD program on a decomposition with the round-robin
-/// engine.
-pub fn run_spmd<const V: usize>(
-    prog: &Program,
-    spmd: &SpmdProgram,
-    d: &Decomposition<V>,
-    b: &Bindings,
-) -> Result<SpmdResult, String> {
-    run_spmd_recorded(prog, spmd, d, b, &None)
-}
-
-/// [`run_spmd`] with a live metric recorder (see `syncplace-obs`);
-/// `None` is exactly the uninstrumented path.
-pub fn run_spmd_recorded<const V: usize>(
+/// engine — what [`crate::Engine::run_with`] calls for
+/// [`crate::Engine::RoundRobin`]. `rec` is the live metric recorder
+/// (see `syncplace-obs`); `None` is exactly the uninstrumented path.
+pub(crate) fn run<const V: usize>(
     prog: &Program,
     spmd: &SpmdProgram,
     d: &Decomposition<V>,
@@ -340,7 +334,7 @@ pub fn run_spmd_recorded<const V: usize>(
     let t0 = obs::start(rec);
     let machines = build_machines(prog, d, b)?;
     let guarded = |s| spmd.kernel_guarded.contains(&s);
-    let mut engine = Engine {
+    let mut engine = Sim {
         prog,
         spmd,
         d,
@@ -366,16 +360,21 @@ pub fn run_spmd_recorded<const V: usize>(
         engine.machines,
         engine.stats,
         engine.iterations,
+        OverlapReport::default(),
     ))
 }
 
-/// Gather outputs from per-processor machines (shared by both engines).
+/// Gather outputs from per-processor machines — the one constructor of
+/// an [`SpmdResult`], shared by every engine. `overlap` is the pooled
+/// core's report (the default, all zeros, for an engine that never
+/// posts early).
 pub fn collect_results<const V: usize>(
     prog: &Program,
     d: &Decomposition<V>,
     machines: Vec<Machine>,
     stats: CommStats,
     iterations: usize,
+    overlap: OverlapReport,
 ) -> SpmdResult {
     let ek = elem_kind::<V>();
     let mut output_arrays = HashMap::new();
@@ -410,6 +409,7 @@ pub fn collect_results<const V: usize>(
         iterations,
         stats,
         per_proc_compute: machines.iter().map(|m| m.compute_units).collect(),
+        overlap,
     }
 }
 
@@ -417,6 +417,7 @@ pub fn collect_results<const V: usize>(
 mod tests {
     use super::*;
     use crate::bindings::testiv_bindings;
+    use crate::Engine;
     use syncplace_automata::predefined::{fig6, fig7};
     use syncplace_ir::programs;
     use syncplace_mesh::gen2d;
@@ -448,7 +449,7 @@ mod tests {
         let spmd_prog = syncplace_codegen::spmd_program(&p, &dfg, sol);
         let part = partition2d(&mesh, nparts, Method::Greedy);
         let d = decompose2d(&mesh, &part.part, nparts, pattern);
-        let res = run_spmd(&p, &spmd_prog, &d, &b).unwrap();
+        let res = Engine::RoundRobin.run(&p, &spmd_prog, &d, &b).unwrap();
         let err = crate::max_rel_error(&seq, &res);
         (err, res, seq)
     }
@@ -536,7 +537,7 @@ mod tests {
         spmd_prog.comms_at_end.clear();
         let part = partition2d(&mesh, 4, Method::Greedy);
         let d = decompose2d(&mesh, &part.part, 4, Pattern::FIG1);
-        let res = run_spmd(&p, &spmd_prog, &d, &b).unwrap();
+        let res = Engine::RoundRobin.run(&p, &spmd_prog, &d, &b).unwrap();
         let err = crate::max_rel_error(&seq, &res);
         assert!(err > 1e-9, "missing comms must corrupt results, err={err}");
     }

@@ -10,6 +10,7 @@
 
 use crate::exec::SeqResult;
 use crate::spmd::SpmdResult;
+use crate::Engine;
 
 /// Machine model. Units are "time per compute unit" — one abstract
 /// interpreter work unit ≈ a handful of flops.
@@ -52,65 +53,61 @@ pub struct TimingReport {
     pub efficiency: f64,
 }
 
-/// Evaluate the model.
+/// Evaluate the model on the binomial-tree wire of the concurrent
+/// engines — the machine the paper's speedups are quoted for.
 pub fn estimate(seq: &SeqResult, spmd: &SpmdResult, model: &TimingModel) -> TimingReport {
-    estimate_engine(seq, spmd, model, Wire::Tree, None)
+    estimate_engine(seq, spmd, model, Engine::Batched)
 }
 
-/// Which wire an engine drives through the α/β model. The recorded
-/// [`crate::comm::PhaseStat`]s are *schedule-derived* and identical
-/// across engines (that is what bitwise identity buys); what differs
-/// between engines is how the same schedule goes on the wire.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Wire {
-    /// The round-robin reference executor. Its execution model —
-    /// every rank advances statement by statement *in rank order* —
-    /// serializes collectives into ascending-rank chains: rank `r`
-    /// can only combine after rank `r − 1`, so a reducing phase costs
-    /// `2·(P − 1)` latency rounds (accumulate up the chain, result
-    /// back down) instead of the binomial tree's `2·⌈log₂ P⌉`.
-    ReferenceChain,
-    /// The concurrent engines (batched, overlapped):
-    /// reductions run the binomial tree, so a phase costs the rounds
-    /// recorded in its [`crate::comm::PhaseStat`].
-    Tree,
-}
-
-/// [`estimate`] with an explicit per-engine wire model and, for the
-/// overlapped engine, its measured hidden work.
+/// [`estimate`] for the engine that produced `spmd`.
 ///
-/// `hidden` is [`crate::OverlapReport::hidden_units`]: per phase
-/// application, the compute units every rank kept in flight between
-/// the phase's early post and its completion (zero for phases that
-/// never post early). Each phase's communication cost is discounted
-/// by `flop · hidden`, floored at zero — work genuinely executed
-/// while the packets were on the wire does not wait for them.
+/// The recorded [`crate::comm::PhaseStat`]s are *schedule-derived* and
+/// identical across engines (that is what bitwise identity buys); what
+/// differs is how the same schedule goes on the wire, and the
+/// [`Engine`] says it:
+///
+/// * [`Engine::RoundRobin`] advances every rank statement by statement
+///   *in rank order*, which serializes collectives into ascending-rank
+///   chains: rank `r` can only combine after rank `r − 1`, so a
+///   reducing phase costs `2·(P − 1)` latency rounds (accumulate up the
+///   chain, result back down) instead of the binomial tree's
+///   `2·⌈log₂ P⌉`.
+/// * [`Engine::Batched`] and [`Engine::Overlapped`] run the binomial
+///   tree, so a phase costs the rounds recorded in its `PhaseStat`.
+///
+/// Each phase's communication cost is then discounted by `flop ·`
+/// [`crate::OverlapReport::hidden_units`] of the same result — per
+/// phase application, the compute units every rank kept in flight
+/// between the phase's early post and its completion (all zeros unless
+/// the overlapped engine ran) — floored at zero: work genuinely
+/// executed while the packets were on the wire does not wait for them.
 pub fn estimate_engine(
     seq: &SeqResult,
     spmd: &SpmdResult,
     model: &TimingModel,
-    wire: Wire,
-    hidden: Option<&[f64]>,
+    engine: Engine,
 ) -> TimingReport {
     let t_seq = seq.compute_units * model.flop;
     let compute_max = spmd.per_proc_compute.iter().cloned().fold(0.0f64, f64::max) * model.flop;
     let nparts = spmd.per_proc_compute.len();
     let tree_rounds = crate::comm::reduce_tree_rounds(nparts);
+    let reduces_on_a_chain = match engine {
+        Engine::RoundRobin => nparts >= 2,
+        Engine::Batched | Engine::Overlapped => false,
+    };
     let mut comm = 0.0;
     for (k, ph) in spmd.stats.phases.iter().enumerate() {
         // A reducing phase is recognizable from its rounds: the merge
         // takes the max over the phase's ops, and the tree term
         // dominates the update (1) and assemble (2) terms at P ≥ 2.
-        let rounds = if wire == Wire::ReferenceChain && nparts >= 2 && ph.rounds == tree_rounds {
+        let rounds = if reduces_on_a_chain && ph.rounds == tree_rounds {
             2 * (nparts - 1)
         } else {
             ph.rounds
         };
-        let mut t = model.alpha * rounds as f64 + model.beta * ph.max_proc_values as f64;
-        if let Some(h) = hidden {
-            t = (t - model.flop * h.get(k).copied().unwrap_or(0.0)).max(0.0);
-        }
-        comm += t;
+        let wire = model.alpha * rounds as f64 + model.beta * ph.max_proc_values as f64;
+        let hidden = spmd.overlap.hidden_units.get(k).copied().unwrap_or(0.0);
+        comm += (wire - model.flop * hidden).max(0.0);
     }
     let t_par = compute_max + comm;
     let speedup = t_seq / t_par;
@@ -149,7 +146,7 @@ mod tests {
         let spmd_prog = syncplace_codegen::spmd_program(&p, &dfg, &analysis.solutions[0]);
         let part = partition2d(&mesh, nparts, Method::GreedyKl);
         let d = decompose2d(&mesh, &part.part, nparts, Pattern::FIG1);
-        let res = crate::spmd::run_spmd(&p, &spmd_prog, &d, &b).unwrap();
+        let res = Engine::RoundRobin.run(&p, &spmd_prog, &d, &b).unwrap();
         estimate(&seq, &res, &TimingModel::default()).speedup
     }
 
@@ -169,13 +166,8 @@ mod tests {
         assert!(s8 < 8.0);
     }
 
-    fn paper_run(
-        nparts: usize,
-    ) -> (
-        crate::exec::SeqResult,
-        crate::spmd::SpmdResult,
-        crate::overlap::OverlapReport,
-    ) {
+    /// TESTIV at `nparts` under the overlapped engine.
+    fn paper_run(nparts: usize) -> (SeqResult, SpmdResult) {
         let p = programs::testiv();
         let mesh = gen2d::grid(24, 24);
         let b = testiv_bindings(&p, &mesh, 0.0);
@@ -189,18 +181,16 @@ mod tests {
         let spmd_prog = syncplace_codegen::spmd_program(&p, &dfg, &analysis.solutions[0]);
         let part = partition2d(&mesh, nparts, Method::GreedyKl);
         let d = decompose2d(&mesh, &part.part, nparts, Pattern::FIG1);
-        let (res, report) =
-            crate::run_spmd_pooled(&p, &spmd_prog, &d, &b, crate::Posting::Early, None, &None)
-                .unwrap();
-        (seq, res, report)
+        let res = Engine::Overlapped.run(&p, &spmd_prog, &d, &b).unwrap();
+        (seq, res)
     }
 
     #[test]
     fn reference_chain_wire_is_slower_than_the_tree() {
-        let (seq, res, _) = paper_run(8);
+        let (seq, res) = paper_run(8);
         let m = TimingModel::default();
-        let chain = estimate_engine(&seq, &res, &m, Wire::ReferenceChain, None);
-        let tree = estimate_engine(&seq, &res, &m, Wire::Tree, None);
+        let chain = estimate_engine(&seq, &res, &m, Engine::RoundRobin);
+        let tree = estimate_engine(&seq, &res, &m, Engine::Overlapped);
         // 2·(P−1) = 14 chain rounds against 2·log₂8 = 6 tree rounds on
         // every reducing phase.
         assert!(chain.t_par > tree.t_par, "{} !> {}", chain.t_par, tree.t_par);
@@ -209,22 +199,19 @@ mod tests {
 
     #[test]
     fn hidden_work_discounts_comm_and_never_goes_negative() {
-        let (seq, res, report) = paper_run(8);
+        let (seq, overlapped) = paper_run(8);
         let m = TimingModel::default();
-        let plain = estimate_engine(&seq, &res, &m, Wire::Tree, None);
-        let overlapped =
-            estimate_engine(&seq, &res, &m, Wire::Tree, Some(&report.hidden_units));
-        assert!(report.total_hidden() > 0.0);
-        assert!(
-            overlapped.comm < plain.comm,
-            "{} !< {}",
-            overlapped.comm,
-            plain.comm
-        );
+        assert!(overlapped.overlap.total_hidden() > 0.0);
+        let mut plain = overlapped.clone();
+        plain.overlap = Default::default();
+        let comm = |res| estimate_engine(&seq, res, &m, Engine::Overlapped).comm;
+        let (discounted, full) = (comm(&overlapped), comm(&plain));
+        assert!(discounted < full, "{discounted} !< {full}");
         // Absurdly large hidden credit floors each phase at zero
         // rather than underflowing.
-        let huge = vec![f64::INFINITY; res.stats.phases.len()];
-        let floored = estimate_engine(&seq, &res, &m, Wire::Tree, Some(&huge));
+        let mut huge = overlapped.clone();
+        huge.overlap.hidden_units = vec![f64::INFINITY; huge.stats.phases.len()];
+        let floored = estimate_engine(&seq, &huge, &m, Engine::Overlapped);
         assert_eq!(floored.comm, 0.0);
         assert!(floored.t_par >= floored.compute_max);
     }

@@ -40,7 +40,7 @@ fn main() {
         // current mesh.
         let part = partition2d(&mesh, 6, Method::RcbKl);
         let d = decompose2d(&mesh, &part.part, 6, Pattern::FIG1);
-        let res = syncplace::runtime::run_spmd(&prog, &spmd, &d, &bindings).unwrap();
+        let res = Engine::RoundRobin.run(&prog, &spmd, &d, &bindings).unwrap();
         let err = syncplace::runtime::max_rel_error(&seq, &res);
         let max = res.per_proc_compute.iter().cloned().fold(0.0f64, f64::max);
         let avg: f64 = res.per_proc_compute.iter().sum::<f64>() / 6.0;

@@ -85,7 +85,7 @@ fn main() {
     for p in [2usize, 4, 8] {
         let part = partition2d(&mesh, p, Method::RcbKl);
         let d = decompose2d(&mesh, &part.part, p, Pattern::FIG1);
-        let res = syncplace::runtime::run_spmd(&prog, &spmd, &d, &bindings).unwrap();
+        let res = Engine::RoundRobin.run(&prog, &spmd, &d, &bindings).unwrap();
         println!(
             "P={p}: {} phases ({} reduces incl. the CFL max), err {:.2e}",
             res.stats.nphases(),

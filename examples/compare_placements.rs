@@ -42,7 +42,7 @@ fn main() {
     );
     for (rank, sol) in analysis.solutions.iter().enumerate().take(8) {
         let spmd = syncplace::codegen::spmd_program(&prog, &dfg, sol);
-        let res = syncplace::runtime::run_spmd(&prog, &spmd, &d, &bindings).unwrap();
+        let res = Engine::RoundRobin.run(&prog, &spmd, &d, &bindings).unwrap();
         let err = syncplace::runtime::max_rel_error(&seq, &res);
         assert!(err < 1e-9, "placement {rank} wrong: {err}");
         let t = syncplace::runtime::timing::estimate(&seq, &res, &model);

@@ -57,7 +57,7 @@ fn main() {
     for p in [2usize, 4, 8] {
         let part = partition2d(&mesh, p, Method::GreedyKl);
         let d = decompose2d(&mesh, &part.part, p, Pattern::FIG1);
-        let res = syncplace::runtime::run_spmd(&prog, &spmd, &d, &bindings).unwrap();
+        let res = Engine::RoundRobin.run(&prog, &spmd, &d, &bindings).unwrap();
         println!(
             "P={p}: {} comm phases, {} values, err {:.2e}",
             res.stats.nphases(),

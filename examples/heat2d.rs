@@ -98,7 +98,7 @@ fn main() {
         let spmd = syncplace::codegen::spmd_program(&prog, &dfg, sol);
         let part = partition2d(&mesh, 6, Method::GreedyKl);
         let d = decompose2d(&mesh, &part.part, 6, pattern);
-        let res = syncplace::runtime::run_spmd(&prog, &spmd, &d, &bindings).unwrap();
+        let res = Engine::RoundRobin.run(&prog, &spmd, &d, &bindings).unwrap();
         println!(
             "{:<20} {} placements | {} phases | dup tris {} | err {:.2e}",
             pattern.name(),

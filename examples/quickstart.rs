@@ -47,7 +47,7 @@ fn main() {
     let spmd = syncplace::codegen::spmd_program(&prog, &dfg, &analysis.solutions[0]);
 
     let seq = syncplace::runtime::run_sequential(&prog, &bindings);
-    let res = syncplace::runtime::run_spmd(&prog, &spmd, &d, &bindings).unwrap();
+    let res = Engine::RoundRobin.run(&prog, &spmd, &d, &bindings).unwrap();
     println!(
         "4 processors, {} comm phases, max relative error vs sequential: {:.2e}",
         res.stats.nphases(),

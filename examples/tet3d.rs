@@ -44,7 +44,7 @@ fn main() {
     for p in [2usize, 4, 8] {
         let part = partition3d(&mesh, p, Method::Rcb);
         let d = decompose3d(&mesh, &part.part, p, Pattern::FIG1);
-        let res = syncplace::runtime::run_spmd(&prog, &spmd, &d, &bindings).unwrap();
+        let res = Engine::RoundRobin.run(&prog, &spmd, &d, &bindings).unwrap();
         println!(
             "P={p}: {:>5} duplicated tets ({:.1}%), {} phases, err {:.2e}",
             d.total_overlap_elems(),

@@ -22,7 +22,12 @@
 # if it cannot name one), the recorder sinks must stay four (the
 # top-level `impl Recorder for` set under crates/ is MetricsRegistry,
 # TimelineRecorder, HbRecorder, FanoutRecorder — one aggregate, and a
-# new sink is a design change, not an addition), the workspace must
+# new sink is a design change, not an addition), the engine identity
+# must stay one (`syncplace_runtime::Engine` is the only enum that names
+# an engine and `Engine::run` / `run_with` the only way to run one: no
+# `enum Posting|EngineKind|Wire` and no `pub fn run_spmd*` under
+# crates/ — the pooled core, the α/β model, the model checker and the
+# protocol all match on `Engine`), the workspace must
 # stay free of `unsafe` (the keyword opens no block, fn, impl, trait or
 # extern under crates suite tests examples), the repo's
 # own static analysis (`reproduce lint` — independent placement
@@ -63,6 +68,10 @@ fi
 recorders="$(grep -rhoE --include='*.rs' '^impl[^{]*\bRecorder for [A-Za-z]+' crates | sed 's/.* for //' | sort | tr '\n' ' ')"
 if [ "$recorders" != "FanoutRecorder HbRecorder MetricsRegistry TimelineRecorder " ]; then
     echo "obs gate: the Recorder sinks are MetricsRegistry, TimelineRecorder, HbRecorder, FanoutRecorder — found: $recorders"
+    exit 1
+fi
+if grep -rnE --include='*.rs' '\benum (Posting|EngineKind|Wire)\b|\bpub fn run_spmd' crates; then
+    echo "engine gate: Engine is the one engine identity and Engine::run / run_with the one run entry — match on it instead"
     exit 1
 fi
 if grep -rnE --include='*.rs' '\bunsafe[[:space:]]*(\{|fn|impl|trait|extern)' crates suite tests examples; then

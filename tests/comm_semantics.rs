@@ -120,7 +120,7 @@ fn fig2_partial_assembly_exactness() {
 fn executed_volumes_match_schedules() {
     let s = setup::testiv(8, 0.0, &fig6());
     let (d, spmd) = setup::decompose(&s, 4, Pattern::FIG1, 0);
-    let res = syncplace::runtime::run_spmd(&s.prog, &spmd, &d, &s.bindings).unwrap();
+    let res = Engine::RoundRobin.run(&s.prog, &spmd, &d, &s.bindings).unwrap();
     // Rank-0 placement: one NEW update + one sqrdiff reduce per
     // iteration, fused into one phase.
     let per_iter_update = d.node_update.total_values();

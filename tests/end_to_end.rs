@@ -35,7 +35,7 @@ fn run_pipeline_2d(
     let d = decompose2d(mesh, &part.part, nparts, pattern);
     syncplace::overlap::check::audit(&d).unwrap();
     let seq = syncplace::runtime::run_sequential(prog, bindings);
-    let res = syncplace::runtime::run_spmd(prog, &spmd, &d, bindings).unwrap();
+    let res = Engine::RoundRobin.run(prog, &spmd, &d, bindings).unwrap();
     assert_eq!(res.iterations, seq.iterations, "different convergence");
     assert_eq!(res.stats.divergent_exits, 0);
     syncplace::runtime::max_rel_error(&seq, &res)
@@ -120,7 +120,7 @@ fn every_distinct_testiv_placement_is_correct() {
     let d = decompose2d(&s.mesh, &part.part, 4, Pattern::FIG1);
     for (i, sol) in s.analysis.solutions.iter().enumerate() {
         let spmd = syncplace::codegen::spmd_program(&s.prog, &s.dfg, sol);
-        let res = syncplace::runtime::run_spmd(&s.prog, &spmd, &d, &s.bindings).unwrap();
+        let res = Engine::RoundRobin.run(&s.prog, &spmd, &d, &s.bindings).unwrap();
         let err = syncplace::runtime::max_rel_error(&seq, &res);
         assert!(err < 1e-9, "placement {i} wrong: {err}");
     }
@@ -145,7 +145,7 @@ fn fig5_sketch_runs() {
     let part = partition2d(&mesh, 3, Method::Greedy);
     let d = decompose2d(&mesh, &part.part, 3, Pattern::FIG1);
     let seq = syncplace::runtime::run_sequential(&prog, &bindings);
-    let res = syncplace::runtime::run_spmd(&prog, &spmd, &d, &bindings).unwrap();
+    let res = Engine::RoundRobin.run(&prog, &spmd, &d, &bindings).unwrap();
     assert!(syncplace::runtime::max_rel_error(&seq, &res) < 1e-9);
 }
 
@@ -153,7 +153,7 @@ fn fig5_sketch_runs() {
 fn batched_engine_matches_round_robin_across_programs() {
     let s = setup::testiv(8, 1e-8, &fig6());
     let (d, spmd) = setup::decompose(&s, 5, Pattern::FIG1, 0);
-    let rr = syncplace::runtime::run_spmd(&s.prog, &spmd, &d, &s.bindings).unwrap();
+    let rr = Engine::RoundRobin.run(&s.prog, &spmd, &d, &s.bindings).unwrap();
     let ba = syncplace::Engine::Batched
         .run(&s.prog, &spmd, &d, &s.bindings)
         .unwrap();
@@ -184,7 +184,7 @@ fn edge_program_pipeline() {
     for p in [2usize, 4] {
         let part = partition2d(&mesh, p, Method::Greedy);
         let d = decompose2d(&mesh, &part.part, p, Pattern::FIG1);
-        let res = syncplace::runtime::run_spmd(&prog, &spmd, &d, &bindings).unwrap();
+        let res = Engine::RoundRobin.run(&prog, &spmd, &d, &bindings).unwrap();
         assert!(syncplace::runtime::max_rel_error(&seq, &res) < 1e-9);
     }
 }
@@ -206,7 +206,7 @@ fn tet3d_pipeline() {
     for p in [2usize, 5] {
         let part = partition3d(&mesh, p, Method::Rib);
         let d = decompose3d(&mesh, &part.part, p, Pattern::FIG1);
-        let res = syncplace::runtime::run_spmd(&prog, &spmd, &d, &bindings).unwrap();
+        let res = Engine::RoundRobin.run(&prog, &spmd, &d, &bindings).unwrap();
         assert!(
             syncplace::runtime::max_rel_error(&seq, &res) < 1e-9,
             "P={p}"
@@ -223,7 +223,7 @@ fn inspector_executor_equivalence() {
     assert!(syncplace::runtime::max_rel_error(&seq, &insp.result) < 1e-9);
     // More phases than the placed version (the §5.1 point).
     let (_, spmd) = setup::decompose(&s, 4, Pattern::FIG1, 0);
-    let placed = syncplace::runtime::run_spmd(&s.prog, &spmd, &d, &s.bindings).unwrap();
+    let placed = Engine::RoundRobin.run(&s.prog, &spmd, &d, &s.bindings).unwrap();
     assert!(insp.result.stats.nphases() > placed.stats.nphases());
 }
 

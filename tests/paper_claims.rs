@@ -126,7 +126,7 @@ fn claim_legality_taxonomy() {
 fn claim_inspector_more_phases() {
     let s = setup::testiv(8, 1e-8, &fig6());
     let (d, spmd) = setup::decompose(&s, 4, Pattern::FIG1, 0);
-    let placed = syncplace::runtime::run_spmd(&s.prog, &spmd, &d, &s.bindings).unwrap();
+    let placed = Engine::RoundRobin.run(&s.prog, &spmd, &d, &s.bindings).unwrap();
     let insp = syncplace::inspector::run_inspector_executor(&s.prog, &d, &s.bindings).unwrap();
     let placed_rate = placed.stats.nphases() as f64 / placed.iterations as f64;
     assert!(insp.phases_per_iteration >= 2.0 * placed_rate);
@@ -169,7 +169,7 @@ fn claim_manual_errors_observable() {
     for ops in spmd.comms_before.values_mut() {
         ops.retain(|o| !matches!(o, syncplace::codegen::CommOp::Reduce { .. }));
     }
-    let res = syncplace::runtime::run_spmd(&s.prog, &spmd, &d, &s.bindings).unwrap();
+    let res = Engine::RoundRobin.run(&s.prog, &spmd, &d, &s.bindings).unwrap();
     assert!(
         res.iterations != seq.iterations || res.stats.divergent_exits > 0,
         "a missing reduction must disturb convergence"
@@ -183,7 +183,7 @@ fn claim_manual_errors_observable() {
 fn claim_spmd_equivalence() {
     let s = setup::testiv(8, 1e-8, &fig6());
     let (d, spmd) = setup::decompose(&s, 3, Pattern::FIG1, 0);
-    let rr = syncplace::runtime::run_spmd(&s.prog, &spmd, &d, &s.bindings).unwrap();
+    let rr = Engine::RoundRobin.run(&s.prog, &spmd, &d, &s.bindings).unwrap();
     let ba = syncplace::Engine::Batched
         .run(&s.prog, &spmd, &d, &s.bindings)
         .unwrap();
@@ -223,7 +223,7 @@ fn claim_two_layer_amortization() {
         let sol = &analysis.solutions[0];
         let spmd = syncplace::codegen::spmd_program(&prog, &dfg, sol);
         let d = decompose2d(&mesh, &part.part, 3, Pattern::ElementOverlap { layers });
-        let res = syncplace::runtime::run_spmd(&prog, &spmd, &d, &bindings).unwrap();
+        let res = Engine::RoundRobin.run(&prog, &spmd, &d, &bindings).unwrap();
         assert!(
             syncplace::runtime::max_rel_error(&seq, &res) < 1e-9,
             "layers={layers}"
@@ -265,7 +265,7 @@ fn claim_placement_survives_adaptation() {
         let seq = syncplace::runtime::run_sequential(&prog, &b);
         let part = partition2d(mesh, 4, Method::RcbKl);
         let d = decompose2d(mesh, &part.part, 4, Pattern::FIG1);
-        let res = syncplace::runtime::run_spmd(&prog, &spmd, &d, &b).unwrap();
+        let res = Engine::RoundRobin.run(&prog, &spmd, &d, &b).unwrap();
         assert!(syncplace::runtime::max_rel_error(&seq, &res) < 1e-9);
     }
 }
@@ -291,7 +291,7 @@ fn claim_speedup_shape_quick() {
     for p in [1usize, 2, 4, 8] {
         let part = partition2d(&mesh, p, Method::RcbKl);
         let d = decompose2d(&mesh, &part.part, p, Pattern::FIG1);
-        let res = syncplace::runtime::run_spmd(&prog, &spmd, &d, &bindings).unwrap();
+        let res = Engine::RoundRobin.run(&prog, &spmd, &d, &bindings).unwrap();
         let t = syncplace::runtime::timing::estimate(&seq, &res, &model);
         assert!(t.speedup > prev, "P={p}: {} !> {prev}", t.speedup);
         prev = t.speedup;

@@ -124,7 +124,7 @@ fn spmd_matches_sequential_random() {
         let part = partition2d(&mesh, nparts, Method::Greedy);
         let d = decompose2d(&mesh, &part.part, nparts, pattern);
         let seq = syncplace::runtime::run_sequential(&prog, &bindings);
-        let res = syncplace::runtime::run_spmd(&prog, &spmd, &d, &bindings).unwrap();
+        let res = Engine::RoundRobin.run(&prog, &spmd, &d, &bindings).unwrap();
         assert!(syncplace::runtime::max_rel_error(&seq, &res) < 1e-9);
     }
 }

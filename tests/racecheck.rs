@@ -6,8 +6,7 @@
 
 use std::sync::Arc;
 
-use syncplace::analyze::hb;
-use syncplace::analyze::mc::{self, EngineKind};
+use syncplace::analyze::{hb, mc};
 use syncplace::obs::{HbRecorder, RecorderRef};
 use syncplace::overlap::Pattern;
 use syncplace::prelude::*;
@@ -45,7 +44,7 @@ fn model_checker_proves_all_engines_on_fig9_and_fig10() {
         // Both overlap patterns, as `reproduce racecheck` sweeps them.
         let patterns = [Pattern::FIG1, Pattern::FIG2];
         for (label, plan) in patterns.into_iter().flat_map(|pat| fig_plans(nparts, pat)) {
-            for engine in EngineKind::ALL {
+            for engine in Engine::ALL {
                 let out = mc::check_plan(&plan, engine, sweeps_for(nparts));
                 assert!(
                     out.report.is_clean(),
@@ -75,7 +74,7 @@ fn model_checker_reduction_beats_naive_enumeration() {
     // At P = 4 plenty of transitions commute; the sleep sets must
     // prune a meaningful fraction of the naive branching.
     let (label, plan) = fig_plans(4, Pattern::FIG1).remove(0);
-    let out = mc::check_plan(&plan, EngineKind::Batched, 1);
+    let out = mc::check_plan(&plan, Engine::Batched, 1);
     assert!(out.report.is_clean(), "{label}");
     assert!(
         out.stats.reduction_ratio() < 0.9,
@@ -96,11 +95,11 @@ fn model_checker_proves_decomposer_gangs() {
 #[test]
 fn every_seeded_schedule_defect_is_caught_with_its_exact_code() {
     // The mutation suite covers every engine family once at P = 3 —
-    // plain (reference), staged (batched), double-buffered split-phase
+    // plain (round-robin), staged (batched), double-buffered split-phase
     // (overlapped) and the gang-barrier decomposer model.
     let plans = fig_plans(3, Pattern::FIG1);
     let mut programs: Vec<mc::McProgram> = Vec::new();
-    for engine in EngineKind::ALL {
+    for engine in Engine::ALL {
         programs.push(mc::from_plan(&plans[0].1, engine, 2));
     }
     programs.push(mc::decomp_model(3));

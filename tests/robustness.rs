@@ -75,7 +75,7 @@ fn stencil_program_runs_with_custom_map() {
     for p in [2usize, 5] {
         let part = partition2d(&mesh, p, Method::Greedy);
         let d = decompose2d(&mesh, &part.part, p, Pattern::FIG1);
-        let res = syncplace::runtime::run_spmd(&prog, &spmd, &d, &bindings).unwrap();
+        let res = Engine::RoundRobin.run(&prog, &spmd, &d, &bindings).unwrap();
         assert!(
             syncplace::runtime::max_rel_error(&seq, &res) < 1e-12,
             "P={p}"
@@ -105,7 +105,7 @@ fn results_invariant_under_rcm_renumbering() {
         let spmd = syncplace::codegen::spmd_program(&prog, &dfg, &analysis.solutions[0]);
         let part = partition2d(mesh, 4, Method::RcbKl);
         let d = decompose2d(mesh, &part.part, 4, Pattern::FIG1);
-        let res = syncplace::runtime::run_spmd(&prog, &spmd, &d, &b).unwrap();
+        let res = Engine::RoundRobin.run(&prog, &spmd, &d, &b).unwrap();
         res.output_arrays[&prog.lookup("RESULT").unwrap()].clone()
     };
 
@@ -152,7 +152,7 @@ fn max_reduction_end_to_end() {
     let seq = syncplace::runtime::run_sequential(&prog, &b);
     let part = partition2d(&mesh, 4, Method::Greedy);
     let d = decompose2d(&mesh, &part.part, 4, Pattern::FIG1);
-    let rr = syncplace::runtime::run_spmd(&prog, &spmd, &d, &b).unwrap();
+    let rr = Engine::RoundRobin.run(&prog, &spmd, &d, &b).unwrap();
     let ba = syncplace::Engine::Batched.run(&prog, &spmd, &d, &b).unwrap();
     let peak = prog.lookup("peak").unwrap();
     assert_eq!(rr.output_scalars[&peak], seq.output_scalars[&peak]);
@@ -215,7 +215,7 @@ fn fallback_placement_with_split_update_sites() {
     for p in [2usize, 4] {
         let part = partition2d(&mesh, p, Method::Greedy);
         let d = decompose2d(&mesh, &part.part, p, Pattern::FIG1);
-        let res = syncplace::runtime::run_spmd(&prog, &spmd, &d, &b).unwrap();
+        let res = Engine::RoundRobin.run(&prog, &spmd, &d, &b).unwrap();
         assert!(
             syncplace::runtime::max_rel_error(&seq, &res) < 1e-12,
             "P={p}"

@@ -350,17 +350,63 @@ fn one_failing_rank_is_an_err_not_a_hang() {
         .expect("a failed rank must fail its gang, not hang it (or the checks above panicked)");
 }
 
+/// One identity: an engine's name is what the daemon's wire carries and
+/// what the model checker labels its program with — the same `Engine`
+/// at all three ends.
+#[test]
+fn engine_name_round_trips_through_the_protocol_and_labels_its_mc_program() {
+    use syncplace::analyze::mc;
+    use syncplace_bench::setup;
+    use syncplace_server::protocol::{parse_request, Request};
+
+    let s = setup::testiv(9, 1e-3, &fig6());
+    let (d, spmd) = setup::decompose(&s, 2, Pattern::FIG1, 0);
+    let plan = syncplace::runtime::CommPlan::build(&s.prog, &spmd, &d);
+    for engine in Engine::ALL {
+        let line = format!(r#"{{"op":"run","program":"testiv","engine":"{}"}}"#, engine.name());
+        match parse_request(&line).unwrap() {
+            Request::Run(r) => assert_eq!(r.engine, engine),
+            other => panic!("{line} parsed to {other:?}"),
+        }
+        let label = mc::from_plan(&plan, engine, 1).label;
+        assert_eq!(label, format!("{}:P2x1", engine.name()));
+    }
+}
+
+/// The alignment invariant of `SpmdResult::overlap`, on one value: the
+/// overlapped engine logs one hidden-work entry per phase application,
+/// and the other two hide nothing.
+#[test]
+fn overlap_report_is_aligned_with_phases_and_zero_unless_overlapped() {
+    use syncplace_bench::setup;
+    let s = setup::testiv(10, 1e-9, &fig6());
+    let (d, spmd) = setup::decompose(&s, 4, Pattern::FIG1, 0);
+    for engine in Engine::ALL {
+        let res = engine.run(&s.prog, &spmd, &d, &s.bindings).unwrap();
+        let o = &res.overlap;
+        if engine == Engine::Overlapped {
+            assert_eq!(o.hidden_units.len(), res.stats.phases.len());
+            assert!(o.total_hidden() > 0.0 && o.early_posts > 0 && o.early_phases > 0);
+        } else {
+            assert_eq!(
+                (o.total_hidden(), o.early_posts, o.early_phases, o.split_phases),
+                (0.0, 0, 0, 0),
+                "{}",
+                engine.name()
+            );
+        }
+    }
+}
+
 /// The α/β model's per-engine ordering on the E22 configuration (32×32
-/// TESTIV, each engine through its own `Wire`, overlapped discounted
-/// by the compute it kept in flight). Everything read here is derived
+/// TESTIV, each engine's result modeled as that engine, overlapped
+/// discounted by the compute it kept in flight). Everything read here is derived
 /// from the schedule, not from a clock, so the ratios are exact: today
 /// 1.4991 / 1.5415 at P=8 and 2.6907 / 2.7297 at P=16, floored at
 /// 0.9× — a drop means the model or the counters it reads regressed.
 #[test]
 fn modeled_time_vs_round_robin_holds_its_floors() {
-    use syncplace::runtime::{
-        estimate_engine, run_sequential, run_spmd_pooled, Posting, TimingModel, Wire,
-    };
+    use syncplace::runtime::{estimate_engine, run_sequential, TimingModel};
     use syncplace_bench::setup;
 
     let s = setup::testiv(32, 1e-8, &fig6());
@@ -370,13 +416,10 @@ fn modeled_time_vs_round_robin_holds_its_floors() {
         [(2, 1.0, 1.0), (4, 1.0, 1.0), (8, 1.35, 1.39), (16, 2.42, 2.46)]
     {
         let (d, spmd) = setup::decompose(&s, p, Pattern::FIG1, 0);
-        let rr = Engine::RoundRobin.run(&s.prog, &spmd, &d, &s.bindings).unwrap();
-        let ba = Engine::Batched.run(&s.prog, &spmd, &d, &s.bindings).unwrap();
-        let (ov, report) =
-            run_spmd_pooled(&s.prog, &spmd, &d, &s.bindings, Posting::Early, None, &None).unwrap();
-        let t_rr = estimate_engine(&seq, &rr, &model, Wire::ReferenceChain, None).t_par;
-        let t_ba = estimate_engine(&seq, &ba, &model, Wire::Tree, None).t_par;
-        let t_ov = estimate_engine(&seq, &ov, &model, Wire::Tree, Some(&report.hidden_units)).t_par;
+        let [t_rr, t_ba, t_ov] = Engine::ALL.map(|engine| {
+            let res = engine.run(&s.prog, &spmd, &d, &s.bindings).unwrap();
+            estimate_engine(&seq, &res, &model, engine).t_par
+        });
         let (vs_ba, vs_ov) = (t_rr / t_ba, t_rr / t_ov);
         assert!(vs_ba >= batched_floor - 1e-9, "P={p} batched {vs_ba:.4} < {batched_floor}");
         assert!(vs_ov >= overlapped_floor - 1e-9, "P={p} overlapped {vs_ov:.4} < {overlapped_floor}");
