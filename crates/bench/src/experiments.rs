@@ -771,7 +771,7 @@ pub fn e15_adaptive(scale: Scale) -> String {
         marked[t] = spread > 0.02;
     }
     let nmarked = marked.iter().filter(|&&x| x).count();
-    let (fine, _) = syncplace::mesh::refine2d::refine(&coarse, &marked);
+    let (fine, parents) = syncplace::mesh::refine2d::refine(&coarse, &marked);
     let u1_fine = syncplace::mesh::refine2d::prolong_node_field(&coarse, &fine, &u1);
 
     // Resume on the fine mesh with the SAME spmd program.
@@ -784,9 +784,6 @@ pub fn e15_adaptive(scale: Scale) -> String {
     // (a) inherited partition: children keep the parent's part.
     let coarse_part =
         syncplace::partition::partition2d(&coarse, nparts, syncplace::partition::Method::RcbKl);
-    // Recompute child→parent mapping from a fresh refine call (the
-    // parents vector).
-    let (_, parents) = syncplace::mesh::refine2d::refine(&coarse, &marked);
     let inherited: Vec<u32> = parents
         .iter()
         .map(|&p| coarse_part.part[p as usize])

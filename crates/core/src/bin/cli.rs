@@ -221,8 +221,8 @@ fn with_program(cmd: &str, rest: &[String]) -> i32 {
 
     // run: simulate on a grid mesh with synthetic inputs.
     let mesh = gen2d::perturbed_grid(opts.mesh.0, opts.mesh.1, 0.2, 42);
-    let mut bindings = syncplace::runtime::Bindings::for_mesh2d(&prog, &mesh);
-    syncplace::synth_inputs(&prog, &mesh, &mut bindings);
+    let mut bindings = syncplace::runtime::Bindings::for_mesh(&prog, mesh.nnodes(), &mesh.som);
+    syncplace::synth_inputs(&prog, &mut bindings);
     if let Err(e) = bindings.validate(&prog) {
         eprintln!("cannot synthesize inputs for `run`: {e}");
         return 1;
@@ -271,8 +271,8 @@ fn sweep(
     opts: &Opts,
 ) -> i32 {
     let mesh = gen2d::perturbed_grid(opts.mesh.0, opts.mesh.1, 0.2, 42);
-    let mut bindings = syncplace::runtime::Bindings::for_mesh2d(prog, &mesh);
-    syncplace::synth_inputs(prog, &mesh, &mut bindings);
+    let mut bindings = syncplace::runtime::Bindings::for_mesh(prog, mesh.nnodes(), &mesh.som);
+    syncplace::synth_inputs(prog, &mut bindings);
     if let Err(e) = bindings.validate(prog) {
         eprintln!("cannot synthesize inputs: {e}");
         return 1;

@@ -8,7 +8,7 @@
 //!
 //! | module | contents |
 //! |---|---|
-//! | [`mesh`] | unstructured 2-D/3-D meshes, generators, connectivity |
+//! | [`mesh`] | unstructured 2-D/3-D meshes, generators, edges, dual graph |
 //! | [`partition`] | mesh splitters: RCB, RIB, greedy (Farhat), KL |
 //! | [`overlap`] | overlapping patterns, sub-meshes, comm schedules |
 //! | [`ir`] | the analyzable program class (DSL, AST, printer) |
@@ -126,24 +126,19 @@ pub fn place(
 }
 
 /// Fill every unbound input of `prog` with a deterministic synthetic
-/// field on `mesh`: scalar inputs small positive, array inputs mildly
-/// varying positive. The CLI's `run` and the daemon share this one
-/// rule, which is what makes their results (and cached-vs-fresh ones)
-/// bitwise-comparable.
-pub fn synth_inputs(prog: &ir::Program, mesh: &mesh::Mesh2d, b: &mut runtime::Bindings) {
-    use ir::{EntityKind, VarKind};
+/// field sized by `b.counts`: scalar inputs small positive, array
+/// inputs mildly varying positive. The CLI's `run` and the daemon share
+/// this one rule, which is what makes their results (and cached-vs-fresh
+/// ones) bitwise-comparable.
+pub fn synth_inputs(prog: &ir::Program, b: &mut runtime::Bindings) {
+    use ir::VarKind;
     for v in prog.inputs() {
         match prog.decl(v).kind {
             VarKind::Scalar => {
                 b.input_scalars.entry(v).or_insert(1e-8);
             }
             VarKind::Array { base } => {
-                let n = match base {
-                    EntityKind::Node => mesh.nnodes(),
-                    EntityKind::Tri => mesh.ntris(),
-                    EntityKind::Edge => mesh.connectivity().edges.len(),
-                    EntityKind::Tet => 0,
-                };
+                let n = b.counts[runtime::bindings::kind_index(base)];
                 b.input_arrays
                     .entry(v)
                     .or_insert_with(|| (0..n).map(|i| 1.0 + 0.1 * ((i % 7) as f64)).collect());

@@ -1,10 +1,14 @@
-//! Compressed-sparse-row adjacency, the backbone of all connectivity
-//! queries (node→element, element→element, partition interface scans).
+//! Compressed-sparse-row adjacency and the mesh's two derivations.
 //!
 //! A [`Csr`] maps each row `r` in `0..n` to a slice of `u32` targets.
 //! It is built either from an edge list ([`Csr::from_pairs`]) or from
 //! per-row lists ([`Csr::from_rows`]), both in O(n + m) with a single
 //! counting pass — no per-row `Vec` allocations in the final structure.
+//!
+//! Meshes store only element→vertex incidence; everything else is
+//! derived by whoever reads it, from exactly two functions here: the
+//! edge numbering ([`edges_first_seen`]) and the element dual graph
+//! ([`dual_from_facets`]).
 
 /// Compressed-sparse-row container: `offsets.len() == nrows + 1`,
 /// row `r` owns `targets[offsets[r]..offsets[r+1]]`.
@@ -101,7 +105,7 @@ pub struct Dedup<K> {
 /// orders the runs by their first (minimal) position, which reproduces
 /// first-seen numbering exactly. O(m log m) with two u32 scratch
 /// arrays; this is the indexer under [`edges_first_seen`] and
-/// `Mesh3d::connectivity`'s face numbering.
+/// `Mesh3d::faces`.
 pub fn dedup_first_seen<K: Ord + Copy>(occ: &[K]) -> Dedup<K> {
     let m = occ.len();
     assert!(m < u32::MAX as usize, "occurrence count overflows u32");
@@ -163,9 +167,9 @@ pub const fn n_vertex_pairs<const V: usize>() -> usize {
 /// The one edge numbering: the unique edges of `elems` as sorted node
 /// pairs `[lo, hi]`, numbered in first-seen order over elements ×
 /// [`vertex_pairs`], plus the edge id of every element-local pair slot
-/// (`elem_edge_ids[e * n_vertex_pairs::<V>() + k]`). Both meshes'
-/// `connectivity` and the decomposition builder call this, which is
-/// why edge ids agree everywhere.
+/// (`elem_edge_ids[e * n_vertex_pairs::<V>() + k]`). Every reader of
+/// edges — the decomposition builder, bindings, refinement, the 2-D
+/// dual graph — calls this, which is why edge ids agree everywhere.
 pub fn edges_first_seen<const V: usize>(elems: &[[u32; V]]) -> (Vec<[u32; 2]>, Vec<u32>) {
     let mut occ: Vec<u64> = Vec::with_capacity(elems.len() * n_vertex_pairs::<V>());
     for el in elems {
@@ -177,6 +181,32 @@ pub fn edges_first_seen<const V: usize>(elems: &[[u32; V]]) -> (Vec<[u32; 2]>, V
     drop(occ);
     let edges = keys.into_iter().map(|k| unpack_pair(k).into()).collect();
     (edges, ids)
+}
+
+/// The element dual graph: elements adjacent through a shared facet
+/// (edge in 2-D, face in 3-D), from the flattened element→facet ids
+/// (`facet_ids[e * F + k]` ∈ `0..nfacets`). Row `e` lists its
+/// neighbours in ascending facet id. Panics when a facet is shared by
+/// more than two elements (a non-manifold mesh).
+pub fn dual_from_facets<const F: usize>(facet_ids: &[u32], nfacets: usize) -> Csr {
+    // The one or two elements on each facet, in element order.
+    let mut on = vec![[u32::MAX; 2]; nfacets];
+    for (i, &f) in facet_ids.iter().enumerate() {
+        let e = (i / F) as u32;
+        match &mut on[f as usize] {
+            [a, _] if *a == u32::MAX => *a = e,
+            [_, b] if *b == u32::MAX => *b = e,
+            _ => {
+                let k = facet_ids.iter().filter(|&&g| g == f).count();
+                panic!("facet {f} shared by {k} elements: non-manifold mesh");
+            }
+        }
+    }
+    let pairs: Vec<(u32, u32)> = (on.into_iter())
+        .filter(|&[_, b]| b != u32::MAX)
+        .flat_map(|[a, b]| [(a, b), (b, a)])
+        .collect();
+    Csr::from_pairs(facet_ids.len() / F, &pairs)
 }
 
 #[cfg(test)]

@@ -86,20 +86,25 @@ pub fn annulus(nr: usize, ns: usize, r0: f64, r1: f64) -> Mesh2d {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::edges_first_seen;
 
     #[test]
     fn grid_counts() {
         let m = grid(4, 3);
         assert_eq!(m.nnodes(), 5 * 4);
         assert_eq!(m.ntris(), 2 * 4 * 3);
+        let area: f64 = (0..m.ntris()).map(|t| m.signed_area(t)).sum();
+        assert!((area - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn grid_euler_formula() {
-        // V - E + F = 1 for a planar triangulated disk (F = triangles).
+        // V - E + F = 1 for a planar triangulated disk (F = triangles);
+        // `dual_graph` panics unless every edge has at most two.
         let m = grid(7, 5);
-        let c = m.connectivity();
-        let (v, e, f) = (m.nnodes() as i64, c.edges.len() as i64, m.ntris() as i64);
+        m.dual_graph();
+        let ne = edges_first_seen(&m.som).0.len();
+        let (v, e, f) = (m.nnodes() as i64, ne as i64, m.ntris() as i64);
         assert_eq!(v - e + f, 1);
     }
 
@@ -117,6 +122,8 @@ mod tests {
         for t in 0..m.ntris() {
             assert!(m.signed_area(t) > 0.0, "triangle {t} inverted");
         }
+        let area: f64 = (0..m.ntris()).map(|t| m.signed_area(t)).sum();
+        assert!((area - 1.0).abs() < 1e-9);
         // Boundary nodes unmoved.
         assert_eq!(m.coords[0], [0.0, 0.0]);
         assert_eq!(m.coords[10], [1.0, 0.0]);
@@ -133,8 +140,9 @@ mod tests {
     fn annulus_is_closed_ring() {
         // V - E + F = 0 for an annulus (Euler characteristic 0).
         let m = annulus(3, 16, 1.0, 2.0);
-        let c = m.connectivity();
-        let (v, e, f) = (m.nnodes() as i64, c.edges.len() as i64, m.ntris() as i64);
+        m.dual_graph();
+        let ne = edges_first_seen(&m.som).0.len();
+        let (v, e, f) = (m.nnodes() as i64, ne as i64, m.ntris() as i64);
         assert_eq!(v - e + f, 0);
         assert_eq!(m.ntris(), 2 * 3 * 16);
     }

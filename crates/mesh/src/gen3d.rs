@@ -78,20 +78,26 @@ mod tests {
     #[test]
     fn box_is_conforming_ball() {
         // Euler characteristic of a 3-ball triangulation is 1.
+        // `dual_graph` panics unless every face has at most two tets.
         let m = box_mesh(2, 2, 2);
-        let c = m.connectivity();
-        let euler =
-            m.nnodes() as i64 - c.edges.len() as i64 + c.faces.len() as i64 - m.ntets() as i64;
+        m.dual_graph();
+        let ne = crate::edges_first_seen(&m.tets).0.len();
+        let nf = m.faces().keys.len();
+        let euler = m.nnodes() as i64 - ne as i64 + nf as i64 - m.ntets() as i64;
         assert_eq!(euler, 1);
     }
 
     #[test]
     fn interior_faces_shared_by_two() {
         let m = box_mesh(2, 1, 1);
-        let c = m.connectivity();
-        for f in 0..c.faces.len() {
-            let n = c.face_tets.row(f).len();
-            assert!(n == 1 || n == 2);
+        let faces = m.faces();
+        let mut tets_on = vec![0usize; faces.keys.len()];
+        for &f in &faces.ids {
+            tets_on[f as usize] += 1;
         }
+        assert!(tets_on.iter().all(|&n| n == 1 || n == 2));
+        // Interior faces are exactly the dual graph's edges.
+        let interior = tets_on.iter().filter(|&&n| n == 2).count();
+        assert_eq!(m.dual_graph().nnz(), 2 * interior);
     }
 }

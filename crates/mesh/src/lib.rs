@@ -10,15 +10,17 @@
 //! generators used throughout the reproduction:
 //!
 //! * [`Mesh2d`] — a 2-D triangulation stored struct-of-arrays with
-//!   `u32` entity ids, plus derived connectivity (unique edges,
-//!   node→triangle adjacency, triangle→triangle dual adjacency).
-//! * [`Mesh3d`] — a 3-D tetrahedral mesh with derived faces and edges.
+//!   `u32` entity ids.
+//! * [`Mesh3d`] — a 3-D tetrahedral mesh.
+//! * The two derivations every reader shares: the edge numbering
+//!   ([`edges_first_seen`]) and the element dual graph
+//!   ([`dual_from_facets`], via `Mesh2d::dual_graph` /
+//!   `Mesh3d::dual_graph`). Nothing else is derived or stored.
 //! * Generators ([`gen2d`], [`gen3d`]) producing structured-grid
 //!   triangulations, annuli, graded and randomly perturbed meshes at
 //!   any size — the synthetic stand-in for the CFD meshes of the
 //!   paper's reference application [Farhat & Lanteri 1994].
-//! * [`csr::Csr`] — the compressed-sparse-row adjacency container all
-//!   connectivity queries are built on.
+//! * [`csr::Csr`] — the compressed-sparse-row adjacency container.
 //!
 //! Entity kinds follow the paper's vocabulary: programs and arrays are
 //! partitioned *node-wise*, *edge-wise*, *triangle-wise* (2-D) or
@@ -33,14 +35,13 @@ pub mod gen3d;
 pub mod ids;
 pub mod mesh2d;
 pub mod mesh3d;
-pub mod quality;
 pub mod refine2d;
 pub mod reorder;
 pub mod rng;
 
 pub use csr::{
-    dedup_first_seen, edges_first_seen, n_vertex_pairs, pack_pair, unpack_pair, vertex_pairs, Csr,
-    Dedup,
+    dedup_first_seen, dual_from_facets, edges_first_seen, n_vertex_pairs, pack_pair, unpack_pair,
+    vertex_pairs, Csr, Dedup,
 };
 pub use ids::EntityKind;
 pub use mesh2d::Mesh2d;

@@ -2,13 +2,12 @@
 //!
 //! A [`Mesh2d`] stores node coordinates and the triangle→node
 //! incidence (`som`, named after the `SOM` indirection array of the
-//! paper's TESTIV example — *sommet* is French for vertex). Edges and
-//! all adjacency relations are *derived* by [`Mesh2d::connectivity`],
-//! which recomputes all seven tables on every call — nothing is cached
-//! (`partition2d`, `Bindings::for_mesh2d` and `synth_inputs` each pay
-//! for a full derivation).
+//! paper's TESTIV example — *sommet* is French for vertex). Nothing
+//! else is stored: a reader of edges calls [`edges_first_seen`] on
+//! `som`, a reader of triangle adjacency calls [`Mesh2d::dual_graph`],
+//! and nothing else is ever derived.
 
-use crate::csr::{edges_first_seen, Csr};
+use crate::csr::{dual_from_facets, edges_first_seen, Csr};
 
 /// A 2-D triangulation in struct-of-arrays layout.
 #[derive(Debug, Clone)]
@@ -17,29 +16,6 @@ pub struct Mesh2d {
     pub coords: Vec<[f64; 2]>,
     /// Triangle vertices, `som[t] = [s1, s2, s3]` (node ids).
     pub som: Vec<[u32; 3]>,
-}
-
-/// Derived connectivity of a [`Mesh2d`].
-#[derive(Debug, Clone)]
-pub struct Connectivity2d {
-    /// Unique edges as sorted node pairs `(lo, hi)`, numbered by
-    /// [`edges_first_seen`]: first-seen order over triangles with the
-    /// local pair order (v1,v2), (v1,v3), (v2,v3).
-    pub edges: Vec<[u32; 2]>,
-    /// Triangle → its three edges (parallel to `som`; local edge `k`
-    /// joins the vertex pair (v1,v2) / (v1,v3) / (v2,v3) for k=0/1/2).
-    pub tri_edges: Vec<[u32; 3]>,
-    /// Node → incident triangles.
-    pub node_tris: Csr,
-    /// Node → incident edges.
-    pub node_edges: Csr,
-    /// Edge → the one or two triangles sharing it.
-    pub edge_tris: Csr,
-    /// Triangle → edge-adjacent triangles (the element *dual graph*
-    /// used by the partitioners).
-    pub tri_tris: Csr,
-    /// Boundary flag per node (on a boundary edge).
-    pub boundary_node: Vec<bool>,
 }
 
 impl Mesh2d {
@@ -86,71 +62,12 @@ impl Mesh2d {
         [(pa[0] + pb[0] + pc[0]) / 3.0, (pa[1] + pb[1] + pc[1]) / 3.0]
     }
 
-    /// Derive the full connectivity (edges, adjacency, dual graph).
-    ///
-    /// O(#tris + #edges); edges are numbered in first-seen order over
-    /// triangles so numbering is deterministic for a given `som`.
-    /// Every call derives everything afresh.
-    pub fn connectivity(&self) -> Connectivity2d {
-        let nn = self.nnodes();
-        let nt = self.ntris();
-
+    /// The triangle dual graph (triangles sharing an edge), row `t`
+    /// in ascending [`edges_first_seen`] id. Panics on a non-manifold
+    /// mesh (an edge on three or more triangles).
+    pub fn dual_graph(&self) -> Csr {
         let (edges, edge_ids) = edges_first_seen(&self.som);
-        let mut tri_edges = vec![[0u32; 3]; nt];
-        let mut edge_tri_pairs: Vec<(u32, u32)> = Vec::with_capacity(nt * 3);
-        for (t, te) in tri_edges.iter_mut().enumerate() {
-            for (k, slot) in te.iter_mut().enumerate() {
-                let e = edge_ids[t * 3 + k];
-                *slot = e;
-                edge_tri_pairs.push((e, t as u32));
-            }
-        }
-        let ne = edges.len();
-        let edge_tris = Csr::from_pairs(ne, &edge_tri_pairs);
-
-        // Node -> triangles and node -> edges.
-        let mut nt_pairs: Vec<(u32, u32)> = Vec::with_capacity(nt * 3);
-        for (t, tri) in self.som.iter().enumerate() {
-            for &s in tri {
-                nt_pairs.push((s, t as u32));
-            }
-        }
-        let node_tris = Csr::from_pairs(nn, &nt_pairs);
-        let mut nepairs: Vec<(u32, u32)> = Vec::with_capacity(ne * 2);
-        for (e, &[a, b]) in edges.iter().enumerate() {
-            nepairs.push((a, e as u32));
-            nepairs.push((b, e as u32));
-        }
-        let node_edges = Csr::from_pairs(nn, &nepairs);
-
-        // Dual graph: triangles sharing an edge.
-        let mut tt_pairs: Vec<(u32, u32)> = Vec::with_capacity(nt * 3);
-        let mut boundary_node = vec![false; nn];
-        for e in 0..ne {
-            let ts = edge_tris.row(e);
-            match ts.len() {
-                1 => {
-                    boundary_node[edges[e][0] as usize] = true;
-                    boundary_node[edges[e][1] as usize] = true;
-                }
-                2 => {
-                    tt_pairs.push((ts[0], ts[1]));
-                    tt_pairs.push((ts[1], ts[0]));
-                }
-                k => panic!("edge {e} shared by {k} triangles: non-manifold mesh"),
-            }
-        }
-        let tri_tris = Csr::from_pairs(nt, &tt_pairs);
-
-        Connectivity2d {
-            edges,
-            tri_edges,
-            node_tris,
-            node_edges,
-            edge_tris,
-            tri_tris,
-            boundary_node,
-        }
+        dual_from_facets::<3>(&edge_ids, edges.len())
     }
 }
 
@@ -177,8 +94,7 @@ mod tests {
         let m = two_tris();
         assert_eq!(m.nnodes(), 4);
         assert_eq!(m.ntris(), 2);
-        let c = m.connectivity();
-        assert_eq!(c.edges.len(), 5);
+        assert_eq!(edges_first_seen(&m.som).0.len(), 5);
     }
 
     #[test]
@@ -190,39 +106,43 @@ mod tests {
 
     #[test]
     fn dual_graph_connects_shared_edge() {
-        let m = two_tris();
-        let c = m.connectivity();
-        assert_eq!(c.tri_tris.row(0), &[1]);
-        assert_eq!(c.tri_tris.row(1), &[0]);
+        let dual = two_tris().dual_graph();
+        assert_eq!(dual.row(0), &[1]);
+        assert_eq!(dual.row(1), &[0]);
     }
 
     #[test]
     fn interior_edge_has_two_tris() {
         let m = two_tris();
-        let c = m.connectivity();
-        let shared = c
-            .edges
+        let (edges, ids) = edges_first_seen(&m.som);
+        let shared = edges
             .iter()
             .position(|&[a, b]| (a, b) == (1, 3))
-            .expect("shared edge 1-3 exists");
-        assert_eq!(c.edge_tris.row(shared).len(), 2);
+            .expect("shared edge 1-3 exists") as u32;
+        assert_eq!(ids.iter().filter(|&&e| e == shared).count(), 2);
+        assert!(ids[..3].contains(&shared) && ids[3..].contains(&shared));
     }
 
     #[test]
     fn all_nodes_on_boundary_of_square() {
-        let m = two_tris();
-        let c = m.connectivity();
-        assert!(c.boundary_node.iter().all(|&b| b));
+        // A boundary edge is one whose id occurs on a single triangle.
+        let (edges, ids) = edges_first_seen(&two_tris().som);
+        let once = |e: &usize| ids.iter().filter(|&&x| x as usize == *e).count() == 1;
+        let mut nodes: Vec<u32> = (0..edges.len())
+            .filter(once)
+            .flat_map(|e| edges[e])
+            .collect();
+        nodes.sort_unstable();
+        nodes.dedup();
+        assert_eq!(nodes, [0, 1, 2, 3]);
     }
 
     #[test]
-    fn node_tris_adjacency() {
-        let m = two_tris();
-        let c = m.connectivity();
-        assert_eq!(c.node_tris.row(0), &[0]);
-        assert_eq!(c.node_tris.row(1), &[0, 1]);
-        assert_eq!(c.node_tris.row(2), &[1]);
-        assert_eq!(c.node_tris.row(3), &[0, 1]);
+    #[should_panic(expected = "facet 0 shared by 3 elements: non-manifold mesh")]
+    fn three_triangles_on_one_edge_panic() {
+        // Edge (0,1) is seen first, so it is facet 0.
+        let tris = vec![[0, 1, 2], [1, 0, 3], [0, 1, 4]];
+        Mesh2d::new(vec![[0.0; 2]; 5], tris).dual_graph();
     }
 
     #[test]

@@ -2,10 +2,11 @@
 //!
 //! The 3-D overlap automaton of the paper adds tetrahedron- and
 //! edge-based data shapes; this module supplies the corresponding mesh
-//! substrate: tet→node incidence plus derived triangular faces, unique
-//! edges, and the face-adjacency dual graph for partitioning.
+//! substrate: tet→node incidence, from which readers derive unique
+//! edges ([`crate::edges_first_seen`]) and the face-adjacency dual
+//! graph for partitioning ([`Mesh3d::dual_graph`]).
 
-use crate::csr::{dedup_first_seen, edges_first_seen, Csr};
+use crate::csr::{dedup_first_seen, dual_from_facets, Csr, Dedup};
 
 /// A tetrahedral mesh in struct-of-arrays layout.
 #[derive(Debug, Clone)]
@@ -14,27 +15,6 @@ pub struct Mesh3d {
     pub coords: Vec<[f64; 3]>,
     /// Tetrahedron vertices, `tets[t] = [a, b, c, d]`.
     pub tets: Vec<[u32; 4]>,
-}
-
-/// Derived connectivity of a [`Mesh3d`].
-#[derive(Debug, Clone)]
-pub struct Connectivity3d {
-    /// Unique triangular faces (sorted node triples).
-    pub faces: Vec<[u32; 3]>,
-    /// Unique edges (sorted node pairs).
-    pub edges: Vec<[u32; 2]>,
-    /// Tet → its four faces (face `k` is opposite vertex `k`).
-    pub tet_faces: Vec<[u32; 4]>,
-    /// Tet → its six edges.
-    pub tet_edges: Vec<[u32; 6]>,
-    /// Face → the one or two tets sharing it.
-    pub face_tets: Csr,
-    /// Node → incident tets.
-    pub node_tets: Csr,
-    /// Tet → face-adjacent tets (dual graph).
-    pub tet_tets: Csr,
-    /// Boundary flag per node (on a boundary face).
-    pub boundary_node: Vec<bool>,
 }
 
 impl Mesh3d {
@@ -90,78 +70,27 @@ impl Mesh3d {
         ]
     }
 
-    /// Derive faces, edges and adjacency.
-    pub fn connectivity(&self) -> Connectivity3d {
-        let nn = self.nnodes();
-        let nt = self.ntets();
-
-        // Faces via the sort-based first-seen dedup (one occurrence
-        // per tet-local face, sorted triple key); edges via the one
-        // edge numbering.
-        let mut face_occ: Vec<[u32; 3]> = Vec::with_capacity(nt * 4);
+    /// The unique triangular faces as sorted node triples, numbered
+    /// first-seen over tets × local face `k` (the face opposite vertex
+    /// `k`), plus the face id of every tet-local face
+    /// (`ids[t * 4 + k]`).
+    pub fn faces(&self) -> Dedup<[u32; 3]> {
+        let mut occ: Vec<[u32; 3]> = Vec::with_capacity(self.ntets() * 4);
         for &[a, b, c, d] in &self.tets {
-            for f in [[b, c, d], [a, c, d], [a, b, d], [a, b, c]] {
-                let mut key = f;
+            for mut key in [[b, c, d], [a, c, d], [a, b, d], [a, b, c]] {
                 key.sort_unstable();
-                face_occ.push(key);
+                occ.push(key);
             }
         }
-        let face_dedup = dedup_first_seen(&face_occ);
-        let faces = face_dedup.keys;
-        let (edges, edge_ids) = edges_first_seen(&self.tets);
-        let mut tet_faces = vec![[0u32; 4]; nt];
-        let mut tet_edges = vec![[0u32; 6]; nt];
-        let mut face_tet_pairs: Vec<(u32, u32)> = Vec::with_capacity(nt * 4);
-        for (t, (tf, te)) in tet_faces.iter_mut().zip(tet_edges.iter_mut()).enumerate() {
-            for (k, slot) in tf.iter_mut().enumerate() {
-                let fi = face_dedup.ids[t * 4 + k];
-                *slot = fi;
-                face_tet_pairs.push((fi, t as u32));
-            }
-            for (k, slot) in te.iter_mut().enumerate() {
-                *slot = edge_ids[t * 6 + k];
-            }
-        }
-        let nf = faces.len();
-        let face_tets = Csr::from_pairs(nf, &face_tet_pairs);
+        dedup_first_seen(&occ)
+    }
 
-        let mut ntet_pairs: Vec<(u32, u32)> = Vec::with_capacity(nt * 4);
-        for (t, tet) in self.tets.iter().enumerate() {
-            for &s in tet {
-                ntet_pairs.push((s, t as u32));
-            }
-        }
-        let node_tets = Csr::from_pairs(nn, &ntet_pairs);
-
-        let mut tt_pairs: Vec<(u32, u32)> = Vec::with_capacity(nt * 4);
-        let mut boundary_node = vec![false; nn];
-        for (f, face) in faces.iter().enumerate().take(nf) {
-            let ts = face_tets.row(f);
-            match ts.len() {
-                1 => {
-                    for &s in face {
-                        boundary_node[s as usize] = true;
-                    }
-                }
-                2 => {
-                    tt_pairs.push((ts[0], ts[1]));
-                    tt_pairs.push((ts[1], ts[0]));
-                }
-                k => panic!("face {f} shared by {k} tets: non-manifold mesh"),
-            }
-        }
-        let tet_tets = Csr::from_pairs(nt, &tt_pairs);
-
-        Connectivity3d {
-            faces,
-            edges,
-            tet_faces,
-            tet_edges,
-            face_tets,
-            node_tets,
-            tet_tets,
-            boundary_node,
-        }
+    /// The tet dual graph (tets sharing a face), row `t` in ascending
+    /// [`Mesh3d::faces`] id. Panics on a non-manifold mesh (a face on
+    /// three or more tets).
+    pub fn dual_graph(&self) -> Csr {
+        let faces = self.faces();
+        dual_from_facets::<4>(&faces.ids, faces.keys.len())
     }
 }
 
@@ -199,33 +128,45 @@ mod tests {
     }
 
     #[test]
-    fn connectivity_counts() {
+    fn face_and_edge_counts() {
         let m = cube5();
-        let c = m.connectivity();
-        // 5-tet cube: 8 nodes, 18 edges (12 cube edges + 6 face diagonals...
-        // actually 12 + 6 diagonals + 1 none interior for this split), 16 faces.
+        let edges = crate::edges_first_seen(&m.tets).0;
+        let faces = m.faces();
+        // 5-tet cube: 8 nodes, 18 edges (12 cube edges + 6 face
+        // diagonals), 16 faces (12 boundary triangles + 4 interior).
         assert_eq!(m.nnodes(), 8);
-        assert_eq!(c.edges.len(), 18);
-        assert_eq!(c.faces.len(), 16);
+        assert_eq!(edges.len(), 18);
+        assert_eq!(faces.keys.len(), 16);
+        assert_eq!(faces.ids.len(), 4 * m.ntets());
         // Euler: V - E + F - T = 8 - 18 + 16 - 5 = 1 (3-ball).
         let euler =
-            m.nnodes() as i64 - c.edges.len() as i64 + c.faces.len() as i64 - m.ntets() as i64;
+            m.nnodes() as i64 - edges.len() as i64 + faces.keys.len() as i64 - m.ntets() as i64;
         assert_eq!(euler, 1);
     }
 
     #[test]
     fn central_tet_has_four_neighbors() {
-        let m = cube5();
-        let c = m.connectivity();
         // Tet 2 (0,5,2,7) is the central one, face-adjacent to all others.
-        assert_eq!(c.tet_tets.row(2).len(), 4);
+        assert_eq!(cube5().dual_graph().row(2), &[0, 1, 4, 3]);
     }
 
     #[test]
     fn all_cube_nodes_on_boundary() {
-        let m = cube5();
-        let c = m.connectivity();
-        assert!(c.boundary_node.iter().all(|&b| b));
+        // A boundary face is one whose id occurs on a single tet.
+        let Dedup { keys, ids } = cube5().faces();
+        let once = |f: &usize| ids.iter().filter(|&&x| x as usize == *f).count() == 1;
+        let mut nodes: Vec<u32> = (0..keys.len()).filter(once).flat_map(|f| keys[f]).collect();
+        nodes.sort_unstable();
+        nodes.dedup();
+        assert_eq!(nodes, (0..8).collect::<Vec<_>>());
+    }
+
+    #[test]
+    #[should_panic(expected = "non-manifold mesh")]
+    fn three_tets_on_one_face_panic() {
+        // Only ids matter to the topology; the coordinates can coincide.
+        let tets = vec![[0, 1, 2, 3], [0, 1, 2, 4], [0, 1, 2, 5]];
+        Mesh3d::new(vec![[0.0; 3]; 6], tets).dual_graph();
     }
 
     #[test]

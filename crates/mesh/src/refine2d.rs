@@ -13,6 +13,7 @@
 //! mesh-independent and survives adaptation unchanged, and (b) the
 //! load imbalance adaptation causes — and repartitioning cures.
 
+use crate::csr::edges_first_seen;
 use crate::mesh2d::Mesh2d;
 
 /// Red/green refine the marked triangles; returns the refined mesh and
@@ -20,8 +21,10 @@ use crate::mesh2d::Mesh2d;
 /// element-based data).
 pub fn refine(mesh: &Mesh2d, marked: &[bool]) -> (Mesh2d, Vec<u32>) {
     assert_eq!(marked.len(), mesh.ntris());
-    let conn = mesh.connectivity();
-    let ne = conn.edges.len();
+    let (edges, edge_ids) = edges_first_seen(&mesh.som);
+    let ne = edges.len();
+    // Local edge `k` of triangle `t` joins (s1,s2) / (s1,s3) / (s2,s3).
+    let tri_edges = |t: usize| -> [u32; 3] { std::array::from_fn(|k| edge_ids[3 * t + k]) };
 
     // 1. Decide split edges: all edges of marked (red) triangles, then
     // propagate: a triangle with 2+ split edges becomes red too.
@@ -31,7 +34,7 @@ pub fn refine(mesh: &Mesh2d, marked: &[bool]) -> (Mesh2d, Vec<u32>) {
         let mut changed = false;
         for (t, &is_red) in red.iter().enumerate() {
             if is_red {
-                for &e in &conn.tri_edges[t] {
+                for e in tri_edges(t) {
                     if !split[e as usize] {
                         split[e as usize] = true;
                         changed = true;
@@ -41,10 +44,7 @@ pub fn refine(mesh: &Mesh2d, marked: &[bool]) -> (Mesh2d, Vec<u32>) {
         }
         for (t, r) in red.iter_mut().enumerate() {
             if !*r {
-                let n = conn.tri_edges[t]
-                    .iter()
-                    .filter(|&&e| split[e as usize])
-                    .count();
+                let n = tri_edges(t).iter().filter(|&&e| split[e as usize]).count();
                 if n >= 2 {
                     *r = true;
                     changed = true;
@@ -59,7 +59,7 @@ pub fn refine(mesh: &Mesh2d, marked: &[bool]) -> (Mesh2d, Vec<u32>) {
     // 2. Midpoint nodes for split edges.
     let mut coords = mesh.coords.clone();
     let mut midpoint = vec![u32::MAX; ne];
-    for (e, &[a, b]) in conn.edges.iter().enumerate() {
+    for (e, &[a, b]) in edges.iter().enumerate() {
         if split[e] {
             let (pa, pb) = (mesh.coords[a as usize], mesh.coords[b as usize]);
             midpoint[e] = coords.len() as u32;
@@ -71,8 +71,7 @@ pub fn refine(mesh: &Mesh2d, marked: &[bool]) -> (Mesh2d, Vec<u32>) {
     let mut som: Vec<[u32; 3]> = Vec::with_capacity(mesh.ntris() * 2);
     let mut parent: Vec<u32> = Vec::with_capacity(mesh.ntris() * 2);
     for (t, &[s1, s2, s3]) in mesh.som.iter().enumerate() {
-        // Local edges in connectivity order: (s1,s2), (s1,s3), (s2,s3).
-        let [e12, e13, e23] = conn.tri_edges[t];
+        let [e12, e13, e23] = tri_edges(t);
         let m12 = midpoint[e12 as usize];
         let m13 = midpoint[e13 as usize];
         let m23 = midpoint[e23 as usize];
@@ -115,13 +114,13 @@ pub fn refine(mesh: &Mesh2d, marked: &[bool]) -> (Mesh2d, Vec<u32>) {
 /// endpoints (linear interpolation).
 pub fn prolong_node_field(coarse: &Mesh2d, fine: &Mesh2d, field: &[f64]) -> Vec<f64> {
     assert_eq!(field.len(), coarse.nnodes());
-    let conn = coarse.connectivity();
+    let edges = edges_first_seen(&coarse.som).0;
     let mut out = Vec::with_capacity(fine.nnodes());
     out.extend_from_slice(field);
     // Fine nodes beyond the coarse count are edge midpoints, created in
     // edge order by `refine`.
     let mut next = coarse.nnodes();
-    for &[a, b] in conn.edges.iter() {
+    for &[a, b] in &edges {
         if next >= fine.nnodes() {
             break;
         }
@@ -143,7 +142,6 @@ pub fn prolong_node_field(coarse: &Mesh2d, fine: &Mesh2d, field: &[f64]) -> Vec<
 mod tests {
     use super::*;
     use crate::gen2d;
-    use crate::quality::stats2d;
 
     /// Uniform (red-everywhere) refinement.
     fn refine_all(mesh: &Mesh2d) -> (Mesh2d, Vec<u32>) {
@@ -156,11 +154,13 @@ mod tests {
         let (f, parent) = refine_all(&m);
         assert_eq!(f.ntris(), 4 * m.ntris());
         assert_eq!(parent.len(), f.ntris());
-        // Area preserved.
-        let (s0, s1) = (stats2d(&m), stats2d(&f));
-        assert!((s0.total_area - s1.total_area).abs() < 1e-12);
-        // Angles preserved under red refinement of right triangles.
-        assert!((s1.min_angle_deg - s0.min_angle_deg).abs() < 1e-9);
+        // Area preserved, and every child is a quarter of its parent
+        // (red refinement of right triangles makes similar children).
+        let area = |m: &Mesh2d| (0..m.ntris()).map(|t| m.signed_area(t)).sum::<f64>();
+        assert!((area(&m) - area(&f)).abs() < 1e-12);
+        for (t, &p) in parent.iter().enumerate() {
+            assert!((4.0 * f.signed_area(t) - m.signed_area(p as usize)).abs() < 1e-12);
+        }
     }
 
     #[test]
@@ -168,10 +168,11 @@ mod tests {
         let m = gen2d::perturbed_grid(6, 6, 0.2, 3);
         let marked: Vec<bool> = (0..m.ntris()).map(|t| t % 5 == 0).collect();
         let (f, _) = refine(&m, &marked);
-        // connectivity() panics on non-conforming input.
-        let c = f.connectivity();
+        // dual_graph() panics on non-conforming input.
+        f.dual_graph();
         // Euler for a disk: V - E + F = 1.
-        let euler = f.nnodes() as i64 - c.edges.len() as i64 + f.ntris() as i64;
+        let ne = edges_first_seen(&f.som).0.len();
+        let euler = f.nnodes() as i64 - ne as i64 + f.ntris() as i64;
         assert_eq!(euler, 1);
         // Orientation preserved.
         for t in 0..f.ntris() {
@@ -222,6 +223,6 @@ mod tests {
             m = f;
         }
         assert_eq!(m.ntris(), 8 * 64);
-        m.connectivity(); // conforming
+        m.dual_graph(); // conforming
     }
 }

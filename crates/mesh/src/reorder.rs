@@ -6,7 +6,7 @@
 //! numbering; this module provides the classic *global* reorderings
 //! that improve locality before splitting.
 
-use crate::csr::Csr;
+use crate::csr::{edges_first_seen, Csr};
 use crate::mesh2d::Mesh2d;
 
 /// Reverse Cuthill–McKee ordering of a symmetric adjacency graph.
@@ -102,9 +102,9 @@ pub fn permute_nodes2d(mesh: &Mesh2d, perm: &[u32]) -> (Mesh2d, Vec<u32>) {
 
 /// The node adjacency graph of a 2-D mesh (nodes joined by an edge).
 pub fn node_adjacency(mesh: &Mesh2d) -> Csr {
-    let conn = mesh.connectivity();
-    let mut pairs = Vec::with_capacity(conn.edges.len() * 2);
-    for &[a, b] in &conn.edges {
+    let edges = edges_first_seen(&mesh.som).0;
+    let mut pairs = Vec::with_capacity(edges.len() * 2);
+    for &[a, b] in &edges {
         pairs.push((a, b));
         pairs.push((b, a));
     }

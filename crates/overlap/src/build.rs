@@ -234,7 +234,7 @@ pub fn layers_of(pattern: Pattern) -> usize {
 }
 
 /// Sequential global setup: ownership min-scans, the edge numbering
-/// (the same [`edges_first_seen`] the meshes' connectivity calls), and
+/// (the same [`edges_first_seen`] bindings and refinement call), and
 /// the incidence CSRs.
 pub fn global_setup<const V: usize>(
     nnodes: usize,
@@ -963,17 +963,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn edge_numbering_matches_connectivity() {
-        // The dedup-based global edge list must agree with the mesh's
-        // own connectivity numbering (both first-seen over elements).
-        let mesh = gen2d::perturbed_grid(7, 6, 0.2, 11);
-        let p = partition2d(&mesh, 3, Method::Greedy);
-        let d = decompose2d(&mesh, &p.part, 3, Pattern::FIG1);
-        let c = mesh.connectivity();
-        assert_eq!(d.global_edges, c.edges);
     }
 
     #[test]

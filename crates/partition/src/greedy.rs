@@ -103,7 +103,7 @@ mod tests {
     use syncplace_mesh::gen2d;
 
     fn dual_of_grid(nx: usize, ny: usize) -> Csr {
-        gen2d::grid(nx, ny).connectivity().tri_tris
+        gen2d::grid(nx, ny).dual_graph()
     }
 
     #[test]

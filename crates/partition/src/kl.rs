@@ -91,7 +91,7 @@ mod tests {
     #[test]
     fn refinement_never_worsens_cut() {
         let mesh = gen2d::perturbed_grid(12, 12, 0.2, 9);
-        let dual = mesh.connectivity().tri_tris;
+        let dual = mesh.dual_graph();
         // Deliberately bad partition: strided assignment.
         let mut part: Vec<u32> = (0..dual.nrows() as u32).map(|e| e % 4).collect();
         let before = edge_cut(&dual, &part);
@@ -105,7 +105,7 @@ mod tests {
     #[test]
     fn refinement_respects_balance() {
         let mesh = gen2d::grid(10, 10);
-        let dual = mesh.connectivity().tri_tris;
+        let dual = mesh.dual_graph();
         let mut part: Vec<u32> = (0..dual.nrows() as u32).map(|e| e % 2).collect();
         refine(&dual, &mut part, 2);
         let mut sizes = [0usize; 2];

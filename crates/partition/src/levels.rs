@@ -83,7 +83,7 @@ mod tests {
 
     #[test]
     fn covers_and_balances() {
-        let dual = gen2d::grid(10, 10).connectivity().tri_tris;
+        let dual = gen2d::grid(10, 10).dual_graph();
         for nparts in [2usize, 4, 7] {
             let part = levels(&dual, nparts);
             assert!(part.iter().all(|&p| (p as usize) < nparts));
@@ -97,7 +97,7 @@ mod tests {
         // A 2-way level cut of an n x n grid should be O(n), far below
         // a random assignment's O(n^2).
         let mesh = gen2d::grid(16, 16);
-        let dual = mesh.connectivity().tri_tris;
+        let dual = mesh.dual_graph();
         let part = levels(&dual, 2);
         let cut = edge_cut(&dual, &part);
         assert!(cut < 4 * 16, "cut {cut}");
@@ -114,7 +114,7 @@ mod tests {
 
     #[test]
     fn single_part_identity() {
-        let dual = gen2d::grid(3, 3).connectivity().tri_tris;
+        let dual = gen2d::grid(3, 3).dual_graph();
         assert!(levels(&dual, 1).iter().all(|&p| p == 0));
     }
 }

@@ -87,15 +87,6 @@ pub struct Partition {
 }
 
 impl Partition {
-    /// Elements of each part, in ascending element order.
-    pub fn parts(&self) -> Vec<Vec<u32>> {
-        let mut out = vec![Vec::new(); self.nparts];
-        for (e, &p) in self.part.iter().enumerate() {
-            out[p as usize].push(e as u32);
-        }
-        out
-    }
-
     /// Validates that every part is non-empty.
     pub fn all_parts_nonempty(&self) -> bool {
         let mut seen = vec![false; self.nparts];
@@ -108,50 +99,45 @@ impl Partition {
 
 /// Partition a 2-D mesh into `nparts` sub-meshes with the given method.
 pub fn partition2d(mesh: &Mesh2d, nparts: usize, method: Method) -> Partition {
-    assert!(nparts >= 1, "nparts must be >= 1");
-    let conn = mesh.connectivity();
-    let dual = conn.tri_tris.clone();
     let centroids: Vec<[f64; 3]> = (0..mesh.ntris())
         .map(|t| {
-            let c = mesh.centroid(t);
-            [c[0], c[1], 0.0]
+            let [x, y] = mesh.centroid(t);
+            [x, y, 0.0]
         })
         .collect();
-    let part = run(nparts, method, &dual, &centroids);
-    Partition { part, nparts, dual }
+    run(nparts, method, mesh.dual_graph(), &centroids)
 }
 
 /// Partition a 3-D mesh into `nparts` sub-meshes with the given method.
 pub fn partition3d(mesh: &Mesh3d, nparts: usize, method: Method) -> Partition {
-    assert!(nparts >= 1, "nparts must be >= 1");
-    let conn = mesh.connectivity();
-    let dual = conn.tet_tets.clone();
     let centroids: Vec<[f64; 3]> = (0..mesh.ntets()).map(|t| mesh.centroid(t)).collect();
-    let part = run(nparts, method, &dual, &centroids);
-    Partition { part, nparts, dual }
+    run(nparts, method, mesh.dual_graph(), &centroids)
 }
 
-fn run(nparts: usize, method: Method, dual: &Csr, centroids: &[[f64; 3]]) -> Vec<u32> {
-    match method {
+fn run(nparts: usize, method: Method, dual: Csr, centroids: &[[f64; 3]]) -> Partition {
+    assert!(nparts >= 1, "nparts must be >= 1");
+    let d = &dual;
+    let part = match method {
         Method::Rcb => rcb::rcb(centroids, nparts),
         Method::Rib => rib::rib(centroids, nparts),
-        Method::Greedy => greedy::greedy(dual, nparts),
+        Method::Greedy => greedy::greedy(d, nparts),
         Method::GreedyKl => {
-            let mut p = greedy::greedy(dual, nparts);
-            kl::refine(dual, &mut p, nparts);
+            let mut p = greedy::greedy(d, nparts);
+            kl::refine(d, &mut p, nparts);
             p
         }
         Method::RcbKl => {
             let mut p = rcb::rcb(centroids, nparts);
-            kl::refine(dual, &mut p, nparts);
+            kl::refine(d, &mut p, nparts);
             p
         }
         Method::LevelsKl => {
-            let mut p = levels::levels(dual, nparts);
-            kl::refine(dual, &mut p, nparts);
+            let mut p = levels::levels(d, nparts);
+            kl::refine(d, &mut p, nparts);
             p
         }
-    }
+    };
+    Partition { part, nparts, dual }
 }
 
 #[cfg(test)]

@@ -57,7 +57,7 @@ fn kl_never_worsens_cut() {
         let nparts = rng.range_usize(2, 6);
         let seed = rng.next_u64() % 100;
         let mesh = gen2d::perturbed_grid(nx, nx, 0.2, seed);
-        let dual = mesh.connectivity().tri_tris;
+        let dual = mesh.dual_graph();
         let base = partition2d(&mesh, nparts, Method::Greedy);
         let before = metrics::edge_cut(&dual, &base.part);
         let refined = partition2d(&mesh, nparts, Method::GreedyKl);

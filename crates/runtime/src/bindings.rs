@@ -6,7 +6,10 @@
 //! (element→vertices, edge→endpoints, or a custom table), the global
 //! values of every input array, and the values of input scalars.
 
-use syncplace_ir::{EntityKind, Program, VarId, VarKind};
+use crate::spmd::elem_kind;
+use std::collections::HashMap;
+use syncplace_ir::{EntityKind, Program, Stmt, VarId, VarKind};
+use syncplace_mesh::edges_first_seen;
 
 /// A concrete indirection table in *global* entity numbering.
 #[derive(Debug, Clone)]
@@ -36,15 +39,16 @@ pub struct Bindings {
     /// order: node, edge, tri, tet.
     pub counts: [usize; 4],
     /// Map bindings per map variable.
-    pub maps: std::collections::HashMap<VarId, MapBinding>,
+    pub maps: HashMap<VarId, MapBinding>,
     /// Global values of input arrays.
-    pub input_arrays: std::collections::HashMap<VarId, Vec<f64>>,
+    pub input_arrays: HashMap<VarId, Vec<f64>>,
     /// Values of input scalars.
-    pub input_scalars: std::collections::HashMap<VarId, f64>,
+    pub input_scalars: HashMap<VarId, f64>,
     /// Element → vertex table in global numbering (flattened), for
     /// resolving [`MapBinding::ElemNodes`] in the sequential run.
     pub elem_table: Option<MapData>,
-    /// Edge → endpoint table in global numbering.
+    /// Edge → endpoint table in global numbering; `None` unless the
+    /// program mentions edges (see [`Bindings::for_mesh`]).
     pub edge_table: Option<MapData>,
 }
 
@@ -141,69 +145,70 @@ impl Bindings {
         })
     }
 
-    /// Standard bindings for a 2-D mesh: counts from the mesh, the
-    /// first declared `tri -> node [3]` map bound to triangle corners
-    /// and any `edge -> node [2]` map to edge endpoints.
-    pub fn for_mesh2d(prog: &Program, mesh: &syncplace_mesh::Mesh2d) -> Bindings {
-        let conn = mesh.connectivity();
-        let mut b = Bindings {
-            counts: [mesh.nnodes(), conn.edges.len(), mesh.ntris(), 0],
-            elem_table: Some(MapData {
-                arity: 3,
-                targets: mesh.som.iter().flatten().copied().collect(),
-            }),
-            edge_table: Some(MapData {
+    /// Standard bindings for a mesh of `nnodes` nodes and `V`-vertex
+    /// elements (triangles or tets): entity counts from the mesh, every
+    /// declared `elem -> node [V]` map bound to element corners and
+    /// every `edge -> node [2]` map to edge endpoints. Edges are
+    /// derived ([`edges_first_seen`]) only when `prog` mentions them —
+    /// an edge-based array, a map from or to `edge`, or a
+    /// `forall … in edge` loop; otherwise `edge_table` is `None` and
+    /// the edge count 0, since nothing can read either.
+    pub fn for_mesh<const V: usize>(prog: &Program, nnodes: usize, elems: &[[u32; V]]) -> Bindings {
+        let ek = elem_kind::<V>();
+        let mut counts = [0; 4];
+        counts[kind_index(EntityKind::Node)] = nnodes;
+        counts[kind_index(ek)] = elems.len();
+        let mut edge_table = None;
+        if mentions_edges(prog) {
+            let edges = edges_first_seen(elems).0;
+            counts[kind_index(EntityKind::Edge)] = edges.len();
+            edge_table = Some(MapData {
                 arity: 2,
-                targets: conn.edges.iter().flatten().copied().collect(),
-            }),
-            ..Default::default()
-        };
-        for (v, d) in prog.decls.iter().enumerate() {
-            if let VarKind::Map { from, to, arity } = &d.kind {
-                match (from, to, arity) {
-                    (EntityKind::Tri, EntityKind::Node, 3) => {
-                        b.maps.insert(v, MapBinding::ElemNodes);
-                    }
-                    (EntityKind::Edge, EntityKind::Node, 2) => {
-                        b.maps.insert(v, MapBinding::EdgeNodes);
-                    }
-                    _ => {}
-                }
-            }
+                targets: edges.into_iter().flatten().collect(),
+            });
         }
-        b
+        let maps = (prog.decls.iter().enumerate())
+            .filter_map(|(v, d)| {
+                let VarKind::Map { from, to, arity } = d.kind else {
+                    return None;
+                };
+                let binding = match (from, to, arity) {
+                    (f, EntityKind::Node, a) if f == ek && a == V => MapBinding::ElemNodes,
+                    (EntityKind::Edge, EntityKind::Node, 2) => MapBinding::EdgeNodes,
+                    _ => return None,
+                };
+                Some((v, binding))
+            })
+            .collect();
+        Bindings {
+            counts,
+            maps,
+            elem_table: Some(MapData {
+                arity: V,
+                targets: elems.iter().flatten().copied().collect(),
+            }),
+            edge_table,
+            ..Default::default()
+        }
     }
+}
 
-    /// Standard bindings for a 3-D tetrahedral mesh.
-    pub fn for_mesh3d(prog: &Program, mesh: &syncplace_mesh::Mesh3d) -> Bindings {
-        let conn = mesh.connectivity();
-        let mut b = Bindings {
-            counts: [mesh.nnodes(), conn.edges.len(), 0, mesh.ntets()],
-            elem_table: Some(MapData {
-                arity: 4,
-                targets: mesh.tets.iter().flatten().copied().collect(),
-            }),
-            edge_table: Some(MapData {
-                arity: 2,
-                targets: conn.edges.iter().flatten().copied().collect(),
-            }),
-            ..Default::default()
-        };
-        for (v, d) in prog.decls.iter().enumerate() {
-            if let VarKind::Map { from, to, arity } = &d.kind {
-                match (from, to, arity) {
-                    (EntityKind::Tet, EntityKind::Node, 4) => {
-                        b.maps.insert(v, MapBinding::ElemNodes);
-                    }
-                    (EntityKind::Edge, EntityKind::Node, 2) => {
-                        b.maps.insert(v, MapBinding::EdgeNodes);
-                    }
-                    _ => {}
-                }
-            }
-        }
-        b
+/// Does `prog` mention the edge entity: an edge-based array, a map from
+/// or to `edge`, or a `forall … in edge` loop?
+fn mentions_edges(prog: &Program) -> bool {
+    fn loops_over_edges(stmts: &[Stmt]) -> bool {
+        stmts.iter().any(|s| match s {
+            Stmt::Loop(l) => l.entity == EntityKind::Edge,
+            Stmt::TimeLoop(t) => loops_over_edges(&t.body),
+            Stmt::Assign(_) | Stmt::ExitIf(_) => false,
+        })
     }
+    let is_edge = |k| k == EntityKind::Edge;
+    prog.decls.iter().any(|d| match d.kind {
+        VarKind::Scalar => false,
+        VarKind::Array { base } => is_edge(base),
+        VarKind::Map { from, to, .. } => is_edge(from) || is_edge(to),
+    }) || loops_over_edges(&prog.body)
 }
 
 /// Ready-made bindings for the TESTIV program on a 2-D mesh: `INIT`
@@ -211,7 +216,7 @@ impl Bindings {
 /// areas scaled so that a constant field is a fixed point of the
 /// averaging (the convergence behaviour of the paper's example).
 pub fn testiv_bindings(prog: &Program, mesh: &syncplace_mesh::Mesh2d, epsilon: f64) -> Bindings {
-    let mut b = Bindings::for_mesh2d(prog, mesh);
+    let mut b = Bindings::for_mesh(prog, mesh.nnodes(), &mesh.som);
     let areas: Vec<f64> = (0..mesh.ntris())
         .map(|t| mesh.signed_area(t).abs())
         .collect();
@@ -237,7 +242,7 @@ pub fn testiv_bindings(prog: &Program, mesh: &syncplace_mesh::Mesh2d, epsilon: f
 /// Ready-made bindings for the 3-D `tetheat` program: volumes and
 /// assembled nodal volumes (constant-preserving scaling).
 pub fn tet_heat_bindings(prog: &Program, mesh: &syncplace_mesh::Mesh3d, epsilon: f64) -> Bindings {
-    let mut b = Bindings::for_mesh3d(prog, mesh);
+    let mut b = Bindings::for_mesh(prog, mesh.nnodes(), &mesh.tets);
     let vols: Vec<f64> = (0..mesh.ntets())
         .map(|t| mesh.signed_volume(t).abs())
         .collect();
@@ -266,12 +271,12 @@ pub fn edge_smooth_bindings(
     mesh: &syncplace_mesh::Mesh2d,
     x: Vec<f64>,
 ) -> Bindings {
-    let conn = mesh.connectivity();
-    let mut b = Bindings::for_mesh2d(prog, mesh);
+    let mut b = Bindings::for_mesh(prog, mesh.nnodes(), &mesh.som);
     assert_eq!(x.len(), mesh.nnodes());
     b.input_arrays.insert(prog.lookup("X").expect("X"), x);
+    let nedges = b.counts[kind_index(EntityKind::Edge)];
     b.input_arrays
-        .insert(prog.lookup("W").expect("W"), vec![1.0; conn.edges.len()]);
+        .insert(prog.lookup("W").expect("W"), vec![1.0; nedges]);
     b
 }
 
@@ -279,44 +284,66 @@ pub fn edge_smooth_bindings(
 mod tests {
     use super::*;
     use syncplace_ir::programs;
-    use syncplace_mesh::gen2d;
+    use syncplace_mesh::{gen2d, gen3d};
 
     #[test]
     fn testiv_bindings_validate() {
         let p = programs::testiv();
-        let mesh = gen2d::grid(4, 4);
-        let mut b = Bindings::for_mesh2d(&p, &mesh);
-        b.input_arrays
-            .insert(p.lookup("INIT").unwrap(), vec![1.0; mesh.nnodes()]);
-        b.input_arrays
-            .insert(p.lookup("AIRETRI").unwrap(), vec![1.0; mesh.ntris()]);
-        b.input_arrays
-            .insert(p.lookup("AIRESOM").unwrap(), vec![1.0; mesh.nnodes()]);
-        b.input_scalars.insert(p.lookup("epsilon").unwrap(), 1e-6);
-        b.validate(&p).unwrap();
+        testiv_bindings(&p, &gen2d::grid(4, 4), 1e-6)
+            .validate(&p)
+            .unwrap();
     }
 
     #[test]
     fn missing_input_caught() {
         let p = programs::testiv();
         let mesh = gen2d::grid(3, 3);
-        let b = Bindings::for_mesh2d(&p, &mesh);
+        let b = Bindings::for_mesh(&p, mesh.nnodes(), &mesh.som);
         assert!(b.validate(&p).is_err());
     }
 
     #[test]
     fn wrong_size_caught() {
         let p = programs::testiv();
-        let mesh = gen2d::grid(3, 3);
-        let mut b = Bindings::for_mesh2d(&p, &mesh);
+        let mut b = testiv_bindings(&p, &gen2d::grid(3, 3), 1e-6);
         b.input_arrays
             .insert(p.lookup("INIT").unwrap(), vec![1.0; 3]);
-        b.input_arrays
-            .insert(p.lookup("AIRETRI").unwrap(), vec![1.0; mesh.ntris()]);
-        b.input_arrays
-            .insert(p.lookup("AIRESOM").unwrap(), vec![1.0; mesh.nnodes()]);
-        b.input_scalars.insert(p.lookup("epsilon").unwrap(), 1e-6);
         let err = b.validate(&p).unwrap_err();
         assert!(err.contains("INIT"), "{err}");
+    }
+
+    #[test]
+    fn edge_table_only_for_programs_that_mention_edges() {
+        let grid = gen2d::grid(4, 3);
+        let tets = gen3d::box_mesh(2, 2, 1);
+        let edge = kind_index(EntityKind::Edge);
+        for b in [
+            testiv_bindings(&programs::testiv(), &grid, 0.0),
+            Bindings::for_mesh(&programs::fig5_sketch(), grid.nnodes(), &grid.som),
+            tet_heat_bindings(&programs::tet_heat(1), &tets, 0.0),
+        ] {
+            assert!(b.edge_table.is_none());
+            assert_eq!(b.counts[edge], 0);
+        }
+        let x = vec![1.0; grid.nnodes()];
+        let b = edge_smooth_bindings(&programs::edge_smooth(), &grid, x);
+        let nedges = edges_first_seen(&grid.som).0.len();
+        assert_eq!(b.counts[edge], nedges);
+        assert_eq!(b.edge_table.map(|t| t.targets.len()), Some(2 * nedges));
+    }
+
+    #[test]
+    fn edge_table_matches_decomposition_edges() {
+        // One edge numbering across modules: the bindings' global edge
+        // table is the decomposition's, id for id.
+        use syncplace_overlap::{decompose2d, Pattern};
+        use syncplace_partition::{partition2d, Method};
+        let mesh = gen2d::perturbed_grid(7, 6, 0.2, 11);
+        let x = vec![1.0; mesh.nnodes()];
+        let b = edge_smooth_bindings(&programs::edge_smooth(), &mesh, x);
+        let p = partition2d(&mesh, 3, Method::Greedy);
+        let d = decompose2d(&mesh, &p.part, 3, Pattern::FIG1);
+        let global: Vec<u32> = d.global_edges.iter().flatten().copied().collect();
+        assert_eq!(b.edge_table.expect("edgesmooth has edges").targets, global);
     }
 }

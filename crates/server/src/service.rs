@@ -626,8 +626,9 @@ impl Service {
         self.emit_span(keys::SERVER_BUILD_SPAN, scratch.build_ns);
         let compile_ms = scratch.build_ns as f64 / 1e6;
 
-        let mut bindings = Bindings::for_mesh2d(&placed.prog, &compiled.mesh);
-        syncplace::synth_inputs(&placed.prog, &compiled.mesh, &mut bindings);
+        let mesh = &compiled.mesh;
+        let mut bindings = Bindings::for_mesh(&placed.prog, mesh.nnodes(), &mesh.som);
+        syncplace::synth_inputs(&placed.prog, &mut bindings);
         bindings
             .validate(&placed.prog)
             .map_err(|e| ServeError::Invalid(format!("cannot synthesize inputs: {e}")))?;

@@ -48,9 +48,9 @@ fn main() {
     let prog = parse(ADVECT).expect("parses");
     syncplace::ir::validate::assert_valid(&prog);
     let mesh = gen2d::perturbed_grid(16, 16, 0.2, 31);
-    let conn = mesh.connectivity();
 
-    let mut bindings = syncplace::runtime::Bindings::for_mesh2d(&prog, &mesh);
+    let mut bindings = syncplace::runtime::Bindings::for_mesh(&prog, mesh.nnodes(), &mesh.som);
+    let nedges = bindings.counts[syncplace::runtime::bindings::kind_index(EntityKind::Edge)];
     bindings.input_arrays.insert(
         prog.lookup("U0").unwrap(),
         mesh.coords
@@ -60,7 +60,7 @@ fn main() {
     );
     bindings.input_arrays.insert(
         prog.lookup("V").unwrap(),
-        (0..conn.edges.len())
+        (0..nedges)
             .map(|e| 0.5 + 0.5 * ((e % 13) as f64 / 13.0))
             .collect(),
     );

@@ -64,7 +64,7 @@ fn main() {
         .iter()
         .map(|c| if c[0] < 0.2 && c[1] < 0.2 { 10.0 } else { 0.0 })
         .collect();
-    let mut bindings = syncplace::runtime::Bindings::for_mesh2d(&prog, &mesh);
+    let mut bindings = syncplace::runtime::Bindings::for_mesh(&prog, mesh.nnodes(), &mesh.som);
     bindings.input_arrays.insert(prog.lookup("U0").unwrap(), u0);
     bindings
         .input_arrays

@@ -27,7 +27,11 @@
 # an engine and `Engine::run` / `run_with` the only way to run one: no
 # `enum Posting|EngineKind|Wire` and no `pub fn run_spmd*` under
 # crates/ — the pooled core, the α/β model, the model checker and the
-# protocol all match on `Engine`), the workspace must
+# protocol all match on `Engine`), the mesh must keep exactly two
+# derivations, each called by whoever reads it (`edges_first_seen` for
+# edges, `dual_from_facets` for the element dual graph: no
+# `Connectivity2d|3d` or `fn connectivity` bundle under crates tests
+# examples suite), the workspace must
 # stay free of `unsafe` (the keyword opens no block, fn, impl, trait or
 # extern under crates suite tests examples), the repo's
 # own static analysis (`reproduce lint` — independent placement
@@ -72,6 +76,10 @@ if [ "$recorders" != "FanoutRecorder HbRecorder MetricsRegistry TimelineRecorder
 fi
 if grep -rnE --include='*.rs' '\benum (Posting|EngineKind|Wire)\b|\bpub fn run_spmd' crates; then
     echo "engine gate: Engine is the one engine identity and Engine::run / run_with the one run entry — match on it instead"
+    exit 1
+fi
+if grep -rnE --include='*.rs' 'Connectivity[23]d|\.connectivity\(\)|fn connectivity' crates tests examples suite; then
+    echo "mesh gate: edges come from edges_first_seen and adjacency from dual_from_facets, derived where read — no all-tables connectivity bundle"
     exit 1
 fi
 if grep -rnE --include='*.rs' '\bunsafe[[:space:]]*(\{|fn|impl|trait|extern)' crates suite tests examples; then

@@ -306,7 +306,7 @@ fn one_rank_hits_an_absent_target(
         .expect("no rank holds every node");
     let mut targets: Vec<u32> = (0..mesh.nnodes() as u32).collect();
     targets[from as usize] = to;
-    let mut bindings = Bindings::for_mesh2d(&prog, &mesh);
+    let mut bindings = Bindings::for_mesh(&prog, mesh.nnodes(), &mesh.som);
     let nxt = prog.lookup("NXT").unwrap();
     bindings.maps.insert(nxt, MapBinding::Custom(MapData { arity: 1, targets }));
     let a = prog.lookup("A").unwrap();
@@ -424,5 +424,48 @@ fn modeled_time_vs_round_robin_holds_its_floors() {
         assert!(vs_ba >= batched_floor - 1e-9, "P={p} batched {vs_ba:.4} < {batched_floor}");
         assert!(vs_ov >= overlapped_floor - 1e-9, "P={p} overlapped {vs_ov:.4} < {overlapped_floor}");
         assert!(vs_ov >= vs_ba - 1e-9, "P={p} overlapped {vs_ov:.4} < batched {vs_ba:.4}");
+    }
+}
+
+/// A program whose only mention of edges is a `forall e in edge` loop
+/// still gets the mesh's edge count from its bindings (the sequential
+/// run counts them), and the reference engine reproduces the
+/// sequential run bit for bit.
+#[test]
+fn edge_loop_only_program_counts_edges_and_matches_sequential() {
+    use syncplace::runtime::{bindings::kind_index, run_sequential};
+    let prog = parse(
+        "program edgeloop\n  input X : node\n  output Y : node\n  output n : scalar\n  n = 0.0\n  forall e in edge split { n = n + 1.0 }\n  forall i in node split { Y(i) = X(i) * n }\nend",
+    )
+    .unwrap();
+    let mesh = gen2d::perturbed_grid(9, 7, 0.2, 5);
+    let nedges = syncplace::mesh::edges_first_seen(&mesh.som).0.len();
+    let mut bindings = Bindings::for_mesh(&prog, mesh.nnodes(), &mesh.som);
+    assert_eq!(bindings.counts[kind_index(EntityKind::Edge)], nedges);
+    let x: Vec<f64> = (0..mesh.nnodes()).map(|i| ((i * 7) % 11) as f64).collect();
+    bindings.input_arrays.insert(prog.lookup("X").unwrap(), x);
+    let seq = run_sequential(&prog, &bindings);
+    let n = prog.lookup("n").unwrap();
+    assert_eq!(seq.output_scalars[&n], nedges as f64);
+
+    let (dfg, analysis) = analyze_program(
+        &prog,
+        &element_overlap_2d_full(),
+        &SearchOptions::default(),
+        &CostParams::default(),
+    );
+    let spmd = syncplace::codegen::spmd_program(&prog, &dfg, &analysis.solutions[0]);
+    let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    for p in PROCS {
+        let part = partition2d(&mesh, p, Method::Greedy);
+        let d = decompose2d(&mesh, &part.part, p, Pattern::FIG1);
+        let r = Engine::RoundRobin.run(&prog, &spmd, &d, &bindings).unwrap();
+        for (v, a) in &seq.output_arrays {
+            assert_eq!(bits(a), bits(&r.output_arrays[v]), "P={p} array {v}");
+        }
+        for (v, x) in &seq.output_scalars {
+            let y = r.output_scalars[v];
+            assert_eq!(x.to_bits(), y.to_bits(), "P={p} scalar {v}");
+        }
     }
 }
