@@ -100,7 +100,7 @@ pub fn audit_coverage(sol: &Solution, spmd: &SpmdProgram) -> Report {
 }
 
 /// Audit the compiled plan against the SPMD program it was built from.
-pub fn audit_plan(prog: &Program, spmd: &SpmdProgram, plan: &CommPlan) -> Report {
+pub fn audit_plan(_prog: &Program, spmd: &SpmdProgram, plan: &CommPlan) -> Report {
     let mut r = Report::new();
     let phases = spmd.phases();
 
@@ -117,7 +117,7 @@ pub fn audit_plan(prog: &Program, spmd: &SpmdProgram, plan: &CommPlan) -> Report
         ));
     }
     let mut referenced: HashMap<usize, usize> = HashMap::new();
-    for (&stmt, &idx) in &plan.before {
+    for (stmt, &idx) in plan.before.iter() {
         *referenced.entry(idx).or_insert(0) += 1;
         if !phases
             .iter()
@@ -142,7 +142,7 @@ pub fn audit_plan(prog: &Program, spmd: &SpmdProgram, plan: &CommPlan) -> Report
     }
     for (at, _) in &phases {
         let covered = match at {
-            PhaseAt::Before(s) => plan.before.contains_key(s),
+            PhaseAt::Before(s) => plan.before.contains(*s),
             PhaseAt::AtEnd => plan.at_end.is_some(),
         };
         if !covered {
@@ -181,7 +181,7 @@ pub fn audit_plan(prog: &Program, spmd: &SpmdProgram, plan: &CommPlan) -> Report
     // Op-count agreement per (insertion point, phase) pair.
     for (at, ops) in &phases {
         let idx = match at {
-            PhaseAt::Before(s) => plan.before.get(s).copied(),
+            PhaseAt::Before(s) => plan.before.get(*s).copied(),
             PhaseAt::AtEnd => plan.at_end,
         };
         let Some(idx) = idx.filter(|&i| i < plan.phases.len()) else {
@@ -231,7 +231,6 @@ pub fn audit_plan(prog: &Program, spmd: &SpmdProgram, plan: &CommPlan) -> Report
         }
         audit_orders(&mut r, plan, idx, ph);
     }
-    let _ = prog;
     r.sort();
     r
 }

@@ -26,7 +26,7 @@ use std::collections::HashMap;
 use syncplace_automata::OverlapAutomaton;
 use syncplace_dfg::{Dfg, ReduceOp};
 use syncplace_ir::diag::{codes, Diagnostic, Report, Span};
-use syncplace_ir::Program;
+use syncplace_ir::{IdVec, Program};
 use syncplace_placement::{check_legality, Solution};
 
 use crate::verify::feasible_states;
@@ -78,18 +78,13 @@ pub fn lint_program(prog: &Program, automaton: &OverlapAutomaton) -> Report {
 
     // Floating-point Sum/Prod reductions: deterministic only because
     // every engine folds partials in the same binomial-tree order.
-    let mut reductions: Vec<_> = dfg.classification.reductions.iter().collect();
-    reductions.sort_by_key(|(stmt, _)| **stmt);
-    let mut lhs_of: HashMap<_, _> = HashMap::new();
+    let mut lhs_of = IdVec::default();
     prog.visit_assigns(&mut |a, _| {
         lhs_of.insert(a.id, a.lhs.var());
     });
-    for (&stmt, info) in reductions {
+    for (stmt, info) in dfg.classification.reductions.iter() {
         if matches!(info.op, ReduceOp::Sum | ReduceOp::Prod) {
-            let span = match lhs_of.get(&stmt) {
-                Some(&v) => Span::stmt(stmt).with_var(v),
-                None => Span::stmt(stmt),
-            };
+            let span = lhs_of.get(stmt).map_or(Span::stmt(stmt), |&v| Span::stmt(stmt).with_var(v));
             r.push(
                 Diagnostic::warning(
                     codes::REDUCE_NONDET,

@@ -73,7 +73,7 @@ fn moves_array(dfg: &Dfg, a: &Arrow) -> bool {
 /// observe a partial.
 fn may_hold_sca1(dfg: &Dfg, node: usize) -> bool {
     match &dfg.nodes[node].kind {
-        NodeKind::Def { stmt, .. } => dfg.classification.reductions.contains_key(stmt),
+        NodeKind::Def { stmt, .. } => dfg.classification.reductions.contains(*stmt),
         _ => true,
     }
 }

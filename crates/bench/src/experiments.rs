@@ -760,7 +760,7 @@ pub fn e15_adaptive(scale: Scale) -> String {
         .insert(init, coarse.coords.iter().map(front).collect());
     let seq1 = syncplace::runtime::run_sequential(&prog, &b1);
     let result_var = prog.lookup("RESULT").unwrap();
-    let u1 = seq1.output_arrays[&result_var].clone();
+    let u1 = seq1.output_arrays[result_var].clone();
 
     // Phase 2: refine where the solved field varies across an element.
     let mut marked = vec![false; coarse.ntris()];

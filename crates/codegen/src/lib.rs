@@ -19,7 +19,7 @@
 use syncplace_automata::CommKind;
 use syncplace_dfg::ReduceOp;
 use syncplace_ir::printer::{to_fortran, Annotator};
-use syncplace_ir::{Program, StmtId, VarId};
+use syncplace_ir::{IdVec, Program, StmtId, VarId};
 use syncplace_placement::{CommSite, InsertionPoint, IterationDomain, Solution};
 
 /// A concrete communication operation of the SPMD program.
@@ -35,18 +35,19 @@ pub enum CommOp {
 }
 
 /// The executable SPMD program: original statements + comm points.
+/// Its per-statement tables are [`IdVec`]s indexed by statement id.
 #[derive(Debug, Clone)]
 pub struct SpmdProgram {
     /// Communications to run immediately before each statement id.
-    pub comms_before: std::collections::HashMap<StmtId, Vec<CommOp>>,
+    pub comms_before: IdVec<Vec<CommOp>>,
     /// Communications to run after the last statement.
     pub comms_at_end: Vec<CommOp>,
     /// Iteration domain per partitioned loop statement.
-    pub domains: std::collections::HashMap<StmtId, IterationDomain>,
+    pub domains: IdVec<IterationDomain>,
     /// Scalar-reduction statements in partitioned loops: the runtime
     /// accumulates these only over kernel (owned) entities so every
     /// entity is counted exactly once globally.
-    pub kernel_guarded: std::collections::HashSet<StmtId>,
+    pub kernel_guarded: IdVec<()>,
 }
 
 /// One communication phase's insertion point: all ops at the same
@@ -67,11 +68,8 @@ impl SpmdProgram {
     /// order — the unit that batched runtimes coalesce into one
     /// packet per peer.
     pub fn phases(&self) -> Vec<(PhaseAt, &[CommOp])> {
-        let mut ids: Vec<StmtId> = self.comms_before.keys().copied().collect();
-        ids.sort_unstable();
-        let mut out: Vec<(PhaseAt, &[CommOp])> = ids
-            .into_iter()
-            .map(|id| (PhaseAt::Before(id), self.comms_before[&id].as_slice()))
+        let mut out: Vec<(PhaseAt, &[CommOp])> = (self.comms_before.iter())
+            .map(|(id, ops)| (PhaseAt::Before(id), ops.as_slice()))
             .collect();
         if !self.comms_at_end.is_empty() {
             out.push((PhaseAt::AtEnd, self.comms_at_end.as_slice()));
@@ -80,8 +78,7 @@ impl SpmdProgram {
     }
 }
 
-fn comm_op(prog: &Program, site: &CommSite) -> CommOp {
-    let _ = prog;
+fn comm_op(site: &CommSite) -> CommOp {
     match site.kind {
         CommKind::UpdateOverlap => CommOp::UpdateOverlap { var: site.var },
         CommKind::AssembleShared => CommOp::AssembleShared { var: site.var },
@@ -95,30 +92,27 @@ fn comm_op(prog: &Program, site: &CommSite) -> CommOp {
 /// Build the executable SPMD form of a solution. The `dfg` supplies
 /// the reduction classification used for kernel guards.
 pub fn spmd_program(prog: &Program, dfg: &syncplace_dfg::Dfg, sol: &Solution) -> SpmdProgram {
-    let mut comms_before: std::collections::HashMap<StmtId, Vec<CommOp>> = Default::default();
+    let mut comms_before = IdVec::default();
     let mut comms_at_end = Vec::new();
     for site in &sol.comm_sites {
-        let op = comm_op(prog, site);
+        let op = comm_op(site);
         match site.location {
-            InsertionPoint::Before(stmt) => comms_before.entry(stmt).or_default().push(op),
+            InsertionPoint::Before(stmt) => {
+                comms_before.get_or_insert_with(stmt, Vec::new).push(op)
+            }
             InsertionPoint::AtEnd => comms_at_end.push(op),
         }
     }
     // Kernel guards: scalar reductions inside partitioned loops.
-    let mut kernel_guarded = std::collections::HashSet::new();
-    for op in &dfg.flat.ops {
-        if !op.loop_ctx.is_some_and(|c| c.partitioned) {
-            continue;
+    let mut kernel_guarded = IdVec::default();
+    prog.visit_assigns(&mut |a, l| {
+        if l.is_some_and(|l| l.partitioned)
+            && matches!(a.lhs, syncplace_ir::Access::Scalar(_))
+            && dfg.classification.reductions.contains(a.id)
+        {
+            kernel_guarded.insert(a.id, ());
         }
-        if !dfg.classification.reductions.contains_key(&op.stmt) {
-            continue;
-        }
-        if let syncplace_dfg::ops::OpKind::Assign(a) = &op.kind {
-            if matches!(a.lhs, syncplace_ir::Access::Scalar(_)) {
-                kernel_guarded.insert(op.stmt);
-            }
-        }
-    }
+    });
     SpmdProgram {
         comms_before,
         comms_at_end,

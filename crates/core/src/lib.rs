@@ -135,13 +135,12 @@ pub fn synth_inputs(prog: &ir::Program, b: &mut runtime::Bindings) {
     for v in prog.inputs() {
         match prog.decl(v).kind {
             VarKind::Scalar => {
-                b.input_scalars.entry(v).or_insert(1e-8);
+                b.input_scalars.get_or_insert_with(v, || 1e-8);
             }
             VarKind::Array { base } => {
                 let n = b.counts[runtime::bindings::kind_index(base)];
-                b.input_arrays
-                    .entry(v)
-                    .or_insert_with(|| (0..n).map(|i| 1.0 + 0.1 * ((i % 7) as f64)).collect());
+                let field = || (0..n).map(|i| 1.0 + 0.1 * ((i % 7) as f64)).collect();
+                b.input_arrays.get_or_insert_with(v, field);
             }
             VarKind::Map { .. } => {}
         }

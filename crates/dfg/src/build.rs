@@ -5,7 +5,7 @@ use crate::classify::{classify, Classification};
 use crate::graph::*;
 use crate::ops::{flatten, FlatProgram, OpId, OpKind};
 use crate::reach::{analyze, op_reads, op_write, DefSite, Reaching};
-use syncplace_ir::{Access, Program, VarId, VarKind};
+use syncplace_ir::{Access, IdVec, Program, VarId, VarKind};
 
 /// Build the data-flow graph of a program. The program must be
 /// shape-valid ([`syncplace_ir::validate::check`]).
@@ -36,12 +36,12 @@ pub fn build(prog: &Program) -> Dfg {
             mark(lhs);
         }
     }
-    let mut replicated = std::collections::HashSet::new();
+    let mut replicated = IdVec::default();
     let mut mixed_usage = Vec::new();
     for (v, d) in prog.decls.iter().enumerate() {
         if matches!(d.kind, VarKind::Array { .. }) {
             if !in_partitioned[v] {
-                replicated.insert(v);
+                replicated.insert(v, ());
             } else if in_seq_loop[v] {
                 mixed_usage.push(v);
             }
@@ -112,11 +112,11 @@ struct Builder<'a> {
     flat: &'a FlatProgram,
     reaching: &'a Reaching,
     classification: &'a Classification,
-    replicated: &'a std::collections::HashSet<VarId>,
+    replicated: &'a IdVec<()>,
     nodes: Vec<Node>,
     arrows: Vec<Arrow>,
-    input_node: std::collections::HashMap<VarId, NodeId>,
-    output_node: std::collections::HashMap<VarId, NodeId>,
+    input_node: IdVec<NodeId>,
+    output_node: IdVec<NodeId>,
     def_node: Vec<Option<NodeId>>,
     use_nodes: Vec<Vec<NodeId>>,
     exit_node: Vec<Option<NodeId>>,
@@ -127,7 +127,7 @@ impl<'a> Builder<'a> {
         match &self.prog.decl(v).kind {
             VarKind::Scalar => ValueShape::Scalar,
             VarKind::Array { base } => {
-                if self.replicated.contains(&v) {
+                if self.replicated.contains(v) {
                     ValueShape::Scalar
                 } else {
                     ValueShape::Entity(*base)
@@ -141,13 +141,22 @@ impl<'a> Builder<'a> {
         let stmt = self.flat.ops[op].stmt;
         self.classification
             .reductions
-            .get(&stmt)
+            .get(stmt)
             .is_some_and(|r| r.carrier_ord == ord)
+    }
+
+    /// Is `acc` an element access of a replicated array? Those are
+    /// scalar-shaped wherever they occur.
+    fn replicated_element(&self, acc: &Access) -> bool {
+        !matches!(acc, Access::Scalar(_)) && self.replicated.contains(acc.var())
     }
 
     fn use_class_shape(&self, op: OpId, ord: usize, acc: &Access) -> (UseClass, ValueShape) {
         let o = &self.flat.ops[op];
         let partitioned_loop = o.loop_ctx.is_some_and(|c| c.partitioned);
+        if self.replicated_element(acc) {
+            return (UseClass::Scalar, ValueShape::Scalar);
+        }
         match acc {
             Access::Scalar(v) => {
                 if partitioned_loop && self.is_carrier(op, ord) {
@@ -162,34 +171,20 @@ impl<'a> Builder<'a> {
                     (UseClass::Scalar, ValueShape::Scalar)
                 }
             }
-            Access::Direct(v) => {
-                if self.replicated.contains(v) {
-                    (UseClass::Scalar, ValueShape::Scalar)
-                } else {
-                    (UseClass::Direct, self.var_shape(*v))
-                }
+            Access::Direct(v) => (UseClass::Direct, self.var_shape(*v)),
+            Access::Indirect { array, .. } if self.is_carrier(op, ord) => {
+                (UseClass::Carrier, self.var_shape(*array))
             }
-            Access::Indirect { array, .. } => {
-                if self.replicated.contains(array) {
-                    (UseClass::Scalar, ValueShape::Scalar)
-                } else if self.is_carrier(op, ord) {
-                    (UseClass::Carrier, self.var_shape(*array))
-                } else {
-                    (UseClass::Gather, self.var_shape(*array))
-                }
-            }
-            Access::Fixed(v, _) => {
-                if self.replicated.contains(v) {
-                    (UseClass::Scalar, ValueShape::Scalar)
-                } else {
-                    (UseClass::Fixed, self.var_shape(*v))
-                }
-            }
+            Access::Indirect { array, .. } => (UseClass::Gather, self.var_shape(*array)),
+            Access::Fixed(v, _) => (UseClass::Fixed, self.var_shape(*v)),
         }
     }
 
     fn def_class_shape(&self, op: OpId, lhs: &Access) -> (DefClass, ValueShape) {
         let o = &self.flat.ops[op];
+        if self.replicated_element(lhs) {
+            return (DefClass::Scalar, ValueShape::Scalar);
+        }
         match lhs {
             Access::Scalar(v) => {
                 if let Some(ctx) = o.loop_ctx {
@@ -199,27 +194,9 @@ impl<'a> Builder<'a> {
                 }
                 (DefClass::Scalar, ValueShape::Scalar)
             }
-            Access::Direct(v) => {
-                if self.replicated.contains(v) {
-                    (DefClass::Scalar, ValueShape::Scalar)
-                } else {
-                    (DefClass::Direct, self.var_shape(*v))
-                }
-            }
-            Access::Indirect { array, .. } => {
-                if self.replicated.contains(array) {
-                    (DefClass::Scalar, ValueShape::Scalar)
-                } else {
-                    (DefClass::Scatter, self.var_shape(*array))
-                }
-            }
-            Access::Fixed(v, _) => {
-                if self.replicated.contains(v) {
-                    (DefClass::Scalar, ValueShape::Scalar)
-                } else {
-                    (DefClass::Fixed, self.var_shape(*v))
-                }
-            }
+            Access::Direct(v) => (DefClass::Direct, self.var_shape(*v)),
+            Access::Indirect { array, .. } => (DefClass::Scatter, self.var_shape(*array)),
+            Access::Fixed(v, _) => (DefClass::Fixed, self.var_shape(*v)),
         }
     }
 
@@ -344,8 +321,8 @@ impl<'a> Builder<'a> {
             return false;
         }
         let (Some(dr), Some(ur)) = (
-            self.classification.reductions.get(&d.stmt),
-            self.classification.reductions.get(&u.stmt),
+            self.classification.reductions.get(d.stmt),
+            self.classification.reductions.get(u.stmt),
         ) else {
             return false;
         };
@@ -370,7 +347,7 @@ impl<'a> Builder<'a> {
                 let v = self.node_var(u);
                 for site in self.reaching.defs_of_at(v, op.id) {
                     let from = match site {
-                        DefSite::Input(iv) => self.input_node[&iv],
+                        DefSite::Input(iv) => self.input_node[iv],
                         DefSite::Op(o) => {
                             if o == op.id || self.reduction_internal(o, op.id, ord) {
                                 continue;
@@ -388,10 +365,10 @@ impl<'a> Builder<'a> {
             }
         }
         // Outputs.
-        for (&v, &out) in self.output_node.iter() {
+        for (v, &out) in self.output_node.iter() {
             for site in self.reaching.defs_of_at_exit(v) {
                 let from = match site {
-                    DefSite::Input(iv) => self.input_node[&iv],
+                    DefSite::Input(iv) => self.input_node[iv],
                     DefSite::Op(o) => self.def_node[o].unwrap(),
                 };
                 self.arrows.push(Arrow {
@@ -402,7 +379,6 @@ impl<'a> Builder<'a> {
                 });
             }
         }
-        // Deterministic order regardless of hash-map iteration.
         self.arrows.sort_by_key(|a| (a.from, a.to, a.kind as u8));
     }
 
@@ -436,8 +412,7 @@ impl<'a> Builder<'a> {
                 if o == op.id {
                     continue;
                 }
-                for (ord, &u) in self.use_nodes[o].iter().enumerate() {
-                    let _ = ord;
+                for &u in &self.use_nodes[o] {
                     if self.node_var(u) == v {
                         self.arrows.push(Arrow {
                             from: u,
@@ -548,16 +523,9 @@ impl<'a> Builder<'a> {
         }
         // write/write: output.
         if let (Some(w1), Some(w2)) = (wa, wb) {
-            if w1.var() == w2.var() {
-                let alias = if oa == ob {
-                    // The same statement in two different iterations.
-                    may_alias_cross_iter(w1, w2)
-                } else {
-                    may_alias_cross_iter(w1, w2)
-                };
-                if alias {
-                    push(DepKind::Output, w1.var(), oa, ob);
-                }
+            // oa == ob too: one statement in two different iterations.
+            if w1.var() == w2.var() && may_alias_cross_iter(w1, w2) {
+                push(DepKind::Output, w1.var(), oa, ob);
             }
         }
     }
@@ -566,8 +534,8 @@ impl<'a> Builder<'a> {
         let rf = self
             .classification
             .reductions
-            .get(&self.flat.ops[from].stmt);
-        let rt = self.classification.reductions.get(&self.flat.ops[to].stmt);
+            .get(self.flat.ops[from].stmt);
+        let rt = self.classification.reductions.get(self.flat.ops[to].stmt);
         let (Some(rf), Some(rt)) = (rf, rt) else {
             return false;
         };
@@ -759,7 +727,7 @@ mod tests {
     fn taxonomy_verdicts_match() {
         for case in programs::taxonomy() {
             let g = build(&case.program);
-            let fixed_g_violation = has_fixed_or_liveout_violation(&case.program, &g);
+            let fixed_g_violation = has_fixed_or_liveout_violation(&g);
             let legal = g.violations().is_empty() && g.mixed_usage.is_empty() && !fixed_g_violation;
             assert_eq!(
                 legal,
@@ -776,7 +744,7 @@ mod tests {
     /// scalar or fixed-element read of a value defined in a partitioned
     /// loop, occurring outside that loop. (The full version lives in
     /// syncplace-placement.)
-    fn has_fixed_or_liveout_violation(prog: &syncplace_ir::Program, g: &Dfg) -> bool {
+    fn has_fixed_or_liveout_violation(g: &Dfg) -> bool {
         for a in g.arrows_of_kind(DepKind::True) {
             let from = &g.nodes[a.from];
             let to = &g.nodes[a.to];
@@ -785,7 +753,7 @@ mod tests {
                 continue;
             }
             let from_reduction = match &from.kind {
-                NodeKind::Def { stmt, .. } => g.classification.reductions.contains_key(stmt),
+                NodeKind::Def { stmt, .. } => g.classification.reductions.contains(*stmt),
                 _ => false,
             };
             if from_reduction {
@@ -802,7 +770,6 @@ mod tests {
                 }
             );
             if (from_scalar && to_outside) || to_fixed {
-                let _ = prog;
                 return true;
             }
         }
@@ -825,7 +792,7 @@ mod tests {
         let taxh = cases.iter().find(|c| c.name == "h-seq-recurrence").unwrap();
         let g = build(&taxh.program);
         let a = taxh.program.lookup("A").unwrap();
-        assert!(g.replicated.contains(&a));
+        assert!(g.replicated.contains(a));
         // Its nodes are scalar-shaped.
         assert!(g.nodes.iter().all(|n| match &n.kind {
             NodeKind::Def { var, .. } | NodeKind::Use { var, .. } if *var == a =>
@@ -840,7 +807,7 @@ mod tests {
         let p = programs::testiv();
         let g = build(&p);
         let res = p.lookup("RESULT").unwrap();
-        let out = g.output_node[&res];
+        let out = g.output_node[res];
         assert!(
             !g.in_arrows[out].is_empty(),
             "RESULT output node must receive a true arrow"

@@ -18,8 +18,8 @@
 //!   loop's entity shape.
 
 use crate::ops::{FlatProgram, OpKind};
-use crate::reach::{is_total_def, op_reads, op_write};
-use syncplace_ir::{Access, BinOp, Expr, Program, StmtId, VarId};
+use crate::reach::{op_reads, op_write};
+use syncplace_ir::{Access, BinOp, Expr, IdVec, Program, StmtId, VarId};
 
 /// Reduction operator (associative & commutative up to sign handling).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -75,15 +75,15 @@ pub struct ReduceInfo {
 #[derive(Debug, Clone, Default)]
 pub struct Classification {
     /// Reduction info per assignment statement id.
-    pub reductions: std::collections::HashMap<StmtId, ReduceInfo>,
-    /// `(loop_stmt, var)` pairs of localized scalars.
-    pub localized: std::collections::HashSet<(StmtId, VarId)>,
+    pub reductions: IdVec<ReduceInfo>,
+    /// Localized scalars per loop statement id.
+    pub localized: IdVec<Vec<VarId>>,
 }
 
 impl Classification {
     /// Is `var` localized in the loop with statement id `loop_stmt`?
     pub fn is_localized(&self, loop_stmt: StmtId, var: VarId) -> bool {
-        self.localized.contains(&(loop_stmt, var))
+        self.localized.get(loop_stmt).is_some_and(|vs| vs.contains(&var))
     }
 }
 
@@ -273,14 +273,9 @@ pub fn classify(
             }
             // Also written outside? If another loop localizes it too,
             // both entries get added (per-loop pairs), which is fine.
-            c.localized.insert((*loop_stmt, v));
+            c.localized.get_or_insert_with(*loop_stmt, Vec::new).push(v);
         }
     }
-    // Total scalar defs elsewhere do not un-localize: the pair is per
-    // loop. But a variable that is a *reduction target* in this loop
-    // must not be considered localized (its carrier read precedes the
-    // write) — already excluded by rule 1 handling above.
-    let _ = is_total_def; // (referenced for doc purposes)
     c
 }
 
@@ -311,20 +306,20 @@ mod tests {
         let vm = p.lookup("vm").unwrap();
         let diff = p.lookup("diff").unwrap();
         let sqrdiff = p.lookup("sqrdiff").unwrap();
-        assert!(c.localized.iter().any(|&(_, v)| v == vm));
-        assert!(c.localized.iter().any(|&(_, v)| v == diff));
+        let localized = |v| c.localized.values().flatten().any(|&l| l == v);
+        assert!(localized(vm));
+        assert!(localized(diff));
         assert!(
-            !c.localized.iter().any(|&(_, v)| v == sqrdiff),
+            !localized(sqrdiff),
             "reduction target must not be localized"
         );
     }
 
     #[test]
     fn scalar_sum_reduction() {
-        let (p, c) = classify_src(
+        let (_, c) = classify_src(
             "program t\n input A : node\n output s : scalar\n s = 0.0\n forall i in node split { s = s + A(i) }\nend",
         );
-        let _ = p;
         assert_eq!(c.reductions.len(), 1);
         let info = c.reductions.values().next().unwrap();
         assert_eq!(info.op, ReduceOp::Sum);
@@ -388,7 +383,7 @@ mod tests {
             "program t\n input A : node\n output B : node\n var t : scalar\n t = 0.0\n forall i in node split { B(i) = t + A(i)\n t = A(i) }\nend",
         );
         let t = p.lookup("t").unwrap();
-        assert!(!c.localized.iter().any(|&(_, v)| v == t));
+        assert!(!c.localized.values().flatten().any(|&v| v == t));
     }
 
     #[test]
@@ -397,7 +392,7 @@ mod tests {
             "program t\n input A : node\n output B : node\n output s : scalar\n var t : scalar\n forall i in node split { t = A(i)\n B(i) = t }\n s = t\nend",
         );
         let t = p.lookup("t").unwrap();
-        assert!(!c.localized.iter().any(|&(_, v)| v == t));
+        assert!(!c.localized.values().flatten().any(|&v| v == t));
     }
 
     #[test]

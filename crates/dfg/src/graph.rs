@@ -160,7 +160,7 @@ pub struct Dfg {
     pub carried: Vec<CarriedDep>,
     pub classification: Classification,
     /// Arrays that are replicated (never accessed in a partitioned loop).
-    pub replicated: std::collections::HashSet<VarId>,
+    pub replicated: syncplace_ir::IdVec<()>,
     /// Arrays accessed both in partitioned and sequential entity loops
     /// (illegal mixed usage, reported by the legality checker).
     pub mixed_usage: Vec<VarId>,
@@ -168,8 +168,8 @@ pub struct Dfg {
     /// loop contexts, statement ids).
     pub flat: FlatProgram,
     // --- indices ---
-    pub input_node: std::collections::HashMap<VarId, NodeId>,
-    pub output_node: std::collections::HashMap<VarId, NodeId>,
+    pub input_node: syncplace_ir::IdVec<NodeId>,
+    pub output_node: syncplace_ir::IdVec<NodeId>,
     /// Def node of each op (None for exit ops).
     pub def_node: Vec<Option<NodeId>>,
     /// Use nodes of each op, in read order.

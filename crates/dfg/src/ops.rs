@@ -71,7 +71,7 @@ impl FlatProgram {
 /// Flatten a program.
 pub fn flatten(prog: &Program) -> FlatProgram {
     let mut ops: Vec<Op> = Vec::new();
-    let exits = lower(prog, &prog.body, &mut ops, false);
+    let exits = lower(&prog.body, &mut ops, false);
     // Whatever falls out of the top-level sequence exits the program.
     for e in exits {
         ops[e].succs.push(EXIT_OP);
@@ -81,7 +81,7 @@ pub fn flatten(prog: &Program) -> FlatProgram {
 
 /// Lower a statement sequence; returns the set of op ids whose
 /// fall-through successor is "whatever comes after the sequence".
-fn lower(prog: &Program, stmts: &[Stmt], ops: &mut Vec<Op>, in_time: bool) -> Vec<OpId> {
+fn lower(stmts: &[Stmt], ops: &mut Vec<Op>, in_time: bool) -> Vec<OpId> {
     // `pending` = ops waiting for their fall-through successor.
     let mut pending: Vec<OpId> = Vec::new();
     for s in stmts {
@@ -106,7 +106,7 @@ fn lower(prog: &Program, stmts: &[Stmt], ops: &mut Vec<Op>, in_time: bool) -> Ve
             Stmt::TimeLoop(t) => {
                 let body_start = ops.len();
                 // Lower the body; collect its exit tests on the way.
-                let body_exits = lower(prog, &t.body, ops, true);
+                let body_exits = lower(&t.body, ops, true);
                 if ops.len() == body_start {
                     continue; // empty time loop: nothing to connect
                 }
@@ -137,7 +137,6 @@ fn lower(prog: &Program, stmts: &[Stmt], ops: &mut Vec<Op>, in_time: bool) -> Ve
             }
         }
     }
-    let _ = prog;
     pending
 }
 

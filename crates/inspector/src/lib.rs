@@ -26,7 +26,7 @@
 #![forbid(unsafe_code)]
 
 use std::collections::{HashMap, HashSet};
-use syncplace_ir::{Access, EntityKind, Program, Stmt, StmtId, VarId, VarKind};
+use syncplace_ir::{Access, EntityKind, IdVec, Program, Stmt, VarId, VarKind};
 use syncplace_overlap::Decomposition;
 use syncplace_runtime::bindings::{kind_index, Bindings};
 use syncplace_runtime::comm::{CommStats, PhaseContribution, PhaseStat};
@@ -55,15 +55,15 @@ impl GhostSchedule {
     }
 }
 
-/// The inspector's product.
+/// The inspector's product, indexed by loop statement id.
 #[derive(Debug, Clone, Default)]
 pub struct InspectorPlan {
-    /// Gather schedule per (loop stmt, gathered array).
-    pub gathers: HashMap<(StmtId, VarId), GhostSchedule>,
+    /// Gather schedule per gathered array of a loop, in var order.
+    pub gathers: IdVec<Vec<(VarId, GhostSchedule)>>,
     /// Arrays scatter-accumulated per loop (flush needed after).
-    pub scatters: HashMap<StmtId, Vec<VarId>>,
+    pub scatters: IdVec<Vec<VarId>>,
     /// Scalar reductions per loop.
-    pub reductions: HashMap<StmtId, Vec<(VarId, syncplace_dfg::ReduceOp)>>,
+    pub reductions: IdVec<Vec<(VarId, syncplace_dfg::ReduceOp)>>,
     /// Abstract inspector cost: indirection entries scanned.
     pub inspect_cost: usize,
 }
@@ -75,10 +75,7 @@ pub fn inspect<const V: usize>(
     machines: &[Machine],
 ) -> InspectorPlan {
     let mut plan = InspectorPlan::default();
-    let classification = {
-        let dfg = syncplace_dfg::build(prog);
-        dfg.classification
-    };
+    let classification = syncplace_dfg::build(prog).classification;
 
     // dst→(owner, src) per processor, from the full update schedule.
     let mut ghost_origin: Vec<HashMap<u32, (u32, u32)>> = vec![HashMap::new(); d.nparts];
@@ -95,7 +92,7 @@ pub fn inspect<const V: usize>(
             return;
         }
         // Gathered arrays and their referenced ghosts.
-        let mut gathered: HashMap<VarId, HashSet<(usize, u32)>> = HashMap::new(); // var -> (holder, dst)
+        let mut gathered: IdVec<HashSet<(usize, u32)>> = IdVec::default(); // var -> (holder, dst)
         let mut scattered: Vec<VarId> = Vec::new();
         let mut reds: Vec<(VarId, syncplace_dfg::ReduceOp)> = Vec::new();
         for a in &l.body {
@@ -105,7 +102,7 @@ pub fn inspect<const V: usize>(
                 }
             }
             if let Access::Scalar(v) = a.lhs {
-                if let Some(r) = classification.reductions.get(&a.id) {
+                if let Some(r) = classification.reductions.get(a.id) {
                     if !reds.iter().any(|&(x, _)| x == v) {
                         reds.push((v, r.op));
                     }
@@ -131,16 +128,16 @@ pub fn inspect<const V: usize>(
                             let kind = entity_of_array(prog, *array);
                             let kernel = m.kernel_counts[kind_index(kind)];
                             if (t as usize) >= kernel {
-                                gathered.entry(*array).or_default().insert((p, t));
+                                gathered.get_or_insert_with(*array, HashSet::new).insert((p, t));
                             }
                         }
                     }
                 }
             }
         }
-        for (var, ghosts) in gathered {
+        let gathers = gathered.iter().map(|(var, ghosts)| {
             let mut sched = GhostSchedule::new(d.nparts);
-            for (holder, dst) in ghosts {
+            for &(holder, dst) in ghosts {
                 if let Some(&(owner, src)) = ghost_origin[holder].get(&dst) {
                     sched.msgs[owner as usize][holder].push((src, dst));
                 }
@@ -150,8 +147,9 @@ pub fn inspect<const V: usize>(
                     m.sort_unstable();
                 }
             }
-            plan.gathers.insert((l.id, var), sched);
-        }
+            (var, sched)
+        });
+        plan.gathers.insert(l.id, gathers.collect());
         if !scattered.is_empty() {
             plan.scatters.insert(l.id, scattered);
         }
@@ -305,11 +303,8 @@ fn run_block<const V: usize>(
             Stmt::Loop(l) => {
                 // Gather phase: refresh referenced ghosts.
                 let mut parts = Vec::new();
-                let mut keys: Vec<&(StmtId, VarId)> =
-                    plan.gathers.keys().filter(|(s, _)| *s == l.id).collect();
-                keys.sort();
-                for key in keys {
-                    parts.push(apply_ghost_gather(machines, &plan.gathers[key], key.1));
+                for (var, sched) in plan.gathers.get(l.id).into_iter().flatten() {
+                    parts.push(apply_ghost_gather(machines, sched, *var));
                     stats.updates += 1;
                 }
                 if !parts.is_empty() {
@@ -324,7 +319,7 @@ fn run_block<const V: usize>(
                     m.exec_loop(kernel, l.id, owned, owned);
                 }
                 // Scatter flush phase.
-                if let Some(vars) = plan.scatters.get(&l.id) {
+                if let Some(vars) = plan.scatters.get(l.id) {
                     let mut parts = Vec::new();
                     for &v in vars {
                         parts.push(apply_scatter_flush(machines, d, v));
@@ -335,7 +330,7 @@ fn run_block<const V: usize>(
                         .push(syncplace_runtime::comm::merge_phase(&parts));
                 }
                 // Reduction phase.
-                if let Some(reds) = plan.reductions.get(&l.id) {
+                if let Some(reds) = plan.reductions.get(l.id) {
                     let mut parts = Vec::new();
                     for &(v, op) in reds {
                         parts.push(syncplace_runtime::comm::apply_reduce(machines, v, op, &None));
@@ -415,7 +410,7 @@ mod tests {
 
     #[test]
     fn inspector_has_nonzero_cost_and_more_phases() {
-        let (p, d, b, seq) = setup(4);
+        let (p, d, b, _) = setup(4);
         let r = run_inspector_executor(&p, &d, &b).unwrap();
         assert!(r.inspect_cost > 0);
         // §5.1: comms between each split loops. TESTIV's step has a
@@ -426,7 +421,6 @@ mod tests {
             "{}",
             r.phases_per_iteration
         );
-        let _ = seq;
     }
 
     #[test]
@@ -447,7 +441,7 @@ mod tests {
         let (p, d, b, _) = setup(3);
         let machines = build_machines(&p, &d, &b).unwrap();
         let plan = inspect(&p, &d, &machines);
-        for sched in plan.gathers.values() {
+        for (_, sched) in plan.gathers.values().flatten() {
             assert!(sched.total_values() <= d.node_update.total_values());
             assert!(sched.total_values() > 0);
         }

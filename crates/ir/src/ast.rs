@@ -249,6 +249,18 @@ pub enum Stmt {
     ExitIf(ExitIfStmt),
 }
 
+impl Stmt {
+    /// The statement's id.
+    pub fn id(&self) -> StmtId {
+        match self {
+            Stmt::Loop(l) => l.id,
+            Stmt::Assign(a) => a.id,
+            Stmt::TimeLoop(t) => t.id,
+            Stmt::ExitIf(e) => e.id,
+        }
+    }
+}
+
 /// A whole program.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Program {
@@ -342,14 +354,9 @@ impl Program {
         self.visit_assigns(&mut |a, _| max = max.max(a.id + 1));
         fn walk(stmts: &[Stmt], max: &mut usize) {
             for s in stmts {
-                match s {
-                    Stmt::Loop(l) => *max = (*max).max(l.id + 1),
-                    Stmt::Assign(a) => *max = (*max).max(a.id + 1),
-                    Stmt::TimeLoop(t) => {
-                        *max = (*max).max(t.id + 1);
-                        walk(&t.body, max);
-                    }
-                    Stmt::ExitIf(e) => *max = (*max).max(e.id + 1),
+                *max = (*max).max(s.id() + 1);
+                if let Stmt::TimeLoop(t) = s {
+                    walk(&t.body, max);
                 }
             }
         }

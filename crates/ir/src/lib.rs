@@ -30,11 +30,14 @@
 //! * [`programs`] — the paper's example programs: `testiv()` (the
 //!   TESTIV subroutine of Figs. 9–10), the Fig. 5 sketch, and the
 //!   mini-programs exercising each dependence case of Fig. 4.
+//! * [`IdVec`] — the one per-id table: every table keyed by a `VarId`
+//!   or a `StmtId` is indexed, not hashed, and iterates in id order.
 
 #![forbid(unsafe_code)]
 
 pub mod ast;
 pub mod diag;
+mod idvec;
 pub mod parser;
 pub mod printer;
 pub mod programs;
@@ -45,3 +48,4 @@ pub use ast::{
     Access, AssignStmt, BinOp, EntityKind, ExitIfStmt, Expr, LoopStmt, Program, RelOp, Stmt,
     StmtId, TimeLoopStmt, UnOp, VarDecl, VarId, VarKind,
 };
+pub use idvec::IdVec;

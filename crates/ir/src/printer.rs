@@ -85,7 +85,7 @@ fn print_stmts(
 ) {
     let pad = " ".repeat(indent);
     for s in stmts {
-        let id = stmt_id(s);
+        let id = s.id();
         for line in ann.before_stmt(id) {
             out.push_str(&format!("C${line}\n"));
         }
@@ -170,15 +170,6 @@ fn print_time_body(
             }
             other => print_stmts(prog, std::slice::from_ref(other), ann, out, label, indent),
         }
-    }
-}
-
-fn stmt_id(s: &Stmt) -> StmtId {
-    match s {
-        Stmt::Loop(l) => l.id,
-        Stmt::Assign(a) => a.id,
-        Stmt::TimeLoop(t) => t.id,
-        Stmt::ExitIf(e) => e.id,
     }
 }
 

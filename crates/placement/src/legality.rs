@@ -145,7 +145,7 @@ pub fn check_legality(prog: &Program, dfg: &Dfg) -> LegalityReport {
         };
         let from_loop = from.loop_ctx.filter(|c| c.partitioned);
         let Some(floop) = from_loop else { continue };
-        let is_reduction = dfg.classification.reductions.contains_key(&stmt);
+        let is_reduction = dfg.classification.reductions.contains(stmt);
         // g(1): a fixed-element read of a partitioned array.
         if let NodeKind::Use {
             class: UseClass::Fixed,

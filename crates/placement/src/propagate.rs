@@ -56,9 +56,7 @@ pub fn first_solution(dfg: &Dfg, automaton: &OverlapAutomaton) -> Option<Mapping
     };
     // Seed inputs ("For every input data, the overlap state is given").
     let mut pending: Vec<usize> = Vec::new();
-    let mut inputs: Vec<usize> = dfg.input_node.values().copied().collect();
-    inputs.sort_unstable();
-    for node in inputs {
+    for &node in dfg.input_node.values() {
         m.node_state[node] = Some(automaton.input_state(shape_of(dfg, node)));
         // Reversed so the lowest arrow id pops first (same deterministic
         // order as the iterative engine).

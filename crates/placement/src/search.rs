@@ -100,7 +100,7 @@ pub(crate) fn arrow_concerns_array(dfg: &Dfg, a: &syncplace_dfg::Arrow) -> bool 
 /// Uses of scalars may see `Sca1` freely (they read a reduction def).
 pub(crate) fn sca1_def_allowed(dfg: &Dfg, node: usize) -> bool {
     match &dfg.nodes[node].kind {
-        NodeKind::Def { stmt, .. } => dfg.classification.reductions.contains_key(stmt),
+        NodeKind::Def { stmt, .. } => dfg.classification.reductions.contains(*stmt),
         _ => true,
     }
 }
@@ -181,9 +181,7 @@ impl<'a> Search<'a> {
             solutions: Vec::new(),
             stats: SearchStats::default(),
         };
-        let mut inputs: Vec<usize> = dfg.input_node.values().copied().collect();
-        inputs.sort_unstable();
-        for node in inputs {
+        for &node in dfg.input_node.values() {
             s.node_state[node] = Some(automaton.input_state(shape_of(dfg, node)));
             s.obligations.extend(s.out_prop[node].iter().rev());
         }

@@ -236,13 +236,7 @@ fn lower(
 ) {
     for s in stmts {
         // A position before every statement.
-        let stmt_id = match s {
-            Stmt::Loop(l) => l.id,
-            Stmt::Assign(a) => a.id,
-            Stmt::TimeLoop(t) => t.id,
-            Stmt::ExitIf(e) => e.id,
-        };
-        let p = add_pos(g, InsertionPoint::Before(stmt_id), in_time);
+        let p = add_pos(g, InsertionPoint::Before(s.id()), in_time);
         connect(g, pending, p);
         pending.push(p);
         match s {
@@ -498,7 +492,7 @@ fn group_sites(
             .find_map(|&op| {
                 dfg.classification
                     .reductions
-                    .get(&dfg.flat.ops[op].stmt)
+                    .get(dfg.flat.ops[op].stmt)
                     .map(|r| r.op)
             })
             .or(Some(syncplace_dfg::ReduceOp::Sum))

@@ -7,8 +7,7 @@
 //! values of every input array, and the values of input scalars.
 
 use crate::spmd::elem_kind;
-use std::collections::HashMap;
-use syncplace_ir::{EntityKind, Program, Stmt, VarId, VarKind};
+use syncplace_ir::{EntityKind, IdVec, Program, Stmt, VarKind};
 use syncplace_mesh::edges_first_seen;
 
 /// A concrete indirection table in *global* entity numbering.
@@ -32,18 +31,19 @@ pub enum MapBinding {
     Custom(MapData),
 }
 
-/// All concrete data for one program run.
+/// All concrete data for one program run. The per-variable tables are
+/// [`IdVec`]s indexed by `VarId`.
 #[derive(Debug, Clone, Default)]
 pub struct Bindings {
     /// Global entity counts, indexed by [`EntityKind`] discriminant
     /// order: node, edge, tri, tet.
     pub counts: [usize; 4],
     /// Map bindings per map variable.
-    pub maps: HashMap<VarId, MapBinding>,
+    pub maps: IdVec<MapBinding>,
     /// Global values of input arrays.
-    pub input_arrays: HashMap<VarId, Vec<f64>>,
+    pub input_arrays: IdVec<Vec<f64>>,
     /// Values of input scalars.
-    pub input_scalars: HashMap<VarId, f64>,
+    pub input_scalars: IdVec<f64>,
     /// Element → vertex table in global numbering (flattened), for
     /// resolving [`MapBinding::ElemNodes`] in the sequential run.
     pub elem_table: Option<MapData>,
@@ -68,14 +68,14 @@ impl Bindings {
         for v in prog.inputs() {
             match &prog.decl(v).kind {
                 VarKind::Scalar => {
-                    if !self.input_scalars.contains_key(&v) {
+                    if !self.input_scalars.contains(v) {
                         return Err(format!("input scalar {} unbound", prog.decl(v).name));
                     }
                 }
                 VarKind::Array { base } => {
                     let arr = self
                         .input_arrays
-                        .get(&v)
+                        .get(v)
                         .ok_or_else(|| format!("input array {} unbound", prog.decl(v).name))?;
                     let want = self.counts[kind_index(*base)];
                     if arr.len() != want {
@@ -86,7 +86,7 @@ impl Bindings {
                         ));
                     }
                 }
-                VarKind::Map { from, to, arity } => match self.maps.get(&v) {
+                VarKind::Map { from, to, arity } => match self.maps.get(v) {
                     Some(MapBinding::ElemNodes) => {
                         if *to != EntityKind::Node {
                             return Err(format!(

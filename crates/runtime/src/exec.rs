@@ -5,9 +5,8 @@
 
 use crate::bindings::{kind_index, Bindings};
 use crate::kernel::Kernel;
-use crate::overlap::stmt_id;
-use std::collections::HashMap;
-use syncplace_ir::{EntityKind, Program, Stmt, VarId, VarKind};
+use syncplace_ir::{EntityKind, IdVec, Program, Stmt, VarKind};
+use syncplace_placement::IterationDomain;
 
 /// A localized indirection table; `u32::MAX` marks a target that is
 /// not present on this processor (only reachable by ill-placed
@@ -82,15 +81,23 @@ impl Machine {
     pub fn kernel_count(&self, e: EntityKind) -> usize {
         self.kernel_counts[kind_index(e)]
     }
+
+    /// The iteration count of a loop over entity kind `e` in `domain`.
+    pub fn domain_count(&self, e: EntityKind, domain: IterationDomain) -> usize {
+        match domain {
+            IterationDomain::Overlap => self.count(e),
+            IterationDomain::Kernel => self.kernel_count(e),
+        }
+    }
 }
 
 /// Result of a sequential reference run.
 #[derive(Debug, Clone)]
 pub struct SeqResult {
     /// Final values of every output array, in global numbering.
-    pub output_arrays: HashMap<VarId, Vec<f64>>,
+    pub output_arrays: IdVec<Vec<f64>>,
     /// Final values of every output scalar.
-    pub output_scalars: HashMap<VarId, f64>,
+    pub output_scalars: IdVec<f64>,
     /// Time-loop iterations executed.
     pub iterations: usize,
     /// Abstract compute units executed (loop iterations weighted).
@@ -102,14 +109,14 @@ pub struct SeqResult {
 pub fn run_sequential(prog: &Program, b: &Bindings) -> SeqResult {
     b.validate(prog).expect("bindings validate");
     let mut m = Machine::new(prog, b.counts, b.counts);
-    for (&v, binding) in &b.maps {
+    for (v, binding) in b.maps.iter() {
         let table = b.global_table(binding);
         m.maps[v] = table.expect("structural table present in bindings");
     }
-    for (&v, arr) in &b.input_arrays {
+    for (v, arr) in b.input_arrays.iter() {
         m.arrays[v] = arr.clone();
     }
-    for (&v, &s) in &b.input_scalars {
+    for (v, &s) in b.input_scalars.iter() {
         m.scalars[v] = s;
     }
 
@@ -119,8 +126,8 @@ pub fn run_sequential(prog: &Program, b: &Bindings) -> SeqResult {
     let mut iterations = 0usize;
     run_block_seq(&prog.body, &k, &mut m, &mut iterations);
 
-    let mut output_arrays = HashMap::new();
-    let mut output_scalars = HashMap::new();
+    let mut output_arrays = IdVec::default();
+    let mut output_scalars = IdVec::default();
     for v in prog.outputs() {
         match prog.decl(v).kind {
             VarKind::Scalar => {
@@ -156,7 +163,7 @@ fn run_block_seq(stmts: &[Stmt], k: &Kernel, m: &mut Machine, iterations: &mut u
                 }
             }
             Stmt::Assign(_) | Stmt::ExitIf(_) => {
-                if m.exec_stmt(k, stmt_id(s)) {
+                if m.exec_stmt(k, s.id()) {
                     return true;
                 }
             }
@@ -185,7 +192,7 @@ mod tests {
         let (p, b) = testiv_bindings(6, 6);
         let r = run_sequential(&p, &b);
         assert!(r.iterations >= 1);
-        let out = &r.output_arrays[&p.lookup("RESULT").unwrap()];
+        let out = &r.output_arrays[p.lookup("RESULT").unwrap()];
         assert!(out.iter().all(|v| v.is_finite()));
     }
 
@@ -201,7 +208,7 @@ mod tests {
             .collect();
         b.input_arrays.insert(init, spiky.clone());
         let r = run_sequential(&p, &b);
-        let out = &r.output_arrays[&p.lookup("RESULT").unwrap()];
+        let out = &r.output_arrays[p.lookup("RESULT").unwrap()];
         let spread = |xs: &[f64]| {
             let max = xs.iter().cloned().fold(f64::MIN, f64::max);
             let min = xs.iter().cloned().fold(f64::MAX, f64::min);
@@ -233,38 +240,20 @@ mod tests {
         let mut bind = crate::bindings::Bindings::default();
         bind.input_scalars.insert(p.lookup("a").unwrap(), 4.0);
         let r = run_sequential(&p, &bind);
-        assert_eq!(r.output_scalars[&p.lookup("b").unwrap()], 2.0);
-        assert_eq!(r.output_scalars[&p.lookup("c").unwrap()], 12.0);
-        assert_eq!(r.output_scalars[&p.lookup("d").unwrap()], 5.0);
+        assert_eq!(r.output_scalars[p.lookup("b").unwrap()], 2.0);
+        assert_eq!(r.output_scalars[p.lookup("c").unwrap()], 12.0);
+        assert_eq!(r.output_scalars[p.lookup("d").unwrap()], 5.0);
     }
 
     #[test]
     fn exit_relations() {
-        for (rel, expected_iters) in [("<", 1usize), ("<=", 1), (">", 5), (">=", 5)] {
+        // s counts 1, 2, …, 5: the test fires at the first s it holds for.
+        for (rel, expect) in [("<", 5), ("<=", 1), (">", 2), (">=", 1)] {
             let src = format!(
                 "program t\n output s : scalar\n s = 0.0\n iterate k max 5 {{ s = s + 1.0\n exit when s {rel} 1.0 }}\nend"
             );
             let p = syncplace_ir::parser::parse(&src).unwrap();
             let r = run_sequential(&p, &crate::bindings::Bindings::default());
-            // s=1 after first step: `<` 1.0 false every time (s>=1) → 5 iters;
-            // `<=` true at s=1 → 1 iter; `>` false until s=2? s=1 > 1 false,
-            // s=2 > 1 true → 2 iters... compute expected directly instead:
-            let mut s = 0.0;
-            let mut expect = 5;
-            for it in 1..=5 {
-                s += 1.0;
-                let fire = match rel {
-                    "<" => s < 1.0,
-                    "<=" => s <= 1.0,
-                    ">" => s > 1.0,
-                    _ => s >= 1.0,
-                };
-                if fire {
-                    expect = it;
-                    break;
-                }
-            }
-            let _ = expected_iters;
             assert_eq!(r.iterations, expect, "rel {rel}");
         }
     }
@@ -294,7 +283,7 @@ mod tests {
             .insert(p.lookup("A").unwrap(), vec![10.0, 11.0, 12.0, 13.0, 14.0]);
         let r = run_sequential(&p, &b);
         // A(3) is 1-based in the surface syntax → index 2.
-        assert_eq!(r.output_scalars[&p.lookup("s").unwrap()], 12.0);
+        assert_eq!(r.output_scalars[p.lookup("s").unwrap()], 12.0);
     }
 
     #[test]

@@ -165,7 +165,7 @@ impl Engine {
 /// Returns the maximum relative error over all output variables.
 pub fn max_rel_error(seq: &SeqResult, spmd: &SpmdResult) -> f64 {
     let mut worst: f64 = 0.0;
-    for (var, a) in &seq.output_arrays {
+    for (var, a) in seq.output_arrays.iter() {
         let b = &spmd.output_arrays[var];
         assert_eq!(a.len(), b.len());
         for (x, y) in a.iter().zip(b) {
@@ -173,7 +173,7 @@ pub fn max_rel_error(seq: &SeqResult, spmd: &SpmdResult) -> f64 {
             worst = worst.max((x - y).abs() / denom);
         }
     }
-    for (var, x) in &seq.output_scalars {
+    for (var, x) in seq.output_scalars.iter() {
         let y = spmd.output_scalars[var];
         worst = worst.max((x - y).abs() / x.abs().max(1.0));
     }

@@ -47,10 +47,8 @@
 
 use crate::exec::Machine;
 use crate::plan::{CommPlan, PackItem, PhasePlan};
-use std::collections::{HashMap, HashSet};
 use syncplace_codegen::SpmdProgram;
-use syncplace_ir::{Access, LoopStmt, Program, Stmt, StmtId, VarId};
-use syncplace_placement::IterationDomain;
+use syncplace_ir::{Access, IdVec, LoopStmt, Program, Stmt, StmtId};
 
 /// One rank's interface/interior split of a producer loop's iteration
 /// domain `[0, n)` with respect to one phase's round-1 gather set.
@@ -83,13 +81,13 @@ pub struct OverlapPlan {
     /// Per phase: the producer split, where one exists.
     pub splits: Vec<Option<ProducerSplit>>,
     /// Producer loop id → phase index, for O(1) lookup at execution.
-    pub by_loop: HashMap<StmtId, usize>,
+    pub by_loop: IdVec<usize>,
     /// Hoisted posts: statement id → phases to post immediately before
     /// executing it (after completing any phase placed there).
-    pub post_before: HashMap<StmtId, Vec<usize>>,
+    pub post_before: IdVec<Vec<usize>>,
     /// Wrap-around posts: time-loop id → phases to post at the end of
     /// each body iteration (completed at the head of the next).
-    pub post_at_tail: HashMap<StmtId, Vec<usize>>,
+    pub post_at_tail: IdVec<Vec<usize>>,
 }
 
 impl OverlapPlan {
@@ -112,94 +110,46 @@ impl OverlapPlan {
 /// loop-written arrays are cross-iteration channels, scalar writes
 /// accumulate in textual order, so both disqualify.
 fn loop_permutable(l: &LoopStmt) -> bool {
-    let mut written: HashSet<VarId> = HashSet::new();
+    let mut written = IdVec::default();
     for a in &l.body {
-        match &a.lhs {
-            Access::Direct(v) => {
-                written.insert(*v);
-            }
-            _ => return false,
-        }
+        let Access::Direct(v) = a.lhs else {
+            return false;
+        };
+        written.insert(v, ());
     }
-    for a in &l.body {
-        for r in a.rhs.reads() {
-            match r {
-                Access::Scalar(_) | Access::Direct(_) => {}
-                Access::Indirect { array, .. } => {
-                    if written.contains(array) {
-                        return false;
-                    }
-                }
-                Access::Fixed(v, _) => {
-                    if written.contains(v) {
-                        return false;
-                    }
-                }
-            }
-        }
-    }
-    true
+    let channel = |r: &Access| matches!(r, Access::Indirect { .. } | Access::Fixed(..));
+    let mut reads = l.body.iter().flat_map(|a| a.rhs.reads());
+    !reads.any(|r| channel(r) && written.contains(r.var()))
 }
 
-/// Variables a statement writes (scalar or array — scalars can never
-/// be gathered, so they are harmless in the blocked-writer check).
-fn stmt_writes(s: &Stmt) -> Vec<VarId> {
-    match s {
-        Stmt::Assign(a) => vec![a.lhs.var()],
-        Stmt::Loop(l) => l.body.iter().map(|a| a.lhs.var()).collect(),
-        Stmt::TimeLoop(_) | Stmt::ExitIf(_) => Vec::new(),
-    }
-}
-
-fn writes_any(s: &Stmt, gathered: &HashSet<VarId>) -> bool {
-    stmt_writes(s).iter().any(|v| gathered.contains(v))
-}
-
-pub(crate) fn stmt_id(s: &Stmt) -> StmtId {
-    match s {
-        Stmt::Loop(l) => l.id,
-        Stmt::Assign(a) => a.id,
-        Stmt::TimeLoop(t) => t.id,
-        Stmt::ExitIf(e) => e.id,
-    }
+/// Does a statement write a gathered array? (Its scalar writes are
+/// harmless here: scalars can never be gathered.)
+fn writes_any(s: &Stmt, gathered: &IdVec<()>) -> bool {
+    let assigns = match s {
+        Stmt::Assign(a) => std::slice::from_ref(a),
+        Stmt::Loop(l) => &l.body,
+        Stmt::TimeLoop(_) | Stmt::ExitIf(_) => &[],
+    };
+    assigns.iter().any(|a| gathered.contains(a.lhs.var()))
 }
 
 /// Union over every rank and peer of the arrays a phase gathers into
 /// its round-1 packets.
-fn gathered_vars(ph: &PhasePlan) -> HashSet<VarId> {
-    let mut vars = HashSet::new();
-    for rp in &ph.ranks {
-        for peer in &rp.send1 {
-            for item in peer {
-                match item {
-                    PackItem::Gather { var, .. } => {
-                        vars.insert(*var);
-                    }
-                }
-            }
-        }
-    }
-    vars
+fn gathered_vars(ph: &PhasePlan) -> IdVec<()> {
+    let items = ph.ranks.iter().flat_map(|rp| rp.send1.iter().flatten());
+    items.map(|PackItem::Gather { var, .. }| (*var, ())).collect()
 }
 
 /// One rank's split: interface = gathered indices of loop-written
 /// arrays below the domain bound, interior = the rest of `[0, n)`.
 /// Gathered indices of vars the loop does *not* write are already
 /// final before the loop and constrain nothing.
-fn rank_split(rp: &crate::plan::RankPhase, written: &HashSet<VarId>, n: usize) -> RankSplit {
+fn rank_split(rp: &crate::plan::RankPhase, written: &IdVec<()>, n: usize) -> RankSplit {
     let mut on_wire = vec![false; n];
-    for peer in &rp.send1 {
-        for item in peer {
-            match item {
-                PackItem::Gather { var, idx } => {
-                    if written.contains(var) {
-                        for &i in idx {
-                            if (i as usize) < n {
-                                on_wire[i as usize] = true;
-                            }
-                        }
-                    }
-                }
+    for PackItem::Gather { var, idx } in rp.send1.iter().flatten() {
+        if written.contains(*var) {
+            for i in idx.iter().map(|&i| i as usize).filter(|&i| i < n) {
+                on_wire[i] = true;
             }
         }
     }
@@ -257,7 +207,7 @@ impl OverlapPlan {
             }
         }
         for (i, s) in stmts.iter().enumerate() {
-            if let Some(&phase) = plan.before.get(&stmt_id(s)) {
+            if let Some(&phase) = plan.before.get(s.id()) {
                 self.place(stmts, i, phase, owner, spmd, plan, machines);
             }
         }
@@ -293,7 +243,7 @@ impl OverlapPlan {
         let mut j = i;
         while j > 0 {
             let s = &stmts[j - 1];
-            if plan.before.contains_key(&stmt_id(s)) {
+            if plan.before.contains(s.id()) {
                 // May post at that statement, right after its phase
                 // completes (the runtime completes-then-posts).
                 j -= 1;
@@ -314,10 +264,7 @@ impl OverlapPlan {
             }
         }
         if j < i {
-            self.post_before
-                .entry(stmt_id(&stmts[j]))
-                .or_default()
-                .push(phase);
+            self.post_before.get_or_insert_with(stmts[j].id(), Vec::new).push(phase);
             return;
         }
         if j > 0 || i == 0 {
@@ -336,7 +283,7 @@ impl OverlapPlan {
         let mut k = stmts.len();
         while k > i {
             let s = &stmts[k - 1];
-            if k - 1 != i && plan.before.contains_key(&stmt_id(s)) {
+            if k - 1 != i && plan.before.contains(s.id()) {
                 k -= 1;
                 break;
             }
@@ -361,13 +308,10 @@ impl OverlapPlan {
             // end still hides the next iteration's head (unless the
             // completion *is* the head, where it gains nothing).
             if i > 0 {
-                self.post_at_tail.entry(tid).or_default().push(phase);
+                self.post_at_tail.get_or_insert_with(tid, Vec::new).push(phase);
             }
         } else {
-            self.post_before
-                .entry(stmt_id(&stmts[k]))
-                .or_default()
-                .push(phase);
+            self.post_before.get_or_insert_with(stmts[k].id(), Vec::new).push(phase);
         }
     }
 
@@ -376,26 +320,22 @@ impl OverlapPlan {
         &mut self,
         l: &LoopStmt,
         phase: usize,
-        gathered: &HashSet<VarId>,
+        gathered: &IdVec<()>,
         spmd: &SpmdProgram,
         plan: &CommPlan,
         machines: &[Machine],
     ) {
-        let written: HashSet<VarId> = l
-            .body
-            .iter()
+        let written: IdVec<()> = (l.body.iter())
             .map(|a| a.lhs.var())
-            .filter(|v| gathered.contains(v))
+            .filter(|&v| gathered.contains(v))
+            .map(|v| (v, ()))
             .collect();
-        let domain = spmd.domains[&l.id];
+        let domain = spmd.domains[l.id];
         let per_rank: Vec<RankSplit> = machines
             .iter()
             .enumerate()
             .map(|(rank, m)| {
-                let n = match domain {
-                    IterationDomain::Overlap => m.count(l.entity),
-                    IterationDomain::Kernel => m.kernel_count(l.entity),
-                };
+                let n = m.domain_count(l.entity, domain);
                 rank_split(&plan.phases[phase].ranks[rank], &written, n)
             })
             .collect();
@@ -517,14 +457,10 @@ mod tests {
                 "{pattern:?}: no early-post site at all"
             );
             for split in oplan.splits.iter().flatten() {
-                let domain = spmd.domains[&split.loop_id];
-                let entity = find_loop_entity(&p.body, split.loop_id).expect("producer is a loop");
+                let domain = spmd.domains[split.loop_id];
+                let entity = find_loop_entity(&p, split.loop_id).expect("producer is a loop");
                 for (rank, rs) in split.per_rank.iter().enumerate() {
-                    let m = &machines[rank];
-                    let n = match domain {
-                        IterationDomain::Overlap => m.count(entity),
-                        IterationDomain::Kernel => m.kernel_count(entity),
-                    };
+                    let n = machines[rank].domain_count(entity, domain);
                     let mut cover = vec![0usize; n];
                     for &i in rs.interface.iter().chain(&rs.interior) {
                         cover[i as usize] += 1;
@@ -542,19 +478,12 @@ mod tests {
         }
     }
 
-    fn find_loop_entity(stmts: &[Stmt], id: StmtId) -> Option<syncplace_ir::EntityKind> {
-        for s in stmts {
-            match s {
-                Stmt::Loop(l) if l.id == id => return Some(l.entity),
-                Stmt::TimeLoop(t) => {
-                    if let Some(e) = find_loop_entity(&t.body, id) {
-                        return Some(e);
-                    }
-                }
-                _ => {}
-            }
-        }
-        None
+    fn find_loop_entity(prog: &Program, id: StmtId) -> Option<syncplace_ir::EntityKind> {
+        let mut found = None;
+        prog.visit_assigns(&mut |_, l| {
+            found = found.or(l.filter(|l| l.id == id).map(|l| l.entity));
+        });
+        found
     }
 
     #[test]

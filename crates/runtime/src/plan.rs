@@ -26,10 +26,9 @@
 //! ops — never on the round-1 pair packets.
 
 use crate::comm::{merge_phase, PhaseContribution, PhaseStat};
-use std::collections::HashMap;
 use syncplace_codegen::{CommOp, PhaseAt, SpmdProgram};
 use syncplace_dfg::ReduceOp;
-use syncplace_ir::{Program, StmtId, VarId, VarKind};
+use syncplace_ir::{IdVec, Program, VarId, VarKind};
 use syncplace_overlap::{Decomposition, UpdateSchedule};
 
 /// One item of a round-1 packet: values are appended in recipe order.
@@ -160,7 +159,7 @@ pub struct CommPlan {
     /// All phases, in schedule order.
     pub phases: Vec<PhasePlan>,
     /// Phase index per insertion point.
-    pub before: HashMap<StmtId, usize>,
+    pub before: IdVec<usize>,
     /// The phase placed after the last statement, if any.
     pub at_end: Option<usize>,
 }
@@ -180,7 +179,7 @@ impl CommPlan {
     ) -> CommPlan {
         let nparts = d.nparts;
         let mut phases = Vec::new();
-        let mut before = HashMap::new();
+        let mut before = IdVec::default();
         let mut at_end = None;
         for (at, ops) in spmd.phases() {
             let idx = phases.len();

@@ -30,7 +30,7 @@ use crate::bindings::Bindings;
 use crate::comm::{reduce_tree_children, reduce_tree_parent, CommStats};
 use crate::exec::Machine;
 use crate::kernel::Kernel;
-use crate::overlap::{stmt_id, OverlapPlan, OverlapReport};
+use crate::overlap::{OverlapPlan, OverlapReport};
 use crate::plan::{CommPlan, PackItem, PhasePlan, Term};
 use crate::pool::{Mailbox, SpmdPool};
 use crate::spmd::{build_machines, collect_results, SpmdResult};
@@ -40,7 +40,6 @@ use syncplace_codegen::SpmdProgram;
 use syncplace_ir::{Program, Stmt, StmtId};
 use syncplace_obs::{self as obs, keys, RecorderRef};
 use syncplace_overlap::Decomposition;
-use syncplace_placement::IterationDomain;
 
 /// One rank's endpoints: the gang's mailboxes (`from * nparts + to` is
 /// that ordered pair's FIFO), plus a per-peer free list of spent
@@ -474,11 +473,11 @@ impl RankProc {
     async fn run_block(&mut self, stmts: &[Stmt]) -> Result<bool, String> {
         let oplan = Arc::clone(&self.oplan);
         for s in stmts {
-            let id = stmt_id(s);
-            if let Some(&phase) = self.plan.before.get(&id) {
+            let id = s.id();
+            if let Some(&phase) = self.plan.before.get(id) {
                 self.complete_phase(phase).await;
             }
-            if let Some(list) = oplan.post_before.get(&id) {
+            if let Some(list) = oplan.post_before.get(id) {
                 for &phase in list {
                     self.post_early(phase);
                 }
@@ -491,14 +490,9 @@ impl RankProc {
                     if !l.partitioned {
                         return Err("sequential entity loops unsupported".into());
                     }
-                    let domain = self.spmd.domains[&l.id];
-                    let full = self.m.count(l.entity);
+                    let n = self.m.domain_count(l.entity, self.spmd.domains[l.id]);
                     let kernel = self.m.kernel_count(l.entity);
-                    let n = match domain {
-                        IterationDomain::Overlap => full,
-                        IterationDomain::Kernel => kernel,
-                    };
-                    match oplan.by_loop.get(&l.id) {
+                    match oplan.by_loop.get(l.id) {
                         Some(&phase) => self.run_split_loop(l.id, phase, n),
                         None => {
                             let t0 = obs::start(&self.net.rec);
@@ -519,7 +513,7 @@ impl RankProc {
                         if Box::pin(self.run_block(&t.body)).await? {
                             break 'time;
                         }
-                        if let Some(list) = oplan.post_at_tail.get(&t.id) {
+                        if let Some(list) = oplan.post_at_tail.get(t.id) {
                             for &phase in list {
                                 self.post_early(phase);
                             }
@@ -584,7 +578,7 @@ pub(crate) fn run<const V: usize>(
     };
     let run_t0 = obs::start(rec);
     let machines = build_machines(prog, d, b)?;
-    let guarded = |s| spmd.kernel_guarded.contains(&s);
+    let guarded = |s| spmd.kernel_guarded.contains(s);
     let kernel = Arc::new(Kernel::lower(prog, guarded, &machines)?);
     let oplan = Arc::new(if early {
         OverlapPlan::build(prog, spmd, &plan, &machines)
@@ -708,14 +702,14 @@ pub(crate) mod tests {
 
     pub(crate) fn assert_bitwise(tag: &str, want: &SpmdResult, got: &SpmdResult) {
         assert_eq!(want.iterations, got.iterations, "{tag}: iteration counts");
-        for (v, a) in &want.output_arrays {
+        for (v, a) in want.output_arrays.iter() {
             let o = &got.output_arrays[v];
             assert!(
                 a.iter().zip(o).all(|(x, y)| x.to_bits() == y.to_bits()),
                 "{tag}: array outputs differ bitwise"
             );
         }
-        for (v, a) in &want.output_scalars {
+        for (v, a) in want.output_scalars.iter() {
             assert_eq!(a.to_bits(), got.output_scalars[v].to_bits(), "{tag}");
         }
     }

@@ -11,25 +11,23 @@ use crate::bindings::{kind_index, Bindings, MapBinding};
 use crate::comm::{self, CommStats};
 use crate::exec::{Machine, MapTable};
 use crate::kernel::Kernel;
-use crate::overlap::{stmt_id, OverlapReport};
-use std::collections::HashMap;
+use crate::overlap::OverlapReport;
 use syncplace_obs::{self as obs, keys, RecorderRef};
 use syncplace_codegen::{CommOp, SpmdProgram};
-use syncplace_ir::{EntityKind, Program, Stmt, VarId, VarKind};
+use syncplace_ir::{EntityKind, IdVec, Program, Stmt, VarKind};
 use syncplace_overlap::{Decomposition, SubMesh};
-use syncplace_placement::IterationDomain;
 
 /// Result of an SPMD run, with outputs gathered back to global
 /// numbering from the owners' kernel values.
 #[derive(Debug, Clone)]
 pub struct SpmdResult {
     /// Final values of every output array, gathered to global numbering.
-    pub output_arrays: HashMap<VarId, Vec<f64>>,
+    pub output_arrays: IdVec<Vec<f64>>,
     /// Final values of every output scalar (rank 0's replica).
-    pub output_scalars: HashMap<VarId, f64>,
+    pub output_scalars: IdVec<f64>,
     /// The spread (max-min) of each output scalar across processors —
     /// nonzero means a placement error left a scalar unreplicated.
-    pub output_scalar_spread: HashMap<VarId, f64>,
+    pub output_scalar_spread: IdVec<f64>,
     /// Time-loop iterations executed.
     pub iterations: usize,
     /// Aggregate communication statistics of the run.
@@ -109,7 +107,7 @@ pub fn build_machines<const V: usize>(
             }
         }
         // Maps.
-        for (&v, binding) in &b.maps {
+        for (v, binding) in b.maps.iter() {
             let VarKind::Map { from, to, arity } = &prog.decl(v).kind else {
                 return Err(format!(
                     "{} bound as map but not declared as one",
@@ -163,7 +161,7 @@ pub fn build_machines<const V: usize>(
             m.maps[v] = table;
         }
         // Inputs.
-        for (&v, arr) in &b.input_arrays {
+        for (v, arr) in b.input_arrays.iter() {
             let VarKind::Array { base } = prog.decl(v).kind else {
                 continue;
             };
@@ -179,7 +177,7 @@ pub fn build_machines<const V: usize>(
             };
             m.arrays[v] = l2g.iter().map(|&g| arr[g as usize]).collect();
         }
-        for (&v, &x) in &b.input_scalars {
+        for (v, &x) in b.input_scalars.iter() {
             m.scalars[v] = x;
         }
         machines.push(m);
@@ -261,7 +259,7 @@ impl<'a, const V: usize> Sim<'a, V> {
     fn run_block(&mut self, stmts: &[Stmt]) -> Result<bool, String> {
         for s in stmts {
             let spmd = self.spmd;
-            if let Some(ops) = spmd.comms_before.get(&stmt_id(s)) {
+            if let Some(ops) = spmd.comms_before.get(s.id()) {
                 self.apply_comms(ops);
             }
             match s {
@@ -278,16 +276,12 @@ impl<'a, const V: usize> Sim<'a, V> {
                             l.id
                         ));
                     }
-                    let domain = self.spmd.domains.get(&l.id).copied().ok_or_else(|| {
+                    let domain = self.spmd.domains.get(l.id).copied().ok_or_else(|| {
                         format!("partitioned loop s{} has no iteration domain", l.id)
                     })?;
                     for (rank, m) in self.machines.iter_mut().enumerate() {
-                        let full = m.count(l.entity);
+                        let n = m.domain_count(l.entity, domain);
                         let kernel = m.kernel_count(l.entity);
-                        let n = match domain {
-                            IterationDomain::Overlap => full,
-                            IterationDomain::Kernel => kernel,
-                        };
                         let t0 = obs::start(&self.rec);
                         m.exec_loop(&self.kernel, l.id, n, kernel);
                         obs::finish_ranked(&self.rec, keys::COMPUTE_SPAN, rank as u32, t0);
@@ -333,7 +327,7 @@ pub(crate) fn run<const V: usize>(
 ) -> Result<SpmdResult, String> {
     let t0 = obs::start(rec);
     let machines = build_machines(prog, d, b)?;
-    let guarded = |s| spmd.kernel_guarded.contains(&s);
+    let guarded = |s| spmd.kernel_guarded.contains(s);
     let mut engine = Sim {
         prog,
         spmd,
@@ -377,9 +371,9 @@ pub fn collect_results<const V: usize>(
     overlap: OverlapReport,
 ) -> SpmdResult {
     let ek = elem_kind::<V>();
-    let mut output_arrays = HashMap::new();
-    let mut output_scalars = HashMap::new();
-    let mut output_scalar_spread = HashMap::new();
+    let mut output_arrays = IdVec::default();
+    let mut output_scalars = IdVec::default();
+    let mut output_scalar_spread = IdVec::default();
     for v in prog.outputs() {
         match prog.decl(v).kind {
             VarKind::Scalar => {

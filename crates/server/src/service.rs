@@ -726,7 +726,7 @@ pub fn output_checksum(prog: &Program, res: &SpmdResult) -> u64 {
     let mut arrays: Vec<(&str, &Vec<f64>)> = res
         .output_arrays
         .iter()
-        .map(|(v, xs)| (prog.decl(*v).name.as_str(), xs))
+        .map(|(v, xs)| (prog.decl(v).name.as_str(), xs))
         .collect();
     arrays.sort_by_key(|(name, _)| *name);
     for (name, xs) in arrays {
@@ -739,7 +739,7 @@ pub fn output_checksum(prog: &Program, res: &SpmdResult) -> u64 {
     let mut scalars: Vec<(&str, f64)> = res
         .output_scalars
         .iter()
-        .map(|(v, x)| (prog.decl(*v).name.as_str(), *x))
+        .map(|(v, x)| (prog.decl(v).name.as_str(), *x))
         .collect();
     scalars.sort_by_key(|(name, _)| *name);
     for (name, x) in scalars {

@@ -52,7 +52,7 @@ fn main() {
         );
 
         // Adapt: refine where the solved field varies across an element.
-        let solved = &res.output_arrays[&result];
+        let solved = &res.output_arrays[result];
         let mut marked = vec![false; mesh.ntris()];
         for (t, tri) in mesh.som.iter().enumerate() {
             let vals: Vec<f64> = tri.iter().map(|&s| solved[s as usize]).collect();

@@ -80,7 +80,7 @@ fn main() {
     println!(
         "sequential: converged after {} steps, peak {:.3}",
         seq.iterations,
-        seq.output_arrays[&prog.lookup("U").unwrap()]
+        seq.output_arrays[prog.lookup("U").unwrap()]
             .iter()
             .cloned()
             .fold(f64::MIN, f64::max)

@@ -31,7 +31,10 @@
 # derivations, each called by whoever reads it (`edges_first_seen` for
 # edges, `dual_from_facets` for the element dual graph: no
 # `Connectivity2d|3d` or `fn connectivity` bundle under crates tests
-# examples suite), the workspace must
+# examples suite), every per-id table must be an `IdVec` (the one
+# per-id table, in syncplace_ir: no HashMap / HashSet keyed by a VarId
+# or StmtId under crates/*/src, and none at all in crates/runtime/src or
+# crates/codegen/src), the workspace must
 # stay free of `unsafe` (the keyword opens no block, fn, impl, trait or
 # extern under crates suite tests examples), the repo's
 # own static analysis (`reproduce lint` — independent placement
@@ -80,6 +83,11 @@ if grep -rnE --include='*.rs' '\benum (Posting|EngineKind|Wire)\b|\bpub fn run_s
 fi
 if grep -rnE --include='*.rs' 'Connectivity[23]d|\.connectivity\(\)|fn connectivity' crates tests examples suite; then
     echo "mesh gate: edges come from edges_first_seen and adjacency from dual_from_facets, derived where read — no all-tables connectivity bundle"
+    exit 1
+fi
+if grep -rnE 'Hash(Map|Set)<(VarId|StmtId|\(StmtId)' crates/*/src \
+    || grep -rnE 'Hash(Map|Set)' crates/runtime/src crates/codegen/src; then
+    echo "id gate: a table keyed by a VarId or StmtId is an IdVec — indexed, not hashed, iterated in id order"
     exit 1
 fi
 if grep -rnE --include='*.rs' '\bunsafe[[:space:]]*(\{|fn|impl|trait|extern)' crates suite tests examples; then

@@ -58,7 +58,7 @@ fn fixpoint_rejects_what_search_never_produces() {
     let (mappings, _) = syncplace::placement::enumerate(&dfg, &aut, &SearchOptions::default());
     let mut m = mappings[0].clone();
     let init = p.lookup("INIT").unwrap();
-    let n = dfg.input_node[&init];
+    let n = dfg.input_node[init];
     m.node_state[n] = syncplace::automata::state::NOD1;
     assert!(!analyze::verify_mapping(&dfg, &aut, &m).is_clean());
 }

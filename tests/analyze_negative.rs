@@ -40,7 +40,7 @@ fn sa001_wrong_mapping_shape() {
 fn sa002_input_not_at_given_state() {
     let (p, dfg, aut, mut m) = fixture();
     let init = p.lookup("INIT").unwrap();
-    let n = dfg.input_node[&init];
+    let n = dfg.input_node[init];
     m.node_state[n] = NOD1;
     assert_rejected_with(&dfg, &aut, &m, codes::INPUT_STATE);
 }
@@ -49,7 +49,7 @@ fn sa002_input_not_at_given_state() {
 fn sa003_output_not_at_required_state() {
     let (p, dfg, aut, mut m) = fixture();
     let res = p.lookup("RESULT").unwrap();
-    let n = dfg.output_node[&res];
+    let n = dfg.output_node[res];
     m.node_state[n] = NOD1;
     assert_rejected_with(&dfg, &aut, &m, codes::REQUIRED_STATE);
 }
@@ -197,8 +197,7 @@ fn sa020_op_count_mismatch() {
     let f = plan_fixture(4);
     let (prog, sol, mut spmd, plan) = (f.0.clone(), f.1.clone(), f.2.clone(), f.3.clone());
     // Drop one op from the SPMD program after compiling the plan.
-    let key = *spmd.comms_before.keys().next().unwrap();
-    spmd.comms_before.get_mut(&key).unwrap().pop();
+    spmd.comms_before.values_mut().next().unwrap().pop();
     let rep = analyze::audit(&prog, &sol, &spmd, &plan);
     assert!(
         rep.has_code(codes::PHASE_COVERAGE),

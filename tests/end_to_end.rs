@@ -157,12 +157,8 @@ fn batched_engine_matches_round_robin_across_programs() {
     let ba = syncplace::Engine::Batched
         .run(&s.prog, &spmd, &d, &s.bindings)
         .unwrap();
-    for (v, a) in &rr.output_arrays {
-        assert_eq!(a, &ba.output_arrays[v]);
-    }
-    for (v, x) in &rr.output_scalars {
-        assert_eq!(x, &ba.output_scalars[v]);
-    }
+    assert_eq!(rr.output_arrays, ba.output_arrays);
+    assert_eq!(rr.output_scalars, ba.output_scalars);
 }
 
 #[test]

@@ -63,28 +63,11 @@ fn recorded<T>(f: impl FnOnce(&RecorderRef) -> T) -> (T, MetricsSnapshot) {
 /// iteration; everything else executes once.
 fn time_loop_stmt_ids(stmts: &[syncplace::ir::Stmt], inside: bool, out: &mut HashSet<usize>) {
     for s in stmts {
-        match s {
-            syncplace::ir::Stmt::TimeLoop(t) => {
-                if inside {
-                    out.insert(t.id);
-                }
-                time_loop_stmt_ids(&t.body, true, out);
-            }
-            syncplace::ir::Stmt::Loop(l) => {
-                if inside {
-                    out.insert(l.id);
-                }
-            }
-            syncplace::ir::Stmt::Assign(a) => {
-                if inside {
-                    out.insert(a.id);
-                }
-            }
-            syncplace::ir::Stmt::ExitIf(e) => {
-                if inside {
-                    out.insert(e.id);
-                }
-            }
+        if inside {
+            out.insert(s.id());
+        }
+        if let syncplace::ir::Stmt::TimeLoop(t) = s {
+            time_loop_stmt_ids(&t.body, true, out);
         }
     }
 }
@@ -101,7 +84,7 @@ fn expected_pair_packets(prog: &Program, plan: &CommPlan, iters: usize) -> Vec<V
     let p = plan.nparts;
     let mut expected = vec![vec![0u64; p]; p];
     let mut phase_mult = vec![0u64; plan.phases.len()];
-    for (&id, &idx) in &plan.before {
+    for (id, &idx) in plan.before.iter() {
         phase_mult[idx] += if looped.contains(&id) { iters as u64 } else { 1 };
     }
     if let Some(end) = plan.at_end {

@@ -187,9 +187,7 @@ fn claim_spmd_equivalence() {
     let ba = syncplace::Engine::Batched
         .run(&s.prog, &spmd, &d, &s.bindings)
         .unwrap();
-    for (v, a) in &rr.output_arrays {
-        assert_eq!(a, &ba.output_arrays[v]);
-    }
+    assert_eq!(rr.output_arrays, ba.output_arrays);
 }
 
 /// §3.1/§5.1 (extension): with two layers of overlapping triangles and

@@ -206,8 +206,8 @@ fn random_scalar_programs_evaluate_identically_after_roundtrip() {
         let r2 = syncplace::runtime::run_sequential(&p2, &bindings);
         let z = p.lookup("z").unwrap();
         assert_eq!(
-            r1.output_scalars[&z].to_bits(),
-            r2.output_scalars[&z].to_bits()
+            r1.output_scalars[z].to_bits(),
+            r2.output_scalars[z].to_bits()
         );
     }
 }

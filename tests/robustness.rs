@@ -104,7 +104,7 @@ fn results_invariant_under_rcm_renumbering() {
         let part = partition2d(mesh, 4, Method::RcbKl);
         let d = decompose2d(mesh, &part.part, 4, Pattern::FIG1);
         let res = Engine::RoundRobin.run(&prog, &spmd, &d, &b).unwrap();
-        res.output_arrays[&prog.lookup("RESULT").unwrap()].clone()
+        res.output_arrays[prog.lookup("RESULT").unwrap()].clone()
     };
 
     let init: Vec<f64> = (0..mesh.nnodes()).map(|i| (i % 6) as f64).collect();
@@ -153,9 +153,9 @@ fn max_reduction_end_to_end() {
     let rr = Engine::RoundRobin.run(&prog, &spmd, &d, &b).unwrap();
     let ba = syncplace::Engine::Batched.run(&prog, &spmd, &d, &b).unwrap();
     let peak = prog.lookup("peak").unwrap();
-    assert_eq!(rr.output_scalars[&peak], seq.output_scalars[&peak]);
-    assert_eq!(ba.output_scalars[&peak], seq.output_scalars[&peak]);
-    assert_eq!(rr.output_scalar_spread[&peak], 0.0);
+    assert_eq!(rr.output_scalars[peak], seq.output_scalars[peak]);
+    assert_eq!(ba.output_scalars[peak], seq.output_scalars[peak]);
+    assert_eq!(rr.output_scalar_spread[peak], 0.0);
 }
 
 /// Empty and degenerate configurations don't wedge the pipeline.
@@ -176,7 +176,7 @@ fn degenerate_configurations() {
     let mut b = syncplace::runtime::Bindings::default();
     b.input_scalars.insert(prog.lookup("a").unwrap(), 21.0);
     let seq = syncplace::runtime::run_sequential(&prog, &b);
-    assert_eq!(seq.output_scalars[&prog.lookup("b").unwrap()], 42.0);
+    assert_eq!(seq.output_scalars[prog.lookup("b").unwrap()], 42.0);
 }
 
 /// An update whose destinations are reachable both around the time

@@ -22,7 +22,7 @@ fn assert_bitwise(name: &str, p: usize, engine: Engine, reference: &SpmdResult, 
         "{name} P={p} {}: iteration counts differ",
         engine.name()
     );
-    for (v, a) in &reference.output_arrays {
+    for (v, a) in reference.output_arrays.iter() {
         let b = &r.output_arrays[v];
         assert_eq!(a.len(), b.len());
         for (i, (x, y)) in a.iter().zip(b).enumerate() {
@@ -33,7 +33,7 @@ fn assert_bitwise(name: &str, p: usize, engine: Engine, reference: &SpmdResult, 
             );
         }
     }
-    for (v, x) in &reference.output_scalars {
+    for (v, x) in reference.output_scalars.iter() {
         let y = r.output_scalars[v];
         assert!(
             x.to_bits() == y.to_bits(),
@@ -79,6 +79,13 @@ fn check_2d(
     );
     assert!(analysis.legality.is_legal(), "{name}");
     let spmd = syncplace::codegen::spmd_program(prog, &dfg, &analysis.solutions[0]);
+    // Output tables iterate in `prog.outputs()` order on every engine
+    // and in the sequential run.
+    let is_array = |&v: &usize| matches!(prog.decl(v).kind, syncplace::ir::VarKind::Array { .. });
+    let array_outputs: Vec<usize> = prog.outputs().filter(is_array).collect();
+    let ids = |t: &syncplace::ir::IdVec<Vec<f64>>| t.iter().map(|(v, _)| v).collect::<Vec<_>>();
+    let seq = syncplace::runtime::run_sequential(prog, bindings);
+    assert_eq!(ids(&seq.output_arrays), array_outputs, "{name}: sequential output order");
     for p in PROCS {
         let part = partition2d(mesh, p, Method::Greedy);
         let d = decompose2d(mesh, &part.part, p, pattern);
@@ -87,6 +94,7 @@ fn check_2d(
             let r = engine.run(prog, &spmd, &d, bindings).unwrap();
             assert_bitwise(name, p, engine, &reference, &r);
             assert_stats(name, p, engine, &reference, &r);
+            assert_eq!(ids(&r.output_arrays), array_outputs, "{name} P={p} {}", engine.name());
         }
     }
 }
@@ -446,7 +454,7 @@ fn edge_loop_only_program_counts_edges_and_matches_sequential() {
     bindings.input_arrays.insert(prog.lookup("X").unwrap(), x);
     let seq = run_sequential(&prog, &bindings);
     let n = prog.lookup("n").unwrap();
-    assert_eq!(seq.output_scalars[&n], nedges as f64);
+    assert_eq!(seq.output_scalars[n], nedges as f64);
 
     let (dfg, analysis) = analyze_program(
         &prog,
@@ -460,10 +468,10 @@ fn edge_loop_only_program_counts_edges_and_matches_sequential() {
         let part = partition2d(&mesh, p, Method::Greedy);
         let d = decompose2d(&mesh, &part.part, p, Pattern::FIG1);
         let r = Engine::RoundRobin.run(&prog, &spmd, &d, &bindings).unwrap();
-        for (v, a) in &seq.output_arrays {
+        for (v, a) in seq.output_arrays.iter() {
             assert_eq!(bits(a), bits(&r.output_arrays[v]), "P={p} array {v}");
         }
-        for (v, x) in &seq.output_scalars {
+        for (v, x) in seq.output_scalars.iter() {
             let y = r.output_scalars[v];
             assert_eq!(x.to_bits(), y.to_bits(), "P={p} scalar {v}");
         }

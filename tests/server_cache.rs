@@ -50,19 +50,52 @@ fn cached_and_fresh_results_are_bitwise_identical() {
             out.result.output_arrays.len(),
             cold.result.output_arrays.len()
         );
-        for (var, a) in &cold.result.output_arrays {
+        for (var, a) in cold.result.output_arrays.iter() {
             let b = &out.result.output_arrays[var];
             assert_eq!(a.len(), b.len(), "{label}: array length for {var:?}");
             for (i, (x, y)) in a.iter().zip(b).enumerate() {
                 assert_eq!(x.to_bits(), y.to_bits(), "{label}: {var:?}[{i}]");
             }
         }
-        for (var, x) in &cold.result.output_scalars {
+        for (var, x) in cold.result.output_scalars.iter() {
             assert_eq!(
                 x.to_bits(),
                 out.result.output_scalars[var].to_bits(),
                 "{label}: scalar {var:?}"
             );
+        }
+    }
+}
+
+/// Daemon answers pinned to exact values — the `result` line's
+/// iterations, messages, values and checksum — for every built-in
+/// program and pattern on every engine, so a change in what an engine
+/// computes or in the digest's order cannot pass as "two runs agree".
+#[test]
+fn daemon_answers_are_pinned() {
+    let svc = Service::new(ServiceConfig::default());
+    for (program, pattern, iterations, messages, values, checksum) in [
+        ("testiv", "fig1", 100, 1600, 4400, "6957eb3592644aa5"),
+        ("testiv", "fig2", 100, 1600, 4400, "2ce57cf606d922d4"),
+        ("testiv", "2layer", 100, 1800, 9200, "6957eb3592644aa5"),
+        ("fig5-sketch", "fig1", 0, 16, 44, "ea665c41f2f001bb"),
+        ("edge-smooth", "fig1", 0, 10, 38, "90d57ede1af0971f"),
+    ] {
+        for engine in syncplace::Engine::ALL {
+            let out = svc
+                .run(&run_req(&format!(
+                    "{{\"op\":\"run\",\"program\":\"{program}\",\"mesh\":{{\"nx\":8,\"ny\":8}},\
+                     \"pattern\":\"{pattern}\",\"p\":4,\"engine\":\"{}\"}}",
+                    engine.name()
+                )))
+                .unwrap();
+            let (r, what) = (&out.result, format!("{program} {pattern} {}", engine.name()));
+            assert_eq!(
+                (r.iterations, r.stats.total_messages(), r.stats.total_values()),
+                (iterations, messages, values),
+                "{what}"
+            );
+            assert_eq!(format!("{:016x}", out.checksum), checksum, "{what}");
         }
     }
 }
