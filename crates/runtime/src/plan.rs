@@ -28,7 +28,7 @@
 use crate::comm::{merge_phase, PhaseContribution, PhaseStat};
 use syncplace_codegen::{CommOp, PhaseAt, SpmdProgram};
 use syncplace_dfg::ReduceOp;
-use syncplace_ir::{IdVec, Program, VarId, VarKind};
+use syncplace_ir::{Access, Expr, IdVec, Program, Stmt, VarId, VarKind};
 use syncplace_overlap::{Decomposition, UpdateSchedule};
 
 /// One item of a round-1 packet: values are appended in recipe order.
@@ -162,6 +162,10 @@ pub struct CommPlan {
     pub before: IdVec<usize>,
     /// The phase placed after the last statement, if any.
     pub at_end: Option<usize>,
+    /// The `ExitIf` tests whose decision may differ between ranks: only
+    /// these need the pooled engines' agreement tree. Every other test
+    /// reads only scalars the program keeps bitwise replicated.
+    pub agree: IdVec<()>,
 }
 
 impl CommPlan {
@@ -191,11 +195,77 @@ impl CommPlan {
             }
             phases.push(build_phase(prog, d, ops, nparts));
         }
+        let inputs = prog.decls.iter().map(|d| d.input && d.kind == VarKind::Scalar);
+        let mut same = inputs.collect();
+        let mut agree = IdVec::default();
+        unproven_exits(&prog.body, spmd, &mut same, &mut agree, &mut Vec::new());
         CommPlan {
             nparts,
             phases,
             before,
             at_end,
+            agree,
+        }
+    }
+}
+
+/// One conservative forward pass over `stmts`, tracking `same`: the
+/// scalars that hold the same bits on every rank. A reduction's total
+/// is replicated; an assignment outside a partitioned loop keeps its
+/// target replicated if it reads only replicated scalars and literals;
+/// any other assignment may leave each rank its own value. An exit
+/// test reading anything unproven goes in `agree`. A time loop iterates
+/// to a fixpoint, meeting its entry set with the back edge's; `left`
+/// gathers the set at every exit of the innermost time loop.
+fn unproven_exits(
+    stmts: &[Stmt],
+    spmd: &SpmdProgram,
+    same: &mut Vec<bool>,
+    agree: &mut IdVec<()>,
+    left: &mut Vec<bool>,
+) {
+    let meet = |a: &mut Vec<bool>, b: &[bool]| a.iter_mut().zip(b).for_each(|(a, b)| *a &= b);
+    let proven = |e: &Expr, same: &[bool]| {
+        (e.reads().iter()).all(|a| matches!(a, Access::Scalar(v) if same[*v]))
+    };
+    for s in stmts {
+        for op in spmd.comms_before.get(s.id()).into_iter().flatten() {
+            if let CommOp::Reduce { var, .. } = op {
+                same[*var] = true;
+            }
+        }
+        match s {
+            Stmt::Assign(a) => {
+                if let Access::Scalar(v) = a.lhs {
+                    same[v] = proven(&a.rhs, same);
+                }
+            }
+            Stmt::Loop(l) => {
+                for a in &l.body {
+                    if let Access::Scalar(v) = a.lhs {
+                        same[v] = false;
+                    }
+                }
+            }
+            Stmt::TimeLoop(t) => {
+                let entry = same.clone();
+                loop {
+                    let (mut body, mut exits) = (same.clone(), same.clone());
+                    unproven_exits(&t.body, spmd, &mut body, agree, &mut exits);
+                    meet(&mut body, &entry);
+                    if body == *same {
+                        meet(same, &exits);
+                        break;
+                    }
+                    *same = body;
+                }
+            }
+            Stmt::ExitIf(e) => {
+                if !(proven(&e.lhs, same) && proven(&e.rhs, same)) {
+                    agree.insert(e.id, ());
+                }
+                meet(left, same);
+            }
         }
     }
 }
@@ -527,6 +597,100 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The `ExitIf` ids of `prog`, in program order.
+    fn exit_ids(stmts: &[Stmt]) -> Vec<usize> {
+        let exits = stmts.iter().map(|s| match s {
+            Stmt::ExitIf(e) => vec![e.id],
+            Stmt::TimeLoop(t) => exit_ids(&t.body),
+            _ => Vec::new(),
+        });
+        exits.flatten().collect()
+    }
+
+    /// `CommPlan::agree` of a parsed program, and its exit tests, when
+    /// its only communication is a reduction of `reduce` before the time
+    /// loop (no placement: the analysis reads the SPMD program as given).
+    fn agree_with_reduce(src: &str, reduce: Option<&str>) -> (Vec<usize>, Vec<usize>) {
+        let prog = syncplace_ir::parser::parse(src).unwrap();
+        let mut comms_before = IdVec::default();
+        if let Some(name) = reduce {
+            let var = prog.decls.iter().position(|d| d.name == name).unwrap();
+            let at = (prog.body.iter())
+                .find_map(|s| matches!(s, Stmt::TimeLoop(_)).then(|| s.id()))
+                .unwrap();
+            let op = ReduceOp::Sum;
+            comms_before.insert(at, vec![CommOp::Reduce { var, op }]);
+        }
+        let spmd = SpmdProgram {
+            comms_before,
+            comms_at_end: Vec::new(),
+            domains: IdVec::default(),
+            kernel_guarded: IdVec::default(),
+        };
+        let mesh = gen2d::perturbed_grid(3, 3, 0.0, 1);
+        let part = partition2d(&mesh, 2, Method::Greedy);
+        let d = decompose2d(&mesh, &part.part, 2, Pattern::FIG1);
+        let plan = CommPlan::build(&prog, &spmd, &d);
+        (plan.agree.iter().map(|(id, _)| id).collect(), exit_ids(&prog.body))
+    }
+
+    #[test]
+    fn testiv_exit_test_is_proven_replicated() {
+        // `sqrdiff` is reduced right before the test and `epsilon` is an
+        // input: every rank decides alike, no agreement needed.
+        let (plan, spmd) = testiv_plan(Pattern::FIG1, 4);
+        assert!(spmd.phases().iter().any(|(_, ops)| {
+            (ops.iter()).any(|o| matches!(o, CommOp::Reduce { .. }))
+        }));
+        assert!(plan.agree.is_empty());
+    }
+
+    #[test]
+    fn an_exit_on_an_unreduced_partial_needs_agreement() {
+        // The §6 hand-placement error: without its reduction the test
+        // reads each rank's own partial sum.
+        let (_, mut spmd) = testiv_plan(Pattern::FIG1, 4);
+        for ops in spmd.comms_before.values_mut() {
+            ops.retain(|o| !matches!(o, CommOp::Reduce { .. }));
+        }
+        let p = programs::testiv();
+        let mesh = gen2d::perturbed_grid(9, 9, 0.15, 3);
+        let part = partition2d(&mesh, 4, Method::Greedy);
+        let d = decompose2d(&mesh, &part.part, 4, Pattern::FIG1);
+        let plan = CommPlan::build(&p, &spmd, &d);
+        let agree: Vec<usize> = plan.agree.iter().map(|(id, _)| id).collect();
+        assert_eq!(agree, exit_ids(&p.body));
+    }
+
+    #[test]
+    fn an_exit_on_an_array_element_needs_agreement() {
+        // `s = X(5)` outside any loop reads whatever each rank holds at
+        // local slot 5: not provably the same value everywhere.
+        let (agree, exits) = agree_with_reduce(
+            "program t\n  input X : node\n  input eps : scalar\n  var s : scalar\n  \
+             iterate loop max 3 {\n    s = X(5)\n    exit when s < eps\n  }\nend",
+            None,
+        );
+        assert_eq!((agree, exits.len()), (exits, 1));
+    }
+
+    #[test]
+    fn a_partial_reaching_the_test_along_the_back_edge_needs_agreement() {
+        // `s` is reduced before the time loop, so the first test reads a
+        // total — but the loop after the test makes it a partial again,
+        // and the next iteration's test reads that.
+        let src = "program t\n  input X : node\n  input eps : scalar\n  var s : scalar\n  \
+                   s = 0.0\n  forall i in node split { s = s + X(i) }\n  \
+                   iterate loop max 3 {\n    exit when s < eps\n    \
+                   forall i in node split { s = s + X(i) }\n  }\nend";
+        let (agree, exits) = agree_with_reduce(src, Some("s"));
+        assert_eq!((agree, exits.len()), (exits, 1));
+        // Without the loop after the test the reduced total stands.
+        let src = src.replace("forall i in node split { s = s + X(i) }\n  }", "}");
+        let (agree, _) = agree_with_reduce(&src, Some("s"));
+        assert!(agree.is_empty());
     }
 
     #[test]

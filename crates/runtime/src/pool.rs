@@ -5,7 +5,17 @@
 //! A gang job is a future. A worker runs it until it awaits a
 //! [`Mailbox`] that is still empty; the deposit that fills the mailbox
 //! puts it back on the FIFO ready queue. No job ever parks a thread,
-//! so W never depends on P. The workers are W − 1 resident helper
+//! so W never depends on P.
+//!
+//! Ready jobs are not strictly FIFO: a worker runs the job its last
+//! poll woke next, if no idle worker has taken it off the queue yet
+//! (Go's `runnext`). The serial hops of a tree reduction thus skip the
+//! back of the queue. A second wake in the same poll leaves the older
+//! job at its place in the queue. The woken job stays on the shared
+//! queue rather than in a private slot, so a long compute segment of
+//! its waker never hides it from an idle worker.
+//!
+//! The workers are W − 1 resident helper
 //! threads plus the thread that submits a gang: the submitter runs
 //! **only its own gang's** jobs (a small gang costs no thread hand-off,
 //! a daemon handler is never stuck in another request's segment),
@@ -18,6 +28,7 @@
 //! mailboxes they own and the wakers parked there — so nothing of a
 //! gang outlives [`SpmdPool::run_gang`].
 
+use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::future::Future;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -36,6 +47,12 @@ const SPIN: Duration = Duration::from_micros(40);
 
 /// A type-erased gang job: stores its own result, yields only failure.
 type Job = Pin<Box<dyn Future<Output = Result<(), String>> + Send>>;
+
+thread_local! {
+    /// The job the poll running on this thread woke last: `None` outside
+    /// a poll, `Some(None)` while the poll has woken no one.
+    static WOKEN: RefCell<Option<Option<Arc<Task>>>> = const { RefCell::new(None) };
+}
 
 /// An unbounded FIFO between two jobs of a gang — the pool's one
 /// suspension point: [`Mailbox::take`] suspends the calling job while
@@ -106,6 +123,11 @@ struct Task {
 
 impl Wake for Task {
     fn wake(self: Arc<Self>) {
+        WOKEN.with_borrow_mut(|woken| {
+            if let Some(last) = woken {
+                *last = Some(Arc::clone(&self));
+            }
+        });
         let gang = Arc::clone(&self.gang);
         gang.pool.enqueue(&gang, [self]);
     }
@@ -155,20 +177,28 @@ impl Shared {
 
     /// A worker's loop. A helper (`own` = `None`) runs any gang's ready
     /// jobs until the pool stops; a submitter only `own`'s, until that
-    /// gang is over. Idle, it spins for [`SPIN`], then sleeps until a
-    /// job is queued or a gang ends.
+    /// gang is over. It takes the job its last poll woke if that is
+    /// still queued, else the oldest it may run. Idle, it spins for
+    /// [`SPIN`], then sleeps until a job is queued or a gang ends.
     fn work(&self, own: Option<&Arc<Gang>>) {
         let over = |stop| own.map_or(stop, |gang| gang.left.load(SeqCst) == 0);
         let mine = |t: &Arc<Task>| own.is_none_or(|gang| Arc::ptr_eq(&t.gang, gang));
         let mut st = self.lock();
         let mut idle_since = None; // the clock is read only when idle
+        let mut woken: Option<Arc<Task>> = None;
         while !over(st.stop) {
-            let next = st.ready.iter().position(&mine);
+            let last = woken.take();
+            let last = last.and_then(|w| st.ready.iter().rposition(|t| Arc::ptr_eq(t, &w)));
+            let next = last.or_else(|| st.ready.iter().position(&mine));
             if let Some(task) = next.and_then(|i| st.ready.remove(i)) {
                 self.nready.store(st.ready.len(), SeqCst);
                 task.gang.queued.fetch_sub(1, SeqCst);
                 drop(st);
+                let outer = WOKEN.replace(Some(None));
                 let done = task.poll();
+                woken = WOKEN.replace(outer).flatten();
+                // A mailbox belongs to one gang: a submitter never gets another's job.
+                debug_assert!(woken.as_ref().is_none_or(|w| Arc::ptr_eq(&w.gang, &task.gang)));
                 st = self.lock();
                 if let Some(done) = done {
                     let gang = &task.gang;
@@ -433,6 +463,72 @@ mod tests {
                 });
             }
         });
+    }
+
+    /// A gang of jobs at W = 1 that log what they do into one shared
+    /// tape: `script(i, log)` is job `i`.
+    fn logged<F>(n: usize, script: impl Fn(usize, Arc<Mutex<Vec<String>>>) -> F) -> Vec<String>
+    where
+        F: Future<Output = Result<(), String>> + Send + 'static,
+    {
+        let pool = SpmdPool::with_workers(1);
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let jobs: Vec<Boxed<()>> = (0..n)
+            .map(|i| Box::pin(script(i, Arc::clone(&log))) as _)
+            .collect();
+        assert_eq!(pool.run_gang(jobs, &None), Ok(vec![(); n]));
+        let tape = log.lock().unwrap().clone();
+        tape
+    }
+
+    #[test]
+    fn a_woken_job_runs_before_older_queued_jobs() {
+        // Job 0 parks on `wake`; job 1 fills it while jobs 2 and 3 wait
+        // on the queue. Job 0 is the one job 1 woke, so it runs next —
+        // under a FIFO queue it would come last.
+        let wake: Arc<Mailbox<()>> = Arc::default();
+        let tape = logged(4, |i, log| {
+            let wake = Arc::clone(&wake);
+            async move {
+                let note = |what: &str| log.lock().unwrap().push(format!("{i}{what}"));
+                note("");
+                match i {
+                    0 => {
+                        wake.take().await;
+                        note(" woken");
+                    }
+                    1 => wake.deposit(()),
+                    _ => {}
+                }
+                Ok(())
+            }
+        });
+        assert_eq!(tape, ["0", "1", "0 woken", "2", "3"]);
+    }
+
+    #[test]
+    fn a_second_wake_in_one_poll_leaves_the_first_in_queue_order() {
+        // Job 2 wakes job 0, then job 1 in the same poll: job 1 runs
+        // next, job 0 keeps its place behind job 3 — and all four still
+        // complete.
+        let boxes: Arc<[Mailbox<()>]> = (0..2).map(|_| Mailbox::default()).collect();
+        let tape = logged(4, |i, log| {
+            let boxes = Arc::clone(&boxes);
+            async move {
+                let note = |what: &str| log.lock().unwrap().push(format!("{i}{what}"));
+                note("");
+                match i {
+                    0 | 1 => {
+                        boxes[i].take().await;
+                        note(" woken");
+                    }
+                    2 => boxes.iter().for_each(|b| b.deposit(())),
+                    _ => {}
+                }
+                Ok(())
+            }
+        });
+        assert_eq!(tape, ["0", "1", "2", "1 woken", "3", "0 woken"]);
     }
 
     /// Counts its drops.

@@ -175,6 +175,14 @@ struct RankProc {
     hidden_log: Vec<f64>,
     /// Early posts performed.
     early_posts: usize,
+    /// Per-phase scratch, reused so a phase allocates nothing: round-1
+    /// packets by sender, round-2 staging by receiver (both indexed by
+    /// peer, empty between phases) and the reduction accumulators.
+    bufs1: Vec<Option<Vec<f64>>>,
+    bufs2: Vec<Vec<f64>>,
+    accs: Vec<f64>,
+    /// My children in the binomial tree the exit agreement runs on.
+    tree_children: Vec<usize>,
 }
 
 impl RankProc {
@@ -238,7 +246,7 @@ impl RankProc {
         if !self.posted[idx] {
             self.post_phase(idx);
         }
-        let mut bufs1: Vec<Option<Vec<f64>>> = vec![None; self.nparts];
+        let mut bufs1 = std::mem::take(&mut self.bufs1);
         for r in (0..self.nparts).filter(|&r| rp.has_recv1[r]) {
             bufs1[r] = Some(self.net.recv_from(r).await);
         }
@@ -256,19 +264,10 @@ impl RankProc {
 
         // Assemblies: combine owned groups in the fixed order, write
         // back, stage totals for round 2.
-        let mut bufs2: Vec<Vec<f64>> = Vec::new();
-        if rp.send2_len.iter().any(|&l| l > 0) {
-            bufs2 = (0..self.nparts)
-                .map(|q| {
-                    if rp.send2_len[q] > 0 {
-                        let mut b = self.net.acquire(q);
-                        b.reserve(rp.send2_len[q]);
-                        b
-                    } else {
-                        Vec::new()
-                    }
-                })
-                .collect();
+        let mut bufs2 = std::mem::take(&mut self.bufs2);
+        for q in (0..self.nparts).filter(|&q| rp.send2_len[q] > 0) {
+            bufs2[q] = self.net.acquire(q);
+            bufs2[q].reserve(rp.send2_len[q]);
         }
         for ap in &rp.assembles {
             for g in &ap.own_groups {
@@ -298,11 +297,9 @@ impl RankProc {
         // the combine order is exactly `comm::tree_fold`, so results
         // stay bitwise-identical to the per-op reference.
         if !rp.reduces.is_empty() {
-            let mut accs: Vec<f64> = rp
-                .reduces
-                .iter()
-                .map(|red| self.m.scalars[red.var])
-                .collect();
+            let mut accs = std::mem::take(&mut self.accs);
+            accs.clear();
+            accs.extend(rp.reduces.iter().map(|red| self.m.scalars[red.var]));
             for &c in &rp.red_children {
                 let buf = self.net.recv_from(c as usize).await;
                 for (acc, (red, &sub)) in accs.iter_mut().zip(rp.reduces.iter().zip(buf.iter())) {
@@ -310,36 +307,35 @@ impl RankProc {
                 }
                 self.net.give_back(c as usize, buf);
             }
-            let totals: Vec<f64> = match rp.red_parent {
-                Some(parent) => {
-                    let p = parent as usize;
-                    let mut buf = self.net.acquire(p);
-                    buf.extend_from_slice(&accs);
-                    self.net.send_phase(p, buf);
-                    let buf = self.net.recv_from(p).await;
-                    let totals = buf.clone();
-                    self.net.give_back(p, buf);
-                    totals
-                }
-                None => accs,
-            };
+            // The totals replace the partials in `accs`.
+            if let Some(parent) = rp.red_parent {
+                let p = parent as usize;
+                let mut buf = self.net.acquire(p);
+                buf.extend_from_slice(&accs);
+                self.net.send_phase(p, buf);
+                let buf = self.net.recv_from(p).await;
+                accs.clear();
+                accs.extend_from_slice(&buf);
+                self.net.give_back(p, buf);
+            }
             for &c in &rp.red_children {
                 let mut buf = self.net.acquire(c as usize);
-                buf.extend_from_slice(&totals);
+                buf.extend_from_slice(&accs);
                 self.net.send_phase(c as usize, buf);
             }
-            for (red, &t) in rp.reduces.iter().zip(&totals) {
+            for (red, &t) in rp.reduces.iter().zip(&accs) {
                 self.m.scalars[red.var] = t;
             }
+            self.accs = accs;
         }
 
         // Round 2: totals owner → participants.
-        for (q, buf) in bufs2.into_iter().enumerate() {
-            if rp.send2_len[q] > 0 {
-                debug_assert_eq!(buf.len(), rp.send2_len[q]);
-                self.net.send_phase(q, buf);
-            }
+        for q in (0..self.nparts).filter(|&q| rp.send2_len[q] > 0) {
+            let buf = std::mem::take(&mut bufs2[q]);
+            debug_assert_eq!(buf.len(), rp.send2_len[q]);
+            self.net.send_phase(q, buf);
         }
+        self.bufs2 = bufs2;
         for r in 0..self.nparts {
             if rp.recv2[r].is_empty() {
                 continue;
@@ -357,6 +353,7 @@ impl RankProc {
                 self.net.give_back(r, buf);
             }
         }
+        self.bufs1 = bufs1;
 
         let early = self.post_cu[idx]
             .take()
@@ -414,9 +411,10 @@ impl RankProc {
     /// ranks disagree]` comes down — 2(P−1) messages, not an
     /// allgather's P(P−1). Recorded under `exit.*` counters (per-rank
     /// own-sends), kept out of the per-pair matrix so the matrix holds
-    /// only `C$SYNCHRONIZE` phase traffic.
+    /// only `C$SYNCHRONIZE` phase traffic. Runs only for the tests in
+    /// [`CommPlan::agree`]; every other test decides alike on all ranks.
     async fn agree_on_exit(&mut self, mine: bool) -> [f64; 2] {
-        let children = reduce_tree_children(self.net.rank, self.nparts);
+        let children = std::mem::take(&mut self.tree_children);
         let parent = reduce_tree_parent(self.net.rank);
         if let Some(r) = &self.net.rec {
             let sends = (children.len() + usize::from(parent.is_some())) as u64;
@@ -444,6 +442,7 @@ impl RankProc {
             buf.extend_from_slice(&verdict);
             self.net.send(c, buf);
         }
+        self.tree_children = children;
         verdict
     }
 
@@ -522,13 +521,15 @@ impl RankProc {
                     self.drain_posted().await;
                 }
                 Stmt::ExitIf(e) => {
-                    let mine = self.m.exec_stmt(&self.kernel, e.id);
-                    let [exit, divergent] = self.agree_on_exit(mine).await;
-                    if divergent != 0.0 {
-                        self.stats.divergent_exits += 1;
+                    let mut exit = self.m.exec_stmt(&self.kernel, e.id);
+                    // A proven test is rank 0's decision already; for any
+                    // other, rank 0's rules, as in the reference.
+                    if self.plan.agree.contains(e.id) {
+                        let [verdict, divergent] = self.agree_on_exit(exit).await;
+                        self.stats.divergent_exits += usize::from(divergent != 0.0);
+                        exit = verdict != 0.0;
                     }
-                    // Rank-0's decision rules (same as the reference).
-                    if exit != 0.0 {
+                    if exit {
                         return Ok(true);
                     }
                 }
@@ -595,6 +596,7 @@ pub(crate) fn run<const V: usize>(
         if early {
             net.seed_double_buffers(&plan);
         }
+        let tree_children = reduce_tree_children(net.rank, nparts);
         let mut proc = RankProc {
             prog: Arc::clone(&prog_arc),
             spmd: Arc::clone(&spmd_arc),
@@ -610,6 +612,10 @@ pub(crate) fn run<const V: usize>(
             post_cu: vec![None; nphases],
             hidden_log: Vec::new(),
             early_posts: 0,
+            bufs1: vec![None; nparts],
+            bufs2: vec![Vec::new(); nparts],
+            accs: Vec::new(),
+            tree_children,
         };
         jobs.push(async move {
             let t_job = obs::start(&proc.net.rec);

@@ -274,6 +274,21 @@ fn exit_agreement_on_the_tree_matches_round_robin_when_ranks_disagree() {
                 engine.name()
             );
         }
+        if p == 4 {
+            // The plan cannot prove the stripped test replicated, so the
+            // tree runs at every executed test (one per iteration): up
+            // and down its P−1 edges, two values a message.
+            use syncplace::obs::{keys, MetricsRegistry};
+            for engine in [Engine::Batched, Engine::Overlapped] {
+                let reg = std::sync::Arc::new(MetricsRegistry::new(keys::ALL));
+                let rec: syncplace::obs::RecorderRef = Some(reg.clone());
+                let r = (engine.run_with(&s.prog, &spmd, &d, &s.bindings, None, &rec)).unwrap();
+                let snap = reg.snapshot();
+                let messages = (r.iterations * 2 * (p - 1)) as u64;
+                assert_eq!(snap.counter(keys::EXIT_MESSAGES), messages, "{}", engine.name());
+                assert_eq!(snap.counter(keys::EXIT_VALUES), 2 * messages, "{}", engine.name());
+            }
+        }
     }
     assert!(disagreed > 0, "the fixture must make ranks disagree");
 }
