@@ -309,20 +309,20 @@ pub fn drop_first(log: &HbLog, rank: usize, key: &str) -> Option<HbLog> {
     Some(drop_at(log, rank, idx))
 }
 
-/// Drop the first event with `key` from **every** rank's stream;
-/// `None` unless every rank had one (keeps episode counts aligned).
-pub fn drop_first_everywhere(log: &HbLog, key: &str) -> Option<HbLog> {
-    let mut out = log.clone();
-    for stream in out.iter_mut() {
-        let idx = stream.iter().position(|e| e.key == key)?;
-        stream.remove(idx);
-    }
-    Some(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Drop the first event with `key` from **every** rank's stream;
+    /// `None` unless every rank had one (keeps episode counts aligned).
+    fn drop_first_everywhere(log: &HbLog, key: &str) -> Option<HbLog> {
+        let mut out = log.clone();
+        for stream in out.iter_mut() {
+            let idx = stream.iter().position(|e| e.key == key)?;
+            stream.remove(idx);
+        }
+        Some(out)
+    }
 
     fn ev(key: &'static str, peer: usize) -> HbEvent {
         HbEvent {
@@ -377,7 +377,7 @@ mod tests {
 
     #[test]
     fn barrier_orders_a_bucket_read() {
-        // Decomposer shape: writes, barrier, reads — no recv at all.
+        // Gang shape: writes, barrier, reads — no recv at all.
         let log: HbLog = vec![
             vec![
                 ev(keys::HB_SEND, 1),

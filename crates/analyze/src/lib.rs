@@ -32,8 +32,8 @@
 //!
 //! * [`mc`] — a **schedule model checker**: abstracts a compiled
 //!   `CommPlan` + engine discipline (staged posts, recycle credits,
-//!   wrap-around tail posts, gang barriers, the decomposer's bucket
-//!   exchange) into per-rank transition systems and exhaustively
+//!   wrap-around tail posts, gang barriers) into per-rank transition
+//!   systems and exhaustively
 //!   explores all inequivalent interleavings at small P with a
 //!   sleep-set partial-order reduction, proving determinism of
 //!   received contents, stage-buffer safety, and deadlock/
@@ -65,5 +65,5 @@ pub use syncplace_ir::diag::{codes, Diagnostic, Report, Severity, Span};
 pub use audit::{audit, audit_coverage, audit_plan};
 pub use hb::{check_log, HbStats};
 pub use lint::{lint_program, lint_solution};
-pub use mc::{check as mc_check, check_plan, decomp_model, McOutcome, McProgram};
+pub use mc::{check as mc_check, check_plan, McOutcome, McProgram};
 pub use verify::{feasible_states, verify_mapping, verify_solution, Feasible};

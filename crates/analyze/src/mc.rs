@@ -6,8 +6,7 @@
 //! ([`McOp`]): tagged sends and receives over per-ordered-pair FIFO
 //! channels, staging-slot acquire/recycle credits (the overlapped
 //! engine's double-buffer discipline, including its wrap-around tail
-//! posts), gang barriers, and the decomposer's bucket
-//! publish/consume exchange. [`check`] then explores **every**
+//! posts) and gang barriers. [`check`] then explores **every**
 //! inequivalent interleaving at small P (≤ 4 is practical) with a
 //! sleep-set partial-order reduction over a conditional (state-aware)
 //! independence relation, proving for the explored program:
@@ -22,10 +21,7 @@
 //! * **barrier convergence** — all ranks always meet at the same
 //!   barrier ([`codes::MC_BARRIER_DIVERGENCE`], SA056);
 //! * **drainage** — no message is left in flight at termination
-//!   ([`codes::MC_RESIDUAL`], SA057);
-//! * **write/read separation** — no bucket is read in the same
-//!   barrier epoch it was written ([`codes::HB_RACE`], SA060, decomposer
-//!   model only).
+//!   ([`codes::MC_RESIDUAL`], SA057).
 //!
 //! On failure a **minimal counterexample interleaving** is attached
 //! to the diagnostic (found by a capped breadth-first re-search; if
@@ -72,20 +68,8 @@ pub enum McOp {
     /// Wildcard receive: take the front message of any non-empty
     /// inbound channel (a seeded defect — the engines never do this).
     RecvAny,
-    /// Write this rank's bucket for `to` (decomposer claim gangs),
-    /// stamping the current barrier epoch.
-    Publish {
-        /// The rank whose merge gang will read the bucket.
-        to: usize,
-    },
-    /// Read the bucket `from` wrote for this rank; must happen in a
-    /// strictly later barrier epoch than the write.
-    Consume {
-        /// The rank that published the bucket.
-        from: usize,
-    },
     /// Gang barrier: all ranks must arrive at a barrier with the same
-    /// `id` before any proceeds; advances the global epoch.
+    /// `id` before any proceeds.
     Barrier {
         /// Structural identity of the barrier (gang index).
         id: u32,
@@ -299,37 +283,6 @@ pub fn from_plan(plan: &CommPlan, engine: Engine, sweeps: usize) -> McProgram {
     }
 }
 
-/// Model of `decompose_par`'s gang schedule at `workers` ranks: the
-/// claim gang publishes one bucket per peer, the owner-merge gang
-/// consumes them, and six uniform gang-join barriers separate the
-/// stages (claim, merge, dedup, fill, submesh, schedule rows).
-pub fn decomp_model(workers: usize) -> McProgram {
-    let w = workers.max(1);
-    let mut ops: Vec<Vec<McOp>> = vec![Vec::new(); w];
-    for (r, o) in ops.iter_mut().enumerate() {
-        for q in 0..w {
-            if q != r {
-                o.push(McOp::Publish { to: q });
-            }
-        }
-        o.push(McOp::Barrier { id: 0 });
-        for q in 0..w {
-            if q != r {
-                o.push(McOp::Consume { from: q });
-            }
-        }
-        for id in 1..6 {
-            o.push(McOp::Barrier { id });
-        }
-    }
-    McProgram {
-        label: format!("decompose_par:W{w}"),
-        nranks: w,
-        ops,
-        seed_credits: vec![0; w * w],
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Checker state and exploration.
 // ---------------------------------------------------------------------------
@@ -404,8 +357,6 @@ struct St {
     pcs: Vec<usize>,
     chans: Vec<VecDeque<u32>>,
     credits: Vec<u32>,
-    buckets: Vec<Option<u32>>,
-    epoch: u32,
     logs: Vec<u64>,
 }
 
@@ -415,8 +366,6 @@ fn initial(prog: &McProgram) -> St {
         pcs: vec![0; n],
         chans: vec![VecDeque::new(); n * n],
         credits: prog.seed_credits.clone(),
-        buckets: vec![None; n * n],
-        epoch: 0,
         logs: vec![FNV_OFFSET; n],
     }
 }
@@ -435,10 +384,6 @@ fn hash_state(st: &St) -> u64 {
     for &c in &st.credits {
         h = fnv(h, c as u64 + 3);
     }
-    for b in &st.buckets {
-        h = fnv(h, b.map(|e| e as u64 + 2).unwrap_or(1));
-    }
-    h = fnv(h, st.epoch as u64 + 13);
     for &l in &st.logs {
         h = fnv(h, l);
     }
@@ -470,7 +415,7 @@ fn enabled(prog: &McProgram, st: &St) -> Vec<Trans> {
             continue;
         }
         match prog.ops[r][st.pcs[r]] {
-            McOp::Send { .. } | McOp::Publish { .. } | McOp::Consume { .. } => {
+            McOp::Send { .. } => {
                 v.push(Trans::Op { rank: r, choice: 0 });
             }
             McOp::Recv { from, .. } => {
@@ -519,7 +464,6 @@ fn exec(prog: &McProgram, st: &mut St, t: Trans, fallbacks: &mut u64) -> Result<
             for pc in st.pcs.iter_mut() {
                 *pc += 1;
             }
-            st.epoch += 1;
             Ok(())
         }
         Trans::Op { rank, choice } => {
@@ -593,28 +537,6 @@ fn exec(prog: &McProgram, st: &mut St, t: Trans, fallbacks: &mut u64) -> Result<
                     st.logs[rank] = fnv(fnv(st.logs[rank], choice as u64 + 1), got as u64 + 1);
                     Ok(())
                 }
-                McOp::Publish { to } => {
-                    st.buckets[rank * n + to] = Some(st.epoch);
-                    Ok(())
-                }
-                McOp::Consume { from } => match st.buckets[from * n + rank] {
-                    None => Err(Violation {
-                        code: codes::HB_RACE,
-                        rank,
-                        phase: 0,
-                        msg: format!("rank {rank} reads the bucket of rank {from} before it is written"),
-                    }),
-                    Some(e) if e == st.epoch => Err(Violation {
-                        code: codes::HB_RACE,
-                        rank,
-                        phase: 0,
-                        msg: format!(
-                            "rank {rank} reads the bucket of rank {from} in the same barrier \
-                             epoch ({e}) as the write — no barrier separates them"
-                        ),
-                    }),
-                    _ => Ok(()),
-                },
                 McOp::Barrier { .. } => {
                     unreachable!("individual barrier ops are never enabled")
                 }
@@ -696,7 +618,6 @@ fn halt(prog: &McProgram, st: &St) -> Halt {
 
 /// Conditional independence at `st` (where both transitions are
 /// co-enabled): same-rank and barrier transitions are always
-/// dependent; a publish and a consume of the same bucket are
 /// dependent; an unacquired staged post is dependent with the drain
 /// of its channel (the drain flips the overwrite predicate); all
 /// other co-enabled pairs commute — in particular a send and a recv
@@ -730,20 +651,7 @@ fn independent(prog: &McProgram, st: &St, a: Trans, b: Trans) -> bool {
         }
         false
     };
-    if dep_pair(&oa, ra, &ob, rb, cb) || dep_pair(&ob, rb, &oa, ra, ca) {
-        return false;
-    }
-    if let (McOp::Publish { to }, McOp::Consume { from }) = (&oa, &ob) {
-        if *to == rb && *from == ra {
-            return false;
-        }
-    }
-    if let (McOp::Publish { to }, McOp::Consume { from }) = (&ob, &oa) {
-        if *to == ra && *from == rb {
-            return false;
-        }
-    }
-    true
+    !(dep_pair(&oa, ra, &ob, rb, cb) || dep_pair(&ob, rb, &oa, ra, ca))
 }
 
 const MAX_TRANSITIONS: u64 = 3_000_000;
@@ -907,8 +815,6 @@ fn format_trace(prog: &McProgram, trace: &[Trans]) -> Vec<String> {
                         format!("rank {rank}: recv <- rank {from} (expect tag {expect})")
                     }
                     McOp::RecvAny => format!("rank {rank}: wildcard recv <- rank {choice}"),
-                    McOp::Publish { to } => format!("rank {rank}: publish bucket -> rank {to}"),
-                    McOp::Consume { from } => format!("rank {rank}: read bucket <- rank {from}"),
                     McOp::Barrier { id } => format!("rank {rank}: barrier {id} (unsynchronized)"),
                 }
             }
@@ -926,9 +832,8 @@ fn format_trace(prog: &McProgram, trace: &[Trans]) -> Vec<String> {
 ///
 /// The returned report is clean iff received contents are
 /// deterministic, no staged buffer is overwritten before its drain,
-/// no deadlock or barrier divergence is reachable, every message is
-/// drained, and every bucket read is barrier-separated from its
-/// write. On failure the first diagnostic carries the (best-effort
+/// no deadlock or barrier divergence is reachable, and every message
+/// is drained. On failure the first diagnostic carries the (best-effort
 /// minimal) counterexample interleaving in its help text.
 pub fn check(prog: &McProgram) -> McOutcome {
     let mut c = Checker {
@@ -997,7 +902,7 @@ pub fn check_plan(plan: &CommPlan, engine: Engine, sweeps: usize) -> McOutcome {
 
 /// A seeded concurrency defect for the mutation suite. Each mutation
 /// edits a clean [`McProgram`] into a buggy one that [`check`] must
-/// reject under one exact SA05x/SA06x code (and under no other); the
+/// reject under one exact SA05x code (and under no other); the
 /// expected pairing is produced by [`default_mutations`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Mutation {
@@ -1048,12 +953,6 @@ pub enum Mutation {
     SwapSendDests {
         /// The rank whose send destinations are swapped.
         rank: usize,
-    },
-    /// Remove the barrier with this id from **every** rank (the gangs
-    /// on both sides run unseparated).
-    DropBarrierEverywhere {
-        /// Structural barrier id to remove everywhere.
-        id: u32,
     },
 }
 
@@ -1143,19 +1042,6 @@ impl Mutation {
                 }
                 true
             }
-            Mutation::DropBarrierEverywhere { id } => {
-                let mut removed = 0;
-                for ops in p.ops.iter_mut() {
-                    if let Some(i) = ops
-                        .iter()
-                        .position(|o| matches!(o, McOp::Barrier { id: i2 } if *i2 == id))
-                    {
-                        ops.remove(i);
-                        removed += 1;
-                    }
-                }
-                removed == p.nranks
-            }
         }
     }
 }
@@ -1173,21 +1059,11 @@ fn adjacent_send_pair(p: &McProgram, rank: usize) -> Option<usize> {
 }
 
 /// The applicable seeded-defect suite for `prog`, paired with the
-/// exact code [`check`] must report for each. Decomposer-model
-/// programs get the dropped-gang-barrier race; engine programs get
-/// the message/barrier/staging defects their schedule supports.
+/// exact code [`check`] must report for each: the message, barrier
+/// and staging defects the program's schedule supports.
 pub fn default_mutations(prog: &McProgram) -> Vec<(Mutation, &'static str)> {
     let n = prog.nranks;
     let mut out = Vec::new();
-    if prog
-        .ops
-        .iter()
-        .flatten()
-        .any(|o| matches!(o, McOp::Publish { .. }))
-    {
-        out.push((Mutation::DropBarrierEverywhere { id: 0 }, codes::HB_RACE));
-        return out;
-    }
     // The globally-last send on some pair: take the first rank with
     // any send; its final send op closes that pair's traffic.
     let last_pair = prog.ops.iter().enumerate().find_map(|(r, ops)| {
@@ -1409,37 +1285,6 @@ mod tests {
         let out = check(&p);
         assert!(out.report.is_clean(), "{}", out.report);
         assert_eq!(out.stats.alloc_fallbacks, 0);
-    }
-
-    #[test]
-    fn unseparated_bucket_read_is_a_race() {
-        let p = prog(
-            2,
-            vec![
-                vec![McOp::Publish { to: 1 }, McOp::Consume { from: 1 }],
-                vec![McOp::Publish { to: 0 }, McOp::Consume { from: 0 }],
-            ],
-        );
-        let out = check(&p);
-        assert!(out.report.has_code(codes::HB_RACE), "{}", out.report);
-    }
-
-    #[test]
-    fn barrier_separated_bucket_read_is_clean() {
-        let out = check(&decomp_model(3));
-        assert!(out.report.is_clean(), "{}", out.report);
-    }
-
-    #[test]
-    fn decomp_mutation_suite_targets_the_gang_barrier() {
-        let clean = decomp_model(3);
-        let muts = default_mutations(&clean);
-        assert_eq!(muts.len(), 1);
-        let (m, code) = muts[0];
-        let mut bad = clean.clone();
-        assert!(m.apply(&mut bad));
-        let out = check(&bad);
-        assert!(out.report.has_code(code), "{}", out.report);
     }
 
     /// A `CommPlan` with a phase that carries both an assembly and a

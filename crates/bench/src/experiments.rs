@@ -1143,9 +1143,8 @@ pub fn bench_runtime(scale: Scale) -> (String, bool) {
 ///    reading of this pipeline is `benchmark/`'s `prepare-large`
 ///    `peak_rss_mb`).
 /// 2. **Parallel construction** — the pool builder at 4 workers on
-///    the same meshes: wall-clock, modeled speedup (work units over
-///    the busiest-chain critical path — the repo's 1-CPU convention),
-///    and a full bitwise-equality check against the sequential build.
+///    the same meshes: wall-clock and a full bitwise-equality check
+///    against the sequential build.
 /// 3. **Engine scaling at the new P values** — every engine at
 ///    P ∈ {16, 32, 64, 128} on a TESTIV instance, the same table as
 ///    E18.
@@ -1153,9 +1152,8 @@ pub fn bench_runtime(scale: Scale) -> (String, bool) {
 /// Returns the report and `false` when a floor is violated. At any
 /// scale: the parallel build is bitwise-identical to the sequential
 /// one and coalescing never adds messages. At paper scale only
-/// (million-element meshes): modeled decompose speedup ≥ 1.5× at 4
-/// workers, and the concurrent engines' modeled time no worse than
-/// round-robin's at P ≥ 64.
+/// (million-element meshes): the concurrent engines' modeled time no
+/// worse than round-robin's at P ≥ 64.
 ///
 /// At `--quick` scale ("ci" preset, run by `scripts/clippy.sh`) the
 /// meshes shrink to a few thousand elements and P to {4, 8}; the same
@@ -1200,7 +1198,7 @@ pub fn e24_large(scale: Scale) -> (String, bool) {
         let (seq2, st2) =
             decompose_with_stats(mesh2.nnodes(), &mesh2.som, &part2.part, p, Pattern::FIG1);
         let t0 = Instant::now();
-        let (par2, ps2) = decompose2d_par(&mesh2, &part2.part, p, Pattern::FIG1, workers, &None);
+        let (par2, _) = decompose2d_par(&mesh2, &part2.part, p, Pattern::FIG1, workers, &None);
         let par2_s = t0.elapsed().as_secs_f64();
         let same2 = par2 == seq2;
         drop((par2, seq2));
@@ -1210,25 +1208,14 @@ pub fn e24_large(scale: Scale) -> (String, bool) {
         let (seq3, st3) =
             decompose_with_stats(mesh3.nnodes(), &mesh3.tets, &part3.part, p, Pattern::FIG1);
         let t0 = Instant::now();
-        let (par3, ps3) = decompose3d_par(&mesh3, &part3.part, p, Pattern::FIG1, workers, &None);
+        let (par3, _) = decompose3d_par(&mesh3, &part3.part, p, Pattern::FIG1, workers, &None);
         let par3_s = t0.elapsed().as_secs_f64();
         let same3 = par3 == seq3;
         drop((par3, seq3));
 
-        for (dim, st, par_s, ps, same) in [
-            (2usize, st2, par2_s, ps2, same2),
-            (3usize, st3, par3_s, ps3, same3),
-        ] {
-            let key = format!("{dim}D P={p}");
+        for (dim, st, par_s, same) in [(2usize, st2, par2_s, same2), (3usize, st3, par3_s, same3)] {
             if !same {
-                faults.push(format!("{key}: parallel decomposition differs from sequential"));
-            }
-            let modeled = ps.modeled_speedup();
-            if paper && modeled < 1.5 {
-                faults.push(format!(
-                    "{key}: modeled decompose speedup {modeled:.2}x at {workers} workers \
-                     is below 1.5x"
-                ));
+                faults.push(format!("{dim}D P={p}: parallel decomposition differs from sequential"));
             }
             rows.push(vec![
                 format!("{dim}D"),
@@ -1238,7 +1225,6 @@ pub fn e24_large(scale: Scale) -> (String, bool) {
                 format!("{:.0}", st.schedule_s * 1e3),
                 format!("{:.0}", st.total_s * 1e3),
                 format!("{:.0}", par_s * 1e3),
-                format!("{modeled:.2}"),
                 format!("{same}"),
             ]);
         }
@@ -1246,11 +1232,10 @@ pub fn e24_large(scale: Scale) -> (String, bool) {
     let _ = writeln!(
         out,
         "\ndecomposition (sequential breakdown + {workers}-worker pool builder; \
-         ms columns measured, S modeled):\n\n{}",
+         ms columns measured):\n\n{}",
         table(
             &[
-                "mesh", "P", "dedup ms", "closure ms", "sched ms", "seq ms", "par ms",
-                "modeled S", "identical"
+                "mesh", "P", "dedup ms", "closure ms", "sched ms", "seq ms", "par ms", "identical"
             ],
             &rows
         )
@@ -1295,8 +1280,8 @@ pub fn e24_large(scale: Scale) -> (String, bool) {
 ///
 /// 1. **Model checking** — every engine's abstracted schedule
 ///    ([`syncplace::analyze::mc`]) on the Fig. 9 and Fig. 10 TESTIV
-///    plans under both overlap patterns at P ≤ 4, plus the parallel
-///    decomposer's gang model: exhaustive interleaving exploration
+///    plans under both overlap patterns at P ≤ 4: exhaustive
+///    interleaving exploration
 ///    with sleep-set partial-order reduction, proving deterministic
 ///    receive contents, stage-buffer safety, and deadlock /
 ///    barrier-divergence freedom. The reported reduction ratio is the
@@ -1305,8 +1290,8 @@ pub fn e24_large(scale: Scale) -> (String, bool) {
 ///    ([`syncplace::analyze::mc::default_mutations`]) must be caught
 ///    with its exact SA05x code and a counterexample interleaving.
 /// 3. **Happens-before replay** — real recorded runs of every
-///    engine and the parallel decomposer
-///    ([`syncplace::analyze::hb`]) must replay with zero violations.
+///    engine ([`syncplace::analyze::hb`]) must replay with zero
+///    violations.
 /// 4. **HB mutation suite** — seeded log defects (dropped sends,
 ///    receives, gang joins, stage releases) must be caught with their
 ///    exact SA06x codes.
@@ -1395,28 +1380,6 @@ pub fn e25_racecheck(scale: Scale) -> (String, bool) {
             verdict,
         ]);
     }
-    for w in [2usize, 3, 4] {
-        let r = mc::check(&mc::decomp_model(w));
-        programs += 1;
-        states += r.stats.states;
-        transitions += r.stats.transitions;
-        enabled += r.stats.enabled_total;
-        capped += u64::from(r.stats.capped);
-        let verdict = if r.report.is_clean() {
-            "proven".to_string()
-        } else {
-            ok = false;
-            format!("{}", r.report.diags[0])
-        };
-        mc_rows.push(vec![
-            format!("decompose_par W{w}"),
-            "1".into(),
-            r.stats.states.to_string(),
-            r.stats.transitions.to_string(),
-            format!("{:.3}", r.stats.reduction_ratio()),
-            verdict,
-        ]);
-    }
     if capped > 0 {
         ok = false;
     }
@@ -1443,11 +1406,10 @@ pub fn e25_racecheck(scale: Scale) -> (String, bool) {
     // 2. MC mutation suite.
     let (mc_d, mc_spmd) = setup::decompose(&s, 3, Pattern::FIG1, 0);
     let mc_plan = CommPlan::build(&s.prog, &mc_spmd, &mc_d);
-    let mut bases: Vec<mc::McProgram> = Engine::ALL
+    let bases: Vec<mc::McProgram> = Engine::ALL
         .iter()
         .map(|&e| mc::from_plan(&mc_plan, e, 2))
         .collect();
-    bases.push(mc::decomp_model(3));
     let mut mc_seeded = 0u64;
     let mut mc_caught = 0u64;
     let mut mut_rows: Vec<Vec<String>> = Vec::new();
@@ -1514,27 +1476,6 @@ pub fn e25_racecheck(scale: Scale) -> (String, bool) {
             ]);
         }
     }
-    {
-        let mesh = syncplace::mesh::gen2d::perturbed_grid(17, 17, 0.2, 42);
-        let part = syncplace::partition::partition2d(&mesh, 4, syncplace::partition::Method::GreedyKl);
-        let hbr = Arc::new(HbRecorder::new());
-        let rec: RecorderRef = Some(hbr.clone());
-        syncplace::runtime::decompose2d_par(&mesh, &part.part, 4, Pattern::FIG1, 3, &rec);
-        let log = hbr.snapshot();
-        let (report, stats) = hb::check_log(&log);
-        let verdict = if report.is_clean() {
-            "clean".to_string()
-        } else {
-            ok = false;
-            format!("{}", report.diags[0])
-        };
-        hb_rows.push(vec![
-            "decompose_par".into(),
-            "3".into(),
-            stats.events.to_string(),
-            verdict,
-        ]);
-    }
     let _ = writeln!(
         out,
         "\nhappens-before replay of recorded runs:\n\n{}",
@@ -1553,14 +1494,6 @@ pub fn e25_racecheck(scale: Scale) -> (String, bool) {
     };
     let batched = record(Engine::Batched);
     let overlapped = record(Engine::Overlapped);
-    let decomp_log = {
-        let mesh = syncplace::mesh::gen2d::perturbed_grid(17, 17, 0.2, 42);
-        let part = syncplace::partition::partition2d(&mesh, 3, syncplace::partition::Method::GreedyKl);
-        let hbr = Arc::new(HbRecorder::new());
-        let rec: RecorderRef = Some(hbr.clone());
-        syncplace::runtime::decompose2d_par(&mesh, &part.part, 3, Pattern::FIG1, 3, &rec);
-        hbr.snapshot()
-    };
     use syncplace::ir::diag::codes;
     let hb_cases: Vec<(&str, Option<syncplace::obs::HbLog>, &str)> = vec![
         ("drop last recv", hb::drop_last(&batched, 1, keys::HB_RECV), codes::HB_RACE),
@@ -1569,11 +1502,6 @@ pub fn e25_racecheck(scale: Scale) -> (String, bool) {
             "drop gang join",
             hb::drop_last(&batched, 1, keys::HB_BARRIER),
             codes::HB_BARRIER_DIVERGENCE,
-        ),
-        (
-            "drop claim barrier",
-            hb::drop_first_everywhere(&decomp_log, keys::HB_BARRIER),
-            codes::HB_RACE,
         ),
         (
             "drop seed release",

@@ -141,21 +141,21 @@ pub fn dedup_first_seen<K: Ord + Copy>(occ: &[K]) -> Dedup<K> {
 /// Pack an unordered node pair into a sortable `u64` key
 /// (`min << 32 | max`). Inverse of [`unpack_pair`].
 #[inline]
-pub fn pack_pair(a: u32, b: u32) -> u64 {
+pub(crate) fn pack_pair(a: u32, b: u32) -> u64 {
     let (lo, hi) = if a < b { (a, b) } else { (b, a) };
     ((lo as u64) << 32) | hi as u64
 }
 
 /// Unpack a [`pack_pair`] key back into `(min, max)`.
 #[inline]
-pub fn unpack_pair(key: u64) -> (u32, u32) {
+pub(crate) fn unpack_pair(key: u64) -> (u32, u32) {
     ((key >> 32) as u32, key as u32)
 }
 
 /// All vertex index pairs `(i, j)` with `i < j` among `V` vertices —
 /// the local edges of a `V`-vertex simplex, in the canonical order
 /// every edge-numbering pass uses.
-pub fn vertex_pairs<const V: usize>() -> impl Iterator<Item = (usize, usize)> {
+pub(crate) fn vertex_pairs<const V: usize>() -> impl Iterator<Item = (usize, usize)> {
     (0..V).flat_map(move |i| (i + 1..V).map(move |j| (i, j)))
 }
 
@@ -166,7 +166,7 @@ pub const fn n_vertex_pairs<const V: usize>() -> usize {
 
 /// The one edge numbering: the unique edges of `elems` as sorted node
 /// pairs `[lo, hi]`, numbered in first-seen order over elements ×
-/// [`vertex_pairs`], plus the edge id of every element-local pair slot
+/// `vertex_pairs`, plus the edge id of every element-local pair slot
 /// (`elem_edge_ids[e * n_vertex_pairs::<V>() + k]`). Every reader of
 /// edges — the decomposition builder, bindings, refinement, the 2-D
 /// dual graph — calls this, which is why edge ids agree everywhere.

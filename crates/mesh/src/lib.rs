@@ -39,10 +39,7 @@ pub mod refine2d;
 pub mod reorder;
 pub mod rng;
 
-pub use csr::{
-    dedup_first_seen, dual_from_facets, edges_first_seen, n_vertex_pairs, pack_pair, unpack_pair,
-    vertex_pairs, Csr, Dedup,
-};
+pub use csr::{dedup_first_seen, dual_from_facets, edges_first_seen, n_vertex_pairs, Csr, Dedup};
 pub use ids::EntityKind;
 pub use mesh2d::Mesh2d;
 pub use mesh3d::Mesh3d;

@@ -1,8 +1,8 @@
 //! Happens-before event capture: the [`HbRecorder`] sink keeps every
 //! `hb.*` emission (see [`crate::keys`]) in per-rank program order, so
-//! the `analyze::hb` vector-clock checker can replay a real engine or
-//! decomposer run and verify that every cross-rank read is ordered
-//! after its matching write.
+//! the `analyze::hb` vector-clock checker can replay a real engine run
+//! and verify that every cross-rank read is ordered after its matching
+//! write.
 //!
 //! The recorder is deliberately dumb: it appends `(key, peer)` pairs
 //! under a mutex and ignores every non-`hb` emission. Per-rank order

@@ -226,25 +226,18 @@ pub mod keys {
     pub const DECOMP_SCHEDULE_SPAN: &str = "decomp.schedule";
     /// Counter: sub-meshes built (one per part per build).
     pub const DECOMP_PARTS: &str = "decomp.parts";
-    /// Counter: work units the parallel builder executed on workers
-    /// (entity touches across all parallel stages; with
-    /// `decomp.serial_units` this yields the modeled speedup).
-    pub const DECOMP_PAR_UNITS: &str = "decomp.parallel_units";
-    /// Counter: work units executed serially between gangs (merges,
-    /// CSR builds, final assembly).
-    pub const DECOMP_SERIAL_UNITS: &str = "decomp.serial_units";
-    /// Hb event: one message (or shared bucket) published by a rank for
-    /// a peer — the write side of a cross-rank data movement.
+    /// Hb event: one message published by a rank for a peer — the
+    /// write side of a cross-rank data movement.
     pub const HB_SEND: &str = "hb.send";
     /// Hb event: one message dequeued from a peer — a synchronizing
     /// receive that orders the receiver after the matching [`HB_SEND`].
     pub const HB_RECV: &str = "hb.recv";
-    /// Hb event: the received (or shared) data actually consumed — the
-    /// read the `analyze::hb` race check validates against its
-    /// matching [`HB_SEND`]'s vector clock.
+    /// Hb event: the received data actually consumed — the read the
+    /// `analyze::hb` race check validates against its matching
+    /// [`HB_SEND`]'s vector clock.
     pub const HB_READ: &str = "hb.read";
-    /// Hb event: one barrier arrival (pool gang join, decomposer stage
-    /// boundary); an episode joins the clocks of every rank.
+    /// Hb event: one barrier arrival (pool gang join); an episode
+    /// joins the clocks of every rank.
     pub const HB_BARRIER: &str = "hb.barrier";
     /// Hb event: one staging slot acquired from the rank's own free
     /// list for a peer (overlapped engine's recycle discipline).
@@ -315,8 +308,6 @@ pub mod keys {
         DECOMP_CLOSURE_SPAN,
         DECOMP_SCHEDULE_SPAN,
         DECOMP_PARTS,
-        DECOMP_PAR_UNITS,
-        DECOMP_SERIAL_UNITS,
         HB_SEND,
         HB_RECV,
         HB_READ,

@@ -24,17 +24,18 @@
 //! the shared sort-based first-seen numbering of `syncplace-mesh`
 //! ([`edges_first_seen`]), per-part closure and localization run over
 //! stamp-validated scratch arrays that are allocated once and reused
-//! across parts, and schedules are derived from an [`EntityPlacement`]
+//! across parts, and schedules are derived from an entity placement
 //! (a global-entity → (part, local) CSR) instead of dense per-part
 //! lookup tables. Total cost is O(M log M) for the dedup plus O(total
 //! sub-mesh slots) for everything else — no per-entity hashing and no
 //! dense O(parts × entities) scans, so million-element meshes at
 //! 128 parts stay within a few hundred bytes per element.
 //!
-//! The pieces ([`global_setup`], [`build_submesh`],
-//! [`update_rows_for_owner`], [`assemble_groups_range`]) are public so
-//! the parallel builder in `syncplace-runtime` can run them per worker
-//! and produce a bitwise-identical [`Decomposition`].
+//! A build is three steps: [`global_setup`], [`build_submesh`] once per
+//! part, then [`finish`] (placements, schedules and the one
+//! [`Decomposition`] literal). [`decompose_with_stats`] runs them in
+//! order. They are public because the runtime's parallel builder runs
+//! the same three, with only the per-part step on its pool.
 
 use crate::pattern::Pattern;
 use crate::schedule::{AssembleSchedule, UpdateSchedule};
@@ -133,13 +134,35 @@ pub fn decompose_with_stats<const V: usize>(
 
     let t0 = Instant::now();
     let mut scratch = PartScratch::new(&setup);
-    let mut submeshes: Vec<SubMesh<V>> = Vec::with_capacity(nparts);
-    for p in 0..nparts as u32 {
-        submeshes.push(build_submesh(&setup, elems, p, &mut scratch));
-    }
+    let submeshes: Vec<SubMesh<V>> = (0..nparts as u32)
+        .map(|p| build_submesh(&setup, elems, p, &mut scratch))
+        .collect();
     let closure_s = t0.elapsed().as_secs_f64();
 
     let t0 = Instant::now();
+    let d = finish(setup, submeshes, part, pattern);
+    let schedule_s = t0.elapsed().as_secs_f64();
+
+    let stats = DecomposeStats {
+        dedup_s,
+        closure_s,
+        schedule_s,
+        total_s: t_total.elapsed().as_secs_f64(),
+    };
+    (d, stats)
+}
+
+/// The last build step: placement CSRs over the built sub-meshes, the
+/// update (element overlap) or assembly (node overlap) schedules, and
+/// the [`Decomposition`] that holds them with `setup`'s ownership and
+/// edges. `submeshes[p]` must be part `p`'s [`build_submesh`].
+pub fn finish<const V: usize>(
+    setup: GlobalSetup,
+    submeshes: Vec<SubMesh<V>>,
+    part: &[u32],
+    pattern: Pattern,
+) -> Decomposition<V> {
+    let (nnodes, nparts) = (setup.nnodes, setup.nparts);
     let mut node_update = UpdateSchedule::new(nparts);
     let mut edge_update = UpdateSchedule::new(nparts);
     let mut node_assemble = AssembleSchedule::default();
@@ -163,17 +186,14 @@ pub fn decompose_with_stats<const V: usize>(
         Pattern::NodeOverlap => {
             let node_place =
                 EntityPlacement::from_l2g(nnodes, submeshes.iter().map(|s| s.nodes_l2g.as_slice()));
-            node_assemble.groups =
-                assemble_groups_range(&setup.node_owner, &node_place, 0..nnodes);
+            node_assemble.groups = assemble_groups(&setup.node_owner, &node_place);
         }
     }
-    let schedule_s = t0.elapsed().as_secs_f64();
-
-    let d = Decomposition {
+    Decomposition {
         pattern,
         nparts,
         nnodes_global: nnodes,
-        nelems_global: elems.len(),
+        nelems_global: part.len(),
         global_edges: setup.global_edges,
         node_owner: setup.node_owner,
         edge_owner: setup.edge_owner,
@@ -182,14 +202,7 @@ pub fn decompose_with_stats<const V: usize>(
         node_update,
         edge_update,
         node_assemble,
-    };
-    let stats = DecomposeStats {
-        dedup_s,
-        closure_s,
-        schedule_s,
-        total_s: t_total.elapsed().as_secs_f64(),
-    };
-    (d, stats)
+    }
 }
 
 // --- Global setup ----------------------------------------------------------
@@ -213,8 +226,8 @@ pub struct GlobalSetup {
     /// Global unique edges (sorted pairs, first-seen order over elements).
     pub global_edges: Vec<[u32; 2]>,
     /// Element-local pair slot → global edge id, flattened:
-    /// `elem_edges[e * E + k]` with `E = V(V−1)/2` and `k` in
-    /// [`syncplace_mesh::vertex_pairs`] order.
+    /// `elem_edges[e * E + k]` with `E = V(V−1)/2`, as
+    /// [`edges_first_seen`] numbers them.
     pub elem_edges: Vec<u32>,
     /// Node → incident elements (for the overlap closure).
     pub node_elems: Csr,
@@ -223,7 +236,7 @@ pub struct GlobalSetup {
 }
 
 /// Overlap layer count implied by a pattern.
-pub fn layers_of(pattern: Pattern) -> usize {
+fn layers_of(pattern: Pattern) -> usize {
     match pattern {
         Pattern::ElementOverlap { layers } => {
             assert!(layers >= 1, "element overlap needs >= 1 layer");
@@ -233,9 +246,9 @@ pub fn layers_of(pattern: Pattern) -> usize {
     }
 }
 
-/// Sequential global setup: ownership min-scans, the edge numbering
-/// (the same [`edges_first_seen`] bindings and refinement call), and
-/// the incidence CSRs.
+/// The first build step: ownership min-scans, the edge numbering (the
+/// same [`edges_first_seen`] bindings and refinement call), and the
+/// incidence CSRs.
 pub fn global_setup<const V: usize>(
     nnodes: usize,
     elems: &[[u32; V]],
@@ -263,68 +276,39 @@ pub fn global_setup<const V: usize>(
         let o = &mut edge_owner[id as usize];
         *o = (*o).min(part[i / e_per]);
     }
+    assert!(
+        node_owner.iter().all(|&o| o != u32::MAX),
+        "mesh has isolated nodes"
+    );
 
-    GlobalSetup::from_parts(
+    let mut ne_pairs: Vec<(u32, u32)> = Vec::with_capacity(elems.len() * V);
+    for (e, el) in elems.iter().enumerate() {
+        for &v in el {
+            ne_pairs.push((v, e as u32));
+        }
+    }
+    let node_elems = Csr::from_pairs(nnodes, &ne_pairs);
+    drop(ne_pairs);
+    let pe_pairs: Vec<(u32, u32)> = part
+        .iter()
+        .enumerate()
+        .map(|(e, &p)| (p, e as u32))
+        .collect();
+    let part_elems = Csr::from_pairs(nparts, &pe_pairs);
+    GlobalSetup {
         nnodes,
-        elems,
-        part,
         nparts,
-        layers_of(pattern),
+        layers: layers_of(pattern),
         node_owner,
-        global_edges,
         edge_owner,
+        global_edges,
         elem_edges,
-    )
+        node_elems,
+        part_elems,
+    }
 }
 
 impl GlobalSetup {
-    /// Assemble a setup from precomputed ownership/dedup results
-    /// (building only the incidence CSRs) — the entry point for the
-    /// parallel builder, whose workers compute the other fields.
-    #[allow(clippy::too_many_arguments)]
-    pub fn from_parts<const V: usize>(
-        nnodes: usize,
-        elems: &[[u32; V]],
-        part: &[u32],
-        nparts: usize,
-        layers: usize,
-        node_owner: Vec<u32>,
-        global_edges: Vec<[u32; 2]>,
-        edge_owner: Vec<u32>,
-        elem_edges: Vec<u32>,
-    ) -> GlobalSetup {
-        assert!(
-            node_owner.iter().all(|&o| o != u32::MAX),
-            "mesh has isolated nodes"
-        );
-        let nelems = elems.len();
-        let mut ne_pairs: Vec<(u32, u32)> = Vec::with_capacity(nelems * V);
-        for (e, el) in elems.iter().enumerate() {
-            for &v in el {
-                ne_pairs.push((v, e as u32));
-            }
-        }
-        let node_elems = Csr::from_pairs(nnodes, &ne_pairs);
-        drop(ne_pairs);
-        let pe_pairs: Vec<(u32, u32)> = part
-            .iter()
-            .enumerate()
-            .map(|(e, &p)| (p, e as u32))
-            .collect();
-        let part_elems = Csr::from_pairs(nparts, &pe_pairs);
-        GlobalSetup {
-            nnodes,
-            nparts,
-            layers,
-            node_owner,
-            edge_owner,
-            global_edges,
-            elem_edges,
-            node_elems,
-            part_elems,
-        }
-    }
-
     /// Global element count.
     pub fn nelems(&self) -> usize {
         self.part_elems.nnz()
@@ -524,7 +508,7 @@ pub fn build_submesh<const V: usize>(
 /// dense per-part `local_of` tables (which cost O(parts × entities)
 /// memory; this costs O(total sub-mesh slots)).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct EntityPlacement {
+struct EntityPlacement {
     offsets: Vec<u32>,
     parts: Vec<u32>,
     locals: Vec<u32>,
@@ -533,7 +517,7 @@ pub struct EntityPlacement {
 impl EntityPlacement {
     /// Build from per-part local→global lists (part id = iteration
     /// index, so iterate parts in ascending order).
-    pub fn from_l2g<'a, I>(nglobal: usize, lists: I) -> EntityPlacement
+    fn from_l2g<'a, I>(nglobal: usize, lists: I) -> EntityPlacement
     where
         I: Iterator<Item = &'a [u32]> + Clone,
     {
@@ -565,20 +549,15 @@ impl EntityPlacement {
         }
     }
 
-    /// Number of global entities.
-    pub fn nrows(&self) -> usize {
-        self.offsets.len() - 1
-    }
-
     /// Number of parts holding entity `g`.
     #[inline]
-    pub fn degree(&self, g: usize) -> usize {
+    fn degree(&self, g: usize) -> usize {
         (self.offsets[g + 1] - self.offsets[g]) as usize
     }
 
     /// The `(part, local id)` placements of entity `g`, ascending part.
     #[inline]
-    pub fn row(&self, g: usize) -> impl Iterator<Item = (u32, u32)> + '_ {
+    fn row(&self, g: usize) -> impl Iterator<Item = (u32, u32)> + '_ {
         let (s, e) = (self.offsets[g] as usize, self.offsets[g + 1] as usize);
         self.parts[s..e]
             .iter()
@@ -587,7 +566,7 @@ impl EntityPlacement {
     }
 
     /// Local id of entity `g` on part `p`, if present.
-    pub fn local_on(&self, g: usize, p: u32) -> Option<u32> {
+    fn local_on(&self, g: usize, p: u32) -> Option<u32> {
         self.row(g).find(|&(q, _)| q == p).map(|(_, l)| l)
     }
 }
@@ -595,7 +574,7 @@ impl EntityPlacement {
 // --- Schedule construction -------------------------------------------------
 
 /// Owner part → its owned entities (ascending global id).
-pub fn owner_csr(nparts: usize, owner: &[u32]) -> Csr {
+fn owner_csr(nparts: usize, owner: &[u32]) -> Csr {
     let pairs: Vec<(u32, u32)> = owner
         .iter()
         .enumerate()
@@ -607,7 +586,7 @@ pub fn owner_csr(nparts: usize, owner: &[u32]) -> Csr {
 /// The update-schedule rows sent *by* owner `p`: for every owned
 /// entity (ascending global id), one `(src_local_on_p, dst_local_on_q)`
 /// pair per non-owner copy. Rows come back sorted by source index.
-pub fn update_rows_for_owner(
+fn update_rows_for_owner(
     p: u32,
     owned: &[u32],
     place: &EntityPlacement,
@@ -630,18 +609,13 @@ pub fn update_rows_for_owner(
     rows
 }
 
-/// Assembly groups for the global nodes in `range`, in ascending node
-/// order: every node held by ≥ 2 parts yields one `(part, local)`
-/// group, owner first then ascending part.
-pub fn assemble_groups_range(
-    node_owner: &[u32],
-    place: &EntityPlacement,
-    range: std::ops::Range<usize>,
-) -> Vec<Vec<(u32, u32)>> {
+/// Assembly groups in ascending global node order: every node held by
+/// ≥ 2 parts yields one `(part, local)` group, owner first then
+/// ascending part.
+fn assemble_groups(node_owner: &[u32], place: &EntityPlacement) -> Vec<Vec<(u32, u32)>> {
     let mut groups: Vec<Vec<(u32, u32)>> = Vec::new();
-    for n in range {
+    for (n, &owner) in node_owner.iter().enumerate() {
         if place.degree(n) >= 2 {
-            let owner = node_owner[n];
             let mut group: Vec<(u32, u32)> = place.row(n).collect();
             group.sort_by_key(|&(q, _)| (q != owner, q));
             groups.push(group);
@@ -981,7 +955,6 @@ mod tests {
             d.nnodes_global,
             d.submeshes.iter().map(|s| s.nodes_l2g.as_slice()),
         );
-        assert_eq!(place.nrows(), d.nnodes_global);
         for n in 0..d.nnodes_global {
             let row: Vec<(u32, u32)> = place.row(n).collect();
             assert!(row.windows(2).all(|w| w[0].0 < w[1].0), "ascending parts");

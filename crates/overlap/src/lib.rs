@@ -36,8 +36,8 @@ pub mod schedule;
 pub mod submesh;
 
 pub use build::{
-    decompose2d, decompose3d, decompose_with_stats, DecomposeStats, Decomposition,
-    EntityPlacement, GlobalSetup, PartScratch,
+    decompose2d, decompose3d, decompose_with_stats, DecomposeStats, Decomposition, GlobalSetup,
+    PartScratch,
 };
 pub use pattern::Pattern;
 pub use schedule::{AssembleSchedule, UpdateSchedule};

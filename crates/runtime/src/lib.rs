@@ -25,10 +25,9 @@
 //!   jobs) on W = `available_parallelism` workers, each task running
 //!   from one receive that has to wait to the next; no rank ever parks
 //!   a thread, and a failing rank fails its gang instead of hanging it.
-//! * [`decomp`] — parallel decomposition construction on that pool:
-//!   owner-bucketed claim exchange, chunk-sorted edge dedup and
-//!   per-worker sub-mesh closure, bitwise identical to the
-//!   sequential [`syncplace_overlap::build::decompose`].
+//! * [`decomp`] — the sequential builder's three steps with only the
+//!   per-part sub-mesh loop as a gang on that pool, bitwise identical
+//!   to [`syncplace_overlap::build::decompose`] by construction.
 //! * [`pooled`] — the one concurrent engine core: rank tasks on the
 //!   pool executing the plan over per-ordered-pair FIFO mailboxes with
 //!   recycled zero-copy staging buffers, posting each phase late
@@ -73,7 +72,7 @@ pub mod timing;
 
 pub use bindings::{Bindings, MapBinding};
 pub use comm::CommStats;
-pub use decomp::{decompose2d_par, decompose3d_par, decompose_par, ParDecompStats};
+pub use decomp::{decompose2d_par, decompose3d_par, decompose_par};
 pub use exec::{run_sequential, Machine, SeqResult};
 pub use kernel::Kernel;
 pub use overlap::{OverlapPlan, OverlapReport};

@@ -300,7 +300,7 @@ impl SpmdPool {
                     let t_job = obs::start(&rec);
                     let out = job.await?;
                     // Completion is the rank's arrival at the gang join,
-                    // the engines' (and each decomposer stage's) barrier.
+                    // the engines' (and the decomposer's) barrier.
                     if let Some(r) = &rec {
                         r.hb(idx as u32, keys::HB_BARRIER, 0);
                     }

@@ -42,8 +42,8 @@ fn parallel_equals_sequential_2d_across_meshes_patterns_parts_workers() {
                         seq, par,
                         "mesh {mi}, P={nparts}, {pattern:?}, workers={workers}"
                     );
-                    assert!(stats.parallel_units > 0);
-                    assert!(stats.critical_units <= stats.parallel_units + stats.serial_units);
+                    let stages = stats.dedup_s + stats.closure_s + stats.schedule_s;
+                    assert!(stages <= stats.total_s, "{stats:?}");
                 }
             }
         }
@@ -67,7 +67,8 @@ fn parallel_equals_sequential_3d() {
 
 #[test]
 fn worker_count_never_changes_the_result() {
-    // Same build at every gang width from 1 to 8 — all identical.
+    // Same build at every gang width from 0 (clamped to one block) to
+    // 8 — all identical.
     let mesh = gen2d::perturbed_grid(11, 11, 0.3, 123);
     let p = partition2d(&mesh, 6, Method::RcbKl);
     let elems = Arc::new(mesh.som.clone());
@@ -81,7 +82,7 @@ fn worker_count_never_changes_the_result() {
         1,
         &None,
     );
-    for workers in 2..=8 {
+    for workers in [0, 2, 3, 4, 5, 6, 7, 8] {
         let (d, _) = decompose_par(
             mesh.nnodes(),
             Arc::clone(&elems),
@@ -133,10 +134,9 @@ fn million_element_p128_smoke() {
     let mesh = gen2d::grid(709, 708);
     assert!(mesh.ntris() >= 1_000_000);
     let p = partition2d(&mesh, 128, Method::Rcb);
-    let (d, stats) = decompose2d_par(&mesh, &p.part, 128, Pattern::FIG1, 4, &None);
+    let (d, _) = decompose2d_par(&mesh, &p.part, 128, Pattern::FIG1, 4, &None);
     assert_eq!(d.submeshes.len(), 128);
     assert_eq!(d.nelems_global, mesh.ntris());
     let kernel: usize = d.submeshes.iter().map(|s| s.n_kernel_elems).sum();
     assert_eq!(kernel, mesh.ntris());
-    assert!(stats.modeled_speedup() > 1.5, "{}", stats.modeled_speedup());
 }

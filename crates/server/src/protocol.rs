@@ -176,6 +176,11 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
     }
 }
 
+/// Largest mesh one request may ask for, in grid cells (`nx·ny`,
+/// two triangles each): the daemon generates, partitions, decomposes
+/// and caches whatever a request names.
+const MAX_MESH_CELLS: usize = 1 << 20;
+
 fn parse_mesh(m: &Value) -> Result<MeshSpec, String> {
     let d = MeshSpec::default();
     let dim = |k: &str, dv: usize| -> Result<usize, String> {
@@ -193,9 +198,16 @@ fn parse_mesh(m: &Value) -> Result<MeshSpec, String> {
             }
         }
     };
+    let (nx, ny) = (dim("nx", d.nx)?, dim("ny", d.ny)?);
+    if nx * ny > MAX_MESH_CELLS {
+        return Err(format!(
+            "mesh nx·ny = {} exceeds the limit of {MAX_MESH_CELLS} cells",
+            nx * ny
+        ));
+    }
     Ok(MeshSpec {
-        nx: dim("nx", d.nx)?,
-        ny: dim("ny", d.ny)?,
+        nx,
+        ny,
         perturb: match m.get("perturb") {
             None => d.perturb,
             // `perturbed_grid` asserts this range (non-finite values
@@ -355,6 +367,19 @@ mod tests {
                 assert!(err.contains("0.0..0.5"), "{err}");
             }
         }
+    }
+
+    #[test]
+    fn mesh_size_is_bounded_by_its_cell_count() {
+        let run = |nx: usize, ny: usize| {
+            parse_request(&format!(
+                "{{\"op\":\"run\",\"program\":\"x\",\"mesh\":{{\"nx\":{nx},\"ny\":{ny}}}}}"
+            ))
+        };
+        let Request::Run(r) = run(1024, 1024).unwrap() else { panic!("not run") };
+        assert_eq!((r.mesh.nx, r.mesh.ny), (1024, 1024));
+        let err = run(1025, 1024).expect_err("1025x1024 is over the limit");
+        assert!(err.contains("1048576 cells"), "{err}");
     }
 
     #[test]

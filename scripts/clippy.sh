@@ -34,7 +34,9 @@
 # examples suite), every per-id table must be an `IdVec` (the one
 # per-id table, in syncplace_ir: no HashMap / HashSet keyed by a VarId
 # or StmtId under crates/*/src, and none at all in crates/runtime/src or
-# crates/codegen/src), the workspace must
+# crates/codegen/src), a Decomposition must have one assembly site
+# (`Decomposition {` under crates/ only in overlap/src/build.rs, whose
+# `finish` both builders call), the workspace must
 # stay free of `unsafe` (the keyword opens no block, fn, impl, trait or
 # extern under crates suite tests examples), the repo's
 # own static analysis (`reproduce lint` — independent placement
@@ -88,6 +90,10 @@ fi
 if grep -rnE 'Hash(Map|Set)<(VarId|StmtId|\(StmtId)' crates/*/src \
     || grep -rnE 'Hash(Map|Set)' crates/runtime/src crates/codegen/src; then
     echo "id gate: a table keyed by a VarId or StmtId is an IdVec — indexed, not hashed, iterated in id order"
+    exit 1
+fi
+if grep -rn --include='*.rs' 'Decomposition {' crates | grep -v '^crates/overlap/src/build.rs:'; then
+    echo "decomposition gate: overlap::build::finish is the one place a Decomposition is assembled — build through its three steps"
     exit 1
 fi
 if grep -rnE --include='*.rs' '\bunsafe[[:space:]]*(\{|fn|impl|trait|extern)' crates suite tests examples; then

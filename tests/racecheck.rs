@@ -84,25 +84,15 @@ fn model_checker_reduction_beats_naive_enumeration() {
 }
 
 #[test]
-fn model_checker_proves_decomposer_gangs() {
-    for w in [2usize, 3, 4] {
-        let out = mc::check(&mc::decomp_model(w));
-        assert!(out.report.is_clean(), "decomp W{w}");
-        assert!(!out.stats.capped, "decomp W{w}");
-    }
-}
-
-#[test]
 fn every_seeded_schedule_defect_is_caught_with_its_exact_code() {
     // The mutation suite covers every engine family once at P = 3 —
-    // plain (round-robin), staged (batched), double-buffered split-phase
-    // (overlapped) and the gang-barrier decomposer model.
+    // plain (round-robin), staged (batched) and double-buffered
+    // split-phase (overlapped).
     let plans = fig_plans(3, Pattern::FIG1);
     let mut programs: Vec<mc::McProgram> = Vec::new();
     for engine in Engine::ALL {
         programs.push(mc::from_plan(&plans[0].1, engine, 2));
     }
-    programs.push(mc::decomp_model(3));
 
     let mut seeded = 0usize;
     for base in &programs {
@@ -166,43 +156,12 @@ fn happens_before_replay_is_clean_on_every_real_engine_run() {
 }
 
 #[test]
-fn happens_before_replay_is_clean_on_the_parallel_decomposer() {
-    let mesh = syncplace::mesh::gen2d::perturbed_grid(17, 17, 0.2, 42);
-    let part = syncplace::partition::partition2d(&mesh, 4, Method::GreedyKl);
-    let hbr = Arc::new(HbRecorder::new());
-    let rec: RecorderRef = Some(hbr.clone());
-    let (_, _) =
-        syncplace::runtime::decompose2d_par(&mesh, &part.part, 4, Pattern::FIG1, 3, &rec);
-    let log = hbr.snapshot();
-    let (report, stats) = hb::check_log(&log);
-    assert!(
-        report.is_clean(),
-        "{}",
-        report
-            .diags
-            .first()
-            .map(|d| d.to_string())
-            .unwrap_or_default()
-    );
-    assert!(stats.barrier_episodes >= 6, "{}", stats.barrier_episodes);
-    assert!(stats.reads > 0);
-}
-
-#[test]
 fn every_seeded_log_defect_is_caught_with_its_exact_code() {
     use syncplace::ir::diag::codes;
     // A batched run has sends, recvs, reads and gang barriers; an
     // overlapped run adds the stage discipline.
     let batched = record_run(Engine::Batched, 3, 0);
     let overlapped = record_run(Engine::Overlapped, 3, 0);
-    let decomp_log = {
-        let mesh = syncplace::mesh::gen2d::perturbed_grid(17, 17, 0.2, 42);
-        let part = syncplace::partition::partition2d(&mesh, 3, Method::GreedyKl);
-        let hbr = Arc::new(HbRecorder::new());
-        let rec: RecorderRef = Some(hbr.clone());
-        syncplace::runtime::decompose2d_par(&mesh, &part.part, 3, Pattern::FIG1, 3, &rec);
-        hbr.snapshot()
-    };
 
     let cases: Vec<(&str, Option<syncplace::obs::HbLog>, &str)> = vec![
         (
@@ -219,11 +178,6 @@ fn every_seeded_log_defect_is_caught_with_its_exact_code() {
             "dropped gang join",
             hb::drop_last(&batched, 1, syncplace::obs::keys::HB_BARRIER),
             codes::HB_BARRIER_DIVERGENCE,
-        ),
-        (
-            "decomposer without its claim barrier",
-            hb::drop_first_everywhere(&decomp_log, syncplace::obs::keys::HB_BARRIER),
-            codes::HB_RACE,
         ),
         (
             "leaked seed buffer",
