@@ -26,7 +26,6 @@ fn run(name: &str, scale: Scale) -> Option<(String, bool)> {
         "e15-adaptive" => ex::e15_adaptive(scale),
         "e16-solutions" => ex::e16_solution_space(scale),
         "e17-partition" => ex::e17_partitioners(scale),
-        "trace" | "e19-trace" => ex::trace_runtime(scale),
         "profile" | "e21-profile" => profile::profile_runtime(scale),
         "bench-runtime" | "e18-runtime" => return Some(ex::bench_runtime(scale)),
         "lint" | "e20-lint" => return Some(ex::e20_lint(scale)),

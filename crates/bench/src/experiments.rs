@@ -9,7 +9,7 @@ use crate::{cpus, push_verdict, table};
 use syncplace::automata::predefined::{element_overlap_2d_full, fig6, fig6_from_fig8, fig7, fig8};
 use syncplace::automata::CommKind;
 use syncplace::overlap::Pattern;
-use syncplace::placement::{CostParams, SearchOptions};
+use syncplace::placement::SearchOptions;
 use syncplace::runtime::TimingModel;
 
 /// Experiment scale: `Quick` for tests, `Paper` for the binary.
@@ -48,12 +48,7 @@ impl Scale {
 /// the total-sum communication on `sqrdiff`.
 pub fn e1_sketch() -> String {
     let prog = syncplace::ir::programs::fig5_sketch();
-    let (dfg, analysis) = syncplace::placement::analyze_program(
-        &prog,
-        &fig6(),
-        &SearchOptions::default(),
-        &CostParams::default(),
-    );
+    let (dfg, analysis) = setup::analyze(&prog, &fig6());
     let mut out = String::from("E1 — Fig. 5 sketch (§3.3 walkthrough)\n\n");
     out.push_str(&format!(
         "legal: {}   distinct placements: {}\n\n",
@@ -236,12 +231,7 @@ pub fn e6_speedup(scale: Scale) -> String {
     let prog = syncplace::ir::programs::testiv_with(iters);
     let mesh = syncplace::mesh::gen2d::perturbed_grid(n, n, 0.2, 42);
     let bindings = syncplace::runtime::bindings::testiv_bindings(&prog, &mesh, 0.0);
-    let (dfg, analysis) = syncplace::placement::analyze_program(
-        &prog,
-        &fig6(),
-        &SearchOptions::default(),
-        &CostParams::default(),
-    );
+    let (dfg, analysis) = setup::analyze(&prog, &fig6());
     let sol = &analysis.solutions[0];
     let spmd = syncplace::codegen::spmd_program(&prog, &dfg, sol);
     let seq = syncplace::runtime::run_sequential(&prog, &bindings);
@@ -453,15 +443,13 @@ pub fn e10_tet3d(scale: Scale) -> String {
         Scale::Quick => 4,
         Scale::Paper => 8,
     };
-    let prog = syncplace::ir::programs::tet_heat(40);
-    let mesh = syncplace::mesh::gen3d::box_mesh(n, n, n);
-    let bindings = syncplace::runtime::bindings::tet_heat_bindings(&prog, &mesh, 1e-7);
-    let (dfg, analysis) = syncplace::placement::analyze_program(
-        &prog,
-        &fig8(),
-        &SearchOptions::default(),
-        &CostParams::default(),
-    );
+    let setup::Setup {
+        prog,
+        mesh,
+        bindings,
+        dfg,
+        analysis,
+    } = setup::tet_heat(n);
     let mut out = format!(
         "E10 — 3-D placement (Fig. 8 automaton)\n\nlegal: {}  placements: {}\n\n",
         analysis.legality.is_legal(),
@@ -599,12 +587,7 @@ pub fn e13_edges(scale: Scale) -> String {
     let mesh = syncplace::mesh::gen2d::perturbed_grid(n, n, 0.2, 5);
     let x: Vec<f64> = (0..mesh.nnodes()).map(|i| (i % 9) as f64).collect();
     let bindings = syncplace::runtime::bindings::edge_smooth_bindings(&prog, &mesh, x);
-    let (dfg, analysis) = syncplace::placement::analyze_program(
-        &prog,
-        &element_overlap_2d_full(),
-        &SearchOptions::default(),
-        &CostParams::default(),
-    );
+    let (dfg, analysis) = setup::analyze(&prog, &element_overlap_2d_full());
     let mut out = format!(
         "E13 — edge-based gather–scatter (full 2-D automaton with Edg states)\n\n\
          legal: {}  placements: {}\n\n",
@@ -672,12 +655,7 @@ pub fn e14_two_layer(scale: Scale) -> String {
         ("1-layer (fig6)", fig6(), 1usize),
         ("2-layer (stratified)", element_overlap_two_layer_2d(), 2),
     ] {
-        let (dfg, analysis) = syncplace::placement::analyze_program(
-            &prog,
-            &automaton,
-            &SearchOptions::default(),
-            &CostParams::default(),
-        );
+        let (dfg, analysis) = setup::analyze(&prog, &automaton);
         assert!(analysis.legality.is_legal());
         let sol = &analysis.solutions[0];
         let update_sites = sol
@@ -740,12 +718,7 @@ pub fn e15_adaptive(scale: Scale) -> String {
     let n = scale.mesh_n();
     let prog = syncplace::ir::programs::testiv_with(10);
     // The placement is computed ONCE; it has no mesh input at all.
-    let (dfg, analysis) = syncplace::placement::analyze_program(
-        &prog,
-        &fig6(),
-        &SearchOptions::default(),
-        &CostParams::default(),
-    );
+    let (dfg, analysis) = setup::analyze(&prog, &fig6());
     let sol = &analysis.solutions[0];
     let spmd = syncplace::codegen::spmd_program(&prog, &dfg, sol);
 
@@ -866,12 +839,7 @@ pub fn e16_solution_space(scale: Scale) -> String {
         ("chain-10", setup::chain_program(10), fig6()),
     ];
     for (name, prog, automaton) in &programs {
-        let (_, analysis) = syncplace::placement::analyze_program(
-            prog,
-            automaton,
-            &SearchOptions::default(),
-            &CostParams::default(),
-        );
+        let (_, analysis) = setup::analyze(prog, automaton);
         let best = analysis
             .solutions
             .first()
@@ -1550,217 +1518,6 @@ pub fn e25_racecheck(scale: Scale) -> (String, bool) {
 }
 
 // ---------------------------------------------------------------------------
-// E19 — observability: instrumented engines, placements, and search
-// ---------------------------------------------------------------------------
-
-/// E19 / `trace`: run the TESTIV and 3-D tet-heat workloads under the
-/// observability layer — every engine × processor count with a live
-/// [`MetricsRegistry`](syncplace::obs::MetricsRegistry) — plus an
-/// instrumented Fig. 9-vs-Fig. 10 placement comparison and a traced
-/// placement search. Prints the per-engine comparison tables and
-/// writes the machine-readable traces to `TRACE_runtime.json`.
-pub fn trace_runtime(scale: Scale) -> String {
-    use std::fmt::Write as _;
-    use std::sync::Arc;
-    use syncplace::obs::{keys, MetricsRegistry, MetricsSnapshot, RecorderRef};
-    use syncplace::Engine;
-
-    let procs: &[usize] = match scale {
-        Scale::Quick => &[2, 4],
-        Scale::Paper => &[2, 4, 8],
-    };
-
-    // One snapshot per (workload, engine, P) run.
-    fn run_traced<const V: usize>(
-        engine: Engine,
-        prog: &syncplace::ir::Program,
-        spmd: &syncplace::codegen::SpmdProgram,
-        d: &syncplace::overlap::Decomposition<V>,
-        b: &syncplace::runtime::Bindings,
-    ) -> MetricsSnapshot {
-        let tr = Arc::new(MetricsRegistry::new(keys::ALL));
-        let rec: RecorderRef = Some(tr.clone());
-        engine.run_with(prog, spmd, d, b, None, &rec).unwrap();
-        tr.snapshot()
-    }
-
-    // A span's count and summed milliseconds (zeros when never recorded).
-    fn span_of(snap: &MetricsSnapshot, name: &str) -> (u64, f64) {
-        snap.span(name)
-            .map_or((0, 0.0), |h| (h.count(), h.sum_ns() as f64 / 1e6))
-    }
-
-    fn row(p: usize, engine: Engine, snap: &MetricsSnapshot) -> Vec<String> {
-        let (phases, phase_ms) = span_of(snap, keys::PHASE_SPAN);
-        let (_, run_ms) = span_of(snap, keys::RUN_SPAN);
-        vec![
-            format!("{p}"),
-            engine.name().to_string(),
-            format!("{phases}"),
-            format!("{phase_ms:.2}"),
-            format!("{run_ms:.2}"),
-            format!("{}", snap.counter(keys::COMM_MESSAGES)),
-            format!("{}", snap.counter(keys::COMM_VALUES)),
-            format!("{}", snap.total_packets()),
-            format!("{}", snap.counter(keys::BYTES_STAGED)),
-            format!("{}", snap.counter(keys::ITERATIONS)),
-        ]
-    }
-
-    let headers = [
-        "P",
-        "engine",
-        "phases",
-        "phase ms",
-        "run ms",
-        "messages",
-        "values",
-        "packets",
-        "bytes staged",
-        "iters",
-    ];
-
-    let mut json_runs = Vec::new();
-    let mut out = String::from("E19 — observability traces (runtime engines + search)\n");
-
-    // Workload 1: TESTIV on the 2-D perturbed grid.
-    let s = setup::testiv(scale.mesh_n(), 1e-8, &fig6());
-    let mut rows = Vec::new();
-    for &p in procs {
-        let (d, spmd) = setup::decompose(&s, p, Pattern::FIG1, 0);
-        for engine in Engine::ALL {
-            let snap = run_traced(engine, &s.prog, &spmd, &d, &s.bindings);
-            rows.push(row(p, engine, &snap));
-            json_runs.push(format!(
-                "{{\"workload\":\"testiv\",\"p\":{p},\"engine\":\"{}\",\"trace\":{}}}",
-                engine.name(),
-                snap.to_json()
-            ));
-        }
-    }
-    let _ = write!(
-        out,
-        "\nTESTIV, {n}x{n} perturbed grid:\n\n{}\n",
-        table(&headers, &rows),
-        n = scale.mesh_n()
-    );
-
-    // Workload 2: 3-D heat diffusion on the tet box mesh (Fig. 8
-    // automaton), same engine sweep.
-    let n3 = match scale {
-        Scale::Quick => 4,
-        Scale::Paper => 6,
-    };
-    let prog3 = syncplace::ir::programs::tet_heat(40);
-    let mesh3 = syncplace::mesh::gen3d::box_mesh(n3, n3, n3);
-    let b3 = syncplace::runtime::bindings::tet_heat_bindings(&prog3, &mesh3, 1e-7);
-    let (dfg3, an3) = syncplace::placement::analyze_program(
-        &prog3,
-        &fig8(),
-        &SearchOptions::default(),
-        &CostParams::default(),
-    );
-    let spmd3 = syncplace::codegen::spmd_program(&prog3, &dfg3, &an3.solutions[0]);
-    let mut rows3 = Vec::new();
-    for &p in procs {
-        let part = syncplace::partition::partition3d(&mesh3, p, syncplace::partition::Method::Rcb);
-        let d = syncplace::overlap::decompose3d(&mesh3, &part.part, p, Pattern::FIG1);
-        for engine in Engine::ALL {
-            let snap = run_traced(engine, &prog3, &spmd3, &d, &b3);
-            rows3.push(row(p, engine, &snap));
-            json_runs.push(format!(
-                "{{\"workload\":\"tet-heat\",\"p\":{p},\"engine\":\"{}\",\"trace\":{}}}",
-                engine.name(),
-                snap.to_json()
-            ));
-        }
-    }
-    let _ = write!(
-        out,
-        "\n3-D tet heat, {n3}x{n3}x{n3} box mesh:\n\n{}\n",
-        table(&headers, &rows3)
-    );
-
-    // Instrumented Fig. 9-vs-Fig. 10 comparison: the grouped-comms
-    // placement against the restricted-domain one, measured rather
-    // than modeled (§4: "performance depends on this choice").
-    let fig10_idx = setup::fig10_style_index(&s).expect("fig10-style solution exists");
-    let cmp_p = *procs.last().unwrap();
-    let mut prows = Vec::new();
-    let mut json_placements = Vec::new();
-    for (style, idx) in [("fig9", 0usize), ("fig10", fig10_idx)] {
-        let (d, spmd) = setup::decompose(&s, cmp_p, Pattern::FIG1, idx);
-        let snap = run_traced(Engine::Batched, &s.prog, &spmd, &d, &s.bindings);
-        let (phases, phase_ms) = span_of(&snap, keys::PHASE_SPAN);
-        prows.push(vec![
-            style.to_string(),
-            format!("{phases}"),
-            format!("{phase_ms:.2}"),
-            format!("{}", snap.counter(keys::UPDATES)),
-            format!("{}", snap.counter(keys::REDUCES)),
-            format!("{}", snap.counter(keys::COMM_VALUES)),
-            format!("{}", snap.total_packets()),
-        ]);
-        json_placements.push(format!(
-            "{{\"style\":\"{style}\",\"p\":{cmp_p},\"engine\":\"batched\",\"trace\":{}}}",
-            snap.to_json()
-        ));
-    }
-    let _ = write!(
-        out,
-        "\nFig. 9-style vs Fig. 10-style placement (batched engine, P={cmp_p}):\n\n{}\n",
-        table(
-            &[
-                "placement", "phases", "phase ms", "updates", "reduces", "values", "packets"
-            ],
-            &prows
-        )
-    );
-
-    // Traced placement search on the same program.
-    let tr = Arc::new(MetricsRegistry::new(keys::ALL));
-    let rec: RecorderRef = Some(tr.clone());
-    let an = syncplace::placement::analyze_recorded(
-        &s.prog,
-        &s.dfg,
-        &fig6(),
-        &SearchOptions::default(),
-        &CostParams::default(),
-        &rec,
-    );
-    let search_snap = tr.snapshot();
-    let (_, search_ms) = span_of(&search_snap, keys::SEARCH_SPAN);
-    let _ = write!(
-        out,
-        "\nplacement search (TESTIV × fig6): {} visits, {} backtracks, \
-         {} placements kept, {} duplicate mappings pruned, {:.2} ms\n",
-        search_snap.counter(keys::SEARCH_VISITS),
-        search_snap.counter(keys::SEARCH_BACKTRACKS),
-        search_snap.counter(keys::SEARCH_SOLUTIONS),
-        search_snap.counter(keys::SEARCH_PRUNED),
-        search_ms
-    );
-    assert_eq!(
-        search_snap.counter(keys::SEARCH_SOLUTIONS),
-        an.solutions.len() as u64
-    );
-
-    let json = format!(
-        "{{\n  \"runs\": [\n    {}\n  ],\n  \"placements\": [\n    {}\n  ],\n  \"search\": {}\n}}\n",
-        json_runs.join(",\n    "),
-        json_placements.join(",\n    "),
-        search_snap.to_json()
-    );
-    match std::fs::write("TRACE_runtime.json", &json) {
-        Ok(()) => out.push_str("\nraw traces: TRACE_runtime.json\n"),
-        Err(e) => {
-            let _ = writeln!(out, "\n(could not write TRACE_runtime.json: {e})");
-        }
-    }
-    out
-}
-
-// ---------------------------------------------------------------------------
 // E20 — static analysis: verifier, plan auditor, IR lints (`reproduce lint`)
 // ---------------------------------------------------------------------------
 
@@ -1935,16 +1692,12 @@ pub fn index() -> Vec<(&'static str, &'static str)> {
             "E18: three engines per P — measured wall ms, modeled S, messages",
         ),
         (
-            "trace",
-            "E19: observability traces of engines, placements, search",
-        ),
-        (
             "lint",
             "E20: independent verifier, plan auditor, IR lints",
         ),
         (
             "profile",
-            "E21: timeline profiler — critical paths, waits, histograms",
+            "E21: engine profiler — schedule counters, critical paths, waits, search",
         ),
         (
             "serve-bench",

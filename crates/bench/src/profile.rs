@@ -1,24 +1,28 @@
-//! E21 / `reproduce profile` — the event-timeline profiler experiment.
+//! E21 / `reproduce profile` — the offline engine report.
 //!
 //! Runs the TESTIV and 3-D tet-heat workloads across every engine
 //! and processor counts with a *fanout* recorder: one
 //! [`MetricsRegistry`] (the aggregate view) and one
 //! [`TimelineRecorder`] (the per-rank event timeline) see the exact
 //! same emission stream.
-//! From the timeline the analysis module extracts per-rank
-//! compute-vs-wait attribution, per-phase load-imbalance factors and
-//! the critical path through the run's phase DAG; per-span-name
-//! latency histograms give p50/p95/p99/max.
+//! The registry gives each run's schedule counters (messages, values,
+//! packets, iterations); from the timeline the analysis module
+//! extracts per-rank compute-vs-wait attribution, per-phase
+//! load-imbalance factors and the critical path through the run's
+//! phase DAG; per-span-name latency histograms give p50/p95/p99/max.
 //!
 //! On top, the Fig. 9-vs-Fig. 10 placement comparison is made
 //! *quantitative*: both placements run at the largest P on the batched
 //! engine, their critical-path lengths are compared, and the cost
 //! model's predicted per-iteration traffic
 //! ([`SolutionCost::predicted_per_iteration`]) is cross-validated
-//! against the observed per-pair wire volumes.
+//! against the observed per-pair wire volumes. Last, one placement
+//! search runs under a registry, whose counters must agree with the
+//! analysis it returns.
 //!
-//! Artifacts: `PROFILE_runtime.json` (analyses + histograms, schema
-//! [`crate::PROFILE_SCHEMA`]) and `PROFILE_trace.json` (a Chrome
+//! Artifacts: `PROFILE_runtime.json` (analyses, metrics snapshots and
+//! histograms, schema [`crate::PROFILE_SCHEMA`]) and
+//! `PROFILE_trace.json` (a Chrome
 //! `trace_event` array — load it in Perfetto or `chrome://tracing`).
 //!
 //! [`SolutionCost::predicted_per_iteration`]: syncplace::placement::SolutionCost::predicted_per_iteration
@@ -28,7 +32,7 @@ use crate::{setup, table};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::Arc;
-use syncplace::automata::predefined::{fig6, fig8};
+use syncplace::automata::predefined::fig6;
 use syncplace::obs::{
     self as obs, keys, ChromeRun, FanoutRecorder, LatencyHistogram, MetricsRegistry,
     MetricsSnapshot, RecorderRef, TimelineRecorder, TimelineSnapshot,
@@ -79,11 +83,13 @@ fn digest(
             .merge(&prof.timeline.histogram(name));
     }
     json_runs.push(format!(
-        "{{\"workload\":\"{workload}\",\"p\":{p},\"engine\":\"{}\",\"analysis\":{}}}",
+        "{{\"workload\":\"{workload}\",\"p\":{p},\"engine\":\"{}\",\"analysis\":{},\"trace\":{}}}",
         engine.name(),
-        a.to_json()
+        a.to_json(),
+        prof.trace.to_json()
     ));
-    let run_ns = prof.trace.span(keys::RUN_SPAN).map_or(0, |h| h.sum_ns());
+    let t = &prof.trace;
+    let run_ns = t.span(keys::RUN_SPAN).map_or(0, |h| h.sum_ns());
     vec![
         format!("{p}"),
         engine.name().to_string(),
@@ -92,13 +98,18 @@ fn digest(
         format!("{:.1}", a.wait_share * 100.0),
         format!("{:.2}", a.max_imbalance),
         format!("{}", a.phases.len()),
+        format!("{}", t.counter(keys::COMM_MESSAGES)),
+        format!("{}", t.counter(keys::COMM_VALUES)),
+        format!("{}", t.total_packets()),
+        format!("{}", t.counter(keys::ITERATIONS)),
     ]
 }
 
 /// E21: profile every engine × P on both workloads, histogram the
-/// interval latencies, and quantify Fig. 9 vs Fig. 10 (critical path +
-/// cost-model cross-validation). Writes `PROFILE_runtime.json` and
-/// `PROFILE_trace.json`; returns the printable report.
+/// interval latencies, quantify Fig. 9 vs Fig. 10 (critical path +
+/// cost-model cross-validation) and trace one placement search. Writes
+/// `PROFILE_runtime.json` and `PROFILE_trace.json`; returns the
+/// printable report.
 pub fn profile_runtime(scale: Scale) -> String {
     let procs: &[usize] = match scale {
         Scale::Quick => &[2, 4],
@@ -112,10 +123,14 @@ pub fn profile_runtime(scale: Scale) -> String {
         "wait %",
         "max imbal",
         "phases",
+        "messages",
+        "values",
+        "packets",
+        "iters",
     ];
 
     let mut out = String::from(
-        "E21 — event-timeline profiler (critical paths, wait attribution, histograms)\n",
+        "E21 — engine profiler (schedule counters, critical paths, wait attribution, histograms)\n",
     );
     let mut json_runs = Vec::new();
     let mut hists: BTreeMap<&'static str, LatencyHistogram> = BTreeMap::new();
@@ -147,22 +162,15 @@ pub fn profile_runtime(scale: Scale) -> String {
         Scale::Quick => 4,
         Scale::Paper => 6,
     };
-    let prog3 = syncplace::ir::programs::tet_heat(40);
-    let mesh3 = syncplace::mesh::gen3d::box_mesh(n3, n3, n3);
-    let b3 = syncplace::runtime::bindings::tet_heat_bindings(&prog3, &mesh3, 1e-7);
-    let (dfg3, an3) = syncplace::placement::analyze_program(
-        &prog3,
-        &fig8(),
-        &SearchOptions::default(),
-        &CostParams::default(),
-    );
-    let spmd3 = syncplace::codegen::spmd_program(&prog3, &dfg3, &an3.solutions[0]);
+    let t3 = setup::tet_heat(n3);
+    let spmd3 = syncplace::codegen::spmd_program(&t3.prog, &t3.dfg, &t3.analysis.solutions[0]);
     let mut rows3 = Vec::new();
     for &p in procs {
-        let part = syncplace::partition::partition3d(&mesh3, p, syncplace::partition::Method::Rcb);
-        let d = syncplace::overlap::decompose3d(&mesh3, &part.part, p, Pattern::FIG1);
+        let part =
+            syncplace::partition::partition3d(&t3.mesh, p, syncplace::partition::Method::Rcb);
+        let d = syncplace::overlap::decompose3d(&t3.mesh, &part.part, p, Pattern::FIG1);
         for engine in Engine::ALL {
-            let prof = run_profiled(engine, &prog3, &spmd3, &d, &b3);
+            let prof = run_profiled(engine, &t3.prog, &spmd3, &d, &t3.bindings);
             rows3.push(digest("tet-heat", p, engine, &prof, &mut hists, &mut json_runs));
             if engine == Engine::Batched && p == *procs.last().unwrap() {
                 chrome_runs.push((format!("tet-heat batched P={p}"), prof.timeline));
@@ -228,13 +236,15 @@ pub fn profile_runtime(scale: Scale) -> String {
             format!("{pred_phases:.0}"),
             format!("{pred_vol:.2}"),
             format!("{values_per_iter:.1}"),
+            format!("{}", prof.trace.total_packets()),
         ]);
         json_placements.push(format!(
             "{{\"style\":\"{style}\",\"p\":{cmp_p},\"engine\":\"batched\",\
              \"predicted_phases_per_iter\":{pred_phases:.4},\"predicted_volume_per_iter\":{pred_vol:.4},\
              \"observed_values_per_iter\":{values_per_iter:.4},\"iterations\":{iters},\
-             \"analysis\":{}}}",
-            a.to_json()
+             \"analysis\":{},\"trace\":{}}}",
+            a.to_json(),
+            prof.trace.to_json()
         ));
         chrome_runs.push((format!("{style} batched P={cmp_p}"), prof.timeline));
     }
@@ -251,6 +261,7 @@ pub fn profile_runtime(scale: Scale) -> String {
                 "pred phases/iter",
                 "pred vol/iter",
                 "obs values/iter",
+                "packets",
             ],
             &prows
         )
@@ -267,11 +278,40 @@ pub fn profile_runtime(scale: Scale) -> String {
         cp_ms[1] / cp_ms[0].max(1e-9)
     );
 
+    // Traced placement search on the same program: the registry's
+    // counters must agree with the analysis it watched.
+    let tr = Arc::new(MetricsRegistry::new(keys::ALL));
+    let rec: RecorderRef = Some(tr.clone());
+    let an = syncplace::placement::analyze_recorded(
+        &s.prog,
+        &s.dfg,
+        &fig6(),
+        &SearchOptions::default(),
+        &CostParams::default(),
+        &rec,
+    );
+    let search = tr.snapshot();
+    assert_eq!(
+        search.counter(keys::SEARCH_SOLUTIONS),
+        an.solutions.len() as u64
+    );
+    let _ = writeln!(
+        out,
+        "\nplacement search (TESTIV × fig6): {} visits, {} backtracks, \
+         {} placements kept, {} duplicate mappings pruned, {:.2} ms",
+        search.counter(keys::SEARCH_VISITS),
+        search.counter(keys::SEARCH_BACKTRACKS),
+        search.counter(keys::SEARCH_SOLUTIONS),
+        search.counter(keys::SEARCH_PRUNED),
+        search.span(keys::SEARCH_SPAN).map_or(0, |h| h.sum_ns()) as f64 / 1e6
+    );
+
     let json = format!(
         "{{\n  \"schema\": \"{}\",\n  \"git_rev\": \"{}\",\n  \"scale\": \"{}\",\n  \
          \"runs\": [\n    {}\n  ],\n  \"histograms\": [\n    {}\n  ],\n  \
          \"placements\": [\n    {}\n  ],\n  \
-         \"placement_ratios\": {{\"critical_path\": {:.4}, \"predicted_volume\": {pred_ratio:.4}, \"observed_volume\": {obs_ratio:.4}}}\n}}\n",
+         \"placement_ratios\": {{\"critical_path\": {:.4}, \"predicted_volume\": {pred_ratio:.4}, \"observed_volume\": {obs_ratio:.4}}},\n  \
+         \"search\": {}\n}}\n",
         crate::PROFILE_SCHEMA,
         crate::git_rev(),
         scale.name(),
@@ -279,6 +319,7 @@ pub fn profile_runtime(scale: Scale) -> String {
         json_hists.join(",\n    "),
         json_placements.join(",\n    "),
         cp_ms[1] / cp_ms[0].max(1e-9),
+        search.to_json(),
     );
     match std::fs::write("PROFILE_runtime.json", &json) {
         Ok(()) => out.push_str("\nraw profile: PROFILE_runtime.json\n"),

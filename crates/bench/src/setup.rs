@@ -2,27 +2,61 @@
 //! one call, parameterized by size so tests run small and the
 //! `reproduce` binary runs at paper scale.
 
+use syncplace::automata::predefined::fig8;
 use syncplace::automata::OverlapAutomaton;
 use syncplace::codegen::SpmdProgram;
 use syncplace::dfg::Dfg;
 use syncplace::ir::Program;
-use syncplace::mesh::Mesh2d;
+use syncplace::mesh::{Mesh2d, Mesh3d};
 use syncplace::overlap::{Decomposition, Pattern};
 use syncplace::placement::{Analysis, CostParams, SearchOptions};
 use syncplace::runtime::Bindings;
 
-/// A fully analyzed TESTIV instance.
-pub struct TestivSetup {
-    /// The TESTIV iterative program (Fig. 9 shape).
+/// A program, the mesh it runs on and its placement analysis.
+pub struct Setup<M> {
+    /// The program.
     pub prog: Program,
-    /// The perturbed-grid mesh it runs on.
-    pub mesh: Mesh2d,
+    /// The mesh it runs on.
+    pub mesh: M,
     /// Initial array bindings for the runtime engines.
     pub bindings: Bindings,
     /// Data-flow graph of `prog`.
     pub dfg: Dfg,
     /// Placement analysis: legality, solution space, costs.
     pub analysis: Analysis,
+}
+
+/// A fully analyzed TESTIV instance (Fig. 9 shape) on a perturbed grid.
+pub type TestivSetup = Setup<Mesh2d>;
+
+/// Analyze `prog` against `automaton` with the default search and cost
+/// model.
+pub fn analyze(prog: &Program, automaton: &OverlapAutomaton) -> (Dfg, Analysis) {
+    syncplace::placement::analyze_program(
+        prog,
+        automaton,
+        &SearchOptions::default(),
+        &CostParams::default(),
+    )
+}
+
+impl<M> Setup<M> {
+    /// Analyze `prog` against `automaton`.
+    fn analyzed(
+        prog: Program,
+        mesh: M,
+        bindings: Bindings,
+        automaton: &OverlapAutomaton,
+    ) -> Self {
+        let (dfg, analysis) = analyze(&prog, automaton);
+        Setup {
+            prog,
+            mesh,
+            bindings,
+            dfg,
+            analysis,
+        }
+    }
 }
 
 /// Build and analyze TESTIV on an `nx × nx` perturbed grid, with a
@@ -39,19 +73,16 @@ pub fn testiv(nx: usize, epsilon: f64, automaton: &OverlapAutomaton) -> TestivSe
             .map(|i| 1.0 + 0.25 * ((i % 11) as f64 / 11.0))
             .collect(),
     );
-    let (dfg, analysis) = syncplace::placement::analyze_program(
-        &prog,
-        automaton,
-        &SearchOptions::default(),
-        &CostParams::default(),
-    );
-    TestivSetup {
-        prog,
-        mesh,
-        bindings,
-        dfg,
-        analysis,
-    }
+    Setup::analyzed(prog, mesh, bindings, automaton)
+}
+
+/// Build and analyze the 3-D tet-heat program (40 time steps) on an
+/// `n × n × n` box mesh under the Fig. 8 automaton.
+pub fn tet_heat(n: usize) -> Setup<Mesh3d> {
+    let prog = syncplace::ir::programs::tet_heat(40);
+    let mesh = syncplace::mesh::gen3d::box_mesh(n, n, n);
+    let bindings = syncplace::runtime::bindings::tet_heat_bindings(&prog, &mesh, 1e-7);
+    Setup::analyzed(prog, mesh, bindings, &fig8())
 }
 
 /// Decompose the setup's mesh and produce the executable SPMD program

@@ -28,8 +28,17 @@
 //!
 //! `#` starts a comment to end of line. Map slots are 1-based in the
 //! surface syntax (like the Fortran `SOM(i,1)`), 0-based in the AST.
+//! Nesting is bounded by [`MAX_DEPTH`].
 
 use crate::ast::*;
+
+/// The deepest nesting a program may have: how many parentheses, unary
+/// minus signs, intrinsic calls and `iterate` blocks enclose a point,
+/// and how tall an expression tree grows (an `n`-term `+` or `*` chain
+/// is `n` levels tall). The parser and every later walk over the tree
+/// recurse once per level, so one source text cannot overflow the
+/// stack of the thread that compiles it.
+pub const MAX_DEPTH: usize = 256;
 
 /// Parse a program. Shape validation is the caller's job
 /// ([`crate::validate::check`]); the parser only resolves names.
@@ -38,6 +47,7 @@ pub fn parse(src: &str) -> Result<Program, ParseError> {
     let mut p = Parser {
         tokens,
         pos: 0,
+        depth: 0,
         prog: Program::new(""),
     };
     p.program()?;
@@ -211,9 +221,15 @@ fn lex(src: &str) -> Result<Vec<SpannedTok>, ParseError> {
     Ok(out)
 }
 
+/// An expression and the height of its tree.
+type Parsed = Result<(Expr, usize), ParseError>;
+
 struct Parser {
     tokens: Vec<SpannedTok>,
     pos: usize,
+    /// Parentheses, unary ops, intrinsic calls and `iterate` blocks
+    /// enclosing the current token.
+    depth: usize,
     prog: Program,
 }
 
@@ -230,6 +246,27 @@ impl Parser {
             message: msg.into(),
             line: self.line(),
         })
+    }
+
+    /// `levels`, or an error once it passes [`MAX_DEPTH`].
+    fn within(&self, levels: usize) -> Result<usize, ParseError> {
+        if levels > MAX_DEPTH {
+            return self.err(format!(
+                "nesting deeper than the limit of {MAX_DEPTH} levels"
+            ));
+        }
+        Ok(levels)
+    }
+
+    /// Run `f` one nesting level deeper.
+    fn nested<T>(
+        &mut self,
+        f: impl FnOnce(&mut Self) -> Result<T, ParseError>,
+    ) -> Result<T, ParseError> {
+        self.depth = self.within(self.depth + 1)?;
+        let out = f(self);
+        self.depth -= 1;
+        out
     }
 
     fn peek(&self) -> Option<&Tok> {
@@ -377,7 +414,7 @@ impl Parser {
             self.eat_kw("max")?;
             let max_iters = self.integer()?;
             self.eat_sym("{")?;
-            let body = self.stmts_until("}", true)?;
+            let body = self.nested(|p| p.stmts_until("}", true))?;
             self.eat_sym("}")?;
             return Ok(Stmt::TimeLoop(TimeLoopStmt {
                 id: 0,
@@ -392,7 +429,7 @@ impl Parser {
             }
             self.eat_kw("exit")?;
             self.eat_kw("when")?;
-            let lhs = self.expr(None)?;
+            let (lhs, _) = self.expr(None)?;
             let rel = match self.next() {
                 Some(Tok::Sym("<")) => RelOp::Lt,
                 Some(Tok::Sym("<=")) => RelOp::Le,
@@ -400,7 +437,7 @@ impl Parser {
                 Some(Tok::Sym(">=")) => RelOp::Ge,
                 other => return self.err(format!("expected comparison, found {other:?}")),
             };
-            let rhs = self.expr(None)?;
+            let (rhs, _) = self.expr(None)?;
             return Ok(Stmt::ExitIf(ExitIfStmt {
                 id: 0,
                 lhs,
@@ -447,7 +484,7 @@ impl Parser {
     fn assign(&mut self, loop_index: Option<&str>) -> Result<AssignStmt, ParseError> {
         let lhs = self.access(loop_index)?;
         self.eat_sym("=")?;
-        let rhs = self.expr(loop_index)?;
+        let (rhs, _) = self.expr(loop_index)?;
         Ok(AssignStmt { id: 0, lhs, rhs })
     }
 
@@ -505,84 +542,84 @@ impl Parser {
         Ok(acc)
     }
 
-    fn expr(&mut self, loop_index: Option<&str>) -> Result<Expr, ParseError> {
-        let mut lhs = self.term(loop_index)?;
+    fn expr(&mut self, loop_index: Option<&str>) -> Parsed {
+        self.chain(
+            loop_index,
+            [("+", BinOp::Add), ("-", BinOp::Sub)],
+            Self::term,
+        )
+    }
+
+    fn term(&mut self, loop_index: Option<&str>) -> Parsed {
+        self.chain(
+            loop_index,
+            [("*", BinOp::Mul), ("/", BinOp::Div)],
+            Self::factor,
+        )
+    }
+
+    /// `operand (op operand)*`, folded left: each operator adds a level.
+    fn chain(
+        &mut self,
+        loop_index: Option<&str>,
+        ops: [(&str, BinOp); 2],
+        operand: fn(&mut Self, Option<&str>) -> Parsed,
+    ) -> Parsed {
+        let (mut lhs, mut height) = operand(self, loop_index)?;
         loop {
-            match self.peek() {
-                Some(Tok::Sym("+")) => {
-                    self.pos += 1;
-                    lhs = lhs + self.term(loop_index)?;
-                }
-                Some(Tok::Sym("-")) => {
-                    self.pos += 1;
-                    lhs = lhs - self.term(loop_index)?;
-                }
-                _ => return Ok(lhs),
-            }
+            let next = ops
+                .iter()
+                .find(|(sym, _)| matches!(self.peek(), Some(Tok::Sym(s)) if s == sym));
+            let Some(&(_, op)) = next else {
+                return Ok((lhs, height));
+            };
+            self.pos += 1;
+            let (rhs, h) = operand(self, loop_index)?;
+            height = self.within(height.max(h) + 1)?;
+            lhs = Expr::Binary(op, Box::new(lhs), Box::new(rhs));
         }
     }
 
-    fn term(&mut self, loop_index: Option<&str>) -> Result<Expr, ParseError> {
-        let mut lhs = self.factor(loop_index)?;
-        loop {
-            match self.peek() {
-                Some(Tok::Sym("*")) => {
-                    self.pos += 1;
-                    lhs = lhs * self.factor(loop_index)?;
-                }
-                Some(Tok::Sym("/")) => {
-                    self.pos += 1;
-                    lhs = lhs / self.factor(loop_index)?;
-                }
-                _ => return Ok(lhs),
-            }
-        }
-    }
-
-    fn factor(&mut self, loop_index: Option<&str>) -> Result<Expr, ParseError> {
+    fn factor(&mut self, loop_index: Option<&str>) -> Parsed {
         match self.peek().cloned() {
             Some(Tok::Num(n)) => {
                 self.pos += 1;
-                Ok(Expr::Const(n))
+                Ok((Expr::Const(n), 1))
             }
             Some(Tok::Int(n)) => {
                 self.pos += 1;
-                Ok(Expr::Const(n as f64))
+                Ok((Expr::Const(n as f64), 1))
             }
             Some(Tok::Sym("-")) => {
                 self.pos += 1;
-                Ok(-self.factor(loop_index)?)
+                let (e, h) = self.nested(|p| p.factor(loop_index))?;
+                Ok((-e, self.within(h + 1)?))
             }
             Some(Tok::Sym("(")) => {
                 self.pos += 1;
-                let e = self.expr(loop_index)?;
+                let e = self.nested(|p| p.expr(loop_index))?;
                 self.eat_sym(")")?;
                 Ok(e)
             }
-            Some(Tok::Ident(id)) if id == "sqrt" || id == "abs" => {
+            Some(Tok::Ident(id)) if matches!(id.as_str(), "sqrt" | "abs" | "max" | "min") => {
                 self.pos += 1;
                 self.eat_sym("(")?;
-                let e = self.expr(loop_index)?;
+                let (a, mut h) = self.nested(|p| p.expr(loop_index))?;
+                let e = match id.as_str() {
+                    "sqrt" => a.sqrt(),
+                    "abs" => a.abs(),
+                    _ => {
+                        self.eat_sym(",")?;
+                        let (b, hb) = self.nested(|p| p.expr(loop_index))?;
+                        h = h.max(hb);
+                        let op = if id == "max" { BinOp::Max } else { BinOp::Min };
+                        Expr::Binary(op, Box::new(a), Box::new(b))
+                    }
+                };
                 self.eat_sym(")")?;
-                Ok(match id.as_str() {
-                    "sqrt" => e.sqrt(),
-                    _ => e.abs(),
-                })
+                Ok((e, self.within(h + 1)?))
             }
-            Some(Tok::Ident(id)) if id == "max" || id == "min" => {
-                self.pos += 1;
-                self.eat_sym("(")?;
-                let a = self.expr(loop_index)?;
-                self.eat_sym(",")?;
-                let b = self.expr(loop_index)?;
-                self.eat_sym(")")?;
-                Ok(Expr::Binary(
-                    if id == "max" { BinOp::Max } else { BinOp::Min },
-                    Box::new(a),
-                    Box::new(b),
-                ))
-            }
-            Some(Tok::Ident(_)) => Ok(Expr::Read(self.access(loop_index)?)),
+            Some(Tok::Ident(_)) => Ok((Expr::Read(self.access(loop_index)?), 1)),
             other => self.err(format!("expected expression, found {other:?}")),
         }
     }

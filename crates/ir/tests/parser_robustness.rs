@@ -2,7 +2,7 @@
 //! programs with loops and indirections round-trip. Randomness comes
 //! from the deterministic in-repo PRNG so the suite runs offline.
 
-use syncplace_ir::parser::parse;
+use syncplace_ir::parser::{parse, MAX_DEPTH};
 use syncplace_ir::printer::to_dsl;
 use syncplace_mesh::rng::SmallRng;
 
@@ -97,5 +97,69 @@ fn generated_programs_analyze_without_panic() {
         let p = parse(&src).unwrap();
         // DFG construction must never panic on shape-valid programs.
         let _ = syncplace_ir::validate::check(&p);
+    }
+}
+
+/// A scalar program whose one statement assigns `expr`.
+fn assigning(expr: &str) -> String {
+    format!("program deep\n  var s : scalar\n  s = {expr}\nend\n")
+}
+
+/// `n` nested `iterate` blocks around one assignment.
+fn nested_iterates(n: usize) -> String {
+    let mut src = String::from("program deep\n  var s : scalar\n");
+    for k in 0..n {
+        src.push_str(&format!("iterate t{k} max 1 {{\n"));
+    }
+    src.push_str("s = 1.0\n");
+    src.push_str(&"}\n".repeat(n));
+    src.push_str("end\n");
+    src
+}
+
+/// Parse on a thread with the default stack, as the daemon's
+/// connection handlers are: an overflow would abort the process.
+fn parse_on_default_stack(src: String) -> Result<(), String> {
+    std::thread::spawn(move || parse(&src).map(|_| ()).map_err(|e| e.message))
+        .join()
+        .expect("parser thread")
+}
+
+#[test]
+fn nesting_past_the_limit_is_an_error_not_an_overflow() {
+    let hostile = [
+        assigning(&format!("{}s{}", "(".repeat(200_000), ")".repeat(200_000))),
+        assigning(&vec!["s"; 120_000].join(" + ")),
+        assigning(&format!("{}s", "-".repeat(200_000))),
+        assigning(&format!(
+            "{}s{}",
+            "sqrt(".repeat(100_000),
+            ")".repeat(100_000)
+        )),
+        nested_iterates(100_000),
+    ];
+    for src in hostile {
+        let e = parse_on_default_stack(src).unwrap_err();
+        assert!(e.contains(&format!("limit of {MAX_DEPTH}")), "{e}");
+    }
+}
+
+#[test]
+fn nesting_at_the_limit_parses() {
+    let chain = |n: usize| assigning(&vec!["s"; n].join(" * "));
+    let parens = |n: usize| assigning(&format!("{}s{}", "(".repeat(n), ")".repeat(n)));
+    for at_limit in [
+        chain(MAX_DEPTH),
+        parens(MAX_DEPTH),
+        nested_iterates(MAX_DEPTH),
+    ] {
+        parse_on_default_stack(at_limit).unwrap();
+    }
+    for over in [
+        chain(MAX_DEPTH + 1),
+        parens(MAX_DEPTH + 1),
+        nested_iterates(MAX_DEPTH + 1),
+    ] {
+        assert!(parse_on_default_stack(over).is_err());
     }
 }

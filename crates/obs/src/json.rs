@@ -15,6 +15,12 @@
 
 use std::fmt::Write as _;
 
+/// The deepest array/object nesting [`parse`] accepts. The reader
+/// recurses once per level, so a deeper document is an error rather
+/// than a stack overflow in the thread reading it; the workspace's own
+/// documents nest a handful of levels.
+const MAX_DEPTH: usize = 128;
+
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
@@ -80,7 +86,7 @@ impl Value {
 pub fn parse(src: &str) -> Result<Value, String> {
     let b = src.as_bytes();
     let mut pos = 0usize;
-    let v = parse_value(b, &mut pos)?;
+    let v = parse_value(b, &mut pos, 0)?;
     skip_ws(b, &mut pos);
     if pos != b.len() {
         return Err(format!("trailing garbage at byte {pos}"));
@@ -103,8 +109,14 @@ fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Value, String> {
+/// One value that `depth` arrays/objects enclose.
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
     skip_ws(b, pos);
+    if depth == MAX_DEPTH && matches!(b.get(*pos), Some(b'{' | b'[')) {
+        return Err(format!(
+            "nesting deeper than the limit of {MAX_DEPTH} levels at byte {pos}"
+        ));
+    }
     match b.get(*pos) {
         None => Err("unexpected end of input".into()),
         Some(b'{') => {
@@ -120,7 +132,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Value, String> {
                 let key = parse_string(b, pos)?;
                 skip_ws(b, pos);
                 expect(b, pos, b':')?;
-                members.push((key, parse_value(b, pos)?));
+                members.push((key, parse_value(b, pos, depth + 1)?));
                 skip_ws(b, pos);
                 match b.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -141,7 +153,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Value, String> {
                 return Ok(Value::Arr(items));
             }
             loop {
-                items.push(parse_value(b, pos)?);
+                items.push(parse_value(b, pos, depth + 1)?);
                 skip_ws(b, pos);
                 match b.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -212,11 +224,14 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             _ => {
-                // Copy the full UTF-8 character, not just one byte.
-                let rest = std::str::from_utf8(&b[*pos..]).map_err(|e| e.to_string())?;
-                let c = rest.chars().next().expect("non-empty");
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy the run up to the next quote or escape at once:
+                // both are ASCII, so the run ends on a char boundary.
+                let end = b[*pos..]
+                    .iter()
+                    .position(|&c| c == b'"' || c == b'\\')
+                    .map_or(b.len(), |n| *pos + n);
+                out.push_str(std::str::from_utf8(&b[*pos..end]).map_err(|e| e.to_string())?);
+                *pos = end;
             }
         }
     }
@@ -300,6 +315,25 @@ mod tests {
         assert_eq!(parse(&text).unwrap(), v);
         // A second cycle is byte-stable.
         assert_eq!(write(&parse(&text).unwrap()), text);
+    }
+
+    #[test]
+    fn nesting_past_the_limit_is_an_error_not_an_overflow() {
+        // On a thread with the default stack, as the daemon's handlers are.
+        std::thread::spawn(|| {
+            let at_limit = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+            assert!(parse(&at_limit).is_ok());
+            let over = format!("{{\"k\":{at_limit}}}");
+            assert!(parse(&over)
+                .unwrap_err()
+                .contains(&format!("limit of {MAX_DEPTH}")));
+            assert!(parse(&"[".repeat(200_000)).unwrap_err().contains("nesting"));
+            assert!(parse(&"{\"k\":".repeat(200_000))
+                .unwrap_err()
+                .contains("nesting"));
+        })
+        .join()
+        .unwrap();
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Runtime observability for the syncplace engines, the placement
 //! search and the daemon: a zero-cost-when-disabled [`Recorder`] trait
 //! with three sinks — the one aggregate ([`MetricsRegistry`]: the
-//! daemon's live `stats`, a request's `diag` trace and every run in
-//! `TRACE_runtime.json` are its [`MetricsSnapshot`]), the
+//! daemon's live `stats`, a request's `diag` trace and every run's
+//! `trace` in `PROFILE_runtime.json` are its [`MetricsSnapshot`]), the
 //! event-timeline profiler ([`TimelineRecorder`], feeding the
 //! [`analysis`] module and the [`chrome`] Perfetto export behind
 //! `PROFILE_runtime.json`) and the happens-before log

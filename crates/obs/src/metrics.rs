@@ -1,7 +1,7 @@
 //! The one aggregating [`Recorder`]: atomic counters, high-water
 //! gauges, log₂ latency histograms and the per-ordered-pair packet
 //! matrix, with a point-in-time [`MetricsSnapshot`] rendered as JSON
-//! (`stats.metrics`, `diag.trace`, every run in `TRACE_runtime.json`)
+//! (`stats.metrics`, `diag.trace`, every run in `PROFILE_runtime.json`)
 //! or as a Prometheus-style text exposition.
 //!
 //! # Design

@@ -261,9 +261,9 @@ pub fn render_result(
 }
 
 /// Render the `diag` event streamed before `result` when the request
-/// set `"diag": true`. `trace_json` is an already-rendered
-/// `TRACE_runtime.json` document (embedded verbatim as a JSON value)
-/// or `None` when tracing was disabled.
+/// set `"diag": true`. `trace_json` is the request's already-rendered
+/// `MetricsSnapshot` JSON (embedded verbatim as a JSON value) or `None`
+/// when tracing was disabled.
 pub fn render_diag(
     placement: &'static str,
     plan: &'static str,
@@ -367,6 +367,15 @@ mod tests {
                 assert!(err.contains("0.0..0.5"), "{err}");
             }
         }
+    }
+
+    #[test]
+    fn deeply_nested_request_is_bad_json_not_an_overflow() {
+        // On a thread with the default stack, as the daemon's handlers are.
+        let err = std::thread::spawn(|| parse_request(&"[".repeat(200_000)).unwrap_err())
+            .join()
+            .unwrap();
+        assert!(err.starts_with("bad JSON: nesting"), "{err}");
     }
 
     #[test]

@@ -966,6 +966,44 @@ mod tests {
         assert_eq!(svc.stats().placements.misses, 0);
     }
 
+    /// A `run` request carrying `src` as its program.
+    fn source_req(src: &str) -> RunRequest {
+        run_req(&format!(
+            "{{\"op\":\"run\",\"source\":{},\"p\":2,\"diag\":true}}",
+            syncplace::obs::trace::json_escape(src)
+        ))
+    }
+
+    #[test]
+    fn nesting_at_the_limit_answers_and_past_it_is_invalid() {
+        use syncplace::ir::parser::MAX_DEPTH;
+        let prog = |rhs: String| {
+            format!(
+                "program deep\n input A : node\n output B : node\n\
+                 forall i in node split {{ B(i) = {rhs} }}\nend\n"
+            )
+        };
+        let chain = |n: usize| prog(vec!["A(i)"; n].join(" + "));
+        let parens = |n: usize| prog(format!("{}A(i){}", "(".repeat(n), ")".repeat(n)));
+        let at_limit = [chain(MAX_DEPTH), parens(MAX_DEPTH)];
+        let over = [chain(120_000), parens(200_000)];
+        // On a thread with the default stack, as the daemon's handlers are.
+        std::thread::spawn(move || {
+            let svc = Service::new(ServiceConfig::default());
+            for src in at_limit {
+                svc.run(&source_req(&src)).unwrap();
+            }
+            for src in over {
+                match svc.run(&source_req(&src)) {
+                    Err(ServeError::Invalid(e)) => assert!(e.contains("limit"), "{e}"),
+                    other => panic!("expected Invalid, got {:?}", other.map(|_| "ok")),
+                }
+            }
+        })
+        .join()
+        .unwrap();
+    }
+
     #[test]
     fn pong_renders_valid_json() {
         let svc = Service::new(ServiceConfig::default());

@@ -38,7 +38,9 @@
 # (`Decomposition {` under crates/ only in overlap/src/build.rs, whose
 # `finish` both builders call), the workspace must
 # stay free of `unsafe` (the keyword opens no block, fn, impl, trait or
-# extern under crates suite tests examples), the repo's
+# extern under crates suite tests examples), the docs must cite no
+# ROADMAP item by number outside ROADMAP.md / CHANGES.md (re-anchors
+# renumber the items, so a number goes stale; say the reason), the repo's
 # own static analysis (`reproduce lint` — independent placement
 # verifier, CommPlan schedule audit, IR lints) must report no
 # error-severity diagnostics,
@@ -98,6 +100,11 @@ if grep -rn --include='*.rs' 'Decomposition {' crates | grep -v '^crates/overlap
 fi
 if grep -rnE --include='*.rs' '\bunsafe[[:space:]]*(\{|fn|impl|trait|extern)' crates suite tests examples; then
     echo "unsafe gate: the workspace has no unsafe code"
+    exit 1
+fi
+# Citation gate: a ROADMAP item number in the docs outlives the item it named.
+if git ls-files '*.md' | grep -vE '^(ROADMAP|CHANGES)\.md$|^benchmark/' | xargs grep -nE 'ROADMAP (item )?[0-9]'; then
+    echo "citation gate: ROADMAP renumbers its items — state the reason instead of the item number"
     exit 1
 fi
 cargo run --release -p syncplace-bench --bin reproduce -- lint --quick

@@ -20,32 +20,7 @@ use syncplace::obs::{keys, MetricsRegistry, MetricsSnapshot, RecorderRef};
 use syncplace::prelude::*;
 use syncplace::runtime::CommPlan;
 use syncplace::Engine;
-
-/// TESTIV on an `nx`×`nx` grid with a fixed iteration count: eps = 0
-/// never converges, so the time loop runs exactly `iters` times on
-/// every processor count.
-fn fixed_iteration_setup(
-    iters: usize,
-    nx: usize,
-) -> (
-    Program,
-    syncplace::runtime::Bindings,
-    Mesh2d,
-    syncplace::codegen::SpmdProgram,
-) {
-    let prog = syncplace::ir::programs::testiv_with(iters);
-    let mesh = gen2d::perturbed_grid(nx, nx, 0.2, 11);
-    let bindings = syncplace::runtime::bindings::testiv_bindings(&prog, &mesh, 0.0);
-    let (dfg, analysis) = analyze_program(
-        &prog,
-        &fig6(),
-        &SearchOptions::default(),
-        &CostParams::default(),
-    );
-    assert!(analysis.legality.is_legal());
-    let spmd = syncplace::codegen::spmd_program(&prog, &dfg, &analysis.solutions[0]);
-    (prog, bindings, mesh, spmd)
-}
+use syncplace_suite::fixed_iteration_testiv;
 
 /// Run `f` under a fresh registry over the whole key vocabulary and
 /// hand back its result with the snapshot, which must have dropped
@@ -111,7 +86,7 @@ fn expected_pair_packets(prog: &Program, plan: &CommPlan, iters: usize) -> Vec<V
 #[test]
 fn batched_recorded_packets_match_commplan_structural_bound() {
     const ITERS: usize = 5;
-    let (prog, bindings, mesh, spmd) = fixed_iteration_setup(ITERS, 9);
+    let (prog, bindings, mesh, spmd) = fixed_iteration_testiv(ITERS, 9);
 
     for p in [2usize, 4, 8] {
         let part = partition2d(&mesh, p, Method::Greedy);
@@ -150,7 +125,7 @@ fn batched_recorded_packets_match_commplan_structural_bound() {
 #[test]
 fn pool_workers_aggregate_counters_into_one_recorder() {
     const ITERS: usize = 4;
-    let (prog, bindings, mesh, spmd) = fixed_iteration_setup(ITERS, 9);
+    let (prog, bindings, mesh, spmd) = fixed_iteration_testiv(ITERS, 9);
     let p = 4usize;
     let part = partition2d(&mesh, p, Method::Greedy);
     let d = decompose2d(&mesh, &part.part, p, Pattern::FIG1);
@@ -207,7 +182,7 @@ fn round_robin_pair_values_match_the_pooled_wire() {
     // per peer per round. With a recorder attached both must account
     // the same values on every ordered pair, and coalescing may only
     // ever lower the packet count.
-    let (prog, bindings, mesh, spmd) = fixed_iteration_setup(3, 9);
+    let (prog, bindings, mesh, spmd) = fixed_iteration_testiv(3, 9);
     for p in [2usize, 4] {
         let part = partition2d(&mesh, p, Method::Greedy);
         let d = decompose2d(&mesh, &part.part, p, Pattern::FIG1);

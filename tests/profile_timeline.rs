@@ -21,30 +21,7 @@ use syncplace::obs::{
 };
 use syncplace::prelude::*;
 use syncplace::Engine;
-
-/// TESTIV with a fixed iteration count (eps = 0 never converges), same
-/// construction as `tests/obs_trace.rs`.
-fn fixed_iteration_setup(
-    iters: usize,
-) -> (
-    Program,
-    syncplace::runtime::Bindings,
-    Mesh2d,
-    syncplace::codegen::SpmdProgram,
-) {
-    let prog = syncplace::ir::programs::testiv_with(iters);
-    let mesh = gen2d::perturbed_grid(9, 9, 0.2, 11);
-    let bindings = syncplace::runtime::bindings::testiv_bindings(&prog, &mesh, 0.0);
-    let (dfg, analysis) = analyze_program(
-        &prog,
-        &fig6(),
-        &SearchOptions::default(),
-        &CostParams::default(),
-    );
-    assert!(analysis.legality.is_legal());
-    let spmd = syncplace::codegen::spmd_program(&prog, &dfg, &analysis.solutions[0]);
-    (prog, bindings, mesh, spmd)
-}
+use syncplace_suite::fixed_iteration_testiv;
 
 fn run_teed(
     engine: Engine,
@@ -53,7 +30,7 @@ fn run_teed(
     syncplace::obs::MetricsSnapshot,
     syncplace::obs::TimelineSnapshot,
 ) {
-    let (prog, bindings, mesh, spmd) = fixed_iteration_setup(6);
+    let (prog, bindings, mesh, spmd) = fixed_iteration_testiv(6, 9);
     let part = partition2d(&mesh, p, Method::Greedy);
     let d = decompose2d(&mesh, &part.part, p, Pattern::FIG1);
     let tr = Arc::new(MetricsRegistry::new(keys::ALL));
