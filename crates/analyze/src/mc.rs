@@ -1,12 +1,12 @@
 //! Schedule model checker: exhaustive small-scope interleaving
 //! exploration for the runtime engines (DESIGN.md §12).
 //!
-//! A compiled [`CommPlan`] plus an engine's scheduling discipline is
+//! A compiled [`CommPlan`]'s tape, walked by an engine's rules, is
 //! abstracted into a transition system of per-rank operations
 //! ([`McOp`]): tagged sends and receives over per-ordered-pair FIFO
 //! channels, staging-slot acquire/recycle credits (the overlapped
-//! engine's double-buffer discipline, including its wrap-around tail
-//! posts) and gang barriers. [`check`] then explores **every**
+//! engine's double-buffer discipline) and gang barriers — so the
+//! checker proves the order that runs. [`check`] then explores **every**
 //! inequivalent interleaving at small P (≤ 4 is practical) with a
 //! sleep-set partial-order reduction over a conditional (state-aware)
 //! independence relation, proving for the explored program:
@@ -28,12 +28,14 @@
 //! the cap is hit the reduced-DFS trace is reported instead). The
 //! [`Mutation`] suite seeds representative concurrency defects —
 //! dropped barriers, lost/duplicated messages, wildcard receives,
-//! early tail posts without a buffer acquire, swapped staging
+//! posts without a buffer acquire, swapped staging
 //! destinations — each of which the checker must report under its
 //! exact SA05x code (`tests/racecheck.rs`).
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use syncplace_ir::diag::{codes, Diagnostic, Report, Span};
+use syncplace_runtime::comm::{reduce_tree_children, reduce_tree_parent};
+use syncplace_runtime::tape::{Cursor, Op, Split};
 use syncplace_runtime::{CommPlan, Engine};
 
 /// One abstract per-rank operation of the modelled schedule.
@@ -90,195 +92,162 @@ pub struct McProgram {
     pub seed_credits: Vec<u32>,
 }
 
-const R1: usize = 0;
-const R2: usize = 1;
-const TREE_UP: usize = 2;
-const TREE_DOWN: usize = 3;
+/// Round 1 of a phase: the coalesced pair packets a post ships.
+pub const R1: usize = 0;
+/// Round 2 of a phase: assembled totals, owners to participants.
+pub const R2: usize = 1;
+/// Partials (or exit decisions) up a binomial-tree edge.
+pub const TREE_UP: usize = 2;
+/// Totals (or the agreed exit verdict) down a binomial-tree edge.
+pub const TREE_DOWN: usize = 3;
 
 /// Content tag for (phase, round, ordered pair): both ends derive it
-/// independently, so a mismatch means the wrong content arrived.
+/// independently, so a mismatch means the wrong content arrived. An
+/// exit agreement tags as phase `phases + exit statement id`.
 fn tag(phase: usize, round: usize, from: usize, to: usize, n: usize) -> u32 {
     ((((phase * 4 + round) * n + from) * n) + to) as u32
 }
 
-fn tag_phase(t: u32, n: usize) -> usize {
-    (t as usize / (n * n)) / 4
+/// The `(phase, round)` a tag of an `n`-rank program encodes.
+pub fn tag_parts(t: u32, n: usize) -> (usize, usize) {
+    let pr = t as usize / (n * n);
+    (pr / 4, pr % 4)
 }
 
-fn push_sends(o: &mut Vec<McOp>, plan: &CommPlan, r: usize, k: usize, staged: bool) {
-    let n = plan.nparts;
-    let rp = &plan.phases[k].ranks[r];
-    for q in 0..n {
-        if q != r && rp.send1_len[q] > 0 {
-            o.push(McOp::Send {
-                to: q,
-                tag: tag(k, R1, r, q, n),
-                staged,
-                acquire: true,
-            });
-        }
-    }
+/// One rank's op list as the tape walk builds it. Only round-1 packets
+/// travel in recycled staging buffers (when the engine stages at all).
+struct Model<'a> {
+    plan: &'a CommPlan,
+    r: usize,
+    staged: bool,
+    ops: Vec<McOp>,
 }
 
-/// The complete half of phase `k` on rank `r`, in the order
-/// `RankProc::complete_phase` (`runtime/src/pooled.rs`) executes it:
-/// round-1 receives, the reduction tree (children → parent →
-/// children), then round 2.
-fn push_completes(o: &mut Vec<McOp>, plan: &CommPlan, r: usize, k: usize, staged: bool) {
-    let n = plan.nparts;
-    let ph = &plan.phases[k];
-    let rp = &ph.ranks[r];
-    for q in 0..n {
-        if q != r && rp.has_recv1[q] {
-            o.push(McOp::Recv {
-                from: q,
-                expect: tag(k, R1, q, r, n),
-                staged,
-            });
+impl Model<'_> {
+    fn send(&mut self, to: usize, k: usize, round: usize) {
+        let tag = tag(k, round, self.r, to, self.plan.nparts);
+        let staged = self.staged && round == R1;
+        self.ops.push(McOp::Send { to, tag, staged, acquire: true });
+    }
+
+    fn recv(&mut self, from: usize, k: usize, round: usize) {
+        let expect = tag(k, round, from, self.r, self.plan.nparts);
+        let staged = self.staged && round == R1;
+        self.ops.push(McOp::Recv { from, expect, staged });
+    }
+
+    /// The post half of phase `k`: one round-1 packet per peer.
+    fn post(&mut self, k: usize) {
+        let (plan, r) = (self.plan, self.r);
+        let rp = &plan.phases[k].ranks[r];
+        for q in (0..plan.nparts).filter(|&q| q != r && rp.send1_len[q] > 0) {
+            self.send(q, k, R1);
         }
     }
-    // The phase-shared reduction tree: partials up, total back down.
-    if ph.reduces > 0 && n > 1 {
-        for &c in &rp.red_children {
-            o.push(McOp::Recv {
-                from: c as usize,
-                expect: tag(k, TREE_UP, c as usize, r, n),
-                staged: false,
-            });
-        }
-        if let Some(p) = rp.red_parent {
-            let p = p as usize;
-            o.push(McOp::Send {
-                to: p,
-                tag: tag(k, TREE_UP, r, p, n),
-                staged: false,
-                acquire: true,
-            });
-            o.push(McOp::Recv {
-                from: p,
-                expect: tag(k, TREE_DOWN, p, r, n),
-                staged: false,
-            });
-        }
-        for &c in &rp.red_children {
-            o.push(McOp::Send {
-                to: c as usize,
-                tag: tag(k, TREE_DOWN, r, c as usize, n),
-                staged: false,
-                acquire: true,
-            });
+
+    /// Phase `k`'s round-1 receives: a completion's first step, and all
+    /// a drain does.
+    fn drain(&mut self, k: usize) {
+        let (plan, r) = (self.plan, self.r);
+        let rp = &plan.phases[k].ranks[r];
+        for q in (0..plan.nparts).filter(|&q| q != r && rp.has_recv1[q]) {
+            self.recv(q, k, R1);
         }
     }
-    // Round 2 (assembled totals back to participants) closes the
-    // phase, after the tree, synchronously inside the completion.
-    for q in 0..n {
-        if q != r && rp.send2_len[q] > 0 {
-            o.push(McOp::Send {
-                to: q,
-                tag: tag(k, R2, r, q, n),
-                staged: false,
-                acquire: true,
-            });
+
+    /// One binomial-tree round trip tagged as phase `k`: values from the
+    /// children, up to the parent and back, down to the children.
+    fn tree(&mut self, k: usize, parent: Option<usize>, children: &[usize]) {
+        children.iter().for_each(|&c| self.recv(c, k, TREE_UP));
+        if let Some(p) = parent {
+            self.send(p, k, TREE_UP);
+            self.recv(p, k, TREE_DOWN);
         }
+        children.iter().for_each(|&c| self.send(c, k, TREE_DOWN));
     }
-    for q in 0..n {
-        if q != r && !rp.recv2[q].is_empty() {
-            o.push(McOp::Recv {
-                from: q,
-                expect: tag(k, R2, q, r, n),
-                staged: false,
-            });
+
+    /// The complete half of phase `k`, in the order
+    /// `RankProc::complete_phase` (`runtime/src/pooled.rs`) executes it:
+    /// round-1 receives, the reduction tree (no edges without
+    /// reductions), then round 2.
+    fn complete(&mut self, k: usize) {
+        self.drain(k);
+        let (plan, r) = (self.plan, self.r);
+        let rp = &plan.phases[k].ranks[r];
+        let children: Vec<usize> = rp.red_children.iter().map(|&c| c as usize).collect();
+        self.tree(k, rp.red_parent.map(|p| p as usize), &children);
+        for q in (0..plan.nparts).filter(|&q| q != r && rp.send2_len[q] > 0) {
+            self.send(q, k, R2);
+        }
+        for q in (0..plan.nparts).filter(|&q| q != r && !rp.recv2[q].is_empty()) {
+            self.recv(q, k, R2);
         }
     }
 }
 
-/// Abstract `plan` as scheduled by `engine` over `sweeps` time-loop
-/// iterations into a checkable transition system. The three modelled
-/// disciplines:
+/// Abstract `plan` as `engine` runs it into a checkable transition
+/// system, every time loop unrolled to `sweeps` iterations. Each rank
+/// walks the plan's tape ([`syncplace_runtime::tape`]), the schedule
+/// the engines step through, by the engines' own rules: a
+/// [`Op::Complete`] posts unless the phase is on the wire, then
+/// completes it; a [`Op::Post`] or a producer split posts early, and
+/// only [`Engine::Overlapped`] honours them; an exit that needs
+/// agreement runs the binomial tree (no exit is taken); leaving a loop
+/// drains any post still on the wire.
 ///
-/// * [`Engine::RoundRobin`] — plain phase-ordered send-then-receive,
-///   no gang barrier.
-/// * [`Engine::Batched`] — the same phase order as rank tasks on W
-///   pool workers (any W: run-to-block schedules are a subset of the
-///   interleavings explored here; gang-join barrier at the end),
-///   coalesced per-peer packets recycling through per-pair free lists
-///   (credits seeded empty — first acquire allocates).
-/// * [`Engine::Overlapped`] — split-phase staged posts issued one
-///   phase early (double-buffered, credits seeded at 2 per pair) with
-///   wrap-around tail posts between sweeps.
+/// The engine supplies only the rest: the pooled engines stage round 1
+/// in recycled buffers (seeded at two per talking pair for the
+/// overlapped engine's double buffering, empty for batched — the first
+/// acquire allocates) and meet at the gang join; round-robin's model is
+/// the same message order, unstaged, with no join.
 pub fn from_plan(plan: &CommPlan, engine: Engine, sweeps: usize) -> McProgram {
-    let n = plan.nparts;
-    let m = plan.phases.len();
-    let mut ops: Vec<Vec<McOp>> = vec![Vec::new(); n];
-    let mut seed_credits = vec![0u32; n * n];
-    match engine {
-        Engine::Overlapped => {
-            for (r, o) in ops.iter_mut().enumerate() {
-                if m > 0 {
-                    // Prologue post, then each completed phase
-                    // immediately posts the next one (wrapping into
-                    // the next sweep's first phase — the tail posts
-                    // `post_at_tail` fires after the sweep body).
-                    // A rank may thus run a full phase ahead of a
-                    // peer, so a pair's channel holds two in-flight
-                    // packets — the split-phase overlap the double
-                    // buffers exist for. A post *before* the
-                    // same-rank complete would reorder round-1
-                    // traffic ahead of the previous phase's tree
-                    // packets on the shared FIFO, which the real
-                    // engine's program order never does.
-                    push_sends(o, plan, r, 0, true);
-                    for s in 0..sweeps {
-                        for k in 0..m {
-                            push_completes(o, plan, r, k, true);
-                            let next = if k + 1 < m {
-                                Some(k + 1)
-                            } else if s + 1 < sweeps {
-                                Some(0)
-                            } else {
-                                None
-                            };
-                            if let Some(nk) = next {
-                                push_sends(o, plan, r, nk, true);
-                            }
+    let (n, m) = (plan.nparts, plan.phases.len());
+    let (early, pooled) = (engine == Engine::Overlapped, engine != Engine::RoundRobin);
+    let tape = plan.ops().unwrap_or_default();
+    let ops = (0..n).map(|r| {
+        let mut rank = Model { plan, r, staged: pooled, ops: Vec::new() };
+        let mut posted = vec![false; m];
+        for op in Cursor::unrolled(tape, sweeps) {
+            match op {
+                Op::Post(k) | Op::Loop { split: Some(Split { phase: k, .. }), .. } if early => {
+                    rank.post(*k);
+                    posted[*k] = true;
+                }
+                Op::Complete(k) => {
+                    if !std::mem::take(&mut posted[*k]) {
+                        rank.post(*k);
+                    }
+                    rank.complete(*k);
+                }
+                Op::Exit { id, agree: true, .. } => {
+                    rank.tree(m + id, reduce_tree_parent(r), &reduce_tree_children(r, n));
+                }
+                Op::Tail { .. } => {
+                    for (k, on_wire) in posted.iter_mut().enumerate() {
+                        if std::mem::take(on_wire) {
+                            rank.drain(k);
                         }
                     }
                 }
-                o.push(McOp::Barrier { id: 0 });
-            }
-            // Two buffers per talking pair, exactly as
-            // `seed_double_buffers` provisions them.
-            for r in 0..n {
-                for q in 0..n {
-                    if q != r && plan.phases.iter().any(|ph| ph.ranks[r].send1_len[q] > 0) {
-                        seed_credits[r * n + q] = 2;
-                    }
-                }
+                _ => {}
             }
         }
-        Engine::RoundRobin | Engine::Batched => {
-            // Round-robin and batched both execute phases in order:
-            // post everything, then complete. Batched buffers recycle
-            // through free lists seeded empty, and its ranks meet at
-            // the pool's gang join.
-            let batched = engine == Engine::Batched;
-            for (r, o) in ops.iter_mut().enumerate() {
-                for _ in 0..sweeps {
-                    for k in 0..m {
-                        push_sends(o, plan, r, k, batched);
-                        push_completes(o, plan, r, k, batched);
-                    }
-                }
-                if batched {
-                    o.push(McOp::Barrier { id: 0 });
-                }
-            }
+        if pooled {
+            rank.ops.push(McOp::Barrier { id: 0 });
+        }
+        rank.ops
+    });
+    let mut seed_credits = vec![0u32; n * n];
+    for (r, q) in (0..n).flat_map(|r| (0..n).map(move |q| (r, q))) {
+        // Two buffers per talking pair, as `seed_double_buffers` does.
+        if early && q != r && plan.phases.iter().any(|ph| ph.ranks[r].send1_len[q] > 0) {
+            seed_credits[r * n + q] = 2;
         }
     }
     McProgram {
         label: format!("{}:P{}x{}", engine.name(), n, sweeps),
         nranks: n,
-        ops,
+        ops: ops.collect(),
         seed_credits,
     }
 }
@@ -488,7 +457,7 @@ fn exec(prog: &McProgram, st: &mut St, t: Trans, fallbacks: &mut u64) -> Result<
                             return Err(Violation {
                                 code: codes::MC_STAGE_OVERWRITE,
                                 rank,
-                                phase: tag_phase(tag, n),
+                                phase: tag_parts(tag, n).0,
                                 msg: format!(
                                     "rank {rank} posts to rank {to} without acquiring a \
                                      staging slot while {} message(s) are still undrained",
@@ -521,7 +490,7 @@ fn exec(prog: &McProgram, st: &mut St, t: Trans, fallbacks: &mut u64) -> Result<
                         return Err(Violation {
                             code,
                             rank,
-                            phase: tag_phase(expect, n),
+                            phase: tag_parts(expect, n).0,
                             msg: format!(
                                 "rank {rank} received tag {got} from rank {from} where the \
                                  schedule expects tag {expect}"
@@ -580,7 +549,7 @@ fn halt(prog: &McProgram, st: &St) -> Halt {
                     return Halt::Violation(Violation {
                         code: codes::MC_DEADLOCK,
                         rank: r,
-                        phase: tag_phase(expect, n),
+                        phase: tag_parts(expect, n).0,
                         msg: format!(
                             "rank {r} blocks forever receiving from rank {from} \
                              (expected tag {expect} never sent)"
@@ -939,8 +908,8 @@ pub enum Mutation {
         /// The rank whose receives lose their source matching.
         rank: usize,
     },
-    /// Make the wrap-around tail post (the last phase-0 staged send
-    /// on the pair) skip its buffer acquire — the "early tail post"
+    /// Make the last phase-0 staged send on the pair skip its buffer
+    /// acquire, reusing a buffer that may still be in flight — the
     /// defect the double buffers exist to prevent.
     PostWithoutAcquire {
         /// Sender rank.
@@ -961,47 +930,21 @@ impl Mutation {
     /// matching site (the mutation is inapplicable, not applied).
     pub fn apply(&self, p: &mut McProgram) -> bool {
         let n = p.nranks;
+        let send_to = |to: usize| move |o: &McOp| matches!(*o, McOp::Send { to: t, .. } if t == to);
+        let remove = |ops: &mut Vec<McOp>, i: usize| {
+            ops.remove(i);
+        };
         match *self {
             Mutation::DropBarrier { rank } => {
-                let Some(i) = p.ops[rank]
-                    .iter()
-                    .rposition(|o| matches!(o, McOp::Barrier { .. }))
-                else {
-                    return false;
-                };
-                p.ops[rank].remove(i);
-                true
+                at_last(&mut p.ops[rank], |o| matches!(o, McOp::Barrier { .. }), remove)
             }
-            Mutation::DropLastSend { from, to } => {
-                let Some(i) = p.ops[from]
-                    .iter()
-                    .rposition(|o| matches!(o, McOp::Send { to: t, .. } if *t == to))
-                else {
-                    return false;
-                };
-                p.ops[from].remove(i);
-                true
-            }
+            Mutation::DropLastSend { from, to } => at_last(&mut p.ops[from], send_to(to), remove),
             Mutation::DropLastRecv { from, to } => {
-                let Some(i) = p.ops[to]
-                    .iter()
-                    .rposition(|o| matches!(o, McOp::Recv { from: f, .. } if *f == from))
-                else {
-                    return false;
-                };
-                p.ops[to].remove(i);
-                true
+                let hit = |o: &McOp| matches!(*o, McOp::Recv { from: f, .. } if f == from);
+                at_last(&mut p.ops[to], hit, remove)
             }
             Mutation::DupLastSend { from, to } => {
-                let Some(i) = p.ops[from]
-                    .iter()
-                    .rposition(|o| matches!(o, McOp::Send { to: t, .. } if *t == to))
-                else {
-                    return false;
-                };
-                let dup = p.ops[from][i];
-                p.ops[from].insert(i + 1, dup);
-                true
+                at_last(&mut p.ops[from], send_to(to), |ops, i| ops.insert(i + 1, ops[i]))
             }
             Mutation::WildcardRecvs { rank } => {
                 let mut sources = HashSet::new();
@@ -1014,36 +957,38 @@ impl Mutation {
                 sources.len() >= 2
             }
             Mutation::PostWithoutAcquire { from, to } => {
-                let Some(i) = p.ops[from].iter().rposition(|o| {
-                    matches!(o, McOp::Send { to: t, tag, staged: true, .. }
-                             if *t == to && tag_phase(*tag, n) == 0)
-                }) else {
-                    return false;
+                let hit = |o: &McOp| {
+                    matches!(*o, McOp::Send { to: t, tag, staged: true, .. }
+                             if t == to && tag_parts(tag, n).0 == 0)
                 };
-                if let McOp::Send { acquire, .. } = &mut p.ops[from][i] {
-                    *acquire = false;
-                }
-                true
+                at_last(&mut p.ops[from], hit, |ops, i| {
+                    if let McOp::Send { acquire, .. } = &mut ops[i] {
+                        *acquire = false;
+                    }
+                })
             }
             Mutation::SwapSendDests { rank } => {
                 let Some(i) = adjacent_send_pair(p, rank) else {
                     return false;
                 };
-                let (McOp::Send { to: t1, .. }, McOp::Send { to: t2, .. }) =
-                    (p.ops[rank][i], p.ops[rank][i + 1])
-                else {
-                    return false;
-                };
-                if let McOp::Send { to, .. } = &mut p.ops[rank][i] {
-                    *to = t2;
-                }
-                if let McOp::Send { to, .. } = &mut p.ops[rank][i + 1] {
-                    *to = t1;
+                if let [McOp::Send { to: a, .. }, McOp::Send { to: b, .. }] = &mut p.ops[rank][i..i + 2] {
+                    std::mem::swap(a, b);
                 }
                 true
             }
         }
     }
+}
+
+/// Apply `edit` at the last op of `ops` that `hit` matches; false when
+/// none does (the mutation is inapplicable).
+fn at_last(
+    ops: &mut Vec<McOp>,
+    hit: impl Fn(&McOp) -> bool,
+    edit: impl FnOnce(&mut Vec<McOp>, usize),
+) -> bool {
+    let found = ops.iter().rposition(hit);
+    found.map(|i| edit(ops, i)).is_some()
 }
 
 /// The last pair of *adjacent* sends with different destinations in
@@ -1066,93 +1011,48 @@ pub fn default_mutations(prog: &McProgram) -> Vec<(Mutation, &'static str)> {
     let mut out = Vec::new();
     // The globally-last send on some pair: take the first rank with
     // any send; its final send op closes that pair's traffic.
-    let last_pair = prog.ops.iter().enumerate().find_map(|(r, ops)| {
-        ops.iter()
-            .rev()
-            .find_map(|o| match o {
-                McOp::Send { to, .. } => Some((r, *to)),
-                _ => None,
-            })
-    });
-    if let Some((f, t)) = last_pair {
-        out.push((Mutation::DropLastSend { from: f, to: t }, codes::MC_DEADLOCK));
-        out.push((Mutation::DupLastSend { from: f, to: t }, codes::MC_RESIDUAL));
-        out.push((Mutation::DropLastRecv { from: f, to: t }, codes::MC_RESIDUAL));
+    let sends = |r: usize| {
+        let to = |o: &McOp| match *o {
+            McOp::Send { to, tag, staged, .. } => Some((to, tag_parts(tag, n).0, staged)),
+            _ => None,
+        };
+        prog.ops[r].iter().filter_map(to).collect::<Vec<_>>()
+    };
+    if let Some((from, to)) = (0..n).find_map(|r| Some((r, sends(r).last()?.0))) {
+        out.push((Mutation::DropLastSend { from, to }, codes::MC_DEADLOCK));
+        out.push((Mutation::DupLastSend { from, to }, codes::MC_RESIDUAL));
+        out.push((Mutation::DropLastRecv { from, to }, codes::MC_RESIDUAL));
     }
     // Wildcard: the rank hearing from the most distinct peers.
-    let wild = (0..n)
-        .map(|r| {
-            let srcs: HashSet<usize> = prog.ops[r]
-                .iter()
-                .filter_map(|o| match o {
-                    McOp::Recv { from, .. } => Some(*from),
-                    _ => None,
-                })
-                .collect();
-            (srcs.len(), r)
-        })
-        .max();
-    if let Some((srcs, r)) = wild {
-        if srcs >= 2 {
-            out.push((Mutation::WildcardRecvs { rank: r }, codes::MC_NONDET));
-        }
+    let sources = |r: usize| {
+        let from = |o: &McOp| if let McOp::Recv { from, .. } = *o { Some(from) } else { None };
+        prog.ops[r].iter().filter_map(from).collect::<HashSet<_>>().len()
+    };
+    if let Some((_, rank)) = (0..n).map(|r| (sources(r), r)).max().filter(|w| w.0 >= 2) {
+        out.push((Mutation::WildcardRecvs { rank }, codes::MC_NONDET));
     }
-    if let Some(r) = (0..n).find(|&r| {
-        prog.ops[r]
-            .iter()
-            .any(|o| matches!(o, McOp::Barrier { .. }))
-    }) {
-        out.push((
-            Mutation::DropBarrier { rank: r },
-            codes::MC_BARRIER_DIVERGENCE,
-        ));
+    let barrier = |r: &usize| prog.ops[*r].iter().any(|o| matches!(o, McOp::Barrier { .. }));
+    if let Some(rank) = (0..n).find(barrier) {
+        out.push((Mutation::DropBarrier { rank }, codes::MC_BARRIER_DIVERGENCE));
     }
-    if let Some(i) = (0..n).find_map(|r| adjacent_send_pair(prog, r).map(|i| (r, i))) {
-        let (r, i) = i;
-        let staged = matches!(prog.ops[r][i], McOp::Send { staged: true, .. });
-        out.push((
-            Mutation::SwapSendDests { rank: r },
-            if staged {
-                codes::MC_STAGE_OVERWRITE
-            } else {
-                codes::MC_NONDET
-            },
-        ));
+    if let Some((rank, i)) = (0..n).find_map(|r| Some((r, adjacent_send_pair(prog, r)?))) {
+        let staged = matches!(prog.ops[rank][i], McOp::Send { staged: true, .. });
+        let code = if staged { codes::MC_STAGE_OVERWRITE } else { codes::MC_NONDET };
+        out.push((Mutation::SwapSendDests { rank }, code));
     }
-    // Early tail post: a staged pair whose wrap-around re-post of
-    // phase 0 can overlap an undrained tail-phase message.
-    let max_phase = prog
-        .ops
-        .iter()
-        .flatten()
-        .filter_map(|o| match o {
-            McOp::Send { tag, staged: true, .. } => Some(tag_phase(*tag, n)),
-            _ => None,
-        })
-        .max();
-    if let Some(mp) = max_phase {
-        'outer: for f in 0..n {
-            for t in 0..n {
-                let phases: Vec<usize> = prog.ops[f]
-                    .iter()
-                    .filter_map(|o| match o {
-                        McOp::Send { to, tag, staged: true, .. } if *to == t => {
-                            Some(tag_phase(*tag, n))
-                        }
-                        _ => None,
-                    })
-                    .collect();
-                let vulnerable = phases.len() >= 2
-                    && phases.contains(&0)
-                    && (mp == 0 || phases.contains(&mp));
-                if vulnerable {
-                    out.push((
-                        Mutation::PostWithoutAcquire { from: f, to: t },
-                        codes::MC_STAGE_OVERWRITE,
-                    ));
-                    break 'outer;
-                }
-            }
+    // Post without acquire: a staged pair whose later re-post of
+    // phase 0 can overlap an undrained message of the last phase.
+    let staged: Vec<Vec<(usize, usize)>> = (0..n)
+        .map(|r| sends(r).into_iter().filter(|s| s.2).map(|(to, k, _)| (to, k)).collect())
+        .collect();
+    if let Some(mp) = staged.iter().flatten().map(|&(_, k)| k).max() {
+        let vulnerable = |&(f, t): &(usize, usize)| {
+            let phases: Vec<usize> = (staged[f].iter()).filter(|s| s.0 == t).map(|s| s.1).collect();
+            phases.len() >= 2 && phases.contains(&0) && (mp == 0 || phases.contains(&mp))
+        };
+        let mut pairs = (0..n).flat_map(|f| (0..n).map(move |t| (f, t)));
+        if let Some((from, to)) = pairs.find(vulnerable) {
+            out.push((Mutation::PostWithoutAcquire { from, to }, codes::MC_STAGE_OVERWRITE));
         }
     }
     out
@@ -1345,7 +1245,7 @@ mod tests {
                             McOp::Send { tag, .. } | McOp::Recv { expect: tag, .. } => Some(tag),
                             _ => None,
                         })
-                        .filter(|&t| tag_phase(t, n) == k)
+                        .filter(|&t| tag_parts(t, n).0 == k)
                         .map(round)
                         .collect();
                     let last_tree = rounds.iter().rposition(|&x| x == TREE_UP || x == TREE_DOWN);

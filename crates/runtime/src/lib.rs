@@ -14,8 +14,12 @@
 //!   every engine (and the reference run) drives.
 //! * [`bindings`] — how program variables bind to mesh data
 //!   (indirection maps to connectivity, input arrays to values).
+//! * [`tape`] — the placed program lowered once into a flat op list
+//!   (loops, assignments, phase posts and completions, exits, time-loop
+//!   heads and tails) that every engine steps through and the model
+//!   checker checks.
 //! * [`spmd`] — the deterministic round-robin engine: all processors
-//!   advance statement by statement; `C$SYNCHRONIZE` points apply the
+//!   advance op by op; `C$SYNCHRONIZE` points apply the
 //!   decomposition's communication schedules and are counted
 //!   ([`comm::CommStats`]).
 //! * [`plan`] — the batched communication plan: one coalesced packet
@@ -33,9 +37,9 @@
 //!   recycled zero-copy staging buffers, posting each phase late
 //!   (`batched`) or early (`overlapped`); bitwise identical to
 //!   round-robin.
-//! * [`overlap`] — the early-posting schedule: interface iterations
-//!   first, early coalesced sends, interior compute while packets are
-//!   in flight.
+//! * [`overlap`] — the producer splits of the early-posting schedule:
+//!   interface iterations first, early coalesced sends, interior
+//!   compute while packets are in flight.
 //! * [`timing`] — the α/β performance model used to produce the
 //!   speedup curves of experiment E6 (the paper's §2.4 cites 20–26×
 //!   on 32 processors for the real application [Farhat & Lanteri]).
@@ -68,6 +72,7 @@ pub mod plan;
 pub mod pool;
 pub mod pooled;
 pub mod spmd;
+pub mod tape;
 pub mod timing;
 
 pub use bindings::{Bindings, MapBinding};
@@ -75,7 +80,7 @@ pub use comm::CommStats;
 pub use decomp::{decompose2d_par, decompose3d_par, decompose_par};
 pub use exec::{run_sequential, Machine, SeqResult};
 pub use kernel::Kernel;
-pub use overlap::{OverlapPlan, OverlapReport};
+pub use overlap::OverlapReport;
 pub use plan::CommPlan;
 pub use pool::SpmdPool;
 pub use spmd::SpmdResult;
@@ -88,24 +93,24 @@ use syncplace_obs::RecorderRef;
 use syncplace_overlap::Decomposition;
 
 /// Which SPMD engine executes a placed program — the one engine
-/// identity of the workspace. All three produce bitwise-identical
-/// results; an engine is only a choice of schedule.
+/// identity of the workspace. Every engine steps through the same
+/// lowered schedule ([`tape`]) and honours a different subset of its
+/// ops; all three produce bitwise-identical results.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Engine {
     /// The deterministic round-robin reference executor ([`spmd`]):
-    /// one thread advances every rank statement by statement.
+    /// one thread advances every rank op by op.
     RoundRobin,
     /// Rank tasks on the W-worker pool ([`SpmdPool`], W =
     /// `available_parallelism` whatever P is) exchanging batched
     /// zero-copy phases: one coalesced packet per peer per phase,
-    /// recycled staging buffers, posted at the insertion point
-    /// ([`pooled`], late posting). A rank that fails makes the run an
-    /// `Err`, never a hang.
+    /// recycled staging buffers, posted at the completion ([`pooled`],
+    /// late posting: the tape's early posts are skipped). A rank that
+    /// fails makes the run an `Err`, never a hang.
     Batched,
     /// The batched wire plus communication/compute overlap: round-1
-    /// sends post early (producer splits, hoisted posts, wrap-around
-    /// pipelining — [`overlap`]) and the staging area is
-    /// double-buffered.
+    /// sends post at the tape's hoisted posts and producer splits
+    /// ([`overlap`]) and the staging area is double-buffered.
     Overlapped,
 }
 

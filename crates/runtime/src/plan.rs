@@ -24,8 +24,13 @@
 //! identical**. Reduction partials travel on dedicated tree-edge
 //! packets — `2(P−1)` messages per phase shared by all of its reduce
 //! ops — never on the round-1 pair packets.
+//!
+//! The plan also carries the program lowered onto its phases, early
+//! posts placed ([`CommPlan::tape`], [`crate::tape`]): the one schedule
+//! the pooled engines and the model checker step through.
 
 use crate::comm::{merge_phase, PhaseContribution, PhaseStat};
+use crate::tape::{self, Op};
 use syncplace_codegen::{CommOp, PhaseAt, SpmdProgram};
 use syncplace_dfg::ReduceOp;
 use syncplace_ir::{Access, Expr, IdVec, Program, Stmt, VarId, VarKind};
@@ -166,6 +171,11 @@ pub struct CommPlan {
     /// these need the pooled engines' agreement tree. Every other test
     /// reads only scalars the program keeps bitwise replicated.
     pub agree: IdVec<()>,
+    /// The program lowered onto these phases, early posts placed: the
+    /// one schedule every engine steps through and the model checker
+    /// checks ([`crate::tape`]). `Err` is the refusal of a program with
+    /// a loop no engine runs.
+    pub tape: Result<Vec<Op>, String>,
 }
 
 impl CommPlan {
@@ -173,6 +183,11 @@ impl CommPlan {
     /// phases (the bench's "one packet per peer per phase" check).
     pub fn packets_per_sweep(&self) -> usize {
         self.phases.iter().map(|p| p.stat.messages).sum()
+    }
+
+    /// The plan's tape, or the refusal every engine answers with.
+    pub fn ops(&self) -> Result<&[Op], String> {
+        self.tape.as_deref().map_err(Clone::clone)
     }
 
     /// Build the plan. Pure function of the placement and schedules.
@@ -199,8 +214,10 @@ impl CommPlan {
         let mut same = inputs.collect();
         let mut agree = IdVec::default();
         unproven_exits(&prog.body, spmd, &mut same, &mut agree, &mut Vec::new());
+        let gathered: Vec<IdVec<()>> = phases.iter().map(gathered_vars).collect();
         CommPlan {
             nparts,
+            tape: tape::lower(prog, spmd, &agree, &gathered),
             phases,
             before,
             at_end,
@@ -268,6 +285,13 @@ fn unproven_exits(
             }
         }
     }
+}
+
+/// Union over every rank and peer of the arrays a phase gathers into
+/// its round-1 packets.
+fn gathered_vars(ph: &PhasePlan) -> IdVec<()> {
+    let items = ph.ranks.iter().flat_map(|rp| rp.send1.iter().flatten());
+    items.map(|PackItem::Gather { var, .. }| (*var, ())).collect()
 }
 
 fn build_phase<const V: usize>(

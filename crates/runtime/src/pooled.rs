@@ -1,43 +1,45 @@
 //! The pooled rank-process core: the one concurrent SPMD engine.
 //!
-//! Every rank runs the unmodified program as a task on the W-worker
-//! [`crate::pool::SpmdPool`] — it holds a worker from one receive that
-//! has to wait to the next, never a thread of its own — and executes a
-//! [`crate::plan::CommPlan`]: one coalesced packet per peer per phase,
-//! staging buffers moved through per-ordered-pair FIFO [`Mailbox`]es
-//! (no copy) and recycled on a per-peer free list. Each phase has a
-//! **post** half (pack + ship the round-1 packets) and a **complete**
-//! half (receive, scatter, assemble, tree-reduce, round 2, recycle).
-//! The only parameter is *when* the post half runs, and the
+//! Every rank steps through the plan's tape ([`crate::tape`]) as a task
+//! on the W-worker [`crate::pool::SpmdPool`] — it holds a worker from
+//! one receive that has to wait to the next, never a thread of its own
+//! — and executes a [`crate::plan::CommPlan`]: one coalesced packet per
+//! peer per phase, staging buffers moved through per-ordered-pair FIFO
+//! [`Mailbox`]es (no copy) and recycled on a per-peer free list. Each
+//! phase has a **post** half (pack + ship the round-1 packets) and a
+//! **complete** half (receive, scatter, assemble, tree-reduce, round 2,
+//! recycle). The only parameter is *when* the post half runs, and the
 //! [`Engine`] says it:
 //!
-//! * [`Engine::Batched`] posts **late**: at the insertion point,
-//!   immediately before completing. Staging buffers are allocated on
-//!   first use and recycled from then on.
-//! * [`Engine::Overlapped`] posts **early**: at the sites of an
-//!   [`OverlapPlan`] (producer splits, hoisted posts, wrap-around
-//!   posts), so later compute overlaps the transfer. The free lists
-//!   are pre-seeded with two buffers per peer (double buffering: a
-//!   phase can stage while its previous buffer is still held by the
-//!   receiver), and posts stranded by time-loop exhaustion are drained.
+//! * [`Engine::Batched`] posts **late**: it skips the tape's
+//!   [`Op::Post`]s and split marks, so a phase posts at its
+//!   [`Op::Complete`]. Staging buffers are allocated on first use and
+//!   recycled from then on.
+//! * [`Engine::Overlapped`] posts **early**: it honours them (hoisted
+//!   posts, producer splits — [`crate::overlap`]), so later compute
+//!   overlaps the transfer. The free lists are pre-seeded with two
+//!   buffers per peer (double buffering: a phase can stage while its
+//!   previous buffer is still held by the receiver).
 //!
-//! Early posting never changes a packed byte (see [`crate::overlap`]),
-//! and combine orders are those of the round-robin reference
-//! ([`crate::comm::tree_fold`], owner-first ascending-rank assembly),
-//! so both postings are **bitwise identical** to [`crate::spmd`].
+//! Posts an exit stranded are drained when their time loop is left.
+//! Early posting never changes a packed byte, and combine orders are
+//! those of the round-robin reference ([`crate::comm::tree_fold`],
+//! owner-first ascending-rank assembly), so both postings are **bitwise
+//! identical** to [`crate::spmd`].
 
 use crate::bindings::Bindings;
 use crate::comm::{reduce_tree_children, reduce_tree_parent, CommStats};
 use crate::exec::Machine;
 use crate::kernel::Kernel;
-use crate::overlap::{OverlapPlan, OverlapReport};
+use crate::overlap::{rank_splits, OverlapReport, RankSplit};
 use crate::plan::{CommPlan, PackItem, PhasePlan, Term};
 use crate::pool::{Mailbox, SpmdPool};
 use crate::spmd::{build_machines, collect_results, SpmdResult};
+use crate::tape::{Cursor, Op};
 use crate::Engine;
 use std::sync::Arc;
 use syncplace_codegen::SpmdProgram;
-use syncplace_ir::{Program, Stmt, StmtId};
+use syncplace_ir::{Program, StmtId};
 use syncplace_obs::{self as obs, keys, RecorderRef};
 use syncplace_overlap::Decomposition;
 
@@ -151,14 +153,15 @@ fn wire(nparts: usize, rec: &RecorderRef) -> Vec<Net> {
         .collect()
 }
 
-/// One rank's process: its machine, its endpoints, the shared plans
-/// and the split-phase bookkeeping.
+/// One rank's process: its machine, its endpoints, the shared plan and
+/// the split-phase bookkeeping.
 struct RankProc {
-    prog: Arc<Program>,
-    spmd: Arc<SpmdProgram>,
     kernel: Arc<Kernel>,
     plan: Arc<CommPlan>,
-    oplan: Arc<OverlapPlan>,
+    /// Does this rank honour the tape's early posts and split marks?
+    early: bool,
+    /// My interface/interior split of each phase's producer loop.
+    splits: Vec<RankSplit>,
     m: Machine,
     net: Net,
     nparts: usize,
@@ -384,10 +387,10 @@ impl RankProc {
     }
 
     /// Receive and discard the round-1 packets of every posted but
-    /// never-completed phase (wrap-around posts stranded by time-loop
-    /// exhaustion). Every rank holds the same posted set — the
-    /// schedule is static and control flow is SPMD — so the drain is
-    /// symmetric and leaves all channels empty.
+    /// never-completed phase, when a time loop is left (a post before an
+    /// exit test the loop leaves by). Every rank holds the same posted
+    /// set — the tape is static and control flow is SPMD — so the drain
+    /// is symmetric and leaves all channels empty.
     async fn drain_posted(&mut self) {
         let plan = Arc::clone(&self.plan);
         for idx in 0..plan.phases.len() {
@@ -448,19 +451,15 @@ impl RankProc {
 
     /// Run a split loop: interface iterations, post, then interior
     /// while the packets travel.
-    fn run_split_loop(&mut self, id: StmtId, phase: usize, n: usize) {
-        let oplan = Arc::clone(&self.oplan);
-        let split = &oplan.splits[phase].as_ref().expect("split exists").per_rank[self.net.rank];
-        let mut listed = split.interface.iter().chain(&split.interior);
-        debug_assert!(listed.all(|&i| (i as usize) < n));
+    fn run_split_loop(&mut self, id: StmtId, phase: usize) {
         let t0 = obs::start(&self.net.rec);
-        self.m.exec_loop_at(&self.kernel, id, &split.interface);
+        self.m.exec_loop_at(&self.kernel, id, &self.splits[phase].interface);
         obs::finish_ranked(&self.net.rec, keys::COMPUTE_SPAN, self.net.rank as u32, t0);
 
         self.post_early(phase);
 
         let t_int = obs::start(&self.net.rec);
-        self.m.exec_loop_at(&self.kernel, id, &split.interior);
+        self.m.exec_loop_at(&self.kernel, id, &self.splits[phase].interior);
         obs::finish_ranked(
             &self.net.rec,
             keys::INTERIOR_SPAN,
@@ -469,73 +468,44 @@ impl RankProc {
         );
     }
 
-    async fn run_block(&mut self, stmts: &[Stmt]) -> Result<bool, String> {
-        let oplan = Arc::clone(&self.oplan);
-        for s in stmts {
-            let id = s.id();
-            if let Some(&phase) = self.plan.before.get(id) {
-                self.complete_phase(phase).await;
-            }
-            if let Some(list) = oplan.post_before.get(id) {
-                for &phase in list {
-                    self.post_early(phase);
+    /// The rank's whole run: step through the tape.
+    async fn run(&mut self, tape: &[Op]) {
+        let mut cur = Cursor::new(tape);
+        while let Some(op) = cur.next() {
+            match op {
+                Op::Assign(id) => {
+                    self.m.exec_stmt(&self.kernel, *id);
                 }
-            }
-            match s {
-                Stmt::Assign(a) => {
-                    self.m.exec_stmt(&self.kernel, a.id);
+                Op::Loop { id, split: Some(s), .. } if self.early => {
+                    self.run_split_loop(*id, s.phase)
                 }
-                Stmt::Loop(l) => {
-                    if !l.partitioned {
-                        return Err("sequential entity loops unsupported".into());
-                    }
-                    let n = self.m.domain_count(l.entity, self.spmd.domains[l.id]);
-                    let kernel = self.m.kernel_count(l.entity);
-                    match oplan.by_loop.get(l.id) {
-                        Some(&phase) => self.run_split_loop(l.id, phase, n),
-                        None => {
-                            let t0 = obs::start(&self.net.rec);
-                            self.m.exec_loop(&self.kernel, l.id, n, kernel);
-                            obs::finish_ranked(
-                                &self.net.rec,
-                                keys::COMPUTE_SPAN,
-                                self.net.rank as u32,
-                                t0,
-                            );
-                        }
-                    }
+                Op::Loop { id, entity, domain, .. } => {
+                    let n = self.m.domain_count(*entity, *domain);
+                    let kernel = self.m.kernel_count(*entity);
+                    let t0 = obs::start(&self.net.rec);
+                    self.m.exec_loop(&self.kernel, *id, n, kernel);
+                    obs::finish_ranked(&self.net.rec, keys::COMPUTE_SPAN, self.net.rank as u32, t0);
                 }
-                Stmt::TimeLoop(t) => {
-                    'time: for _ in 0..t.max_iters {
-                        self.iterations += 1;
-                        // Boxed: the body's future is this one's own type.
-                        if Box::pin(self.run_block(&t.body)).await? {
-                            break 'time;
-                        }
-                        if let Some(list) = oplan.post_at_tail.get(t.id) {
-                            for &phase in list {
-                                self.post_early(phase);
-                            }
-                        }
-                    }
-                    self.drain_posted().await;
-                }
-                Stmt::ExitIf(e) => {
-                    let mut exit = self.m.exec_stmt(&self.kernel, e.id);
+                Op::Post(phase) if self.early => self.post_early(*phase),
+                Op::Complete(phase) => self.complete_phase(*phase).await,
+                Op::Exit { id, agree, to } => {
+                    let mut exit = self.m.exec_stmt(&self.kernel, *id);
                     // A proven test is rank 0's decision already; for any
                     // other, rank 0's rules, as in the reference.
-                    if self.plan.agree.contains(e.id) {
+                    if *agree {
                         let [verdict, divergent] = self.agree_on_exit(exit).await;
                         self.stats.divergent_exits += usize::from(divergent != 0.0);
                         exit = verdict != 0.0;
                     }
                     if exit {
-                        return Ok(true);
+                        cur.exit(*to);
                     }
                 }
+                Op::Tail { .. } => self.drain_posted().await,
+                Op::Post(_) | Op::Head { .. } => {}
             }
         }
-        Ok(false)
+        self.iterations = cur.iterations;
     }
 }
 
@@ -569,10 +539,7 @@ pub(crate) fn run<const V: usize>(
 ) -> Result<SpmdResult, String> {
     // The one fact the pooled core reads off the engine: when the post
     // half runs. (`Engine::run_with` never sends round-robin here.)
-    let early = match engine {
-        Engine::Overlapped => true,
-        Engine::Batched | Engine::RoundRobin => false,
-    };
+    let early = engine == Engine::Overlapped;
     let plan = match plan {
         Some(p) => Arc::clone(p),
         None => Arc::new(CommPlan::build(prog, spmd, d)),
@@ -581,28 +548,24 @@ pub(crate) fn run<const V: usize>(
     let machines = build_machines(prog, d, b)?;
     let guarded = |s| spmd.kernel_guarded.contains(s);
     let kernel = Arc::new(Kernel::lower(prog, guarded, &machines)?);
-    let oplan = Arc::new(if early {
-        OverlapPlan::build(prog, spmd, &plan, &machines)
-    } else {
-        OverlapPlan::default()
-    });
+    let tape: Arc<[Op]> = plan.ops()?.into();
     let nparts = d.nparts;
     let nphases = plan.phases.len();
-    let prog_arc = Arc::new(prog.clone());
-    let spmd_arc = Arc::new(spmd.clone());
 
     let mut jobs = Vec::with_capacity(nparts);
     for (m, mut net) in machines.into_iter().zip(wire(nparts, rec)) {
-        if early {
+        let splits = if early {
             net.seed_double_buffers(&plan);
-        }
+            rank_splits(&plan, &tape, &m, net.rank)
+        } else {
+            Vec::new()
+        };
         let tree_children = reduce_tree_children(net.rank, nparts);
         let mut proc = RankProc {
-            prog: Arc::clone(&prog_arc),
-            spmd: Arc::clone(&spmd_arc),
             kernel: Arc::clone(&kernel),
             plan: Arc::clone(&plan),
-            oplan: Arc::clone(&oplan),
+            early,
+            splits,
             m,
             net,
             nparts,
@@ -617,13 +580,10 @@ pub(crate) fn run<const V: usize>(
             accs: Vec::new(),
             tree_children,
         };
+        let tape = Arc::clone(&tape);
         jobs.push(async move {
             let t_job = obs::start(&proc.net.rec);
-            let body = Arc::clone(&proc.prog);
-            proc.run_block(&body.body).await?;
-            if let Some(end) = proc.plan.at_end {
-                proc.complete_phase(end).await;
-            }
+            proc.run(&tape).await;
             obs::finish_event(&proc.net.rec, keys::RANK_RUN, proc.net.rank as u32, t_job);
             Ok(proc)
         });
@@ -638,10 +598,10 @@ pub(crate) fn run<const V: usize>(
     let mut machines = Vec::with_capacity(nparts);
     let mut stats = CommStats::default();
     let mut iterations = 0;
-    let mut report = OverlapReport {
-        early_phases: oplan.early_phases(),
-        split_phases: oplan.splits.iter().flatten().count(),
-        ..Default::default()
+    let mut report = if early {
+        OverlapReport::for_tape(&tape)
+    } else {
+        OverlapReport::default()
     };
     for (rank, out) in procs.into_iter().enumerate() {
         if rank == 0 {
@@ -681,7 +641,7 @@ pub(crate) mod tests {
     /// TESTIV on a perturbed grid; `sol` picks the placement (the
     /// search returns many — index 0 is the cheapest, and some later
     /// ones place the overlap update before the consumer loop, which
-    /// exercises wrap-around splits).
+    /// exercises producer splits).
     pub(crate) fn setup(
         pattern: Pattern,
         nparts: usize,

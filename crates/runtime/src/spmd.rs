@@ -1,8 +1,9 @@
 //! The deterministic round-robin SPMD engine.
 //!
-//! All virtual processors advance through the program statement by
-//! statement; at every `C$SYNCHRONIZE` insertion point the
-//! decomposition's schedules are applied and counted. Because the
+//! All virtual processors advance together through the program's tape
+//! ([`crate::tape`]), op by op; at every [`Op::Complete`] the
+//! decomposition's schedules are applied and counted, and the tape's
+//! early posts are skipped. Because the
 //! combine orders are fixed, the engine is bitwise deterministic and
 //! bitwise identical to the pooled message-passing engine
 //! ([`crate::pooled`]), whose oracle it is.
@@ -12,9 +13,10 @@ use crate::comm::{self, CommStats};
 use crate::exec::{Machine, MapTable};
 use crate::kernel::Kernel;
 use crate::overlap::OverlapReport;
+use crate::tape::{self, Cursor, Op};
 use syncplace_obs::{self as obs, keys, RecorderRef};
 use syncplace_codegen::{CommOp, SpmdProgram};
-use syncplace_ir::{EntityKind, IdVec, Program, Stmt, VarKind};
+use syncplace_ir::{EntityKind, IdVec, Program, VarKind};
 use syncplace_overlap::{Decomposition, SubMesh};
 
 /// Result of an SPMD run, with outputs gathered back to global
@@ -187,12 +189,10 @@ pub fn build_machines<const V: usize>(
 
 struct Sim<'a, const V: usize> {
     prog: &'a Program,
-    spmd: &'a SpmdProgram,
     d: &'a Decomposition<V>,
     kernel: Kernel,
     machines: Vec<Machine>,
     stats: CommStats,
-    iterations: usize,
     rec: RecorderRef,
 }
 
@@ -255,62 +255,43 @@ impl<'a, const V: usize> Sim<'a, V> {
         self.stats.phases.push(stat);
     }
 
-    /// Execute a statement block; returns true when an exit test fired.
-    fn run_block(&mut self, stmts: &[Stmt]) -> Result<bool, String> {
-        for s in stmts {
-            let spmd = self.spmd;
-            if let Some(ops) = spmd.comms_before.get(s.id()) {
-                self.apply_comms(ops);
-            }
-            match s {
-                Stmt::Assign(a) => {
+    /// Step every rank through the tape; returns the iterations run.
+    fn run(&mut self, tape: &[Op], phases: &[&[CommOp]]) -> usize {
+        let mut cur = Cursor::new(tape);
+        while let Some(op) = cur.next() {
+            match *op {
+                Op::Assign(id) => {
                     for m in &mut self.machines {
-                        m.exec_stmt(&self.kernel, a.id);
+                        m.exec_stmt(&self.kernel, id);
                     }
                 }
-                Stmt::Loop(l) => {
-                    if !l.partitioned {
-                        return Err(format!(
-                            "sequential entity loop s{} is not supported by the SPMD runtime \
-                             (replicated arrays would need global extents)",
-                            l.id
-                        ));
-                    }
-                    let domain = self.spmd.domains.get(l.id).copied().ok_or_else(|| {
-                        format!("partitioned loop s{} has no iteration domain", l.id)
-                    })?;
+                Op::Loop { id, entity, domain, .. } => {
                     for (rank, m) in self.machines.iter_mut().enumerate() {
-                        let n = m.domain_count(l.entity, domain);
-                        let kernel = m.kernel_count(l.entity);
+                        let n = m.domain_count(entity, domain);
+                        let kernel = m.kernel_count(entity);
                         let t0 = obs::start(&self.rec);
-                        m.exec_loop(&self.kernel, l.id, n, kernel);
+                        m.exec_loop(&self.kernel, id, n, kernel);
                         obs::finish_ranked(&self.rec, keys::COMPUTE_SPAN, rank as u32, t0);
                     }
                 }
-                Stmt::TimeLoop(t) => {
-                    'time: for _ in 0..t.max_iters {
-                        self.iterations += 1;
-                        if self.run_block(&t.body)? {
-                            break 'time;
-                        }
-                    }
-                }
-                Stmt::ExitIf(e) => {
+                Op::Complete(phase) => self.apply_comms(phases[phase]),
+                Op::Exit { id, to, .. } => {
                     let decisions: Vec<bool> = self
                         .machines
                         .iter_mut()
-                        .map(|m| m.exec_stmt(&self.kernel, e.id))
+                        .map(|m| m.exec_stmt(&self.kernel, id))
                         .collect();
                     if decisions.iter().any(|&x| x != decisions[0]) {
                         self.stats.divergent_exits += 1;
                     }
                     if decisions[0] {
-                        return Ok(true);
+                        cur.exit(to);
                     }
                 }
+                Op::Post(_) | Op::Head { .. } | Op::Tail { .. } => {}
             }
         }
-        Ok(false)
+        cur.iterations
     }
 }
 
@@ -328,24 +309,26 @@ pub(crate) fn run<const V: usize>(
     let t0 = obs::start(rec);
     let machines = build_machines(prog, d, b)?;
     let guarded = |s| spmd.kernel_guarded.contains(s);
+    let kernel = Kernel::lower(prog, guarded, &machines)?;
+    // The same tape the pooled engines run, minus what round-robin never
+    // reads: early posts, and which exits need agreement.
+    let tape = tape::lower(prog, spmd, &IdVec::default(), &[])?;
+    let phases: Vec<&[CommOp]> = spmd.phases().into_iter().map(|(_, ops)| ops).collect();
     let mut engine = Sim {
         prog,
-        spmd,
         d,
-        kernel: Kernel::lower(prog, guarded, &machines)?,
+        kernel,
         machines,
         stats: CommStats::default(),
-        iterations: 0,
         rec: rec.clone(),
     };
     // One simulator thread plays every rank, so the whole-job event is
     // attributed to rank 0 — documented timeline convention.
     let t_job = obs::start(rec);
-    engine.run_block(&prog.body)?;
-    engine.apply_comms(&spmd.comms_at_end);
+    let iterations = engine.run(&tape, &phases);
     obs::finish_event(rec, keys::RANK_RUN, 0, t_job);
     if let Some(r) = rec {
-        r.add(keys::ITERATIONS, engine.iterations as u64);
+        r.add(keys::ITERATIONS, iterations as u64);
     }
     obs::finish(rec, keys::RUN_SPAN, t0);
     Ok(collect_results::<V>(
@@ -353,7 +336,7 @@ pub(crate) fn run<const V: usize>(
         d,
         engine.machines,
         engine.stats,
-        engine.iterations,
+        iterations,
         OverlapReport::default(),
     ))
 }

@@ -66,7 +66,7 @@ pub fn estimate(seq: &SeqResult, spmd: &SpmdResult, model: &TimingModel) -> Timi
 /// differs is how the same schedule goes on the wire, and the
 /// [`Engine`] says it:
 ///
-/// * [`Engine::RoundRobin`] advances every rank statement by statement
+/// * [`Engine::RoundRobin`] advances every rank op by op
 ///   *in rank order*, which serializes collectives into ascending-rank
 ///   chains: rank `r` can only combine after rank `r − 1`, so a
 ///   reducing phase costs `2·(P − 1)` latency rounds (accumulate up the

@@ -45,7 +45,8 @@ use syncplace::obs::trace::json_escape;
 use syncplace::obs::{keys, MetricsRegistry, Recorder, RecorderRef};
 use syncplace::overlap::Decomposition;
 use syncplace::placement::Solution;
-use syncplace::runtime::{Bindings, CommPlan, SpmdPool, SpmdResult};
+use syncplace::runtime::spmd::submesh_counts;
+use syncplace::runtime::{tape, Bindings, CommPlan, SpmdPool, SpmdResult};
 
 use crate::cache::{CacheStats, Lookup, LruCache};
 use crate::flight::{self, Appended, FlightRecorder};
@@ -145,6 +146,13 @@ pub struct CompiledPlan {
     /// The compiled batched communication plan.
     pub plan: Arc<CommPlan>,
 }
+
+/// Largest run one request may ask for: loop iterations summed over
+/// every rank and every time-loop iteration the caps allow
+/// ([`tape::work`]). The builtins at the largest mesh (2²⁰ cells) stay
+/// below 2³⁰ (`testiv`, 100 sweeps: 5.5·10⁸ at `p` = 512), so this
+/// refuses only what a source's `iterate … max` inflates.
+pub const MAX_RUN_WORK: u64 = 1 << 32;
 
 /// Why a shed request was shed (the structured `reason` field of a
 /// `busy` error).
@@ -625,6 +633,17 @@ impl Service {
         scratch.build_ns = t_compile.elapsed().as_nanos() as u64;
         self.emit_span(keys::SERVER_BUILD_SPAN, scratch.build_ns);
         let compile_ms = scratch.build_ns as f64 / 1e6;
+        // A tape the engines refuse is theirs to answer.
+        if let Ok(ops) = &compiled.plan.tape {
+            let ranks: Vec<_> = compiled.d.submeshes.iter().map(submesh_counts).collect();
+            let work = tape::work(ops, &ranks);
+            if work > MAX_RUN_WORK {
+                return Err(ServeError::Invalid(format!(
+                    "run work {work} (loop iterations over all ranks and time-loop \
+                     iterations) exceeds the limit of {MAX_RUN_WORK}"
+                )));
+            }
+        }
 
         let mesh = &compiled.mesh;
         let mut bindings = Bindings::for_mesh(&placed.prog, mesh.nnodes(), &mesh.som);
@@ -1002,6 +1021,39 @@ mod tests {
         })
         .join()
         .unwrap();
+    }
+
+    #[test]
+    fn a_run_over_the_work_bound_is_refused_before_it_starts() {
+        let src = "program spin\n input A : node\n output B : node\n\
+                   iterate t max 1000000000000 {\n forall i in node split { B(i) = A(i) }\n }\nend\n";
+        let svc = Service::new(ServiceConfig::default());
+        let t0 = Instant::now();
+        match svc.run(&source_req(src)) {
+            Err(ServeError::Invalid(e)) => {
+                assert!(e.contains(&format!("limit of {MAX_RUN_WORK}")), "{e}");
+                assert!(e.starts_with("run work 289000000000000 "), "{e}");
+            }
+            other => panic!("expected Invalid, got {:?}", other.map(|_| "ok")),
+        }
+        assert!(t0.elapsed().as_secs() < 10, "refused before it ran");
+    }
+
+    #[test]
+    fn builtins_at_the_largest_mesh_fit_the_work_bound() {
+        // One rank over the whole 1024 × 1024 grid. More ranks add only
+        // their overlap copies — 3.5 % for `testiv` at p = 512 — so half
+        // the bound leaves room for any `p`.
+        let mesh = syncplace::mesh::gen2d::perturbed_grid(1024, 1024, 0.0, 1);
+        for program in ["testiv", "fig5-sketch", "edge-smooth"] {
+            let prog = resolve_program(&ProgramSpec::Builtin(program.into())).unwrap();
+            let automaton = syncplace::automaton_for(syncplace::overlap::Pattern::FIG1);
+            let placed = place(prog, &automaton, &None).unwrap();
+            let counts = Bindings::for_mesh(&placed.prog, mesh.nnodes(), &mesh.som).counts;
+            let ops = tape::lower(&placed.prog, &placed.spmd, &Default::default(), &[]).unwrap();
+            let work = tape::work(&ops, &[(counts, counts)]);
+            assert!(work > 0 && work <= MAX_RUN_WORK / 2, "{program}: {work}");
+        }
     }
 
     #[test]

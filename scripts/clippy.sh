@@ -19,7 +19,9 @@
 # crates/runtime/src/pooled.rs: P ranks run on the W =
 # available_parallelism workers of runtime/src/pool.rs, from one
 # receive that has to wait to the next, and a rank cannot park a thread
-# if it cannot name one), the recorder sinks must stay four (the
+# if it cannot name one), the engines and the model checker must read only the
+# schedule tape (no `Stmt::` in runtime/src/{spmd,pooled,overlap}.rs or
+# analyze/src/mc.rs, no `Box::pin` in pooled.rs), the recorder sinks must stay four (the
 # top-level `impl Recorder for` set under crates/ is MetricsRegistry,
 # TimelineRecorder, HbRecorder, FanoutRecorder — one aggregate, and a
 # new sink is a design change, not an addition), the engine identity
@@ -74,6 +76,12 @@ if grep -rn --include='*.rs' 'collapse_deterministic: true' crates tests example
 fi
 if grep -nE 'mpsc|thread::|\.recv\(\)|Barrier' crates/runtime/src/pooled.rs; then
     echo "runtime gate: a rank is a task on the W-worker pool — pooled.rs names no thread, channel or barrier"
+    exit 1
+fi
+if grep -n 'Stmt::' crates/runtime/src/spmd.rs crates/runtime/src/pooled.rs \
+    crates/runtime/src/overlap.rs crates/analyze/src/mc.rs \
+    || grep -n 'Box::pin' crates/runtime/src/pooled.rs; then
+    echo "tape gate: the engines and the model checker step through plan.tape — lower new control flow in runtime/src/tape.rs"
     exit 1
 fi
 recorders="$(grep -rhoE --include='*.rs' '^impl[^{]*\bRecorder for [A-Za-z]+' crates | sed 's/.* for //' | sort | tr '\n' ' ')"

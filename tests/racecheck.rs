@@ -121,6 +121,119 @@ fn every_seeded_schedule_defect_is_caught_with_its_exact_code() {
     assert!(seeded >= 10, "only {seeded} seeded defects");
 }
 
+/// Fig. 10 at P = 3 has two phases in the time loop (an update posted
+/// early, a pure reduction) and one after it, fed by a producer split.
+/// The overlapped model walks that tape: the looped phases repeat per
+/// sweep, the after-loop phase completes once, after both sweeps, and
+/// a post and its completion have only compute between them, so every
+/// round-1 send sits right before its phase's round-1 receives.
+#[test]
+fn overlapped_model_follows_the_tape_on_fig10() {
+    let n = 3;
+    let s = setup::testiv(9, 1e-3, &fig6());
+    let fig10 = setup::fig10_style_index(&s).expect("fig10-style solution exists");
+    let (d, spmd) = setup::decompose(&s, n, Pattern::FIG1, fig10);
+    let plan = CommPlan::build(&s.prog, &spmd, &d);
+    let end = plan.at_end.expect("fig10 completes a phase after the time loop");
+    let [one, two] = [1, 2].map(|sweeps| mc::from_plan(&plan, Engine::Overlapped, sweeps));
+    let parts = |o: &mc::McOp| match *o {
+        mc::McOp::Send { tag, .. } | mc::McOp::Recv { expect: tag, .. } => Some(mc::tag_parts(tag, n)),
+        _ => None,
+    };
+    let count = |p: &mc::McProgram, r: usize, k: usize| {
+        p.ops[r].iter().filter(|o| parts(o).map(|x| x.0) == Some(k)).count()
+    };
+    for r in 0..n {
+        assert!(count(&one, r, end) > 0, "rank {r} takes part in phase {end}");
+        assert_eq!(count(&two, r, end), count(&one, r, end), "rank {r}: phase {end} once");
+        for k in (0..plan.phases.len()).filter(|&k| k != end) {
+            assert_eq!(count(&two, r, k), 2 * count(&one, r, k), "rank {r}: phase {k} per sweep");
+        }
+        let ops = &two.ops[r];
+        let looped = ops.iter().rposition(|o| matches!(parts(o), Some((k, _)) if k != end));
+        let after = ops.iter().position(|o| matches!(parts(o), Some((k, _)) if k == end));
+        assert!(looped < after, "rank {r}: phase {end} before the last sweep ends");
+        for (i, o) in ops.iter().enumerate() {
+            let (mc::McOp::Send { tag, .. }, Some(next)) = (o, ops.get(i + 1)) else {
+                continue;
+            };
+            let (k, round) = mc::tag_parts(*tag, n);
+            if round == mc::R1 {
+                let same = matches!(parts(next), Some((k2, r2)) if k2 == k && r2 == mc::R1);
+                assert!(same, "rank {r}: phase {k}'s sends and receives are apart: {next:?}");
+            }
+        }
+    }
+    let out = mc::check(&two);
+    assert!(out.report.is_clean(), "{}", out.report);
+}
+
+/// The §6 error of `exit_agreement_on_the_tree_matches_round_robin_when_ranks_disagree`
+/// (`tests/runtime_engines.rs`): TESTIV with its reductions stripped,
+/// so every exit test needs the agreement tree — traffic on the same
+/// per-pair FIFOs as the phases, modelled from the tape's `Exit`.
+fn stripped_plan(nparts: usize) -> CommPlan {
+    let s = setup::testiv(10, 2e-4, &fig6());
+    let (d, mut spmd) = setup::decompose(&s, nparts, Pattern::FIG1, 0);
+    for ops in spmd.comms_before.values_mut() {
+        ops.retain(|o| !matches!(o, syncplace::codegen::CommOp::Reduce { .. }));
+    }
+    let plan = CommPlan::build(&s.prog, &spmd, &d);
+    assert!(!plan.agree.is_empty(), "the stripped exit test is unproven");
+    plan
+}
+
+#[test]
+fn model_checker_proves_the_exit_agreement_tree() {
+    for nparts in [2usize, 3, 4] {
+        let plan = stripped_plan(nparts);
+        let m = plan.phases.len();
+        for engine in Engine::ALL {
+            let prog = mc::from_plan(&plan, engine, sweeps_for(nparts));
+            let agreement = prog.ops.iter().flatten().filter(|o| match **o {
+                mc::McOp::Send { tag, .. } => mc::tag_parts(tag, nparts).0 >= m,
+                _ => false,
+            });
+            // 2(P−1) tree messages per executed test.
+            let per_test = 2 * (nparts - 1);
+            assert_eq!(agreement.count(), sweeps_for(nparts) * per_test, "{}", prog.label);
+            let out = mc::check(&prog);
+            assert!(out.report.is_clean(), "{}: {}", prog.label, out.report);
+            assert!(!out.stats.capped, "{}: capped", prog.label);
+            assert_eq!(out.stats.distinct_signatures, 1, "{}", prog.label);
+        }
+    }
+}
+
+#[test]
+fn a_lost_agreement_message_is_a_deadlock() {
+    use syncplace::ir::diag::codes;
+    let n = 3;
+    let plan = stripped_plan(n);
+    let m = plan.phases.len();
+    for engine in Engine::ALL {
+        let base = mc::from_plan(&plan, engine, 2);
+        // An ordered pair whose last message is an exit agreement's.
+        let pair = (0..n).flat_map(|f| (0..n).map(move |t| (f, t))).find(|&(f, t)| {
+            let last = base.ops[f].iter().rev().find_map(|o| match *o {
+                mc::McOp::Send { to, tag, .. } if to == t => Some(tag),
+                _ => None,
+            });
+            last.is_some_and(|tag| mc::tag_parts(tag, n).0 >= m)
+        });
+        let (from, to) = pair.expect("some pair ends on the agreement tree");
+        let mut broken = base.clone();
+        assert!(mc::Mutation::DropLastSend { from, to }.apply(&mut broken));
+        let out = mc::check(&broken);
+        assert!(
+            out.report.has_code(codes::MC_DEADLOCK),
+            "{}: {:?}",
+            base.label,
+            out.report.codes()
+        );
+    }
+}
+
 /// Record a real engine run's `hb.*` stream.
 fn record_run(engine: Engine, nparts: usize, idx: usize) -> syncplace::obs::HbLog {
     let s = setup::testiv(9, 1e-3, &fig6());

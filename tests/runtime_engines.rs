@@ -492,3 +492,77 @@ fn edge_loop_only_program_counts_edges_and_matches_sequential() {
         }
     }
 }
+
+/// Every engine on the first six placements of `src`, under Fig. 1
+/// (fig6) and Fig. 2 (fig7) overlap at P ∈ {2, 3, 4}: bitwise equal to
+/// round-robin, which matches the sequential run. Input `A` is
+/// `1 + i mod 5`; an input `eps` is 0.15 × the first sweep's sum of
+/// `A` over every triangle's first two corners. Returns the sequential
+/// iteration count.
+fn first_placements_agree(name: &str, src: &str) -> usize {
+    use syncplace::automata::predefined::fig7;
+    let prog = parse(src).unwrap();
+    let mesh = gen2d::perturbed_grid(7, 7, 0.2, 2);
+    let mut b = Bindings::for_mesh(&prog, mesh.nnodes(), &mesh.som);
+    let a: Vec<f64> = (0..mesh.nnodes()).map(|i| 1.0 + (i % 5) as f64).collect();
+    if let Some(eps) = prog.lookup("eps") {
+        let sum: f64 = mesh.som.iter().map(|t| a[t[0] as usize] + a[t[1] as usize]).sum();
+        b.input_scalars.insert(eps, 0.15 * sum);
+    }
+    b.input_arrays.insert(prog.lookup("A").unwrap(), a);
+    let seq = syncplace::runtime::run_sequential(&prog, &b);
+    for (automaton, pattern) in [(fig6(), Pattern::FIG1), (fig7(), Pattern::FIG2)] {
+        let opts = (SearchOptions::default(), CostParams::default());
+        let (dfg, analysis) = analyze_program(&prog, &automaton, &opts.0, &opts.1);
+        assert!(!analysis.solutions.is_empty(), "{name} {pattern:?}: no placement");
+        for (si, sol) in analysis.solutions.iter().take(6).enumerate() {
+            let spmd = syncplace::codegen::spmd_program(&prog, &dfg, sol);
+            for p in [2usize, 3, 4] {
+                let part = partition2d(&mesh, p, Method::Greedy);
+                let d = decompose2d(&mesh, &part.part, p, pattern);
+                let tag = format!("{name} {pattern:?} s{si}");
+                let reference = Engine::RoundRobin.run(&prog, &spmd, &d, &b).unwrap();
+                let err = syncplace::runtime::max_rel_error(&seq, &reference);
+                assert!(err < 1e-12, "{tag} P={p}: {err}");
+                for engine in Engine::ALL {
+                    let r = engine.run(&prog, &spmd, &d, &b).unwrap();
+                    assert_bitwise(&tag, p, engine, &reference, &r);
+                    assert_stats(&tag, p, engine, &reference, &r);
+                }
+            }
+        }
+    }
+    seq.iterations
+}
+
+/// The placement that falls back to one update site per destination
+/// region (an update reached both around the back edge and past the
+/// exit) runs alike on every engine.
+#[test]
+fn fallback_placement_runs_alike_on_every_engine() {
+    let src = "program fallback\n  input A : node\n  output C : tri\n  output s : scalar\n  \
+               map SOM : tri -> node [3]\n  var X : node\n  var T : tri\n  \
+               forall i in node split { X(i) = A(i) }\n  iterate k max 4 {\n    \
+               forall i in tri split { T(i) = X(SOM(i,1)) }\n    s = 0.0\n    \
+               forall i in tri split { s = s + T(i) }\n    exit when s < 0.0\n    \
+               forall i in node split { X(i) = X(i) * 0.5 }\n  }\n  \
+               forall i in tri split { C(i) = X(SOM(i,2)) }\nend";
+    assert_eq!(first_placements_agree("fallback", src), 4);
+}
+
+/// Two time loops in a row, the first left by its exit test after four
+/// of six iterations, the second run to its cap of three: each loop's
+/// head and tail on the tape, and the exit's jump past the first tail.
+#[test]
+fn consecutive_time_loops_with_an_exit_run_alike_on_every_engine() {
+    let src = "program twoloops\n  input A : node\n  input eps : scalar\n  output C : node\n  \
+               output s : scalar\n  map SOM : tri -> node [3]\n  var X : node\n  var T : tri\n  \
+               forall i in node split { X(i) = A(i) }\n  iterate k max 6 {\n    \
+               forall i in tri split { T(i) = X(SOM(i,1)) + X(SOM(i,2)) }\n    s = 0.0\n    \
+               forall i in tri split { s = s + T(i) }\n    exit when s < eps\n    \
+               forall i in node split { X(i) = X(i) * 0.5 }\n  }\n  iterate m max 3 {\n    \
+               forall i in tri split { T(i) = X(SOM(i,3)) * 0.5 }\n    \
+               forall i in node split { X(i) = X(i) + 1.0 }\n  }\n  \
+               forall i in node split { C(i) = X(i) }\nend";
+    assert_eq!(first_placements_agree("two loops", src), 4 + 3);
+}

@@ -416,9 +416,9 @@ fn non_utf8_request_line_is_refused_and_the_connection_keeps_serving() {
 }
 
 /// The one engine `Err` a request can reach: a `seq` entity loop,
-/// which every rank refuses at the same statement — the whole gang
-/// fails at once. The daemon answers the same typed line it always
-/// has, the handler thread survives, and the same connection then
+/// which every engine refuses alike when the run starts, before any
+/// statement executes. The daemon answers the same typed line for all
+/// three, the handler thread survives, and the same connection then
 /// serves a cold and a hot `testiv`.
 #[test]
 fn engine_error_is_a_typed_line_and_the_connection_keeps_serving() {
@@ -438,7 +438,7 @@ fn engine_error_is_a_typed_line_and_the_connection_keeps_serving() {
 
     let seq_loop = "{\"op\":\"run\",\"source\":\"program t\\n input A : node\\n output B : node\\n \
                     forall i in node seq { B(i) = A(i) }\\nend\",\"mesh\":{\"nx\":4,\"ny\":4},\"p\":4}";
-    for engine in ["batched", "overlapped"] {
+    for engine in ["round-robin", "batched", "overlapped"] {
         let line = seq_loop.replacen("{", &format!("{{\"engine\":\"{engine}\","), 1);
         assert_eq!(
             ask(&line),
@@ -454,9 +454,9 @@ fn engine_error_is_a_typed_line_and_the_connection_keeps_serving() {
     }
     assert_eq!(hot.get("checksum").unwrap().as_str(), cold.get("checksum").unwrap().as_str());
     let pong = syncplace::obs::json::parse(&ask("{\"op\":\"ping\"}")).unwrap();
-    // The engine is in no cache key: the second failing request and the
-    // second `testiv` were both hot.
-    assert_eq!(pong.get("plan_cache").unwrap().get("hits").unwrap().as_f64(), Some(2.0));
+    // The engine is in no cache key: the later failing requests and the
+    // second `testiv` were all hot.
+    assert_eq!(pong.get("plan_cache").unwrap().get("hits").unwrap().as_f64(), Some(3.0));
     handle.stop().unwrap();
 }
 
