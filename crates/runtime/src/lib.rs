@@ -10,8 +10,9 @@
 //!   arrays + localized indirection tables). The sequential reference
 //!   run is simply a `Machine` over the whole mesh.
 //! * [`kernel::Kernel`] — the unmodified statement sequence, lowered
-//!   once per run into a flat register program; the one executor
-//!   every engine (and the reference run) drives.
+//!   once per run into a strip program (each op over a strip of
+//!   iterations); the one executor every engine (and the reference
+//!   run) drives.
 //! * [`bindings`] — how program variables bind to mesh data
 //!   (indirection maps to connectivity, input arrays to values).
 //! * [`tape`] — the placed program lowered once into a flat op list

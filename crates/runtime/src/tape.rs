@@ -23,7 +23,7 @@
 //! drained when its loop is left.
 
 use syncplace_codegen::{PhaseAt, SpmdProgram};
-use syncplace_ir::{Access, EntityKind, IdVec, LoopStmt, Program, Stmt, StmtId};
+use syncplace_ir::{EntityKind, IdVec, Program, Stmt, StmtId};
 use syncplace_placement::IterationDomain;
 
 /// What every engine answers for a program with a loop it cannot run:
@@ -226,7 +226,7 @@ fn site(stmts: &[Stmt], i: usize, gathered: &IdVec<()>, before: &IdVec<usize>) -
         };
         if body.iter().any(|a| gathered.contains(a.lhs.var())) {
             return match s {
-                Stmt::Loop(l) if l.partitioned && loop_permutable(l) => {
+                Stmt::Loop(l) if l.partitioned && crate::kernel::permutable(&l.body) => {
                     let written = body.iter().map(|a| a.lhs.var());
                     let written = written.filter(|&v| gathered.contains(v));
                     Some(Site::Split(j - 1, written.map(|v| (v, ())).collect()))
@@ -237,25 +237,6 @@ fn site(stmts: &[Stmt], i: usize, gathered: &IdVec<()>, before: &IdVec<usize>) -
         j -= 1;
     }
     (j < i).then_some(Site::Post(j))
-}
-
-/// Is a partitioned loop permutable — may its iterations run in any
-/// order with bitwise-identical results? True when every write is a
-/// `Direct` array store (iteration `i` owns slot `i`) and no read can
-/// observe another iteration's write: `Indirect`/`Fixed` reads of
-/// loop-written arrays are cross-iteration channels, scalar writes
-/// accumulate in textual order, so both disqualify.
-fn loop_permutable(l: &LoopStmt) -> bool {
-    let mut written = IdVec::default();
-    for a in &l.body {
-        let Access::Direct(v) = a.lhs else {
-            return false;
-        };
-        written.insert(v, ());
-    }
-    let channel = |r: &Access| matches!(r, Access::Indirect { .. } | Access::Fixed(..));
-    let mut reads = l.body.iter().flat_map(|a| a.rhs.reads());
-    !reads.any(|r| channel(r) && written.contains(r.var()))
 }
 
 /// A rank's place on a tape: the next op, and the iterations each time
@@ -446,5 +427,112 @@ mod tests {
         }
         let ops = lower(&empty, &spmd, &none, &[]).unwrap();
         assert!(!ops.iter().any(|op| matches!(op, Op::Head { .. } | Op::Exit { .. })));
+    }
+
+    /// A loop the tape may split (`kernel::permutable`) must be one the
+    /// kernel's dependence pass, reading the same variable classes,
+    /// schedules with no tied block.
+    #[test]
+    fn permutable_loops_schedule_no_tied_block() {
+        use syncplace_ir::{programs, Access, AssignStmt, Expr, LoopStmt, VarKind};
+        let mut progs = vec![
+            programs::testiv(),
+            programs::fig5_sketch(),
+            programs::edge_smooth(),
+            programs::tet_heat(3),
+        ];
+        progs.extend(programs::taxonomy().into_iter().map(|c| c.program));
+        // Random loops over the four access kinds, with a tri -> node and
+        // a node -> node map.
+        let mut seed = 0x2545_F491_4F6C_DD1Du64;
+        let mut below = |n: usize| {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            (seed % n as u64) as usize
+        };
+        let (node, tri) = (EntityKind::Node, EntityKind::Tri);
+        for _ in 0..400 {
+            let mut p = Program::new("rand");
+            let s = [
+                p.declare("s", VarKind::Scalar, true, true),
+                p.declare("t", VarKind::Scalar, true, true),
+            ];
+            let a = [0, 1]
+                .map(|k| p.declare(&format!("A{k}"), VarKind::Array { base: node }, true, true));
+            let w = [0, 1]
+                .map(|k| p.declare(&format!("W{k}"), VarKind::Array { base: tri }, true, true));
+            let m = p.declare(
+                "M",
+                VarKind::Map {
+                    from: tri,
+                    to: node,
+                    arity: 3,
+                },
+                true,
+                false,
+            );
+            let n = p.declare(
+                "N",
+                VarKind::Map {
+                    from: node,
+                    to: node,
+                    arity: 2,
+                },
+                true,
+                false,
+            );
+            let on_nodes = below(2) == 0;
+            let (direct, map) = if on_nodes { (a, n) } else { (w, m) };
+            let len = 1 + below(3);
+            let mut access = || match below(4) {
+                0 => Access::Scalar(s[below(2)]),
+                1 => Access::Fixed(a[below(2)], below(5)),
+                2 => Access::Direct(direct[below(2)]),
+                _ => Access::Indirect {
+                    array: a[below(2)],
+                    map,
+                    slot: below(2),
+                },
+            };
+            let body = (0..len)
+                .map(|_| {
+                    let (lhs, x, y) = (access(), access(), access());
+                    let rhs = Expr::Read(x) * Expr::Const(0.5) + Expr::Read(y);
+                    AssignStmt { id: 0, lhs, rhs }
+                })
+                .collect();
+            let entity = if on_nodes { node } else { tri };
+            let index = "i".into();
+            p.body = vec![Stmt::Loop(LoopStmt {
+                id: 0,
+                entity,
+                partitioned: true,
+                index,
+                body,
+            })];
+            p.renumber();
+            progs.push(p);
+        }
+        let (mut permutable, mut tied) = (0, 0);
+        for p in &progs {
+            let k = crate::Kernel::lower(p, |_| false, &[]).unwrap();
+            let mut work: Vec<&Stmt> = p.body.iter().collect();
+            while let Some(st) = work.pop() {
+                match st {
+                    Stmt::TimeLoop(t) => work.extend(&t.body),
+                    Stmt::Loop(l) if crate::kernel::permutable(&l.body) => {
+                        assert_eq!(k.tied_blocks(l.id), 0, "{}: {l:?}", p.name);
+                        permutable += 1;
+                    }
+                    Stmt::Loop(l) => tied += usize::from(k.tied_blocks(l.id) > 0),
+                    _ => {}
+                }
+            }
+        }
+        assert!(
+            permutable > 20 && tied > 20,
+            "{permutable} permutable, {tied} tied"
+        );
     }
 }

@@ -5,7 +5,9 @@
 # crates/analyze, crates/runtime and crates/server additionally deny
 # missing_docs at compile time), the compiled kernel must pass its
 # source-level hot-path gate and bitwise differential suite
-# (`cargo test --test kernel`: no HashMap / HashSet / .expect( /
+# (`cargo test --test kernel`, in debug and in release, where the
+# strip loops are optimised and auto-vectorised as benchmark/ measures
+# them: no HashMap / HashSet / .expect( /
 # .unwrap( / Box< / unsafe in crates/runtime/src/kernel.rs, lowered
 # results to_bits()-equal to the test-only tree walker), the placement
 # ranking must agree with its test-only per-mapping oracle
@@ -65,6 +67,7 @@ cd "$(dirname "$0")/.."
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 cargo clippy --workspace --all-targets -- -D warnings
 cargo test -q --test kernel
+cargo test -q --release --test kernel
 cargo test -q -p syncplace-placement --lib ranking_matches_per_mapping_oracle
 if grep -rnE 'thread::|Mutex|Condvar|Atomic' crates/placement/src/; then
     echo "placement gate: crates/placement is single-threaded — one search, no workers"

@@ -1,5 +1,5 @@
 //! The compiled kernel (`runtime::kernel`) against the tree walker it
-//! replaced.
+//! replaced, over loops at least two strips long.
 //!
 //! The oracle below is that tree walker, kept test-only: a recursive
 //! `match` over `Expr` per element per statement with the
@@ -16,6 +16,7 @@ use syncplace::ir::{
 use syncplace::overlap::Decomposition;
 use syncplace::prelude::*;
 use syncplace::runtime::exec::{Machine, MapTable};
+use syncplace::runtime::kernel::STRIP;
 use syncplace::runtime::{Bindings, Kernel};
 
 // ---------------------------------------------------------------- oracle
@@ -147,10 +148,16 @@ impl Rng {
     }
 }
 
-const NNODES: usize = 7;
-const NTRIS: usize = 5;
+/// Past two strips, with a ragged tail.
+const NNODES: usize = 2 * STRIP + 19;
+const NTRIS: usize = 2 * STRIP + 37;
+/// Triangle-to-node targets and `Fixed` subscripts stay below this, so
+/// scatters and fixed elements alias across the lanes of a strip.
+const ALIAS: usize = 7;
 
-/// Variables of the differential world.
+/// Variables of the differential world. Loops run over triangles, or —
+/// when `on_nodes` — over nodes, with a node -> node map, so one array
+/// is written `Direct` and read `Indirect` in a body.
 struct World {
     prog: Program,
     s: VarId,
@@ -160,6 +167,8 @@ struct World {
     w: VarId,
     out: VarId,
     map: VarId,
+    nmap: VarId,
+    on_nodes: bool,
 }
 
 fn world() -> World {
@@ -175,6 +184,11 @@ fn world() -> World {
         to: EntityKind::Node,
         arity: 3,
     };
+    let nmap = VarKind::Map {
+        from: EntityKind::Node,
+        to: EntityKind::Node,
+        arity: 2,
+    };
     World {
         s: prog.declare("s", VarKind::Scalar, true, true),
         t: prog.declare("t", VarKind::Scalar, true, true),
@@ -183,6 +197,8 @@ fn world() -> World {
         w: prog.declare("W", tri.clone(), true, true),
         out: prog.declare("OUT", tri, false, true),
         map: prog.declare("M", map, true, false),
+        nmap: prog.declare("N", nmap, true, false),
+        on_nodes: false,
         prog,
     }
 }
@@ -200,20 +216,33 @@ fn machine(w: &World, rng: &mut Rng) -> Machine {
     }
     m.maps[w.map] = MapTable {
         arity: 3,
-        targets: (0..3 * NTRIS).map(|_| rng.below(NNODES) as u32).collect(),
+        targets: (0..3 * NTRIS).map(|_| rng.below(ALIAS) as u32).collect(),
+    };
+    // Node -> node: half near the start (earlier lanes), half anywhere.
+    let near_or_any = |rng: &mut Rng| {
+        let bound = [ALIAS, NNODES][rng.below(2)];
+        rng.below(bound) as u32
+    };
+    m.maps[w.nmap] = MapTable {
+        arity: 2,
+        targets: (0..2 * NNODES).map(|_| near_or_any(rng)).collect(),
     };
     m
 }
 
 fn access(w: &World, rng: &mut Rng, in_loop: bool) -> Access {
+    let (direct, map, slots) = match w.on_nodes {
+        true => ([w.a, w.b], w.nmap, 2),
+        false => ([w.w, w.out], w.map, 3),
+    };
     match rng.below(if in_loop { 4 } else { 2 }) {
         0 => Access::Scalar(rng.pick(&[w.s, w.t])),
-        1 => Access::Fixed(rng.pick(&[w.a, w.b]), rng.below(NNODES)),
-        2 => Access::Direct(rng.pick(&[w.w, w.out])),
+        1 => Access::Fixed(rng.pick(&[w.a, w.b]), rng.below(ALIAS)),
+        2 => Access::Direct(rng.pick(&direct)),
         _ => Access::Indirect {
             array: rng.pick(&[w.a, w.b]),
-            map: w.map,
-            slot: rng.below(3),
+            map,
+            slot: rng.below(slots),
         },
     }
 }
@@ -249,13 +278,27 @@ fn assign(w: &World, rng: &mut Rng, in_loop: bool) -> AssignStmt {
 }
 
 fn tri_loop(body: Vec<AssignStmt>) -> Stmt {
+    entity_loop(EntityKind::Tri, body)
+}
+
+fn entity_loop(entity: EntityKind, body: Vec<AssignStmt>) -> Stmt {
     Stmt::Loop(LoopStmt {
         id: 0,
-        entity: EntityKind::Tri,
+        entity,
         partitioned: true,
         index: "i".into(),
         body,
     })
+}
+
+/// A random list of distinct iterations below `n`, longer than a strip.
+fn listed(rng: &mut Rng, n: usize) -> Vec<u32> {
+    let mut all: Vec<u32> = (0..n as u32).collect();
+    for k in (1..n).rev() {
+        all.swap(k, rng.below(k + 1));
+    }
+    all.truncate(STRIP + 1 + rng.below(n - STRIP));
+    all
 }
 
 fn assert_same_memory(tag: &str, want: &Machine, got: &Machine) {
@@ -281,25 +324,39 @@ fn random_loop_bodies_match_the_tree_walker_bitwise() {
     let mut w = world();
     let mut rng = Rng(0x9E37_79B9_7F4A_7C15);
     let mut seen = HashSet::new();
-    for case in 0..600 {
+    for case in 0..900 {
+        w.on_nodes = case % 3 == 2;
+        let (entity, n) = match w.on_nodes {
+            true => (EntityKind::Node, NNODES),
+            false => (EntityKind::Tri, NTRIS),
+        };
         let body: Vec<_> = (0..1 + rng.below(3))
             .map(|_| assign(&w, &mut rng, true))
             .collect();
         for a in &body {
-            seen.insert(std::mem::discriminant(&a.lhs));
+            seen.insert((w.on_nodes, std::mem::discriminant(&a.lhs)));
         }
-        w.prog.body = vec![tri_loop(body)];
+        w.prog.body = vec![entity_loop(entity, body)];
         w.prog.renumber();
         let Stmt::Loop(l) = &w.prog.body[0] else {
             unreachable!()
         };
         let m0 = machine(&w, &mut rng);
+        let k = lower(&w.prog, &HashSet::new(), &m0);
         let (mut want, mut got) = (m0.clone(), m0.clone());
-        walk_loop(&mut want, l, 0..NTRIS, NTRIS, &HashSet::new());
-        got.exec_loop(&lower(&w.prog, &HashSet::new(), &m0), l.id, NTRIS, NTRIS);
+        walk_loop(&mut want, l, 0..n, n, &HashSet::new());
+        got.exec_loop(&k, l.id, n, n);
         assert_same_memory(&format!("case {case}: {:?}", l.body), &want, &got);
+
+        // A split engine's index list, in list order, across strips.
+        let list = listed(&mut rng, n);
+        let iters = list.iter().map(|&i| i as usize);
+        let (mut want, mut got) = (m0.clone(), m0);
+        walk_loop(&mut want, l, iters, n, &HashSet::new());
+        got.exec_loop_at(&k, l.id, &list);
+        assert_same_memory(&format!("case {case}, listed: {:?}", l.body), &want, &got);
     }
-    assert_eq!(seen.len(), 4, "all four access kinds written");
+    assert_eq!(seen.len(), 8, "four access kinds written, on both entities");
 }
 
 #[test]
@@ -387,6 +444,109 @@ fn aliasing_scatter_pins_iteration_major_order() {
     got.exec_loop_at(&k, l.id, &[0]);
     assert_same_memory("alias, listed", &want, &got);
     assert_ne!(got.arrays[w.a], vec![3.0, -18.5, 51.0, -2993.0]);
+}
+
+/// A machine with modest finite values, for cases that check an order.
+fn tame(w: &World) -> Machine {
+    let mut m = machine(w, &mut Rng(5));
+    for v in [w.a, w.b, w.w, w.out] {
+        for (i, x) in m.arrays[v].iter_mut().enumerate() {
+            *x = ((i * 7 + v) % 13) as f64 * 0.25 - 1.0;
+        }
+    }
+    m.scalars[w.s] = 0.5;
+    m.scalars[w.t] = -3.0;
+    m
+}
+
+/// A scalar whose first access is a write is one value per lane; after
+/// the loop it holds the last iteration's value, and a loop that runs
+/// zero times leaves it untouched.
+#[test]
+fn a_privatised_scalar_keeps_the_last_iteration_and_zero_trips_leave_it() {
+    let mut w = world();
+    let assign = |lhs, rhs| AssignStmt { id: 0, lhs, rhs };
+    w.prog.body = vec![tri_loop(vec![
+        assign(Access::Scalar(w.t), Expr::direct(w.w) * Expr::Const(2.0)),
+        assign(Access::Direct(w.out), Expr::scalar(w.t) + Expr::Const(1.0)),
+    ])];
+    w.prog.renumber();
+    let Stmt::Loop(l) = &w.prog.body[0] else {
+        unreachable!()
+    };
+    let m0 = tame(&w);
+    let k = lower(&w.prog, &HashSet::new(), &m0);
+    for n in [NTRIS, STRIP, STRIP + 1, 1, 0] {
+        let (mut want, mut got) = (m0.clone(), m0.clone());
+        walk_loop(&mut want, l, 0..n, n, &HashSet::new());
+        got.exec_loop(&k, l.id, n, n);
+        assert_same_memory(&format!("{n} iterations"), &want, &got);
+        let last = match n {
+            0 => m0.scalars[w.t],
+            _ => m0.arrays[w.w][n - 1] * 2.0,
+        };
+        assert_eq!(got.scalars[w.t], last, "{n} iterations");
+    }
+}
+
+/// An accumulator written by two statements, and a `Fixed` element
+/// written by two statements: each iteration's updates interleave, so
+/// only iteration-major order gives the tree walker's answer.
+#[test]
+fn accumulators_and_fixed_targets_written_twice_stay_iteration_major() {
+    let mut w = world();
+    let fixed = Access::Fixed(w.a, 3);
+    let read = |a: &Access| Expr::Read(a.clone());
+    let assign = |lhs, rhs| AssignStmt { id: 0, lhs, rhs };
+    let (s, half) = (Access::Scalar(w.s), Expr::Const(0.5));
+    let bodies = [
+        vec![
+            assign(s.clone(), read(&s) * half.clone() + Expr::direct(w.w)),
+            assign(s.clone(), read(&s) - Expr::direct(w.out)),
+        ],
+        vec![
+            assign(fixed.clone(), read(&fixed) * half + Expr::direct(w.w)),
+            assign(Access::Direct(w.out), read(&fixed)),
+            assign(fixed.clone(), read(&fixed) - Expr::indirect(w.b, w.map, 1)),
+        ],
+    ];
+    for body in bodies {
+        w.prog.body = vec![tri_loop(body)];
+        w.prog.renumber();
+        let Stmt::Loop(l) = &w.prog.body[0] else {
+            unreachable!()
+        };
+        let m0 = tame(&w);
+        let (mut want, mut got) = (m0.clone(), m0.clone());
+        walk_loop(&mut want, l, 0..NTRIS, NTRIS, &HashSet::new());
+        got.exec_loop(&lower(&w.prog, &HashSet::new(), &m0), l.id, NTRIS, NTRIS);
+        assert_same_memory(&format!("{:?}", l.body), &want, &got);
+        let mut statement_major = m0.clone();
+        for a in &l.body {
+            (0..NTRIS).for_each(|i| walk_assign(&mut statement_major, a, Some(i)));
+        }
+        let memory = |m: &Machine| (m.scalars.clone(), m.arrays.clone());
+        assert_ne!(memory(&statement_major), memory(&got), "{:?}", l.body);
+    }
+}
+
+/// An absent map target in a lane past the first strip is still the
+/// runtime's placement-bug panic.
+#[test]
+#[should_panic(expected = "invalid placement")]
+fn an_absent_target_past_the_first_strip_still_panics() {
+    let mut w = world();
+    let rhs = Expr::indirect(w.a, w.map, 1);
+    let lhs = Access::Direct(w.out);
+    w.prog.body = vec![tri_loop(vec![AssignStmt { id: 0, lhs, rhs }])];
+    w.prog.renumber();
+    let Stmt::Loop(l) = &w.prog.body[0] else {
+        unreachable!()
+    };
+    let mut m = tame(&w);
+    m.maps[w.map].targets[3 * (STRIP + 5) + 1] = u32::MAX;
+    let k = lower(&w.prog, &HashSet::new(), &m);
+    m.exec_loop(&k, l.id, NTRIS, NTRIS);
 }
 
 #[test]
