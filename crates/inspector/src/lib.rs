@@ -199,7 +199,8 @@ pub fn run_inspector_executor<const V: usize>(
         "the executor uses the element-overlap ghost slots (run it on a FIG1 decomposition)"
     );
     let mut machines = build_machines(prog, d, b)?;
-    let kernel = Kernel::lower(prog, |_| false, &machines)?;
+    let kernel = Kernel::lower(prog, |_| false)?;
+    kernel.check_tables(prog, &machines)?;
     let plan = inspect(prog, d, &machines);
     let mut stats = CommStats::default();
     let mut iters = 0usize;

@@ -120,8 +120,8 @@ pub fn run_sequential(prog: &Program, b: &Bindings) -> SeqResult {
         m.scalars[v] = s;
     }
 
-    let lowered = Kernel::lower(prog, |_| false, std::slice::from_ref(&m));
-    let k = lowered.unwrap_or_else(|e| panic!("{e}"));
+    let k = Kernel::lower(prog, |_| false).unwrap_or_else(|e| panic!("{e}"));
+    k.check_tables(prog, std::slice::from_ref(&m)).unwrap_or_else(|e| panic!("{e}"));
 
     let mut iterations = 0usize;
     run_block_seq(&prog.body, &k, &mut m, &mut iterations);
@@ -298,7 +298,7 @@ mod tests {
             syncplace_ir::Stmt::Loop(l) => l.body[0].id,
             _ => panic!(),
         };
-        let k = Kernel::lower(&p, |s| s == red_stmt, &[]).unwrap();
+        let k = Kernel::lower(&p, |s| s == red_stmt).unwrap();
         match &p.body[1] {
             syncplace_ir::Stmt::Loop(l) => m.exec_loop(&k, l.id, 4, 2),
             _ => panic!(),

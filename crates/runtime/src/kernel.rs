@@ -1,6 +1,8 @@
 //! The compiled kernel: every entity loop, out-of-loop assignment and
-//! `exit when` test lowered **once per run** into a strip program, and
-//! the one executor every engine drives (DESIGN.md §5.4). Each step runs
+//! `exit when` test lowered **once per plan** into a strip program (a
+//! [`crate::CommPlan`] carries it; round-robin and the sequential
+//! reference lower their own), and the one executor every engine
+//! drives (DESIGN.md §5.4). Each step runs
 //! over up to [`STRIP`] iterations' lanes before the next; a dependence
 //! pass keeps every memory location's reads and writes in
 //! iteration-major order, so results are bitwise a tree walk's. What
@@ -364,13 +366,9 @@ impl<'p> Lowerer<'p> {
 
 impl Kernel {
     /// Lower every statement of `prog`; `guarded` is the placement's
-    /// kernel-guarded set. Every machine must hold a table, with the
-    /// slots used, for every map the kernel gathers through.
-    pub fn lower(
-        prog: &Program,
-        guarded: impl Fn(StmtId) -> bool,
-        machines: &[Machine],
-    ) -> Result<Kernel, String> {
+    /// kernel-guarded set. A run checks its machines with
+    /// [`Kernel::check_tables`] before executing.
+    pub fn lower(prog: &Program, guarded: impl Fn(StmtId) -> bool) -> Result<Kernel, String> {
         let mut out = vec![None; prog.nstmts()];
         let mut work: Vec<&Stmt> = prog.body.iter().collect();
         while let Some(s) = work.pop() {
@@ -408,8 +406,13 @@ impl Kernel {
                 ));
             }
         }
-        let code: Vec<Code> = out.into_iter().map(Option::unwrap_or_default).collect();
-        let bodies = code.iter().flat_map(|c| std::iter::once(c).chain(&c.tail));
+        Ok(Kernel(out.into_iter().map(Option::unwrap_or_default).collect()))
+    }
+
+    /// Every machine must hold a table, with the slots used, for every
+    /// map the kernel gathers through.
+    pub fn check_tables(&self, prog: &Program, machines: &[Machine]) -> Result<(), String> {
+        let bodies = self.0.iter().flat_map(|c| std::iter::once(c).chain(&c.tail));
         for &(map, slot, stmt) in bodies.flat_map(|c| &c.gathers) {
             let arity = |m: &Machine| m.maps.get(map).map_or(0, |t| t.arity);
             if machines.iter().any(|m| slot >= arity(m)) {
@@ -417,7 +420,7 @@ impl Kernel {
                 return Err(format!("s{stmt}: map {name} has no table on this machine"));
             }
         }
-        Ok(Kernel(code))
+        Ok(())
     }
 
     /// The tied blocks statement `id` runs.
@@ -608,7 +611,7 @@ mod tests {
         })];
         p.renumber();
         let mut m = Machine::new(&p, [3, 0, 0, 0], [3, 0, 0, 0]);
-        let k = Kernel::lower(&p, |_| false, &[])?;
+        let k = Kernel::lower(&p, |_| false)?;
         let id = p.body[0].id();
         m.exec_loop(&k, id, 3, 3);
         assert_eq!(m.arrays[a], vec![(4 * KEPT_BUFS - 1) as f64; 3]);

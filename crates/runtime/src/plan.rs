@@ -27,10 +27,13 @@
 //!
 //! The plan also carries the program lowered onto its phases, early
 //! posts placed ([`CommPlan::tape`], [`crate::tape`]): the one schedule
-//! the pooled engines and the model checker step through.
+//! the pooled engines and the model checker step through, and the
+//! kernel lowered once that they execute ([`CommPlan::kernel`]).
 
 use crate::comm::{merge_phase, PhaseContribution, PhaseStat};
+use crate::kernel::Kernel;
 use crate::tape::{self, Op};
+use std::sync::Arc;
 use syncplace_codegen::{CommOp, PhaseAt, SpmdProgram};
 use syncplace_dfg::ReduceOp;
 use syncplace_ir::{Access, Expr, IdVec, Program, Stmt, VarId, VarKind};
@@ -176,6 +179,10 @@ pub struct CommPlan {
     /// checks ([`crate::tape`]). `Err` is the refusal of a program with
     /// a loop no engine runs.
     pub tape: Result<Vec<Op>, String>,
+    /// The program's kernel, lowered once next to the tape and shared
+    /// by every rank of every run on this plan. `Err` is the refusal of
+    /// a program the kernel cannot lower.
+    pub kernel: Result<Arc<Kernel>, String>,
 }
 
 impl CommPlan {
@@ -218,6 +225,7 @@ impl CommPlan {
         CommPlan {
             nparts,
             tape: tape::lower(prog, spmd, &agree, &gathered),
+            kernel: Kernel::lower(prog, |s| spmd.kernel_guarded.contains(s)).map(Arc::new),
             phases,
             before,
             at_end,

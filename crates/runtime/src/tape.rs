@@ -516,7 +516,7 @@ mod tests {
         }
         let (mut permutable, mut tied) = (0, 0);
         for p in &progs {
-            let k = crate::Kernel::lower(p, |_| false, &[]).unwrap();
+            let k = crate::Kernel::lower(p, |_| false).unwrap();
             let mut work: Vec<&Stmt> = p.body.iter().collect();
             while let Some(st) = work.pop() {
                 match st {

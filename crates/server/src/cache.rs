@@ -1,7 +1,7 @@
 //! A bounded LRU cache with *single-flight* builds.
 //!
-//! The server's two caches (placements, plans) share this one
-//! implementation. The contract:
+//! The server's three cache layers (text memo, placements, plans)
+//! share this one implementation. The contract:
 //!
 //! * [`LruCache::get_or_build`] returns the cached value when present
 //!   (a **hit**, which also freshens the entry's recency), otherwise

@@ -1,7 +1,13 @@
 //! Content-hash cache keys for the placement server.
 //!
-//! Two keys, two caches, two very different lifetimes (DESIGN.md §10):
+//! Three keys, three layers, three very different lifetimes
+//! (DESIGN.md §10):
 //!
+//! * The **text key** covers the request's raw program (builtin name
+//!   or source text) and the pattern name. It keys the text memo, which
+//!   maps it to the placement key, so a repeated text is neither parsed
+//!   nor printed; a new formatting of a known program misses the memo
+//!   once and then hits the placement cache.
 //! * The **placement key** covers the canonical program text (the DSL
 //!   printer's output, so formatting and comments never cause a miss)
 //!   and the overlap-automaton name. Placement analysis is
@@ -12,17 +18,20 @@
 //!   [`CommPlan`] depends on: the mesh spec (dimensions, perturbation,
 //!   seed), the overlapping pattern, and the processor count.
 //!
-//! The requested *engine* is in **neither** key: all five engines are
-//! bitwise-identical on the same placed program (the PR 6 guarantee),
+//! The requested *engine* is in **no** key: all three engines
+//! (`Engine::ALL`) are bitwise-identical on the same placed program,
 //! so a cached placement or plan is safe to reuse across engines.
 //!
 //! Hashing is FNV-1a 64-bit over a length-prefixed byte encoding —
 //! std-only, deterministic across runs and platforms, and collision
 //! -resistant enough for a cache keyed by a few thousand distinct
-//! programs. A version tag (`"placement/1"`, `"plan/1"`) is folded in
-//! first so key derivation changes never alias stale entries.
+//! programs. A version tag (`"text/1"`, `"placement/1"`, `"plan/1"`)
+//! is folded in first so key derivation changes never alias stale
+//! entries.
 //!
 //! [`CommPlan`]: syncplace::runtime::CommPlan
+
+use crate::protocol::ProgramSpec;
 
 /// An incremental FNV-1a 64-bit hasher.
 #[derive(Debug, Clone)]
@@ -88,6 +97,22 @@ pub fn placement_key(canonical_dsl: &str, automaton_name: &str) -> u64 {
     h.finish()
 }
 
+/// The text-memo key: the request's raw program — builtin name or
+/// source text, tagged by which — and the pattern name. It maps to the
+/// placement key, so a repeated text is never parsed or printed again.
+pub fn text_key(program: &ProgramSpec, pattern_name: &str) -> u64 {
+    let (kind, text) = match program {
+        ProgramSpec::Builtin(name) => ("builtin", name),
+        ProgramSpec::Source(src) => ("source", src),
+    };
+    let mut h = Fnv::new();
+    h.write_str("text/1");
+    h.write_str(kind);
+    h.write_str(text);
+    h.write_str(pattern_name);
+    h.finish()
+}
+
 /// The plan-cache key: placement key + mesh spec + pattern + `P`.
 #[allow(clippy::too_many_arguments)]
 pub fn plan_key(
@@ -121,6 +146,16 @@ mod tests {
         assert_eq!(k, placement_key("program x end", "fig6"));
         assert_ne!(k, placement_key("program y end", "fig6"));
         assert_ne!(k, placement_key("program x end", "fig7"));
+    }
+
+    #[test]
+    fn text_key_separates_kind_text_and_pattern() {
+        let src = |s: &str| ProgramSpec::Source(s.into());
+        let k = text_key(&src("testiv"), "node-overlap");
+        assert_eq!(k, text_key(&src("testiv"), "node-overlap"));
+        assert_ne!(k, text_key(&ProgramSpec::Builtin("testiv".into()), "node-overlap"));
+        assert_ne!(k, text_key(&src("testiv "), "node-overlap"));
+        assert_ne!(k, text_key(&src("testiv"), "element-overlap(1)"));
     }
 
     #[test]

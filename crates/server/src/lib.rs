@@ -5,11 +5,13 @@
 //! (§5) and the batched [`CommPlan`] are pure functions of the program
 //! text, the overlap automaton, the mesh and `P` — so a long-running
 //! server can memoize both and serve repeat requests at execution cost
-//! only. This crate provides that server:
+//! only: a request whose text, placement and plan are all cached runs
+//! the engine on the plan's kernel and inputs and checksums the
+//! outputs, nothing else. This crate provides that server:
 //!
 //! | module | contents |
 //! |---|---|
-//! | [`hash`] | FNV-1a content hashing, placement/plan key derivation |
+//! | [`hash`] | FNV-1a content hashing, text/placement/plan key derivation |
 //! | [`cache`] | bounded LRU with single-flight builds |
 //! | [`protocol`] | newline-delimited JSON requests/events |
 //! | [`flight`] | bounded flight recorder of recent request spans |

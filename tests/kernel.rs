@@ -17,7 +17,7 @@ use syncplace::overlap::Decomposition;
 use syncplace::prelude::*;
 use syncplace::runtime::exec::{Machine, MapTable};
 use syncplace::runtime::kernel::STRIP;
-use syncplace::runtime::{Bindings, Kernel};
+use syncplace::runtime::{Bindings, CommPlan, Kernel, SpmdResult};
 
 // ---------------------------------------------------------------- oracle
 
@@ -314,7 +314,9 @@ fn assert_same_memory(tag: &str, want: &Machine, got: &Machine) {
 }
 
 fn lower(p: &Program, guarded: &HashSet<StmtId>, m: &Machine) -> Kernel {
-    Kernel::lower(p, |s| guarded.contains(&s), std::slice::from_ref(m)).unwrap()
+    let k = Kernel::lower(p, |s| guarded.contains(&s)).unwrap();
+    k.check_tables(p, std::slice::from_ref(m)).unwrap();
+    k
 }
 
 // ----------------------------------------------------------------- tests
@@ -592,7 +594,10 @@ fn guarded_and_unguarded_statements_split_like_the_per_statement_guard() {
 fn what_lowering_cannot_resolve_is_a_typed_error() {
     let mut w = world();
     let m = Machine::new(&w.prog, [NNODES, 0, NTRIS, 0], [NNODES, 0, NTRIS, 0]);
-    let lower = |p: &Program| Kernel::lower(p, |_| false, std::slice::from_ref(&m));
+    let lower = |p: &Program| {
+        let k = Kernel::lower(p, |_| false)?;
+        k.check_tables(p, std::slice::from_ref(&m)).map(|()| k)
+    };
     let to_s = |rhs| AssignStmt {
         id: 0,
         lhs: Access::Scalar(w.s),
@@ -619,16 +624,13 @@ fn what_lowering_cannot_resolve_is_a_typed_error() {
     w.prog.renumber();
     let e = lower(&w.prog).unwrap_err();
     assert!(e.starts_with("s1: map M has no table"), "{e}");
-    assert!(
-        Kernel::lower(&w.prog, |_| false, &[]).is_ok(),
-        "lowering alone"
-    );
+    let k = Kernel::lower(&w.prog, |_| false).expect("lowering alone");
     let mut narrow = m.clone();
     narrow.maps[w.map] = MapTable {
         arity: 2,
         targets: vec![0; 2 * NTRIS],
     };
-    assert!(Kernel::lower(&w.prog, |_| false, &[narrow]).is_err());
+    assert!(k.check_tables(&w.prog, &[narrow]).is_err());
 
     // An undeclared variable id; statement ids never renumbered.
     w.prog.body = vec![Stmt::Assign(to_s(Expr::scalar(99)))];
@@ -658,11 +660,10 @@ fn testiv_reading_old_outside_a_loop() -> (Program, Mesh2d) {
     (prog, gen2d::perturbed_grid(6, 6, 0.1, 2))
 }
 
-#[test]
-fn every_engine_returns_the_lowering_error() {
+/// Every engine's answer for `prog`, run without a plan and then on a
+/// prebuilt one, with TESTIV's placement on a 2-way decomposition.
+fn answers_with_and_without_a_plan(prog: &Program, mesh: &Mesh2d, b: &Bindings) -> Vec<String> {
     let good = syncplace::ir::programs::testiv();
-    let (bad, mesh) = testiv_reading_old_outside_a_loop();
-    let b = syncplace::runtime::bindings::testiv_bindings(&good, &mesh, 1e-9);
     let (dfg, analysis) = analyze_program(
         &good,
         &fig6(),
@@ -671,20 +672,55 @@ fn every_engine_returns_the_lowering_error() {
     );
     let spmd = syncplace::codegen::spmd_program(&good, &dfg, &analysis.solutions[0]);
     let d = decompose2d(
-        &mesh,
-        &partition2d(&mesh, 2, Method::Greedy).part,
+        mesh,
+        &partition2d(mesh, 2, Method::Greedy).part,
         2,
         Pattern::FIG1,
     );
-    for engine in Engine::ALL {
-        assert!(engine.run(&good, &spmd, &d, &b).is_ok());
-        let e = engine.run(&bad, &spmd, &d, &b).unwrap_err();
-        assert!(
-            e.contains("OLD is indexed by a loop variable outside any entity loop"),
-            "{}: {e}",
-            engine.name()
-        );
-    }
+    let plan = std::sync::Arc::new(CommPlan::build(prog, &spmd, &d));
+    let answer = |r: Result<SpmdResult, String>| r.map_or_else(|e| e, |_| "ok".to_string());
+    Engine::ALL
+        .into_iter()
+        .flat_map(|engine| {
+            [
+                answer(engine.run(prog, &spmd, &d, b)),
+                answer(engine.run_with(prog, &spmd, &d, b, Some(&plan), &None)),
+            ]
+        })
+        .collect()
+}
+
+#[test]
+fn every_engine_returns_the_lowering_error() {
+    let good = syncplace::ir::programs::testiv();
+    let (bad, mesh) = testiv_reading_old_outside_a_loop();
+    let b = syncplace::runtime::bindings::testiv_bindings(&good, &mesh, 1e-9);
+    assert!(answers_with_and_without_a_plan(&good, &mesh, &b).iter().all(|a| a == "ok"));
+    let errs = answers_with_and_without_a_plan(&bad, &mesh, &b);
+    assert!(
+        errs[0].contains("OLD is indexed by a loop variable outside any entity loop"),
+        "{}",
+        errs[0]
+    );
+    assert!(errs.iter().all(|e| *e == errs[0]), "{errs:?}");
+}
+
+/// A run whose machines hold no table for a map the kernel gathers
+/// through is refused by the per-run table check, plan or no plan.
+#[test]
+fn every_engine_refuses_a_run_without_a_gathered_maps_table() {
+    let mut prog = syncplace::ir::programs::testiv();
+    let mesh = gen2d::perturbed_grid(6, 6, 0.1, 2);
+    let mut b = syncplace::runtime::bindings::testiv_bindings(&prog, &mesh, 1e-9);
+    let som = prog.lookup("SOM").unwrap();
+    // Not an input, so unbound passes validation and no machine has it.
+    prog.decls[som].input = false;
+    b.maps = (b.maps.iter().filter(|&(v, _)| v != som))
+        .map(|(v, m)| (v, m.clone()))
+        .collect();
+    let errs = answers_with_and_without_a_plan(&prog, &mesh, &b);
+    assert!(errs[0].ends_with(": map SOM has no table on this machine"), "{}", errs[0]);
+    assert!(errs.iter().all(|e| *e == errs[0]), "{errs:?}");
 }
 
 #[test]

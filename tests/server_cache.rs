@@ -155,9 +155,57 @@ fn whitespace_does_not_change_the_content_hash() {
         "{\"op\":\"run\",\"source\":\"program   t\\n\\n  input A : node\\n  output B : node\\n  \
          forall i in node split {\\n    B(i) = A(i) * 2.0\\n  }\\nend\\n\",\"mesh\":{\"nx\":6,\"ny\":6},\"p\":2}",
     );
-    assert_eq!(svc.run(&tidy).unwrap().placement, Lookup::Miss);
-    let again = svc.run(&messy).unwrap();
-    assert_eq!((again.placement, again.plan), (Lookup::Hit, Lookup::Hit));
+    let first = svc.run(&tidy).unwrap();
+    assert_eq!(first.placement, Lookup::Miss);
+    // The messy text misses the text memo once, then hits it; both
+    // sends share the tidy text's placement, plan and answer.
+    for _ in 0..2 {
+        let again = svc.run(&messy).unwrap();
+        assert_eq!((again.placement, again.plan), (Lookup::Hit, Lookup::Hit));
+        assert_eq!(again.checksum, first.checksum);
+    }
+    let texts = svc.stats().texts;
+    assert_eq!((texts.misses, texts.hits), (2, 1));
+    // One constant differs: a different program.
+    let other = run_req(&tidy_json(&tidy_src().replace("2.0", "3.0"), "fig1"));
+    assert_eq!(svc.run(&other).unwrap().placement, Lookup::Miss);
+    // The same raw text under another pattern: another automaton, so
+    // the first pattern's placement is not reused.
+    let fig2 = svc.run(&run_req(&tidy_json(&tidy_src(), "fig2"))).unwrap();
+    assert_eq!(fig2.placement, Lookup::Miss);
+}
+
+/// The tidy one-loop program of the whitespace test.
+fn tidy_src() -> String {
+    "program t\n  input A : node\n  output B : node\n  \
+     forall i in node split { B(i) = A(i) * 2.0 }\nend\n"
+        .to_string()
+}
+
+fn tidy_json(src: &str, pattern: &str) -> String {
+    format!(
+        "{{\"op\":\"run\",\"source\":{},\"mesh\":{{\"nx\":6,\"ny\":6}},\
+         \"pattern\":\"{pattern}\",\"p\":2}}",
+        syncplace::obs::trace::json_escape(src)
+    )
+}
+
+/// The text memo shares the placement cache's bound: more distinct
+/// texts than `placement_cap` leave it at `placement_cap` entries.
+#[test]
+fn the_text_memo_is_bounded_by_placement_cap() {
+    let cap = 3;
+    let svc = Service::new(ServiceConfig {
+        placement_cap: cap,
+        ..Default::default()
+    });
+    for k in 0..cap + 5 {
+        let src = tidy_src().replace("2.0", &format!("{k}.5"));
+        svc.run(&run_req(&tidy_json(&src, "fig1"))).unwrap();
+    }
+    let texts = svc.stats().texts;
+    assert_eq!(texts.compiles, (cap + 5) as u64);
+    assert!(texts.len <= cap, "{} entries over a cap of {cap}", texts.len);
 }
 
 /// LRU eviction: with a plan cache bounded to 2, a third distinct plan
