@@ -5,7 +5,7 @@
 //! paper shows.
 
 use crate::setup;
-use crate::{cpus, push_verdict, table};
+use crate::{push_verdict, table};
 use syncplace::automata::predefined::{element_overlap_2d_full, fig6, fig6_from_fig8, fig7, fig8};
 use syncplace::automata::CommKind;
 use syncplace::overlap::Pattern;
@@ -939,8 +939,6 @@ pub fn e17_partitioners(scale: Scale) -> String {
 struct EngineRow {
     p: usize,
     engine: syncplace::Engine,
-    /// Measured: best-of-`reps` wall clock on this host.
-    wall_ms: f64,
     messages: usize,
     values: usize,
     phases: usize,
@@ -967,7 +965,6 @@ fn engine_rows(
     seq: &syncplace::runtime::SeqResult,
     d: &syncplace::overlap::Decomposition<3>,
     spmd: &syncplace::codegen::SpmdProgram,
-    reps: usize,
     faults: &mut Vec<String>,
 ) -> Vec<EngineRow> {
     use syncplace::runtime::estimate_engine;
@@ -979,15 +976,7 @@ fn engine_rows(
     let mut unbatched_messages = usize::MAX;
     let mut rows = Vec::new();
     for engine in Engine::ALL {
-        let mut best = f64::INFINITY;
-        let mut res = None;
-        for _ in 0..reps {
-            let t0 = std::time::Instant::now();
-            let r = engine.run(&s.prog, spmd, d, &s.bindings).unwrap();
-            best = best.min(t0.elapsed().as_secs_f64());
-            res = Some(r);
-        }
-        let r = res.unwrap();
+        let r = engine.run(&s.prog, spmd, d, &s.bindings).unwrap();
         let est = estimate_engine(seq, &r, &model, engine);
         let messages = r.stats.total_messages();
         if engine == Engine::RoundRobin {
@@ -1002,7 +991,6 @@ fn engine_rows(
         rows.push(EngineRow {
             p,
             engine,
-            wall_ms: best * 1e3,
             messages,
             values: r.stats.total_values(),
             phases: r.stats.nphases(),
@@ -1020,7 +1008,6 @@ fn engine_table(rows: &[EngineRow]) -> String {
             vec![
                 format!("{}", r.p),
                 r.engine.name().to_string(),
-                format!("{:.2}", r.wall_ms),
                 format!("{}", r.messages),
                 format!("{}", r.values),
                 format!("{}", r.phases),
@@ -1033,7 +1020,6 @@ fn engine_table(rows: &[EngineRow]) -> String {
         &[
             "P",
             "engine",
-            "wall ms (measured)",
             "messages",
             "values",
             "phases",
@@ -1044,22 +1030,23 @@ fn engine_table(rows: &[EngineRow]) -> String {
     )
 }
 
-/// E18 / `bench-runtime`: the three SPMD engines at every P — measured
-/// wall clock on this host beside the α/β model's speedups (see
-/// `engine_rows`) — and the packet accounting of the batched wire
-/// format. Returns the report and `false` when a batched engine sent
-/// more messages than the round-robin reference.
+/// E18 / `bench-runtime`: the three SPMD engines at every P — the
+/// messages, values and phases each one counted, the α/β model's
+/// speedups (see `engine_rows`) — and the packet accounting of the
+/// batched wire format. Returns the report and `false` when a batched
+/// engine sent more messages than the round-robin reference.
 ///
-/// The wall-clock column is a reading, not a gate: `benchmark/run.sh`
-/// is the repo's wall-clock regression gate. The modeled floors are
-/// held by `tests/runtime_engines.rs`.
+/// Every figure is computed, none is clocked, so the report is
+/// reproducible byte for byte: the engines' wall clock is
+/// `benchmark/`'s `solve-comm` workload. The modeled floors are held
+/// by `tests/runtime_engines.rs`.
 pub fn bench_runtime(scale: Scale) -> (String, bool) {
     use std::fmt::Write as _;
     use syncplace::runtime::CommPlan;
 
-    let (nx, procs, reps): (usize, &[usize], usize) = match scale {
-        Scale::Quick => (12, &[1, 2, 4], 3),
-        Scale::Paper => (32, &[1, 2, 4, 8, 16], 5),
+    let (nx, procs): (usize, &[usize]) = match scale {
+        Scale::Quick => (12, &[1, 2, 4]),
+        Scale::Paper => (32, &[1, 2, 4, 8, 16]),
     };
     let s = setup::testiv(nx, 1e-8, &fig6());
     let seq = syncplace::runtime::run_sequential(&s.prog, &s.bindings);
@@ -1080,12 +1067,11 @@ pub fn bench_runtime(scale: Scale) -> (String, bool) {
                 }
             }
         }
-        rows.extend(engine_rows(&s, &seq, &d, &spmd, reps, &mut faults));
+        rows.extend(engine_rows(&s, &seq, &d, &spmd, &mut faults));
     }
 
     let mut out = format!(
-        "E18 — runtime engines ({nx}x{nx} TESTIV mesh, best of {reps}, cpus = {})\n\n{}\n",
-        cpus(),
+        "E18 — runtime engines ({nx}x{nx} TESTIV mesh)\n\n{}\n",
         engine_table(&rows)
     );
     let _ = writeln!(
@@ -1103,17 +1089,13 @@ pub fn bench_runtime(scale: Scale) -> (String, bool) {
 
 /// E24 / `bench-large`: the large-scale decomposition tier.
 ///
-/// Three measurements:
+/// Two checks:
 ///
-/// 1. **Decompose-time breakdown** — sequential CSR-lean builds of
-///    ~10⁶-element 2-D and 3-D meshes at every large-tier P, split
-///    into the dedup / closure / schedule stages (the gated memory
-///    reading of this pipeline is `benchmark/`'s `prepare-large`
-///    `peak_rss_mb`).
-/// 2. **Parallel construction** — the pool builder at 4 workers on
-///    the same meshes: wall-clock and a full bitwise-equality check
-///    against the sequential build.
-/// 3. **Engine scaling at the new P values** — every engine at
+/// 1. **Parallel construction** — ~10⁶-element 2-D and 3-D meshes at
+///    every large-tier P, built by the sequential CSR-lean builder and
+///    by the pool builder at 4 workers: the two decompositions must be
+///    bitwise identical.
+/// 2. **Engine scaling at the new P values** — every engine at
 ///    P ∈ {16, 32, 64, 128} on a TESTIV instance, the same table as
 ///    E18.
 ///
@@ -1123,13 +1105,14 @@ pub fn bench_runtime(scale: Scale) -> (String, bool) {
 /// (million-element meshes): the concurrent engines' modeled time no
 /// worse than round-robin's at P ≥ 64.
 ///
-/// At `--quick` scale ("ci" preset, run by `scripts/clippy.sh`) the
-/// meshes shrink to a few thousand elements and P to {4, 8}; the same
-/// code paths run.
+/// Nothing here is clocked: the wall clock and peak memory of this
+/// pipeline are `benchmark/`'s `prepare-large` workload. At `--quick`
+/// scale ("ci" preset, run by `scripts/clippy.sh`) the meshes shrink
+/// to a few thousand elements and P to {4, 8}; the same code paths
+/// run.
 pub fn e24_large(scale: Scale) -> (String, bool) {
     use std::fmt::Write as _;
-    use std::time::Instant;
-    use syncplace::overlap::build::decompose_with_stats;
+    use syncplace::overlap::{decompose2d, decompose3d};
     use syncplace::runtime::decomp::{decompose2d_par, decompose3d_par};
     use syncplace::Engine;
 
@@ -1137,16 +1120,13 @@ pub fn e24_large(scale: Scale) -> (String, bool) {
         Scale::Quick => (49, 41, 9, 9, 9),
         Scale::Paper => (709, 708, 55, 55, 55),
     };
-    let (procs, workers, engine_nx, reps): (&[usize], usize, usize, usize) = match scale {
-        Scale::Quick => (&[4, 8], 4, 12, 1),
-        Scale::Paper => (&[16, 32, 64, 128], 4, 48, 2),
+    let (procs, workers, engine_nx): (&[usize], usize, usize) = match scale {
+        Scale::Quick => (&[4, 8], 4, 12),
+        Scale::Paper => (&[16, 32, 64, 128], 4, 48),
     };
     let paper = scale == Scale::Paper;
 
-    let mut out = format!(
-        "E24 — large-scale tier: CSR-lean decomposition pipeline (cpus = {})\n\n",
-        cpus()
-    );
+    let mut out = String::from("E24 — large-scale tier: CSR-lean decomposition pipeline\n\n");
 
     let mesh2 = syncplace::mesh::gen2d::grid(g2x, g2y);
     let mesh3 = syncplace::mesh::gen3d::box_mesh(b3x, b3y, b3z);
@@ -1160,53 +1140,25 @@ pub fn e24_large(scale: Scale) -> (String, bool) {
     let mut faults = Vec::new();
     let mut rows = Vec::new();
     for &p in procs {
-        // 2-D row.
         let part2 =
             syncplace::partition::partition2d(&mesh2, p, syncplace::partition::Method::Rcb);
-        let (seq2, st2) =
-            decompose_with_stats(mesh2.nnodes(), &mesh2.som, &part2.part, p, Pattern::FIG1);
-        let t0 = Instant::now();
-        let (par2, _) = decompose2d_par(&mesh2, &part2.part, p, Pattern::FIG1, workers, &None);
-        let par2_s = t0.elapsed().as_secs_f64();
-        let same2 = par2 == seq2;
-        drop((par2, seq2));
-        // 3-D row.
+        let same2 = decompose2d_par(&mesh2, &part2.part, p, Pattern::FIG1, workers, &None).0
+            == decompose2d(&mesh2, &part2.part, p, Pattern::FIG1);
         let part3 =
             syncplace::partition::partition3d(&mesh3, p, syncplace::partition::Method::Rcb);
-        let (seq3, st3) =
-            decompose_with_stats(mesh3.nnodes(), &mesh3.tets, &part3.part, p, Pattern::FIG1);
-        let t0 = Instant::now();
-        let (par3, _) = decompose3d_par(&mesh3, &part3.part, p, Pattern::FIG1, workers, &None);
-        let par3_s = t0.elapsed().as_secs_f64();
-        let same3 = par3 == seq3;
-        drop((par3, seq3));
-
-        for (dim, st, par_s, same) in [(2usize, st2, par2_s, same2), (3usize, st3, par3_s, same3)] {
+        let same3 = decompose3d_par(&mesh3, &part3.part, p, Pattern::FIG1, workers, &None).0
+            == decompose3d(&mesh3, &part3.part, p, Pattern::FIG1);
+        for (dim, same) in [(2usize, same2), (3usize, same3)] {
             if !same {
                 faults.push(format!("{dim}D P={p}: parallel decomposition differs from sequential"));
             }
-            rows.push(vec![
-                format!("{dim}D"),
-                format!("{p}"),
-                format!("{:.0}", st.dedup_s * 1e3),
-                format!("{:.0}", st.closure_s * 1e3),
-                format!("{:.0}", st.schedule_s * 1e3),
-                format!("{:.0}", st.total_s * 1e3),
-                format!("{:.0}", par_s * 1e3),
-                format!("{same}"),
-            ]);
+            rows.push(vec![format!("{dim}D"), format!("{p}"), format!("{same}")]);
         }
     }
     let _ = writeln!(
         out,
-        "\ndecomposition (sequential breakdown + {workers}-worker pool builder; \
-         ms columns measured):\n\n{}",
-        table(
-            &[
-                "mesh", "P", "dedup ms", "closure ms", "sched ms", "seq ms", "par ms", "identical"
-            ],
-            &rows
-        )
+        "\ndecomposition ({workers}-worker pool builder vs the sequential build):\n\n{}",
+        table(&["mesh", "P", "identical"], &rows)
     );
 
     // Engine scaling at the large-tier P values on a TESTIV instance
@@ -1216,7 +1168,7 @@ pub fn e24_large(scale: Scale) -> (String, bool) {
     let mut erows = Vec::new();
     for &p in procs {
         let (d, spmd) = setup::decompose(&s, p, Pattern::FIG1, 0);
-        erows.extend(engine_rows(&s, &seq, &d, &spmd, reps, &mut faults));
+        erows.extend(engine_rows(&s, &seq, &d, &spmd, &mut faults));
     }
     for r in &erows {
         if paper && r.p >= 64 && r.engine != Engine::RoundRobin && r.modeled_vs_rr < 1.0 {
@@ -1230,7 +1182,7 @@ pub fn e24_large(scale: Scale) -> (String, bool) {
     }
     let _ = writeln!(
         out,
-        "\nengines at large-tier P ({engine_nx}x{engine_nx} TESTIV, best of {reps}):\n\n{}",
+        "\nengines at large-tier P ({engine_nx}x{engine_nx} TESTIV):\n\n{}",
         engine_table(&erows)
     );
     let ok = push_verdict(&mut out, &faults);
@@ -1689,7 +1641,7 @@ pub fn index() -> Vec<(&'static str, &'static str)> {
         ("e17-partition", "mesh-splitter quality (MS3D substitute)"),
         (
             "bench-runtime",
-            "E18: three engines per P — measured wall ms, modeled S, messages",
+            "E18: three engines per P — messages, phases, modeled S",
         ),
         (
             "lint",
@@ -1701,11 +1653,11 @@ pub fn index() -> Vec<(&'static str, &'static str)> {
         ),
         (
             "serve-bench",
-            "E23: live daemon — hot vs cold req/s, ledger audit, telemetry cost",
+            "E23: telemetry cost — hot latency, telemetry on vs off",
         ),
         (
             "bench-large",
-            "E24: 10^6-element decompose stages, pool builder identity, P <= 128",
+            "E24: 10^6-element pool builder identity, engines at P <= 128",
         ),
         (
             "racecheck",

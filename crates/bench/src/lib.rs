@@ -4,9 +4,14 @@
 //! Each `eN_*` function in [`experiments`] reproduces one evaluation
 //! artifact (see DESIGN.md's experiment index) and returns a printable
 //! report; the ones that judge their own result return `(report, ok)`
-//! and `reproduce` exits non-zero on `false`. Nothing is persisted to
-//! compare against later: the repo's wall-clock regression gate is
-//! `benchmark/run.sh`. EXPERIMENTS.md records paper-vs-measured.
+//! and `reproduce` exits non-zero on `false`. A report prints what the
+//! code computes — counts, identities, modeled figures and verdicts —
+//! so it reads the same on any host. Two readings of the clock remain:
+//! E23's telemetry on/off ratio ([`serve`]), which `benchmark/` cannot
+//! take, and E21's profile timelines ([`profile`]), which explain one
+//! run and claim no speed. Nothing is persisted to compare against
+//! later: the repo's wall-clock regression gate is `benchmark/run.sh`.
+//! EXPERIMENTS.md records paper-vs-measured.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -32,8 +37,8 @@ pub fn git_rev() -> String {
         .unwrap_or_else(|| "unknown".to_string())
 }
 
-/// The CPUs this process may use, printed beside every measured
-/// wall-clock figure.
+/// The CPUs this process may use, printed beside E23's telemetry-cost
+/// ratio: the one wall-clock figure a `reproduce` report judges.
 pub(crate) fn cpus() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }

@@ -1,209 +1,71 @@
-//! E23 / `serve-bench`: sustained request throughput of the resident
-//! placement daemon, hot vs cold cache.
+//! E23 / `serve-bench`: the cost of watching — the resident placement
+//! daemon's hot request latency with telemetry on vs off.
 //!
-//! The experiment spins up a real [`Daemon`] on a private socket and
-//! drives it over the wire exactly like an external client would:
+//! Two real [`Daemon`]s, one with telemetry on and one with it off,
+//! serve the same hot `run` request on private sockets, driven over
+//! the wire exactly like an external client would. The timed passes
+//! **interleave** (off, on, off, on, …) so that machine-wide drift —
+//! frequency scaling, background load, page cache — hits both sides
+//! alike; each adjacent off/on pair yields one ratio and the reported
+//! figure is the **median** of those ratios, which a single disturbed
+//! pass cannot move (per-side minima can come from different machine
+//! states, so a min/min ratio is noisier). The batched engine
+//! dominates each request, so the per-request telemetry cost — a
+//! handful of relaxed atomics plus one flight-ring append — should be
+//! deep in the noise.
 //!
-//! * **cold**: a family of `wide(k)` programs differing only in one
-//!   scaling constant — same search cost, different content hash — so
-//!   every request misses both caches and pays placement search +
-//!   plan compilation;
-//! * **hot**: the last program repeated, so every request hits both
-//!   caches and pays execution only.
+//! This is the one wall-clock reading `reproduce` keeps: `benchmark/`
+//! times the request path (`serve-mixed`) but always with telemetry
+//! on, so it cannot price it. What the daemon computes — the request
+//! ledger, miss/miss then hit/hit, bitwise-stable checksums, one
+//! compile per program — is asserted by `tests/server_cache.rs`.
 //!
-//! `hot_rps / cold_rps` is the figure of merit: the paper's
-//! compile-once/run-many claim, measured end-to-end through the
-//! protocol on this host.
-//!
-//! Every response is also checked for *correctness*, not just speed:
-//! cold requests must report `miss`/`miss` cache diagnostics, hot
-//! requests `hit`/`hit`, and the hot checksums must be bitwise equal
-//! to the cold checksum of the same program (the PR 6 guarantee,
-//! end-to-end through the cache).
-//!
-//! The experiment also audits the daemon's **live telemetry**: after
-//! the traffic, a `stats` request fetches the metrics snapshot and the
-//! bench reconciles it against its own request ledger
-//! (`server.requests == cold + hot`, the hit/miss split matches the
-//! two phases exactly, zero sheds, and the `server.request` histogram
-//! carries every request with a nonzero p99). A second daemon with
-//! telemetry disabled then serves the same hot workload, with timed
-//! passes interleaved between the two daemons so machine drift
-//! cancels, giving `obs_overhead` — the hot-path latency ratio
-//! telemetry-on / telemetry-off.
-//!
-//! The subcommand judges what it just measured
-//! (`ServeStats::faults`) and `reproduce` exits non-zero on any
-//! fault: the counting checks at every scale, the two timing floors
-//! (hot/cold ≥ 5×, telemetry overhead ≤ 1.05×) at paper scale only.
+//! The subcommand judges what it just measured and `reproduce` exits
+//! non-zero on a fault: at any scale both daemons must answer every
+//! request with a `result` and stop cleanly; at paper scale the ratio
+//! must stay at or below 1.05× (the quick workload's absolute times are
+//! too small to compare).
 //!
 //! [`Daemon`]: syncplace_server::Daemon
 
 use std::path::PathBuf;
 use std::time::Instant;
 
-use syncplace::obs::json::{self, Value};
+use syncplace::obs::json;
 use syncplace::obs::trace::json_escape;
-use syncplace_server::{Client, Daemon, ServiceConfig};
+use syncplace_server::{Client, Daemon, DaemonHandle, ServiceConfig};
 
 use crate::experiments::Scale;
 use crate::setup;
 
-/// The measured serve-bench numbers.
-#[derive(Debug, Clone)]
-struct ServeStats {
-    /// Human-readable workload description.
-    workload: String,
-    /// Cold (cache-missing) requests timed.
-    cold_requests: usize,
-    /// Hot (cache-hitting) requests timed.
-    hot_requests: usize,
-    /// Cold throughput, requests per second.
-    cold_rps: f64,
-    /// Hot throughput, requests per second.
-    hot_rps: f64,
-    /// Every hot checksum equalled the cold checksum of the same
-    /// program.
-    checksum_stable: bool,
-    /// Placement compilations the daemon reported (must equal
-    /// `cold_requests` — hot traffic compiles nothing).
-    place_compiles: u64,
-    /// Plan compilations the daemon reported.
-    plan_compiles: u64,
-    /// Where the daemon's metrics snapshot disagrees with the bench's
-    /// own request ledger (see `reconcile_stats`); empty when the two
-    /// reconcile exactly.
-    stats_detail: String,
-    /// p99 of the daemon's `server.request` latency histogram, ms.
-    span_p99_ms: f64,
-    /// Hot-path latency ratio telemetry-on / telemetry-off (median
-    /// over interleaved pass pairs; 1.0 = free).
-    obs_overhead: f64,
-}
+/// The paper-scale ceiling on the telemetry-on / telemetry-off ratio.
+const CEILING: f64 = 1.05;
 
-impl ServeStats {
-    fn hot_over_cold(&self) -> f64 {
-        self.hot_rps / self.cold_rps.max(1e-9)
-    }
-
-    /// Every floor this run violates (empty = the gate passes). The
-    /// counting checks are exact and hold at any scale; the two timing
-    /// ratios only mean something on the paper workload (the quick
-    /// one's absolute times are too small to compare).
-    fn faults(&self, scale: Scale) -> Vec<String> {
-        let mut faults = Vec::new();
-        if !self.stats_detail.is_empty() {
-            faults.push(format!(
-                "live metrics disagree with the request ledger: {}",
-                self.stats_detail
-            ));
-        }
-        if !self.checksum_stable {
-            faults.push("a hot checksum differs from the cold one".to_string());
-        }
-        for (what, compiles) in [("placement", self.place_compiles), ("plan", self.plan_compiles)] {
-            if compiles != self.cold_requests as u64 {
-                faults.push(format!(
-                    "{compiles} {what} compiles for {} cold requests",
-                    self.cold_requests
-                ));
-            }
-        }
-        if scale == Scale::Paper {
-            if self.hot_over_cold() < 5.0 {
-                faults.push(format!("hot/cold {:.2}x is below 5x", self.hot_over_cold()));
-            }
-            if self.obs_overhead > 1.05 {
-                faults.push(format!(
-                    "telemetry overhead {:.3}x exceeds 1.05x",
-                    self.obs_overhead
-                ));
-            }
-        }
-        faults
-    }
-}
-
-fn scratch_socket() -> PathBuf {
-    std::env::temp_dir().join(format!(
-        "syncplace-serve-bench-{}-{:?}.sock",
+/// Start a daemon on a private socket, telemetry on or off.
+fn spawn(telemetry: bool) -> Result<(PathBuf, DaemonHandle), String> {
+    let socket = std::env::temp_dir().join(format!(
+        "syncplace-obs-overhead-{}-{}.sock",
         std::process::id(),
-        std::thread::current().id()
-    ))
-}
-
-/// One event-field accessor with a readable error.
-fn field<'a>(v: &'a Value, key: &str) -> Result<&'a Value, String> {
-    v.get(key).ok_or_else(|| format!("response missing '{key}'"))
-}
-
-/// Drive the daemon through the cold + hot request schedule and
-/// collect the throughput numbers.
-fn measure(scale: Scale) -> Result<ServeStats, String> {
-    let (wide_k, mesh_n, p, cold_n, hot_n) = match scale {
-        Scale::Quick => (4usize, 10usize, 8usize, 3usize, 10usize),
-        Scale::Paper => (6, 24, 8, 5, 40),
-    };
-    let socket = scratch_socket();
+        telemetry as u8
+    ));
     let _ = std::fs::remove_file(&socket);
-    let handle = Daemon::spawn(&socket, ServiceConfig::default())
-        .map_err(|e| format!("cannot start daemon on {}: {e}", socket.display()))?;
-    let outcome = drive(&socket, scale, wide_k, mesh_n, p, cold_n, hot_n);
-    let stop = handle.stop();
-    let mut stats = outcome?;
-    stop.map_err(|e| format!("daemon did not stop cleanly: {e}"))?;
-    stats.obs_overhead = measure_overhead(scale, wide_k, mesh_n, p)?;
-    Ok(stats)
+    let cfg = ServiceConfig {
+        telemetry,
+        ..ServiceConfig::default()
+    };
+    let handle =
+        Daemon::spawn(&socket, cfg).map_err(|e| format!("cannot start overhead daemon: {e}"))?;
+    Ok((socket, handle))
 }
 
-/// The telemetry-overhead experiment: time the same hot workload on a
-/// telemetry-on and a telemetry-off daemon and return the latency
-/// ratio on / off. Both daemons are up for the whole experiment and
-/// the timed passes **interleave** (off, on, off, on, …) so that
-/// machine-wide drift — frequency scaling, background load, page
-/// cache — hits both sides alike; each adjacent off/on pair yields
-/// one ratio and the reported figure is the **median** of those
-/// ratios, which a single disturbed pass cannot move (per-side
-/// minima can come from different machine states, so a min/min
-/// ratio is noisier). The batched engine
-/// dominates each request, so the per-request telemetry cost — a
-/// handful of relaxed atomics plus one flight-ring append — should be
-/// deep in the noise.
-fn measure_overhead(
-    scale: Scale,
-    wide_k: usize,
-    mesh_n: usize,
-    p: usize,
-) -> Result<f64, String> {
-    let (hot_n, passes) = match scale {
-        Scale::Quick => (8usize, 5usize),
-        Scale::Paper => (24, 9),
-    };
-    let src = setup::wide_program_src_scaled(wide_k, 1.0);
-    let line = format!(
-        "{{\"op\":\"run\",\"source\":{},\"mesh\":{{\"nx\":{mesh_n},\"ny\":{mesh_n}}},\
-         \"pattern\":\"fig1\",\"p\":{p},\"engine\":\"batched\"}}",
-        json_escape(&src)
-    );
-    let spawn = |telemetry: bool| -> Result<(PathBuf, syncplace_server::DaemonHandle), String> {
-        let socket = std::env::temp_dir().join(format!(
-            "syncplace-obs-overhead-{}-{}.sock",
-            std::process::id(),
-            telemetry as u8
-        ));
-        let _ = std::fs::remove_file(&socket);
-        let cfg = ServiceConfig {
-            telemetry,
-            ..ServiceConfig::default()
-        };
-        let handle = Daemon::spawn(&socket, cfg)
-            .map_err(|e| format!("cannot start overhead daemon: {e}"))?;
-        Ok((socket, handle))
-    };
+/// Time the same hot workload on a telemetry-on and a telemetry-off
+/// daemon and return the median latency ratio on / off over `passes`
+/// interleaved pass pairs of `hot_n` requests each.
+fn measure_overhead(line: &str, hot_n: usize, passes: usize) -> Result<f64, String> {
     let one = |client: &mut Client| -> Result<(), String> {
-        let events = client.request(&line).map_err(|e| format!("request: {e}"))?;
+        let events = client.request(line).map_err(|e| format!("request: {e}"))?;
         let last = events.last().ok_or("empty response")?;
-        if field(last, "event")?.as_str() != Some("result") {
+        if last.get("event").and_then(json::Value::as_str) != Some("result") {
             return Err(format!("terminal event: {}", json::write(last)));
         }
         Ok(())
@@ -241,207 +103,35 @@ fn measure_overhead(
     Ok(ratio)
 }
 
-#[allow(clippy::too_many_arguments)]
-fn drive(
-    socket: &std::path::Path,
-    scale: Scale,
-    wide_k: usize,
-    mesh_n: usize,
-    p: usize,
-    cold_n: usize,
-    hot_n: usize,
-) -> Result<ServeStats, String> {
-    let mut client = Client::connect(socket).map_err(|e| format!("connect: {e}"))?;
-    let request_for = |variant: usize| -> String {
-        let src = setup::wide_program_src_scaled(wide_k, 1.0 + 0.125 * variant as f64);
-        format!(
-            "{{\"op\":\"run\",\"source\":{},\"mesh\":{{\"nx\":{mesh_n},\"ny\":{mesh_n}}},\
-             \"pattern\":\"fig1\",\"p\":{p},\"engine\":\"batched\",\"diag\":true}}",
-            json_escape(&src)
-        )
-    };
-    let run_one = |client: &mut Client, line: &str| -> Result<(String, String, String), String> {
-        let events = client.request(line).map_err(|e| format!("request: {e}"))?;
-        let [diag, result] = events.as_slice() else {
-            return Err(format!("expected diag + result, got {} events", events.len()));
-        };
-        if field(result, "event")?.as_str() != Some("result") {
-            return Err(format!("terminal event: {}", json::write(result)));
-        }
-        let cache = field(diag, "cache")?;
-        Ok((
-            field(cache, "placement")?.as_str().unwrap_or("?").to_string(),
-            field(cache, "plan")?.as_str().unwrap_or("?").to_string(),
-            field(result, "checksum")?.as_str().unwrap_or("?").to_string(),
-        ))
-    };
-
-    // Cold pass: each variant is a fresh content hash.
-    let mut cold_checksum = String::new();
-    let t0 = Instant::now();
-    for variant in 0..cold_n {
-        let (place, plan, checksum) = run_one(&mut client, &request_for(variant))?;
-        if (place.as_str(), plan.as_str()) != ("miss", "miss") {
-            return Err(format!("cold request {variant} was {place}/{plan}, not miss/miss"));
-        }
-        cold_checksum = checksum;
-    }
-    let cold_s = t0.elapsed().as_secs_f64();
-
-    // Hot pass: the last variant repeated.
-    let hot_line = request_for(cold_n - 1);
-    let mut checksum_stable = true;
-    let t0 = Instant::now();
-    for _ in 0..hot_n {
-        let (place, plan, checksum) = run_one(&mut client, &hot_line)?;
-        if (place.as_str(), plan.as_str()) != ("hit", "hit") {
-            return Err(format!("hot request was {place}/{plan}, not hit/hit"));
-        }
-        checksum_stable &= checksum == cold_checksum;
-    }
-    let hot_s = t0.elapsed().as_secs_f64();
-
-    let pong = client
-        .request("{\"op\":\"ping\"}")
-        .map_err(|e| format!("ping: {e}"))?;
-    let pong = pong.first().ok_or("empty ping response")?;
-    let compiles = |cache: &str| -> u64 {
-        pong.get(cache)
-            .and_then(|c| c.get("compiles"))
-            .and_then(Value::as_usize)
-            .unwrap_or(0) as u64
-    };
-
-    // Audit the daemon's live metrics against what we actually sent.
-    let stats_ev = client
-        .request("{\"op\":\"stats\"}")
-        .map_err(|e| format!("stats: {e}"))?;
-    let stats_ev = stats_ev.first().ok_or("empty stats response")?;
-    let (stats_detail, span_p99_ms) = reconcile_stats(stats_ev, cold_n, hot_n);
-
-    Ok(ServeStats {
-        workload: format!(
-            "wide({wide_k}) {mesh_n}x{mesh_n} fig1 p={p} batched ({})",
-            scale.name()
-        ),
-        cold_requests: cold_n,
-        hot_requests: hot_n,
-        cold_rps: cold_n as f64 / cold_s.max(1e-9),
-        hot_rps: hot_n as f64 / hot_s.max(1e-9),
-        checksum_stable,
-        place_compiles: compiles("placement_cache"),
-        plan_compiles: compiles("plan_cache"),
-        stats_detail,
-        span_p99_ms,
-        obs_overhead: 0.0, // filled by `measure` after the daemon stops
-    })
-}
-
-/// Reconcile the `stats` event with the bench's request ledger: the
-/// driver sent exactly `cold_n` double-miss and `hot_n` double-hit
-/// runs over one connection, so the metrics registry must show
-/// `hits + misses == requests` per cache with the hit/miss split
-/// matching the two phases, zero sheds and zero single-flight joins,
-/// and a `server.request` histogram carrying every request with a
-/// nonzero p99. Also validates the embedded exposition text. Returns
-/// `(failure detail or empty, p99 ms)`.
-fn reconcile_stats(ev: &Value, cold_n: usize, hot_n: usize) -> (String, f64) {
-    let mut faults: Vec<String> = Vec::new();
-    let counters = ev.get("metrics").and_then(|m| m.get("counters"));
-    // Zero-valued counters are omitted from the snapshot, so a missing
-    // key reads as 0.
-    let ctr = |k: &str| -> usize {
-        counters
-            .and_then(|c| c.get(k))
-            .and_then(Value::as_usize)
-            .unwrap_or(0)
-    };
-    let total = cold_n + hot_n;
-    let mut expect = |key: &str, want: usize| {
-        let got = ctr(key);
-        if got != want {
-            faults.push(format!("{key}={got}, ledger says {want}"));
-        }
-    };
-    expect("server.requests", total);
-    expect("server.place_hits", hot_n);
-    expect("server.place_misses", cold_n);
-    expect("server.place_joins", 0);
-    expect("server.plan_hits", hot_n);
-    expect("server.plan_misses", cold_n);
-    expect("server.plan_joins", 0);
-    expect("server.shed", 0);
-
-    let mut p99 = 0.0;
-    let hists = ev
-        .get("metrics")
-        .and_then(|m| m.get("hists"))
-        .and_then(Value::as_arr)
-        .unwrap_or(&[]);
-    match hists
-        .iter()
-        .find(|h| h.get("name").and_then(Value::as_str) == Some("server.request"))
-    {
-        None => faults.push("no server.request histogram".to_string()),
-        Some(h) => {
-            let count = h.get("count").and_then(Value::as_usize).unwrap_or(0);
-            if count != total {
-                faults.push(format!("server.request count={count}, ledger says {total}"));
-            }
-            p99 = h.get("p99_ms").and_then(Value::as_f64).unwrap_or(0.0);
-            if p99 <= 0.0 {
-                faults.push("server.request p99 is not positive".to_string());
-            }
-        }
-    }
-
-    match ev.get("exposition").and_then(Value::as_str) {
-        None => faults.push("stats event carries no exposition text".to_string()),
-        Some(expo) => {
-            if let Err(e) = syncplace::obs::validate_exposition(expo) {
-                faults.push(format!("malformed exposition: {e}"));
-            }
-        }
-    }
-    (faults.join("; "), p99)
-}
-
-/// The printable E23 report.
-fn report(st: &ServeStats) -> String {
-    format!(
-        "E23 — placement-as-a-service throughput ({}, cpus = {})\n\n\
-         cold (cache-missing): {:>3} requests  →  {:>8.2} req/s (measured)\n\
-         hot  (cache-hitting): {:>3} requests  →  {:>8.2} req/s (measured)\n\
-         hot / cold: {:.2}x   (paper-scale floor: >= 5x)\n\
-         checksums: hot bitwise-identical to cold: {}\n\
-         daemon compiles: {} placements, {} plans (single-flight: one per cold program)\n\
-         live metrics reconcile with the request ledger: {}   (p99 {:.3} ms)\n\
-         telemetry overhead (hot latency on/off): {:.3}x   (paper-scale ceiling: <= 1.05x)\n",
-        st.workload,
-        crate::cpus(),
-        st.cold_requests,
-        st.cold_rps,
-        st.hot_requests,
-        st.hot_rps,
-        st.hot_over_cold(),
-        st.checksum_stable,
-        st.place_compiles,
-        st.plan_compiles,
-        st.stats_detail.is_empty(),
-        st.span_p99_ms,
-        st.obs_overhead
-    )
-}
-
-/// E23 / `serve-bench`: measure against a live daemon and judge the
-/// result. Returns the report and `false` when the run failed or any
-/// of `ServeStats::faults` fired.
+/// E23 / `serve-bench`: measure the telemetry cost against two live
+/// daemons and judge it. Returns the report and `false` when a daemon
+/// failed to serve or stop, or the paper-scale ratio exceeded 1.05×.
 pub fn e23_serve(scale: Scale) -> (String, bool) {
-    let st = match measure(scale) {
-        Ok(st) => st,
+    let (wide_k, mesh_n, p, hot_n, passes) = match scale {
+        Scale::Quick => (4usize, 10usize, 8usize, 8usize, 5usize),
+        Scale::Paper => (6, 24, 8, 24, 9),
+    };
+    let line = format!(
+        "{{\"op\":\"run\",\"source\":{},\"mesh\":{{\"nx\":{mesh_n},\"ny\":{mesh_n}}},\
+         \"pattern\":\"fig1\",\"p\":{p},\"engine\":\"batched\"}}",
+        json_escape(&setup::wide_program_src(wide_k))
+    );
+    let ratio = match measure_overhead(&line, hot_n, passes) {
+        Ok(ratio) => ratio,
         Err(e) => return (format!("E23 — serve-bench FAILED: {e}\n"), false),
     };
-    let mut out = report(&st);
-    let ok = crate::push_verdict(&mut out, &st.faults(scale));
+    let mut out = format!(
+        "E23 — telemetry cost: hot latency, telemetry on vs off \
+         (wide({wide_k}) {mesh_n}x{mesh_n} fig1 p={p} batched ({}), cpus = {})\n\n\
+         telemetry overhead (median of {passes} interleaved pass pairs, {hot_n} hot requests \
+         each): {ratio:.3}x   (paper-scale ceiling: <= {CEILING}x)\n",
+        scale.name(),
+        crate::cpus(),
+    );
+    let mut faults = Vec::new();
+    if scale == Scale::Paper && ratio > CEILING {
+        faults.push(format!("telemetry overhead {ratio:.3}x exceeds {CEILING}x"));
+    }
+    let ok = crate::push_verdict(&mut out, &faults);
     (out, ok)
 }

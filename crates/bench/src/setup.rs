@@ -1,6 +1,7 @@
 //! Shared experiment setups: program + mesh + bindings + analysis in
 //! one call, parameterized by size so tests run small and the
-//! `reproduce` binary runs at paper scale.
+//! `reproduce` binary runs at paper scale, plus the DSL texts of the
+//! synthetic programs (the E9 chains, the `wide` program E23 serves).
 
 use syncplace::automata::predefined::fig8;
 use syncplace::automata::OverlapAutomaton;
@@ -144,12 +145,9 @@ pub fn chain_program(n: usize) -> Program {
 /// subgraphs, each ending in its own output. Placement choices
 /// multiply across subgraphs (the solution count and the search tree
 /// grow geometrically with `k`), so — unlike the forced chains of
-/// [`chain_program`] — a cold placement is expensive. The final
-/// scatter is scaled by `scale`: distinct values produce programs with
-/// *identical search cost* but different canonical text — the
-/// serve-bench uses a family of these to take several genuinely cold
-/// (placement-cache-missing) samples from one daemon.
-pub fn wide_program_src_scaled(k: usize, scale: f64) -> String {
+/// [`chain_program`] — a cold placement is expensive. The serve-bench
+/// (E23) sends it to its daemons as source text.
+pub fn wide_program_src(k: usize) -> String {
     let mut src = String::from("program wide\n  map SOM : tri -> node [3]\n");
     for j in 1..=k {
         src.push_str(&format!(
@@ -160,7 +158,7 @@ pub fn wide_program_src_scaled(k: usize, scale: f64) -> String {
         src.push_str(&format!(
             "  forall i in node split {{ N{j}(i) = 0.0 }}\n  \
              forall i in tri split {{ N{j}(SOM(i,1)) = N{j}(SOM(i,1)) + O{j}(SOM(i,2)) }}\n  \
-             forall i in tri split {{ R{j}(i) = N{j}(SOM(i,3)) * {scale:.4} }}\n"
+             forall i in tri split {{ R{j}(i) = N{j}(SOM(i,3)) * 0.5 }}\n"
         ));
     }
     src.push_str("end\n");
@@ -182,7 +180,7 @@ mod tests {
 
     #[test]
     fn wide_program_is_legal_and_branchy() {
-        let p = syncplace::ir::parser::parse(&wide_program_src_scaled(3, 1.0)).unwrap();
+        let p = syncplace::ir::parser::parse(&wide_program_src(3)).unwrap();
         let (_, analysis) = syncplace::placement::analyze_program(
             &p,
             &fig6(),

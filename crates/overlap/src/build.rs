@@ -33,14 +33,13 @@
 //!
 //! A build is three steps: [`global_setup`], [`build_submesh`] once per
 //! part, then [`finish`] (placements, schedules and the one
-//! [`Decomposition`] literal). [`decompose_with_stats`] runs them in
-//! order. They are public because the runtime's parallel builder runs
+//! [`Decomposition`] literal). [`decompose`] runs them in order.
+//! They are public because the runtime's parallel builder runs
 //! the same three, with only the per-part step on its pool.
 
 use crate::pattern::Pattern;
 use crate::schedule::{AssembleSchedule, UpdateSchedule};
 use crate::submesh::SubMesh;
-use std::time::Instant;
 use syncplace_mesh::{edges_first_seen, n_vertex_pairs, Csr, Mesh2d, Mesh3d};
 
 /// A complete decomposition: all sub-meshes plus schedules and
@@ -73,7 +72,9 @@ pub struct Decomposition<const V: usize> {
     pub node_assemble: AssembleSchedule,
 }
 
-/// Wall-clock breakdown of one decomposition build, by stage.
+/// Wall-clock breakdown of one parallel decomposition build, by stage
+/// (the runtime's pool builder returns it; the sequential [`decompose`]
+/// reads no clock).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct DecomposeStats {
     /// Ownership scans + sort-based edge dedup + incidence CSRs.
@@ -107,7 +108,8 @@ pub fn decompose3d(
     decompose(mesh.nnodes(), &mesh.tets, part, nparts, pattern)
 }
 
-/// Generic decomposition over `V`-vertex elements.
+/// Generic decomposition over `V`-vertex elements: [`global_setup`],
+/// [`build_submesh`] once per part, then [`finish`].
 pub fn decompose<const V: usize>(
     nnodes: usize,
     elems: &[[u32; V]],
@@ -115,41 +117,12 @@ pub fn decompose<const V: usize>(
     nparts: usize,
     pattern: Pattern,
 ) -> Decomposition<V> {
-    decompose_with_stats(nnodes, elems, part, nparts, pattern).0
-}
-
-/// [`decompose`] plus a per-stage timing breakdown.
-pub fn decompose_with_stats<const V: usize>(
-    nnodes: usize,
-    elems: &[[u32; V]],
-    part: &[u32],
-    nparts: usize,
-    pattern: Pattern,
-) -> (Decomposition<V>, DecomposeStats) {
-    let t_total = Instant::now();
-
-    let t0 = Instant::now();
     let setup = global_setup(nnodes, elems, part, nparts, pattern);
-    let dedup_s = t0.elapsed().as_secs_f64();
-
-    let t0 = Instant::now();
     let mut scratch = PartScratch::new(&setup);
     let submeshes: Vec<SubMesh<V>> = (0..nparts as u32)
         .map(|p| build_submesh(&setup, elems, p, &mut scratch))
         .collect();
-    let closure_s = t0.elapsed().as_secs_f64();
-
-    let t0 = Instant::now();
-    let d = finish(setup, submeshes, part, pattern);
-    let schedule_s = t0.elapsed().as_secs_f64();
-
-    let stats = DecomposeStats {
-        dedup_s,
-        closure_s,
-        schedule_s,
-        total_s: t_total.elapsed().as_secs_f64(),
-    };
-    (d, stats)
+    finish(setup, submeshes, part, pattern)
 }
 
 /// The last build step: placement CSRs over the built sub-meshes, the
@@ -937,15 +910,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn stats_stages_cover_total() {
-        let mesh = gen2d::grid(10, 10);
-        let p = partition2d(&mesh, 4, Method::Greedy);
-        let (_, st) = decompose_with_stats(mesh.nnodes(), &mesh.som, &p.part, 4, Pattern::FIG1);
-        assert!(st.total_s >= st.dedup_s.max(st.closure_s).max(st.schedule_s));
-        assert!(st.total_s > 0.0);
     }
 
     #[test]

@@ -137,6 +137,15 @@ mod tests {
     }
 
     #[test]
+    fn stats_stages_cover_total() {
+        let mesh = gen2d::grid(10, 10);
+        let p = partition2d(&mesh, 4, Method::Greedy);
+        let (_, st) = decompose2d_par(&mesh, &p.part, 4, Pattern::FIG1, 2, &None);
+        assert!(st.total_s >= st.dedup_s.max(st.closure_s).max(st.schedule_s));
+        assert!(st.total_s > 0.0);
+    }
+
+    #[test]
     fn range_split_covers_and_is_disjoint() {
         for n in [0usize, 1, 7, 100] {
             for w in [1usize, 2, 3, 8] {

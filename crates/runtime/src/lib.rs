@@ -142,10 +142,11 @@ impl Engine {
     }
 
     /// [`Engine::run`] with a prebuilt communication plan and an
-    /// observability hook. `plan` is reused by the pooled engines
-    /// instead of building one per run; the round-robin reference
-    /// executes the schedules directly and reads only its kernel and tape. `rec` as
-    /// `Some(Arc<dyn Recorder>)` captures per-phase spans,
+    /// observability hook. `plan` is resolved once here — the given
+    /// one, reused across runs, or [`CommPlan::build`] — and every
+    /// engine executes its kernel and tape (the round-robin reference
+    /// applies the schedules directly and reads nothing else of it).
+    /// `rec` as `Some(Arc<dyn Recorder>)` captures per-phase spans,
     /// schedule-derived comm counters and per-pair packet counts,
     /// `&None` is the zero-cost disabled path.
     pub fn run_with<const V: usize>(
@@ -157,10 +158,18 @@ impl Engine {
         plan: Option<&Arc<CommPlan>>,
         rec: &RecorderRef,
     ) -> Result<SpmdResult, String> {
+        let built;
+        let plan = match plan {
+            Some(p) => p,
+            None => {
+                built = Arc::new(CommPlan::build(prog, spmd, d));
+                &built
+            }
+        };
         match self {
             Engine::RoundRobin => spmd::run(prog, spmd, d, b, plan, rec),
             Engine::Batched | Engine::Overlapped => {
-                pooled::run(SpmdPool::global(), prog, spmd, d, b, self, plan, rec)
+                pooled::run(SpmdPool::global(), prog, d, b, self, plan, rec)
             }
         }
     }

@@ -36,7 +36,7 @@ use crate::tape::{self, Op};
 use std::sync::Arc;
 use syncplace_codegen::{CommOp, PhaseAt, SpmdProgram};
 use syncplace_dfg::ReduceOp;
-use syncplace_ir::{Access, Expr, IdVec, Program, Stmt, VarId, VarKind};
+use syncplace_ir::{IdVec, Program, VarId, VarKind};
 use syncplace_overlap::{Decomposition, UpdateSchedule};
 
 /// One item of a round-1 packet: values are appended in recipe order.
@@ -170,10 +170,6 @@ pub struct CommPlan {
     pub before: IdVec<usize>,
     /// The phase placed after the last statement, if any.
     pub at_end: Option<usize>,
-    /// The `ExitIf` tests whose decision may differ between ranks: only
-    /// these need the pooled engines' agreement tree. Every other test
-    /// reads only scalars the program keeps bitwise replicated.
-    pub agree: IdVec<()>,
     /// The program lowered onto these phases, early posts placed: the
     /// one schedule every engine steps through and the model checker
     /// checks ([`crate::tape`]). `Err` is the refusal of a program with
@@ -217,80 +213,14 @@ impl CommPlan {
             }
             phases.push(build_phase(prog, d, ops, nparts));
         }
-        let inputs = prog.decls.iter().map(|d| d.input && d.kind == VarKind::Scalar);
-        let mut same = inputs.collect();
-        let mut agree = IdVec::default();
-        unproven_exits(&prog.body, spmd, &mut same, &mut agree, &mut Vec::new());
         let gathered: Vec<IdVec<()>> = phases.iter().map(gathered_vars).collect();
         CommPlan {
             nparts,
-            tape: tape::lower(prog, spmd, &agree, &gathered),
+            tape: tape::lower(prog, spmd, &gathered),
             kernel: Kernel::lower(prog, |s| spmd.kernel_guarded.contains(s)).map(Arc::new),
             phases,
             before,
             at_end,
-            agree,
-        }
-    }
-}
-
-/// One conservative forward pass over `stmts`, tracking `same`: the
-/// scalars that hold the same bits on every rank. A reduction's total
-/// is replicated; an assignment outside a partitioned loop keeps its
-/// target replicated if it reads only replicated scalars and literals;
-/// any other assignment may leave each rank its own value. An exit
-/// test reading anything unproven goes in `agree`. A time loop iterates
-/// to a fixpoint, meeting its entry set with the back edge's; `left`
-/// gathers the set at every exit of the innermost time loop.
-fn unproven_exits(
-    stmts: &[Stmt],
-    spmd: &SpmdProgram,
-    same: &mut Vec<bool>,
-    agree: &mut IdVec<()>,
-    left: &mut Vec<bool>,
-) {
-    let meet = |a: &mut Vec<bool>, b: &[bool]| a.iter_mut().zip(b).for_each(|(a, b)| *a &= b);
-    let proven = |e: &Expr, same: &[bool]| {
-        (e.reads().iter()).all(|a| matches!(a, Access::Scalar(v) if same[*v]))
-    };
-    for s in stmts {
-        for op in spmd.comms_before.get(s.id()).into_iter().flatten() {
-            if let CommOp::Reduce { var, .. } = op {
-                same[*var] = true;
-            }
-        }
-        match s {
-            Stmt::Assign(a) => {
-                if let Access::Scalar(v) = a.lhs {
-                    same[v] = proven(&a.rhs, same);
-                }
-            }
-            Stmt::Loop(l) => {
-                for a in &l.body {
-                    if let Access::Scalar(v) = a.lhs {
-                        same[v] = false;
-                    }
-                }
-            }
-            Stmt::TimeLoop(t) => {
-                let entry = same.clone();
-                loop {
-                    let (mut body, mut exits) = (same.clone(), same.clone());
-                    unproven_exits(&t.body, spmd, &mut body, agree, &mut exits);
-                    meet(&mut body, &entry);
-                    if body == *same {
-                        meet(same, &exits);
-                        break;
-                    }
-                    *same = body;
-                }
-            }
-            Stmt::ExitIf(e) => {
-                if !(proven(&e.lhs, same) && proven(&e.rhs, same)) {
-                    agree.insert(e.id, ());
-                }
-                meet(left, same);
-            }
         }
     }
 }
@@ -499,11 +429,11 @@ mod tests {
     use super::*;
     use crate::bindings::testiv_bindings;
     use syncplace_automata::predefined::{fig6, fig7};
-    use syncplace_ir::programs;
+    use syncplace_ir::{programs, Stmt};
     use syncplace_mesh::gen2d;
     use syncplace_overlap::{decompose2d, Pattern};
     use syncplace_partition::{partition2d, Method};
-    use syncplace_placement::{analyze_program, CostParams, SearchOptions};
+    use syncplace_placement::{analyze_program, CostParams, IterationDomain, SearchOptions};
 
     fn testiv_plan(pattern: Pattern, nparts: usize) -> (CommPlan, SpmdProgram) {
         let p = programs::testiv();
@@ -631,19 +561,36 @@ mod tests {
         }
     }
 
-    /// The `ExitIf` ids of `prog`, in program order.
-    fn exit_ids(stmts: &[Stmt]) -> Vec<usize> {
-        let exits = stmts.iter().map(|s| match s {
-            Stmt::ExitIf(e) => vec![e.id],
-            Stmt::TimeLoop(t) => exit_ids(&t.body),
+    /// The ids of the statements of `stmts` that `pick` selects, time
+    /// loop bodies included, in program order.
+    fn ids(stmts: &[Stmt], pick: fn(&Stmt) -> bool) -> Vec<usize> {
+        let each = stmts.iter().map(|s| match s {
+            Stmt::TimeLoop(t) => ids(&t.body, pick),
+            s if pick(s) => vec![s.id()],
             _ => Vec::new(),
         });
-        exits.flatten().collect()
+        each.flatten().collect()
     }
 
-    /// `CommPlan::agree` of a parsed program, and its exit tests, when
-    /// its only communication is a reduction of `reduce` before the time
-    /// loop (no placement: the analysis reads the SPMD program as given).
+    /// The `ExitIf` ids of `prog`, in program order.
+    fn exit_ids(stmts: &[Stmt]) -> Vec<usize> {
+        ids(stmts, |s| matches!(s, Stmt::ExitIf(_)))
+    }
+
+    /// The exit tests a plan's tape runs through the agreement tree.
+    fn agreed(plan: &CommPlan) -> Vec<usize> {
+        let ops = plan.ops().unwrap().iter();
+        ops.filter_map(|op| match op {
+            Op::Exit { id, agree: true, .. } => Some(*id),
+            _ => None,
+        })
+        .collect()
+    }
+
+    /// The agreed exit tests of a parsed program, and all its exit
+    /// tests, when its only communication is a reduction of `reduce`
+    /// before the time loop and every loop runs over the kernel (no
+    /// placement: the analysis reads the SPMD program as given).
     fn agree_with_reduce(src: &str, reduce: Option<&str>) -> (Vec<usize>, Vec<usize>) {
         let prog = syncplace_ir::parser::parse(src).unwrap();
         let mut comms_before = IdVec::default();
@@ -658,14 +605,16 @@ mod tests {
         let spmd = SpmdProgram {
             comms_before,
             comms_at_end: Vec::new(),
-            domains: IdVec::default(),
+            domains: (ids(&prog.body, |s| matches!(s, Stmt::Loop(_))).into_iter())
+                .map(|id| (id, IterationDomain::Kernel))
+                .collect(),
             kernel_guarded: IdVec::default(),
         };
         let mesh = gen2d::perturbed_grid(3, 3, 0.0, 1);
         let part = partition2d(&mesh, 2, Method::Greedy);
         let d = decompose2d(&mesh, &part.part, 2, Pattern::FIG1);
         let plan = CommPlan::build(&prog, &spmd, &d);
-        (plan.agree.iter().map(|(id, _)| id).collect(), exit_ids(&prog.body))
+        (agreed(&plan), exit_ids(&prog.body))
     }
 
     #[test]
@@ -676,7 +625,7 @@ mod tests {
         assert!(spmd.phases().iter().any(|(_, ops)| {
             (ops.iter()).any(|o| matches!(o, CommOp::Reduce { .. }))
         }));
-        assert!(plan.agree.is_empty());
+        assert!(agreed(&plan).is_empty());
     }
 
     #[test]
@@ -692,8 +641,7 @@ mod tests {
         let part = partition2d(&mesh, 4, Method::Greedy);
         let d = decompose2d(&mesh, &part.part, 4, Pattern::FIG1);
         let plan = CommPlan::build(&p, &spmd, &d);
-        let agree: Vec<usize> = plan.agree.iter().map(|(id, _)| id).collect();
-        assert_eq!(agree, exit_ids(&p.body));
+        assert_eq!(agreed(&plan), exit_ids(&p.body));
     }
 
     #[test]

@@ -38,7 +38,6 @@ use crate::spmd::{build_machines, collect_results, SpmdResult};
 use crate::tape::{Cursor, Op};
 use crate::Engine;
 use std::sync::Arc;
-use syncplace_codegen::SpmdProgram;
 use syncplace_ir::{Program, StmtId};
 use syncplace_obs::{self as obs, keys, RecorderRef};
 use syncplace_overlap::Decomposition;
@@ -414,8 +413,8 @@ impl RankProc {
     /// ranks disagree]` comes down — 2(P−1) messages, not an
     /// allgather's P(P−1). Recorded under `exit.*` counters (per-rank
     /// own-sends), kept out of the per-pair matrix so the matrix holds
-    /// only `C$SYNCHRONIZE` phase traffic. Runs only for the tests in
-    /// [`CommPlan::agree`]; every other test decides alike on all ranks.
+    /// only `C$SYNCHRONIZE` phase traffic. Runs only at an [`Op::Exit`]
+    /// marked `agree`; every other test decides alike on all ranks.
     async fn agree_on_exit(&mut self, mine: bool) -> [f64; 2] {
         let children = std::mem::take(&mut self.tree_children);
         let parent = reduce_tree_parent(self.net.rank);
@@ -514,9 +513,10 @@ impl RankProc {
 /// pooled engines (tests pin W with a pool of their own).
 ///
 /// `engine` selects the schedule: [`Engine::Overlapped`] posts early,
-/// [`Engine::Batched`] late. `plan` is a prebuilt [`CommPlan`] to reuse
-/// across runs on the same decomposition (`None` builds one on the
-/// fly). `rec` is the observability hook: `Some` captures per-rank
+/// [`Engine::Batched`] late. `plan` is the [`CommPlan`] that
+/// [`Engine::run_with`] resolved: its kernel and tape are what every
+/// rank executes, its recipes what they send. `rec` is the
+/// observability hook: `Some` captures per-rank
 /// packets / staged bytes at the send sites, phase spans, rank-0
 /// plan-derived counters, exit-test traffic under `exit.*` and a
 /// whole-run span; `None` costs one branch per site.
@@ -526,24 +526,18 @@ impl RankProc {
 /// failing rank — an `Err`, which every rank returns alike, or a panic,
 /// reported with its rank — is the run's `Err`; its peers are dropped
 /// where they wait.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn run<const V: usize>(
     pool: &SpmdPool,
     prog: &Program,
-    spmd: &SpmdProgram,
     d: &Decomposition<V>,
     b: &Bindings,
     engine: Engine,
-    plan: Option<&Arc<CommPlan>>,
+    plan: &Arc<CommPlan>,
     rec: &RecorderRef,
 ) -> Result<SpmdResult, String> {
     // The one fact the pooled core reads off the engine: when the post
     // half runs. (`Engine::run_with` never sends round-robin here.)
     let early = engine == Engine::Overlapped;
-    let plan = match plan {
-        Some(p) => Arc::clone(p),
-        None => Arc::new(CommPlan::build(prog, spmd, d)),
-    };
     let run_t0 = obs::start(rec);
     let machines = build_machines(prog, d, b)?;
     let kernel = plan.kernel.clone()?;
@@ -555,15 +549,15 @@ pub(crate) fn run<const V: usize>(
     let mut jobs = Vec::with_capacity(nparts);
     for (m, mut net) in machines.into_iter().zip(wire(nparts, rec)) {
         let splits = if early {
-            net.seed_double_buffers(&plan);
-            rank_splits(&plan, &tape, &m, net.rank)
+            net.seed_double_buffers(plan);
+            rank_splits(plan, &tape, &m, net.rank)
         } else {
             Vec::new()
         };
         let tree_children = reduce_tree_children(net.rank, nparts);
         let mut proc = RankProc {
             kernel: Arc::clone(&kernel),
-            plan: Arc::clone(&plan),
+            plan: Arc::clone(plan),
             early,
             splits,
             m,
@@ -630,6 +624,7 @@ pub(crate) mod tests {
     use super::*;
     use crate::bindings::testiv_bindings;
     use syncplace_automata::predefined::{fig6, fig7};
+    use syncplace_codegen::SpmdProgram;
     use syncplace_ir::programs;
     use syncplace_mesh::gen2d;
     use syncplace_overlap::{decompose2d, Pattern};
@@ -726,11 +721,12 @@ pub(crate) mod tests {
         let pool = SpmdPool::with_workers(1);
         let (p, spmd, d, b) = setup(Pattern::FIG1, 4, 0);
         let rr = Engine::RoundRobin.run(&p, &spmd, &d, &b).unwrap();
+        let plan = Arc::new(CommPlan::build(&p, &spmd, &d));
         for engine in POOLED {
             let tape = || {
                 let tape = Arc::new(HbTape::default());
                 let rec: RecorderRef = Some(tape.clone());
-                let res = run(&pool, &p, &spmd, &d, &b, engine, None, &rec).unwrap();
+                let res = run(&pool, &p, &d, &b, engine, &plan, &rec).unwrap();
                 assert_bitwise(&format!("W=1 {engine:?}"), &rr, &res);
                 let mut events = tape.0.lock().unwrap();
                 std::mem::take(&mut *events)
@@ -774,12 +770,12 @@ pub(crate) mod tests {
     #[test]
     fn plan_reuse_across_runs_is_stable() {
         // A run handed a prebuilt plan — twice — is bitwise equal to a
-        // run that builds its own, under both postings, and every run on
-        // the plan executes the one kernel it lowered.
+        // run that builds its own, on every engine, and every run on the
+        // plan executes the one kernel it lowered.
         let (p, spmd, d, b) = setup(Pattern::FIG1, 4, 0);
         let plan = Arc::new(CommPlan::build(&p, &spmd, &d));
         let kernel = plan.kernel.clone().unwrap();
-        for engine in POOLED {
+        for engine in Engine::ALL {
             let fresh = engine.run(&p, &spmd, &d, &b).unwrap();
             for run in 0..2 {
                 let reused = engine

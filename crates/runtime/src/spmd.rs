@@ -14,7 +14,7 @@ use crate::exec::{Machine, MapTable};
 use crate::kernel::Kernel;
 use crate::plan::CommPlan;
 use crate::overlap::OverlapReport;
-use crate::tape::{self, Cursor, Op};
+use crate::tape::{Cursor, Op};
 use syncplace_obs::{self as obs, keys, RecorderRef};
 use syncplace_codegen::{CommOp, SpmdProgram};
 use syncplace_ir::{EntityKind, IdVec, Program, VarKind};
@@ -299,35 +299,22 @@ impl<'a, const V: usize> Sim<'a, V> {
 
 /// Run a placed SPMD program on a decomposition with the round-robin
 /// engine — what [`crate::Engine::run_with`] calls for
-/// [`crate::Engine::RoundRobin`]. It executes `plan`'s kernel and tape,
-/// and lowers its own only when there is no plan. `rec` is the live metric
-/// recorder (see `syncplace-obs`); `None` is exactly the
-/// uninstrumented path.
+/// [`crate::Engine::RoundRobin`]. It executes `plan`'s kernel and tape.
+/// `rec` is the live metric recorder (see `syncplace-obs`); `None` is
+/// exactly the uninstrumented path.
 pub(crate) fn run<const V: usize>(
     prog: &Program,
     spmd: &SpmdProgram,
     d: &Decomposition<V>,
     b: &Bindings,
-    plan: Option<&Arc<CommPlan>>,
+    plan: &Arc<CommPlan>,
     rec: &RecorderRef,
 ) -> Result<SpmdResult, String> {
     let t0 = obs::start(rec);
     let machines = build_machines(prog, d, b)?;
-    let kernel = match plan {
-        Some(p) => p.kernel.clone()?,
-        None => Arc::new(Kernel::lower(prog, |s| spmd.kernel_guarded.contains(s))?),
-    };
+    let kernel = plan.kernel.clone()?;
     kernel.check_tables(prog, &machines)?;
-    // Without a plan, the same tape the pooled engines run, minus what
-    // round-robin never reads: early posts, and which exits need agreement.
-    let own;
-    let tape = match plan {
-        Some(p) => p.ops()?,
-        None => {
-            own = tape::lower(prog, spmd, &IdVec::default(), &[])?;
-            &own[..]
-        }
-    };
+    let tape = plan.ops()?;
     let phases: Vec<&[CommOp]> = spmd.phases().into_iter().map(|(_, ops)| ops).collect();
     let mut engine = Sim {
         prog,

@@ -22,8 +22,8 @@
 //! or a time loop and no packed byte changes; one an exit jumps over is
 //! drained when its loop is left.
 
-use syncplace_codegen::{PhaseAt, SpmdProgram};
-use syncplace_ir::{EntityKind, IdVec, Program, Stmt, StmtId};
+use syncplace_codegen::{CommOp, PhaseAt, SpmdProgram};
+use syncplace_ir::{Access, EntityKind, Expr, IdVec, Program, Stmt, StmtId, VarKind};
 use syncplace_placement::IterationDomain;
 
 /// What every engine answers for a program with a loop it cannot run:
@@ -91,15 +91,20 @@ pub struct Split {
 }
 
 /// Lower a placed program. Phases are numbered in
-/// [`SpmdProgram::phases`] order; `agree` holds the exit tests that need
-/// the agreement tree and `gathered[k]` the arrays phase `k` ships in
-/// round 1 (missing or empty: the phase is never posted early).
+/// [`SpmdProgram::phases`] order; `gathered[k]` holds the arrays phase
+/// `k` ships in round 1 (missing or empty: the phase is never posted
+/// early). Each [`Op::Exit`] is marked `agree` here, where it is made:
+/// exactly the tests that one conservative forward pass over the
+/// program cannot prove every rank decides alike.
 pub fn lower(
     prog: &Program,
     spmd: &SpmdProgram,
-    agree: &IdVec<()>,
     gathered: &[IdVec<()>],
 ) -> Result<Vec<Op>, String> {
+    let inputs = prog.decls.iter().map(|d| d.input && d.kind == VarKind::Scalar);
+    let mut same = inputs.collect();
+    let mut agree = IdVec::default();
+    unproven_exits(&prog.body, spmd, &mut same, &mut agree, &mut Vec::new());
     let mut lw = Lowering {
         spmd,
         agree,
@@ -122,9 +127,70 @@ pub fn lower(
     Ok(lw.ops)
 }
 
+/// One conservative forward pass over `stmts`, tracking `same`: the
+/// scalars that hold the same bits on every rank. A reduction's total
+/// is replicated; an assignment outside a partitioned loop keeps its
+/// target replicated if it reads only replicated scalars and literals;
+/// any other assignment may leave each rank its own value. An exit
+/// test reading anything unproven goes in `agree`. A time loop iterates
+/// to a fixpoint, meeting its entry set with the back edge's; `left`
+/// gathers the set at every exit of the innermost time loop.
+fn unproven_exits(
+    stmts: &[Stmt],
+    spmd: &SpmdProgram,
+    same: &mut Vec<bool>,
+    agree: &mut IdVec<()>,
+    left: &mut Vec<bool>,
+) {
+    let meet = |a: &mut Vec<bool>, b: &[bool]| a.iter_mut().zip(b).for_each(|(a, b)| *a &= b);
+    let proven = |e: &Expr, same: &[bool]| {
+        (e.reads().iter()).all(|a| matches!(a, Access::Scalar(v) if same[*v]))
+    };
+    for s in stmts {
+        for op in spmd.comms_before.get(s.id()).into_iter().flatten() {
+            if let CommOp::Reduce { var, .. } = op {
+                same[*var] = true;
+            }
+        }
+        match s {
+            Stmt::Assign(a) => {
+                if let Access::Scalar(v) = a.lhs {
+                    same[v] = proven(&a.rhs, same);
+                }
+            }
+            Stmt::Loop(l) => {
+                for a in &l.body {
+                    if let Access::Scalar(v) = a.lhs {
+                        same[v] = false;
+                    }
+                }
+            }
+            Stmt::TimeLoop(t) => {
+                let entry = same.clone();
+                loop {
+                    let (mut body, mut exits) = (same.clone(), same.clone());
+                    unproven_exits(&t.body, spmd, &mut body, agree, &mut exits);
+                    meet(&mut body, &entry);
+                    if body == *same {
+                        meet(same, &exits);
+                        break;
+                    }
+                    *same = body;
+                }
+            }
+            Stmt::ExitIf(e) => {
+                if !(proven(&e.lhs, same) && proven(&e.rhs, same)) {
+                    agree.insert(e.id, ());
+                }
+                meet(left, same);
+            }
+        }
+    }
+}
+
 struct Lowering<'a> {
     spmd: &'a SpmdProgram,
-    agree: &'a IdVec<()>,
+    agree: IdVec<()>,
     gathered: &'a [IdVec<()>],
     before: IdVec<usize>,
     ops: Vec<Op>,
@@ -414,18 +480,17 @@ mod tests {
     #[test]
     fn a_sequential_loop_is_refused_and_an_empty_time_loop_vanishes() {
         let (p, spmd, ..) = setup(Pattern::FIG1, 2, 0);
-        let none = IdVec::default();
         let src = "program t\n input A : node\n output B : node\n \
                    forall i in node seq { B(i) = A(i) }\nend";
         let seq = syncplace_ir::parser::parse(src).unwrap();
-        assert_eq!(lower(&seq, &spmd, &none, &[]), Err(UNSUPPORTED.to_string()));
+        assert_eq!(lower(&seq, &spmd, &[]), Err(UNSUPPORTED.to_string()));
         let mut empty = p.clone();
         for s in &mut empty.body {
             if let Stmt::TimeLoop(t) = s {
                 t.max_iters = 0;
             }
         }
-        let ops = lower(&empty, &spmd, &none, &[]).unwrap();
+        let ops = lower(&empty, &spmd, &[]).unwrap();
         assert!(!ops.iter().any(|op| matches!(op, Op::Head { .. } | Op::Exit { .. })));
     }
 

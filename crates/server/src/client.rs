@@ -1,7 +1,8 @@
 //! A small blocking client for the daemon's wire protocol.
 //!
 //! Used by the `syncplace-serve` CLI subcommands (`ping`, `stop`,
-//! `req`), by the `serve-bench` experiment and by the end-to-end
+//! `req`), by the `serve-bench` experiment's telemetry-cost pair, by
+//! `benchmark/`'s `serve-mixed` load generator and by the end-to-end
 //! tests. One [`Client`] holds one connection; requests on it are
 //! sequential (the protocol is strictly request → response-stream).
 

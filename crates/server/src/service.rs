@@ -1075,7 +1075,7 @@ mod tests {
             let req = run_req(&format!("{{\"op\":\"run\",\"program\":\"{program}\"}}"));
             let placed = place(&req, &None).unwrap();
             let counts = Bindings::for_mesh(&placed.prog, mesh.nnodes(), &mesh.som).counts;
-            let ops = tape::lower(&placed.prog, &placed.spmd, &Default::default(), &[]).unwrap();
+            let ops = tape::lower(&placed.prog, &placed.spmd, &[]).unwrap();
             let work = tape::work(&ops, &[(counts, counts)]);
             assert!(work > 0 && work <= MAX_RUN_WORK / 2, "{program}: {work}");
         }

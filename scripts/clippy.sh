@@ -45,7 +45,11 @@
 # none of resolve_program, to_dsl, automaton_for, Bindings::for_mesh,
 # synth_inputs, tape::work or Kernel::lower: that work is the cache
 # builders' — `place`, `compile_plan`, the text memo's `key_placement`
-# — and runs once per miss), the workspace must
+# — and runs once per miss), the experiments must read no clock
+# (crates/bench/src/experiments.rs names no `Instant` and no `elapsed(`:
+# `reproduce` prints counts, identities, modeled figures and verdicts,
+# so its tables reproduce byte for byte; wall clock is benchmark/'s),
+# the workspace must
 # stay free of `unsafe` (the keyword opens no block, fn, impl, trait or
 # extern under crates suite tests examples), the docs must cite no
 # ROADMAP item by number outside ROADMAP.md / CHANGES.md (re-anchors
@@ -57,16 +61,17 @@
 # artifacts in a scratch dir), and every `reproduce` subcommand that
 # judges what it just computed must exit 0 at --quick scale:
 # bench-runtime (coalescing never sends more messages than the per-op
-# wire), serve-bench (a live daemon's metrics reconcile with the
-# request ledger, cold = miss/miss, hot = hit/hit, checksums stable,
-# one compile per cold program), bench-large ("ci" preset: small
-# meshes, P in {4,8}, same code paths — the bitwise
+# wire), serve-bench (the telemetry-on and telemetry-off daemons of
+# the telemetry-cost pair both serve every request and stop cleanly),
+# bench-large ("ci" preset: small meshes, P in {4,8}, same code
+# paths — the bitwise
 # parallel-vs-sequential check runs for real) and racecheck (schedule
 # model checking of all three engines at P <= 3, happens-before replay
 # of real recorded runs, both mutation suites: every seeded defect
 # caught, zero false positives). Last, a live `syncplace-serve` daemon
 # must answer `stats` with a well-formed metric exposition. Nothing
-# here reads a clock: wall-clock regressions are `benchmark/run.sh`'s.
+# here is gated on a clock: wall-clock regressions are
+# `benchmark/run.sh`'s.
 set -eu
 cd "$(dirname "$0")/.."
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
@@ -117,6 +122,10 @@ fi
 hot="$(awk '/fn run_admitted\(/ { on = 1 } on { print } on && /^    }$/ { exit }' crates/server/src/service.rs)"
 if [ -z "$hot" ] || echo "$hot" | grep -nE 'resolve_program|to_dsl|automaton_for|Bindings::for_mesh|synth_inputs|tape::work|Kernel::lower'; then
     echo "hot-path gate: run_admitted only executes — derive it in place / compile_plan / key_placement, once per miss"
+    exit 1
+fi
+if grep -nE 'Instant|elapsed\(' crates/bench/src/experiments.rs; then
+    echo "clock gate: reproduce's experiments print what the code computes — wall clock is benchmark/run.sh's"
     exit 1
 fi
 if grep -rnE --include='*.rs' '\bunsafe[[:space:]]*(\{|fn|impl|trait|extern)' crates suite tests examples; then

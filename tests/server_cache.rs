@@ -532,12 +532,15 @@ fn stats_verb_reconciles_with_traffic_over_the_socket() {
     let counters = ev.get("metrics").unwrap().get("counters").unwrap();
     let ctr = |k: &str| counters.get(k).and_then(|v| v.as_f64()).unwrap_or(0.0);
     // The ledger: 1 cold (miss/miss) + 2 hot (hit/hit), zero sheds —
-    // and hits + misses == requests per cache.
+    // and hits + misses == requests per cache. One connection sends
+    // one request at a time, so no build is ever joined in flight.
     assert_eq!(ctr("server.requests"), 3.0);
     assert_eq!(ctr("server.place_hits"), 2.0);
     assert_eq!(ctr("server.place_misses"), 1.0);
+    assert_eq!(ctr("server.place_joins"), 0.0);
     assert_eq!(ctr("server.plan_hits"), 2.0);
     assert_eq!(ctr("server.plan_misses"), 1.0);
+    assert_eq!(ctr("server.plan_joins"), 0.0);
     assert_eq!(ctr("server.shed"), 0.0);
     // The request histogram saw every run with a real latency.
     let hists = ev.get("metrics").unwrap().get("hists").unwrap().as_arr().unwrap();
