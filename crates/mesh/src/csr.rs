@@ -8,7 +8,10 @@
 //! Meshes store only element→vertex incidence; everything else is
 //! derived by whoever reads it, from exactly two functions here: the
 //! edge numbering ([`edges_first_seen`]) and the element dual graph
-//! ([`dual_from_facets`]).
+//! ([`dual_from_facets`]). Edges and faces are numbered by
+//! [`dedup_first_seen`], which is counting passes too: O(m + n) in
+//! the occurrences and nodes on any mesh, with no comparison sort and
+//! no hashing.
 
 /// Compressed-sparse-row container: `offsets.len() == nrows + 1`,
 /// row `r` owns `targets[offsets[r]..offsets[r+1]]`.
@@ -97,59 +100,60 @@ pub struct Dedup<K> {
     pub ids: Vec<u32>,
 }
 
-/// Sort-based first-seen deduplication: number the distinct keys of
-/// `occ` in the order they first appear, and map every occurrence to
-/// its key's id — without per-entity hashing.
+/// Counting-sort first-seen numbering: number the distinct node
+/// tuples of `occ` (every component below `n`) in the order they first
+/// appear, and map every occurrence to its tuple's id — no comparison
+/// sort, no hashing.
 ///
-/// Sorts `(key, position)` pairs, identifies runs of equal keys, and
-/// orders the runs by their first (minimal) position, which reproduces
-/// first-seen numbering exactly. O(m log m) with two u32 scratch
-/// arrays; this is the indexer under [`edges_first_seen`] and
-/// `Mesh3d::faces`.
-pub fn dedup_first_seen<K: Ord + Copy>(occ: &[K]) -> Dedup<K> {
+/// One stable counting pass per component, last component first,
+/// orders the positions by key, equal keys in ascending position; one
+/// scan in input order then numbers each run of equal keys the first
+/// time it meets it. O(m + n) time and memory for `m` occurrences on
+/// any mesh (DESIGN §11.2); this is the indexer under
+/// [`edges_first_seen`] and `Mesh3d::faces`. Panics on a component
+/// `>= n`.
+pub fn dedup_first_seen<const N: usize>(occ: &[[u32; N]], n: usize) -> Dedup<[u32; N]> {
     let m = occ.len();
     assert!(m < u32::MAX as usize, "occurrence count overflows u32");
-    let mut sorted: Vec<(K, u32)> = occ.iter().enumerate().map(|(i, &k)| (k, i as u32)).collect();
-    // Unstable is fine: the position tie-breaks equal keys, so the
-    // order is already total.
-    sorted.sort_unstable();
-    // Runs of equal keys; `first_pos[r]` is the first input position of
-    // run `r` (minimal within the run, since positions are ascending
-    // inside a run).
-    let mut first_pos: Vec<u32> = Vec::new();
-    let mut run_of_occ = vec![0u32; m];
-    for (s, &(k, i)) in sorted.iter().enumerate() {
-        if s == 0 || sorted[s - 1].0 != k {
-            first_pos.push(i);
+    let mut order: Vec<u32> = (0..m as u32).collect();
+    let mut next = vec![0u32; m];
+    let mut start = vec![0u32; n + 1];
+    for c in (0..N).rev() {
+        start.fill(0);
+        for k in occ {
+            start[k[c] as usize + 1] += 1;
         }
-        run_of_occ[i as usize] = (first_pos.len() - 1) as u32;
+        for v in 1..=n {
+            start[v] += start[v - 1];
+        }
+        for &i in &order {
+            let s = &mut start[occ[i as usize][c] as usize];
+            next[*s as usize] = i;
+            *s += 1;
+        }
+        std::mem::swap(&mut order, &mut next);
     }
-    // Number runs by first appearance.
-    let nu = first_pos.len();
-    let mut by_seen: Vec<u32> = (0..nu as u32).collect();
-    by_seen.sort_unstable_by_key(|&r| first_pos[r as usize]);
-    let mut id_of_run = vec![0u32; nu];
-    let mut keys = Vec::with_capacity(nu);
-    for (id, &r) in by_seen.iter().enumerate() {
-        id_of_run[r as usize] = id as u32;
-        keys.push(occ[first_pos[r as usize] as usize]);
+    // `next[i]` becomes the run of occurrence `i`, then its id.
+    let mut runs = 0u32;
+    let mut prev = order.first().map(|&i| occ[i as usize]);
+    for &i in &order {
+        let key = Some(occ[i as usize]);
+        runs += u32::from(key != prev);
+        prev = key;
+        next[i as usize] = runs;
     }
-    let ids = run_of_occ.iter().map(|&r| id_of_run[r as usize]).collect();
-    Dedup { keys, ids }
-}
-
-/// Pack an unordered node pair into a sortable `u64` key
-/// (`min << 32 | max`). Inverse of [`unpack_pair`].
-#[inline]
-pub(crate) fn pack_pair(a: u32, b: u32) -> u64 {
-    let (lo, hi) = if a < b { (a, b) } else { (b, a) };
-    ((lo as u64) << 32) | hi as u64
-}
-
-/// Unpack a [`pack_pair`] key back into `(min, max)`.
-#[inline]
-pub(crate) fn unpack_pair(key: u64) -> (u32, u32) {
-    ((key >> 32) as u32, key as u32)
+    drop(order);
+    let mut id_of_run = vec![u32::MAX; runs as usize + 1];
+    let mut keys = Vec::with_capacity(runs as usize + 1);
+    for (i, r) in next.iter_mut().enumerate() {
+        let id = &mut id_of_run[*r as usize];
+        if *id == u32::MAX {
+            *id = keys.len() as u32;
+            keys.push(occ[i]);
+        }
+        *r = *id;
+    }
+    Dedup { keys, ids: next }
 }
 
 /// All vertex index pairs `(i, j)` with `i < j` among `V` vertices —
@@ -170,17 +174,18 @@ pub const fn n_vertex_pairs<const V: usize>() -> usize {
 /// (`elem_edge_ids[e * n_vertex_pairs::<V>() + k]`). Every reader of
 /// edges — the decomposition builder, bindings, refinement, the 2-D
 /// dual graph — calls this, which is why edge ids agree everywhere.
+/// [`dedup_first_seen`] numbers the pairs, bounded by the largest node
+/// id in `elems` plus one: O(elements + nodes).
 pub fn edges_first_seen<const V: usize>(elems: &[[u32; V]]) -> (Vec<[u32; 2]>, Vec<u32>) {
-    let mut occ: Vec<u64> = Vec::with_capacity(elems.len() * n_vertex_pairs::<V>());
+    let mut occ: Vec<[u32; 2]> = Vec::with_capacity(elems.len() * n_vertex_pairs::<V>());
     for el in elems {
         for (i, j) in vertex_pairs::<V>() {
-            occ.push(pack_pair(el[i], el[j]));
+            occ.push([el[i].min(el[j]), el[i].max(el[j])]);
         }
     }
-    let Dedup { keys, ids } = dedup_first_seen(&occ);
-    drop(occ);
-    let edges = keys.into_iter().map(|k| unpack_pair(k).into()).collect();
-    (edges, ids)
+    let n = elems.iter().flatten().max().map_or(0, |&v| v as usize + 1);
+    let Dedup { keys, ids } = dedup_first_seen(&occ, n);
+    (keys, ids)
 }
 
 /// The element dual graph: elements adjacent through a shared facet
@@ -236,53 +241,57 @@ mod tests {
         assert_eq!((csr.degree(0), csr.degree(1)), (3, 0));
     }
 
+    /// First-seen numbering by a scan in occurrence order.
+    fn scan_reference<K: PartialEq + Copy>(occ: &[K]) -> Dedup<K> {
+        let mut keys = Vec::new();
+        let ids = (occ.iter())
+            .map(|k| match keys.iter().position(|u| u == k) {
+                Some(id) => id as u32,
+                None => {
+                    keys.push(*k);
+                    (keys.len() - 1) as u32
+                }
+            })
+            .collect();
+        Dedup { keys, ids }
+    }
+
     #[test]
     fn dedup_numbers_in_first_seen_order() {
-        let occ = [30u64, 10, 30, 20, 10, 30];
-        let d = dedup_first_seen(&occ);
-        assert_eq!(d.keys, vec![30, 10, 20]);
+        // Tuples need not be sorted: [2, 1] and [1, 2] are distinct.
+        let occ = [[2, 1], [0, 3], [2, 1], [1, 2], [0, 3], [2, 1]];
+        let d = dedup_first_seen(&occ, 4);
+        assert_eq!(d.keys, vec![[2, 1], [0, 3], [1, 2]]);
         assert_eq!(d.ids, vec![0, 1, 0, 2, 1, 0]);
     }
 
     #[test]
     fn dedup_matches_hash_reference() {
-        // Pseudo-random occurrence stream vs. a first-seen reference
-        // built with a linear scan over a small dense key space.
+        // Seeded streams of pairs and triples under a small node bound
+        // vs. the scan reference.
         let mut state = 0x9e3779b9u64;
-        let occ: Vec<u64> = (0..500)
-            .map(|_| {
-                state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-                (state >> 33) % 37
-            })
-            .collect();
-        let d = dedup_first_seen(&occ);
-        let mut seen: Vec<Option<u32>> = vec![None; 37];
-        let mut keys = Vec::new();
-        let mut ids = Vec::new();
-        for &k in &occ {
-            let id = *seen[k as usize].get_or_insert_with(|| {
-                keys.push(k);
-                (keys.len() - 1) as u32
-            });
-            ids.push(id);
+        let mut node = |n: u64| {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+            ((state >> 33) % n) as u32
+        };
+        for n in [1, 2, 5, 11] {
+            let pairs: Vec<[u32; 2]> = (0..400).map(|_| [node(n), node(n)]).collect();
+            assert_eq!(dedup_first_seen(&pairs, n as usize), scan_reference(&pairs));
+            let triples: Vec<[u32; 3]> = (0..400).map(|_| [node(n), node(n), node(n)]).collect();
+            assert_eq!(
+                dedup_first_seen(&triples, n as usize),
+                scan_reference(&triples)
+            );
         }
-        assert_eq!(d.keys, keys);
-        assert_eq!(d.ids, ids);
     }
 
     #[test]
     fn dedup_empty_and_single() {
-        let d = dedup_first_seen::<u64>(&[]);
-        assert!(d.keys.is_empty() && d.ids.is_empty());
-        let d = dedup_first_seen(&[7u64]);
-        assert_eq!((d.keys, d.ids), (vec![7], vec![0]));
-    }
-
-    #[test]
-    fn pair_packing_roundtrip() {
-        assert_eq!(pack_pair(3, 1), pack_pair(1, 3));
-        assert_eq!(unpack_pair(pack_pair(5, 2)), (2, 5));
-        assert!(pack_pair(0, 1) < pack_pair(0, 2));
-        assert!(pack_pair(0, u32::MAX) < pack_pair(1, 2));
+        for n in [0, 3] {
+            let d = dedup_first_seen::<3>(&[], n);
+            assert!(d.keys.is_empty() && d.ids.is_empty());
+        }
+        let d = dedup_first_seen(&[[7, 0]], 8);
+        assert_eq!((d.keys, d.ids), (vec![[7, 0]], vec![0]));
     }
 }

@@ -82,7 +82,7 @@ impl Mesh3d {
                 occ.push(key);
             }
         }
-        dedup_first_seen(&occ)
+        dedup_first_seen(&occ, self.nnodes())
     }
 
     /// The tet dual graph (tets sharing a face), row `t` in ascending

@@ -2,8 +2,15 @@
 //! deterministic seeded sweeps (`syncplace_mesh::rng`) instead of an
 //! external property-testing crate so they run fully offline.
 
+use std::collections::HashMap;
+use std::hash::Hash;
 use syncplace_mesh::rng::SmallRng;
-use syncplace_mesh::{edges_first_seen, gen2d, gen3d, refine2d, reorder, Csr, Mesh2d};
+use syncplace_mesh::{edges_first_seen, gen2d, gen3d, refine2d, reorder, Csr, Mesh2d, Mesh3d};
+
+/// Triangle facets in the edge numbering's pair order; tet face `k`
+/// is opposite vertex `k`.
+const TRI: [&[usize]; 3] = [&[0, 1], &[0, 2], &[1, 2]];
+const TET: [&[usize]; 4] = [&[1, 2, 3], &[0, 2, 3], &[0, 1, 3], &[0, 1, 2]];
 
 /// Brute-force dual graph: two elements are adjacent iff they share
 /// all but one vertex, and a row is ordered by the first-seen id (over
@@ -42,26 +49,128 @@ fn rows(dual: &Csr) -> Vec<Vec<u32>> {
     dual.iter().map(|(_, r)| r.to_vec()).collect()
 }
 
+/// First-seen numbering by a scan in occurrence order: the distinct
+/// keys in the order first met, and the id of every occurrence.
+fn first_seen<K: Copy + Eq + Hash>(occ: impl IntoIterator<Item = K>) -> (Vec<K>, Vec<u32>) {
+    let mut id_of = HashMap::new();
+    let mut keys = Vec::new();
+    let ids = (occ.into_iter())
+        .map(|k| {
+            *id_of.entry(k).or_insert_with(|| {
+                keys.push(k);
+                keys.len() as u32 - 1
+            })
+        })
+        .collect();
+    (keys, ids)
+}
+
+fn sorted<const N: usize>(mut key: [u32; N]) -> [u32; N] {
+    key.sort_unstable();
+    key
+}
+
+/// Reference edge numbering: sorted node pairs over elements × local
+/// pairs `(i, j)`, `i < j`.
+fn reference_edges<const V: usize>(elems: &[[u32; V]]) -> (Vec<[u32; 2]>, Vec<u32>) {
+    let pairs = |el: &[u32; V]| {
+        let el = *el;
+        (0..V).flat_map(move |i| (i + 1..V).map(move |j| sorted([el[i], el[j]])))
+    };
+    first_seen(elems.iter().flat_map(pairs))
+}
+
+/// Reference face numbering: sorted node triples over tets × the face
+/// opposite vertex `k`.
+fn reference_faces(tets: &[[u32; 4]]) -> (Vec<[u32; 3]>, Vec<u32>) {
+    let faces = |&[a, b, c, d]: &[u32; 4]| [[b, c, d], [a, c, d], [a, b, d], [a, b, c]].map(sorted);
+    first_seen(tets.iter().flat_map(faces))
+}
+
+/// The elements with their node ids relabelled by a seeded
+/// permutation of `0..nnodes`.
+fn relabel<const V: usize>(elems: &[[u32; V]], nnodes: usize, rng: &mut SmallRng) -> Vec<[u32; V]> {
+    let mut perm: Vec<u32> = (0..nnodes as u32).collect();
+    for i in (1..nnodes).rev() {
+        perm.swap(i, rng.range_usize(0, i + 1));
+    }
+    elems
+        .iter()
+        .map(|el| el.map(|v| perm[v as usize]))
+        .collect()
+}
+
+/// Dual graph and edge numbering of a triangle mesh vs. the references.
+fn check_tris(som: &[[u32; 3]], nnodes: usize) {
+    let m = Mesh2d::new(vec![[0.0; 2]; nnodes], som.to_vec());
+    assert_eq!(rows(&m.dual_graph()), reference_dual(som, &TRI));
+    assert_eq!(edges_first_seen(som), reference_edges(som));
+}
+
+/// Dual graph, edge and face numbering of a tet mesh vs. the references.
+fn check_tets(tets: &[[u32; 4]], nnodes: usize) {
+    let m = Mesh3d::new(vec![[0.0; 3]; nnodes], tets.to_vec());
+    assert_eq!(rows(&m.dual_graph()), reference_dual(tets, &TET));
+    assert_eq!(edges_first_seen(tets), reference_edges(tets));
+    let faces = m.faces();
+    assert_eq!((faces.keys, faces.ids), reference_faces(tets));
+}
+
 #[test]
 fn dual_graph_matches_brute_force_reference() {
-    // Triangle facets in the edge numbering's pair order; tet face `k`
-    // is opposite vertex `k`.
-    let tri: [&[usize]; 3] = [&[0, 1], &[0, 2], &[1, 2]];
-    let tet: [&[usize]; 4] = [&[1, 2, 3], &[0, 2, 3], &[0, 1, 3], &[0, 1, 2]];
+    // Every input is checked as generated and with its node ids
+    // relabelled: the counting passes depend on the id range.
+    let mut shuffle = SmallRng::seed_from_u64(0x5EED);
     let mut rng = SmallRng::seed_from_u64(0xD0A1);
     for _case in 0..12 {
         let (nx, ny) = (rng.range_usize(2, 9), rng.range_usize(2, 9));
         let m = gen2d::perturbed_grid(nx, ny, 0.3, rng.next_u64() % 500);
-        assert_eq!(rows(&m.dual_graph()), reference_dual(&m.som, &tri));
         let mark_mod = rng.range_usize(1, 5);
         let marked: Vec<bool> = (0..m.ntris()).map(|t| t % mark_mod == 0).collect();
         let f = refine2d::refine(&m, &marked).0;
-        assert_eq!(rows(&f.dual_graph()), reference_dual(&f.som, &tri));
+        for m in [m, f] {
+            check_tris(&m.som, m.nnodes());
+            check_tris(&relabel(&m.som, m.nnodes(), &mut shuffle), m.nnodes());
+        }
     }
     for (nx, ny, nz) in [(1, 1, 1), (2, 1, 1), (2, 2, 1), (1, 3, 2), (3, 2, 2)] {
         let m = gen3d::box_mesh(nx, ny, nz);
-        assert_eq!(rows(&m.dual_graph()), reference_dual(&m.tets, &tet));
+        check_tets(&m.tets, m.nnodes());
+        check_tets(&relabel(&m.tets, m.nnodes(), &mut shuffle), m.nnodes());
     }
+}
+
+/// Meshes where every element shares one hub node: a fan of 2^17
+/// triangles around node 0, and a star of 2^16 tets around edge
+/// (0, 1) in which tet `i` shares a face with tets `i ± 1`. A
+/// numbering that walked a per-node chain would be quadratic here.
+#[test]
+fn hub_meshes_number_like_the_reference() {
+    // Element `i` meets `i - 1` through a facet seen before its own
+    // facet to `i + 1`, so its dual row is [i - 1, i + 1].
+    let chain = |k: u32| -> Vec<Vec<u32>> {
+        (0..k)
+            .map(|i| {
+                [i.checked_sub(1), (i + 1 < k).then_some(i + 1)]
+                    .into_iter()
+                    .flatten()
+                    .collect()
+            })
+            .collect()
+    };
+    let k = 1u32 << 17;
+    let fan: Vec<[u32; 3]> = (0..k).map(|i| [0, i + 1, i + 2]).collect();
+    let m = Mesh2d::new(vec![[0.0; 2]; k as usize + 2], fan);
+    assert_eq!(edges_first_seen(&m.som), reference_edges(&m.som));
+    assert_eq!(rows(&m.dual_graph()), chain(k));
+
+    let k = 1u32 << 16;
+    let star: Vec<[u32; 4]> = (0..k).map(|i| [0, 1, i + 2, i + 3]).collect();
+    let m = Mesh3d::new(vec![[0.0; 3]; k as usize + 3], star);
+    assert_eq!(edges_first_seen(&m.tets), reference_edges(&m.tets));
+    let faces = m.faces();
+    assert_eq!((faces.keys, faces.ids), reference_faces(&m.tets));
+    assert_eq!(rows(&m.dual_graph()), chain(k));
 }
 
 fn assert_disk(m: &Mesh2d) {

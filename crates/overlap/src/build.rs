@@ -21,15 +21,16 @@
 //! values are combined by the [`AssembleSchedule`].
 //!
 //! The whole construction path is CSR-lean: entity deduplication uses
-//! the shared sort-based first-seen numbering of `syncplace-mesh`
+//! the shared counting-sort first-seen numbering of `syncplace-mesh`
 //! ([`edges_first_seen`]), per-part closure and localization run over
 //! stamp-validated scratch arrays that are allocated once and reused
 //! across parts, and schedules are derived from an entity placement
 //! (a global-entity → (part, local) CSR) instead of dense per-part
-//! lookup tables. Total cost is O(M log M) for the dedup plus O(total
-//! sub-mesh slots) for everything else — no per-entity hashing and no
-//! dense O(parts × entities) scans, so million-element meshes at
-//! 128 parts stay within a few hundred bytes per element.
+//! lookup tables. Total cost is O(M + N) for the dedup (M element-local
+//! edge slots, N nodes) plus O(total sub-mesh slots) for everything
+//! else — no per-entity hashing and no dense O(parts × entities)
+//! scans, so million-element meshes at 128 parts stay within a few
+//! hundred bytes per element.
 //!
 //! A build is three steps: [`global_setup`], [`build_submesh`] once per
 //! part, then [`finish`] (placements, schedules and the one
@@ -77,7 +78,7 @@ pub struct Decomposition<const V: usize> {
 /// reads no clock).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct DecomposeStats {
-    /// Ownership scans + sort-based edge dedup + incidence CSRs.
+    /// Ownership scans + counting-sort edge dedup + incidence CSRs.
     pub dedup_s: f64,
     /// Per-part overlap closure + localization (sub-mesh building).
     pub closure_s: f64,

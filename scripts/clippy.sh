@@ -9,7 +9,10 @@
 # strip loops are optimised and auto-vectorised as benchmark/ measures
 # them: no HashMap / HashSet / .expect( /
 # .unwrap( / Box< / unsafe in crates/runtime/src/kernel.rs, lowered
-# results to_bits()-equal to the test-only tree walker), the placement
+# results to_bits()-equal to the test-only tree walker), the
+# million-element decomposition smoke must pass in release (the one
+# test at 10^6 elements, ignored by a plain `cargo test`: the
+# decomp_equivalence suite's `--ignored` test, P = 128), the placement
 # ranking must agree with its test-only per-mapping oracle
 # (`ranking_matches_per_mapping_oracle`: same fingerprints in the same
 # order, same representative mapping, cost and pruned count on every
@@ -78,6 +81,7 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 cargo clippy --workspace --all-targets -- -D warnings
 cargo test -q --test kernel
 cargo test -q --release --test kernel
+cargo test -q --release -p syncplace-runtime --test decomp_equivalence -- --ignored
 cargo test -q -p syncplace-placement --lib ranking_matches_per_mapping_oracle
 if grep -rnE 'thread::|Mutex|Condvar|Atomic' crates/placement/src/; then
     echo "placement gate: crates/placement is single-threaded — one search, no workers"
