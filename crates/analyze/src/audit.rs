@@ -8,11 +8,14 @@
 //! derivation adversarially:
 //!
 //! * **coverage** — every communication the placement crosses is
-//!   executed by exactly one phase, every insertion point of the SPMD
-//!   program has its phase, and no phase is dead or referenced twice
-//!   (`SA020`, `SA024`);
-//! * **packet layout** — each per-pair round-1 packet is consumed by
-//!   its receiver exactly once, with no gaps, overlaps or
+//!   executed by exactly one phase, and on the plan's tape — the
+//!   schedule every engine steps through — each phase completes exactly
+//!   once, right before the statement its insertion point names (last,
+//!   for the at-end phase), so no phase is dead or run twice (`SA020`,
+//!   `SA024`);
+//! * **packet layout** — over the edges the ranks' peer lists name,
+//!   each per-pair round-1 packet is listed at both ends and consumed
+//!   by its receiver exactly once, with no gaps, overlaps or
 //!   out-of-bounds reads, and sender/receiver length bookkeeping
 //!   agrees (`SA025`, `SA026`);
 //! * **write safety** — within one phase, no rank's local slot is
@@ -23,20 +26,15 @@
 //!   reduction tree with a uniform op list (`SA023`) — the two fixed
 //!   orders that make results bitwise identical across engines.
 
-use std::collections::HashMap;
+use std::cmp::Ordering;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use syncplace_codegen::{CommOp, PhaseAt, SpmdProgram};
 use syncplace_ir::diag::{codes, Diagnostic, Report, Span};
-use syncplace_ir::{Program, VarId};
+use syncplace_ir::{IdVec, Program, Stmt, StmtId, VarId};
 use syncplace_placement::{InsertionPoint, Solution};
 use syncplace_runtime::comm::{reduce_tree_children, reduce_tree_parent};
-use syncplace_runtime::plan::{CommPlan, PackItem, RankPhase, Term};
-
-/// Length in values of one pack item.
-fn item_len(it: &PackItem) -> usize {
-    match it {
-        PackItem::Gather { idx, .. } => idx.len(),
-    }
-}
+use syncplace_runtime::plan::{CommPlan, PhasePlan, RankPhase, ReducePlan, Term};
+use syncplace_runtime::tape::Op;
 
 /// Run every audit: solution→phase coverage, then the plan itself.
 pub fn audit(prog: &Program, sol: &Solution, spmd: &SpmdProgram, plan: &CommPlan) -> Report {
@@ -99,148 +97,162 @@ pub fn audit_coverage(sol: &Solution, spmd: &SpmdProgram) -> Report {
     r
 }
 
+/// An error about phase `phase` (`rank`'s part of it, if given).
+fn at(phase: usize, rank: Option<usize>, code: &'static str, msg: String) -> Diagnostic {
+    Diagnostic::error(code, Span::phase(phase, rank), msg)
+}
+
 /// Audit the compiled plan against the SPMD program it was built from.
-pub fn audit_plan(_prog: &Program, spmd: &SpmdProgram, plan: &CommPlan) -> Report {
+pub fn audit_plan(prog: &Program, spmd: &SpmdProgram, plan: &CommPlan) -> Report {
     let mut r = Report::new();
     let phases = spmd.phases();
 
-    // --- phase bijection (SA020 / SA024) ------------------------------------
+    // --- phase placement on the tape (SA020 / SA024) ------------------------
     if plan.phases.len() != phases.len() {
-        r.push(Diagnostic::error(
-            codes::PHASE_COVERAGE,
-            Span::none(),
-            format!(
-                "plan has {} phases for {} SPMD insertion points",
-                plan.phases.len(),
-                phases.len()
-            ),
-        ));
+        let (have, want) = (plan.phases.len(), phases.len());
+        let msg = format!("plan has {have} phases for {want} SPMD insertion points");
+        r.push(Diagnostic::error(codes::PHASE_COVERAGE, Span::none(), msg));
     }
-    let mut referenced: HashMap<usize, usize> = HashMap::new();
-    for (stmt, &idx) in plan.before.iter() {
-        *referenced.entry(idx).or_insert(0) += 1;
-        if !phases
-            .iter()
-            .any(|(at, _)| *at == PhaseAt::Before(stmt))
-        {
-            r.push(Diagnostic::error(
-                codes::PHASE_COVERAGE,
-                Span::phase(idx, None).with_stmt(stmt),
-                format!("plan schedules phase {idx} before s{stmt}, but the SPMD program has no ops there"),
-            ));
-        }
-    }
-    if let Some(idx) = plan.at_end {
-        *referenced.entry(idx).or_insert(0) += 1;
-        if !phases.iter().any(|(at, _)| *at == PhaseAt::AtEnd) {
-            r.push(Diagnostic::error(
-                codes::PHASE_COVERAGE,
-                Span::phase(idx, None),
-                "plan schedules an at-end phase, but the SPMD program ends without ops".to_string(),
-            ));
-        }
-    }
-    for (at, _) in &phases {
-        let covered = match at {
-            PhaseAt::Before(s) => plan.before.contains(*s),
-            PhaseAt::AtEnd => plan.at_end.is_some(),
-        };
-        if !covered {
-            r.push(Diagnostic::error(
-                codes::PHASE_COVERAGE,
-                match at {
-                    PhaseAt::Before(s) => Span::stmt(*s),
-                    PhaseAt::AtEnd => Span::none(),
-                },
-                format!("SPMD insertion point {at:?} has no plan phase"),
-            ));
-        }
-    }
+    audit_placement(&mut r, prog, &phases, plan);
     for (idx, ph) in plan.phases.iter().enumerate() {
-        match referenced.get(&idx) {
-            None => r.push(Diagnostic::error(
-                codes::DEAD_PHASE,
-                Span::phase(idx, None),
-                format!("phase {idx} is never executed (no insertion point references it)"),
-            )),
-            Some(&n) if n > 1 => r.push(Diagnostic::error(
-                codes::DEAD_PHASE,
-                Span::phase(idx, None),
-                format!("phase {idx} is referenced by {n} insertion points"),
-            )),
-            _ => {}
-        }
         if ph.updates + ph.assembles + ph.reduces == 0 {
-            r.push(Diagnostic::error(
-                codes::DEAD_PHASE,
-                Span::phase(idx, None),
-                format!("phase {idx} contains no communication ops"),
-            ));
+            let msg = format!("phase {idx} contains no communication ops");
+            r.push(at(idx, None, codes::DEAD_PHASE, msg));
         }
     }
     // Op-count agreement per (insertion point, phase) pair.
-    for (at, ops) in &phases {
-        let idx = match at {
-            PhaseAt::Before(s) => plan.before.get(*s).copied(),
-            PhaseAt::AtEnd => plan.at_end,
-        };
-        let Some(idx) = idx.filter(|&i| i < plan.phases.len()) else {
-            continue; // already reported above
-        };
-        let ph = &plan.phases[idx];
-        let want_u = ops
-            .iter()
-            .filter(|o| matches!(o, CommOp::UpdateOverlap { .. }))
-            .count();
-        let want_a = ops
-            .iter()
-            .filter(|o| matches!(o, CommOp::AssembleShared { .. }))
-            .count();
-        let want_r = ops.iter().filter(|o| matches!(o, CommOp::Reduce { .. })).count();
-        if (ph.updates, ph.assembles, ph.reduces) != (want_u, want_a, want_r) {
-            r.push(Diagnostic::error(
-                codes::PHASE_COVERAGE,
-                Span::phase(idx, None),
-                format!(
-                    "phase {idx} compiles {}/{}/{} update/assemble/reduce ops, SPMD point {at:?} has {want_u}/{want_a}/{want_r}",
-                    ph.updates, ph.assembles, ph.reduces
-                ),
-            ));
+    for (idx, ((point, ops), ph)) in phases.iter().zip(&plan.phases).enumerate() {
+        let want = ops.iter().fold((0, 0, 0), |(u, a, r), op| match op {
+            CommOp::UpdateOverlap { .. } => (u + 1, a, r),
+            CommOp::AssembleShared { .. } => (u, a + 1, r),
+            CommOp::Reduce { .. } => (u, a, r + 1),
+        });
+        let have = (ph.updates, ph.assembles, ph.reduces);
+        if have != want {
+            let msg = format!(
+                "phase {idx} compiles {have:?} update/assemble/reduce ops, SPMD point {point:?} has {want:?}"
+            );
+            r.push(at(idx, None, codes::PHASE_COVERAGE, msg));
         }
     }
 
     // --- per-phase wire checks ----------------------------------------------
     for (idx, ph) in plan.phases.iter().enumerate() {
         if ph.ranks.len() != plan.nparts {
-            r.push(Diagnostic::error(
-                codes::PHASE_COVERAGE,
-                Span::phase(idx, None),
-                format!(
-                    "phase {idx} plans {} ranks for {} partitions",
-                    ph.ranks.len(),
-                    plan.nparts
-                ),
-            ));
+            let msg = format!("phase {idx} plans {} ranks for {} partitions", ph.ranks.len(), plan.nparts);
+            r.push(at(idx, None, codes::PHASE_COVERAGE, msg));
             continue;
         }
-        for p in 0..plan.nparts {
-            audit_rank_writes(&mut r, idx, p, &ph.ranks[p]);
-            for q in 0..plan.nparts {
-                audit_pair(&mut r, idx, ph, p, q);
-            }
+        for (p, rp) in ph.ranks.iter().enumerate() {
+            audit_rank_writes(&mut r, idx, p, rp);
         }
+        audit_wire(&mut r, idx, ph);
         audit_orders(&mut r, plan, idx, ph);
     }
     r.sort();
     r
 }
 
+/// What the first op after a phase's completion belongs to: a
+/// statement's own first op, the end of a time loop's body, or the end
+/// of the program.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Anchor {
+    Stmt(StmtId),
+    LoopEnd(StmtId),
+    End,
+}
+
+/// The anchor of a phase placed before each statement of `stmts` that
+/// runs: its own first op — or, for a `max 0` time loop, which lowers to
+/// no ops, whatever follows it. `end` follows the block. A statement
+/// inside a loop that never runs gets none.
+fn anchors(stmts: &[Stmt], end: Anchor, out: &mut IdVec<Anchor>) {
+    let mut next = end;
+    for s in stmts.iter().rev() {
+        match s {
+            Stmt::TimeLoop(t) if t.max_iters == 0 => {}
+            Stmt::TimeLoop(t) => {
+                anchors(&t.body, Anchor::LoopEnd(t.id), out);
+                next = Anchor::Stmt(t.id);
+            }
+            _ => next = Anchor::Stmt(s.id()),
+        }
+        out.insert(s.id(), next);
+    }
+}
+
+/// The anchor of the first op after `ops[i]` that is neither a post
+/// nor another completion.
+fn anchor_after(ops: &[Op], i: usize) -> Anchor {
+    let next = ops[i + 1..].iter().find(|op| !matches!(op, Op::Post(_) | Op::Complete(_)));
+    match next {
+        Some(Op::Loop { id, .. } | Op::Assign(id) | Op::Exit { id, .. } | Op::Head { id, .. }) => {
+            Anchor::Stmt(*id)
+        }
+        Some(Op::Tail { head }) => match ops.get(*head) {
+            Some(Op::Head { id, .. }) => Anchor::LoopEnd(*id),
+            _ => Anchor::End,
+        },
+        _ => Anchor::End,
+    }
+}
+
+/// `SA020` / `SA024` on the plan's tape, the schedule every engine
+/// steps through: phase `k` completes exactly once — never, when its
+/// statement sits in a loop that never runs, and only if the plan has
+/// a phase `k` — and its [`Op::Complete`] stands right before the
+/// statement `spmd.phases()[k]` names, or is the tape's last op for the
+/// at-end phase.
+fn audit_placement(r: &mut Report, prog: &Program, phases: &[(PhaseAt, &[CommOp])], plan: &CommPlan) {
+    // A refused program runs no phase: there is no placement to check.
+    let Ok(ops) = plan.ops() else { return };
+    let mut anchor = IdVec::default();
+    anchors(&prog.body, Anchor::End, &mut anchor);
+    let mut completions = vec![0usize; plan.phases.len()];
+    for (i, op) in ops.iter().enumerate() {
+        let Op::Complete(k) = *op else { continue };
+        let Some(n) = completions.get_mut(k) else {
+            let msg = format!("the tape completes phase {k}, but the plan has {} phases", plan.phases.len());
+            r.push(at(k, None, codes::PHASE_COVERAGE, msg));
+            continue;
+        };
+        *n += 1;
+        let Some((point, _)) = phases.get(k) else { continue };
+        let want = match point {
+            PhaseAt::Before(s) => anchor.get(*s).copied(),
+            PhaseAt::AtEnd => (i + 1 == ops.len()).then_some(Anchor::End),
+        };
+        let found = anchor_after(ops, i);
+        if want != Some(found) {
+            let msg = format!("phase {k} completes before {found:?} on the tape, but its insertion point is {point:?}");
+            r.push(at(k, None, codes::PHASE_COVERAGE, msg));
+        }
+    }
+    for (k, &n) in completions.iter().enumerate() {
+        let want = match phases.get(k) {
+            Some((PhaseAt::Before(s), _)) => usize::from(anchor.contains(*s)),
+            _ => 1,
+        };
+        if n != want {
+            let msg = format!("phase {k} completes {n} times on the tape, not {want}");
+            r.push(at(k, None, codes::DEAD_PHASE, msg));
+        }
+    }
+}
+
 /// `SA021`: within one phase, every local slot of a rank must be
 /// written at most once — by a round-1 unpack, an owned assembly
 /// total, or a round-2 write-back.
 fn audit_rank_writes(r: &mut Report, phase: usize, rank: usize, rp: &RankPhase) {
+    let unpacks = rp.recv1.iter().flat_map(|r1| &r1.updates);
+    let unpacks = unpacks.flat_map(|ru| ru.dst.iter().map(|&slot| (ru.var, slot, "round-1 unpack")));
+    let groups = rp.assembles.iter().flat_map(|ap| ap.own_groups.iter().map(|g| (ap.var, g)));
+    let totals = groups.map(|(var, g)| (var, g.write, "assembly total"));
+    let backs = rp.recv2.iter().flat_map(|(_, slots)| slots);
+    let backs = backs.map(|&(var, slot)| (var, slot, "round-2 write-back"));
     let mut written: HashMap<(VarId, u32), &'static str> = HashMap::new();
-    let mut race = |r: &mut Report, var: VarId, slot: u32, what: &'static str| {
+    for (var, slot, what) in unpacks.chain(totals).chain(backs) {
         if let Some(prev) = written.insert((var, slot), what) {
             r.push(Diagnostic::error(
                 codes::WRITE_RACE,
@@ -250,128 +262,104 @@ fn audit_rank_writes(r: &mut Report, phase: usize, rank: usize, rp: &RankPhase) 
                 ),
             ));
         }
-    };
-    for recvs in &rp.recv1 {
-        for ru in recvs {
-            for &slot in &ru.dst {
-                race(r, ru.var, slot, "round-1 unpack");
-            }
-        }
-    }
-    for ap in &rp.assembles {
-        for g in &ap.own_groups {
-            race(r, ap.var, g.write, "assembly total");
-        }
-    }
-    for recvs in &rp.recv2 {
-        for &(var, slot) in recvs {
-            race(r, var, slot, "round-2 write-back");
-        }
     }
 }
 
-/// Packet-layout checks for one ordered pair `p → q` in one phase:
-/// sender length bookkeeping (`SA025`) and exactly-once consumption of
-/// the round-1 packet by the receiver (`SA026`).
-fn audit_pair(
-    r: &mut Report,
-    phase: usize,
-    ph: &syncplace_runtime::plan::PhasePlan,
-    p: usize,
-    q: usize,
-) {
-    let sender = &ph.ranks[p];
-    let receiver = &ph.ranks[q];
-    let declared = sender.send1_len[q];
-    let packed: usize = sender.send1[q].iter().map(item_len).sum();
-    if packed != declared {
-        r.push(Diagnostic::error(
-            codes::PACKET_LENGTH,
-            Span::phase(phase, Some(p)),
-            format!(
-                "rank {p} packs {packed} values for rank {q} but declares send1_len {declared}"
-            ),
-        ));
-    }
-    if receiver.has_recv1[p] != (declared > 0) {
-        r.push(Diagnostic::error(
-            codes::PACKET_LENGTH,
-            Span::phase(phase, Some(q)),
-            format!(
-                "rank {q} expects a round-1 packet from rank {p}: {} (sender sends {declared} values)",
-                receiver.has_recv1[p]
-            ),
-        ));
-    }
-    // Collect the receiver's read intervals of p's packet.
-    let mut reads: Vec<(u32, u32, &'static str)> = Vec::new();
-    for ru in &receiver.recv1[p] {
-        reads.push((ru.off, ru.dst.len() as u32, "update unpack"));
-    }
-    for ap in &receiver.assembles {
-        for g in &ap.own_groups {
-            for t in &g.terms {
-                if let Term::Peer { peer, off } = t {
-                    if *peer as usize == p {
-                        reads.push((*off, 1, "assembly partial"));
-                    }
+/// Packet-layout checks for one phase, over the edges its peer lists
+/// name: each list names a peer once, each round-1 packet packs what
+/// its sender declares and is listed at both ends, round-2 counts agree
+/// (`SA025`), and each receiver reads each round-1 packet exactly once
+/// (`SA026`).
+fn audit_wire(r: &mut Report, phase: usize, ph: &PhasePlan) {
+    // Each list's edges `(from, to) → values`: round-1 sends and
+    // receives, round-2 sends and write-backs.
+    let mut edges = [(); 4].map(|_| BTreeMap::new());
+    // The receivers' reads `(off, len, what)` of each round-1 packet.
+    let mut reads: BTreeMap<(usize, usize), Vec<_>> = BTreeMap::new();
+    for (me, rp) in ph.ranks.iter().enumerate() {
+        for s in &rp.send1 {
+            let packed: usize = s.gathers.iter().map(|g| g.idx.len()).sum();
+            if packed != s.len {
+                let msg = format!("rank {me} packs {packed} values for rank {} but declares {}", s.peer, s.len);
+                r.push(at(phase, Some(me), codes::PACKET_LENGTH, msg));
+            }
+        }
+        let lists: [(&str, Vec<(u32, usize)>); 4] = [
+            ("round-1 sends", rp.send1.iter().map(|s| (s.peer, s.len)).collect()),
+            ("round-1 receives", rp.recv1.iter().map(|r1| (r1.peer, 0)).collect()),
+            ("round-2 sends", rp.send2.clone()),
+            ("round-2 write-backs", rp.recv2.iter().map(|(q, slots)| (*q, slots.len())).collect()),
+        ];
+        for (i, (what, list)) in lists.into_iter().enumerate() {
+            for (peer, len) in list {
+                let edge = if i % 2 == 0 { (me, peer as usize) } else { (peer as usize, me) };
+                if edges[i].insert(edge, len).is_some() {
+                    let msg = format!("rank {me} lists peer {peer} twice among its {what}");
+                    r.push(at(phase, Some(me), codes::PACKET_LENGTH, msg));
                 }
             }
         }
+        for r1 in &rp.recv1 {
+            let rd = reads.entry((r1.peer as usize, me)).or_default();
+            rd.extend(r1.updates.iter().map(|ru| (ru.off, ru.dst.len() as u32, "update unpack")));
+        }
+        for t in rp.assembles.iter().flat_map(|ap| &ap.own_groups).flat_map(|g| &g.terms) {
+            if let Term::Peer { peer, off } = *t {
+                reads.entry((peer as usize, me)).or_default().push((off, 1, "assembly partial"));
+            }
+        }
     }
-    // (Reduction partials never ride the round-1 pair packets: they
-    // travel on dedicated binomial-tree edge packets audited by
-    // `audit_orders`.)
-    // The intervals must tile [0, declared) exactly.
-    reads.sort_unstable_by_key(|&(off, len, _)| (off, len));
-    let mut cursor = 0u32;
-    for (off, len, what) in &reads {
-        match off.cmp(&cursor) {
-            std::cmp::Ordering::Less => r.push(Diagnostic::error(
-                codes::PACKET_COVERAGE,
-                Span::phase(phase, Some(q)),
-                format!(
+    let [sent1, heard1, sent2, heard2] = edges;
+    for (&(p, q), len) in &sent1 {
+        reads.entry((p, q)).or_default();
+        if !heard1.contains_key(&(p, q)) {
+            let msg = format!("rank {p} sends rank {q} a round-1 packet of {len} values it never receives");
+            r.push(at(phase, Some(p), codes::PACKET_LENGTH, msg));
+        }
+    }
+    for &(p, q) in heard1.keys().filter(|e| !sent1.contains_key(e)) {
+        let msg = format!("rank {q} expects a round-1 packet from rank {p}, which sends it nothing");
+        r.push(at(phase, Some(q), codes::PACKET_LENGTH, msg));
+    }
+    for &(p, q) in sent2.keys().chain(heard2.keys()).collect::<BTreeSet<_>>() {
+        let [sent, heard] = [&sent2, &heard2].map(|m| m.get(&(p, q)).copied().unwrap_or(0));
+        if sent != heard {
+            let msg = format!("rank {p} sends {sent} round-2 totals to rank {q}, which expects {heard}");
+            r.push(at(phase, Some(p), codes::PACKET_LENGTH, msg));
+        }
+    }
+    // The reads must tile [0, declared) exactly. (Reduction partials
+    // never ride round 1: `audit_orders` audits their tree packets.)
+    for ((p, q), mut reads) in reads {
+        reads.sort_unstable_by_key(|&(off, len, _)| (off, len));
+        let mut cursor = 0u32;
+        for (off, len, what) in reads {
+            let msg = match off.cmp(&cursor) {
+                Ordering::Less => format!(
                     "rank {q} reads [{off}, {}) of rank {p}'s packet twice ({what} overlaps a previous read)",
                     off + len
                 ),
-            )),
-            std::cmp::Ordering::Greater => r.push(Diagnostic::error(
-                codes::PACKET_COVERAGE,
-                Span::phase(phase, Some(q)),
-                format!(
+                Ordering::Greater => format!(
                     "rank {q} leaves [{cursor}, {off}) of rank {p}'s packet unread before the {what} at {off}"
                 ),
-            )),
-            std::cmp::Ordering::Equal => {}
+                Ordering::Equal => String::new(),
+            };
+            if !msg.is_empty() {
+                r.push(at(phase, Some(q), codes::PACKET_COVERAGE, msg));
+            }
+            cursor = cursor.max(off + len);
         }
-        cursor = cursor.max(off + len);
-    }
-    if (cursor as usize) != declared && !(reads.is_empty() && declared == 0) {
-        r.push(Diagnostic::error(
-            codes::PACKET_COVERAGE,
-            Span::phase(phase, Some(q)),
-            format!(
-                "rank {q} consumes {cursor} of the {declared} values in rank {p}'s packet"
-            ),
-        ));
-    }
-    // Round 2: owner p's declared totals match q's write-back count.
-    if sender.send2_len[q] != receiver.recv2[p].len() {
-        r.push(Diagnostic::error(
-            codes::PACKET_LENGTH,
-            Span::phase(phase, Some(p)),
-            format!(
-                "rank {p} sends {} round-2 totals to rank {q}, which expects {}",
-                sender.send2_len[q],
-                receiver.recv2[p].len()
-            ),
-        ));
+        let declared = sent1.get(&(p, q)).copied().unwrap_or(0);
+        if cursor as usize != declared {
+            let msg = format!("rank {q} consumes {cursor} of the {declared} values in rank {p}'s packet");
+            r.push(at(phase, Some(q), codes::PACKET_COVERAGE, msg));
+        }
     }
 }
 
 /// Combine-order checks: owner-first assembly (`SA022`) and the
 /// canonical binomial reduction tree with a uniform op list (`SA023`).
-fn audit_orders(r: &mut Report, plan: &CommPlan, phase: usize, ph: &syncplace_runtime::plan::PhasePlan) {
+fn audit_orders(r: &mut Report, plan: &CommPlan, phase: usize, ph: &PhasePlan) {
     for (rank, rp) in ph.ranks.iter().enumerate() {
         for ap in &rp.assembles {
             for (gi, g) in ap.own_groups.iter().enumerate() {
@@ -395,50 +383,34 @@ fn audit_orders(r: &mut Report, plan: &CommPlan, phase: usize, ph: &syncplace_ru
         // carry the same ordered (var, op) reduce list — together
         // they pin the one combine order `comm::tree_fold` defines.
         let reference = &ph.ranks[0].reduces;
-        let same_ops = rp.reduces.len() == reference.len()
-            && rp
-                .reduces
-                .iter()
-                .zip(reference.iter())
-                .all(|(a, b)| a.var == b.var && a.op == b.op);
-        if !same_ops {
-            r.push(Diagnostic::error(
-                codes::REDUCE_ORDER,
-                Span::phase(phase, Some(rank)),
-                format!(
-                    "rank {rank} executes {} reductions where rank 0 executes {} — the tree packet layout requires an identical ordered op list on every rank",
-                    rp.reduces.len(),
-                    reference.len()
-                ),
-            ));
+        let ops = |l: &[ReducePlan]| l.iter().map(|x| (x.var, x.op)).collect::<Vec<_>>();
+        if ops(&rp.reduces) != ops(reference) {
+            let msg = format!(
+                "rank {rank} executes {} reductions where rank 0 executes {} — the tree packet layout requires an identical ordered op list on every rank",
+                rp.reduces.len(),
+                reference.len()
+            );
+            r.push(at(phase, Some(rank), codes::REDUCE_ORDER, msg));
         }
         if rp.reduces.is_empty() || plan.nparts <= 1 {
             continue;
         }
         let want_parent = reduce_tree_parent(rank).map(|p| p as u32);
         if rp.red_parent != want_parent {
-            r.push(Diagnostic::error(
-                codes::REDUCE_ORDER,
-                Span::phase(phase, Some(rank)),
-                format!(
-                    "rank {rank} sends its partial to {:?} but the canonical binomial tree parent is {want_parent:?}",
-                    rp.red_parent
-                ),
-            ));
+            let msg = format!(
+                "rank {rank} sends its partial to {:?} but the canonical binomial tree parent is {want_parent:?}",
+                rp.red_parent
+            );
+            r.push(at(phase, Some(rank), codes::REDUCE_ORDER, msg));
         }
-        let want_children: Vec<u32> = reduce_tree_children(rank, plan.nparts)
-            .into_iter()
-            .map(|c| c as u32)
-            .collect();
+        let want_children = reduce_tree_children(rank, plan.nparts).into_iter().map(|c| c as u32);
+        let want_children: Vec<u32> = want_children.collect();
         if rp.red_children != want_children {
-            r.push(Diagnostic::error(
-                codes::REDUCE_ORDER,
-                Span::phase(phase, Some(rank)),
-                format!(
-                    "rank {rank} combines children {:?} but the canonical binomial tree gives {want_children:?}",
-                    rp.red_children
-                ),
-            ));
+            let msg = format!(
+                "rank {rank} combines children {:?} but the canonical binomial tree gives {want_children:?}",
+                rp.red_children
+            );
+            r.push(at(phase, Some(rank), codes::REDUCE_ORDER, msg));
         }
     }
 }
@@ -500,11 +472,10 @@ mod tests {
         // Chop the first non-empty unpack recipe: a coverage gap.
         'outer: for ph in &mut plan.phases {
             for rp in &mut ph.ranks {
-                for recvs in &mut rp.recv1 {
-                    if let Some(ru) = recvs.iter_mut().find(|ru| !ru.dst.is_empty()) {
-                        ru.dst.pop();
-                        break 'outer;
-                    }
+                let updates = rp.recv1.iter_mut().flat_map(|r1| &mut r1.updates);
+                if let Some(ru) = updates.into_iter().find(|ru| !ru.dst.is_empty()) {
+                    ru.dst.pop();
+                    break 'outer;
                 }
             }
         }

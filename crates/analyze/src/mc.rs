@@ -1,5 +1,7 @@
 //! Schedule model checker: exhaustive small-scope interleaving
-//! exploration for the runtime engines (DESIGN.md §12).
+//! exploration for the two pooled runtime engines (DESIGN.md §12; the
+//! round-robin reference runs on one thread, so no interleaving of it
+//! exists to explore).
 //!
 //! A compiled [`CommPlan`]'s tape, walked by an engine's rules, is
 //! abstracted into a transition system of per-rank operations
@@ -115,44 +117,35 @@ pub fn tag_parts(t: u32, n: usize) -> (usize, usize) {
 }
 
 /// One rank's op list as the tape walk builds it. Only round-1 packets
-/// travel in recycled staging buffers (when the engine stages at all).
+/// travel in recycled staging buffers.
 struct Model<'a> {
     plan: &'a CommPlan,
     r: usize,
-    staged: bool,
     ops: Vec<McOp>,
 }
 
 impl Model<'_> {
     fn send(&mut self, to: usize, k: usize, round: usize) {
         let tag = tag(k, round, self.r, to, self.plan.nparts);
-        let staged = self.staged && round == R1;
-        self.ops.push(McOp::Send { to, tag, staged, acquire: true });
+        self.ops.push(McOp::Send { to, tag, staged: round == R1, acquire: true });
     }
 
     fn recv(&mut self, from: usize, k: usize, round: usize) {
         let expect = tag(k, round, from, self.r, self.plan.nparts);
-        let staged = self.staged && round == R1;
-        self.ops.push(McOp::Recv { from, expect, staged });
+        self.ops.push(McOp::Recv { from, expect, staged: round == R1 });
     }
 
-    /// The post half of phase `k`: one round-1 packet per peer.
+    /// The post half of phase `k`: one round-1 packet per listed peer.
     fn post(&mut self, k: usize) {
-        let (plan, r) = (self.plan, self.r);
-        let rp = &plan.phases[k].ranks[r];
-        for q in (0..plan.nparts).filter(|&q| q != r && rp.send1_len[q] > 0) {
-            self.send(q, k, R1);
-        }
+        let sends = &self.plan.phases[k].ranks[self.r].send1;
+        sends.iter().for_each(|s| self.send(s.peer as usize, k, R1));
     }
 
     /// Phase `k`'s round-1 receives: a completion's first step, and all
     /// a drain does.
     fn drain(&mut self, k: usize) {
-        let (plan, r) = (self.plan, self.r);
-        let rp = &plan.phases[k].ranks[r];
-        for q in (0..plan.nparts).filter(|&q| q != r && rp.has_recv1[q]) {
-            self.recv(q, k, R1);
-        }
+        let recvs = &self.plan.phases[k].ranks[self.r].recv1;
+        recvs.iter().for_each(|r1| self.recv(r1.peer as usize, k, R1));
     }
 
     /// One binomial-tree round trip tagged as phase `k`: values from the
@@ -172,40 +165,36 @@ impl Model<'_> {
     /// reductions), then round 2.
     fn complete(&mut self, k: usize) {
         self.drain(k);
-        let (plan, r) = (self.plan, self.r);
-        let rp = &plan.phases[k].ranks[r];
+        let rp = &self.plan.phases[k].ranks[self.r];
         let children: Vec<usize> = rp.red_children.iter().map(|&c| c as usize).collect();
         self.tree(k, rp.red_parent.map(|p| p as usize), &children);
-        for q in (0..plan.nparts).filter(|&q| q != r && rp.send2_len[q] > 0) {
-            self.send(q, k, R2);
-        }
-        for q in (0..plan.nparts).filter(|&q| q != r && !rp.recv2[q].is_empty()) {
-            self.recv(q, k, R2);
-        }
+        rp.send2.iter().for_each(|&(q, _)| self.send(q as usize, k, R2));
+        rp.recv2.iter().for_each(|(q, _)| self.recv(*q as usize, k, R2));
     }
 }
 
-/// Abstract `plan` as `engine` runs it into a checkable transition
-/// system, every time loop unrolled to `sweeps` iterations. Each rank
-/// walks the plan's tape ([`syncplace_runtime::tape`]), the schedule
-/// the engines step through, by the engines' own rules: a
+/// Abstract `plan` as the pooled `engine` runs it into a checkable
+/// transition system, every time loop unrolled to `sweeps` iterations.
+/// Each rank walks the plan's tape ([`syncplace_runtime::tape`]), the
+/// schedule the engines step through, by the engines' own rules: a
 /// [`Op::Complete`] posts unless the phase is on the wire, then
 /// completes it; a [`Op::Post`] or a producer split posts early, and
 /// only [`Engine::Overlapped`] honours them; an exit that needs
 /// agreement runs the binomial tree (no exit is taken); leaving a loop
-/// drains any post still on the wire.
+/// drains any post still on the wire. Round 1 travels in recycled
+/// staging buffers — seeded at two per peer a rank sends phase packets
+/// to for the overlapped engine's double buffering, empty for batched
+/// (the first acquire allocates) — and the ranks meet at the gang join.
 ///
-/// The engine supplies only the rest: the pooled engines stage round 1
-/// in recycled buffers (seeded at two per talking pair for the
-/// overlapped engine's double buffering, empty for batched — the first
-/// acquire allocates) and meet at the gang join; round-robin's model is
-/// the same message order, unstaged, with no join.
+/// [`Engine::RoundRobin`] runs every rank on one thread in a fixed
+/// order: it has no interleaving to check, and asking for it panics.
 pub fn from_plan(plan: &CommPlan, engine: Engine, sweeps: usize) -> McProgram {
+    assert!(engine != Engine::RoundRobin, "round-robin has no schedule to model");
     let (n, m) = (plan.nparts, plan.phases.len());
-    let (early, pooled) = (engine == Engine::Overlapped, engine != Engine::RoundRobin);
+    let early = engine == Engine::Overlapped;
     let tape = plan.ops().unwrap_or_default();
     let ops = (0..n).map(|r| {
-        let mut rank = Model { plan, r, staged: pooled, ops: Vec::new() };
+        let mut rank = Model { plan, r, ops: Vec::new() };
         let mut posted = vec![false; m];
         for op in Cursor::unrolled(tape, sweeps) {
             match op {
@@ -232,16 +221,15 @@ pub fn from_plan(plan: &CommPlan, engine: Engine, sweeps: usize) -> McProgram {
                 _ => {}
             }
         }
-        if pooled {
-            rank.ops.push(McOp::Barrier { id: 0 });
-        }
+        rank.ops.push(McOp::Barrier { id: 0 });
         rank.ops
     });
     let mut seed_credits = vec![0u32; n * n];
-    for (r, q) in (0..n).flat_map(|r| (0..n).map(move |q| (r, q))) {
-        // Two buffers per talking pair, as `seed_double_buffers` does.
-        if early && q != r && plan.phases.iter().any(|ph| ph.ranks[r].send1_len[q] > 0) {
-            seed_credits[r * n + q] = 2;
+    if early {
+        // Two buffers per peer sent to, as `seed_double_buffers` does.
+        for (r, rp) in plan.phases.iter().flat_map(|ph| ph.ranks.iter().enumerate()) {
+            let peers = rp.send1.iter().map(|s| s.peer).chain(rp.send2.iter().map(|s| s.0));
+            peers.for_each(|q| seed_credits[r * n + q as usize] = 2);
         }
     }
     McProgram {
@@ -1231,7 +1219,7 @@ mod tests {
         let n = 3;
         let plan = assemble_and_reduce_plan(n);
         let round = |t: u32| (t as usize / (n * n)) % 4;
-        for engine in Engine::ALL {
+        for engine in [Engine::Batched, Engine::Overlapped] {
             let prog = from_plan(&plan, engine, 1);
             let mut checked = 0;
             for (k, ph) in plan.phases.iter().enumerate() {

@@ -375,9 +375,11 @@ pub mod codes {
     /// Reduction combine is not ascending-rank consistent (offset
     /// table disagrees with the sender's packet layout).
     pub const REDUCE_ORDER: &str = "SA023";
-    /// Dead (empty) or duplicated communication phase.
+    /// Dead (empty) communication phase, or one the tape completes
+    /// other than exactly once.
     pub const DEAD_PHASE: &str = "SA024";
-    /// Packet length disagreement between sender and receiver.
+    /// Packet length disagreement between sender and receiver, or a
+    /// peer listed twice or at one end only.
     pub const PACKET_LENGTH: &str = "SA025";
     /// Round-1 packet bytes not consumed exactly once (gap, overlap,
     /// or out-of-bounds read).

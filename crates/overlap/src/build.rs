@@ -41,7 +41,7 @@
 use crate::pattern::Pattern;
 use crate::schedule::{AssembleSchedule, UpdateSchedule};
 use crate::submesh::SubMesh;
-use syncplace_mesh::{edges_first_seen, n_vertex_pairs, Csr, Mesh2d, Mesh3d};
+use syncplace_mesh::{edges_first_seen, n_vertex_pairs, Csr, EntityKind, Mesh2d, Mesh3d};
 
 /// A complete decomposition: all sub-meshes plus schedules and
 /// global↔local transfer helpers.
@@ -599,6 +599,17 @@ fn assemble_groups(node_owner: &[u32], place: &EntityPlacement) -> Vec<Vec<(u32,
 }
 
 impl<const V: usize> Decomposition<V> {
+    /// The owner→copies schedule an update of a `base`-based array
+    /// runs: `None` for element arrays, which every pattern recomputes
+    /// redundantly, so they are always coherent.
+    pub fn update_schedule(&self, base: EntityKind) -> Option<&UpdateSchedule> {
+        match base {
+            EntityKind::Node => Some(&self.node_update),
+            EntityKind::Edge => Some(&self.edge_update),
+            EntityKind::Tri | EntityKind::Tet => None,
+        }
+    }
+
     /// Split a global node-based array into per-processor local arrays.
     /// One pass over the local slots of each part (no global scans).
     pub fn scatter_node_array(&self, global: &[f64]) -> Vec<Vec<f64>> {

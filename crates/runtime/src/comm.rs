@@ -7,9 +7,9 @@
 
 use crate::exec::Machine;
 use syncplace_dfg::ReduceOp;
-use syncplace_ir::{EntityKind, VarId};
+use syncplace_ir::{Program, VarId, VarKind};
 use syncplace_obs::{keys, RecorderRef};
-use syncplace_overlap::Decomposition;
+use syncplace_overlap::{Decomposition, UpdateSchedule};
 
 /// The per-operator counter key of a reduction (see `syncplace-obs`).
 pub fn reduce_key(op: ReduceOp) -> &'static str {
@@ -94,25 +94,31 @@ impl PhaseContribution {
     }
 }
 
-/// Apply an owner→copies update for `var` (a `kind`-based array) and
-/// return the phase contribution. When a recorder is live, each
-/// non-empty schedule message is recorded as one packet of the ordered
-/// pair it travels on (the round-robin engine simulates a per-op wire:
-/// one message per comm op per peer).
-pub fn apply_update<const V: usize>(
+/// The schedule an update of array `var` runs
+/// ([`Decomposition::update_schedule`]; `None` for an element array).
+/// Placement updates only arrays: any other `var` panics.
+pub fn update_schedule<'d, const V: usize>(
+    prog: &Program,
+    d: &'d Decomposition<V>,
+    var: VarId,
+) -> Option<&'d UpdateSchedule> {
+    let VarKind::Array { base } = prog.decl(var).kind else {
+        panic!("update on non-array");
+    };
+    d.update_schedule(base)
+}
+
+/// Apply an owner→copies update of `var` along `schedule` and return
+/// the phase contribution. When a recorder is live, each non-empty
+/// schedule message is recorded as one packet of the ordered pair it
+/// travels on (the round-robin engine simulates a per-op wire: one
+/// message per comm op per peer).
+pub fn apply_update(
     machines: &mut [Machine],
-    d: &Decomposition<V>,
-    kind: EntityKind,
+    schedule: &UpdateSchedule,
     var: VarId,
     rec: &RecorderRef,
 ) -> PhaseContribution {
-    let schedule = match kind {
-        EntityKind::Node => &d.node_update,
-        EntityKind::Edge => &d.edge_update,
-        // Element arrays are recomputed redundantly and always
-        // coherent under element overlap; an update is a no-op.
-        _ => return PhaseContribution::default(),
-    };
     let mut stat = PhaseStat {
         rounds: 1,
         ..Default::default()

@@ -14,7 +14,7 @@
 //! ([`crate::timing::estimate_engine`]) can credit the overlap.
 
 use crate::exec::Machine;
-use crate::plan::{CommPlan, PackItem, RankPhase};
+use crate::plan::{CommPlan, RankPhase};
 use crate::tape::Op;
 use syncplace_ir::IdVec;
 
@@ -49,11 +49,10 @@ pub fn rank_splits(plan: &CommPlan, tape: &[Op], m: &Machine, rank: usize) -> Ve
 /// final before the loop and constrain nothing.
 fn rank_split(rp: &RankPhase, written: &IdVec<()>, n: usize) -> RankSplit {
     let mut on_wire = vec![false; n];
-    for PackItem::Gather { var, idx } in rp.send1.iter().flatten() {
-        if written.contains(*var) {
-            for i in idx.iter().map(|&i| i as usize).filter(|&i| i < n) {
-                on_wire[i] = true;
-            }
+    let gathers = rp.send1.iter().flat_map(|s| &s.gathers);
+    for g in gathers.filter(|g| written.contains(g.var)) {
+        for i in g.idx.iter().map(|&i| i as usize).filter(|&i| i < n) {
+            on_wire[i] = true;
         }
     }
     let mut split = RankSplit::default();

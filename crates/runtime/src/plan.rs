@@ -4,11 +4,13 @@
 //! A [`CommPlan`] is built **once** per (placed program, decomposition)
 //! pair, entirely from the decomposition's schedules, and reused
 //! across every time-loop iteration. For each communication phase
-//! (all ops at one insertion point) it precomputes, per rank:
+//! (all ops at one insertion point) it precomputes, per rank, lists of
+//! only the peers that rank exchanges with ([`RankPhase`]: a sub-mesh
+//! talks to its few neighbours, never to all P ranks):
 //!
 //! * a round-1 packing recipe — one flat f64 packet per peer carrying
-//!   this rank's update values, assembly partials and reduction
-//!   partials for *all* ops of the phase, concatenated in op order;
+//!   this rank's update values and assembly partials for *all* ops of
+//!   the phase, concatenated in op order;
 //! * absolute unpack offsets for everything arriving, so receivers
 //!   scatter straight out of the wire buffer with no intermediate
 //!   allocation;
@@ -30,27 +32,46 @@
 //! the pooled engines and the model checker step through, and the
 //! kernel lowered once that they execute ([`CommPlan::kernel`]).
 
-use crate::comm::{merge_phase, PhaseContribution, PhaseStat};
+use crate::comm::{merge_phase, update_schedule, PhaseContribution, PhaseStat};
 use crate::kernel::Kernel;
 use crate::tape::{self, Op};
+use std::collections::BTreeMap;
 use std::sync::Arc;
-use syncplace_codegen::{CommOp, PhaseAt, SpmdProgram};
+use syncplace_codegen::{CommOp, SpmdProgram};
 use syncplace_dfg::ReduceOp;
-use syncplace_ir::{IdVec, Program, VarId, VarKind};
-use syncplace_overlap::{Decomposition, UpdateSchedule};
+use syncplace_ir::{IdVec, Program, VarId};
+use syncplace_overlap::Decomposition;
 
-/// One item of a round-1 packet: values are appended in recipe order.
-/// (Reduction partials do not ride round 1 — they travel on the
-/// phase's dedicated tree-edge packets.)
+/// One gather of a round-1 packet: append `arrays[var][i]` for each
+/// local index. (Reduction partials do not ride round 1 — they travel
+/// on the phase's dedicated tree-edge packets.)
 #[derive(Debug, Clone)]
-pub enum PackItem {
-    /// Append `arrays[var][i]` for each local index.
-    Gather {
-        /// The array to gather from.
-        var: VarId,
-        /// Local indices to append, in packet order.
-        idx: Vec<u32>,
-    },
+pub struct Gather {
+    /// The array to gather from.
+    pub var: VarId,
+    /// Local indices to append, in packet order.
+    pub idx: Vec<u32>,
+}
+
+/// A round-1 packet this rank sends.
+#[derive(Debug, Clone)]
+pub struct Send1 {
+    /// The receiving rank.
+    pub peer: u32,
+    /// Values over all `gathers` (for exact preallocation).
+    pub len: usize,
+    /// The gathers, concatenated in packet order.
+    pub gathers: Vec<Gather>,
+}
+
+/// A round-1 packet this rank receives.
+#[derive(Debug, Clone)]
+pub struct Recv1 {
+    /// The sending rank.
+    pub peer: u32,
+    /// The update unpacks it feeds (empty when the packet carries only
+    /// assembly partials).
+    pub updates: Vec<RecvUpdate>,
 }
 
 /// An update's unpack recipe: scatter `len(dst)` values starting at
@@ -64,7 +85,6 @@ pub struct RecvUpdate {
     /// Local destination indices, in packet order.
     pub dst: Vec<u32>,
 }
-
 /// One term of an owned assembly group's combine.
 #[derive(Debug, Clone, Copy)]
 pub enum Term {
@@ -115,26 +135,23 @@ pub struct ReducePlan {
     pub op: ReduceOp,
 }
 
-/// Everything one rank does in one phase.
+/// Everything one rank does in one phase. Each peer list is ascending
+/// by peer and names a peer at most once.
 #[derive(Debug, Clone, Default)]
 pub struct RankPhase {
-    /// Round-1 packing recipe per peer (empty for self / silent pairs).
-    pub send1: Vec<Vec<PackItem>>,
-    /// Round-1 packet length per peer (for exact preallocation).
-    pub send1_len: Vec<usize>,
-    /// Round-1 unpack recipes per sending peer.
-    pub recv1: Vec<Vec<RecvUpdate>>,
-    /// Which peers send me a round-1 packet.
-    pub has_recv1: Vec<bool>,
+    /// Round-1 packets I send.
+    pub send1: Vec<Send1>,
+    /// Round-1 packets I receive.
+    pub recv1: Vec<Recv1>,
     /// Assembly combines, one per `AssembleShared` op in phase order.
     pub assembles: Vec<AssemblePlan>,
     /// Reductions, one per `Reduce` op in phase order.
     pub reduces: Vec<ReducePlan>,
-    /// Round-2 packet length per peer I owe totals to.
-    pub send2_len: Vec<usize>,
-    /// Round-2 unpack: per owner peer, my local slots `(var, slot)` in
-    /// packet order.
-    pub recv2: Vec<Vec<(VarId, u32)>>,
+    /// Round-2 packets I send: `(peer, totals owed)`.
+    pub send2: Vec<(u32, usize)>,
+    /// Round-2 write-backs: `(owner peer, my local slots (var, slot) in
+    /// packet order)`.
+    pub recv2: Vec<(u32, Vec<(VarId, u32)>)>,
     /// My parent in the phase's reduction tree (`None` for the root —
     /// and for phases without reductions).
     pub red_parent: Option<u32>,
@@ -164,12 +181,9 @@ pub struct PhasePlan {
 pub struct CommPlan {
     /// The decomposition's processor count.
     pub nparts: usize,
-    /// All phases, in schedule order.
+    /// All phases, in [`SpmdProgram::phases`] order: phase `k` completes
+    /// where the tape's [`Op::Complete`]`(k)` stands.
     pub phases: Vec<PhasePlan>,
-    /// Phase index per insertion point.
-    pub before: IdVec<usize>,
-    /// The phase placed after the last statement, if any.
-    pub at_end: Option<usize>,
     /// The program lowered onto these phases, early posts placed: the
     /// one schedule every engine steps through and the model checker
     /// checks ([`crate::tape`]). `Err` is the refusal of a program with
@@ -199,28 +213,14 @@ impl CommPlan {
         spmd: &SpmdProgram,
         d: &Decomposition<V>,
     ) -> CommPlan {
-        let nparts = d.nparts;
-        let mut phases = Vec::new();
-        let mut before = IdVec::default();
-        let mut at_end = None;
-        for (at, ops) in spmd.phases() {
-            let idx = phases.len();
-            match at {
-                PhaseAt::Before(id) => {
-                    before.insert(id, idx);
-                }
-                PhaseAt::AtEnd => at_end = Some(idx),
-            }
-            phases.push(build_phase(prog, d, ops, nparts));
-        }
+        let phases: Vec<PhasePlan> =
+            (spmd.phases().into_iter()).map(|(_, ops)| build_phase(prog, d, ops)).collect();
         let gathered: Vec<IdVec<()>> = phases.iter().map(gathered_vars).collect();
         CommPlan {
-            nparts,
+            nparts: d.nparts,
             tape: tape::lower(prog, spmd, &gathered),
             kernel: Kernel::lower(prog, |s| spmd.kernel_guarded.contains(s)).map(Arc::new),
             phases,
-            before,
-            at_end,
         }
     }
 }
@@ -228,65 +228,49 @@ impl CommPlan {
 /// Union over every rank and peer of the arrays a phase gathers into
 /// its round-1 packets.
 fn gathered_vars(ph: &PhasePlan) -> IdVec<()> {
-    let items = ph.ranks.iter().flat_map(|rp| rp.send1.iter().flatten());
-    items.map(|PackItem::Gather { var, .. }| (*var, ())).collect()
+    let sends = ph.ranks.iter().flat_map(|rp| &rp.send1);
+    sends.flat_map(|s| &s.gathers).map(|g| (g.var, ())).collect()
 }
 
-fn build_phase<const V: usize>(
-    prog: &Program,
-    d: &Decomposition<V>,
-    ops: &[CommOp],
-    nparts: usize,
-) -> PhasePlan {
-    let mut ranks: Vec<RankPhase> = (0..nparts)
-        .map(|_| RankPhase {
-            send1: vec![Vec::new(); nparts],
-            send1_len: vec![0; nparts],
-            recv1: vec![Vec::new(); nparts],
-            has_recv1: vec![false; nparts],
-            assembles: Vec::new(),
-            reduces: Vec::new(),
-            send2_len: vec![0; nparts],
-            recv2: vec![Vec::new(); nparts],
-            red_parent: None,
-            red_children: Vec::new(),
-        })
-        .collect();
-    // Running round-1 offset per ordered (sender, receiver) pair.
-    let mut off1 = vec![vec![0u32; nparts]; nparts];
+/// One ordered pair's traffic while a phase is built: round 1 flows
+/// from the pair's first rank to its second, round 2 the same way.
+#[derive(Default)]
+struct Pair {
+    /// Round-1 values packed so far: the next gather's offset.
+    off: u32,
+    gathers: Vec<Gather>,
+    unpacks: Vec<RecvUpdate>,
+    /// The receiver's round-2 write-backs, in packet order.
+    backs: Vec<(VarId, u32)>,
+}
+
+impl Pair {
+    fn gather(&mut self, var: VarId, idx: Vec<u32>) {
+        if !idx.is_empty() {
+            self.off += idx.len() as u32;
+            self.gathers.push(Gather { var, idx });
+        }
+    }
+}
+
+fn build_phase<const V: usize>(prog: &Program, d: &Decomposition<V>, ops: &[CommOp]) -> PhasePlan {
+    let n = d.nparts;
+    let mut ranks = vec![RankPhase::default(); n];
+    // Only the ordered pairs `(p, q)` that exchange anything.
+    let mut pairs: BTreeMap<(usize, usize), Pair> = BTreeMap::new();
     let (mut updates, mut assembles, mut reduces) = (0usize, 0usize, 0usize);
 
     for op in ops {
         match op {
             CommOp::UpdateOverlap { var } => {
                 updates += 1;
-                let VarKind::Array { base } = prog.decl(*var).kind else {
-                    panic!("update on non-array");
-                };
-                let schedule: Option<&UpdateSchedule> = match base {
-                    syncplace_ir::EntityKind::Node => Some(&d.node_update),
-                    syncplace_ir::EntityKind::Edge => Some(&d.edge_update),
-                    // Element arrays are recomputed redundantly and
-                    // always coherent: nothing to move.
-                    _ => None,
-                };
-                let Some(schedule) = schedule else { continue };
+                let Some(schedule) = update_schedule(prog, d, *var) else { continue };
                 for (p, row) in schedule.msgs.iter().enumerate() {
-                    for (q, msg) in row.iter().enumerate() {
-                        if msg.is_empty() {
-                            continue;
-                        }
-                        let (srcs, dsts): (Vec<u32>, Vec<u32>) = msg.iter().copied().unzip();
-                        ranks[p].send1[q].push(PackItem::Gather {
-                            var: *var,
-                            idx: srcs,
-                        });
-                        ranks[q].recv1[p].push(RecvUpdate {
-                            var: *var,
-                            off: off1[p][q],
-                            dst: dsts,
-                        });
-                        off1[p][q] += msg.len() as u32;
+                    for (q, msg) in row.iter().enumerate().filter(|(_, m)| !m.is_empty()) {
+                        let pair = pairs.entry((p, q)).or_default();
+                        let (srcs, dst): (Vec<u32>, Vec<u32>) = msg.iter().copied().unzip();
+                        pair.unpacks.push(RecvUpdate { var: *var, off: pair.off, dst });
+                        pair.gather(*var, srcs);
                     }
                 }
             }
@@ -296,16 +280,9 @@ fn build_phase<const V: usize>(
                 // owner p) pair, group order, one value per
                 // participant entry. Both ends iterate the groups
                 // identically, so cursors line up.
-                let groups = &d.node_assemble.groups;
-                // Per (q, p): the indices q packs for owner p.
-                let mut pack: Vec<Vec<Vec<u32>>> = vec![vec![Vec::new(); nparts]; nparts];
-                let mut plans: Vec<AssemblePlan> = (0..nparts)
-                    .map(|_| AssemblePlan {
-                        var: *var,
-                        own_groups: Vec::new(),
-                    })
-                    .collect();
-                for g in groups {
+                let mut pack: BTreeMap<(usize, usize), Vec<u32>> = BTreeMap::new();
+                let mut own_groups = vec![Vec::new(); n];
+                for g in &d.node_assemble.groups {
                     let owner = g[0].0 as usize;
                     let mut terms = Vec::with_capacity(g.len());
                     terms.push(Term::Own(g[0].1));
@@ -315,34 +292,23 @@ fn build_phase<const V: usize>(
                         if qu == owner {
                             terms.push(Term::Own(l));
                         } else {
-                            terms.push(Term::Peer {
-                                peer: q,
-                                off: off1[qu][owner] + pack[qu][owner].len() as u32,
-                            });
-                            pack[qu][owner].push(l);
+                            let base = pairs.get(&(qu, owner)).map_or(0, |pair| pair.off);
+                            let packed = pack.entry((qu, owner)).or_default();
+                            terms.push(Term::Peer { peer: q, off: base + packed.len() as u32 });
+                            packed.push(l);
                             send_to.push(q);
                             // The participant's write-back of the total.
-                            ranks[qu].recv2[owner].push((*var, l));
-                            ranks[owner].send2_len[qu] += 1;
+                            pairs.entry((owner, qu)).or_default().backs.push((*var, l));
                         }
                     }
-                    plans[owner].own_groups.push(OwnGroup {
-                        terms,
-                        write: g[0].1,
-                        send_to,
-                    });
+                    let write = g[0].1;
+                    own_groups[owner].push(OwnGroup { terms, write, send_to });
                 }
-                for q in 0..nparts {
-                    for p in 0..nparts {
-                        let idx = std::mem::take(&mut pack[q][p]);
-                        if !idx.is_empty() {
-                            off1[q][p] += idx.len() as u32;
-                            ranks[q].send1[p].push(PackItem::Gather { var: *var, idx });
-                        }
-                    }
+                for (at, idx) in pack {
+                    pairs.entry(at).or_default().gather(*var, idx);
                 }
-                for (r, plan) in plans.into_iter().enumerate() {
-                    ranks[r].assembles.push(plan);
+                for (rank, own_groups) in ranks.iter_mut().zip(own_groups) {
+                    rank.assembles.push(AssemblePlan { var: *var, own_groups });
                 }
             }
             CommOp::Reduce { var, op } => {
@@ -361,44 +327,37 @@ fn build_phase<const V: usize>(
         }
     }
 
-    // Finalize: packet lengths, receive masks, schedule-derived stats.
-    let mut per_proc_send = vec![0usize; nparts];
-    let mut stat1 = PhaseStat::default();
-    let mut stat2 = PhaseStat::default();
-    for p in 0..nparts {
-        for q in 0..nparts {
-            let len1 = off1[p][q] as usize;
-            ranks[p].send1_len[q] = len1;
-            ranks[q].has_recv1[p] = len1 > 0;
-            if len1 > 0 {
-                stat1.messages += 1;
-                stat1.values += len1;
-                per_proc_send[p] += len1;
-            }
-            let len2 = ranks[p].send2_len[q];
-            if len2 > 0 {
-                stat2.messages += 1;
-                stat2.values += len2;
-                per_proc_send[p] += len2;
-            }
+    // Finalize: the peer lists (ascending, as `p` then `q` ascend) and
+    // the schedule-derived stats.
+    let mut per_proc_send = vec![0usize; n];
+    let (mut stat, mut rounds) = (PhaseStat::default(), [false; 2]);
+    for ((p, q), pair) in pairs {
+        let (len1, len2) = (pair.off as usize, pair.backs.len());
+        if len1 > 0 {
+            let gathers = pair.gathers;
+            ranks[p].send1.push(Send1 { peer: q as u32, len: len1, gathers });
+            ranks[q].recv1.push(Recv1 { peer: p as u32, updates: pair.unpacks });
+        }
+        if len2 > 0 {
+            ranks[p].send2.push((q as u32, len2));
+            ranks[q].recv2.push((p as u32, pair.backs));
+        }
+        for (round, len) in [len1, len2].into_iter().enumerate().filter(|x| x.1 > 0) {
+            stat.messages += 1;
+            stat.values += len;
+            rounds[round] = true;
+            per_proc_send[p] += len;
         }
     }
-    let mut parts = vec![PhaseContribution::new(
-        PhaseStat {
-            messages: stat1.messages + stat2.messages,
-            values: stat1.values + stat2.values,
-            max_proc_values: 0,
-            rounds: usize::from(stat1.values > 0) + usize::from(stat2.values > 0),
-        },
-        per_proc_send,
-    )];
+    stat.rounds = rounds.iter().filter(|&&r| r).count();
+    let mut parts = vec![PhaseContribution::new(stat, per_proc_send)];
     // Install the shared reduction tree and account for its traffic:
     // one packet per edge per direction, `reduces` values each.
-    if reduces > 0 && nparts > 1 {
-        let mut per_proc_tree = vec![0usize; nparts];
+    if reduces > 0 && n > 1 {
+        let mut per_proc_tree = vec![0usize; n];
         for (r, rank) in ranks.iter_mut().enumerate() {
             rank.red_parent = crate::comm::reduce_tree_parent(r).map(|p| p as u32);
-            rank.red_children = crate::comm::reduce_tree_children(r, nparts)
+            rank.red_children = crate::comm::reduce_tree_children(r, n)
                 .into_iter()
                 .map(|c| c as u32)
                 .collect();
@@ -406,17 +365,16 @@ fn build_phase<const V: usize>(
         }
         parts.push(PhaseContribution::new(
             PhaseStat {
-                messages: 2 * (nparts - 1),
-                values: 2 * (nparts - 1) * reduces,
+                messages: 2 * (n - 1),
+                values: 2 * (n - 1) * reduces,
                 max_proc_values: 0,
-                rounds: crate::comm::reduce_tree_rounds(nparts),
+                rounds: crate::comm::reduce_tree_rounds(n),
             },
             per_proc_tree,
         ));
     }
-    let stat = merge_phase(&parts);
     PhasePlan {
-        stat,
+        stat: merge_phase(&parts),
         updates,
         assembles,
         reduces,
@@ -463,7 +421,11 @@ mod tests {
             spmd.phases().len(),
             "one plan per insertion point"
         );
-        assert_eq!(plan.before.len() + usize::from(plan.at_end.is_some()), plan.phases.len());
+        let ops = plan.ops().unwrap().iter();
+        let complete = |op: &Op| if let Op::Complete(k) = op { Some(*k) } else { None };
+        let mut completes: Vec<usize> = ops.filter_map(complete).collect();
+        completes.sort_unstable();
+        assert_eq!(completes, (0..plan.phases.len()).collect::<Vec<_>>());
     }
 
     #[test]
@@ -474,16 +436,8 @@ mod tests {
         // direction shared by every reduce op of the phase.
         let (plan, _) = testiv_plan(Pattern::FIG2, 4);
         for ph in &plan.phases {
-            let pairs1 = ph
-                .ranks
-                .iter()
-                .map(|r| r.send1_len.iter().filter(|&&l| l > 0).count())
-                .sum::<usize>();
-            let pairs2 = ph
-                .ranks
-                .iter()
-                .map(|r| r.send2_len.iter().filter(|&&l| l > 0).count())
-                .sum::<usize>();
+            let pairs1 = ph.ranks.iter().map(|r| r.send1.len()).sum::<usize>();
+            let pairs2 = ph.ranks.iter().map(|r| r.send2.len()).sum::<usize>();
             let tree = if ph.reduces > 0 && plan.nparts > 1 {
                 2 * (plan.nparts - 1)
             } else {
@@ -524,38 +478,35 @@ mod tests {
     #[test]
     fn send_and_recv_layouts_agree() {
         let (plan, _) = testiv_plan(Pattern::FIG2, 3);
+        let ascending = |l: Vec<u32>, me| l.windows(2).all(|w| w[0] < w[1]) && !l.contains(&me);
         for ph in &plan.phases {
             for (p, rp) in ph.ranks.iter().enumerate() {
-                for q in 0..plan.nparts {
-                    // Sender p's packed length to q equals what q
-                    // expects from p across all its unpack recipes.
-                    let sent: usize = rp.send1[q]
-                        .iter()
-                        .map(|it| match it {
-                            PackItem::Gather { idx, .. } => idx.len(),
-                        })
-                        .sum();
-                    assert_eq!(sent, rp.send1_len[q]);
-                    let rq = &ph.ranks[q];
-                    // Every absolute offset q reads from p's packet is
-                    // in bounds.
-                    for ru in &rq.recv1[p] {
-                        assert!(ru.off as usize + ru.dst.len() <= sent);
-                    }
-                    for ap in &rq.assembles {
-                        for g in &ap.own_groups {
-                            for t in &g.terms {
-                                if let Term::Peer { peer, off } = t {
-                                    if *peer as usize == p {
-                                        assert!((*off as usize) < sent);
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    // Round 2: owner p's packet length to q matches
-                    // q's write-back count from p.
-                    assert_eq!(rp.send2_len[q], ph.ranks[q].recv2[p].len());
+                // Every list ascends strictly by peer and skips self.
+                let me = p as u32;
+                assert!(ascending(rp.send1.iter().map(|s| s.peer).collect(), me));
+                assert!(ascending(rp.recv1.iter().map(|r| r.peer).collect(), me));
+                assert!(ascending(rp.send2.iter().map(|s| s.0).collect(), me));
+                assert!(ascending(rp.recv2.iter().map(|r| r.0).collect(), me));
+                // Each round-1 packet packs what it declares; its
+                // receiver lists it and reads only in bounds.
+                for s in &rp.send1 {
+                    let sent: usize = s.gathers.iter().map(|g| g.idx.len()).sum();
+                    assert_eq!(sent, s.len);
+                    let rq = &ph.ranks[s.peer as usize];
+                    let from_p = rq.recv1.iter().find(|r| r.peer == me).unwrap();
+                    assert!(from_p.updates.iter().all(|u| u.off as usize + u.dst.len() <= sent));
+                    let groups = rq.assembles.iter().flat_map(|ap| &ap.own_groups);
+                    let mut terms = groups.flat_map(|g| &g.terms);
+                    assert!(terms.all(|t| !matches!(*t, Term::Peer { peer, off }
+                        if peer == me && off as usize >= sent)));
+                }
+                let senders = ph.ranks.iter().filter(|r| r.send1.iter().any(|s| s.peer == me));
+                assert_eq!(senders.count(), rp.recv1.len());
+                // Round 2: owner p's packet length to q matches q's
+                // write-back count from p.
+                for &(q, len) in &rp.send2 {
+                    let back = ph.ranks[q as usize].recv2.iter().find(|r| r.0 == me);
+                    assert_eq!(back.map(|r| r.1.len()), Some(len));
                 }
             }
         }

@@ -18,8 +18,12 @@
 //! * [`Engine::Overlapped`] posts **early**: it honours them (hoisted
 //!   posts, producer splits — [`crate::overlap`]), so later compute
 //!   overlaps the transfer. The free lists are pre-seeded with two
-//!   buffers per peer (double buffering: a phase can stage while its
-//!   previous buffer is still held by the receiver).
+//!   buffers per peer the rank sends phase packets to (double
+//!   buffering: a phase can stage while its previous buffer is still
+//!   held by the receiver).
+//!
+//! Every per-phase step walks the plan's peer lists — the few
+//! neighbours a rank exchanges with — never all P ranks.
 //!
 //! Posts an exit stranded are drained when their time loop is left.
 //! Early posting never changes a packed byte, and combine orders are
@@ -32,11 +36,12 @@ use crate::comm::{reduce_tree_children, reduce_tree_parent, CommStats};
 use crate::exec::Machine;
 use crate::kernel::Kernel;
 use crate::overlap::{rank_splits, OverlapReport, RankSplit};
-use crate::plan::{CommPlan, PackItem, PhasePlan, Term};
+use crate::plan::{CommPlan, PhasePlan, Term};
 use crate::pool::{Mailbox, SpmdPool};
 use crate::spmd::{build_machines, collect_results, SpmdResult};
 use crate::tape::{Cursor, Op};
 use crate::Engine;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 use syncplace_ir::{Program, StmtId};
 use syncplace_obs::{self as obs, keys, RecorderRef};
@@ -114,26 +119,22 @@ impl Net {
         self.free[r].push(buf);
     }
 
-    /// Pre-seed two staging buffers per peer, sized to the largest
-    /// packet this rank ever sends that peer: `acquire` then never
-    /// allocates, and a phase can stage while its previous buffer is
-    /// still with the receiver.
+    /// Pre-seed two staging buffers per peer this rank sends phase
+    /// packets to, sized to the largest it ever sends that peer:
+    /// `acquire` then never allocates for them, and a phase can stage
+    /// while its previous buffer is still with the receiver.
     fn seed_double_buffers(&mut self, plan: &CommPlan) {
-        let me = self.rank;
-        for q in (0..self.nparts).filter(|&q| q != me) {
-            let cap = plan
-                .phases
-                .iter()
-                .map(|ph| {
-                    let rp = &ph.ranks[me];
-                    rp.send1_len[q].max(rp.send2_len[q])
-                })
-                .max()
-                .unwrap_or(0)
-                .max(1);
-            for _ in 0..2 {
-                self.give_back(q, Vec::with_capacity(cap));
+        let mut caps = BTreeMap::new();
+        for rp in plan.phases.iter().map(|ph| &ph.ranks[self.rank]) {
+            let sends = rp.send1.iter().map(|s| (s.peer, s.len));
+            for (q, len) in sends.chain(rp.send2.iter().copied()) {
+                let cap = caps.entry(q as usize).or_insert(1);
+                *cap = len.max(*cap);
             }
+        }
+        for (q, cap) in caps {
+            self.give_back(q, Vec::with_capacity(cap));
+            self.give_back(q, Vec::with_capacity(cap));
         }
     }
 }
@@ -163,7 +164,6 @@ struct RankProc {
     splits: Vec<RankSplit>,
     m: Machine,
     net: Net,
-    nparts: usize,
     stats: CommStats,
     iterations: usize,
     /// Phases whose round-1 packets are already on the wire.
@@ -192,23 +192,15 @@ impl RankProc {
     /// run as soon as every gathered value is final.
     fn post_phase(&mut self, idx: usize) {
         let plan = Arc::clone(&self.plan);
-        let rp = &plan.phases[idx].ranks[self.net.rank];
-        for q in 0..self.nparts {
-            if rp.send1_len[q] == 0 {
-                continue;
+        for s in &plan.phases[idx].ranks[self.net.rank].send1 {
+            let mut buf = self.net.acquire(s.peer as usize);
+            buf.reserve(s.len);
+            for g in &s.gathers {
+                let arr = &self.m.arrays[g.var];
+                buf.extend(g.idx.iter().map(|&i| arr[i as usize]));
             }
-            let mut buf = self.net.acquire(q);
-            buf.reserve(rp.send1_len[q]);
-            for item in &rp.send1[q] {
-                match item {
-                    PackItem::Gather { var, idx } => {
-                        let arr = &self.m.arrays[*var];
-                        buf.extend(idx.iter().map(|&i| arr[i as usize]));
-                    }
-                }
-            }
-            debug_assert_eq!(buf.len(), rp.send1_len[q]);
-            self.net.send_phase(q, buf);
+            debug_assert_eq!(buf.len(), s.len);
+            self.net.send_phase(s.peer as usize, buf);
         }
         self.posted[idx] = true;
     }
@@ -248,28 +240,25 @@ impl RankProc {
         if !self.posted[idx] {
             self.post_phase(idx);
         }
+        // Updates: scatter straight out of each wire buffer.
         let mut bufs1 = std::mem::take(&mut self.bufs1);
-        for r in (0..self.nparts).filter(|&r| rp.has_recv1[r]) {
-            bufs1[r] = Some(self.net.recv_from(r).await);
-        }
-
-        // Updates: scatter straight out of the wire buffers.
-        for (r, buf) in bufs1.iter().enumerate() {
-            let Some(buf) = buf else { continue };
-            for ru in &rp.recv1[r] {
+        for r1 in &rp.recv1 {
+            let buf = self.net.recv_from(r1.peer as usize).await;
+            for ru in &r1.updates {
                 let arr = &mut self.m.arrays[ru.var];
                 for (k, &dst) in ru.dst.iter().enumerate() {
                     arr[dst as usize] = buf[ru.off as usize + k];
                 }
             }
+            bufs1[r1.peer as usize] = Some(buf);
         }
 
         // Assemblies: combine owned groups in the fixed order, write
         // back, stage totals for round 2.
         let mut bufs2 = std::mem::take(&mut self.bufs2);
-        for q in (0..self.nparts).filter(|&q| rp.send2_len[q] > 0) {
-            bufs2[q] = self.net.acquire(q);
-            bufs2[q].reserve(rp.send2_len[q]);
+        for &(q, len) in &rp.send2 {
+            bufs2[q as usize] = self.net.acquire(q as usize);
+            bufs2[q as usize].reserve(len);
         }
         for ap in &rp.assembles {
             for g in &ap.own_groups {
@@ -332,28 +321,24 @@ impl RankProc {
         }
 
         // Round 2: totals owner → participants.
-        for q in (0..self.nparts).filter(|&q| rp.send2_len[q] > 0) {
-            let buf = std::mem::take(&mut bufs2[q]);
-            debug_assert_eq!(buf.len(), rp.send2_len[q]);
-            self.net.send_phase(q, buf);
+        for &(q, len) in &rp.send2 {
+            let buf = std::mem::take(&mut bufs2[q as usize]);
+            debug_assert_eq!(buf.len(), len);
+            self.net.send_phase(q as usize, buf);
         }
         self.bufs2 = bufs2;
-        for r in 0..self.nparts {
-            if rp.recv2[r].is_empty() {
-                continue;
+        for (r, slots) in &rp.recv2 {
+            let buf = self.net.recv_from(*r as usize).await;
+            for (&(var, slot), &v) in slots.iter().zip(&buf) {
+                self.m.arrays[var][slot as usize] = v;
             }
-            let buf = self.net.recv_from(r).await;
-            for (k, &(var, slot)) in rp.recv2[r].iter().enumerate() {
-                self.m.arrays[var][slot as usize] = buf[k];
-            }
-            self.net.give_back(r, buf);
+            self.net.give_back(*r as usize, buf);
         }
 
         // Recycle the round-1 staging buffers.
-        for (r, buf) in bufs1.iter_mut().enumerate() {
-            if let Some(buf) = buf.take() {
-                self.net.give_back(r, buf);
-            }
+        for r1 in &rp.recv1 {
+            let buf = bufs1[r1.peer as usize].take().expect("received in round 1");
+            self.net.give_back(r1.peer as usize, buf);
         }
         self.bufs1 = bufs1;
 
@@ -396,12 +381,9 @@ impl RankProc {
             if !self.posted[idx] {
                 continue;
             }
-            let rp = &plan.phases[idx].ranks[self.net.rank];
-            for r in 0..self.nparts {
-                if rp.has_recv1[r] {
-                    let buf = self.net.recv_from(r).await;
-                    self.net.give_back(r, buf);
-                }
+            for r1 in &plan.phases[idx].ranks[self.net.rank].recv1 {
+                let buf = self.net.recv_from(r1.peer as usize).await;
+                self.net.give_back(r1.peer as usize, buf);
             }
             self.posted[idx] = false;
             self.post_cu[idx] = None;
@@ -562,7 +544,6 @@ pub(crate) fn run<const V: usize>(
             splits,
             m,
             net,
-            nparts,
             stats: CommStats::default(),
             iterations: 0,
             posted: vec![false; nphases],

@@ -208,16 +208,10 @@ impl<'a, const V: usize> Sim<'a, V> {
         for op in ops {
             match op {
                 CommOp::UpdateOverlap { var } => {
-                    let VarKind::Array { base } = self.prog.decl(*var).kind else {
-                        panic!("update on non-array");
-                    };
-                    parts.push(comm::apply_update(
-                        &mut self.machines,
-                        self.d,
-                        base,
-                        *var,
-                        &self.rec,
-                    ));
+                    // An element array is always coherent: nothing moves.
+                    if let Some(schedule) = comm::update_schedule(self.prog, self.d, *var) {
+                        parts.push(comm::apply_update(&mut self.machines, schedule, *var, &self.rec));
+                    }
                     self.stats.updates += 1;
                     if let Some(r) = &self.rec {
                         r.add(keys::UPDATES, 1);

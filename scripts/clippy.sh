@@ -26,7 +26,11 @@
 # receive that has to wait to the next, and a rank cannot park a thread
 # if it cannot name one), the engines and the model checker must read only the
 # schedule tape (no `Stmt::` in runtime/src/{spmd,pooled,overlap}.rs or
-# analyze/src/mc.rs, no `Box::pin` in pooled.rs), the recorder sinks must stay four (the
+# analyze/src/mc.rs, no `Box::pin` in pooled.rs), a CommPlan must list
+# only the peers a rank talks to and leave phase placement to the tape
+# (no send1_len / has_recv1 / send2_len / PackItem / plan.before /
+# plan.at_end under crates tests examples suite, and no
+# `for … in 0..self.nparts` loop in pooled.rs), the recorder sinks must stay four (the
 # top-level `impl Recorder for` set under crates/ is MetricsRegistry,
 # TimelineRecorder, HbRecorder, FanoutRecorder — one aggregate, and a
 # new sink is a design change, not an addition), the engine identity
@@ -69,7 +73,7 @@
 # bench-large ("ci" preset: small meshes, P in {4,8}, same code
 # paths — the bitwise
 # parallel-vs-sequential check runs for real) and racecheck (schedule
-# model checking of all three engines at P <= 3, happens-before replay
+# model checking of both pooled engines at P <= 3, happens-before replay
 # of real recorded runs, both mutation suites: every seeded defect
 # caught, zero false positives). Last, a live `syncplace-serve` daemon
 # must answer `stats` with a well-formed metric exposition. Nothing
@@ -99,6 +103,12 @@ if grep -n 'Stmt::' crates/runtime/src/spmd.rs crates/runtime/src/pooled.rs \
     crates/runtime/src/overlap.rs crates/analyze/src/mc.rs \
     || grep -n 'Box::pin' crates/runtime/src/pooled.rs; then
     echo "tape gate: the engines and the model checker step through plan.tape — lower new control flow in runtime/src/tape.rs"
+    exit 1
+fi
+if grep -rnE --include='*.rs' '\b(send1_len|has_recv1|send2_len|PackItem)\b|plan\.(before|at_end)\b' \
+    crates tests examples suite \
+    || grep -nE 'for .* in \(?0\.\.self\.nparts' crates/runtime/src/pooled.rs; then
+    echo "peer-list gate: a RankPhase lists the peers a rank exchanges with and the tape says where a phase completes — no dense per-rank tables, no 0..nparts scan per phase"
     exit 1
 fi
 recorders="$(grep -rhoE --include='*.rs' '^impl[^{]*\bRecorder for [A-Za-z]+' crates | sed 's/.* for //' | sort | tr '\n' ' ')"

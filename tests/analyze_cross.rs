@@ -184,3 +184,46 @@ fn large_tier_quick_commplans_audit_clean_at_high_p() {
         assert!(rep.is_clean(), "3-D P{p}:\n{rep}");
     }
 }
+
+/// A `max 0` time loop lowers to no ops: a phase placed before it
+/// completes right before whatever follows the loop (here another
+/// phase's completion, then the next loop), and a phase inside its body
+/// never completes. The auditor reads that off the tape and stays clean.
+#[test]
+fn phases_around_a_never_entered_time_loop_audit_clean() {
+    use syncplace::codegen::{CommOp, SpmdProgram};
+    use syncplace::ir::{IdVec, Stmt};
+    use syncplace::runtime::tape::Op;
+    let prog = syncplace::ir::parser::parse(
+        "program t\n  input X : node\n  var s : scalar\n  s = 0.0\n  \
+         forall i in node split { s = s + X(i) }\n  \
+         iterate loop max 0 {\n    s = s + 1.0\n  }\n  \
+         iterate loop max 2 {\n    s = s * 0.5\n  }\nend",
+    )
+    .unwrap();
+    let body = |i: usize| match &prog.body[i] {
+        Stmt::TimeLoop(t) => (t.id, t.body[0].id()),
+        _ => unreachable!("a time loop"),
+    };
+    let var = prog.decls.iter().position(|d| d.name == "s").unwrap();
+    let reduce = vec![CommOp::Reduce { var, op: syncplace::dfg::ReduceOp::Sum }];
+    let ((never, inside), (next, looped)) = (body(2), body(3));
+    let at = [never, inside, next, looped].map(|id| (id, reduce.clone()));
+    let comms_before = at.into_iter().collect();
+    let mut domains = IdVec::default();
+    domains.insert(prog.body[1].id(), syncplace::placement::IterationDomain::Kernel);
+    let spmd = SpmdProgram {
+        comms_before,
+        comms_at_end: reduce,
+        domains,
+        kernel_guarded: IdVec::default(),
+    };
+    let mesh = syncplace::mesh::gen2d::perturbed_grid(3, 3, 0.0, 1);
+    let part = syncplace::partition::partition2d(&mesh, 2, syncplace::partition::Method::Greedy);
+    let d = syncplace::overlap::decompose2d(&mesh, &part.part, 2, Pattern::FIG1);
+    let plan = syncplace::runtime::plan::CommPlan::build(&prog, &spmd, &d);
+    let completes = (plan.ops().unwrap().iter()).filter(|op| matches!(op, Op::Complete(_)));
+    assert_eq!(completes.count(), 4, "the phase inside the never-entered loop never completes");
+    let rep = analyze::audit_plan(&prog, &spmd, &plan);
+    assert!(rep.is_clean(), "{rep}");
+}

