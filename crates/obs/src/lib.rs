@@ -154,13 +154,14 @@ pub mod keys {
     pub const SEARCH_BACKTRACKS: &str = "search.backtracks";
     /// Counter: distinct placements kept after fingerprint dedup.
     pub const SEARCH_SOLUTIONS: &str = "search.solutions";
-    /// Counter: solutions pruned — mappings whose placement duplicated
-    /// a cheaper representative's fingerprint.
+    /// Counter: solutions pruned — mappings whose placement key
+    /// duplicated an earlier mapping's.
     pub const SEARCH_PRUNED: &str = "search.pruned";
-    /// Span: one full placement enumeration.
+    /// Span: one full placement search, keying each mapping it
+    /// completes and cloning the first of each placement.
     pub const SEARCH_SPAN: &str = "search.enumerate";
-    /// Span: ranking one enumeration's mappings — placement
-    /// extraction, dedupe, costing and the sort.
+    /// Span: ranking the distinct placements — extraction, costing,
+    /// fingerprinting and the sort.
     pub const SEARCH_RANK_SPAN: &str = "search.rank";
     /// Counter: requests accepted by the placement server (every
     /// admitted `run` request, hit or miss).

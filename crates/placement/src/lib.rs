@@ -53,6 +53,7 @@ pub use legality::{check_legality, LegalityError, LegalityReport};
 pub use search::{enumerate, SearchOptions, SearchStats};
 pub use solution::{CommSite, InsertionPoint, IterationDomain, Mapping, Solution};
 
+use std::collections::HashSet;
 use syncplace_automata::OverlapAutomaton;
 use syncplace_dfg::Dfg;
 use syncplace_ir::Program;
@@ -83,10 +84,11 @@ pub fn analyze(
 }
 
 /// [`analyze`] with an observability hook: a span around the
-/// backtracking enumeration, one around the ranking of its mappings,
-/// plus `search.*` counters — automaton nodes visited, backtracks
-/// taken, distinct placements kept, and duplicate mappings pruned by
-/// the placement dedupe.
+/// backtracking search and the keying of each mapping it completes,
+/// one around the extraction, costing, fingerprinting and sorting of
+/// the distinct placements, plus `search.*` counters — automaton nodes
+/// visited, backtracks taken, distinct placements kept, and duplicate
+/// mappings pruned by the placement dedupe.
 pub fn analyze_recorded(
     prog: &Program,
     dfg: &Dfg,
@@ -103,18 +105,31 @@ pub fn analyze_recorded(
             stats: SearchStats::default(),
         };
     }
+    // Mappings differing only in internal state choices yield the same
+    // placement, and the cost model reads only the placement (sites and
+    // domains): each mapping is keyed as the search completes it, and
+    // only the first of each key — the representative a stable sort of
+    // every mapping would keep — is cloned, extracted and costed.
     let t0 = obs::start(rec);
-    let (mappings, stats) = enumerate(dfg, automaton, options);
+    let mut extractor = solution::Extractor::new(prog, dfg, automaton);
+    let mut seen: HashSet<Vec<usize>> = HashSet::new();
+    let mut representatives: Vec<Mapping> = Vec::new();
+    let stats = search::search(dfg, automaton, options, |m| {
+        let key = extractor.key(m);
+        if !seen.contains(key) {
+            seen.insert(key.to_vec());
+            representatives.push(m.clone());
+        }
+    });
     obs::finish(rec, keys::SEARCH_SPAN, t0);
     let t0 = obs::start(rec);
-    let n_mappings = mappings.len();
-    let solutions = rank(prog, dfg, automaton, mappings, cost);
+    let solutions = rank(&mut extractor, representatives, cost);
     obs::finish(rec, keys::SEARCH_RANK_SPAN, t0);
     if let Some(r) = rec {
         r.add(keys::SEARCH_VISITS, stats.visits);
         r.add(keys::SEARCH_BACKTRACKS, stats.backtracks);
         r.add(keys::SEARCH_SOLUTIONS, solutions.len() as u64);
-        r.add(keys::SEARCH_PRUNED, (n_mappings - solutions.len()) as u64);
+        r.add(keys::SEARCH_PRUNED, (stats.solutions - solutions.len()) as u64);
     }
     Analysis {
         legality,
@@ -123,29 +138,21 @@ pub fn analyze_recorded(
     }
 }
 
-/// The distinct placements among `mappings`, best-first by
-/// `(score, fingerprint)`. Mappings differing only in internal state
-/// choices produce the same placement, and the cost model reads only
-/// the placement (sites and domains), so each placement is costed and
-/// fingerprinted once, for the first mapping that yields it — the
-/// representative a stable sort of every mapping would keep.
+/// One placement per representative mapping, best-first by
+/// `(score, fingerprint)`.
 fn rank(
-    prog: &Program,
-    dfg: &Dfg,
-    automaton: &OverlapAutomaton,
-    mappings: Vec<Mapping>,
+    extractor: &mut solution::Extractor,
+    representatives: Vec<Mapping>,
     cost: &CostParams,
 ) -> Vec<Solution> {
-    let mut extractor = solution::Extractor::new(prog, dfg, automaton);
-    let mut seen = std::collections::HashSet::new();
-    let mut ranked: Vec<(String, Solution)> = Vec::new();
-    for m in mappings {
-        let mut s = extractor.extract(m);
-        if seen.insert(s.placement_key()) {
+    let mut ranked: Vec<(String, Solution)> = representatives
+        .into_iter()
+        .map(|m| {
+            let mut s = extractor.extract(m);
             s.cost = cost::evaluate(extractor.loops(), &s, cost);
-            ranked.push((s.fingerprint(), s));
-        }
-    }
+            (s.fingerprint(), s)
+        })
+        .collect();
     ranked.sort_by(|(fa, a), (fb, b)| {
         a.cost
             .score
@@ -275,41 +282,73 @@ mod tests {
         pairs
     }
 
+    /// `analyze` under `options` equals the oracle run over the
+    /// mappings `enumerate` yields under the same options: the same
+    /// fingerprints in the same order, representatives, costs, sites
+    /// and domains, the same search statistics and pruned count.
+    fn assert_matches_oracle(p: &Program, a: &OverlapAutomaton, options: &SearchOptions) {
+        let cost = CostParams::default();
+        let what = format!("{} x {} (cap {})", p.name, a.name, options.max_solutions);
+        let dfg = syncplace_dfg::build(p);
+        let (mappings, stats) = enumerate(&dfg, a, options);
+        let n_mappings = mappings.len();
+        let want = rank_per_mapping(p, &dfg, a, mappings, &cost);
+        let tr = Arc::new(obs::MetricsRegistry::new(keys::ALL));
+        let got = analyze_recorded(p, &dfg, a, options, &cost, &Some(tr.clone()));
+        let fingerprints =
+            |ss: &[Solution]| ss.iter().map(Solution::fingerprint).collect::<Vec<_>>();
+        assert_eq!(fingerprints(&got.solutions), fingerprints(&want), "{what}");
+        for (i, (g, w)) in got.solutions.iter().zip(&want).enumerate() {
+            // (not assert_eq: a mapping prints as 30 kB)
+            assert!(g.mapping == w.mapping, "{what}: representative of #{i}");
+            assert_eq!(g.cost, w.cost, "{what}");
+            assert_eq!(g.comm_sites, w.comm_sites, "{what}");
+            assert_eq!(g.domains, w.domains, "{what}");
+        }
+        let s = got.stats;
+        assert_eq!(
+            (s.visits, s.backtracks, s.solutions, s.truncated),
+            (stats.visits, stats.backtracks, stats.solutions, stats.truncated),
+            "{what}"
+        );
+        assert_eq!(s.solutions, n_mappings, "{what}");
+        let snap = tr.snapshot();
+        assert_eq!(
+            snap.counter(keys::SEARCH_PRUNED),
+            (n_mappings - want.len()) as u64,
+            "{what}"
+        );
+        assert!(snap.span(keys::SEARCH_SPAN).is_some(), "{what}");
+        assert!(snap.span(keys::SEARCH_RANK_SPAN).is_some(), "{what}");
+    }
+
     #[test]
     fn ranking_matches_per_mapping_oracle() {
-        let options = SearchOptions::default();
-        let cost = CostParams::default();
         for (p, a) in placing_pairs() {
-            let what = format!("{} x {}", p.name, a.name);
-            let dfg = syncplace_dfg::build(&p);
-            let (mappings, _) = enumerate(&dfg, &a, &options);
-            let n_mappings = mappings.len();
-            let want = rank_per_mapping(&p, &dfg, &a, mappings, &cost);
-            let tr = Arc::new(obs::MetricsRegistry::new(keys::ALL));
-            let got = analyze_recorded(&p, &dfg, &a, &options, &cost, &Some(tr.clone()));
-            let fingerprints =
-                |ss: &[Solution]| ss.iter().map(Solution::fingerprint).collect::<Vec<_>>();
-            assert_eq!(fingerprints(&got.solutions), fingerprints(&want), "{what}");
-            for (i, (g, w)) in got.solutions.iter().zip(&want).enumerate() {
-                // (not assert_eq: a mapping prints as 30 kB)
-                assert!(g.mapping == w.mapping, "{what}: representative of #{i}");
-                assert_eq!(g.cost, w.cost, "{what}");
-                assert_eq!(g.comm_sites, w.comm_sites, "{what}");
-                assert_eq!(g.domains, w.domains, "{what}");
-            }
-            let snap = tr.snapshot();
-            assert_eq!(
-                snap.counter(keys::SEARCH_PRUNED),
-                (n_mappings - want.len()) as u64,
-                "{what}"
-            );
-            assert!(snap.span(keys::SEARCH_RANK_SPAN).is_some(), "{what}");
+            assert_matches_oracle(&p, &a, &SearchOptions::default());
         }
     }
 
-    /// The premise of deduping before costing: over every enumerated
-    /// mapping, the structural key and the fingerprint string induce
-    /// the same classes, and a class has one cost.
+    /// A cap cuts the stream of mappings the ranker keys exactly where
+    /// it cuts `enumerate`: the ranking is the oracle's over the first
+    /// `k` mappings.
+    #[test]
+    fn capped_ranking_matches_oracle_on_the_first_mappings() {
+        for (p, a) in [(programs::testiv(), fig6()), (programs::tet_heat(10), fig8())] {
+            for k in [1, 2, 7, 100] {
+                let options = SearchOptions {
+                    max_solutions: k,
+                    ..Default::default()
+                };
+                assert_matches_oracle(&p, &a, &options);
+            }
+        }
+    }
+
+    /// The premise of deduping before extracting: over every
+    /// enumerated mapping, the mapping-level key and the fingerprint of
+    /// the extracted placement induce the same classes, and a class
+    /// has one cost.
     #[test]
     fn placement_key_is_the_fingerprint_and_determines_the_cost() {
         let cost = CostParams::default();
@@ -321,9 +360,10 @@ mod tests {
             let mut by_key = HashMap::new();
             let mut by_fingerprint = HashMap::new();
             for m in mappings {
+                let key = ex.key(&m).to_vec();
                 let s = ex.extract(m);
                 let c = cost::evaluate(ex.loops(), &s, &cost);
-                let (key, fp) = (s.placement_key(), s.fingerprint());
+                let fp = s.fingerprint();
                 // key ⇒ fingerprint and cost; fingerprint ⇒ key.
                 let (fp0, c0) = by_key.entry(key.clone()).or_insert((fp.clone(), c));
                 assert_eq!(*fp0, fp, "{what}: one key, two fingerprints");
@@ -333,6 +373,42 @@ mod tests {
             }
             assert_eq!(by_key.len(), by_fingerprint.len(), "{what}");
         }
+    }
+
+    /// `max_solutions` counts mappings, duplicates included, and a cut
+    /// by it does not set `truncated` (that flag is the visit cap's).
+    /// Under the default cap `tet_heat` × fig8 stops at 4 096 of its
+    /// 6 912 mappings, 102 of its 122 placements, with the uncapped
+    /// best first; `wide(6)`'s 4 096 mappings are its full set.
+    #[test]
+    fn default_solution_cap_is_pinned() {
+        let cost = CostParams::default();
+        let uncapped = SearchOptions {
+            max_solutions: usize::MAX,
+            ..Default::default()
+        };
+        let run = |p: &Program, a: &OverlapAutomaton, options: &SearchOptions| {
+            let dfg = syncplace_dfg::build(p);
+            analyze(p, &dfg, a, options, &cost)
+        };
+        let p = programs::tet_heat(10);
+        let capped = run(&p, &fig8(), &SearchOptions::default());
+        let full = run(&p, &fig8(), &uncapped);
+        assert_eq!((capped.stats.solutions, capped.solutions.len()), (4096, 102));
+        assert!(!capped.stats.truncated);
+        assert_eq!((full.stats.solutions, full.solutions.len()), (6912, 122));
+        assert!(!full.stats.truncated);
+        let (best, full_best) = (&capped.solutions[0], &full.solutions[0]);
+        assert_eq!(best.fingerprint(), full_best.fingerprint());
+        assert_eq!(best.cost, full_best.cost);
+        assert_eq!(best.cost.score, 7075.0);
+
+        let p = wide(6);
+        let capped = run(&p, &fig6(), &SearchOptions::default());
+        let full = run(&p, &fig6(), &uncapped);
+        assert_eq!((capped.stats.solutions, capped.solutions.len()), (4096, 729));
+        assert_eq!((full.stats.solutions, full.solutions.len()), (4096, 729));
+        assert!(!capped.stats.truncated && !full.stats.truncated);
     }
 
     #[test]

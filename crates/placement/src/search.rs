@@ -13,7 +13,11 @@ use syncplace_dfg::{DefClass, Dfg, NodeKind};
 /// Search options.
 #[derive(Debug, Clone)]
 pub struct SearchOptions {
-    /// Stop after this many complete mappings.
+    /// Stop after this many complete mappings, duplicates of one
+    /// placement included. The cut is silent — it does not set
+    /// [`SearchStats::truncated`]: under the default 4 096, `tet_heat`
+    /// × fig8 stops at 4 096 of its 6 912 mappings (102 of its 122
+    /// placements, the best one among them).
     pub max_solutions: usize,
     /// Abort (truncated = true) after this many propagation steps.
     pub max_visits: u64,
@@ -27,8 +31,8 @@ pub struct SearchOptions {
     /// state is crossed in one step, without obligations or branching
     /// bookkeeping. It "does not change the solution set" (the mapping
     /// *set* is equal, the enumeration order is not), and
-    /// [`crate::analyze`] sorts by `(score, fingerprint)` before it
-    /// dedups, so its ranked list is the same either way whenever
+    /// [`crate::analyze`] ranks placements by `(score, fingerprint)`,
+    /// so its ranked fingerprints are the same either way whenever
     /// `max_solutions` does not cut the enumeration short — hence the
     /// merged search is what every caller runs. `false` is the
     /// off-switch of the §5.2 ablation (E9) and of the set-equality
@@ -59,7 +63,8 @@ pub struct SearchStats {
     pub backtracks: u64,
     /// Number of complete mappings emitted.
     pub solutions: usize,
-    /// True when a limit stopped the search early.
+    /// True when `max_visits` stopped the search early. A stop at
+    /// `max_solutions` leaves it false.
     pub truncated: bool,
 }
 
@@ -69,13 +74,23 @@ pub fn enumerate(
     automaton: &OverlapAutomaton,
     opts: &SearchOptions,
 ) -> (Vec<Mapping>, SearchStats) {
+    let mut mappings = Vec::new();
+    let stats = search(dfg, automaton, opts, |m| mappings.push(m.clone()));
+    (mappings, stats)
+}
+
+/// The one search behind [`enumerate`] and [`crate::analyze`]: each
+/// complete mapping, in enumeration order, is lent to `sink` and
+/// overwritten by the next — a caller that keeps one clones it.
+pub(crate) fn search(
+    dfg: &Dfg,
+    automaton: &OverlapAutomaton,
+    opts: &SearchOptions,
+    mut sink: impl FnMut(&Mapping),
+) -> SearchStats {
     let mut s = Search::seeded(dfg, automaton, opts);
-    s.go();
-    let stats = SearchStats {
-        solutions: s.solutions.len(),
-        ..s.stats
-    };
-    (s.solutions, stats)
+    s.go(&mut sink);
+    s.stats
 }
 
 /// Does a dependence arrow concern a real (distributed) array — the
@@ -107,20 +122,31 @@ pub(crate) fn sca1_def_allowed(dfg: &Dfg, node: usize) -> bool {
 
 struct Search<'a> {
     dfg: &'a Dfg,
-    automaton: &'a OverlapAutomaton,
     opts: &'a SearchOptions,
     required: Vec<Option<State>>,
     out_prop: Vec<Vec<usize>>,
+    /// Does a propagation arrow enter this node? (Sources are assigned
+    /// freely first.)
+    has_in: Vec<bool>,
     classes: Vec<Option<syncplace_automata::ArrowClass>>,
     shapes: Vec<syncplace_automata::Shape>,
     /// Does this arrow concern a real (distributed) array variable?
     arrow_is_array: Vec<bool>,
     /// May this node take the `Sca1` state (reduction defs only)?
     sca1_def_ok: Vec<bool>,
+    /// The automaton's transitions, stably sorted by `(from, class)`:
+    /// each run is `from_on`'s answer, in its order (see [`Self::run`]).
+    trans: Vec<Transition>,
+    /// The states a freely assigned node may take, per node.
+    free: Vec<Vec<State>>,
     node_state: Vec<Option<State>>,
     arrow_trans: Vec<Option<Transition>>,
     obligations: Vec<usize>,
-    solutions: Vec<Mapping>,
+    /// `(node, arrow)` pairs assigned by the open crossings, innermost
+    /// last: a crossing undoes its own suffix.
+    trail: Vec<(usize, usize)>,
+    /// The complete mapping lent to the sink, overwritten in place.
+    live: Mapping,
     stats: SearchStats,
 }
 
@@ -147,7 +173,7 @@ impl<'a> Search<'a> {
             out_prop[dfg.arrows[i].from].push(i);
         }
 
-        let classes = dfg
+        let classes: Vec<_> = dfg
             .arrows
             .iter()
             .map(|a| {
@@ -160,13 +186,27 @@ impl<'a> Search<'a> {
                 .then(|| classify_arrow(dfg, a))
             })
             .collect();
+        let mut has_in = vec![false; n];
+        for (a, class) in dfg.arrows.iter().zip(&classes) {
+            has_in[a.to] |= class.is_some();
+        }
+        let mut trans = automaton.transitions.clone();
+        trans.sort_by_key(|t| (t.from, t.class as u8));
+        let free = (0..n)
+            .map(|i| {
+                free_states(dfg, automaton, i)
+                    .into_iter()
+                    .filter(|st| required[i].is_none_or(|r| r == *st))
+                    .collect()
+            })
+            .collect();
 
         let mut s = Search {
             dfg,
-            automaton,
             opts,
             required,
             out_prop,
+            has_in,
             classes,
             shapes: (0..n).map(|i| shape_of(dfg, i)).collect(),
             arrow_is_array: dfg
@@ -175,10 +215,16 @@ impl<'a> Search<'a> {
                 .map(|a| arrow_concerns_array(dfg, a))
                 .collect(),
             sca1_def_ok: (0..n).map(|i| sca1_def_allowed(dfg, i)).collect(),
+            trans,
+            free,
             node_state: vec![None; n],
             arrow_trans: vec![None; dfg.arrows.len()],
             obligations: Vec::new(),
-            solutions: Vec::new(),
+            trail: Vec::new(),
+            live: Mapping {
+                node_state: Vec::with_capacity(n),
+                arrow_transition: Vec::with_capacity(dfg.arrows.len()),
+            },
             stats: SearchStats::default(),
         };
         for &node in dfg.input_node.values() {
@@ -189,7 +235,16 @@ impl<'a> Search<'a> {
     }
 
     fn done(&self) -> bool {
-        self.stats.truncated || self.solutions.len() >= self.opts.max_solutions
+        self.stats.truncated || self.stats.solutions >= self.opts.max_solutions
+    }
+
+    /// The indices in `self.trans` of the transitions leaving `from` on
+    /// class `class` — `OverlapAutomaton::from_on`, by binary search.
+    fn run(&self, from: State, class: syncplace_automata::ArrowClass) -> std::ops::Range<usize> {
+        let key = (from, class as u8);
+        let lo = self.trans.partition_point(|t| (t.from, t.class as u8) < key);
+        let len = self.trans[lo..].partition_point(|t| (t.from, t.class as u8) == key);
+        lo..lo + len
     }
 
     /// Is transition `t` admissible on arrow `arrow`?
@@ -211,7 +266,12 @@ impl<'a> Search<'a> {
         }
     }
 
-    fn go(&mut self) {
+    /// Is `t` admissible on `arrow` (into `to`) in the current state?
+    fn viable(&self, arrow: usize, to: usize, t: &Transition) -> bool {
+        self.comm_ok(arrow, t) && self.candidate_viable(to, t)
+    }
+
+    fn go(&mut self, sink: &mut impl FnMut(&Mapping)) {
         if self.done() {
             return;
         }
@@ -228,21 +288,25 @@ impl<'a> Search<'a> {
             let to = a.to;
             // Admission (shape, Sca1-on-reductions-only, required
             // states, §5.2 simulation filter) is checked up front: an
-            // arrow with no viable transition is one dead end.
-            let trans: Vec<Transition> = self
-                .automaton
-                .from_on(from_state, class)
-                .copied()
-                .filter(|t| self.comm_ok(arrow_id, t) && self.candidate_viable(to, t))
-                .collect();
-            if trans.is_empty() {
+            // arrow with no viable transition is one dead end. Each
+            // descent below restores what it assigns, so a transition
+            // is viable inside the loop iff it was up front.
+            let run = self.run(from_state, class);
+            if !run
+                .clone()
+                .any(|k| self.viable(arrow_id, to, &self.trans[k]))
+            {
                 self.stats.backtracks += 1;
                 self.obligations.push(arrow_id);
                 return;
             }
-            for t in trans {
+            for k in run {
                 if self.done() {
                     break;
+                }
+                let t = self.trans[k];
+                if !self.viable(arrow_id, to, &t) {
+                    continue;
                 }
                 match self.node_state[to] {
                     // §5.2 collapse: a uniquely-determined, state-
@@ -250,14 +314,14 @@ impl<'a> Search<'a> {
                     // node needs no branching bookkeeping.
                     Some(_) => {
                         self.arrow_trans[arrow_id] = Some(t);
-                        self.go();
+                        self.go(sink);
                         self.arrow_trans[arrow_id] = None;
                     }
                     None => {
-                        let mut assigned: Vec<(usize, usize)> = Vec::new(); // (node, arrow)
+                        let assigned = self.trail.len();
                         self.node_state[to] = Some(t.to);
                         self.arrow_trans[arrow_id] = Some(t);
-                        assigned.push((to, arrow_id));
+                        self.trail.push((to, arrow_id));
                         // §5.2 chain collapse: follow forced single-
                         // transition chains eagerly ("merging sequences
                         // of dependences that would not change the
@@ -268,62 +332,55 @@ impl<'a> Search<'a> {
                             while let Some((na, nn, nt)) = self.forced_step(tail) {
                                 self.node_state[nn] = Some(nt.to);
                                 self.arrow_trans[na] = Some(nt);
-                                assigned.push((nn, na));
+                                self.trail.push((nn, na));
                                 tail = nn;
                             }
                         }
                         let mark = self.obligations.len();
                         // Push the out arrows of every newly assigned
                         // node except those already consumed by the
-                        // chain. Reverse so lower arrow ids pop first.
-                        let consumed: Vec<usize> = assigned.iter().map(|&(_, a)| a).collect();
-                        let mut outs: Vec<usize> = Vec::new();
-                        for &(n, _) in &assigned {
+                        // chain, descending so lower arrow ids pop first.
+                        let chain = &self.trail[assigned..];
+                        for &(n, _) in chain {
                             for &a in &self.out_prop[n] {
-                                if !consumed.contains(&a) {
-                                    outs.push(a);
+                                if !chain.iter().any(|&(_, c)| c == a) {
+                                    self.obligations.push(a);
                                 }
                             }
                         }
-                        outs.sort_unstable();
-                        outs.reverse();
-                        self.obligations.extend(outs);
-                        self.go();
+                        self.obligations[mark..].sort_unstable_by(|x, y| y.cmp(x));
+                        self.go(sink);
                         self.obligations.truncate(mark);
-                        for &(n, a) in assigned.iter().rev() {
+                        while self.trail.len() > assigned {
+                            let (n, a) = self.trail.pop().expect("assigned above");
                             self.node_state[n] = None;
                             self.arrow_trans[a] = None;
                         }
-                        self.arrow_trans[arrow_id] = None;
                     }
                 }
             }
             self.obligations.push(arrow_id);
         } else if let Some(node) = self.next_unassigned() {
-            let states: Vec<State> = self
-                .free_states(node)
-                .into_iter()
-                .filter(|st| self.required[node].is_none_or(|r| r == *st))
-                .collect();
-            for st in states {
+            for k in 0..self.free[node].len() {
                 if self.done() {
                     break;
                 }
-                self.node_state[node] = Some(st);
+                self.node_state[node] = Some(self.free[node][k]);
                 let mark = self.obligations.len();
-                let outs: Vec<usize> = self.out_prop[node].iter().rev().copied().collect();
-                self.obligations.extend(outs);
-                self.go();
+                self.obligations.extend(self.out_prop[node].iter().rev());
+                self.go(sink);
                 self.obligations.truncate(mark);
                 self.node_state[node] = None;
             }
         } else {
             // Complete mapping.
-            let mapping = Mapping {
-                node_state: self.node_state.iter().map(|s| s.unwrap()).collect(),
-                arrow_transition: self.arrow_trans.clone(),
-            };
-            self.solutions.push(mapping);
+            self.stats.solutions += 1;
+            let live = &mut self.live;
+            live.node_state.clear();
+            live.node_state
+                .extend(self.node_state.iter().map(|s| s.expect("complete mapping")));
+            live.arrow_transition.clone_from(&self.arrow_trans);
+            sink(live);
         }
     }
 
@@ -356,10 +413,9 @@ impl<'a> Search<'a> {
         }
         let from_state = self.node_state[node]?;
         let class = self.classes[a]?;
-        let mut viable = self
-            .automaton
-            .from_on(from_state, class)
-            .filter(|t| self.comm_ok(a, t) && self.candidate_viable(to, t));
+        let mut viable = self.trans[self.run(from_state, class)]
+            .iter()
+            .filter(|t| self.viable(a, to, t));
         let t = *viable.next()?;
         // A second viable transition makes this a branch point, not a
         // forced chain.
@@ -370,14 +426,8 @@ impl<'a> Search<'a> {
     /// incoming propagation arrows), else break a cycle at the lowest
     /// unassigned node.
     fn next_unassigned(&self) -> Option<usize> {
-        let mut has_in = vec![false; self.dfg.nodes.len()];
-        for (i, a) in self.dfg.arrows.iter().enumerate() {
-            if self.classes[i].is_some() {
-                has_in[a.to] = true;
-            }
-        }
         let mut fallback = None;
-        for (i, &hin) in has_in.iter().enumerate() {
+        for (i, &hin) in self.has_in.iter().enumerate() {
             if self.node_state[i].is_some() {
                 continue;
             }
@@ -390,25 +440,24 @@ impl<'a> Search<'a> {
         }
         fallback
     }
+}
 
-    /// Candidate states for a freely-assigned node.
-    fn free_states(&self, node: usize) -> Vec<State> {
-        let shape = shape_of(self.dfg, node);
-        match &self.dfg.nodes[node].kind {
-            NodeKind::Def { class, .. } => self
-                .automaton
-                .free_def_states(shape, *class == DefClass::Scatter),
-            // Cycle-break or uninitialized read: any state of the shape
-            // (consistency with incoming arrows is still enforced when
-            // those arrows are crossed).
-            _ => self
-                .automaton
-                .states
-                .iter()
-                .copied()
-                .filter(|s| s.shape == shape)
-                .collect(),
+/// Candidate states for a freely-assigned node.
+fn free_states(dfg: &Dfg, automaton: &OverlapAutomaton, node: usize) -> Vec<State> {
+    let shape = shape_of(dfg, node);
+    match &dfg.nodes[node].kind {
+        NodeKind::Def { class, .. } => {
+            automaton.free_def_states(shape, *class == DefClass::Scatter)
         }
+        // Cycle-break or uninitialized read: any state of the shape
+        // (consistency with incoming arrows is still enforced when
+        // those arrows are crossed).
+        _ => automaton
+            .states
+            .iter()
+            .copied()
+            .filter(|s| s.shape == shape)
+            .collect(),
     }
 }
 

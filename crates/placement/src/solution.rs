@@ -16,7 +16,7 @@
 //! solution).
 
 use crate::arrowclass::shape_of;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use syncplace_automata::{CommKind, OverlapAutomaton, State, Transition};
 use syncplace_dfg::ops::OpKind;
 use syncplace_dfg::{Dfg, NodeKind};
@@ -91,24 +91,7 @@ impl Solution {
             .collect();
         format!("{}|{}", sites.join(","), doms.join(","))
     }
-
-    /// The structural form of [`Self::fingerprint`]: two keys are equal
-    /// iff the fingerprint strings are, without formatting anything.
-    pub(crate) fn placement_key(&self) -> PlacementKey {
-        let mut sites: Vec<_> = self
-            .comm_sites
-            .iter()
-            .map(|s| (s.kind, s.var, s.location))
-            .collect();
-        sites.sort_unstable();
-        (sites, self.domains.clone())
-    }
 }
-
-pub(crate) type PlacementKey = (
-    Vec<(CommKind, VarId, InsertionPoint)>,
-    Vec<(StmtId, IterationDomain)>,
-);
 
 // ---------------------------------------------------------------------------
 // Position-augmented CFG
@@ -315,6 +298,20 @@ impl LoopFacts {
     pub(crate) fn restrictable(&self) -> bool {
         self.has_direct && !self.has_scatter
     }
+
+    /// Does the loop iterate the kernel under `node_state`? Top-entity
+    /// loops and scatter loops need the full overlap domain;
+    /// lower-entity loops follow their definitions' states:
+    /// reduction-only loops iterate the kernel, and so do loops all of
+    /// whose definitions sit at the deepest staleness.
+    fn kernel(&self, node_state: &[State]) -> bool {
+        !self.has_scatter
+            && self.max_rank > 0
+            && self
+                .entity_defs
+                .iter()
+                .all(|&dn| node_state[dn].coh.stale_rank() == Some(self.max_rank))
+    }
 }
 
 fn loop_facts(dfg: &Dfg, automaton: &OverlapAutomaton) -> Vec<LoopFacts> {
@@ -381,8 +378,16 @@ pub(crate) struct Extractor<'a> {
     dfg: &'a Dfg,
     pos_graph: PosGraph,
     loops: Vec<LoopFacts>,
-    /// `(variable, comm kind, arrows carrying it)` → its sites.
-    sites: HashMap<(VarId, CommKind, Vec<usize>), Vec<CommSite>>,
+    /// `[comm kind, arrows carrying it…]` → its sites. The arrows name
+    /// the variable: the group is every arrow of one (variable, kind).
+    sites: HashMap<Vec<usize>, Vec<CommSite>>,
+    /// Scratch reused across mappings: the comm-crossing arrows as
+    /// `(variable, kind, arrow)`, one group's memo key, the sites'
+    /// `(kind, variable, position)` triples and the placement key.
+    crossing: Vec<(VarId, CommKind, usize)>,
+    group: Vec<usize>,
+    triples: Vec<[usize; 3]>,
+    key: Vec<usize>,
 }
 
 impl<'a> Extractor<'a> {
@@ -392,6 +397,10 @@ impl<'a> Extractor<'a> {
             pos_graph: build_pos_graph(prog, dfg),
             loops: loop_facts(dfg, automaton),
             sites: HashMap::new(),
+            crossing: Vec::new(),
+            group: Vec::new(),
+            triples: Vec::new(),
+            key: Vec::new(),
         }
     }
 
@@ -401,46 +410,71 @@ impl<'a> Extractor<'a> {
         &self.loops
     }
 
+    /// Hand `each` the sites of every group of comm-crossing arrows of
+    /// `arrow_transition`, grouped by (variable, comm kind) in that
+    /// order.
+    fn each_group(
+        &mut self,
+        arrow_transition: &[Option<Transition>],
+        mut each: impl FnMut(&[CommSite]),
+    ) {
+        self.crossing.clear();
+        for (i, tr) in arrow_transition.iter().enumerate() {
+            if let Some(kind) = tr.and_then(|t| t.comm) {
+                let var = self.dfg.arrows[i]
+                    .var
+                    .expect("comm transitions ride true dependences");
+                self.crossing.push((var, kind, i));
+            }
+        }
+        self.crossing.sort_unstable();
+        for run in self.crossing.chunk_by(|x, y| (x.0, x.1) == (y.0, y.1)) {
+            let (var, kind, _) = run[0];
+            self.group.clear();
+            self.group.push(kind as usize);
+            self.group.extend(run.iter().map(|c| c.2));
+            if !self.sites.contains_key(&self.group[..]) {
+                let sites = group_sites(self.dfg, &self.pos_graph, var, kind, &self.group[1..]);
+                self.sites.insert(self.group.clone(), sites);
+            }
+            each(&self.sites[&self.group[..]]);
+        }
+    }
+
+    /// A placement's identity, read off the mapping without extracting
+    /// it: two mappings have equal keys iff their [`Solution`]s have
+    /// equal [`Solution::fingerprint`]s — the sorted `(kind, variable,
+    /// location)` triples of the sites, then the domain of each loop.
+    pub(crate) fn key(&mut self, mapping: &Mapping) -> &[usize] {
+        let mut triples = std::mem::take(&mut self.triples);
+        triples.clear();
+        self.each_group(&mapping.arrow_transition, |sites| {
+            triples.extend(sites.iter().map(|s| [s.kind as usize, s.var, s.pos_order]));
+        });
+        triples.sort_unstable();
+        self.key.clear();
+        self.key.extend(triples.iter().flatten());
+        self.key.extend(
+            self.loops
+                .iter()
+                .map(|l| usize::from(l.kernel(&mapping.node_state))),
+        );
+        self.triples = triples;
+        &self.key
+    }
+
     /// Extract the concrete placement from a mapping.
     pub(crate) fn extract(&mut self, mapping: Mapping) -> Solution {
-        // Group Update-crossing arrows by (variable, comm kind).
-        let mut groups: BTreeMap<(VarId, CommKind), Vec<usize>> = BTreeMap::new();
-        for (i, tr) in mapping.arrow_transition.iter().enumerate() {
-            let Some(kind) = tr.and_then(|t| t.comm) else {
-                continue;
-            };
-            let var = self.dfg.arrows[i]
-                .var
-                .expect("comm transitions ride true dependences");
-            groups.entry((var, kind)).or_default().push(i);
-        }
         let mut comm_sites: Vec<CommSite> = Vec::new();
-        for ((var, kind), arrows) in groups {
-            let (dfg, pos_graph) = (self.dfg, &self.pos_graph);
-            let sites =
-                self.sites
-                    .entry((var, kind, arrows))
-                    .or_insert_with_key(|(_, _, arrows)| {
-                        group_sites(dfg, pos_graph, var, kind, arrows)
-                    });
+        self.each_group(&mapping.arrow_transition, |sites| {
             comm_sites.extend_from_slice(sites);
-        }
+        });
         comm_sites.sort_by_key(|s| (s.pos_order, s.var));
-
-        // Top-entity loops and scatter loops need the full overlap
-        // domain; lower-entity loops follow their definitions' states:
-        // reduction-only loops iterate the kernel, and so do loops all
-        // of whose definitions sit at the deepest staleness.
         let domains = self
             .loops
             .iter()
             .map(|l| {
-                let kernel = !l.has_scatter
-                    && l.max_rank > 0
-                    && l.entity_defs
-                        .iter()
-                        .all(|&dn| mapping.node_state[dn].coh.stale_rank() == Some(l.max_rank));
-                let domain = if kernel {
+                let domain = if l.kernel(&mapping.node_state) {
                     IterationDomain::Kernel
                 } else {
                     IterationDomain::Overlap

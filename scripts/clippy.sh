@@ -52,7 +52,11 @@
 # none of resolve_program, to_dsl, automaton_for, Bindings::for_mesh,
 # synth_inputs, tape::work or Kernel::lower: that work is the cache
 # builders' — `place`, `compile_plan`, the text memo's `key_placement`
-# — and runs once per miss), the experiments must read no clock
+# — and runs once per miss), a placement search step must allocate
+# nothing (the bodies of `fn go` and `fn next_unassigned` in
+# crates/placement/src/search.rs name no Vec::new / vec! / .collect( /
+# .to_vec(: the tables are built once in `Search::seeded`, a step reuses
+# the search's stacks), the experiments must read no clock
 # (crates/bench/src/experiments.rs names no `Instant` and no `elapsed(`:
 # `reproduce` prints counts, identities, modeled figures and verdicts,
 # so its tables reproduce byte for byte; wall clock is benchmark/'s),
@@ -136,6 +140,12 @@ fi
 hot="$(awk '/fn run_admitted\(/ { on = 1 } on { print } on && /^    }$/ { exit }' crates/server/src/service.rs)"
 if [ -z "$hot" ] || echo "$hot" | grep -nE 'resolve_program|to_dsl|automaton_for|Bindings::for_mesh|synth_inputs|tape::work|Kernel::lower'; then
     echo "hot-path gate: run_admitted only executes — derive it in place / compile_plan / key_placement, once per miss"
+    exit 1
+fi
+steps="$(awk '/fn (go|next_unassigned)\(/ { on = 1 } on { print } on && /^    }$/ { on = 0 }' crates/placement/src/search.rs)"
+if [ "$(echo "$steps" | grep -cE 'fn (go|next_unassigned)\(')" != 2 ] \
+    || echo "$steps" | grep -nE 'Vec::new|vec!|\.collect\(|\.to_vec\('; then
+    echo "search gate: a search step allocates nothing — build tables in Search::seeded, reuse the trail and obligation stacks"
     exit 1
 fi
 if grep -nE 'Instant|elapsed\(' crates/bench/src/experiments.rs; then
