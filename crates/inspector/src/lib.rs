@@ -25,43 +25,24 @@
 
 #![forbid(unsafe_code)]
 
-use std::collections::{HashMap, HashSet};
-use syncplace_ir::{Access, EntityKind, IdVec, Program, Stmt, VarId, VarKind};
-use syncplace_overlap::Decomposition;
-use syncplace_runtime::bindings::{kind_index, Bindings};
-use syncplace_runtime::comm::{CommStats, PhaseContribution, PhaseStat};
+use std::collections::HashSet;
+use syncplace_ir::{Access, EntityKind, IdVec, LoopStmt, Program, Stmt, VarId, VarKind};
+use syncplace_overlap::{Decomposition, UpdateSchedule};
+use syncplace_runtime::bindings::Bindings;
+use syncplace_runtime::comm::{self, CommStats, PhaseContribution, PhaseStat};
 use syncplace_runtime::spmd::{build_machines, collect_results, SpmdResult};
 use syncplace_runtime::{Kernel, Machine};
-
-/// One restricted ghost schedule: for each processor pair `(owner,
-/// ghost-holder)`, the (owner-local, holder-local) node pairs this
-/// loop actually references.
-#[derive(Debug, Clone, Default)]
-pub struct GhostSchedule {
-    /// `msgs[owner][holder]` = (src_local_on_owner, dst_local_on_holder).
-    pub msgs: Vec<Vec<Vec<(u32, u32)>>>,
-}
-
-impl GhostSchedule {
-    fn new(nparts: usize) -> Self {
-        GhostSchedule {
-            msgs: vec![vec![Vec::new(); nparts]; nparts],
-        }
-    }
-
-    /// Total values exchanged.
-    pub fn total_values(&self) -> usize {
-        self.msgs.iter().flatten().map(|m| m.len()).sum()
-    }
-}
 
 /// The inspector's product, indexed by loop statement id.
 #[derive(Debug, Clone, Default)]
 pub struct InspectorPlan {
-    /// Gather schedule per gathered array of a loop, in var order.
-    pub gathers: IdVec<Vec<(VarId, GhostSchedule)>>,
-    /// Arrays scatter-accumulated per loop (flush needed after).
-    pub scatters: IdVec<Vec<VarId>>,
+    /// Per loop, one ghost schedule per gathered array, in var order:
+    /// the array's own kind's update schedule restricted to the ghost
+    /// copies the loop references.
+    pub gathers: IdVec<Vec<(VarId, UpdateSchedule)>>,
+    /// Arrays scatter-accumulated per loop (flush needed after), with
+    /// their entity kind.
+    pub scatters: IdVec<Vec<(VarId, EntityKind)>>,
     /// Scalar reductions per loop.
     pub reductions: IdVec<Vec<(VarId, syncplace_dfg::ReduceOp)>>,
     /// Abstract inspector cost: indirection entries scanned.
@@ -69,36 +50,35 @@ pub struct InspectorPlan {
 }
 
 /// Run the inspector: one symbolic execution of the loop indirections.
+/// A loop that reaches ghost copies of an element array is an error:
+/// owned-only execution never refreshes them, and no update schedule
+/// exists for them.
 pub fn inspect<const V: usize>(
     prog: &Program,
     d: &Decomposition<V>,
     machines: &[Machine],
-) -> InspectorPlan {
+) -> Result<InspectorPlan, String> {
     let mut plan = InspectorPlan::default();
     let classification = syncplace_dfg::build(prog).classification;
+    let unrefreshed = |v: VarId| {
+        let name = &prog.decl(v).name;
+        format!("inspector: owned-only loops never refresh element array {name}")
+    };
 
-    // dst→(owner, src) per processor, from the full update schedule.
-    let mut ghost_origin: Vec<HashMap<u32, (u32, u32)>> = vec![HashMap::new(); d.nparts];
-    for (owner, row) in d.node_update.msgs.iter().enumerate() {
-        for (holder, msg) in row.iter().enumerate() {
-            for &(src, dst) in msg {
-                ghost_origin[holder].insert(dst, (owner as u32, src));
-            }
-        }
-    }
-
-    visit_loops(&prog.body, &mut |l| {
-        if !l.partitioned {
-            return;
-        }
+    for l in partitioned_loops(&prog.body) {
         // Gathered arrays and their referenced ghosts.
-        let mut gathered: IdVec<HashSet<(usize, u32)>> = IdVec::default(); // var -> (holder, dst)
-        let mut scattered: Vec<VarId> = Vec::new();
+        let mut gathered: IdVec<HashSet<(u32, u32)>> = IdVec::default(); // var -> (holder, dst)
+        let mut scattered: Vec<(VarId, EntityKind)> = Vec::new();
         let mut reds: Vec<(VarId, syncplace_dfg::ReduceOp)> = Vec::new();
         for a in &l.body {
-            if let Access::Indirect { array, .. } = a.lhs {
-                if !scattered.contains(&array) {
-                    scattered.push(array);
+            if let Access::Indirect { array, map, slot } = a.lhs {
+                let kind = entity_of_array(prog, array);
+                if d.update_schedule(kind).is_none() {
+                    if !ghosts(machines, l.entity, map, slot, kind).0.is_empty() {
+                        return Err(unrefreshed(array));
+                    }
+                } else if !scattered.iter().any(|&(v, _)| v == array) {
+                    scattered.push((array, kind));
                 }
             }
             if let Access::Scalar(v) = a.lhs {
@@ -109,45 +89,33 @@ pub fn inspect<const V: usize>(
                 }
             }
             for acc in a.rhs.reads() {
-                if let Access::Indirect { array, map, slot } = acc {
+                if let Access::Indirect { array, map, slot } = *acc {
                     // Skip the scatter carrier self-read.
                     if *acc == a.lhs {
                         continue;
                     }
-                    // Scan owned loop entities' references on every proc.
-                    for (p, m) in machines.iter().enumerate() {
-                        let table = &m.maps[*map];
-                        let owned = m.kernel_count(l.entity);
-                        for i in 0..owned {
-                            plan.inspect_cost += 1;
-                            let t = table.targets[i * table.arity + slot];
-                            if t == u32::MAX {
-                                continue;
-                            }
-                            // Ghost iff beyond the kernel prefix.
-                            let kind = entity_of_array(prog, *array);
-                            let kernel = m.kernel_counts[kind_index(kind)];
-                            if (t as usize) >= kernel {
-                                gathered.get_or_insert_with(*array, HashSet::new).insert((p, t));
-                            }
-                        }
+                    let kind = entity_of_array(prog, array);
+                    let (found, scanned) = ghosts(machines, l.entity, map, slot, kind);
+                    plan.inspect_cost += scanned;
+                    if found.is_empty() {
+                        continue;
                     }
+                    if d.update_schedule(kind).is_none() {
+                        return Err(unrefreshed(array));
+                    }
+                    gathered
+                        .get_or_insert_with(array, HashSet::new)
+                        .extend(found);
                 }
             }
         }
+        // Every ghost is a non-owner copy, so each restricted schedule
+        // keeps at least one message.
         let gathers = gathered.iter().map(|(var, ghosts)| {
-            let mut sched = GhostSchedule::new(d.nparts);
-            for &(holder, dst) in ghosts {
-                if let Some(&(owner, src)) = ghost_origin[holder].get(&dst) {
-                    sched.msgs[owner as usize][holder].push((src, dst));
-                }
-            }
-            for row in &mut sched.msgs {
-                for m in row.iter_mut() {
-                    m.sort_unstable();
-                }
-            }
-            (var, sched)
+            let full = d
+                .update_schedule(entity_of_array(prog, var))
+                .expect("checked above");
+            (var, full.restrict(|to, dst| ghosts.contains(&(to, dst))))
         });
         plan.gathers.insert(l.id, gathers.collect());
         if !scattered.is_empty() {
@@ -156,8 +124,35 @@ pub fn inspect<const V: usize>(
         if !reds.is_empty() {
             plan.reductions.insert(l.id, reds);
         }
-    });
-    plan
+    }
+    Ok(plan)
+}
+
+/// The ghost slots `(rank, local)` that the owned iterations of a loop
+/// over `entity` reach through `map`'s `slot` — targets of `kind`
+/// beyond that kind's kernel prefix — and the number of indirection
+/// entries scanned.
+fn ghosts(
+    machines: &[Machine],
+    entity: EntityKind,
+    map: VarId,
+    slot: usize,
+    kind: EntityKind,
+) -> (Vec<(u32, u32)>, usize) {
+    let (mut found, mut scanned) = (Vec::new(), 0);
+    for (p, m) in machines.iter().enumerate() {
+        let table = &m.maps[map];
+        let owned = m.kernel_count(entity);
+        let kernel = m.kernel_count(kind);
+        scanned += owned;
+        for i in 0..owned {
+            let t = table.targets[i * table.arity + slot];
+            if t != u32::MAX && t as usize >= kernel {
+                found.push((p as u32, t));
+            }
+        }
+    }
+    (found, scanned)
 }
 
 fn entity_of_array(prog: &Program, v: VarId) -> EntityKind {
@@ -167,14 +162,18 @@ fn entity_of_array(prog: &Program, v: VarId) -> EntityKind {
     }
 }
 
-fn visit_loops<'a>(stmts: &'a [Stmt], f: &mut dyn FnMut(&'a syncplace_ir::LoopStmt)) {
+/// The partitioned loops of `stmts`, time-loop bodies included, in
+/// program order.
+fn partitioned_loops(stmts: &[Stmt]) -> Vec<&LoopStmt> {
+    let mut out = Vec::new();
     for s in stmts {
         match s {
-            Stmt::Loop(l) => f(l),
-            Stmt::TimeLoop(t) => visit_loops(&t.body, f),
+            Stmt::Loop(l) if l.partitioned => out.push(l),
+            Stmt::TimeLoop(t) => out.extend(partitioned_loops(&t.body)),
             _ => {}
         }
     }
+    out
 }
 
 /// Executor result plus inspector accounting.
@@ -201,7 +200,7 @@ pub fn run_inspector_executor<const V: usize>(
     let mut machines = build_machines(prog, d, b)?;
     let kernel = Kernel::lower(prog, |_| false)?;
     kernel.check_tables(prog, &machines)?;
-    let plan = inspect(prog, d, &machines);
+    let plan = inspect(prog, d, &machines)?;
     let mut stats = CommStats::default();
     let mut iters = 0usize;
     run_block::<V>(
@@ -228,38 +227,11 @@ pub fn run_inspector_executor<const V: usize>(
     })
 }
 
-fn apply_ghost_gather(
-    machines: &mut [Machine],
-    sched: &GhostSchedule,
-    var: VarId,
-) -> PhaseContribution {
-    let mut stat = PhaseStat {
-        rounds: 1,
-        ..Default::default()
-    };
-    let mut per_proc = vec![0usize; machines.len()];
-    for (owner, row) in sched.msgs.iter().enumerate() {
-        for (holder, msg) in row.iter().enumerate() {
-            if msg.is_empty() {
-                continue;
-            }
-            stat.messages += 1;
-            stat.values += msg.len();
-            per_proc[owner] += msg.len();
-            for &(src, dst) in msg {
-                let v = machines[owner].arrays[var][src as usize];
-                machines[holder].arrays[var][dst as usize] = v;
-            }
-        }
-    }
-    PhaseContribution::new(stat, per_proc)
-}
-
 /// Scatter flush: add every ghost slot's accumulated contribution back
 /// to the owner's kernel value, then zero the ghost.
-fn apply_scatter_flush<const V: usize>(
+fn apply_scatter_flush(
     machines: &mut [Machine],
-    d: &Decomposition<V>,
+    schedule: &UpdateSchedule,
     var: VarId,
 ) -> PhaseContribution {
     let mut stat = PhaseStat {
@@ -267,19 +239,15 @@ fn apply_scatter_flush<const V: usize>(
         ..Default::default()
     };
     let mut per_proc = vec![0usize; machines.len()];
-    for (owner, row) in d.node_update.msgs.iter().enumerate() {
-        for (holder, msg) in row.iter().enumerate() {
-            if msg.is_empty() {
-                continue;
-            }
-            stat.messages += 1;
-            stat.values += msg.len();
-            per_proc[holder] += msg.len();
-            for &(src, dst) in msg {
-                let v = machines[holder].arrays[var][dst as usize];
-                machines[owner].arrays[var][src as usize] += v;
-                machines[holder].arrays[var][dst as usize] = 0.0;
-            }
+    for m in &schedule.msgs {
+        let (owner, holder) = (m.from as usize, m.to as usize);
+        stat.messages += 1;
+        stat.values += m.pairs.len();
+        per_proc[holder] += m.pairs.len();
+        for &(src, dst) in &m.pairs {
+            let v = machines[holder].arrays[var][dst as usize];
+            machines[owner].arrays[var][src as usize] += v;
+            machines[holder].arrays[var][dst as usize] = 0.0;
         }
     }
     PhaseContribution::new(stat, per_proc)
@@ -305,13 +273,11 @@ fn run_block<const V: usize>(
                 // Gather phase: refresh referenced ghosts.
                 let mut parts = Vec::new();
                 for (var, sched) in plan.gathers.get(l.id).into_iter().flatten() {
-                    parts.push(apply_ghost_gather(machines, sched, *var));
+                    parts.push(comm::apply_update(machines, sched, *var, &None));
                     stats.updates += 1;
                 }
                 if !parts.is_empty() {
-                    stats
-                        .phases
-                        .push(syncplace_runtime::comm::merge_phase(&parts));
+                    stats.phases.push(comm::merge_phase(&parts));
                 }
                 // The loop itself: owned entities only (minimal overlap,
                 // no redundant computation).
@@ -322,24 +288,21 @@ fn run_block<const V: usize>(
                 // Scatter flush phase.
                 if let Some(vars) = plan.scatters.get(l.id) {
                     let mut parts = Vec::new();
-                    for &v in vars {
-                        parts.push(apply_scatter_flush(machines, d, v));
+                    for &(v, kind) in vars {
+                        let schedule = d.update_schedule(kind).expect("inspect kept it");
+                        parts.push(apply_scatter_flush(machines, schedule, v));
                         stats.assembles += 1;
                     }
-                    stats
-                        .phases
-                        .push(syncplace_runtime::comm::merge_phase(&parts));
+                    stats.phases.push(comm::merge_phase(&parts));
                 }
                 // Reduction phase.
                 if let Some(reds) = plan.reductions.get(l.id) {
                     let mut parts = Vec::new();
                     for &(v, op) in reds {
-                        parts.push(syncplace_runtime::comm::apply_reduce(machines, v, op, &None));
+                        parts.push(comm::apply_reduce(machines, v, op, &None));
                         stats.reduces += 1;
                     }
-                    stats
-                        .phases
-                        .push(syncplace_runtime::comm::merge_phase(&parts));
+                    stats.phases.push(comm::merge_phase(&parts));
                 }
             }
             Stmt::TimeLoop(t) => {
@@ -374,7 +337,7 @@ mod tests {
     use syncplace_mesh::gen2d;
     use syncplace_overlap::{decompose2d, Pattern};
     use syncplace_partition::{partition2d, Method};
-    use syncplace_runtime::bindings::testiv_bindings;
+    use syncplace_runtime::bindings::{kind_index, testiv_bindings, MapBinding, MapData};
 
     fn setup(
         nparts: usize,
@@ -437,11 +400,109 @@ mod tests {
         );
     }
 
+    /// A tri loop reads an edge array through `TE`, an edge array the
+    /// edge loop computed on owned edges only, so its ghosts are stale.
+    const TE_GATHER: &str = "program te_gather
+  input W0 : edge
+  output R : tri
+  map TE : tri -> edge [3]
+  var W : edge
+  forall e in edge split { W(e) = W0(e) * 2.0 }
+  forall i in tri split { R(i) = W(TE(i,1)) + 2.0 * W(TE(i,2)) + 3.0 * W(TE(i,3)) }
+end";
+
+    /// A tri loop scatters into an edge array through `TE`.
+    const TE_SCATTER: &str = "program te_scatter
+  input A : tri
+  output S : edge
+  map TE : tri -> edge [3]
+  forall e in edge split { S(e) = 0.0 }
+  forall i in tri split {
+    S(TE(i,1)) = S(TE(i,1)) + A(i)
+    S(TE(i,2)) = S(TE(i,2)) + 2.0 * A(i)
+    S(TE(i,3)) = S(TE(i,3)) + 3.0 * A(i)
+  }
+end";
+
+    /// A node loop reads a tri array through `NT`.
+    const NT_GATHER: &str = "program nt_gather
+  input A : tri
+  output R : node
+  map NT : node -> tri [1]
+  forall i in node split { R(i) = A(NT(i,1)) }
+end";
+
+    /// `src` on `perturbed_grid(9, 7, 0.2, 5)`: standard bindings,
+    /// `map` bound to the custom table `table`, every input array
+    /// filled with distinct values.
+    fn bind(src: &str, map: &str, table: MapData) -> (Program, syncplace_mesh::Mesh2d, Bindings) {
+        let p = syncplace_ir::parser::parse(src).unwrap();
+        let mesh = gen2d::perturbed_grid(9, 7, 0.2, 5);
+        let mut b = Bindings::for_mesh(&p, mesh.nnodes(), &mesh.som);
+        b.maps
+            .insert(p.lookup(map).unwrap(), MapBinding::Custom(table));
+        for v in p.inputs() {
+            if let VarKind::Array { base } = p.decl(v).kind {
+                let n = b.counts[kind_index(base)];
+                b.input_arrays
+                    .insert(v, (0..n).map(|i| 1.0 + (i % 7) as f64 * 0.3).collect());
+            }
+        }
+        (p, mesh, b)
+    }
+
+    #[test]
+    fn edge_arrays_gather_and_flush_along_the_edge_schedule() {
+        let mesh = gen2d::perturbed_grid(9, 7, 0.2, 5);
+        let te = MapData {
+            arity: 3,
+            targets: syncplace_mesh::edges_first_seen(&mesh.som).1,
+        };
+        for src in [TE_GATHER, TE_SCATTER] {
+            let (p, mesh, b) = bind(src, "TE", te.clone());
+            let seq = syncplace_runtime::run_sequential(&p, &b);
+            for np in [2, 3, 4] {
+                let part = partition2d(&mesh, np, Method::Greedy);
+                let d = decompose2d(&mesh, &part.part, np, Pattern::FIG1);
+                let r = run_inspector_executor(&p, &d, &b).unwrap();
+                let err = syncplace_runtime::max_rel_error(&seq, &r.result);
+                assert!(err < 1e-9, "{} P={np}: max rel error {err}", p.name);
+            }
+        }
+    }
+
+    #[test]
+    fn element_array_ghosts_are_an_error() {
+        let mesh = gen2d::perturbed_grid(9, 7, 0.2, 5);
+        for np in [2, 3, 4] {
+            let part = partition2d(&mesh, np, Method::Greedy).part;
+            // Each node's incident triangle of the largest part: on the
+            // node's owner (the smallest part) an interface node's
+            // pick is an overlap triangle.
+            let mut pick = vec![0u32; mesh.nnodes()];
+            for (t, tri) in mesh.som.iter().enumerate() {
+                for &v in tri {
+                    if part[t] >= part[pick[v as usize] as usize] {
+                        pick[v as usize] = t as u32;
+                    }
+                }
+            }
+            let nt = MapData {
+                arity: 1,
+                targets: pick,
+            };
+            let (p, mesh, b) = bind(NT_GATHER, "NT", nt);
+            let d = decompose2d(&mesh, &part, np, Pattern::FIG1);
+            let err = run_inspector_executor(&p, &d, &b).unwrap_err();
+            assert!(err.contains("element array A"), "P={np}: {err}");
+        }
+    }
+
     #[test]
     fn ghost_schedules_are_subsets_of_full_update() {
         let (p, d, b, _) = setup(3);
         let machines = build_machines(&p, &d, &b).unwrap();
-        let plan = inspect(&p, &d, &machines);
+        let plan = inspect(&p, &d, &machines).unwrap();
         for (_, sched) in plan.gathers.values().flatten() {
             assert!(sched.total_values() <= d.node_update.total_values());
             assert!(sched.total_values() > 0);

@@ -26,11 +26,15 @@
 //! stamp-validated scratch arrays that are allocated once and reused
 //! across parts, and schedules are derived from an entity placement
 //! (a global-entity → (part, local) CSR) instead of dense per-part
-//! lookup tables. Total cost is O(M + N) for the dedup (M element-local
-//! edge slots, N nodes) plus O(total sub-mesh slots) for everything
-//! else — no per-entity hashing and no dense O(parts × entities)
-//! scans, so million-element meshes at 128 parts stay within a few
-//! hundred bytes per element.
+//! lookup tables; an update schedule lists only the messages that
+//! carry a copy, and readers ask the [`Decomposition`] by entity kind
+//! ([`Decomposition::owners`], [`Decomposition::update_schedule`],
+//! [`Decomposition::scatter`], [`Decomposition::gather`]), never
+//! through a node / edge / element ladder of their own. Total cost is
+//! O(M + N) for the dedup (M element-local edge slots, N nodes) plus
+//! O(total sub-mesh slots) for everything else — no per-entity hashing
+//! and no dense O(parts × entities) scans, so million-element meshes at
+//! 128 parts stay within a few hundred bytes per element.
 //!
 //! A build is three steps: [`global_setup`], [`build_submesh`] once per
 //! part, then [`finish`] (placements, schedules and the one
@@ -40,7 +44,7 @@
 
 use crate::pattern::Pattern;
 use crate::schedule::{AssembleSchedule, UpdateSchedule};
-use crate::submesh::SubMesh;
+use crate::submesh::{elem_kind, SubMesh};
 use syncplace_mesh::{edges_first_seen, n_vertex_pairs, Csr, EntityKind, Mesh2d, Mesh3d};
 
 /// A complete decomposition: all sub-meshes plus schedules and
@@ -137,29 +141,21 @@ pub fn finish<const V: usize>(
     pattern: Pattern,
 ) -> Decomposition<V> {
     let (nnodes, nparts) = (setup.nnodes, setup.nparts);
-    let mut node_update = UpdateSchedule::new(nparts);
-    let mut edge_update = UpdateSchedule::new(nparts);
+    let mut node_update = UpdateSchedule::default();
+    let mut edge_update = UpdateSchedule::default();
     let mut node_assemble = AssembleSchedule::default();
+    let node_place =
+        EntityPlacement::from_l2g(nnodes, submeshes.iter().map(|s| s.nodes_l2g.as_slice()));
     match pattern {
         Pattern::ElementOverlap { .. } => {
-            let node_place =
-                EntityPlacement::from_l2g(nnodes, submeshes.iter().map(|s| s.nodes_l2g.as_slice()));
             let edge_place = EntityPlacement::from_l2g(
                 setup.global_edges.len(),
                 submeshes.iter().map(|s| s.edges_l2g.as_slice()),
             );
-            let owner_nodes = owner_csr(nparts, &setup.node_owner);
-            let owner_edges = owner_csr(nparts, &setup.edge_owner);
-            for p in 0..nparts {
-                node_update.msgs[p] =
-                    update_rows_for_owner(p as u32, owner_nodes.row(p), &node_place, nparts);
-                edge_update.msgs[p] =
-                    update_rows_for_owner(p as u32, owner_edges.row(p), &edge_place, nparts);
-            }
+            node_update = owner_to_copies(&setup.node_owner, &node_place);
+            edge_update = owner_to_copies(&setup.edge_owner, &edge_place);
         }
         Pattern::NodeOverlap => {
-            let node_place =
-                EntityPlacement::from_l2g(nnodes, submeshes.iter().map(|s| s.nodes_l2g.as_slice()));
             node_assemble.groups = assemble_groups(&setup.node_owner, &node_place);
         }
     }
@@ -547,40 +543,17 @@ impl EntityPlacement {
 
 // --- Schedule construction -------------------------------------------------
 
-/// Owner part → its owned entities (ascending global id).
-fn owner_csr(nparts: usize, owner: &[u32]) -> Csr {
-    let pairs: Vec<(u32, u32)> = owner
-        .iter()
-        .enumerate()
-        .map(|(g, &o)| (o, g as u32))
-        .collect();
-    Csr::from_pairs(nparts, &pairs)
-}
-
-/// The update-schedule rows sent *by* owner `p`: for every owned
-/// entity (ascending global id), one `(src_local_on_p, dst_local_on_q)`
-/// pair per non-owner copy. Rows come back sorted by source index.
-fn update_rows_for_owner(
-    p: u32,
-    owned: &[u32],
-    place: &EntityPlacement,
-    nparts: usize,
-) -> Vec<Vec<(u32, u32)>> {
-    let mut rows: Vec<Vec<(u32, u32)>> = vec![Vec::new(); nparts];
-    for &g in owned {
-        let src = place
-            .local_on(g as usize, p)
-            .expect("owner holds its entity");
-        for (q, dst) in place.row(g as usize) {
-            if q != p {
-                rows[q as usize].push((src, dst));
-            }
-        }
+/// The owner→copies update of one entity kind: one `(owner, part,
+/// src_local_on_owner, dst_local_on_part)` copy per placement of an
+/// entity on a part other than its owner.
+fn owner_to_copies(owner: &[u32], place: &EntityPlacement) -> UpdateSchedule {
+    let mut copies = Vec::with_capacity(place.parts.len() - owner.len());
+    for (g, &o) in owner.iter().enumerate() {
+        let src = place.local_on(g, o).expect("owner holds its entity");
+        let others = place.row(g).filter(|&(q, _)| q != o);
+        copies.extend(others.map(|(q, dst)| (o, q, src, dst)));
     }
-    for r in &mut rows {
-        r.sort_unstable();
-    }
-    rows
+    UpdateSchedule::from_copies(copies)
 }
 
 /// Assembly groups in ascending global node order: every node held by
@@ -599,81 +572,53 @@ fn assemble_groups(node_owner: &[u32], place: &EntityPlacement) -> Vec<Vec<(u32,
 }
 
 impl<const V: usize> Decomposition<V> {
-    /// The owner→copies schedule an update of a `base`-based array
+    /// Owner part per global entity of `kind` (an element's owner is
+    /// its part); `None` for a kind this arity lacks.
+    pub fn owners(&self, kind: EntityKind) -> Option<&[u32]> {
+        match kind {
+            EntityKind::Node => Some(&self.node_owner),
+            EntityKind::Edge => Some(&self.edge_owner),
+            k if k == elem_kind::<V>() => Some(&self.elem_part),
+            _ => None,
+        }
+    }
+
+    /// The owner→copies schedule an update of a `kind`-based array
     /// runs: `None` for element arrays, which every pattern recomputes
     /// redundantly, so they are always coherent.
-    pub fn update_schedule(&self, base: EntityKind) -> Option<&UpdateSchedule> {
-        match base {
+    pub fn update_schedule(&self, kind: EntityKind) -> Option<&UpdateSchedule> {
+        match kind {
             EntityKind::Node => Some(&self.node_update),
             EntityKind::Edge => Some(&self.edge_update),
             EntityKind::Tri | EntityKind::Tet => None,
         }
     }
 
-    /// Split a global node-based array into per-processor local arrays.
-    /// One pass over the local slots of each part (no global scans).
-    pub fn scatter_node_array(&self, global: &[f64]) -> Vec<Vec<f64>> {
-        assert_eq!(global.len(), self.nnodes_global);
-        self.submeshes
-            .iter()
-            .map(|s| s.nodes_l2g.iter().map(|&g| global[g as usize]).collect())
-            .collect()
+    /// Split a global `kind`-based array into per-processor local
+    /// arrays, one pass over each part's local slots; `None` for a kind
+    /// this arity lacks.
+    pub fn scatter(&self, kind: EntityKind, global: &[f64]) -> Option<Vec<Vec<f64>>> {
+        assert_eq!(global.len(), self.owners(kind)?.len());
+        let local =
+            |s: &SubMesh<V>| Some(s.l2g(kind)?.iter().map(|&g| global[g as usize]).collect());
+        self.submeshes.iter().map(local).collect()
     }
 
-    /// Rebuild a global node array from local arrays, reading every
-    /// node's value from its owner (kernel values are authoritative).
-    /// One pass over kernel slots, which partition the global ids.
-    pub fn gather_node_array(&self, locals: &[Vec<f64>]) -> Vec<f64> {
-        let mut global = vec![0.0; self.nnodes_global];
+    /// Rebuild a global `kind`-based array from local arrays, reading
+    /// every entity's value from its owner (kernel values are
+    /// authoritative): one pass over kernel slots, which partition the
+    /// global ids. `None` for a kind this arity lacks.
+    pub fn gather(&self, kind: EntityKind, locals: &[Vec<f64>]) -> Option<Vec<f64>> {
+        let owners = self.owners(kind)?;
+        let mut global = vec![0.0; owners.len()];
         for (p, s) in self.submeshes.iter().enumerate() {
-            for (l, &g) in s.nodes_l2g.iter().enumerate().take(s.n_kernel_nodes) {
-                debug_assert_eq!(self.node_owner[g as usize], p as u32);
+            let kernel = &s.l2g(kind)?[..s.n_kernel(kind)?];
+            for (l, &g) in kernel.iter().enumerate() {
+                debug_assert_eq!(owners[g as usize], p as u32);
                 global[g as usize] = locals[p][l];
             }
         }
-        global
-    }
-
-    /// Split a global element-based array into per-processor local arrays.
-    pub fn scatter_elem_array(&self, global: &[f64]) -> Vec<Vec<f64>> {
-        assert_eq!(global.len(), self.nelems_global);
-        self.submeshes
-            .iter()
-            .map(|s| s.elems_l2g.iter().map(|&g| global[g as usize]).collect())
-            .collect()
-    }
-
-    /// Rebuild a global element array from owners' kernel values.
-    pub fn gather_elem_array(&self, locals: &[Vec<f64>]) -> Vec<f64> {
-        let mut global = vec![0.0; self.nelems_global];
-        for (p, s) in self.submeshes.iter().enumerate() {
-            for (l, &g) in s.elems_l2g.iter().enumerate().take(s.n_kernel_elems) {
-                debug_assert_eq!(self.elem_part[g as usize], p as u32);
-                global[g as usize] = locals[p][l];
-            }
-        }
-        global
-    }
-
-    /// Split a global edge-based array into per-processor local arrays.
-    pub fn scatter_edge_array(&self, global: &[f64]) -> Vec<Vec<f64>> {
-        assert_eq!(global.len(), self.global_edges.len());
-        self.submeshes
-            .iter()
-            .map(|s| s.edges_l2g.iter().map(|&g| global[g as usize]).collect())
-            .collect()
-    }
-
-    /// Rebuild a global edge array from owners' kernel values.
-    pub fn gather_edge_array(&self, locals: &[Vec<f64>]) -> Vec<f64> {
-        let mut global = vec![0.0; self.global_edges.len()];
-        for (p, s) in self.submeshes.iter().enumerate() {
-            for (l, &g) in s.edges_l2g.iter().enumerate().take(s.n_kernel_edges) {
-                debug_assert_eq!(self.edge_owner[g as usize], p as u32);
-                global[g as usize] = locals[p][l];
-            }
-        }
-        global
+        Some(global)
     }
 
     /// Total number of duplicated (overlap) elements across parts —
@@ -812,6 +757,74 @@ mod tests {
         assert!(d2.total_overlap_elems() > d1.total_overlap_elems());
     }
 
+    /// `s` against a brute-force reference built from the `l2g` lists
+    /// and `owners` alone: for every copy of an entity on a part q
+    /// other than its owner p, one `(p-local, q-local)` pair in the
+    /// p → q message. Messages must be non-empty, never to their
+    /// sender, strictly ascending by `(from, to)`, with pairs ascending.
+    fn check_against_reference(
+        owners: &[u32],
+        l2g: &[&[u32]],
+        s: &UpdateSchedule,
+    ) -> Result<(), String> {
+        for m in &s.msgs {
+            if m.pairs.is_empty() || m.from == m.to {
+                return Err(format!(
+                    "message {} -> {} is empty or to itself",
+                    m.from, m.to
+                ));
+            }
+            if !m.pairs.windows(2).all(|w| w[0] < w[1]) {
+                return Err(format!(
+                    "message {} -> {} pairs do not ascend",
+                    m.from, m.to
+                ));
+            }
+        }
+        if !s
+            .msgs
+            .windows(2)
+            .all(|w| (w[0].from, w[0].to) < (w[1].from, w[1].to))
+        {
+            return Err("messages do not ascend by (from, to)".into());
+        }
+        let mut on_owner = vec![u32::MAX; owners.len()];
+        for (p, list) in l2g.iter().enumerate() {
+            for (l, &g) in list.iter().enumerate() {
+                if owners[g as usize] == p as u32 {
+                    on_owner[g as usize] = l as u32;
+                }
+            }
+        }
+        let mut want: Vec<(u32, u32, u32, u32)> = Vec::new();
+        for (q, list) in l2g.iter().enumerate() {
+            for (l, &g) in list.iter().enumerate() {
+                let p = owners[g as usize];
+                if p != q as u32 {
+                    want.push((p, q as u32, on_owner[g as usize], l as u32));
+                }
+            }
+        }
+        want.sort_unstable();
+        let got: Vec<(u32, u32, u32, u32)> = (s.msgs.iter())
+            .flat_map(|m| m.pairs.iter().map(|&(src, dst)| (m.from, m.to, src, dst)))
+            .collect();
+        if got != want {
+            return Err(format!("schedule {got:?} != reference {want:?}"));
+        }
+        Ok(())
+    }
+
+    fn check_both_kinds<const V: usize>(d: &Decomposition<V>) -> Result<(), String> {
+        for kind in [EntityKind::Node, EntityKind::Edge] {
+            let l2g: Vec<&[u32]> = d.submeshes.iter().map(|s| s.l2g(kind).unwrap()).collect();
+            let s = d.update_schedule(kind).unwrap();
+            check_against_reference(d.owners(kind).unwrap(), &l2g, s)
+                .map_err(|e| format!("{kind}: {e}"))?;
+        }
+        Ok(())
+    }
+
     #[test]
     fn update_schedule_covers_all_copies() {
         let d = decomp(8, 8, 4, Pattern::FIG1);
@@ -819,6 +832,25 @@ mod tests {
         let slots: usize = d.submeshes.iter().map(|s| s.nnodes()).sum();
         let copies = slots - d.nnodes_global;
         assert_eq!(d.node_update.total_values(), copies);
+
+        let mesh2 = gen2d::perturbed_grid(10, 9, 0.2, 3);
+        let mesh3 = syncplace_mesh::gen3d::box_mesh(4, 4, 3);
+        for pattern in [Pattern::FIG1, Pattern::ElementOverlap { layers: 2 }] {
+            for np in [1, 2, 5, 16] {
+                let part2 = partition2d(&mesh2, np, Method::Greedy).part;
+                let d2 = decompose2d(&mesh2, &part2, np, pattern);
+                check_both_kinds(&d2).unwrap_or_else(|e| panic!("2-D {pattern:?} P={np}: {e}"));
+                let part3 = syncplace_partition::partition3d(&mesh3, np, Method::Rcb).part;
+                let d3 = decompose3d(&mesh3, &part3, np, pattern);
+                check_both_kinds(&d3).unwrap_or_else(|e| panic!("3-D {pattern:?} P={np}: {e}"));
+                assert_eq!(d2.node_update.msgs.is_empty(), np == 1);
+                assert_eq!(d3.edge_update.msgs.is_empty(), np == 1);
+            }
+        }
+        // The reference catches a lost copy.
+        let mut lost = decomp(8, 8, 4, Pattern::FIG1);
+        lost.node_update.msgs[0].pairs.pop();
+        assert!(check_both_kinds(&lost).is_err());
     }
 
     #[test]
@@ -842,8 +874,8 @@ mod tests {
         for pattern in [Pattern::FIG1, Pattern::FIG2] {
             let d = decomp(7, 5, 3, pattern);
             let global: Vec<f64> = (0..d.nnodes_global).map(|i| i as f64 * 1.5).collect();
-            let locals = d.scatter_node_array(&global);
-            let back = d.gather_node_array(&locals);
+            let locals = d.scatter(EntityKind::Node, &global).unwrap();
+            let back = d.gather(EntityKind::Node, &locals).unwrap();
             assert_eq!(global, back);
         }
     }
@@ -852,9 +884,11 @@ mod tests {
     fn scatter_gather_elem_roundtrip() {
         let d = decomp(7, 5, 3, Pattern::FIG1);
         let global: Vec<f64> = (0..d.nelems_global).map(|i| i as f64 - 3.0).collect();
-        let locals = d.scatter_elem_array(&global);
-        let back = d.gather_elem_array(&locals);
+        let locals = d.scatter(EntityKind::Tri, &global).unwrap();
+        let back = d.gather(EntityKind::Tri, &locals).unwrap();
         assert_eq!(global, back);
+        assert!(d.scatter(EntityKind::Tet, &global).is_none());
+        assert!(d.gather(EntityKind::Tet, &locals).is_none());
     }
 
     #[test]

@@ -9,16 +9,16 @@
 
 use crate::build::Decomposition;
 use crate::pattern::Pattern;
+use crate::submesh::{elem_kind, SubMesh};
+use syncplace_mesh::EntityKind;
 
 /// Apply the Fig. 1 update communication to per-processor node arrays:
 /// every overlap copy receives its owner's kernel value.
 pub fn apply_update<const V: usize>(d: &Decomposition<V>, locals: &mut [Vec<f64>]) {
-    for (p, row) in d.node_update.msgs.iter().enumerate() {
-        for (q, msg) in row.iter().enumerate() {
-            for &(src, dst) in msg {
-                let v = locals[p][src as usize];
-                locals[q][dst as usize] = v;
-            }
+    for m in &d.node_update.msgs {
+        for &(src, dst) in &m.pairs {
+            let v = locals[m.from as usize][src as usize];
+            locals[m.to as usize][dst as usize] = v;
         }
     }
 }
@@ -38,22 +38,13 @@ pub fn apply_assemble<const V: usize>(d: &Decomposition<V>, locals: &mut [Vec<f6
 /// global node hold the same value as its owner's kernel copy (state
 /// `Nod0` of the overlap automaton)?
 pub fn is_coherent<const V: usize>(d: &Decomposition<V>, locals: &[Vec<f64>], tol: f64) -> bool {
-    for (p, s) in d.submeshes.iter().enumerate() {
-        for (l, &g) in s.nodes_l2g.iter().enumerate() {
-            let owner = d.node_owner[g as usize] as usize;
-            let sowner = &d.submeshes[owner];
-            let lo = sowner
-                .nodes_l2g
-                .iter()
-                .position(|&x| x == g)
-                .expect("owner holds its node");
-            let v_owner = locals[owner][lo];
-            if (locals[p][l] - v_owner).abs() > tol {
-                return false;
-            }
-        }
-    }
-    true
+    let owned = d
+        .gather(EntityKind::Node, locals)
+        .expect("every arity has nodes");
+    let stale = |(s, local): (&SubMesh<V>, &Vec<f64>)| {
+        (s.nodes_l2g.iter().zip(local)).any(|(&g, &v)| (v - owned[g as usize]).abs() > tol)
+    };
+    !d.submeshes.iter().zip(locals).any(stale)
 }
 
 /// Full structural audit of a decomposition. Returns the first
@@ -63,31 +54,26 @@ pub fn audit<const V: usize>(d: &Decomposition<V>) -> Result<(), String> {
     for s in &d.submeshes {
         s.validate().map_err(|e| format!("part {}: {e}", s.part))?;
     }
-    // Kernel node cover/uniqueness.
-    let mut owned = vec![0u32; d.nnodes_global];
-    for s in &d.submeshes {
-        for &g in s.nodes_l2g.iter().take(s.n_kernel_nodes) {
-            owned[g as usize] += 1;
-            if d.node_owner[g as usize] != s.part {
-                return Err(format!(
-                    "node {g} is kernel in part {} but owned by {}",
-                    s.part, d.node_owner[g as usize]
-                ));
+    // Kernel cover/uniqueness: every entity is kernel on exactly one
+    // part, its owner.
+    for kind in [EntityKind::Node, elem_kind::<V>(), EntityKind::Edge] {
+        let owners = d.owners(kind).unwrap_or_default();
+        let mut owned = vec![0u32; owners.len()];
+        for s in &d.submeshes {
+            let kernel = &s.l2g(kind).unwrap_or_default()[..s.n_kernel(kind).unwrap_or_default()];
+            for &g in kernel {
+                owned[g as usize] += 1;
+                if owners[g as usize] != s.part {
+                    return Err(format!(
+                        "{kind} {g} is kernel in part {} but owned by {}",
+                        s.part, owners[g as usize]
+                    ));
+                }
             }
         }
-    }
-    if let Some(n) = owned.iter().position(|&c| c != 1) {
-        return Err(format!("node {n} kernel-owned {} times", owned[n]));
-    }
-    // Kernel element cover/uniqueness.
-    let mut eowned = vec![0u32; d.nelems_global];
-    for s in &d.submeshes {
-        for &g in s.elems_l2g.iter().take(s.n_kernel_elems) {
-            eowned[g as usize] += 1;
+        if let Some(g) = owned.iter().position(|&c| c != 1) {
+            return Err(format!("{kind} {g} kernel-owned {} times", owned[g]));
         }
-    }
-    if let Some(e) = eowned.iter().position(|&c| c != 1) {
-        return Err(format!("element {e} kernel-owned {} times", eowned[e]));
     }
     // Pattern-specific schedule shape.
     match d.pattern {
@@ -130,7 +116,7 @@ mod tests {
     fn update_restores_coherence() {
         let d = fig1_decomp();
         let global: Vec<f64> = (0..d.nnodes_global).map(|i| (i * 7 % 13) as f64).collect();
-        let mut locals = d.scatter_node_array(&global);
+        let mut locals = d.scatter(EntityKind::Node, &global).unwrap();
         // Corrupt all overlap values.
         for s in &d.submeshes {
             for v in &mut locals[s.part as usize][s.n_kernel_nodes..s.nnodes()] {
@@ -140,7 +126,7 @@ mod tests {
         assert!(!is_coherent(&d, &locals, 1e-12));
         apply_update(&d, &mut locals);
         assert!(is_coherent(&d, &locals, 1e-12));
-        assert_eq!(d.gather_node_array(&locals), global);
+        assert_eq!(d.gather(EntityKind::Node, &locals).unwrap(), global);
     }
 
     #[test]
@@ -187,7 +173,7 @@ mod tests {
     #[test]
     fn audit_catches_corruption() {
         let mut d = fig1_decomp();
-        d.node_update.msgs[0][1].pop();
+        d.node_update.msgs[0].pairs.pop();
         assert!(audit(&d).is_err());
     }
 
@@ -221,7 +207,7 @@ mod tests {
             }
             // Local: same steps on each sub-mesh, full local domain,
             // NO communication.
-            let locals0 = d.scatter_node_array(&global0);
+            let locals0 = d.scatter(EntityKind::Node, &global0).unwrap();
             for s in &d.submeshes {
                 let mut local = locals0[s.part as usize].clone();
                 for _ in 0..layers {
@@ -252,7 +238,7 @@ mod tests {
         for _ in 0..2 {
             global = gs_step(mesh.nnodes(), &mesh.som, &global);
         }
-        let locals0 = d.scatter_node_array(&global0);
+        let locals0 = d.scatter(EntityKind::Node, &global0).unwrap();
         let mut any_wrong = false;
         for s in &d.submeshes {
             let mut local = locals0[s.part as usize].clone();

@@ -16,8 +16,10 @@
 //! * [`Decomposition`] — all sub-meshes plus the communication
 //!   schedules: [`UpdateSchedule`] (owner kernel value → overlap
 //!   copies, Fig. 1) and [`AssembleSchedule`] (combine partial values
-//!   of shared nodes, Fig. 2), plus scatter/gather helpers between
-//!   global arrays and per-processor local arrays.
+//!   of shared nodes, Fig. 2), plus scatter/gather between global
+//!   arrays and per-processor local arrays. Readers ask it by entity
+//!   kind ([`Decomposition::update_schedule`],
+//!   [`Decomposition::scatter`], [`Decomposition::gather`]).
 //!
 //! The invariants these structures must satisfy (checked in
 //! [`check`]) are exactly the paper's correctness argument: under the
@@ -40,4 +42,4 @@ pub use build::{
 };
 pub use pattern::Pattern;
 pub use schedule::{AssembleSchedule, UpdateSchedule};
-pub use submesh::{SubMesh, SubMesh2d, SubMesh3d};
+pub use submesh::{elem_kind, SubMesh, SubMesh2d, SubMesh3d};

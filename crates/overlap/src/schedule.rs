@@ -6,68 +6,85 @@
 //! decomposition, entirely from the mesh geometry and partition (the
 //! paper's point versus inspector/executor: the "inspector" phase is
 //! replaced by static analysis in the mesh splitter, §5.1).
+//!
+//! An update schedule is sparse: it lists the messages that carry
+//! something, as a star forest lists each copy's owner, and holds no
+//! rank × rank table.
+
+/// One point-to-point message of an update: the copies `from` refreshes
+/// on `to`, as `(src_local_on_from, dst_local_on_to)` pairs ascending.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Message {
+    /// The sending (owner) part.
+    pub from: u32,
+    /// The receiving (copy-holding) part.
+    pub to: u32,
+    /// The copies it refreshes; never empty.
+    pub pairs: Vec<(u32, u32)>,
+}
 
 /// Fig. 1-style update schedule: each owned (kernel) value is sent to
 /// the overlap copies of the same entity on other processors.
 ///
-/// `msgs[p][q]` lists `(src_local_on_p, dst_local_on_q)` pairs, sorted
-/// by source index — a deterministic order that makes concurrent and
-/// round-robin executions bitwise identical.
+/// `msgs` ascends strictly by `(from, to)` and holds no empty message
+/// — a deterministic order that makes concurrent and round-robin
+/// executions bitwise identical.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct UpdateSchedule {
-    /// `msgs[p][q]` = node pairs sent from processor `p` to `q`.
-    pub msgs: Vec<Vec<Vec<(u32, u32)>>>,
+    /// The non-empty messages, ascending `(from, to)`.
+    pub msgs: Vec<Message>,
 }
 
 impl UpdateSchedule {
-    /// Empty schedule over `nparts` processors.
-    pub fn new(nparts: usize) -> Self {
-        UpdateSchedule {
-            msgs: vec![vec![Vec::new(); nparts]; nparts],
+    /// The schedule of `(from, to, src, dst)` copies given in any
+    /// order: sorted, then split into one message per `(from, to)` run.
+    pub fn from_copies(mut copies: Vec<(u32, u32, u32, u32)>) -> UpdateSchedule {
+        copies.sort_unstable();
+        let mut msgs = Vec::new();
+        for run in copies.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)) {
+            let (from, to) = (run[0].0, run[0].1);
+            let pairs = run.iter().map(|c| (c.2, c.3)).collect();
+            msgs.push(Message { from, to, pairs });
         }
+        UpdateSchedule { msgs }
     }
 
-    /// Number of processors.
-    pub fn nparts(&self) -> usize {
-        self.msgs.len()
+    /// The copies `keep(to, dst)` accepts, in the same order; messages
+    /// left empty are dropped.
+    pub fn restrict(&self, mut keep: impl FnMut(u32, u32) -> bool) -> UpdateSchedule {
+        let mut msgs = Vec::new();
+        for m in &self.msgs {
+            let pairs: Vec<_> = m
+                .pairs
+                .iter()
+                .filter(|p| keep(m.to, p.1))
+                .copied()
+                .collect();
+            if !pairs.is_empty() {
+                msgs.push(Message { pairs, ..*m });
+            }
+        }
+        UpdateSchedule { msgs }
     }
 
     /// Total number of values exchanged in one update.
     pub fn total_values(&self) -> usize {
-        self.msgs
-            .iter()
-            .flat_map(|row| row.iter())
-            .map(|m| m.len())
-            .sum()
+        self.msgs.iter().map(|m| m.pairs.len()).sum()
     }
 
-    /// Number of point-to-point messages in one update (non-empty
-    /// `(p,q)` pairs).
+    /// Number of point-to-point messages in one update.
     pub fn total_messages(&self) -> usize {
-        self.msgs
-            .iter()
-            .flat_map(|row| row.iter())
-            .filter(|m| !m.is_empty())
-            .count()
+        self.msgs.len()
     }
 
     /// The largest number of values any single processor sends
     /// (the per-phase critical path under simultaneous sends).
     pub fn max_send_values(&self) -> usize {
-        self.msgs
-            .iter()
-            .map(|row| row.iter().map(|m| m.len()).sum::<usize>())
+        let per_sender = self.msgs.chunk_by(|a, b| a.from == b.from);
+        per_sender
+            .map(|run| run.iter().map(|m| m.pairs.len()).sum::<usize>())
             .max()
             .unwrap_or(0)
-    }
-
-    /// Sort all message lists by source index (determinism).
-    pub fn sort(&mut self) {
-        for row in &mut self.msgs {
-            for m in row.iter_mut() {
-                m.sort_unstable();
-            }
-        }
     }
 }
 
@@ -123,14 +140,15 @@ mod tests {
 
     #[test]
     fn update_counts() {
-        let mut s = UpdateSchedule::new(3);
-        s.msgs[0][1] = vec![(2, 0), (1, 1)];
-        s.msgs[2][0] = vec![(0, 3)];
+        let s = UpdateSchedule::from_copies(vec![(0, 1, 2, 0), (2, 0, 0, 3), (0, 1, 1, 1)]);
         assert_eq!(s.total_values(), 3);
         assert_eq!(s.total_messages(), 2);
         assert_eq!(s.max_send_values(), 2);
-        s.sort();
-        assert_eq!(s.msgs[0][1], vec![(1, 1), (2, 0)]);
+        assert_eq!((s.msgs[0].from, s.msgs[0].to), (0, 1));
+        assert_eq!(s.msgs[0].pairs, vec![(1, 1), (2, 0)]);
+        let kept = s.restrict(|to, dst| (to, dst) != (1, 0));
+        assert_eq!(kept.msgs[0].pairs, vec![(1, 1)]);
+        assert_eq!(s.restrict(|to, _| to == 0).total_messages(), 1);
     }
 
     #[test]
@@ -147,7 +165,8 @@ mod tests {
 
     #[test]
     fn empty_schedules() {
-        assert_eq!(UpdateSchedule::new(4).total_values(), 0);
+        assert_eq!(UpdateSchedule::default().total_values(), 0);
+        assert_eq!(UpdateSchedule::default().max_send_values(), 0);
         assert_eq!(AssembleSchedule::default().total_messages(), 0);
     }
 }

@@ -14,6 +14,22 @@
 //! domain iterates `0..n_*`. This is the numbering that makes the
 //! paper's `C$ITERATION DOMAIN: KERNEL / OVERLAP` annotations directly
 //! executable.
+//!
+//! Every per-kind question — which list maps a kind's local ids to
+//! global ones, how long its kernel prefix is — is answered here, by
+//! [`SubMesh::l2g`] and [`SubMesh::n_kernel`].
+
+use syncplace_mesh::EntityKind;
+
+/// The element entity kind of an arity (`V = 3` triangles, `V = 4`
+/// tetrahedra).
+pub fn elem_kind<const V: usize>() -> EntityKind {
+    match V {
+        3 => EntityKind::Tri,
+        4 => EntityKind::Tet,
+        _ => panic!("unsupported element arity {V}"),
+    }
+}
 
 /// A localized sub-mesh with `V`-vertex elements (`V = 3` triangles,
 /// `V = 4` tetrahedra).
@@ -61,6 +77,28 @@ impl<const V: usize> SubMesh<V> {
     /// Number of local edges.
     pub fn nedges(&self) -> usize {
         self.edges_l2g.len()
+    }
+
+    /// Local → global ids of `kind`, kernel first; `None` for a kind
+    /// this arity lacks.
+    pub fn l2g(&self, kind: EntityKind) -> Option<&[u32]> {
+        match kind {
+            EntityKind::Node => Some(&self.nodes_l2g),
+            EntityKind::Edge => Some(&self.edges_l2g),
+            k if k == elem_kind::<V>() => Some(&self.elems_l2g),
+            _ => None,
+        }
+    }
+
+    /// Number of kernel entities of `kind` (the prefix of
+    /// [`SubMesh::l2g`]); `None` for a kind this arity lacks.
+    pub fn n_kernel(&self, kind: EntityKind) -> Option<usize> {
+        match kind {
+            EntityKind::Node => Some(self.n_kernel_nodes),
+            EntityKind::Edge => Some(self.n_kernel_edges),
+            k if k == elem_kind::<V>() => Some(self.n_kernel_elems),
+            _ => None,
+        }
     }
 
     /// Number of overlap (non-kernel) nodes.
@@ -133,6 +171,10 @@ mod tests {
         assert_eq!(s.nnodes(), 4);
         assert_eq!(s.n_overlap_nodes(), 1);
         assert_eq!(s.n_overlap_elems(), 1);
+        assert_eq!(s.l2g(EntityKind::Tri), Some(&[0, 5][..]));
+        assert_eq!(s.n_kernel(EntityKind::Edge), Some(3));
+        assert_eq!(s.l2g(EntityKind::Tet), None);
+        assert_eq!(s.n_kernel(EntityKind::Tet), None);
     }
 
     #[test]

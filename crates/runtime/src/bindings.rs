@@ -6,9 +6,9 @@
 //! (element→vertices, edge→endpoints, or a custom table), the global
 //! values of every input array, and the values of input scalars.
 
-use crate::spmd::elem_kind;
 use syncplace_ir::{EntityKind, IdVec, Program, Stmt, VarKind};
 use syncplace_mesh::edges_first_seen;
+use syncplace_overlap::elem_kind;
 
 /// A concrete indirection table in *global* entity numbering.
 #[derive(Debug, Clone)]

@@ -6,6 +6,7 @@
 //! turns the counts into the modeled wall-clock of an early-90s MPP.
 
 use crate::exec::Machine;
+use std::collections::BTreeMap;
 use syncplace_dfg::ReduceOp;
 use syncplace_ir::{Program, VarId, VarKind};
 use syncplace_obs::{keys, RecorderRef};
@@ -109,10 +110,10 @@ pub fn update_schedule<'d, const V: usize>(
 }
 
 /// Apply an owner→copies update of `var` along `schedule` and return
-/// the phase contribution. When a recorder is live, each non-empty
-/// schedule message is recorded as one packet of the ordered pair it
-/// travels on (the round-robin engine simulates a per-op wire: one
-/// message per comm op per peer).
+/// the phase contribution. When a recorder is live, each schedule
+/// message is recorded as one packet of the ordered pair it travels
+/// on (the round-robin engine simulates a per-op wire: one message per
+/// comm op per peer).
 pub fn apply_update(
     machines: &mut [Machine],
     schedule: &UpdateSchedule,
@@ -124,26 +125,22 @@ pub fn apply_update(
         ..Default::default()
     };
     let mut per_proc_send = vec![0usize; machines.len()];
-    for (p, row) in schedule.msgs.iter().enumerate() {
-        for (q, msg) in row.iter().enumerate() {
-            if msg.is_empty() {
-                continue;
-            }
-            stat.messages += 1;
-            stat.values += msg.len();
-            per_proc_send[p] += msg.len();
-            if let Some(r) = rec {
-                r.packet(p as u32, q as u32, msg.len() as u64);
-                // Logical schedule of the simulated wire: p ships the
-                // packet, q receives it and scatters (reads) it.
-                r.hb(p as u32, keys::HB_SEND, q as u32);
-                r.hb(q as u32, keys::HB_RECV, p as u32);
-                r.hb(q as u32, keys::HB_READ, p as u32);
-            }
-            for &(src, dst) in msg {
-                let v = machines[p].arrays[var][src as usize];
-                machines[q].arrays[var][dst as usize] = v;
-            }
+    for m in &schedule.msgs {
+        let (p, q, n) = (m.from, m.to, m.pairs.len());
+        stat.messages += 1;
+        stat.values += n;
+        per_proc_send[p as usize] += n;
+        if let Some(r) = rec {
+            r.packet(p, q, n as u64);
+            // Logical schedule of the simulated wire: p ships the
+            // packet, q receives it and scatters (reads) it.
+            r.hb(p, keys::HB_SEND, q);
+            r.hb(q, keys::HB_RECV, p);
+            r.hb(q, keys::HB_READ, p);
+        }
+        for &(src, dst) in &m.pairs {
+            let v = machines[p as usize].arrays[var][src as usize];
+            machines[q as usize].arrays[var][dst as usize] = v;
         }
     }
     if stat.messages == 0 {
@@ -155,8 +152,8 @@ pub fn apply_update(
 /// Apply the shared-entity assembly for `var` (Fig. 2 pattern):
 /// sum the copies of each shared node, write the total back to all.
 /// With a live recorder, the simulated wire packets (one partials
-/// packet per participant→owner pair, one totals packet back) land in
-/// the per-pair matrix.
+/// packet per participant→owner pair, one totals packet back) are
+/// recorded in ascending `(from, to)` order.
 pub fn apply_assemble<const V: usize>(
     machines: &mut [Machine],
     d: &Decomposition<V>,
@@ -167,14 +164,10 @@ pub fn apply_assemble<const V: usize>(
         rounds: 2,
         ..Default::default()
     };
-    let nparts = machines.len();
-    let mut per_proc_send = vec![0usize; nparts];
-    // Simulated wire: values per ordered pair, batched per op.
-    let mut pair_values = if rec.is_some() {
-        vec![0u64; nparts * nparts]
-    } else {
-        Vec::new()
-    };
+    let mut per_proc_send = vec![0usize; machines.len()];
+    // Simulated wire: values per ordered pair that exchanges any,
+    // batched per op (kept only when a recorder listens).
+    let mut pair_values: BTreeMap<(u32, u32), u64> = BTreeMap::new();
     for g in &d.node_assemble.groups {
         // Deterministic combine order: group participants are stored
         // owner-first then ascending part id.
@@ -192,22 +185,19 @@ pub fn apply_assemble<const V: usize>(
         per_proc_send[owner] += g.len() - 1;
         for &(p, _) in &g[1..] {
             per_proc_send[p as usize] += 1;
-            if !pair_values.is_empty() && p as usize != owner {
+            if rec.is_some() && p as usize != owner {
                 // Partial participant→owner, total owner→participant.
-                pair_values[p as usize * nparts + owner] += 1;
-                pair_values[owner * nparts + p as usize] += 1;
+                *pair_values.entry((p, owner as u32)).or_default() += 1;
+                *pair_values.entry((owner as u32, p)).or_default() += 1;
             }
         }
     }
     if let Some(r) = rec {
-        for (i, &v) in pair_values.iter().enumerate() {
-            if v > 0 {
-                let (from, to) = ((i / nparts) as u32, (i % nparts) as u32);
-                r.packet(from, to, v);
-                r.hb(from, keys::HB_SEND, to);
-                r.hb(to, keys::HB_RECV, from);
-                r.hb(to, keys::HB_READ, from);
-            }
+        for ((from, to), v) in pair_values {
+            r.packet(from, to, v);
+            r.hb(from, keys::HB_SEND, to);
+            r.hb(to, keys::HB_RECV, from);
+            r.hb(to, keys::HB_READ, from);
         }
     }
     stat.messages = d.node_assemble.total_messages();

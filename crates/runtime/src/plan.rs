@@ -265,13 +265,11 @@ fn build_phase<const V: usize>(prog: &Program, d: &Decomposition<V>, ops: &[Comm
             CommOp::UpdateOverlap { var } => {
                 updates += 1;
                 let Some(schedule) = update_schedule(prog, d, *var) else { continue };
-                for (p, row) in schedule.msgs.iter().enumerate() {
-                    for (q, msg) in row.iter().enumerate().filter(|(_, m)| !m.is_empty()) {
-                        let pair = pairs.entry((p, q)).or_default();
-                        let (srcs, dst): (Vec<u32>, Vec<u32>) = msg.iter().copied().unzip();
-                        pair.unpacks.push(RecvUpdate { var: *var, off: pair.off, dst });
-                        pair.gather(*var, srcs);
-                    }
+                for m in &schedule.msgs {
+                    let pair = pairs.entry((m.from as usize, m.to as usize)).or_default();
+                    let (srcs, dst): (Vec<u32>, Vec<u32>) = m.pairs.iter().copied().unzip();
+                    pair.unpacks.push(RecvUpdate { var: *var, off: pair.off, dst });
+                    pair.gather(*var, srcs);
                 }
             }
             CommOp::AssembleShared { var } => {

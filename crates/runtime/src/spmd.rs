@@ -18,7 +18,7 @@ use crate::tape::{Cursor, Op};
 use syncplace_obs::{self as obs, keys, RecorderRef};
 use syncplace_codegen::{CommOp, SpmdProgram};
 use syncplace_ir::{EntityKind, IdVec, Program, VarKind};
-use syncplace_overlap::{Decomposition, SubMesh};
+use syncplace_overlap::{elem_kind, Decomposition, SubMesh};
 use std::sync::Arc;
 
 /// Result of an SPMD run, with outputs gathered back to global
@@ -43,25 +43,14 @@ pub struct SpmdResult {
     pub overlap: OverlapReport,
 }
 
-/// The element entity kind of a decomposition arity.
-pub fn elem_kind<const V: usize>() -> EntityKind {
-    match V {
-        3 => EntityKind::Tri,
-        4 => EntityKind::Tet,
-        _ => panic!("unsupported element arity {V}"),
-    }
-}
-
-/// Per-processor entity counts of a sub-mesh.
+/// Per-processor entity counts of a sub-mesh, indexed by
+/// [`kind_index`]: local (kernel + overlap) and kernel.
 pub fn submesh_counts<const V: usize>(s: &SubMesh<V>) -> ([usize; 4], [usize; 4]) {
-    let mut counts = [0usize; 4];
-    let mut kernel = [0usize; 4];
-    counts[kind_index(EntityKind::Node)] = s.nnodes();
-    kernel[kind_index(EntityKind::Node)] = s.n_kernel_nodes;
-    counts[kind_index(EntityKind::Edge)] = s.nedges();
-    kernel[kind_index(EntityKind::Edge)] = s.n_kernel_edges;
-    counts[kind_index(elem_kind::<V>())] = s.nelems();
-    kernel[kind_index(elem_kind::<V>())] = s.n_kernel_elems;
+    let (mut counts, mut kernel) = ([0usize; 4], [0usize; 4]);
+    for k in [EntityKind::Node, EntityKind::Edge, elem_kind::<V>()] {
+        counts[kind_index(k)] = s.l2g(k).map_or(0, <[u32]>::len);
+        kernel[kind_index(k)] = s.n_kernel(k).unwrap_or(0);
+    }
     (counts, kernel)
 }
 
@@ -74,22 +63,16 @@ pub fn build_machines<const V: usize>(
     b.validate(prog)?;
     let ek = elem_kind::<V>();
     // Global→local scratch for localizing `Custom` map targets: ONE
-    // table per entity kind, shared across all parts and validated by
-    // stamp (a slot holds part `p`'s local id iff its stamp equals
-    // `p`). Replaces the former per-part dense tables, which were
-    // O(P·N) memory and allocation — fatal at P = 128 on a
-    // million-element mesh. Allocated only when a custom map exists.
+    // table per entity kind, shared across all parts (per-part tables
+    // would be O(P·N), fatal at P = 128 on a million-element mesh). A
+    // slot holds `(part, local id)` of the last part that stamped it,
+    // so it is part `p`'s local id iff its part is `p`. Allocated only
+    // when a custom map exists.
     let needs_g2l = b.maps.values().any(|m| matches!(m, MapBinding::Custom(_)));
-    let mut g2l_local: [Vec<u32>; 4] = Default::default();
-    let mut g2l_stamp: [Vec<u32>; 4] = Default::default();
+    let mut g2l: [Vec<(u32, u32)>; 4] = Default::default();
     if needs_g2l {
-        let mut sizes = [0usize; 4];
-        sizes[kind_index(EntityKind::Node)] = d.nnodes_global;
-        sizes[kind_index(EntityKind::Edge)] = d.global_edges.len();
-        sizes[kind_index(ek)] = d.nelems_global;
-        for (loc, (st, n)) in g2l_local.iter_mut().zip(g2l_stamp.iter_mut().zip(sizes)) {
-            *loc = vec![u32::MAX; n];
-            *st = vec![u32::MAX; n];
+        for k in [EntityKind::Node, EntityKind::Edge, ek] {
+            g2l[kind_index(k)] = vec![(u32::MAX, 0); d.owners(k).map_or(0, <[u32]>::len)];
         }
     }
 
@@ -98,15 +81,9 @@ pub fn build_machines<const V: usize>(
         let (counts, kernel) = submesh_counts(s);
         let mut m = Machine::new(prog, counts, kernel);
         if needs_g2l {
-            let lists: [(usize, &[u32]); 3] = [
-                (kind_index(EntityKind::Node), &s.nodes_l2g),
-                (kind_index(EntityKind::Edge), &s.edges_l2g),
-                (kind_index(ek), &s.elems_l2g),
-            ];
-            for (ki, l2g) in lists {
-                for (l, &g) in l2g.iter().enumerate() {
-                    g2l_local[ki][g as usize] = l as u32;
-                    g2l_stamp[ki][g as usize] = p as u32;
+            for k in [EntityKind::Node, EntityKind::Edge, ek] {
+                for (l, &g) in s.l2g(k).unwrap_or_default().iter().enumerate() {
+                    g2l[kind_index(k)][g as usize] = (p as u32, l as u32);
                 }
             }
         }
@@ -138,22 +115,15 @@ pub fn build_machines<const V: usize>(
                 MapBinding::Custom(t) => {
                     // Localize: rows for local from-entities, targets
                     // translated to local ids (MAX when absent).
-                    let from_l2g: &[u32] = match *from {
-                        EntityKind::Node => &s.nodes_l2g,
-                        EntityKind::Edge => &s.edges_l2g,
-                        k if k == ek => &s.elems_l2g,
-                        k => return Err(format!("unsupported map source kind {k}")),
+                    let Some(from_l2g) = s.l2g(*from) else {
+                        return Err(format!("unsupported map source kind {from}"));
                     };
                     let tk = kind_index(*to);
                     let mut targets = Vec::with_capacity(from_l2g.len() * t.arity);
                     for &gf in from_l2g {
                         for slot in 0..t.arity {
-                            let gt = t.targets[gf as usize * t.arity + slot] as usize;
-                            targets.push(if g2l_stamp[tk][gt] == p as u32 {
-                                g2l_local[tk][gt]
-                            } else {
-                                u32::MAX
-                            });
+                            let (q, l) = g2l[tk][t.targets[gf as usize * t.arity + slot] as usize];
+                            targets.push(if q == p as u32 { l } else { u32::MAX });
                         }
                     }
                     MapTable {
@@ -164,27 +134,24 @@ pub fn build_machines<const V: usize>(
             };
             m.maps[v] = table;
         }
-        // Inputs.
-        for (v, arr) in b.input_arrays.iter() {
-            let VarKind::Array { base } = prog.decl(v).kind else {
-                continue;
-            };
-            let l2g: &[u32] = match base {
-                EntityKind::Node => &s.nodes_l2g,
-                EntityKind::Edge => &s.edges_l2g,
-                k if k == ek => &s.elems_l2g,
-                k => {
-                    return Err(format!(
-                        "{k}-based arrays are not supported by the {V}-vertex runtime"
-                    ))
-                }
-            };
-            m.arrays[v] = l2g.iter().map(|&g| arr[g as usize]).collect();
-        }
         for (v, &x) in b.input_scalars.iter() {
             m.scalars[v] = x;
         }
         machines.push(m);
+    }
+    // Inputs.
+    for (v, arr) in b.input_arrays.iter() {
+        let VarKind::Array { base } = prog.decl(v).kind else {
+            continue;
+        };
+        let Some(locals) = d.scatter(base, arr) else {
+            return Err(format!(
+                "{base}-based arrays are not supported by the {V}-vertex runtime"
+            ));
+        };
+        for (m, local) in machines.iter_mut().zip(locals) {
+            m.arrays[v] = local;
+        }
     }
     Ok(machines)
 }
@@ -349,7 +316,6 @@ pub fn collect_results<const V: usize>(
     iterations: usize,
     overlap: OverlapReport,
 ) -> SpmdResult {
-    let ek = elem_kind::<V>();
     let mut output_arrays = IdVec::default();
     let mut output_scalars = IdVec::default();
     let mut output_scalar_spread = IdVec::default();
@@ -364,12 +330,9 @@ pub fn collect_results<const V: usize>(
             }
             VarKind::Array { base } => {
                 let locals: Vec<Vec<f64>> = machines.iter().map(|m| m.arrays[v].clone()).collect();
-                let global = match base {
-                    EntityKind::Node => d.gather_node_array(&locals),
-                    EntityKind::Edge => d.gather_edge_array(&locals),
-                    k if k == ek => d.gather_elem_array(&locals),
-                    k => panic!("{k}-based output arrays unsupported"),
-                };
+                let global = d
+                    .gather(base, &locals)
+                    .unwrap_or_else(|| panic!("{base}-based output arrays unsupported"));
                 output_arrays.insert(v, global);
             }
             VarKind::Map { .. } => {}

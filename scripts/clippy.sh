@@ -30,7 +30,13 @@
 # only the peers a rank talks to and leave phase placement to the tape
 # (no send1_len / has_recv1 / send2_len / PackItem / plan.before /
 # plan.at_end under crates tests examples suite, and no
-# `for … in 0..self.nparts` loop in pooled.rs), the recorder sinks must stay four (the
+# `for … in 0..self.nparts` loop in pooled.rs), the decomposition must be
+# the one place that answers by entity kind and an update schedule a list
+# of messages (no `Vec<Vec<Vec<` and no `nparts * nparts` under
+# crates/{overlap,runtime,inspector}/src outside pooled.rs, whose per-pair
+# mailboxes and per-peer free lists are the wire's; no GhostSchedule and no
+# scatter_/gather_{node,elem,edge}_array under crates tests examples
+# suite), the recorder sinks must stay four (the
 # top-level `impl Recorder for` set under crates/ is MetricsRegistry,
 # TimelineRecorder, HbRecorder, FanoutRecorder — one aggregate, and a
 # new sink is a design change, not an addition), the engine identity
@@ -113,6 +119,13 @@ if grep -rnE --include='*.rs' '\b(send1_len|has_recv1|send2_len|PackItem)\b|plan
     crates tests examples suite \
     || grep -nE 'for .* in \(?0\.\.self\.nparts' crates/runtime/src/pooled.rs; then
     echo "peer-list gate: a RankPhase lists the peers a rank exchanges with and the tape says where a phase completes — no dense per-rank tables, no 0..nparts scan per phase"
+    exit 1
+fi
+if grep -rnE --include='*.rs' 'Vec<Vec<Vec<|nparts \* nparts' \
+    crates/overlap/src crates/runtime/src crates/inspector/src | grep -v '^crates/runtime/src/pooled.rs:' \
+    || grep -rnE --include='*.rs' '\bGhostSchedule\b|\b(scatter|gather)_(node|elem|edge)_array\b' \
+    crates tests examples suite; then
+    echo "schedule gate: an update schedule is a list of messages and readers ask the Decomposition by kind — no P x P tables, no second schedule type, no per-kind scatter/gather"
     exit 1
 fi
 recorders="$(grep -rhoE --include='*.rs' '^impl[^{]*\bRecorder for [A-Za-z]+' crates | sed 's/.* for //' | sort | tr '\n' ' ')"

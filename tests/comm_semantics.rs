@@ -25,7 +25,8 @@ fn fig1_kernel_exactness_midstep() {
     }
     // Local step on every sub-mesh, full overlap domain, no comm yet.
     let mut locals: Vec<Vec<f64>> = d
-        .scatter_node_array(&global0)
+        .scatter(EntityKind::Node, &global0)
+        .unwrap()
         .into_iter()
         .collect();
     let mut news: Vec<Vec<f64>> = Vec::new();
@@ -86,7 +87,7 @@ fn fig2_partial_assembly_exactness() {
             global[v as usize] += s;
         }
     }
-    let olds = d.scatter_node_array(&global0);
+    let olds = d.scatter(EntityKind::Node, &global0).unwrap();
     let mut news: Vec<Vec<f64>> = Vec::new();
     let mut total_elem_visits = 0usize;
     for s in &d.submeshes {
@@ -142,7 +143,7 @@ fn fig1_update_idempotent() {
     let part = partition2d(&mesh, 3, Method::Rcb);
     let d = decompose2d(&mesh, &part.part, 3, Pattern::FIG1);
     let global: Vec<f64> = (0..mesh.nnodes()).map(|i| i as f64).collect();
-    let mut locals = d.scatter_node_array(&global);
+    let mut locals = d.scatter(EntityKind::Node, &global).unwrap();
     syncplace::overlap::check::apply_update(&d, &mut locals);
     let once = locals.clone();
     syncplace::overlap::check::apply_update(&d, &mut locals);

@@ -52,7 +52,7 @@ fn update_restores_coherence_on_random_data() {
         let part = partition2d(&mesh, nparts, Method::Greedy);
         let d = decompose2d(&mesh, &part.part, nparts, Pattern::FIG1);
         let global: Vec<f64> = (0..d.nnodes_global).map(|i| (i as f64).sin()).collect();
-        let mut locals = d.scatter_node_array(&global);
+        let mut locals = d.scatter(EntityKind::Node, &global).unwrap();
         // Corrupt every overlap slot, update, check.
         for s in &d.submeshes {
             for v in &mut locals[s.part as usize][s.n_kernel_nodes..s.nnodes()] {
@@ -76,11 +76,17 @@ fn scatter_gather_roundtrip() {
         let part = partition2d(&mesh, nparts, Method::Rcb);
         let d = decompose2d(&mesh, &part.part, nparts, pattern);
         let nodes: Vec<f64> = (0..d.nnodes_global).map(|i| i as f64 * 0.7).collect();
-        assert_eq!(&d.gather_node_array(&d.scatter_node_array(&nodes)), &nodes);
         let elems: Vec<f64> = (0..d.nelems_global).map(|i| i as f64 - 5.0).collect();
-        assert_eq!(&d.gather_elem_array(&d.scatter_elem_array(&elems)), &elems);
         let edges: Vec<f64> = (0..d.global_edges.len()).map(|i| i as f64).collect();
-        assert_eq!(&d.gather_edge_array(&d.scatter_edge_array(&edges)), &edges);
+        let globals = [
+            (EntityKind::Node, nodes),
+            (EntityKind::Tri, elems),
+            (EntityKind::Edge, edges),
+        ];
+        for (kind, global) in globals {
+            let locals = d.scatter(kind, &global).unwrap();
+            assert_eq!(d.gather(kind, &locals), Some(global));
+        }
     }
 }
 
