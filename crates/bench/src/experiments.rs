@@ -737,7 +737,7 @@ pub fn e15_adaptive(scale: Scale) -> String {
 
     // Phase 2: refine where the solved field varies across an element.
     let mut marked = vec![false; coarse.ntris()];
-    for (t, tri) in coarse.som.iter().enumerate() {
+    for (t, tri) in coarse.som().iter().enumerate() {
         let vals: Vec<f64> = tri.iter().map(|&s| u1[s as usize]).collect();
         let spread = vals.iter().cloned().fold(f64::MIN, f64::max)
             - vals.iter().cloned().fold(f64::MAX, f64::min);

@@ -221,7 +221,7 @@ fn with_program(cmd: &str, rest: &[String]) -> i32 {
 
     // run: simulate on a grid mesh with synthetic inputs.
     let mesh = gen2d::perturbed_grid(opts.mesh.0, opts.mesh.1, 0.2, 42);
-    let mut bindings = syncplace::runtime::Bindings::for_mesh(&prog, mesh.nnodes(), &mesh.som);
+    let mut bindings = syncplace::runtime::Bindings::for_mesh(&prog, &mesh);
     syncplace::synth_inputs(&prog, &mut bindings);
     if let Err(e) = bindings.validate(&prog) {
         eprintln!("cannot synthesize inputs for `run`: {e}");
@@ -271,7 +271,7 @@ fn sweep(
     opts: &Opts,
 ) -> i32 {
     let mesh = gen2d::perturbed_grid(opts.mesh.0, opts.mesh.1, 0.2, 42);
-    let mut bindings = syncplace::runtime::Bindings::for_mesh(prog, mesh.nnodes(), &mesh.som);
+    let mut bindings = syncplace::runtime::Bindings::for_mesh(prog, &mesh);
     syncplace::synth_inputs(prog, &mut bindings);
     if let Err(e) = bindings.validate(prog) {
         eprintln!("cannot synthesize inputs: {e}");

@@ -438,7 +438,7 @@ end";
     fn bind(src: &str, map: &str, table: MapData) -> (Program, syncplace_mesh::Mesh2d, Bindings) {
         let p = syncplace_ir::parser::parse(src).unwrap();
         let mesh = gen2d::perturbed_grid(9, 7, 0.2, 5);
-        let mut b = Bindings::for_mesh(&p, mesh.nnodes(), &mesh.som);
+        let mut b = Bindings::for_mesh(&p, &mesh);
         b.maps
             .insert(p.lookup(map).unwrap(), MapBinding::Custom(table));
         for v in p.inputs() {
@@ -456,7 +456,7 @@ end";
         let mesh = gen2d::perturbed_grid(9, 7, 0.2, 5);
         let te = MapData {
             arity: 3,
-            targets: syncplace_mesh::edges_first_seen(&mesh.som).1,
+            targets: mesh.edges().ids.clone(),
         };
         for src in [TE_GATHER, TE_SCATTER] {
             let (p, mesh, b) = bind(src, "TE", te.clone());
@@ -480,7 +480,7 @@ end";
             // node's owner (the smallest part) an interface node's
             // pick is an overlap triangle.
             let mut pick = vec![0u32; mesh.nnodes()];
-            for (t, tri) in mesh.som.iter().enumerate() {
+            for (t, tri) in mesh.som().iter().enumerate() {
                 for &v in tri {
                     if part[t] >= part[pick[v as usize] as usize] {
                         pick[v as usize] = t as u32;

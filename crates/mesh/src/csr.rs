@@ -1,14 +1,14 @@
 //! Compressed-sparse-row adjacency and the mesh's two derivations.
 //!
 //! A [`Csr`] maps each row `r` in `0..n` to a slice of `u32` targets.
-//! It is built either from an edge list ([`Csr::from_pairs`]) or from
-//! per-row lists ([`Csr::from_rows`]), both in O(n + m) with a single
-//! counting pass — no per-row `Vec` allocations in the final structure.
+//! It is built by inverting an item → rows table ([`Csr::invert`],
+//! which [`Csr::from_pairs`] uses) or from per-row lists
+//! ([`Csr::from_rows`]), in O(n + m) with one counting pass.
 //!
-//! Meshes store only element→vertex incidence; everything else is
-//! derived by whoever reads it, from exactly two functions here: the
-//! edge numbering ([`edges_first_seen`]) and the element dual graph
-//! ([`dual_from_facets`]). Edges and faces are numbered by
+//! Meshes store element→vertex incidence, and the edge numbering is
+//! stored once, on first read (`edges_first_seen`, called by
+//! [`crate::Mesh::edges`]); the element dual graph comes from
+//! [`dual_from_facets`]. Edges and faces are numbered by
 //! [`dedup_first_seen`], which is counting passes too: O(m + n) in
 //! the occurrences and nodes on any mesh, with no comparison sort and
 //! no hashing.
@@ -25,24 +25,11 @@ impl Csr {
     /// Build from `(row, target)` pairs. Pairs may arrive in any order;
     /// within a row, targets keep their arrival order.
     pub fn from_pairs(nrows: usize, pairs: &[(u32, u32)]) -> Self {
-        let mut counts = vec![0u32; nrows + 1];
-        for &(r, _) in pairs {
-            counts[r as usize + 1] += 1;
+        let mut csr = Csr::invert(nrows, pairs.iter().map(|(r, _)| std::slice::from_ref(r)));
+        for t in &mut csr.targets {
+            *t = pairs[*t as usize].1;
         }
-        for i in 1..=nrows {
-            counts[i] += counts[i - 1];
-        }
-        let mut targets = vec![0u32; pairs.len()];
-        let mut cursor = counts.clone();
-        for &(r, t) in pairs {
-            let c = &mut cursor[r as usize];
-            targets[*c as usize] = t;
-            *c += 1;
-        }
-        Csr {
-            offsets: counts,
-            targets,
-        }
+        csr
     }
 
     /// Build from an iterator of per-row lists.
@@ -56,6 +43,35 @@ impl Csr {
         for row in rows {
             targets.extend_from_slice(row.as_ref());
             offsets.push(targets.len() as u32);
+        }
+        Csr { offsets, targets }
+    }
+
+    /// Invert an item → rows table: row `r` lists, ascending, every
+    /// item `i` whose `rows_of` entry names `r` (node → elements from
+    /// element → nodes).
+    pub fn invert<I, R>(nrows: usize, rows_of: I) -> Self
+    where
+        I: IntoIterator<Item = R> + Clone,
+        R: AsRef<[u32]>,
+    {
+        let mut offsets = vec![0u32; nrows + 1];
+        for rows in rows_of.clone() {
+            for &r in rows.as_ref() {
+                offsets[r as usize + 1] += 1;
+            }
+        }
+        for i in 1..=nrows {
+            offsets[i] += offsets[i - 1];
+        }
+        let mut targets = vec![0u32; offsets[nrows] as usize];
+        let mut cursor = offsets.clone();
+        for (i, rows) in rows_of.into_iter().enumerate() {
+            for &r in rows.as_ref() {
+                let c = &mut cursor[r as usize];
+                targets[*c as usize] = i as u32;
+                *c += 1;
+            }
         }
         Csr { offsets, targets }
     }
@@ -101,24 +117,23 @@ pub struct Dedup<K> {
 }
 
 /// Counting-sort first-seen numbering: number the distinct node
-/// tuples of `occ` (every component below `n`) in the order they first
-/// appear, and map every occurrence to its tuple's id — no comparison
-/// sort, no hashing.
+/// tuples of `occ` (every component below `n`, `N >= 2`) in the order
+/// they first appear, and map every occurrence to its tuple's id — no
+/// comparison sort, no hashing.
 ///
-/// One stable counting pass per component, last component first,
-/// orders the positions by key, equal keys in ascending position; one
-/// scan in input order then numbers each run of equal keys the first
-/// time it meets it. O(m + n) time and memory for `m` occurrences on
-/// any mesh (DESIGN §11.2); this is the indexer under
-/// [`edges_first_seen`] and `Mesh3d::faces`. Panics on a component
-/// `>= n`.
+/// Stable counting passes over the first `N − 1` components group the
+/// positions by them, ascending within a group; a stamp on the last
+/// component then finds repeats in O(1), with no scan within a group;
+/// a scan in input order numbers the keys. O(m + n) for `m`
+/// occurrences on any mesh (DESIGN §11.2). Panics on a component `>= n`.
 pub fn dedup_first_seen<const N: usize>(occ: &[[u32; N]], n: usize) -> Dedup<[u32; N]> {
     let m = occ.len();
+    assert!(N >= 2, "a key has at least two components");
     assert!(m < u32::MAX as usize, "occurrence count overflows u32");
     let mut order: Vec<u32> = (0..m as u32).collect();
     let mut next = vec![0u32; m];
     let mut start = vec![0u32; n + 1];
-    for c in (0..N).rev() {
+    for c in (0..N - 1).rev() {
         start.fill(0);
         for k in occ {
             start[k[c] as usize + 1] += 1;
@@ -133,18 +148,29 @@ pub fn dedup_first_seen<const N: usize>(occ: &[[u32; N]], n: usize) -> Dedup<[u3
         }
         std::mem::swap(&mut order, &mut next);
     }
-    // `next[i]` becomes the run of occurrence `i`, then its id.
-    let mut runs = 0u32;
-    let mut prev = order.first().map(|&i| occ[i as usize]);
-    for &i in &order {
-        let key = Some(occ[i as usize]);
-        runs += u32::from(key != prev);
-        prev = key;
-        next[i as usize] = runs;
+    // `next[i]` becomes the run (distinct key, in sorted order) of
+    // occurrence `i`, then its id. `start[v]`, if at least the group's
+    // first run, is the run of the group's key ending in `v`.
+    let last = N - 1;
+    start.fill(u32::MAX);
+    let (mut runs, mut first) = (0u32, 0u32);
+    for (p, &i) in order.iter().enumerate() {
+        let key = &occ[i as usize];
+        if p > 0 && key[..last] != occ[order[p - 1] as usize][..last] {
+            first = runs;
+        }
+        let r = &mut start[key[last] as usize];
+        if *r == u32::MAX || *r < first {
+            *r = runs;
+            runs += 1;
+        }
+        next[i as usize] = *r;
     }
-    drop(order);
-    let mut id_of_run = vec![u32::MAX; runs as usize + 1];
-    let mut keys = Vec::with_capacity(runs as usize + 1);
+    // `order`'s buffer, no longer needed, maps each run to its id.
+    let mut id_of_run = order;
+    id_of_run.truncate(runs as usize);
+    id_of_run.fill(u32::MAX);
+    let mut keys = Vec::with_capacity(runs as usize);
     for (i, r) in next.iter_mut().enumerate() {
         let id = &mut id_of_run[*r as usize];
         if *id == u32::MAX {
@@ -168,24 +194,16 @@ pub const fn n_vertex_pairs<const V: usize>() -> usize {
     V * (V - 1) / 2
 }
 
-/// The one edge numbering: the unique edges of `elems` as sorted node
-/// pairs `[lo, hi]`, numbered in first-seen order over elements ×
-/// `vertex_pairs`, plus the edge id of every element-local pair slot
-/// (`elem_edge_ids[e * n_vertex_pairs::<V>() + k]`). Every reader of
-/// edges — the decomposition builder, bindings, refinement, the 2-D
-/// dual graph — calls this, which is why edge ids agree everywhere.
-/// [`dedup_first_seen`] numbers the pairs, bounded by the largest node
-/// id in `elems` plus one: O(elements + nodes).
-pub fn edges_first_seen<const V: usize>(elems: &[[u32; V]]) -> (Vec<[u32; 2]>, Vec<u32>) {
+/// The edge numbering [`crate::Mesh::edges`] stores: sorted node
+/// pairs over elements × `vertex_pairs`, numbered first-seen.
+pub(crate) fn edges_first_seen<const V: usize>(elems: &[[u32; V]], nnodes: usize) -> Dedup<[u32; 2]> {
     let mut occ: Vec<[u32; 2]> = Vec::with_capacity(elems.len() * n_vertex_pairs::<V>());
     for el in elems {
         for (i, j) in vertex_pairs::<V>() {
             occ.push([el[i].min(el[j]), el[i].max(el[j])]);
         }
     }
-    let n = elems.iter().flatten().max().map_or(0, |&v| v as usize + 1);
-    let Dedup { keys, ids } = dedup_first_seen(&occ, n);
-    (keys, ids)
+    dedup_first_seen(&occ, nnodes)
 }
 
 /// The element dual graph: elements adjacent through a shared facet
@@ -207,11 +225,17 @@ pub fn dual_from_facets<const F: usize>(facet_ids: &[u32], nfacets: usize) -> Cs
             }
         }
     }
-    let pairs: Vec<(u32, u32)> = (on.into_iter())
-        .filter(|&[_, b]| b != u32::MAX)
-        .flat_map(|[a, b]| [(a, b), (b, a)])
-        .collect();
-    Csr::from_pairs(facet_ids.len() / F, &pairs)
+    // Row `e` lists the shared facets naming `e`, ascending; each then
+    // becomes the other element on it.
+    let shared = on.iter().map(|ab| &ab[..if ab[1] == u32::MAX { 0 } else { 2 }]);
+    let mut dual = Csr::invert(facet_ids.len() / F, shared);
+    for e in 0..dual.nrows() {
+        for t in &mut dual.targets[dual.offsets[e] as usize..dual.offsets[e + 1] as usize] {
+            let [a, b] = on[*t as usize];
+            *t = a ^ b ^ e as u32;
+        }
+    }
+    dual
 }
 
 #[cfg(test)]
@@ -236,24 +260,15 @@ mod tests {
     }
 
     #[test]
+    fn invert_lists_items_ascending() {
+        let csr = Csr::invert(4, [[2u32, 0], [0, 3], [2, 0]].iter());
+        assert_eq!(csr, Csr::from_rows(vec![vec![0u32, 1, 2], vec![], vec![0, 2], vec![1]]));
+    }
+
+    #[test]
     fn degree_counts_row_targets() {
         let csr = Csr::from_rows(vec![vec![3u32, 1, 2], vec![]]);
         assert_eq!((csr.degree(0), csr.degree(1)), (3, 0));
-    }
-
-    /// First-seen numbering by a scan in occurrence order.
-    fn scan_reference<K: PartialEq + Copy>(occ: &[K]) -> Dedup<K> {
-        let mut keys = Vec::new();
-        let ids = (occ.iter())
-            .map(|k| match keys.iter().position(|u| u == k) {
-                Some(id) => id as u32,
-                None => {
-                    keys.push(*k);
-                    (keys.len() - 1) as u32
-                }
-            })
-            .collect();
-        Dedup { keys, ids }
     }
 
     #[test]
@@ -263,26 +278,6 @@ mod tests {
         let d = dedup_first_seen(&occ, 4);
         assert_eq!(d.keys, vec![[2, 1], [0, 3], [1, 2]]);
         assert_eq!(d.ids, vec![0, 1, 0, 2, 1, 0]);
-    }
-
-    #[test]
-    fn dedup_matches_hash_reference() {
-        // Seeded streams of pairs and triples under a small node bound
-        // vs. the scan reference.
-        let mut state = 0x9e3779b9u64;
-        let mut node = |n: u64| {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-            ((state >> 33) % n) as u32
-        };
-        for n in [1, 2, 5, 11] {
-            let pairs: Vec<[u32; 2]> = (0..400).map(|_| [node(n), node(n)]).collect();
-            assert_eq!(dedup_first_seen(&pairs, n as usize), scan_reference(&pairs));
-            let triples: Vec<[u32; 3]> = (0..400).map(|_| [node(n), node(n), node(n)]).collect();
-            assert_eq!(
-                dedup_first_seen(&triples, n as usize),
-                scan_reference(&triples)
-            );
-        }
     }
 
     #[test]

@@ -86,7 +86,6 @@ pub fn annulus(nr: usize, ns: usize, r0: f64, r1: f64) -> Mesh2d {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::edges_first_seen;
 
     #[test]
     fn grid_counts() {
@@ -103,7 +102,7 @@ mod tests {
         // `dual_graph` panics unless every edge has at most two.
         let m = grid(7, 5);
         m.dual_graph();
-        let ne = edges_first_seen(&m.som).0.len();
+        let ne = m.edges().keys.len();
         let (v, e, f) = (m.nnodes() as i64, ne as i64, m.ntris() as i64);
         assert_eq!(v - e + f, 1);
     }
@@ -141,7 +140,7 @@ mod tests {
         // V - E + F = 0 for an annulus (Euler characteristic 0).
         let m = annulus(3, 16, 1.0, 2.0);
         m.dual_graph();
-        let ne = edges_first_seen(&m.som).0.len();
+        let ne = m.edges().keys.len();
         let (v, e, f) = (m.nnodes() as i64, ne as i64, m.ntris() as i64);
         assert_eq!(v - e + f, 0);
         assert_eq!(m.ntris(), 2 * 3 * 16);

@@ -81,7 +81,7 @@ mod tests {
         // `dual_graph` panics unless every face has at most two tets.
         let m = box_mesh(2, 2, 2);
         m.dual_graph();
-        let ne = crate::edges_first_seen(&m.tets).0.len();
+        let ne = m.edges().keys.len();
         let nf = m.faces().keys.len();
         let euler = m.nnodes() as i64 - ne as i64 + nf as i64 - m.ntets() as i64;
         assert_eq!(euler, 1);

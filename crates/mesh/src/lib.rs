@@ -12,10 +12,8 @@
 //! * [`Mesh2d`] — a 2-D triangulation stored struct-of-arrays with
 //!   `u32` entity ids.
 //! * [`Mesh3d`] — a 3-D tetrahedral mesh.
-//! * The two derivations every reader shares: the edge numbering
-//!   ([`edges_first_seen`]) and the element dual graph
-//!   ([`dual_from_facets`], via `Mesh2d::dual_graph` /
-//!   `Mesh3d::dual_graph`). Nothing else is derived or stored.
+//! * [`Mesh`] — what both share: the element→node incidence, whose
+//!   edge numbering is stored once, on first read, for every reader.
 //! * Generators ([`gen2d`], [`gen3d`]) producing structured-grid
 //!   triangulations, annuli, graded and randomly perturbed meshes at
 //!   any size — the synthetic stand-in for the CFD meshes of the
@@ -38,8 +36,10 @@ pub mod mesh3d;
 pub mod refine2d;
 pub mod reorder;
 pub mod rng;
+pub mod simplicial;
 
-pub use csr::{dedup_first_seen, dual_from_facets, edges_first_seen, n_vertex_pairs, Csr, Dedup};
+pub use csr::{dedup_first_seen, dual_from_facets, n_vertex_pairs, Csr, Dedup};
 pub use ids::EntityKind;
 pub use mesh2d::Mesh2d;
 pub use mesh3d::Mesh3d;
+pub use simplicial::Mesh;

@@ -2,51 +2,32 @@
 //!
 //! A [`Mesh2d`] stores node coordinates and the triangle→node
 //! incidence (`som`, named after the `SOM` indirection array of the
-//! paper's TESTIV example — *sommet* is French for vertex). Nothing
-//! else is stored: a reader of edges calls [`edges_first_seen`] on
-//! `som`, a reader of triangle adjacency calls [`Mesh2d::dual_graph`],
-//! and nothing else is ever derived.
+//! paper's TESTIV example — *sommet* is French for vertex). The edge
+//! numbering is stored once, on first read ([`Mesh::edges`]); a reader
+//! of triangle adjacency calls [`Mesh2d::dual_graph`], and nothing else
+//! is ever derived.
 
-use crate::csr::{dual_from_facets, edges_first_seen, Csr};
+use crate::csr::{dual_from_facets, Csr};
+use crate::simplicial::Mesh;
 
-/// A 2-D triangulation in struct-of-arrays layout.
-#[derive(Debug, Clone)]
-pub struct Mesh2d {
-    /// Node coordinates, `coords[n] = [x, y]`.
-    pub coords: Vec<[f64; 2]>,
-    /// Triangle vertices, `som[t] = [s1, s2, s3]` (node ids).
-    pub som: Vec<[u32; 3]>,
-}
+/// A 2-D triangulation: `coords[n] = [x, y]`, and `som()[t]` the nodes
+/// of triangle `t`.
+pub type Mesh2d = Mesh<2, 3>;
 
 impl Mesh2d {
-    /// Create a mesh from raw arrays. Panics on out-of-range vertex ids.
-    pub fn new(coords: Vec<[f64; 2]>, som: Vec<[u32; 3]>) -> Self {
-        let n = coords.len() as u32;
-        for (t, tri) in som.iter().enumerate() {
-            for &s in tri {
-                assert!(s < n, "triangle {t} references node {s} >= {n}");
-            }
-            assert!(
-                tri[0] != tri[1] && tri[1] != tri[2] && tri[0] != tri[2],
-                "triangle {t} is degenerate: {tri:?}"
-            );
-        }
-        Mesh2d { coords, som }
-    }
-
-    /// Number of nodes.
-    pub fn nnodes(&self) -> usize {
-        self.coords.len()
+    /// Triangle vertices, `som()[t] = [s1, s2, s3]` (node ids).
+    pub fn som(&self) -> &[[u32; 3]] {
+        self.elems()
     }
 
     /// Number of triangles.
     pub fn ntris(&self) -> usize {
-        self.som.len()
+        self.som().len()
     }
 
     /// Signed area of triangle `t` (positive when counter-clockwise).
     pub fn signed_area(&self, t: usize) -> f64 {
-        let [a, b, c] = self.som[t];
+        let [a, b, c] = self.som()[t];
         let pa = self.coords[a as usize];
         let pb = self.coords[b as usize];
         let pc = self.coords[c as usize];
@@ -55,7 +36,7 @@ impl Mesh2d {
 
     /// Triangle centroid (used by geometric partitioners).
     pub fn centroid(&self, t: usize) -> [f64; 2] {
-        let [a, b, c] = self.som[t];
+        let [a, b, c] = self.som()[t];
         let pa = self.coords[a as usize];
         let pb = self.coords[b as usize];
         let pc = self.coords[c as usize];
@@ -63,17 +44,18 @@ impl Mesh2d {
     }
 
     /// The triangle dual graph (triangles sharing an edge), row `t`
-    /// in ascending [`edges_first_seen`] id. Panics on a non-manifold
+    /// in ascending [`Mesh::edges`] id. Panics on a non-manifold
     /// mesh (an edge on three or more triangles).
     pub fn dual_graph(&self) -> Csr {
-        let (edges, edge_ids) = edges_first_seen(&self.som);
-        dual_from_facets::<3>(&edge_ids, edges.len())
+        let edges = self.edges();
+        dual_from_facets::<3>(&edges.ids, edges.keys.len())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::csr::Dedup;
 
     /// Two triangles sharing an edge:
     /// ```text
@@ -94,7 +76,7 @@ mod tests {
         let m = two_tris();
         assert_eq!(m.nnodes(), 4);
         assert_eq!(m.ntris(), 2);
-        assert_eq!(edges_first_seen(&m.som).0.len(), 5);
+        assert_eq!(m.edges().keys.len(), 5);
     }
 
     #[test]
@@ -114,7 +96,7 @@ mod tests {
     #[test]
     fn interior_edge_has_two_tris() {
         let m = two_tris();
-        let (edges, ids) = edges_first_seen(&m.som);
+        let Dedup { keys: edges, ids } = m.edges();
         let shared = edges
             .iter()
             .position(|&[a, b]| (a, b) == (1, 3))
@@ -126,7 +108,8 @@ mod tests {
     #[test]
     fn all_nodes_on_boundary_of_square() {
         // A boundary edge is one whose id occurs on a single triangle.
-        let (edges, ids) = edges_first_seen(&two_tris().som);
+        let m = two_tris();
+        let Dedup { keys: edges, ids } = m.edges();
         let once = |e: &usize| ids.iter().filter(|&&x| x as usize == *e).count() == 1;
         let mut nodes: Vec<u32> = (0..edges.len())
             .filter(once)

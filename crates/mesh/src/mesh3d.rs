@@ -2,52 +2,31 @@
 //!
 //! The 3-D overlap automaton of the paper adds tetrahedron- and
 //! edge-based data shapes; this module supplies the corresponding mesh
-//! substrate: tet→node incidence, from which readers derive unique
-//! edges ([`crate::edges_first_seen`]) and the face-adjacency dual
-//! graph for partitioning ([`Mesh3d::dual_graph`]).
+//! substrate: tet→node incidence, whose edge numbering is stored once,
+//! on first read ([`Mesh::edges`]), and the face-adjacency dual graph
+//! for partitioning ([`Mesh3d::dual_graph`]).
 
 use crate::csr::{dedup_first_seen, dual_from_facets, Csr, Dedup};
+use crate::simplicial::Mesh;
 
-/// A tetrahedral mesh in struct-of-arrays layout.
-#[derive(Debug, Clone)]
-pub struct Mesh3d {
-    /// Node coordinates.
-    pub coords: Vec<[f64; 3]>,
-    /// Tetrahedron vertices, `tets[t] = [a, b, c, d]`.
-    pub tets: Vec<[u32; 4]>,
-}
+/// A tetrahedral mesh: `coords[n] = [x, y, z]`, and `tets()[t]` the
+/// nodes of tet `t`.
+pub type Mesh3d = Mesh<3, 4>;
 
 impl Mesh3d {
-    /// Create a mesh from raw arrays, validating vertex ids.
-    pub fn new(coords: Vec<[f64; 3]>, tets: Vec<[u32; 4]>) -> Self {
-        let n = coords.len() as u32;
-        for (t, tet) in tets.iter().enumerate() {
-            for &s in tet {
-                assert!(s < n, "tet {t} references node {s} >= {n}");
-            }
-            let mut v = *tet;
-            v.sort_unstable();
-            assert!(
-                v.windows(2).all(|w| w[0] != w[1]),
-                "tet {t} is degenerate: {tet:?}"
-            );
-        }
-        Mesh3d { coords, tets }
-    }
-
-    /// Number of nodes.
-    pub fn nnodes(&self) -> usize {
-        self.coords.len()
+    /// Tetrahedron vertices, `tets()[t] = [a, b, c, d]`.
+    pub fn tets(&self) -> &[[u32; 4]] {
+        self.elems()
     }
 
     /// Number of tetrahedra.
     pub fn ntets(&self) -> usize {
-        self.tets.len()
+        self.tets().len()
     }
 
     /// Signed volume of tet `t` (positive when positively oriented).
     pub fn signed_volume(&self, t: usize) -> f64 {
-        let [a, b, c, d] = self.tets[t];
+        let [a, b, c, d] = self.tets()[t];
         let p = |i: u32| self.coords[i as usize];
         let (pa, pb, pc, pd) = (p(a), p(b), p(c), p(d));
         let u = [pb[0] - pa[0], pb[1] - pa[1], pb[2] - pa[2]];
@@ -60,7 +39,7 @@ impl Mesh3d {
 
     /// Tet centroid (for geometric partitioners).
     pub fn centroid(&self, t: usize) -> [f64; 3] {
-        let [a, b, c, d] = self.tets[t];
+        let [a, b, c, d] = self.tets()[t];
         let p = |i: u32| self.coords[i as usize];
         let (pa, pb, pc, pd) = (p(a), p(b), p(c), p(d));
         [
@@ -70,19 +49,25 @@ impl Mesh3d {
         ]
     }
 
-    /// The unique triangular faces as sorted node triples, numbered
-    /// first-seen over tets × local face `k` (the face opposite vertex
-    /// `k`), plus the face id of every tet-local face
-    /// (`ids[t * 4 + k]`).
-    pub fn faces(&self) -> Dedup<[u32; 3]> {
-        let mut occ: Vec<[u32; 3]> = Vec::with_capacity(self.ntets() * 4);
-        for &[a, b, c, d] in &self.tets {
-            for mut key in [[b, c, d], [a, c, d], [a, b, d], [a, b, c]] {
-                key.sort_unstable();
-                occ.push(key);
+    /// The unique triangular faces, numbered first-seen over tets ×
+    /// local face `k` (the face opposite vertex `k`), plus the face id
+    /// of every tet-local face (`ids[t * 4 + k]`). Face `[a, b, c]`
+    /// (sorted nodes) is keyed `[e, c]`, `e` the [`Mesh::edges`] id of
+    /// `[a, b]`: one-to-one, so the numbering is the one over the node
+    /// triples, from one counting pass over pairs.
+    pub fn faces(&self) -> Dedup<[u32; 2]> {
+        // Local pair slot of vertices `i` and `j` (`vertex_pairs` order).
+        const SLOT: [[usize; 4]; 4] = [[0, 0, 1, 2], [0, 0, 3, 4], [1, 3, 0, 5], [2, 4, 5, 0]];
+        let edges = self.edges();
+        let mut occ: Vec<[u32; 2]> = Vec::with_capacity(self.ntets() * 4);
+        for (tet, slots) in self.tets().iter().zip(edges.ids.chunks_exact(6)) {
+            for mut face in [[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]] {
+                face.sort_unstable_by_key(|&v| tet[v]);
+                let [a, b, c] = face;
+                occ.push([slots[SLOT[a][b]], tet[c]]);
             }
         }
-        dedup_first_seen(&occ, self.nnodes())
+        dedup_first_seen(&occ, edges.keys.len().max(self.nnodes()))
     }
 
     /// The tet dual graph (tets sharing a face), row `t` in ascending
@@ -130,7 +115,7 @@ mod tests {
     #[test]
     fn face_and_edge_counts() {
         let m = cube5();
-        let edges = crate::edges_first_seen(&m.tets).0;
+        let edges = &m.edges().keys;
         let faces = m.faces();
         // 5-tet cube: 8 nodes, 18 edges (12 cube edges + 6 face
         // diagonals), 16 faces (12 boundary triangles + 4 interior).
@@ -153,9 +138,15 @@ mod tests {
     #[test]
     fn all_cube_nodes_on_boundary() {
         // A boundary face is one whose id occurs on a single tet.
-        let Dedup { keys, ids } = cube5().faces();
+        let m = cube5();
+        let Dedup { keys, ids } = m.faces();
         let once = |f: &usize| ids.iter().filter(|&&x| x as usize == *f).count() == 1;
-        let mut nodes: Vec<u32> = (0..keys.len()).filter(once).flat_map(|f| keys[f]).collect();
+        let nodes_of = |f: usize| {
+            let [e, c] = keys[f];
+            let [a, b] = m.edges().keys[e as usize];
+            [a, b, c]
+        };
+        let mut nodes: Vec<u32> = (0..keys.len()).filter(once).flat_map(nodes_of).collect();
         nodes.sort_unstable();
         nodes.dedup();
         assert_eq!(nodes, (0..8).collect::<Vec<_>>());

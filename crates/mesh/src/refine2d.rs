@@ -13,7 +13,6 @@
 //! mesh-independent and survives adaptation unchanged, and (b) the
 //! load imbalance adaptation causes — and repartitioning cures.
 
-use crate::csr::edges_first_seen;
 use crate::mesh2d::Mesh2d;
 
 /// Red/green refine the marked triangles; returns the refined mesh and
@@ -21,7 +20,7 @@ use crate::mesh2d::Mesh2d;
 /// element-based data).
 pub fn refine(mesh: &Mesh2d, marked: &[bool]) -> (Mesh2d, Vec<u32>) {
     assert_eq!(marked.len(), mesh.ntris());
-    let (edges, edge_ids) = edges_first_seen(&mesh.som);
+    let (edges, edge_ids) = (&mesh.edges().keys, &mesh.edges().ids);
     let ne = edges.len();
     // Local edge `k` of triangle `t` joins (s1,s2) / (s1,s3) / (s2,s3).
     let tri_edges = |t: usize| -> [u32; 3] { std::array::from_fn(|k| edge_ids[3 * t + k]) };
@@ -70,7 +69,7 @@ pub fn refine(mesh: &Mesh2d, marked: &[bool]) -> (Mesh2d, Vec<u32>) {
     // 3. Emit children.
     let mut som: Vec<[u32; 3]> = Vec::with_capacity(mesh.ntris() * 2);
     let mut parent: Vec<u32> = Vec::with_capacity(mesh.ntris() * 2);
-    for (t, &[s1, s2, s3]) in mesh.som.iter().enumerate() {
+    for (t, &[s1, s2, s3]) in mesh.som().iter().enumerate() {
         let [e12, e13, e23] = tri_edges(t);
         let m12 = midpoint[e12 as usize];
         let m13 = midpoint[e13 as usize];
@@ -114,13 +113,13 @@ pub fn refine(mesh: &Mesh2d, marked: &[bool]) -> (Mesh2d, Vec<u32>) {
 /// endpoints (linear interpolation).
 pub fn prolong_node_field(coarse: &Mesh2d, fine: &Mesh2d, field: &[f64]) -> Vec<f64> {
     assert_eq!(field.len(), coarse.nnodes());
-    let edges = edges_first_seen(&coarse.som).0;
+    let edges = &coarse.edges().keys;
     let mut out = Vec::with_capacity(fine.nnodes());
     out.extend_from_slice(field);
     // Fine nodes beyond the coarse count are edge midpoints, created in
     // edge order by `refine`.
     let mut next = coarse.nnodes();
-    for &[a, b] in &edges {
+    for &[a, b] in edges {
         if next >= fine.nnodes() {
             break;
         }
@@ -171,7 +170,7 @@ mod tests {
         // dual_graph() panics on non-conforming input.
         f.dual_graph();
         // Euler for a disk: V - E + F = 1.
-        let ne = edges_first_seen(&f.som).0.len();
+        let ne = f.edges().keys.len();
         let euler = f.nnodes() as i64 - ne as i64 + f.ntris() as i64;
         assert_eq!(euler, 1);
         // Orientation preserved.

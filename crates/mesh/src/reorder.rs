@@ -6,7 +6,7 @@
 //! numbering; this module provides the classic *global* reorderings
 //! that improve locality before splitting.
 
-use crate::csr::{edges_first_seen, Csr};
+use crate::csr::Csr;
 use crate::mesh2d::Mesh2d;
 
 /// Reverse Cuthill–McKee ordering of a symmetric adjacency graph.
@@ -92,9 +92,7 @@ pub fn permute_nodes2d(mesh: &Mesh2d, perm: &[u32]) -> (Mesh2d, Vec<u32>) {
         inv[old as usize] = new as u32;
     }
     let coords: Vec<[f64; 2]> = perm.iter().map(|&old| mesh.coords[old as usize]).collect();
-    let som: Vec<[u32; 3]> = mesh
-        .som
-        .iter()
+    let som: Vec<[u32; 3]> = (mesh.som().iter())
         .map(|t| [inv[t[0] as usize], inv[t[1] as usize], inv[t[2] as usize]])
         .collect();
     (Mesh2d::new(coords, som), inv)
@@ -102,9 +100,9 @@ pub fn permute_nodes2d(mesh: &Mesh2d, perm: &[u32]) -> (Mesh2d, Vec<u32>) {
 
 /// The node adjacency graph of a 2-D mesh (nodes joined by an edge).
 pub fn node_adjacency(mesh: &Mesh2d) -> Csr {
-    let edges = edges_first_seen(&mesh.som).0;
+    let edges = &mesh.edges().keys;
     let mut pairs = Vec::with_capacity(edges.len() * 2);
-    for &[a, b] in &edges {
+    for &[a, b] in edges {
         pairs.push((a, b));
         pairs.push((b, a));
     }

@@ -5,7 +5,7 @@
 use std::collections::HashMap;
 use std::hash::Hash;
 use syncplace_mesh::rng::SmallRng;
-use syncplace_mesh::{edges_first_seen, gen2d, gen3d, refine2d, reorder, Csr, Mesh2d, Mesh3d};
+use syncplace_mesh::{dedup_first_seen, gen2d, gen3d, refine2d, reorder, Csr, Dedup, Mesh2d, Mesh3d};
 
 /// Triangle facets in the edge numbering's pair order; tet face `k`
 /// is opposite vertex `k`.
@@ -51,7 +51,7 @@ fn rows(dual: &Csr) -> Vec<Vec<u32>> {
 
 /// First-seen numbering by a scan in occurrence order: the distinct
 /// keys in the order first met, and the id of every occurrence.
-fn first_seen<K: Copy + Eq + Hash>(occ: impl IntoIterator<Item = K>) -> (Vec<K>, Vec<u32>) {
+fn scan_reference<K: Copy + Eq + Hash>(occ: impl IntoIterator<Item = K>) -> Dedup<K> {
     let mut id_of = HashMap::new();
     let mut keys = Vec::new();
     let ids = (occ.into_iter())
@@ -62,7 +62,7 @@ fn first_seen<K: Copy + Eq + Hash>(occ: impl IntoIterator<Item = K>) -> (Vec<K>,
             })
         })
         .collect();
-    (keys, ids)
+    Dedup { keys, ids }
 }
 
 fn sorted<const N: usize>(mut key: [u32; N]) -> [u32; N] {
@@ -72,19 +72,19 @@ fn sorted<const N: usize>(mut key: [u32; N]) -> [u32; N] {
 
 /// Reference edge numbering: sorted node pairs over elements × local
 /// pairs `(i, j)`, `i < j`.
-fn reference_edges<const V: usize>(elems: &[[u32; V]]) -> (Vec<[u32; 2]>, Vec<u32>) {
+fn reference_edges<const V: usize>(elems: &[[u32; V]]) -> Dedup<[u32; 2]> {
     let pairs = |el: &[u32; V]| {
         let el = *el;
         (0..V).flat_map(move |i| (i + 1..V).map(move |j| sorted([el[i], el[j]])))
     };
-    first_seen(elems.iter().flat_map(pairs))
+    scan_reference(elems.iter().flat_map(pairs))
 }
 
 /// Reference face numbering: sorted node triples over tets × the face
 /// opposite vertex `k`.
-fn reference_faces(tets: &[[u32; 4]]) -> (Vec<[u32; 3]>, Vec<u32>) {
+fn reference_faces(tets: &[[u32; 4]]) -> Dedup<[u32; 3]> {
     let faces = |&[a, b, c, d]: &[u32; 4]| [[b, c, d], [a, c, d], [a, b, d], [a, b, c]].map(sorted);
-    first_seen(tets.iter().flat_map(faces))
+    scan_reference(tets.iter().flat_map(faces))
 }
 
 /// The elements with their node ids relabelled by a seeded
@@ -104,16 +104,25 @@ fn relabel<const V: usize>(elems: &[[u32; V]], nnodes: usize, rng: &mut SmallRng
 fn check_tris(som: &[[u32; 3]], nnodes: usize) {
     let m = Mesh2d::new(vec![[0.0; 2]; nnodes], som.to_vec());
     assert_eq!(rows(&m.dual_graph()), reference_dual(som, &TRI));
-    assert_eq!(edges_first_seen(som), reference_edges(som));
+    assert_eq!(*m.edges(), reference_edges(som));
 }
 
 /// Dual graph, edge and face numbering of a tet mesh vs. the references.
 fn check_tets(tets: &[[u32; 4]], nnodes: usize) {
     let m = Mesh3d::new(vec![[0.0; 3]; nnodes], tets.to_vec());
     assert_eq!(rows(&m.dual_graph()), reference_dual(tets, &TET));
-    assert_eq!(edges_first_seen(tets), reference_edges(tets));
-    let faces = m.faces();
-    assert_eq!((faces.keys, faces.ids), reference_faces(tets));
+    assert_eq!(*m.edges(), reference_edges(tets));
+    assert_eq!(face_nodes(&m), reference_faces(tets));
+}
+
+/// [`Mesh3d::faces`] with each `[edge, top]` key as its node triple.
+fn face_nodes(m: &Mesh3d) -> Dedup<[u32; 3]> {
+    let Dedup { keys, ids } = m.faces();
+    let edges = &m.edges().keys;
+    let keys = (keys.iter())
+        .map(|&[e, c]| [edges[e as usize][0], edges[e as usize][1], c])
+        .collect();
+    Dedup { keys, ids }
 }
 
 #[test]
@@ -129,14 +138,14 @@ fn dual_graph_matches_brute_force_reference() {
         let marked: Vec<bool> = (0..m.ntris()).map(|t| t % mark_mod == 0).collect();
         let f = refine2d::refine(&m, &marked).0;
         for m in [m, f] {
-            check_tris(&m.som, m.nnodes());
-            check_tris(&relabel(&m.som, m.nnodes(), &mut shuffle), m.nnodes());
+            check_tris(m.som(), m.nnodes());
+            check_tris(&relabel(m.som(), m.nnodes(), &mut shuffle), m.nnodes());
         }
     }
     for (nx, ny, nz) in [(1, 1, 1), (2, 1, 1), (2, 2, 1), (1, 3, 2), (3, 2, 2)] {
         let m = gen3d::box_mesh(nx, ny, nz);
-        check_tets(&m.tets, m.nnodes());
-        check_tets(&relabel(&m.tets, m.nnodes(), &mut shuffle), m.nnodes());
+        check_tets(m.tets(), m.nnodes());
+        check_tets(&relabel(m.tets(), m.nnodes(), &mut shuffle), m.nnodes());
     }
 }
 
@@ -161,22 +170,66 @@ fn hub_meshes_number_like_the_reference() {
     let k = 1u32 << 17;
     let fan: Vec<[u32; 3]> = (0..k).map(|i| [0, i + 1, i + 2]).collect();
     let m = Mesh2d::new(vec![[0.0; 2]; k as usize + 2], fan);
-    assert_eq!(edges_first_seen(&m.som), reference_edges(&m.som));
+    assert_eq!(*m.edges(), reference_edges(m.som()));
     assert_eq!(rows(&m.dual_graph()), chain(k));
 
     let k = 1u32 << 16;
     let star: Vec<[u32; 4]> = (0..k).map(|i| [0, 1, i + 2, i + 3]).collect();
     let m = Mesh3d::new(vec![[0.0; 3]; k as usize + 3], star);
-    assert_eq!(edges_first_seen(&m.tets), reference_edges(&m.tets));
-    let faces = m.faces();
-    assert_eq!((faces.keys, faces.ids), reference_faces(&m.tets));
+    assert_eq!(*m.edges(), reference_edges(m.tets()));
+    assert_eq!(face_nodes(&m), reference_faces(m.tets()));
     assert_eq!(rows(&m.dual_graph()), chain(k));
+}
+
+/// The numbering kernel against the scan, on pairs and on triples:
+/// seeded streams under small node bounds (many repeats), a perturbed
+/// grid with its node ids permuted, and a fan in which node 0 lies on
+/// every triangle, so one bucket of the leading component holds every
+/// triple and every spoke. Keys need not be sorted tuples: `[2, 1]`
+/// and `[1, 2]` are distinct.
+#[test]
+fn dedup_matches_scan_reference() {
+    fn check<const N: usize>(occ: &[[u32; N]], n: usize) {
+        assert_eq!(dedup_first_seen(occ, n), scan_reference(occ.iter().copied()));
+    }
+    /// Every element's local pairs, unsorted and sorted, and each
+    /// element twice as a triple: as given, then sorted in reverse
+    /// element order.
+    fn check_elems(tris: &[[u32; 3]], n: usize) {
+        let local = |t: &[u32; 3]| TRI.map(|ij| [t[ij[0]], t[ij[1]]]);
+        let pairs: Vec<[u32; 2]> = tris.iter().flat_map(local).collect();
+        check(&pairs, n);
+        check(&pairs.iter().map(|&p| sorted(p)).collect::<Vec<_>>(), n);
+        let triples: Vec<[u32; 3]> = (tris.iter().copied())
+            .chain(tris.iter().rev().map(|&t| sorted(t)))
+            .collect();
+        check(&triples, n);
+    }
+    let mut rng = SmallRng::seed_from_u64(0x9E37_79B9);
+    for n in [1, 2, 5, 11] {
+        let mut node = || rng.range_usize(0, n) as u32;
+        let pairs: Vec<[u32; 2]> = (0..400).map(|_| [node(), node()]).collect();
+        check(&pairs, n);
+        let triples: Vec<[u32; 3]> = (0..400).map(|_| [node(), node(), node()]).collect();
+        check(&triples, n);
+    }
+    let m = gen2d::perturbed_grid(9, 7, 0.3, 11);
+    check_elems(&relabel(m.som(), m.nnodes(), &mut rng), m.nnodes());
+    let k = 1u32 << 12;
+    let fan: Vec<[u32; 3]> = (0..k).map(|i| [0, i + 1, i + 2]).collect();
+    check_elems(&fan, k as usize + 2);
+
+    // The mesh numbers its edges once: every read is the same table.
+    let m = Mesh2d::new(vec![[0.0; 2]; k as usize + 2], fan);
+    let first: *const Dedup<[u32; 2]> = m.edges();
+    m.dual_graph();
+    assert!(std::ptr::eq(first, m.edges()));
 }
 
 fn assert_disk(m: &Mesh2d) {
     // Conforming (`dual_graph` panics otherwise) + Euler for a disk.
     m.dual_graph();
-    let ne = edges_first_seen(&m.som).0.len();
+    let ne = m.edges().keys.len();
     assert_eq!(m.nnodes() as i64 - ne as i64 + m.ntris() as i64, 1);
 }
 
@@ -228,10 +281,10 @@ fn rcm_permutation_preserves_connectivity_counts() {
     /// every triangle's corner order and so its area).
     fn counts(m: &Mesh2d) -> (usize, usize, usize, Option<usize>, f64) {
         let mut tris_on = vec![0usize; m.nnodes()];
-        for &s in m.som.iter().flatten() {
+        for &s in m.som().iter().flatten() {
             tris_on[s as usize] += 1;
         }
-        let ne = edges_first_seen(&m.som).0.len();
+        let ne = m.edges().keys.len();
         let area = (0..m.ntris()).map(|t| m.signed_area(t).abs()).sum();
         (m.nnodes(), ne, m.ntris(), tris_on.into_iter().max(), area)
     }

@@ -20,9 +20,10 @@
 //! nodes are shared between parts and their post-scatter partial
 //! values are combined by the [`AssembleSchedule`].
 //!
-//! The whole construction path is CSR-lean: entity deduplication uses
-//! the shared counting-sort first-seen numbering of `syncplace-mesh`
-//! ([`edges_first_seen`]), per-part closure and localization run over
+//! The whole construction path is CSR-lean: edges are the mesh's own
+//! numbering ([`Mesh::edges`], numbered once per mesh by the shared
+//! counting-sort first-seen kernel of `syncplace-mesh` and stored
+//! there), per-part closure and localization run over
 //! stamp-validated scratch arrays that are allocated once and reused
 //! across parts, and schedules are derived from an entity placement
 //! (a global-entity → (part, local) CSR) instead of dense per-part
@@ -31,7 +32,8 @@
 //! ([`Decomposition::owners`], [`Decomposition::update_schedule`],
 //! [`Decomposition::scatter`], [`Decomposition::gather`]), never
 //! through a node / edge / element ladder of their own. Total cost is
-//! O(M + N) for the dedup (M element-local edge slots, N nodes) plus
+//! O(M + N) for the edge numbering when the mesh does not hold it yet
+//! (M element-local edge slots, N nodes) plus
 //! O(total sub-mesh slots) for everything else — no per-entity hashing
 //! and no dense O(parts × entities) scans, so million-element meshes at
 //! 128 parts stay within a few hundred bytes per element.
@@ -45,7 +47,7 @@
 use crate::pattern::Pattern;
 use crate::schedule::{AssembleSchedule, UpdateSchedule};
 use crate::submesh::{elem_kind, SubMesh};
-use syncplace_mesh::{edges_first_seen, n_vertex_pairs, Csr, EntityKind, Mesh2d, Mesh3d};
+use syncplace_mesh::{n_vertex_pairs, Csr, EntityKind, Mesh, Mesh2d, Mesh3d};
 
 /// A complete decomposition: all sub-meshes plus schedules and
 /// global↔local transfer helpers.
@@ -82,7 +84,8 @@ pub struct Decomposition<const V: usize> {
 /// reads no clock).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct DecomposeStats {
-    /// Ownership scans + counting-sort edge dedup + incidence CSRs.
+    /// Ownership scans + the edge numbering, unless the mesh already
+    /// holds it + incidence CSRs.
     pub dedup_s: f64,
     /// Per-part overlap closure + localization (sub-mesh building).
     pub closure_s: f64,
@@ -100,7 +103,7 @@ pub fn decompose2d(
     nparts: usize,
     pattern: Pattern,
 ) -> Decomposition<3> {
-    decompose(mesh.nnodes(), &mesh.som, part, nparts, pattern)
+    decompose(mesh, part, nparts, pattern)
 }
 
 /// Decompose a 3-D mesh.
@@ -110,32 +113,32 @@ pub fn decompose3d(
     nparts: usize,
     pattern: Pattern,
 ) -> Decomposition<4> {
-    decompose(mesh.nnodes(), &mesh.tets, part, nparts, pattern)
+    decompose(mesh, part, nparts, pattern)
 }
 
 /// Generic decomposition over `V`-vertex elements: [`global_setup`],
 /// [`build_submesh`] once per part, then [`finish`].
-pub fn decompose<const V: usize>(
-    nnodes: usize,
-    elems: &[[u32; V]],
+pub fn decompose<const D: usize, const V: usize>(
+    mesh: &Mesh<D, V>,
     part: &[u32],
     nparts: usize,
     pattern: Pattern,
 ) -> Decomposition<V> {
-    let setup = global_setup(nnodes, elems, part, nparts, pattern);
+    let setup = global_setup(mesh, part, nparts, pattern);
     let mut scratch = PartScratch::new(&setup);
     let submeshes: Vec<SubMesh<V>> = (0..nparts as u32)
-        .map(|p| build_submesh(&setup, elems, p, &mut scratch))
+        .map(|p| build_submesh(&setup, mesh, p, &mut scratch))
         .collect();
-    finish(setup, submeshes, part, pattern)
+    finish(setup, mesh, submeshes, part, pattern)
 }
 
 /// The last build step: placement CSRs over the built sub-meshes, the
 /// update (element overlap) or assembly (node overlap) schedules, and
 /// the [`Decomposition`] that holds them with `setup`'s ownership and
-/// edges. `submeshes[p]` must be part `p`'s [`build_submesh`].
-pub fn finish<const V: usize>(
+/// `mesh`'s edges. `submeshes[p]` must be part `p`'s [`build_submesh`].
+pub fn finish<const D: usize, const V: usize>(
     setup: GlobalSetup,
+    mesh: &Mesh<D, V>,
     submeshes: Vec<SubMesh<V>>,
     part: &[u32],
     pattern: Pattern,
@@ -149,11 +152,12 @@ pub fn finish<const V: usize>(
     match pattern {
         Pattern::ElementOverlap { .. } => {
             let edge_place = EntityPlacement::from_l2g(
-                setup.global_edges.len(),
+                setup.edge_owner.len(),
                 submeshes.iter().map(|s| s.edges_l2g.as_slice()),
             );
-            node_update = owner_to_copies(&setup.node_owner, &node_place);
-            edge_update = owner_to_copies(&setup.edge_owner, &edge_place);
+            let kernels = |kind| submeshes.iter().map(move |s| s.kernel(kind).unwrap());
+            node_update = owner_to_copies(kernels(EntityKind::Node), &node_place);
+            edge_update = owner_to_copies(kernels(EntityKind::Edge), &edge_place);
         }
         Pattern::NodeOverlap => {
             node_assemble.groups = assemble_groups(&setup.node_owner, &node_place);
@@ -164,7 +168,7 @@ pub fn finish<const V: usize>(
         nparts,
         nnodes_global: nnodes,
         nelems_global: part.len(),
-        global_edges: setup.global_edges,
+        global_edges: mesh.edges().keys.clone(),
         node_owner: setup.node_owner,
         edge_owner: setup.edge_owner,
         elem_part: part.to_vec(),
@@ -177,10 +181,10 @@ pub fn finish<const V: usize>(
 
 // --- Global setup ----------------------------------------------------------
 
-/// Everything the per-part sub-mesh builder needs, derived once from
-/// the global mesh: ownership, the deduplicated edge set, and the
-/// incidence CSRs. Element arrays are *not* stored here — callers pass
-/// them alongside, so the parallel builder can share one copy.
+/// Everything the per-part sub-mesh builder needs beyond the [`Mesh`],
+/// derived once from it and the partition: ownership and the incidence
+/// CSRs. Elements and edges are *not* stored here — callers pass the
+/// mesh alongside, so the parallel builder can share one copy.
 #[derive(Debug, Clone)]
 pub struct GlobalSetup {
     /// Global node count.
@@ -191,14 +195,9 @@ pub struct GlobalSetup {
     pub layers: usize,
     /// Owner part per global node (min incident element part).
     pub node_owner: Vec<u32>,
-    /// Owner part per global edge (min incident element part).
+    /// Owner part per global edge (min incident element part), in the
+    /// mesh's edge numbering.
     pub edge_owner: Vec<u32>,
-    /// Global unique edges (sorted pairs, first-seen order over elements).
-    pub global_edges: Vec<[u32; 2]>,
-    /// Element-local pair slot → global edge id, flattened:
-    /// `elem_edges[e * E + k]` with `E = V(V−1)/2`, as
-    /// [`edges_first_seen`] numbers them.
-    pub elem_edges: Vec<u32>,
     /// Node → incident elements (for the overlap closure).
     pub node_elems: Csr,
     /// Part → its kernel elements, ascending global id.
@@ -216,16 +215,17 @@ fn layers_of(pattern: Pattern) -> usize {
     }
 }
 
-/// The first build step: ownership min-scans, the edge numbering (the
-/// same [`edges_first_seen`] bindings and refinement call), and the
+/// The first build step: ownership min-scans over the mesh's edge
+/// numbering (the one [`Mesh::edges`] the partitioner, bindings and
+/// refinement read, numbered here if no reader has asked yet), and the
 /// incidence CSRs.
-pub fn global_setup<const V: usize>(
-    nnodes: usize,
-    elems: &[[u32; V]],
+pub fn global_setup<const D: usize, const V: usize>(
+    mesh: &Mesh<D, V>,
     part: &[u32],
     nparts: usize,
     pattern: Pattern,
 ) -> GlobalSetup {
+    let (nnodes, elems) = (mesh.nnodes(), mesh.elems());
     assert_eq!(elems.len(), part.len());
     assert!(part.iter().all(|&p| (p as usize) < nparts));
 
@@ -237,12 +237,11 @@ pub fn global_setup<const V: usize>(
         }
     }
 
-    // Global unique edges in the meshes' own numbering; edge owner =
-    // min incident element part.
+    // Edge owner = min incident element part, in the mesh's numbering.
     let e_per = n_vertex_pairs::<V>();
-    let (global_edges, elem_edges) = edges_first_seen(elems);
-    let mut edge_owner = vec![u32::MAX; global_edges.len()];
-    for (i, &id) in elem_edges.iter().enumerate() {
+    let edges = mesh.edges();
+    let mut edge_owner = vec![u32::MAX; edges.keys.len()];
+    for (i, &id) in edges.ids.iter().enumerate() {
         let o = &mut edge_owner[id as usize];
         *o = (*o).min(part[i / e_per]);
     }
@@ -251,28 +250,14 @@ pub fn global_setup<const V: usize>(
         "mesh has isolated nodes"
     );
 
-    let mut ne_pairs: Vec<(u32, u32)> = Vec::with_capacity(elems.len() * V);
-    for (e, el) in elems.iter().enumerate() {
-        for &v in el {
-            ne_pairs.push((v, e as u32));
-        }
-    }
-    let node_elems = Csr::from_pairs(nnodes, &ne_pairs);
-    drop(ne_pairs);
-    let pe_pairs: Vec<(u32, u32)> = part
-        .iter()
-        .enumerate()
-        .map(|(e, &p)| (p, e as u32))
-        .collect();
-    let part_elems = Csr::from_pairs(nparts, &pe_pairs);
+    let node_elems = Csr::invert(nnodes, elems.iter());
+    let part_elems = Csr::invert(nparts, part.iter().map(std::slice::from_ref));
     GlobalSetup {
         nnodes,
         nparts,
         layers: layers_of(pattern),
         node_owner,
         edge_owner,
-        global_edges,
-        elem_edges,
         node_elems,
         part_elems,
     }
@@ -313,7 +298,7 @@ impl PartScratch {
             frontier_stamp: vec![u32::MAX; setup.nnodes],
             node_stamp: vec![u32::MAX; setup.nnodes],
             node_local: vec![u32::MAX; setup.nnodes],
-            edge_stamp: vec![u32::MAX; setup.global_edges.len()],
+            edge_stamp: vec![u32::MAX; setup.edge_owner.len()],
         }
     }
 }
@@ -323,12 +308,13 @@ impl PartScratch {
 /// kernel entities first. Deterministic for a given setup; the
 /// sequential and parallel builders both call this, which is what
 /// makes their decompositions bitwise identical.
-pub fn build_submesh<const V: usize>(
+pub fn build_submesh<const D: usize, const V: usize>(
     setup: &GlobalSetup,
-    elems: &[[u32; V]],
+    mesh: &Mesh<D, V>,
     p: u32,
     scratch: &mut PartScratch,
 ) -> SubMesh<V> {
+    let (elems, edges) = (mesh.elems(), mesh.edges());
     // Kernel elements in ascending global order.
     let kernel_elems: &[u32] = setup.part_elems.row(p as usize);
     for &e in kernel_elems {
@@ -433,10 +419,10 @@ pub fn build_submesh<const V: usize>(
     for &e in &elems_l2g {
         let base = e as usize * e_per;
         for k in 0..e_per {
-            let ge = setup.elem_edges[base + k];
+            let ge = edges.ids[base + k];
             if scratch.edge_stamp[ge as usize] != p {
                 scratch.edge_stamp[ge as usize] = p;
-                let [a, b] = setup.global_edges[ge as usize];
+                let [a, b] = edges.keys[ge as usize];
                 let (la, lb) = (
                     scratch.node_local[a as usize],
                     scratch.node_local[b as usize],
@@ -534,24 +520,28 @@ impl EntityPlacement {
             .copied()
             .zip(self.locals[s..e].iter().copied())
     }
-
-    /// Local id of entity `g` on part `p`, if present.
-    fn local_on(&self, g: usize, p: u32) -> Option<u32> {
-        self.row(g).find(|&(q, _)| q == p).map(|(_, l)| l)
-    }
 }
 
 // --- Schedule construction -------------------------------------------------
 
 /// The owner→copies update of one entity kind: one `(owner, part,
 /// src_local_on_owner, dst_local_on_part)` copy per placement of an
-/// entity on a part other than its owner.
-fn owner_to_copies(owner: &[u32], place: &EntityPlacement) -> UpdateSchedule {
-    let mut copies = Vec::with_capacity(place.parts.len() - owner.len());
-    for (g, &o) in owner.iter().enumerate() {
-        let src = place.local_on(g, o).expect("owner holds its entity");
-        let others = place.row(g).filter(|&(q, _)| q != o);
-        copies.extend(others.map(|(q, dst)| (o, q, src, dst)));
+/// entity on a part other than its owner. Owner `p` walks its kernel
+/// (`kernels[p]`: the entities it owns, in local order, so `src`
+/// ascends) and a stable sort by receiver groups its copies, so they
+/// reach [`UpdateSchedule::from_copies`] already in schedule order.
+fn owner_to_copies<'a>(
+    kernels: impl Iterator<Item = &'a [u32]>,
+    place: &EntityPlacement,
+) -> UpdateSchedule {
+    let mut copies = Vec::with_capacity(place.parts.len() + 1 - place.offsets.len());
+    for (p, kernel) in (0..).zip(kernels) {
+        let first = copies.len();
+        for (src, &g) in (0..).zip(kernel) {
+            let others = place.row(g as usize).filter(|&(q, _)| q != p);
+            copies.extend(others.map(|(q, dst)| (p, q, src, dst)));
+        }
+        copies[first..].sort_by_key(|c| c.1);
     }
     UpdateSchedule::from_copies(copies)
 }
@@ -612,8 +602,7 @@ impl<const V: usize> Decomposition<V> {
         let owners = self.owners(kind)?;
         let mut global = vec![0.0; owners.len()];
         for (p, s) in self.submeshes.iter().enumerate() {
-            let kernel = &s.l2g(kind)?[..s.n_kernel(kind)?];
-            for (l, &g) in kernel.iter().enumerate() {
+            for (l, &g) in s.kernel(kind)?.iter().enumerate() {
                 debug_assert_eq!(owners[g as usize], p as u32);
                 global[g as usize] = locals[p][l];
             }
@@ -727,7 +716,7 @@ mod tests {
             for &g in &s.elems_l2g {
                 present[g as usize] = true;
             }
-            for (t, tri) in mesh.som.iter().enumerate() {
+            for (t, tri) in mesh.som().iter().enumerate() {
                 let touches_kernel = tri.iter().any(|&n| d.node_owner[n as usize] == s.part);
                 if touches_kernel {
                     assert!(present[t], "part {} misses element {t}", s.part);
@@ -950,7 +939,7 @@ mod tests {
             for &g in &s.elems_l2g {
                 present[g as usize] = true;
             }
-            for (t, tet) in mesh.tets.iter().enumerate() {
+            for (t, tet) in mesh.tets().iter().enumerate() {
                 if tet.iter().any(|&n| d.node_owner[n as usize] == s.part) {
                     assert!(present[t], "part {} misses tet {t}", s.part);
                 }
@@ -972,7 +961,7 @@ mod tests {
                 assert_eq!(d.submeshes[p as usize].nodes_l2g[l as usize], n as u32);
             }
             assert!(
-                place.local_on(n, d.node_owner[n]).is_some(),
+                place.row(n).any(|(q, _)| q == d.node_owner[n]),
                 "owner always holds its node"
             );
         }

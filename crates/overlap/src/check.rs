@@ -203,7 +203,7 @@ mod tests {
             // Global reference: `layers` steps.
             let mut global = global0.clone();
             for _ in 0..layers {
-                global = gs_step(mesh.nnodes(), &mesh.som, &global);
+                global = gs_step(mesh.nnodes(), mesh.som(), &global);
             }
             // Local: same steps on each sub-mesh, full local domain,
             // NO communication.
@@ -236,7 +236,7 @@ mod tests {
         let d = decompose2d(&mesh, &p.part, 4, Pattern::ElementOverlap { layers: 1 });
         let mut global = global0.clone();
         for _ in 0..2 {
-            global = gs_step(mesh.nnodes(), &mesh.som, &global);
+            global = gs_step(mesh.nnodes(), mesh.som(), &global);
         }
         let locals0 = d.scatter(EntityKind::Node, &global0).unwrap();
         let mut any_wrong = false;

@@ -101,6 +101,12 @@ impl<const V: usize> SubMesh<V> {
         }
     }
 
+    /// The kernel prefix of [`SubMesh::l2g`]: the global ids of the
+    /// `kind` entities this part owns, in local order.
+    pub fn kernel(&self, kind: EntityKind) -> Option<&[u32]> {
+        Some(&self.l2g(kind)?[..self.n_kernel(kind)?])
+    }
+
     /// Number of overlap (non-kernel) nodes.
     pub fn n_overlap_nodes(&self) -> usize {
         self.nnodes() - self.n_kernel_nodes

@@ -36,7 +36,7 @@ pub fn imbalance(part: &[u32], nparts: usize) -> f64 {
 pub fn interface_nodes2d(mesh: &Mesh2d, part: &[u32]) -> usize {
     let mut first_part: Vec<u32> = vec![u32::MAX; mesh.nnodes()];
     let mut interface = vec![false; mesh.nnodes()];
-    for (t, tri) in mesh.som.iter().enumerate() {
+    for (t, tri) in mesh.som().iter().enumerate() {
         let p = part[t];
         for &s in tri {
             let f = &mut first_part[s as usize];

@@ -7,7 +7,7 @@
 //! values of every input array, and the values of input scalars.
 
 use syncplace_ir::{EntityKind, IdVec, Program, Stmt, VarKind};
-use syncplace_mesh::edges_first_seen;
+use syncplace_mesh::Mesh;
 use syncplace_overlap::elem_kind;
 
 /// A concrete indirection table in *global* entity numbering.
@@ -145,26 +145,26 @@ impl Bindings {
         })
     }
 
-    /// Standard bindings for a mesh of `nnodes` nodes and `V`-vertex
-    /// elements (triangles or tets): entity counts from the mesh, every
-    /// declared `elem -> node [V]` map bound to element corners and
-    /// every `edge -> node [2]` map to edge endpoints. Edges are
-    /// derived ([`edges_first_seen`]) only when `prog` mentions them —
-    /// an edge-based array, a map from or to `edge`, or a
-    /// `forall … in edge` loop; otherwise `edge_table` is `None` and
-    /// the edge count 0, since nothing can read either.
-    pub fn for_mesh<const V: usize>(prog: &Program, nnodes: usize, elems: &[[u32; V]]) -> Bindings {
-        let ek = elem_kind::<V>();
+    /// Standard bindings for a mesh of `V`-vertex elements (triangles
+    /// or tets): entity counts from the mesh, every declared `elem ->
+    /// node [V]` map bound to element corners and every `edge -> node
+    /// [2]` map to edge endpoints. Edges are read from the mesh's own
+    /// numbering ([`Mesh::edges`], the one the decomposition reads) only when
+    /// `prog` mentions them — an edge-based array, a map from or to
+    /// `edge`, or a `forall … in edge` loop; otherwise `edge_table` is
+    /// `None` and the edge count 0, since nothing can read either.
+    pub fn for_mesh<const D: usize, const V: usize>(prog: &Program, mesh: &Mesh<D, V>) -> Bindings {
+        let (ek, elems) = (elem_kind::<V>(), mesh.elems());
         let mut counts = [0; 4];
-        counts[kind_index(EntityKind::Node)] = nnodes;
+        counts[kind_index(EntityKind::Node)] = mesh.nnodes();
         counts[kind_index(ek)] = elems.len();
         let mut edge_table = None;
         if mentions_edges(prog) {
-            let edges = edges_first_seen(elems).0;
+            let edges = &mesh.edges().keys;
             counts[kind_index(EntityKind::Edge)] = edges.len();
             edge_table = Some(MapData {
                 arity: 2,
-                targets: edges.into_iter().flatten().collect(),
+                targets: edges.iter().flatten().copied().collect(),
             });
         }
         let maps = (prog.decls.iter().enumerate())
@@ -216,14 +216,14 @@ fn mentions_edges(prog: &Program) -> bool {
 /// areas scaled so that a constant field is a fixed point of the
 /// averaging (the convergence behaviour of the paper's example).
 pub fn testiv_bindings(prog: &Program, mesh: &syncplace_mesh::Mesh2d, epsilon: f64) -> Bindings {
-    let mut b = Bindings::for_mesh(prog, mesh.nnodes(), &mesh.som);
+    let mut b = Bindings::for_mesh(prog, mesh);
     let areas: Vec<f64> = (0..mesh.ntris())
         .map(|t| mesh.signed_area(t).abs())
         .collect();
     // vm = (ΣOLD)·A/18; NEW(s) += vm/AIRESOM(s). A constant field c is
     // preserved when AIRESOM(s) = Σ incident A / 6.
     let mut airesom = vec![0.0; mesh.nnodes()];
-    for (t, tri) in mesh.som.iter().enumerate() {
+    for (t, tri) in mesh.som().iter().enumerate() {
         for &s in tri {
             airesom[s as usize] += areas[t] / 6.0;
         }
@@ -242,13 +242,13 @@ pub fn testiv_bindings(prog: &Program, mesh: &syncplace_mesh::Mesh2d, epsilon: f
 /// Ready-made bindings for the 3-D `tetheat` program: volumes and
 /// assembled nodal volumes (constant-preserving scaling).
 pub fn tet_heat_bindings(prog: &Program, mesh: &syncplace_mesh::Mesh3d, epsilon: f64) -> Bindings {
-    let mut b = Bindings::for_mesh(prog, mesh.nnodes(), &mesh.tets);
+    let mut b = Bindings::for_mesh(prog, mesh);
     let vols: Vec<f64> = (0..mesh.ntets())
         .map(|t| mesh.signed_volume(t).abs())
         .collect();
     // vm = (Σ4 OLD)·V/16; constant preserved when VOLS(s) = ΣV/4.
     let mut vols_n = vec![0.0; mesh.nnodes()];
-    for (t, tet) in mesh.tets.iter().enumerate() {
+    for (t, tet) in mesh.tets().iter().enumerate() {
         for &s in tet {
             vols_n[s as usize] += vols[t] / 4.0;
         }
@@ -271,7 +271,7 @@ pub fn edge_smooth_bindings(
     mesh: &syncplace_mesh::Mesh2d,
     x: Vec<f64>,
 ) -> Bindings {
-    let mut b = Bindings::for_mesh(prog, mesh.nnodes(), &mesh.som);
+    let mut b = Bindings::for_mesh(prog, mesh);
     assert_eq!(x.len(), mesh.nnodes());
     b.input_arrays.insert(prog.lookup("X").expect("X"), x);
     let nedges = b.counts[kind_index(EntityKind::Edge)];
@@ -298,7 +298,7 @@ mod tests {
     fn missing_input_caught() {
         let p = programs::testiv();
         let mesh = gen2d::grid(3, 3);
-        let b = Bindings::for_mesh(&p, mesh.nnodes(), &mesh.som);
+        let b = Bindings::for_mesh(&p, &mesh);
         assert!(b.validate(&p).is_err());
     }
 
@@ -319,7 +319,7 @@ mod tests {
         let edge = kind_index(EntityKind::Edge);
         for b in [
             testiv_bindings(&programs::testiv(), &grid, 0.0),
-            Bindings::for_mesh(&programs::fig5_sketch(), grid.nnodes(), &grid.som),
+            Bindings::for_mesh(&programs::fig5_sketch(), &grid),
             tet_heat_bindings(&programs::tet_heat(1), &tets, 0.0),
         ] {
             assert!(b.edge_table.is_none());
@@ -327,7 +327,7 @@ mod tests {
         }
         let x = vec![1.0; grid.nnodes()];
         let b = edge_smooth_bindings(&programs::edge_smooth(), &grid, x);
-        let nedges = edges_first_seen(&grid.som).0.len();
+        let nedges = grid.edges().keys.len();
         assert_eq!(b.counts[edge], nedges);
         assert_eq!(b.edge_table.map(|t| t.targets.len()), Some(2 * nedges));
     }

@@ -15,7 +15,7 @@
 
 use std::sync::Arc;
 use std::time::Instant;
-use syncplace_mesh::{Mesh2d, Mesh3d};
+use syncplace_mesh::{Mesh, Mesh2d, Mesh3d};
 use syncplace_obs::{self as obs, keys, RecorderRef};
 use syncplace_overlap::build::{build_submesh, finish, global_setup, Decomposition, PartScratch};
 use syncplace_overlap::{DecomposeStats, Pattern, SubMesh};
@@ -29,8 +29,9 @@ fn ranges(n: usize, w: usize) -> Vec<std::ops::Range<usize>> {
 }
 
 /// Parallel [`decompose2d`](syncplace_overlap::build::decompose2d):
-/// same result. The element and part arrays are copied once into
-/// shared ownership for the gang jobs.
+/// same result. The mesh and part arrays are copied once into shared
+/// ownership for the gang jobs, after the mesh has numbered its edges,
+/// so the copy carries that numbering and nothing renumbers.
 pub fn decompose2d_par(
     mesh: &Mesh2d,
     part: &[u32],
@@ -39,8 +40,9 @@ pub fn decompose2d_par(
     workers: usize,
     rec: &RecorderRef,
 ) -> (Decomposition<3>, DecomposeStats) {
-    let (elems, part) = (Arc::new(mesh.som.clone()), Arc::new(part.to_vec()));
-    decompose_par(mesh.nnodes(), elems, part, nparts, pattern, workers, rec)
+    mesh.edges();
+    let (mesh, part) = (Arc::new(mesh.clone()), Arc::new(part.to_vec()));
+    decompose_par(mesh, part, nparts, pattern, workers, rec)
 }
 
 /// Parallel [`decompose3d`](syncplace_overlap::build::decompose3d).
@@ -52,17 +54,17 @@ pub fn decompose3d_par(
     workers: usize,
     rec: &RecorderRef,
 ) -> (Decomposition<4>, DecomposeStats) {
-    let (elems, part) = (Arc::new(mesh.tets.clone()), Arc::new(part.to_vec()));
-    decompose_par(mesh.nnodes(), elems, part, nparts, pattern, workers, rec)
+    mesh.edges();
+    let (mesh, part) = (Arc::new(mesh.clone()), Arc::new(part.to_vec()));
+    decompose_par(mesh, part, nparts, pattern, workers, rec)
 }
 
 /// Build a [`Decomposition`] with the per-part step on the global
 /// [`SpmdPool`], bitwise identical to the sequential
 /// [`decompose`](syncplace_overlap::build::decompose). `workers = 0`
 /// builds as one block.
-pub fn decompose_par<const V: usize>(
-    nnodes: usize,
-    elems: Arc<Vec<[u32; V]>>,
+pub fn decompose_par<const D: usize, const V: usize>(
+    mesh: Arc<Mesh<D, V>>,
     part: Arc<Vec<u32>>,
     nparts: usize,
     pattern: Pattern,
@@ -73,18 +75,18 @@ pub fn decompose_par<const V: usize>(
     let t_span = obs::start(rec);
 
     let (t0, t_step) = (Instant::now(), obs::start(rec));
-    let setup = Arc::new(global_setup(nnodes, &elems, &part, nparts, pattern));
+    let setup = Arc::new(global_setup(&mesh, &part, nparts, pattern));
     let dedup_s = t0.elapsed().as_secs_f64();
     obs::finish(rec, keys::DECOMP_DEDUP_SPAN, t_step);
 
     let (t0, t_step) = (Instant::now(), obs::start(rec));
     let jobs = (ranges(nparts, workers).into_iter())
         .map(|block| {
-            let (setup, elems) = (Arc::clone(&setup), Arc::clone(&elems));
+            let (setup, mesh) = (Arc::clone(&setup), Arc::clone(&mesh));
             async move {
                 let mut scratch = PartScratch::new(&setup);
                 let subs: Vec<SubMesh<V>> = block
-                    .map(|p| build_submesh(&setup, &elems, p as u32, &mut scratch))
+                    .map(|p| build_submesh(&setup, &mesh, p as u32, &mut scratch))
                     .collect();
                 Ok(subs)
             }
@@ -99,7 +101,7 @@ pub fn decompose_par<const V: usize>(
     let (t0, t_step) = (Instant::now(), obs::start(rec));
     // The gang has dropped every job, so this is the last reference.
     let setup = Arc::try_unwrap(setup).unwrap_or_else(|shared| (*shared).clone());
-    let d = finish(setup, submeshes, &part, pattern);
+    let d = finish(setup, &mesh, submeshes, &part, pattern);
     let schedule_s = t0.elapsed().as_secs_f64();
     obs::finish(rec, keys::DECOMP_SCHEDULE_SPAN, t_step);
 

@@ -71,11 +71,10 @@ fn worker_count_never_changes_the_result() {
     // 8 — all identical.
     let mesh = gen2d::perturbed_grid(11, 11, 0.3, 123);
     let p = partition2d(&mesh, 6, Method::RcbKl);
-    let elems = Arc::new(mesh.som.clone());
+    let shared = Arc::new(mesh.clone());
     let part = Arc::new(p.part.clone());
     let (base, _) = decompose_par(
-        mesh.nnodes(),
-        Arc::clone(&elems),
+        Arc::clone(&shared),
         Arc::clone(&part),
         6,
         Pattern::FIG1,
@@ -84,8 +83,7 @@ fn worker_count_never_changes_the_result() {
     );
     for workers in [0, 2, 3, 4, 5, 6, 7, 8] {
         let (d, _) = decompose_par(
-            mesh.nnodes(),
-            Arc::clone(&elems),
+            Arc::clone(&shared),
             Arc::clone(&part),
             6,
             Pattern::FIG1,
@@ -107,6 +105,7 @@ fn construction_path_is_hash_free() {
         "crates/mesh/src/csr.rs",
         "crates/mesh/src/mesh2d.rs",
         "crates/mesh/src/mesh3d.rs",
+        "crates/mesh/src/simplicial.rs",
         "crates/overlap/src/build.rs",
         "crates/overlap/src/schedule.rs",
         "crates/overlap/src/submesh.rs",

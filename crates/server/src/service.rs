@@ -743,7 +743,7 @@ fn compile_plan(
     let plan = Arc::new(CommPlan::build(&placed.prog, &placed.spmd, &d));
     let ranks: Vec<_> = d.submeshes.iter().map(submesh_counts).collect();
     let work = plan.tape.as_ref().map_or(0, |ops| tape::work(ops, &ranks));
-    let mut b = Bindings::for_mesh(&placed.prog, mesh.nnodes(), &mesh.som);
+    let mut b = Bindings::for_mesh(&placed.prog, &mesh);
     syncplace::synth_inputs(&placed.prog, &mut b);
     // The engines localise maps from `d`; only the sequential
     // reference, which the service never runs, reads the global tables.
@@ -1074,7 +1074,7 @@ mod tests {
         for program in ["testiv", "fig5-sketch", "edge-smooth"] {
             let req = run_req(&format!("{{\"op\":\"run\",\"program\":\"{program}\"}}"));
             let placed = place(&req, &None).unwrap();
-            let counts = Bindings::for_mesh(&placed.prog, mesh.nnodes(), &mesh.som).counts;
+            let counts = Bindings::for_mesh(&placed.prog, &mesh).counts;
             let ops = tape::lower(&placed.prog, &placed.spmd, &[]).unwrap();
             let work = tape::work(&ops, &[(counts, counts)]);
             assert!(work > 0 && work <= MAX_RUN_WORK / 2, "{program}: {work}");

@@ -54,7 +54,7 @@ fn main() {
         // Adapt: refine where the solved field varies across an element.
         let solved = &res.output_arrays[result];
         let mut marked = vec![false; mesh.ntris()];
-        for (t, tri) in mesh.som.iter().enumerate() {
+        for (t, tri) in mesh.som().iter().enumerate() {
             let vals: Vec<f64> = tri.iter().map(|&s| solved[s as usize]).collect();
             let spread = vals.iter().cloned().fold(f64::MIN, f64::max)
                 - vals.iter().cloned().fold(f64::MAX, f64::min);

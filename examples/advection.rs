@@ -49,7 +49,7 @@ fn main() {
     syncplace::ir::validate::assert_valid(&prog);
     let mesh = gen2d::perturbed_grid(16, 16, 0.2, 31);
 
-    let mut bindings = syncplace::runtime::Bindings::for_mesh(&prog, mesh.nnodes(), &mesh.som);
+    let mut bindings = syncplace::runtime::Bindings::for_mesh(&prog, &mesh);
     let nedges = bindings.counts[syncplace::runtime::bindings::kind_index(EntityKind::Edge)];
     bindings.input_arrays.insert(
         prog.lookup("U0").unwrap(),

@@ -54,7 +54,7 @@ fn main() {
         .map(|t| mesh.signed_area(t).abs())
         .collect();
     let mut cap = vec![0.0; mesh.nnodes()];
-    for (t, tri) in mesh.som.iter().enumerate() {
+    for (t, tri) in mesh.som().iter().enumerate() {
         for &s in tri {
             cap[s as usize] += areas[t];
         }
@@ -64,7 +64,7 @@ fn main() {
         .iter()
         .map(|c| if c[0] < 0.2 && c[1] < 0.2 { 10.0 } else { 0.0 })
         .collect();
-    let mut bindings = syncplace::runtime::Bindings::for_mesh(&prog, mesh.nnodes(), &mesh.som);
+    let mut bindings = syncplace::runtime::Bindings::for_mesh(&prog, &mesh);
     bindings.input_arrays.insert(prog.lookup("U0").unwrap(), u0);
     bindings
         .input_arrays

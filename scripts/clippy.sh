@@ -44,16 +44,19 @@
 # an engine and `Engine::run` / `run_with` the only way to run one: no
 # `enum Posting|EngineKind|Wire` and no `pub fn run_spmd*` under
 # crates/ — the pooled core, the α/β model, the model checker and the
-# protocol all match on `Engine`), the mesh must keep exactly two
-# derivations, each called by whoever reads it (`edges_first_seen` for
-# edges, `dual_from_facets` for the element dual graph: no
-# `Connectivity2d|3d` or `fn connectivity` bundle under crates tests
-# examples suite), every per-id table must be an `IdVec` (the one
-# per-id table, in syncplace_ir: no HashMap / HashSet keyed by a VarId
-# or StmtId under crates/*/src, and none at all in crates/runtime/src or
-# crates/codegen/src), a Decomposition must have one assembly site
-# (`Decomposition {` under crates/ only in overlap/src/build.rs, whose
-# `finish` both builders call), a hot daemon request must only execute
+# protocol all match on `Engine`), the mesh must number its edges once,
+# on first read (`Mesh::edges`, the generic mesh behind `Mesh2d` and
+# `Mesh3d`, is the one edge numbering every reader shares, and `dual_from_facets`
+# builds the element dual graph: no `Connectivity2d|3d` or
+# `fn connectivity` bundle under crates tests examples suite), no reader
+# may number edges again (`edges_first_seen(` appears only under
+# crates/mesh/src, where `Mesh::edges` calls it), every per-id table
+# must be an `IdVec` (the one per-id table, in syncplace_ir: no HashMap
+# / HashSet keyed by a VarId or StmtId under crates/*/src, and none at
+# all in crates/runtime/src or crates/codegen/src), a Decomposition
+# must have one assembly site (`Decomposition {` under crates/ only in
+# overlap/src/build.rs, whose `finish` both builders call), a hot
+# daemon request must only execute
 # (the body of `fn run_admitted` in crates/server/src/service.rs names
 # none of resolve_program, to_dsl, automaton_for, Bindings::for_mesh,
 # synth_inputs, tape::work or Kernel::lower: that work is the cache
@@ -138,7 +141,11 @@ if grep -rnE --include='*.rs' '\benum (Posting|EngineKind|Wire)\b|\bpub fn run_s
     exit 1
 fi
 if grep -rnE --include='*.rs' 'Connectivity[23]d|\.connectivity\(\)|fn connectivity' crates tests examples suite; then
-    echo "mesh gate: edges come from edges_first_seen and adjacency from dual_from_facets, derived where read — no all-tables connectivity bundle"
+    echo "mesh gate: the mesh numbers its edges once, on first read — no all-tables connectivity bundle"
+    exit 1
+fi
+if grep -rn --include='*.rs' 'edges_first_seen(' crates tests examples suite | grep -v '^crates/mesh/src/'; then
+    echo "edge-numbering gate: edges_first_seen is the mesh's own; read mesh.edges() instead of numbering edges again"
     exit 1
 fi
 if grep -rnE 'Hash(Map|Set)<(VarId|StmtId|\(StmtId)' crates/*/src \

@@ -17,7 +17,7 @@ fn fig1_kernel_exactness_midstep() {
 
     // Global reference step: new[n] = Σ_{t ∋ n} Σ_{m ∈ t} old[m].
     let mut global = vec![0.0; mesh.nnodes()];
-    for tri in &mesh.som {
+    for tri in mesh.som() {
         let s: f64 = tri.iter().map(|&v| global0[v as usize]).sum();
         for &v in tri {
             global[v as usize] += s;
@@ -81,7 +81,7 @@ fn fig2_partial_assembly_exactness() {
     let global0: Vec<f64> = (0..mesh.nnodes()).map(|i| 1.0 + (i % 7) as f64).collect();
 
     let mut global = vec![0.0; mesh.nnodes()];
-    for tri in &mesh.som {
+    for tri in mesh.som() {
         let s: f64 = tri.iter().map(|&v| global0[v as usize]).sum();
         for &v in tri {
             global[v as usize] += s;

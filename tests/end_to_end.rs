@@ -130,7 +130,7 @@ fn every_distinct_testiv_placement_is_correct() {
 fn fig5_sketch_runs() {
     let prog = syncplace::ir::programs::fig5_sketch();
     let mesh = gen2d::perturbed_grid(8, 8, 0.2, 2);
-    let mut bindings = syncplace::runtime::Bindings::for_mesh(&prog, mesh.nnodes(), &mesh.som);
+    let mut bindings = syncplace::runtime::Bindings::for_mesh(&prog, &mesh);
     bindings.input_arrays.insert(
         prog.lookup("OLD").unwrap(),
         (0..mesh.nnodes()).map(|i| (i % 4) as f64).collect(),

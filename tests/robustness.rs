@@ -46,7 +46,7 @@ fn stencil_program_runs_with_custom_map() {
     // NXT: each node's first neighbour through an edge.
     let adj = syncplace::mesh::reorder::node_adjacency(&mesh);
     let targets: Vec<u32> = (0..mesh.nnodes()).map(|n| adj.row(n)[0]).collect();
-    let mut bindings = syncplace::runtime::Bindings::for_mesh(&prog, mesh.nnodes(), &mesh.som);
+    let mut bindings = syncplace::runtime::Bindings::for_mesh(&prog, &mesh);
     bindings.maps.insert(
         prog.lookup("NXT").unwrap(),
         MapBinding::Custom(MapData { arity: 1, targets }),
@@ -132,7 +132,7 @@ fn max_reduction_end_to_end() {
     )
     .unwrap();
     let mesh = gen2d::grid(7, 7);
-    let mut b = syncplace::runtime::Bindings::for_mesh(&prog, mesh.nnodes(), &mesh.som);
+    let mut b = syncplace::runtime::Bindings::for_mesh(&prog, &mesh);
     b.input_arrays.insert(
         prog.lookup("A").unwrap(),
         (0..mesh.nnodes())
@@ -203,7 +203,7 @@ fn fallback_placement_with_split_update_sites() {
     assert!(!analysis.solutions.is_empty());
     // Run it.
     let mesh = gen2d::perturbed_grid(7, 7, 0.2, 2);
-    let mut b = syncplace::runtime::Bindings::for_mesh(&prog, mesh.nnodes(), &mesh.som);
+    let mut b = syncplace::runtime::Bindings::for_mesh(&prog, &mesh);
     b.input_arrays.insert(
         prog.lookup("A").unwrap(),
         (0..mesh.nnodes()).map(|i| 1.0 + (i % 5) as f64).collect(),

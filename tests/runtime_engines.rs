@@ -329,7 +329,7 @@ fn one_rank_hits_an_absent_target(
         .expect("no rank holds every node");
     let mut targets: Vec<u32> = (0..mesh.nnodes() as u32).collect();
     targets[from as usize] = to;
-    let mut bindings = Bindings::for_mesh(&prog, mesh.nnodes(), &mesh.som);
+    let mut bindings = Bindings::for_mesh(&prog, &mesh);
     let nxt = prog.lookup("NXT").unwrap();
     bindings.maps.insert(nxt, MapBinding::Custom(MapData { arity: 1, targets }));
     let a = prog.lookup("A").unwrap();
@@ -464,8 +464,8 @@ fn edge_loop_only_program_counts_edges_and_matches_sequential() {
     )
     .unwrap();
     let mesh = gen2d::perturbed_grid(9, 7, 0.2, 5);
-    let nedges = syncplace::mesh::edges_first_seen(&mesh.som).0.len();
-    let mut bindings = Bindings::for_mesh(&prog, mesh.nnodes(), &mesh.som);
+    let nedges = mesh.edges().keys.len();
+    let mut bindings = Bindings::for_mesh(&prog, &mesh);
     assert_eq!(bindings.counts[kind_index(EntityKind::Edge)], nedges);
     let x: Vec<f64> = (0..mesh.nnodes()).map(|i| ((i * 7) % 11) as f64).collect();
     bindings.input_arrays.insert(prog.lookup("X").unwrap(), x);
@@ -505,10 +505,10 @@ fn first_placements_agree(name: &str, src: &str) -> usize {
     use syncplace::automata::predefined::fig7;
     let prog = parse(src).unwrap();
     let mesh = gen2d::perturbed_grid(7, 7, 0.2, 2);
-    let mut b = Bindings::for_mesh(&prog, mesh.nnodes(), &mesh.som);
+    let mut b = Bindings::for_mesh(&prog, &mesh);
     let a: Vec<f64> = (0..mesh.nnodes()).map(|i| 1.0 + (i % 5) as f64).collect();
     if let Some(eps) = prog.lookup("eps") {
-        let sum: f64 = mesh.som.iter().map(|t| a[t[0] as usize] + a[t[1] as usize]).sum();
+        let sum: f64 = mesh.som().iter().map(|t| a[t[0] as usize] + a[t[1] as usize]).sum();
         b.input_scalars.insert(eps, 0.15 * sum);
     }
     b.input_arrays.insert(prog.lookup("A").unwrap(), a);
