@@ -1,23 +1,25 @@
-//! The SPMD task pool: P rank tasks on W = `available_parallelism`
-//! workers — tasks come from the distribution, processors are a
+//! The SPMD task pool: P rank jobs on W = `available_parallelism`
+//! workers — jobs come from the distribution, processors are a
 //! separate mapping (DESIGN.md §5.2).
 //!
 //! A gang job is a future. A worker runs it until it awaits a
 //! [`Mailbox`] that is still empty; the deposit that fills the mailbox
-//! puts it back on the FIFO ready queue. No job ever parks a thread,
-//! so W never depends on P.
+//! makes it ready again. No job ever parks a thread, so W never
+//! depends on P.
 //!
-//! Ready jobs are not strictly FIFO: a worker runs the job its last
-//! poll woke next, if no idle worker has taken it off the queue yet
-//! (Go's `runnext`). The serial hops of a tree reduction thus skip the
-//! back of the queue. A second wake in the same poll leaves the older
-//! job at its place in the queue. The woken job stays on the shared
-//! queue rather than in a private slot, so a long compute segment of
-//! its waker never hides it from an idle worker.
+//! A gang of n jobs runs as L = min(W, n) lanes of contiguous jobs —
+//! job i in lane i·L/n — and the lane, not the job, is the pool's task.
+//! A lane polls its ready jobs in ascending order, taking them off an
+//! atomic bitset, until none is ready; then it parks. A job's waker,
+//! built once, sets the job's bit and puts the lane on the shared
+//! queue only if the lane has parked. A wake inside a lane — most halo
+//! packets and tree hops, as the partitioner numbers neighbouring
+//! parts contiguously — is thus one atomic OR, and a rank stays on the
+//! worker that runs its lane.
 //!
 //! The workers are W − 1 resident helper
 //! threads plus the thread that submits a gang: the submitter runs
-//! **only its own gang's** jobs (a small gang costs no thread hand-off,
+//! **only its own gang's** lanes (a small gang costs no thread hand-off,
 //! a daemon handler is never stuck in another request's segment),
 //! helpers run any gang's, so concurrent gangs interleave on the
 //! helpers instead of oversubscribing the machine.
@@ -28,12 +30,11 @@
 //! mailboxes they own and the wakers parked there — so nothing of a
 //! gang outlives [`SpmdPool::run_gang`].
 
-use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::future::Future;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::pin::Pin;
-use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
+use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering::SeqCst};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 use std::task::{Context, Poll, Wake, Waker};
 use std::time::{Duration, Instant};
@@ -48,15 +49,15 @@ const SPIN: Duration = Duration::from_micros(40);
 /// A type-erased gang job: stores its own result, yields only failure.
 type Job = Pin<Box<dyn Future<Output = Result<(), String>> + Send>>;
 
-thread_local! {
-    /// The job the poll running on this thread woke last: `None` outside
-    /// a poll, `Some(None)` while the poll has woken no one.
-    static WOKEN: RefCell<Option<Option<Arc<Task>>>> = const { RefCell::new(None) };
-}
+/// A lane's states: parked (in no worker's hands, and none of its jobs
+/// was ready when it last looked), on the shared queue, or running.
+const PARKED: u8 = 0;
+const QUEUED: u8 = 1;
+const RUNNING: u8 = 2;
 
 /// An unbounded FIFO between two jobs of a gang — the pool's one
 /// suspension point: [`Mailbox::take`] suspends the calling job while
-/// the box is empty and the next [`Mailbox::deposit`] re-queues it.
+/// the box is empty and the next [`Mailbox::deposit`] wakes it.
 #[derive(Default)]
 pub struct Mailbox<T>(Mutex<(VecDeque<T>, Option<Waker>)>);
 
@@ -95,7 +96,7 @@ struct Shared {
 
 #[derive(Default)]
 struct State {
-    ready: VecDeque<Arc<Task>>,
+    ready: VecDeque<Arc<Lane>>,
     sleepers: usize,
     /// Ends the helpers; only a test's private pool is ever stopped.
     stop: bool,
@@ -104,43 +105,86 @@ struct State {
 /// One gang in flight.
 struct Gang {
     pool: Arc<Shared>,
-    /// Jobs left; the first failure zeroes it, so 0 is "over". Written
-    /// under the pool lock, read by its spinning submitter without.
+    /// Jobs left; the first failure zeroes it, so 0 is "over".
     left: AtomicUsize,
+    /// Its lanes in a worker's hands, written under the pool lock: its
+    /// submitter joins once the gang is over and this reads 0 there.
+    held: AtomicUsize,
     failed: Mutex<Option<String>>,
-    /// Its jobs on the ready queue now, and the most there ever were.
+    /// Its lanes on the ready queue now, and the most there ever were.
     queued: AtomicUsize,
     peak: AtomicUsize,
 }
 
-/// Job `idx` of a gang, and its own waker. Emptying `job` (when it
-/// finishes, and at join) cuts the cycle waker → task → future → mailbox.
-struct Task {
-    gang: Arc<Gang>,
-    idx: usize,
-    job: Mutex<Option<Job>>,
-}
+impl Gang {
+    fn over(&self) -> bool {
+        self.left.load(SeqCst) == 0
+    }
 
-impl Wake for Task {
-    fn wake(self: Arc<Self>) {
-        WOKEN.with_borrow_mut(|woken| {
-            if let Some(last) = woken {
-                *last = Some(Arc::clone(&self));
+    /// Count a finished job; a failure (the first one is kept) ends the
+    /// gang.
+    fn finish(&self, done: Result<(), String>) {
+        match done {
+            Ok(()) => {
+                // A job may still finish after a failure zeroed the count.
+                let _ = (self.left).fetch_update(SeqCst, SeqCst, |left| left.checked_sub(1));
             }
-        });
-        let gang = Arc::clone(&self.gang);
-        gang.pool.enqueue(&gang, [self]);
+            Err(why) => {
+                self.failed.lock().expect("poisoned").get_or_insert(why);
+                self.left.store(0, SeqCst);
+            }
+        }
     }
 }
 
-impl Task {
+/// A run of contiguous jobs of a gang, from job `first` on: the pool's
+/// task.
+struct Lane {
+    gang: Arc<Gang>,
+    first: usize,
+    /// Bit k is set while job `first + k` is ready to be polled.
+    ready: Box<[AtomicU64]>,
+    state: AtomicU8,
+    /// The jobs and their wakers, held by the worker that runs the lane.
+    /// Emptying a job (when it finishes) and the slots (at join) cuts
+    /// the cycle waker → lane → future → mailbox → waker.
+    slots: Mutex<Vec<Slot>>,
+}
+
+struct Slot {
+    job: Option<Job>,
+    waker: Waker,
+}
+
+/// Job `first + bit` of `lane`, as its waker sees it.
+struct JobWaker {
+    lane: Arc<Lane>,
+    bit: usize,
+}
+
+impl Wake for JobWaker {
+    fn wake(self: Arc<Self>) {
+        self.wake_by_ref();
+    }
+
+    /// Mark the job ready, and queue its lane if the lane has parked.
+    /// A lane that parks re-reads its bits after it says so, so the
+    /// two never miss each other.
+    fn wake_by_ref(self: &Arc<Self>) {
+        let lane = &self.lane;
+        lane.ready[self.bit / 64].fetch_or(1 << (self.bit % 64), SeqCst);
+        if (lane.state.compare_exchange(PARKED, QUEUED, SeqCst, SeqCst)).is_ok() {
+            lane.gang.pool.enqueue(&lane.gang, [Arc::clone(lane)]);
+        }
+    }
+}
+
+impl Slot {
     /// Poll once. `Some` if that finished the job (a panic is a failure
-    /// naming the rank), `None` if it now waits on a mailbox or is gone.
-    fn poll(self: &Arc<Self>) -> Option<Result<(), String>> {
-        let mut job = self.job.lock().expect("job poisoned");
-        let waker = Waker::from(Arc::clone(self));
-        let mut cx = Context::from_waker(&waker);
-        let fut = job.as_mut()?.as_mut();
+    /// naming rank `idx`), `None` if it now waits on a mailbox or is gone.
+    fn poll(&mut self, idx: usize) -> Option<Result<(), String>> {
+        let fut = self.job.as_mut()?.as_mut();
+        let mut cx = Context::from_waker(&self.waker);
         let done = match catch_unwind(AssertUnwindSafe(|| fut.poll(&mut cx))) {
             Ok(Poll::Pending) => return None,
             Ok(Poll::Ready(done)) => done,
@@ -148,11 +192,52 @@ impl Task {
                 let why = panic.downcast_ref::<String>().map(String::as_str);
                 let why = why.or_else(|| panic.downcast_ref::<&str>().copied());
                 let why = why.unwrap_or("(no message)");
-                Err(format!("rank {} panicked: {why}", self.idx))
+                Err(format!("rank {idx} panicked: {why}"))
             }
         };
-        *job = None;
+        self.job = None;
         Some(done)
+    }
+}
+
+impl Lane {
+    /// Take the lowest ready bit at or above `from`.
+    fn take_ready(&self, from: usize) -> Option<usize> {
+        let low = !0u64 << (from % 64);
+        for (w, word) in self.ready.iter().enumerate().skip(from / 64) {
+            let bits = word.load(SeqCst) & if w == from / 64 { low } else { !0 };
+            if bits != 0 {
+                let k = bits.trailing_zeros();
+                word.fetch_and(!(1 << k), SeqCst);
+                return Some(64 * w + k as usize);
+            }
+        }
+        None
+    }
+
+    /// Sweep the ready jobs in ascending order, round after round, until
+    /// none is ready — then park — or the gang is over.
+    fn run(&self) {
+        let mut slots = self.slots.lock().expect("lane poisoned");
+        let mut from = 0;
+        while !self.gang.over() {
+            if let Some(k) = self.take_ready(from) {
+                if let Some(done) = slots.get_mut(k).and_then(|s| s.poll(self.first + k)) {
+                    self.gang.finish(done);
+                }
+                from = k + 1;
+            } else if from > 0 {
+                from = 0;
+            } else {
+                // Park, then look once more: a wake that came before the
+                // store saw the lane running and queued nothing.
+                self.state.store(PARKED, SeqCst);
+                let idle = self.ready.iter().all(|word| word.load(SeqCst) == 0);
+                if idle || (self.state.compare_exchange(PARKED, RUNNING, SeqCst, SeqCst)).is_err() {
+                    return;
+                }
+            }
+        }
     }
 }
 
@@ -161,11 +246,11 @@ impl Shared {
         self.state.lock().expect("pool poisoned")
     }
 
-    /// Queue ready jobs of `gang` — one lock, at most one wake-up call.
-    fn enqueue(&self, gang: &Gang, tasks: impl IntoIterator<Item = Arc<Task>>) {
+    /// Queue lanes of `gang` — one lock, at most one wake-up call.
+    fn enqueue(&self, gang: &Gang, lanes: impl IntoIterator<Item = Arc<Lane>>) {
         let mut st = self.lock();
         let before = st.ready.len();
-        st.ready.extend(tasks);
+        st.ready.extend(lanes);
         self.nready.store(st.ready.len(), SeqCst);
         let added = st.ready.len() - before;
         let queued = gang.queued.fetch_add(added, SeqCst) + added;
@@ -175,42 +260,32 @@ impl Shared {
         }
     }
 
-    /// A worker's loop. A helper (`own` = `None`) runs any gang's ready
-    /// jobs until the pool stops; a submitter only `own`'s, until that
-    /// gang is over. It takes the job its last poll woke if that is
-    /// still queued, else the oldest it may run. Idle, it spins for
-    /// [`SPIN`], then sleeps until a job is queued or a gang ends.
-    fn work(&self, own: Option<&Arc<Gang>>) {
-        let over = |stop| own.map_or(stop, |gang| gang.left.load(SeqCst) == 0);
-        let mine = |t: &Arc<Task>| own.is_none_or(|gang| Arc::ptr_eq(&t.gang, gang));
+    /// A worker's loop. A helper (`own` = `None`) runs any gang's lanes
+    /// until the pool stops; a submitter only `own`'s, until that gang
+    /// is over and no worker holds a lane of it, and returns the lock
+    /// for the join. Idle, it spins for [`SPIN`], then sleeps until a
+    /// lane is queued or a worker lets go of an over gang's last lane.
+    fn work(&self, own: Option<&Arc<Gang>>) -> MutexGuard<'_, State> {
+        let over = |stop| own.map_or(stop, |gang| gang.over() && gang.held.load(SeqCst) == 0);
+        let mine = |l: &Arc<Lane>| own.is_none_or(|gang| Arc::ptr_eq(&l.gang, gang));
         let mut st = self.lock();
         let mut idle_since = None; // the clock is read only when idle
-        let mut woken: Option<Arc<Task>> = None;
         while !over(st.stop) {
-            let last = woken.take();
-            let last = last.and_then(|w| st.ready.iter().rposition(|t| Arc::ptr_eq(t, &w)));
-            let next = last.or_else(|| st.ready.iter().position(&mine));
-            if let Some(task) = next.and_then(|i| st.ready.remove(i)) {
+            let next = st.ready.iter().position(&mine);
+            if let Some(lane) = next.and_then(|i| st.ready.remove(i)) {
                 self.nready.store(st.ready.len(), SeqCst);
-                task.gang.queued.fetch_sub(1, SeqCst);
+                lane.gang.queued.fetch_sub(1, SeqCst);
+                lane.gang.held.fetch_add(1, SeqCst);
+                lane.state.store(RUNNING, SeqCst);
                 drop(st);
-                let outer = WOKEN.replace(Some(None));
-                let done = task.poll();
-                woken = WOKEN.replace(outer).flatten();
-                // A mailbox belongs to one gang: a submitter never gets another's job.
-                debug_assert!(woken.as_ref().is_none_or(|w| Arc::ptr_eq(&w.gang, &task.gang)));
+                lane.run();
                 st = self.lock();
-                if let Some(done) = done {
-                    let gang = &task.gang;
-                    let mut left = gang.left.load(SeqCst).saturating_sub(1);
-                    if let Err(why) = done {
-                        gang.failed.lock().expect("poisoned").get_or_insert(why);
-                        left = 0;
-                    }
-                    gang.left.store(left, SeqCst);
-                    if left == 0 && st.sleepers > 0 {
-                        self.wake.notify_all();
-                    }
+                let gang = &lane.gang;
+                let ended = gang.held.fetch_sub(1, SeqCst) == 1 && gang.over();
+                // Let go of the lane under the lock, where the join reads `held`.
+                drop(lane);
+                if ended && st.sleepers > 0 {
+                    self.wake.notify_all();
                 }
                 idle_since = None;
                 continue;
@@ -228,12 +303,13 @@ impl Shared {
                 st = self.lock();
             } else {
                 // Woken for nothing it may run, it goes straight back to
-                // sleep: only running a job restarts the spin.
+                // sleep: only running a lane restarts the spin.
                 st.sleepers += 1;
                 st = self.wake.wait(st).expect("pool poisoned");
                 st.sleepers -= 1;
             }
         }
+        st
     }
 }
 
@@ -252,7 +328,7 @@ impl SpmdPool {
         let spawn = |i| {
             let shared = Arc::clone(&shared);
             let helper = std::thread::Builder::new().name(format!("spmd-helper-{i}"));
-            helper.spawn(move || shared.work(None)).ok()
+            helper.spawn(move || drop(shared.work(None))).ok()
         };
         let helpers = (1..w).map_while(spawn).collect();
         SpmdPool { shared, helpers }
@@ -275,9 +351,9 @@ impl SpmdPool {
     /// results in job order, or the first failure. Returns only when
     /// no worker touches the gang any more and every job is dropped.
     /// `rec` gets gang / job counters, the worker-count and gang-size
-    /// gauges, the peak ready-queue depth, a submit → join span, and
-    /// per job a `pool.job` event (first poll → completion) and its
-    /// `hb.barrier` arrival at the join.
+    /// gauges, the peak ready-queue depth (in lanes), a submit → join
+    /// span, and per job a `pool.job` event (first poll → completion)
+    /// and its `hb.barrier` arrival at the join.
     pub fn run_gang<R, F>(&self, jobs: Vec<F>, rec: &RecorderRef) -> Result<Vec<R>, String>
     where
         R: Send + 'static,
@@ -289,44 +365,64 @@ impl SpmdPool {
         let gang = Arc::new(Gang {
             pool: Arc::clone(&self.shared),
             left: AtomicUsize::new(n),
+            held: AtomicUsize::new(0),
             failed: Mutex::default(),
             queued: AtomicUsize::new(0),
             peak: AtomicUsize::new(0),
         });
-        let tasks: Vec<Arc<Task>> = (jobs.into_iter().enumerate())
-            .map(|(idx, job)| {
-                let (results, rec) = (Arc::clone(&results), rec.clone());
-                let job: Job = Box::pin(async move {
-                    let t_job = obs::start(&rec);
-                    let out = job.await?;
-                    // Completion is the rank's arrival at the gang join,
-                    // the engines' (and the decomposer's) barrier.
-                    if let Some(r) = &rec {
-                        r.hb(idx as u32, keys::HB_BARRIER, 0);
-                    }
-                    obs::finish_event(&rec, keys::POOL_JOB, idx as u32, t_job);
-                    results.lock().expect("gang results poisoned")[idx] = Some(out);
-                    Ok(())
-                });
-                Arc::new(Task {
+        let wrap = |idx: usize, job: F| -> Job {
+            let (results, rec) = (Arc::clone(&results), rec.clone());
+            Box::pin(async move {
+                let t_job = obs::start(&rec);
+                let out = job.await?;
+                // Completion is the rank's arrival at the gang join,
+                // the engines' (and the decomposer's) barrier.
+                if let Some(r) = &rec {
+                    r.hb(idx as u32, keys::HB_BARRIER, 0);
+                }
+                obs::finish_event(&rec, keys::POOL_JOB, idx as u32, t_job);
+                results.lock().expect("gang results poisoned")[idx] = Some(out);
+                Ok(())
+            })
+        };
+        let nlanes = self.workers().min(n);
+        let mut jobs = jobs.into_iter().enumerate();
+        let lanes: Vec<Arc<Lane>> = (0..nlanes)
+            .map(|l| {
+                // Job i is in lane ⌊i·L/n⌋.
+                let first = (l * n).div_ceil(nlanes);
+                let len = ((l + 1) * n).div_ceil(nlanes) - first;
+                let words =
+                    (0..len.div_ceil(64)).map(|w| u64::MAX >> (64 - (len - 64 * w).min(64)));
+                let lane = Arc::new(Lane {
                     gang: Arc::clone(&gang),
-                    idx,
-                    job: Mutex::new(Some(job)),
-                })
+                    first,
+                    ready: words.map(AtomicU64::new).collect(),
+                    state: AtomicU8::new(QUEUED),
+                    slots: Mutex::default(),
+                });
+                let slots = (jobs.by_ref().take(len)).map(|(idx, job)| Slot {
+                    job: Some(wrap(idx, job)),
+                    waker: Waker::from(Arc::new(JobWaker {
+                        lane: Arc::clone(&lane),
+                        bit: idx - first,
+                    })),
+                });
+                *lane.slots.lock().expect("lane poisoned") = slots.collect();
+                lane
             })
             .collect();
-        self.shared.enqueue(&gang, tasks.iter().cloned());
-        self.shared.work(Some(&gang));
-        // Join: drop whatever is left — waiting out a helper still
-        // inside a poll of ours, after which nothing can queue a job of
-        // this gang — and take the stragglers off the queue.
-        for task in &tasks {
-            *task.job.lock().expect("job poisoned") = None;
-        }
-        let mut st = self.shared.lock();
-        st.ready.retain(|t| !Arc::ptr_eq(&t.gang, &gang));
+        self.shared.enqueue(&gang, lanes.iter().cloned());
+        // Join: no worker holds a lane of the gang now, and with its
+        // queued lanes gone none can wake — drop whatever is left.
+        let mut st = self.shared.work(Some(&gang));
+        st.ready.retain(|l| !Arc::ptr_eq(&l.gang, &gang));
         self.shared.nready.store(st.ready.len(), SeqCst);
         drop(st);
+        for lane in &lanes {
+            lane.slots.lock().expect("lane poisoned").clear();
+        }
+        drop(lanes);
         if let Some(r) = rec {
             r.add(keys::POOL_GANGS, 1);
             r.add(keys::POOL_JOBS, n as u64);
@@ -364,9 +460,16 @@ mod tests {
         // token — under one thread per job this needed 64 threads at
         // once; here every job suspends and two workers carry them all.
         let pool = SpmdPool::with_workers(2);
-        let n = 64usize;
+        let (jobs, want) = ring(64);
+        assert_eq!(pool.run_gang(jobs, &None), Ok(want));
+        assert_eq!(pool.workers(), 2);
+    }
+
+    /// `n` jobs in a ring: job `i` sends `i` to job `i + 1` and returns
+    /// ten times what it got from job `i − 1`. Also the results it wants.
+    fn ring(n: usize) -> (Vec<Boxed<usize>>, Vec<usize>) {
         let ring: Arc<[Mailbox<usize>]> = (0..n).map(|_| Mailbox::default()).collect();
-        let jobs: Vec<Boxed<usize>> = (0..n)
+        let jobs = (0..n)
             .map(|i| {
                 let ring = Arc::clone(&ring);
                 Box::pin(async move {
@@ -375,9 +478,20 @@ mod tests {
                 }) as Boxed<usize>
             })
             .collect();
-        let want: Vec<usize> = (0..n).map(|i| 10 * ((i + n - 1) % n)).collect();
-        assert_eq!(pool.run_gang(jobs, &None), Ok(want));
-        assert_eq!(pool.workers(), 2);
+        (jobs, (0..n).map(|i| 10 * ((i + n - 1) % n)).collect())
+    }
+
+    #[test]
+    fn a_gang_queues_at_most_one_task_per_worker() {
+        // The pool's tasks are the gang's W lanes, not its 64 jobs: at
+        // most W of them are ever on the ready queue.
+        let pool = SpmdPool::with_workers(2);
+        let metrics = Arc::new(obs::MetricsRegistry::new(keys::ALL));
+        let rec: RecorderRef = Some(metrics.clone());
+        let (jobs, want) = ring(64);
+        assert_eq!(pool.run_gang(jobs, &rec), Ok(want));
+        let peak = metrics.snapshot().gauge(keys::POOL_QUEUE_PEAK);
+        assert!((1..=2).contains(&peak), "queue peak {peak}");
     }
 
     #[test]
@@ -482,53 +596,32 @@ mod tests {
     }
 
     #[test]
-    fn a_woken_job_runs_before_older_queued_jobs() {
-        // Job 0 parks on `wake`; job 1 fills it while jobs 2 and 3 wait
-        // on the queue. Job 0 is the one job 1 woke, so it runs next —
-        // under a FIFO queue it would come last.
-        let wake: Arc<Mailbox<()>> = Arc::default();
-        let tape = logged(4, |i, log| {
-            let wake = Arc::clone(&wake);
-            async move {
-                let note = |what: &str| log.lock().unwrap().push(format!("{i}{what}"));
-                note("");
-                match i {
-                    0 => {
-                        wake.take().await;
-                        note(" woken");
-                    }
-                    1 => wake.deposit(()),
-                    _ => {}
-                }
-                Ok(())
-            }
-        });
-        assert_eq!(tape, ["0", "1", "0 woken", "2", "3"]);
-    }
-
-    #[test]
-    fn a_second_wake_in_one_poll_leaves_the_first_in_queue_order() {
-        // Job 2 wakes job 0, then job 1 in the same poll: job 1 runs
-        // next, job 0 keeps its place behind job 3 — and all four still
-        // complete.
-        let boxes: Arc<[Mailbox<()>]> = (0..2).map(|_| Mailbox::default()).collect();
+    fn a_lane_sweeps_its_ready_jobs_in_ascending_order() {
+        // One lane. Jobs 0 and 1 park; job 2 wakes job 1, then job 0;
+        // job 3 parks. The next sweep starts again at job 0, whichever
+        // was woken first, and job 3, which job 0 wakes there, is ahead
+        // of the sweep and runs in it — a FIFO queue would run "1
+        // woken" first, a run-the-last-woken rule "0 woken" before "3".
+        let boxes: Arc<[Mailbox<()>]> = (0..4).map(|_| Mailbox::default()).collect();
         let tape = logged(4, |i, log| {
             let boxes = Arc::clone(&boxes);
             async move {
                 let note = |what: &str| log.lock().unwrap().push(format!("{i}{what}"));
                 note("");
                 match i {
-                    0 | 1 => {
+                    2 => [1, 0].into_iter().for_each(|j| boxes[j].deposit(())),
+                    _ => {
                         boxes[i].take().await;
                         note(" woken");
+                        if i == 0 {
+                            boxes[3].deposit(());
+                        }
                     }
-                    2 => boxes.iter().for_each(|b| b.deposit(())),
-                    _ => {}
                 }
                 Ok(())
             }
         });
-        assert_eq!(tape, ["0", "1", "2", "1 woken", "3", "0 woken"]);
+        assert_eq!(tape, ["0", "1", "2", "3", "0 woken", "1 woken", "3 woken"]);
     }
 
     /// Counts its drops.
@@ -542,12 +635,19 @@ mod tests {
 
     #[test]
     fn a_failed_gang_is_freed_at_join_and_the_next_runs_clean() {
-        // W = 1, so the schedule is fixed: job 0 parks its waker in
-        // `never`, job 1 leaves a token nobody takes and parks too, job
-        // 2 fails. At join every future, mailbox, queued item and parked
+        // Job 0 parks its waker in `never`, job 1 leaves a token nobody
+        // takes and parks too, job 2 fails. At W = 1 that is the fixed
+        // schedule; at W = 2 jobs 0 and 1 are lane 0 and job 2 alone is
+        // lane 1. At join every future, mailbox, queued item and parked
         // waker must be gone — and with the wakers the gang itself,
-        // which holds the only other handles on the pool's shared state.
-        let pool = SpmdPool::with_workers(1);
+        // which holds the only other handles on the pool's shared state
+        // besides the helpers'.
+        for w in [1, 2] {
+            failed_gang_is_freed_at_join(&SpmdPool::with_workers(w));
+        }
+    }
+
+    fn failed_gang_is_freed_at_join(pool: &SpmdPool) {
         let drops = Arc::new(AtomicUsize::new(0));
         let token = || Token(Arc::clone(&drops));
         let never: Arc<Mailbox<Token>> = Arc::default();
@@ -592,7 +692,7 @@ mod tests {
         );
         assert_eq!(
             Arc::strong_count(&pool.shared),
-            1,
+            1 + pool.helpers.len(),
             "the gang survived its join"
         );
 

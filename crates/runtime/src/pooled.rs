@@ -4,12 +4,12 @@
 //! on the W-worker [`crate::pool::SpmdPool`] — it holds a worker from
 //! one receive that has to wait to the next, never a thread of its own
 //! — and executes a [`crate::plan::CommPlan`]: one coalesced packet per
-//! peer per phase, staging buffers moved through per-ordered-pair FIFO
-//! [`Mailbox`]es (no copy) and recycled on a per-peer free list. Each
-//! phase has a **post** half (pack + ship the round-1 packets) and a
-//! **complete** half (receive, scatter, assemble, tree-reduce, round 2,
-//! recycle). The only parameter is *when* the post half runs, and the
-//! [`Engine`] says it:
+//! peer per phase, staging buffers moved through a FIFO [`Mailbox`] per
+//! ordered pair that talks (no copy) and recycled on a per-peer free
+//! list. Each phase has a **post** half (pack + ship the round-1
+//! packets) and a **complete** half (receive, scatter, assemble,
+//! tree-reduce, round 2, recycle). The only parameter is *when* the
+//! post half runs, and the [`Engine`] says it:
 //!
 //! * [`Engine::Batched`] posts **late**: it skips the tape's
 //!   [`Op::Post`]s and split marks, so a phase posts at its
@@ -23,7 +23,8 @@
 //!   held by the receiver).
 //!
 //! Every per-phase step walks the plan's peer lists — the few
-//! neighbours a rank exchanges with — never all P ranks.
+//! neighbours a rank exchanges with — never all P ranks, and no table
+//! in a run is P × P.
 //!
 //! Posts an exit stranded are drained when their time loop is left.
 //! Early posting never changes a packed byte, and combine orders are
@@ -47,31 +48,47 @@ use syncplace_ir::{Program, StmtId};
 use syncplace_obs::{self as obs, keys, RecorderRef};
 use syncplace_overlap::Decomposition;
 
-/// One rank's endpoints: the gang's mailboxes (`from * nparts + to` is
-/// that ordered pair's FIFO), plus a per-peer free list of spent
-/// staging buffers. A buffer drained from peer `q` is reused for the
-/// next send *to* `q` (most recently drained first), so the steady
-/// state allocates nothing.
+/// One rank's endpoints: the peers it exchanges with, ascending — a
+/// peer's *slot* is its index here — and a [`Link`] per slot, over the
+/// gang's mailboxes, one per ordered pair that talks.
 struct Net {
     rank: usize,
-    nparts: usize,
+    peers: Vec<u32>,
+    links: Vec<Link>,
     boxes: Arc<[Mailbox<Vec<f64>>]>,
-    free: Vec<Vec<Vec<f64>>>,
     rec: RecorderRef,
 }
 
+/// A rank's end of its pair with a peer: the FIFO of its packets to the
+/// peer and of the peer's packets to it (indices into the gang's
+/// mailboxes; `None` where that way carries nothing), plus the free list
+/// of spent staging buffers drained from the peer. Such a buffer is
+/// reused for the next send *to* the peer (most recently drained first),
+/// so the steady state allocates nothing.
+struct Link {
+    to: Option<usize>,
+    from: Option<usize>,
+    free: Vec<Vec<f64>>,
+}
+
 impl Net {
-    /// A cleared staging buffer for peer `q`: recycled if one is free,
-    /// freshly allocated otherwise.
-    fn acquire(&mut self, q: usize) -> Vec<f64> {
-        match self.free[q].pop() {
+    /// The slot of peer `q`.
+    fn slot(&self, q: usize) -> usize {
+        let found = self.peers.binary_search(&(q as u32));
+        found.expect("a peer the plan names")
+    }
+
+    /// A cleared staging buffer for the peer in slot `s`: recycled if
+    /// one is free, freshly allocated otherwise.
+    fn acquire(&mut self, s: usize) -> Vec<f64> {
+        match self.links[s].free.pop() {
             Some(mut buf) => {
                 // Only a *recycled* buffer spends a stage credit — a
                 // fresh allocation touches no shared staging storage,
                 // so it is invisible to the happens-before stage
                 // discipline.
                 if let Some(r) = &self.rec {
-                    r.hb(self.rank as u32, keys::HB_STAGE_ACQUIRE, q as u32);
+                    r.hb(self.rank as u32, keys::HB_STAGE_ACQUIRE, self.peers[s]);
                 }
                 buf.clear();
                 buf
@@ -80,43 +97,47 @@ impl Net {
         }
     }
 
-    fn send(&mut self, q: usize, buf: Vec<f64>) {
+    fn send(&mut self, s: usize, buf: Vec<f64>) {
         if let Some(r) = &self.rec {
-            r.hb(self.rank as u32, keys::HB_SEND, q as u32);
+            r.hb(self.rank as u32, keys::HB_SEND, self.peers[s]);
         }
-        self.boxes[self.rank * self.nparts + q].deposit(buf);
+        let to = self.links[s].to.expect("a wired pair");
+        self.boxes[to].deposit(buf);
     }
 
     /// Send communication-phase traffic: same wire as [`Net::send`],
     /// but recorded in the per-pair packet matrix (each rank records
     /// only its own sends, so the aggregate is the gang total).
-    fn send_phase(&mut self, q: usize, buf: Vec<f64>) {
+    fn send_phase(&mut self, s: usize, buf: Vec<f64>) {
         if let Some(r) = &self.rec {
-            r.packet(self.rank as u32, q as u32, buf.len() as u64);
+            r.packet(self.rank as u32, self.peers[s], buf.len() as u64);
             r.add(keys::BYTES_STAGED, 8 * buf.len() as u64);
         }
-        self.send(q, buf);
+        self.send(s, buf);
     }
 
-    /// The next packet from `r` — the one place a rank can suspend.
-    async fn recv_from(&mut self, r: usize) -> Vec<f64> {
+    /// The next packet from the peer in slot `s` — the one place a rank
+    /// can suspend.
+    async fn recv_from(&mut self, s: usize) -> Vec<f64> {
         // The scatter/combine read of the wire buffer follows
         // immediately at every call site, so the `hb.read` that the
         // happens-before checker matches against the sender's write is
         // emitted here alongside the receive itself.
         if let Some(rr) = &self.rec {
-            rr.hb(self.rank as u32, keys::HB_RECV, r as u32);
-            rr.hb(self.rank as u32, keys::HB_READ, r as u32);
+            rr.hb(self.rank as u32, keys::HB_RECV, self.peers[s]);
+            rr.hb(self.rank as u32, keys::HB_READ, self.peers[s]);
         }
-        self.boxes[r * self.nparts + self.rank].take().await
+        let from = self.links[s].from.expect("a wired pair");
+        self.boxes[from].take().await
     }
 
-    /// Put a spent buffer drained from peer `r` on the free list.
-    fn give_back(&mut self, r: usize, buf: Vec<f64>) {
+    /// Put a spent buffer drained from the peer in slot `s` on its free
+    /// list.
+    fn give_back(&mut self, s: usize, buf: Vec<f64>) {
         if let Some(rr) = &self.rec {
-            rr.hb(self.rank as u32, keys::HB_STAGE_RELEASE, r as u32);
+            rr.hb(self.rank as u32, keys::HB_STAGE_RELEASE, self.peers[s]);
         }
-        self.free[r].push(buf);
+        self.links[s].free.push(buf);
     }
 
     /// Pre-seed two staging buffers per peer this rank sends phase
@@ -133,22 +154,60 @@ impl Net {
             }
         }
         for (q, cap) in caps {
-            self.give_back(q, Vec::with_capacity(cap));
-            self.give_back(q, Vec::with_capacity(cap));
+            let s = self.slot(q);
+            self.give_back(s, Vec::with_capacity(cap));
+            self.give_back(s, Vec::with_capacity(cap));
         }
     }
 }
 
-/// One mailbox per ordered pair, shared by every rank's endpoints.
-fn wire(nparts: usize, rec: &RecorderRef) -> Vec<Net> {
-    let boxes: Arc<[_]> = (0..nparts * nparts).map(|_| Mailbox::default()).collect();
-    (0..nparts)
-        .map(|rank| Net {
-            rank,
-            nparts,
-            boxes: Arc::clone(&boxes),
-            free: vec![Vec::new(); nparts],
-            rec: rec.clone(),
+/// The gang's endpoints: one mailbox per ordered pair the plan's peer
+/// lists and reduction trees name — and the exit agreement's tree if
+/// the tape runs one — and nothing for a pair that never talks.
+fn wire(plan: &CommPlan, tape: &[Op], rec: &RecorderRef) -> Vec<Net> {
+    let mut pairs = Vec::new();
+    for ph in &plan.phases {
+        for (p, rp) in (0u32..).zip(&ph.ranks) {
+            let (sends, recvs) = (rp.send1.iter(), rp.recv1.iter());
+            let sends = sends.map(|s| s.peer).chain(rp.send2.iter().map(|s| s.0));
+            let recvs = recvs.map(|r| r.peer).chain(rp.recv2.iter().map(|r| r.0));
+            pairs.extend(sends.map(|q| (p, q)).chain(recvs.map(|q| (q, p))));
+            pairs.extend(rp.red_parent.into_iter().flat_map(|q| [(p, q), (q, p)]));
+        }
+    }
+    let agreement = |op: &Op| matches!(op, Op::Exit { agree: true, .. });
+    if tape.iter().any(agreement) {
+        for p in 1..plan.nparts {
+            let q = reduce_tree_parent(p).expect("a non-root rank has a parent");
+            pairs.extend([(p as u32, q as u32), (q as u32, p as u32)]);
+        }
+    }
+    pairs.sort_unstable();
+    pairs.dedup();
+    let mut peers = vec![Vec::new(); plan.nparts];
+    for &(p, q) in &pairs {
+        peers[p as usize].push(q);
+        peers[q as usize].push(p);
+    }
+    let boxes: Arc<[_]> = pairs.iter().map(|_| Mailbox::default()).collect();
+    let find = |pair| pairs.binary_search(&pair).ok();
+    (0u32..)
+        .zip(peers)
+        .map(|(rank, mut peers)| {
+            peers.sort_unstable();
+            peers.dedup();
+            let links = peers.iter().map(|&peer| Link {
+                to: find((rank, peer)),
+                from: find((peer, rank)),
+                free: Vec::new(),
+            });
+            Net {
+                rank: rank as usize,
+                links: links.collect(),
+                peers,
+                boxes: Arc::clone(&boxes),
+                rec: rec.clone(),
+            }
         })
         .collect()
 }
@@ -179,7 +238,7 @@ struct RankProc {
     early_posts: usize,
     /// Per-phase scratch, reused so a phase allocates nothing: round-1
     /// packets by sender, round-2 staging by receiver (both indexed by
-    /// peer, empty between phases) and the reduction accumulators.
+    /// peer slot, empty between phases) and the reduction accumulators.
     bufs1: Vec<Option<Vec<f64>>>,
     bufs2: Vec<Vec<f64>>,
     accs: Vec<f64>,
@@ -193,14 +252,15 @@ impl RankProc {
     fn post_phase(&mut self, idx: usize) {
         let plan = Arc::clone(&self.plan);
         for s in &plan.phases[idx].ranks[self.net.rank].send1 {
-            let mut buf = self.net.acquire(s.peer as usize);
+            let slot = self.net.slot(s.peer as usize);
+            let mut buf = self.net.acquire(slot);
             buf.reserve(s.len);
             for g in &s.gathers {
                 let arr = &self.m.arrays[g.var];
                 buf.extend(g.idx.iter().map(|&i| arr[i as usize]));
             }
             debug_assert_eq!(buf.len(), s.len);
-            self.net.send_phase(s.peer as usize, buf);
+            self.net.send_phase(slot, buf);
         }
         self.posted[idx] = true;
     }
@@ -243,22 +303,24 @@ impl RankProc {
         // Updates: scatter straight out of each wire buffer.
         let mut bufs1 = std::mem::take(&mut self.bufs1);
         for r1 in &rp.recv1 {
-            let buf = self.net.recv_from(r1.peer as usize).await;
+            let slot = self.net.slot(r1.peer as usize);
+            let buf = self.net.recv_from(slot).await;
             for ru in &r1.updates {
                 let arr = &mut self.m.arrays[ru.var];
                 for (k, &dst) in ru.dst.iter().enumerate() {
                     arr[dst as usize] = buf[ru.off as usize + k];
                 }
             }
-            bufs1[r1.peer as usize] = Some(buf);
+            bufs1[slot] = Some(buf);
         }
 
         // Assemblies: combine owned groups in the fixed order, write
         // back, stage totals for round 2.
         let mut bufs2 = std::mem::take(&mut self.bufs2);
         for &(q, len) in &rp.send2 {
-            bufs2[q as usize] = self.net.acquire(q as usize);
-            bufs2[q as usize].reserve(len);
+            let slot = self.net.slot(q as usize);
+            bufs2[slot] = self.net.acquire(slot);
+            bufs2[slot].reserve(len);
         }
         for ap in &rp.assembles {
             for g in &ap.own_groups {
@@ -271,13 +333,14 @@ impl RankProc {
                     total += match t {
                         Term::Own(l) => self.m.arrays[ap.var][*l as usize],
                         Term::Peer { peer, off } => {
-                            bufs1[*peer as usize].as_ref().expect("peer packet")[*off as usize]
+                            let slot = self.net.slot(*peer as usize);
+                            bufs1[slot].as_ref().expect("peer packet")[*off as usize]
                         }
                     };
                 }
                 self.m.arrays[ap.var][g.write as usize] = total;
                 for &q in &g.send_to {
-                    bufs2[q as usize].push(total);
+                    bufs2[self.net.slot(q as usize)].push(total);
                 }
             }
         }
@@ -292,27 +355,29 @@ impl RankProc {
             accs.clear();
             accs.extend(rp.reduces.iter().map(|red| self.m.scalars[red.var]));
             for &c in &rp.red_children {
-                let buf = self.net.recv_from(c as usize).await;
+                let slot = self.net.slot(c as usize);
+                let buf = self.net.recv_from(slot).await;
                 for (acc, (red, &sub)) in accs.iter_mut().zip(rp.reduces.iter().zip(buf.iter())) {
                     *acc = red.op.combine(*acc, sub);
                 }
-                self.net.give_back(c as usize, buf);
+                self.net.give_back(slot, buf);
             }
             // The totals replace the partials in `accs`.
             if let Some(parent) = rp.red_parent {
-                let p = parent as usize;
-                let mut buf = self.net.acquire(p);
+                let slot = self.net.slot(parent as usize);
+                let mut buf = self.net.acquire(slot);
                 buf.extend_from_slice(&accs);
-                self.net.send_phase(p, buf);
-                let buf = self.net.recv_from(p).await;
+                self.net.send_phase(slot, buf);
+                let buf = self.net.recv_from(slot).await;
                 accs.clear();
                 accs.extend_from_slice(&buf);
-                self.net.give_back(p, buf);
+                self.net.give_back(slot, buf);
             }
             for &c in &rp.red_children {
-                let mut buf = self.net.acquire(c as usize);
+                let slot = self.net.slot(c as usize);
+                let mut buf = self.net.acquire(slot);
                 buf.extend_from_slice(&accs);
-                self.net.send_phase(c as usize, buf);
+                self.net.send_phase(slot, buf);
             }
             for (red, &t) in rp.reduces.iter().zip(&accs) {
                 self.m.scalars[red.var] = t;
@@ -322,23 +387,26 @@ impl RankProc {
 
         // Round 2: totals owner → participants.
         for &(q, len) in &rp.send2 {
-            let buf = std::mem::take(&mut bufs2[q as usize]);
+            let slot = self.net.slot(q as usize);
+            let buf = std::mem::take(&mut bufs2[slot]);
             debug_assert_eq!(buf.len(), len);
-            self.net.send_phase(q as usize, buf);
+            self.net.send_phase(slot, buf);
         }
         self.bufs2 = bufs2;
         for (r, slots) in &rp.recv2 {
-            let buf = self.net.recv_from(*r as usize).await;
+            let from = self.net.slot(*r as usize);
+            let buf = self.net.recv_from(from).await;
             for (&(var, slot), &v) in slots.iter().zip(&buf) {
                 self.m.arrays[var][slot as usize] = v;
             }
-            self.net.give_back(*r as usize, buf);
+            self.net.give_back(from, buf);
         }
 
         // Recycle the round-1 staging buffers.
-        for r1 in &rp.recv1 {
-            let buf = bufs1[r1.peer as usize].take().expect("received in round 1");
-            self.net.give_back(r1.peer as usize, buf);
+        for (slot, buf) in bufs1.iter_mut().enumerate() {
+            if let Some(buf) = buf.take() {
+                self.net.give_back(slot, buf);
+            }
         }
         self.bufs1 = bufs1;
 
@@ -382,8 +450,9 @@ impl RankProc {
                 continue;
             }
             for r1 in &plan.phases[idx].ranks[self.net.rank].recv1 {
-                let buf = self.net.recv_from(r1.peer as usize).await;
-                self.net.give_back(r1.peer as usize, buf);
+                let slot = self.net.slot(r1.peer as usize);
+                let buf = self.net.recv_from(slot).await;
+                self.net.give_back(slot, buf);
             }
             self.posted[idx] = false;
             self.post_cu[idx] = None;
@@ -408,23 +477,26 @@ impl RankProc {
         let mine = f64::from(u8::from(mine));
         let mut span = [mine, mine];
         for &c in &children {
-            let buf = self.net.recv_from(c).await;
+            let slot = self.net.slot(c);
+            let buf = self.net.recv_from(slot).await;
             span = [span[0].min(buf[0]), span[1].max(buf[1])];
-            self.net.give_back(c, buf);
+            self.net.give_back(slot, buf);
         }
         let mut verdict = [mine, f64::from(u8::from(span[0] != span[1]))];
         if let Some(p) = parent {
-            let mut buf = self.net.acquire(p);
+            let slot = self.net.slot(p);
+            let mut buf = self.net.acquire(slot);
             buf.extend_from_slice(&span);
-            self.net.send(p, buf);
-            let buf = self.net.recv_from(p).await;
+            self.net.send(slot, buf);
+            let buf = self.net.recv_from(slot).await;
             verdict = [buf[0], buf[1]];
-            self.net.give_back(p, buf);
+            self.net.give_back(slot, buf);
         }
         for &c in &children {
-            let mut buf = self.net.acquire(c);
+            let slot = self.net.slot(c);
+            let mut buf = self.net.acquire(slot);
             buf.extend_from_slice(&verdict);
-            self.net.send(c, buf);
+            self.net.send(slot, buf);
         }
         self.tree_children = children;
         verdict
@@ -529,7 +601,7 @@ pub(crate) fn run<const V: usize>(
     let nphases = plan.phases.len();
 
     let mut jobs = Vec::with_capacity(nparts);
-    for (m, mut net) in machines.into_iter().zip(wire(nparts, rec)) {
+    for (m, mut net) in machines.into_iter().zip(wire(plan, &tape, rec)) {
         let splits = if early {
             net.seed_double_buffers(plan);
             rank_splits(plan, &tape, &m, net.rank)
@@ -537,6 +609,7 @@ pub(crate) fn run<const V: usize>(
             Vec::new()
         };
         let tree_children = reduce_tree_children(net.rank, nparts);
+        let npeers = net.peers.len();
         let mut proc = RankProc {
             kernel: Arc::clone(&kernel),
             plan: Arc::clone(plan),
@@ -550,8 +623,8 @@ pub(crate) fn run<const V: usize>(
             post_cu: vec![None; nphases],
             hidden_log: Vec::new(),
             early_posts: 0,
-            bufs1: vec![None; nparts],
-            bufs2: vec![Vec::new(); nparts],
+            bufs1: vec![None; npeers],
+            bufs2: vec![Vec::new(); npeers],
             accs: Vec::new(),
             tree_children,
         };
@@ -697,8 +770,8 @@ pub(crate) mod tests {
     #[test]
     fn one_worker_schedule_is_deterministic() {
         // W = 1: the submitter alone runs every rank to its next
-        // blocking receive, FIFO — two runs interleave the ranks'
-        // operations identically, event for event.
+        // blocking receive, in one lane's ascending sweeps — two runs
+        // interleave the ranks' operations identically, event for event.
         let pool = SpmdPool::with_workers(1);
         let (p, spmd, d, b) = setup(Pattern::FIG1, 4, 0);
         let rr = Engine::RoundRobin.run(&p, &spmd, &d, &b).unwrap();

@@ -31,12 +31,13 @@
 # (no send1_len / has_recv1 / send2_len / PackItem / plan.before /
 # plan.at_end under crates tests examples suite, and no
 # `for … in 0..self.nparts` loop in pooled.rs), the decomposition must be
-# the one place that answers by entity kind and an update schedule a list
-# of messages (no `Vec<Vec<Vec<` and no `nparts * nparts` under
-# crates/{overlap,runtime,inspector}/src outside pooled.rs, whose per-pair
-# mailboxes and per-peer free lists are the wire's; no GhostSchedule and no
-# scatter_/gather_{node,elem,edge}_array under crates tests examples
-# suite), the recorder sinks must stay four (the
+# the one place that answers by entity kind, an update schedule a list
+# of messages and the pooled wire only the pairs that talk (no
+# `Vec<Vec<Vec<` and no `nparts * nparts` under
+# crates/{overlap,runtime,inspector}/src: pooled.rs wires a mailbox per
+# ordered pair the plan names and keeps free lists per peer slot; no
+# GhostSchedule and no scatter_/gather_{node,elem,edge}_array under
+# crates tests examples suite), the recorder sinks must stay four (the
 # top-level `impl Recorder for` set under crates/ is MetricsRegistry,
 # TimelineRecorder, HbRecorder, FanoutRecorder — one aggregate, and a
 # new sink is a design change, not an addition), the engine identity
@@ -125,10 +126,10 @@ if grep -rnE --include='*.rs' '\b(send1_len|has_recv1|send2_len|PackItem)\b|plan
     exit 1
 fi
 if grep -rnE --include='*.rs' 'Vec<Vec<Vec<|nparts \* nparts' \
-    crates/overlap/src crates/runtime/src crates/inspector/src | grep -v '^crates/runtime/src/pooled.rs:' \
+    crates/overlap/src crates/runtime/src crates/inspector/src \
     || grep -rnE --include='*.rs' '\bGhostSchedule\b|\b(scatter|gather)_(node|elem|edge)_array\b' \
     crates tests examples suite; then
-    echo "schedule gate: an update schedule is a list of messages and readers ask the Decomposition by kind — no P x P tables, no second schedule type, no per-kind scatter/gather"
+    echo "schedule gate: an update schedule is a list of messages, readers ask the Decomposition by kind and the wire has only the pairs that talk — no P x P tables, no second schedule type, no per-kind scatter/gather"
     exit 1
 fi
 recorders="$(grep -rhoE --include='*.rs' '^impl[^{]*\bRecorder for [A-Za-z]+' crates | sed 's/.* for //' | sort | tr '\n' ' ')"
