@@ -61,8 +61,6 @@ pub struct Decomposition<const V: usize> {
     pub nnodes_global: usize,
     /// Global element count.
     pub nelems_global: usize,
-    /// Global unique edges (sorted pairs, first-seen order over elements).
-    pub global_edges: Vec<[u32; 2]>,
     /// Owner part per global node.
     pub node_owner: Vec<u32>,
     /// Owner part per global edge.
@@ -129,16 +127,15 @@ pub fn decompose<const D: usize, const V: usize>(
     let submeshes: Vec<SubMesh<V>> = (0..nparts as u32)
         .map(|p| build_submesh(&setup, mesh, p, &mut scratch))
         .collect();
-    finish(setup, mesh, submeshes, part, pattern)
+    finish(setup, submeshes, part, pattern)
 }
 
 /// The last build step: placement CSRs over the built sub-meshes, the
 /// update (element overlap) or assembly (node overlap) schedules, and
-/// the [`Decomposition`] that holds them with `setup`'s ownership and
-/// `mesh`'s edges. `submeshes[p]` must be part `p`'s [`build_submesh`].
-pub fn finish<const D: usize, const V: usize>(
+/// the [`Decomposition`] that holds them with `setup`'s ownership.
+/// `submeshes[p]` must be part `p`'s [`build_submesh`].
+pub fn finish<const V: usize>(
     setup: GlobalSetup,
-    mesh: &Mesh<D, V>,
     submeshes: Vec<SubMesh<V>>,
     part: &[u32],
     pattern: Pattern,
@@ -168,7 +165,6 @@ pub fn finish<const D: usize, const V: usize>(
         nparts,
         nnodes_global: nnodes,
         nelems_global: part.len(),
-        global_edges: mesh.edges().keys.clone(),
         node_owner: setup.node_owner,
         edge_owner: setup.edge_owner,
         elem_part: part.to_vec(),
@@ -632,7 +628,7 @@ impl<const V: usize> Decomposition<V> {
             self.pattern.name(),
             self.nnodes_global,
             self.nelems_global,
-            self.global_edges.len(),
+            self.edge_owner.len(),
             self.total_overlap_elems(),
             100.0 * self.total_overlap_elems() as f64 / self.nelems_global.max(1) as f64,
             self.total_overlap_nodes(),
@@ -883,7 +879,7 @@ mod tests {
     #[test]
     fn kernel_edges_partition_global_edges() {
         let d = decomp(6, 6, 4, Pattern::FIG1);
-        let mut owned = vec![0u32; d.global_edges.len()];
+        let mut owned = vec![0u32; d.edge_owner.len()];
         for s in &d.submeshes {
             for &g in s.edges_l2g.iter().take(s.n_kernel_edges) {
                 owned[g as usize] += 1;

@@ -51,8 +51,8 @@ pub struct SubMesh<const V: usize> {
     /// Localized unique edges (pairs of local node ids, lo < hi),
     /// kernel edges first.
     pub edges: Vec<[u32; 2]>,
-    /// Local edge → global edge (indices into the decomposition's
-    /// global edge list).
+    /// Local edge → global edge (ids of the mesh's edge numbering,
+    /// `mesh.edges()`).
     pub edges_l2g: Vec<u32>,
     /// Number of kernel edges (prefix of `edges_l2g`).
     pub n_kernel_edges: usize,

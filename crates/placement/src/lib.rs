@@ -53,7 +53,6 @@ pub use legality::{check_legality, LegalityError, LegalityReport};
 pub use search::{enumerate, SearchOptions, SearchStats};
 pub use solution::{CommSite, InsertionPoint, IterationDomain, Mapping, Solution};
 
-use std::collections::HashSet;
 use syncplace_automata::OverlapAutomaton;
 use syncplace_dfg::Dfg;
 use syncplace_ir::Program;
@@ -112,7 +111,7 @@ pub fn analyze_recorded(
     // every mapping would keep — is cloned, extracted and costed.
     let t0 = obs::start(rec);
     let mut extractor = solution::Extractor::new(prog, dfg, automaton);
-    let mut seen: HashSet<Vec<usize>> = HashSet::new();
+    let mut seen: solution::WordSet<Vec<usize>> = Default::default();
     let mut representatives: Vec<Mapping> = Vec::new();
     let stats = search::search(dfg, automaton, options, |m| {
         let key = extractor.key(m);
@@ -123,7 +122,8 @@ pub fn analyze_recorded(
     });
     obs::finish(rec, keys::SEARCH_SPAN, t0);
     let t0 = obs::start(rec);
-    let solutions = rank(&mut extractor, representatives, cost);
+    let ranked = rank(&mut extractor, representatives, cost);
+    let solutions: Vec<Solution> = ranked.into_iter().map(|(_, s)| s).collect();
     obs::finish(rec, keys::SEARCH_RANK_SPAN, t0);
     if let Some(r) = rec {
         r.add(keys::SEARCH_VISITS, stats.visits);
@@ -138,19 +138,20 @@ pub fn analyze_recorded(
     }
 }
 
-/// One placement per representative mapping, best-first by
-/// `(score, fingerprint)`.
+/// One placement per representative mapping with its fingerprint,
+/// best-first by `(score, fingerprint)`. The fingerprint is assembled
+/// from the extractor's memoised pieces: ranking formats nothing.
 fn rank(
     extractor: &mut solution::Extractor,
     representatives: Vec<Mapping>,
     cost: &CostParams,
-) -> Vec<Solution> {
+) -> Vec<(String, Solution)> {
     let mut ranked: Vec<(String, Solution)> = representatives
         .into_iter()
         .map(|m| {
-            let mut s = extractor.extract(m);
+            let (mut s, fingerprint) = extractor.extract_fingerprinted(m);
             s.cost = cost::evaluate(extractor.loops(), &s, cost);
-            (s.fingerprint(), s)
+            (fingerprint, s)
         })
         .collect();
     ranked.sort_by(|(fa, a), (fb, b)| {
@@ -159,7 +160,7 @@ fn rank(
             .total_cmp(&b.cost.score)
             .then_with(|| fa.cmp(fb))
     });
-    ranked.into_iter().map(|(_, s)| s).collect()
+    ranked
 }
 
 /// Convenience: build the DFG and analyze in one call.
@@ -177,7 +178,7 @@ pub fn analyze_program(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashMap;
+    use std::collections::{HashMap, HashSet};
     use std::sync::Arc;
     use syncplace_automata::predefined::{
         element_overlap_2d_full, element_overlap_two_layer_2d, fig6, fig7, fig8,
@@ -341,6 +342,38 @@ mod tests {
                     ..Default::default()
                 };
                 assert_matches_oracle(&p, &a, &options);
+            }
+        }
+    }
+
+    /// `rank` assembles each placement's fingerprint from the
+    /// extractor's memoised pieces; over every placing pair and the
+    /// capped cases it is byte for byte [`Solution::fingerprint`].
+    #[test]
+    fn assembled_fingerprint_is_the_fingerprint() {
+        let default_cap = SearchOptions::default().max_solutions;
+        let uncapped = placing_pairs().into_iter().map(|(p, a)| (p, a, default_cap));
+        let capped = [(programs::testiv(), fig6()), (programs::tet_heat(10), fig8())]
+            .into_iter()
+            .flat_map(|(p, a)| [1, 2, 7, 100].map(|k| (p.clone(), a.clone(), k)));
+        for (p, a, k) in uncapped.chain(capped) {
+            let what = format!("{} x {} (cap {k})", p.name, a.name);
+            let options = SearchOptions {
+                max_solutions: k,
+                ..Default::default()
+            };
+            let dfg = syncplace_dfg::build(&p);
+            let (mappings, _) = enumerate(&dfg, &a, &options);
+            let mut ex = solution::Extractor::new(&p, &dfg, &a);
+            let mut seen = HashSet::new();
+            let representatives: Vec<Mapping> = mappings
+                .into_iter()
+                .filter(|m| seen.insert(ex.key(m).to_vec()))
+                .collect();
+            let ranked = rank(&mut ex, representatives, &CostParams::default());
+            assert_eq!(ranked.len(), seen.len(), "{what}");
+            for (assembled, s) in &ranked {
+                assert_eq!(*assembled, s.fingerprint(), "{what}");
             }
         }
     }

@@ -16,7 +16,8 @@
 //! solution).
 
 use crate::arrowclass::shape_of;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
 use syncplace_automata::{CommKind, OverlapAutomaton, State, Transition};
 use syncplace_dfg::ops::OpKind;
 use syncplace_dfg::{Dfg, NodeKind};
@@ -277,6 +278,38 @@ fn lower(
 // Extraction
 // ---------------------------------------------------------------------------
 
+/// A multiply-rotate hasher for the `Vec<usize>` keys of the group memo
+/// and `analyze`'s placement set. `Hash for [usize]` hands `write` the
+/// whole slice as bytes, so it consumes 8-byte words. Not collision
+/// resistant, and the daemon compiles client text: both tables gain at
+/// most one entry per completed mapping, so a collision-heavy program
+/// costs at most O(`max_solutions`²) key compares.
+#[derive(Default)]
+pub(crate) struct WordHasher(u64);
+
+impl Hasher for WordHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            self.write_u64(u64::from_le_bytes(w.try_into().expect("8-byte chunk")));
+        }
+        for &b in words.remainder() {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, w: u64) {
+        self.0 = (self.0.rotate_left(5) ^ w).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A set of keys hashed by [`WordHasher`].
+pub(crate) type WordSet<K> = HashSet<K, BuildHasherDefault<WordHasher>>;
+
 /// The mapping-independent facts about one partitioned entity loop.
 pub(crate) struct LoopFacts {
     stmt: StmtId,
@@ -378,29 +411,43 @@ pub(crate) struct Extractor<'a> {
     dfg: &'a Dfg,
     pos_graph: PosGraph,
     loops: Vec<LoopFacts>,
-    /// `[comm kind, arrows carrying it…]` → its sites. The arrows name
-    /// the variable: the group is every arrow of one (variable, kind).
-    sites: HashMap<Vec<usize>, Vec<CommSite>>,
+    /// `[comm kind, arrows carrying it…]` → its sites and the id of the
+    /// first one's piece (a group's pieces are consecutive). The arrows
+    /// name the variable: the group is every arrow of one (variable, kind).
+    sites: HashMap<Vec<usize>, (Vec<CommSite>, usize), BuildHasherDefault<WordHasher>>,
+    /// Each memoised site's [`Solution::fingerprint`] piece,
+    /// `{kind:?}:{var}:{location:?}`, formatted once.
+    pieces: Vec<String>,
+    /// Each loop's `{stmt}:Kernel` and `{stmt}:Overlap` pieces, indexed
+    /// by `IterationDomain as usize`.
+    domain_pieces: Vec<[String; 2]>,
     /// Scratch reused across mappings: the comm-crossing arrows as
-    /// `(variable, kind, arrow)`, one group's memo key, the sites'
-    /// `(kind, variable, position)` triples and the placement key.
+    /// `(variable, kind, arrow)`, one group's memo key, the placement
+    /// key and a placement's piece ids.
     crossing: Vec<(VarId, CommKind, usize)>,
     group: Vec<usize>,
-    triples: Vec<[usize; 3]>,
     key: Vec<usize>,
+    ids: Vec<usize>,
 }
 
 impl<'a> Extractor<'a> {
     pub(crate) fn new(prog: &Program, dfg: &'a Dfg, automaton: &OverlapAutomaton) -> Self {
+        let loops = loop_facts(dfg, automaton);
+        let domain_pieces = loops
+            .iter()
+            .map(|l| [format!("{}:Kernel", l.stmt), format!("{}:Overlap", l.stmt)])
+            .collect();
         Extractor {
             dfg,
             pos_graph: build_pos_graph(prog, dfg),
-            loops: loop_facts(dfg, automaton),
-            sites: HashMap::new(),
+            loops,
+            sites: HashMap::default(),
+            pieces: Vec::new(),
+            domain_pieces,
             crossing: Vec::new(),
             group: Vec::new(),
-            triples: Vec::new(),
             key: Vec::new(),
+            ids: Vec::new(),
         }
     }
 
@@ -412,11 +459,11 @@ impl<'a> Extractor<'a> {
 
     /// Hand `each` the sites of every group of comm-crossing arrows of
     /// `arrow_transition`, grouped by (variable, comm kind) in that
-    /// order.
+    /// order, with the id of the first site's piece.
     fn each_group(
         &mut self,
         arrow_transition: &[Option<Transition>],
-        mut each: impl FnMut(&[CommSite]),
+        mut each: impl FnMut(&[CommSite], usize),
     ) {
         self.crossing.clear();
         for (i, tr) in arrow_transition.iter().enumerate() {
@@ -433,44 +480,61 @@ impl<'a> Extractor<'a> {
             self.group.clear();
             self.group.push(kind as usize);
             self.group.extend(run.iter().map(|c| c.2));
-            if !self.sites.contains_key(&self.group[..]) {
-                let sites = group_sites(self.dfg, &self.pos_graph, var, kind, &self.group[1..]);
-                self.sites.insert(self.group.clone(), sites);
+            if let Some((sites, first)) = self.sites.get(&self.group[..]) {
+                each(sites, *first);
+                continue;
             }
-            each(&self.sites[&self.group[..]]);
+            let mut sites = group_sites(self.dfg, &self.pos_graph, var, kind, &self.group[1..]);
+            // By position: `key` lists a group's sites in memo order.
+            sites.sort_by_key(|s| s.pos_order);
+            let first = self.pieces.len();
+            let piece = |s: &CommSite| format!("{:?}:{}:{:?}", s.kind, s.var, s.location);
+            self.pieces.extend(sites.iter().map(piece));
+            each(&sites, first);
+            self.sites.insert(self.group.clone(), (sites, first));
         }
     }
 
     /// A placement's identity, read off the mapping without extracting
     /// it: two mappings have equal keys iff their [`Solution`]s have
-    /// equal [`Solution::fingerprint`]s — the sorted `(kind, variable,
-    /// location)` triples of the sites, then the domain of each loop.
+    /// equal [`Solution::fingerprint`]s — the sites' (distinct) `(kind,
+    /// variable, location)` triples by group, then by position; then the
+    /// domain of each loop.
     pub(crate) fn key(&mut self, mapping: &Mapping) -> &[usize] {
-        let mut triples = std::mem::take(&mut self.triples);
-        triples.clear();
-        self.each_group(&mapping.arrow_transition, |sites| {
-            triples.extend(sites.iter().map(|s| [s.kind as usize, s.var, s.pos_order]));
+        let mut key = std::mem::take(&mut self.key);
+        key.clear();
+        self.each_group(&mapping.arrow_transition, |sites, _| {
+            key.extend(sites.iter().flat_map(|s| [s.kind as usize, s.var, s.pos_order]));
         });
-        triples.sort_unstable();
-        self.key.clear();
-        self.key.extend(triples.iter().flatten());
-        self.key.extend(
+        key.extend(
             self.loops
                 .iter()
                 .map(|l| usize::from(l.kernel(&mapping.node_state))),
         );
-        self.triples = triples;
+        self.key = key;
         &self.key
     }
 
     /// Extract the concrete placement from a mapping.
+    #[cfg(test)]
     pub(crate) fn extract(&mut self, mapping: Mapping) -> Solution {
+        self.extract_fingerprinted(mapping).0
+    }
+
+    /// Extract the concrete placement from a mapping, with its
+    /// [`Solution::fingerprint`] assembled from the memoised pieces —
+    /// the site pieces sorted, `|`, the domain pieces — formatting
+    /// nothing.
+    pub(crate) fn extract_fingerprinted(&mut self, mapping: Mapping) -> (Solution, String) {
         let mut comm_sites: Vec<CommSite> = Vec::new();
-        self.each_group(&mapping.arrow_transition, |sites| {
+        let mut ids = std::mem::take(&mut self.ids);
+        ids.clear();
+        self.each_group(&mapping.arrow_transition, |sites, first| {
             comm_sites.extend_from_slice(sites);
+            ids.extend(first..first + sites.len());
         });
         comm_sites.sort_by_key(|s| (s.pos_order, s.var));
-        let domains = self
+        let domains: Vec<_> = self
             .loops
             .iter()
             .map(|l| {
@@ -482,13 +546,31 @@ impl<'a> Extractor<'a> {
                 (l.stmt, domain)
             })
             .collect();
-
-        Solution {
+        let pieces = &self.pieces;
+        ids.sort_unstable_by(|&a, &b| pieces[a].cmp(&pieces[b]));
+        let mut fingerprint = String::new();
+        join(&mut fingerprint, ids.iter().map(|&id| &pieces[id]));
+        fingerprint.push('|');
+        let doms = self.domain_pieces.iter().zip(&domains);
+        join(&mut fingerprint, doms.map(|(p, &(_, d))| &p[d as usize]));
+        self.ids = ids;
+        let solution = Solution {
             mapping,
             comm_sites,
             domains,
             cost: crate::cost::SolutionCost::default(),
+        };
+        (solution, fingerprint)
+    }
+}
+
+/// Append `pieces` to `out`, separated by commas.
+fn join<'p>(out: &mut String, pieces: impl Iterator<Item = &'p String>) {
+    for (i, p) in pieces.enumerate() {
+        if i > 0 {
+            out.push(',');
         }
+        out.push_str(p);
     }
 }
 

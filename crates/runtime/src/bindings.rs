@@ -335,7 +335,8 @@ mod tests {
     #[test]
     fn edge_table_matches_decomposition_edges() {
         // One edge numbering across modules: the bindings' global edge
-        // table is the decomposition's, id for id.
+        // table is the mesh's, and each sub-mesh edge's global id names
+        // the same two nodes in it.
         use syncplace_overlap::{decompose2d, Pattern};
         use syncplace_partition::{partition2d, Method};
         let mesh = gen2d::perturbed_grid(7, 6, 0.2, 11);
@@ -343,7 +344,15 @@ mod tests {
         let b = edge_smooth_bindings(&programs::edge_smooth(), &mesh, x);
         let p = partition2d(&mesh, 3, Method::Greedy);
         let d = decompose2d(&mesh, &p.part, 3, Pattern::FIG1);
-        let global: Vec<u32> = d.global_edges.iter().flatten().copied().collect();
-        assert_eq!(b.edge_table.expect("edgesmooth has edges").targets, global);
+        let table = b.edge_table.expect("edgesmooth has edges").targets;
+        let global: Vec<u32> = mesh.edges().keys.iter().flatten().copied().collect();
+        assert_eq!(table, global);
+        for s in &d.submeshes {
+            for (e, &g) in s.edges.iter().zip(&s.edges_l2g) {
+                let mut nodes = e.map(|n| s.nodes_l2g[n as usize]);
+                nodes.sort_unstable();
+                assert_eq!(table[2 * g as usize..][..2], nodes);
+            }
+        }
     }
 }

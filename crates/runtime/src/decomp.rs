@@ -101,7 +101,7 @@ pub fn decompose_par<const D: usize, const V: usize>(
     let (t0, t_step) = (Instant::now(), obs::start(rec));
     // The gang has dropped every job, so this is the last reference.
     let setup = Arc::try_unwrap(setup).unwrap_or_else(|shared| (*shared).clone());
-    let d = finish(setup, &mesh, submeshes, &part, pattern);
+    let d = finish(setup, submeshes, &part, pattern);
     let schedule_s = t0.elapsed().as_secs_f64();
     obs::finish(rec, keys::DECOMP_SCHEDULE_SPAN, t_step);
 

@@ -66,7 +66,10 @@
 # nothing (the bodies of `fn go` and `fn next_unassigned` in
 # crates/placement/src/search.rs name no Vec::new / vec! / .collect( /
 # .to_vec(: the tables are built once in `Search::seeded`, a step reuses
-# the search's stacks), the experiments must read no clock
+# the search's stacks), ranking must format nothing per placement (the
+# body of `fn rank` in crates/placement/src/lib.rs names no
+# `.fingerprint()` and no `format!`: fingerprints are assembled from
+# pieces the extractor formats once), the experiments must read no clock
 # (crates/bench/src/experiments.rs names no `Instant` and no `elapsed(`:
 # `reproduce` prints counts, identities, modeled figures and verdicts,
 # so its tables reproduce byte for byte; wall clock is benchmark/'s),
@@ -167,6 +170,11 @@ steps="$(awk '/fn (go|next_unassigned)\(/ { on = 1 } on { print } on && /^    }$
 if [ "$(echo "$steps" | grep -cE 'fn (go|next_unassigned)\(')" != 2 ] \
     || echo "$steps" | grep -nE 'Vec::new|vec!|\.collect\(|\.to_vec\('; then
     echo "search gate: a search step allocates nothing — build tables in Search::seeded, reuse the trail and obligation stacks"
+    exit 1
+fi
+rank="$(awk '/^fn rank\(/ { on = 1 } on { print } on && /^}$/ { exit }' crates/placement/src/lib.rs)"
+if [ -z "$rank" ] || echo "$rank" | grep -nE '\.fingerprint\(\)|format!'; then
+    echo "rank gate: ranking formats nothing per placement — assemble the fingerprint from the extractor's memoised pieces"
     exit 1
 fi
 if grep -nE 'Instant|elapsed\(' crates/bench/src/experiments.rs; then

@@ -27,16 +27,17 @@ impl Fnv {
     }
 }
 
-/// The partition vector, its dual graph's rows, and every vector of the
-/// decomposition, sub-meshes and schedules in field order.
-fn fingerprint<const V: usize>(p: &Partition, d: &Decomposition<V>) -> u64 {
+/// The partition vector, its dual graph's rows, the mesh's edge keys
+/// (hashed where the recorded values expect them) and every vector of
+/// the decomposition, sub-meshes and schedules in field order.
+fn fingerprint<const V: usize>(p: &Partition, edges: &[[u32; 2]], d: &Decomposition<V>) -> u64 {
     let mut h = Fnv(0xcbf2_9ce4_8422_2325);
     h.words(p.part.iter().copied());
     for (_, row) in p.dual.iter() {
         h.words(row.iter().copied());
     }
     h.words([d.nparts, d.nnodes_global, d.nelems_global].map(|n| n as u32).into_iter());
-    h.flat(&d.global_edges);
+    h.flat(edges);
     for v in [&d.node_owner, &d.edge_owner, &d.elem_part] {
         h.words(v.iter().copied());
     }
@@ -66,7 +67,8 @@ fn partition_and_decomposition_2d_are_pinned() {
     let mesh = gen2d::perturbed_grid(40, 40, 0.2, 3);
     let p = partition2d(&mesh, 7, Method::RcbKl);
     let d = decompose2d(&mesh, &p.part, 7, Pattern::FIG1);
-    assert_eq!(fingerprint(&p, &d), 15_208_330_041_142_541_043, "2-D fingerprint");
+    let fp = fingerprint(&p, &mesh.edges().keys, &d);
+    assert_eq!(fp, 15_208_330_041_142_541_043, "2-D fingerprint");
 }
 
 #[test]
@@ -74,5 +76,6 @@ fn partition_and_decomposition_3d_are_pinned() {
     let mesh = gen3d::box_mesh(6, 6, 6);
     let p = partition3d(&mesh, 5, Method::Rcb);
     let d = decompose3d(&mesh, &p.part, 5, Pattern::FIG1);
-    assert_eq!(fingerprint(&p, &d), 6_864_240_162_544_060_313, "3-D fingerprint");
+    let fp = fingerprint(&p, &mesh.edges().keys, &d);
+    assert_eq!(fp, 6_864_240_162_544_060_313, "3-D fingerprint");
 }

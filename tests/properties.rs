@@ -77,7 +77,7 @@ fn scatter_gather_roundtrip() {
         let d = decompose2d(&mesh, &part.part, nparts, pattern);
         let nodes: Vec<f64> = (0..d.nnodes_global).map(|i| i as f64 * 0.7).collect();
         let elems: Vec<f64> = (0..d.nelems_global).map(|i| i as f64 - 5.0).collect();
-        let edges: Vec<f64> = (0..d.global_edges.len()).map(|i| i as f64).collect();
+        let edges: Vec<f64> = (0..mesh.edges().keys.len()).map(|i| i as f64).collect();
         let globals = [
             (EntityKind::Node, nodes),
             (EntityKind::Tri, elems),
