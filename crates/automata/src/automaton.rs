@@ -32,6 +32,17 @@ pub enum ArrowClass {
 }
 
 impl ArrowClass {
+    /// Every class, in declaration order.
+    pub const ALL: [Self; 7] = [
+        Self::TrueDep,
+        Self::ValueScalar,
+        Self::ValueDirect,
+        Self::ValueGatherDown,
+        Self::ValueGatherUp,
+        Self::ValueCarrier,
+        Self::Control,
+    ];
+
     /// Is this one of the thin (value/control) classes?
     pub fn is_thin(self) -> bool {
         !matches!(self, ArrowClass::TrueDep)
@@ -77,8 +88,11 @@ pub struct OverlapAutomaton {
 }
 
 impl OverlapAutomaton {
+    /// The most transitions per `(from, class)`: the search's viability mask is a `u64`.
+    pub const MAX_RUN: usize = 64;
+
     /// Create an automaton, checking that transitions only mention
-    /// listed states.
+    /// listed states and that no `(from, class)` run exceeds `MAX_RUN`.
     pub fn new(name: &str, states: Vec<State>, mut transitions: Vec<Transition>) -> Self {
         for t in &transitions {
             assert!(
@@ -92,6 +106,10 @@ impl OverlapAutomaton {
         // prefers not to communicate), then by target state.
         transitions.sort_by_key(|t| (t.from, t.class as u8, t.comm.is_some(), t.to));
         transitions.dedup();
+        for run in transitions.chunk_by(|x, y| (x.from, x.class) == (y.from, y.class)) {
+            let (Transition { from, class, .. }, n, max) = (run[0], run.len(), Self::MAX_RUN);
+            assert!(n <= max, "{name}: {n} transitions on ({from}, {class:?})");
+        }
         OverlapAutomaton {
             name: name.to_string(),
             states,
@@ -101,11 +119,7 @@ impl OverlapAutomaton {
 
     /// Transitions leaving `from` on an arrow of class `class`
     /// (comm-free ones first).
-    pub fn from_on(
-        &self,
-        from: State,
-        class: ArrowClass,
-    ) -> impl Iterator<Item = &Transition> + '_ {
+    pub fn from_on(&self, from: State, class: ArrowClass) -> impl Iterator<Item = &Transition> {
         self.transitions
             .iter()
             .filter(move |t| t.from == from && t.class == class)
@@ -345,6 +359,46 @@ mod tests {
         assert_eq!(a.free_def_states(Shape::Nod, false), vec![NOD0, NOD1]);
         assert_eq!(a.free_def_states(Shape::Nod, true), vec![NOD1]);
         assert_eq!(a.free_def_states(Shape::Sca, false), vec![SCA0]);
+    }
+
+    /// A run of `n` distinct transitions leaving `Nod0` on a true
+    /// dependence: every target state × every comm label.
+    fn run_of(n: usize) -> OverlapAutomaton {
+        let states: Vec<State> = Shape::ALL
+            .iter()
+            .flat_map(|&s| Coherence::ALL.map(|c| State::new(s, c)))
+            .collect();
+        let comms = [
+            None,
+            Some(CommKind::UpdateOverlap),
+            Some(CommKind::AssembleShared),
+            Some(CommKind::ReduceScalar),
+        ];
+        let ts = states
+            .iter()
+            .flat_map(|&to| {
+                comms.map(|comm| Transition {
+                    from: NOD0,
+                    class: ArrowClass::TrueDep,
+                    to,
+                    comm,
+                })
+            })
+            .take(n)
+            .collect();
+        OverlapAutomaton::new("wide-run", states, ts)
+    }
+
+    #[test]
+    fn run_of_max_run_accepted() {
+        let a = run_of(OverlapAutomaton::MAX_RUN);
+        assert_eq!(a.from_on(NOD0, ArrowClass::TrueDep).count(), 64);
+    }
+
+    #[test]
+    #[should_panic(expected = "wide-run: 65 transitions on (Nod0, TrueDep)")]
+    fn run_over_max_run_rejected() {
+        run_of(OverlapAutomaton::MAX_RUN + 1);
     }
 
     #[test]

@@ -19,6 +19,9 @@ pub enum Shape {
 }
 
 impl Shape {
+    /// Every shape, in declaration (and `Ord`) order.
+    pub const ALL: [Self; 5] = [Self::Sca, Self::Nod, Self::Edg, Self::Tri, Self::Thd];
+
     /// The shape of data based on a mesh entity kind.
     pub fn of_entity(e: EntityKind) -> Shape {
         match e {
@@ -77,6 +80,9 @@ pub enum Coherence {
 }
 
 impl Coherence {
+    /// Every coherence level, in declaration (and `Ord`) order.
+    pub const ALL: [Self; 4] = [Self::Coherent, Self::Stale, Self::Stale2, Self::Partial];
+
     /// Staleness depth: how many gather–scatter steps separate this
     /// state from full coherence (`Partial` is not on this axis).
     pub fn stale_rank(self) -> Option<usize> {

@@ -53,6 +53,16 @@ pub fn classify_arrow(dfg: &Dfg, arrow: &Arrow) -> ArrowClass {
     }
 }
 
+/// The class of a propagation arrow (true, value or control), `None`
+/// for the anti and output arrows propagation never crosses.
+pub fn propagation_class(dfg: &Dfg, arrow: &Arrow) -> Option<ArrowClass> {
+    matches!(
+        arrow.kind,
+        DepKind::True | DepKind::Value | DepKind::Control
+    )
+    .then(|| classify_arrow(dfg, arrow))
+}
+
 /// The arrow ids participating in state propagation (true, value and
 /// control arrows), in deterministic order.
 pub fn propagation_arrows(dfg: &Dfg) -> Vec<usize> {

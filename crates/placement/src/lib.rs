@@ -346,17 +346,28 @@ mod tests {
         }
     }
 
+    /// Every placing pair at the default cap, then TESTIV × fig6 and
+    /// `tet_heat` × fig8 capped at 1, 2, 7 and 100 mappings.
+    fn placing_and_capped_cases() -> impl Iterator<Item = (Program, OverlapAutomaton, usize)> {
+        let default_cap = SearchOptions::default().max_solutions;
+        let uncapped = placing_pairs()
+            .into_iter()
+            .map(move |(p, a)| (p, a, default_cap));
+        let capped = [
+            (programs::testiv(), fig6()),
+            (programs::tet_heat(10), fig8()),
+        ]
+        .into_iter()
+        .flat_map(|(p, a)| [1, 2, 7, 100].map(|k| (p.clone(), a.clone(), k)));
+        uncapped.chain(capped)
+    }
+
     /// `rank` assembles each placement's fingerprint from the
     /// extractor's memoised pieces; over every placing pair and the
     /// capped cases it is byte for byte [`Solution::fingerprint`].
     #[test]
     fn assembled_fingerprint_is_the_fingerprint() {
-        let default_cap = SearchOptions::default().max_solutions;
-        let uncapped = placing_pairs().into_iter().map(|(p, a)| (p, a, default_cap));
-        let capped = [(programs::testiv(), fig6()), (programs::tet_heat(10), fig8())]
-            .into_iter()
-            .flat_map(|(p, a)| [1, 2, 7, 100].map(|k| (p.clone(), a.clone(), k)));
-        for (p, a, k) in uncapped.chain(capped) {
+        for (p, a, k) in placing_and_capped_cases() {
             let what = format!("{} x {} (cap {k})", p.name, a.name);
             let options = SearchOptions {
                 max_solutions: k,
@@ -374,6 +385,38 @@ mod tests {
             assert_eq!(ranked.len(), seen.len(), "{what}");
             for (assembled, s) in &ranked {
                 assert_eq!(*assembled, s.fingerprint(), "{what}");
+            }
+        }
+    }
+
+    /// Keying reads only the extractor's comm-capable arrows: over
+    /// every mapping of every placing pair and of the capped cases,
+    /// each arrow whose transition communicates is on that list.
+    #[test]
+    fn keying_sees_every_comm_arrow() {
+        for (p, a, k) in placing_and_capped_cases() {
+            let options = SearchOptions {
+                max_solutions: k,
+                ..Default::default()
+            };
+            let dfg = syncplace_dfg::build(&p);
+            let listed: HashSet<usize> = solution::Extractor::new(&p, &dfg, &a)
+                .comm_arrows
+                .iter()
+                .map(|&(i, _)| i)
+                .collect();
+            let (mappings, _) = enumerate(&dfg, &a, &options);
+            for m in &mappings {
+                for (i, t) in m.arrow_transition.iter().enumerate() {
+                    if t.is_some_and(|t| t.comm.is_some()) {
+                        assert!(
+                            listed.contains(&i),
+                            "{} x {} (cap {k}): arrow {i} communicates",
+                            p.name,
+                            a.name
+                        );
+                    }
+                }
             }
         }
     }

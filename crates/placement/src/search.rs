@@ -4,10 +4,14 @@
 //! explicit obligation stack plays that role and also enables full
 //! solution enumeration: "In general, for a given program and a given
 //! overlapping pattern, there may be more than one solution mapping").
+//!
+//! A visit searches nothing it can look up: the transitions leaving a
+//! `(state, class)` pair are one index into a dense run table, and the
+//! viable ones are marked in one pass per crossing.
 
-use crate::arrowclass::{classify_arrow, propagation_arrows, shape_of};
+use crate::arrowclass::{propagation_arrows, propagation_class, shape_of};
 use crate::solution::Mapping;
-use syncplace_automata::{OverlapAutomaton, State, Transition};
+use syncplace_automata::{ArrowClass, Coherence, OverlapAutomaton, Shape, State, Transition};
 use syncplace_dfg::{DefClass, Dfg, NodeKind};
 
 /// Search options.
@@ -69,6 +73,8 @@ pub struct SearchStats {
 }
 
 /// Enumerate all mappings `⟨M_n • M_a⟩` satisfying §3.4's conditions.
+/// It counts mappings, duplicates of one placement included: that is
+/// what `max_solutions` caps and [`SearchStats::solutions`] reports.
 pub fn enumerate(
     dfg: &Dfg,
     automaton: &OverlapAutomaton,
@@ -128,8 +134,8 @@ struct Search<'a> {
     /// Does a propagation arrow enter this node? (Sources are assigned
     /// freely first.)
     has_in: Vec<bool>,
-    classes: Vec<Option<syncplace_automata::ArrowClass>>,
-    shapes: Vec<syncplace_automata::Shape>,
+    classes: Vec<Option<ArrowClass>>,
+    shapes: Vec<Shape>,
     /// Does this arrow concern a real (distributed) array variable?
     arrow_is_array: Vec<bool>,
     /// May this node take the `Sca1` state (reduction defs only)?
@@ -137,6 +143,10 @@ struct Search<'a> {
     /// The automaton's transitions, stably sorted by `(from, class)`:
     /// each run is `from_on`'s answer, in its order (see [`Self::run`]).
     trans: Vec<Transition>,
+    /// The dense run table: the run of `(from, class)` is
+    /// `trans[run_start[i]..run_start[i + 1]]`, `i = run_index(from,
+    /// class)`. The index grows with the sort key, so runs abut.
+    run_start: Vec<usize>,
     /// The states a freely assigned node may take, per node.
     free: Vec<Vec<State>>,
     node_state: Vec<Option<State>>,
@@ -176,15 +186,7 @@ impl<'a> Search<'a> {
         let classes: Vec<_> = dfg
             .arrows
             .iter()
-            .map(|a| {
-                matches!(
-                    a.kind,
-                    syncplace_dfg::DepKind::True
-                        | syncplace_dfg::DepKind::Value
-                        | syncplace_dfg::DepKind::Control
-                )
-                .then(|| classify_arrow(dfg, a))
-            })
+            .map(|a| propagation_class(dfg, a))
             .collect();
         let mut has_in = vec![false; n];
         for (a, class) in dfg.arrows.iter().zip(&classes) {
@@ -192,6 +194,22 @@ impl<'a> Search<'a> {
         }
         let mut trans = automaton.transitions.clone();
         trans.sort_by_key(|t| (t.from, t.class as u8));
+        // Run lengths, then their prefix sums. The fields of an
+        // automaton are public, so the viability mask's bound is
+        // checked here as well as in `OverlapAutomaton::new`.
+        let mut run_start = vec![0; RUNS + 1];
+        for t in &trans {
+            run_start[run_index(t.from, t.class) + 1] += 1;
+        }
+        for i in 1..=RUNS {
+            let len = run_start[i];
+            assert!(
+                len <= OverlapAutomaton::MAX_RUN,
+                "{}: run of {len}",
+                automaton.name
+            );
+            run_start[i] += run_start[i - 1];
+        }
         let free = (0..n)
             .map(|i| {
                 free_states(dfg, automaton, i)
@@ -216,6 +234,7 @@ impl<'a> Search<'a> {
                 .collect(),
             sca1_def_ok: (0..n).map(|i| sca1_def_allowed(dfg, i)).collect(),
             trans,
+            run_start,
             free,
             node_state: vec![None; n],
             arrow_trans: vec![None; dfg.arrows.len()],
@@ -239,12 +258,12 @@ impl<'a> Search<'a> {
     }
 
     /// The indices in `self.trans` of the transitions leaving `from` on
-    /// class `class` — `OverlapAutomaton::from_on`, by binary search.
-    fn run(&self, from: State, class: syncplace_automata::ArrowClass) -> std::ops::Range<usize> {
-        let key = (from, class as u8);
-        let lo = self.trans.partition_point(|t| (t.from, t.class as u8) < key);
-        let len = self.trans[lo..].partition_point(|t| (t.from, t.class as u8) == key);
-        lo..lo + len
+    /// class `class` — `OverlapAutomaton::from_on`'s answer, in its
+    /// order, read off the run table: at most
+    /// [`OverlapAutomaton::MAX_RUN`] of them.
+    fn run(&self, from: State, class: ArrowClass) -> std::ops::Range<usize> {
+        let i = run_index(from, class);
+        self.run_start[i]..self.run_start[i + 1]
     }
 
     /// Is transition `t` admissible on arrow `arrow`?
@@ -287,27 +306,24 @@ impl<'a> Search<'a> {
             let class = self.classes[arrow_id].expect("propagation arrow");
             let to = a.to;
             // Admission (shape, Sca1-on-reductions-only, required
-            // states, §5.2 simulation filter) is checked up front: an
-            // arrow with no viable transition is one dead end. Each
-            // descent below restores what it assigns, so a transition
-            // is viable inside the loop iff it was up front.
+            // states, §5.2 simulation filter) is checked once, up
+            // front, into a mask over the run: an arrow with no viable
+            // transition is one dead end. Each descent below restores
+            // what it assigns, so a transition is viable inside the
+            // loop iff it was up front.
             let run = self.run(from_state, class);
-            if !run
-                .clone()
-                .any(|k| self.viable(arrow_id, to, &self.trans[k]))
-            {
+            let mut viable = 0u64;
+            for (bit, t) in self.trans[run.clone()].iter().enumerate() {
+                viable |= u64::from(self.viable(arrow_id, to, t)) << bit;
+            }
+            if viable == 0 {
                 self.stats.backtracks += 1;
                 self.obligations.push(arrow_id);
                 return;
             }
-            for k in run {
-                if self.done() {
-                    break;
-                }
-                let t = self.trans[k];
-                if !self.viable(arrow_id, to, &t) {
-                    continue;
-                }
+            while viable != 0 && !self.done() {
+                let t = self.trans[run.start + viable.trailing_zeros() as usize];
+                viable &= viable - 1;
                 match self.node_state[to] {
                     // §5.2 collapse: a uniquely-determined, state-
                     // preserving crossing onto an already-consistent
@@ -440,6 +456,16 @@ impl<'a> Search<'a> {
         }
         fallback
     }
+}
+
+/// The number of `(from, class)` runs the table has room for.
+const RUNS: usize = Shape::ALL.len() * Coherence::ALL.len() * ArrowClass::ALL.len();
+
+/// The run table's index of `(from, class)`: increasing in the
+/// `(from, class as u8)` order `Search::seeded` sorts by.
+fn run_index(from: State, class: ArrowClass) -> usize {
+    (from.shape as usize * Coherence::ALL.len() + from.coh as usize) * ArrowClass::ALL.len()
+        + class as usize
 }
 
 /// Candidate states for a freely-assigned node.
@@ -614,6 +640,43 @@ mod tests {
             placed >= 8,
             "only {placed} (program, automaton) pairs placed"
         );
+    }
+
+    /// The run table answers `from_on` for every state and class of
+    /// every predefined automaton, listed states or not.
+    #[test]
+    fn run_table_is_from_on() {
+        use syncplace_automata::predefined::*;
+        let dfg = syncplace_dfg::build(&programs::testiv());
+        let opts = SearchOptions::default();
+        let automata = [
+            fig6(),
+            fig7(),
+            fig8(),
+            fig6_from_fig8(),
+            element_overlap(2),
+            element_overlap(3),
+            element_overlap_2d_full(),
+            element_overlap_two_layer_2d(),
+            node_overlap(2),
+            node_overlap(3),
+        ];
+        for a in &automata {
+            let s = Search::seeded(&dfg, a, &opts);
+            for shape in Shape::ALL {
+                for coh in Coherence::ALL {
+                    let from = State::new(shape, coh);
+                    for class in ArrowClass::ALL {
+                        let got = &s.trans[s.run(from, class)];
+                        let want: Vec<Transition> = a.from_on(from, class).copied().collect();
+                        assert_eq!(got, &want[..], "{} {from} {class:?}", a.name);
+                        if !a.states.contains(&from) {
+                            assert!(got.is_empty(), "{} {from} {class:?}", a.name);
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

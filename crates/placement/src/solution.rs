@@ -15,7 +15,7 @@
 //! (the grouping advantage the paper discusses for its second TESTIV
 //! solution).
 
-use crate::arrowclass::shape_of;
+use crate::arrowclass::{propagation_class, shape_of};
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 use syncplace_automata::{CommKind, OverlapAutomaton, State, Transition};
@@ -411,6 +411,10 @@ pub(crate) struct Extractor<'a> {
     dfg: &'a Dfg,
     pos_graph: PosGraph,
     loops: Vec<LoopFacts>,
+    /// The arrows that can carry a communication, ascending, with their
+    /// variable: propagation arrows with a variable and a class some
+    /// comm transition of the automaton has. Keying reads only these.
+    pub(crate) comm_arrows: Vec<(usize, VarId)>,
     /// `[comm kind, arrows carrying it…]` → its sites and the id of the
     /// first one's piece (a group's pieces are consecutive). The arrows
     /// name the variable: the group is every arrow of one (variable, kind).
@@ -437,10 +441,23 @@ impl<'a> Extractor<'a> {
             .iter()
             .map(|l| [format!("{}:Kernel", l.stmt), format!("{}:Overlap", l.stmt)])
             .collect();
+        let comm_class = |c| {
+            automaton
+                .transitions
+                .iter()
+                .any(|t| t.class == c && t.comm.is_some())
+        };
+        let comm_arrows = dfg.arrows.iter().enumerate().filter_map(|(i, a)| {
+            let var = a.var?;
+            propagation_class(dfg, a)
+                .is_some_and(comm_class)
+                .then_some((i, var))
+        });
         Extractor {
             dfg,
             pos_graph: build_pos_graph(prog, dfg),
             loops,
+            comm_arrows: comm_arrows.collect(),
             sites: HashMap::default(),
             pieces: Vec::new(),
             domain_pieces,
@@ -459,18 +476,16 @@ impl<'a> Extractor<'a> {
 
     /// Hand `each` the sites of every group of comm-crossing arrows of
     /// `arrow_transition`, grouped by (variable, comm kind) in that
-    /// order, with the id of the first site's piece.
+    /// order, with the id of the first site's piece. Only the
+    /// comm-capable arrows are read.
     fn each_group(
         &mut self,
         arrow_transition: &[Option<Transition>],
         mut each: impl FnMut(&[CommSite], usize),
     ) {
         self.crossing.clear();
-        for (i, tr) in arrow_transition.iter().enumerate() {
-            if let Some(kind) = tr.and_then(|t| t.comm) {
-                let var = self.dfg.arrows[i]
-                    .var
-                    .expect("comm transitions ride true dependences");
+        for &(i, var) in &self.comm_arrows {
+            if let Some(kind) = arrow_transition[i].and_then(|t| t.comm) {
                 self.crossing.push((var, kind, i));
             }
         }

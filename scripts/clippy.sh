@@ -66,8 +66,12 @@
 # nothing (the bodies of `fn go` and `fn next_unassigned` in
 # crates/placement/src/search.rs name no Vec::new / vec! / .collect( /
 # .to_vec(: the tables are built once in `Search::seeded`, a step reuses
-# the search's stacks), ranking must format nothing per placement (the
-# body of `fn rank` in crates/placement/src/lib.rs names no
+# the search's stacks), a search visit must look its transitions up
+# (the bodies of `fn go`, `fn forced_step` and `fn run` in that file
+# name no partition_point / binary_search / from_on: they read the
+# `(state, class)` run table `Search::seeded` built), ranking must
+# format nothing per placement (the body of `fn rank` in
+# crates/placement/src/lib.rs names no
 # `.fingerprint()` and no `format!`: fingerprints are assembled from
 # pieces the extractor formats once), the experiments must read no clock
 # (crates/bench/src/experiments.rs names no `Instant` and no `elapsed(`:
@@ -170,6 +174,12 @@ steps="$(awk '/fn (go|next_unassigned)\(/ { on = 1 } on { print } on && /^    }$
 if [ "$(echo "$steps" | grep -cE 'fn (go|next_unassigned)\(')" != 2 ] \
     || echo "$steps" | grep -nE 'Vec::new|vec!|\.collect\(|\.to_vec\('; then
     echo "search gate: a search step allocates nothing — build tables in Search::seeded, reuse the trail and obligation stacks"
+    exit 1
+fi
+visit="$(awk '/fn (go|forced_step|run)\(/ { on = 1 } on { print } on && /^    }$/ { on = 0 }' crates/placement/src/search.rs)"
+if [ "$(echo "$visit" | grep -cE 'fn (go|forced_step|run)\(')" != 3 ] \
+    || echo "$visit" | grep -nE 'partition_point|binary_search|from_on'; then
+    echo "visit gate: a search visit looks its transitions up — read the (state, class) run table Search::seeded built"
     exit 1
 fi
 rank="$(awk '/^fn rank\(/ { on = 1 } on { print } on && /^}$/ { exit }' crates/placement/src/lib.rs)"
