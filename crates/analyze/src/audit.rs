@@ -22,9 +22,9 @@
 //!   written twice (a write-write race between unpack, assembly
 //!   write-back and round-2 totals) (`SA021`);
 //! * **combine order** — assembly groups combine owner-first
-//!   (`SA022`) and every rank installs the same canonical binomial
-//!   reduction tree with a uniform op list (`SA023`) — the two fixed
-//!   orders that make results bitwise identical across engines.
+//!   (`SA022`), and a uniform reduce op list per phase on the plan's
+//!   one canonical binomial tree, checked once per rank (`SA023`) —
+//!   the fixed orders that make results bitwise identical across engines.
 
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -147,8 +147,9 @@ pub fn audit_plan(prog: &Program, spmd: &SpmdProgram, plan: &CommPlan) -> Report
             audit_rank_writes(&mut r, idx, p, rp);
         }
         audit_wire(&mut r, idx, ph);
-        audit_orders(&mut r, plan, idx, ph);
+        audit_orders(&mut r, idx, ph);
     }
+    audit_tree(&mut r, plan);
     r.sort();
     r
 }
@@ -329,7 +330,7 @@ fn audit_wire(r: &mut Report, phase: usize, ph: &PhasePlan) {
         }
     }
     // The reads must tile [0, declared) exactly. (Reduction partials
-    // never ride round 1: `audit_orders` audits their tree packets.)
+    // never ride round 1: `audit_tree` audits the tree they ride.)
     for ((p, q), mut reads) in reads {
         reads.sort_unstable_by_key(|&(off, len, _)| (off, len));
         let mut cursor = 0u32;
@@ -357,9 +358,9 @@ fn audit_wire(r: &mut Report, phase: usize, ph: &PhasePlan) {
     }
 }
 
-/// Combine-order checks: owner-first assembly (`SA022`) and the
-/// canonical binomial reduction tree with a uniform op list (`SA023`).
-fn audit_orders(r: &mut Report, plan: &CommPlan, phase: usize, ph: &PhasePlan) {
+/// Combine-order checks: owner-first assembly (`SA022`) and a uniform
+/// reduce op list on every rank (`SA023`).
+fn audit_orders(r: &mut Report, phase: usize, ph: &PhasePlan) {
     for (rank, rp) in ph.ranks.iter().enumerate() {
         for ap in &rp.assembles {
             for (gi, g) in ap.own_groups.iter().enumerate() {
@@ -378,10 +379,9 @@ fn audit_orders(r: &mut Report, plan: &CommPlan, phase: usize, ph: &PhasePlan) {
                 }
             }
         }
-        // Reduction tree shape: every reducing rank must install
-        // exactly the canonical binomial tree, and every rank must
-        // carry the same ordered (var, op) reduce list — together
-        // they pin the one combine order `comm::tree_fold` defines.
+        // Every rank must carry the same ordered (var, op) reduce
+        // list: with the tree (`audit_tree`) it pins the one combine
+        // order `comm::tree_fold` defines.
         let reference = &ph.ranks[0].reduces;
         let ops = |l: &[ReducePlan]| l.iter().map(|x| (x.var, x.op)).collect::<Vec<_>>();
         if ops(&rp.reduces) != ops(reference) {
@@ -392,25 +392,26 @@ fn audit_orders(r: &mut Report, plan: &CommPlan, phase: usize, ph: &PhasePlan) {
             );
             r.push(at(phase, Some(rank), codes::REDUCE_ORDER, msg));
         }
-        if rp.reduces.is_empty() || plan.nparts <= 1 {
-            continue;
-        }
-        let want_parent = reduce_tree_parent(rank).map(|p| p as u32);
-        if rp.red_parent != want_parent {
-            let msg = format!(
-                "rank {rank} sends its partial to {:?} but the canonical binomial tree parent is {want_parent:?}",
-                rp.red_parent
-            );
-            r.push(at(phase, Some(rank), codes::REDUCE_ORDER, msg));
-        }
-        let want_children = reduce_tree_children(rank, plan.nparts).into_iter().map(|c| c as u32);
-        let want_children: Vec<u32> = want_children.collect();
-        if rp.red_children != want_children {
-            let msg = format!(
-                "rank {rank} combines children {:?} but the canonical binomial tree gives {want_children:?}",
-                rp.red_children
-            );
-            r.push(at(phase, Some(rank), codes::REDUCE_ORDER, msg));
+    }
+}
+
+/// The binomial tree every reduction and exit agreement runs on
+/// (`SA023`), once per rank: where some phase reduces at P > 1 or the
+/// tape runs an exit agreement, the plan's wiring must give each rank
+/// exactly the canonical parent and children; elsewhere, none.
+fn audit_tree(r: &mut Report, plan: &CommPlan) {
+    let agree = |op: &Op| matches!(op, Op::Exit { agree: true, .. });
+    let agrees = plan.ops().is_ok_and(|ops| ops.iter().any(agree));
+    let wired = plan.nparts > 1 && (agrees || plan.phases.iter().any(|ph| ph.reduces > 0));
+    let n = plan.nparts;
+    for (rank, w) in plan.wiring.ranks.iter().enumerate() {
+        let want = wired.then(|| (reduce_tree_parent(rank), reduce_tree_children(rank, n)));
+        let want = want.unwrap_or_default();
+        let children = w.children.iter().map(|&c| c as usize).collect();
+        let have = (w.parent.map(|p| p as usize), children);
+        if have != want {
+            let msg = format!("rank {rank}'s tree is {have:?}, not the binomial tree's {want:?}");
+            r.push(Diagnostic::error(codes::REDUCE_ORDER, Span::none(), msg));
         }
     }
 }
@@ -496,15 +497,10 @@ mod tests {
     #[test]
     fn reduce_tree_shape_violation_detected() {
         let (p, sol, spmd, mut plan) = planned(Pattern::FIG1, 4);
-        // Re-point a reducing rank's up-edge at the wrong parent.
-        'outer: for ph in &mut plan.phases {
-            for (rank, rp) in ph.ranks.iter_mut().enumerate() {
-                if rank > 0 && !rp.reduces.is_empty() {
-                    rp.red_parent = Some(((rank + 1) % plan.nparts) as u32);
-                    break 'outer;
-                }
-            }
-        }
+        // Re-point a rank's up-edge at the wrong parent.
+        assert!(plan.phases.iter().any(|ph| ph.reduces > 0), "TESTIV reduces");
+        let rank = 1;
+        plan.wiring.ranks[rank].parent = Some(((rank + 1) % plan.nparts) as u32);
         let rep = audit(&p, &sol, &spmd, &plan);
         assert!(rep.has_code(codes::REDUCE_ORDER), "{rep}");
     }

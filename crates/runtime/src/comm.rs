@@ -130,14 +130,7 @@ pub fn apply_update(
         stat.messages += 1;
         stat.values += n;
         per_proc_send[p as usize] += n;
-        if let Some(r) = rec {
-            r.packet(p, q, n as u64);
-            // Logical schedule of the simulated wire: p ships the
-            // packet, q receives it and scatters (reads) it.
-            r.hb(p, keys::HB_SEND, q);
-            r.hb(q, keys::HB_RECV, p);
-            r.hb(q, keys::HB_READ, p);
-        }
+        record_packet(rec, p, q, n as u64);
         for &(src, dst) in &m.pairs {
             let v = machines[p as usize].arrays[var][src as usize];
             machines[q as usize].arrays[var][dst as usize] = v;
@@ -192,13 +185,8 @@ pub fn apply_assemble<const V: usize>(
             }
         }
     }
-    if let Some(r) = rec {
-        for ((from, to), v) in pair_values {
-            r.packet(from, to, v);
-            r.hb(from, keys::HB_SEND, to);
-            r.hb(to, keys::HB_RECV, from);
-            r.hb(to, keys::HB_READ, from);
-        }
+    for ((from, to), v) in pair_values {
+        record_packet(rec, from, to, v);
     }
     stat.messages = d.node_assemble.total_messages();
     if stat.messages == 0 {
@@ -286,36 +274,33 @@ pub fn apply_reduce(
     for m in machines.iter_mut() {
         m.scalars[var] = total;
     }
+    // Every partial up its tree edge, then every total down.
+    let edges = (1..nparts).map(|c| (c as u32, reduce_tree_parent(c).expect("non-root") as u32));
+    edges.clone().for_each(|(c, parent)| record_packet(rec, c, parent, 1));
+    edges.for_each(|(c, parent)| record_packet(rec, parent, c, 1));
+    tree_contribution(nparts, 1)
+}
+
+/// Record one simulated packet of `n` values: `from` ships it, `to`
+/// receives and reads it.
+fn record_packet(rec: &RecorderRef, from: u32, to: u32, n: u64) {
     if let Some(r) = rec {
-        for rank in 1..nparts {
-            let parent = reduce_tree_parent(rank).expect("non-root") as u32;
-            r.packet(rank as u32, parent, 1); // partial up
-            r.hb(rank as u32, keys::HB_SEND, parent);
-            r.hb(parent, keys::HB_RECV, rank as u32);
-            r.hb(parent, keys::HB_READ, rank as u32);
-        }
-        for rank in 1..nparts {
-            let parent = reduce_tree_parent(rank).expect("non-root") as u32;
-            r.packet(parent, rank as u32, 1); // total down
-            r.hb(parent, keys::HB_SEND, rank as u32);
-            r.hb(rank as u32, keys::HB_RECV, parent);
-            r.hb(rank as u32, keys::HB_READ, parent);
-        }
+        r.packet(from, to, n);
+        r.hb(from, keys::HB_SEND, to);
+        r.hb(to, keys::HB_RECV, from);
+        r.hb(to, keys::HB_READ, from);
     }
-    // Each non-root sends one partial up; every parent sends one total
-    // down per child.
-    let per_proc_send: Vec<usize> = (0..nparts)
-        .map(|r| usize::from(r > 0) + reduce_tree_children(r, nparts).len())
-        .collect();
-    PhaseContribution::new(
-        PhaseStat {
-            messages: 2 * nparts.saturating_sub(1),
-            values: 2 * nparts.saturating_sub(1),
-            max_proc_values: 0, // recomputed by `new`
-            rounds: reduce_tree_rounds(nparts),
-        },
-        per_proc_send,
-    )
+}
+
+/// The binomial tree's traffic over `nparts > 1` ranks when each edge
+/// carries `width` values each way: every non-root sends one packet up,
+/// every parent one down per child — `2(P−1)` messages.
+pub fn tree_contribution(nparts: usize, width: usize) -> PhaseContribution {
+    let sends = (0..nparts).map(|r| usize::from(r > 0) + reduce_tree_children(r, nparts).len());
+    let messages = 2 * (nparts - 1);
+    let rounds = reduce_tree_rounds(nparts);
+    let stat = PhaseStat { messages, values: width * messages, max_proc_values: 0, rounds };
+    PhaseContribution::new(stat, sends.map(|m| width * m).collect())
 }
 
 /// Merge several comm-op contributions issued at the same insertion

@@ -29,13 +29,15 @@
 //!
 //! The plan also carries the program lowered onto its phases, early
 //! posts placed ([`CommPlan::tape`], [`crate::tape`]): the one schedule
-//! the pooled engines and the model checker step through, and the
-//! kernel lowered once that they execute ([`CommPlan::kernel`]).
+//! the pooled engines and the model checker step through, the kernel
+//! lowered once that they execute ([`CommPlan::kernel`]), and the
+//! channels and tree every run on it uses ([`CommPlan::wiring`]).
 
-use crate::comm::{merge_phase, update_schedule, PhaseContribution, PhaseStat};
+use crate::comm::{merge_phase, reduce_tree_children, reduce_tree_parent, tree_contribution};
+use crate::comm::{update_schedule, PhaseContribution, PhaseStat};
 use crate::kernel::Kernel;
 use crate::tape::{self, Op};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use syncplace_codegen::{CommOp, SpmdProgram};
 use syncplace_dfg::ReduceOp;
@@ -152,12 +154,6 @@ pub struct RankPhase {
     /// Round-2 write-backs: `(owner peer, my local slots (var, slot) in
     /// packet order)`.
     pub recv2: Vec<(u32, Vec<(VarId, u32)>)>,
-    /// My parent in the phase's reduction tree (`None` for the root —
-    /// and for phases without reductions).
-    pub red_parent: Option<u32>,
-    /// My children in the reduction tree, ascending-offset order (the
-    /// combine order of the subtree totals I receive).
-    pub red_children: Vec<u32>,
 }
 
 /// One communication phase, fully planned for every rank.
@@ -193,6 +189,86 @@ pub struct CommPlan {
     /// by every rank of every run on this plan. `Err` is the refusal of
     /// a program the kernel cannot lower.
     pub kernel: Result<Arc<Kernel>, String>,
+    /// Every channel a run on this plan opens, derived once here.
+    pub wiring: Wiring,
+}
+
+/// The gang's channels, fixed by the phases and the tape: built once
+/// with the plan and shared by every run on it.
+#[derive(Debug, Clone)]
+pub struct Wiring {
+    /// The ordered pairs `(from, to)` that carry a packet — a round-1 or
+    /// round-2 packet of some phase, or a binomial-tree edge —
+    /// ascending. A pair's index is its mailbox.
+    pub pairs: Vec<(u32, u32)>,
+    /// Each rank's end, indexed by rank.
+    pub ranks: Vec<RankWiring>,
+}
+
+/// One rank's end of the [`Wiring`].
+#[derive(Debug, Clone, Default)]
+pub struct RankWiring {
+    /// A link per peer I exchange anything with, ascending by peer: a
+    /// peer's *slot* is its index here.
+    pub links: Vec<Link>,
+    /// My parent in the binomial tree of [`crate::comm::tree_fold`]
+    /// (`None` at the root, and on every rank if no tree is wired).
+    pub parent: Option<u32>,
+    /// My children in that tree, in the order I combine their totals.
+    pub children: Vec<u32>,
+}
+
+/// My end of the pair with one peer.
+#[derive(Debug, Clone, Copy)]
+pub struct Link {
+    /// The peer.
+    pub peer: u32,
+    /// The mailbox of my packets to the peer (`None`: there are none).
+    pub to: Option<usize>,
+    /// The mailbox of the peer's packets to me (`None`: there are none).
+    pub from: Option<usize>,
+    /// The largest phase packet I send the peer, 0 if none: the size of
+    /// the two staging buffers an early-posting run seeds for it.
+    pub cap: usize,
+}
+
+/// Wire `phases` over `nparts` ranks. The binomial tree is wired where
+/// some phase reduces at P > 1 or `tape` runs an exit agreement.
+fn wire(nparts: usize, phases: &[PhasePlan], tape: &[Op]) -> Wiring {
+    // The largest round-1 or round-2 packet per ordered pair; a tree
+    // edge alone stages nothing.
+    let mut caps = BTreeMap::new();
+    for (p, rp) in phases.iter().flat_map(|ph| (0u32..).zip(&ph.ranks)) {
+        let sends = rp.send1.iter().map(|s| (s.peer, s.len));
+        for (q, len) in sends.chain(rp.send2.iter().copied()) {
+            let cap = caps.entry((p, q)).or_insert(0);
+            *cap = len.max(*cap);
+        }
+    }
+    let agree = |op: &Op| matches!(op, Op::Exit { agree: true, .. });
+    let tree = nparts > 1 && (tape.iter().any(agree) || phases.iter().any(|ph| ph.reduces > 0));
+    let mut ranks = vec![RankWiring::default(); nparts];
+    for (r, w) in (0u32..).zip(&mut ranks).filter(|_| tree) {
+        w.parent = reduce_tree_parent(r as usize).map(|q| q as u32);
+        let children = reduce_tree_children(r as usize, nparts).into_iter();
+        w.children = children.map(|c| c as u32).collect();
+        for pair in w.parent.into_iter().flat_map(|q| [(r, q), (q, r)]) {
+            caps.entry(pair).or_insert(0);
+        }
+    }
+    let pairs: Vec<(u32, u32)> = caps.keys().copied().collect();
+    let mut peers = vec![BTreeSet::new(); nparts];
+    for &(p, q) in &pairs {
+        peers[p as usize].insert(q);
+        peers[q as usize].insert(p);
+    }
+    let at = |pair| pairs.binary_search(&pair).ok();
+    for ((p, w), peers) in (0u32..).zip(&mut ranks).zip(peers) {
+        let cap = |q| caps.get(&(p, q)).map_or(0, |c| *c);
+        let link = |q| Link { peer: q, to: at((p, q)), from: at((q, p)), cap: cap(q) };
+        w.links = peers.into_iter().map(link).collect();
+    }
+    Wiring { pairs, ranks }
 }
 
 impl CommPlan {
@@ -216,9 +292,11 @@ impl CommPlan {
         let phases: Vec<PhasePlan> =
             (spmd.phases().into_iter()).map(|(_, ops)| build_phase(prog, d, ops)).collect();
         let gathered: Vec<IdVec<()>> = phases.iter().map(gathered_vars).collect();
+        let tape = tape::lower(prog, spmd, &gathered);
         CommPlan {
             nparts: d.nparts,
-            tape: tape::lower(prog, spmd, &gathered),
+            wiring: wire(d.nparts, &phases, tape.as_deref().unwrap_or_default()),
+            tape,
             kernel: Kernel::lower(prog, |s| spmd.kernel_guarded.contains(s)).map(Arc::new),
             phases,
         }
@@ -349,27 +427,10 @@ fn build_phase<const V: usize>(prog: &Program, d: &Decomposition<V>, ops: &[Comm
     }
     stat.rounds = rounds.iter().filter(|&&r| r).count();
     let mut parts = vec![PhaseContribution::new(stat, per_proc_send)];
-    // Install the shared reduction tree and account for its traffic:
-    // one packet per edge per direction, `reduces` values each.
+    // The shared reduction tree's traffic (the plan's `Wiring` carries
+    // the tree): `reduces` values per packet.
     if reduces > 0 && n > 1 {
-        let mut per_proc_tree = vec![0usize; n];
-        for (r, rank) in ranks.iter_mut().enumerate() {
-            rank.red_parent = crate::comm::reduce_tree_parent(r).map(|p| p as u32);
-            rank.red_children = crate::comm::reduce_tree_children(r, n)
-                .into_iter()
-                .map(|c| c as u32)
-                .collect();
-            per_proc_tree[r] = reduces * (usize::from(r > 0) + rank.red_children.len());
-        }
-        parts.push(PhaseContribution::new(
-            PhaseStat {
-                messages: 2 * (n - 1),
-                values: 2 * (n - 1) * reduces,
-                max_proc_values: 0,
-                rounds: crate::comm::reduce_tree_rounds(n),
-            },
-            per_proc_tree,
-        ));
+        parts.push(tree_contribution(n, reduces));
     }
     PhasePlan {
         stat: merge_phase(&parts),
@@ -451,26 +512,19 @@ mod tests {
     #[test]
     fn reduction_tree_matches_the_shared_shape() {
         let (plan, _) = testiv_plan(Pattern::FIG1, 4);
-        let mut saw_reduce = false;
+        let reducing = plan.phases.iter().filter(|ph| ph.reduces > 0);
+        assert!(reducing.count() > 0, "TESTIV places at least one reduction");
         for ph in &plan.phases {
-            for (r, rank) in ph.ranks.iter().enumerate() {
+            for rank in &ph.ranks {
                 assert_eq!(rank.reduces.len(), ph.reduces, "every rank folds every op");
-                if ph.reduces > 0 && plan.nparts > 1 {
-                    saw_reduce = true;
-                    assert_eq!(
-                        rank.red_parent.map(|p| p as usize),
-                        crate::comm::reduce_tree_parent(r)
-                    );
-                    let children: Vec<usize> =
-                        rank.red_children.iter().map(|&c| c as usize).collect();
-                    assert_eq!(children, crate::comm::reduce_tree_children(r, plan.nparts));
-                } else {
-                    assert_eq!(rank.red_parent, None);
-                    assert!(rank.red_children.is_empty());
-                }
             }
         }
-        assert!(saw_reduce, "TESTIV places at least one reduction");
+        // Every reducing phase runs on the plan's one tree.
+        for (r, w) in plan.wiring.ranks.iter().enumerate() {
+            assert_eq!(w.parent.map(|p| p as usize), reduce_tree_parent(r));
+            let children: Vec<usize> = w.children.iter().map(|&c| c as usize).collect();
+            assert_eq!(children, reduce_tree_children(r, plan.nparts));
+        }
     }
 
     #[test]

@@ -6,10 +6,11 @@
 //! — and executes a [`crate::plan::CommPlan`]: one coalesced packet per
 //! peer per phase, staging buffers moved through a FIFO [`Mailbox`] per
 //! ordered pair that talks (no copy) and recycled on a per-peer free
-//! list. Each phase has a **post** half (pack + ship the round-1
-//! packets) and a **complete** half (receive, scatter, assemble,
-//! tree-reduce, round 2, recycle). The only parameter is *when* the
-//! post half runs, and the [`Engine`] says it:
+//! list, all named by the plan's [`Wiring`]: a run derives no wiring.
+//! Each phase has a **post** half (pack + ship the round-1 packets)
+//! and a **complete** half (receive, scatter, assemble, tree-reduce,
+//! round 2, recycle). The only parameter is *when* the post half runs,
+//! and the [`Engine`] says it:
 //!
 //! * [`Engine::Batched`] posts **late**: it skips the tape's
 //!   [`Op::Post`]s and split marks, so a phase posts at its
@@ -18,9 +19,9 @@
 //! * [`Engine::Overlapped`] posts **early**: it honours them (hoisted
 //!   posts, producer splits — [`crate::overlap`]), so later compute
 //!   overlaps the transfer. The free lists are pre-seeded with two
-//!   buffers per peer the rank sends phase packets to (double
-//!   buffering: a phase can stage while its previous buffer is still
-//!   held by the receiver).
+//!   buffers per peer the rank sends phase packets to, sized by the
+//!   link's `cap` (double buffering: a phase can stage while its
+//!   previous buffer is still held by the receiver).
 //!
 //! Every per-phase step walks the plan's peer lists — the few
 //! neighbours a rank exchanges with — never all P ranks, and no table
@@ -33,63 +34,61 @@
 //! identical** to [`crate::spmd`].
 
 use crate::bindings::Bindings;
-use crate::comm::{reduce_tree_children, reduce_tree_parent, CommStats};
+use crate::comm::CommStats;
 use crate::exec::Machine;
 use crate::kernel::Kernel;
 use crate::overlap::{rank_splits, OverlapReport, RankSplit};
-use crate::plan::{CommPlan, PhasePlan, Term};
+use crate::plan::{CommPlan, Link, PhasePlan, Term, Wiring};
 use crate::pool::{Mailbox, SpmdPool};
 use crate::spmd::{build_machines, collect_results, SpmdResult};
 use crate::tape::{Cursor, Op};
 use crate::Engine;
-use std::collections::BTreeMap;
 use std::sync::Arc;
 use syncplace_ir::{Program, StmtId};
 use syncplace_obs::{self as obs, keys, RecorderRef};
 use syncplace_overlap::Decomposition;
 
-/// One rank's endpoints: the peers it exchanges with, ascending — a
-/// peer's *slot* is its index here — and a [`Link`] per slot, over the
-/// gang's mailboxes, one per ordered pair that talks.
+/// One rank's endpoints: its links in the plan's [`Wiring`] over the
+/// gang's mailboxes, and per link slot the free list of spent staging
+/// buffers drained from that peer, reused (most recent first) for the
+/// next send *to* it, so the steady state allocates nothing.
 struct Net {
     rank: usize,
-    peers: Vec<u32>,
-    links: Vec<Link>,
+    plan: Arc<CommPlan>,
+    free: Box<[Vec<Vec<f64>>]>,
     boxes: Arc<[Mailbox<Vec<f64>>]>,
     rec: RecorderRef,
 }
 
-/// A rank's end of its pair with a peer: the FIFO of its packets to the
-/// peer and of the peer's packets to it (indices into the gang's
-/// mailboxes; `None` where that way carries nothing), plus the free list
-/// of spent staging buffers drained from the peer. Such a buffer is
-/// reused for the next send *to* the peer (most recently drained first),
-/// so the steady state allocates nothing.
-struct Link {
-    to: Option<usize>,
-    from: Option<usize>,
-    free: Vec<Vec<f64>>,
-}
-
 impl Net {
+    /// My links, ascending by peer.
+    fn links(&self) -> &[Link] {
+        &self.plan.wiring.ranks[self.rank].links
+    }
+
     /// The slot of peer `q`.
     fn slot(&self, q: usize) -> usize {
-        let found = self.peers.binary_search(&(q as u32));
+        let found = self.links().binary_search_by_key(&(q as u32), |l| l.peer);
         found.expect("a peer the plan names")
+    }
+
+    /// Record the happens-before event `key` with the peer in slot `s`.
+    fn hb(&self, key: &'static str, s: usize) {
+        if let Some(r) = &self.rec {
+            r.hb(self.rank as u32, key, self.links()[s].peer);
+        }
     }
 
     /// A cleared staging buffer for the peer in slot `s`: recycled if
     /// one is free, freshly allocated otherwise.
     fn acquire(&mut self, s: usize) -> Vec<f64> {
-        match self.links[s].free.pop() {
+        match self.free[s].pop() {
             Some(mut buf) => {
                 // Only a *recycled* buffer spends a stage credit — a
                 // fresh allocation touches no shared staging storage,
                 // so it is invisible to the happens-before stage
                 // discipline.
-                if let Some(r) = &self.rec {
-                    r.hb(self.rank as u32, keys::HB_STAGE_ACQUIRE, self.peers[s]);
-                }
+                self.hb(keys::HB_STAGE_ACQUIRE, s);
                 buf.clear();
                 buf
             }
@@ -98,10 +97,8 @@ impl Net {
     }
 
     fn send(&mut self, s: usize, buf: Vec<f64>) {
-        if let Some(r) = &self.rec {
-            r.hb(self.rank as u32, keys::HB_SEND, self.peers[s]);
-        }
-        let to = self.links[s].to.expect("a wired pair");
+        self.hb(keys::HB_SEND, s);
+        let to = self.links()[s].to.expect("a wired pair");
         self.boxes[to].deposit(buf);
     }
 
@@ -110,7 +107,7 @@ impl Net {
     /// only its own sends, so the aggregate is the gang total).
     fn send_phase(&mut self, s: usize, buf: Vec<f64>) {
         if let Some(r) = &self.rec {
-            r.packet(self.rank as u32, self.peers[s], buf.len() as u64);
+            r.packet(self.rank as u32, self.links()[s].peer, buf.len() as u64);
             r.add(keys::BYTES_STAGED, 8 * buf.len() as u64);
         }
         self.send(s, buf);
@@ -123,100 +120,53 @@ impl Net {
         // immediately at every call site, so the `hb.read` that the
         // happens-before checker matches against the sender's write is
         // emitted here alongside the receive itself.
-        if let Some(rr) = &self.rec {
-            rr.hb(self.rank as u32, keys::HB_RECV, self.peers[s]);
-            rr.hb(self.rank as u32, keys::HB_READ, self.peers[s]);
-        }
-        let from = self.links[s].from.expect("a wired pair");
+        self.hb(keys::HB_RECV, s);
+        self.hb(keys::HB_READ, s);
+        let from = self.links()[s].from.expect("a wired pair");
         self.boxes[from].take().await
     }
 
     /// Put a spent buffer drained from the peer in slot `s` on its free
     /// list.
     fn give_back(&mut self, s: usize, buf: Vec<f64>) {
-        if let Some(rr) = &self.rec {
-            rr.hb(self.rank as u32, keys::HB_STAGE_RELEASE, self.peers[s]);
-        }
-        self.links[s].free.push(buf);
+        self.hb(keys::HB_STAGE_RELEASE, s);
+        self.free[s].push(buf);
     }
 
-    /// Pre-seed two staging buffers per peer this rank sends phase
-    /// packets to, sized to the largest it ever sends that peer:
-    /// `acquire` then never allocates for them, and a phase can stage
-    /// while its previous buffer is still with the receiver.
-    fn seed_double_buffers(&mut self, plan: &CommPlan) {
-        let mut caps = BTreeMap::new();
-        for rp in plan.phases.iter().map(|ph| &ph.ranks[self.rank]) {
-            let sends = rp.send1.iter().map(|s| (s.peer, s.len));
-            for (q, len) in sends.chain(rp.send2.iter().copied()) {
-                let cap = caps.entry(q as usize).or_insert(1);
-                *cap = len.max(*cap);
+    /// Pre-seed two staging buffers of the link's `cap` per peer this
+    /// rank sends phase packets to, ascending: `acquire` then never
+    /// allocates for them, and a phase can stage while its previous
+    /// buffer is still with the receiver.
+    fn seed_double_buffers(&mut self) {
+        for s in 0..self.free.len() {
+            let cap = self.links()[s].cap;
+            if cap > 0 {
+                self.give_back(s, Vec::with_capacity(cap));
+                self.give_back(s, Vec::with_capacity(cap));
             }
-        }
-        for (q, cap) in caps {
-            let s = self.slot(q);
-            self.give_back(s, Vec::with_capacity(cap));
-            self.give_back(s, Vec::with_capacity(cap));
         }
     }
 }
 
-/// The gang's endpoints: one mailbox per ordered pair the plan's peer
-/// lists and reduction trees name — and the exit agreement's tree if
-/// the tape runs one — and nothing for a pair that never talks.
-fn wire(plan: &CommPlan, tape: &[Op], rec: &RecorderRef) -> Vec<Net> {
-    let mut pairs = Vec::new();
-    for ph in &plan.phases {
-        for (p, rp) in (0u32..).zip(&ph.ranks) {
-            let (sends, recvs) = (rp.send1.iter(), rp.recv1.iter());
-            let sends = sends.map(|s| s.peer).chain(rp.send2.iter().map(|s| s.0));
-            let recvs = recvs.map(|r| r.peer).chain(rp.recv2.iter().map(|r| r.0));
-            pairs.extend(sends.map(|q| (p, q)).chain(recvs.map(|q| (q, p))));
-            pairs.extend(rp.red_parent.into_iter().flat_map(|q| [(p, q), (q, p)]));
-        }
-    }
-    let agreement = |op: &Op| matches!(op, Op::Exit { agree: true, .. });
-    if tape.iter().any(agreement) {
-        for p in 1..plan.nparts {
-            let q = reduce_tree_parent(p).expect("a non-root rank has a parent");
-            pairs.extend([(p as u32, q as u32), (q as u32, p as u32)]);
-        }
-    }
-    pairs.sort_unstable();
-    pairs.dedup();
-    let mut peers = vec![Vec::new(); plan.nparts];
-    for &(p, q) in &pairs {
-        peers[p as usize].push(q);
-        peers[q as usize].push(p);
-    }
+/// The gang's endpoints over the plan's [`Wiring`]: one mailbox per
+/// ordered pair it names, and an empty free list per link.
+fn wire(plan: &Arc<CommPlan>, rec: &RecorderRef) -> Vec<Net> {
+    let Wiring { pairs, ranks } = &plan.wiring;
     let boxes: Arc<[_]> = pairs.iter().map(|_| Mailbox::default()).collect();
-    let find = |pair| pairs.binary_search(&pair).ok();
-    (0u32..)
-        .zip(peers)
-        .map(|(rank, mut peers)| {
-            peers.sort_unstable();
-            peers.dedup();
-            let links = peers.iter().map(|&peer| Link {
-                to: find((rank, peer)),
-                from: find((peer, rank)),
-                free: Vec::new(),
-            });
-            Net {
-                rank: rank as usize,
-                links: links.collect(),
-                peers,
-                boxes: Arc::clone(&boxes),
-                rec: rec.clone(),
-            }
-        })
-        .collect()
+    let nets = ranks.iter().enumerate().map(|(rank, w)| Net {
+        rank,
+        plan: Arc::clone(plan),
+        free: vec![Vec::new(); w.links.len()].into(),
+        boxes: Arc::clone(&boxes),
+        rec: rec.clone(),
+    });
+    nets.collect()
 }
 
-/// One rank's process: its machine, its endpoints, the shared plan and
-/// the split-phase bookkeeping.
+/// One rank's process: its machine, its endpoints (which hold the
+/// shared plan) and the split-phase bookkeeping.
 struct RankProc {
     kernel: Arc<Kernel>,
-    plan: Arc<CommPlan>,
     /// Does this rank honour the tape's early posts and split marks?
     early: bool,
     /// My interface/interior split of each phase's producer loop.
@@ -242,15 +192,13 @@ struct RankProc {
     bufs1: Vec<Option<Vec<f64>>>,
     bufs2: Vec<Vec<f64>>,
     accs: Vec<f64>,
-    /// My children in the binomial tree the exit agreement runs on.
-    tree_children: Vec<usize>,
 }
 
 impl RankProc {
     /// Post half: pack and ship one round-1 packet per peer. Safe to
     /// run as soon as every gathered value is final.
     fn post_phase(&mut self, idx: usize) {
-        let plan = Arc::clone(&self.plan);
+        let plan = Arc::clone(&self.net.plan);
         for s in &plan.phases[idx].ranks[self.net.rank].send1 {
             let slot = self.net.slot(s.peer as usize);
             let mut buf = self.net.acquire(slot);
@@ -288,9 +236,10 @@ impl RankProc {
     /// 1, scatter updates, assemble, reduce up/down the tree, exchange
     /// round-2 totals, recycle.
     async fn complete_phase(&mut self, idx: usize) {
-        let plan = Arc::clone(&self.plan);
+        let plan = Arc::clone(&self.net.plan);
         let ph: &PhasePlan = &plan.phases[idx];
         let rp = &ph.ranks[self.net.rank];
+        let tree = &plan.wiring.ranks[self.net.rank];
         // Plan-derived accounting is identical on every rank; rank 0
         // alone reports counters. Packets and staged bytes are
         // per-rank own-sends; the clock runs on every rank so each
@@ -345,7 +294,7 @@ impl RankProc {
             }
         }
 
-        // Reductions: combine partials up the shared binomial tree and
+        // Reductions: combine partials up the plan's binomial tree and
         // broadcast the totals back down.  One packet per tree edge per
         // direction, carrying every reduce op's value in phase order —
         // the combine order is exactly `comm::tree_fold`, so results
@@ -354,7 +303,7 @@ impl RankProc {
             let mut accs = std::mem::take(&mut self.accs);
             accs.clear();
             accs.extend(rp.reduces.iter().map(|red| self.m.scalars[red.var]));
-            for &c in &rp.red_children {
+            for &c in &tree.children {
                 let slot = self.net.slot(c as usize);
                 let buf = self.net.recv_from(slot).await;
                 for (acc, (red, &sub)) in accs.iter_mut().zip(rp.reduces.iter().zip(buf.iter())) {
@@ -363,7 +312,7 @@ impl RankProc {
                 self.net.give_back(slot, buf);
             }
             // The totals replace the partials in `accs`.
-            if let Some(parent) = rp.red_parent {
+            if let Some(parent) = tree.parent {
                 let slot = self.net.slot(parent as usize);
                 let mut buf = self.net.acquire(slot);
                 buf.extend_from_slice(&accs);
@@ -373,7 +322,7 @@ impl RankProc {
                 accs.extend_from_slice(&buf);
                 self.net.give_back(slot, buf);
             }
-            for &c in &rp.red_children {
+            for &c in &tree.children {
                 let slot = self.net.slot(c as usize);
                 let mut buf = self.net.acquire(slot);
                 buf.extend_from_slice(&accs);
@@ -444,7 +393,7 @@ impl RankProc {
     /// set — the tape is static and control flow is SPMD — so the drain
     /// is symmetric and leaves all channels empty.
     async fn drain_posted(&mut self) {
-        let plan = Arc::clone(&self.plan);
+        let plan = Arc::clone(&self.net.plan);
         for idx in 0..plan.phases.len() {
             if !self.posted[idx] {
                 continue;
@@ -459,7 +408,7 @@ impl RankProc {
         }
     }
 
-    /// Exit-test agreement on the reductions' binomial tree: `[min,
+    /// Exit-test agreement on the plan's binomial tree: `[min,
     /// max]` of the decisions goes up, `[rank 0's decision, 1 if the
     /// ranks disagree]` comes down — 2(P−1) messages, not an
     /// allgather's P(P−1). Recorded under `exit.*` counters (per-rank
@@ -467,24 +416,24 @@ impl RankProc {
     /// only `C$SYNCHRONIZE` phase traffic. Runs only at an [`Op::Exit`]
     /// marked `agree`; every other test decides alike on all ranks.
     async fn agree_on_exit(&mut self, mine: bool) -> [f64; 2] {
-        let children = std::mem::take(&mut self.tree_children);
-        let parent = reduce_tree_parent(self.net.rank);
+        let plan = Arc::clone(&self.net.plan);
+        let tree = &plan.wiring.ranks[self.net.rank];
         if let Some(r) = &self.net.rec {
-            let sends = (children.len() + usize::from(parent.is_some())) as u64;
+            let sends = (tree.children.len() + usize::from(tree.parent.is_some())) as u64;
             r.add(keys::EXIT_MESSAGES, sends);
             r.add(keys::EXIT_VALUES, 2 * sends);
         }
         let mine = f64::from(u8::from(mine));
         let mut span = [mine, mine];
-        for &c in &children {
-            let slot = self.net.slot(c);
+        for &c in &tree.children {
+            let slot = self.net.slot(c as usize);
             let buf = self.net.recv_from(slot).await;
             span = [span[0].min(buf[0]), span[1].max(buf[1])];
             self.net.give_back(slot, buf);
         }
         let mut verdict = [mine, f64::from(u8::from(span[0] != span[1]))];
-        if let Some(p) = parent {
-            let slot = self.net.slot(p);
+        if let Some(p) = tree.parent {
+            let slot = self.net.slot(p as usize);
             let mut buf = self.net.acquire(slot);
             buf.extend_from_slice(&span);
             self.net.send(slot, buf);
@@ -492,13 +441,12 @@ impl RankProc {
             verdict = [buf[0], buf[1]];
             self.net.give_back(slot, buf);
         }
-        for &c in &children {
-            let slot = self.net.slot(c);
+        for &c in &tree.children {
+            let slot = self.net.slot(c as usize);
             let mut buf = self.net.acquire(slot);
             buf.extend_from_slice(&verdict);
             self.net.send(slot, buf);
         }
-        self.tree_children = children;
         verdict
     }
 
@@ -521,9 +469,10 @@ impl RankProc {
         );
     }
 
-    /// The rank's whole run: step through the tape.
-    async fn run(&mut self, tape: &[Op]) {
-        let mut cur = Cursor::new(tape);
+    /// The rank's whole run: step through the plan's tape.
+    async fn run(&mut self) {
+        let plan = Arc::clone(&self.net.plan);
+        let mut cur = Cursor::new(plan.tape.as_deref().expect("a checked tape"));
         while let Some(op) = cur.next() {
             match op {
                 Op::Assign(id) => {
@@ -596,23 +545,21 @@ pub(crate) fn run<const V: usize>(
     let machines = build_machines(prog, d, b)?;
     let kernel = plan.kernel.clone()?;
     kernel.check_tables(prog, &machines)?;
-    let tape: Arc<[Op]> = plan.ops()?.into();
+    let tape = plan.ops()?;
     let nparts = d.nparts;
     let nphases = plan.phases.len();
 
     let mut jobs = Vec::with_capacity(nparts);
-    for (m, mut net) in machines.into_iter().zip(wire(plan, &tape, rec)) {
+    for (m, mut net) in machines.into_iter().zip(wire(plan, rec)) {
         let splits = if early {
-            net.seed_double_buffers(plan);
-            rank_splits(plan, &tape, &m, net.rank)
+            net.seed_double_buffers();
+            rank_splits(plan, tape, &m, net.rank)
         } else {
             Vec::new()
         };
-        let tree_children = reduce_tree_children(net.rank, nparts);
-        let npeers = net.peers.len();
+        let npeers = net.free.len();
         let mut proc = RankProc {
             kernel: Arc::clone(&kernel),
-            plan: Arc::clone(plan),
             early,
             splits,
             m,
@@ -626,12 +573,10 @@ pub(crate) fn run<const V: usize>(
             bufs1: vec![None; npeers],
             bufs2: vec![Vec::new(); npeers],
             accs: Vec::new(),
-            tree_children,
         };
-        let tape = Arc::clone(&tape);
         jobs.push(async move {
             let t_job = obs::start(&proc.net.rec);
-            proc.run(&tape).await;
+            proc.run().await;
             obs::finish_event(&proc.net.rec, keys::RANK_RUN, proc.net.rank as u32, t_job);
             Ok(proc)
         });
@@ -647,7 +592,7 @@ pub(crate) fn run<const V: usize>(
     let mut stats = CommStats::default();
     let mut iterations = 0;
     let mut report = if early {
-        OverlapReport::for_tape(&tape)
+        OverlapReport::for_tape(tape)
     } else {
         OverlapReport::default()
     };

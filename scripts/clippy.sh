@@ -30,12 +30,17 @@
 # only the peers a rank talks to and leave phase placement to the tape
 # (no send1_len / has_recv1 / send2_len / PackItem / plan.before /
 # plan.at_end under crates tests examples suite, and no
-# `for … in 0..self.nparts` loop in pooled.rs), the decomposition must be
+# `for … in 0..self.nparts` loop in pooled.rs), a run must derive no
+# wiring (no sort_unstable / dedup / BTreeMap / reduce_tree_parent /
+# reduce_tree_children in crates/runtime/src/pooled.rs: the CommPlan's
+# `Wiring`, built once with the plan, names the pairs, the links, their
+# staging caps and the one binomial tree), the decomposition must be
 # the one place that answers by entity kind, an update schedule a list
 # of messages and the pooled wire only the pairs that talk (no
 # `Vec<Vec<Vec<` and no `nparts * nparts` under
-# crates/{overlap,runtime,inspector}/src: pooled.rs wires a mailbox per
-# ordered pair the plan names and keeps free lists per peer slot; no
+# crates/{overlap,runtime,inspector}/src: pooled.rs opens a mailbox per
+# ordered pair the plan's wiring names and keeps free lists per link
+# slot; no
 # GhostSchedule and no scatter_/gather_{node,elem,edge}_array under
 # crates tests examples suite), the recorder sinks must stay four (the
 # top-level `impl Recorder for` set under crates/ is MetricsRegistry,
@@ -130,6 +135,10 @@ if grep -rnE --include='*.rs' '\b(send1_len|has_recv1|send2_len|PackItem)\b|plan
     crates tests examples suite \
     || grep -nE 'for .* in \(?0\.\.self\.nparts' crates/runtime/src/pooled.rs; then
     echo "peer-list gate: a RankPhase lists the peers a rank exchanges with and the tape says where a phase completes — no dense per-rank tables, no 0..nparts scan per phase"
+    exit 1
+fi
+if grep -nE 'sort_unstable|dedup|BTreeMap|reduce_tree_(parent|children)' crates/runtime/src/pooled.rs; then
+    echo "wiring gate: a run derives no wiring — the CommPlan's Wiring names the pairs, links, staging caps and binomial tree, built once with the plan"
     exit 1
 fi
 if grep -rnE --include='*.rs' 'Vec<Vec<Vec<|nparts \* nparts' \

@@ -252,20 +252,12 @@ fn sa022_not_owner_first() {
 fn sa023_wrong_reduction_tree() {
     let f = plan_fixture(4);
     let mut plan = f.3.clone();
-    let mut hit = false;
-    'outer: for ph in &mut plan.phases {
-        for rp in &mut ph.ranks {
-            if !rp.reduces.is_empty() && !rp.red_children.is_empty() {
-                // Claim an extra child the binomial tree does not give
-                // this rank: a duplicated combine.
-                let extra = rp.red_children[0];
-                rp.red_children.push(extra);
-                hit = true;
-                break 'outer;
-            }
-        }
-    }
-    assert!(hit, "testiv has a sqrdiff reduction");
+    assert!(plan.phases.iter().any(|ph| ph.reduces > 0), "testiv has a sqrdiff reduction");
+    // Claim an extra child the binomial tree does not give the root: a
+    // duplicated combine.
+    let root = &mut plan.wiring.ranks[0];
+    let extra = root.children[0];
+    root.children.push(extra);
     assert_audit_fires(&f, &plan, codes::REDUCE_ORDER);
 }
 

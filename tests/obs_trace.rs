@@ -55,11 +55,12 @@ fn expected_pair_packets(plan: &CommPlan, iters: usize) -> Vec<Vec<u64>> {
         for (from, rp) in ph.ranks.iter().enumerate() {
             let mut to: Vec<u32> = rp.send1.iter().map(|s| s.peer).collect();
             to.extend(rp.send2.iter().map(|s| s.0));
-            // Reducing phases add one packet per binomial-tree edge
-            // per direction (partial up, total down).
+            // Reducing phases add one packet per edge of the plan's
+            // binomial tree per direction (partial up, total down).
             if !rp.reduces.is_empty() {
-                to.extend(rp.red_parent);
-                to.extend(&rp.red_children);
+                let tree = &plan.wiring.ranks[from];
+                to.extend(tree.parent);
+                to.extend(&tree.children);
             }
             for q in to {
                 expected[from][q as usize] += mult;
