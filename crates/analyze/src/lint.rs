@@ -117,7 +117,7 @@ pub fn lint_solution(_prog: &Program, _dfg: &Dfg, sol: &Solution) -> Report {
     // Arrow serviced twice for the same variable.
     let mut arrow_sites: HashMap<(usize, syncplace_ir::VarId), usize> = HashMap::new();
     for (si, site) in sol.comm_sites.iter().enumerate() {
-        for &a in &site.arrows {
+        for &a in site.arrows.iter() {
             if let Some(&prev) = arrow_sites.get(&(a, site.var)) {
                 r.push(Diagnostic::warning(
                     codes::REDUNDANT_COMM,

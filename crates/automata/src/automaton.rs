@@ -63,6 +63,11 @@ pub enum CommKind {
     ReduceScalar,
 }
 
+impl CommKind {
+    /// Every kind, in declaration order: `ALL[k as usize] == k`.
+    pub const ALL: [Self; 3] = [Self::UpdateOverlap, Self::AssembleShared, Self::ReduceScalar];
+}
+
 /// One allowed evolution of the flowing data.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Transition {
@@ -265,6 +270,18 @@ impl OverlapAutomaton {
 mod tests {
     use super::*;
     use crate::state::*;
+
+    /// `CommKind::ALL` lists every kind at its index: the match is
+    /// exhaustive, so a new kind does not compile until it is listed.
+    #[test]
+    fn comm_kind_all_is_every_kind() {
+        for (i, k) in CommKind::ALL.into_iter().enumerate() {
+            assert_eq!(k as usize, i);
+            match k {
+                CommKind::UpdateOverlap | CommKind::AssembleShared | CommKind::ReduceScalar => {}
+            }
+        }
+    }
 
     fn tiny() -> OverlapAutomaton {
         OverlapAutomaton::new(

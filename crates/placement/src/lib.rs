@@ -82,8 +82,8 @@ pub fn analyze(
     analyze_recorded(prog, dfg, automaton, options, cost, &None)
 }
 
-/// [`analyze`] with an observability hook: a span around the
-/// backtracking search and the keying of each mapping it completes,
+/// [`analyze`] with an observability hook: a span around the search
+/// and the keying of the first mapping of each signature it completes,
 /// one around the extraction, costing, fingerprinting and sorting of
 /// the distinct placements, plus `search.*` counters — automaton nodes
 /// visited, backtracks taken, distinct placements kept, and duplicate
@@ -106,14 +106,15 @@ pub fn analyze_recorded(
     }
     // Mappings differing only in internal state choices yield the same
     // placement, and the cost model reads only the placement (sites and
-    // domains): each mapping is keyed as the search completes it, and
-    // only the first of each key — the representative a stable sort of
-    // every mapping would keep — is cloned, extracted and costed.
+    // domains): the search lends the first mapping of each signature
+    // (what the key reads), and only the first of each key — the one a
+    // stable sort of every mapping would keep — is cloned and extracted.
     let t0 = obs::start(rec);
     let mut extractor = solution::Extractor::new(prog, dfg, automaton);
+    let signature = Some(extractor.signature());
     let mut seen: solution::WordSet<Vec<usize>> = Default::default();
     let mut representatives: Vec<Mapping> = Vec::new();
-    let stats = search::search(dfg, automaton, options, |m| {
+    let stats = search::search(dfg, automaton, options, signature.as_ref(), |m| {
         let key = extractor.key(m);
         if !seen.contains(key) {
             seen.insert(key.to_vec());
@@ -389,6 +390,57 @@ mod tests {
         }
     }
 
+    /// The deduping search is `enumerate` with repeats dropped: over the
+    /// placing and capped cases, `tet_heat` × fig8 uncapped and TESTIV ×
+    /// two-layer, it lends exactly the first mapping of each signature
+    /// of `enumerate`'s stream, in order, with the same statistics; and
+    /// over every enumerated mapping, equal signatures give equal keys.
+    #[test]
+    fn distinct_search_is_enumerate_deduped() {
+        let extra = [
+            (programs::tet_heat(10), fig8(), usize::MAX),
+            (programs::testiv(), element_overlap_two_layer_2d(), 4096),
+        ];
+        for (p, a, k) in placing_and_capped_cases().chain(extra) {
+            let what = format!("{} x {} (cap {k})", p.name, a.name);
+            let options = SearchOptions {
+                max_solutions: k,
+                ..Default::default()
+            };
+            let dfg = syncplace_dfg::build(&p);
+            let mut ex = solution::Extractor::new(&p, &dfg, &a);
+            let signature = ex.signature();
+            let (mappings, want) = enumerate(&dfg, &a, &options);
+            let mut lent = Vec::new();
+            let got = search::search(&dfg, &a, &options, Some(&signature), |m| {
+                lent.push(m.clone())
+            });
+            let mut key_of = HashMap::new();
+            let mut firsts = Vec::new();
+            for m in &mappings {
+                let sig: (Vec<_>, Vec<_>) = (
+                    signature.loops.iter().map(|l| l.kernel(&m.node_state)).collect(),
+                    (m.arrow_transition.iter().zip(&signature.field))
+                        .filter_map(|(&t, f)| f.map(|_| solution::Signature::code(t)))
+                        .collect(),
+                );
+                let key = ex.key(m).to_vec();
+                let seen = key_of.entry(sig).or_insert_with(|| {
+                    firsts.push(m);
+                    key.clone()
+                });
+                assert_eq!(*seen, key, "{what}: one signature, two keys");
+            }
+            assert_eq!(lent.len(), firsts.len(), "{what}");
+            assert!(lent.iter().zip(firsts).all(|(l, f)| l == f), "{what}");
+            assert_eq!(
+                (got.visits, got.backtracks, got.solutions, got.truncated),
+                (want.visits, want.backtracks, want.solutions, want.truncated),
+                "{what}"
+            );
+        }
+    }
+
     /// Keying reads only the extractor's comm-capable arrows: over
     /// every mapping of every placing pair and of the capped cases,
     /// each arrow whose transition communicates is on that list.
@@ -455,7 +507,10 @@ mod tests {
     /// by it does not set `truncated` (that flag is the visit cap's).
     /// Under the default cap `tet_heat` × fig8 stops at 4 096 of its
     /// 6 912 mappings, 102 of its 122 placements, with the uncapped
-    /// best first; `wide(6)`'s 4 096 mappings are its full set.
+    /// best first; `wide(6)`'s 4 096 mappings are its full set. TESTIV
+    /// × two-layer (the daemon's `2layer` answer) ranks 42 placements
+    /// at the default cap, best 8 075, and 63 at 8 192 mappings, best
+    /// 7 575: the cap decides its answer.
     #[test]
     fn default_solution_cap_is_pinned() {
         let cost = CostParams::default();
@@ -485,6 +540,20 @@ mod tests {
         assert_eq!((capped.stats.solutions, capped.solutions.len()), (4096, 729));
         assert_eq!((full.stats.solutions, full.solutions.len()), (4096, 729));
         assert!(!capped.stats.truncated && !full.stats.truncated);
+
+        let p = programs::testiv();
+        let a = element_overlap_two_layer_2d();
+        let capped = run(&p, &a, &SearchOptions::default());
+        assert_eq!((capped.stats.solutions, capped.solutions.len()), (4096, 42));
+        assert_eq!(capped.solutions[0].cost.score, 8075.0);
+        let wider = SearchOptions {
+            max_solutions: 8192,
+            ..Default::default()
+        };
+        let wider = run(&p, &a, &wider);
+        assert_eq!((wider.stats.visits, wider.solutions.len()), (75_896, 63));
+        assert_eq!(wider.solutions[0].cost.score, 7575.0);
+        assert!(!capped.stats.truncated && !wider.stats.truncated);
     }
 
     #[test]

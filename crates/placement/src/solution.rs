@@ -18,6 +18,7 @@
 use crate::arrowclass::{propagation_class, shape_of};
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
+use std::sync::Arc;
 use syncplace_automata::{CommKind, OverlapAutomaton, State, Transition};
 use syncplace_dfg::ops::OpKind;
 use syncplace_dfg::{Dfg, NodeKind};
@@ -54,7 +55,7 @@ pub struct CommSite {
     /// Is the site inside the time loop (executed every iteration)?
     pub in_time_loop: bool,
     /// The dependence arrows this site realizes.
-    pub arrows: Vec<usize>,
+    pub arrows: Arc<[usize]>,
 }
 
 /// Iteration domain of a partitioned loop.
@@ -311,6 +312,7 @@ impl Hasher for WordHasher {
 pub(crate) type WordSet<K> = HashSet<K, BuildHasherDefault<WordHasher>>;
 
 /// The mapping-independent facts about one partitioned entity loop.
+#[derive(Clone)]
 pub(crate) struct LoopFacts {
     stmt: StmtId,
     pub(crate) in_time_loop: bool,
@@ -337,13 +339,12 @@ impl LoopFacts {
     /// lower-entity loops follow their definitions' states:
     /// reduction-only loops iterate the kernel, and so do loops all of
     /// whose definitions sit at the deepest staleness.
-    fn kernel(&self, node_state: &[State]) -> bool {
+    pub(crate) fn kernel<S: Copy + Into<Option<State>>>(&self, node_state: &[S]) -> bool {
         !self.has_scatter
             && self.max_rank > 0
-            && self
-                .entity_defs
-                .iter()
-                .all(|&dn| node_state[dn].coh.stale_rank() == Some(self.max_rank))
+            && self.entity_defs.iter().all(|&dn| {
+                node_state[dn].into().and_then(|s| s.coh.stale_rank()) == Some(self.max_rank)
+            })
     }
 }
 
@@ -530,6 +531,21 @@ impl<'a> Extractor<'a> {
         &self.key
     }
 
+    /// The [`Signature`] of this extractor's keys.
+    pub(crate) fn signature(&self) -> Signature {
+        let may_kernel = |l: &&LoopFacts| !l.has_scatter && l.max_rank > 0;
+        let loops: Vec<LoopFacts> = self.loops.iter().filter(may_kernel).cloned().collect();
+        let mut field = vec![None; self.dfg.arrows.len()];
+        for (k, &(i, _)) in self.comm_arrows.iter().enumerate() {
+            field[i] = Some(loops.len() + k);
+        }
+        Signature {
+            fields: loops.len() + self.comm_arrows.len(),
+            loops,
+            field,
+        }
+    }
+
     /// Extract the concrete placement from a mapping.
     #[cfg(test)]
     pub(crate) fn extract(&mut self, mapping: Mapping) -> Solution {
@@ -576,6 +592,27 @@ impl<'a> Extractor<'a> {
             cost: crate::cost::SolutionCost::default(),
         };
         (solution, fingerprint)
+    }
+}
+
+/// What [`Extractor::key`] reads of a mapping, as the search keeps it
+/// (DESIGN §5.3): a field per loop that may iterate the kernel, holding
+/// [`LoopFacts::kernel`], then one per comm-capable arrow, holding
+/// [`Signature::code`]. Equal signatures give equal keys.
+pub(crate) struct Signature {
+    pub(crate) loops: Vec<LoopFacts>,
+    /// Per arrow: its field, if it is comm-capable.
+    pub(crate) field: Vec<Option<usize>>,
+    pub(crate) fields: usize,
+}
+
+impl Signature {
+    /// Bits per field: room for "none" and every [`CommKind`].
+    pub(crate) const WIDTH: usize = (usize::BITS - CommKind::ALL.len().leading_zeros()) as usize;
+
+    /// An arrow's field: 0 when `t` communicates nothing, else 1 + kind.
+    pub(crate) fn code(t: Option<Transition>) -> u64 {
+        t.and_then(|t| t.comm).map_or(0, |kind| kind as u64 + 1)
     }
 }
 
@@ -668,6 +705,7 @@ fn group_sites(
             per_use
         }
     };
+    let arrows: Arc<[usize]> = arrows.into();
     positions
         .into_iter()
         .map(|p| CommSite {
@@ -677,7 +715,7 @@ fn group_sites(
             location: pos_graph.positions[p],
             pos_order: p,
             in_time_loop: pos_graph.pos_in_time_loop[p],
-            arrows: arrows.to_vec(),
+            arrows: arrows.clone(),
         })
         .collect()
 }

@@ -16,7 +16,10 @@
 # ranking must agree with its test-only per-mapping oracle
 # (`ranking_matches_per_mapping_oracle`: same fingerprints in the same
 # order, same representative mapping, cost and pruned count on every
-# placing program x automaton pair), the placement
+# placing program x automaton pair) and its deduping search must be
+# `enumerate` with repeats dropped (`distinct_search_is_enumerate_deduped`:
+# the first mapping of each signature, in order, equal statistics, and
+# one key per signature), the placement
 # crate must stay single-threaded and the one search the default (no
 # thread:: / Mutex / Condvar / Atomic in crates/placement/src/, no
 # `collapse_deterministic: true` override in any .rs file), the rank
@@ -67,13 +70,14 @@
 # none of resolve_program, to_dsl, automaton_for, Bindings::for_mesh,
 # synth_inputs, tape::work or Kernel::lower: that work is the cache
 # builders' — `place`, `compile_plan`, the text memo's `key_placement`
-# — and runs once per miss), a placement search step must allocate
-# nothing (the bodies of `fn go` and `fn next_unassigned` in
+# — and runs once per miss), a placement search step and a completion
+# whose signature was seen must allocate nothing (the bodies of `fn go`,
+# `fn next_unassigned`, `fn set_arrow` and `fn set_field` in
 # crates/placement/src/search.rs name no Vec::new / vec! / .collect( /
 # .to_vec(: the tables are built once in `Search::seeded`, a step reuses
-# the search's stacks), a search visit must look its transitions up
-# (the bodies of `fn go`, `fn forced_step` and `fn run` in that file
-# name no partition_point / binary_search / from_on: they read the
+# the search's stacks, only a new signature is stored), a search visit
+# must look its transitions up (the bodies of `fn go`, `fn forced_step`
+# and `fn run` in that file name no partition_point / binary_search / from_on: they read the
 # `(state, class)` run table `Search::seeded` built), ranking must
 # format nothing per placement (the body of `fn rank` in
 # crates/placement/src/lib.rs names no
@@ -113,6 +117,7 @@ cargo test -q --test kernel
 cargo test -q --release --test kernel
 cargo test -q --release -p syncplace-runtime --test decomp_equivalence -- --ignored
 cargo test -q -p syncplace-placement --lib ranking_matches_per_mapping_oracle
+cargo test -q -p syncplace-placement --lib distinct_search_is_enumerate_deduped
 if grep -rnE 'thread::|Mutex|Condvar|Atomic' crates/placement/src/; then
     echo "placement gate: crates/placement is single-threaded — one search, no workers"
     exit 1
@@ -179,10 +184,10 @@ if [ -z "$hot" ] || echo "$hot" | grep -nE 'resolve_program|to_dsl|automaton_for
     echo "hot-path gate: run_admitted only executes — derive it in place / compile_plan / key_placement, once per miss"
     exit 1
 fi
-steps="$(awk '/fn (go|next_unassigned)\(/ { on = 1 } on { print } on && /^    }$/ { on = 0 }' crates/placement/src/search.rs)"
-if [ "$(echo "$steps" | grep -cE 'fn (go|next_unassigned)\(')" != 2 ] \
+steps="$(awk '/fn (go|next_unassigned|set_arrow|set_field)\(/ { on = 1 } on { print } on && /^    }$/ { on = 0 }' crates/placement/src/search.rs)"
+if [ "$(echo "$steps" | grep -cE 'fn (go|next_unassigned|set_arrow|set_field)\(')" != 4 ] \
     || echo "$steps" | grep -nE 'Vec::new|vec!|\.collect\(|\.to_vec\('; then
-    echo "search gate: a search step allocates nothing — build tables in Search::seeded, reuse the trail and obligation stacks"
+    echo "search gate: a search step and a seen signature allocate nothing — build tables in Search::seeded, reuse the trail and obligation stacks"
     exit 1
 fi
 visit="$(awk '/fn (go|forced_step|run)\(/ { on = 1 } on { print } on && /^    }$/ { on = 0 }' crates/placement/src/search.rs)"
