@@ -13,27 +13,30 @@
 //!   once, right before the statement its insertion point names (last,
 //!   for the at-end phase), so no phase is dead or run twice (`SA020`,
 //!   `SA024`);
-//! * **packet layout** — over the edges the ranks' peer lists name,
-//!   each per-pair round-1 packet is listed at both ends and consumed
-//!   by its receiver exactly once, with no gaps, overlaps or
-//!   out-of-bounds reads, and sender/receiver length bookkeeping
-//!   agrees (`SA025`, `SA026`);
+//! * **packet layout** — in both rounds, over the edges the ranks' peer
+//!   lists name, each per-pair packet is listed at both ends, packs
+//!   what its sender declares and is consumed by its receiver exactly
+//!   once, with no gaps, overlaps or out-of-bounds reads (`SA025`,
+//!   `SA026`);
 //! * **write safety** — within one phase, no rank's local slot is
-//!   written twice (a write-write race between unpack, assembly
-//!   write-back and round-2 totals) (`SA021`);
-//! * **combine order** — assembly groups combine owner-first
-//!   (`SA022`), and a uniform reduce op list per phase on the plan's
-//!   one canonical binomial tree, checked once per rank (`SA023`) —
-//!   the fixed orders that make results bitwise identical across engines.
+//!   written twice, and a slot that takes assembly adds takes them from
+//!   distinct peers and is not also written (`SA021`);
+//! * **combine order** — a rank whose round-1 receives carry assembly
+//!   adds lists them strictly ascending by peer, so each owned slot
+//!   combines owner-first, then by ascending rank (`SA022`), and a
+//!   uniform reduce op list per phase on the plan's one canonical
+//!   binomial tree, checked once per rank (`SA023`) — the fixed orders
+//!   that make results bitwise identical across engines.
 
 use std::cmp::Ordering;
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use syncplace_codegen::{CommOp, PhaseAt, SpmdProgram};
 use syncplace_ir::diag::{codes, Diagnostic, Report, Span};
 use syncplace_ir::{IdVec, Program, Stmt, StmtId, VarId};
 use syncplace_placement::{InsertionPoint, Solution};
 use syncplace_runtime::comm::{reduce_tree_children, reduce_tree_parent};
-use syncplace_runtime::plan::{CommPlan, PhasePlan, RankPhase, ReducePlan, Term};
+use syncplace_runtime::plan::{CommPlan, PhasePlan, RankPhase, ReducePlan};
 use syncplace_runtime::tape::Op;
 
 /// Run every audit: solution→phase coverage, then the plan itself.
@@ -242,142 +245,135 @@ fn audit_placement(r: &mut Report, prog: &Program, phases: &[(PhaseAt, &[CommOp]
     }
 }
 
-/// `SA021`: within one phase, every local slot of a rank must be
-/// written at most once — by a round-1 unpack, an owned assembly
-/// total, or a round-2 write-back.
+/// `SA021`: within one phase, every local slot of a rank is written at
+/// most once — by a round-1 unpack or a round-2 write-back — or takes
+/// round-1 assembly adds from distinct peers and nothing else.
 fn audit_rank_writes(r: &mut Report, phase: usize, rank: usize, rp: &RankPhase) {
-    let unpacks = rp.recv1.iter().flat_map(|r1| &r1.updates);
-    let unpacks = unpacks.flat_map(|ru| ru.dst.iter().map(|&slot| (ru.var, slot, "round-1 unpack")));
-    let groups = rp.assembles.iter().flat_map(|ap| ap.own_groups.iter().map(|g| (ap.var, g)));
-    let totals = groups.map(|(var, g)| (var, g.write, "assembly total"));
-    let backs = rp.recv2.iter().flat_map(|(_, slots)| slots);
-    let backs = backs.map(|&(var, slot)| (var, slot, "round-2 write-back"));
-    let mut written: HashMap<(VarId, u32), &'static str> = HashMap::new();
-    for (var, slot, what) in unpacks.chain(totals).chain(backs) {
-        if let Some(prev) = written.insert((var, slot), what) {
-            r.push(Diagnostic::error(
-                codes::WRITE_RACE,
-                Span::phase(phase, Some(rank)).with_var(var),
-                format!(
-                    "rank {rank} writes v{var} slot {slot} twice in phase {phase} ({prev} then {what})"
-                ),
-            ));
+    // Per slot: what first wrote it, and the peers that added into it.
+    let mut written: HashMap<(VarId, u32), (&'static str, Vec<u32>)> = HashMap::new();
+    for (recvs, set) in [(&rp.recv1, "round-1 unpack"), (&rp.recv2, "round-2 write-back")] {
+        for rv in recvs {
+            let sets = rv.updates.iter().map(|ru| (ru, None));
+            for (ru, add) in sets.chain(rv.adds.iter().map(|ru| (ru, Some(rv.peer)))) {
+                let what = if add.is_some() { "assembly add" } else { set };
+                for &slot in &ru.dst {
+                    let prev = match written.entry((ru.var, slot)) {
+                        Entry::Vacant(v) => {
+                            v.insert((what, add.into_iter().collect()));
+                            continue;
+                        }
+                        Entry::Occupied(o) => o.into_mut(),
+                    };
+                    match add {
+                        Some(q) if !prev.1.is_empty() && !prev.1.contains(&q) => prev.1.push(q),
+                        _ => r.push(Diagnostic::error(
+                            codes::WRITE_RACE,
+                            Span::phase(phase, Some(rank)).with_var(ru.var),
+                            format!(
+                                "rank {rank} writes v{} slot {slot} twice in phase {phase} ({} then {what} from rank {})",
+                                ru.var, prev.0, rv.peer
+                            ),
+                        )),
+                    }
+                }
+            }
         }
     }
 }
 
-/// Packet-layout checks for one phase, over the edges its peer lists
-/// name: each list names a peer once, each round-1 packet packs what
-/// its sender declares and is listed at both ends, round-2 counts agree
-/// (`SA025`), and each receiver reads each round-1 packet exactly once
-/// (`SA026`).
+/// Packet-layout checks for one phase, round 1 then round 2, over the
+/// edges its peer lists name: each list names a peer once, each packet
+/// packs what its sender declares and is listed at both ends (`SA025`),
+/// and each receiver reads each packet exactly once (`SA026`).
 fn audit_wire(r: &mut Report, phase: usize, ph: &PhasePlan) {
-    // Each list's edges `(from, to) → values`: round-1 sends and
-    // receives, round-2 sends and write-backs.
-    let mut edges = [(); 4].map(|_| BTreeMap::new());
-    // The receivers' reads `(off, len, what)` of each round-1 packet.
-    let mut reads: BTreeMap<(usize, usize), Vec<_>> = BTreeMap::new();
-    for (me, rp) in ph.ranks.iter().enumerate() {
-        for s in &rp.send1 {
-            let packed: usize = s.gathers.iter().map(|g| g.idx.len()).sum();
-            if packed != s.len {
-                let msg = format!("rank {me} packs {packed} values for rank {} but declares {}", s.peer, s.len);
-                r.push(at(phase, Some(me), codes::PACKET_LENGTH, msg));
-            }
-        }
-        let lists: [(&str, Vec<(u32, usize)>); 4] = [
-            ("round-1 sends", rp.send1.iter().map(|s| (s.peer, s.len)).collect()),
-            ("round-1 receives", rp.recv1.iter().map(|r1| (r1.peer, 0)).collect()),
-            ("round-2 sends", rp.send2.clone()),
-            ("round-2 write-backs", rp.recv2.iter().map(|(q, slots)| (*q, slots.len())).collect()),
-        ];
-        for (i, (what, list)) in lists.into_iter().enumerate() {
-            for (peer, len) in list {
-                let edge = if i % 2 == 0 { (me, peer as usize) } else { (peer as usize, me) };
-                if edges[i].insert(edge, len).is_some() {
-                    let msg = format!("rank {me} lists peer {peer} twice among its {what}");
+    for round in [1, 2] {
+        // The edges `(from, to)` the sends name, with their declared
+        // lengths, and those the receives name.
+        let (mut sent, mut heard) = (BTreeMap::new(), BTreeSet::new());
+        // The receivers' reads `(off, len, what)` of each packet.
+        let mut reads: BTreeMap<(usize, usize), Vec<_>> = BTreeMap::new();
+        for (me, rp) in ph.ranks.iter().enumerate() {
+            let (sends, recvs) = if round == 1 { (&rp.send1, &rp.recv1) } else { (&rp.send2, &rp.recv2) };
+            for s in sends {
+                let packed: usize = s.gathers.iter().map(|g| g.idx.len()).sum();
+                if packed != s.len {
+                    let msg = format!("rank {me} packs {packed} values for rank {} in round {round} but declares {}", s.peer, s.len);
+                    r.push(at(phase, Some(me), codes::PACKET_LENGTH, msg));
+                }
+                if sent.insert((me, s.peer as usize), s.len).is_some() {
+                    let msg = format!("rank {me} lists peer {} twice among its round-{round} sends", s.peer);
                     r.push(at(phase, Some(me), codes::PACKET_LENGTH, msg));
                 }
             }
-        }
-        for r1 in &rp.recv1 {
-            let rd = reads.entry((r1.peer as usize, me)).or_default();
-            rd.extend(r1.updates.iter().map(|ru| (ru.off, ru.dst.len() as u32, "update unpack")));
-        }
-        for t in rp.assembles.iter().flat_map(|ap| &ap.own_groups).flat_map(|g| &g.terms) {
-            if let Term::Peer { peer, off } = *t {
-                reads.entry((peer as usize, me)).or_default().push((off, 1, "assembly partial"));
+            for rv in recvs {
+                if !heard.insert((rv.peer as usize, me)) {
+                    let msg = format!("rank {me} lists peer {} twice among its round-{round} receives", rv.peer);
+                    r.push(at(phase, Some(me), codes::PACKET_LENGTH, msg));
+                }
+                let rd = reads.entry((rv.peer as usize, me)).or_default();
+                rd.extend(rv.updates.iter().map(|ru| (ru.off, ru.dst.len() as u32, "set unpack")));
+                rd.extend(rv.adds.iter().map(|ru| (ru.off, ru.dst.len() as u32, "add unpack")));
             }
         }
-    }
-    let [sent1, heard1, sent2, heard2] = edges;
-    for (&(p, q), len) in &sent1 {
-        reads.entry((p, q)).or_default();
-        if !heard1.contains_key(&(p, q)) {
-            let msg = format!("rank {p} sends rank {q} a round-1 packet of {len} values it never receives");
-            r.push(at(phase, Some(p), codes::PACKET_LENGTH, msg));
+        for (&(p, q), len) in &sent {
+            reads.entry((p, q)).or_default();
+            if !heard.contains(&(p, q)) {
+                let msg = format!("rank {p} sends rank {q} a round-{round} packet of {len} values it never receives");
+                r.push(at(phase, Some(p), codes::PACKET_LENGTH, msg));
+            }
         }
-    }
-    for &(p, q) in heard1.keys().filter(|e| !sent1.contains_key(e)) {
-        let msg = format!("rank {q} expects a round-1 packet from rank {p}, which sends it nothing");
-        r.push(at(phase, Some(q), codes::PACKET_LENGTH, msg));
-    }
-    for &(p, q) in sent2.keys().chain(heard2.keys()).collect::<BTreeSet<_>>() {
-        let [sent, heard] = [&sent2, &heard2].map(|m| m.get(&(p, q)).copied().unwrap_or(0));
-        if sent != heard {
-            let msg = format!("rank {p} sends {sent} round-2 totals to rank {q}, which expects {heard}");
-            r.push(at(phase, Some(p), codes::PACKET_LENGTH, msg));
+        for &(p, q) in heard.iter().filter(|e| !sent.contains_key(e)) {
+            let msg = format!("rank {q} expects a round-{round} packet from rank {p}, which sends it nothing");
+            r.push(at(phase, Some(q), codes::PACKET_LENGTH, msg));
         }
-    }
-    // The reads must tile [0, declared) exactly. (Reduction partials
-    // never ride round 1: `audit_tree` audits the tree they ride.)
-    for ((p, q), mut reads) in reads {
-        reads.sort_unstable_by_key(|&(off, len, _)| (off, len));
-        let mut cursor = 0u32;
-        for (off, len, what) in reads {
-            let msg = match off.cmp(&cursor) {
-                Ordering::Less => format!(
-                    "rank {q} reads [{off}, {}) of rank {p}'s packet twice ({what} overlaps a previous read)",
-                    off + len
-                ),
-                Ordering::Greater => format!(
-                    "rank {q} leaves [{cursor}, {off}) of rank {p}'s packet unread before the {what} at {off}"
-                ),
-                Ordering::Equal => String::new(),
-            };
-            if !msg.is_empty() {
+        // The reads must tile [0, declared) exactly. (Reduction partials
+        // never ride the pair packets: `audit_tree` audits the tree they
+        // ride.)
+        for ((p, q), mut reads) in reads {
+            reads.sort_unstable_by_key(|&(off, len, _)| (off, len));
+            let mut cursor = 0u32;
+            for (off, len, what) in reads {
+                let msg = match off.cmp(&cursor) {
+                    Ordering::Less => format!(
+                        "rank {q} reads [{off}, {}) of rank {p}'s round-{round} packet twice ({what} overlaps a previous read)",
+                        off + len
+                    ),
+                    Ordering::Greater => format!(
+                        "rank {q} leaves [{cursor}, {off}) of rank {p}'s round-{round} packet unread before the {what} at {off}"
+                    ),
+                    Ordering::Equal => String::new(),
+                };
+                if !msg.is_empty() {
+                    r.push(at(phase, Some(q), codes::PACKET_COVERAGE, msg));
+                }
+                cursor = cursor.max(off + len);
+            }
+            let declared = sent.get(&(p, q)).copied().unwrap_or(0);
+            if cursor as usize != declared {
+                let msg = format!("rank {q} consumes {cursor} of the {declared} values in rank {p}'s round-{round} packet");
                 r.push(at(phase, Some(q), codes::PACKET_COVERAGE, msg));
             }
-            cursor = cursor.max(off + len);
-        }
-        let declared = sent1.get(&(p, q)).copied().unwrap_or(0);
-        if cursor as usize != declared {
-            let msg = format!("rank {q} consumes {cursor} of the {declared} values in rank {p}'s packet");
-            r.push(at(phase, Some(q), codes::PACKET_COVERAGE, msg));
         }
     }
 }
 
-/// Combine-order checks: owner-first assembly (`SA022`) and a uniform
-/// reduce op list on every rank (`SA023`).
+/// Combine-order checks: owner-first, ascending-rank assembly
+/// (`SA022`) and a uniform reduce op list on every rank (`SA023`).
 fn audit_orders(r: &mut Report, phase: usize, ph: &PhasePlan) {
     for (rank, rp) in ph.ranks.iter().enumerate() {
-        for ap in &rp.assembles {
-            for (gi, g) in ap.own_groups.iter().enumerate() {
-                let owner_first = matches!(g.terms.first(), Some(Term::Own(l)) if *l == g.write);
-                if !owner_first {
-                    r.push(Diagnostic::error(
-                        codes::OWNER_FIRST,
-                        Span::phase(phase, Some(rank)).with_var(ap.var),
-                        format!(
-                            "assembly group {gi} of v{} on rank {rank} does not combine owner-first (first term {:?}, write slot {})",
-                            ap.var,
-                            g.terms.first(),
-                            g.write
-                        ),
-                    ));
-                }
-            }
+        // An owned slot starts from the owner's own value and adds its
+        // holders' partials as the round-1 receives deliver them: in
+        // the owner-first, ascending-rank order only if they ascend.
+        let add = rp.recv1.iter().find_map(|r1| r1.adds.first());
+        if let Some(add) = add.filter(|_| !rp.recv1.windows(2).all(|w| w[0].peer < w[1].peer)) {
+            let peers: Vec<u32> = rp.recv1.iter().map(|r1| r1.peer).collect();
+            r.push(Diagnostic::error(
+                codes::OWNER_FIRST,
+                Span::phase(phase, Some(rank)).with_var(add.var),
+                format!(
+                    "rank {rank}'s round-1 receives {peers:?} carry assembly adds but do not ascend by peer: its owned slots would not combine owner-first, then by ascending rank"
+                ),
+            ));
         }
         // Every rank must carry the same ordered (var, op) reduce
         // list: with the tree (`audit_tree`) it pins the one combine
@@ -507,20 +503,27 @@ mod tests {
 
     #[test]
     fn owner_first_violation_detected() {
-        let (p, sol, spmd, mut plan) = planned(Pattern::FIG2, 3);
-        'outer: for ph in &mut plan.phases {
-            for rp in &mut ph.ranks {
-                for ap in &mut rp.assembles {
-                    for g in &mut ap.own_groups {
-                        if g.terms.len() >= 2 {
-                            g.terms.reverse();
-                            break 'outer;
-                        }
+        // Swap two round-1 receives of one rank that add into a common
+        // owned slot: its holders' partials would arrive out of rank
+        // order.
+        let (p, sol, spmd, mut plan) = planned(Pattern::FIG2, 4);
+        let slots = |r1: &syncplace_runtime::plan::Recv1| -> std::collections::BTreeSet<(VarId, u32)> {
+            r1.adds.iter().flat_map(|a| a.dst.iter().map(move |&s| (a.var, s))).collect()
+        };
+        let mut swapped = false;
+        'outer: for rp in plan.phases.iter_mut().flat_map(|ph| &mut ph.ranks) {
+            for i in 0..rp.recv1.len() {
+                for j in i + 1..rp.recv1.len() {
+                    if !slots(&rp.recv1[i]).is_disjoint(&slots(&rp.recv1[j])) {
+                        rp.recv1.swap(i, j);
+                        swapped = true;
+                        break 'outer;
                     }
                 }
             }
         }
+        assert!(swapped, "a node shared by three parts");
         let rep = audit(&p, &sol, &spmd, &plan);
-        assert!(rep.has_code(codes::OWNER_FIRST), "{rep}");
+        assert_eq!(rep.codes(), [codes::OWNER_FIRST], "{rep}");
     }
 }

@@ -95,7 +95,7 @@ pub struct McProgram {
 
 /// Round 1 of a phase: the coalesced pair packets a post ships.
 pub const R1: usize = 0;
-/// Round 2 of a phase: assembled totals, owners to participants.
+/// Round 2 of a phase: assembled totals, owners to their copies.
 pub const R2: usize = 1;
 /// Partials (or exit decisions) up a binomial-tree edge.
 pub const TREE_UP: usize = 2;
@@ -171,8 +171,8 @@ impl Model<'_> {
         if !rp.reduces.is_empty() {
             self.tree(k);
         }
-        rp.send2.iter().for_each(|&(q, _)| self.send(q as usize, k, R2));
-        rp.recv2.iter().for_each(|(q, _)| self.recv(*q as usize, k, R2));
+        rp.send2.iter().for_each(|s| self.send(s.peer as usize, k, R2));
+        rp.recv2.iter().for_each(|r2| self.recv(r2.peer as usize, k, R2));
     }
 }
 
@@ -1303,8 +1303,8 @@ mod tests {
         for ph in &plan.phases {
             for (p, rp) in (0u32..).zip(&ph.ranks) {
                 let (sends, recvs) = (rp.send1.iter(), rp.recv1.iter());
-                let sends = sends.map(|s| s.peer).chain(rp.send2.iter().map(|s| s.0));
-                let recvs = recvs.map(|r| r.peer).chain(rp.recv2.iter().map(|r| r.0));
+                let sends = sends.chain(&rp.send2).map(|s| s.peer);
+                let recvs = recvs.chain(&rp.recv2).map(|r| r.peer);
                 pairs.extend(sends.map(|q| (p, q)).chain(recvs.map(|q| (q, p))));
                 if !rp.reduces.is_empty() {
                     pairs.extend(edges(p));
@@ -1364,7 +1364,7 @@ mod tests {
                     assert_eq!((l.to, l.from), (at((r, l.peer)), at((l.peer, r))), "P = {n} rank {r}");
                     let sends = plan.phases.iter().flat_map(|ph| {
                         let rp = &ph.ranks[r as usize];
-                        rp.send1.iter().map(|s| (s.peer, s.len)).chain(rp.send2.iter().copied())
+                        rp.send1.iter().chain(&rp.send2).map(|s| (s.peer, s.len))
                     });
                     let cap = sends.filter(|s| s.0 == l.peer).map(|s| s.1).max();
                     assert_eq!(l.cap, cap.unwrap_or(0), "P = {n} rank {r} peer {}", l.peer);

@@ -368,9 +368,11 @@ pub mod codes {
 
     /// Comm op not covered by exactly one plan phase.
     pub const PHASE_COVERAGE: &str = "SA020";
-    /// Write-write race: one phase writes a local slot twice.
+    /// Write-write race: one phase writes a local slot twice, sets and
+    /// adds it, or takes two adds into it from one peer.
     pub const WRITE_RACE: &str = "SA021";
-    /// Assembly combine is not owner-first.
+    /// Assembly combine is not owner-first, then ascending rank: a
+    /// round-1 receive list carrying adds does not ascend by peer.
     pub const OWNER_FIRST: &str = "SA022";
     /// Reduction combine is not ascending-rank consistent (offset
     /// table disagrees with the sender's packet layout).
@@ -381,8 +383,8 @@ pub mod codes {
     /// Packet length disagreement between sender and receiver, or a
     /// peer listed twice or at one end only.
     pub const PACKET_LENGTH: &str = "SA025";
-    /// Round-1 packet bytes not consumed exactly once (gap, overlap,
-    /// or out-of-bounds read).
+    /// Packet bytes (either round) not consumed exactly once (gap,
+    /// overlap, or out-of-bounds read).
     pub const PACKET_COVERAGE: &str = "SA026";
 
     /// Fig. 4 case a: true dependence carried across a partitioned loop.

@@ -223,7 +223,7 @@ pub mod keys {
     /// Span: per-part overlap closure + localization (sub-mesh
     /// building).
     pub const DECOMP_CLOSURE_SPAN: &str = "decomp.closure";
-    /// Span: placement CSRs + update/assembly schedule construction.
+    /// Span: placement CSRs + copy schedule construction.
     pub const DECOMP_SCHEDULE_SPAN: &str = "decomp.schedule";
     /// Counter: sub-meshes built (one per part per build).
     pub const DECOMP_PARTS: &str = "decomp.parts";

@@ -18,7 +18,8 @@
 //!
 //! Under [`Pattern::NodeOverlap`], no element is duplicated; interface
 //! nodes are shared between parts and their post-scatter partial
-//! values are combined by the [`AssembleSchedule`].
+//! values are assembled along the same owner → copies node
+//! [`UpdateSchedule`]: summed into the owner's copy, then written back.
 //!
 //! The whole construction path is CSR-lean: edges are the mesh's own
 //! numbering ([`Mesh::edges`], numbered once per mesh by the shared
@@ -45,7 +46,7 @@
 //! the same three, with only the per-part step on its pool.
 
 use crate::pattern::Pattern;
-use crate::schedule::{AssembleSchedule, UpdateSchedule};
+use crate::schedule::UpdateSchedule;
 use crate::submesh::{elem_kind, SubMesh};
 use syncplace_mesh::{n_vertex_pairs, Csr, EntityKind, Mesh, Mesh2d, Mesh3d};
 
@@ -69,12 +70,11 @@ pub struct Decomposition<const V: usize> {
     pub elem_part: Vec<u32>,
     /// The localized sub-meshes, index = part id.
     pub submeshes: Vec<SubMesh<V>>,
-    /// Owner→copies node update schedule (element-overlap patterns).
+    /// Owner→copies node schedule: an update broadcasts along it, a
+    /// node-overlap assembly reduces along it and broadcasts back.
     pub node_update: UpdateSchedule,
     /// Owner→copies edge update schedule (element-overlap patterns).
     pub edge_update: UpdateSchedule,
-    /// Shared-node assembly schedule (node-overlap pattern; empty otherwise).
-    pub node_assemble: AssembleSchedule,
 }
 
 /// Wall-clock breakdown of one parallel decomposition build, by stage
@@ -87,7 +87,7 @@ pub struct DecomposeStats {
     pub dedup_s: f64,
     /// Per-part overlap closure + localization (sub-mesh building).
     pub closure_s: f64,
-    /// Placement CSRs + update/assembly schedules.
+    /// Placement CSRs + copy schedules.
     pub schedule_s: f64,
     /// End-to-end build time (≥ the sum of the stages).
     pub total_s: f64,
@@ -131,8 +131,9 @@ pub fn decompose<const D: usize, const V: usize>(
 }
 
 /// The last build step: placement CSRs over the built sub-meshes, the
-/// update (element overlap) or assembly (node overlap) schedules, and
-/// the [`Decomposition`] that holds them with `setup`'s ownership.
+/// node copy schedule (every pattern) and the edge one (element
+/// overlap), and the [`Decomposition`] that holds them with `setup`'s
+/// ownership.
 /// `submeshes[p]` must be part `p`'s [`build_submesh`].
 pub fn finish<const V: usize>(
     setup: GlobalSetup,
@@ -141,24 +142,17 @@ pub fn finish<const V: usize>(
     pattern: Pattern,
 ) -> Decomposition<V> {
     let (nnodes, nparts) = (setup.nnodes, setup.nparts);
-    let mut node_update = UpdateSchedule::default();
     let mut edge_update = UpdateSchedule::default();
-    let mut node_assemble = AssembleSchedule::default();
     let node_place =
         EntityPlacement::from_l2g(nnodes, submeshes.iter().map(|s| s.nodes_l2g.as_slice()));
-    match pattern {
-        Pattern::ElementOverlap { .. } => {
-            let edge_place = EntityPlacement::from_l2g(
-                setup.edge_owner.len(),
-                submeshes.iter().map(|s| s.edges_l2g.as_slice()),
-            );
-            let kernels = |kind| submeshes.iter().map(move |s| s.kernel(kind).unwrap());
-            node_update = owner_to_copies(kernels(EntityKind::Node), &node_place);
-            edge_update = owner_to_copies(kernels(EntityKind::Edge), &edge_place);
-        }
-        Pattern::NodeOverlap => {
-            node_assemble.groups = assemble_groups(&setup.node_owner, &node_place);
-        }
+    let kernels = |kind| submeshes.iter().map(move |s| s.kernel(kind).unwrap());
+    let node_update = owner_to_copies(kernels(EntityKind::Node), &node_place);
+    if let Pattern::ElementOverlap { .. } = pattern {
+        let edge_place = EntityPlacement::from_l2g(
+            setup.edge_owner.len(),
+            submeshes.iter().map(|s| s.edges_l2g.as_slice()),
+        );
+        edge_update = owner_to_copies(kernels(EntityKind::Edge), &edge_place);
     }
     Decomposition {
         pattern,
@@ -171,7 +165,6 @@ pub fn finish<const V: usize>(
         submeshes,
         node_update,
         edge_update,
-        node_assemble,
     }
 }
 
@@ -501,12 +494,6 @@ impl EntityPlacement {
         }
     }
 
-    /// Number of parts holding entity `g`.
-    #[inline]
-    fn degree(&self, g: usize) -> usize {
-        (self.offsets[g + 1] - self.offsets[g]) as usize
-    }
-
     /// The `(part, local id)` placements of entity `g`, ascending part.
     #[inline]
     fn row(&self, g: usize) -> impl Iterator<Item = (u32, u32)> + '_ {
@@ -542,21 +529,6 @@ fn owner_to_copies<'a>(
     UpdateSchedule::from_copies(copies)
 }
 
-/// Assembly groups in ascending global node order: every node held by
-/// ≥ 2 parts yields one `(part, local)` group, owner first then
-/// ascending part.
-fn assemble_groups(node_owner: &[u32], place: &EntityPlacement) -> Vec<Vec<(u32, u32)>> {
-    let mut groups: Vec<Vec<(u32, u32)>> = Vec::new();
-    for (n, &owner) in node_owner.iter().enumerate() {
-        if place.degree(n) >= 2 {
-            let mut group: Vec<(u32, u32)> = place.row(n).collect();
-            group.sort_by_key(|&(q, _)| (q != owner, q));
-            groups.push(group);
-        }
-    }
-    groups
-}
-
 impl<const V: usize> Decomposition<V> {
     /// Owner part per global entity of `kind` (an element's owner is
     /// its part); `None` for a kind this arity lacks.
@@ -571,9 +543,13 @@ impl<const V: usize> Decomposition<V> {
 
     /// The owner→copies schedule an update of a `kind`-based array
     /// runs: `None` for element arrays, which every pattern recomputes
-    /// redundantly, so they are always coherent.
+    /// redundantly, so they are always coherent. Node overlap
+    /// assembles its copies and never updates them (Fig. 7 places no
+    /// update), so an update there moves nothing.
     pub fn update_schedule(&self, kind: EntityKind) -> Option<&UpdateSchedule> {
+        static NOTHING: UpdateSchedule = UpdateSchedule { msgs: Vec::new() };
         match kind {
+            EntityKind::Node if self.pattern == Pattern::NodeOverlap => Some(&NOTHING),
             EntityKind::Node => Some(&self.node_update),
             EntityKind::Edge => Some(&self.edge_update),
             EntityKind::Tri | EntityKind::Tet => None,
@@ -634,11 +610,20 @@ impl<const V: usize> Decomposition<V> {
             self.total_overlap_nodes(),
         );
         match self.pattern {
-            Pattern::NodeOverlap => out.push_str(&format!(
-                "assembly: {} shared-node groups, {} values / exchange\n",
-                self.node_assemble.ngroups(),
-                self.node_assemble.total_values()
-            )),
+            Pattern::NodeOverlap => {
+                // A shared node is an owner slot with copies; its
+                // assembly moves each copy's partial in and the total back.
+                let sched = &self.node_update;
+                let mut shared: Vec<(u32, u32)> =
+                    (sched.msgs.iter()).flat_map(|m| m.pairs.iter().map(|p| (m.from, p.0))).collect();
+                shared.sort_unstable();
+                shared.dedup();
+                out.push_str(&format!(
+                    "assembly: {} shared-node groups, {} values / exchange\n",
+                    shared.len(),
+                    2 * sched.total_values()
+                ))
+            }
             _ => out.push_str(&format!(
                 "update: {} messages, {} values / exchange (max {} per sender)\n",
                 self.node_update.total_messages(),
@@ -832,6 +817,17 @@ mod tests {
                 assert_eq!(d3.edge_update.msgs.is_empty(), np == 1);
             }
         }
+        // Node overlap copies nodes only, along the same schedule.
+        for np in [1, 2, 5, 16] {
+            let part2 = partition2d(&mesh2, np, Method::Greedy).part;
+            let d2 = decompose2d(&mesh2, &part2, np, Pattern::FIG2);
+            let l2g: Vec<&[u32]> = d2.submeshes.iter().map(|s| s.nodes_l2g.as_slice()).collect();
+            check_against_reference(&d2.node_owner, &l2g, &d2.node_update)
+                .unwrap_or_else(|e| panic!("2-D node overlap P={np}: {e}"));
+            assert!(d2.edge_update.msgs.is_empty());
+            // An update there moves nothing: the copies are assembled.
+            assert!(d2.update_schedule(EntityKind::Node).unwrap().msgs.is_empty());
+        }
         // The reference catches a lost copy.
         let mut lost = decomp(8, 8, 4, Pattern::FIG1);
         lost.node_update.msgs[0].pairs.pop();
@@ -840,18 +836,23 @@ mod tests {
 
     #[test]
     fn assemble_groups_cover_interface() {
+        // Under node overlap the node schedule's owner slots are the
+        // shared nodes: one group per interface node, sent by its owner.
         let mesh = gen2d::grid(8, 8);
         let p = partition2d(&mesh, 4, Method::Greedy);
         let d = decompose2d(&mesh, &p.part, 4, Pattern::FIG2);
         let iface = syncplace_partition::metrics::interface_nodes2d(&mesh, &p.part);
-        assert_eq!(d.node_assemble.ngroups(), iface);
-        for g in &d.node_assemble.groups {
-            assert!(g.len() >= 2);
-            // Owner first.
-            let owner_part = g[0].0;
-            let gnode = d.submeshes[owner_part as usize].nodes_l2g[g[0].1 as usize];
-            assert_eq!(d.node_owner[gnode as usize], owner_part);
+        let mut groups = Vec::new();
+        for m in &d.node_update.msgs {
+            for &(src, _) in &m.pairs {
+                let gnode = d.submeshes[m.from as usize].nodes_l2g[src as usize];
+                assert_eq!(d.node_owner[gnode as usize], m.from, "sent by the owner");
+                groups.push(gnode);
+            }
         }
+        groups.sort_unstable();
+        groups.dedup();
+        assert_eq!(groups.len(), iface);
     }
 
     #[test]

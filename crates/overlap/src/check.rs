@@ -8,7 +8,6 @@
 //! them exactly.
 
 use crate::build::Decomposition;
-use crate::pattern::Pattern;
 use crate::submesh::{elem_kind, SubMesh};
 use syncplace_mesh::EntityKind;
 
@@ -23,15 +22,19 @@ pub fn apply_update<const V: usize>(d: &Decomposition<V>, locals: &mut [Vec<f64>
     }
 }
 
-/// Apply the Fig. 2 assembly communication: for every shared node, sum
-/// the partial values of all copies and write the total back to each.
+/// Apply the Fig. 2 assembly communication along the node schedule:
+/// reverse, each holder's partial is added into its owner's copy (owner
+/// first, then holders by ascending part, as the messages ascend by
+/// `(owner, holder)`); forward, the owner's total is written back to
+/// every copy.
 pub fn apply_assemble<const V: usize>(d: &Decomposition<V>, locals: &mut [Vec<f64>]) {
-    for g in &d.node_assemble.groups {
-        let total: f64 = g.iter().map(|&(p, l)| locals[p as usize][l as usize]).sum();
-        for &(p, l) in g {
-            locals[p as usize][l as usize] = total;
+    for m in &d.node_update.msgs {
+        for &(src, dst) in &m.pairs {
+            let v = locals[m.to as usize][dst as usize];
+            locals[m.from as usize][src as usize] += v;
         }
     }
+    apply_update(d, locals);
 }
 
 /// Are the local node arrays *coherent*, i.e. does every copy of every
@@ -75,26 +78,15 @@ pub fn audit<const V: usize>(d: &Decomposition<V>) -> Result<(), String> {
             return Err(format!("{kind} {g} kernel-owned {} times", owned[g]));
         }
     }
-    // Pattern-specific schedule shape.
-    match d.pattern {
-        Pattern::ElementOverlap { .. } => {
-            let slots: usize = d.submeshes.iter().map(|s| s.nnodes()).sum();
-            let copies = slots - d.nnodes_global;
-            if d.node_update.total_values() != copies {
-                return Err(format!(
-                    "update schedule moves {} values but there are {copies} copies",
-                    d.node_update.total_values()
-                ));
-            }
-            if !d.node_assemble.groups.is_empty() {
-                return Err("element-overlap decomposition has assemble groups".into());
-            }
-        }
-        Pattern::NodeOverlap => {
-            if d.node_update.total_values() != 0 {
-                return Err("node-overlap decomposition has update messages".into());
-            }
-        }
+    // The node schedule moves exactly one value per copy, under every
+    // pattern.
+    let slots: usize = d.submeshes.iter().map(|s| s.nnodes()).sum();
+    let copies = slots - d.nnodes_global;
+    if d.node_update.total_values() != copies {
+        return Err(format!(
+            "node schedule moves {} values but there are {copies} copies",
+            d.node_update.total_values()
+        ));
     }
     Ok(())
 }
@@ -103,6 +95,7 @@ pub fn audit<const V: usize>(d: &Decomposition<V>) -> Result<(), String> {
 mod tests {
     use super::*;
     use crate::build::decompose2d;
+    use crate::pattern::Pattern;
     use syncplace_mesh::gen2d;
     use syncplace_partition::{partition2d, Method};
 

@@ -13,13 +13,14 @@
 //!   *kernel* entities numbered first and *overlap* entities last
 //!   (the "flocalize" reordering of PARTI, §5.1, which the paper notes
 //!   "would become an extra reordering in the mesh splitter").
-//! * [`Decomposition`] — all sub-meshes plus the communication
-//!   schedules: [`UpdateSchedule`] (owner kernel value → overlap
-//!   copies, Fig. 1) and [`AssembleSchedule`] (combine partial values
-//!   of shared nodes, Fig. 2), plus scatter/gather between global
-//!   arrays and per-processor local arrays. Readers ask it by entity
-//!   kind ([`Decomposition::update_schedule`],
-//!   [`Decomposition::scatter`], [`Decomposition::gather`]).
+//! * [`Decomposition`] — all sub-meshes plus one [`UpdateSchedule`]
+//!   per entity kind that has copies: the owner → holder copies, which
+//!   a Fig. 1 update broadcasts along and a Fig. 2 assembly reduces
+//!   along and broadcasts back (one star forest, two collectives), plus
+//!   scatter/gather between global arrays and per-processor local
+//!   arrays. Readers ask it by entity kind
+//!   ([`Decomposition::update_schedule`], [`Decomposition::scatter`],
+//!   [`Decomposition::gather`]).
 //!
 //! The invariants these structures must satisfy (checked in
 //! [`check`]) are exactly the paper's correctness argument: under the
@@ -41,5 +42,5 @@ pub use build::{
     decompose2d, decompose3d, DecomposeStats, Decomposition, GlobalSetup, PartScratch,
 };
 pub use pattern::Pattern;
-pub use schedule::{AssembleSchedule, UpdateSchedule};
+pub use schedule::UpdateSchedule;
 pub use submesh::{elem_kind, SubMesh, SubMesh2d, SubMesh3d};

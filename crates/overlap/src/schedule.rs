@@ -7,12 +7,14 @@
 //! paper's point versus inspector/executor: the "inspector" phase is
 //! replaced by static analysis in the mesh splitter, §5.1).
 //!
-//! An update schedule is sparse: it lists the messages that carry
-//! something, as a star forest lists each copy's owner, and holds no
-//! rank × rank table.
+//! A schedule is sparse: it lists the messages that carry something,
+//! as a star forest lists each copy's owner, and holds no rank × rank
+//! table. Both of the paper's collectives run on it: an update is its
+//! broadcast, a node-overlap assembly its reduce then broadcast.
 
-/// One point-to-point message of an update: the copies `from` refreshes
-/// on `to`, as `(src_local_on_from, dst_local_on_to)` pairs ascending.
+/// One point-to-point message of a schedule: the copies `to` holds of
+/// entities `from` owns, as `(src_local_on_from, dst_local_on_to)`
+/// pairs ascending.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Message {
     /// The sending (owner) part.
@@ -23,8 +25,11 @@ pub struct Message {
     pub pairs: Vec<(u32, u32)>,
 }
 
-/// Fig. 1-style update schedule: each owned (kernel) value is sent to
-/// the overlap copies of the same entity on other processors.
+/// The copies of one entity kind, owner → holder: an update broadcasts
+/// along it (Fig. 1: each owner's kernel value is written to its
+/// copies), a node-overlap assembly reduces along it and broadcasts
+/// back (Fig. 2: each holder's partial is added into the owner's copy,
+/// then the owner's total is written to every copy).
 ///
 /// `msgs` ascends strictly by `(from, to)` and holds no empty message
 /// — a deterministic order that makes concurrent and round-robin
@@ -67,12 +72,14 @@ impl UpdateSchedule {
         UpdateSchedule { msgs }
     }
 
-    /// Total number of values exchanged in one update.
+    /// Total number of values exchanged in one update — the copies; an
+    /// assembly moves twice as many (each partial in, each total back).
     pub fn total_values(&self) -> usize {
         self.msgs.iter().map(|m| m.pairs.len()).sum()
     }
 
-    /// Number of point-to-point messages in one update.
+    /// Number of point-to-point messages in one update; an assembly
+    /// sends twice as many (one per message each way).
     pub fn total_messages(&self) -> usize {
         self.msgs.len()
     }
@@ -85,52 +92,6 @@ impl UpdateSchedule {
             .map(|run| run.iter().map(|m| m.pairs.len()).sum::<usize>())
             .max()
             .unwrap_or(0)
-    }
-}
-
-/// Fig. 2-style assembly schedule: each *shared* node exists on two or
-/// more processors, each holding a partial value; the assembly sums
-/// the partials and writes the total back to every copy.
-///
-/// Each group lists `(part, local_index)` participants, owner first.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct AssembleSchedule {
-    /// One group per shared node.
-    pub groups: Vec<Vec<(u32, u32)>>,
-}
-
-impl AssembleSchedule {
-    /// Total number of values moved in one assembly (each participant
-    /// sends its partial and receives the total: 2 values per
-    /// non-owner participant, counted as the gather+scatter volume).
-    pub fn total_values(&self) -> usize {
-        self.groups
-            .iter()
-            .map(|g| 2 * (g.len().saturating_sub(1)))
-            .sum()
-    }
-
-    /// Number of shared-node groups.
-    pub fn ngroups(&self) -> usize {
-        self.groups.len()
-    }
-
-    /// Number of point-to-point messages in one assembly, assuming the
-    /// owner gathers partials and scatters totals: 2 messages per
-    /// (owner, participant-processor) pair, deduplicated per pair via
-    /// sort-unique (keeping the schedule path hash-free).
-    pub fn total_messages(&self) -> usize {
-        let mut pairs: Vec<(u32, u32)> = Vec::new();
-        for g in &self.groups {
-            if let Some(&(owner, _)) = g.first() {
-                for &(p, _) in &g[1..] {
-                    pairs.push((owner, p));
-                }
-            }
-        }
-        pairs.sort_unstable();
-        pairs.dedup();
-        2 * pairs.len()
     }
 }
 
@@ -152,21 +113,9 @@ mod tests {
     }
 
     #[test]
-    fn assemble_counts() {
-        let s = AssembleSchedule {
-            groups: vec![vec![(0, 5), (1, 2)], vec![(0, 6), (1, 3), (2, 0)]],
-        };
-        assert_eq!(s.ngroups(), 2);
-        // Group 1: 2 values; group 2: 4 values.
-        assert_eq!(s.total_values(), 6);
-        // Owner 0 talks to parts 1 and 2: 2 pairs * 2 directions.
-        assert_eq!(s.total_messages(), 4);
-    }
-
-    #[test]
     fn empty_schedules() {
         assert_eq!(UpdateSchedule::default().total_values(), 0);
         assert_eq!(UpdateSchedule::default().max_send_values(), 0);
-        assert_eq!(AssembleSchedule::default().total_messages(), 0);
+        assert_eq!(UpdateSchedule::default().total_messages(), 0);
     }
 }

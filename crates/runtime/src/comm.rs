@@ -142,56 +142,54 @@ pub fn apply_update(
     PhaseContribution::new(stat, per_proc_send)
 }
 
-/// Apply the shared-entity assembly for `var` (Fig. 2 pattern):
-/// sum the copies of each shared node, write the total back to all.
-/// With a live recorder, the simulated wire packets (one partials
-/// packet per participant→owner pair, one totals packet back) are
-/// recorded in ascending `(from, to)` order.
+/// Apply the shared-node assembly for `var` (Fig. 2 pattern) along the
+/// node schedule in two passes: reverse, each holder's partial is
+/// added into its owner's copy (owner first, then holders by ascending
+/// rank, as the messages ascend by `(owner, holder)`); forward, the
+/// owner's total is written back to every copy. With a live recorder,
+/// the simulated wire packets (one partials packet per holder→owner
+/// message, one totals packet back) are recorded in ascending
+/// `(from, to)` order.
 pub fn apply_assemble<const V: usize>(
     machines: &mut [Machine],
     d: &Decomposition<V>,
     var: VarId,
     rec: &RecorderRef,
 ) -> PhaseContribution {
-    let mut stat = PhaseStat {
-        rounds: 2,
-        ..Default::default()
-    };
+    let schedule = &d.node_update;
     let mut per_proc_send = vec![0usize; machines.len()];
-    // Simulated wire: values per ordered pair that exchanges any,
-    // batched per op (kept only when a recorder listens).
+    // Simulated wire: values per ordered pair, both directions (kept
+    // only when a recorder listens).
     let mut pair_values: BTreeMap<(u32, u32), u64> = BTreeMap::new();
-    for g in &d.node_assemble.groups {
-        // Deterministic combine order: group participants are stored
-        // owner-first then ascending part id.
-        let total: f64 = g
-            .iter()
-            .map(|&(p, l)| machines[p as usize].arrays[var][l as usize])
-            .sum();
-        for &(p, l) in g {
-            machines[p as usize].arrays[var][l as usize] = total;
+    for m in &schedule.msgs {
+        let (p, q, n) = (m.from, m.to, m.pairs.len());
+        for &(src, dst) in &m.pairs {
+            let v = machines[q as usize].arrays[var][dst as usize];
+            machines[p as usize].arrays[var][src as usize] += v;
         }
-        // Each non-owner participant sends its partial and receives the
-        // total.
-        let owner = g[0].0 as usize;
-        stat.values += 2 * (g.len() - 1);
-        per_proc_send[owner] += g.len() - 1;
-        for &(p, _) in &g[1..] {
-            per_proc_send[p as usize] += 1;
-            if rec.is_some() && p as usize != owner {
-                // Partial participant→owner, total owner→participant.
-                *pair_values.entry((p, owner as u32)).or_default() += 1;
-                *pair_values.entry((owner as u32, p)).or_default() += 1;
-            }
+        per_proc_send[p as usize] += n;
+        per_proc_send[q as usize] += n;
+        if rec.is_some() {
+            *pair_values.entry((q, p)).or_default() += n as u64;
+            *pair_values.entry((p, q)).or_default() += n as u64;
+        }
+    }
+    for m in &schedule.msgs {
+        for &(src, dst) in &m.pairs {
+            let v = machines[m.from as usize].arrays[var][src as usize];
+            machines[m.to as usize].arrays[var][dst as usize] = v;
         }
     }
     for ((from, to), v) in pair_values {
         record_packet(rec, from, to, v);
     }
-    stat.messages = d.node_assemble.total_messages();
-    if stat.messages == 0 {
-        stat.rounds = 0;
-    }
+    let messages = 2 * schedule.total_messages();
+    let stat = PhaseStat {
+        messages,
+        values: 2 * schedule.total_values(),
+        rounds: if messages == 0 { 0 } else { 2 },
+        ..Default::default()
+    };
     PhaseContribution::new(stat, per_proc_send)
 }
 

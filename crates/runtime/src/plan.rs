@@ -13,19 +13,24 @@
 //!   the phase, concatenated in op order;
 //! * absolute unpack offsets for everything arriving, so receivers
 //!   scatter straight out of the wire buffer with no intermediate
-//!   allocation;
-//! * a round-2 recipe carrying assembled totals back from owners to
-//!   participants (the only traffic that inherently needs a second
-//!   latency round).
+//!   allocation: an update's values are *set*, an assembly's partials
+//!   *added* into the owner's copies;
+//! * a round-2 recipe of the same shape carrying assembled totals back
+//!   from owners to their copies (the only traffic that inherently
+//!   needs a second latency round).
 //!
-//! Both ends derive the layout independently from the same schedules,
-//! so no lengths, tags or headers ever travel. Combine orders are the
-//! same fixed orders as the reference engines (assembly groups
-//! owner-first then ascending part, reductions along the binomial tree
-//! of [`crate::comm::tree_fold`]), so results stay **bitwise
-//! identical**. Reduction partials travel on dedicated tree-edge
-//! packets — `2(P−1)` messages per phase shared by all of its reduce
-//! ops — never on the round-1 pair packets.
+//! Every op runs on the decomposition's copy schedule of its entity
+//! kind: an update is its broadcast, an assembly its reduce (round 1)
+//! then broadcast (round 2). Both ends derive the layout independently
+//! from the same schedules, so no lengths, tags or headers ever travel.
+//! Combine orders are the same fixed orders as the reference engines
+//! (an owned slot starts from the owner's own value and adds its
+//! holders' partials as the ascending round-1 receive list delivers
+//! them; reductions along the binomial tree of
+//! [`crate::comm::tree_fold`]), so results stay **bitwise identical**.
+//! Reduction partials travel on dedicated tree-edge packets — `2(P−1)`
+//! messages per phase shared by all of its reduce ops — never on the
+//! round-1 pair packets.
 //!
 //! The plan also carries the program lowered onto its phases, early
 //! posts placed ([`CommPlan::tape`], [`crate::tape`]): the one schedule
@@ -44,9 +49,9 @@ use syncplace_dfg::ReduceOp;
 use syncplace_ir::{IdVec, Program, VarId};
 use syncplace_overlap::Decomposition;
 
-/// One gather of a round-1 packet: append `arrays[var][i]` for each
-/// local index. (Reduction partials do not ride round 1 — they travel
-/// on the phase's dedicated tree-edge packets.)
+/// One gather of a packet: append `arrays[var][i]` for each local
+/// index. (Reduction partials do not ride the pair packets — they
+/// travel on the phase's dedicated tree-edge packets.)
 #[derive(Debug, Clone)]
 pub struct Gather {
     /// The array to gather from.
@@ -55,7 +60,7 @@ pub struct Gather {
     pub idx: Vec<u32>,
 }
 
-/// A round-1 packet this rank sends.
+/// A packet this rank sends to one peer, in round 1 or round 2.
 #[derive(Debug, Clone)]
 pub struct Send1 {
     /// The receiving rank.
@@ -66,63 +71,29 @@ pub struct Send1 {
     pub gathers: Vec<Gather>,
 }
 
-/// A round-1 packet this rank receives.
+/// A packet this rank receives from one peer, in round 1 or round 2.
 #[derive(Debug, Clone)]
 pub struct Recv1 {
     /// The sending rank.
     pub peer: u32,
-    /// The update unpacks it feeds (empty when the packet carries only
-    /// assembly partials).
+    /// The unpacks that write: update values, round-2 totals.
     pub updates: Vec<RecvUpdate>,
+    /// The unpacks that add: assembly partials into the owner's copies
+    /// (round 1 only).
+    pub adds: Vec<RecvUpdate>,
 }
 
-/// An update's unpack recipe: scatter `len(dst)` values starting at
-/// absolute offset `off` of the sender's round-1 packet.
+/// An unpack recipe: scatter `len(dst)` values starting at absolute
+/// offset `off` of the sender's packet, written or added.
 #[derive(Debug, Clone)]
 pub struct RecvUpdate {
     /// The array to scatter into.
     pub var: VarId,
-    /// Absolute start offset in the sender's round-1 packet.
+    /// Absolute start offset in the sender's packet.
     pub off: u32,
     /// Local destination indices, in packet order.
     pub dst: Vec<u32>,
 }
-/// One term of an owned assembly group's combine.
-#[derive(Debug, Clone, Copy)]
-pub enum Term {
-    /// My own copy at this local index.
-    Own(u32),
-    /// A partial at absolute offset `off` of `peer`'s round-1 packet.
-    Peer {
-        /// The rank whose packet carries the partial.
-        peer: u32,
-        /// Absolute offset of the partial in that packet.
-        off: u32,
-    },
-}
-
-/// An assembly group owned by this rank: combine the terms in order
-/// (bitwise-fixed), write the total locally, and append it to the
-/// round-2 packet of each listed peer.
-#[derive(Debug, Clone)]
-pub struct OwnGroup {
-    /// The combine terms, in the fixed bitwise order.
-    pub terms: Vec<Term>,
-    /// My local slot for the total (the owner's copy).
-    pub write: u32,
-    /// Peers owed the total, in group participant order.
-    pub send_to: Vec<u32>,
-}
-
-/// Per-rank plan for one `AssembleShared` op.
-#[derive(Debug, Clone, Default)]
-pub struct AssemblePlan {
-    /// The shared array being assembled.
-    pub var: VarId,
-    /// Groups I own, in global group order.
-    pub own_groups: Vec<OwnGroup>,
-}
-
 /// Per-rank plan for one `Reduce` op: partials combine up the binomial
 /// tree rooted at rank 0 and the total broadcasts back down the same
 /// edges ([`crate::comm::tree_fold`] fixes the combine order). All
@@ -145,15 +116,12 @@ pub struct RankPhase {
     pub send1: Vec<Send1>,
     /// Round-1 packets I receive.
     pub recv1: Vec<Recv1>,
-    /// Assembly combines, one per `AssembleShared` op in phase order.
-    pub assembles: Vec<AssemblePlan>,
     /// Reductions, one per `Reduce` op in phase order.
     pub reduces: Vec<ReducePlan>,
-    /// Round-2 packets I send: `(peer, totals owed)`.
-    pub send2: Vec<(u32, usize)>,
-    /// Round-2 write-backs: `(owner peer, my local slots (var, slot) in
-    /// packet order)`.
-    pub recv2: Vec<(u32, Vec<(VarId, u32)>)>,
+    /// Round-2 packets I send: assembled totals, owner → copies.
+    pub send2: Vec<Send1>,
+    /// Round-2 packets I receive; their unpacks only write.
+    pub recv2: Vec<Recv1>,
 }
 
 /// One communication phase, fully planned for every rank.
@@ -239,8 +207,7 @@ fn wire(nparts: usize, phases: &[PhasePlan], tape: &[Op]) -> Wiring {
     // edge alone stages nothing.
     let mut caps = BTreeMap::new();
     for (p, rp) in phases.iter().flat_map(|ph| (0u32..).zip(&ph.ranks)) {
-        let sends = rp.send1.iter().map(|s| (s.peer, s.len));
-        for (q, len) in sends.chain(rp.send2.iter().copied()) {
+        for (q, len) in rp.send1.iter().chain(&rp.send2).map(|s| (s.peer, s.len)) {
             let cap = caps.entry((p, q)).or_insert(0);
             *cap = len.max(*cap);
         }
@@ -310,32 +277,33 @@ fn gathered_vars(ph: &PhasePlan) -> IdVec<()> {
     sends.flat_map(|s| &s.gathers).map(|g| (g.var, ())).collect()
 }
 
-/// One ordered pair's traffic while a phase is built: round 1 flows
-/// from the pair's first rank to its second, round 2 the same way.
+/// One ordered pair's packet in one round while a phase is built.
 #[derive(Default)]
 struct Pair {
-    /// Round-1 values packed so far: the next gather's offset.
+    /// Values packed so far: the next gather's offset.
     off: u32,
     gathers: Vec<Gather>,
-    unpacks: Vec<RecvUpdate>,
-    /// The receiver's round-2 write-backs, in packet order.
-    backs: Vec<(VarId, u32)>,
+    sets: Vec<RecvUpdate>,
+    adds: Vec<RecvUpdate>,
 }
 
 impl Pair {
-    fn gather(&mut self, var: VarId, idx: Vec<u32>) {
-        if !idx.is_empty() {
-            self.off += idx.len() as u32;
-            self.gathers.push(Gather { var, idx });
-        }
+    /// Carry the sender's `src` slots of `var` into the receiver's
+    /// `dst` slots, written or (`add`) added.
+    fn carry(&mut self, var: VarId, src: Vec<u32>, dst: Vec<u32>, add: bool) {
+        let unpacks = if add { &mut self.adds } else { &mut self.sets };
+        unpacks.push(RecvUpdate { var, off: self.off, dst });
+        self.off += src.len() as u32;
+        self.gathers.push(Gather { var, idx: src });
     }
 }
 
 fn build_phase<const V: usize>(prog: &Program, d: &Decomposition<V>, ops: &[CommOp]) -> PhasePlan {
     let n = d.nparts;
     let mut ranks = vec![RankPhase::default(); n];
-    // Only the ordered pairs `(p, q)` that exchange anything.
-    let mut pairs: BTreeMap<(usize, usize), Pair> = BTreeMap::new();
+    // Only the ordered pairs `(p, q)` that exchange anything, one
+    // packet per round.
+    let mut pairs: BTreeMap<(usize, usize), [Pair; 2]> = BTreeMap::new();
     let (mut updates, mut assembles, mut reduces) = (0usize, 0usize, 0usize);
 
     for op in ops {
@@ -344,47 +312,23 @@ fn build_phase<const V: usize>(prog: &Program, d: &Decomposition<V>, ops: &[Comm
                 updates += 1;
                 let Some(schedule) = update_schedule(prog, d, *var) else { continue };
                 for m in &schedule.msgs {
-                    let pair = pairs.entry((m.from as usize, m.to as usize)).or_default();
-                    let (srcs, dst): (Vec<u32>, Vec<u32>) = m.pairs.iter().copied().unzip();
-                    pair.unpacks.push(RecvUpdate { var: *var, off: pair.off, dst });
-                    pair.gather(*var, srcs);
+                    let (srcs, dsts) = m.pairs.iter().copied().unzip();
+                    let pair = &mut pairs.entry((m.from as usize, m.to as usize)).or_default()[0];
+                    pair.carry(*var, srcs, dsts, false);
                 }
             }
             CommOp::AssembleShared { var } => {
                 assembles += 1;
-                // Partial packing order: for each (participant q →
-                // owner p) pair, group order, one value per
-                // participant entry. Both ends iterate the groups
-                // identically, so cursors line up.
-                let mut pack: BTreeMap<(usize, usize), Vec<u32>> = BTreeMap::new();
-                let mut own_groups = vec![Vec::new(); n];
-                for g in &d.node_assemble.groups {
-                    let owner = g[0].0 as usize;
-                    let mut terms = Vec::with_capacity(g.len());
-                    terms.push(Term::Own(g[0].1));
-                    let mut send_to = Vec::new();
-                    for &(q, l) in &g[1..] {
-                        let qu = q as usize;
-                        if qu == owner {
-                            terms.push(Term::Own(l));
-                        } else {
-                            let base = pairs.get(&(qu, owner)).map_or(0, |pair| pair.off);
-                            let packed = pack.entry((qu, owner)).or_default();
-                            terms.push(Term::Peer { peer: q, off: base + packed.len() as u32 });
-                            packed.push(l);
-                            send_to.push(q);
-                            // The participant's write-back of the total.
-                            pairs.entry((owner, qu)).or_default().backs.push((*var, l));
-                        }
-                    }
-                    let write = g[0].1;
-                    own_groups[owner].push(OwnGroup { terms, write, send_to });
-                }
-                for (at, idx) in pack {
-                    pairs.entry(at).or_default().gather(*var, idx);
-                }
-                for (rank, own_groups) in ranks.iter_mut().zip(own_groups) {
-                    rank.assembles.push(AssemblePlan { var: *var, own_groups });
+                // Round 1 reduces along the node schedule (each holder's
+                // partials added into its owner's copies), round 2
+                // broadcasts the totals back along it.
+                for m in &d.node_update.msgs {
+                    let (srcs, dsts): (Vec<u32>, Vec<u32>) = m.pairs.iter().copied().unzip();
+                    let (owner, holder) = (m.from as usize, m.to as usize);
+                    let partials = &mut pairs.entry((holder, owner)).or_default()[0];
+                    partials.carry(*var, dsts.clone(), srcs.clone(), true);
+                    let totals = &mut pairs.entry((owner, holder)).or_default()[1];
+                    totals.carry(*var, srcs, dsts, false);
                 }
             }
             CommOp::Reduce { var, op } => {
@@ -407,18 +351,18 @@ fn build_phase<const V: usize>(prog: &Program, d: &Decomposition<V>, ops: &[Comm
     // the schedule-derived stats.
     let mut per_proc_send = vec![0usize; n];
     let (mut stat, mut rounds) = (PhaseStat::default(), [false; 2]);
-    for ((p, q), pair) in pairs {
-        let (len1, len2) = (pair.off as usize, pair.backs.len());
-        if len1 > 0 {
-            let gathers = pair.gathers;
-            ranks[p].send1.push(Send1 { peer: q as u32, len: len1, gathers });
-            ranks[q].recv1.push(Recv1 { peer: p as u32, updates: pair.unpacks });
-        }
-        if len2 > 0 {
-            ranks[p].send2.push((q as u32, len2));
-            ranks[q].recv2.push((p as u32, pair.backs));
-        }
-        for (round, len) in [len1, len2].into_iter().enumerate().filter(|x| x.1 > 0) {
+    for ((p, q), packets) in pairs {
+        for (round, pair) in packets.into_iter().enumerate().filter(|x| x.1.off > 0) {
+            let len = pair.off as usize;
+            let send = Send1 { peer: q as u32, len, gathers: pair.gathers };
+            let recv = Recv1 { peer: p as u32, updates: pair.sets, adds: pair.adds };
+            if round == 0 {
+                ranks[p].send1.push(send);
+                ranks[q].recv1.push(recv);
+            } else {
+                ranks[p].send2.push(send);
+                ranks[q].recv2.push(recv);
+            }
             stat.messages += 1;
             stat.values += len;
             rounds[round] = true;
@@ -531,37 +475,37 @@ mod tests {
     fn send_and_recv_layouts_agree() {
         let (plan, _) = testiv_plan(Pattern::FIG2, 3);
         let ascending = |l: Vec<u32>, me| l.windows(2).all(|w| w[0] < w[1]) && !l.contains(&me);
+        let rounds = |rp: &RankPhase| [(rp.send1.clone(), rp.recv1.clone()), (rp.send2.clone(), rp.recv2.clone())];
+        let mut adds = 0;
         for ph in &plan.phases {
             for (p, rp) in ph.ranks.iter().enumerate() {
-                // Every list ascends strictly by peer and skips self.
                 let me = p as u32;
-                assert!(ascending(rp.send1.iter().map(|s| s.peer).collect(), me));
-                assert!(ascending(rp.recv1.iter().map(|r| r.peer).collect(), me));
-                assert!(ascending(rp.send2.iter().map(|s| s.0).collect(), me));
-                assert!(ascending(rp.recv2.iter().map(|r| r.0).collect(), me));
-                // Each round-1 packet packs what it declares; its
-                // receiver lists it and reads only in bounds.
-                for s in &rp.send1 {
-                    let sent: usize = s.gathers.iter().map(|g| g.idx.len()).sum();
-                    assert_eq!(sent, s.len);
-                    let rq = &ph.ranks[s.peer as usize];
-                    let from_p = rq.recv1.iter().find(|r| r.peer == me).unwrap();
-                    assert!(from_p.updates.iter().all(|u| u.off as usize + u.dst.len() <= sent));
-                    let groups = rq.assembles.iter().flat_map(|ap| &ap.own_groups);
-                    let mut terms = groups.flat_map(|g| &g.terms);
-                    assert!(terms.all(|t| !matches!(*t, Term::Peer { peer, off }
-                        if peer == me && off as usize >= sent)));
-                }
-                let senders = ph.ranks.iter().filter(|r| r.send1.iter().any(|s| s.peer == me));
-                assert_eq!(senders.count(), rp.recv1.len());
-                // Round 2: owner p's packet length to q matches q's
-                // write-back count from p.
-                for &(q, len) in &rp.send2 {
-                    let back = ph.ranks[q as usize].recv2.iter().find(|r| r.0 == me);
-                    assert_eq!(back.map(|r| r.1.len()), Some(len));
+                for (round, (sends, recvs)) in rounds(rp).into_iter().enumerate() {
+                    // Every list ascends strictly by peer and skips self.
+                    assert!(ascending(sends.iter().map(|s| s.peer).collect(), me));
+                    assert!(ascending(recvs.iter().map(|r| r.peer).collect(), me));
+                    // Each packet packs what it declares; its receiver
+                    // lists it in the same round and unpacks all of it,
+                    // in bounds; only round 1 adds.
+                    for s in &sends {
+                        let sent: usize = s.gathers.iter().map(|g| g.idx.len()).sum();
+                        assert_eq!(sent, s.len);
+                        let theirs = &rounds(&ph.ranks[s.peer as usize])[round].1;
+                        let from_p = theirs.iter().find(|r| r.peer == me).unwrap();
+                        let unpacks = || from_p.updates.iter().chain(&from_p.adds);
+                        assert_eq!(unpacks().map(|u| u.dst.len()).sum::<usize>(), sent);
+                        assert!(unpacks().all(|u| u.off as usize + u.dst.len() <= sent));
+                        assert!(round == 0 || from_p.adds.is_empty());
+                        adds += from_p.adds.len();
+                    }
+                    let senders = ph.ranks.iter().filter(|r| {
+                        rounds(r)[round].0.iter().any(|s| s.peer == me)
+                    });
+                    assert_eq!(senders.count(), recvs.len());
                 }
             }
         }
+        assert!(adds > 0, "TESTIV under node overlap assembles");
     }
 
     /// The ids of the statements of `stmts` that `pick` selects, time

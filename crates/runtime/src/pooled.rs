@@ -8,9 +8,10 @@
 //! ordered pair that talks (no copy) and recycled on a per-peer free
 //! list, all named by the plan's [`Wiring`]: a run derives no wiring.
 //! Each phase has a **post** half (pack + ship the round-1 packets)
-//! and a **complete** half (receive, scatter, assemble, tree-reduce,
-//! round 2, recycle). The only parameter is *when* the post half runs,
-//! and the [`Engine`] says it:
+//! and a **complete** half (receive and unpack round 1 — updates set,
+//! assembly partials add — tree-reduce, round 2, recycle); both rounds
+//! pack and unpack through one recipe shape. The only parameter is
+//! *when* the post half runs, and the [`Engine`] says it:
 //!
 //! * [`Engine::Batched`] posts **late**: it skips the tape's
 //!   [`Op::Post`]s and split marks, so a phase posts at its
@@ -29,8 +30,9 @@
 //!
 //! Posts an exit stranded are drained when their time loop is left.
 //! Early posting never changes a packed byte, and combine orders are
-//! those of the round-robin reference ([`crate::comm::tree_fold`],
-//! owner-first ascending-rank assembly), so both postings are **bitwise
+//! those of the round-robin reference ([`crate::comm::tree_fold`];
+//! an owned slot adds its holders' partials in ascending rank, as the
+//! round-1 receive list delivers them), so both postings are **bitwise
 //! identical** to [`crate::spmd`].
 
 use crate::bindings::Bindings;
@@ -38,7 +40,7 @@ use crate::comm::CommStats;
 use crate::exec::Machine;
 use crate::kernel::Kernel;
 use crate::overlap::{rank_splits, OverlapReport, RankSplit};
-use crate::plan::{CommPlan, Link, PhasePlan, Term, Wiring};
+use crate::plan::{CommPlan, Link, PhasePlan, Recv1, Send1, Wiring};
 use crate::pool::{Mailbox, SpmdPool};
 use crate::spmd::{build_machines, collect_results, SpmdResult};
 use crate::tape::{Cursor, Op};
@@ -195,19 +197,26 @@ struct RankProc {
 }
 
 impl RankProc {
+    /// Pack the packet `s` describes into a staging buffer for its
+    /// peer: the peer's slot and the buffer.
+    fn pack(&mut self, s: &Send1) -> (usize, Vec<f64>) {
+        let slot = self.net.slot(s.peer as usize);
+        let mut buf = self.net.acquire(slot);
+        buf.reserve(s.len);
+        for g in &s.gathers {
+            let arr = &self.m.arrays[g.var];
+            buf.extend(g.idx.iter().map(|&i| arr[i as usize]));
+        }
+        debug_assert_eq!(buf.len(), s.len);
+        (slot, buf)
+    }
+
     /// Post half: pack and ship one round-1 packet per peer. Safe to
     /// run as soon as every gathered value is final.
     fn post_phase(&mut self, idx: usize) {
         let plan = Arc::clone(&self.net.plan);
         for s in &plan.phases[idx].ranks[self.net.rank].send1 {
-            let slot = self.net.slot(s.peer as usize);
-            let mut buf = self.net.acquire(slot);
-            buf.reserve(s.len);
-            for g in &s.gathers {
-                let arr = &self.m.arrays[g.var];
-                buf.extend(g.idx.iter().map(|&i| arr[i as usize]));
-            }
-            debug_assert_eq!(buf.len(), s.len);
+            let (slot, buf) = self.pack(s);
             self.net.send_phase(slot, buf);
         }
         self.posted[idx] = true;
@@ -232,9 +241,9 @@ impl RankProc {
         );
     }
 
-    /// Complete half: (post now unless already posted,) receive round
-    /// 1, scatter updates, assemble, reduce up/down the tree, exchange
-    /// round-2 totals, recycle.
+    /// Complete half: (post now unless already posted,) receive and
+    /// unpack round 1, stage the assembled totals, reduce up/down the
+    /// tree, exchange round 2, recycle.
     async fn complete_phase(&mut self, idx: usize) {
         let plan = Arc::clone(&self.net.plan);
         let ph: &PhasePlan = &plan.phases[idx];
@@ -249,49 +258,22 @@ impl RankProc {
         if !self.posted[idx] {
             self.post_phase(idx);
         }
-        // Updates: scatter straight out of each wire buffer.
+        // Round 1: unpack straight out of each wire buffer. The list
+        // ascends by peer, so an owned slot adds its holders' partials
+        // by ascending rank after its own value.
         let mut bufs1 = std::mem::take(&mut self.bufs1);
         for r1 in &rp.recv1 {
             let slot = self.net.slot(r1.peer as usize);
             let buf = self.net.recv_from(slot).await;
-            for ru in &r1.updates {
-                let arr = &mut self.m.arrays[ru.var];
-                for (k, &dst) in ru.dst.iter().enumerate() {
-                    arr[dst as usize] = buf[ru.off as usize + k];
-                }
-            }
+            unpack(&mut self.m, r1, &buf);
             bufs1[slot] = Some(buf);
         }
 
-        // Assemblies: combine owned groups in the fixed order, write
-        // back, stage totals for round 2.
+        // Stage the assembled totals for round 2.
         let mut bufs2 = std::mem::take(&mut self.bufs2);
-        for &(q, len) in &rp.send2 {
-            let slot = self.net.slot(q as usize);
-            bufs2[slot] = self.net.acquire(slot);
-            bufs2[slot].reserve(len);
-        }
-        for ap in &rp.assembles {
-            for g in &ap.own_groups {
-                let mut terms = g.terms.iter();
-                let mut total = match terms.next().expect("non-empty group") {
-                    Term::Own(l) => self.m.arrays[ap.var][*l as usize],
-                    Term::Peer { .. } => unreachable!("owner term first"),
-                };
-                for t in terms {
-                    total += match t {
-                        Term::Own(l) => self.m.arrays[ap.var][*l as usize],
-                        Term::Peer { peer, off } => {
-                            let slot = self.net.slot(*peer as usize);
-                            bufs1[slot].as_ref().expect("peer packet")[*off as usize]
-                        }
-                    };
-                }
-                self.m.arrays[ap.var][g.write as usize] = total;
-                for &q in &g.send_to {
-                    bufs2[self.net.slot(q as usize)].push(total);
-                }
-            }
+        for s in &rp.send2 {
+            let (slot, buf) = self.pack(s);
+            bufs2[slot] = buf;
         }
 
         // Reductions: combine partials up the plan's binomial tree and
@@ -334,24 +316,22 @@ impl RankProc {
             self.accs = accs;
         }
 
-        // Round 2: totals owner → participants.
-        for &(q, len) in &rp.send2 {
-            let slot = self.net.slot(q as usize);
+        // Round 2: totals owner → copies.
+        for s in &rp.send2 {
+            let slot = self.net.slot(s.peer as usize);
             let buf = std::mem::take(&mut bufs2[slot]);
-            debug_assert_eq!(buf.len(), len);
             self.net.send_phase(slot, buf);
         }
         self.bufs2 = bufs2;
-        for (r, slots) in &rp.recv2 {
-            let from = self.net.slot(*r as usize);
-            let buf = self.net.recv_from(from).await;
-            for (&(var, slot), &v) in slots.iter().zip(&buf) {
-                self.m.arrays[var][slot as usize] = v;
-            }
-            self.net.give_back(from, buf);
+        for r2 in &rp.recv2 {
+            let slot = self.net.slot(r2.peer as usize);
+            let buf = self.net.recv_from(slot).await;
+            unpack(&mut self.m, r2, &buf);
+            self.net.give_back(slot, buf);
         }
 
-        // Recycle the round-1 staging buffers.
+        // Recycle the round-1 staging buffers last, after round 2: their
+        // release order is part of the recorded happens-before log.
         for (slot, buf) in bufs1.iter_mut().enumerate() {
             if let Some(buf) = buf.take() {
                 self.net.give_back(slot, buf);
@@ -508,6 +488,23 @@ impl RankProc {
             }
         }
         self.iterations = cur.iterations;
+    }
+}
+
+/// Unpack a received packet into `m` by its recipe `r`: the updates
+/// write, the adds add.
+fn unpack(m: &mut Machine, r: &Recv1, buf: &[f64]) {
+    for ru in &r.updates {
+        let arr = &mut m.arrays[ru.var];
+        for (k, &dst) in ru.dst.iter().enumerate() {
+            arr[dst as usize] = buf[ru.off as usize + k];
+        }
+    }
+    for ru in &r.adds {
+        let arr = &mut m.arrays[ru.var];
+        for (k, &dst) in ru.dst.iter().enumerate() {
+            arr[dst as usize] += buf[ru.off as usize + k];
+        }
     }
 }
 

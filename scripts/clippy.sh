@@ -1,114 +1,36 @@
 #!/usr/bin/env sh
-# Lint gate: the whole workspace (all targets: libs, bins, tests,
-# examples) must be clippy-clean with warnings denied, the
-# rustdoc build must be warning-free (crates/core, crates/obs,
-# crates/analyze, crates/runtime and crates/server additionally deny
-# missing_docs at compile time), the compiled kernel must pass its
-# source-level hot-path gate and bitwise differential suite
-# (`cargo test --test kernel`, in debug and in release, where the
-# strip loops are optimised and auto-vectorised as benchmark/ measures
-# them: no HashMap / HashSet / .expect( /
-# .unwrap( / Box< / unsafe in crates/runtime/src/kernel.rs, lowered
-# results to_bits()-equal to the test-only tree walker), the
-# million-element decomposition smoke must pass in release (the one
-# test at 10^6 elements, ignored by a plain `cargo test`: the
-# decomp_equivalence suite's `--ignored` test, P = 128), the placement
-# ranking must agree with its test-only per-mapping oracle
-# (`ranking_matches_per_mapping_oracle`: same fingerprints in the same
-# order, same representative mapping, cost and pruned count on every
-# placing program x automaton pair) and its deduping search must be
-# `enumerate` with repeats dropped (`distinct_search_is_enumerate_deduped`:
-# the first mapping of each signature, in order, equal statistics, and
-# one key per signature), the placement
-# crate must stay single-threaded and the one search the default (no
-# thread:: / Mutex / Condvar / Atomic in crates/placement/src/, no
-# `collapse_deterministic: true` override in any .rs file), the rank
-# processes must stay tasks (no mpsc / thread:: / .recv() / Barrier in
-# crates/runtime/src/pooled.rs: P ranks run on the W =
-# available_parallelism workers of runtime/src/pool.rs, from one
-# receive that has to wait to the next, and a rank cannot park a thread
-# if it cannot name one), the engines and the model checker must read only the
-# schedule tape (no `Stmt::` in runtime/src/{spmd,pooled,overlap}.rs or
-# analyze/src/mc.rs, no `Box::pin` in pooled.rs), a CommPlan must list
-# only the peers a rank talks to and leave phase placement to the tape
-# (no send1_len / has_recv1 / send2_len / PackItem / plan.before /
-# plan.at_end under crates tests examples suite, and no
-# `for … in 0..self.nparts` loop in pooled.rs), a run must derive no
-# wiring (no sort_unstable / dedup / BTreeMap / reduce_tree_parent /
-# reduce_tree_children in crates/runtime/src/pooled.rs: the CommPlan's
-# `Wiring`, built once with the plan, names the pairs, the links, their
-# staging caps and the one binomial tree), the decomposition must be
-# the one place that answers by entity kind, an update schedule a list
-# of messages and the pooled wire only the pairs that talk (no
-# `Vec<Vec<Vec<` and no `nparts * nparts` under
-# crates/{overlap,runtime,inspector}/src: pooled.rs opens a mailbox per
-# ordered pair the plan's wiring names and keeps free lists per link
-# slot; no
-# GhostSchedule and no scatter_/gather_{node,elem,edge}_array under
-# crates tests examples suite), the recorder sinks must stay four (the
-# top-level `impl Recorder for` set under crates/ is MetricsRegistry,
-# TimelineRecorder, HbRecorder, FanoutRecorder — one aggregate, and a
-# new sink is a design change, not an addition), the engine identity
-# must stay one (`syncplace_runtime::Engine` is the only enum that names
-# an engine and `Engine::run` / `run_with` the only way to run one: no
-# `enum Posting|EngineKind|Wire` and no `pub fn run_spmd*` under
-# crates/ — the pooled core, the α/β model, the model checker and the
-# protocol all match on `Engine`), the mesh must number its edges once,
-# on first read (`Mesh::edges`, the generic mesh behind `Mesh2d` and
-# `Mesh3d`, is the one edge numbering every reader shares, and `dual_from_facets`
-# builds the element dual graph: no `Connectivity2d|3d` or
-# `fn connectivity` bundle under crates tests examples suite), no reader
-# may number edges again (`edges_first_seen(` appears only under
-# crates/mesh/src, where `Mesh::edges` calls it), every per-id table
-# must be an `IdVec` (the one per-id table, in syncplace_ir: no HashMap
-# / HashSet keyed by a VarId or StmtId under crates/*/src, and none at
-# all in crates/runtime/src or crates/codegen/src), a Decomposition
-# must have one assembly site (`Decomposition {` under crates/ only in
-# overlap/src/build.rs, whose `finish` both builders call), a hot
-# daemon request must only execute
-# (the body of `fn run_admitted` in crates/server/src/service.rs names
-# none of resolve_program, to_dsl, automaton_for, Bindings::for_mesh,
-# synth_inputs, tape::work or Kernel::lower: that work is the cache
-# builders' — `place`, `compile_plan`, the text memo's `key_placement`
-# — and runs once per miss), a placement search step and a completion
-# whose signature was seen must allocate nothing (the bodies of `fn go`,
-# `fn next_unassigned`, `fn set_arrow` and `fn set_field` in
-# crates/placement/src/search.rs name no Vec::new / vec! / .collect( /
-# .to_vec(: the tables are built once in `Search::seeded`, a step reuses
-# the search's stacks, only a new signature is stored), a search visit
-# must look its transitions up (the bodies of `fn go`, `fn forced_step`
-# and `fn run` in that file name no partition_point / binary_search / from_on: they read the
-# `(state, class)` run table `Search::seeded` built), ranking must
-# format nothing per placement (the body of `fn rank` in
-# crates/placement/src/lib.rs names no
-# `.fingerprint()` and no `format!`: fingerprints are assembled from
-# pieces the extractor formats once), the experiments must read no clock
-# (crates/bench/src/experiments.rs names no `Instant` and no `elapsed(`:
-# `reproduce` prints counts, identities, modeled figures and verdicts,
-# so its tables reproduce byte for byte; wall clock is benchmark/'s),
-# the workspace must
-# stay free of `unsafe` (the keyword opens no block, fn, impl, trait or
-# extern under crates suite tests examples), the docs must cite no
-# ROADMAP item by number outside ROADMAP.md / CHANGES.md (re-anchors
-# renumber the items, so a number goes stale; say the reason), the repo's
-# own static analysis (`reproduce lint` — independent placement
-# verifier, CommPlan schedule audit, IR lints) must report no
-# error-severity diagnostics,
-# the E21 profiler must complete a quick run end to end (writing its
-# artifacts in a scratch dir), and every `reproduce` subcommand that
-# judges what it just computed must exit 0 at --quick scale:
-# bench-runtime (coalescing never sends more messages than the per-op
-# wire), serve-bench (the telemetry-on and telemetry-off daemons of
-# the telemetry-cost pair both serve every request and stop cleanly),
-# bench-large ("ci" preset: small meshes, P in {4,8}, same code
-# paths — the bitwise
-# parallel-vs-sequential check runs for real) and racecheck (schedule
-# model checking of both pooled engines at P <= 3, happens-before replay
-# of real recorded runs, both mutation suites: every seeded defect
-# caught, zero false positives). Last, a live `syncplace-serve` daemon
-# must answer `stats` with a well-formed metric exposition. Nothing
-# here is gated on a clock: wall-clock regressions are
-# `benchmark/run.sh`'s.
+# Lint gate. Every gate below must pass; none is gated on a clock
+# (wall-clock regressions are benchmark/run.sh's). One line per gate:
+# - rustdoc: the workspace docs build with warnings denied (core, obs, analyze, runtime and server also deny missing_docs).
+# - clippy: the whole workspace, all targets (libs, bins, tests, examples), with warnings denied.
+# - kernel: `cargo test --test kernel` in debug and release: no HashMap / HashSet / .expect( / .unwrap( / Box< / unsafe in runtime/src/kernel.rs, results to_bits()-equal to the test-only tree walker.
+# - million-element smoke: decomp_equivalence's `--ignored` test (10^6 elements, P = 128) passes in release.
+# - ranking oracle: `ranking_matches_per_mapping_oracle` (same fingerprints, order, representative, cost and pruned count).
+# - dedupe: `distinct_search_is_enumerate_deduped` (the deduping search is `enumerate` with repeats dropped).
+# - placement: crates/placement/src names no thread:: / Mutex / Condvar / Atomic, and no .rs file sets `collapse_deterministic: true`.
+# - rank task: crates/runtime/src/pooled.rs names no mpsc / thread:: / .recv() / Barrier (ranks are tasks on the W-worker pool).
+# - tape: no `Stmt::` in runtime/src/{spmd,pooled,overlap}.rs or analyze/src/mc.rs, no `Box::pin` in pooled.rs.
+# - peer list: no send1_len / has_recv1 / send2_len / PackItem / plan.before / plan.at_end under crates tests examples suite, no `for … in 0..self.nparts` in pooled.rs.
+# - wiring: pooled.rs names no sort_unstable / dedup / BTreeMap / reduce_tree_parent / reduce_tree_children (the CommPlan's Wiring is built once with the plan).
+# - schedule: no `Vec<Vec<Vec<` or `nparts * nparts` under crates/{overlap,runtime,inspector}/src; no GhostSchedule or scatter_/gather_{node,elem,edge}_array under crates tests examples suite.
+# - assembly: no AssembleSchedule / node_assemble / OwnGroup / own_groups / `Term::` under crates tests examples suite (an assembly reduces and broadcasts along the node copy schedule).
+# - obs: the top-level `impl Recorder for` set under crates/ is exactly MetricsRegistry, TimelineRecorder, HbRecorder, FanoutRecorder.
+# - engine: no `enum Posting|EngineKind|Wire` and no `pub fn run_spmd` under crates/ (Engine and Engine::run / run_with are the one identity and entry).
+# - mesh: no `Connectivity2d|3d`, `.connectivity()` or `fn connectivity` under crates tests examples suite (the mesh numbers its edges once, on first read).
+# - edge numbering: `edges_first_seen(` appears only under crates/mesh/src.
+# - id: no HashMap / HashSet keyed by a VarId or StmtId under crates/*/src, none at all in crates/runtime/src or crates/codegen/src.
+# - decomposition: `Decomposition {` under crates/ only in overlap/src/build.rs, whose `finish` both builders call.
+# - hot path: the body of `fn run_admitted` in server/src/service.rs names no resolve_program / to_dsl / automaton_for / Bindings::for_mesh / synth_inputs / tape::work / Kernel::lower.
+# - search: the bodies of `fn go`, `fn next_unassigned`, `fn set_arrow` and `fn set_field` in placement/src/search.rs name no Vec::new / vec! / .collect( / .to_vec(.
+# - visit: the bodies of `fn go`, `fn forced_step` and `fn run` there name no partition_point / binary_search / from_on.
+# - rank: the body of `fn rank` in placement/src/lib.rs names no `.fingerprint()` and no `format!`.
+# - clock: bench/src/experiments.rs names no `Instant` and no `elapsed(`.
+# - unsafe: the keyword opens no block, fn, impl, trait or extern under crates suite tests examples.
+# - citation: no tracked .md outside ROADMAP.md, CHANGES.md and benchmark/ cites a ROADMAP item by number.
+# - lint: `reproduce lint --quick` (placement verifier, CommPlan audit, IR lints) reports no error.
+# - profile: `reproduce profile --quick` completes, writing its artifacts in a scratch dir.
+# - self-judging experiments: bench-runtime, serve-bench, bench-large and racecheck exit 0 at --quick.
+# - serve smoke: a live syncplace-serve daemon answers `stats` with a well-formed exposition that counted the request.
 set -eu
 cd "$(dirname "$0")/.."
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
@@ -151,6 +73,11 @@ if grep -rnE --include='*.rs' 'Vec<Vec<Vec<|nparts \* nparts' \
     || grep -rnE --include='*.rs' '\bGhostSchedule\b|\b(scatter|gather)_(node|elem|edge)_array\b' \
     crates tests examples suite; then
     echo "schedule gate: an update schedule is a list of messages, readers ask the Decomposition by kind and the wire has only the pairs that talk — no P x P tables, no second schedule type, no per-kind scatter/gather"
+    exit 1
+fi
+if grep -rnE --include='*.rs' '\b(AssembleSchedule|node_assemble|OwnGroup|own_groups)\b|\bTerm::' \
+    crates tests examples suite; then
+    echo "assembly gate: a node-overlap assembly reduces along the node copy schedule and broadcasts back — no group schedule, no group recipes"
     exit 1
 fi
 recorders="$(grep -rhoE --include='*.rs' '^impl[^{]*\bRecorder for [A-Za-z]+' crates | sed 's/.* for //' | sort | tr '\n' ' ')"

@@ -10,6 +10,8 @@ use syncplace::placement::Mapping;
 use syncplace::prelude::*;
 use syncplace::runtime::plan::{CommPlan, Recv1};
 use syncplace::runtime::tape::Op;
+use syncplace::ir::VarId;
+use std::collections::BTreeSet;
 use syncplace_bench::setup;
 
 /// A valid TESTIV mapping under fig. 6 to corrupt.
@@ -224,28 +226,38 @@ fn sa021_duplicate_unpack_slot() {
     assert_audit_fires(&f, &plan, codes::WRITE_RACE);
 }
 
+/// TESTIV placed under fig. 7 on a node-overlap decomposition: the
+/// fixture whose phases assemble.
+fn fig2_plan_fixture(nparts: usize) -> PlanFixture {
+    let s = setup::testiv(6, 1e-9, &fig7());
+    let (d, spmd) = setup::decompose(&s, nparts, Pattern::FIG2, 0);
+    let plan = CommPlan::build(&s.prog, &spmd, &d);
+    (s.prog.clone(), s.analysis.solutions[0].clone(), spmd, plan)
+}
+
 #[test]
 fn sa022_not_owner_first() {
-    let s = setup::testiv(6, 1e-9, &fig7());
-    let (d, spmd) = setup::decompose(&s, 3, Pattern::FIG2, 0);
-    let mut plan = syncplace::runtime::plan::CommPlan::build(&s.prog, &spmd, &d);
+    // Swap two round-1 receives of one rank that add into a common
+    // owned slot: the holders' partials would combine out of rank order.
+    let f = fig2_plan_fixture(3);
+    let mut plan = f.3.clone();
+    let slots = |r1: &Recv1| -> BTreeSet<(VarId, u32)> {
+        r1.adds.iter().flat_map(|a| a.dst.iter().map(move |&s| (a.var, s))).collect()
+    };
     let mut hit = false;
-    'outer: for ph in &mut plan.phases {
-        for rp in &mut ph.ranks {
-            for ap in &mut rp.assembles {
-                for g in &mut ap.own_groups {
-                    if g.terms.len() >= 2 {
-                        g.terms.reverse();
-                        hit = true;
-                        break 'outer;
-                    }
+    'outer: for rp in plan.phases.iter_mut().flat_map(|ph| &mut ph.ranks) {
+        for i in 0..rp.recv1.len() {
+            for j in i + 1..rp.recv1.len() {
+                if !slots(&rp.recv1[i]).is_disjoint(&slots(&rp.recv1[j])) {
+                    rp.recv1.swap(i, j);
+                    hit = true;
+                    break 'outer;
                 }
             }
         }
     }
-    assert!(hit, "node-overlap decomposition has shared assembly groups");
-    let rep = analyze::audit(&s.prog, &s.analysis.solutions[0], &spmd, &plan);
-    assert!(rep.has_code(codes::OWNER_FIRST), "got {:?}:\n{rep}", rep.codes());
+    assert!(hit, "a node shared by three parts");
+    assert_audit_fires_only(&f, &plan, codes::OWNER_FIRST);
 }
 
 #[test]
@@ -334,7 +346,8 @@ fn sa025_receiver_lists_a_silent_peer() {
     let rq = plan.phases.iter_mut().map(|ph| &mut ph.ranks[0].recv1).find(|l| !l.is_empty());
     let rq = rq.unwrap();
     let peer = (1..4u32).find(|p| rq.iter().all(|r1| r1.peer != *p)).expect("a silent peer");
-    rq.insert(rq.partition_point(|r1| r1.peer < peer), Recv1 { peer, updates: Vec::new() });
+    let silent = Recv1 { peer, updates: Vec::new(), adds: Vec::new() };
+    rq.insert(rq.partition_point(|r1| r1.peer < peer), silent);
     assert_audit_fires_only(&f, &plan, codes::PACKET_LENGTH);
 }
 
@@ -362,6 +375,17 @@ fn sa026_packet_gap() {
         }
     }
     assert_audit_fires(&f, &plan, codes::PACKET_COVERAGE);
+}
+
+#[test]
+fn sa026_round_two_unpack_shifted() {
+    // Move a round-2 write-back one value along its packet: the
+    // receiver skips the first total and reads past the last.
+    let f = fig2_plan_fixture(3);
+    let mut plan = f.3.clone();
+    let r2 = plan.phases.iter_mut().flat_map(|ph| &mut ph.ranks).find_map(|rp| rp.recv2.first_mut());
+    r2.expect("node overlap sends totals back").updates[0].off += 1;
+    assert_audit_fires_only(&f, &plan, codes::PACKET_COVERAGE);
 }
 
 // ---------------------------------------------------------------------------

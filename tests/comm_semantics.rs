@@ -2,6 +2,7 @@
 //! correctness argument rests on (§2.3), exercised through the whole
 //! stack rather than the reference implementations.
 
+use syncplace::overlap::Decomposition;
 use syncplace::prelude::*;
 use syncplace_bench::setup;
 
@@ -163,4 +164,193 @@ fn fig2_assembly_not_idempotent() {
     let once = locals.clone();
     syncplace::overlap::check::apply_assemble(&d, &mut locals);
     assert_ne!(once, locals, "double assembly must double shared values");
+}
+
+
+/// The node-overlap assembly groups, derived only from each sub-mesh's
+/// local → global node list and the node owners: every global node held
+/// by at least two parts, as its `(part, local)` copies, owner first,
+/// then by ascending part.
+fn oracle_groups<const V: usize>(d: &Decomposition<V>) -> Vec<Vec<(usize, usize)>> {
+    let mut held = vec![Vec::new(); d.nnodes_global];
+    for s in &d.submeshes {
+        for (l, &g) in s.nodes_l2g.iter().enumerate() {
+            held[g as usize].push((s.part as usize, l));
+        }
+    }
+    let mut groups = Vec::new();
+    for (g, mut copies) in held.into_iter().enumerate() {
+        if copies.len() >= 2 {
+            let owner = d.node_owner[g] as usize;
+            copies.sort_by_key(|&(q, _)| (q != owner, q));
+            groups.push(copies);
+        }
+    }
+    groups
+}
+
+/// Assemble per-part arrays group by group: the total starts from the
+/// owner's copy and adds the others in group order, then is written to
+/// every copy.
+fn oracle_assemble(groups: &[Vec<(usize, usize)>], locals: &mut [Vec<f64>]) {
+    for g in groups {
+        let mut total = locals[g[0].0][g[0].1];
+        for &(p, l) in &g[1..] {
+            total += locals[p][l];
+        }
+        for &(p, l) in g {
+            locals[p][l] = total;
+        }
+    }
+}
+
+fn assert_bits_eq(tag: &str, want: &[Vec<f64>], got: &[Vec<f64>]) {
+    let bits = |a: &[Vec<f64>]| -> Vec<Vec<u64>> {
+        a.iter().map(|v| v.iter().map(|x| x.to_bits()).collect()).collect()
+    };
+    assert_eq!(bits(want), bits(got), "{tag}");
+}
+
+/// The reference assembly (`check::apply_assemble`, which runs the node
+/// schedule) equals, bit for bit, an oracle that reads no schedule, on
+/// random local arrays of node-overlap decompositions.
+#[test]
+fn node_overlap_assembly_matches_a_schedule_free_oracle() {
+    let mut rng = syncplace::mesh::rng::SmallRng::seed_from_u64(50);
+    let mesh = gen2d::perturbed_grid(17, 13, 0.2, 8);
+    let box3 = gen3d::box_mesh(4, 4, 4);
+    for np in [2, 3, 5, 8] {
+        let part = partition2d(&mesh, np, Method::RcbKl);
+        let d2 = decompose2d(&mesh, &part.part, np, Pattern::FIG2);
+        let part = partition3d(&box3, np, Method::Rcb);
+        let d3 = decompose3d(&box3, &part.part, np, Pattern::FIG2);
+        let mut random = |nnodes: Vec<usize>| -> Vec<Vec<f64>> {
+            let mut value = || rng.range_f64(-1.0, 1.0) * 10f64.powi((rng.next_u64() % 9) as i32 - 4);
+            nnodes.into_iter().map(|n| (0..n).map(|_| value()).collect()).collect()
+        };
+        let l2 = random(d2.submeshes.iter().map(|s| s.nnodes()).collect());
+        let l3 = random(d3.submeshes.iter().map(|s| s.nnodes()).collect());
+        let (g2, g3) = (oracle_groups(&d2), oracle_groups(&d3));
+        assert!(g2.iter().chain(&g3).any(|g| g.len() >= 3) || np == 2, "P = {np}: a node on three parts");
+        for (tag, groups, locals) in [("2-D", &g2, &l2), ("3-D", &g3, &l3)] {
+            let mut want = locals.clone();
+            oracle_assemble(groups, &mut want);
+            let mut got = locals.clone();
+            if tag == "2-D" {
+                syncplace::overlap::check::apply_assemble(&d2, &mut got);
+            } else {
+                syncplace::overlap::check::apply_assemble(&d3, &mut got);
+            }
+            assert_bits_eq(&format!("{tag} P = {np}"), &want, &got);
+        }
+    }
+}
+
+/// Run a placed program rank by rank as the round-robin engine does,
+/// but assemble through the schedule-free oracle: the tape and kernel
+/// come from the plan, reductions from the reference tree.
+fn oracle_run<const V: usize>(
+    prog: &Program,
+    spmd: &syncplace::codegen::SpmdProgram,
+    d: &Decomposition<V>,
+    b: &syncplace::runtime::Bindings,
+) -> syncplace::runtime::SpmdResult {
+    use syncplace::codegen::CommOp;
+    use syncplace::runtime::tape::{Cursor, Op};
+    let plan = syncplace::runtime::CommPlan::build(prog, spmd, d);
+    let kernel = plan.kernel.clone().unwrap();
+    let phases = spmd.phases();
+    let groups = oracle_groups(d);
+    let mut ms = syncplace::runtime::spmd::build_machines(prog, d, b).unwrap();
+    let mut cur = Cursor::new(plan.ops().unwrap());
+    while let Some(op) = cur.next() {
+        match *op {
+            Op::Assign(id) => {
+                for m in &mut ms {
+                    m.exec_stmt(&kernel, id);
+                }
+            }
+            Op::Loop { id, entity, domain, .. } => {
+                for m in &mut ms {
+                    let (n, k) = (m.domain_count(entity, domain), m.kernel_count(entity));
+                    m.exec_loop(&kernel, id, n, k);
+                }
+            }
+            Op::Complete(k) => {
+                for op in phases[k].1 {
+                    match *op {
+                        CommOp::AssembleShared { var } => {
+                            let mut locals: Vec<Vec<f64>> =
+                                ms.iter_mut().map(|m| std::mem::take(&mut m.arrays[var])).collect();
+                            oracle_assemble(&groups, &mut locals);
+                            for (m, local) in ms.iter_mut().zip(locals) {
+                                m.arrays[var] = local;
+                            }
+                        }
+                        CommOp::Reduce { var, op } => {
+                            syncplace::runtime::comm::apply_reduce(&mut ms, var, op, &None);
+                        }
+                        CommOp::UpdateOverlap { .. } => panic!("node overlap places no update"),
+                    }
+                }
+            }
+            Op::Exit { id, to, .. } => {
+                let decisions: Vec<bool> = ms.iter_mut().map(|m| m.exec_stmt(&kernel, id)).collect();
+                if decisions[0] {
+                    cur.exit(to);
+                }
+            }
+            Op::Post(_) | Op::Head { .. } | Op::Tail { .. } => {}
+        }
+    }
+    let (stats, overlap) = Default::default();
+    syncplace::runtime::spmd::collect_results(prog, d, ms, stats, cur.iterations, overlap)
+}
+
+fn assert_runs_bitwise(tag: &str, want: &syncplace::runtime::SpmdResult, got: &syncplace::runtime::SpmdResult) {
+    assert_eq!(want.iterations, got.iterations, "{tag}: iterations");
+    for (v, a) in want.output_arrays.iter() {
+        assert_bits_eq(tag, std::slice::from_ref(a), std::slice::from_ref(&got.output_arrays[v]));
+    }
+    for (v, x) in want.output_scalars.iter() {
+        assert_eq!(x.to_bits(), got.output_scalars[v].to_bits(), "{tag}: scalar v{v}");
+    }
+}
+
+/// Every engine's node-overlap run is bit for bit the oracle-assembled
+/// run: TESTIV under fig. 7, and the 3-D heat program under the 3-D
+/// node-overlap automaton.
+#[test]
+fn node_overlap_engines_match_the_oracle_run() {
+    let assembles = |spmd: &syncplace::codegen::SpmdProgram| {
+        let mut ops = spmd.phases().into_iter().flat_map(|p| p.1);
+        ops.any(|op| matches!(op, syncplace::codegen::CommOp::AssembleShared { .. }))
+    };
+    let s = setup::testiv(9, 1e-9, &fig7());
+    for np in [2, 3, 5, 8] {
+        let (d, spmd) = setup::decompose(&s, np, Pattern::FIG2, 0);
+        assert!(assembles(&spmd));
+        let want = oracle_run(&s.prog, &spmd, &d, &s.bindings);
+        for engine in Engine::ALL {
+            let got = engine.run(&s.prog, &spmd, &d, &s.bindings).unwrap();
+            assert_runs_bitwise(&format!("TESTIV P = {np} {engine:?}"), &want, &got);
+        }
+    }
+    let prog = syncplace::ir::programs::tet_heat(20);
+    let mesh = gen3d::box_mesh(4, 4, 4);
+    let bindings = syncplace::runtime::bindings::tet_heat_bindings(&prog, &mesh, 1e-8);
+    let automaton = syncplace::automata::predefined::node_overlap(3);
+    let (dfg, analysis) = analyze_program(&prog, &automaton, &SearchOptions::default(), &CostParams::default());
+    assert!(analysis.legality.is_legal() && !analysis.solutions.is_empty(), "tet_heat places under node overlap");
+    let spmd = syncplace::codegen::spmd_program(&prog, &dfg, &analysis.solutions[0]);
+    assert!(assembles(&spmd));
+    for np in [2, 3, 5] {
+        let part = partition3d(&mesh, np, Method::Rcb);
+        let d = decompose3d(&mesh, &part.part, np, Pattern::FIG2);
+        let want = oracle_run(&prog, &spmd, &d, &bindings);
+        for engine in Engine::ALL {
+            let got = engine.run(&prog, &spmd, &d, &bindings).unwrap();
+            assert_runs_bitwise(&format!("tet_heat P = {np} {engine:?}"), &want, &got);
+        }
+    }
 }

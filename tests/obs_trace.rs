@@ -53,8 +53,7 @@ fn expected_pair_packets(plan: &CommPlan, iters: usize) -> Vec<Vec<u64>> {
     let mut expected = vec![vec![0u64; p]; p];
     for (ph, &mult) in plan.phases.iter().zip(&phase_mult) {
         for (from, rp) in ph.ranks.iter().enumerate() {
-            let mut to: Vec<u32> = rp.send1.iter().map(|s| s.peer).collect();
-            to.extend(rp.send2.iter().map(|s| s.0));
+            let mut to: Vec<u32> = rp.send1.iter().chain(&rp.send2).map(|s| s.peer).collect();
             // Reducing phases add one packet per edge of the plan's
             // binomial tree per direction (partial up, total down).
             if !rp.reduces.is_empty() {

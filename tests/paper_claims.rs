@@ -104,8 +104,9 @@ fn claim_pattern_tradeoff() {
     // one value per copy — but over a wider set of copies (the ring
     // brought in by the duplicated elements).
     let d1_copies = d1.node_update.total_values(); // 1 value per copy
-    let d2_copies: usize = d2.node_assemble.groups.iter().map(|g| g.len() - 1).sum();
-    assert_eq!(d2.node_assemble.total_values(), 2 * d2_copies);
+    let d2_copies = d2.node_update.total_values(); // 2 values per copy
+    let slots: usize = d2.submeshes.iter().map(|s| s.nnodes()).sum();
+    assert_eq!(d2_copies, slots - d2.nnodes_global);
     assert!(d1_copies > d2_copies, "{d1_copies} !> {d2_copies}");
 }
 

@@ -56,9 +56,6 @@ fn fingerprint<const V: usize>(p: &Partition, edges: &[[u32; 2]], d: &Decomposit
             h.flat(&m.pairs.iter().map(|&(a, b)| [a, b]).collect::<Vec<_>>());
         }
     }
-    for g in &d.node_assemble.groups {
-        h.flat(&g.iter().map(|&(a, b)| [a, b]).collect::<Vec<_>>());
-    }
     h.0
 }
 
@@ -69,6 +66,16 @@ fn partition_and_decomposition_2d_are_pinned() {
     let d = decompose2d(&mesh, &p.part, 7, Pattern::FIG1);
     let fp = fingerprint(&p, &mesh.edges().keys, &d);
     assert_eq!(fp, 15_208_330_041_142_541_043, "2-D fingerprint");
+}
+
+#[test]
+fn node_overlap_decomposition_2d_is_pinned() {
+    // Fig. 2 assembles along the node schedule: this pins it.
+    let mesh = gen2d::perturbed_grid(40, 40, 0.2, 3);
+    let p = partition2d(&mesh, 7, Method::RcbKl);
+    let d = decompose2d(&mesh, &p.part, 7, Pattern::FIG2);
+    let fp = fingerprint(&p, &mesh.edges().keys, &d);
+    assert_eq!(fp, 11_280_485_998_088_202_123, "2-D node-overlap fingerprint");
 }
 
 #[test]

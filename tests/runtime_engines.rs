@@ -4,8 +4,8 @@
 //! every built-in workload at P ∈ {1, 2, 4, 8}.
 //!
 //! Bitwise — not approximately — because the engines fix the same
-//! combine orders everywhere: assembly groups fold owner-first then
-//! ascending participant, reductions combine up the shared binomial
+//! combine orders everywhere: an assembled slot folds owner-first then
+//! ascending rank, reductions combine up the shared binomial
 //! tree in `comm::tree_fold` order. Any drift here is a bug, not
 //! rounding.
 
