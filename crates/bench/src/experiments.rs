@@ -949,16 +949,16 @@ struct EngineRow {
 
 /// Run every engine on one decomposition and drive each through the
 /// α/β model as itself ([`syncplace::runtime::estimate_engine`]): the
-/// round-robin reference serializes reductions into ascending-rank
+/// round-robin engine serializes reductions into ascending-rank
 /// chains, the concurrent engines run the binomial tree, and the
 /// overlapped engine's result additionally discounts each phase by the
 /// compute it provably kept in flight
 /// ([`syncplace::runtime::OverlapReport`]). The modeled columns are
 /// deterministic — computed from schedule-derived counters, not clocks.
 ///
-/// Coalescing must never send *more* messages than the per-op wire it
-/// replaces (the fixed P=8 packet regression); a violation is pushed
-/// onto `faults`.
+/// A pooled engine must never send *more* messages than round-robin,
+/// which runs the same plan (the fixed P=8 packet regression); a
+/// violation is pushed onto `faults`.
 fn engine_rows(
     s: &setup::TestivSetup,
     seq: &syncplace::runtime::SeqResult,
@@ -1033,7 +1033,7 @@ fn engine_table(rows: &[EngineRow]) -> String {
 /// messages, values and phases each one counted, the α/β model's
 /// speedups (see `engine_rows`) — and the packet accounting of the
 /// batched wire format. Returns the report and `false` when a batched
-/// engine sent more messages than the round-robin reference.
+/// engine sent more messages than round-robin.
 ///
 /// Every figure is computed, none is clocked, so the report is
 /// reproducible byte for byte: the engines' wall clock is

@@ -27,7 +27,7 @@
 
 use std::collections::HashSet;
 use syncplace_ir::{Access, EntityKind, IdVec, LoopStmt, Program, Stmt, VarId, VarKind};
-use syncplace_overlap::{Decomposition, UpdateSchedule};
+use syncplace_overlap::{check, Decomposition, UpdateSchedule};
 use syncplace_runtime::bindings::Bindings;
 use syncplace_runtime::comm::{self, CommStats, PhaseContribution, PhaseStat};
 use syncplace_runtime::spmd::{build_machines, collect_results, SpmdResult};
@@ -227,6 +227,37 @@ pub fn run_inspector_executor<const V: usize>(
     })
 }
 
+/// The accounting of one round of messages along `schedule`, each one
+/// sent by `sender(owner, holder)`.
+fn schedule_round(
+    schedule: &UpdateSchedule,
+    nparts: usize,
+    sender: fn(u32, u32) -> u32,
+) -> PhaseContribution {
+    let mut per_proc = vec![0usize; nparts];
+    for m in &schedule.msgs {
+        per_proc[sender(m.from, m.to) as usize] += m.pairs.len();
+    }
+    let (messages, values) = (schedule.total_messages(), schedule.total_values());
+    PhaseContribution::new(PhaseStat { messages, values, rounds: 1, ..Default::default() }, per_proc)
+}
+
+/// Gather: refresh the ghost copies `schedule` lists with their owners'
+/// values of `var`.
+fn gather_ghosts(
+    machines: &mut [Machine],
+    schedule: &UpdateSchedule,
+    var: VarId,
+) -> PhaseContribution {
+    let mut locals: Vec<Vec<f64>> =
+        machines.iter_mut().map(|m| std::mem::take(&mut m.arrays[var])).collect();
+    check::apply_update(schedule, &mut locals);
+    for (m, local) in machines.iter_mut().zip(locals) {
+        m.arrays[var] = local;
+    }
+    schedule_round(schedule, machines.len(), |owner, _| owner)
+}
+
 /// Scatter flush: add every ghost slot's accumulated contribution back
 /// to the owner's kernel value, then zero the ghost.
 fn apply_scatter_flush(
@@ -234,23 +265,15 @@ fn apply_scatter_flush(
     schedule: &UpdateSchedule,
     var: VarId,
 ) -> PhaseContribution {
-    let mut stat = PhaseStat {
-        rounds: 1,
-        ..Default::default()
-    };
-    let mut per_proc = vec![0usize; machines.len()];
     for m in &schedule.msgs {
         let (owner, holder) = (m.from as usize, m.to as usize);
-        stat.messages += 1;
-        stat.values += m.pairs.len();
-        per_proc[holder] += m.pairs.len();
         for &(src, dst) in &m.pairs {
             let v = machines[holder].arrays[var][dst as usize];
             machines[owner].arrays[var][src as usize] += v;
             machines[holder].arrays[var][dst as usize] = 0.0;
         }
     }
-    PhaseContribution::new(stat, per_proc)
+    schedule_round(schedule, machines.len(), |_, holder| holder)
 }
 
 fn run_block<const V: usize>(
@@ -273,7 +296,7 @@ fn run_block<const V: usize>(
                 // Gather phase: refresh referenced ghosts.
                 let mut parts = Vec::new();
                 for (var, sched) in plan.gathers.get(l.id).into_iter().flatten() {
-                    parts.push(comm::apply_update(machines, sched, *var, &None));
+                    parts.push(gather_ghosts(machines, sched, *var));
                     stats.updates += 1;
                 }
                 if !parts.is_empty() {
@@ -299,7 +322,8 @@ fn run_block<const V: usize>(
                 if let Some(reds) = plan.reductions.get(l.id) {
                     let mut parts = Vec::new();
                     for &(v, op) in reds {
-                        parts.push(comm::apply_reduce(machines, v, op, &None));
+                        comm::fold_scalar(machines, v, op);
+                        parts.push(comm::tree_contribution(machines.len(), 1));
                         stats.reduces += 1;
                     }
                     stats.phases.push(comm::merge_phase(&parts));

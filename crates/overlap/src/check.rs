@@ -1,20 +1,22 @@
 //! Decomposition invariant checkers and a reference implementation of
 //! the two communication procedures.
 //!
-//! These functions are used by tests and by the runtime's equivalence
-//! harness. `apply_update` / `apply_assemble` are the *reference*
-//! (schedule-driven, sequential) semantics of the `C$SYNCHRONIZE`
-//! directives; the runtime's message-passing implementation must match
-//! them exactly.
+//! `apply_update` / `apply_assemble` are the *reference* (schedule-
+//! driven, sequential) semantics of the `C$SYNCHRONIZE` directives: the
+//! inspector runs its ghost gathers through `apply_update`, and the
+//! test suites' plan-free reference run, which every runtime engine
+//! must match bit for bit, runs its updates through it.
 
 use crate::build::Decomposition;
+use crate::schedule::UpdateSchedule;
 use crate::submesh::{elem_kind, SubMesh};
 use syncplace_mesh::EntityKind;
 
-/// Apply the Fig. 1 update communication to per-processor node arrays:
-/// every overlap copy receives its owner's kernel value.
-pub fn apply_update<const V: usize>(d: &Decomposition<V>, locals: &mut [Vec<f64>]) {
-    for m in &d.node_update.msgs {
+/// Apply an owner→copies update along `schedule` to per-processor
+/// arrays of its entity kind (Fig. 1 on the node schedule): every copy
+/// it lists receives its owner's kernel value.
+pub fn apply_update(schedule: &UpdateSchedule, locals: &mut [Vec<f64>]) {
+    for m in &schedule.msgs {
         for &(src, dst) in &m.pairs {
             let v = locals[m.from as usize][src as usize];
             locals[m.to as usize][dst as usize] = v;
@@ -34,7 +36,7 @@ pub fn apply_assemble<const V: usize>(d: &Decomposition<V>, locals: &mut [Vec<f6
             locals[m.from as usize][src as usize] += v;
         }
     }
-    apply_update(d, locals);
+    apply_update(&d.node_update, locals);
 }
 
 /// Are the local node arrays *coherent*, i.e. does every copy of every
@@ -117,7 +119,7 @@ mod tests {
             }
         }
         assert!(!is_coherent(&d, &locals, 1e-12));
-        apply_update(&d, &mut locals);
+        apply_update(&d.node_update, &mut locals);
         assert!(is_coherent(&d, &locals, 1e-12));
         assert_eq!(d.gather(EntityKind::Node, &locals).unwrap(), global);
     }

@@ -1,16 +1,14 @@
-//! The communication layer of the round-robin engine: schedule-driven
-//! update / assembly / reduction collectives over the per-processor
-//! machines, with full accounting.
+//! Communication accounting and the reduction tree: the per-phase
+//! statistics every engine reads off its [`crate::plan::CommPlan`],
+//! and the binomial tree every reduction folds along.
 //!
 //! Costs are *counted*, not timed — the timing model ([`crate::timing`])
 //! turns the counts into the modeled wall-clock of an early-90s MPP.
 
 use crate::exec::Machine;
-use std::collections::BTreeMap;
 use syncplace_dfg::ReduceOp;
-use syncplace_ir::{Program, VarId, VarKind};
-use syncplace_obs::{keys, RecorderRef};
-use syncplace_overlap::{Decomposition, UpdateSchedule};
+use syncplace_ir::VarId;
+use syncplace_obs::keys;
 
 /// The per-operator counter key of a reduction (see `syncplace-obs`).
 pub fn reduce_key(op: ReduceOp) -> &'static str {
@@ -95,104 +93,6 @@ impl PhaseContribution {
     }
 }
 
-/// The schedule an update of array `var` runs
-/// ([`Decomposition::update_schedule`]; `None` for an element array).
-/// Placement updates only arrays: any other `var` panics.
-pub fn update_schedule<'d, const V: usize>(
-    prog: &Program,
-    d: &'d Decomposition<V>,
-    var: VarId,
-) -> Option<&'d UpdateSchedule> {
-    let VarKind::Array { base } = prog.decl(var).kind else {
-        panic!("update on non-array");
-    };
-    d.update_schedule(base)
-}
-
-/// Apply an owner→copies update of `var` along `schedule` and return
-/// the phase contribution. When a recorder is live, each schedule
-/// message is recorded as one packet of the ordered pair it travels
-/// on (the round-robin engine simulates a per-op wire: one message per
-/// comm op per peer).
-pub fn apply_update(
-    machines: &mut [Machine],
-    schedule: &UpdateSchedule,
-    var: VarId,
-    rec: &RecorderRef,
-) -> PhaseContribution {
-    let mut stat = PhaseStat {
-        rounds: 1,
-        ..Default::default()
-    };
-    let mut per_proc_send = vec![0usize; machines.len()];
-    for m in &schedule.msgs {
-        let (p, q, n) = (m.from, m.to, m.pairs.len());
-        stat.messages += 1;
-        stat.values += n;
-        per_proc_send[p as usize] += n;
-        record_packet(rec, p, q, n as u64);
-        for &(src, dst) in &m.pairs {
-            let v = machines[p as usize].arrays[var][src as usize];
-            machines[q as usize].arrays[var][dst as usize] = v;
-        }
-    }
-    if stat.messages == 0 {
-        stat.rounds = 0; // nothing actually moves (e.g. single processor)
-    }
-    PhaseContribution::new(stat, per_proc_send)
-}
-
-/// Apply the shared-node assembly for `var` (Fig. 2 pattern) along the
-/// node schedule in two passes: reverse, each holder's partial is
-/// added into its owner's copy (owner first, then holders by ascending
-/// rank, as the messages ascend by `(owner, holder)`); forward, the
-/// owner's total is written back to every copy. With a live recorder,
-/// the simulated wire packets (one partials packet per holder→owner
-/// message, one totals packet back) are recorded in ascending
-/// `(from, to)` order.
-pub fn apply_assemble<const V: usize>(
-    machines: &mut [Machine],
-    d: &Decomposition<V>,
-    var: VarId,
-    rec: &RecorderRef,
-) -> PhaseContribution {
-    let schedule = &d.node_update;
-    let mut per_proc_send = vec![0usize; machines.len()];
-    // Simulated wire: values per ordered pair, both directions (kept
-    // only when a recorder listens).
-    let mut pair_values: BTreeMap<(u32, u32), u64> = BTreeMap::new();
-    for m in &schedule.msgs {
-        let (p, q, n) = (m.from, m.to, m.pairs.len());
-        for &(src, dst) in &m.pairs {
-            let v = machines[q as usize].arrays[var][dst as usize];
-            machines[p as usize].arrays[var][src as usize] += v;
-        }
-        per_proc_send[p as usize] += n;
-        per_proc_send[q as usize] += n;
-        if rec.is_some() {
-            *pair_values.entry((q, p)).or_default() += n as u64;
-            *pair_values.entry((p, q)).or_default() += n as u64;
-        }
-    }
-    for m in &schedule.msgs {
-        for &(src, dst) in &m.pairs {
-            let v = machines[m.from as usize].arrays[var][src as usize];
-            machines[m.to as usize].arrays[var][dst as usize] = v;
-        }
-    }
-    for ((from, to), v) in pair_values {
-        record_packet(rec, from, to, v);
-    }
-    let messages = 2 * schedule.total_messages();
-    let stat = PhaseStat {
-        messages,
-        values: 2 * schedule.total_values(),
-        rounds: if messages == 0 { 0 } else { 2 },
-        ..Default::default()
-    };
-    PhaseContribution::new(stat, per_proc_send)
-}
-
 /// The parent of `rank` in the binomial reduction tree rooted at 0:
 /// `rank - lsb(rank)` (`None` for the root). Every engine folds
 /// partials along this one tree, so the combine order — and therefore
@@ -245,55 +145,29 @@ pub fn tree_fold(partials: &[f64], op: ReduceOp) -> f64 {
     acc[0]
 }
 
+/// Fold every rank's partial of scalar `var` along the binomial tree
+/// ([`tree_fold`]) and hand each rank the total.
+pub fn fold_scalar(machines: &mut [Machine], var: VarId, op: ReduceOp) {
+    let partials: Vec<f64> = machines.iter().map(|m| m.scalars[var]).collect();
+    let total = tree_fold(&partials, op);
+    for m in machines {
+        m.scalars[var] = total;
+    }
+}
+
 /// Latency rounds of one tree reduction + broadcast over `nparts`.
 pub fn reduce_tree_rounds(nparts: usize) -> usize {
     let log2p = (usize::BITS - (nparts.max(1) - 1).leading_zeros()) as usize;
     2 * log2p.max(1)
 }
 
-/// Apply a global scalar reduction: combine the per-processor partials
-/// along the binomial tree rooted at rank 0 ([`tree_fold`]) and
-/// broadcast the total back down the same tree. The recorded wire is
-/// that tree shipped per op: one single-value packet per tree edge in
-/// each direction — `2(P−1)` messages instead
-/// of the old `P(P−1)` allgather.
-pub fn apply_reduce(
-    machines: &mut [Machine],
-    var: VarId,
-    op: ReduceOp,
-    rec: &RecorderRef,
-) -> PhaseContribution {
-    let nparts = machines.len();
-    if nparts <= 1 {
-        return PhaseContribution::default(); // nothing to exchange
-    }
-    let partials: Vec<f64> = machines.iter().map(|m| m.scalars[var]).collect();
-    let total = tree_fold(&partials, op);
-    for m in machines.iter_mut() {
-        m.scalars[var] = total;
-    }
-    // Every partial up its tree edge, then every total down.
-    let edges = (1..nparts).map(|c| (c as u32, reduce_tree_parent(c).expect("non-root") as u32));
-    edges.clone().for_each(|(c, parent)| record_packet(rec, c, parent, 1));
-    edges.for_each(|(c, parent)| record_packet(rec, parent, c, 1));
-    tree_contribution(nparts, 1)
-}
-
-/// Record one simulated packet of `n` values: `from` ships it, `to`
-/// receives and reads it.
-fn record_packet(rec: &RecorderRef, from: u32, to: u32, n: u64) {
-    if let Some(r) = rec {
-        r.packet(from, to, n);
-        r.hb(from, keys::HB_SEND, to);
-        r.hb(to, keys::HB_RECV, from);
-        r.hb(to, keys::HB_READ, from);
-    }
-}
-
-/// The binomial tree's traffic over `nparts > 1` ranks when each edge
+/// The binomial tree's traffic over `nparts` ranks when each edge
 /// carries `width` values each way: every non-root sends one packet up,
-/// every parent one down per child — `2(P−1)` messages.
+/// every parent one down per child — `2(P−1)` messages, none at P = 1.
 pub fn tree_contribution(nparts: usize, width: usize) -> PhaseContribution {
+    if nparts <= 1 {
+        return PhaseContribution::default();
+    }
     let sends = (0..nparts).map(|r| usize::from(r > 0) + reduce_tree_children(r, nparts).len());
     let messages = 2 * (nparts - 1);
     let rounds = reduce_tree_rounds(nparts);
@@ -333,18 +207,23 @@ pub fn merge_phase(parts: &[PhaseContribution]) -> PhaseStat {
 mod tests {
     use super::*;
 
+    /// `nparts` machines holding one scalar, rank `p`'s set to `value(p)`.
+    fn machines(nparts: usize, value: fn(usize) -> f64) -> Vec<Machine> {
+        let prog = syncplace_ir::parser::parse("program t\n var s : scalar\nend").unwrap();
+        let machine = |p| {
+            let mut m = Machine::new(&prog, [0; 4], [0; 4]);
+            m.scalars[0] = value(p);
+            m
+        };
+        (0..nparts).map(machine).collect()
+    }
+
     #[test]
     fn reduce_combines_partials() {
-        let prog = syncplace_ir::parser::parse("program t\n var s : scalar\nend").unwrap();
-        let mut machines: Vec<Machine> = (0..4)
-            .map(|p| {
-                let mut m = Machine::new(&prog, [0; 4], [0; 4]);
-                m.scalars[0] = p as f64 + 1.0;
-                m
-            })
-            .collect();
-        let c = apply_reduce(&mut machines, 0, ReduceOp::Sum, &None);
+        let mut machines = machines(4, |p| p as f64 + 1.0);
+        fold_scalar(&mut machines, 0, ReduceOp::Sum);
         assert!(machines.iter().all(|m| m.scalars[0] == 10.0));
+        let c = tree_contribution(4, 1);
         assert_eq!(c.stat.messages, 6);
         assert!(c.stat.rounds >= 2);
         // Rank 0 sends totals to children {1, 2}; rank 2 sends its
@@ -399,16 +278,10 @@ mod tests {
 
     #[test]
     fn reduce_max() {
-        let prog = syncplace_ir::parser::parse("program t\n var s : scalar\nend").unwrap();
-        let mut machines: Vec<Machine> = (0..3)
-            .map(|p| {
-                let mut m = Machine::new(&prog, [0; 4], [0; 4]);
-                m.scalars[0] = [2.0, 7.0, 5.0][p];
-                m
-            })
-            .collect();
-        apply_reduce(&mut machines, 0, ReduceOp::Max, &None);
+        let mut machines = machines(3, |p| [2.0, 7.0, 5.0][p]);
+        fold_scalar(&mut machines, 0, ReduceOp::Max);
         assert!(machines.iter().all(|m| m.scalars[0] == 7.0));
+        assert_eq!(tree_contribution(1, 1), PhaseContribution::default());
     }
 
     #[test]

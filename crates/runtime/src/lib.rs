@@ -20,9 +20,9 @@
 //!   heads and tails) that every engine steps through and the model
 //!   checker checks.
 //! * [`spmd`] — the deterministic round-robin engine: all processors
-//!   advance op by op; `C$SYNCHRONIZE` points apply the
-//!   decomposition's communication schedules and are counted
-//!   ([`comm::CommStats`]).
+//!   advance op by op on one thread; at each `C$SYNCHRONIZE` point it
+//!   runs the plan's recipes in rank order and counts the plan's
+//!   statistics ([`comm::CommStats`]).
 //! * [`plan`] — the batched communication plan: one coalesced packet
 //!   per peer per phase, with buffer layouts precomputed once from
 //!   the decomposition's schedules.
@@ -37,7 +37,7 @@
 //!   pool executing the plan over per-ordered-pair FIFO mailboxes with
 //!   recycled zero-copy staging buffers, posting each phase late
 //!   (`batched`) or early (`overlapped`); bitwise identical to
-//!   round-robin.
+//!   round-robin, which runs the same recipes.
 //! * [`overlap`] — the producer splits of the early-posting schedule:
 //!   interface iterations first, early coalesced sends, interior
 //!   compute while packets are in flight.
@@ -99,8 +99,9 @@ use syncplace_overlap::Decomposition;
 /// ops; all three produce bitwise-identical results.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Engine {
-    /// The deterministic round-robin reference executor ([`spmd`]):
-    /// one thread advances every rank op by op.
+    /// The deterministic round-robin executor ([`spmd`]): one thread
+    /// advances every rank op by op and runs each phase's recipes in
+    /// rank order.
     RoundRobin,
     /// Rank tasks on the W-worker pool ([`SpmdPool`], W =
     /// `available_parallelism` whatever P is) exchanging batched
@@ -144,8 +145,7 @@ impl Engine {
     /// [`Engine::run`] with a prebuilt communication plan and an
     /// observability hook. `plan` is resolved once here — the given
     /// one, reused across runs, or [`CommPlan::build`] — and every
-    /// engine executes its kernel and tape (the round-robin reference
-    /// applies the schedules directly and reads nothing else of it).
+    /// engine executes its kernel, tape and phase recipes.
     /// `rec` as `Some(Arc<dyn Recorder>)` captures per-phase spans,
     /// schedule-derived comm counters and per-pair packet counts,
     /// `&None` is the zero-cost disabled path.
@@ -167,7 +167,7 @@ impl Engine {
             }
         };
         match self {
-            Engine::RoundRobin => spmd::run(prog, spmd, d, b, plan, rec),
+            Engine::RoundRobin => spmd::run(prog, d, b, plan, rec),
             Engine::Batched | Engine::Overlapped => {
                 pooled::run(SpmdPool::global(), prog, d, b, self, plan, rec)
             }

@@ -23,11 +23,11 @@
 //! kind: an update is its broadcast, an assembly its reduce (round 1)
 //! then broadcast (round 2). Both ends derive the layout independently
 //! from the same schedules, so no lengths, tags or headers ever travel.
-//! Combine orders are the same fixed orders as the reference engines
-//! (an owned slot starts from the owner's own value and adds its
-//! holders' partials as the ascending round-1 receive list delivers
-//! them; reductions along the binomial tree of
-//! [`crate::comm::tree_fold`]), so results stay **bitwise identical**.
+//! Every engine runs these recipes, so every engine combines in the
+//! same fixed orders (an owned slot starts from the owner's own value
+//! and adds its holders' partials as the ascending round-1 receive list
+//! delivers them; reductions along the binomial tree of
+//! [`crate::comm::tree_fold`]) and results are **bitwise identical**.
 //! Reduction partials travel on dedicated tree-edge packets — `2(P−1)`
 //! messages per phase shared by all of its reduce ops — never on the
 //! round-1 pair packets.
@@ -38,15 +38,16 @@
 //! lowered once that they execute ([`CommPlan::kernel`]), and the
 //! channels and tree every run on it uses ([`CommPlan::wiring`]).
 
-use crate::comm::{merge_phase, reduce_tree_children, reduce_tree_parent, tree_contribution};
-use crate::comm::{update_schedule, PhaseContribution, PhaseStat};
+use crate::comm::{merge_phase, reduce_key, reduce_tree_children, reduce_tree_parent};
+use crate::comm::{tree_contribution, CommStats, PhaseContribution, PhaseStat};
 use crate::kernel::Kernel;
 use crate::tape::{self, Op};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use syncplace_codegen::{CommOp, SpmdProgram};
 use syncplace_dfg::ReduceOp;
-use syncplace_ir::{IdVec, Program, VarId};
+use syncplace_ir::{IdVec, Program, VarId, VarKind};
+use syncplace_obs::{keys, RecorderRef};
 use syncplace_overlap::Decomposition;
 
 /// One gather of a packet: append `arrays[var][i]` for each local
@@ -137,6 +138,28 @@ pub struct PhasePlan {
     pub reduces: usize,
     /// Per-rank recipes, indexed by rank.
     pub ranks: Vec<RankPhase>,
+}
+
+impl PhasePlan {
+    /// Count one completion of this phase into `stats`, and into `rec`'s
+    /// op and traffic counters — the one accounting of every engine
+    /// (a pooled gang passes its rank 0's recorder only).
+    pub(crate) fn account(&self, stats: &mut CommStats, rec: &RecorderRef) {
+        stats.phases.push(self.stat);
+        stats.updates += self.updates;
+        stats.assembles += self.assembles;
+        stats.reduces += self.reduces;
+        if let Some(r) = rec {
+            r.add(keys::COMM_MESSAGES, self.stat.messages as u64);
+            r.add(keys::COMM_VALUES, self.stat.values as u64);
+            r.add(keys::UPDATES, self.updates as u64);
+            r.add(keys::ASSEMBLES, self.assembles as u64);
+            r.add(keys::REDUCES, self.reduces as u64);
+            for red in &self.ranks[0].reduces {
+                r.add(reduce_key(red.op), 1);
+            }
+        }
+    }
 }
 
 /// The full batched communication plan of a placed program on a
@@ -310,7 +333,11 @@ fn build_phase<const V: usize>(prog: &Program, d: &Decomposition<V>, ops: &[Comm
         match op {
             CommOp::UpdateOverlap { var } => {
                 updates += 1;
-                let Some(schedule) = update_schedule(prog, d, *var) else { continue };
+                // An element array has no copy schedule: nothing moves.
+                let VarKind::Array { base } = prog.decl(*var).kind else {
+                    panic!("update on non-array");
+                };
+                let Some(schedule) = d.update_schedule(base) else { continue };
                 for m in &schedule.msgs {
                     let (srcs, dsts) = m.pairs.iter().copied().unzip();
                     let pair = &mut pairs.entry((m.from as usize, m.to as usize)).or_default()[0];
@@ -373,7 +400,7 @@ fn build_phase<const V: usize>(prog: &Program, d: &Decomposition<V>, ops: &[Comm
     let mut parts = vec![PhaseContribution::new(stat, per_proc_send)];
     // The shared reduction tree's traffic (the plan's `Wiring` carries
     // the tree): `reduces` values per packet.
-    if reduces > 0 && n > 1 {
+    if reduces > 0 {
         parts.push(tree_contribution(n, reduces));
     }
     PhasePlan {

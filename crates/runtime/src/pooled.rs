@@ -30,10 +30,10 @@
 //!
 //! Posts an exit stranded are drained when their time loop is left.
 //! Early posting never changes a packed byte, and combine orders are
-//! those of the round-robin reference ([`crate::comm::tree_fold`];
-//! an owned slot adds its holders' partials in ascending rank, as the
-//! round-1 receive list delivers them), so both postings are **bitwise
-//! identical** to [`crate::spmd`].
+//! the plan's ([`crate::comm::tree_fold`]; an owned slot adds its
+//! holders' partials in ascending rank, as the round-1 receive list
+//! delivers them), so both postings are **bitwise identical** to
+//! [`crate::spmd`], which runs the same recipes on one thread.
 
 use crate::bindings::Bindings;
 use crate::comm::CommStats;
@@ -202,12 +202,7 @@ impl RankProc {
     fn pack(&mut self, s: &Send1) -> (usize, Vec<f64>) {
         let slot = self.net.slot(s.peer as usize);
         let mut buf = self.net.acquire(slot);
-        buf.reserve(s.len);
-        for g in &s.gathers {
-            let arr = &self.m.arrays[g.var];
-            buf.extend(g.idx.iter().map(|&i| arr[i as usize]));
-        }
-        debug_assert_eq!(buf.len(), s.len);
+        pack(&self.m, s, &mut buf);
         (slot, buf)
     }
 
@@ -279,8 +274,8 @@ impl RankProc {
         // Reductions: combine partials up the plan's binomial tree and
         // broadcast the totals back down.  One packet per tree edge per
         // direction, carrying every reduce op's value in phase order —
-        // the combine order is exactly `comm::tree_fold`, so results
-        // stay bitwise-identical to the per-op reference.
+        // the combine order is exactly `comm::tree_fold`'s, which every
+        // engine shares.
         if !rp.reduces.is_empty() {
             let mut accs = std::mem::take(&mut self.accs);
             accs.clear();
@@ -345,24 +340,9 @@ impl RankProc {
         self.hidden_log.push(early.unwrap_or(0.0));
         self.posted[idx] = false;
 
-        self.stats.phases.push(ph.stat);
-        self.stats.updates += ph.updates;
-        self.stats.assembles += ph.assembles;
-        self.stats.reduces += ph.reduces;
-        if report {
-            if let Some(r) = &self.net.rec {
-                r.add(keys::COMM_MESSAGES, ph.stat.messages as u64);
-                r.add(keys::COMM_VALUES, ph.stat.values as u64);
-                r.add(keys::UPDATES, ph.updates as u64);
-                r.add(keys::ASSEMBLES, ph.assembles as u64);
-                r.add(keys::REDUCES, ph.reduces as u64);
-                if let Some(hidden) = early {
-                    r.add(keys::OVERLAP_HIDDEN, hidden.round() as u64);
-                }
-                for red in &rp.reduces {
-                    r.add(crate::comm::reduce_key(red.op), 1);
-                }
-            }
+        ph.account(&mut self.stats, if report { &self.net.rec } else { &None });
+        if let (true, Some(r), Some(hidden)) = (report, &self.net.rec, early) {
+            r.add(keys::OVERLAP_HIDDEN, hidden.round() as u64);
         }
         obs::finish_ranked(&self.net.rec, keys::PHASE_SPAN, self.net.rank as u32, t0);
     }
@@ -473,7 +453,7 @@ impl RankProc {
                 Op::Exit { id, agree, to } => {
                     let mut exit = self.m.exec_stmt(&self.kernel, *id);
                     // A proven test is rank 0's decision already; for any
-                    // other, rank 0's rules, as in the reference.
+                    // other, rank 0's rules, as on round-robin.
                     if *agree {
                         let [verdict, divergent] = self.agree_on_exit(exit).await;
                         self.stats.divergent_exits += usize::from(divergent != 0.0);
@@ -491,9 +471,20 @@ impl RankProc {
     }
 }
 
+/// Append the packet `s` describes, gathered from `m`, to the empty
+/// `buf`.
+pub(crate) fn pack(m: &Machine, s: &Send1, buf: &mut Vec<f64>) {
+    buf.reserve(s.len);
+    for g in &s.gathers {
+        let arr = &m.arrays[g.var];
+        buf.extend(g.idx.iter().map(|&i| arr[i as usize]));
+    }
+    debug_assert_eq!(buf.len(), s.len);
+}
+
 /// Unpack a received packet into `m` by its recipe `r`: the updates
 /// write, the adds add.
-fn unpack(m: &mut Machine, r: &Recv1, buf: &[f64]) {
+pub(crate) fn unpack(m: &mut Machine, r: &Recv1, buf: &[f64]) {
     for ru in &r.updates {
         let arr = &mut m.arrays[ru.var];
         for (k, &dst) in ru.dst.iter().enumerate() {
@@ -738,22 +729,17 @@ pub(crate) mod tests {
         let (p, spmd, d, b) = setup(Pattern::FIG2, 4, 0);
         let rr = Engine::RoundRobin.run(&p, &spmd, &d, &b).unwrap();
         let ba = Engine::Batched.run(&p, &spmd, &d, &b).unwrap();
-        // Same number of phases; never more messages per phase than
-        // there are ordered peer pairs × 2 rounds plus the 2(P−1)
-        // binomial-tree edges a reducing phase adds.  The coalesced
-        // wire can ship *fewer* values than the per-op reference (one
-        // tree packet carries every reduce op in the phase) but never
-        // more messages.
+        // Same phases and traffic — both engines read them off the one
+        // plan — and never more messages per phase than there are
+        // ordered peer pairs × 2 rounds plus the 2(P−1) binomial-tree
+        // edges a reducing phase adds.
         assert_eq!(rr.stats.nphases(), ba.stats.nphases());
+        assert_eq!(rr.stats.total_messages(), ba.stats.total_messages());
         let tree_edges = 2 * (4 - 1);
-        for (ph, rh) in ba.stats.phases.iter().zip(&rr.stats.phases) {
+        for ph in &ba.stats.phases {
             assert!(
                 ph.messages <= 2 * 4 * 3 + tree_edges,
                 "one packet per pair per round plus tree edges"
-            );
-            assert!(
-                ph.messages <= rh.messages,
-                "coalescing must never exceed the per-op engine on messages"
             );
             assert!(ph.rounds <= crate::comm::reduce_tree_rounds(4).max(2));
         }

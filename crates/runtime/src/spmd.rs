@@ -1,22 +1,20 @@
 //! The deterministic round-robin SPMD engine.
 //!
 //! All virtual processors advance together through the program's tape
-//! ([`crate::tape`]), op by op; at every [`Op::Complete`] the
-//! decomposition's schedules are applied and counted, and the tape's
-//! early posts are skipped. Because the
-//! combine orders are fixed, the engine is bitwise deterministic and
-//! bitwise identical to the pooled message-passing engine
-//! ([`crate::pooled`]), whose oracle it is.
+//! ([`crate::tape`]), op by op, on one thread; the tape's early posts
+//! are skipped. At every [`Op::Complete`]`(k)` it runs phase `k` of the
+//! [`CommPlan`] in rank order — the recipes and statistics the pooled
+//! engines ([`crate::pooled`]) run — so it is bitwise identical to them.
 
 use crate::bindings::{kind_index, Bindings, MapBinding};
 use crate::comm::{self, CommStats};
 use crate::exec::{Machine, MapTable};
 use crate::kernel::Kernel;
-use crate::plan::CommPlan;
 use crate::overlap::OverlapReport;
+use crate::plan::{CommPlan, PhasePlan, RankPhase, Recv1, Send1};
+use crate::pooled::{pack, unpack};
 use crate::tape::{Cursor, Op};
 use syncplace_obs::{self as obs, keys, RecorderRef};
-use syncplace_codegen::{CommOp, SpmdProgram};
 use syncplace_ir::{EntityKind, IdVec, Program, VarKind};
 use syncplace_overlap::{elem_kind, Decomposition, SubMesh};
 use std::sync::Arc;
@@ -156,70 +154,82 @@ pub fn build_machines<const V: usize>(
     Ok(machines)
 }
 
-struct Sim<'a, const V: usize> {
-    prog: &'a Program,
-    d: &'a Decomposition<V>,
+struct Sim<'a> {
+    plan: &'a CommPlan,
     kernel: Arc<Kernel>,
     machines: Vec<Machine>,
+    /// One staging buffer per ordered pair of the plan's wiring, reused
+    /// by every phase.
+    bufs: Vec<Vec<f64>>,
     stats: CommStats,
     rec: RecorderRef,
 }
 
-impl<'a, const V: usize> Sim<'a, V> {
-    fn apply_comms(&mut self, ops: &[CommOp]) {
-        if ops.is_empty() {
-            return;
+impl Sim<'_> {
+    /// Record one plan packet of `n` values: `from` ships it, `to`
+    /// receives and reads it.
+    fn packet(&self, from: u32, to: u32, n: usize) {
+        if let Some(r) = &self.rec {
+            r.packet(from, to, n as u64);
+            r.add(keys::BYTES_STAGED, 8 * n as u64);
+            r.hb(from, keys::HB_SEND, to);
+            r.hb(to, keys::HB_RECV, from);
+            r.hb(to, keys::HB_READ, from);
         }
-        let t0 = obs::start(&self.rec);
-        let mut parts: Vec<comm::PhaseContribution> = Vec::with_capacity(ops.len());
-        for op in ops {
-            match op {
-                CommOp::UpdateOverlap { var } => {
-                    // An element array is always coherent: nothing moves.
-                    if let Some(schedule) = comm::update_schedule(self.prog, self.d, *var) {
-                        parts.push(comm::apply_update(&mut self.machines, schedule, *var, &self.rec));
-                    }
-                    self.stats.updates += 1;
-                    if let Some(r) = &self.rec {
-                        r.add(keys::UPDATES, 1);
-                    }
-                }
-                CommOp::AssembleShared { var } => {
-                    parts.push(comm::apply_assemble(
-                        &mut self.machines,
-                        self.d,
-                        *var,
-                        &self.rec,
-                    ));
-                    self.stats.assembles += 1;
-                    if let Some(r) = &self.rec {
-                        r.add(keys::ASSEMBLES, 1);
-                    }
-                }
-                CommOp::Reduce { var, op } => {
-                    parts.push(comm::apply_reduce(&mut self.machines, *var, *op, &self.rec));
-                    self.stats.reduces += 1;
-                    if let Some(r) = &self.rec {
-                        r.add(keys::REDUCES, 1);
-                        r.add(comm::reduce_key(*op), 1);
-                    }
-                }
+    }
+
+    /// One round of pair packets: every rank packs its sends, then
+    /// every rank unpacks its receives in list order.
+    fn round(
+        &mut self,
+        ph: &PhasePlan,
+        sends: fn(&RankPhase) -> &[Send1],
+        recvs: fn(&RankPhase) -> &[Recv1],
+    ) {
+        let pairs = &self.plan.wiring.pairs;
+        let mailbox = |from: u32, to: u32| pairs.binary_search(&(from, to)).expect("a wired pair");
+        for (p, rp) in (0u32..).zip(&ph.ranks) {
+            for s in sends(rp) {
+                let buf = &mut self.bufs[mailbox(p, s.peer)];
+                buf.clear();
+                pack(&self.machines[p as usize], s, buf);
+                self.packet(p, s.peer, s.len);
             }
         }
-        let stat = comm::merge_phase(&parts);
-        if let Some(r) = &self.rec {
-            r.add(keys::COMM_MESSAGES, stat.messages as u64);
-            r.add(keys::COMM_VALUES, stat.values as u64);
-            r.add(keys::BYTES_STAGED, 8 * stat.values as u64);
+        for (q, rp) in (0u32..).zip(&ph.ranks) {
+            for r in recvs(rp) {
+                unpack(&mut self.machines[q as usize], r, &self.bufs[mailbox(r.peer, q)]);
+            }
         }
+    }
+
+    /// Complete phase `k` of the plan on every rank: round 1, the
+    /// reductions along the binomial tree, round 2.
+    fn complete(&mut self, k: usize) {
+        let t0 = obs::start(&self.rec);
+        let plan = self.plan;
+        let ph = &plan.phases[k];
+        self.round(ph, |rp| &rp.send1, |rp| &rp.recv1);
+        let reduces = &ph.ranks[0].reduces;
+        for red in reduces {
+            comm::fold_scalar(&mut self.machines, red.var, red.op);
+        }
+        if !reduces.is_empty() {
+            // One packet per tree edge each way, every partial up before
+            // any total comes down.
+            let tree = || (0u32..).zip(&plan.wiring.ranks).filter_map(|(c, w)| Some((c, w.parent?)));
+            tree().for_each(|(c, parent)| self.packet(c, parent, reduces.len()));
+            tree().for_each(|(c, parent)| self.packet(parent, c, reduces.len()));
+        }
+        self.round(ph, |rp| &rp.send2, |rp| &rp.recv2);
+        ph.account(&mut self.stats, &self.rec);
         // The simulator is rank 0: the ranked finish emits both the
         // aggregate span and the rank-0 timeline event.
         obs::finish_ranked(&self.rec, keys::PHASE_SPAN, 0, t0);
-        self.stats.phases.push(stat);
     }
 
     /// Step every rank through the tape; returns the iterations run.
-    fn run(&mut self, tape: &[Op], phases: &[&[CommOp]]) -> usize {
+    fn run(&mut self, tape: &[Op]) -> usize {
         let mut cur = Cursor::new(tape);
         while let Some(op) = cur.next() {
             match *op {
@@ -237,7 +247,7 @@ impl<'a, const V: usize> Sim<'a, V> {
                         obs::finish_ranked(&self.rec, keys::COMPUTE_SPAN, rank as u32, t0);
                     }
                 }
-                Op::Complete(phase) => self.apply_comms(phases[phase]),
+                Op::Complete(phase) => self.complete(phase),
                 Op::Exit { id, to, .. } => {
                     let decisions: Vec<bool> = self
                         .machines
@@ -265,7 +275,6 @@ impl<'a, const V: usize> Sim<'a, V> {
 /// exactly the uninstrumented path.
 pub(crate) fn run<const V: usize>(
     prog: &Program,
-    spmd: &SpmdProgram,
     d: &Decomposition<V>,
     b: &Bindings,
     plan: &Arc<CommPlan>,
@@ -276,19 +285,18 @@ pub(crate) fn run<const V: usize>(
     let kernel = plan.kernel.clone()?;
     kernel.check_tables(prog, &machines)?;
     let tape = plan.ops()?;
-    let phases: Vec<&[CommOp]> = spmd.phases().into_iter().map(|(_, ops)| ops).collect();
     let mut engine = Sim {
-        prog,
-        d,
+        plan,
         kernel,
         machines,
+        bufs: vec![Vec::new(); plan.wiring.pairs.len()],
         stats: CommStats::default(),
         rec: rec.clone(),
     };
     // One simulator thread plays every rank, so the whole-job event is
     // attributed to rank 0 — documented timeline convention.
     let t_job = obs::start(rec);
-    let iterations = engine.run(tape, &phases);
+    let iterations = engine.run(tape);
     obs::finish_event(rec, keys::RANK_RUN, 0, t_job);
     if let Some(r) = rec {
         r.add(keys::ITERATIONS, iterations as u64);

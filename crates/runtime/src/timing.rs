@@ -61,10 +61,9 @@ pub fn estimate(seq: &SeqResult, spmd: &SpmdResult, model: &TimingModel) -> Timi
 
 /// [`estimate`] for the engine that produced `spmd`.
 ///
-/// The recorded [`crate::comm::PhaseStat`]s are *schedule-derived* and
-/// identical across engines (that is what bitwise identity buys); what
-/// differs is how the same schedule goes on the wire, and the
-/// [`Engine`] says it:
+/// The recorded [`crate::comm::PhaseStat`]s are the plan's, identical
+/// across engines; what differs is how the same plan goes on the wire,
+/// and the [`Engine`] says it:
 ///
 /// * [`Engine::RoundRobin`] advances every rank op by op
 ///   *in rank order*, which serializes collectives into ascending-rank

@@ -14,6 +14,7 @@
 # - wiring: pooled.rs names no sort_unstable / dedup / BTreeMap / reduce_tree_parent / reduce_tree_children (the CommPlan's Wiring is built once with the plan).
 # - schedule: no `Vec<Vec<Vec<` or `nparts * nparts` under crates/{overlap,runtime,inspector}/src; no GhostSchedule or scatter_/gather_{node,elem,edge}_array under crates tests examples suite.
 # - assembly: no AssembleSchedule / node_assemble / OwnGroup / own_groups / `Term::` under crates tests examples suite (an assembly reduces and broadcasts along the node copy schedule).
+# - one copy loop: crates/runtime/src names no apply_update / apply_assemble / apply_reduce / record_packet / apply_comms (every engine runs the CommPlan).
 # - obs: the top-level `impl Recorder for` set under crates/ is exactly MetricsRegistry, TimelineRecorder, HbRecorder, FanoutRecorder.
 # - engine: no `enum Posting|EngineKind|Wire` and no `pub fn run_spmd` under crates/ (Engine and Engine::run / run_with are the one identity and entry).
 # - mesh: no `Connectivity2d|3d`, `.connectivity()` or `fn connectivity` under crates tests examples suite (the mesh numbers its edges once, on first read).
@@ -78,6 +79,10 @@ fi
 if grep -rnE --include='*.rs' '\b(AssembleSchedule|node_assemble|OwnGroup|own_groups)\b|\bTerm::' \
     crates tests examples suite; then
     echo "assembly gate: a node-overlap assembly reduces along the node copy schedule and broadcasts back — no group schedule, no group recipes"
+    exit 1
+fi
+if grep -rnE --include='*.rs' '\b(apply_update|apply_assemble|apply_reduce|record_packet|apply_comms)\b' crates/runtime/src; then
+    echo "copy-loop gate: every engine, round-robin included, runs the CommPlan's recipes — no per-op collectives in the runtime"
     exit 1
 fi
 recorders="$(grep -rhoE --include='*.rs' '^impl[^{]*\bRecorder for [A-Za-z]+' crates | sed 's/.* for //' | sort | tr '\n' ' ')"

@@ -2,9 +2,9 @@
 //! correctness argument rests on (§2.3), exercised through the whole
 //! stack rather than the reference implementations.
 
-use syncplace::overlap::Decomposition;
 use syncplace::prelude::*;
 use syncplace_bench::setup;
+use syncplace_suite::{assemble_groups, assembly_groups, reference_run};
 
 /// Fig. 1 semantics: after a scatter, kernel values are exact even
 /// though overlap copies are garbage; the update makes every copy
@@ -63,7 +63,7 @@ fn fig1_kernel_exactness_midstep() {
     }
     assert!(stale, "overlap copies should be stale before the update");
     // The update fixes everything.
-    syncplace::overlap::check::apply_update(&d, &mut news);
+    syncplace::overlap::check::apply_update(&d.node_update, &mut news);
     locals = news;
     for s in &d.submeshes {
         for (l, &g) in s.nodes_l2g.iter().enumerate() {
@@ -145,9 +145,9 @@ fn fig1_update_idempotent() {
     let d = decompose2d(&mesh, &part.part, 3, Pattern::FIG1);
     let global: Vec<f64> = (0..mesh.nnodes()).map(|i| i as f64).collect();
     let mut locals = d.scatter(EntityKind::Node, &global).unwrap();
-    syncplace::overlap::check::apply_update(&d, &mut locals);
+    syncplace::overlap::check::apply_update(&d.node_update, &mut locals);
     let once = locals.clone();
-    syncplace::overlap::check::apply_update(&d, &mut locals);
+    syncplace::overlap::check::apply_update(&d.node_update, &mut locals);
     assert_eq!(once, locals);
 }
 
@@ -166,43 +166,6 @@ fn fig2_assembly_not_idempotent() {
     assert_ne!(once, locals, "double assembly must double shared values");
 }
 
-
-/// The node-overlap assembly groups, derived only from each sub-mesh's
-/// local → global node list and the node owners: every global node held
-/// by at least two parts, as its `(part, local)` copies, owner first,
-/// then by ascending part.
-fn oracle_groups<const V: usize>(d: &Decomposition<V>) -> Vec<Vec<(usize, usize)>> {
-    let mut held = vec![Vec::new(); d.nnodes_global];
-    for s in &d.submeshes {
-        for (l, &g) in s.nodes_l2g.iter().enumerate() {
-            held[g as usize].push((s.part as usize, l));
-        }
-    }
-    let mut groups = Vec::new();
-    for (g, mut copies) in held.into_iter().enumerate() {
-        if copies.len() >= 2 {
-            let owner = d.node_owner[g] as usize;
-            copies.sort_by_key(|&(q, _)| (q != owner, q));
-            groups.push(copies);
-        }
-    }
-    groups
-}
-
-/// Assemble per-part arrays group by group: the total starts from the
-/// owner's copy and adds the others in group order, then is written to
-/// every copy.
-fn oracle_assemble(groups: &[Vec<(usize, usize)>], locals: &mut [Vec<f64>]) {
-    for g in groups {
-        let mut total = locals[g[0].0][g[0].1];
-        for &(p, l) in &g[1..] {
-            total += locals[p][l];
-        }
-        for &(p, l) in g {
-            locals[p][l] = total;
-        }
-    }
-}
 
 fn assert_bits_eq(tag: &str, want: &[Vec<f64>], got: &[Vec<f64>]) {
     let bits = |a: &[Vec<f64>]| -> Vec<Vec<u64>> {
@@ -230,11 +193,11 @@ fn node_overlap_assembly_matches_a_schedule_free_oracle() {
         };
         let l2 = random(d2.submeshes.iter().map(|s| s.nnodes()).collect());
         let l3 = random(d3.submeshes.iter().map(|s| s.nnodes()).collect());
-        let (g2, g3) = (oracle_groups(&d2), oracle_groups(&d3));
+        let (g2, g3) = (assembly_groups(&d2), assembly_groups(&d3));
         assert!(g2.iter().chain(&g3).any(|g| g.len() >= 3) || np == 2, "P = {np}: a node on three parts");
         for (tag, groups, locals) in [("2-D", &g2, &l2), ("3-D", &g3, &l3)] {
             let mut want = locals.clone();
-            oracle_assemble(groups, &mut want);
+            assemble_groups(groups, &mut want);
             let mut got = locals.clone();
             if tag == "2-D" {
                 syncplace::overlap::check::apply_assemble(&d2, &mut got);
@@ -244,67 +207,6 @@ fn node_overlap_assembly_matches_a_schedule_free_oracle() {
             assert_bits_eq(&format!("{tag} P = {np}"), &want, &got);
         }
     }
-}
-
-/// Run a placed program rank by rank as the round-robin engine does,
-/// but assemble through the schedule-free oracle: the tape and kernel
-/// come from the plan, reductions from the reference tree.
-fn oracle_run<const V: usize>(
-    prog: &Program,
-    spmd: &syncplace::codegen::SpmdProgram,
-    d: &Decomposition<V>,
-    b: &syncplace::runtime::Bindings,
-) -> syncplace::runtime::SpmdResult {
-    use syncplace::codegen::CommOp;
-    use syncplace::runtime::tape::{Cursor, Op};
-    let plan = syncplace::runtime::CommPlan::build(prog, spmd, d);
-    let kernel = plan.kernel.clone().unwrap();
-    let phases = spmd.phases();
-    let groups = oracle_groups(d);
-    let mut ms = syncplace::runtime::spmd::build_machines(prog, d, b).unwrap();
-    let mut cur = Cursor::new(plan.ops().unwrap());
-    while let Some(op) = cur.next() {
-        match *op {
-            Op::Assign(id) => {
-                for m in &mut ms {
-                    m.exec_stmt(&kernel, id);
-                }
-            }
-            Op::Loop { id, entity, domain, .. } => {
-                for m in &mut ms {
-                    let (n, k) = (m.domain_count(entity, domain), m.kernel_count(entity));
-                    m.exec_loop(&kernel, id, n, k);
-                }
-            }
-            Op::Complete(k) => {
-                for op in phases[k].1 {
-                    match *op {
-                        CommOp::AssembleShared { var } => {
-                            let mut locals: Vec<Vec<f64>> =
-                                ms.iter_mut().map(|m| std::mem::take(&mut m.arrays[var])).collect();
-                            oracle_assemble(&groups, &mut locals);
-                            for (m, local) in ms.iter_mut().zip(locals) {
-                                m.arrays[var] = local;
-                            }
-                        }
-                        CommOp::Reduce { var, op } => {
-                            syncplace::runtime::comm::apply_reduce(&mut ms, var, op, &None);
-                        }
-                        CommOp::UpdateOverlap { .. } => panic!("node overlap places no update"),
-                    }
-                }
-            }
-            Op::Exit { id, to, .. } => {
-                let decisions: Vec<bool> = ms.iter_mut().map(|m| m.exec_stmt(&kernel, id)).collect();
-                if decisions[0] {
-                    cur.exit(to);
-                }
-            }
-            Op::Post(_) | Op::Head { .. } | Op::Tail { .. } => {}
-        }
-    }
-    let (stats, overlap) = Default::default();
-    syncplace::runtime::spmd::collect_results(prog, d, ms, stats, cur.iterations, overlap)
 }
 
 fn assert_runs_bitwise(tag: &str, want: &syncplace::runtime::SpmdResult, got: &syncplace::runtime::SpmdResult) {
@@ -317,9 +219,9 @@ fn assert_runs_bitwise(tag: &str, want: &syncplace::runtime::SpmdResult, got: &s
     }
 }
 
-/// Every engine's node-overlap run is bit for bit the oracle-assembled
-/// run: TESTIV under fig. 7, and the 3-D heat program under the 3-D
-/// node-overlap automaton.
+/// Every engine's node-overlap run is bit for bit the plan-free
+/// reference run, whose assembly reads no schedule: TESTIV under fig. 7,
+/// and the 3-D heat program under the 3-D node-overlap automaton.
 #[test]
 fn node_overlap_engines_match_the_oracle_run() {
     let assembles = |spmd: &syncplace::codegen::SpmdProgram| {
@@ -330,7 +232,7 @@ fn node_overlap_engines_match_the_oracle_run() {
     for np in [2, 3, 5, 8] {
         let (d, spmd) = setup::decompose(&s, np, Pattern::FIG2, 0);
         assert!(assembles(&spmd));
-        let want = oracle_run(&s.prog, &spmd, &d, &s.bindings);
+        let want = reference_run(&s.prog, &spmd, &d, &s.bindings);
         for engine in Engine::ALL {
             let got = engine.run(&s.prog, &spmd, &d, &s.bindings).unwrap();
             assert_runs_bitwise(&format!("TESTIV P = {np} {engine:?}"), &want, &got);
@@ -347,10 +249,43 @@ fn node_overlap_engines_match_the_oracle_run() {
     for np in [2, 3, 5] {
         let part = partition3d(&mesh, np, Method::Rcb);
         let d = decompose3d(&mesh, &part.part, np, Pattern::FIG2);
-        let want = oracle_run(&prog, &spmd, &d, &bindings);
+        let want = reference_run(&prog, &spmd, &d, &bindings);
         for engine in Engine::ALL {
             let got = engine.run(&prog, &spmd, &d, &bindings).unwrap();
             assert_runs_bitwise(&format!("tet_heat P = {np} {engine:?}"), &want, &got);
         }
+    }
+}
+
+/// A packing defect in the plan — one round-1 unpack of TESTIV × fig. 7
+/// × Fig. 2 shifted by one slot — makes every engine that runs the plan,
+/// round-robin included, differ from the plan-free reference run, and
+/// the CommPlan auditor names it under exactly one code. The unpack is
+/// that of a rank that both owns shared nodes and holds copies: its
+/// shifted adds reach a slot that round 2 writes back, which is what
+/// the plan-only auditor can see.
+#[test]
+fn a_shifted_recv1_unpack_is_caught_by_the_reference_and_the_auditor() {
+    use syncplace::analyze::codes;
+    let s = setup::testiv(9, 1e-9, &fig7());
+    let (d, spmd) = setup::decompose(&s, 3, Pattern::FIG2, 0);
+    let mut plan = syncplace::runtime::CommPlan::build(&s.prog, &spmd, &d);
+    let mut ranks = plan.phases.iter_mut().flat_map(|ph| &mut ph.ranks);
+    let rank = ranks.find(|rp| !rp.recv1.is_empty() && !rp.recv2.is_empty());
+    let recv = &mut rank.expect("an owner that also holds copies").recv1[0];
+    let unpack = recv.updates.iter_mut().chain(&mut recv.adds).find(|ru| !ru.dst.is_empty());
+    unpack.expect("a non-empty unpack").dst.iter_mut().for_each(|slot| *slot += 1);
+
+    let report = syncplace::analyze::audit(&s.prog, &s.analysis.solutions[0], &spmd, &plan);
+    assert_eq!(report.codes(), [codes::WRITE_RACE], "{report}");
+
+    let want = reference_run(&s.prog, &spmd, &d, &s.bindings);
+    let plan = std::sync::Arc::new(plan);
+    let bits = |r: &syncplace::runtime::SpmdResult| -> Vec<u64> {
+        r.output_arrays.iter().flat_map(|(_, a)| a.iter().map(|x| x.to_bits())).collect()
+    };
+    for engine in [Engine::RoundRobin, Engine::Batched] {
+        let got = engine.run_with(&s.prog, &spmd, &d, &s.bindings, Some(&plan), &None).unwrap();
+        assert_ne!(bits(&want), bits(&got), "{}: the shifted unpack went unseen", engine.name());
     }
 }

@@ -164,11 +164,10 @@ fn pool_workers_aggregate_counters_into_one_recorder() {
 
 #[test]
 fn round_robin_pair_values_match_the_pooled_wire() {
-    // The round-robin engine *simulates* a per-op wire; the pooled
-    // engines really ship the same values, coalesced into one packet
-    // per peer per round. With a recorder attached both must account
-    // the same values on every ordered pair, and coalescing may only
-    // ever lower the packet count.
+    // The round-robin engine records the plan's packets on one
+    // thread; the pooled engines really ship them. With a recorder
+    // attached both account the same packets and values on every
+    // ordered pair.
     let (prog, bindings, mesh, spmd) = fixed_iteration_testiv(3, 9);
     for p in [2usize, 4] {
         let part = partition2d(&mesh, p, Method::Greedy);
@@ -191,7 +190,7 @@ fn round_robin_pair_values_match_the_pooled_wire() {
         for (pair, sim) in &rr.pairs {
             let real = ba.pairs[pair];
             assert_eq!(sim.values, real.values, "P={p} {pair:?}: simulated wire != real wire");
-            assert!(real.packets <= sim.packets, "P={p} {pair:?}");
+            assert_eq!(sim.packets, real.packets, "P={p} {pair:?}");
         }
     }
 }

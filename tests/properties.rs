@@ -59,7 +59,7 @@ fn update_restores_coherence_on_random_data() {
                 *v = f64::NAN;
             }
         }
-        syncplace::overlap::check::apply_update(&d, &mut locals);
+        syncplace::overlap::check::apply_update(&d.node_update, &mut locals);
         assert!(syncplace::overlap::check::is_coherent(&d, &locals, 0.0));
     }
 }

@@ -9,6 +9,7 @@
 use std::sync::Arc;
 
 use syncplace::analyze::{hb, mc};
+use syncplace::automata::predefined::fig7;
 use syncplace::obs::{HbRecorder, RecorderRef};
 use syncplace::overlap::Pattern;
 use syncplace::prelude::*;
@@ -34,6 +35,16 @@ fn fig_plans(nparts: usize, pattern: Pattern) -> Vec<(String, CommPlan)> {
         .collect()
 }
 
+/// The Fig. 2 row for TESTIV at `nparts`: a node-overlap (fig. 7)
+/// placement on a node-overlap decomposition, whose plan assembles.
+fn fig2_plan(nparts: usize) -> (String, CommPlan) {
+    let s = setup::testiv(9, 1e-3, &fig7());
+    let (d, spmd) = setup::decompose(&s, nparts, Pattern::FIG2, 0);
+    let plan = CommPlan::build(&s.prog, &spmd, &d);
+    assert!(plan.phases.iter().any(|ph| ph.assembles > 0), "P{nparts}: no assembling phase");
+    (format!("fig7:{}:P{nparts}", Pattern::FIG2.name()), plan)
+}
+
 /// Model-check sweeps stay tractable: deeper sweeps at small P, a
 /// single sweep at P = 4.
 fn sweeps_for(nparts: usize) -> usize {
@@ -46,31 +57,31 @@ fn sweeps_for(nparts: usize) -> usize {
 
 #[test]
 fn model_checker_proves_both_pooled_engines_on_fig9_and_fig10() {
-    for nparts in [2usize, 3, 4] {
-        // Both overlap patterns, as `reproduce racecheck` sweeps them.
-        let patterns = [Pattern::FIG1, Pattern::FIG2];
-        for (label, plan) in patterns.into_iter().flat_map(|pat| fig_plans(nparts, pat)) {
-            for engine in POOLED {
-                let out = mc::check_plan(&plan, engine, sweeps_for(nparts));
-                assert!(
-                    out.report.is_clean(),
-                    "{label} {}: {}",
-                    engine.name(),
-                    out.report
-                        .diags
-                        .first()
-                        .map(|d| d.to_string())
-                        .unwrap_or_default()
-                );
-                assert!(!out.stats.capped, "{label} {}: capped", engine.name());
-                assert!(out.stats.terminals > 0, "{label} {}", engine.name());
-                assert_eq!(
-                    out.stats.distinct_signatures,
-                    1,
-                    "{label} {}: nondeterministic",
-                    engine.name()
-                );
-            }
+    // Both overlap patterns: Fig. 1 rows from the fig. 6 placements,
+    // Fig. 2 rows from a fig. 7 placement, whose phases assemble.
+    let fig1 = [2usize, 3, 4].map(|n| fig_plans(n, Pattern::FIG1).into_iter().map(move |r| (n, r)));
+    let fig2 = [2usize, 3].map(|n| (n, fig2_plan(n)));
+    for (nparts, (label, plan)) in fig1.into_iter().flatten().chain(fig2) {
+        for engine in POOLED {
+            let out = mc::check_plan(&plan, engine, sweeps_for(nparts));
+            assert!(
+                out.report.is_clean(),
+                "{label} {}: {}",
+                engine.name(),
+                out.report
+                    .diags
+                    .first()
+                    .map(|d| d.to_string())
+                    .unwrap_or_default()
+            );
+            assert!(!out.stats.capped, "{label} {}: capped", engine.name());
+            assert!(out.stats.terminals > 0, "{label} {}", engine.name());
+            assert_eq!(
+                out.stats.distinct_signatures,
+                1,
+                "{label} {}: nondeterministic",
+                engine.name()
+            );
         }
     }
 }

@@ -1,7 +1,8 @@
 //! Cross-engine equivalence: every SPMD engine in `Engine::ALL`
-//! (round-robin reference, batched zero-copy, overlapped split-phase)
-//! produces **bitwise identical** outputs and iteration counts on
-//! every built-in workload at P ∈ {1, 2, 4, 8}.
+//! (round-robin, batched zero-copy, overlapped split-phase) produces
+//! outputs and iteration counts **bitwise identical** to the plan-free
+//! reference run (`syncplace_suite::reference_run`) on every built-in
+//! workload at P ∈ {1, 2, 4, 8}.
 //!
 //! Bitwise — not approximately — because the engines fix the same
 //! combine orders everywhere: an assembled slot folds owner-first then
@@ -13,6 +14,7 @@ use syncplace::automata::predefined::{element_overlap_2d_full, fig6, fig8};
 use syncplace::prelude::*;
 use syncplace::runtime::{Bindings, SpmdResult};
 use syncplace::Engine;
+use syncplace_suite::reference_run;
 
 const PROCS: [usize; 4] = [1, 2, 4, 8];
 
@@ -43,9 +45,8 @@ fn assert_bitwise(name: &str, p: usize, engine: Engine, reference: &SpmdResult, 
     }
 }
 
-/// Op and phase counts are engine-independent. Traffic is too, except
-/// that the pooled engines coalesce: one tree packet carries every
-/// reduce op of a phase, so they may only ever ship fewer messages.
+/// Op, phase and traffic counts are engine-independent: every engine
+/// reads them off the one plan.
 fn assert_stats(name: &str, p: usize, engine: Engine, reference: &SpmdResult, r: &SpmdResult) {
     assert_eq!(
         reference.stats.updates,
@@ -56,11 +57,32 @@ fn assert_stats(name: &str, p: usize, engine: Engine, reference: &SpmdResult, r:
     assert_eq!(reference.stats.assembles, r.stats.assembles);
     assert_eq!(reference.stats.reduces, r.stats.reduces);
     assert_eq!(reference.stats.nphases(), r.stats.nphases());
-    assert!(
-        r.stats.total_messages() <= reference.stats.total_messages(),
-        "{name} P={p} {}: coalescing sent more messages than the per-op wire",
+    assert_eq!(
+        r.stats.total_messages(),
+        reference.stats.total_messages(),
+        "{name} P={p} {}: message counts differ",
         engine.name()
     );
+}
+
+/// Run every engine on one placed program: each bitwise equal to the
+/// plan-free reference run, with the stats of the first. Returns the
+/// runs in `Engine::ALL` order.
+fn check_engines<const V: usize>(
+    name: &str,
+    prog: &Program,
+    spmd: &syncplace::codegen::SpmdProgram,
+    d: &syncplace::overlap::Decomposition<V>,
+    bindings: &Bindings,
+) -> [SpmdResult; 3] {
+    let p = d.nparts;
+    let reference = reference_run(prog, spmd, d, bindings);
+    let runs = Engine::ALL.map(|engine| engine.run(prog, spmd, d, bindings).unwrap());
+    for (engine, r) in Engine::ALL.into_iter().zip(&runs) {
+        assert_bitwise(name, p, engine, &reference, r);
+        assert_stats(name, p, engine, &runs[0], r);
+    }
+    runs
 }
 
 fn check_2d(
@@ -89,11 +111,8 @@ fn check_2d(
     for p in PROCS {
         let part = partition2d(mesh, p, Method::Greedy);
         let d = decompose2d(mesh, &part.part, p, pattern);
-        let reference = Engine::RoundRobin.run(prog, &spmd, &d, bindings).unwrap();
-        for engine in Engine::ALL {
-            let r = engine.run(prog, &spmd, &d, bindings).unwrap();
-            assert_bitwise(name, p, engine, &reference, &r);
-            assert_stats(name, p, engine, &reference, &r);
+        let runs = check_engines(name, prog, &spmd, &d, bindings);
+        for (engine, r) in Engine::ALL.into_iter().zip(&runs) {
             assert_eq!(ids(&r.output_arrays), array_outputs, "{name} P={p} {}", engine.name());
         }
     }
@@ -154,12 +173,7 @@ fn tet3d_all_engines_bitwise_identical() {
     for p in PROCS {
         let part = partition3d(&mesh, p, Method::Rib);
         let d = decompose3d(&mesh, &part.part, p, Pattern::FIG1);
-        let reference = Engine::RoundRobin.run(&prog, &spmd, &d, &bindings).unwrap();
-        for engine in Engine::ALL {
-            let r = engine.run(&prog, &spmd, &d, &bindings).unwrap();
-            assert_bitwise("tet_heat", p, engine, &reference, &r);
-            assert_stats("tet_heat", p, engine, &reference, &r);
-        }
+        check_engines("tet_heat", &prog, &spmd, &d, &bindings);
     }
 }
 
@@ -497,7 +511,7 @@ fn edge_loop_only_program_counts_edges_and_matches_sequential() {
 
 /// Every engine on the first six placements of `src`, under Fig. 1
 /// (fig6) and Fig. 2 (fig7) overlap at P ∈ {2, 3, 4}: bitwise equal to
-/// round-robin, which matches the sequential run. Input `A` is
+/// the plan-free reference run, and matching the sequential run. Input `A` is
 /// `1 + i mod 5`; an input `eps` is 0.15 × the first sweep's sum of
 /// `A` over every triangle's first two corners. Returns the sequential
 /// iteration count.
@@ -523,14 +537,9 @@ fn first_placements_agree(name: &str, src: &str) -> usize {
                 let part = partition2d(&mesh, p, Method::Greedy);
                 let d = decompose2d(&mesh, &part.part, p, pattern);
                 let tag = format!("{name} {pattern:?} s{si}");
-                let reference = Engine::RoundRobin.run(&prog, &spmd, &d, &b).unwrap();
-                let err = syncplace::runtime::max_rel_error(&seq, &reference);
+                let [rr, ..] = check_engines(&tag, &prog, &spmd, &d, &b);
+                let err = syncplace::runtime::max_rel_error(&seq, &rr);
                 assert!(err < 1e-12, "{tag} P={p}: {err}");
-                for engine in Engine::ALL {
-                    let r = engine.run(&prog, &spmd, &d, &b).unwrap();
-                    assert_bitwise(&tag, p, engine, &reference, &r);
-                    assert_stats(&tag, p, engine, &reference, &r);
-                }
             }
         }
     }
